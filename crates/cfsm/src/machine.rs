@@ -4,7 +4,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use zooid_mpst::local::{unravel_local, LocalType, LocalTreeNode};
 use zooid_mpst::{Label, Role, Sort};
 
@@ -14,7 +13,7 @@ use crate::error::{CfsmError, Result};
 pub type StateId = usize;
 
 /// Whether a transition sends or receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Direction {
     /// The machine emits a message.
     Send,
@@ -24,7 +23,7 @@ pub enum Direction {
 
 /// The label of a CFSM transition: direction, partner, message label and
 /// payload sort.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CfsmAction {
     /// Send or receive.
     pub direction: Direction,
@@ -63,7 +62,7 @@ impl fmt::Display for CfsmAction {
 /// assert_eq!(m.state_count(), 1);       // a single looping state
 /// assert_eq!(m.final_states().len(), 0); // the loop never terminates
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfsm {
     role: Role,
     state_count: usize,

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::common::label::Label;
 use crate::common::role::Role;
@@ -10,7 +9,7 @@ use crate::common::sort::Sort;
 
 /// Whether an action is the sending or the receiving half of a message
 /// exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ActionKind {
     /// `!pq(l, S)`: the sender enqueues the message.
     Send,
@@ -51,7 +50,7 @@ impl fmt::Display for ActionKind {
 /// assert_eq!(b.subject(), &Role::new("q"));
 /// assert_eq!(b.to_string(), "?qp(l, nat)");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Action {
     kind: ActionKind,
     from: Role,

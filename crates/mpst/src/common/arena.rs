@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 /// Index of a node inside a semantic-tree arena.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// [`GlobalTree`]: crate::global::GlobalTree
 /// [`LocalTree`]: crate::local::LocalTree
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {

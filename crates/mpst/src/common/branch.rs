@@ -1,7 +1,6 @@
 //! Labelled branches of a choice, shared by global types, local types,
 //! semantic trees and processes.
 
-use serde::{Deserialize, Serialize};
 
 use crate::common::label::Label;
 use crate::common::sort::Sort;
@@ -13,7 +12,7 @@ use crate::error::{Error, Result};
 /// Global messages, local send/receive types, tree nodes and processes all
 /// carry a non-empty list of `Branch`es with pairwise distinct labels
 /// (Definition 3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Branch<T> {
     /// The label selecting this alternative.
     pub label: Label,

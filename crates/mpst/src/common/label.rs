@@ -3,7 +3,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 
 /// A message label, used to select among the branches of a choice.
 ///
@@ -22,8 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let accept = Label::new("Accept");
 /// assert_eq!(accept.name(), "Accept");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label(Arc<str>);
 
 impl Label {

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 
 /// A participant of a multiparty protocol.
 ///
@@ -21,8 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(alice, Role::new("Alice"));
 /// assert_ne!(alice, Role::new("Bob"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Role(Arc<str>);
 
 impl Role {
@@ -85,9 +83,9 @@ impl AsRef<str> for Role {
 /// assert!(blocked.contains(3) && !blocked.contains(65));
 /// assert_eq!(blocked.len(), 1);
 /// ```
-// No serde derives: deserialization could construct a value violating the
-// no-trailing-zero-words invariant the derived `Eq`/`Hash` depend on. Nothing
-// serializes role sets today; add a normalising `Deserialize` if that changes.
+// The derived `Eq`/`Hash` depend on the no-trailing-zero-words invariant, so
+// anything that builds a set from outside data (a deserializer, say) must
+// normalise; nothing serializes role sets today.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoleSet {
     /// Bits 0–63. Kept inline so sets over up to 64 roles never allocate —

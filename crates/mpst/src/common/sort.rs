@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 /// The sort (payload type) of a message.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(pair.to_string(), "(nat * bool)");
 /// assert!(pair.contains(&Sort::Nat));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Sort {
     /// The one-value type; used for pure signals such as `Quit(unit)`.
     Unit,

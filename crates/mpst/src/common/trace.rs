@@ -3,7 +3,6 @@
 use std::fmt;
 use std::ops::Deref;
 
-use serde::{Deserialize, Serialize};
 
 use crate::common::actions::Action;
 use crate::common::role::Role;
@@ -27,7 +26,7 @@ use crate::common::role::Role;
 /// assert_eq!(t.len(), 2);
 /// assert_eq!(t.to_string(), "!pq(l, nat) # ?qp(l, nat) # []");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Trace(Vec<Action>);
 
 impl Trace {

@@ -10,7 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::common::arena::NodeId;
 use crate::common::branch::Branch;
@@ -18,7 +17,7 @@ use crate::common::role::Role;
 use crate::global::tree::{GlobalTree, GlobalTreeNode};
 
 /// An execution state of a global protocol (the paper's `ig_ty`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GlobalPrefix {
     /// `inj_p Gc`: the protocol continues as the (unexecuted) tree rooted at
     /// the given node.

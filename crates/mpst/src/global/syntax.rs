@@ -3,7 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::common::branch::{branches_from, check_branches, Branch};
 use crate::common::label::Label;
@@ -44,7 +43,7 @@ use crate::error::{Error, Result};
 /// assert!(pipeline.well_formed().is_ok());
 /// assert_eq!(pipeline.participants().len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GlobalType {
     /// The terminated protocol `end`.
     End,

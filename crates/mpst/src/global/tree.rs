@@ -13,14 +13,13 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
 
 use crate::common::branch::Branch;
 use crate::common::role::{Role, RoleSet};
 pub use crate::common::arena::NodeId;
 
 /// One node of a semantic global tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GlobalTreeNode {
     /// The terminated protocol `end_c`.
     End,
@@ -63,14 +62,13 @@ impl GlobalTreeNode {
 ///     GlobalTreeNode::End => unreachable!(),
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalTree {
     nodes: Vec<GlobalTreeNode>,
     root: NodeId,
     /// Lazily computed role table and per-node participation sets (the
     /// paper's `part_of`, answered in O(1) once built). Lazy so that callers
     /// that never project — e.g. plain unravelling — do not pay for it.
-    #[serde(skip)]
     tables: OnceLock<RoleTables>,
 }
 

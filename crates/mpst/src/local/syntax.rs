@@ -3,7 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::common::branch::{branches_from, check_branches, Branch};
 use crate::common::label::Label;
@@ -42,7 +41,7 @@ use crate::error::{Error, Result};
 ///         ]))]))]);
 /// assert!(blt.well_formed().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LocalType {
     /// The terminated protocol `end`.
     End,

@@ -7,14 +7,13 @@
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::common::arena::NodeId;
 use crate::common::branch::Branch;
 use crate::common::role::Role;
 
 /// One node of a semantic local tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LocalTreeNode {
     /// The terminated protocol `end_c`.
     End,
@@ -46,7 +45,7 @@ impl LocalTreeNode {
 ///
 /// Build one with [`unravel_local`](crate::local::unravel_local) or as the
 /// result of [coinductive projection](crate::projection::cproject).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalTree {
     nodes: Vec<LocalTreeNode>,
     root: NodeId,

@@ -11,7 +11,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use zooid_mpst::Sort;
 
 use crate::error::{ProcError, Result};
@@ -42,7 +41,7 @@ pub type ValueEnv = BTreeMap<String, Value>;
 /// env.insert("x".to_string(), Value::Nat(41));
 /// assert_eq!(e.eval(&env).unwrap(), Value::Nat(42));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// A literal value.
     Lit(Value),

@@ -2,14 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use zooid_mpst::{Label, Role, Sort};
 
 use crate::expr::Expr;
 
 /// One alternative of a receiving process: the label it reacts to, the sort
 /// of the payload, the variable the payload is bound to and the continuation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecvAlt {
     /// The label this alternative handles.
     pub label: Label,
@@ -70,7 +69,7 @@ impl RecvAlt {
 /// );
 /// assert_eq!(alice.size(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Proc {
     /// The terminated process.
     Finish,

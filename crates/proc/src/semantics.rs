@@ -4,7 +4,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use zooid_mpst::{Action, Label, Role, Sort};
 
 use crate::error::{ProcError, Result};
@@ -18,7 +17,7 @@ use crate::value::Value;
 /// The paper's process LTS uses actions "with values instead of sorts"; the
 /// *erasure* `|a|` forgets the value and keeps the sort, producing the
 /// type-level action used by type preservation (Theorem 4.5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValueAction {
     /// `true` for the sending half, `false` for the receiving half.
     pub is_send: bool,

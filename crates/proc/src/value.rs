@@ -3,7 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use zooid_mpst::Sort;
 
 use crate::error::{ProcError, Result};
@@ -25,7 +24,7 @@ use crate::error::{ProcError, Result};
 /// assert!(v.has_sort(&Sort::prod(Sort::Nat, Sort::Bool)));
 /// assert!(!v.has_sort(&Sort::Nat));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// The unit value.
     Unit,

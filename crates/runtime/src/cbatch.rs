@@ -55,7 +55,7 @@ use zooid_mpst::{Action, Label, Role, Trace};
 use zooid_proc::compile::{Arm, CExpr, Instr};
 use zooid_proc::{Value, ValueAction};
 
-use crate::cexec::{ActionTemplate, EndpointProgram, ADMIN_FUEL};
+use crate::cexec::{admin_tick, ActionTemplate, EndpointProgram};
 use crate::error::RuntimeError;
 use crate::exec::{sort_of_value, EndpointReport, EndpointStatus, ExecOptions};
 use crate::faults::{ArenaFaults, FaultKind, FaultPlan, InjectedFault};
@@ -1011,31 +1011,4 @@ impl SessionBatch {
         self.live_count -= 1;
         self.free.push(s as u32);
     }
-}
-
-/// Same fuel semantics as the per-session compiled executor (see
-/// `cexec::CompiledEndpointTask::admin_tick`): a backward jump resets the
-/// straight-line counter and spends one bounded back-edge.
-fn admin_tick(
-    admin: &mut usize,
-    back_edges: &mut usize,
-    from_pc: u32,
-    to_pc: u32,
-) -> Result<(), RuntimeError> {
-    if to_pc <= from_pc {
-        *admin = 0;
-        *back_edges += 1;
-        if *back_edges > ADMIN_FUEL {
-            return Err(RuntimeError::Process(zooid_proc::ProcError::Stuck {
-                context: "recursion does not reach a communication".to_owned(),
-            }));
-        }
-    }
-    *admin += 1;
-    if *admin >= ADMIN_FUEL {
-        return Err(RuntimeError::Process(zooid_proc::ProcError::Stuck {
-            context: "internal actions did not terminate within the fuel bound".to_owned(),
-        }));
-    }
-    Ok(())
 }

@@ -1,5 +1,5 @@
-//! The compiled endpoint executor: runs a [`CompiledProc`] program against a
-//! transport.
+//! The compiled endpoint executor: runs a [`CompiledProc`] program against an
+//! [`InMemoryTransport`].
 //!
 //! This is the data-plane counterpart of what [`zooid_cfsm::CompiledSystem`]
 //! did for the verification plane: lower once, run on dense ids. Where the
@@ -16,9 +16,13 @@
 //!   sort as values for trace recording, and the pre-interned
 //!   [`InternedAction`] the live [`CompiledMonitor`](crate::monitor::
 //!   CompiledMonitor) consumes without hashing a single string;
-//! * on an [`InMemoryTransport`] the task binds every peer to its dense
-//!   channel index on first use ([`CompiledEndpointTask::step_mem`]), so
-//!   steady-state stepping does no role-string comparison either.
+//! * the task binds every peer to its dense channel index on first use
+//!   ([`CompiledEndpointTask::step_mem`]), so steady-state stepping does no
+//!   role-string comparison either.
+//!
+//! The in-memory transport is the only one a compiled task steps over: the
+//! server's shards are its callers, and endpoints on other transports (TCP)
+//! run on the tree-walking executor.
 //!
 //! The tree-walking executor remains the behavioural oracle: both produce
 //! identical traces, statuses and monitor verdicts on every protocol
@@ -34,12 +38,12 @@ use zooid_proc::{Externals, Proc, ProcError, Value, ValueAction};
 
 use crate::error::{Result, RuntimeError};
 use crate::exec::{sort_of_value, EndpointReport, EndpointStatus, ExecOptions, StepOutcome};
-use crate::transport::{InMemoryTransport, Transport};
+use crate::transport::InMemoryTransport;
 
 /// Same bound as the tree-walking semantics: a well-typed process performs
 /// finitely many internal actions between communications; the fuel protects
 /// against ill-typed ones, with the same error.
-pub(crate) const ADMIN_FUEL: usize = 10_000;
+const ADMIN_FUEL: usize = 10_000;
 
 /// One communication site of a program, resolved against the protocol: the
 /// concrete roles/label/sort for recording the action, and the pre-interned
@@ -175,109 +179,30 @@ pub struct CompiledEndpointTask {
     pc: u32,
     slots: Vec<Value>,
     /// Dense transport index per interned peer role (`RoleId::index()`),
-    /// bound lazily on the in-memory fast path.
+    /// bound lazily by [`peer_index`].
     mem_peers: Vec<Option<u32>>,
     actions: Vec<ValueAction>,
     steps: usize,
     status: Option<EndpointStatus>,
 }
 
-/// How the stepping loop talks to its transport: the in-memory fast path
-/// addresses peers by dense index, the generic path by role.
-trait Port {
-    fn send(
-        &mut self,
-        peers: &mut [Option<u32>],
-        rid: usize,
-        to: &Role,
-        label: &Label,
-        value: &Value,
-    ) -> Result<()>;
-    fn recv(
-        &mut self,
-        peers: &mut [Option<u32>],
-        rid: usize,
-        from: &Role,
-        block: bool,
-    ) -> Result<Option<(Label, Value)>>;
-}
-
-/// Fast path: peers resolved once to dense [`InMemoryTransport`] indices,
-/// frames passed by value with no codec round-trip.
-struct MemPort<'a>(&'a mut InMemoryTransport);
-
-impl MemPort<'_> {
-    fn index(&self, peers: &mut [Option<u32>], rid: usize, role: &Role) -> Result<usize> {
-        if let Some(idx) = peers[rid] {
-            return Ok(idx as usize);
-        }
-        let idx = self
-            .0
-            .peer_index(role)
-            .ok_or_else(|| RuntimeError::UnknownPeer { role: role.clone() })?;
-        peers[rid] = Some(idx as u32);
-        Ok(idx)
+/// Resolves an interned peer role (`RoleId::index()`) to its dense
+/// [`InMemoryTransport`] channel index, binding it on first use so
+/// steady-state stepping compares no role strings.
+fn peer_index(
+    transport: &InMemoryTransport,
+    peers: &mut [Option<u32>],
+    rid: usize,
+    role: &Role,
+) -> Result<usize> {
+    if let Some(idx) = peers[rid] {
+        return Ok(idx as usize);
     }
-}
-
-impl Port for MemPort<'_> {
-    fn send(
-        &mut self,
-        peers: &mut [Option<u32>],
-        rid: usize,
-        to: &Role,
-        label: &Label,
-        value: &Value,
-    ) -> Result<()> {
-        let idx = self.index(peers, rid, to)?;
-        self.0.send_indexed(idx, label.clone(), value.clone())
-    }
-
-    fn recv(
-        &mut self,
-        peers: &mut [Option<u32>],
-        rid: usize,
-        from: &Role,
-        block: bool,
-    ) -> Result<Option<(Label, Value)>> {
-        let idx = self.index(peers, rid, from)?;
-        if block {
-            self.0.recv_indexed(idx).map(Some)
-        } else {
-            self.0.try_recv_indexed(idx)
-        }
-    }
-}
-
-/// Generic path over any [`Transport`] (TCP included): peers addressed by
-/// role.
-struct DynPort<'a>(&'a mut dyn Transport);
-
-impl Port for DynPort<'_> {
-    fn send(
-        &mut self,
-        _peers: &mut [Option<u32>],
-        _rid: usize,
-        to: &Role,
-        label: &Label,
-        value: &Value,
-    ) -> Result<()> {
-        self.0.send(to, label, value)
-    }
-
-    fn recv(
-        &mut self,
-        _peers: &mut [Option<u32>],
-        _rid: usize,
-        from: &Role,
-        block: bool,
-    ) -> Result<Option<(Label, Value)>> {
-        if block {
-            self.0.recv(from).map(Some)
-        } else {
-            self.0.try_recv(from)
-        }
-    }
+    let idx = transport
+        .peer_index(role)
+        .ok_or_else(|| RuntimeError::UnknownPeer { role: role.clone() })?;
+    peers[rid] = Some(idx as u32);
+    Ok(idx)
 }
 
 impl CompiledEndpointTask {
@@ -405,39 +330,20 @@ impl CompiledEndpointTask {
         }
     }
 
-    /// Advances by at most one visible communication over any transport,
-    /// yielding [`StepOutcome::WouldBlock`] on an empty channel.
+    /// Advances by at most one visible communication, yielding
+    /// [`StepOutcome::WouldBlock`] on an empty channel. Peers are addressed
+    /// by dense index and frames passed by value with no codec round-trip.
+    /// This is what the session server's shards call.
     ///
     /// The observer receives every action together with its pre-interned
     /// form when the site's template resolved (pass it to
     /// [`CompiledMonitor::observe_interned`](crate::monitor::CompiledMonitor::observe_interned)).
-    pub fn step(
-        &mut self,
-        transport: &mut dyn Transport,
-        observer: &mut dyn FnMut(&ValueAction, Option<&InternedAction>),
-    ) -> StepOutcome {
-        self.step_outer(&mut DynPort(transport), Some(observer), false)
-    }
-
-    /// Advances by one visible communication, blocking inside the transport
-    /// when the next action is a receive.
-    pub fn step_blocking(
-        &mut self,
-        transport: &mut dyn Transport,
-        observer: &mut dyn FnMut(&ValueAction, Option<&InternedAction>),
-    ) -> StepOutcome {
-        self.step_outer(&mut DynPort(transport), Some(observer), true)
-    }
-
-    /// The in-memory fast path: peers addressed by dense index, frames
-    /// passed without cloning detours. This is what the session server's
-    /// shards call.
     pub fn step_mem(
         &mut self,
         transport: &mut InMemoryTransport,
         observer: &mut dyn FnMut(&ValueAction, Option<&InternedAction>),
     ) -> StepOutcome {
-        self.step_outer(&mut MemPort(transport), Some(observer), false)
+        self.step_outer(transport, Some(observer))
     }
 
     /// [`CompiledEndpointTask::step_mem`] without an observer: when trace
@@ -446,19 +352,18 @@ impl CompiledEndpointTask {
     /// fire-and-forget stepping cost (transitions, statuses and step counts
     /// are identical to the observed variants).
     pub fn step_mem_quiet(&mut self, transport: &mut InMemoryTransport) -> StepOutcome {
-        self.step_outer(&mut MemPort(transport), None, false)
+        self.step_outer(transport, None)
     }
 
-    fn step_outer<P: Port>(
+    fn step_outer(
         &mut self,
-        port: &mut P,
+        transport: &mut InMemoryTransport,
         observer: Option<&mut dyn FnMut(&ValueAction, Option<&InternedAction>)>,
-        block: bool,
     ) -> StepOutcome {
         if let Some(status) = &self.status {
             return StepOutcome::Done(status.clone());
         }
-        match self.try_step(port, observer, block) {
+        match self.try_step(transport, observer) {
             Ok(StepOutcome::Done(status)) => {
                 self.status = Some(status.clone());
                 StepOutcome::Done(status)
@@ -474,11 +379,10 @@ impl CompiledEndpointTask {
         }
     }
 
-    fn try_step<P: Port>(
+    fn try_step(
         &mut self,
-        port: &mut P,
+        transport: &mut InMemoryTransport,
         mut observer: Option<&mut dyn FnMut(&ValueAction, Option<&InternedAction>)>,
-        block: bool,
     ) -> Result<StepOutcome> {
         // Field-level borrows: the program is read-only while pc/slots/
         // actions mutate, so no per-step `Arc` traffic is needed.
@@ -500,18 +404,18 @@ impl CompiledEndpointTask {
                     } else {
                         *else_pc
                     };
-                    self.admin_tick(&mut admin, &mut back_edges, self.pc, target)?;
+                    admin_tick(&mut admin, &mut back_edges, self.pc, target)?;
                     self.pc = target;
                 }
                 Instr::Read { action, slot, next } => {
-                    self.admin_tick(&mut admin, &mut back_edges, self.pc, *next)?;
+                    admin_tick(&mut admin, &mut back_edges, self.pc, *next)?;
                     let name = &compiled.action_names()[*action as usize];
                     let result = self.externals.call(name, Value::Unit)?;
                     self.slots[*slot as usize] = result;
                     self.pc = *next;
                 }
                 Instr::Write { action, arg, next } => {
-                    self.admin_tick(&mut admin, &mut back_edges, self.pc, *next)?;
+                    admin_tick(&mut admin, &mut back_edges, self.pc, *next)?;
                     let value = arg.eval(&self.slots)?;
                     let name = &compiled.action_names()[*action as usize];
                     self.externals.call(name, value)?;
@@ -523,7 +427,7 @@ impl CompiledEndpointTask {
                     slot,
                     next,
                 } => {
-                    self.admin_tick(&mut admin, &mut back_edges, self.pc, *next)?;
+                    admin_tick(&mut admin, &mut back_edges, self.pc, *next)?;
                     let value = arg.eval(&self.slots)?;
                     let name = &compiled.action_names()[*action as usize];
                     let result = self.externals.call(name, value)?;
@@ -576,13 +480,9 @@ impl CompiledEndpointTask {
                     } else {
                         None
                     };
-                    port.send(
-                        &mut self.mem_peers,
-                        peer.index(),
-                        &template.peer,
-                        &template.label,
-                        &value,
-                    )?;
+                    let to =
+                        peer_index(transport, &mut self.mem_peers, peer.index(), &template.peer)?;
+                    transport.send_indexed(to, template.label.clone(), value)?;
                     if self.options.record_actions {
                         self.actions.extend(action);
                     }
@@ -597,9 +497,8 @@ impl CompiledEndpointTask {
                         }
                     }
                     let from = compiled.snapshot().role(*peer);
-                    let Some((label, value)) =
-                        port.recv(&mut self.mem_peers, peer.index(), from, block)?
-                    else {
+                    let idx = peer_index(transport, &mut self.mem_peers, peer.index(), from)?;
+                    let Some((label, value)) = transport.try_recv_indexed(idx)? else {
                         return Ok(StepOutcome::WouldBlock { from: from.clone() });
                     };
                     let snapshot = compiled.snapshot();
@@ -643,48 +542,47 @@ impl CompiledEndpointTask {
             }
         }
     }
+}
 
-    /// Counts one internal action against the fuel, matching the tree
-    /// semantics: `admin_normalize` gets a fresh fuel tank at every loop
-    /// unfolding, so a backward jump (`next <= pc`, which in a compiled
-    /// program is exactly a loop back-edge) resets the straight-line
-    /// counter — while the back-edges themselves are bounded like the tree
-    /// executor's unfoldings, so an all-internal cycle (`loop { if c then
-    /// jump 0 else ... }` with `c` forever true) still fails instead of
-    /// spinning.
-    fn admin_tick(
-        &self,
-        admin: &mut usize,
-        back_edges: &mut usize,
-        from_pc: u32,
-        to_pc: u32,
-    ) -> Result<()> {
-        if to_pc <= from_pc {
-            *admin = 0;
-            *back_edges += 1;
-            if *back_edges > ADMIN_FUEL {
-                return Err(RuntimeError::Process(ProcError::Stuck {
-                    context: "recursion does not reach a communication".to_owned(),
-                }));
-            }
-        }
-        *admin += 1;
-        // `>=`, not `>`: the tree's `admin_normalize` spends one of its
-        // `ADMIN_FUEL` iterations on the final is-it-a-communication check,
-        // so it performs at most `ADMIN_FUEL - 1` reductions.
-        if *admin >= ADMIN_FUEL {
+/// Counts one internal action against the fuel, matching the tree
+/// semantics: `admin_normalize` gets a fresh fuel tank at every loop
+/// unfolding, so a backward jump (`next <= pc`, which in a compiled
+/// program is exactly a loop back-edge) resets the straight-line
+/// counter — while the back-edges themselves are bounded like the tree
+/// executor's unfoldings, so an all-internal cycle (`loop { if c then
+/// jump 0 else ... }` with `c` forever true) still fails instead of
+/// spinning.
+pub(crate) fn admin_tick(
+    admin: &mut usize,
+    back_edges: &mut usize,
+    from_pc: u32,
+    to_pc: u32,
+) -> Result<()> {
+    if to_pc <= from_pc {
+        *admin = 0;
+        *back_edges += 1;
+        if *back_edges > ADMIN_FUEL {
             return Err(RuntimeError::Process(ProcError::Stuck {
-                context: "internal actions did not terminate within the fuel bound".to_owned(),
+                context: "recursion does not reach a communication".to_owned(),
             }));
         }
-        Ok(())
     }
+    *admin += 1;
+    // `>=`, not `>`: the tree's `admin_normalize` spends one of its
+    // `ADMIN_FUEL` iterations on the final is-it-a-communication check,
+    // so it performs at most `ADMIN_FUEL - 1` reductions.
+    if *admin >= ADMIN_FUEL {
+        return Err(RuntimeError::Process(ProcError::Stuck {
+            context: "internal actions did not terminate within the fuel bound".to_owned(),
+        }));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::InMemoryNetwork;
+    use crate::transport::{InMemoryNetwork, Transport};
     use zooid_proc::{Expr, RecvAlt};
     use zooid_mpst::Sort;
 

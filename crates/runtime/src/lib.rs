@@ -46,9 +46,10 @@
 //! * [`cexec`] — the **compiled** endpoint executor: a certified process is
 //!   lowered once ([`zooid_proc::CompiledProc`]) into a flat instruction
 //!   table with interned ids, resolved loop back-edges and dense value
-//!   slots, and [`cexec::CompiledEndpointTask`] steps it as a program
-//!   counter plus a slot array — no per-step tree cloning, substitution or
-//!   re-normalisation. Per-site [`cexec::ActionTemplate`]s carry the actions
+//!   slots, and [`cexec::CompiledEndpointTask`] steps it over an
+//!   [`transport::InMemoryTransport`] (the only transport it speaks) as a
+//!   program counter plus a slot array — no per-step tree cloning,
+//!   substitution or re-normalisation. Per-site [`cexec::ActionTemplate`]s carry the actions
 //!   pre-interned against the protocol's [`zooid_cfsm::CompiledSystem`], so
 //!   live monitoring does not hash strings either. The tree-walking
 //!   executor is kept as the behavioural oracle (`tests/compiled_exec.rs`

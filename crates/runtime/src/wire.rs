@@ -225,9 +225,11 @@ pub enum RejectCode {
     Banned = 8,
 }
 
-impl RejectCode {
-    fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
+impl TryFrom<u8> for RejectCode {
+    type Error = RuntimeError;
+
+    fn try_from(raw: u8) -> Result<Self> {
+        Ok(match raw {
             1 => RejectCode::UnknownProtocol,
             2 => RejectCode::ConnectionLimit,
             3 => RejectCode::SessionLimit,
@@ -236,7 +238,11 @@ impl RejectCode {
             6 => RejectCode::ShuttingDown,
             7 => RejectCode::Quarantined,
             8 => RejectCode::Banned,
-            _ => return None,
+            _ => {
+                return Err(RuntimeError::Codec {
+                    reason: format!("unknown reject code {raw}"),
+                })
+            }
         })
     }
 }
@@ -405,10 +411,7 @@ pub fn decode_mux(mut bytes: &[u8]) -> Result<MuxFrame> {
         },
         MUX_ACCEPTED => MuxFrame::Accepted { session },
         MUX_REJECTED => {
-            let raw = get_u8(&mut bytes)?;
-            let code = RejectCode::from_u8(raw).ok_or_else(|| RuntimeError::Codec {
-                reason: format!("unknown reject code {raw}"),
-            })?;
+            let code = RejectCode::try_from(get_u8(&mut bytes)?)?;
             MuxFrame::Rejected {
                 session,
                 code,

@@ -423,6 +423,72 @@ fn batch_agrees_with_slab_and_tree_on_the_case_studies() {
 }
 
 #[test]
+fn batch_agrees_on_loops_with_internal_steps_between_communications() {
+    // `mu X. p -> q : tick(nat). q -> p : tock(nat). X`, with both senders
+    // choosing their payload through two nested conditionals: every lap
+    // spends internal `if` steps and loop back-edges against the admin fuel,
+    // whose accounting the batch and slab executors share and the tree
+    // executor referees.
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let g = GlobalType::rec(GlobalType::msg1(
+        p.clone(),
+        q.clone(),
+        "tick",
+        Sort::Nat,
+        GlobalType::msg1(q.clone(), p.clone(), "tock", Sort::Nat, GlobalType::var(0)),
+    ));
+    let tick = |n: u64| {
+        Proc::send(
+            q.clone(),
+            "tick",
+            Expr::lit(n),
+            Proc::recv1(q.clone(), "tock", Sort::Nat, "y", Proc::Jump(0)),
+        )
+    };
+    let tock = |e: Expr| Proc::send(p.clone(), "tock", e, Proc::Jump(0));
+    let x = || Expr::var("x");
+    let procs = vec![
+        (
+            p.clone(),
+            Proc::loop_(Proc::cond(
+                Expr::lt(Expr::lit(0u64), Expr::lit(1u64)),
+                Proc::cond(Expr::eq(Expr::lit(1u64), Expr::lit(2u64)), tick(1), tick(2)),
+                tick(3),
+            )),
+        ),
+        (
+            q.clone(),
+            Proc::loop_(Proc::recv1(
+                p.clone(),
+                "tick",
+                Sort::Nat,
+                "x",
+                Proc::cond(
+                    Expr::lt(x(), Expr::lit(5u64)),
+                    Proc::cond(
+                        Expr::eq(x(), Expr::lit(2u64)),
+                        tock(Expr::add(x(), Expr::lit(1u64))),
+                        tock(Expr::lit(0u64)),
+                    ),
+                    tock(Expr::lit(9u64)),
+                ),
+            )),
+        ),
+    ];
+    let protocol = zooid_dsl::Protocol::new("gated_metronome", g.clone()).expect("well-formed");
+    for (role, proc) in &procs {
+        protocol
+            .implement_against_projection(role, proc.clone(), &Externals::new())
+            .expect("the gated loops certify");
+    }
+    let options = ExecOptions::with_max_steps(9);
+    assert_batch_agrees(&g, &procs, &options, &[1, 5, 64], "gated_metronome");
+    // The conditionals really ran: q answered `tick(2)` with `x + 1`.
+    let reference = run_reference(&g, &procs, &options, true);
+    assert_eq!(reference.traces[&q][1].value, Value::Nat(3));
+}
+
+#[test]
 fn batch_agrees_on_randomized_projectable_protocols() {
     let params = generators::RandomProtocol::default();
     let options = ExecOptions::with_max_steps(24);

@@ -17,11 +17,12 @@
 //!   transition tables), so every session of the same implementation shares
 //!   one lowered program;
 //! * [`session`] — an [`ActiveSession`](session::SessionSpec) bundles one
-//!   endpoint task per participant — a compiled
+//!   endpoint task per participant — always a compiled
 //!   [`zooid_runtime::CompiledEndpointTask`] (program counter + slot array;
-//!   the tree-walking [`zooid_runtime::EndpointTask`] remains the fallback
-//!   and oracle) — with the session's in-memory channels (direct
-//!   `(Label, Value)` frames, dense peer indices, no codec) and a
+//!   certification guarantees every process lowers, so the tree-walking
+//!   executor of [`zooid_runtime::exec`] is the runtime crate's differential
+//!   oracle and never runs here) — with the session's in-memory channels
+//!   (direct `(Label, Value)` frames, dense peer indices, no codec) and a
 //!   [`zooid_runtime::CompiledMonitor`] fed **pre-interned actions**, so
 //!   steady-state serving neither hashes a string nor walks a tree;
 //! * [`server`] — the [`SessionServer`] schedules sessions over N worker

@@ -286,20 +286,6 @@ const EV_RESTARTED: u8 = 8;
 
 const PAYLOAD_MASK: u64 = (1 << 48) - 1;
 
-fn reject_code_from_u8(v: u8) -> Option<RejectCode> {
-    Some(match v {
-        1 => RejectCode::UnknownProtocol,
-        2 => RejectCode::ConnectionLimit,
-        3 => RejectCode::SessionLimit,
-        4 => RejectCode::Overloaded,
-        5 => RejectCode::BadFrame,
-        6 => RejectCode::ShuttingDown,
-        7 => RejectCode::Quarantined,
-        8 => RejectCode::Banned,
-        _ => return None,
-    })
-}
-
 /// One structured flight-recorder event.
 ///
 /// Events pack to a single `u64` — `kind:8 | code:8 | payload:48` — in the
@@ -389,7 +375,7 @@ impl FlightEvent {
             EV_VIOLATION => FlightEvent::Violation { session: payload },
             EV_REJECTED => FlightEvent::Rejected {
                 session: payload,
-                code: reject_code_from_u8(code)?,
+                code: RejectCode::try_from(code).ok()?,
             },
             EV_CONN_CLOSED => FlightEvent::ConnClosed {
                 client: payload,

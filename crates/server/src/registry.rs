@@ -24,7 +24,7 @@ use zooid_dsl::{CertifiedProcess, Protocol};
 use zooid_mpst::common::intern::TypeId;
 use zooid_mpst::local::LocalType;
 use zooid_mpst::{Interner, Role};
-use zooid_proc::{CompiledProc, Externals, Proc};
+use zooid_proc::{CompiledProc, Externals, Proc, ProcError};
 use zooid_runtime::cbatch::BatchLayout;
 use zooid_runtime::cexec::EndpointProgram;
 
@@ -175,9 +175,10 @@ impl ProtocolArtifacts {
     /// submits it.
     ///
     /// Returns `None` when the process does not lower (a jump without an
-    /// enclosing loop, a loop that can never reach a communication): the
-    /// caller falls back to the tree-walking executor, which reports the
-    /// corresponding runtime failure.
+    /// enclosing loop, a loop that can never reach a communication).
+    /// Certification rejects both, so a [`CertifiedProcess`] always lowers;
+    /// the server closes a session whose process does not with every
+    /// endpoint `Failed` — there is no second executor to fall back to.
     ///
     /// `externals` only contributes declared signatures to the static-sort
     /// hints; the cache deliberately ignores it — a program compiled under
@@ -189,6 +190,17 @@ impl ProtocolArtifacts {
         proc: &Proc,
         externals: &Externals,
     ) -> Option<Arc<EndpointProgram>> {
+        self.lower(role, proc, externals).ok()
+    }
+
+    /// [`ProtocolArtifacts::endpoint_program`], keeping the lowering error
+    /// for the session outcome that reports it.
+    pub(crate) fn lower(
+        &self,
+        role: &Role,
+        proc: &Proc,
+        externals: &Externals,
+    ) -> std::result::Result<Arc<EndpointProgram>, ProcError> {
         let lookup = |cache: &Vec<(Role, Proc, Arc<EndpointProgram>)>| {
             cache
                 .iter()
@@ -196,25 +208,25 @@ impl ProtocolArtifacts {
                 .map(|(_, _, program)| Arc::clone(program))
         };
         if let Some(program) = lookup(&self.programs.lock().unwrap_or_else(|e| e.into_inner())) {
-            return Some(program);
+            return Ok(program);
         }
         // Compile outside the lock: a miss must not stall the other shards'
         // session construction for the whole lowering. Losing the race just
         // means two structurally identical programs briefly exist; the
         // cache keeps the first.
-        let compiled = CompiledProc::compile(proc, role, externals).ok()?;
+        let compiled = CompiledProc::compile(proc, role, externals)?;
         let program = Arc::new(EndpointProgram::with_system(
             Arc::new(compiled),
             &self.compiled,
         ));
         let mut cache = self.programs.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(existing) = lookup(&cache) {
-            return Some(existing);
+            return Ok(existing);
         }
         if cache.len() < PROGRAM_CACHE_CAP {
             cache.push((role.clone(), proc.clone(), Arc::clone(&program)));
         }
-        Some(program)
+        Ok(program)
     }
 
     /// The shared [`BatchLayout`] for a session's endpoints, or `None` when

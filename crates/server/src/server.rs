@@ -18,17 +18,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use zooid_cfsm::CompiledSystem;
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
 use zooid_runtime::cbatch::{BatchLayout, BatchOutcome, DemotedSession, SessionBatch};
 use zooid_runtime::cexec::EndpointProgram;
-use zooid_runtime::checkpoint::{initial_demoted, SessionCheckpoint};
+use zooid_runtime::checkpoint::SessionCheckpoint;
 
 use crate::error::{Result, ServerError};
 use crate::metrics::{ServerReport, ShardMetrics};
 use crate::obs::{FlightEvent, Histogram, Incident, ObsReport, ShardObs, INCIDENT_PREFIX_CAP};
 use crate::registry::{ProtocolArtifacts, ProtocolRegistry, ProtocolId};
-use crate::session::{ActiveSession, SessionId, SessionOutcome, SessionSpec};
+use crate::session::{ActiveSession, QuantumEnd, SessionId, SessionOutcome, SessionSpec};
 
 /// What a worker shard does with a session whose monitor rejected an
 /// action.
@@ -56,7 +55,9 @@ pub enum QuarantinePolicy {
     /// the protocol's initial states). Each restart re-validates the
     /// checkpoint against the compiled tables before anything resumes. A
     /// session that keeps violating is restarted at most `max_retries`
-    /// times, then closed exactly as under [`QuarantinePolicy::Halt`].
+    /// times, then closed exactly as under [`QuarantinePolicy::Halt`] — as
+    /// is, at once, a session whose programs call external actions: no
+    /// checkpoint carries their closures, so it has no restart point.
     RestartFromCheckpoint {
         /// Restart budget per session; `0` behaves like `Halt`.
         max_retries: u32,
@@ -191,7 +192,8 @@ pub struct MigratedSession {
     programs: Vec<Arc<EndpointProgram>>,
 }
 
-struct Shard {
+/// The server's handle on one worker: its inbox and its thread.
+struct ShardHandle {
     tx: Sender<ShardMsg>,
     handle: std::thread::JoinHandle<()>,
 }
@@ -225,7 +227,7 @@ struct Shard {
 #[derive(Debug)]
 pub struct SessionServer {
     registry: Arc<ProtocolRegistry>,
-    shards: Vec<Shard>,
+    shards: Vec<ShardHandle>,
     metrics: Vec<Arc<ShardMetrics>>,
     obs: Vec<Arc<ShardObs>>,
     results_rx: Receiver<Vec<SessionOutcome>>,
@@ -241,9 +243,9 @@ pub struct SessionServer {
     degraded: bool,
 }
 
-impl std::fmt::Debug for Shard {
+impl std::fmt::Debug for ShardHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard").finish_non_exhaustive()
+        f.debug_struct("ShardHandle").finish_non_exhaustive()
     }
 }
 
@@ -260,22 +262,15 @@ impl SessionServer {
             let (tx, rx) = unbounded();
             let shard_metrics = Arc::new(ShardMetrics::default());
             let shard_obs = Arc::new(ShardObs::new());
-            let worker_metrics = Arc::clone(&shard_metrics);
-            let worker_obs = Arc::clone(&shard_obs);
-            let worker_results = results_tx.clone();
-            let quantum = config.quantum.max(1);
-            let quarantine = QuarantineConfig::new(&config);
-            let handle = std::thread::spawn(move || {
-                shard_worker(
-                    rx,
-                    worker_results,
-                    worker_metrics,
-                    worker_obs,
-                    quantum,
-                    quarantine,
-                );
-            });
-            shards.push(Shard { tx, handle });
+            let shard = Shard::new(
+                results_tx.clone(),
+                Arc::clone(&shard_metrics),
+                Arc::clone(&shard_obs),
+                config.quantum.max(1),
+                QuarantineConfig::new(&config),
+            );
+            let handle = std::thread::spawn(move || shard.run(rx));
+            shards.push(ShardHandle { tx, handle });
             metrics.push(shard_metrics);
             obs.push(shard_obs);
         }
@@ -344,22 +339,7 @@ impl SessionServer {
 
     /// Receives the next finished session, waiting up to `timeout`.
     pub fn next_outcome(&mut self, timeout: Duration) -> Option<SessionOutcome> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        if let Some(outcome) = self.ready.pop_front() {
-            self.in_flight -= 1;
-            return Some(outcome);
-        }
-        match self.results_rx.recv_timeout(timeout) {
-            Ok(batch) => {
-                self.ready.extend(batch);
-                let outcome = self.ready.pop_front()?;
-                self.in_flight -= 1;
-                Some(outcome)
-            }
-            Err(_) => None,
-        }
+        self.pop_outcome(|rx| rx.recv_timeout(timeout).ok())
     }
 
     /// Receives the next finished session if one is already available,
@@ -369,22 +349,24 @@ impl SessionServer {
     /// between socket sweeps: sockets and session outcomes are multiplexed
     /// on one thread, so neither side may park waiting for the other.
     pub fn try_next_outcome(&mut self) -> Option<SessionOutcome> {
+        self.pop_outcome(|rx| rx.try_recv().ok())
+    }
+
+    /// Hands out the next buffered outcome, asking `receive` for a shard's
+    /// next flushed batch only when the buffer is empty.
+    fn pop_outcome(
+        &mut self,
+        receive: impl FnOnce(&Receiver<Vec<SessionOutcome>>) -> Option<Vec<SessionOutcome>>,
+    ) -> Option<SessionOutcome> {
         if self.in_flight == 0 {
             return None;
         }
-        if let Some(outcome) = self.ready.pop_front() {
-            self.in_flight -= 1;
-            return Some(outcome);
+        if self.ready.is_empty() {
+            self.ready.extend(receive(&self.results_rx)?);
         }
-        match self.results_rx.try_recv() {
-            Ok(batch) => {
-                self.ready.extend(batch);
-                let outcome = self.ready.pop_front()?;
-                self.in_flight -= 1;
-                Some(outcome)
-            }
-            Err(_) => None,
-        }
+        let outcome = self.ready.pop_front()?;
+        self.in_flight -= 1;
+        Some(outcome)
     }
 
     /// Collects every in-flight session's outcome, blocking until all
@@ -459,22 +441,31 @@ impl SessionServer {
             .collect()
     }
 
+    fn check_shard(&self, shard: usize) -> Result<()> {
+        if shard >= self.shards.len() {
+            return Err(ServerError::Unsupported {
+                reason: format!(
+                    "shard index {shard} out of range (server has {})",
+                    self.shards.len()
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Evacuates every session queued on one shard: each is checkpointed
     /// (per-role pc, value slots, monitor cursor, in-flight frames), encoded
     /// through the wire codec, and returned as a [`MigratedSession`] ready
     /// for [`SessionServer::migrate_session`]. Sessions a checkpoint cannot
-    /// carry (tree-walking endpoints) are closed as stalled and report
-    /// through the normal outcome stream instead.
+    /// carry (their programs call external actions, whose closures stay
+    /// with the submitter) are closed as stalled and report through the
+    /// normal outcome stream instead.
     ///
     /// # Errors
     ///
     /// Fails if the shard index is out of range or the worker is gone.
     pub fn drain_shard(&mut self, shard: usize) -> Result<Vec<MigratedSession>> {
-        if shard >= self.shards.len() {
-            return Err(ServerError::Unsupported {
-                reason: format!("shard index {shard} out of range (server has {})", self.shards.len()),
-            });
-        }
+        self.check_shard(shard)?;
         let (reply_tx, reply_rx) = unbounded();
         self.shards[shard]
             .tx
@@ -501,14 +492,7 @@ impl SessionServer {
         if self.degraded {
             return Err(ServerError::Shutdown);
         }
-        if to_shard >= self.shards.len() {
-            return Err(ServerError::Unsupported {
-                reason: format!(
-                    "shard index {to_shard} out of range (server has {})",
-                    self.shards.len()
-                ),
-            });
-        }
+        self.check_shard(to_shard)?;
         let artifacts = self
             .registry
             .get(migrated.protocol)
@@ -575,7 +559,6 @@ const MAX_BATCHES: usize = 64;
 /// the comparison) and same execution options.
 struct ShardBatch {
     protocol: ProtocolId,
-    artifacts: Arc<ProtocolArtifacts>,
     layout: Arc<BatchLayout>,
     max_steps: Option<usize>,
     record: bool,
@@ -587,13 +570,11 @@ struct ShardBatch {
 
 /// Worker-local observability state: the shard's shared [`ShardObs`] plus
 /// the maps only the owning worker touches — admission timestamps for
-/// session wall time, the compiled system per protocol for incident
-/// capture, and cached per-protocol histogram handles (so the steady path
-/// never takes the `ShardObs` per-protocol lock).
+/// session wall time and cached per-protocol histogram handles (so the
+/// steady path never takes the `ShardObs` per-protocol lock).
 struct WorkerObs {
     shared: Arc<ShardObs>,
     admitted: FxHashMap<u64, Instant>,
-    systems: FxHashMap<ProtocolId, Arc<CompiledSystem>>,
     proto_wall: FxHashMap<ProtocolId, Arc<Histogram>>,
 }
 
@@ -602,27 +583,15 @@ impl WorkerObs {
         WorkerObs {
             shared,
             admitted: FxHashMap::default(),
-            systems: FxHashMap::default(),
             proto_wall: FxHashMap::default(),
         }
     }
 
-    /// Stamps a session's admission: wall-clock start, the compiled system
-    /// to replay its incidents against, and the flight-recorder event. The
-    /// caller supplies the stamp so one clock read covers a whole admission
-    /// sweep.
-    fn on_admit(
-        &mut self,
-        id: SessionId,
-        protocol: ProtocolId,
-        artifacts: &ProtocolArtifacts,
-        batched: bool,
-        at: Instant,
-    ) {
+    /// Stamps a session's admission: wall-clock start and the
+    /// flight-recorder event. The caller supplies the stamp so one clock
+    /// read covers a whole admission sweep.
+    fn on_admit(&mut self, id: SessionId, batched: bool, at: Instant) {
         self.admitted.insert(id.0, at);
-        self.systems
-            .entry(protocol)
-            .or_insert_with(|| Arc::clone(artifacts.compiled()));
         self.shared.recorder.record(FlightEvent::Admitted {
             session: id.0,
             batched,
@@ -630,23 +599,24 @@ impl WorkerObs {
     }
 
     /// Folds a finished session into the histograms, the flight recorder,
-    /// and — when its monitor rejected anything — the incident store. The
-    /// caller supplies `now` so one clock read covers every outcome of a
-    /// quantum.
-    fn on_outcome(&mut self, outcome: &SessionOutcome, now: Instant) {
+    /// and — when its monitor rejected anything — the incident store
+    /// (captured against the protocol's compiled tables, looked up in the
+    /// shard's `artifacts` only then). The caller supplies `now` so one
+    /// clock read covers every outcome of a quantum.
+    fn on_outcome(
+        &mut self,
+        outcome: &SessionOutcome,
+        artifacts: &FxHashMap<ProtocolId, Arc<ProtocolArtifacts>>,
+        now: Instant,
+    ) {
         if let Some(start) = self.admitted.remove(&outcome.id.0) {
             let ns =
                 u64::try_from(now.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX);
             self.shared.session_wall.record(ns);
-            let hist = match self.proto_wall.get(&outcome.protocol) {
-                Some(h) => Arc::clone(h),
-                None => {
-                    let h = self.shared.protocol_wall(outcome.protocol);
-                    self.proto_wall.insert(outcome.protocol, Arc::clone(&h));
-                    h
-                }
-            };
-            hist.record(ns);
+            self.proto_wall
+                .entry(outcome.protocol)
+                .or_insert_with(|| self.shared.protocol_wall(outcome.protocol))
+                .record(ns);
         }
         if outcome.stalled {
             self.shared.recorder.record(FlightEvent::Stalled {
@@ -657,115 +627,19 @@ impl WorkerObs {
             self.shared.recorder.record(FlightEvent::Violation {
                 session: outcome.id.0,
             });
-            if let Some(system) = self.systems.get(&outcome.protocol) {
-                for violation in &outcome.violations {
-                    self.shared.incidents.record(Incident::capture(
-                        outcome.protocol,
-                        outcome.id,
-                        system,
-                        violation,
-                        &outcome.global_trace,
-                        INCIDENT_PREFIX_CAP,
-                    ));
-                }
+            let system = artifacts[&outcome.protocol].compiled();
+            for violation in &outcome.violations {
+                self.shared.incidents.record(Incident::capture(
+                    outcome.protocol,
+                    outcome.id,
+                    system,
+                    violation,
+                    &outcome.global_trace,
+                    INCIDENT_PREFIX_CAP,
+                ));
             }
         }
     }
-
-    /// Records one quantum's per-action cost (elapsed time amortised over
-    /// the actions it performed). Quantum granularity keeps the recorder
-    /// off the stepping loop: two clock reads per quantum, not per action.
-    fn on_quantum(&self, elapsed: Duration, actions: usize) {
-        if actions > 0 {
-            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX) / actions as u64;
-            self.shared.action_cost.record(ns);
-        }
-    }
-}
-
-/// Places a validated session on its shard: into a matching columnar batch
-/// when the spec's endpoints compile to a batch-eligible layout, into the
-/// per-session slab otherwise.
-#[allow(clippy::too_many_arguments)]
-fn admit_session(
-    id: SessionId,
-    spec: SessionSpec,
-    artifacts: Arc<ProtocolArtifacts>,
-    slab: &mut Vec<Option<ActiveSession>>,
-    free: &mut Vec<u32>,
-    run_queue: &mut VecDeque<u32>,
-    batches: &mut Vec<ShardBatch>,
-    metrics: &ShardMetrics,
-    wobs: &mut WorkerObs,
-    at: Instant,
-) {
-    if let Some(layout) = artifacts.batch_layout(&spec.endpoints) {
-        let max_steps = spec.options.max_steps;
-        let record = spec.options.record_actions;
-        let existing = batches.iter().position(|b| {
-            b.protocol == spec.protocol
-                && Arc::ptr_eq(&b.layout, &layout)
-                && b.max_steps == max_steps
-                && b.record == record
-                && !b.batch.is_full()
-        });
-        let bi = match existing {
-            Some(bi) => Some(bi),
-            None if batches.len() < MAX_BATCHES => {
-                let batch =
-                    SessionBatch::new(Arc::clone(&layout), spec.options.clone(), BATCH_CAPACITY);
-                batches.push(ShardBatch {
-                    protocol: spec.protocol,
-                    artifacts: Arc::clone(&artifacts),
-                    layout,
-                    max_steps,
-                    record,
-                    batch,
-                    queued: false,
-                });
-                Some(batches.len() - 1)
-            }
-            None => None,
-        };
-        if let Some(bi) = bi {
-            let sb = &mut batches[bi];
-            let admitted = sb.batch.admit(id.0);
-            debug_assert!(admitted, "batch was checked for room");
-            metrics.sessions_batched.fetch_add(1, Ordering::Relaxed);
-            wobs.on_admit(id, spec.protocol, &artifacts, true, at);
-            if !sb.queued {
-                sb.queued = true;
-                run_queue.push_back(BATCH_BIT | u32::try_from(bi).expect("batch index fits"));
-            }
-            return;
-        }
-    }
-    // The spec was validated at submission; construction is the shard's
-    // job so N shards build N sessions concurrently.
-    metrics.sessions_slab.fetch_add(1, Ordering::Relaxed);
-    wobs.on_admit(id, spec.protocol, &artifacts, false, at);
-    let session = ActiveSession::new(id, spec, &artifacts).expect("spec validated at submission");
-    let slot = slab_admit(slab, free, session);
-    run_queue.push_back(slot);
-}
-
-/// Stores a session in a free slab slot (growing the slab if none is free)
-/// and returns the slot index.
-fn slab_admit(
-    slab: &mut Vec<Option<ActiveSession>>,
-    free: &mut Vec<u32>,
-    session: ActiveSession,
-) -> u32 {
-    let slot = match free.pop() {
-        Some(slot) => slot,
-        None => {
-            slab.push(None);
-            u32::try_from(slab.len() - 1).expect("slab overflow")
-        }
-    };
-    debug_assert!(slot & BATCH_BIT == 0, "slab slot collides with batch tag");
-    slab[slot as usize] = Some(session);
-    slot
 }
 
 /// Converts a batch-finished session into the server's [`SessionOutcome`].
@@ -799,126 +673,16 @@ struct RestartState {
     retries: u32,
 }
 
-/// Decides whether a quarantined session gets another run, and builds the
-/// state it restarts from: the stored last-certified checkpoint when there
-/// is one (decoded and re-certified — a checkpoint that fails validation
-/// forfeits the restart), else `fallback`'s fresh initial state. Returns
-/// `None` when the policy grants no (further) restart.
-fn try_restart(
-    quarantine: &QuarantineConfig,
-    restarts: &mut FxHashMap<u64, RestartState>,
-    token: u64,
-    fallback: Option<(&zooid_runtime::ExecOptions, &[Arc<EndpointProgram>])>,
-    artifacts: &ProtocolArtifacts,
-    metrics: &ShardMetrics,
-    wobs: &mut WorkerObs,
-) -> Option<DemotedSession> {
-    let max_retries = quarantine.max_retries();
-    if max_retries == 0 {
-        return None;
-    }
-    let state = restarts.entry(token).or_default();
-    if state.retries >= max_retries {
-        return None;
-    }
-    let fresh = match &state.bytes {
-        Some((bytes, programs)) => SessionCheckpoint::decode(bytes)
-            .and_then(|c| c.into_demoted(programs, artifacts.compiled()))
-            .ok()?,
-        None => {
-            let (options, programs) = fallback?;
-            let fresh = initial_demoted(token, options.clone(), programs, artifacts.compiled());
-            // The initial state becomes the stored restart point, so a
-            // session that violates again before its first certified
-            // snapshot still gets its remaining retries.
-            state.bytes = Some((
-                SessionCheckpoint::from_demoted(&fresh).encode().to_vec(),
-                programs.to_vec(),
-            ));
-            fresh
-        }
-    };
-    state.retries += 1;
-    metrics.sessions_restarted.fetch_add(1, Ordering::Relaxed);
-    wobs.shared.recorder.record(FlightEvent::Restarted {
-        session: token,
-        retry: state.retries.min(255) as u8,
-    });
-    Some(fresh)
-}
-
-/// Stores a session's freshly taken checkpoint as its restart point. Only
-/// called for compliant sessions under `RestartFromCheckpoint`.
-fn store_checkpoint(
-    restarts: &mut FxHashMap<u64, RestartState>,
-    token: u64,
-    demoted: &DemotedSession,
-) {
+/// A checkpoint's wire encoding plus the compiled programs its dense
+/// indices refer to (in checkpoint endpoint order).
+fn encode_checkpoint(demoted: &DemotedSession) -> (Vec<u8>, Vec<Arc<EndpointProgram>>) {
     let bytes = SessionCheckpoint::from_demoted(demoted).encode().to_vec();
     let programs = demoted
         .endpoints
         .iter()
         .map(|e| Arc::clone(&e.program))
         .collect();
-    restarts.entry(token).or_default().bytes = Some((bytes, programs));
-}
-
-/// Evacuates every session in the run queue as an encoded checkpoint:
-/// batch members are demoted in place and serialized, slab sessions are
-/// checkpointed live (non-destructively, then dropped). Sessions a
-/// checkpoint cannot carry — tree-walking endpoints — close as stalled and
-/// report through the ordinary outcome stream.
-#[allow(clippy::too_many_arguments)]
-fn drain_for_migration(
-    run_queue: &mut VecDeque<u32>,
-    batches: &mut [ShardBatch],
-    slab: &mut Vec<Option<ActiveSession>>,
-    free: &mut Vec<u32>,
-    restarts: &mut FxHashMap<u64, RestartState>,
-    metrics: &ShardMetrics,
-    wobs: &mut WorkerObs,
-    pending: &mut Vec<SessionOutcome>,
-) -> Vec<MigratedSession> {
-    let now = Instant::now();
-    let mut migrated = Vec::new();
-    let push = |migrated: &mut Vec<MigratedSession>,
-                    restarts: &mut FxHashMap<u64, RestartState>,
-                    wobs: &mut WorkerObs,
-                    protocol: ProtocolId,
-                    demoted: &DemotedSession| {
-        restarts.remove(&demoted.token);
-        wobs.admitted.remove(&demoted.token);
-        migrated.push(MigratedSession {
-            id: SessionId(demoted.token),
-            protocol,
-            bytes: SessionCheckpoint::from_demoted(demoted).encode().to_vec(),
-            programs: demoted
-                .endpoints
-                .iter()
-                .map(|e| Arc::clone(&e.program))
-                .collect(),
-        });
-    };
-    for entry in run_queue.drain(..) {
-        if entry & BATCH_BIT != 0 {
-            let sb = &mut batches[(entry & !BATCH_BIT) as usize];
-            sb.queued = false;
-            let protocol = sb.protocol;
-            for demoted in sb.batch.demote_all() {
-                push(&mut migrated, restarts, wobs, protocol, &demoted);
-            }
-        } else {
-            let mut session = slab[entry as usize].take().expect("queued slot is occupied");
-            free.push(entry);
-            match session.checkpoint() {
-                Ok(demoted) => push(&mut migrated, restarts, wobs, session.protocol(), &demoted),
-                // Tree-walking endpoints have no checkpoint form: close the
-                // session as stalled instead of migrating it.
-                Err(_) => record_outcome(metrics, wobs, pending, session.close_stalled(), now),
-            }
-        }
-    }
-    migrated
+    (bytes, programs)
 }
 
 /// One worker shard: drains its inbox, steps the front of its run queue for
@@ -944,415 +708,515 @@ fn drain_for_migration(
 /// through it, a finished session's slot (and the deque capacity) is reused
 /// by the next submission, and a quantum touches the session in place — the
 /// steady state of a loaded shard allocates nothing per reschedule.
-fn shard_worker(
-    rx: Receiver<ShardMsg>,
+struct Shard {
     results: Sender<Vec<SessionOutcome>>,
     metrics: Arc<ShardMetrics>,
-    obs: Arc<ShardObs>,
+    obs: WorkerObs,
     quantum: usize,
     quarantine: QuarantineConfig,
-) {
-    let mut wobs = WorkerObs::new(obs);
-    let mut slab: Vec<Option<ActiveSession>> = Vec::new();
-    let mut free: Vec<u32> = Vec::new();
-    let mut batches: Vec<ShardBatch> = Vec::new();
-    let mut run_queue: VecDeque<u32> = VecDeque::new();
-    // Restart bookkeeping for `RestartFromCheckpoint`: per session, the
-    // last certified checkpoint (encoded) with the programs its indices
-    // refer to, and how many restarts it has burned. Empty under any other
-    // policy (`try_restart` bails before touching it).
-    let mut restarts: FxHashMap<u64, RestartState> = FxHashMap::default();
-    // Protocol artifacts seen by this shard, for rebuilding restarted slab
-    // sessions whose outcome no longer carries an artifacts handle.
-    let mut artifacts_by_protocol: FxHashMap<ProtocolId, Arc<ProtocolArtifacts>> =
-        FxHashMap::default();
-    // Finished sessions are reported in batches: one channel operation per
-    // FLUSH_AT outcomes while the shard is loaded, with a freshness bound
-    // (FLUSH_EVERY_ITERS main-loop iterations) so outcomes of short
-    // sessions are never parked behind a long-running neighbour.
-    const FLUSH_AT: usize = 64;
-    const FLUSH_EVERY_ITERS: usize = 16;
-    let mut pending: Vec<SessionOutcome> = Vec::new();
-    let mut iters_since_flush = 0usize;
-    loop {
-        // Pull new sessions without blocking while there is work. One clock
-        // read stamps the whole sweep's admissions.
-        let mut shutting_down = false;
-        let mut sweep_stamp: Option<Instant> = None;
+    slab: Vec<Option<ActiveSession>>,
+    free: Vec<u32>,
+    batches: Vec<ShardBatch>,
+    run_queue: VecDeque<u32>,
+    /// Restart bookkeeping for `RestartFromCheckpoint`: per session, the
+    /// last certified checkpoint and how many restarts it has burned. Empty
+    /// under any other policy.
+    restarts: FxHashMap<u64, RestartState>,
+    /// The artifacts of every protocol admitted to this shard (a slab
+    /// session carries no handle of its own): what a restart rebuilds the
+    /// session against and an incident is captured against.
+    artifacts: FxHashMap<ProtocolId, Arc<ProtocolArtifacts>>,
+    /// Finished sessions not yet flushed to the server.
+    pending: Vec<SessionOutcome>,
+}
+
+impl Shard {
+    fn new(
+        results: Sender<Vec<SessionOutcome>>,
+        metrics: Arc<ShardMetrics>,
+        obs: Arc<ShardObs>,
+        quantum: usize,
+        quarantine: QuarantineConfig,
+    ) -> Self {
+        Shard {
+            results,
+            metrics,
+            obs: WorkerObs::new(obs),
+            quantum,
+            quarantine,
+            slab: Vec::new(),
+            free: Vec::new(),
+            batches: Vec::new(),
+            run_queue: VecDeque::new(),
+            restarts: FxHashMap::default(),
+            artifacts: FxHashMap::default(),
+            pending: Vec::new(),
+        }
+    }
+
+    fn run(mut self, rx: Receiver<ShardMsg>) {
+        // Finished sessions are reported in batches: one channel operation
+        // per FLUSH_AT outcomes while the shard is loaded, with a freshness
+        // bound (FLUSH_EVERY_ITERS main-loop iterations) so outcomes of
+        // short sessions are never parked behind a long-running neighbour.
+        const FLUSH_AT: usize = 64;
+        const FLUSH_EVERY_ITERS: usize = 16;
+        let mut iters_since_flush = 0usize;
         loop {
-            match rx.try_recv() {
-                Ok(ShardMsg::Run {
-                    id,
-                    spec,
-                    artifacts,
-                }) => {
-                    artifacts_by_protocol
-                        .entry(spec.protocol)
-                        .or_insert_with(|| Arc::clone(&artifacts));
-                    admit_session(
-                        id,
-                        spec,
-                        artifacts,
-                        &mut slab,
-                        &mut free,
-                        &mut run_queue,
-                        &mut batches,
-                        &metrics,
-                        &mut wobs,
-                        *sweep_stamp.get_or_insert_with(Instant::now),
-                    );
-                }
-                Ok(ShardMsg::Drain { reply }) => {
-                    let migrated = drain_for_migration(
-                        &mut run_queue,
-                        &mut batches,
-                        &mut slab,
-                        &mut free,
-                        &mut restarts,
-                        &metrics,
-                        &mut wobs,
-                        &mut pending,
-                    );
-                    let _ = reply.send(migrated);
-                }
-                Ok(ShardMsg::Restore {
-                    id,
-                    protocol,
-                    demoted,
-                    artifacts,
-                }) => {
-                    metrics.sessions_slab.fetch_add(1, Ordering::Relaxed);
-                    wobs.on_admit(
-                        id,
-                        protocol,
-                        &artifacts,
-                        false,
-                        *sweep_stamp.get_or_insert_with(Instant::now),
-                    );
-                    artifacts_by_protocol
-                        .entry(protocol)
-                        .or_insert_with(|| Arc::clone(&artifacts));
-                    if quarantine.max_retries() > 0 && demoted.monitor.is_compliant() {
-                        store_checkpoint(&mut restarts, id.0, &demoted);
-                    }
-                    let session = ActiveSession::from_demoted(id, protocol, demoted, &artifacts);
-                    let slot = slab_admit(&mut slab, &mut free, session);
-                    run_queue.push_back(slot);
-                }
-                Ok(ShardMsg::Shutdown) => shutting_down = true,
-                Err(_) => break,
+            // Pull new sessions without blocking while there is work. One
+            // clock read stamps the whole sweep's admissions.
+            let mut shutting_down = false;
+            let mut sweep_stamp: Option<Instant> = None;
+            while let Ok(msg) = rx.try_recv() {
+                shutting_down |= self.handle(msg, *sweep_stamp.get_or_insert_with(Instant::now));
             }
-        }
-        if shutting_down {
-            let now = Instant::now();
-            for entry in run_queue.drain(..) {
-                if entry & BATCH_BIT != 0 {
-                    let sb = &mut batches[(entry & !BATCH_BIT) as usize];
-                    sb.queued = false;
-                    for outcome in sb.batch.close_all() {
-                        record_outcome(
-                            &metrics,
-                            &mut wobs,
-                            &mut pending,
-                            batch_session_outcome(sb.protocol, outcome),
-                            now,
-                        );
-                    }
-                } else {
-                    let session = slab[entry as usize].take().expect("queued slot is occupied");
-                    record_outcome(&metrics, &mut wobs, &mut pending, session.close_stalled(), now);
+            if shutting_down {
+                return self.close_all();
+            }
+            self.metrics.record_queue_depth(self.run_queue.len());
+            iters_since_flush += 1;
+            if !self.pending.is_empty()
+                && (self.run_queue.is_empty()
+                    || self.pending.len() >= FLUSH_AT
+                    || iters_since_flush >= FLUSH_EVERY_ITERS)
+            {
+                iters_since_flush = 0;
+                if self.flush().is_err() {
+                    // The server (and with it every submitter) is gone.
+                    return;
                 }
             }
-            // A send failure means the server is gone too: nothing left to
-            // report to.
-            let _ = flush_outcomes(&results, &mut pending);
-            return;
+            match self.run_queue.pop_front() {
+                Some(entry) if entry & BATCH_BIT != 0 => self.run_batch(entry),
+                Some(slot) => self.run_slab(slot),
+                // Idle: park on the inbox. Shutdown arrives as a message on
+                // this same channel (and a dropped server disconnects it),
+                // so a blocking receive cannot miss it and the worker burns
+                // no wakeups.
+                None => match rx.recv() {
+                    Ok(msg) => {
+                        if self.handle(msg, Instant::now()) {
+                            return self.close_all();
+                        }
+                    }
+                    Err(_) => return,
+                },
+            }
         }
-        metrics.record_queue_depth(run_queue.len());
-        iters_since_flush += 1;
-        if !pending.is_empty()
-            && (run_queue.is_empty()
-                || pending.len() >= FLUSH_AT
-                || iters_since_flush >= FLUSH_EVERY_ITERS)
-        {
-            iters_since_flush = 0;
-            if flush_outcomes(&results, &mut pending).is_err() {
-                // The server (and with it every submitter) is gone.
+    }
+
+    /// Applies one inbox message; `true` means shut down.
+    fn handle(&mut self, msg: ShardMsg, stamp: Instant) -> bool {
+        match msg {
+            ShardMsg::Run {
+                id,
+                spec,
+                artifacts,
+            } => self.admit(id, spec, artifacts, stamp),
+            ShardMsg::Drain { reply } => {
+                let _ = reply.send(self.drain_for_migration());
+            }
+            ShardMsg::Restore {
+                id,
+                protocol,
+                demoted,
+                artifacts,
+            } => {
+                self.metrics.sessions_slab.fetch_add(1, Ordering::Relaxed);
+                self.obs.on_admit(id, false, stamp);
+                self.artifacts
+                    .entry(protocol)
+                    .or_insert_with(|| Arc::clone(&artifacts));
+                self.store_restart_point(&demoted);
+                self.resume_on_slab(id, protocol, demoted);
+            }
+            ShardMsg::Shutdown => return true,
+        }
+        false
+    }
+
+    /// Places a validated session on the shard: into a matching columnar
+    /// batch when the spec's endpoints compile to a batch-eligible layout,
+    /// into the per-session slab otherwise.
+    fn admit(
+        &mut self,
+        id: SessionId,
+        spec: SessionSpec,
+        artifacts: Arc<ProtocolArtifacts>,
+        at: Instant,
+    ) {
+        self.artifacts
+            .entry(spec.protocol)
+            .or_insert_with(|| Arc::clone(&artifacts));
+        if let Some(layout) = artifacts.batch_layout(&spec.endpoints) {
+            let max_steps = spec.options.max_steps;
+            let record = spec.options.record_actions;
+            let existing = self.batches.iter().position(|b| {
+                b.protocol == spec.protocol
+                    && Arc::ptr_eq(&b.layout, &layout)
+                    && b.max_steps == max_steps
+                    && b.record == record
+                    && !b.batch.is_full()
+            });
+            let bi = match existing {
+                Some(bi) => Some(bi),
+                None if self.batches.len() < MAX_BATCHES => {
+                    let batch = SessionBatch::new(
+                        Arc::clone(&layout),
+                        spec.options.clone(),
+                        BATCH_CAPACITY,
+                    );
+                    self.batches.push(ShardBatch {
+                        protocol: spec.protocol,
+                        layout,
+                        max_steps,
+                        record,
+                        batch,
+                        queued: false,
+                    });
+                    Some(self.batches.len() - 1)
+                }
+                None => None,
+            };
+            if let Some(bi) = bi {
+                let sb = &mut self.batches[bi];
+                let admitted = sb.batch.admit(id.0);
+                debug_assert!(admitted, "batch was checked for room");
+                self.metrics.sessions_batched.fetch_add(1, Ordering::Relaxed);
+                self.obs.on_admit(id, true, at);
+                if !sb.queued {
+                    sb.queued = true;
+                    self.run_queue
+                        .push_back(BATCH_BIT | u32::try_from(bi).expect("batch index fits"));
+                }
                 return;
             }
         }
-        let Some(entry) = run_queue.pop_front() else {
-            // Idle: park on the inbox. Shutdown arrives as a message on this
-            // same channel (and a dropped server disconnects it), so a
-            // blocking receive cannot miss it and the worker burns no wakeups.
-            match rx.recv() {
-                Ok(ShardMsg::Run {
-                    id,
-                    spec,
-                    artifacts,
-                }) => {
-                    artifacts_by_protocol
-                        .entry(spec.protocol)
-                        .or_insert_with(|| Arc::clone(&artifacts));
-                    admit_session(
-                        id,
-                        spec,
-                        artifacts,
-                        &mut slab,
-                        &mut free,
-                        &mut run_queue,
-                        &mut batches,
-                        &metrics,
-                        &mut wobs,
-                        Instant::now(),
-                    );
-                }
-                // The queue is empty: a drain carries nothing away.
-                Ok(ShardMsg::Drain { reply }) => {
-                    let _ = reply.send(Vec::new());
-                }
-                Ok(ShardMsg::Restore {
-                    id,
-                    protocol,
-                    demoted,
-                    artifacts,
-                }) => {
-                    metrics.sessions_slab.fetch_add(1, Ordering::Relaxed);
-                    wobs.on_admit(id, protocol, &artifacts, false, Instant::now());
-                    artifacts_by_protocol
-                        .entry(protocol)
-                        .or_insert_with(|| Arc::clone(&artifacts));
-                    if quarantine.max_retries() > 0 && demoted.monitor.is_compliant() {
-                        store_checkpoint(&mut restarts, id.0, &demoted);
-                    }
-                    let session = ActiveSession::from_demoted(id, protocol, demoted, &artifacts);
-                    let slot = slab_admit(&mut slab, &mut free, session);
-                    run_queue.push_back(slot);
-                }
-                Ok(ShardMsg::Shutdown) => {
-                    // The queue is empty: nothing to close.
-                    return;
-                }
-                Err(_) => return,
-            }
-            continue;
-        };
-        if entry & BATCH_BIT != 0 {
-            let bi = (entry & !BATCH_BIT) as usize;
-            let sb = &mut batches[bi];
-            // The batch is one queue entry standing for its whole live
-            // population, so it gets the quantum each member would have
-            // gotten on the slab.
-            let budget = quantum.saturating_mul(sb.batch.live_count().max(1));
-            let started = Instant::now();
-            let result = sb.batch.run_quantum(budget);
-            let ended = Instant::now();
-            wobs.on_quantum(ended.saturating_duration_since(started), result.actions);
-            metrics.quanta.fetch_add(1, Ordering::Relaxed);
-            metrics
-                .actions_executed
-                .fetch_add(result.actions as u64, Ordering::Relaxed);
-            metrics
-                .messages_routed
-                .fetch_add(result.sends as u64, Ordering::Relaxed);
-            metrics
-                .batch_cohorts
-                .fetch_add(result.cohorts as u64, Ordering::Relaxed);
-            metrics
-                .batch_cohort_sessions
-                .fetch_add(result.cohort_sessions as u64, Ordering::Relaxed);
-            for (bucket, &n) in result.cohort_widths.iter().enumerate() {
-                wobs.shared.cohort_width.add_count(bucket, n);
-            }
-            let protocol = sb.protocol;
-            let artifacts = Arc::clone(&sb.artifacts);
-            for outcome in result.finished {
-                record_outcome(
-                    &metrics,
-                    &mut wobs,
-                    &mut pending,
-                    batch_session_outcome(protocol, outcome),
-                    ended,
-                );
-            }
-            for demoted in result.demoted {
-                metrics.sessions_demoted.fetch_add(1, Ordering::Relaxed);
-                wobs.shared.recorder.record(FlightEvent::BatchDemoted {
-                    session: demoted.token,
-                });
-                let token = demoted.token;
-                let violations = demoted.monitor.violations().len();
-                // Quarantine on the batch path: a session demoted with its
-                // violation budget spent is not re-admitted to the slab —
-                // it either restarts from its last certified checkpoint
-                // (policy permitting) or closes having taken zero further
-                // steps.
-                let over = quarantine
-                    .threshold_for(protocol)
-                    .is_some_and(|n| violations >= n as usize);
-                if over {
-                    let programs: Vec<Arc<EndpointProgram>> = demoted
-                        .endpoints
-                        .iter()
-                        .map(|e| Arc::clone(&e.program))
-                        .collect();
-                    if let Some(fresh) = try_restart(
-                        &quarantine,
-                        &mut restarts,
-                        token,
-                        Some((&demoted.options, &programs)),
-                        &artifacts,
-                        &metrics,
-                        &mut wobs,
-                    ) {
-                        let session =
-                            ActiveSession::from_demoted(SessionId(token), protocol, fresh, &artifacts);
-                        let slot = slab_admit(&mut slab, &mut free, session);
-                        run_queue.push_back(slot);
-                    } else {
-                        restarts.remove(&token);
-                        let session = ActiveSession::from_demoted(
-                            SessionId(token),
-                            protocol,
-                            demoted,
-                            &artifacts,
-                        );
-                        record_outcome(
-                            &metrics,
-                            &mut wobs,
-                            &mut pending,
-                            session.close_quarantined(),
-                            ended,
-                        );
-                    }
-                    continue;
-                }
-                // Checkpoint-on-demote: a compliant session crossing from
-                // the batch plane to the slab is a natural restart point.
-                if quarantine.max_retries() > 0 && demoted.monitor.is_compliant() {
-                    store_checkpoint(&mut restarts, token, &demoted);
-                }
-                let session =
-                    ActiveSession::from_demoted(SessionId(token), protocol, demoted, &artifacts);
-                let slot = slab_admit(&mut slab, &mut free, session);
-                run_queue.push_back(slot);
-            }
-            let sb = &mut batches[bi];
-            if sb.batch.is_empty() {
-                sb.queued = false;
-            } else {
-                run_queue.push_back(entry);
-            }
-            continue;
+        // The spec was validated at submission; construction is the shard's
+        // job so N shards build N sessions concurrently.
+        self.metrics.sessions_slab.fetch_add(1, Ordering::Relaxed);
+        self.obs.on_admit(id, false, at);
+        match ActiveSession::new(id, spec, &artifacts) {
+            Ok(session) => self.enqueue_on_slab(session),
+            // A process that does not lower: closed before it ever runs.
+            Err(outcome) => self.finish(outcome, at),
         }
-        let session = slab[entry as usize]
-            .as_mut()
-            .expect("queued slot is occupied");
-        let threshold = quarantine.threshold_for(session.protocol());
-        let started = Instant::now();
-        let result = session.run_quantum(quantum, threshold);
-        let ended = Instant::now();
-        wobs.on_quantum(ended.saturating_duration_since(started), result.actions);
-        metrics.quanta.fetch_add(1, Ordering::Relaxed);
-        metrics
-            .actions_executed
-            .fetch_add(result.actions as u64, Ordering::Relaxed);
-        metrics
-            .messages_routed
-            .fetch_add(result.sends as u64, Ordering::Relaxed);
-        match result.outcome {
-            Some(outcome) => {
-                if outcome.quarantined {
-                    // A restart re-uses the session's slab slot; only when
-                    // the policy grants none does the outcome report out.
-                    let restarted = artifacts_by_protocol
-                        .get(&outcome.protocol)
-                        .map(Arc::clone)
-                        .and_then(|artifacts| {
-                            let fresh = try_restart(
-                                &quarantine,
-                                &mut restarts,
-                                outcome.id.0,
-                                None,
-                                &artifacts,
-                                &metrics,
-                                &mut wobs,
-                            )?;
-                            Some(ActiveSession::from_demoted(
-                                outcome.id,
-                                outcome.protocol,
-                                fresh,
-                                &artifacts,
-                            ))
-                        });
-                    if let Some(session) = restarted {
-                        slab[entry as usize] = Some(session);
-                        run_queue.push_back(entry);
-                        continue;
-                    }
-                }
-                restarts.remove(&outcome.id.0);
-                slab[entry as usize] = None;
-                free.push(entry);
-                record_outcome(&metrics, &mut wobs, &mut pending, outcome, ended);
+    }
+
+    /// Stores a session in a free slab slot (growing the slab if none is
+    /// free) and queues the slot.
+    fn enqueue_on_slab(&mut self, session: ActiveSession) {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slab.push(None);
+                u32::try_from(self.slab.len() - 1).expect("slab overflow")
+            }
+        };
+        debug_assert!(slot & BATCH_BIT == 0, "slab slot collides with batch tag");
+        self.slab[slot as usize] = Some(session);
+        self.run_queue.push_back(slot);
+    }
+
+    /// Rebuilds a session from extracted state — a batch demotion, a
+    /// migrated checkpoint, a restart point — and queues it on the slab.
+    fn resume_on_slab(&mut self, id: SessionId, protocol: ProtocolId, demoted: DemotedSession) {
+        let artifacts = &self.artifacts[&protocol];
+        self.enqueue_on_slab(ActiveSession::from_demoted(id, protocol, demoted, artifacts));
+    }
+
+    /// Stores extracted state as its session's restart point — under
+    /// `RestartFromCheckpoint`, and only while the monitor still certifies
+    /// the state being saved.
+    fn store_restart_point(&mut self, demoted: &DemotedSession) {
+        if self.quarantine.max_retries() > 0 && demoted.monitor.is_compliant() {
+            self.restarts.entry(demoted.token).or_default().bytes =
+                Some(encode_checkpoint(demoted));
+        }
+    }
+
+    /// The one quarantine decision, for a session over its violation budget
+    /// on either path (a slab quantum that ended
+    /// [`QuantumEnd::OverBudget`], or a batch demotion rebuilt as a slab
+    /// session): the session takes zero further steps, and either restarts
+    /// from its last certified checkpoint (policy permitting; `true`) or
+    /// closes as quarantined (`false`).
+    fn restart_or_close(&mut self, session: ActiveSession, now: Instant) -> bool {
+        let (id, protocol) = (session.id(), session.protocol());
+        match self.restart_state(&session) {
+            Some(fresh) => {
+                self.resume_on_slab(id, protocol, fresh);
+                true
             }
             None => {
+                self.restarts.remove(&id.0);
+                self.finish(session.close_quarantined(), now);
+                false
+            }
+        }
+    }
+
+    /// Builds the state a quarantined session restarts from: the stored
+    /// last-certified checkpoint when there is one (decoded and re-certified
+    /// — a checkpoint that fails validation forfeits the restart), else the
+    /// session's own initial state. Returns `None` when the policy grants no
+    /// (further) restart or the session cannot be checkpointed at all.
+    fn restart_state(&mut self, session: &ActiveSession) -> Option<DemotedSession> {
+        let system = self.artifacts[&session.protocol()].compiled();
+        let max_retries = self.quarantine.max_retries();
+        if max_retries == 0 {
+            return None;
+        }
+        let token = session.id().0;
+        let state = self.restarts.entry(token).or_default();
+        if state.retries >= max_retries {
+            return None;
+        }
+        let fresh = match &state.bytes {
+            Some((bytes, programs)) => SessionCheckpoint::decode(bytes)
+                .and_then(|c| c.into_demoted(programs, system))
+                .ok()?,
+            None => {
+                let fresh = session.initial_state(system)?;
+                // The initial state becomes the stored restart point, so a
+                // session that violates again before its first certified
+                // snapshot still gets its remaining retries.
+                state.bytes = Some(encode_checkpoint(&fresh));
+                fresh
+            }
+        };
+        state.retries += 1;
+        self.metrics.sessions_restarted.fetch_add(1, Ordering::Relaxed);
+        self.obs.shared.recorder.record(FlightEvent::Restarted {
+            session: token,
+            retry: state.retries.min(255) as u8,
+        });
+        Some(fresh)
+    }
+
+    /// Evacuates every session in the run queue as an encoded checkpoint:
+    /// batch members are demoted in place and serialized, slab sessions are
+    /// checkpointed live (non-destructively, then dropped). Sessions a
+    /// checkpoint cannot carry — their programs call externals — close as
+    /// stalled and report through the ordinary outcome stream.
+    fn drain_for_migration(&mut self) -> Vec<MigratedSession> {
+        let now = Instant::now();
+        let mut migrated = Vec::new();
+        while let Some(entry) = self.run_queue.pop_front() {
+            if entry & BATCH_BIT != 0 {
+                let sb = &mut self.batches[(entry & !BATCH_BIT) as usize];
+                sb.queued = false;
+                let protocol = sb.protocol;
+                for demoted in sb.batch.demote_all() {
+                    migrated.push(self.evacuate(protocol, &demoted));
+                }
+            } else {
+                let mut session = self.slab[entry as usize]
+                    .take()
+                    .expect("queued slot is occupied");
+                self.free.push(entry);
+                match session.checkpoint() {
+                    Ok(demoted) => migrated.push(self.evacuate(session.protocol(), &demoted)),
+                    Err(_) => self.finish(session.close_stalled(), now),
+                }
+            }
+        }
+        migrated
+    }
+
+    /// Forgets an evacuated session and wraps its checkpoint for the trip.
+    fn evacuate(&mut self, protocol: ProtocolId, demoted: &DemotedSession) -> MigratedSession {
+        self.restarts.remove(&demoted.token);
+        self.obs.admitted.remove(&demoted.token);
+        let (bytes, programs) = encode_checkpoint(demoted);
+        MigratedSession {
+            id: SessionId(demoted.token),
+            protocol,
+            bytes,
+            programs,
+        }
+    }
+
+    /// Steps one batch for a quantum, reports what finished and moves what
+    /// it demoted to the slab (or to quarantine).
+    fn run_batch(&mut self, entry: u32) {
+        let bi = (entry & !BATCH_BIT) as usize;
+        let sb = &mut self.batches[bi];
+        // The batch is one queue entry standing for its whole live
+        // population, so it gets the quantum each member would have gotten
+        // on the slab.
+        let budget = self.quantum.saturating_mul(sb.batch.live_count().max(1));
+        let started = Instant::now();
+        let result = sb.batch.run_quantum(budget);
+        let ended = Instant::now();
+        let protocol = sb.protocol;
+        self.record_quantum(ended.saturating_duration_since(started), result.actions, result.sends);
+        self.metrics
+            .batch_cohorts
+            .fetch_add(result.cohorts as u64, Ordering::Relaxed);
+        self.metrics
+            .batch_cohort_sessions
+            .fetch_add(result.cohort_sessions as u64, Ordering::Relaxed);
+        for (bucket, &n) in result.cohort_widths.iter().enumerate() {
+            self.obs.shared.cohort_width.add_count(bucket, n);
+        }
+        for outcome in result.finished {
+            self.finish(batch_session_outcome(protocol, outcome), ended);
+        }
+        for demoted in result.demoted {
+            self.metrics.sessions_demoted.fetch_add(1, Ordering::Relaxed);
+            self.obs.shared.recorder.record(FlightEvent::BatchDemoted {
+                session: demoted.token,
+            });
+            let id = SessionId(demoted.token);
+            let violations = demoted.monitor.violations().len();
+            // Quarantine on the batch path: a session demoted with its
+            // violation budget spent is not re-admitted to the slab.
+            let over = self
+                .quarantine
+                .threshold_for(protocol)
+                .is_some_and(|n| violations >= n as usize);
+            if over {
+                let artifacts = &self.artifacts[&protocol];
+                let session = ActiveSession::from_demoted(id, protocol, demoted, artifacts);
+                self.restart_or_close(session, ended);
+            } else {
+                // Checkpoint-on-demote: a compliant session crossing from
+                // the batch plane to the slab is a natural restart point.
+                self.store_restart_point(&demoted);
+                self.resume_on_slab(id, protocol, demoted);
+            }
+        }
+        let sb = &mut self.batches[bi];
+        if sb.batch.is_empty() {
+            sb.queued = false;
+        } else {
+            self.run_queue.push_back(entry);
+        }
+    }
+
+    /// Steps one slab session for a quantum, then re-queues, closes or
+    /// quarantines it.
+    fn run_slab(&mut self, slot: u32) {
+        let session = self.slab[slot as usize]
+            .as_mut()
+            .expect("queued slot is occupied");
+        let threshold = self.quarantine.threshold_for(session.protocol());
+        let started = Instant::now();
+        let result = session.run_quantum(self.quantum, threshold);
+        let ended = Instant::now();
+        self.record_quantum(ended.saturating_duration_since(started), result.actions, result.sends);
+        match result.end {
+            QuantumEnd::Live => {
                 // Group commit of the restart point: once per reschedule,
                 // not per action — and only while the monitor still
                 // certifies the state being saved.
-                if quarantine.max_retries() > 0 && !session.is_violating() {
-                    let token = session.id().0;
+                if self.quarantine.max_retries() > 0 {
+                    let session = self.slab[slot as usize]
+                        .as_mut()
+                        .expect("queued slot is occupied");
                     if let Ok(demoted) = session.checkpoint() {
-                        store_checkpoint(&mut restarts, token, &demoted);
+                        self.store_restart_point(&demoted);
                     }
                 }
-                run_queue.push_back(entry);
+                self.run_queue.push_back(slot);
+            }
+            QuantumEnd::Closed(outcome) => {
+                self.restarts.remove(&outcome.id.0);
+                self.slab[slot as usize] = None;
+                self.free.push(slot);
+                self.finish(outcome, ended);
+            }
+            QuantumEnd::OverBudget => {
+                // The slot is freed first, so a restart pops it straight
+                // back and the session keeps its place.
+                let session = self.slab[slot as usize]
+                    .take()
+                    .expect("queued slot is occupied");
+                self.free.push(slot);
+                self.restart_or_close(session, ended);
             }
         }
     }
-}
 
-/// Counts a finished session in the shard metrics, folds it into the
-/// observability plane (wall time, flight events, incident capture — every
-/// execution path funnels through here: slab, batch-finished,
-/// demoted-then-slab, and shutdown close), and buffers its outcome for the
-/// next batched flush.
-fn record_outcome(
-    metrics: &ShardMetrics,
-    wobs: &mut WorkerObs,
-    pending: &mut Vec<SessionOutcome>,
-    outcome: SessionOutcome,
-    now: Instant,
-) {
-    if outcome.stalled {
-        metrics.sessions_stalled.fetch_add(1, Ordering::Relaxed);
-    } else {
-        metrics.sessions_completed.fetch_add(1, Ordering::Relaxed);
+    /// Shutdown: closes every queued session as stalled and flushes.
+    fn close_all(mut self) {
+        let now = Instant::now();
+        while let Some(entry) = self.run_queue.pop_front() {
+            if entry & BATCH_BIT != 0 {
+                let sb = &mut self.batches[(entry & !BATCH_BIT) as usize];
+                sb.queued = false;
+                let protocol = sb.protocol;
+                for outcome in sb.batch.close_all() {
+                    self.finish(batch_session_outcome(protocol, outcome), now);
+                }
+            } else {
+                let session = self.slab[entry as usize]
+                    .take()
+                    .expect("queued slot is occupied");
+                self.finish(session.close_stalled(), now);
+            }
+        }
+        // A send failure means the server is gone too: nothing left to
+        // report to.
+        let _ = self.flush();
     }
-    if !outcome.compliant {
-        metrics.sessions_violated.fetch_add(1, Ordering::Relaxed);
-    }
-    if outcome.quarantined {
-        metrics.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
-        wobs.shared.recorder.record(FlightEvent::Quarantined {
-            session: outcome.id.0,
-        });
-        wobs.shared.quarantined_for(outcome.protocol);
-    }
-    wobs.on_outcome(&outcome, now);
-    pending.push(outcome);
-}
 
-/// Sends the buffered outcomes as one batch. An error means the server side
-/// of the channel is gone.
-fn flush_outcomes(
-    results: &Sender<Vec<SessionOutcome>>,
-    pending: &mut Vec<SessionOutcome>,
-) -> std::result::Result<(), ()> {
-    if pending.is_empty() {
-        return Ok(());
+    /// Counts one quantum in the shard metrics and records its per-action
+    /// cost (elapsed time amortised over the actions it performed). Quantum
+    /// granularity keeps the recorder off the stepping loop: two clock reads
+    /// per quantum, not per action.
+    fn record_quantum(&self, elapsed: Duration, actions: usize, sends: usize) {
+        if actions > 0 {
+            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX) / actions as u64;
+            self.obs.shared.action_cost.record(ns);
+        }
+        let metrics = &self.metrics;
+        metrics.quanta.fetch_add(1, Ordering::Relaxed);
+        metrics
+            .actions_executed
+            .fetch_add(actions as u64, Ordering::Relaxed);
+        metrics
+            .messages_routed
+            .fetch_add(sends as u64, Ordering::Relaxed);
     }
-    results.send(std::mem::take(pending)).map_err(|_| ())
+
+    /// Counts a finished session in the shard metrics, folds it into the
+    /// observability plane (wall time, flight events, incident capture —
+    /// every execution path funnels through here: slab, batch-finished,
+    /// demoted-then-slab, and shutdown close), and buffers its outcome for
+    /// the next batched flush.
+    fn finish(&mut self, outcome: SessionOutcome, now: Instant) {
+        let metrics = &self.metrics;
+        if outcome.stalled {
+            metrics.sessions_stalled.fetch_add(1, Ordering::Relaxed);
+        } else {
+            metrics.sessions_completed.fetch_add(1, Ordering::Relaxed);
+        }
+        if !outcome.compliant {
+            metrics.sessions_violated.fetch_add(1, Ordering::Relaxed);
+        }
+        if outcome.quarantined {
+            metrics.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
+            self.obs.shared.recorder.record(FlightEvent::Quarantined {
+                session: outcome.id.0,
+            });
+            self.obs.shared.quarantined_for(outcome.protocol);
+        }
+        self.obs.on_outcome(&outcome, &self.artifacts, now);
+        self.pending.push(outcome);
+    }
+
+    /// Sends the buffered outcomes as one batch. An error means the server
+    /// side of the channel is gone.
+    fn flush(&mut self) -> std::result::Result<(), ()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        self.results
+            .send(std::mem::take(&mut self.pending))
+            .map_err(|_| ())
+    }
 }
 
 #[cfg(test)]

@@ -1,27 +1,28 @@
 //! One hosted session: a set of resumable endpoint tasks over an in-memory
 //! network, stepped in bounded quanta with a live compiled monitor.
 //!
-//! Endpoints run on the **compiled data plane** by default: each submitted
-//! process is lowered once per `(protocol, role, process)` (cached in
-//! [`ProtocolArtifacts`]) and executed as a
-//! [`CompiledEndpointTask`] — program counter plus slot array, with the
-//! monitor fed pre-interned actions. A process that does not lower (jumps
-//! without loops and similar pathologies the tree executor only detects at
-//! run time) falls back to the tree-walking [`EndpointTask`]; both produce
-//! identical traces, statuses and verdicts (the differential suites hold
-//! one against the other).
+//! Endpoints run on the **compiled data plane**, and only there: each
+//! submitted process is lowered once per `(protocol, role, process)` (cached
+//! in [`ProtocolArtifacts`]) and executed as a [`CompiledEndpointTask`] —
+//! program counter plus slot array, with the monitor fed pre-interned
+//! actions. Lowering fails only on an unbound jump or a communication-free
+//! loop, and certification rejects both, so a session whose process does not
+//! lower is closed at admission with every endpoint `Failed` rather than
+//! handed to a second executor. The tree-walking executor stays in
+//! `zooid-runtime` as the differential referee; this crate does not run it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use zooid_cfsm::CompiledSystem;
 use zooid_dsl::CertifiedProcess;
 use zooid_mpst::{Role, Trace};
-use zooid_proc::{erase, Externals};
+use zooid_proc::{erase, Externals, ProcError};
 use zooid_runtime::cbatch::{DemotedEndpoint, DemotedSession};
 use zooid_runtime::cexec::CompiledEndpointTask;
-use zooid_runtime::checkpoint::checkpoint_task;
+use zooid_runtime::checkpoint::{checkpoint_task, initial_demoted};
 use zooid_runtime::error::RuntimeError;
-use zooid_runtime::exec::{EndpointReport, EndpointTask, ExecOptions, StepOutcome};
+use zooid_runtime::exec::{EndpointReport, EndpointStatus, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::{CompiledMonitor, MonitorViolation};
 use zooid_runtime::transport::{InMemoryNetwork, InMemoryTransport, Transport};
 
@@ -120,78 +121,22 @@ pub(crate) struct QuantumResult {
     pub(crate) actions: usize,
     /// Messages handed to the in-session network (sends).
     pub(crate) sends: usize,
-    /// `Some` when the session is over (finished or stalled) — the session
-    /// must not be re-queued.
-    pub(crate) outcome: Option<SessionOutcome>,
+    /// How the quantum left the session.
+    pub(crate) end: QuantumEnd,
 }
 
-/// One endpoint of a hosted session: compiled when the process lowers (the
-/// normal case), tree-walking otherwise.
+/// How a scheduling quantum left its session.
 #[derive(Debug)]
-pub(crate) enum Endpoint {
-    /// The compiled data plane: dense program, slot array, pre-interned
-    /// monitor actions.
-    Compiled(CompiledEndpointTask),
-    /// The tree-walking oracle, kept for processes that do not lower.
-    Tree(EndpointTask),
-}
-
-impl Endpoint {
-    fn is_done(&self) -> bool {
-        match self {
-            Endpoint::Compiled(task) => task.is_done(),
-            Endpoint::Tree(task) => task.is_done(),
-        }
-    }
-
-    fn mark_stalled(&mut self) {
-        match self {
-            Endpoint::Compiled(task) => task.mark_stalled(),
-            Endpoint::Tree(task) => task.mark_stalled(),
-        }
-    }
-
-    fn into_report(self) -> EndpointReport {
-        match self {
-            Endpoint::Compiled(task) => task.into_report(),
-            Endpoint::Tree(task) => task.into_report(),
-        }
-    }
-
-    /// One visible step, feeding the monitor: the compiled path hands over
-    /// the pre-interned action so the observation is hash-free; the tree
-    /// path (and compiled sites whose template did not resolve) goes through
-    /// the monitor's own lookups.
-    fn step(
-        &mut self,
-        transport: &mut InMemoryTransport,
-        monitor: &mut CompiledMonitor,
-        sends: &mut usize,
-    ) -> StepOutcome {
-        match self {
-            Endpoint::Compiled(task) => task.step_mem(transport, &mut |va, interned| {
-                if va.is_send {
-                    *sends += 1;
-                }
-                match interned {
-                    Some(interned) => {
-                        // The erased action is only built if the monitor
-                        // records it (trace on, or a violation).
-                        monitor.observe_interned(interned, || erase(va));
-                    }
-                    None => {
-                        monitor.observe(&erase(va));
-                    }
-                }
-            }),
-            Endpoint::Tree(task) => task.step(transport, &mut |va| {
-                if va.is_send {
-                    *sends += 1;
-                }
-                monitor.observe(&erase(va));
-            }),
-        }
-    }
+pub(crate) enum QuantumEnd {
+    /// Budget exhausted mid-protocol: the session stays live and the next
+    /// quantum picks it up where it stopped.
+    Live,
+    /// The monitor has rejected as many actions as the session's violation
+    /// threshold allows: the session must not be stepped again, and the
+    /// shard's quarantine decision restarts or closes it.
+    OverBudget,
+    /// The session is over (finished or stalled) and must not be re-queued.
+    Closed(SessionOutcome),
 }
 
 /// A session hosted by a worker shard: one endpoint task per role, the
@@ -202,10 +147,7 @@ pub(crate) struct ActiveSession {
     id: SessionId,
     protocol: ProtocolId,
     monitor: CompiledMonitor,
-    tasks: Vec<(Endpoint, InMemoryTransport)>,
-    /// Set when the quarantine policy halts the session: endpoints still
-    /// mid-protocol are closed as stalled and the outcome is flagged.
-    quarantined: bool,
+    tasks: Vec<(CompiledEndpointTask, InMemoryTransport)>,
 }
 
 /// Checks that a spec's endpoints cover the protocol's participants exactly
@@ -235,6 +177,37 @@ pub(crate) fn validate_spec(spec: &SessionSpec, artifacts: &ProtocolArtifacts) -
     Ok(())
 }
 
+/// The outcome of a session refused at admission because one of its
+/// processes does not lower: nothing ran, and every endpoint reports
+/// `Failed` with the lowering error (in the runtime's error format, as a
+/// failing step would).
+fn failed_at_admission(
+    id: SessionId,
+    protocol: ProtocolId,
+    artifacts: &ProtocolArtifacts,
+    error: ProcError,
+) -> SessionOutcome {
+    let status = EndpointStatus::Failed {
+        error: RuntimeError::from(error).to_string(),
+    };
+    let report = |role: &Role| EndpointReport {
+        role: role.clone(),
+        actions: Vec::new(),
+        status: status.clone(),
+    };
+    SessionOutcome {
+        id,
+        protocol,
+        endpoints: artifacts.roles().map(|r| (r.clone(), report(r))).collect(),
+        global_trace: Trace::empty(),
+        compliant: true,
+        complete: false,
+        violations: Vec::new(),
+        stalled: false,
+        quarantined: false,
+    }
+}
+
 impl ActiveSession {
     /// The session's id.
     pub(crate) fn id(&self) -> SessionId {
@@ -251,54 +224,40 @@ impl ActiveSession {
     /// submission, then ships the spec to a worker shard which constructs
     /// the session; re-walking the role coverage here would just double the
     /// per-session cost the split exists to avoid.
+    ///
+    /// A process that does not lower closes the session on the spot: `Err`
+    /// carries its outcome, every endpoint `Failed` with the lowering error.
     pub(crate) fn new(
         id: SessionId,
         spec: SessionSpec,
         artifacts: &Arc<ProtocolArtifacts>,
-    ) -> Result<Self> {
+    ) -> std::result::Result<Self, SessionOutcome> {
         debug_assert!(validate_spec(&spec, artifacts).is_ok());
 
         let mut network = InMemoryNetwork::from_sorted(Arc::clone(artifacts.sorted_roles()));
         let options = spec.options;
-        let options_record = options.record_actions;
-        let tasks = spec
-            .endpoints
-            .iter()
-            .map(|(cert, externals)| {
-                let transport = network
-                    .take_endpoint(cert.role())
-                    .expect("coverage was validated above");
-                // The compiled data plane is the default; a process that
-                // does not lower runs on the tree-walking oracle instead
-                // (and fails at run time exactly where it always did). The
-                // endpoints are shared (`Arc`), so on the usual cache-hit
-                // path nothing of the process is cloned here.
-                let task = match artifacts.endpoint_program(cert.role(), cert.proc(), externals) {
-                    Some(program) => Endpoint::Compiled(CompiledEndpointTask::new(
-                        program,
-                        externals.clone(),
-                        options.clone(),
-                    )),
-                    None => Endpoint::Tree(EndpointTask::new(
-                        cert.proc().clone(),
-                        cert.role().clone(),
-                        externals.clone(),
-                        options.clone(),
-                    )),
-                };
-                (task, transport)
-            })
-            .collect();
+        let mut tasks = Vec::with_capacity(spec.endpoints.len());
+        for (cert, externals) in spec.endpoints.iter() {
+            // The endpoints are shared (`Arc`), so on the usual cache-hit
+            // path nothing of the process is cloned here.
+            let program = artifacts
+                .lower(cert.role(), cert.proc(), externals)
+                .map_err(|err| failed_at_admission(id, spec.protocol, artifacts, err))?;
+            let transport = network
+                .take_endpoint(cert.role())
+                .expect("coverage was validated above");
+            let task = CompiledEndpointTask::new(program, externals.clone(), options.clone());
+            tasks.push((task, transport));
+        }
         let mut monitor = CompiledMonitor::new(Arc::clone(artifacts.compiled()));
         // Fire-and-forget sessions (`record_actions` off) skip the global
         // trace too: the outcome then carries the verdicts alone.
-        monitor.set_record_trace(options_record);
+        monitor.set_record_trace(options.record_actions);
         Ok(ActiveSession {
             id,
             protocol: spec.protocol,
             monitor,
             tasks,
-            quarantined: false,
         })
     }
 
@@ -326,13 +285,15 @@ impl ActiveSession {
         } = demoted;
         let mut network = InMemoryNetwork::from_sorted(Arc::clone(artifacts.sorted_roles()));
         let roles: Vec<Role> = endpoints.iter().map(|ep| ep.role.clone()).collect();
-        let mut tasks: Vec<(Endpoint, InMemoryTransport)> = endpoints
+        let mut tasks: Vec<(CompiledEndpointTask, InMemoryTransport)> = endpoints
             .into_iter()
             .map(|ep| {
                 let transport = network
                     .take_endpoint(&ep.role)
                     .expect("batch role order is the sorted role table");
-                // Batch-eligible programs call no externals, so resuming
+                // A demoted session comes from a batch or a checkpoint, and
+                // neither carries programs that call externals
+                // ([`ActiveSession::checkpoint`] refuses them), so resuming
                 // with an empty set is exact.
                 let task = CompiledEndpointTask::resume(
                     ep.program,
@@ -344,7 +305,7 @@ impl ActiveSession {
                     ep.steps,
                     ep.status,
                 );
-                (Endpoint::Compiled(task), transport)
+                (task, transport)
             })
             .collect();
         for (from, to, label, value) in frames {
@@ -358,13 +319,33 @@ impl ActiveSession {
             protocol,
             monitor,
             tasks,
-            quarantined: false,
         }
     }
 
-    /// Whether the session's monitor has already rejected an action.
-    pub(crate) fn is_violating(&self) -> bool {
-        !self.monitor.is_compliant()
+    /// Whether any endpoint's program calls external actions. Their closures
+    /// live in the submitter's [`Externals`], which no extracted state
+    /// carries and [`ActiveSession::from_demoted`] cannot supply, so such a
+    /// session can be neither checkpointed nor restarted.
+    fn calls_externals(&self) -> bool {
+        self.tasks
+            .iter()
+            .any(|(task, _)| task.program().program().calls_externals())
+    }
+
+    /// The state this session started from — every program at its entry, a
+    /// fresh monitor, no frames — as the restart point of last resort for a
+    /// session that violates before its first certified checkpoint. `None`
+    /// when the session calls externals.
+    pub(crate) fn initial_state(&self, system: &Arc<CompiledSystem>) -> Option<DemotedSession> {
+        if self.calls_externals() {
+            return None;
+        }
+        let (first, _) = self.tasks.first()?;
+        let mut programs: Vec<_> =
+            self.tasks.iter().map(|(t, _)| Arc::clone(t.program())).collect();
+        // Checkpoint endpoint order is the sorted role table.
+        programs.sort_by(|a, b| a.program().role().cmp(b.program().role()));
+        Some(initial_demoted(self.id.0, first.options().clone(), &programs, system))
     }
 
     /// Extracts a restorable snapshot of the live session without
@@ -379,36 +360,24 @@ impl ActiveSession {
     /// and immediately re-injecting every frame through its sender's
     /// transport, so the session is byte-for-byte unchanged afterwards.
     ///
-    /// Sessions with a tree-walking endpoint cannot checkpoint — their
-    /// state is a process tree mid-substitution, not a pc plus slots — and
-    /// are refused with [`RuntimeError::Recovery`].
+    /// A session whose programs call externals cannot checkpoint — the
+    /// closures live in the submitter's [`Externals`], not in the snapshot,
+    /// and [`ActiveSession::from_demoted`] resumes with none — and is
+    /// refused with [`RuntimeError::Recovery`].
     pub(crate) fn checkpoint(&mut self) -> std::result::Result<DemotedSession, RuntimeError> {
-        let mut roles = Vec::with_capacity(self.tasks.len());
-        for (task, _) in &self.tasks {
-            match task {
-                Endpoint::Compiled(t) => roles.push(t.role().clone()),
-                Endpoint::Tree(_) => {
-                    return Err(RuntimeError::Recovery {
-                        reason: "session has a tree-walking endpoint; only compiled \
-                                 sessions can checkpoint"
-                            .into(),
-                    })
-                }
-            }
+        if self.calls_externals() {
+            return Err(RuntimeError::Recovery {
+                reason: "session calls external actions; a checkpoint cannot carry them".into(),
+            });
         }
+        let roles: Vec<Role> = self.tasks.iter().map(|(t, _)| t.role().clone()).collect();
         let mut order: Vec<usize> = (0..self.tasks.len()).collect();
         order.sort_by(|&a, &b| roles[a].cmp(&roles[b]));
         let endpoints: Vec<DemotedEndpoint> = order
             .iter()
-            .map(|&i| match &self.tasks[i].0 {
-                Endpoint::Compiled(t) => checkpoint_task(t),
-                Endpoint::Tree(_) => unreachable!("tree endpoints were refused above"),
-            })
+            .map(|&i| checkpoint_task(&self.tasks[i].0))
             .collect();
-        let options = match &self.tasks[order[0]].0 {
-            Endpoint::Compiled(t) => t.options().clone(),
-            Endpoint::Tree(_) => unreachable!("tree endpoints were refused above"),
-        };
+        let options = self.tasks[order[0]].0.options().clone();
         // Capture in-flight frames: drain every (sender, receiver) channel
         // in FIFO order, then re-inject each frame through its sender so
         // the live session keeps running as if nothing happened. Frame
@@ -453,12 +422,11 @@ impl ActiveSession {
     /// remaining endpoints are marked [`EndpointStatus::Stalled`] and the
     /// session is closed.
     ///
-    /// With a `violation_threshold` of `Some(n)`, the session is closed as
-    /// soon as the monitor has rejected `n` actions — at the default
-    /// threshold of 1 the violating session takes **zero** further steps —
-    /// every endpoint still mid-protocol is reported stalled, and the
-    /// outcome carries `quarantined = true`. `None` never quarantines
-    /// (violations are recorded and the session runs on).
+    /// With a `violation_threshold` of `Some(n)`, the quantum ends
+    /// [`QuantumEnd::OverBudget`] as soon as the monitor has rejected `n`
+    /// actions — at the default threshold of 1 the violating session takes
+    /// **zero** further steps. `None` never quarantines (violations are
+    /// recorded and the session runs on).
     ///
     /// [`EndpointStatus::Stalled`]: zooid_runtime::EndpointStatus::Stalled
     pub(crate) fn run_quantum(
@@ -469,7 +437,7 @@ impl ActiveSession {
         let mut actions = 0usize;
         let mut sends = 0usize;
         let ActiveSession { monitor, tasks, .. } = self;
-        'quantum: loop {
+        let end = 'quantum: loop {
             let mut progressed = false;
             for (task, transport) in tasks.iter_mut() {
                 if task.is_done() {
@@ -477,73 +445,74 @@ impl ActiveSession {
                 }
                 loop {
                     if actions >= budget {
-                        break 'quantum;
+                        // The task in hand had just made progress, so it
+                        // cannot be done.
+                        break 'quantum QuantumEnd::Live;
                     }
-                    match task.step(transport, monitor, &mut sends) {
+                    // The pre-interned action makes the observation
+                    // hash-free; sites whose template did not resolve go
+                    // through the monitor's own lookups. The erased action
+                    // is only built if the monitor records it (trace on, or
+                    // a violation).
+                    let outcome = task.step_mem(transport, &mut |va, interned| {
+                        if va.is_send {
+                            sends += 1;
+                        }
+                        match interned {
+                            Some(interned) => {
+                                monitor.observe_interned(interned, || erase(va));
+                            }
+                            None => {
+                                monitor.observe(&erase(va));
+                            }
+                        }
+                    });
+                    match outcome {
                         StepOutcome::Progress => {
                             progressed = true;
                             actions += 1;
                             if violation_threshold
                                 .is_some_and(|n| monitor.violations().len() >= n as usize)
                             {
-                                self.quarantined = true;
-                                return QuantumResult {
-                                    actions,
-                                    sends,
-                                    outcome: Some(self.finish(false)),
-                                };
+                                break 'quantum QuantumEnd::OverBudget;
                             }
                         }
                         StepOutcome::WouldBlock { .. } | StepOutcome::Done(_) => break,
                     }
                 }
             }
-            if tasks.iter().all(|(task, _)| task.is_done()) {
-                return QuantumResult {
-                    actions,
-                    sends,
-                    outcome: Some(self.finish(false)),
-                };
+            let done = tasks.iter().all(|(task, _)| task.is_done());
+            // A self-contained session with every endpoint blocked stalls:
+            // no message will ever arrive again.
+            if done || !progressed {
+                break QuantumEnd::Closed(self.finish(!done, false));
             }
-            if !progressed {
-                // Self-contained session with every endpoint blocked: no
-                // message will ever arrive again.
-                return QuantumResult {
-                    actions,
-                    sends,
-                    outcome: Some(self.finish(true)),
-                };
-            }
-        }
-        // Budget exhausted mid-protocol (the task in hand had just made
-        // progress, so it cannot be done): the session stays live and the
-        // next quantum picks it up where it stopped.
+        };
         QuantumResult {
             actions,
             sends,
-            outcome: None,
+            end,
         }
     }
 
     /// Force-closes a session its scheduler will not run again (server
     /// shutdown): every endpoint still mid-protocol is marked stalled.
     pub(crate) fn close_stalled(mut self) -> SessionOutcome {
-        self.finish(true)
+        self.finish(true, false)
     }
 
-    /// Closes a session the quarantine policy refuses to keep stepping (a
-    /// batch-demoted session whose monitor already rejected an action):
+    /// Closes a session the quarantine policy refuses to keep stepping (its
+    /// monitor has rejected as many actions as its threshold allows):
     /// endpoints still mid-protocol are reported stalled, and the outcome
     /// carries `quarantined = true`.
     pub(crate) fn close_quarantined(mut self) -> SessionOutcome {
-        self.quarantined = true;
-        self.finish(false)
+        self.finish(false, true)
     }
 
-    fn finish(&mut self, stalled: bool) -> SessionOutcome {
+    fn finish(&mut self, stalled: bool, quarantined: bool) -> SessionOutcome {
         let mut endpoints = BTreeMap::new();
         for (mut task, transport) in std::mem::take(&mut self.tasks) {
-            if stalled || self.quarantined {
+            if stalled || quarantined {
                 task.mark_stalled();
             }
             let report = task.into_report();
@@ -563,7 +532,41 @@ impl ActiveSession {
             complete,
             violations: self.monitor.take_violations(),
             stalled,
-            quarantined: self.quarantined,
+            quarantined,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ProtocolRegistry;
+    use zooid_dsl::Protocol;
+    use zooid_mpst::generators;
+
+    /// No certified process fails to lower (`tests/lowering.rs`), so no
+    /// submission reaches this refusal; its shape is pinned here directly.
+    #[test]
+    fn a_lowering_failure_fails_every_endpoint_and_runs_none() {
+        let mut registry = ProtocolRegistry::new();
+        let id = registry
+            .register(Protocol::new("ring", generators::ring3()).unwrap())
+            .unwrap();
+        let artifacts = registry.get(id).unwrap();
+        let error = ProcError::UnboundJump { index: 0 };
+        let outcome = failed_at_admission(SessionId(7), id, artifacts, error);
+        assert_eq!((outcome.id, outcome.protocol), (SessionId(7), id));
+        assert_eq!(outcome.endpoints.len(), 3);
+        for report in outcome.endpoints.values() {
+            assert!(report.actions.is_empty());
+            assert_eq!(
+                report.status,
+                EndpointStatus::Failed {
+                    error: "process error: jump to an unbound recursion variable (index 0)".into()
+                }
+            );
+        }
+        assert!(outcome.global_trace.is_empty() && outcome.violations.is_empty());
+        assert!(!outcome.complete && !outcome.stalled && !outcome.quarantined);
     }
 }

@@ -298,6 +298,111 @@ fn restart_zero_behaves_like_halt() {
     server.shutdown();
 }
 
+#[test]
+fn slab_admitted_violators_get_the_same_restarts() {
+    // The slab twin of `violators_restart_from_checkpoint_until_retries_exhaust`:
+    // the `bad` label is not in the registered ring's tables, so the cast
+    // cannot pre-intern, is admitted to the slab, and violates in its first
+    // quantum — before any certified checkpoint exists. It must still restart
+    // from its initial state `max_retries` times.
+    use zooid_mpst::global::GlobalType;
+    use zooid_mpst::{Role, Sort};
+    let w = |i: usize| Role::new(format!("w{i}"));
+    let hop = |from, to, cont| GlobalType::msg1(w(from), w(to), "bad", Sort::Nat, cont);
+    let bad_label_ring = hop(0, 1, hop(1, 2, hop(2, 0, GlobalType::End)));
+
+    let mut registry = ProtocolRegistry::new();
+    let id = registry
+        .register(Protocol::new("ring", generators::ring_n(3)).unwrap())
+        .unwrap();
+    let decoy = Protocol::new("ring", bad_label_ring).unwrap();
+    let config = ServerConfig {
+        shards: 1,
+        quarantine: QuarantinePolicy::RestartFromCheckpoint { max_retries: 2 },
+        ..ServerConfig::default()
+    };
+    let mut server = SessionServer::start(registry, config);
+    let sid = server
+        .submit(SessionSpec::new(id, skeleton_endpoints(&decoy).unwrap()))
+        .unwrap();
+    let outcomes = server.drain();
+    assert_eq!(outcomes.len(), 1, "the session reports exactly once");
+    assert_eq!(outcomes[0].id, sid);
+    assert!(!outcomes[0].compliant);
+    assert!(outcomes[0].quarantined, "the final close is Halt-like");
+
+    let report = server.report();
+    assert_eq!(report.sessions_slab(), 1, "{report}");
+    assert_eq!(report.sessions_batched(), 0, "{report}");
+    assert_eq!(report.sessions_restarted(), 2, "{report}");
+    assert_eq!(report.sessions_quarantined(), 1, "{report}");
+    let retries: Vec<u8> = server
+        .flight_events()
+        .iter()
+        .filter_map(|e| match e {
+            FlightEvent::Restarted { session, retry } if *session == sid.0 => Some(*retry),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retries, vec![1, 2], "restart events carry the retry count");
+    server.shutdown();
+}
+
+#[test]
+fn sessions_that_call_externals_are_never_checkpointed() {
+    // Role A reads every tick's payload from the environment. The closure
+    // behind `src` lives in the submitted `Externals`; a checkpoint cannot
+    // carry it, and a session resumed from one would run with none. So the
+    // drain must not evacuate this session (it closes as stalled through the
+    // outcome stream), and no restart point is ever stored for it.
+    use zooid_mpst::{Role, Sort};
+    use zooid_proc::{Expr, Externals, Proc, Value};
+    let (a, b) = (Role::new("A"), Role::new("B"));
+    let (registry, id, skeleton) = registry_with("metronome", metronome());
+    let protocol = Protocol::new("metronome", metronome()).unwrap();
+    let mut externals = Externals::new();
+    externals.register_read("src", Sort::Nat, || Value::Nat(7));
+    let reader = Proc::loop_(Proc::read(
+        "src",
+        "x",
+        Proc::send(
+            b.clone(),
+            "tick",
+            Expr::var("x"),
+            Proc::recv1(b.clone(), "tock", Sort::Nat, "y", Proc::Jump(0)),
+        ),
+    ));
+    let cert = protocol
+        .implement_against_projection(&a, reader, &externals)
+        .expect("the reader implements A");
+    let mut endpoints = vec![(cert, externals)];
+    endpoints.extend(skeleton.into_iter().filter(|(c, _)| *c.role() == b));
+
+    let config = ServerConfig {
+        shards: 1,
+        quantum: 1,
+        quarantine: QuarantinePolicy::RestartFromCheckpoint { max_retries: 2 },
+        ..ServerConfig::default()
+    };
+    let mut server = SessionServer::start(registry, config);
+    let sid = server.submit(SessionSpec::new(id, endpoints)).unwrap();
+    let migrated = server.drain_shard(0).unwrap();
+    assert!(
+        migrated.is_empty(),
+        "a checkpoint cannot carry external closures"
+    );
+    let outcomes = server.drain();
+    assert_eq!(outcomes.len(), 1, "the refused session still reports");
+    let outcome = &outcomes[0];
+    assert_eq!(outcome.id, sid);
+    assert!(outcome.stalled && outcome.compliant && !outcome.quarantined);
+    for report in outcome.endpoints.values() {
+        assert_eq!(report.status, zooid_runtime::EndpointStatus::Stalled);
+    }
+    assert_eq!(server.report().sessions_restarted(), 0);
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Adaptive per-protocol violation thresholds
 // ---------------------------------------------------------------------

@@ -30,8 +30,8 @@ const EVENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A ring over `w0 w1 w2` whose label is not part of the registered ring
 /// protocol: the endpoint programs cannot pre-intern their actions against
-/// the registered tables, so the sessions run on the slab (tree-walking
-/// fallback) and every communication is a monitor violation.
+/// the registered tables, so the sessions run on the slab (compiled tasks,
+/// monitored by lookup) and every communication is a monitor violation.
 fn bad_label_ring() -> GlobalType {
     let w = |i: usize| Role::new(format!("w{i}"));
     GlobalType::msg1(

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 CI for the zooid workspace: release build, full test-suite, and a
-# bench-report smoke run that validates the machine-readable benchmark
-# report (BENCH_pr10.json schema) without paying full measurement budgets.
+# Tier-1 CI for the zooid workspace: release build, full test-suite, the
+# zooid_benchmark gate (BENCHMARK.json's command must build and pass its
+# smoke run), and a bench-report smoke run that validates the
+# machine-readable benchmark report (BENCH_pr10.json schema) without paying
+# full measurement budgets.
 #
 # The smoke bench-report is also the explore_parallel smoke suite: it runs
 # the work-stealing explorer at threads=2 and asserts verdict and
@@ -21,6 +23,17 @@ echo "== cargo test --workspace -q"
 # every crate's unit, integration (incl. the differential suites) and doc
 # tests.
 cargo test --workspace -q
+
+echo "== zooid_benchmark gate (BENCHMARK.json's command: --validate, then --smoke)"
+# The benchmark pipeline builds this package from its own manifest against
+# the crates' public API, so an API break that only it would notice fails
+# here. `--smoke` runs every workload's correctness gate at a tiny size (~5 s),
+# exits non-zero on a wrong output (pipefail carries that through `tail`) and
+# ends `all workloads correct`.
+benchmark=(cargo run --release --offline --quiet
+    --manifest-path crates/bench/src/bin/zooid_benchmark/Cargo.toml --)
+"${benchmark[@]}" --validate BENCHMARK.json
+"${benchmark[@]}" --smoke | tail -n 1
 
 echo "== batch differential suite (batched vs slab-compiled vs tree executors)"
 # Already covered by --workspace above, but run it by name so a batching
