@@ -1,4 +1,4 @@
-//! Emits a machine-readable benchmark report (`BENCH_pr10.json`) so future
+//! Emits a machine-readable benchmark report (`BENCH_pr15.json`) so future
 //! PRs can track the performance trajectory of the hot paths.
 //!
 //! For every scalable protocol family (`ring`, `chain`, `fanout`) at sizes
@@ -106,7 +106,7 @@
 //!   engines visit identical configuration counts before timing them).
 //!
 //! Run with `cargo run --release -p zooid-bench --bin bench-report`; writes
-//! `BENCH_pr10.json` in the current directory. `--smoke` shrinks sizes and
+//! `BENCH_pr15.json` in the current directory. `--smoke` shrinks sizes and
 //! budgets for CI smoke runs, `--out PATH` redirects the report.
 
 use std::sync::Arc;
@@ -449,7 +449,7 @@ struct Options {
 fn parse_args() -> Options {
     let mut opts = Options {
         smoke: false,
-        out: "BENCH_pr10.json".to_owned(),
+        out: "BENCH_pr15.json".to_owned(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -1540,7 +1540,7 @@ fn main() {
         });
     }
 
-    let mut json = String::from("{\n  \"pr\": 10,\n  \"benches\": [\n");
+    let mut json = String::from("{\n  \"pr\": 15,\n  \"benches\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let speedup = if e.median_ns > 0 && e.baseline_ns > 0 {
             e.baseline_ns as f64 / e.median_ns as f64

@@ -348,6 +348,15 @@ pub struct SessionBatch {
     // Fault evaluator for the arena write path (hostile-world suite);
     // `None` outside fault campaigns, costing one branch per send.
     arena_faults: Option<ArenaFaults>,
+    // The batch's own handles on the layout's role names and wire labels
+    // (same indices, equal by value). Every recorded action clones three of
+    // them; cloned from the layout they would bump refcounts shared with
+    // every other shard's batches and with the thread that drops the
+    // outcomes — one contended cache line per clone, which on two cores
+    // nearly doubles a session's cost. Handles of its own keep a batch's
+    // counts on its shard's core.
+    roles: Vec<Role>,
+    labels: Vec<Label>,
 }
 
 impl SessionBatch {
@@ -364,6 +373,8 @@ impl SessionBatch {
             .collect();
         let mut queues = Vec::with_capacity(n * n * cap);
         queues.resize_with(n * n * cap, FrameQueue::default);
+        let roles = layout.roles.iter().map(|r| Role::new(r.name())).collect();
+        let labels = layout.labels.iter().map(|l| Label::new(l.name())).collect();
         SessionBatch {
             layout,
             options,
@@ -388,6 +399,8 @@ impl SessionBatch {
             queues,
             scratch: Vec::new(),
             arena_faults: None,
+            roles,
+            labels,
         }
     }
 
@@ -575,9 +588,8 @@ impl SessionBatch {
                 let template = &program.templates()[*event as usize];
                 let q = layout.peer_map[r][peer.index()] as usize;
                 let wire = layout.label_wire[r][label.index()];
-                let ch = (r * n + q) * cap;
                 for &(_, s) in cohort {
-                    self.send_one(layout, r, s as usize, template, payload, wire, ch, *next, out);
+                    self.send_one(layout, r, s as usize, q, template, payload, wire, *next, out);
                 }
             }
             Instr::Recv { peer, arms } => {
@@ -646,8 +658,7 @@ impl SessionBatch {
                     let template = &program.templates()[*event as usize];
                     let q = layout.peer_map[r][peer.index()] as usize;
                     let wire = layout.label_wire[r][label.index()];
-                    let ch = (r * n + q) * cap;
-                    self.send_one(layout, r, s, template, payload, wire, ch, *next, out);
+                    self.send_one(layout, r, s, q, template, payload, wire, *next, out);
                     return;
                 }
                 Instr::Recv { peer, arms } => {
@@ -673,15 +684,16 @@ impl SessionBatch {
         layout: &BatchLayout,
         r: usize,
         s: usize,
+        q: usize,
         template: &ActionTemplate,
         payload: &CExpr,
         wire: u32,
-        ch: usize,
         next: u32,
         out: &mut BatchQuantum,
     ) {
         let cap = self.cap;
         let idx = r * cap + s;
+        let ch = (r * layout.roles.len() + q) * cap;
         if let Some(limit) = self.options.max_steps {
             if self.steps[idx] as usize >= limit {
                 self.statuses[idx] = Some(EndpointStatus::StepLimitReached);
@@ -710,19 +722,20 @@ impl SessionBatch {
             .as_ref()
             .expect("batch-eligible templates are interned");
         let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
-        self.note(s, accepted, || {
+        // `roles[q]` is the template's peer and `labels[wire]` its label.
+        self.note(s, accepted, |roles, labels| {
             Action::send(
-                layout.roles[r].clone(),
-                template.peer.clone(),
-                template.label.clone(),
+                roles[r].clone(),
+                roles[q].clone(),
+                labels[wire as usize].clone(),
                 sort.clone(),
             )
         });
         if self.record {
             self.actions[idx].push(ValueAction::send(
-                layout.roles[r].clone(),
-                template.peer.clone(),
-                template.label.clone(),
+                self.roles[r].clone(),
+                self.roles[q].clone(),
+                self.labels[wire as usize].clone(),
                 sort,
                 value.clone(),
             ));
@@ -821,19 +834,19 @@ impl SessionBatch {
             .as_ref()
             .expect("batch-eligible templates are interned");
         let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
-        self.note(s, accepted, || {
+        self.note(s, accepted, |roles, labels| {
             Action::recv(
-                layout.roles[r].clone(),
-                template.peer.clone(),
-                template.label.clone(),
+                roles[r].clone(),
+                roles[q].clone(),
+                labels[wire as usize].clone(),
                 sort.clone(),
             )
         });
         if self.record {
             self.actions[idx].push(ValueAction::recv(
-                layout.roles[r].clone(),
-                template.peer.clone(),
-                template.label.clone(),
+                self.roles[r].clone(),
+                self.roles[q].clone(),
+                self.labels[wire as usize].clone(),
                 sort.clone(),
                 value.clone(),
             ));
@@ -850,17 +863,22 @@ impl SessionBatch {
 
     /// Mirrors [`CompiledMonitor`]'s observation bookkeeping on the
     /// session's columns.
-    fn note(&mut self, s: usize, accepted: bool, action: impl FnOnce() -> Action) {
+    fn note(
+        &mut self,
+        s: usize,
+        accepted: bool,
+        action: impl FnOnce(&[Role], &[Label]) -> Action,
+    ) {
         let position = self.observed[s];
         self.observed[s] += 1;
         if accepted {
             self.accepted[s] += 1;
             if self.record {
-                self.traces[s].push(action());
+                self.traces[s].push(action(&self.roles, &self.labels));
             }
         } else {
             self.violations[s].push(MonitorViolation {
-                action: action(),
+                action: action(&self.roles, &self.labels),
                 position,
                 trace_len: self.accepted[s],
             });
@@ -964,20 +982,19 @@ impl SessionBatch {
     }
 
     fn extract_outcome(&mut self, s: usize, stalled: bool) -> BatchOutcome {
-        let layout = Arc::clone(&self.layout);
         let cap = self.cap;
-        let n = layout.roles.len();
+        let n = self.roles.len();
         let mut endpoints = Vec::with_capacity(n);
         for r in 0..n {
             let idx = r * cap + s;
             endpoints.push(EndpointReport {
-                role: layout.roles[r].clone(),
+                role: self.roles[r].clone(),
                 actions: mem::take(&mut self.actions[idx]),
                 status: self.statuses[idx].take().unwrap_or(EndpointStatus::Stalled),
             });
         }
         let compliant = self.violations[s].is_empty();
-        let complete = layout.system.is_terminated(&self.cursors[s]);
+        let complete = self.layout.system.is_terminated(&self.cursors[s]);
         let outcome = BatchOutcome {
             token: self.tokens[s],
             endpoints,

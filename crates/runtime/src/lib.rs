@@ -29,12 +29,6 @@
 //!   speaks — many sessions per connection, client-chosen ids echoed on
 //!   every response, structured load-shed rejections
 //!   ([`wire::RejectCode`]);
-//! * [`poll`] — a minimal readiness-poll loop over non-blocking `std::net`
-//!   sockets (hermetic: no tokio/mio, no unsafe FFI): `peek`-based probes
-//!   classify each socket as readable/empty/closed and [`poll::Poller`]
-//!   sweeps a socket set with adaptive idle backoff, so an event loop can
-//!   multiplex many connections on one thread and hand readable sockets to
-//!   the shard scheduler instead of parking a thread per connection;
 //! * [`exec`] — the tree-walking interpreter that runs a certified process
 //!   against a transport (the counterpart of `extract_proc` composed with
 //!   the monad instance), recording the endpoint's trace. The interpreter is
@@ -117,7 +111,6 @@ pub mod exec;
 pub mod faults;
 pub mod harness;
 pub mod monitor;
-pub mod poll;
 pub mod tcp;
 pub mod transport;
 pub mod wal;

@@ -21,8 +21,14 @@
 //! yields [`RuntimeError::FrameTooLarge`] from 4 bytes of input, never an
 //! allocation. [`FrameReader`] owns the partial-frame buffer, so callers can
 //! interleave non-blocking reads across many sockets and resume a
-//! half-received frame later — the readiness-polling loop in
-//! [`crate::poll`] depends on this.
+//! half-received frame later — the serving plane's IO loop depends on this.
+//!
+//! The buffer is a `Vec<u8>` plus a read cursor: popping a frame copies its
+//! payload out once and advances the cursor, so the cost of a frame does not
+//! depend on how many bytes are buffered behind it. Consumed bytes are
+//! reclaimed by compaction — free when the buffer empties, otherwise a
+//! `memmove` of the live remainder taken only once the consumed prefix has
+//! outgrown it, so every byte moved is paid for by a byte already handed out.
 
 use bytes::{BufMut, BytesMut};
 use std::io::Read;
@@ -62,7 +68,9 @@ pub enum FillStatus {
 /// oversized length headers fail fast without buffering the body.
 #[derive(Debug)]
 pub struct FrameReader {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Offset in `buf` of the first byte not yet handed out as a frame.
+    head: usize,
     max_frame_bytes: usize,
     /// Set once a header above the cap has been seen: the stream is
     /// unrecoverable from that point (we refuse to resynchronise inside
@@ -74,7 +82,8 @@ impl FrameReader {
     /// Creates a reader enforcing the given per-frame payload cap.
     pub fn new(max_frame_bytes: usize) -> Self {
         FrameReader {
-            buf: BytesMut::new(),
+            buf: Vec::new(),
+            head: 0,
             max_frame_bytes,
             poisoned: None,
         }
@@ -93,7 +102,7 @@ impl FrameReader {
 
     /// Number of buffered bytes not yet consumed as complete frames.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     /// Appends raw bytes to the internal buffer.
@@ -155,10 +164,11 @@ impl FrameReader {
         if let Some((len, max)) = self.poisoned {
             return Err(RuntimeError::FrameTooLarge { len, max });
         }
-        if self.buf.len() < 4 {
+        let live = &self.buf[self.head..];
+        let Some(header) = live.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        };
+        let len = u32::from_be_bytes(*header) as usize;
         if len > self.max_frame_bytes {
             self.poisoned = Some((len, self.max_frame_bytes));
             return Err(RuntimeError::FrameTooLarge {
@@ -166,11 +176,23 @@ impl FrameReader {
                 max: self.max_frame_bytes,
             });
         }
-        if self.buf.len() < 4 + len {
+        let Some(payload) = live[4..].get(..len) else {
             return Ok(None);
+        };
+        let payload = payload.to_vec();
+        self.head += 4 + len;
+        let live = self.buf.len() - self.head;
+        if live == 0 {
+            self.buf.clear();
+            self.head = 0;
+        } else if self.head > live {
+            // The consumed prefix has outgrown what is left: shifting the
+            // remainder down moves fewer bytes than were handed out since
+            // the last compaction.
+            self.buf.drain(..self.head);
+            self.head = 0;
         }
-        let _ = self.buf.split_to(4);
-        Ok(Some(self.buf.split_to(len).to_vec()))
+        Ok(Some(payload))
     }
 }
 
@@ -453,6 +475,194 @@ pub fn decode_mux(mut bytes: &[u8]) -> Result<MuxFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A scripted reader: each `read` pops the *last* entry (a delivery of
+    /// at most one `fill` chunk, or an error); an empty script reads as EOF.
+    struct Script(Vec<std::io::Result<Vec<u8>>>);
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop() {
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Err(e)) => Err(e),
+                None => Ok(0),
+            }
+        }
+    }
+
+    fn would_block() -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::WouldBlock, "empty")
+    }
+
+    /// The `split_to` reader this module shipped before the cursor: two
+    /// head splits and a copy per frame. Kept as the oracle the cursor
+    /// reader is driven against.
+    struct SplitToReader {
+        buf: BytesMut,
+        max_frame_bytes: usize,
+        poisoned: Option<(usize, usize)>,
+    }
+
+    impl SplitToReader {
+        fn new(max_frame_bytes: usize) -> Self {
+            SplitToReader {
+                buf: BytesMut::new(),
+                max_frame_bytes,
+                poisoned: None,
+            }
+        }
+
+        fn pending_bytes(&self) -> usize {
+            self.buf.len()
+        }
+
+        fn extend(&mut self, bytes: &[u8]) {
+            self.buf.extend_from_slice(bytes);
+        }
+
+        fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
+            if let Some((len, max)) = self.poisoned {
+                return Err(RuntimeError::FrameTooLarge { len, max });
+            }
+            if self.buf.len() < 4 {
+                return Ok(None);
+            }
+            let len =
+                u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+            if len > self.max_frame_bytes {
+                self.poisoned = Some((len, self.max_frame_bytes));
+                return Err(RuntimeError::FrameTooLarge {
+                    len,
+                    max: self.max_frame_bytes,
+                });
+            }
+            if self.buf.len() < 4 + len {
+                return Ok(None);
+            }
+            let _ = self.buf.split_to(4);
+            Ok(Some(self.buf.split_to(len).to_vec()))
+        }
+    }
+
+    /// A `next_frame` result in comparable form (`RuntimeError` holds an
+    /// `io::Error`, so it has no `PartialEq`).
+    fn comparable(
+        result: Result<Option<Vec<u8>>>,
+    ) -> std::result::Result<Option<Vec<u8>>, (usize, usize)> {
+        match result {
+            Ok(frame) => Ok(frame),
+            Err(RuntimeError::FrameTooLarge { len, max }) => Err((len, max)),
+            Err(other) => panic!("next_frame can only fail with FrameTooLarge, got {other}"),
+        }
+    }
+
+    /// Pops frames off both readers until they run dry (or fail, then once
+    /// more for stickiness), holding every result and every
+    /// `pending_bytes` equal.
+    fn drain_in_lockstep(cursor: &mut FrameReader, oracle: &mut SplitToReader) {
+        let mut failed = false;
+        loop {
+            let got = comparable(cursor.next_frame());
+            let want = comparable(oracle.next_frame());
+            assert_eq!(got, want);
+            assert_eq!(cursor.pending_bytes(), oracle.pending_bytes());
+            match got {
+                Ok(Some(_)) => {}
+                Ok(None) => return,
+                Err(_) if failed => return,
+                Err(_) => failed = true,
+            }
+        }
+    }
+
+    const DIFF_CAP: usize = 64;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cursor_reader_matches_the_split_to_reader(
+            // Per frame: a payload class and a fill byte.
+            frames in proptest::collection::vec((0u8..5, any::<u8>()), 0..40),
+            // Where (if inside the stream) a header over the cap goes.
+            oversized_at in 0usize..80,
+            // Delivery sizes, cycled; `fill` when the flag is set, else `extend`.
+            chunks in proptest::collection::vec((1usize..97, any::<bool>()), 1..12),
+        ) {
+            let mut wire = BytesMut::new();
+            for (at, (class, byte)) in frames.iter().enumerate() {
+                if at == oversized_at {
+                    wire.put_u32(DIFF_CAP as u32 + 1 + u32::from(*byte));
+                }
+                let len = match class {
+                    0 => 0,
+                    1 => 1,
+                    2 => DIFF_CAP,
+                    _ => usize::from(*byte) % DIFF_CAP,
+                };
+                put_frame(&mut wire, &vec![*byte; len], DIFF_CAP).unwrap();
+            }
+            let mut cursor = FrameReader::new(DIFF_CAP);
+            let mut oracle = SplitToReader::new(DIFF_CAP);
+            let mut rest: &[u8] = &wire;
+            for (size, through_fill) in chunks.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (piece, tail) = rest.split_at((*size).min(rest.len()));
+                rest = tail;
+                if *through_fill {
+                    // Two reads (one for a 1-byte piece: an empty read would
+                    // be EOF), then an empty socket: one `fill` takes both.
+                    let (a, b) = piece.split_at(piece.len() / 2);
+                    let mut script = Script(vec![Err(would_block()), Ok(b.to_vec())]);
+                    if !a.is_empty() {
+                        script.0.push(Ok(a.to_vec()));
+                    }
+                    prop_assert_eq!(cursor.fill(&mut script).unwrap(), FillStatus::Progress);
+                    prop_assert!(script.0.is_empty());
+                } else {
+                    cursor.extend(piece);
+                }
+                oracle.extend(piece);
+                prop_assert_eq!(cursor.pending_bytes(), oracle.pending_bytes());
+                drain_in_lockstep(&mut cursor, &mut oracle);
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_fill_of_small_frames_survives_compaction() {
+        // 64 KiB (one `fill`'s cap) of 26-byte frames, the size of a `Done`.
+        let count = 64 * 1024 / 26;
+        let mut wire = BytesMut::new();
+        let payload = |i: usize| -> Vec<u8> { (0..22).map(|j| (i * 31 + j) as u8).collect() };
+        for i in 0..count {
+            put_frame(&mut wire, &payload(i), DEFAULT_MAX_FRAME_BYTES).unwrap();
+        }
+        let mut cursor = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+        let mut oracle = SplitToReader::new(DEFAULT_MAX_FRAME_BYTES);
+        cursor.extend(&wire);
+        oracle.extend(&wire);
+        let mut compactions = 0;
+        for i in 0..count {
+            let before = cursor.head;
+            let frame = cursor.next_frame().unwrap().expect("a buffered frame");
+            assert_eq!(frame, payload(i), "frame {i}");
+            assert_eq!(oracle.next_frame().unwrap(), Some(frame));
+            assert_eq!(cursor.pending_bytes(), oracle.pending_bytes());
+            if cursor.head < before && cursor.pending_bytes() > 0 {
+                compactions += 1;
+            }
+        }
+        assert!(compactions >= 1, "the consumed prefix was never reclaimed");
+        assert_eq!(cursor.pending_bytes(), 0);
+        assert_eq!((cursor.head, cursor.buf.len()), (0, 0));
+        assert!(cursor.next_frame().unwrap().is_none());
+    }
 
     fn mux_cases() -> Vec<MuxFrame> {
         vec![
@@ -576,31 +786,12 @@ mod tests {
 
     #[test]
     fn fill_reports_eof_wouldblock_and_progress() {
-        struct Script(Vec<std::io::Result<Vec<u8>>>);
-        impl Read for Script {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                match self.0.pop() {
-                    Some(Ok(bytes)) => {
-                        buf[..bytes.len()].copy_from_slice(&bytes);
-                        Ok(bytes.len())
-                    }
-                    Some(Err(e)) => Err(e),
-                    None => Ok(0),
-                }
-            }
-        }
         let mut reader = FrameReader::new(1024);
         // Reversed pop order: some bytes, then WouldBlock.
-        let mut script = Script(vec![
-            Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "empty")),
-            Ok(vec![0, 0, 0, 1]),
-        ]);
+        let mut script = Script(vec![Err(would_block()), Ok(vec![0, 0, 0, 1])]);
         assert_eq!(reader.fill(&mut script).unwrap(), FillStatus::Progress);
         assert_eq!(reader.pending_bytes(), 4);
-        let mut empty = Script(vec![Err(std::io::Error::new(
-            std::io::ErrorKind::WouldBlock,
-            "empty",
-        ))]);
+        let mut empty = Script(vec![Err(would_block())]);
         assert_eq!(reader.fill(&mut empty).unwrap(), FillStatus::WouldBlock);
         let mut eof = Script(vec![]);
         assert_eq!(reader.fill(&mut eof).unwrap(), FillStatus::Eof);

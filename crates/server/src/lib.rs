@@ -66,9 +66,10 @@
 //!   mutation per driver, each with a known expected violation class, for
 //!   the hostile-world campaign (`tests/hostile_campaign.rs`);
 //! * [`net`] — the event-driven networked serving plane: a [`NetServer`]
-//!   fronts the [`SessionServer`] with one non-blocking IO thread (the
-//!   readiness-poll loop of [`zooid_runtime::poll`]) speaking the framed,
-//!   multiplexed wire protocol of [`zooid_runtime::wire`]. Many sessions
+//!   fronts the [`SessionServer`] with one non-blocking IO thread (which
+//!   blocks only when idle, and then on the shards' outcome channel)
+//!   speaking the framed, multiplexed wire protocol of
+//!   [`zooid_runtime::wire`]. Many sessions
 //!   share one connection; admission control (bounded accepts, per-
 //!   connection and global in-flight caps) sheds load with structured
 //!   rejection frames, and hostile framing is a counted, bounded error —

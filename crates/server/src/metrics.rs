@@ -215,8 +215,9 @@ pub struct NetReport {
     pub bad_frames: u64,
     /// Rejections broken out per [`RejectCode`].
     pub rejects: RejectCounts,
-    /// IO event-loop pass duration in nanoseconds (one observation per
-    /// accept/read/step/write/sweep pass).
+    /// IO-thread busy time per event-loop pass, in nanoseconds: one
+    /// observation per accept/read/drain/flush pass, less the time the pass
+    /// spent blocked waiting for work (the idle wait is not in it).
     pub io_pass_ns: HistogramSnapshot,
 }
 

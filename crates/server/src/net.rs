@@ -2,22 +2,43 @@
 //!
 //! [`NetServer`] puts the in-memory [`SessionServer`] behind a TCP front
 //! door. One IO thread owns a non-blocking listener and every client
-//! connection, multiplexed with the readiness-poll loop from
-//! [`zooid_runtime::poll`] — no thread per connection, no parked accepts.
-//! Clients speak the framed wire protocol of [`zooid_runtime::wire`]: each
-//! frame is a `u32` length prefix (capped — hostile lengths are structured
-//! errors, not allocations) followed by a [`MuxFrame`], and many sessions
-//! share one connection through client-chosen session ids echoed on every
-//! response.
+//! connection — no thread per connection, no parked accepts. Clients speak
+//! the framed wire protocol of [`zooid_runtime::wire`]: each frame is a
+//! `u32` length prefix (capped — hostile lengths are structured errors, not
+//! allocations) followed by a [`MuxFrame`], and many sessions share one
+//! connection through client-chosen session ids echoed on every response.
 //!
-//! The data path is event-driven end to end: a readable socket is pumped
-//! into its connection's [`FrameReader`]; each complete `Open` frame is an
-//! admission decision and — when admitted — a [`SessionSpec`] submitted to
-//! the shard scheduler, which enqueues the session for a quantum on its
-//! worker shard. Finished sessions come back through the server's
-//! non-blocking outcome poll and leave as `Done` frames on the owning
-//! connection's buffered writer. Sockets, admissions and completions all
-//! interleave on the one loop thread.
+//! # The IO loop
+//!
+//! One *pass* of the loop is: accept pending connections (bounded), pump
+//! every live connection's socket once into its [`FrameReader`] (a single
+//! non-blocking `fill`, whose [`FillStatus`] says whether the socket was
+//! empty, had bytes or is closed — there is no separate readiness probe)
+//! and act on every complete frame, then drain finished sessions into
+//! `Done` frames, flush the write buffers and reap dead connections. Each
+//! complete `Open` frame is an admission decision and — when admitted — a
+//! [`SessionSpec`] submitted to the shard scheduler. Sockets, admissions and
+//! completions all interleave on the one loop thread.
+//!
+//! A pass that finds work is followed by another at once. Only when a pass
+//! found no work on its sockets and its predecessor found none at all does
+//! the loop block — in exactly one place, between reading the sockets and
+//! draining outcomes, and always *for* something:
+//!
+//! * with sessions in flight it waits on the scheduler's outcome channel, so
+//!   a shard flushing finished sessions wakes the loop immediately and the
+//!   outcome that woke it is drained and flushed as a `Done` frame by the
+//!   same pass — no timer sits between a finished session and its client;
+//! * with nothing in flight it sleeps.
+//!
+//! Either way the wait is bounded by a slice that starts at 100 µs, doubles
+//! per idle pass up to 1 ms and is reset by any progress. The slice is what
+//! bounds the one thing nothing can wake the loop for without an OS selector
+//! (`forbid(unsafe_code)` and the hermetic build rule out `epoll`/`mio`): a
+//! byte arriving on a socket while the loop waits is seen when the slice
+//! ends, so an idle server's first-byte latency is at most 1 ms.
+//! [`NetReport::io_pass_ns`] records each pass *less* its wait: it reads as
+//! IO-thread busy time per pass.
 //!
 //! # Backpressure and admission control
 //!
@@ -53,7 +74,7 @@
 //!   [`RejectCode::Quarantined`] rejection, then the close.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -63,9 +84,8 @@ use std::time::{Duration, Instant};
 use zooid_dsl::CertifiedProcess;
 use zooid_proc::Externals;
 use zooid_runtime::exec::ExecOptions;
-use zooid_runtime::poll::{Poller, Readiness};
 use zooid_runtime::wire::{
-    decode_mux, encode_mux, put_frame, FillStatus, FrameReader, MuxFrame, RejectCode,
+    decode_mux, encode_mux, FillStatus, FrameReader, MuxFrame, RejectCode, DEFAULT_MAX_FRAME_BYTES,
 };
 use zooid_runtime::RuntimeError;
 
@@ -75,7 +95,7 @@ use crate::obs::{
 };
 use crate::registry::{ProtocolId, ProtocolRegistry};
 use crate::server::{ServerConfig, SessionServer};
-use crate::session::{SessionId, SessionSpec};
+use crate::session::{SessionId, SessionOutcome, SessionSpec};
 use crate::{Result, ServerError};
 
 /// Maximum connections admitted in one event-loop sweep: the bounded
@@ -83,9 +103,13 @@ use crate::{Result, ServerError};
 /// iteration, so a connect storm cannot starve in-flight sessions.
 const ACCEPTS_PER_SWEEP: usize = 64;
 
-/// Poll timeout per loop iteration: bounds how stale the loop's view of
-/// pending accepts and finished sessions can get while every socket idles.
-const SWEEP_TIMEOUT: Duration = Duration::from_millis(1);
+/// First idle wait once two passes in a row found nothing to do; doubles
+/// per further idle pass, reset by any progress.
+const MIN_IDLE_WAIT: Duration = Duration::from_micros(100);
+
+/// Longest idle wait: bounds how stale the loop's view of its sockets and
+/// pending accepts can get while nothing wakes it.
+const MAX_IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// How long a connection refused at accept time may linger (non-blocking,
 /// write-only) so the peer can read its `ConnectionLimit` rejection before
@@ -101,6 +125,29 @@ const MAX_PENDING_REJECTS: usize = 128;
 /// (and throwing away) the peer's in-flight bytes keeps the final close
 /// from turning into a RST that could destroy the queued rejection frame.
 const DISCARD_PER_SWEEP: usize = 64 * 1024;
+
+/// Appends one frame — `u32` big-endian length, then the payload — to an
+/// outgoing byte buffer, under the same two checks as
+/// [`zooid_runtime::wire::put_frame`]: the payload cap, and the width of the
+/// prefix itself (caps above 4 GiB are constructible, and a silently
+/// truncated prefix would corrupt the whole stream).
+fn append_frame(
+    out: &mut Vec<u8>,
+    payload: &[u8],
+    max_frame_bytes: usize,
+) -> zooid_runtime::Result<()> {
+    let too_large = |max| RuntimeError::FrameTooLarge {
+        len: payload.len(),
+        max,
+    };
+    if payload.len() > max_frame_bytes {
+        return Err(too_large(max_frame_bytes));
+    }
+    let len = u32::try_from(payload.len()).map_err(|_| too_large(u32::MAX as usize))?;
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
 
 /// One entry of the service catalog: what to run when a client opens a
 /// session of a protocol.
@@ -260,19 +307,19 @@ impl NetConn {
         }
     }
 
-    fn queue(&mut self, frame: &MuxFrame, max_frame_bytes: usize) {
+    fn queue(&mut self, frame: &MuxFrame) {
         if self.closing {
             // The connection already earned its close; buffering more for a
             // peer that may never read it would undo the backlog bound.
             return;
         }
-        let payload = encode_mux(frame);
-        let mut buf = bytes::BytesMut::new();
         // Control frames are tiny; the cap cannot trip for a compliant
         // server, but keep the single enforcement point anyway.
-        if put_frame(&mut buf, &payload, max_frame_bytes).is_ok() {
-            self.out.extend_from_slice(&buf);
-        }
+        let _ = append_frame(
+            &mut self.out,
+            &encode_mux(frame),
+            self.reader.max_frame_bytes(),
+        );
         if self.out.len() - self.written > self.outbuf_limit {
             // The peer triggers frames faster than it reads them: abort the
             // connection rather than grow the buffer without bound.
@@ -298,7 +345,7 @@ impl NetConn {
         let mut scratch = [0u8; 4096];
         let mut total = 0usize;
         while total < DISCARD_PER_SWEEP {
-            match std::io::Read::read(&mut self.stream, &mut scratch) {
+            match self.stream.read(&mut scratch) {
                 Ok(0) => {
                     self.peer_eof = true;
                     return;
@@ -381,25 +428,24 @@ impl NetServer {
         let metrics = Arc::new(NetMetrics::default());
         let io_pass = Arc::new(Histogram::new());
         let recorder = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
+        let io = IoLoop {
+            listener,
+            server: SessionServer::start(registry, config.server.clone()),
+            catalog,
+            config,
+            metrics: Arc::clone(&metrics),
+            io_pass: Arc::clone(&io_pass),
+            recorder: Arc::clone(&recorder),
+            conns: Vec::new(),
+            gens: Vec::new(),
+            routes: BTreeMap::new(),
+            open_sessions: 0,
+            idle_wait: MIN_IDLE_WAIT,
+        };
         let loop_stop = Arc::clone(&stop);
-        let loop_metrics = Arc::clone(&metrics);
-        let loop_io_pass = Arc::clone(&io_pass);
-        let loop_recorder = Arc::clone(&recorder);
-        let server = SessionServer::start(registry, config.server.clone());
         let handle = std::thread::Builder::new()
             .name("zooid-net-io".into())
-            .spawn(move || {
-                io_loop(
-                    listener,
-                    server,
-                    catalog,
-                    config,
-                    loop_stop,
-                    loop_metrics,
-                    loop_io_pass,
-                    loop_recorder,
-                )
-            })
+            .spawn(move || io.run(&loop_stop))
             .expect("spawning the IO thread");
 
         Ok(NetServer {
@@ -459,286 +505,437 @@ fn io_err(e: std::io::Error) -> ServerError {
     }
 }
 
-/// The IO event loop: accepts, reads, admits, drains outcomes, flushes.
-#[allow(clippy::too_many_arguments)]
-fn io_loop(
+/// The IO event loop's state: the listener, the hosted scheduler, and every
+/// connection with the routes of its in-flight sessions. Lives on the IO
+/// thread; see the module docs for the shape of a pass.
+struct IoLoop {
     listener: TcpListener,
-    mut server: SessionServer,
+    server: SessionServer,
     catalog: BTreeMap<String, Service>,
     config: NetServerConfig,
-    stop: Arc<AtomicBool>,
     metrics: Arc<NetMetrics>,
     io_pass: Arc<Histogram>,
     recorder: Arc<FlightRecorder>,
-) -> NetServerReport {
-    let mut conns: Vec<Option<NetConn>> = Vec::new();
-    // Per-slot generation, bumped on every removal: slots are reused, so a
-    // route must name (slot, generation) to prove the connection it was
-    // created for is still the one living there.
-    let mut gens: Vec<u64> = Vec::new();
-    // Server-side session id → (connection slot, slot generation,
-    // client-chosen id).
-    let mut routes: BTreeMap<SessionId, (usize, u64, u64)> = BTreeMap::new();
-    let mut open_sessions = 0usize;
-    let mut poller = Poller::new();
-    let mut events = Vec::new();
-    // Eager first sweep; after that, spin only while work keeps arriving.
-    let mut prev_busy = true;
+    conns: Vec<Option<NetConn>>,
+    /// Per-slot generation, bumped on every removal: slots are reused, so a
+    /// route must name (slot, generation) to prove the connection it was
+    /// created for is still the one living there.
+    gens: Vec<u64>,
+    /// Server-side session id → (connection slot, slot generation,
+    /// client-chosen id).
+    routes: BTreeMap<SessionId, (usize, u64, u64)>,
+    /// Sessions submitted to the scheduler whose outcome has not come back.
+    open_sessions: usize,
+    /// The next idle wait's bound (see [`IoLoop::wait_idle`]).
+    idle_wait: Duration,
+}
 
-    while !stop.load(Ordering::Acquire) {
-        let pass_started = Instant::now();
-        let mut busy = false;
-
-        // 1. Admit new connections (bounded per sweep).
-        for _ in 0..ACCEPTS_PER_SWEEP {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    busy = true;
-                    let active = conns.iter().flatten().filter(|c| !c.limit_reject).count();
-                    if active >= config.max_connections {
-                        metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
-                        metrics.record_reject(RejectCode::ConnectionLimit);
-                        recorder.record(FlightEvent::Rejected {
-                            session: 0,
-                            code: RejectCode::ConnectionLimit,
-                        });
-                        let pending =
-                            conns.iter().flatten().filter(|c| c.limit_reject).count();
-                        if pending >= MAX_PENDING_REJECTS
-                            || stream.set_nonblocking(true).is_err()
-                        {
-                            // Flooded: drop without the courtesy frame.
-                            continue;
-                        }
-                        // Refuse non-blockingly: a short-lived write-only
-                        // entry in the loop delivers the rejection; the old
-                        // blocking write-and-drain here could stall every
-                        // live connection through a connect flood.
-                        let mut conn = NetConn::new(
-                            stream,
-                            config.max_frame_bytes,
-                            config.max_conn_outbuf_bytes,
-                        );
-                        conn.queue(
-                            &MuxFrame::Rejected {
-                                session: 0,
-                                code: RejectCode::ConnectionLimit,
-                                reason: "connection limit reached".into(),
-                            },
-                            config.max_frame_bytes,
-                        );
-                        conn.close(CloseReason::LingerExpired);
-                        conn.limit_reject = true;
-                        conn.linger_until = Some(Instant::now() + REJECT_LINGER);
-                        install(&mut conns, &mut gens, conn);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                    let mut conn =
-                        NetConn::new(stream, config.max_frame_bytes, config.max_conn_outbuf_bytes);
-                    conn.idle_until = Some(Instant::now() + config.idle_timeout);
-                    install(&mut conns, &mut gens, conn);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::Interrupted =>
-                {
-                    break
-                }
-                Err(_) => break,
+impl IoLoop {
+    /// Runs passes until `stop` is set, then says goodbye to the lingering
+    /// clients and stops the scheduler.
+    fn run(mut self, stop: &AtomicBool) -> NetServerReport {
+        // Eager first passes; after that, wait only once a pass and its
+        // predecessor found nothing to do — on small machines a spinning IO
+        // thread starves the very shards it is waiting on.
+        let mut prev_progress = true;
+        while !stop.load(Ordering::Acquire) {
+            let pass_started = Instant::now();
+            let mut progress = self.accept();
+            progress |= self.read_sockets();
+            let (woke, waited) = if progress || prev_progress {
+                (None, Duration::ZERO)
+            } else {
+                self.wait_idle()
+            };
+            progress |= self.drain_outcomes(woke);
+            self.flush_and_reap();
+            if progress {
+                self.idle_wait = MIN_IDLE_WAIT;
             }
+            prev_progress = progress;
+            // Less the wait: the histogram is work, not sleep.
+            let busy = pass_started.elapsed().saturating_sub(waited);
+            self.io_pass
+                .record(u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX));
         }
 
-        // 2. Sweep readable sockets. Sleep (with the poller's adaptive
-        // backoff) whenever neither this sweep's accepts nor the previous
-        // sweep made progress — on small machines a spinning IO thread
-        // starves the very shards it is waiting on.
-        events.clear();
-        let timeout = if busy || prev_busy {
-            Duration::ZERO
-        } else {
-            SWEEP_TIMEOUT
-        };
-        poller.poll(
-            || {
-                conns
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(slot, c)| c.as_ref().map(|c| (slot, &c.stream)))
-            },
-            &mut events,
-            timeout,
-        );
+        // Shutdown: tell the lingering clients, then stop the scheduler
+        // (which closes in-flight sessions as stalled).
+        for (slot, conn) in self.conns.iter_mut().enumerate() {
+            let Some(conn) = conn else { continue };
+            self.metrics.record_reject(RejectCode::ShuttingDown);
+            conn.queue(&MuxFrame::Rejected {
+                session: 0,
+                code: RejectCode::ShuttingDown,
+                reason: "server shutting down".into(),
+            });
+            let _ = conn.flush();
+            self.recorder.record(FlightEvent::ConnClosed {
+                client: slot as u64,
+                reason: CloseReason::Shutdown,
+            });
+        }
+        let shards = self.server.shutdown();
+        let mut net = self.metrics.snapshot();
+        net.io_pass_ns = self.io_pass.snapshot();
+        NetServerReport { net, shards }
+    }
 
-        // 3. Pump every readable connection and act on its frames.
-        for event in events.drain(..) {
-            let slot = event.token;
-            let Some(conn) = conns[slot].as_mut() else {
-                continue;
+    /// The one place the loop blocks: for at most the current slice, on the
+    /// scheduler's outcome channel when sessions are in flight — a shard's
+    /// flush ends the wait at once, and the outcome it hands back is the
+    /// first this pass delivers — and asleep when none are. The slice
+    /// doubles up to [`MAX_IDLE_WAIT`]; progress resets it. Returns how
+    /// long it waited, for the pass to leave out of its duration.
+    fn wait_idle(&mut self) -> (Option<SessionOutcome>, Duration) {
+        let started = Instant::now();
+        let outcome = if self.open_sessions > 0 {
+            self.server.next_outcome(self.idle_wait)
+        } else {
+            None
+        };
+        if outcome.is_none() {
+            // Nothing in flight — or the channel gave up early, which it
+            // does once every shard worker is gone: sit out what is left of
+            // the slice, so an idle pass never turns into a spin.
+            if let Some(rest) = self.idle_wait.checked_sub(started.elapsed()) {
+                std::thread::sleep(rest);
+            }
+        }
+        self.idle_wait = (self.idle_wait * 2).min(MAX_IDLE_WAIT);
+        (outcome, started.elapsed())
+    }
+
+    /// Admits new connections (bounded per sweep).
+    fn accept(&mut self) -> bool {
+        let mut progress = false;
+        for _ in 0..ACCEPTS_PER_SWEEP {
+            let Ok((stream, _)) = self.listener.accept() else {
+                break;
             };
-            if conn.closing {
-                // Still read (and discard) so the close stays graceful.
-                conn.discard_input();
+            progress = true;
+            let (max_frame, max_outbuf) = (
+                self.config.max_frame_bytes,
+                self.config.max_conn_outbuf_bytes,
+            );
+            let active = self.conns.iter().flatten().filter(|c| !c.limit_reject);
+            if active.count() >= self.config.max_connections {
+                self.metrics
+                    .connections_rejected
+                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics.record_reject(RejectCode::ConnectionLimit);
+                self.recorder.record(FlightEvent::Rejected {
+                    session: 0,
+                    code: RejectCode::ConnectionLimit,
+                });
+                let pending = self.conns.iter().flatten().filter(|c| c.limit_reject);
+                if pending.count() >= MAX_PENDING_REJECTS || stream.set_nonblocking(true).is_err() {
+                    // Flooded: drop without the courtesy frame.
+                    continue;
+                }
+                // Refuse non-blockingly: a short-lived write-only entry in
+                // the loop delivers the rejection; a blocking
+                // write-and-drain here could stall every live connection
+                // through a connect flood.
+                let mut conn = NetConn::new(stream, max_frame, max_outbuf);
+                conn.queue(&MuxFrame::Rejected {
+                    session: 0,
+                    code: RejectCode::ConnectionLimit,
+                    reason: "connection limit reached".into(),
+                });
+                conn.close(CloseReason::LingerExpired);
+                conn.limit_reject = true;
+                conn.linger_until = Some(Instant::now() + REJECT_LINGER);
+                self.install(conn);
                 continue;
             }
-            let eof = match event.readiness {
-                Readiness::Closed => {
-                    // Drain whatever arrived before the close below; the
-                    // fill observes the EOF itself.
-                    true
-                }
-                Readiness::Readable => false,
-                Readiness::Empty => continue,
+            let _ = stream.set_nodelay(true);
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            self.metrics
+                .connections_accepted
+                .fetch_add(1, Ordering::Relaxed);
+            let mut conn = NetConn::new(stream, max_frame, max_outbuf);
+            conn.idle_until = Some(Instant::now() + self.config.idle_timeout);
+            self.install(conn);
+        }
+        progress
+    }
+
+    /// Installs a connection into the first free slot (or a new one),
+    /// keeping the per-slot generation vector in step with the slot vector.
+    fn install(&mut self, conn: NetConn) {
+        match self.conns.iter_mut().find(|c| c.is_none()) {
+            Some(slot) => *slot = Some(conn),
+            None => {
+                self.conns.push(Some(conn));
+                self.gens.push(0);
+            }
+        }
+    }
+
+    /// Pumps every connection's socket once and acts on its frames.
+    fn read_sockets(&mut self) -> bool {
+        let mut progress = false;
+        for slot in 0..self.conns.len() {
+            // Out of its slot while its frames are handled, so admission
+            // can use the rest of the loop's state alongside it.
+            let Some(mut conn) = self.conns[slot].take() else {
+                continue;
             };
-            busy = true;
-            let fill = conn.reader.fill(&mut conn.stream);
-            // Parse every complete frame that is now buffered.
-            let mut hostile: Option<String> = None;
-            loop {
-                match conn.reader.next_frame() {
-                    Ok(Some(payload)) => match decode_mux(&payload) {
-                        Ok(frame) => {
-                            metrics.frames_read.fetch_add(1, Ordering::Relaxed);
-                            // A decodable frame proves the peer is live:
-                            // disarm the idle reaper for good.
-                            conn.idle_until = None;
-                            handle_frame(
-                                frame,
-                                slot,
-                                gens[slot],
-                                conn,
-                                &mut server,
-                                &catalog,
-                                &config,
-                                &mut routes,
-                                &mut open_sessions,
-                                &metrics,
-                                &io_pass,
-                                &recorder,
-                            );
-                        }
-                        Err(e) => {
-                            hostile = Some(e.to_string());
-                            break;
-                        }
-                    },
-                    Ok(None) => break,
+            progress |= self.read_conn(slot, &mut conn);
+            self.conns[slot] = Some(conn);
+        }
+        progress
+    }
+
+    /// One non-blocking fill of one connection, then every complete frame
+    /// that is now buffered. Returns whether the socket had anything.
+    fn read_conn(&mut self, slot: usize, conn: &mut NetConn) -> bool {
+        if conn.closing {
+            // Still read (and discard) so the close stays graceful.
+            conn.discard_input();
+            return false;
+        }
+        let fill = conn.reader.fill(&mut conn.stream);
+        if matches!(fill, Ok(FillStatus::WouldBlock)) {
+            return false;
+        }
+        let mut hostile: Option<String> = None;
+        loop {
+            match conn.reader.next_frame() {
+                Ok(Some(payload)) => match decode_mux(&payload) {
+                    Ok(frame) => {
+                        self.metrics.frames_read.fetch_add(1, Ordering::Relaxed);
+                        // A decodable frame proves the peer is live: disarm
+                        // the idle reaper for good.
+                        conn.idle_until = None;
+                        self.on_frame(slot, conn, frame);
+                    }
                     Err(e) => {
-                        // Oversized length prefix: poisoned reader.
                         hostile = Some(e.to_string());
                         break;
                     }
-                }
-            }
-            let half_open = conn.reader.pending_bytes() > 0;
-            match (hostile, fill) {
-                (Some(reason), _) => {
-                    metrics.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    metrics.record_reject(RejectCode::BadFrame);
-                    recorder.record(FlightEvent::Rejected {
-                        session: 0,
-                        code: RejectCode::BadFrame,
-                    });
-                    conn.queue(
-                        &MuxFrame::Rejected {
-                            session: 0,
-                            code: RejectCode::BadFrame,
-                            reason,
-                        },
-                        config.max_frame_bytes,
-                    );
-                    metrics.frames_written.fetch_add(1, Ordering::Relaxed);
-                    conn.close(CloseReason::BadFrame);
-                }
-                (None, Ok(FillStatus::Eof)) => {
-                    if half_open {
-                        metrics.bad_frames.fetch_add(1, Ordering::Relaxed);
-                        conn.close(CloseReason::BadFrame);
-                    } else {
-                        conn.close(CloseReason::PeerClosed);
-                    }
-                }
-                (None, Err(_)) => {
-                    conn.close(CloseReason::PeerClosed);
-                }
-                (None, Ok(_)) => {
-                    if eof {
-                        conn.close(CloseReason::PeerClosed);
-                    }
+                },
+                Ok(None) => break,
+                Err(e) => {
+                    // Oversized length prefix: poisoned reader.
+                    hostile = Some(e.to_string());
+                    break;
                 }
             }
         }
+        match (hostile, fill) {
+            (Some(reason), _) => self.bad_frame(conn, reason),
+            (None, Ok(FillStatus::Eof)) if conn.reader.pending_bytes() > 0 => {
+                // The peer left mid-frame.
+                self.metrics.bad_frames.fetch_add(1, Ordering::Relaxed);
+                conn.close(CloseReason::BadFrame);
+            }
+            (None, Ok(FillStatus::Eof) | Err(_)) => conn.close(CloseReason::PeerClosed),
+            (None, Ok(_)) => {}
+        }
+        true
+    }
 
-        // 4. Drain finished sessions into Done frames.
-        while let Some(outcome) = server.try_next_outcome() {
-            busy = true;
-            open_sessions = open_sessions.saturating_sub(1);
-            let Some((slot, gen, client_id)) = routes.remove(&outcome.id) else {
-                continue;
-            };
-            if gens[slot] != gen {
-                // The opening connection died and its slot was reused: the
-                // unrelated client living there now must not see this
-                // outcome or have its admission counter touched.
-                continue;
+    /// Queues a `Rejected` frame on `conn` and accounts for it: the
+    /// per-code counter, the flight recorder, the written-frame count.
+    fn reject(&self, conn: &mut NetConn, session: u64, code: RejectCode, reason: String) {
+        self.metrics.record_reject(code);
+        self.recorder
+            .record(FlightEvent::Rejected { session, code });
+        conn.queue(&MuxFrame::Rejected {
+            session,
+            code,
+            reason,
+        });
+        self.metrics.frames_written.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A protocol error costs the connection: one `BadFrame` rejection,
+    /// then the close.
+    fn bad_frame(&self, conn: &mut NetConn, reason: String) {
+        self.metrics.bad_frames.fetch_add(1, Ordering::Relaxed);
+        self.reject(conn, 0, RejectCode::BadFrame, reason);
+        conn.close(CloseReason::BadFrame);
+    }
+
+    /// Acts on one decoded client frame: an `Open` is an admission
+    /// decision, a `Stats` a snapshot, anything else a protocol error.
+    fn on_frame(&mut self, slot: usize, conn: &mut NetConn, frame: MuxFrame) {
+        match frame {
+            MuxFrame::Open { session, protocol } => {
+                if let Err((code, reason)) = self.admit(slot, conn, session, &protocol) {
+                    self.reject(conn, session, code, reason);
+                }
             }
-            let Some(conn) = conns[slot].as_mut() else {
-                // The owning connection died while the session ran.
-                continue;
-            };
-            conn.inflight = conn.inflight.saturating_sub(1);
-            let actions: u64 = outcome
-                .endpoints
-                .values()
-                .map(|r| r.actions.len() as u64)
-                .sum();
-            conn.queue(
-                &MuxFrame::Done {
-                    session: client_id,
-                    compliant: outcome.compliant,
-                    complete: outcome.complete,
-                    stalled: outcome.stalled,
-                    violations: outcome.violations.len().min(u32::MAX as usize) as u32,
-                    actions,
-                },
-                config.max_frame_bytes,
-            );
-            metrics.frames_written.fetch_add(1, Ordering::Relaxed);
-            metrics.sessions_done.fetch_add(1, Ordering::Relaxed);
-            if outcome.quarantined {
-                // A byzantine strike against the opening connection, for
-                // the reject-then-ban admission check.
-                conn.strikes += 1;
+            MuxFrame::Stats { session } => {
+                // Live introspection: ship the whole observability bundle —
+                // IO counters, shard report with histograms, incident
+                // summaries — as one codec-serialized value.
+                let mut net = self.metrics.snapshot();
+                net.io_pass_ns = self.io_pass.snapshot();
+                let stats = StatsSnapshot {
+                    net,
+                    shards: self.server.report(),
+                    incidents: self
+                        .server
+                        .incidents()
+                        .iter()
+                        .map(Incident::summary)
+                        .collect(),
+                };
+                conn.queue(&MuxFrame::StatsReply {
+                    session,
+                    stats: stats.to_value(),
+                });
+                self.metrics.frames_written.fetch_add(1, Ordering::Relaxed);
             }
-            if outcome.quarantined && config.close_on_quarantine {
+            _ => self.bad_frame(
+                conn,
+                "only Open and Stats frames may be sent by clients".into(),
+            ),
+        }
+    }
+
+    /// Admission control for one `Open`: submits the session and queues its
+    /// `Accepted`, or says with which code and why it is refused.
+    fn admit(
+        &mut self,
+        slot: usize,
+        conn: &mut NetConn,
+        session: u64,
+        protocol: &str,
+    ) -> std::result::Result<(), (RejectCode, String)> {
+        let (rejected, shed) = (&self.metrics.sessions_rejected, &self.metrics.sessions_shed);
+        let config = &self.config;
+        if config.ban_after_quarantines > 0 && conn.strikes >= config.ban_after_quarantines {
+            // Reject-then-ban: the connection has spent its byzantine-strike
+            // budget; its in-flight sessions finish but nothing new is
+            // admitted from it.
+            rejected.fetch_add(1, Ordering::Relaxed);
+            return Err((
+                RejectCode::Banned,
+                format!(
+                    "connection banned after {} quarantined sessions",
+                    conn.strikes
+                ),
+            ));
+        }
+        let Some(service) = self.catalog.get(protocol) else {
+            rejected.fetch_add(1, Ordering::Relaxed);
+            return Err((
+                RejectCode::UnknownProtocol,
+                format!("no service registered for `{protocol}`"),
+            ));
+        };
+        if conn.inflight >= config.max_inflight_per_conn {
+            shed.fetch_add(1, Ordering::Relaxed);
+            return Err((
+                RejectCode::SessionLimit,
+                format!(
+                    "connection already has {} sessions in flight",
+                    conn.inflight
+                ),
+            ));
+        }
+        if self.open_sessions >= config.max_inflight_total {
+            shed.fetch_add(1, Ordering::Relaxed);
+            return Err((
+                RejectCode::Overloaded,
+                format!("server has {} sessions in flight", self.open_sessions),
+            ));
+        }
+
+        let spec = SessionSpec {
+            protocol: service.protocol,
+            endpoints: Arc::clone(&service.endpoints),
+            options: service.options.clone(),
+        };
+        match self.server.submit(spec) {
+            Ok(id) => {
+                self.routes.insert(id, (slot, self.gens[slot], session));
+                conn.inflight += 1;
+                self.open_sessions += 1;
+                self.metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
+                conn.queue(&MuxFrame::Accepted { session });
+                self.metrics.frames_written.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(e) => {
+                rejected.fetch_add(1, Ordering::Relaxed);
+                Err((RejectCode::ShuttingDown, e.to_string()))
+            }
+        }
+    }
+
+    /// Turns finished sessions into `Done` frames: first the outcome that
+    /// ended the idle wait (if one did), then whatever else the shards have
+    /// flushed.
+    fn drain_outcomes(&mut self, woke: Option<SessionOutcome>) -> bool {
+        let mut next = woke.or_else(|| self.server.try_next_outcome());
+        let progress = next.is_some();
+        while let Some(outcome) = next {
+            self.deliver(outcome);
+            next = self.server.try_next_outcome();
+        }
+        progress
+    }
+
+    /// Routes one outcome back to the connection that opened its session.
+    fn deliver(&mut self, outcome: SessionOutcome) {
+        self.open_sessions = self.open_sessions.saturating_sub(1);
+        let Some((slot, gen, client_id)) = self.routes.remove(&outcome.id) else {
+            return;
+        };
+        if self.gens[slot] != gen {
+            // The opening connection died and its slot was reused: the
+            // unrelated client living there now must not see this outcome
+            // or have its admission counter touched.
+            return;
+        }
+        let Some(mut conn) = self.conns[slot].take() else {
+            // The owning connection died while the session ran.
+            return;
+        };
+        conn.inflight = conn.inflight.saturating_sub(1);
+        let actions: u64 = outcome
+            .endpoints
+            .values()
+            .map(|r| r.actions.len() as u64)
+            .sum();
+        conn.queue(&MuxFrame::Done {
+            session: client_id,
+            compliant: outcome.compliant,
+            complete: outcome.complete,
+            stalled: outcome.stalled,
+            violations: outcome.violations.len().min(u32::MAX as usize) as u32,
+            actions,
+        });
+        self.metrics.frames_written.fetch_add(1, Ordering::Relaxed);
+        self.metrics.sessions_done.fetch_add(1, Ordering::Relaxed);
+        if outcome.quarantined {
+            // A byzantine strike against the opening connection, for the
+            // reject-then-ban admission check.
+            conn.strikes += 1;
+            if self.config.close_on_quarantine {
                 // Quarantine escalates to the transport: the opener reads
                 // its Done, a structured rejection, then EOF.
-                metrics.record_reject(RejectCode::Quarantined);
-                recorder.record(FlightEvent::Rejected {
-                    session: client_id,
-                    code: RejectCode::Quarantined,
-                });
-                conn.queue(
-                    &MuxFrame::Rejected {
-                        session: client_id,
-                        code: RejectCode::Quarantined,
-                        reason: "session quarantined by monitor".into(),
-                    },
-                    config.max_frame_bytes,
-                );
-                metrics.frames_written.fetch_add(1, Ordering::Relaxed);
+                let reason = "session quarantined by monitor";
+                self.reject(&mut conn, client_id, RejectCode::Quarantined, reason.into());
                 conn.close(CloseReason::Quarantined);
             }
         }
+        self.conns[slot] = Some(conn);
+    }
 
-        // 5. Flush write buffers; collect the dead.
+    /// Flushes write buffers; reaps idle, drained-and-closing and dead
+    /// connections.
+    fn flush_and_reap(&mut self) {
         let now = Instant::now();
-        for slot in 0..conns.len() {
-            let Some(conn) = conns[slot].as_mut() else {
+        for slot in 0..self.conns.len() {
+            let Some(conn) = self.conns[slot].as_mut() else {
                 continue;
             };
             if !conn.closing && conn.idle_until.is_some_and(|t| now >= t) {
@@ -757,196 +954,17 @@ fn io_loop(
             let lingering = !conn.peer_eof && conn.linger_until.is_some_and(|t| now < t);
             if !alive || (conn.closing && !conn.pending_out() && !lingering) {
                 if !conn.limit_reject {
-                    metrics.connections_closed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .connections_closed
+                        .fetch_add(1, Ordering::Relaxed);
                 }
-                recorder.record(FlightEvent::ConnClosed {
+                self.recorder.record(FlightEvent::ConnClosed {
                     client: slot as u64,
                     reason: conn.close_reason.unwrap_or(CloseReason::PeerClosed),
                 });
-                conns[slot] = None;
-                gens[slot] = gens[slot].wrapping_add(1);
+                self.conns[slot] = None;
+                self.gens[slot] = self.gens[slot].wrapping_add(1);
             }
-        }
-        prev_busy = busy;
-        io_pass.record(u64::try_from(pass_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    // Shutdown: tell the lingering clients, then stop the scheduler (which
-    // closes in-flight sessions as stalled).
-    for (slot, conn) in conns.iter_mut().enumerate() {
-        let Some(conn) = conn else { continue };
-        metrics.record_reject(RejectCode::ShuttingDown);
-        conn.queue(
-            &MuxFrame::Rejected {
-                session: 0,
-                code: RejectCode::ShuttingDown,
-                reason: "server shutting down".into(),
-            },
-            config.max_frame_bytes,
-        );
-        let _ = conn.flush();
-        recorder.record(FlightEvent::ConnClosed {
-            client: slot as u64,
-            reason: CloseReason::Shutdown,
-        });
-    }
-    let shards = server.shutdown();
-    let mut net = metrics.snapshot();
-    net.io_pass_ns = io_pass.snapshot();
-    NetServerReport { net, shards }
-}
-
-/// Installs a connection into the first free slot (or a new one), keeping
-/// the per-slot generation vector in step with the slot vector.
-fn install(conns: &mut Vec<Option<NetConn>>, gens: &mut Vec<u64>, conn: NetConn) {
-    match conns.iter_mut().position(|c| c.is_none()) {
-        Some(slot) => conns[slot] = Some(conn),
-        None => {
-            conns.push(Some(conn));
-            gens.push(0);
-        }
-    }
-}
-
-/// Admission control for one decoded client frame.
-#[allow(clippy::too_many_arguments)]
-fn handle_frame(
-    frame: MuxFrame,
-    slot: usize,
-    slot_gen: u64,
-    conn: &mut NetConn,
-    server: &mut SessionServer,
-    catalog: &BTreeMap<String, Service>,
-    config: &NetServerConfig,
-    routes: &mut BTreeMap<SessionId, (usize, u64, u64)>,
-    open_sessions: &mut usize,
-    metrics: &NetMetrics,
-    io_pass: &Histogram,
-    recorder: &FlightRecorder,
-) {
-    let (session, protocol) = match frame {
-        MuxFrame::Open { session, protocol } => (session, protocol),
-        MuxFrame::Stats { session } => {
-            // Live introspection: ship the whole observability bundle —
-            // IO counters, shard report with histograms, incident
-            // summaries — as one codec-serialized value.
-            let mut net = metrics.snapshot();
-            net.io_pass_ns = io_pass.snapshot();
-            let stats = StatsSnapshot {
-                net,
-                shards: server.report(),
-                incidents: server.incidents().iter().map(Incident::summary).collect(),
-            };
-            conn.queue(
-                &MuxFrame::StatsReply {
-                    session,
-                    stats: stats.to_value(),
-                },
-                config.max_frame_bytes,
-            );
-            metrics.frames_written.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        _ => {
-            // Clients may only send Open or Stats; anything else is a
-            // protocol error.
-            metrics.bad_frames.fetch_add(1, Ordering::Relaxed);
-            metrics.record_reject(RejectCode::BadFrame);
-            recorder.record(FlightEvent::Rejected {
-                session: 0,
-                code: RejectCode::BadFrame,
-            });
-            conn.queue(
-                &MuxFrame::Rejected {
-                    session: 0,
-                    code: RejectCode::BadFrame,
-                    reason: "only Open and Stats frames may be sent by clients".into(),
-                },
-                config.max_frame_bytes,
-            );
-            metrics.frames_written.fetch_add(1, Ordering::Relaxed);
-            conn.close(CloseReason::BadFrame);
-            return;
-        }
-    };
-
-    let reject = |conn: &mut NetConn, code: RejectCode, reason: String| {
-        metrics.record_reject(code);
-        recorder.record(FlightEvent::Rejected { session, code });
-        conn.queue(
-            &MuxFrame::Rejected {
-                session,
-                code,
-                reason,
-            },
-            config.max_frame_bytes,
-        );
-        metrics.frames_written.fetch_add(1, Ordering::Relaxed);
-    };
-
-    if config.ban_after_quarantines > 0 && conn.strikes >= config.ban_after_quarantines {
-        // Reject-then-ban: the connection has spent its byzantine-strike
-        // budget; its in-flight sessions finish but nothing new is
-        // admitted from it.
-        metrics.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-        reject(
-            conn,
-            RejectCode::Banned,
-            format!(
-                "connection banned after {} quarantined sessions",
-                conn.strikes
-            ),
-        );
-        return;
-    }
-    let Some(service) = catalog.get(&protocol) else {
-        metrics.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-        reject(
-            conn,
-            RejectCode::UnknownProtocol,
-            format!("no service registered for `{protocol}`"),
-        );
-        return;
-    };
-    if conn.inflight >= config.max_inflight_per_conn {
-        metrics.sessions_shed.fetch_add(1, Ordering::Relaxed);
-        reject(
-            conn,
-            RejectCode::SessionLimit,
-            format!(
-                "connection already has {} sessions in flight",
-                conn.inflight
-            ),
-        );
-        return;
-    }
-    if *open_sessions >= config.max_inflight_total {
-        metrics.sessions_shed.fetch_add(1, Ordering::Relaxed);
-        reject(
-            conn,
-            RejectCode::Overloaded,
-            format!("server has {open_sessions} sessions in flight"),
-        );
-        return;
-    }
-
-    let spec = SessionSpec {
-        protocol: service.protocol,
-        endpoints: Arc::clone(&service.endpoints),
-        options: service.options.clone(),
-    };
-    match server.submit(spec) {
-        Ok(id) => {
-            routes.insert(id, (slot, slot_gen, session));
-            conn.inflight += 1;
-            *open_sessions += 1;
-            metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-            conn.queue(&MuxFrame::Accepted { session }, config.max_frame_bytes);
-            metrics.frames_written.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(e) => {
-            metrics.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-            reject(conn, RejectCode::ShuttingDown, e.to_string());
         }
     }
 }
@@ -955,13 +973,55 @@ fn handle_frame(
 // Client
 // ---------------------------------------------------------------------
 
+/// The longest one blocking read of [`NetClient::poll_event`] may sit in the
+/// kernel before the deadline is looked at again.
+const CLIENT_READ_SLICE: Duration = Duration::from_millis(20);
+
+/// Buffered `Open`s go out on their own once they pass this many bytes.
+const CLIENT_WRITE_BUFFER: usize = 16 * 1024;
+
+/// Stack buffer of one client `read`: a full window of `Accepted` and
+/// `Done` frames (39 bytes a session) fits in one wake.
+const CLIENT_READ_CHUNK: usize = 8 * 1024;
+
 /// A blocking client for the multiplexed serving plane: open many sessions
 /// over one connection and poll their events.
+///
+/// # Write coalescing
+///
+/// [`NetClient::open`] does not touch the socket: it appends its `Open`
+/// frame to a small write buffer, so a burst of opens — say, one
+/// replacement per `Done` of the last wake — costs one `write` and one
+/// packet, not one each. The buffered bytes leave in one `write_all`
+///
+/// * when [`NetClient::poll_event`] (also inside [`NetClient::open_with`]
+///   and [`NetClient::fetch_stats`]) has handed out every frame it already
+///   holds and goes to the socket for more — the client never blocks in a
+///   read with unsent bytes behind it,
+/// * by themselves once the buffer passes 16 KiB,
+/// * on an explicit [`NetClient::flush`], and
+/// * best-effort when the client is dropped.
+///
+/// A write error is therefore *deferred*: it surfaces on the call that
+/// flushes, not on the `open` that queued the frame (a drop discards it).
+/// Call [`NetClient::flush`] to have sessions start without polling for
+/// their events yet.
+///
+/// # Reading
+///
+/// [`NetClient::poll_event`] hands out buffered frames first and otherwise
+/// issues one blocking `read` per wake, returning as soon as that read
+/// completes a frame — it never goes back to the socket to see whether more
+/// is there, so it never sits out a read timeout with a frame in hand.
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
     reader: FrameReader,
     next_session: u64,
+    /// Frames queued by `open`/`fetch_stats` and not yet written.
+    out: Vec<u8>,
+    /// The read timeout the socket is currently armed with.
+    read_timeout: Duration,
 }
 
 impl NetClient {
@@ -973,37 +1033,60 @@ impl NetClient {
     pub fn connect(addr: SocketAddr) -> zooid_runtime::Result<NetClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        // Blocking socket with a short read timeout: `poll_event` loops on
-        // its own deadline.
-        stream.set_read_timeout(Some(Duration::from_millis(20)))?;
+        stream.set_read_timeout(Some(CLIENT_READ_SLICE))?;
         Ok(NetClient {
             stream,
-            reader: FrameReader::new(zooid_runtime::wire::DEFAULT_MAX_FRAME_BYTES),
+            reader: FrameReader::new(DEFAULT_MAX_FRAME_BYTES),
             next_session: 1,
+            out: Vec::new(),
+            read_timeout: CLIENT_READ_SLICE,
         })
     }
 
-    /// Sends an `Open` for the named protocol, returning the client-side
-    /// session id to correlate later events with.
+    /// Queues an `Open` for the named protocol, returning the client-side
+    /// session id to correlate later events with. The frame is buffered
+    /// (see the type docs for when it leaves).
     ///
     /// # Errors
     ///
-    /// Fails if the write fails.
+    /// Fails if the frame is over the cap, or if this `Open` filled the
+    /// write buffer and writing it out failed.
     pub fn open(&mut self, protocol: &str) -> zooid_runtime::Result<u64> {
-        let session = self.next_session;
-        self.next_session += 1;
-        let payload = encode_mux(&MuxFrame::Open {
+        let session = self.next_id();
+        self.queue(&MuxFrame::Open {
             session,
             protocol: protocol.to_owned(),
-        });
-        let mut buf = bytes::BytesMut::new();
-        put_frame(
-            &mut buf,
-            &payload,
-            zooid_runtime::wire::DEFAULT_MAX_FRAME_BYTES,
-        )?;
-        self.stream.write_all(&buf)?;
+        })?;
         Ok(session)
+    }
+
+    /// Writes every buffered frame to the socket in one `write_all`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the write fails; the buffered frames are dropped with it
+    /// (the connection is broken).
+    pub fn flush(&mut self) -> zooid_runtime::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        Ok(written?)
+    }
+
+    fn next_id(&mut self) -> u64 {
+        let session = self.next_session;
+        self.next_session += 1;
+        session
+    }
+
+    fn queue(&mut self, frame: &MuxFrame) -> zooid_runtime::Result<()> {
+        append_frame(&mut self.out, &encode_mux(frame), DEFAULT_MAX_FRAME_BYTES)?;
+        if self.out.len() >= CLIENT_WRITE_BUFFER {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Sends an `Open` and waits up to `timeout` for the admission verdict,
@@ -1068,16 +1151,8 @@ impl NetClient {
         &mut self,
         timeout: Duration,
     ) -> zooid_runtime::Result<Option<StatsSnapshot>> {
-        let session = self.next_session;
-        self.next_session += 1;
-        let payload = encode_mux(&MuxFrame::Stats { session });
-        let mut buf = bytes::BytesMut::new();
-        put_frame(
-            &mut buf,
-            &payload,
-            zooid_runtime::wire::DEFAULT_MAX_FRAME_BYTES,
-        )?;
-        self.stream.write_all(&buf)?;
+        let session = self.next_id();
+        self.queue(&MuxFrame::Stats { session })?;
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -1098,26 +1173,31 @@ impl NetClient {
         }
     }
 
-    /// Waits up to `timeout` for the next server frame
-    /// (`Accepted`/`Rejected`/`Done`), returning `Ok(None)` on silence.
+    /// Hands out the next server frame (`Accepted`/`Rejected`/`Done`): one
+    /// already buffered if there is one, else — after writing out anything
+    /// [`NetClient::open`] queued — whatever arrives within `timeout`,
+    /// returning `Ok(None)` on silence. A zero `timeout` still hands out a
+    /// frame that is already buffered or already in the socket.
     ///
     /// # Errors
     ///
-    /// Fails on connection loss or malformed server frames.
+    /// Fails on connection loss (including a deferred write error, see the
+    /// type docs) or malformed server frames.
     pub fn poll_event(&mut self, timeout: Duration) -> zooid_runtime::Result<Option<MuxFrame>> {
+        if let Some(frame) = self.buffered_frame()? {
+            return Ok(Some(frame));
+        }
+        self.flush()?;
         let deadline = Instant::now() + timeout;
+        let mut chunk = [0u8; CLIENT_READ_CHUNK];
+        // Each turn is one read; a turn follows another only while no frame
+        // is complete yet — never after a read that completed one.
         loop {
-            if let Some(payload) = self.reader.next_frame()? {
-                return Ok(Some(decode_mux(&payload)?));
-            }
-            match self.reader.fill(&mut self.stream)? {
-                FillStatus::Progress => {}
-                FillStatus::Eof => {
-                    // The close may ride right behind complete frames:
-                    // hand those out before reporting the shutdown.
-                    if let Some(payload) = self.reader.next_frame()? {
-                        return Ok(Some(decode_mux(&payload)?));
-                    }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match self.read_once(&mut chunk, remaining) {
+                Ok(0) => {
+                    // No complete frame is buffered here: those were handed
+                    // out before the socket was touched.
                     if self.reader.pending_bytes() > 0 {
                         return Err(RuntimeError::Codec {
                             reason: "server disconnected mid-frame".into(),
@@ -1127,12 +1207,55 @@ impl NetClient {
                         role: zooid_mpst::Role::new("server"),
                     });
                 }
-                FillStatus::WouldBlock => {
+                Ok(n) => {
+                    self.reader.extend(&chunk[..n]);
+                    if let Some(frame) = self.buffered_frame()? {
+                        return Ok(Some(frame));
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
                     if Instant::now() >= deadline {
                         return Ok(None);
                     }
                 }
+                Err(e) => return Err(RuntimeError::Io(e)),
             }
         }
+    }
+
+    /// Pops and decodes the next frame that is already buffered whole.
+    fn buffered_frame(&mut self) -> zooid_runtime::Result<Option<MuxFrame>> {
+        let payload = self.reader.next_frame()?;
+        payload.map(|payload| decode_mux(&payload)).transpose()
+    }
+
+    /// One `read`, blocking for at most `min(remaining, 20 ms)`. The
+    /// socket's timeout is re-armed only when that value changes; std
+    /// rejects a zero timeout, so a spent deadline gets a single
+    /// non-blocking attempt instead.
+    fn read_once(&mut self, chunk: &mut [u8], remaining: Duration) -> std::io::Result<usize> {
+        if remaining.is_zero() {
+            self.stream.set_nonblocking(true)?;
+            let read = self.stream.read(chunk);
+            self.stream.set_nonblocking(false)?;
+            return read;
+        }
+        let timeout = remaining.min(CLIENT_READ_SLICE);
+        if timeout != self.read_timeout {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.read_timeout = timeout;
+        }
+        self.stream.read(chunk)
+    }
+}
+
+impl Drop for NetClient {
+    fn drop(&mut self) {
+        // Best effort: sessions opened but never polled for still start.
+        let _ = self.flush();
     }
 }

@@ -585,3 +585,260 @@ fn live_stats_are_fetchable_over_the_wire() {
     assert!(report.frames_read > stats.net.frames_read - 1);
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// No timer on the session path
+// ---------------------------------------------------------------------
+
+/// The fastest of five timings of `f`: a scheduler hiccup can slow one run,
+/// a timer slows all of them.
+fn fastest_of_five(mut f: impl FnMut()) -> Duration {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+        .min()
+        .unwrap()
+}
+
+#[test]
+fn poll_event_honours_zero_and_short_timeouts() {
+    let (registry, ids) = registry_with_case_studies();
+    let catalog = services(&registry, &ids);
+    let server = NetServer::start(registry, catalog, NetServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+
+    // A silent connection: the timeout is the caller's, not the socket's.
+    let zero = fastest_of_five(|| {
+        assert_eq!(client.poll_event(Duration::ZERO).unwrap(), None);
+    });
+    assert!(
+        zero < Duration::from_millis(5),
+        "zero timeout took {zero:?}"
+    );
+    // Socket timeouts round up to the kernel tick, so no tighter than this.
+    let short = fastest_of_five(|| {
+        assert_eq!(client.poll_event(Duration::from_millis(2)).unwrap(), None);
+    });
+    assert!(
+        short < Duration::from_millis(15),
+        "2 ms timeout took {short:?}"
+    );
+
+    // Zero still means "whatever is there": two sessions' four frames come
+    // out through zero-timeout polls alone, the first of each read from the
+    // socket, the ones behind it from the buffer.
+    let sessions = [client.open("ring").unwrap(), client.open("ring").unwrap()];
+    let deadline = Instant::now() + EVENT_TIMEOUT;
+    let (mut accepted, mut done) = (Vec::new(), Vec::new());
+    while done.len() < sessions.len() {
+        assert!(Instant::now() < deadline, "frames never arrived");
+        match client.poll_event(Duration::ZERO).unwrap() {
+            Some(MuxFrame::Accepted { session }) => accepted.push(session),
+            Some(MuxFrame::Done {
+                session, compliant, ..
+            }) => {
+                assert!(compliant);
+                done.push(session);
+            }
+            Some(other) => panic!("unexpected frame {other:?}"),
+            None => std::thread::yield_now(),
+        }
+    }
+    assert_eq!(accepted, sessions);
+    done.sort_unstable();
+    assert_eq!(done, sessions);
+    server.shutdown();
+}
+
+#[test]
+fn sequential_round_trips_wait_on_no_timer() {
+    let (registry, ids) = registry_with_case_studies();
+    let catalog = services(&registry, &ids);
+    let server = NetServer::start(registry, catalog, NetServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+
+    // One session at a time: every frame is the only one in its wake, so a
+    // client (or server) that sits out a timer per wake shows it 100 times.
+    let start = Instant::now();
+    for _ in 0..50 {
+        let session = client.open("ring").unwrap();
+        assert_eq!(next_event(&mut client), MuxFrame::Accepted { session });
+        match next_event(&mut client) {
+            MuxFrame::Done {
+                session: s,
+                compliant: true,
+                complete: true,
+                ..
+            } => {
+                assert_eq!(s, session);
+            }
+            other => panic!("expected a clean Done, got {other:?}"),
+        }
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "50 round trips took {took:?}"
+    );
+
+    let report = server.shutdown();
+    assert_eq!(report.net.sessions_done, 50);
+}
+
+/// Polls `net_report()` until `ready` holds.
+fn await_report(server: &NetServer, what: &str, ready: impl Fn(&zooid_server::NetReport) -> bool) {
+    let deadline = Instant::now() + EVENT_TIMEOUT;
+    while !ready(&server.net_report()) {
+        assert!(Instant::now() < deadline, "never saw: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn buffered_opens_all_leave_and_none_is_lost() {
+    let (registry, ids) = registry_with_case_studies();
+    let catalog = services(&registry, &ids);
+    let server = NetServer::start(registry, catalog, NetServerConfig::default()).unwrap();
+
+    // A burst under the per-connection cap (256), no poll in between: the
+    // first poll writes all of it out and every session is answered.
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let sessions: Vec<u64> = (0..200).map(|_| client.open("ring").unwrap()).collect();
+    assert_eq!(server.net_report().sessions_opened, 0, "opens are buffered");
+    let done = await_done(&mut client, &sessions);
+    assert_eq!(done.len(), 200);
+    assert_eq!(client.poll_event(Duration::from_millis(50)).unwrap(), None);
+
+    // An explicit flush starts a session without polling for it.
+    client.open("ring").unwrap();
+    client.flush().unwrap();
+    await_report(&server, "the flushed open", |r| r.sessions_opened == 201);
+
+    // Dropping the client flushes what it still holds.
+    let mut leaver = NetClient::connect(server.local_addr()).unwrap();
+    for _ in 0..3 {
+        leaver.open("ring").unwrap();
+    }
+    drop(leaver);
+    await_report(&server, "the dropped client's opens", |r| {
+        r.sessions_opened == 204
+    });
+
+    // A buffer that fills up empties itself: 1 KiB names pass 16 KiB at the
+    // sixteenth open, well before the last.
+    let mut bulky = NetClient::connect(server.local_addr()).unwrap();
+    let name = "x".repeat(1024);
+    for _ in 0..20 {
+        bulky.open(&name).unwrap();
+    }
+    await_report(&server, "the self-flushed opens", |r| {
+        r.sessions_rejected >= 16
+    });
+    assert!(
+        server.net_report().sessions_rejected < 20,
+        "the tail is still buffered"
+    );
+
+    let report = server.shutdown();
+    assert_eq!(report.net.sessions_shed, 0);
+    assert_eq!(report.net.bad_frames, 0);
+}
+
+/// IO passes the server makes over `window`.
+fn passes_over(server: &NetServer, window: Duration) -> u64 {
+    let before = server.net_report().io_pass_ns.count();
+    std::thread::sleep(window);
+    server.net_report().io_pass_ns.count() - before
+}
+
+#[test]
+fn an_idle_loop_waits_instead_of_spinning() {
+    use zooid_mpst::{Role, Sort};
+    use zooid_proc::{Expr, Externals, Proc, Value};
+
+    // A pipeline whose first role reads each payload from the environment,
+    // and an environment that answers only once the test lets go of
+    // `release`: a session that stays in flight exactly as long as wanted.
+    let protocol = Protocol::new("pipeline", generators::pipeline()).unwrap();
+    let (alice, bob) = (Role::new("Alice"), Role::new("Bob"));
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let gate = std::sync::Mutex::new(gate);
+    let mut externals = Externals::new();
+    externals.register_read("gate", Sort::Nat, move || {
+        let _ = gate.lock().unwrap().recv();
+        Value::Nat(0)
+    });
+    let gated = Proc::loop_(Proc::read(
+        "gate",
+        "x",
+        Proc::send(bob, "l", Expr::var("x"), Proc::Jump(0)),
+    ));
+    let gated = protocol
+        .implement_against_projection(&alice, gated, &externals)
+        .expect("the gated reader implements Alice");
+    let mut endpoints = vec![(gated, externals)];
+    endpoints.extend(
+        skeleton_endpoints(&protocol)
+            .unwrap()
+            .into_iter()
+            .filter(|(cert, _)| *cert.role() != alice),
+    );
+    let mut registry = ProtocolRegistry::new();
+    let service = Service {
+        protocol: registry.register(protocol).unwrap(),
+        endpoints: endpoints.into(),
+        options: zooid_runtime::ExecOptions::with_max_steps(4),
+    };
+    let server = NetServer::start(registry, [service], NetServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    await_report(&server, "the connection", |r| r.connections_accepted == 1);
+
+    // Nothing in flight, one silent connection: the loop sleeps its slices.
+    let window = Duration::from_millis(300);
+    let idle = passes_over(&server, window);
+    assert!(idle < 1_000, "{idle} passes over an idle {window:?}");
+
+    // One session in flight, sockets silent: the wait on the outcome
+    // channel must block for its slice, not come back early.
+    let session = client.open("pipeline").unwrap();
+    assert_eq!(next_event(&mut client), MuxFrame::Accepted { session });
+    let waiting = passes_over(&server, window);
+    assert_eq!(
+        server.net_report().sessions_done,
+        0,
+        "the gate holds the session"
+    );
+    assert!(
+        waiting < 1_000,
+        "{waiting} passes while waiting on a session for {window:?}"
+    );
+
+    drop(release);
+    assert!(matches!(next_event(&mut client), MuxFrame::Done { session: s, .. } if s == session));
+    server.shutdown();
+}
+
+#[test]
+fn io_pass_histogram_records_work_not_sleep() {
+    let (registry, ids) = registry_with_case_studies();
+    let catalog = services(&registry, &ids);
+    let server = NetServer::start(registry, catalog, NetServerConfig::default()).unwrap();
+    let _idle = NetClient::connect(server.local_addr()).unwrap();
+    // Mostly idle passes over one silent socket: each is a few syscalls of
+    // work, however long the loop then waits before the next.
+    std::thread::sleep(Duration::from_millis(100));
+    let passes = server.shutdown().net.io_pass_ns;
+    assert!(
+        passes.count() > 10,
+        "only {} passes recorded",
+        passes.count()
+    );
+    assert!(
+        passes.p50() < 100_000,
+        "an idle pass reads as {} ns of work",
+        passes.p50()
+    );
+}

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, full test-suite, the
 # zooid_benchmark gate (BENCHMARK.json's command must build and pass its
-# smoke run), and a bench-report smoke run that validates the
-# machine-readable benchmark report (BENCH_pr10.json schema) without paying
-# full measurement budgets.
+# smoke run, and tcp_short must clear a floor no timer can), and a
+# bench-report smoke run that validates the machine-readable benchmark
+# report (BENCH_pr15.json schema) without paying full measurement budgets.
 #
 # The smoke bench-report is also the explore_parallel smoke suite: it runs
 # the work-stealing explorer at threads=2 and asserts verdict and
@@ -34,6 +34,19 @@ benchmark=(cargo run --release --offline --quiet
     --manifest-path crates/bench/src/bin/zooid_benchmark/Cargo.toml --)
 "${benchmark[@]}" --validate BENCHMARK.json
 "${benchmark[@]}" --smoke | tail -n 1
+
+echo "== front-door floor (tcp_short >= 50,000 sessions/s)"
+# A timer that a session waits out on its way through the front door pins
+# this workload near 10k sessions/s on any machine (10.4k before PR 15: the
+# client sat out a 20 ms read timeout per wake); with none it runs at ~250k
+# on the 2-vCPU reference box. The floor sits 5x from both.
+tcp_short="$("${benchmark[@]}" --workload tcp_short --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+ops_per_s="$(sed -n 's/.*"ops_per_s":{"value":\([0-9]*\).*/\1/p' <<<"$tcp_short")"
+echo "tcp_short ops_per_s: ${ops_per_s:-unreadable}"
+[[ -n "$ops_per_s" && "$ops_per_s" -ge 50000 ]] || {
+    echo "tcp_short is below the front-door floor: $tcp_short" >&2
+    exit 1
+}
 
 echo "== batch differential suite (batched vs slab-compiled vs tree executors)"
 # Already covered by --workspace above, but run it by name so a batching
@@ -66,7 +79,7 @@ cargo test --release -q -p zooid-server --test crash_recovery
 echo "== bench-report smoke (includes explore_parallel threads=2 agreement checks)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-report="$tmpdir/BENCH_pr10.json"
+report="$tmpdir/BENCH_pr15.json"
 cargo run --release -p zooid-bench --bin bench-report -- --smoke --out "$report" >/dev/null
 
 echo "== validating $report"
@@ -78,7 +91,7 @@ import sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
 
-assert report["pr"] == 10, f"unexpected pr marker: {report['pr']}"
+assert report["pr"] == 15, f"unexpected pr marker: {report['pr']}"
 benches = report["benches"]
 families = {e["bench"] for e in benches}
 for family in (
@@ -183,7 +196,7 @@ print(
 EOF
 else
     # Fallback when python3 is unavailable: shape-check with grep.
-    grep -q '"pr": 10' "$report"
+    grep -q '"pr": 15' "$report"
     grep -q '"bench": "cfsm_explore"' "$report"
     grep -q '"bench": "cfsm_explore_por"' "$report"
     grep -q '"bench": "cfsm_explore_par"' "$report"
