@@ -1,262 +1,329 @@
-//! Emits a machine-readable benchmark report (`BENCH_pr15.json`) so future
-//! PRs can track the performance trajectory of the hot paths.
+//! Engine-vs-oracle bench report: every fast engine timed against the slow
+//! reference it replaced, both live in the same run.
 //!
-//! For every scalable protocol family (`ring`, `chain`, `fanout`) at sizes
-//! 2/8/32/128 it records the median wall-clock nanoseconds of:
+//! End-to-end numbers (sessions/s, CPU per session, time to verdict) belong
+//! to `zooid_benchmark`; what that ruler cannot express is a *ratio between
+//! two implementations of one job*, and that is all this one measures. Each
+//! [`Family`] in [`FAMILIES`] is one such pair — one function producing its
+//! cases, one table row carrying its oracle's description and its floor:
 //!
-//! * `unravel`      — [`unravel_global`];
-//! * `projection`   — [`project_all`];
-//! * `trace_equiv`  — the on-the-fly [`check_trace_equivalence`] (depth 8 up
-//!   to size 32, depth 4 at size 128 to keep the exhaustive baseline
-//!   tractable);
-//! * `cfsm_explore` — the interned CFSM engine ([`System::explore`]) at
-//!   channel bound 2, capped at a fixed number of visited configurations so
-//!   every family stays tractable at size 128.
+//! * `trace_equiv` — the on-the-fly [`check_trace_equivalence`] vs the
+//!   set-based [`check_trace_equivalence_exhaustive`];
+//! * `cfsm_explore` — the interned CFSM engine ([`System::explore`]) vs the
+//!   explicit-state [`System::explore_exhaustive`], over the same
+//!   visited-configuration budget;
+//! * `cfsm_explore_por` — ample-set partial-order reduction
+//!   ([`System::explore_por`]) vs the full interned engine, same verdict;
+//! * `cfsm_explore_par` — the work-stealing [`System::explore_parallel`] at
+//!   2 and 4 threads vs its own 1-thread run, after checking it reaches the
+//!   sequential reduced engine's verdict and visited count (bounded by the
+//!   CPUs the box grants: it records, it does not assume);
+//! * `endpoint_step` — the compiled endpoint executor
+//!   ([`CompiledEndpointTask`]) vs the tree-walking [`EndpointTask`], per
+//!   visible action, quiet on both sides;
+//! * `batch_step` — the columnar [`SessionBatch`] vs per-session compiled
+//!   tasks under a [`CompiledMonitor`] (the slab configuration), per action;
+//! * `obs_overhead` — batch stepping with the shard's instruments attached
+//!   (admission events, per-quantum clock reads, cohort-width fold, wall
+//!   time per outcome) vs the bare loop; floor 0.85;
+//! * `fault_overhead` — sessions behind an empty-plan [`FaultyTransport`]
+//!   vs the bare in-memory transport; floor 0.85;
+//! * `monitor_action` — [`CompiledMonitor`] vs the global-LTS
+//!   [`TraceMonitor`], per observed action;
+//! * `checkpoint_restore` — decode-and-recertify a [`SessionCheckpoint`] vs
+//!   recovery by replaying the session to the same quantum;
+//! * `wal_append` — bytes per logged action of the columnar
+//!   [`encode_quantum`] vs [`encode_quantum_naive`] (a count, not a timing);
+//!   floor 1.3.
 //!
-//! Two families track the exploration modes added in PR 4:
+//! There is one sampler, [`sample_pair`]: engine and oracle alternate inside
+//! one loop, so frequency scaling, cache evictions and the two-vCPU box's
+//! moods land on both sides alike, and each side reports `n` / min / median
+//! / p90. `speedup` is oracle median over engine median.
 //!
-//! * `cfsm_explore_por` — the ample-set partial-order reduction
-//!   ([`System::explore_por`]) against the full interned engine
-//!   ([`System::explore`]) at the same channel bound and configuration
-//!   budget. On the concurrent families the reduction collapses the
-//!   interleaving space to its causal skeleton, so the same (identical!)
-//!   verdict arrives after a fraction of the configurations; the harness
-//!   asserts verdict agreement before timing;
-//! * `cfsm_explore_par` — the work-stealing parallel frontier
-//!   ([`System::explore_parallel`]) at 1/2/4 worker threads on the largest
-//!   residual (post-reduction) state space, baselined against its own
-//!   single-thread run. Observed scaling is bounded by the CPUs the
-//!   container actually grants (this harness records, it does not assume).
-//!
-//! Three families track the serving layer (PR 3, rebuilt on the compiled
-//! data plane in PR 5):
-//!
-//! * `endpoint_step` — per-visible-action cost of the **compiled** endpoint
-//!   executor ([`CompiledEndpointTask`]: program counter + slot array,
-//!   dense-indexed transport, no codec) against the tree-walking
-//!   [`EndpointTask`] running the same looping sessions (recursive
-//!   chain/fanout at several sizes) cooperatively on one thread to a fixed
-//!   step budget. Both sides run in *quiet* mode (no observer, trace
-//!   recording off — the fire-and-forget configuration) so the family
-//!   measures stepping itself; per-action monitoring cost is tracked
-//!   separately by `monitor_action`;
-//! * `server_throughput` — wall-clock of a whole batch of concurrent
-//!   in-memory sessions (10,000 in full mode) on the sharded
-//!   `zooid_server::SessionServer`, at 1 and 4 worker shards (plus a
-//!   4-shard `notrace` case with per-endpoint trace recording off — the
-//!   fire-and-forget configuration); the baseline is the
-//!   thread-per-participant [`SessionHarness`] running the same workload
-//!   (measured on a smaller batch and scaled per-session, since spawning 3
-//!   threads per session makes large batches pointless);
-//! * `monitor_action` — per-action cost of the `CompiledMonitor` (dense
-//!   interned transition tables) on a compliant trace, against the
-//!   `TraceMonitor` (boxed global-LTS replay) observing the same trace.
-//!
-//! One family tracks the networked serving plane added in PR 7:
-//!
-//! * `server_throughput_tcp` — wall-clock of the same session batch served
-//!   over real loopback sockets by the event-driven
-//!   [`zooid_server::NetServer`] (one non-blocking IO thread, framed
-//!   multiplexed wire protocol, client threads windowing their opens and
-//!   awaiting `Done` frames), baselined against the in-memory 4-shard
-//!   `server_throughput` figure from the same run — the delta *is* the
-//!   wire.
-//!
-//! One family tracks the columnar data plane added in PR 6:
-//!
-//! * `batch_step` — per-visible-action cost of the **columnar batch
-//!   executor** ([`zooid_runtime::SessionBatch`]: struct-of-arrays state,
-//!   `(role, pc)` cohort stepping, shared frame arena, zero-hash
-//!   monitoring) running whole populations of identical monitored sessions,
-//!   against the per-session compiled executor plus `CompiledMonitor` — the
-//!   slab configuration the server falls back to — running the same
-//!   sessions one at a time. Both sides are fire-and-forget (trace
-//!   recording off); measured at several batch widths.
-//!
-//! One family tracks the observability plane added in PR 8:
-//!
-//! * `obs_overhead` — the same columnar batch stepping with the shard
-//!   worker's full observability instrumentation attached (flight-recorder
-//!   admission events, per-quantum clock reads into the per-action
-//!   histogram, the cohort-width fold, session wall-time recording per
-//!   outcome) against the bare loop. The ratio is the whole cost of the
-//!   recorder and must stay within noise; `scripts/ci.sh` asserts it.
-//!
-//! One family tracks the hostile-world plane added in PR 9:
-//!
-//! * `fault_overhead` — whole sessions driven with every endpoint wrapped
-//!   in an **empty-plan** [`zooid_runtime::faults::FaultyTransport`] (the
-//!   bystander configuration of the hostile campaign suite) against the
-//!   same cooperative schedule on the bare in-memory transport. With no
-//!   fault specs the wrapper never consults its PRNG; the delta is pure
-//!   per-operation bookkeeping (the counted-op and tick clocks) and must
-//!   stay within noise; `scripts/ci.sh` asserts the ratio.
-//!
-//! Each remaining entry also carries a `baseline_ns`:
-//!
-//! * for `unravel`/`projection`, the seed implementation's medians, measured
-//!   with the same vendored-criterion harness on the same machine at the seed
-//!   commit (before the interning/memoisation rework of PR 1);
-//! * for `trace_equiv`, the medians of the retained set-based reference
-//!   checker ([`check_trace_equivalence_exhaustive`]), measured live in the
-//!   same run;
-//! * for `cfsm_explore`, the medians of the retained explicit-state explorer
-//!   ([`System::explore_exhaustive`]), measured live in the same run over
-//!   the *same* visited-configuration budget (the harness asserts both
-//!   engines visit identical configuration counts before timing them).
-//!
-//! Run with `cargo run --release -p zooid-bench --bin bench-report`; writes
-//! `BENCH_pr15.json` in the current directory. `--smoke` shrinks sizes and
-//! budgets for CI smoke runs, `--out PATH` redirects the report.
+//! `bench-report [--smoke] --out PATH` writes the report to `PATH` and
+//! prints it; `--smoke` shrinks sizes and budgets for CI. The process exits
+//! non-zero if any family breaches its floor or reports an empty or
+//! non-positive case ([`breaches`]), so CI needs no second parser.
 
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use zooid_cfsm::System;
-use zooid_dsl::Protocol;
+use zooid_cfsm::{CompiledSystem, System};
 use zooid_mpst::common::intern::FxHashMap;
 use zooid_mpst::generators;
-use zooid_mpst::global::unravel_global;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::projection::project_all;
 use zooid_mpst::trace_equiv::{check_trace_equivalence, check_trace_equivalence_exhaustive};
 use zooid_mpst::{Action, Label, Role, Sort};
-use zooid_cfsm::CompiledSystem;
 use zooid_proc::{erase, CompiledProc, Externals, Proc};
 use zooid_runtime::cbatch::{BatchLayout, SessionBatch};
-use zooid_runtime::checkpoint::SessionCheckpoint;
-use zooid_runtime::wal::{encode_quantum, encode_quantum_naive, WalIndexer};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
+use zooid_runtime::checkpoint::SessionCheckpoint;
 use zooid_runtime::exec::{EndpointTask, ExecOptions, StepOutcome};
 use zooid_runtime::faults::{FaultPlan, FaultyTransport};
 use zooid_runtime::transport::{InMemoryNetwork, InMemoryTransport, Transport};
-use zooid_runtime::{CompiledMonitor, SessionHarness, TraceMonitor};
-use zooid_runtime::MuxFrame;
-use zooid_server::obs::ShardObs;
-use zooid_server::synth::skeleton_endpoints;
-use zooid_server::{
-    FlightEvent, NetClient, NetServer, NetServerConfig, ProtocolRegistry, ServerConfig, Service,
-    SessionServer, SessionSpec,
-};
+use zooid_runtime::wal::{encode_quantum, encode_quantum_naive, WalIndexer};
+use zooid_runtime::{CompiledMonitor, TraceMonitor};
+use zooid_server::metrics::ShardInstruments;
+use zooid_server::synth::skeleton_proc;
+use zooid_server::FlightEvent;
 
-const SIZES: [usize; 4] = [2, 8, 32, 128];
-const SMOKE_SIZES: [usize; 2] = [2, 8];
-
-/// Channel bound used by the `cfsm_explore` family.
+/// Channel bound used by the `cfsm_explore*` families.
 const CFSM_BOUND: usize = 2;
-/// Visited-configuration cap for the `cfsm_explore` family (the concurrent
-/// families are exponential in protocol size, so the benchmark measures
-/// time-to-visit-a-fixed-budget rather than time-to-exhaustion).
-const CFSM_MAX_CONFIGS: usize = 10_000;
 
-/// Seed medians (ns) for `unravel_global`, measured at the seed commit.
-const SEED_UNRAVEL_NS: [(&str, u64); 12] = [
-    ("ring/2", 1009),
-    ("chain/2", 1117),
-    ("fanout/2", 3896),
-    ("ring/8", 19513),
-    ("chain/8", 30803),
-    ("fanout/8", 53443),
-    ("ring/32", 236812),
-    ("chain/32", 742297),
-    ("fanout/32", 1045725),
-    ("ring/128", 4156248),
-    ("chain/128", 12030801),
-    ("fanout/128", 17828562),
-];
+/// Full or smoke: sizes, budgets and sample counts.
+struct Mode {
+    smoke: bool,
+}
 
-/// Seed medians (ns) for `project_all`, measured at the seed commit.
-const SEED_PROJECTION_NS: [(&str, u64); 12] = [
-    ("ring/2", 662),
-    ("chain/2", 555),
-    ("fanout/2", 1561),
-    ("ring/8", 7409),
-    ("chain/8", 7076),
-    ("fanout/8", 15907),
-    ("ring/32", 117457),
-    ("chain/32", 115328),
-    ("fanout/32", 276486),
-    ("ring/128", 2069838),
-    ("chain/128", 2185952),
-    ("fanout/128", 4714854),
-];
-
-/// Median nanoseconds per call over up to `samples` timed samples, bounded by
-/// a total time budget. Calls faster than ~2µs are timed in batches so timer
-/// quantisation does not dominate the medians.
-fn median_ns<F: FnMut()>(mut f: F, samples: usize, budget_ms: u64) -> u64 {
-    // Warm-up, and estimate the cost of one call.
-    let t0 = Instant::now();
-    f();
-    let per_call = t0.elapsed().as_nanos().max(1);
-    let batch: u32 = if per_call >= 2_000 {
-        1
-    } else {
-        (2_000 / per_call) as u32 + 1
-    };
-    for _ in 0..batch.min(64) {
-        f();
-    }
-    let deadline = Instant::now() + std::time::Duration::from_millis(budget_ms);
-    let mut observed = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..batch {
-            f();
+impl Mode {
+    /// `full` in a full run, `smoke` in a smoke run.
+    fn pick<T>(&self, full: T, smoke: T) -> T {
+        if self.smoke {
+            smoke
+        } else {
+            full
         }
-        observed.push(t0.elapsed().as_nanos() as u64 / u64::from(batch));
-        if Instant::now() > deadline {
+    }
+}
+
+/// Nanoseconds per call over `n` timed samples (or, for `wal_append`, an
+/// exact count).
+#[derive(Debug, Clone, Copy)]
+struct Stats {
+    n: usize,
+    min: u64,
+    median: u64,
+    p90: u64,
+}
+
+impl Stats {
+    fn of(mut samples: Vec<u64>) -> Stats {
+        samples.sort_unstable();
+        let n = samples.len();
+        Stats {
+            n,
+            min: samples[0],
+            median: samples[n / 2],
+            p90: samples[(n * 9 / 10).min(n - 1)],
+        }
+    }
+
+    /// A figure that is counted, not sampled.
+    fn exact(value: u64) -> Stats {
+        Stats {
+            n: 1,
+            min: value,
+            median: value,
+            p90: value,
+        }
+    }
+
+    /// Rescales a per-call figure to one of the `units` the call performs.
+    fn per(self, units: usize) -> Stats {
+        let per = |ns: u64| (ns / units as u64).max(1);
+        Stats {
+            n: self.n,
+            min: per(self.min),
+            median: per(self.median),
+            p90: per(self.p90),
+        }
+    }
+}
+
+/// A sample is at least this long, so timer quantisation stays under 1%.
+const MIN_SAMPLE_NS: u128 = 20_000;
+/// Pairs taken whatever the time budget says.
+const MIN_PAIRS: usize = 5;
+
+/// The one sampler: `run(true)` is the engine, `run(false)` its oracle. The
+/// two alternate — which goes first alternates too — until `pairs` pairs are
+/// in or the time budget is spent, so whatever the machine does during the
+/// run it does to both. Calls too short to time alone are repeated inside
+/// one sample. Returns `(engine, oracle)`.
+fn sample_pair(mode: &Mode, mut run: impl FnMut(bool)) -> (Stats, Stats) {
+    // Warm both sides, and size a sample of each.
+    let reps = [true, false].map(|engine| {
+        let started = Instant::now();
+        run(engine);
+        (MIN_SAMPLE_NS / started.elapsed().as_nanos().max(1)) as u32 + 1
+    });
+    let pairs = mode.pick(101, 31);
+    let deadline = Instant::now() + Duration::from_millis(mode.pick(3_000, 150));
+    let mut samples = [Vec::with_capacity(pairs), Vec::with_capacity(pairs)];
+    for pair in 0..pairs {
+        for engine in [pair % 2 == 0, pair % 2 != 0] {
+            let side = usize::from(!engine);
+            let started = Instant::now();
+            for _ in 0..reps[side] {
+                run(engine);
+            }
+            samples[side].push(started.elapsed().as_nanos() as u64 / u64::from(reps[side]));
+        }
+        if pair + 1 >= MIN_PAIRS && Instant::now() > deadline {
             break;
         }
     }
-    observed.sort_unstable();
-    observed[observed.len() / 2]
+    let [engine, oracle] = samples;
+    (Stats::of(engine), Stats::of(oracle))
 }
 
-/// Interleaved paired measurement for ratio families: alternates single
-/// timed runs of `f(true)` and `f(false)` so machine drift (frequency
-/// scaling, cache evictions, neighbours on the CI box) lands on both sides
-/// equally, and returns `(median_true_ns, median_false_ns)`. A family that
-/// asserts a *ratio* needs the pairing far more than it needs long budgets.
-fn paired_median_ns<F: FnMut(bool)>(mut f: F, samples: usize) -> (u64, u64) {
-    // Warm both paths.
-    f(true);
-    f(false);
-    let mut on = Vec::with_capacity(samples);
-    let mut off = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        f(true);
-        on.push(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        f(false);
-        off.push(t.elapsed().as_nanos() as u64);
-    }
-    on.sort_unstable();
-    off.sort_unstable();
-    (on[on.len() / 2], off[off.len() / 2])
-}
-
-struct Entry {
-    bench: &'static str,
+/// One measured case of a family.
+struct Case {
     case: String,
-    median_ns: u64,
-    baseline_ns: u64,
-    baseline: &'static str,
+    engine: Stats,
+    oracle: Stats,
 }
 
-fn families(n: usize) -> Vec<(String, GlobalType)> {
-    vec![
+impl Case {
+    fn new(case: String, (engine, oracle): (Stats, Stats)) -> Case {
+        Case {
+            case,
+            engine,
+            oracle,
+        }
+    }
+
+    /// Oracle median over engine median: above 1 the engine wins.
+    fn speedup(&self) -> f64 {
+        if self.engine.median == 0 {
+            return 0.0;
+        }
+        self.oracle.median as f64 / self.engine.median as f64
+    }
+}
+
+/// One engine-vs-oracle pair: a function producing its cases, and the row
+/// that names its oracle and the speedup no case may fall below.
+struct Family {
+    name: &'static str,
+    oracle: &'static str,
+    floor: Option<f64>,
+    cases: fn(&Mode) -> Vec<Case>,
+}
+
+const FAMILIES: [Family; 11] = [
+    Family {
+        name: "trace_equiv",
+        oracle: "set-based checker (check_trace_equivalence_exhaustive)",
+        floor: None,
+        cases: trace_equiv,
+    },
+    Family {
+        name: "cfsm_explore",
+        oracle: "explicit-state explorer (System::explore_exhaustive, same configuration budget)",
+        floor: None,
+        cases: cfsm_explore,
+    },
+    Family {
+        name: "cfsm_explore_por",
+        oracle: "full interned engine (System::explore, same bound/cap/verdict)",
+        floor: None,
+        cases: cfsm_explore_por,
+    },
+    Family {
+        name: "cfsm_explore_par",
+        oracle: "explore_parallel at 1 thread (same workload)",
+        floor: None,
+        cases: cfsm_explore_par,
+    },
+    Family {
+        name: "endpoint_step",
+        oracle: "tree-walking EndpointTask (same session, same schedule)",
+        floor: None,
+        cases: endpoint_step,
+    },
+    Family {
+        name: "batch_step",
+        oracle: "per-session CompiledEndpointTask + CompiledMonitor (same sessions)",
+        floor: None,
+        cases: batch_step,
+    },
+    // The instruments must cost nearly nothing: 0.90 is the budget, 0.85
+    // leaves room for a smoke run's noise on a shared box.
+    Family {
+        name: "obs_overhead",
+        oracle: "identical batch stepping with the instruments detached",
+        floor: Some(0.85),
+        cases: obs_overhead,
+    },
+    // Likewise an empty-plan FaultyTransport must be a near-free wrapper.
+    Family {
+        name: "fault_overhead",
+        oracle: "identical cooperative run on the bare in-memory transport",
+        floor: Some(0.85),
+        cases: fault_overhead,
+    },
+    // No floor: the compiled monitor loses on rings (the replay monitor's
+    // best case) and the family is there to say by how much.
+    Family {
+        name: "monitor_action",
+        oracle: "TraceMonitor global-LTS replay (same trace)",
+        floor: None,
+        cases: monitor_action,
+    },
+    // No floor: restore pays full re-validation on decode, so replay can
+    // win; the family tracks the latency, it does not claim a winner.
+    Family {
+        name: "checkpoint_restore",
+        oracle: "recovery by replay (re-run the session to the same quantum)",
+        floor: None,
+        cases: checkpoint_restore,
+    },
+    // The columnar log must beat per-record serialization decisively.
+    Family {
+        name: "wal_append",
+        oracle: "naive per-record serialization (encode_quantum_naive, same records)",
+        floor: Some(1.3),
+        cases: wal_append,
+    },
+];
+
+/// What is wrong with a family's cases: none at all, a side that measured
+/// nothing, or a speedup under the family's floor.
+fn breaches(family: &Family, cases: &[Case]) -> Vec<String> {
+    let mut found = Vec::new();
+    if cases.is_empty() {
+        found.push(format!("{}: no cases", family.name));
+    }
+    for case in cases {
+        let at = format!("{} {}", family.name, case.case);
+        if case.engine.median == 0 || case.oracle.median == 0 {
+            found.push(format!("{at}: a side measured nothing"));
+        }
+        if let Some(floor) = family.floor {
+            if case.speedup() < floor {
+                found.push(format!(
+                    "{at}: speedup {:.2} is under the floor {floor}",
+                    case.speedup()
+                ));
+            }
+        }
+    }
+    found
+}
+
+// ---------------------------------------------------------------------
+// Fixtures
+// ---------------------------------------------------------------------
+
+fn scaling_families(n: usize) -> [(String, GlobalType); 3] {
+    [
         (format!("ring/{n}"), generators::ring_n(n)),
         (format!("chain/{n}"), generators::chain_n(n)),
         (format!("fanout/{n}"), generators::fanout_n(n)),
     ]
 }
 
+fn sizes(mode: &Mode) -> &'static [usize] {
+    mode.pick(&[2, 8, 32, 128][..], &[2, 8][..])
+}
+
 /// A *recursive* fan-out: each round the hub sends one task to every worker
 /// and then collects every ack, forever — the looping cousin of
-/// [`generators::fanout_n`] (same batched phase structure), used by the
-/// `endpoint_step` family so per-step costs amortize over thousands of
+/// [`generators::fanout_n`], so per-step costs amortize over thousands of
 /// steps per session.
 fn fanout_loop(n: usize) -> GlobalType {
     let hub = Role::new("hub");
@@ -271,30 +338,91 @@ fn fanout_loop(n: usize) -> GlobalType {
     GlobalType::rec(g)
 }
 
-/// One cooperative session drive (drain rounds until every endpoint is
-/// done or none can progress), shared by both engines of `endpoint_step` so
-/// the schedule — and any future tweak to it — is identical by
-/// construction. Returns the number of visible actions performed.
-fn drive_session<T>(
-    roles: &[Role],
-    make_task: impl Fn(&Role) -> T,
-    mut step_quiet: impl FnMut(&mut T, &mut InMemoryTransport) -> StepOutcome,
+fn compile(g: &GlobalType) -> (System, CompiledSystem) {
+    let system = System::from_global(g).expect("bench families are projectable");
+    let compiled = system.compile();
+    (system, compiled)
+}
+
+/// One protocol's skeleton implementation in every form the families
+/// compare: processes for the tree-walking oracle, compiled programs for
+/// the slab, a layout for the batch (roles in sorted order throughout).
+struct Fixture {
+    procs: Vec<(Role, Proc)>,
+    system: Arc<CompiledSystem>,
+    programs: Vec<(Role, Arc<EndpointProgram>)>,
+}
+
+impl Fixture {
+    fn new(g: &GlobalType) -> Fixture {
+        let mut procs: Vec<(Role, Proc)> = project_all(g)
+            .expect("bench families are projectable")
+            .into_iter()
+            .map(|(role, local)| {
+                let proc = skeleton_proc(&local).expect("bench families synthesize");
+                (role, proc)
+            })
+            .collect();
+        procs.sort_by(|a, b| a.0.cmp(&b.0));
+        let system = Arc::new(compile(g).1);
+        let externals = Externals::new();
+        let programs = procs
+            .iter()
+            .map(|(role, proc)| {
+                let compiled =
+                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
+                let program = EndpointProgram::with_system(Arc::new(compiled), &system);
+                (role.clone(), Arc::new(program))
+            })
+            .collect();
+        Fixture {
+            procs,
+            system,
+            programs,
+        }
+    }
+
+    fn roles(&self) -> Vec<Role> {
+        self.procs.iter().map(|(r, _)| r.clone()).collect()
+    }
+
+    fn program_list(&self) -> Vec<Arc<EndpointProgram>> {
+        self.programs.iter().map(|(_, p)| Arc::clone(p)).collect()
+    }
+
+    fn layout(&self) -> Arc<BatchLayout> {
+        BatchLayout::new(
+            self.roles().into(),
+            self.program_list(),
+            Arc::clone(&self.system),
+        )
+        .expect("bench skeletons are batch-eligible")
+    }
+}
+
+/// Fire-and-forget options (no per-endpoint trace), optionally bounded.
+fn quiet(max_steps: Option<usize>) -> ExecOptions {
+    max_steps
+        .map_or_else(ExecOptions::default, ExecOptions::with_max_steps)
+        .record_actions(false)
+}
+
+/// One cooperative session drive — drain rounds until every endpoint is
+/// done or none can progress — shared by every engine stepped here, so the
+/// schedule is identical by construction. Returns the visible actions
+/// performed.
+fn drive_session<T, E>(
+    endpoints: Vec<(T, E)>,
+    mut step: impl FnMut(&mut T, &mut E) -> StepOutcome,
     is_done: impl Fn(&T) -> bool,
     mark_stalled: impl Fn(&mut T),
 ) -> usize {
-    let mut network = InMemoryNetwork::new(roles.iter().cloned());
-    let mut tasks: Vec<(T, InMemoryTransport)> = roles
-        .iter()
-        .map(|role| {
-            let transport = network.take_endpoint(role).expect("unique roles");
-            (make_task(role), transport)
-        })
-        .collect();
+    let mut tasks = endpoints;
     let mut actions = 0usize;
     loop {
         let mut progressed = false;
         for (task, transport) in &mut tasks {
-            while let StepOutcome::Progress = step_quiet(task, transport) {
+            while let StepOutcome::Progress = step(task, transport) {
                 progressed = true;
                 actions += 1;
             }
@@ -312,49 +440,44 @@ fn drive_session<T>(
     actions
 }
 
-/// Steps every compiled endpoint of one session cooperatively until all are
-/// done, returning the number of visible actions.
-fn run_compiled_session(
-    programs: &[(Role, Arc<EndpointProgram>)],
+/// Fresh in-memory endpoints for `roles`, in order.
+fn bare_endpoints(roles: &[Role]) -> Vec<InMemoryTransport> {
+    let mut network = InMemoryNetwork::new(roles.iter().cloned());
+    roles
+        .iter()
+        .map(|r| network.take_endpoint(r).expect("unique roles"))
+        .collect()
+}
+
+fn compiled_tasks(
+    fixture: &Fixture,
     options: &ExecOptions,
-) -> usize {
-    let roles: Vec<Role> = programs.iter().map(|(r, _)| r.clone()).collect();
+) -> Vec<(CompiledEndpointTask, InMemoryTransport)> {
+    fixture
+        .programs
+        .iter()
+        .map(|(_, p)| CompiledEndpointTask::new(Arc::clone(p), Externals::new(), options.clone()))
+        .zip(bare_endpoints(&fixture.roles()))
+        .collect()
+}
+
+/// Steps every compiled endpoint of one session cooperatively, unobserved.
+fn run_compiled_session(fixture: &Fixture, options: &ExecOptions) -> usize {
     drive_session(
-        &roles,
-        |role| {
-            let (_, program) = programs
-                .iter()
-                .find(|(r, _)| r == role)
-                .expect("every role has a program");
-            CompiledEndpointTask::new(Arc::clone(program), Externals::new(), options.clone())
-        },
+        compiled_tasks(fixture, options),
         |task, transport| task.step_mem_quiet(transport),
         CompiledEndpointTask::is_done,
         CompiledEndpointTask::mark_stalled,
     )
 }
 
-/// The same cooperative schedule over compiled tasks with a live
-/// [`CompiledMonitor`] observing every action (trace recording off) — the
-/// per-session slab configuration the batch executor replaces, used as the
-/// `batch_step` baseline.
-fn run_monitored_session(
-    programs: &[(Role, Arc<EndpointProgram>)],
-    system: &Arc<CompiledSystem>,
-    options: &ExecOptions,
-) -> usize {
-    let roles: Vec<Role> = programs.iter().map(|(r, _)| r.clone()).collect();
-    let mut monitor = CompiledMonitor::new(Arc::clone(system));
+/// The same schedule with a live [`CompiledMonitor`] observing every action
+/// (trace recording off): the per-session slab configuration.
+fn run_monitored_session(fixture: &Fixture, options: &ExecOptions) -> usize {
+    let mut monitor = CompiledMonitor::new(Arc::clone(&fixture.system));
     monitor.set_record_trace(false);
     drive_session(
-        &roles,
-        |role| {
-            let (_, program) = programs
-                .iter()
-                .find(|(r, _)| r == role)
-                .expect("every role has a program");
-            CompiledEndpointTask::new(Arc::clone(program), Externals::new(), options.clone())
-        },
+        compiled_tasks(fixture, options),
         |task, transport| {
             task.step_mem(transport, &mut |va, interned| match interned {
                 Some(interned) => {
@@ -370,1151 +493,539 @@ fn run_monitored_session(
     )
 }
 
-/// The cooperative tree-walking schedule over caller-supplied transports —
-/// the `fault_overhead` family uses it to drive the *same* session once on
-/// bare in-memory endpoints and once with every endpoint wrapped in an
-/// empty-plan [`FaultyTransport`], so the two sides differ in nothing but
-/// the wrapper.
-fn run_tree_session_over<T: Transport>(
-    procs: &[(Role, Proc)],
-    endpoints: Vec<(Role, T)>,
+/// The same schedule over tree-walking tasks on caller-supplied transports
+/// (bare, or wrapped for `fault_overhead`).
+fn run_tree_session<T: Transport>(
+    fixture: &Fixture,
+    transports: Vec<T>,
     options: &ExecOptions,
 ) -> usize {
-    let mut tasks: Vec<(EndpointTask, T)> = endpoints
-        .into_iter()
-        .map(|(role, transport)| {
-            let (_, proc) = procs
-                .iter()
-                .find(|(r, _)| *r == role)
-                .expect("every role has a process");
-            (
-                EndpointTask::new(proc.clone(), role, Externals::new(), options.clone()),
-                transport,
+    let tasks = fixture
+        .procs
+        .iter()
+        .map(|(role, proc)| {
+            EndpointTask::new(
+                proc.clone(),
+                role.clone(),
+                Externals::new(),
+                options.clone(),
             )
         })
+        .zip(transports)
         .collect();
-    let mut actions = 0usize;
-    loop {
-        let mut progressed = false;
-        for (task, transport) in &mut tasks {
-            while let StepOutcome::Progress = task.step_quiet(transport) {
-                progressed = true;
-                actions += 1;
-            }
-        }
-        if tasks.iter().all(|(t, _)| t.is_done()) {
-            break;
-        }
-        if !progressed {
-            for (task, _) in &mut tasks {
-                task.mark_stalled();
-            }
-            break;
-        }
-    }
-    actions
-}
-
-/// The same cooperative schedule over tree-walking tasks.
-fn run_tree_session(procs: &[(Role, Proc)], options: &ExecOptions) -> usize {
-    let roles: Vec<Role> = procs.iter().map(|(r, _)| r.clone()).collect();
     drive_session(
-        &roles,
-        |role| {
-            let (_, proc) = procs
-                .iter()
-                .find(|(r, _)| r == role)
-                .expect("every role has a process");
-            EndpointTask::new(proc.clone(), role.clone(), Externals::new(), options.clone())
-        },
+        tasks,
         |task, transport| task.step_quiet(transport),
         EndpointTask::is_done,
         EndpointTask::mark_stalled,
     )
 }
 
-fn seed_baseline(table: &[(&str, u64)], case: &str) -> u64 {
-    table
-        .iter()
-        .find(|(name, _)| *name == case)
-        .map(|(_, ns)| *ns)
-        .unwrap_or(0)
+/// Admits a full population and steps it to the end.
+fn run_batch(batch: &mut SessionBatch, width: usize) -> usize {
+    for token in 0..width {
+        assert!(batch.admit(token as u64), "batch sized for the width");
+    }
+    let out = batch.run_quantum(usize::MAX);
+    assert!(batch.is_empty(), "an unbounded quantum drains the batch");
+    out.actions
 }
 
-struct Options {
-    smoke: bool,
-    out: String,
-}
+// ---------------------------------------------------------------------
+// Families
+// ---------------------------------------------------------------------
 
-fn parse_args() -> Options {
-    let mut opts = Options {
-        smoke: false,
-        out: "BENCH_pr15.json".to_owned(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--out" => {
-                opts.out = args.next().expect("--out needs a path");
-            }
-            other => panic!("unknown argument `{other}` (expected --smoke or --out PATH)"),
+fn trace_equiv(mode: &Mode) -> Vec<Case> {
+    let mut cases = Vec::new();
+    for &n in sizes(mode) {
+        // Keep the exhaustive oracle tractable at size 128.
+        let depth = if n >= 128 { 6 } else { 8 };
+        for (case, g) in scaling_families(n) {
+            let stats = sample_pair(mode, |engine| {
+                let g = std::hint::black_box(&g);
+                let report = if engine {
+                    check_trace_equivalence(g, depth)
+                } else {
+                    check_trace_equivalence_exhaustive(g, depth)
+                };
+                assert!(report.unwrap().holds);
+            });
+            cases.push(Case::new(format!("{case}/depth{depth}"), stats));
         }
     }
-    opts
+    cases
 }
 
-fn main() {
-    let opts = parse_args();
-    let sizes: &[usize] = if opts.smoke { &SMOKE_SIZES } else { &SIZES };
-    // Smoke runs trade statistical stability for wall-clock: CI only checks
-    // the report's shape, not its numbers.
-    let (samples, budget_ms) = if opts.smoke { (5, 200) } else { (50, 2_000) };
-    let cfsm_cap = if opts.smoke { 2_000 } else { CFSM_MAX_CONFIGS };
-    let mut entries: Vec<Entry> = Vec::new();
-
-    for &n in sizes {
-        for (case, g) in families(n) {
-            let ns = median_ns(
-                || {
-                    std::hint::black_box(unravel_global(std::hint::black_box(&g)).unwrap());
-                },
-                samples,
-                budget_ms,
-            );
-            entries.push(Entry {
-                bench: "unravel",
-                case: case.clone(),
-                median_ns: ns,
-                baseline_ns: seed_baseline(&SEED_UNRAVEL_NS, &case),
-                baseline: "seed unravel_global (measured at seed commit)",
-            });
-
-            let ns = median_ns(
-                || {
-                    std::hint::black_box(project_all(std::hint::black_box(&g)).unwrap());
-                },
-                samples,
-                budget_ms,
-            );
-            entries.push(Entry {
-                bench: "projection",
-                case: case.clone(),
-                median_ns: ns,
-                baseline_ns: seed_baseline(&SEED_PROJECTION_NS, &case),
-                baseline: "seed project_all (measured at seed commit)",
-            });
-
-            // Keep the exhaustive baseline tractable at size 128.
-            let depth = if n >= 128 { 6 } else { 8 };
-            let ns = median_ns(
-                || {
-                    let report =
-                        check_trace_equivalence(std::hint::black_box(&g), depth).unwrap();
-                    assert!(report.holds);
-                },
-                if opts.smoke { 5 } else { 15 },
-                if opts.smoke { 300 } else { 5_000 },
-            );
-            let baseline_ns = median_ns(
-                || {
-                    let report =
-                        check_trace_equivalence_exhaustive(std::hint::black_box(&g), depth)
-                            .unwrap();
-                    assert!(report.holds);
-                },
-                if opts.smoke { 3 } else { 9 },
-                if opts.smoke { 500 } else { 8_000 },
-            );
-            entries.push(Entry {
-                bench: "trace_equiv",
-                case: format!("{case}/depth{depth}"),
-                median_ns: ns,
-                baseline_ns,
-                baseline: "set-based checker (check_trace_equivalence_exhaustive, same run)",
-            });
-
-            // CFSM exploration: interned engine vs the retained
-            // explicit-state oracle, over the same configuration budget.
-            // The engine compiles once (its intended amortised usage); the
-            // timed loop measures exploration only.
-            let system = System::from_global(&g).expect("bench families are projectable");
-            let compiled = system.compile();
-            let fast_probe = compiled.explore(CFSM_BOUND, cfsm_cap);
-            let slow_probe = system.explore_exhaustive(CFSM_BOUND, cfsm_cap);
+/// The concurrent families are exponential in protocol size, so this
+/// measures time to visit a fixed budget, not time to exhaustion. The
+/// engine compiles once (its intended amortised use); the timed loop is
+/// exploration only.
+fn cfsm_explore(mode: &Mode) -> Vec<Case> {
+    let cap = mode.pick(10_000, 2_000);
+    let mut cases = Vec::new();
+    for &n in sizes(mode) {
+        for (case, g) in scaling_families(n) {
+            let (system, compiled) = compile(&g);
+            let fast = compiled.explore(CFSM_BOUND, cap);
+            let slow = system.explore_exhaustive(CFSM_BOUND, cap);
             assert_eq!(
-                fast_probe.configurations, slow_probe.configurations,
+                fast.configurations, slow.configurations,
                 "{case}: engines must visit the same configurations"
             );
-            assert_eq!(fast_probe.verdict(), slow_probe.verdict(), "{case}");
-            let ns = median_ns(
-                || {
-                    let outcome =
-                        std::hint::black_box(&compiled).explore(CFSM_BOUND, cfsm_cap);
-                    std::hint::black_box(outcome.configurations);
-                },
-                if opts.smoke { 5 } else { 15 },
-                if opts.smoke { 300 } else { 5_000 },
-            );
-            let baseline_ns = median_ns(
-                || {
-                    let outcome = std::hint::black_box(&system)
-                        .explore_exhaustive(CFSM_BOUND, cfsm_cap);
-                    std::hint::black_box(outcome.configurations);
-                },
-                if opts.smoke { 3 } else { 9 },
-                if opts.smoke { 500 } else { 8_000 },
-            );
-            entries.push(Entry {
-                bench: "cfsm_explore",
-                case: format!("{case}/bound{CFSM_BOUND}/cap{cfsm_cap}"),
-                median_ns: ns,
-                baseline_ns,
-                baseline: "explicit-state explorer (System::explore_exhaustive, same run)",
+            assert_eq!(fast.verdict(), slow.verdict(), "{case}");
+            let stats = sample_pair(mode, |engine| {
+                let outcome = if engine {
+                    std::hint::black_box(&compiled).explore(CFSM_BOUND, cap)
+                } else {
+                    std::hint::black_box(&system).explore_exhaustive(CFSM_BOUND, cap)
+                };
+                std::hint::black_box(outcome.configurations);
             });
+            cases.push(Case::new(
+                format!("{case}/bound{CFSM_BOUND}/cap{cap}"),
+                stats,
+            ));
         }
     }
+    cases
+}
 
-    // ------------------------------------------------------------------
-    // cfsm_explore_por: the ample-set partial-order reduction vs the full
-    // interned engine, same bound, same configuration budget, same verdict.
-    // The concurrent families are where interleavings explode; ring is the
-    // sequential control.
-    // ------------------------------------------------------------------
-    let por_cases: Vec<(String, GlobalType, usize)> = if opts.smoke {
+/// The concurrent families are where interleavings explode; ring is the
+/// sequential control.
+fn cfsm_explore_por(mode: &Mode) -> Vec<Case> {
+    let protocols: Vec<(&str, GlobalType, usize)> = mode.pick(
         vec![
-            ("ring/8".into(), generators::ring_n(8), 20_000),
-            ("fanout/8".into(), generators::fanout_n(8), 20_000),
-        ]
-    } else {
+            ("ring/32", generators::ring_n(32), 50_000),
+            ("chain/8", generators::chain_n(8), 200_000),
+            ("fanout/8", generators::fanout_n(8), 50_000),
+            ("fanout/10", generators::fanout_n(10), 200_000),
+        ],
         vec![
-            ("ring/32".into(), generators::ring_n(32), 50_000),
-            ("chain/8".into(), generators::chain_n(8), 200_000),
-            ("fanout/8".into(), generators::fanout_n(8), 50_000),
-            ("fanout/10".into(), generators::fanout_n(10), 200_000),
-        ]
-    };
-    for (case, g, cap) in &por_cases {
-        let system = System::from_global(g).expect("bench families are projectable");
-        let compiled = system.compile();
-        let full_probe = compiled.explore(CFSM_BOUND, *cap);
-        let por_probe = compiled.explore_por(CFSM_BOUND, *cap);
+            ("ring/8", generators::ring_n(8), 20_000),
+            ("fanout/8", generators::fanout_n(8), 20_000),
+        ],
+    );
+    let mut cases = Vec::new();
+    for (case, g, cap) in protocols {
+        let compiled = compile(&g).1;
+        let full = compiled.explore(CFSM_BOUND, cap);
+        let reduced = compiled.explore_por(CFSM_BOUND, cap);
         assert!(
-            !full_probe.truncated && !por_probe.truncated,
+            !full.truncated && !reduced.truncated,
             "{case}: POR cases are sized to complete within the budget"
         );
         assert_eq!(
-            full_probe.verdict(),
-            por_probe.verdict(),
+            full.verdict(),
+            reduced.verdict(),
             "{case}: reduction must preserve the verdict"
         );
-        let ns = median_ns(
-            || {
-                let outcome = std::hint::black_box(&compiled).explore_por(CFSM_BOUND, *cap);
-                std::hint::black_box(outcome.configurations);
-            },
-            if opts.smoke { 5 } else { 15 },
-            if opts.smoke { 300 } else { 5_000 },
-        );
-        let baseline_ns = median_ns(
-            || {
-                let outcome = std::hint::black_box(&compiled).explore(CFSM_BOUND, *cap);
-                std::hint::black_box(outcome.configurations);
-            },
-            if opts.smoke { 3 } else { 9 },
-            if opts.smoke { 500 } else { 8_000 },
-        );
-        entries.push(Entry {
-            bench: "cfsm_explore_por",
-            case: format!(
-                "{case}/bound{CFSM_BOUND}/cap{cap}/residual{}of{}",
-                por_probe.configurations, full_probe.configurations
-            ),
-            median_ns: ns,
-            baseline_ns,
-            baseline: "full interned engine (System::explore, same bound/cap/verdict, same run)",
+        let stats = sample_pair(mode, |engine| {
+            let compiled = std::hint::black_box(&compiled);
+            let outcome = if engine {
+                compiled.explore_por(CFSM_BOUND, cap)
+            } else {
+                compiled.explore(CFSM_BOUND, cap)
+            };
+            std::hint::black_box(outcome.configurations);
         });
+        cases.push(Case::new(
+            format!(
+                "{case}/bound{CFSM_BOUND}/cap{cap}/residual{}of{}",
+                reduced.configurations, full.configurations
+            ),
+            stats,
+        ));
     }
+    cases
+}
 
-    // ------------------------------------------------------------------
-    // cfsm_explore_par: the work-stealing frontier at 1/2/4 threads on the
-    // largest residual state space, baselined against its own 1-thread
-    // run. The smoke run keeps threads=2 in the loop so CI exercises the
-    // termination protocol and cross-thread determinism every time.
-    // ------------------------------------------------------------------
-    let (par_case, par_g, par_cap): (&str, GlobalType, usize) = if opts.smoke {
-        ("fanout/8", generators::fanout_n(8), 20_000)
-    } else {
-        ("fanout/14", generators::fanout_n(14), 200_000)
-    };
-    let par_threads: &[usize] = if opts.smoke { &[1, 2] } else { &[1, 2, 4] };
-    {
-        let system = System::from_global(&par_g).expect("bench families are projectable");
-        let compiled = system.compile();
-        let por_probe = compiled.explore_por(CFSM_BOUND, par_cap);
-        let mut thread1_ns = 0u64;
-        for &threads in par_threads {
-            let probe = compiled.explore_parallel(CFSM_BOUND, par_cap, threads);
-            assert_eq!(probe.verdict(), por_probe.verdict(), "{par_case}/t{threads}");
+/// The largest residual (post-reduction) state space. The smoke run keeps
+/// 2 threads in the loop so CI exercises the termination protocol and
+/// cross-thread determinism every time.
+fn cfsm_explore_par(mode: &Mode) -> Vec<Case> {
+    let (case, g, cap) = mode.pick(
+        ("fanout/14", generators::fanout_n(14), 200_000),
+        ("fanout/8", generators::fanout_n(8), 20_000),
+    );
+    let compiled = compile(&g).1;
+    let reduced = compiled.explore_por(CFSM_BOUND, cap);
+    let mut cases = Vec::new();
+    for &threads in mode.pick(&[2usize, 4][..], &[2][..]) {
+        for t in [1, threads] {
+            let probe = compiled.explore_parallel(CFSM_BOUND, cap, t);
+            assert_eq!(probe.verdict(), reduced.verdict(), "{case}/t{t}");
             assert_eq!(
-                probe.configurations, por_probe.configurations,
-                "{par_case}/t{threads}: parallel frontier must cover the reduced space"
+                probe.configurations, reduced.configurations,
+                "{case}/t{t}: the parallel frontier must cover the reduced space"
             );
-            let ns = median_ns(
-                || {
-                    let outcome = std::hint::black_box(&compiled)
-                        .explore_parallel(CFSM_BOUND, par_cap, threads);
-                    std::hint::black_box(outcome.configurations);
-                },
-                if opts.smoke { 3 } else { 7 },
-                if opts.smoke { 500 } else { 8_000 },
-            );
-            if threads == 1 {
-                thread1_ns = ns;
-            }
-            entries.push(Entry {
-                bench: "cfsm_explore_par",
-                case: format!(
-                    "{par_case}/threads{threads}/cap{par_cap}/residual{}",
-                    por_probe.configurations
-                ),
-                median_ns: ns,
-                baseline_ns: thread1_ns,
-                baseline: "explore_parallel at 1 thread (same workload, same run)",
-            });
         }
+        let stats = sample_pair(mode, |engine| {
+            let t = if engine { threads } else { 1 };
+            let outcome = std::hint::black_box(&compiled).explore_parallel(CFSM_BOUND, cap, t);
+            std::hint::black_box(outcome.configurations);
+        });
+        cases.push(Case::new(
+            format!(
+                "{case}/threads{threads}/cap{cap}/residual{}",
+                reduced.configurations
+            ),
+            stats,
+        ));
     }
+    cases
+}
 
-    // ------------------------------------------------------------------
-    // endpoint_step: per-visible-action cost of the compiled endpoint
-    // executor vs the tree-walking oracle, on looping sessions stepped
-    // cooperatively on one thread to a fixed per-endpoint budget. Trace
-    // recording is off on both sides (the throughput configuration) so the
-    // family measures stepping, not Vec pushes.
-    // ------------------------------------------------------------------
-    let endpoint_cases: Vec<(String, GlobalType, usize)> = if opts.smoke {
+/// Looping sessions stepped cooperatively on one thread to a fixed
+/// per-endpoint budget, unobserved on both sides, so the family measures
+/// stepping itself (`monitor_action` prices the monitor).
+fn endpoint_step(mode: &Mode) -> Vec<Case> {
+    let steps = mode.pick(2_048, 256);
+    let protocols: Vec<(&str, GlobalType)> = mode.pick(
         vec![
-            ("chain/2".into(), generators::chain_n(2), 256),
-            ("fanout/4".into(), fanout_loop(4), 256),
-        ]
-    } else {
+            ("chain/2", generators::chain_n(2)),
+            ("chain/8", generators::chain_n(8)),
+            ("fanout/4", fanout_loop(4)),
+            ("fanout/16", fanout_loop(16)),
+        ],
         vec![
-            ("chain/2".into(), generators::chain_n(2), 2_048),
-            ("chain/8".into(), generators::chain_n(8), 2_048),
-            ("fanout/4".into(), fanout_loop(4), 2_048),
-            ("fanout/16".into(), fanout_loop(16), 2_048),
-        ]
-    };
-    for (case, g, steps) in &endpoint_cases {
-        let procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        let externals = Externals::new();
-        let programs: Vec<(Role, Arc<EndpointProgram>)> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled = CompiledProc::compile(proc, role, &externals)
-                    .expect("skeletons compile");
-                (role.clone(), Arc::new(EndpointProgram::new(Arc::new(compiled))))
-            })
-            .collect();
-        let options = ExecOptions::with_max_steps(*steps).record_actions(false);
-
-        let compiled_actions = run_compiled_session(&programs, &options);
-        let tree_actions = run_tree_session(&procs, &options);
+            ("chain/2", generators::chain_n(2)),
+            ("fanout/4", fanout_loop(4)),
+        ],
+    );
+    let mut cases = Vec::new();
+    for (case, g) in protocols {
+        let fixture = Fixture::new(&g);
+        let roles = fixture.roles();
+        let options = quiet(Some(steps));
+        let actions = run_compiled_session(&fixture, &options);
+        assert!(actions > 0, "{case}: the session made no progress");
         assert_eq!(
-            compiled_actions, tree_actions,
+            actions,
+            run_tree_session(&fixture, bare_endpoints(&roles), &options),
             "{case}: engines must perform the same number of visible actions"
         );
-        assert!(
-            compiled_actions > 0,
-            "{case}: the session made no progress under the cooperative schedule"
-        );
-
-        let ns = median_ns(
-            || {
-                std::hint::black_box(run_compiled_session(&programs, &options));
-            },
-            if opts.smoke { 5 } else { 15 },
-            if opts.smoke { 300 } else { 5_000 },
-        );
-        let baseline_ns = median_ns(
-            || {
-                std::hint::black_box(run_tree_session(&procs, &options));
-            },
-            if opts.smoke { 3 } else { 9 },
-            if opts.smoke { 500 } else { 8_000 },
-        );
-        entries.push(Entry {
-            bench: "endpoint_step",
-            case: format!("{case}/steps{steps}/actions{compiled_actions}/peraction"),
-            median_ns: (ns / compiled_actions as u64).max(1),
-            baseline_ns: (baseline_ns / tree_actions as u64).max(1),
-            baseline: "tree-walking EndpointTask (same session, same schedule, same run)",
+        let stats = sample_pair(mode, |engine| {
+            std::hint::black_box(if engine {
+                run_compiled_session(&fixture, &options)
+            } else {
+                run_tree_session(&fixture, bare_endpoints(&roles), &options)
+            });
         });
+        cases.push(Case::new(
+            format!("{case}/steps{steps}/actions{actions}/peraction"),
+            (stats.0.per(actions), stats.1.per(actions)),
+        ));
     }
+    cases
+}
 
-    // ------------------------------------------------------------------
-    // batch_step: per-visible-action cost of the columnar batch executor
-    // (cohort stepping over struct-of-arrays state, shared frame arena,
-    // zero-hash monitoring) vs the per-session compiled executor with a
-    // live monitor — the slab configuration it replaces — running the same
-    // population one session at a time. Fire-and-forget on both sides.
-    // The batch object is reused across iterations (slots recycle), which
-    // is the server's steady state; the slab rebuilds each session, which
-    // is the slab's steady state.
-    // ------------------------------------------------------------------
-    let batch_cases: Vec<(String, GlobalType, Option<usize>, usize)> = if opts.smoke {
+/// `(label, protocol, step bound, batch width)` for the two batch families:
+/// short sessions, where per-admission work amortises over only 8 actions,
+/// and long ones, the steady state a loaded shard runs in.
+fn batch_populations(mode: &Mode) -> Vec<(&'static str, GlobalType, Option<usize>, usize)> {
+    let long = mode.pick(256, 64);
+    mode.pick(
         vec![
-            ("ring/4".into(), generators::ring_n(4), None, 64),
-            ("fanout_loop/4".into(), fanout_loop(4), Some(64), 64),
-        ]
-    } else {
+            ("ring/4", generators::ring_n(4), None, 64),
+            ("ring/4", generators::ring_n(4), None, 256),
+            ("fanout_loop/4", fanout_loop(4), Some(long), 64),
+            ("fanout_loop/4", fanout_loop(4), Some(long), 256),
+        ],
         vec![
-            ("ring/4".into(), generators::ring_n(4), None, 64),
-            ("ring/4".into(), generators::ring_n(4), None, 256),
-            ("fanout_loop/4".into(), fanout_loop(4), Some(256), 64),
-            ("fanout_loop/4".into(), fanout_loop(4), Some(256), 256),
-        ]
-    };
-    for (case, g, max_steps, width) in &batch_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let system = Arc::new(
-            System::from_global(g)
-                .expect("bench families are projectable")
-                .compile(),
-        );
-        let externals = Externals::new();
-        let programs: Vec<(Role, Arc<EndpointProgram>)> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled =
-                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
-                (
-                    role.clone(),
-                    Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system)),
-                )
-            })
-            .collect();
-        let roles: Arc<[Role]> = procs
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let layout = BatchLayout::new(
-            roles,
-            programs.iter().map(|(_, p)| Arc::clone(p)).collect(),
-            Arc::clone(&system),
-        )
-        .expect("bench skeletons are batch-eligible");
-        let options = match max_steps {
-            Some(steps) => ExecOptions::with_max_steps(*steps),
-            None => ExecOptions::default(),
-        }
-        .record_actions(false);
+            ("ring/4", generators::ring_n(4), None, 64),
+            ("fanout_loop/4", fanout_loop(4), Some(long), 64),
+        ],
+    )
+}
 
-        // Probe once: both data planes must perform the same number of
-        // visible actions per session (looping cases end at the step limit
-        // and leave as stalled stragglers on both sides).
-        let slab_actions = run_monitored_session(&programs, &system, &options);
-        assert!(slab_actions > 0, "{case}: the session made no progress");
-        let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), *width);
-        for token in 0..*width {
-            assert!(batch.admit(token as u64), "batch sized for the width");
-        }
-        let probe = batch.run_quantum(usize::MAX);
-        assert!(batch.is_empty(), "an unbounded quantum drains the batch");
+/// The batch object is reused across samples (slots recycle), which is the
+/// server's steady state; the slab rebuilds each session, which is the
+/// slab's.
+fn batch_step(mode: &Mode) -> Vec<Case> {
+    let mut cases = Vec::new();
+    for (case, g, max_steps, width) in batch_populations(mode) {
+        let fixture = Fixture::new(&g);
+        let options = quiet(max_steps);
+        let mut batch = SessionBatch::new(fixture.layout(), options.clone(), width);
+        // Looping cases end at the step limit and leave as stalled
+        // stragglers on both sides.
+        let actions = run_batch(&mut batch, width);
         assert_eq!(
-            probe.actions,
-            slab_actions * width,
+            actions,
+            run_monitored_session(&fixture, &options) * width,
             "{case}: data planes must perform the same visible actions"
         );
-        let actions_total = probe.actions;
-
-        let ns = median_ns(
-            || {
-                for token in 0..*width {
-                    assert!(batch.admit(token as u64));
+        let stats = sample_pair(mode, |engine| {
+            if engine {
+                std::hint::black_box(run_batch(&mut batch, width));
+            } else {
+                for _ in 0..width {
+                    std::hint::black_box(run_monitored_session(&fixture, &options));
                 }
-                let out = batch.run_quantum(usize::MAX);
-                std::hint::black_box(out.actions);
-            },
-            if opts.smoke { 5 } else { 15 },
-            if opts.smoke { 300 } else { 5_000 },
-        );
-        let baseline_ns = median_ns(
-            || {
-                for _ in 0..*width {
-                    std::hint::black_box(run_monitored_session(&programs, &system, &options));
-                }
-            },
-            if opts.smoke { 3 } else { 9 },
-            if opts.smoke { 500 } else { 8_000 },
-        );
-        entries.push(Entry {
-            bench: "batch_step",
-            case: format!("{case}/w{width}/actions{actions_total}/peraction"),
-            median_ns: (ns / actions_total as u64).max(1),
-            baseline_ns: (baseline_ns / actions_total as u64).max(1),
-            baseline: "per-session CompiledEndpointTask + CompiledMonitor (same sessions, same run)",
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // obs_overhead: the columnar batch executor stepped exactly as the
-    // shard worker steps it *with* the observability plane attached —
-    // flight-recorder admission events, two clock reads per quantum into
-    // the per-action histogram, the cohort-width fold, and session
-    // wall-time recording per outcome — against the bare stepping loop
-    // (the `batch_step` configuration). The delta is the whole price of
-    // the recorder; it must stay within noise of the uninstrumented
-    // plane (CI asserts the ratio).
-    // ------------------------------------------------------------------
-    let obs_cases: Vec<(String, GlobalType, Option<usize>, usize)> = if opts.smoke {
-        vec![("ring/4".into(), generators::ring_n(4), None, 64)]
-    } else {
-        vec![
-            // Short sessions: per-admission bookkeeping amortises over only
-            // 8 actions — the recorder's worst case.
-            ("ring/4".into(), generators::ring_n(4), None, 64),
-            ("ring/4".into(), generators::ring_n(4), None, 256),
-            // Long sessions: the steady state the shard worker actually
-            // runs in, where the per-quantum clock reads dominate.
-            ("fanout_loop/4".into(), fanout_loop(4), Some(256), 64),
-        ]
-    };
-    for (case, g, max_steps, width) in &obs_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let system = Arc::new(
-            System::from_global(g)
-                .expect("bench families are projectable")
-                .compile(),
-        );
-        let externals = Externals::new();
-        let programs: Vec<Arc<EndpointProgram>> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled =
-                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
-                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
-            })
-            .collect();
-        let roles: Arc<[Role]> = procs
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let layout = BatchLayout::new(roles, programs, Arc::clone(&system))
-            .expect("bench skeletons are batch-eligible");
-        let options = match max_steps {
-            Some(steps) => ExecOptions::with_max_steps(*steps),
-            None => ExecOptions::default(),
-        }
-        .record_actions(false);
-
-        let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), *width);
-        let obs = ShardObs::new();
-        let mut admitted: FxHashMap<u64, Instant> = FxHashMap::default();
-        let probe_actions = {
-            for token in 0..*width {
-                assert!(batch.admit(token as u64), "batch sized for the width");
             }
-            let out = batch.run_quantum(usize::MAX);
-            assert!(batch.is_empty(), "an unbounded quantum drains the batch");
-            assert!(out.actions > 0, "{case}: the batch made no progress");
-            out.actions
-        };
+        });
+        cases.push(Case::new(
+            format!("{case}/w{width}/actions{actions}/peraction"),
+            (stats.0.per(actions), stats.1.per(actions)),
+        ));
+    }
+    cases
+}
 
-        let (ns, baseline_ns) = paired_median_ns(
-            |instrumented| {
-                if !instrumented {
-                    for token in 0..*width {
-                        assert!(batch.admit(token as u64));
-                    }
-                    let out = batch.run_quantum(usize::MAX);
-                    std::hint::black_box(out.actions);
-                    return;
+/// The batch stepped exactly as the shard worker steps it, instruments
+/// attached, vs the bare `batch_step` loop: the delta is the whole price of
+/// observing.
+fn obs_overhead(mode: &Mode) -> Vec<Case> {
+    let mut cases = Vec::new();
+    // The fourth population (long sessions, 256 wide) shows the recorder
+    // nothing the third does not.
+    for (case, g, max_steps, width) in batch_populations(mode).into_iter().take(3) {
+        let fixture = Fixture::new(&g);
+        let mut batch = SessionBatch::new(fixture.layout(), quiet(max_steps), width);
+        let actions = run_batch(&mut batch, width);
+        assert!(actions > 0, "{case}: the batch made no progress");
+        let instruments = ShardInstruments::default();
+        let mut admitted: FxHashMap<u64, Instant> = FxHashMap::default();
+        let stats = sample_pair(mode, |engine| {
+            if !engine {
+                std::hint::black_box(run_batch(&mut batch, width));
+                return;
+            }
+            // One clock read stamps the whole admission sweep, as the
+            // shard's inbox drain does.
+            let at = Instant::now();
+            for token in 0..width as u64 {
+                assert!(batch.admit(token));
+                admitted.insert(token, at);
+                instruments.recorder.record(FlightEvent::Admitted {
+                    session: token,
+                    batched: true,
+                });
+            }
+            let started = Instant::now();
+            let out = batch.run_quantum(usize::MAX);
+            let ended = Instant::now();
+            let ns_since = |t: Instant| {
+                u64::try_from(ended.saturating_duration_since(t).as_nanos()).unwrap_or(u64::MAX)
+            };
+            if out.actions > 0 {
+                instruments
+                    .action_cost_ns
+                    .record(ns_since(started) / out.actions as u64);
+            }
+            for (bucket, &n) in out.cohort_widths.iter().enumerate() {
+                instruments.cohort_width.add_count(bucket, n);
+            }
+            // Step-limited sessions leave the batch as demotions; the shard
+            // keeps their admission stamp until the slab concludes them,
+            // this loop stops at the batch boundary and stamps them here.
+            for demoted in &out.demoted {
+                instruments.recorder.record(FlightEvent::BatchDemoted {
+                    session: demoted.token,
+                });
+            }
+            let finished = out.finished.iter().map(|o| o.token);
+            for token in finished.chain(out.demoted.iter().map(|d| d.token)) {
+                if let Some(start) = admitted.remove(&token) {
+                    instruments.session_wall_ns.record(ns_since(start));
                 }
-                // One clock read stamps the whole admission sweep, exactly
-                // as the shard worker's inbox drain does.
-                let at = Instant::now();
-                for token in 0..*width {
-                    assert!(batch.admit(token as u64));
-                    admitted.insert(token as u64, at);
-                    obs.recorder.record(FlightEvent::Admitted {
-                        session: token as u64,
-                        batched: true,
-                    });
-                }
-                let started = Instant::now();
-                let out = batch.run_quantum(usize::MAX);
-                let ended = Instant::now();
-                if out.actions > 0 {
-                    let per = u64::try_from(
-                        ended.saturating_duration_since(started).as_nanos(),
-                    )
-                    .unwrap_or(u64::MAX)
-                        / out.actions as u64;
-                    obs.action_cost.record(per);
-                }
-                for (bucket, &n) in out.cohort_widths.iter().enumerate() {
-                    obs.cohort_width.add_count(bucket, n);
-                }
-                for outcome in &out.finished {
-                    if let Some(start) = admitted.remove(&outcome.token) {
-                        let wall =
-                            u64::try_from(ended.saturating_duration_since(start).as_nanos())
-                                .unwrap_or(u64::MAX);
-                        obs.session_wall.record(wall);
-                    }
-                }
-                // Step-limited sessions leave the batch as demotions; the
-                // shard worker records the event and keeps their admission
-                // stamp until the slab concludes them — the bench stops at
-                // the batch boundary, so stamp the wall time here too.
-                for demoted in &out.demoted {
-                    obs.recorder.record(FlightEvent::BatchDemoted {
-                        session: demoted.token,
-                    });
-                    if let Some(start) = admitted.remove(&demoted.token) {
-                        let wall =
-                            u64::try_from(ended.saturating_duration_since(start).as_nanos())
-                                .unwrap_or(u64::MAX);
-                        obs.session_wall.record(wall);
-                    }
-                }
-                std::hint::black_box(out.actions);
-            },
-            if opts.smoke { 31 } else { 101 },
-        );
+            }
+            std::hint::black_box(out.actions);
+        });
         assert!(
-            obs.session_wall.snapshot().count() > 0,
+            instruments.session_wall_ns.snapshot().count() > 0,
             "{case}: the instrumented runs recorded no session wall times"
         );
-        entries.push(Entry {
-            bench: "obs_overhead",
-            case: format!("{case}/w{width}/actions{probe_actions}/peraction"),
-            median_ns: (ns / probe_actions as u64).max(1),
-            baseline_ns: (baseline_ns / probe_actions as u64).max(1),
-            baseline: "identical batch stepping with the observability plane detached",
-        });
+        cases.push(Case::new(
+            format!("{case}/w{width}/actions{actions}/peraction"),
+            (stats.0.per(actions), stats.1.per(actions)),
+        ));
     }
+    cases
+}
 
-    // ------------------------------------------------------------------
-    // fault_overhead: the hostile-world wrapper tax. Every endpoint of a
-    // session runs behind a FaultyTransport carrying an *empty* fault
-    // plan — the bystander configuration the hostile campaign suite
-    // wraps honest endpoints in — against the identical cooperative
-    // schedule on the bare in-memory transport. With no specs the
-    // wrapper never consults its PRNG, so the delta is pure counted-op
-    // and tick-clock bookkeeping; it must stay within noise of the bare
-    // transport (CI asserts the ratio).
-    // ------------------------------------------------------------------
-    let fault_cases: Vec<(String, GlobalType, Option<usize>)> = if opts.smoke {
-        vec![("ring/4".into(), generators::ring_n(4), None)]
-    } else {
+/// Every endpoint behind a [`FaultyTransport`] carrying an *empty* plan —
+/// the bystander configuration of the hostile campaign. With no fault specs
+/// the wrapper never consults its PRNG, so the delta is the counted-op and
+/// tick-clock bookkeeping alone.
+fn fault_overhead(mode: &Mode) -> Vec<Case> {
+    let protocols: Vec<(&str, GlobalType, Option<usize>)> = mode.pick(
         vec![
-            // Short sessions: setup and teardown amortise over 8 actions —
+            // Short sessions: setup amortises over a handful of actions,
             // the wrapper's worst case.
-            ("ring/4".into(), generators::ring_n(4), None),
-            ("two_buyer".into(), generators::two_buyer(), None),
+            ("ring/4", generators::ring_n(4), None),
+            ("two_buyer", generators::two_buyer(), None),
             // Long sessions: steady-state per-operation cost dominates.
-            ("fanout_loop/4".into(), fanout_loop(4), Some(512)),
-        ]
-    };
-    for (case, g, max_steps) in &fault_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let roles: Vec<Role> = procs.iter().map(|(r, _)| r.clone()).collect();
-        let options = match max_steps {
-            Some(steps) => ExecOptions::with_max_steps(*steps),
-            None => ExecOptions::default(),
-        }
-        .record_actions(false);
-        let plan = FaultPlan::new(0xFA17);
-
-        let bare_endpoints = |roles: &[Role]| -> Vec<(Role, InMemoryTransport)> {
-            let mut network = InMemoryNetwork::new(roles.iter().cloned());
-            roles
-                .iter()
-                .map(|r| (r.clone(), network.take_endpoint(r).expect("unique roles")))
-                .collect()
-        };
-        let probe_actions = {
-            let actions = run_tree_session_over(&procs, bare_endpoints(&roles), &options);
-            assert!(actions > 0, "{case}: the probe session made no progress");
-            actions
-        };
-
-        let (ns, baseline_ns) = paired_median_ns(
-            |wrapped| {
-                if wrapped {
-                    let endpoints: Vec<(Role, FaultyTransport<InMemoryTransport>)> =
-                        bare_endpoints(&roles)
-                            .into_iter()
-                            .map(|(role, t)| (role, FaultyTransport::new(t, &plan)))
-                            .collect();
-                    std::hint::black_box(run_tree_session_over(&procs, endpoints, &options));
-                } else {
-                    std::hint::black_box(run_tree_session_over(
-                        &procs,
-                        bare_endpoints(&roles),
-                        &options,
-                    ));
-                }
-            },
-            if opts.smoke { 31 } else { 101 },
-        );
-        entries.push(Entry {
-            bench: "fault_overhead",
-            case: format!("{case}/actions{probe_actions}/peraction"),
-            median_ns: (ns / probe_actions as u64).max(1),
-            baseline_ns: (baseline_ns / probe_actions as u64).max(1),
-            baseline: "identical cooperative run on the bare in-memory transport",
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // server_throughput: a batch of concurrent sessions on the sharded
-    // server vs the thread-per-participant harness.
-    // ------------------------------------------------------------------
-    let sessions: usize = if opts.smoke { 500 } else { 10_000 };
-    let protocol = Protocol::new("ring", generators::ring_n(4)).expect("well-formed");
-    let endpoints = skeleton_endpoints(&protocol).expect("synthesizable");
-    // The endpoint list is shared across submissions (an `Arc` slice), the
-    // intended way to start many sessions of one implementation.
-    let shared: Arc<[_]> = endpoints.clone().into();
-
-    // Baseline: the harness spawns 4 OS threads per session, so it is
-    // measured on a smaller batch and scaled per-session.
-    let harness_sessions = sessions.min(if opts.smoke { 50 } else { 512 });
-    let harness_ns = median_ns(
-        || {
-            for _ in 0..harness_sessions {
-                let mut harness = SessionHarness::new(protocol.clone());
-                for (cert, ext) in endpoints.clone() {
-                    harness.add_endpoint(cert, ext).expect("unique role");
-                }
-                let report = harness.run().expect("session runs");
-                assert!(report.all_finished_and_compliant());
-            }
-        },
-        if opts.smoke { 2 } else { 3 },
-        if opts.smoke { 2_000 } else { 20_000 },
+            ("fanout_loop/4", fanout_loop(4), Some(512)),
+        ],
+        vec![("ring/4", generators::ring_n(4), None)],
     );
-    let harness_batch_ns =
-        (harness_ns as f64 * sessions as f64 / harness_sessions as f64) as u64;
-
-    // (shards, record per-endpoint traces?): the `notrace` case is the
-    // fire-and-forget configuration — monitor verdicts only.
-    let mut inmem4_ns = harness_batch_ns;
-    for (shards, record) in [(1usize, true), (4, true), (4, false)] {
-        let ns = median_ns(
-            || {
-                let mut registry = ProtocolRegistry::new();
-                let id = registry.register(protocol.clone()).expect("registrable");
-                let mut server =
-                    SessionServer::start(registry, ServerConfig::with_shards(shards));
-                for _ in 0..sessions {
-                    let mut spec = SessionSpec::new(id, Arc::clone(&shared));
-                    spec.options.record_actions = record;
-                    server.submit(spec).expect("submits");
-                }
-                let outcomes = server.drain();
-                assert_eq!(outcomes.len(), sessions);
-                if record {
-                    assert!(outcomes.iter().all(|o| o.all_finished_and_compliant()));
-                } else {
-                    assert!(outcomes.iter().all(|o| o.compliant && o.complete));
-                }
-                let report = server.shutdown();
-                assert_eq!(report.sessions_completed() as u64, sessions as u64);
-            },
-            if opts.smoke { 2 } else { 3 },
-            if opts.smoke { 2_000 } else { 20_000 },
-        );
-        if shards == 4 && record {
-            inmem4_ns = ns;
-        }
-        entries.push(Entry {
-            bench: "server_throughput",
-            case: format!(
-                "ring4/s{sessions}/shards{shards}{}",
-                if record { "" } else { "/notrace" }
-            ),
-            median_ns: ns,
-            baseline_ns: harness_batch_ns,
-            baseline: "SessionHarness thread-per-endpoint (smaller batch, scaled per-session)",
+    let plan = FaultPlan::new(0xFA17);
+    let mut cases = Vec::new();
+    for (case, g, max_steps) in protocols {
+        let fixture = Fixture::new(&g);
+        let roles = fixture.roles();
+        let options = quiet(max_steps);
+        let actions = run_tree_session(&fixture, bare_endpoints(&roles), &options);
+        assert!(actions > 0, "{case}: the probe session made no progress");
+        let stats = sample_pair(mode, |engine| {
+            let bare = bare_endpoints(&roles);
+            std::hint::black_box(if engine {
+                let wrapped = bare
+                    .into_iter()
+                    .map(|t| FaultyTransport::new(t, &plan))
+                    .collect();
+                run_tree_session(&fixture, wrapped, &options)
+            } else {
+                run_tree_session(&fixture, bare, &options)
+            });
         });
+        cases.push(Case::new(
+            format!("{case}/actions{actions}/peraction"),
+            (stats.0.per(actions), stats.1.per(actions)),
+        ));
     }
+    cases
+}
 
-    // ------------------------------------------------------------------
-    // server_throughput_tcp: the same session batch served over real
-    // loopback sockets by the event-driven NetServer. Client threads each
-    // own one multiplexed connection, window their opens (so the
-    // per-connection in-flight cap never trips) and await every Done
-    // frame. The baseline is the in-memory 4-shard figure from this same
-    // run, so the reported speedup is exactly the cost of the wire.
-    // ------------------------------------------------------------------
-    let conns: usize = if opts.smoke { 2 } else { 8 };
-    let tcp_sessions = (sessions / conns) * conns;
-    let per_conn = tcp_sessions / conns;
-    const OPEN_WINDOW: usize = 256;
-    let ns = median_ns(
-        || {
-            let mut registry = ProtocolRegistry::new();
-            let id = registry.register(protocol.clone()).expect("registrable");
-            let service = Service {
-                protocol: id,
-                endpoints: Arc::clone(&shared),
-                options: ExecOptions::default(),
-            };
-            let config = NetServerConfig {
-                server: ServerConfig::with_shards(4),
-                ..NetServerConfig::default()
-            };
-            let net = NetServer::start(registry, [service], config).expect("binds loopback");
-            let addr = net.local_addr();
-            let clients: Vec<_> = (0..conns)
-                .map(|_| {
-                    std::thread::spawn(move || {
-                        let mut client = NetClient::connect(addr).expect("connects");
-                        let mut to_open = per_conn;
-                        let mut inflight = 0usize;
-                        let mut done = 0usize;
-                        while done < per_conn {
-                            while to_open > 0 && inflight < OPEN_WINDOW {
-                                client.open("ring").expect("opens");
-                                to_open -= 1;
-                                inflight += 1;
-                            }
-                            match client
-                                .poll_event(std::time::Duration::from_secs(30))
-                                .expect("server stays up")
-                            {
-                                Some(MuxFrame::Accepted { .. }) => {}
-                                Some(MuxFrame::Done {
-                                    compliant, complete, ..
-                                }) => {
-                                    assert!(compliant && complete, "session misbehaved");
-                                    inflight -= 1;
-                                    done += 1;
-                                }
-                                Some(other) => panic!("unexpected frame {other:?}"),
-                                None => panic!("server went silent"),
-                            }
-                        }
-                    })
-                })
+/// Compliant traces. The ring trace is sequential — the global prefix never
+/// holds more than one pending message, the replay monitor's best case; the
+/// fanout trace delays every receive behind all the sends, so the prefix
+/// grows to `n` in-flight messages and the replay cost with it, while the
+/// compiled monitor stays flat.
+fn monitor_action(mode: &Mode) -> Vec<Case> {
+    let send = |from: String, to: String, label: &str, sort: Sort| {
+        Action::send(Role::new(from), Role::new(to), Label::new(label), sort)
+    };
+    let shapes: &[(&str, usize)] = mode.pick(
+        &[
+            ("ring", 4),
+            ("ring", 16),
+            ("ring", 64),
+            ("fanout", 16),
+            ("fanout", 64),
+        ][..],
+        &[("ring", 4), ("fanout", 8)][..],
+    );
+    let mut cases = Vec::new();
+    for &(family, n) in shapes {
+        let (g, trace): (GlobalType, Vec<Action>) = if family == "ring" {
+            let sends =
+                (0..n).map(|i| send(format!("w{i}"), format!("w{}", (i + 1) % n), "l", Sort::Nat));
+            (
+                generators::ring_n(n),
+                sends.flat_map(|s| [s.clone(), s.dual()]).collect(),
+            )
+        } else {
+            let tasks: Vec<Action> = (0..n)
+                .map(|i| send("hub".into(), format!("w{i}"), "task", Sort::Nat))
                 .collect();
-            for client in clients {
-                client.join().expect("client thread");
-            }
-            let report = net.shutdown();
-            assert_eq!(report.net.sessions_done as usize, tcp_sessions);
-            assert_eq!(report.net.bad_frames, 0);
-        },
-        if opts.smoke { 2 } else { 3 },
-        if opts.smoke { 2_000 } else { 20_000 },
-    );
-    entries.push(Entry {
-        bench: "server_throughput_tcp",
-        case: format!("ring4/s{tcp_sessions}/conns{conns}/shards4"),
-        median_ns: ns,
-        baseline_ns: inmem4_ns,
-        baseline: "in-memory SessionServer, same batch (4 shards, traced, same run)",
-    });
-
-    // ------------------------------------------------------------------
-    // monitor_action: per-action cost of the compiled monitor vs the
-    // global-LTS replay monitor, on compliant traces. The ring trace is
-    // sequential (the global prefix never holds more than one pending
-    // message — the replay monitor's best case); the fanout trace delays
-    // every receive behind all the sends, so the prefix grows to n
-    // in-flight messages and the replay cost grows with it, while the
-    // compiled monitor stays flat.
-    // ------------------------------------------------------------------
-    let monitor_cases: &[(&str, usize)] = if opts.smoke {
-        &[("ring", 4), ("fanout", 8)]
-    } else {
-        &[("ring", 4), ("ring", 16), ("ring", 64), ("fanout", 16), ("fanout", 64)]
-    };
-    for &(family, n) in monitor_cases {
-        let (g, trace) = match family {
-            "ring" => {
-                let mut trace = Vec::with_capacity(2 * n);
-                for i in 0..n {
-                    let from = Role::new(format!("w{i}"));
-                    let to = Role::new(format!("w{}", (i + 1) % n));
-                    let send = Action::send(from, to, Label::new("l"), Sort::Nat);
-                    trace.push(send.clone());
-                    trace.push(send.dual());
-                }
-                (generators::ring_n(n), trace)
-            }
-            "fanout" => {
-                let hub = Role::new("hub");
-                let tasks: Vec<Action> = (0..n)
-                    .map(|i| {
-                        Action::send(
-                            hub.clone(),
-                            Role::new(format!("w{i}")),
-                            Label::new("task"),
-                            Sort::Nat,
-                        )
-                    })
-                    .collect();
-                let acks: Vec<Action> = (0..n)
-                    .map(|i| {
-                        Action::send(
-                            Role::new(format!("w{i}")),
-                            hub.clone(),
-                            Label::new("ack"),
-                            Sort::Unit,
-                        )
-                    })
-                    .collect();
-                let mut trace = Vec::with_capacity(4 * n);
-                trace.extend(tasks.iter().cloned());
-                trace.extend(tasks.iter().map(Action::dual));
-                trace.extend(acks.iter().cloned());
-                trace.extend(acks.iter().map(Action::dual));
-                (generators::fanout_n(n), trace)
-            }
-            other => unreachable!("unknown monitor family {other}"),
+            let acks: Vec<Action> = (0..n)
+                .map(|i| send(format!("w{i}"), "hub".into(), "ack", Sort::Unit))
+                .collect();
+            let trace = tasks
+                .iter()
+                .cloned()
+                .chain(tasks.iter().map(Action::dual))
+                .chain(acks.iter().cloned())
+                .chain(acks.iter().map(Action::dual));
+            (generators::fanout_n(n), trace.collect())
         };
-        let compiled_template = CompiledMonitor::for_global(&g).expect("projectable");
-        let reference_template = TraceMonitor::new(&g).expect("well-formed");
-        let actions = trace.len() as u64;
-        let ns = median_ns(
-            || {
-                let mut monitor = compiled_template.clone();
-                for action in &trace {
-                    assert!(monitor.observe(action));
-                }
+        let compiled = CompiledMonitor::for_global(&g).expect("projectable");
+        let reference = TraceMonitor::new(&g).expect("well-formed");
+        let stats = sample_pair(mode, |engine| {
+            if engine {
+                let mut monitor = compiled.clone();
+                assert!(trace.iter().all(|action| monitor.observe(action)));
                 assert!(monitor.is_complete());
-            },
-            if opts.smoke { 5 } else { 25 },
-            if opts.smoke { 300 } else { 3_000 },
-        );
-        let baseline_ns = median_ns(
-            || {
-                let mut monitor = reference_template.clone();
-                for action in &trace {
-                    assert!(monitor.observe(action));
-                }
+            } else {
+                let mut monitor = reference.clone();
+                assert!(trace.iter().all(|action| monitor.observe(action)));
                 assert!(monitor.is_complete());
-            },
-            if opts.smoke { 5 } else { 25 },
-            if opts.smoke { 300 } else { 3_000 },
-        );
-        entries.push(Entry {
-            bench: "monitor_action",
-            case: format!("{family}/{n}/peraction"),
-            median_ns: (ns / actions).max(1),
-            baseline_ns: (baseline_ns / actions).max(1),
-            baseline: "TraceMonitor global-LTS replay (same trace, same run)",
+            }
         });
+        cases.push(Case::new(
+            format!("{family}/{n}/peraction"),
+            (stats.0.per(trace.len()), stats.1.per(trace.len())),
+        ));
     }
+    cases
+}
 
-    // ------------------------------------------------------------------
-    // checkpoint_restore: latency of bringing one mid-flight session back
-    // through the durability plane — decode the checkpoint blob and
-    // re-certify it against the compiled tables (`SessionCheckpoint::decode`
-    // + `into_demoted`) — vs recovery by replay: re-executing the session
-    // from its initial state to the same quantum boundary, which is what a
-    // server without checkpoints would have to do.
-    // ------------------------------------------------------------------
-    // Two regimes: a shallow kill point (restore pays the codec without
-    // much replay to beat) and a deep one (replay cost grows with history,
-    // the checkpoint stays near-constant — the durability win).
-    let ckpt_cases: Vec<(String, GlobalType, Option<usize>, usize)> = vec![
-        ("ring/8".into(), generators::ring_n(8), None, 4),
-        ("fanout_loop/4".into(), fanout_loop(4), Some(256), 200),
+/// Bringing one mid-flight session back: decode the checkpoint and
+/// re-certify it against the compiled tables, vs what a server without
+/// checkpoints would do — re-run the session from its start to the same
+/// quantum. A shallow kill point (restore pays the codec with little replay
+/// to beat) and a deep one (replay grows with history).
+fn checkpoint_restore(mode: &Mode) -> Vec<Case> {
+    let protocols: [(&str, GlobalType, Option<usize>, usize); 2] = [
+        ("ring/8", generators::ring_n(8), None, 4),
+        ("fanout_loop/4", fanout_loop(4), Some(256), 200),
     ];
-    for (case, g, max_steps, kill_after) in &ckpt_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let system = Arc::new(
-            System::from_global(g)
-                .expect("bench families are projectable")
-                .compile(),
-        );
-        let externals = Externals::new();
-        let programs: Vec<Arc<EndpointProgram>> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled =
-                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
-                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
-            })
-            .collect();
-        let roles: Arc<[Role]> = procs
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let layout = BatchLayout::new(roles, programs.clone(), Arc::clone(&system))
-            .expect("bench skeletons are batch-eligible");
-        let options = match max_steps {
-            Some(steps) => ExecOptions::with_max_steps(*steps),
-            None => ExecOptions::default(),
+    let mut cases = Vec::new();
+    for (case, g, max_steps, kill_after) in protocols {
+        let fixture = Fixture::new(&g);
+        let programs = fixture.program_list();
+        let layout = fixture.layout();
+        let options = max_steps.map_or_else(ExecOptions::default, ExecOptions::with_max_steps);
+        // One session interrupted after `kill_after` budget-1 quanta.
+        let interrupted = || {
+            let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 1);
+            assert!(batch.admit(0));
+            for _ in 0..kill_after {
+                let out = batch.run_quantum(1);
+                assert!(
+                    out.finished.is_empty() && out.demoted.is_empty(),
+                    "{case}: the kill point must be mid-flight"
+                );
+            }
+            batch.demote_now(0).expect("session still live")
         };
-        // The mid-flight state under test: one session interrupted after
-        // `kill_after` budget-1 quanta.
-        let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 1);
-        assert!(batch.admit(0));
-        for _ in 0..*kill_after {
-            let out = batch.run_quantum(1);
-            assert!(
-                out.finished.is_empty() && out.demoted.is_empty(),
-                "{case}: the kill point must be mid-flight"
-            );
-        }
-        let demoted = batch.demote_now(0).expect("session still live");
-        let bytes = SessionCheckpoint::from_demoted(&demoted).encode();
-
-        let ns = median_ns(
-            || {
-                let restored = SessionCheckpoint::decode(std::hint::black_box(&bytes))
+        let bytes = SessionCheckpoint::from_demoted(&interrupted()).encode();
+        let stats = sample_pair(mode, |engine| {
+            let state = if engine {
+                SessionCheckpoint::decode(std::hint::black_box(&bytes))
                     .expect("own encoding decodes")
-                    .into_demoted(&programs, &system)
-                    .expect("own checkpoint re-validates");
-                std::hint::black_box(restored.endpoints.len());
-            },
-            if opts.smoke { 5 } else { 25 },
-            if opts.smoke { 300 } else { 3_000 },
-        );
-        let baseline_ns = median_ns(
-            || {
-                let mut replay = SessionBatch::new(Arc::clone(&layout), options.clone(), 1);
-                assert!(replay.admit(0));
-                for _ in 0..*kill_after {
-                    replay.run_quantum(1);
-                }
-                let state = replay.demote_now(0).expect("still live");
-                std::hint::black_box(state.endpoints.len());
-            },
-            if opts.smoke { 5 } else { 25 },
-            if opts.smoke { 300 } else { 3_000 },
-        );
-        entries.push(Entry {
-            bench: "checkpoint_restore",
-            case: format!("{case}/q{kill_after}/bytes{}/restore", bytes.len()),
-            median_ns: ns.max(1),
-            baseline_ns: baseline_ns.max(1),
-            baseline: "recovery by replay (re-run the session to the same quantum, same run)",
+                    .into_demoted(&programs, &fixture.system)
+                    .expect("own checkpoint re-validates")
+            } else {
+                interrupted()
+            };
+            std::hint::black_box(state.endpoints.len());
         });
+        cases.push(Case::new(
+            format!("{case}/q{kill_after}/bytes{}/restore", bytes.len()),
+            stats,
+        ));
     }
+    cases
+}
 
-    // ------------------------------------------------------------------
-    // wal_append: audit-log density of the columnar write-ahead format —
-    // per-quantum records split into a skeleton column (session, role,
-    // per-program event-template id) and a value column — vs serializing
-    // each record's full `ValueAction` (roles, label, sort spelled out
-    // per record). Reported in bytes per logged action, so speedup is the
-    // density win of the structural-entropy split.
-    // ------------------------------------------------------------------
-    let wal_cases: Vec<(String, GlobalType, Option<usize>)> = vec![
-        ("ring/8".into(), generators::ring_n(8), None),
-        ("two_buyer".into(), generators::two_buyer(), None),
-        ("fanout_loop/4".into(), fanout_loop(4), Some(64)),
+/// Log density, in bytes per logged action: per-quantum records split into
+/// a skeleton column (session, role, event-template id) and a value column,
+/// vs each record's full `ValueAction` spelled out. Counted, not timed.
+fn wal_append(_: &Mode) -> Vec<Case> {
+    let protocols: [(&str, GlobalType, Option<usize>); 3] = [
+        ("ring/8", generators::ring_n(8), None),
+        ("two_buyer", generators::two_buyer(), None),
+        ("fanout_loop/4", fanout_loop(4), Some(64)),
     ];
-    for (case, g, max_steps) in &wal_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let system = Arc::new(
-            System::from_global(g)
-                .expect("bench families are projectable")
-                .compile(),
-        );
-        let externals = Externals::new();
-        let programs: Vec<Arc<EndpointProgram>> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled =
-                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
-                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
-            })
-            .collect();
-        let roles: Arc<[Role]> = procs
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let layout = BatchLayout::new(roles, programs.clone(), Arc::clone(&system))
-            .expect("bench skeletons are batch-eligible");
-        let options = match max_steps {
-            Some(steps) => ExecOptions::with_max_steps(*steps),
-            None => ExecOptions::default(),
-        };
-        // One recorded session supplies the log: every visible action of
-        // every endpoint, columnarized through the shared indexer.
+    let mut cases = Vec::new();
+    for (case, g, max_steps) in protocols {
+        let layout = Fixture::new(&g).layout();
+        let options = max_steps.map_or_else(ExecOptions::default, ExecOptions::with_max_steps);
+        // One recorded session supplies the log. Concluded sessions report
+        // their actions in `finished`; looping ones end at the step limit
+        // and leave as demoted stragglers.
         let mut batch = SessionBatch::new(Arc::clone(&layout), options, 1);
         assert!(batch.admit(0));
         let out = batch.run_quantum(usize::MAX);
         let indexer = WalIndexer::new(layout.programs());
-        // Concluded sessions report their actions in `finished`; looping
-        // cases end at the step limit and leave as demoted stragglers.
-        let records: Vec<_> = out
-            .finished
-            .iter()
-            .flat_map(|o| o.endpoints.iter())
-            .flat_map(|r| r.actions.iter())
-            .chain(
-                out.demoted
-                    .iter()
-                    .flat_map(|d| d.endpoints.iter())
-                    .flat_map(|ep| ep.actions.iter()),
-            )
+        let finished = out.finished.iter().flat_map(|o| &o.endpoints);
+        let demoted = out.demoted.iter().flat_map(|d| &d.endpoints);
+        let records: Vec<_> = finished
+            .flat_map(|r| &r.actions)
+            .chain(demoted.flat_map(|e| &e.actions))
             .map(|va| {
                 indexer
                     .record(0, va)
@@ -1522,46 +1033,143 @@ fn main() {
             })
             .collect();
         assert!(!records.is_empty(), "{case}: the log must not be empty");
-        let actions = records.len() as u64;
-        let columnar = encode_quantum(&records).len() as u64;
+        let columnar = encode_quantum(&records).len();
         let naive = encode_quantum_naive(&records, &indexer)
             .expect("records resolve")
-            .len() as u64;
-        assert!(
-            columnar < naive,
-            "{case}: the columnar skeleton must be denser ({columnar} vs {naive} bytes)"
-        );
-        entries.push(Entry {
-            bench: "wal_append",
-            case: format!("{case}/n{actions}/bytesperaction"),
-            median_ns: (columnar / actions).max(1),
-            baseline_ns: (naive / actions).max(1),
-            baseline: "naive per-record serialization (encode_quantum_naive, same records)",
-        });
-    }
-
-    let mut json = String::from("{\n  \"pr\": 15,\n  \"benches\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let speedup = if e.median_ns > 0 && e.baseline_ns > 0 {
-            e.baseline_ns as f64 / e.median_ns as f64
-        } else {
-            0.0
-        };
-        json.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"case\": \"{}\", \"median_ns\": {}, \
-             \"baseline_ns\": {}, \"speedup\": {:.2}, \"baseline\": \"{}\"}}{}\n",
-            e.bench,
-            e.case,
-            e.median_ns,
-            e.baseline_ns,
-            speedup,
-            e.baseline,
-            if i + 1 == entries.len() { "" } else { "," }
+            .len();
+        let n = records.len();
+        cases.push(Case::new(
+            format!("{case}/n{n}/bytesperaction"),
+            (
+                Stats::exact(columnar as u64).per(n),
+                Stats::exact(naive as u64).per(n),
+            ),
         ));
     }
-    json.push_str("  ]\n}\n");
+    cases
+}
 
-    std::fs::write(&opts.out, &json).unwrap_or_else(|e| panic!("write {}: {e}", opts.out));
+// ---------------------------------------------------------------------
+// Report
+// ---------------------------------------------------------------------
+
+fn parse_args() -> (Mode, String) {
+    let mut smoke = false;
+    let mut out = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => out = args.next(),
+            other => panic!("unknown argument `{other}` (expected --smoke or --out PATH)"),
+        }
+    }
+    (
+        Mode { smoke },
+        out.expect("usage: bench-report [--smoke] --out PATH"),
+    )
+}
+
+fn main() -> ExitCode {
+    let (mode, out) = parse_args();
+    let mut entries = Vec::new();
+    let mut found = Vec::new();
+    for family in &FAMILIES {
+        let cases = (family.cases)(&mode);
+        found.extend(breaches(family, &cases));
+        for c in &cases {
+            entries.push(format!(
+                "    {{\"bench\": \"{}\", \"case\": \"{}\", \"n\": {}, \"min_ns\": {}, \
+                 \"median_ns\": {}, \"p90_ns\": {}, \"baseline_min_ns\": {}, \"baseline_ns\": {}, \
+                 \"baseline_p90_ns\": {}, \"speedup\": {:.2}, \"baseline\": \"{}\"}}",
+                family.name,
+                c.case,
+                c.engine.n,
+                c.engine.min,
+                c.engine.median,
+                c.engine.p90,
+                c.oracle.min,
+                c.oracle.median,
+                c.oracle.p90,
+                c.speedup(),
+                family.oracle,
+            ));
+        }
+        eprintln!("{}: {} cases", family.name, cases.len());
+    }
+    let json = format!("{{\n  \"benches\": [\n{}\n  ]\n}}\n", entries.join(",\n"));
+    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("{json}");
-    eprintln!("wrote {} ({} entries)", opts.out, entries.len());
+    eprintln!("wrote {out} ({} entries)", entries.len());
+    for breach in &found {
+        eprintln!("BREACH {breach}");
+    }
+    if found.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn case(engine_ns: u64, oracle_ns: u64) -> Case {
+        Case::new(
+            "probe".into(),
+            (Stats::exact(engine_ns), Stats::exact(oracle_ns)),
+        )
+    }
+
+    #[test]
+    fn a_case_below_its_family_floor_is_a_breach() {
+        let family = FAMILIES
+            .iter()
+            .find(|f| f.name == "obs_overhead")
+            .expect("the family exists");
+        assert!(
+            breaches(family, &[case(100, 90)]).is_empty(),
+            "0.90 clears 0.85"
+        );
+        let found = breaches(family, &[case(100, 90), case(100, 80)]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("under the floor"), "{found:?}");
+    }
+
+    #[test]
+    fn empty_families_and_unmeasured_sides_are_breaches() {
+        for family in &FAMILIES {
+            assert_eq!(breaches(family, &[]).len(), 1, "{}", family.name);
+            assert!(
+                !breaches(family, &[case(0, 5)]).is_empty(),
+                "{}",
+                family.name
+            );
+            assert!(
+                !breaches(family, &[case(5, 0)]).is_empty(),
+                "{}",
+                family.name
+            );
+        }
+    }
+
+    #[test]
+    fn the_sampler_alternates_sides_and_reports_ordered_statistics() {
+        let mut calls = [0usize; 2];
+        let (engine, oracle) = sample_pair(&Mode { smoke: true }, |engine| {
+            calls[usize::from(!engine)] += 1;
+            std::thread::sleep(Duration::from_micros(if engine { 30 } else { 60 }));
+        });
+        assert_eq!(engine.n, oracle.n);
+        assert!(engine.n >= MIN_PAIRS);
+        assert!(
+            calls[0] > engine.n && calls[1] > oracle.n,
+            "warm-up runs both sides"
+        );
+        for stats in [engine, oracle] {
+            assert!(stats.min <= stats.median && stats.median <= stats.p90);
+        }
+        assert!(oracle.median > engine.median, "{oracle:?} vs {engine:?}");
+    }
 }

@@ -1,6 +1,6 @@
 //! Shared fixtures for the evaluation harness: the paper's case-study
 //! protocols, their DSL endpoint implementations, and the scalable protocol
-//! families used by the Criterion benches (see `EXPERIMENTS.md`).
+//! families swept by `bench-report` (see `EXPERIMENTS.md`).
 
 #![forbid(unsafe_code)]
 

@@ -45,19 +45,20 @@
 //!   **quarantined**: never stepped again (slab and batch paths alike),
 //!   counted per shard and per protocol, and recorded as a
 //!   [`FlightEvent::Quarantined`];
-//! * [`metrics`] — per-shard counters (sessions started / completed /
-//!   violated / stalled, batched / slab / demoted, messages routed, cohort
-//!   widths, queue depths, per-[`zooid_runtime::wire::RejectCode`]
-//!   rejections, restarts) aggregated into a [`ServerReport`];
-//! * [`obs`] — the observability plane: lock-free log2-bucket latency
-//!   [`obs::Histogram`]s (session wall time, per-action cost, cohort
-//!   widths, IO-pass duration) with `p50/p90/p99/max` in the reports, a
-//!   bounded per-shard [`obs::FlightRecorder`] of dense structured events,
-//!   and — on every monitor violation — a replayable [`obs::Incident`]
-//!   (role, action, monitor cursor, bounded compliant-trace prefix) that
-//!   re-certifies the violation against the [`zooid_cfsm::CompiledSystem`].
-//!   A live [`NetServer`] answers `MuxFrame::Stats` introspection frames
-//!   with the whole bundle ([`obs::StatsSnapshot`]) over the wire;
+//! * [`metrics`] — the instrument tables, one per layer: every counter
+//!   and histogram a shard or the IO loop keeps is one row (name, doc, wire
+//!   key, kind), and the live atomics ([`metrics::ShardInstruments`],
+//!   [`metrics::NetInstruments`]), the reports ([`ShardReport`],
+//!   [`ObsReport`], [`NetReport`]), the cross-shard totals on
+//!   [`ServerReport`], the [`StatsSnapshot`] codec a live [`NetServer`]
+//!   answers `MuxFrame::Stats` frames with, and the plain-text `Display` of
+//!   every report are derived from the rows;
+//! * [`obs`] — what the instruments are made of: the lock-free log2-bucket
+//!   [`obs::Histogram`] (`p50/p90/p99/max`), the bounded
+//!   [`obs::FlightRecorder`] of dense structured events, and — on every
+//!   monitor violation — a replayable [`obs::Incident`] (role, action,
+//!   monitor cursor, bounded compliant-trace prefix) that re-certifies the
+//!   violation against the [`zooid_cfsm::CompiledSystem`];
 //! * [`synth`] — skeleton endpoint implementations synthesized from
 //!   projections, used by the load generator and the differential tests,
 //!   plus the **byzantine driver generator**: for a registered protocol it
@@ -111,6 +112,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod error;
+mod instruments;
 pub mod metrics;
 pub mod net;
 pub mod obs;
@@ -120,10 +122,12 @@ pub mod session;
 pub mod synth;
 
 pub use error::{Result, ServerError};
-pub use metrics::{NetReport, NetServerReport, RejectCounts, ServerReport, ShardReport};
+pub use metrics::{
+    NetReport, NetServerReport, ObsReport, RejectCounts, ServerReport, ShardReport, StatsSnapshot,
+};
 pub use obs::{
     FlightEvent, FlightRecorder, Histogram, HistogramSnapshot, Incident, IncidentStore,
-    IncidentSummary, ObsReport, StatsSnapshot,
+    IncidentSummary,
 };
 pub use net::{NetClient, NetServer, NetServerConfig, Service};
 pub use registry::{ProtocolArtifacts, ProtocolId, ProtocolRegistry, SafetyBudget};

@@ -89,10 +89,8 @@ use zooid_runtime::wire::{
 };
 use zooid_runtime::RuntimeError;
 
-use crate::metrics::{NetMetrics, NetReport, NetServerReport};
-use crate::obs::{
-    CloseReason, FlightEvent, FlightRecorder, Histogram, Incident, StatsSnapshot, FLIGHT_CAPACITY,
-};
+use crate::metrics::{NetInstruments, NetReport, NetServerReport, StatsSnapshot};
+use crate::obs::{CloseReason, FlightEvent, Incident};
 use crate::registry::{ProtocolId, ProtocolRegistry};
 use crate::server::{ServerConfig, SessionServer};
 use crate::session::{SessionId, SessionOutcome, SessionSpec};
@@ -392,9 +390,7 @@ impl NetConn {
 pub struct NetServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    metrics: Arc<NetMetrics>,
-    io_pass: Arc<Histogram>,
-    recorder: Arc<FlightRecorder>,
+    metrics: Arc<NetInstruments>,
     handle: Option<JoinHandle<NetServerReport>>,
 }
 
@@ -425,17 +421,13 @@ impl NetServer {
         let local_addr = listener.local_addr().map_err(io_err)?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(NetMetrics::default());
-        let io_pass = Arc::new(Histogram::new());
-        let recorder = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
+        let metrics = Arc::new(NetInstruments::default());
         let io = IoLoop {
             listener,
             server: SessionServer::start(registry, config.server.clone()),
             catalog,
             config,
             metrics: Arc::clone(&metrics),
-            io_pass: Arc::clone(&io_pass),
-            recorder: Arc::clone(&recorder),
             conns: Vec::new(),
             gens: Vec::new(),
             routes: BTreeMap::new(),
@@ -452,8 +444,6 @@ impl NetServer {
             local_addr,
             stop,
             metrics,
-            io_pass,
-            recorder,
             handle: Some(handle),
         })
     }
@@ -463,18 +453,15 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Snapshots the IO loop's counters (with the live pass-duration
-    /// histogram).
+    /// Snapshots the IO loop's instruments.
     pub fn net_report(&self) -> NetReport {
-        let mut report = self.metrics.snapshot();
-        report.io_pass_ns = self.io_pass.snapshot();
-        report
+        self.metrics.report()
     }
 
     /// The IO loop's retained flight-recorder events (rejections,
     /// connection closes), oldest first.
     pub fn flight_events(&self) -> Vec<FlightEvent> {
-        self.recorder.snapshot()
+        self.metrics.recorder.snapshot()
     }
 
     /// Stops the IO loop and the shard scheduler, returning both reports.
@@ -484,7 +471,7 @@ impl NetServer {
         self.stop.store(true, Ordering::Release);
         let handle = self.handle.take().expect("shutdown runs once");
         handle.join().unwrap_or_else(|_| NetServerReport {
-            net: self.metrics.snapshot(),
+            net: self.metrics.report(),
             shards: crate::ServerReport::default(),
         })
     }
@@ -513,9 +500,7 @@ struct IoLoop {
     server: SessionServer,
     catalog: BTreeMap<String, Service>,
     config: NetServerConfig,
-    metrics: Arc<NetMetrics>,
-    io_pass: Arc<Histogram>,
-    recorder: Arc<FlightRecorder>,
+    metrics: Arc<NetInstruments>,
     conns: Vec<Option<NetConn>>,
     /// Per-slot generation, bumped on every removal: slots are reused, so a
     /// route must name (slot, generation) to prove the connection it was
@@ -555,7 +540,8 @@ impl IoLoop {
             prev_progress = progress;
             // Less the wait: the histogram is work, not sleep.
             let busy = pass_started.elapsed().saturating_sub(waited);
-            self.io_pass
+            self.metrics
+                .io_pass_ns
                 .record(u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX));
         }
 
@@ -570,15 +556,16 @@ impl IoLoop {
                 reason: "server shutting down".into(),
             });
             let _ = conn.flush();
-            self.recorder.record(FlightEvent::ConnClosed {
+            self.metrics.recorder.record(FlightEvent::ConnClosed {
                 client: slot as u64,
                 reason: CloseReason::Shutdown,
             });
         }
         let shards = self.server.shutdown();
-        let mut net = self.metrics.snapshot();
-        net.io_pass_ns = self.io_pass.snapshot();
-        NetServerReport { net, shards }
+        NetServerReport {
+            net: self.metrics.report(),
+            shards,
+        }
     }
 
     /// The one place the loop blocks: for at most the current slice, on the
@@ -624,7 +611,7 @@ impl IoLoop {
                     .connections_rejected
                     .fetch_add(1, Ordering::Relaxed);
                 self.metrics.record_reject(RejectCode::ConnectionLimit);
-                self.recorder.record(FlightEvent::Rejected {
+                self.metrics.recorder.record(FlightEvent::Rejected {
                     session: 0,
                     code: RejectCode::ConnectionLimit,
                 });
@@ -743,7 +730,8 @@ impl IoLoop {
     /// per-code counter, the flight recorder, the written-frame count.
     fn reject(&self, conn: &mut NetConn, session: u64, code: RejectCode, reason: String) {
         self.metrics.record_reject(code);
-        self.recorder
+        self.metrics
+            .recorder
             .record(FlightEvent::Rejected { session, code });
         conn.queue(&MuxFrame::Rejected {
             session,
@@ -774,10 +762,8 @@ impl IoLoop {
                 // Live introspection: ship the whole observability bundle —
                 // IO counters, shard report with histograms, incident
                 // summaries — as one codec-serialized value.
-                let mut net = self.metrics.snapshot();
-                net.io_pass_ns = self.io_pass.snapshot();
                 let stats = StatsSnapshot {
-                    net,
+                    net: self.metrics.report(),
                     shards: self.server.report(),
                     incidents: self
                         .server
@@ -958,7 +944,7 @@ impl IoLoop {
                         .connections_closed
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                self.recorder.record(FlightEvent::ConnClosed {
+                self.metrics.recorder.record(FlightEvent::ConnClosed {
                     client: slot as u64,
                     reason: conn.close_reason.unwrap_or(CloseReason::PeerClosed),
                 });

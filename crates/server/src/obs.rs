@@ -22,15 +22,16 @@
 //!   counterexample, not just a boolean. A capped [`IncidentStore`] retains
 //!   the most recent records per shard.
 //!
-//! [`StatsSnapshot`] bundles the aggregated reports, histogram snapshots
-//! and recent incident summaries into a codec [`Value`] so a live
+//! Which histograms and counters each layer keeps is declared in
+//! [`crate::metrics`]; [`crate::StatsSnapshot`] bundles the reports and the
+//! recent incident summaries into a codec [`Value`] so a live
 //! [`crate::NetServer`] can answer `MuxFrame::Stats` introspection frames
 //! over the wire (see [`crate::NetClient::fetch_stats`]).
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use zooid_cfsm::{CompiledSystem, MonitorCursor};
 use zooid_mpst::{Action, Role, Trace};
@@ -38,7 +39,7 @@ use zooid_proc::Value;
 use zooid_runtime::monitor::MonitorViolation;
 use zooid_runtime::wire::RejectCode;
 
-use crate::metrics::{NetReport, RejectCounts, ServerReport, ShardReport};
+use crate::instruments::{entry, field, Cell};
 use crate::registry::ProtocolId;
 use crate::session::SessionId;
 
@@ -225,6 +226,48 @@ impl fmt::Display for HistogramSnapshot {
     }
 }
 
+impl Cell for HistogramSnapshot {
+    type Live = Histogram;
+
+    fn load(live: &Histogram) -> HistogramSnapshot {
+        live.snapshot()
+    }
+
+    /// Sparse: the maximum, then one `(bucket, count)` pair per non-empty
+    /// bucket.
+    fn to_value(&self) -> Value {
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(b, &n)| Value::pair(Value::Nat(b as u64), Value::Nat(n)))
+            .collect();
+        Value::Seq(vec![
+            entry("max", Value::Nat(self.max)),
+            entry("buckets", Value::Seq(buckets)),
+        ])
+    }
+
+    fn from_value(value: &Value) -> Option<HistogramSnapshot> {
+        let mut snap = HistogramSnapshot {
+            max: u64::from_value(field(value, "max")?)?,
+            ..HistogramSnapshot::default()
+        };
+        let Value::Seq(buckets) = field(value, "buckets")? else {
+            return None;
+        };
+        for entry in buckets {
+            let Value::Pair(b, n) = entry else {
+                return None;
+            };
+            let bucket = usize::try_from(u64::from_value(b)?).ok()?;
+            *snap.buckets.get_mut(bucket)? = u64::from_value(n)?;
+        }
+        Some(snap)
+    }
+}
+
 /// Why the networked plane closed a connection (flight-recorder vocabulary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -404,6 +447,13 @@ pub struct FlightRecorder {
     next: AtomicU64,
 }
 
+impl Default for FlightRecorder {
+    /// A ring of [`FLIGHT_CAPACITY`] events.
+    fn default() -> Self {
+        FlightRecorder::new(FLIGHT_CAPACITY)
+    }
+}
+
 impl FlightRecorder {
     /// A ring holding the last `capacity` events (at least 1).
     pub fn new(capacity: usize) -> Self {
@@ -563,6 +613,13 @@ pub struct IncidentStore {
     inner: Mutex<VecDeque<Incident>>,
 }
 
+impl Default for IncidentStore {
+    /// A store retaining [`INCIDENT_CAPACITY`] incidents.
+    fn default() -> Self {
+        IncidentStore::new(INCIDENT_CAPACITY)
+    }
+}
+
 impl IncidentStore {
     /// A store retaining the `cap` most recent incidents (at least 1).
     pub fn new(cap: usize) -> Self {
@@ -599,141 +656,6 @@ impl IncidentStore {
     }
 }
 
-/// One shard's observability state: histograms, flight recorder, incident
-/// store, and per-protocol wall-time histograms.
-#[derive(Debug)]
-pub struct ShardObs {
-    /// Session wall time, admission → outcome, in nanoseconds.
-    pub session_wall: Histogram,
-    /// Per-action step cost in nanoseconds (quantum elapsed ÷ actions).
-    pub action_cost: Histogram,
-    /// Batch cohort widths (sessions per `(role, pc)` cohort).
-    pub cohort_width: Histogram,
-    /// The shard's event ring.
-    pub recorder: FlightRecorder,
-    /// The shard's retained incidents.
-    pub incidents: IncidentStore,
-    per_protocol: Mutex<Vec<(ProtocolId, Arc<Histogram>)>>,
-    quarantined: Mutex<Vec<(ProtocolId, u64)>>,
-}
-
-impl Default for ShardObs {
-    fn default() -> Self {
-        ShardObs::new()
-    }
-}
-
-impl ShardObs {
-    /// Fresh observability state with the default capacities.
-    pub fn new() -> Self {
-        ShardObs {
-            session_wall: Histogram::new(),
-            action_cost: Histogram::new(),
-            cohort_width: Histogram::new(),
-            recorder: FlightRecorder::new(FLIGHT_CAPACITY),
-            incidents: IncidentStore::new(INCIDENT_CAPACITY),
-            per_protocol: Mutex::new(Vec::new()),
-            quarantined: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The session wall-time histogram of one protocol (created on first
-    /// sighting; workers cache the `Arc`, so the lock is off the steady
-    /// path).
-    pub fn protocol_wall(&self, protocol: ProtocolId) -> Arc<Histogram> {
-        let mut map = self.per_protocol.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, h)) = map.iter().find(|(p, _)| *p == protocol) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        map.push((protocol, Arc::clone(&h)));
-        h
-    }
-
-    /// Bumps the quarantine counter of one protocol (created on first
-    /// sighting). Quarantines are rare, so this takes the lock every time
-    /// rather than handing out cached handles.
-    pub fn quarantined_for(&self, protocol: ProtocolId) {
-        let mut map = self.quarantined.lock().unwrap_or_else(|e| e.into_inner());
-        match map.iter_mut().find(|(p, _)| *p == protocol) {
-            Some((_, n)) => *n += 1,
-            None => map.push((protocol, 1)),
-        }
-    }
-
-    /// Folds this shard's state into an aggregated [`ObsReport`].
-    pub fn merge_into(&self, report: &mut ObsReport) {
-        report.session_wall_ns.merge(&self.session_wall.snapshot());
-        report.action_cost_ns.merge(&self.action_cost.snapshot());
-        report.cohort_width.merge(&self.cohort_width.snapshot());
-        report.incidents_recorded += self.incidents.recorded();
-        report.incidents_held += self.incidents.snapshot().len() as u64;
-        report.flight_events += self.recorder.recorded();
-        let map = self.per_protocol.lock().unwrap_or_else(|e| e.into_inner());
-        for (protocol, hist) in map.iter() {
-            let snap = hist.snapshot();
-            let id = protocol.index() as u32;
-            match report.per_protocol_wall_ns.iter_mut().find(|(p, _)| *p == id) {
-                Some((_, existing)) => existing.merge(&snap),
-                None => report.per_protocol_wall_ns.push((id, snap)),
-            }
-        }
-        report.per_protocol_wall_ns.sort_by_key(|(p, _)| *p);
-        let quarantined = self.quarantined.lock().unwrap_or_else(|e| e.into_inner());
-        for (protocol, count) in quarantined.iter() {
-            let id = protocol.index() as u32;
-            match report
-                .per_protocol_quarantined
-                .iter_mut()
-                .find(|(p, _)| *p == id)
-            {
-                Some((_, existing)) => *existing += count,
-                None => report.per_protocol_quarantined.push((id, *count)),
-            }
-        }
-        report.per_protocol_quarantined.sort_by_key(|(p, _)| *p);
-    }
-}
-
-/// Aggregated observability figures, carried inside [`ServerReport`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ObsReport {
-    /// Session wall time admission → outcome, ns, merged across shards.
-    pub session_wall_ns: HistogramSnapshot,
-    /// Per-action step cost, ns, merged across shards.
-    pub action_cost_ns: HistogramSnapshot,
-    /// Batch cohort widths, merged across shards.
-    pub cohort_width: HistogramSnapshot,
-    /// Session wall time per protocol (dense registry index order).
-    pub per_protocol_wall_ns: Vec<(u32, HistogramSnapshot)>,
-    /// Sessions quarantined per protocol (dense registry index order);
-    /// empty when no session was ever quarantined.
-    pub per_protocol_quarantined: Vec<(u32, u64)>,
-    /// Incidents captured across all shards (including evicted ones).
-    pub incidents_recorded: u64,
-    /// Incidents currently retained and fetchable.
-    pub incidents_held: u64,
-    /// Flight-recorder events ever recorded across all shards.
-    pub flight_events: u64,
-}
-
-impl fmt::Display for ObsReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "  latency: session wall ns {}", self.session_wall_ns)?;
-        writeln!(f, "  latency: per-action ns {}", self.action_cost_ns)?;
-        writeln!(f, "  batching: cohort width {}", self.cohort_width)?;
-        writeln!(
-            f,
-            "  incidents: {} recorded, {} held; {} flight events",
-            self.incidents_recorded, self.incidents_held, self.flight_events
-        )?;
-        for (protocol, count) in &self.per_protocol_quarantined {
-            writeln!(f, "  quarantine: protocol #{protocol} x{count}")?;
-        }
-        Ok(())
-    }
-}
-
 /// The wire-portable summary of an [`Incident`]: interned ids flattened to
 /// integers and display strings — everything an operator needs to locate
 /// the full record, nothing that drags [`Action`]/[`MonitorCursor`]
@@ -758,335 +680,40 @@ pub struct IncidentSummary {
     pub truncated: bool,
 }
 
-/// Everything a live server hands back for one `MuxFrame::Stats` request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsSnapshot {
-    /// The IO event loop's counters.
-    pub net: NetReport,
-    /// The shard scheduler's report (with the aggregated [`ObsReport`]).
-    pub shards: ServerReport,
-    /// Summaries of the retained incidents, oldest first.
-    pub incidents: Vec<IncidentSummary>,
-}
-
-// --- Value encoding -------------------------------------------------------
-//
-// The stats reply rides on the codec's self-describing `Value`: a record is
-// a `Seq` of `(Str key, value)` pairs, so the encoding is versionable (new
-// fields are simply new keys) and needs no schema beyond the codec itself.
-
-fn record(fields: Vec<(&str, Value)>) -> Value {
-    Value::Seq(
-        fields
-            .into_iter()
-            .map(|(k, v)| Value::pair(Value::Str(k.to_owned()), v))
-            .collect(),
-    )
-}
-
-fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    let Value::Seq(fields) = value else {
-        return None;
-    };
-    fields.iter().find_map(|f| match f {
-        Value::Pair(k, v) if matches!(&**k, Value::Str(s) if s == key) => Some(&**v),
-        _ => None,
-    })
-}
-
-fn nat_field(value: &Value, key: &str) -> Option<u64> {
-    match field(value, key)? {
-        Value::Nat(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn bool_field(value: &Value, key: &str) -> Option<bool> {
-    match field(value, key)? {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-fn str_field(value: &Value, key: &str) -> Option<String> {
-    match field(value, key)? {
-        Value::Str(s) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn hist_to_value(h: &HistogramSnapshot) -> Value {
-    // Sparse: one (bucket, count) pair per non-empty bucket.
-    let buckets = h
-        .buckets()
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n > 0)
-        .map(|(b, &n)| Value::pair(Value::Nat(b as u64), Value::Nat(n)))
-        .collect();
-    record(vec![
-        ("max", Value::Nat(h.max())),
-        ("buckets", Value::Seq(buckets)),
-    ])
-}
-
-fn hist_from_value(value: &Value) -> Option<HistogramSnapshot> {
-    let mut snap = HistogramSnapshot::default();
-    snap.max = nat_field(value, "max")?;
-    let Some(Value::Seq(buckets)) = field(value, "buckets") else {
-        return None;
-    };
-    for entry in buckets {
-        let Value::Pair(b, n) = entry else {
-            return None;
-        };
-        let (Value::Nat(b), Value::Nat(n)) = (&**b, &**n) else {
-            return None;
-        };
-        if *b as usize >= HISTOGRAM_BUCKETS {
-            return None;
-        }
-        snap.buckets[*b as usize] = *n;
-    }
-    Some(snap)
-}
-
-fn shard_to_value(s: &ShardReport) -> Value {
-    record(vec![
-        ("shard", Value::Nat(s.shard as u64)),
-        ("started", Value::Nat(s.sessions_started)),
-        ("completed", Value::Nat(s.sessions_completed)),
-        ("violated", Value::Nat(s.sessions_violated)),
-        ("quarantined", Value::Nat(s.sessions_quarantined)),
-        ("restarted", Value::Nat(s.sessions_restarted)),
-        ("stalled", Value::Nat(s.sessions_stalled)),
-        ("routed", Value::Nat(s.messages_routed)),
-        ("actions", Value::Nat(s.actions_executed)),
-        ("quanta", Value::Nat(s.quanta)),
-        ("peak_queue", Value::Nat(s.peak_queue_depth)),
-        ("batched", Value::Nat(s.sessions_batched)),
-        ("slab", Value::Nat(s.sessions_slab)),
-        ("demoted", Value::Nat(s.sessions_demoted)),
-        ("cohorts", Value::Nat(s.batch_cohorts)),
-        ("cohort_sessions", Value::Nat(s.batch_cohort_sessions)),
-    ])
-}
-
-fn shard_from_value(value: &Value) -> Option<ShardReport> {
-    Some(ShardReport {
-        shard: nat_field(value, "shard")? as usize,
-        sessions_started: nat_field(value, "started")?,
-        sessions_completed: nat_field(value, "completed")?,
-        sessions_violated: nat_field(value, "violated")?,
-        sessions_quarantined: nat_field(value, "quarantined")?,
-        sessions_restarted: nat_field(value, "restarted")?,
-        sessions_stalled: nat_field(value, "stalled")?,
-        messages_routed: nat_field(value, "routed")?,
-        actions_executed: nat_field(value, "actions")?,
-        quanta: nat_field(value, "quanta")?,
-        peak_queue_depth: nat_field(value, "peak_queue")?,
-        sessions_batched: nat_field(value, "batched")?,
-        sessions_slab: nat_field(value, "slab")?,
-        sessions_demoted: nat_field(value, "demoted")?,
-        batch_cohorts: nat_field(value, "cohorts")?,
-        batch_cohort_sessions: nat_field(value, "cohort_sessions")?,
-    })
-}
-
-fn obs_to_value(o: &ObsReport) -> Value {
-    record(vec![
-        ("session_wall_ns", hist_to_value(&o.session_wall_ns)),
-        ("action_cost_ns", hist_to_value(&o.action_cost_ns)),
-        ("cohort_width", hist_to_value(&o.cohort_width)),
-        (
-            "per_protocol_wall_ns",
-            Value::Seq(
-                o.per_protocol_wall_ns
-                    .iter()
-                    .map(|(p, h)| Value::pair(Value::Nat(u64::from(*p)), hist_to_value(h)))
-                    .collect(),
-            ),
-        ),
-        (
-            "per_protocol_quarantined",
-            Value::Seq(
-                o.per_protocol_quarantined
-                    .iter()
-                    .map(|(p, n)| Value::pair(Value::Nat(u64::from(*p)), Value::Nat(*n)))
-                    .collect(),
-            ),
-        ),
-        ("incidents_recorded", Value::Nat(o.incidents_recorded)),
-        ("incidents_held", Value::Nat(o.incidents_held)),
-        ("flight_events", Value::Nat(o.flight_events)),
-    ])
-}
-
-fn obs_from_value(value: &Value) -> Option<ObsReport> {
-    let mut per_protocol = Vec::new();
-    if let Some(Value::Seq(entries)) = field(value, "per_protocol_wall_ns") {
-        for entry in entries {
-            let Value::Pair(p, h) = entry else {
-                return None;
-            };
-            let Value::Nat(p) = &**p else {
-                return None;
-            };
-            per_protocol.push((*p as u32, hist_from_value(h)?));
-        }
-    } else {
-        return None;
-    }
-    let mut quarantined = Vec::new();
-    if let Some(Value::Seq(entries)) = field(value, "per_protocol_quarantined") {
-        for entry in entries {
-            let Value::Pair(p, n) = entry else {
-                return None;
-            };
-            let (Value::Nat(p), Value::Nat(n)) = (&**p, &**n) else {
-                return None;
-            };
-            quarantined.push((*p as u32, *n));
-        }
-    } else {
-        return None;
-    }
-    Some(ObsReport {
-        session_wall_ns: hist_from_value(field(value, "session_wall_ns")?)?,
-        action_cost_ns: hist_from_value(field(value, "action_cost_ns")?)?,
-        cohort_width: hist_from_value(field(value, "cohort_width")?)?,
-        per_protocol_wall_ns: per_protocol,
-        per_protocol_quarantined: quarantined,
-        incidents_recorded: nat_field(value, "incidents_recorded")?,
-        incidents_held: nat_field(value, "incidents_held")?,
-        flight_events: nat_field(value, "flight_events")?,
-    })
-}
-
-fn net_to_value(n: &NetReport) -> Value {
-    record(vec![
-        ("conns_accepted", Value::Nat(n.connections_accepted)),
-        ("conns_rejected", Value::Nat(n.connections_rejected)),
-        ("conns_closed", Value::Nat(n.connections_closed)),
-        ("sessions_opened", Value::Nat(n.sessions_opened)),
-        ("sessions_rejected", Value::Nat(n.sessions_rejected)),
-        ("sessions_shed", Value::Nat(n.sessions_shed)),
-        ("sessions_done", Value::Nat(n.sessions_done)),
-        ("frames_read", Value::Nat(n.frames_read)),
-        ("frames_written", Value::Nat(n.frames_written)),
-        ("bad_frames", Value::Nat(n.bad_frames)),
-        ("rej_unknown_protocol", Value::Nat(n.rejects.unknown_protocol)),
-        ("rej_connection_limit", Value::Nat(n.rejects.connection_limit)),
-        ("rej_session_limit", Value::Nat(n.rejects.session_limit)),
-        ("rej_overloaded", Value::Nat(n.rejects.overloaded)),
-        ("rej_bad_frame", Value::Nat(n.rejects.bad_frame)),
-        ("rej_shutting_down", Value::Nat(n.rejects.shutting_down)),
-        ("rej_quarantined", Value::Nat(n.rejects.quarantined)),
-        ("rej_banned", Value::Nat(n.rejects.banned)),
-        ("io_pass_ns", hist_to_value(&n.io_pass_ns)),
-    ])
-}
-
-fn net_from_value(value: &Value) -> Option<NetReport> {
-    Some(NetReport {
-        connections_accepted: nat_field(value, "conns_accepted")?,
-        connections_rejected: nat_field(value, "conns_rejected")?,
-        connections_closed: nat_field(value, "conns_closed")?,
-        sessions_opened: nat_field(value, "sessions_opened")?,
-        sessions_rejected: nat_field(value, "sessions_rejected")?,
-        sessions_shed: nat_field(value, "sessions_shed")?,
-        sessions_done: nat_field(value, "sessions_done")?,
-        frames_read: nat_field(value, "frames_read")?,
-        frames_written: nat_field(value, "frames_written")?,
-        bad_frames: nat_field(value, "bad_frames")?,
-        rejects: RejectCounts {
-            unknown_protocol: nat_field(value, "rej_unknown_protocol")?,
-            connection_limit: nat_field(value, "rej_connection_limit")?,
-            session_limit: nat_field(value, "rej_session_limit")?,
-            overloaded: nat_field(value, "rej_overloaded")?,
-            bad_frame: nat_field(value, "rej_bad_frame")?,
-            shutting_down: nat_field(value, "rej_shutting_down")?,
-            quarantined: nat_field(value, "rej_quarantined")?,
-            banned: nat_field(value, "rej_banned")?,
-        },
-        io_pass_ns: hist_from_value(field(value, "io_pass_ns")?)?,
-    })
-}
-
-fn incident_to_value(i: &IncidentSummary) -> Value {
-    record(vec![
-        ("protocol", Value::Nat(u64::from(i.protocol))),
-        ("session", Value::Nat(i.session)),
-        ("role", Value::Str(i.role.clone())),
-        ("action", Value::Str(i.action.clone())),
-        ("position", Value::Nat(i.position)),
-        ("trace_len", Value::Nat(i.trace_len)),
-        ("prefix_len", Value::Nat(i.prefix_len)),
-        ("truncated", Value::Bool(i.truncated)),
-    ])
-}
-
-fn incident_from_value(value: &Value) -> Option<IncidentSummary> {
-    Some(IncidentSummary {
-        protocol: nat_field(value, "protocol")? as u32,
-        session: nat_field(value, "session")?,
-        role: str_field(value, "role")?,
-        action: str_field(value, "action")?,
-        position: nat_field(value, "position")?,
-        trace_len: nat_field(value, "trace_len")?,
-        prefix_len: nat_field(value, "prefix_len")?,
-        truncated: bool_field(value, "truncated")?,
-    })
-}
-
-impl StatsSnapshot {
-    /// Serializes the snapshot into a codec [`Value`] (the `StatsReply`
-    /// payload).
-    pub fn to_value(&self) -> Value {
-        record(vec![
-            ("net", net_to_value(&self.net)),
-            (
-                "shards",
-                record(vec![
-                    (
-                        "per_shard",
-                        Value::Seq(self.shards.shards.iter().map(shard_to_value).collect()),
-                    ),
-                    ("obs", obs_to_value(&self.shards.obs)),
-                ]),
-            ),
-            (
-                "incidents",
-                Value::Seq(self.incidents.iter().map(incident_to_value).collect()),
-            ),
+impl IncidentSummary {
+    /// The codec record carried by a `StatsReply`.
+    pub(crate) fn to_value(&self) -> Value {
+        Value::Seq(vec![
+            entry("protocol", Value::Nat(u64::from(self.protocol))),
+            entry("session", Value::Nat(self.session)),
+            entry("role", Value::Str(self.role.clone())),
+            entry("action", Value::Str(self.action.clone())),
+            entry("position", Value::Nat(self.position)),
+            entry("trace_len", Value::Nat(self.trace_len)),
+            entry("prefix_len", Value::Nat(self.prefix_len)),
+            entry("truncated", Value::Bool(self.truncated)),
         ])
     }
 
-    /// Deserializes a snapshot from a codec [`Value`]; `None` when the
-    /// value does not carry the expected record shape.
-    pub fn from_value(value: &Value) -> Option<StatsSnapshot> {
-        let shards_rec = field(value, "shards")?;
-        let Some(Value::Seq(per_shard)) = field(shards_rec, "per_shard") else {
-            return None;
+    /// Inverse of [`IncidentSummary::to_value`]; `None` on any other shape.
+    pub(crate) fn from_value(value: &Value) -> Option<IncidentSummary> {
+        let nat = |key| u64::from_value(field(value, key)?);
+        let text = |key| match field(value, key)? {
+            Value::Str(s) => Some(s.clone()),
+            _ => None,
         };
-        let shards = per_shard
-            .iter()
-            .map(shard_from_value)
-            .collect::<Option<Vec<_>>>()?;
-        let Some(Value::Seq(incidents)) = field(value, "incidents") else {
-            return None;
-        };
-        let incidents = incidents
-            .iter()
-            .map(incident_from_value)
-            .collect::<Option<Vec<_>>>()?;
-        Some(StatsSnapshot {
-            net: net_from_value(field(value, "net")?)?,
-            shards: ServerReport {
-                shards,
-                obs: obs_from_value(field(shards_rec, "obs")?)?,
+        Some(IncidentSummary {
+            protocol: nat("protocol")? as u32,
+            session: nat("session")?,
+            role: text("role")?,
+            action: text("action")?,
+            position: nat("position")?,
+            trace_len: nat("trace_len")?,
+            prefix_len: nat("prefix_len")?,
+            truncated: match field(value, "truncated")? {
+                Value::Bool(b) => *b,
+                _ => return None,
             },
-            incidents,
         })
     }
 }
@@ -1094,6 +721,7 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use zooid_cfsm::System;
     use zooid_mpst::{generators, Label, Sort};
 
@@ -1333,92 +961,5 @@ mod tests {
         assert_eq!(held.len(), 2);
         assert_eq!(held[0].session, SessionId(3));
         assert_eq!(held[1].session, SessionId(4));
-    }
-
-    #[test]
-    fn shard_obs_merges_per_protocol_histograms() {
-        let a = ShardObs::new();
-        let b = ShardObs::new();
-        a.protocol_wall(ProtocolId(0)).record(10);
-        a.protocol_wall(ProtocolId(1)).record(20);
-        b.protocol_wall(ProtocolId(0)).record(30);
-        a.session_wall.record(10);
-        b.session_wall.record(30);
-        let mut report = ObsReport::default();
-        a.merge_into(&mut report);
-        b.merge_into(&mut report);
-        assert_eq!(report.session_wall_ns.count(), 2);
-        assert_eq!(report.per_protocol_wall_ns.len(), 2);
-        assert_eq!(report.per_protocol_wall_ns[0].0, 0);
-        assert_eq!(report.per_protocol_wall_ns[0].1.count(), 2);
-        assert_eq!(report.per_protocol_wall_ns[1].1.count(), 1);
-    }
-
-    #[test]
-    fn stats_snapshots_round_trip_through_values() {
-        let mut session_wall = HistogramSnapshot::default();
-        let h = Histogram::new();
-        h.record(100);
-        h.record(90_000);
-        session_wall.merge(&h.snapshot());
-        let snapshot = StatsSnapshot {
-            net: NetReport {
-                connections_accepted: 3,
-                sessions_opened: 7,
-                frames_read: 21,
-                rejects: RejectCounts {
-                    overloaded: 2,
-                    bad_frame: 1,
-                    ..RejectCounts::default()
-                },
-                io_pass_ns: h.snapshot(),
-                ..NetReport::default()
-            },
-            shards: ServerReport {
-                shards: vec![ShardReport {
-                    shard: 0,
-                    sessions_started: 7,
-                    sessions_completed: 6,
-                    sessions_violated: 1,
-                    sessions_quarantined: 1,
-                    sessions_restarted: 1,
-                    sessions_stalled: 0,
-                    messages_routed: 21,
-                    actions_executed: 42,
-                    quanta: 9,
-                    peak_queue_depth: 4,
-                    sessions_batched: 5,
-                    sessions_slab: 2,
-                    sessions_demoted: 1,
-                    batch_cohorts: 3,
-                    batch_cohort_sessions: 12,
-                }],
-                obs: ObsReport {
-                    session_wall_ns: session_wall,
-                    per_protocol_wall_ns: vec![(0, session_wall)],
-                    per_protocol_quarantined: vec![(0, 1)],
-                    incidents_recorded: 1,
-                    incidents_held: 1,
-                    flight_events: 17,
-                    ..ObsReport::default()
-                },
-            },
-            incidents: vec![IncidentSummary {
-                protocol: 0,
-                session: 4,
-                role: "w1".into(),
-                action: "!w1w2(l, nat)".into(),
-                position: 2,
-                trace_len: 2,
-                prefix_len: 2,
-                truncated: false,
-            }],
-        };
-        let value = snapshot.to_value();
-        let back = StatsSnapshot::from_value(&value).expect("round trip");
-        assert_eq!(back, snapshot);
-        // Malformed values decode to None, not a panic.
-        assert_eq!(StatsSnapshot::from_value(&Value::Nat(3)), None);
-        assert_eq!(StatsSnapshot::from_value(&Value::Seq(vec![])), None);
     }
 }

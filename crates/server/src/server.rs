@@ -24,8 +24,8 @@ use zooid_runtime::cexec::EndpointProgram;
 use zooid_runtime::checkpoint::SessionCheckpoint;
 
 use crate::error::{Result, ServerError};
-use crate::metrics::{ServerReport, ShardMetrics};
-use crate::obs::{FlightEvent, Histogram, Incident, ObsReport, ShardObs, INCIDENT_PREFIX_CAP};
+use crate::metrics::{ObsReport, ServerReport, ShardInstruments};
+use crate::obs::{FlightEvent, Histogram, Incident, INCIDENT_PREFIX_CAP};
 use crate::registry::{ProtocolArtifacts, ProtocolRegistry, ProtocolId};
 use crate::session::{ActiveSession, QuantumEnd, SessionId, SessionOutcome, SessionSpec};
 
@@ -228,8 +228,7 @@ struct ShardHandle {
 pub struct SessionServer {
     registry: Arc<ProtocolRegistry>,
     shards: Vec<ShardHandle>,
-    metrics: Vec<Arc<ShardMetrics>>,
-    obs: Vec<Arc<ShardObs>>,
+    instruments: Vec<Arc<ShardInstruments>>,
     results_rx: Receiver<Vec<SessionOutcome>>,
     /// Outcomes received from a shard's batch but not yet handed to the
     /// caller (shards flush finished sessions in batches to keep channel
@@ -256,29 +255,24 @@ impl SessionServer {
         let shard_count = config.shards.max(1);
         let (results_tx, results_rx) = unbounded();
         let mut shards = Vec::with_capacity(shard_count);
-        let mut metrics = Vec::with_capacity(shard_count);
-        let mut obs = Vec::with_capacity(shard_count);
+        let mut instruments = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             let (tx, rx) = unbounded();
-            let shard_metrics = Arc::new(ShardMetrics::default());
-            let shard_obs = Arc::new(ShardObs::new());
+            let shard_instruments = Arc::new(ShardInstruments::default());
             let shard = Shard::new(
                 results_tx.clone(),
-                Arc::clone(&shard_metrics),
-                Arc::clone(&shard_obs),
+                Arc::clone(&shard_instruments),
                 config.quantum.max(1),
                 QuarantineConfig::new(&config),
             );
             let handle = std::thread::spawn(move || shard.run(rx));
             shards.push(ShardHandle { tx, handle });
-            metrics.push(shard_metrics);
-            obs.push(shard_obs);
+            instruments.push(shard_instruments);
         }
         SessionServer {
             registry,
             shards,
-            metrics,
-            obs,
+            instruments,
             results_rx,
             ready: VecDeque::new(),
             next_session: 0,
@@ -329,7 +323,7 @@ impl SessionServer {
                 artifacts: Arc::clone(artifacts),
             })
             .map_err(|_| ServerError::Shutdown)?;
-        self.metrics[shard]
+        self.instruments[shard]
             .sessions_started
             .fetch_add(1, Ordering::Relaxed);
         self.next_session += 1;
@@ -409,15 +403,15 @@ impl SessionServer {
     /// figures.
     pub fn report(&self) -> ServerReport {
         let mut obs = ObsReport::default();
-        for shard_obs in &self.obs {
-            shard_obs.merge_into(&mut obs);
+        for shard in &self.instruments {
+            shard.merge_into(&mut obs);
         }
         ServerReport {
             shards: self
-                .metrics
+                .instruments
                 .iter()
                 .enumerate()
-                .map(|(i, m)| m.snapshot(i))
+                .map(|(i, shard)| shard.report(i))
                 .collect(),
             obs,
         }
@@ -426,18 +420,18 @@ impl SessionServer {
     /// The retained [`Incident`]s across all shards (each one a replayable
     /// counterexample for one monitor violation), oldest first per shard.
     pub fn incidents(&self) -> Vec<Incident> {
-        self.obs
+        self.instruments
             .iter()
-            .flat_map(|o| o.incidents.snapshot())
+            .flat_map(|shard| shard.incidents.snapshot())
             .collect()
     }
 
     /// The retained flight-recorder events across all shards, oldest first
     /// per shard.
     pub fn flight_events(&self) -> Vec<FlightEvent> {
-        self.obs
+        self.instruments
             .iter()
-            .flat_map(|o| o.recorder.snapshot())
+            .flat_map(|shard| shard.recorder.snapshot())
             .collect()
     }
 
@@ -568,18 +562,18 @@ struct ShardBatch {
     queued: bool,
 }
 
-/// Worker-local observability state: the shard's shared [`ShardObs`] plus
-/// the maps only the owning worker touches — admission timestamps for
-/// session wall time and cached per-protocol histogram handles (so the
-/// steady path never takes the `ShardObs` per-protocol lock).
+/// Worker-local observability state: the shard's shared
+/// [`ShardInstruments`] plus the maps only the owning worker touches —
+/// admission timestamps for session wall time and cached per-protocol
+/// histogram handles (so the steady path never takes the per-protocol lock).
 struct WorkerObs {
-    shared: Arc<ShardObs>,
+    shared: Arc<ShardInstruments>,
     admitted: FxHashMap<u64, Instant>,
     proto_wall: FxHashMap<ProtocolId, Arc<Histogram>>,
 }
 
 impl WorkerObs {
-    fn new(shared: Arc<ShardObs>) -> Self {
+    fn new(shared: Arc<ShardInstruments>) -> Self {
         WorkerObs {
             shared,
             admitted: FxHashMap::default(),
@@ -612,7 +606,7 @@ impl WorkerObs {
         if let Some(start) = self.admitted.remove(&outcome.id.0) {
             let ns =
                 u64::try_from(now.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX);
-            self.shared.session_wall.record(ns);
+            self.shared.session_wall_ns.record(ns);
             self.proto_wall
                 .entry(outcome.protocol)
                 .or_insert_with(|| self.shared.protocol_wall(outcome.protocol))
@@ -710,7 +704,6 @@ fn encode_checkpoint(demoted: &DemotedSession) -> (Vec<u8>, Vec<Arc<EndpointProg
 /// steady state of a loaded shard allocates nothing per reschedule.
 struct Shard {
     results: Sender<Vec<SessionOutcome>>,
-    metrics: Arc<ShardMetrics>,
     obs: WorkerObs,
     quantum: usize,
     quarantine: QuarantineConfig,
@@ -733,15 +726,13 @@ struct Shard {
 impl Shard {
     fn new(
         results: Sender<Vec<SessionOutcome>>,
-        metrics: Arc<ShardMetrics>,
-        obs: Arc<ShardObs>,
+        instruments: Arc<ShardInstruments>,
         quantum: usize,
         quarantine: QuarantineConfig,
     ) -> Self {
         Shard {
             results,
-            metrics,
-            obs: WorkerObs::new(obs),
+            obs: WorkerObs::new(instruments),
             quantum,
             quarantine,
             slab: Vec::new(),
@@ -773,7 +764,12 @@ impl Shard {
             if shutting_down {
                 return self.close_all();
             }
-            self.metrics.record_queue_depth(self.run_queue.len());
+            // The worker is the only writer, so a stale read can only
+            // under-report for a moment.
+            self.obs
+                .shared
+                .peak_queue_depth
+                .fetch_max(self.run_queue.len() as u64, Ordering::Relaxed);
             iters_since_flush += 1;
             if !self.pending.is_empty()
                 && (self.run_queue.is_empty()
@@ -822,7 +818,7 @@ impl Shard {
                 demoted,
                 artifacts,
             } => {
-                self.metrics.sessions_slab.fetch_add(1, Ordering::Relaxed);
+                self.obs.shared.sessions_slab.fetch_add(1, Ordering::Relaxed);
                 self.obs.on_admit(id, false, stamp);
                 self.artifacts
                     .entry(protocol)
@@ -882,7 +878,7 @@ impl Shard {
                 let sb = &mut self.batches[bi];
                 let admitted = sb.batch.admit(id.0);
                 debug_assert!(admitted, "batch was checked for room");
-                self.metrics.sessions_batched.fetch_add(1, Ordering::Relaxed);
+                self.obs.shared.sessions_batched.fetch_add(1, Ordering::Relaxed);
                 self.obs.on_admit(id, true, at);
                 if !sb.queued {
                     sb.queued = true;
@@ -894,7 +890,7 @@ impl Shard {
         }
         // The spec was validated at submission; construction is the shard's
         // job so N shards build N sessions concurrently.
-        self.metrics.sessions_slab.fetch_add(1, Ordering::Relaxed);
+        self.obs.shared.sessions_slab.fetch_add(1, Ordering::Relaxed);
         self.obs.on_admit(id, false, at);
         match ActiveSession::new(id, spec, &artifacts) {
             Ok(session) => self.enqueue_on_slab(session),
@@ -986,7 +982,7 @@ impl Shard {
             }
         };
         state.retries += 1;
-        self.metrics.sessions_restarted.fetch_add(1, Ordering::Relaxed);
+        self.obs.shared.sessions_restarted.fetch_add(1, Ordering::Relaxed);
         self.obs.shared.recorder.record(FlightEvent::Restarted {
             session: token,
             retry: state.retries.min(255) as u8,
@@ -1051,20 +1047,21 @@ impl Shard {
         let ended = Instant::now();
         let protocol = sb.protocol;
         self.record_quantum(ended.saturating_duration_since(started), result.actions, result.sends);
-        self.metrics
+        let shared = &self.obs.shared;
+        shared
             .batch_cohorts
             .fetch_add(result.cohorts as u64, Ordering::Relaxed);
-        self.metrics
+        shared
             .batch_cohort_sessions
             .fetch_add(result.cohort_sessions as u64, Ordering::Relaxed);
         for (bucket, &n) in result.cohort_widths.iter().enumerate() {
-            self.obs.shared.cohort_width.add_count(bucket, n);
+            shared.cohort_width.add_count(bucket, n);
         }
         for outcome in result.finished {
             self.finish(batch_session_outcome(protocol, outcome), ended);
         }
         for demoted in result.demoted {
-            self.metrics.sessions_demoted.fetch_add(1, Ordering::Relaxed);
+            self.obs.shared.sessions_demoted.fetch_add(1, Ordering::Relaxed);
             self.obs.shared.recorder.record(FlightEvent::BatchDemoted {
                 session: demoted.token,
             });
@@ -1169,9 +1166,9 @@ impl Shard {
     fn record_quantum(&self, elapsed: Duration, actions: usize, sends: usize) {
         if actions > 0 {
             let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX) / actions as u64;
-            self.obs.shared.action_cost.record(ns);
+            self.obs.shared.action_cost_ns.record(ns);
         }
-        let metrics = &self.metrics;
+        let metrics = &self.obs.shared;
         metrics.quanta.fetch_add(1, Ordering::Relaxed);
         metrics
             .actions_executed
@@ -1187,7 +1184,7 @@ impl Shard {
     /// demoted-then-slab, and shutdown close), and buffers its outcome for
     /// the next batched flush.
     fn finish(&mut self, outcome: SessionOutcome, now: Instant) {
-        let metrics = &self.metrics;
+        let metrics = &self.obs.shared;
         if outcome.stalled {
             metrics.sessions_stalled.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -1198,10 +1195,10 @@ impl Shard {
         }
         if outcome.quarantined {
             metrics.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
-            self.obs.shared.recorder.record(FlightEvent::Quarantined {
+            metrics.recorder.record(FlightEvent::Quarantined {
                 session: outcome.id.0,
             });
-            self.obs.shared.quarantined_for(outcome.protocol);
+            metrics.quarantined_for(outcome.protocol);
         }
         self.obs.on_outcome(&outcome, &self.artifacts, now);
         self.pending.push(outcome);
