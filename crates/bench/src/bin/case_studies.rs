@@ -1,5 +1,5 @@
-//! Regenerates the case-study evaluation of §5 (experiments E2–E5 and E12 in
-//! `DESIGN.md`): for every case study, report projectability, certification
+//! Regenerates the case-study evaluation of the paper's §5.2 (the §5.1
+//! workflow applied to each case study): for every case study, report projectability, certification
 //! of all endpoints, the outcome of an end-to-end run with the compliance
 //! monitor, and the CFSM safety/liveness verdicts.
 //!

@@ -1,5 +1,5 @@
 //! Regenerates the analogue of the paper's §5.3 "Mechanisation effort"
-//! summary (experiment E1 in `DESIGN.md`): lines of code, number of public
+//! summary: lines of code, number of public
 //! items and number of tests per crate of this repository.
 //!
 //! Run with `cargo run -p zooid-bench --bin effort-report` from the workspace

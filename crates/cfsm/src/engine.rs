@@ -749,8 +749,9 @@ impl CompiledSystem {
     }
 
     /// Like [`CompiledSystem::explore`], but with the ample-set
-    /// partial-order reduction enabled (see [`CompiledSystem::ample`] for
-    /// the exact condition and its soundness argument).
+    /// partial-order reduction enabled (the crate-private `ample` method in
+    /// `engine.rs` documents the exact condition and its soundness
+    /// argument).
     ///
     /// The reduction collapses commuting interleavings before they are
     /// generated, so `configurations` / `transitions` counts shrink and

@@ -50,9 +50,9 @@
 //!   project, compile, compose, explore — producing the safety/liveness
 //!   verdicts that the paper's well-typed processes inherit from the
 //!   metatheory, and that the evaluation harness reports for every case
-//!   study (experiment E12 in `DESIGN.md`). Its [`compat::SafetyReport`]
-//!   exposes a three-valued [`system::Verdict`], so a truncated search
-//!   reports `Inconclusive` instead of a false `Safe`.
+//!   study (`zooid-bench`'s `case-studies`, the paper's §5.2). Its
+//!   [`compat::SafetyReport`] exposes a three-valued [`system::Verdict`], so
+//!   a truncated search reports `Inconclusive` instead of a false `Safe`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,10 +8,10 @@
 //!
 //! * each worker owns a `crossbeam::deque::Worker` FIFO and steals from its
 //!   peers (and from the seeding `Injector`) when its own queue drains;
-//! * the visited map is split into [`SHARDS`] shards, each an `FxHashMap`
+//! * the visited map is split into `SHARDS` shards, each an `FxHashMap`
 //!   behind a `parking_lot::Mutex`; a configuration is routed to its shard
 //!   by the top bits of the 64-bit content hash cached inside
-//!   [`PackedConfig`], so insert-or-lookup never re-hashes the state and
+//!   the packed configuration, so insert-or-lookup never re-hashes the state and
 //!   two workers only contend when they touch the same shard at the same
 //!   instant;
 //! * every shard slot records the `(parent, machine, transition)` edge that

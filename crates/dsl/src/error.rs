@@ -60,6 +60,8 @@ pub enum DslError {
     },
     /// The underlying typing judgement failed (this indicates a misuse of
     /// [`WtProc::from_parts_unchecked`] or an ill-sorted payload expression).
+    ///
+    /// [`WtProc::from_parts_unchecked`]: crate::builder::WtProc::from_parts_unchecked
     Typing(zooid_proc::ProcError),
 }
 

@@ -1,6 +1,6 @@
 //! Protocol generators: the paper's named case-study protocols and scalable
-//! families used by the test-suite and the benchmark harness (experiment B1
-//! of `DESIGN.md`).
+//! families used by the test-suite and the benchmark harness (the case
+//! studies are the paper's §5.2; the families scale them up by role count).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

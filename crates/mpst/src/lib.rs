@@ -17,7 +17,7 @@
 //!   constructive operation and a checkable relation;
 //! * **projection**: the inductive, partial projection of global types onto
 //!   participants ([`projection::project`]) and the more permissive
-//!   coinductive projection on trees ([`projection::cproject`]), together with
+//!   coinductive projection on trees ([`projection::cproject()`]), together with
 //!   the *unravelling preserves projection* checker (Theorem 3.6);
 //! * the **asynchronous operational semantics**: queue environments, local
 //!   environments, the global LTS on execution prefixes and the local LTS on

@@ -44,7 +44,7 @@ impl LocalTreeNode {
 /// type, represented as a finite graph.
 ///
 /// Build one with [`unravel_local`](crate::local::unravel_local) or as the
-/// result of [coinductive projection](crate::projection::cproject).
+/// result of [coinductive projection](crate::projection::cproject()).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalTree {
     nodes: Vec<LocalTreeNode>,

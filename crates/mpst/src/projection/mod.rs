@@ -3,12 +3,12 @@
 //!
 //! * [`iproject`] — the inductive, partial projection of global *types*
 //!   (Definition 3.4, Figure 3a);
-//! * [`cproject`] — the coinductive projection of global *trees* and of
+//! * [`mod@cproject`] — the coinductive projection of global *trees* and of
 //!   execution prefixes (Definition 3.4, Figure 3b), both as a computation and
 //!   as a checkable relation;
-//! * [`qproject`] — the projection of execution prefixes onto queue
+//! * [`mod@qproject`] — the projection of execution prefixes onto queue
 //!   environments (Definition 3.8);
-//! * [`eproject`] — environment projection and the one-shot projection of a
+//! * [`mod@eproject`] — environment projection and the one-shot projection of a
 //!   configuration (Definitions 3.10 and 3.11);
 //! * [`correctness`] — the executable counterpart of Theorem 3.6
 //!   (*unravelling preserves projections*).

@@ -7,7 +7,7 @@
 //! * [`expr::Expr`] — a small, deeply-embedded expression language standing
 //!   in for the paper's shallow embedding of Gallina terms (the paper's
 //!   payload computations are opaque to its typing judgement too; a deep
-//!   embedding keeps typing decidable in Rust — see `DESIGN.md`);
+//!   embedding keeps typing decidable in Rust — see the [`expr`] module);
 //! * [`external`] — registries of *external actions*, the counterpart of the
 //!   OCaml functions invoked by `read`/`write`/`interact`;
 //! * [`proc::Proc`] — the process syntax (Definition 4.1);

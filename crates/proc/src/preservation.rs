@@ -196,7 +196,7 @@ fn default_sort_of(value: &Value) -> zooid_mpst::Sort {
 /// # Errors
 ///
 /// Fails on runtime errors during the exploration (see
-/// [`admin_normalize`](crate::semantics::admin_normalize)).
+/// [`admin_normalize`]).
 pub fn proc_traces_up_to(
     proc: &Proc,
     local: &LocalType,

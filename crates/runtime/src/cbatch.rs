@@ -22,7 +22,7 @@
 //!
 //! Each scheduling pass groups live endpoints by `(role, pc)` and steps
 //! every cohort with a tight loop: the instruction, its
-//! [`ActionTemplate`](crate::cexec::ActionTemplate), the peer index and the
+//! [`ActionTemplate`], the peer index and the
 //! wire label are resolved **once per cohort**, and sends between co-batched
 //! endpoints are index writes into a shared frame arena — no per-channel
 //! `VecDeque` behind a `RefCell`, no role or label comparison, and
@@ -422,6 +422,11 @@ impl SessionBatch {
     /// The shared layout the batch runs.
     pub fn layout(&self) -> &Arc<BatchLayout> {
         &self.layout
+    }
+
+    /// The execution options every session of the batch runs under.
+    pub fn options(&self) -> &ExecOptions {
+        &self.options
     }
 
     /// Number of session slots.

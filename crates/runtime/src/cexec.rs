@@ -14,8 +14,9 @@
 //! * every send/receive site carries an [`ActionTemplate`] resolved once per
 //!   `(program, protocol)` pair: the peer role, label and (statically known)
 //!   sort as values for trace recording, and the pre-interned
-//!   [`InternedAction`] the live [`CompiledMonitor`](crate::monitor::
-//!   CompiledMonitor) consumes without hashing a single string;
+//!   [`InternedAction`] the live
+//!   [`CompiledMonitor`](crate::monitor::CompiledMonitor) consumes without
+//!   hashing a single string;
 //! * the task binds every peer to its dense channel index on first use
 //!   ([`CompiledEndpointTask::step_mem`]), so steady-state stepping does no
 //!   role-string comparison either.

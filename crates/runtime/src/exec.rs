@@ -25,7 +25,7 @@ use crate::error::{Result, RuntimeError};
 use crate::transport::Transport;
 
 /// Options controlling one endpoint execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Stop (with [`EndpointStatus::StepLimitReached`]) after this many
     /// visible communications. `None` runs until the process finishes or

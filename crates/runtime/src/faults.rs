@@ -904,7 +904,6 @@ mod tests {
     use super::*;
     use crate::transport::InMemoryNetwork;
     use crate::wire::put_frame;
-    use bytes::BytesMut;
 
     fn r(name: &str) -> Role {
         Role::new(name)
@@ -1065,11 +1064,11 @@ mod tests {
     }
 
     fn framed(payloads: &[&[u8]]) -> Vec<u8> {
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         for p in payloads {
             put_frame(&mut out, p, 1 << 20).unwrap();
         }
-        out.to_vec()
+        out
     }
 
     #[test]

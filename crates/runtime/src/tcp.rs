@@ -27,7 +27,7 @@
 //! All streams run in non-blocking mode from the moment the transport owns
 //! them, which is what makes [`Transport::try_recv`] genuinely
 //! non-blocking here: it pumps whatever bytes the socket has into a
-//! [`FrameReader`](crate::wire::FrameReader) (partial frames persist across
+//! [`FrameReader`] (partial frames persist across
 //! calls) and returns `Ok(None)` on an empty socket — so the poll-based
 //! executor's `WouldBlock` contract holds over real sockets exactly as it
 //! does in memory.
@@ -43,7 +43,7 @@ use zooid_proc::Value;
 use crate::codec::{decode_message, encode_message, Message};
 use crate::error::{Result, RuntimeError};
 use crate::transport::Transport;
-use crate::wire::{FillStatus, FrameReader, DEFAULT_MAX_FRAME_BYTES};
+use crate::wire::{put_frame, FillStatus, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 
 /// Default deadline for blocking receives (and non-blocking sends that
 /// cannot drain into the socket buffer).
@@ -306,26 +306,12 @@ impl Transport for TcpTransport {
         let max = self.max_frame_bytes;
         let deadline = Instant::now() + self.recv_timeout;
         let frame = encode_message(&Message::new(label.clone(), value.clone()));
-        if frame.len() > max {
-            return Err(RuntimeError::FrameTooLarge {
-                len: frame.len(),
-                max,
-            });
-        }
-        // The cap does not imply the length fits the prefix: the public
-        // `set_max_frame_bytes` accepts caps above `u32::MAX`, and a
-        // truncated length prefix would corrupt the whole stream.
-        let len = u32::try_from(frame.len()).map_err(|_| RuntimeError::FrameTooLarge {
-            len: frame.len(),
-            max: u32::MAX as usize,
-        })?;
+        let mut wire = Vec::with_capacity(4 + frame.len());
+        put_frame(&mut wire, &frame, max)?;
         let conn = self.conn_mut(to)?;
         if conn.poisoned {
             return Err(Self::poisoned_error(to));
         }
-        let mut wire = Vec::with_capacity(4 + frame.len());
-        wire.extend_from_slice(&len.to_be_bytes());
-        wire.extend_from_slice(&frame);
         if let Err((written, e)) = Self::write_all_deadline(&mut conn.stream, &wire, deadline, to) {
             // Part of the frame is on the wire: the peer's framing can no
             // longer be trusted, so refuse every later use of this peer.

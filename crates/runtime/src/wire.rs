@@ -110,7 +110,7 @@ impl FrameReader {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pumps up to [`MAX_READ_PER_FILL`] bytes from a non-blocking reader
+    /// Pumps up to `MAX_READ_PER_FILL` bytes from a non-blocking reader
     /// into the buffer.
     ///
     /// Returns what stopped the pump: end-of-stream, an empty socket, or a
@@ -196,14 +196,15 @@ impl FrameReader {
     }
 }
 
-/// Encodes one frame (length prefix + payload) into an output buffer.
+/// Appends one frame (`u32` big-endian length prefix + payload) to an
+/// outgoing byte buffer — the one frame writer every sender goes through.
 ///
 /// # Errors
 ///
 /// [`RuntimeError::FrameTooLarge`] if the payload exceeds `max_frame_bytes`
 /// — the sender enforces the same cap the receiver does, so a compliant
 /// peer can never trip the receiver's guard.
-pub fn put_frame(out: &mut BytesMut, payload: &[u8], max_frame_bytes: usize) -> Result<()> {
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8], max_frame_bytes: usize) -> Result<()> {
     if payload.len() > max_frame_bytes {
         return Err(RuntimeError::FrameTooLarge {
             len: payload.len(),
@@ -217,8 +218,8 @@ pub fn put_frame(out: &mut BytesMut, payload: &[u8], max_frame_bytes: usize) -> 
         len: payload.len(),
         max: u32::MAX as usize,
     })?;
-    out.put_u32(len);
-    out.put_slice(payload);
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(payload);
     Ok(())
 }
 
@@ -592,10 +593,11 @@ mod tests {
             // Delivery sizes, cycled; `fill` when the flag is set, else `extend`.
             chunks in proptest::collection::vec((1usize..97, any::<bool>()), 1..12),
         ) {
-            let mut wire = BytesMut::new();
+            let mut wire = Vec::new();
             for (at, (class, byte)) in frames.iter().enumerate() {
                 if at == oversized_at {
-                    wire.put_u32(DIFF_CAP as u32 + 1 + u32::from(*byte));
+                    let over = DIFF_CAP as u32 + 1 + u32::from(*byte);
+                    wire.extend_from_slice(&over.to_be_bytes());
                 }
                 let len = match class {
                     0 => 0,
@@ -638,7 +640,7 @@ mod tests {
     fn a_full_fill_of_small_frames_survives_compaction() {
         // 64 KiB (one `fill`'s cap) of 26-byte frames, the size of a `Done`.
         let count = 64 * 1024 / 26;
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         let payload = |i: usize| -> Vec<u8> { (0..22).map(|j| (i * 31 + j) as u8).collect() };
         for i in 0..count {
             put_frame(&mut wire, &payload(i), DEFAULT_MAX_FRAME_BYTES).unwrap();
@@ -735,7 +737,7 @@ mod tests {
     #[test]
     fn frame_reader_reassembles_across_arbitrary_splits() {
         let payloads: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![9; 1000]];
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         for p in &payloads {
             put_frame(&mut wire, p, DEFAULT_MAX_FRAME_BYTES).unwrap();
         }
@@ -776,7 +778,7 @@ mod tests {
 
     #[test]
     fn senders_enforce_the_same_cap() {
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         assert!(matches!(
             put_frame(&mut out, &[0u8; 2048], 1024),
             Err(RuntimeError::FrameTooLarge { len: 2048, max: 1024 })

@@ -20,7 +20,7 @@ use zooid_mpst::global::GlobalType;
 use zooid_mpst::local::LocalType;
 use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Role, Sort};
-use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, RecvAlt, Value, ValueAction};
+use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, RecvAlt, ValueAction};
 use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
 use zooid_runtime::checkpoint::{initial_demoted, SessionCheckpoint};

@@ -9,13 +9,15 @@
 //!
 //! * [`registry`] — a [`ProtocolRegistry`] compiles each registered protocol
 //!   exactly once (well-formedness → projection → per-role CFSMs →
-//!   [`zooid_cfsm::System::compile`]) and caches the artifacts behind an
-//!   `Arc`, keyed by a dense [`ProtocolId`]; per `(role, process)` it also
-//!   caches the **compiled endpoint program**
+//!   [`zooid_cfsm::System::compile`] → a reduced safety exploration) and
+//!   files the artifacts under a dense [`ProtocolId`]; starting the server
+//!   **freezes** it behind one `Arc` every shard holds, the one place
+//!   protocol facts live from then on. Per global type and `(role, process)`
+//!   it caches the **compiled endpoint program**
 //!   ([`zooid_runtime::EndpointProgram`], a [`zooid_proc::CompiledProc`]
 //!   with its action templates pre-interned against the protocol's
-//!   transition tables), so every session of the same implementation shares
-//!   one lowered program;
+//!   transition tables) and per program set the batch layout, so admission
+//!   resolves a session's cast exactly once;
 //! * [`session`] — an [`ActiveSession`](session::SessionSpec) bundles one
 //!   endpoint task per participant — always a compiled
 //!   [`zooid_runtime::CompiledEndpointTask`] (program counter + slot array;
@@ -26,8 +28,9 @@
 //!   [`zooid_runtime::CompiledMonitor`] fed **pre-interned actions**, so
 //!   steady-state serving neither hashes a string nor walks a tree;
 //! * [`server`] — the [`SessionServer`] schedules sessions over N worker
-//!   shards (sessions hashed by id, validated specs shipped to the shard
-//!   that *constructs* them, outcomes flushed in batches); each shard steps
+//!   shards (sessions hashed by id, validated specs shipped — an id and a
+//!   spec, nothing else — to the shard that *resolves and constructs* them
+//!   against the registry, outcomes flushed in batches); each shard steps
 //!   its work in bounded quanta, so thread count is fixed by the shard
 //!   count while sessions number in the tens of thousands. Homogeneous
 //!   sessions — same protocol, same compiled per-role programs, same

@@ -42,14 +42,14 @@
 //!
 //! # Backpressure and admission control
 //!
-//! * **Bounded accept queue** — at most [`ACCEPTS_PER_SWEEP`] connections
+//! * **Bounded accept queue** — at most `ACCEPTS_PER_SWEEP` connections
 //!   are admitted per loop iteration, and a connection beyond
 //!   [`NetServerConfig::max_connections`] is refused with a structured
 //!   [`RejectCode::ConnectionLimit`] frame before its socket is closed.
 //!   The refusal itself is non-blocking: the socket lingers in the loop as
 //!   a write-only entry just long enough to flush the frame (bounded by
-//!   [`MAX_PENDING_REJECTS`] and [`REJECT_LINGER`]), so a connect flood at
-//!   the limit cannot stall live connections.
+//!   `MAX_PENDING_REJECTS` sockets and the `REJECT_LINGER` deadline), so a
+//!   connect flood at the limit cannot stall live connections.
 //! * **Per-connection in-flight cap** — a connection may have at most
 //!   [`NetServerConfig::max_inflight_per_conn`] sessions open; further
 //!   `Open`s are shed with [`RejectCode::SessionLimit`].
@@ -81,17 +81,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use zooid_dsl::CertifiedProcess;
-use zooid_proc::Externals;
-use zooid_runtime::exec::ExecOptions;
 use zooid_runtime::wire::{
-    decode_mux, encode_mux, FillStatus, FrameReader, MuxFrame, RejectCode, DEFAULT_MAX_FRAME_BYTES,
+    decode_mux, encode_mux, put_frame, FillStatus, FrameReader, MuxFrame, RejectCode,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use zooid_runtime::RuntimeError;
 
 use crate::metrics::{NetInstruments, NetReport, NetServerReport, StatsSnapshot};
 use crate::obs::{CloseReason, FlightEvent, Incident};
-use crate::registry::{ProtocolId, ProtocolRegistry};
+use crate::registry::ProtocolRegistry;
 use crate::server::{ServerConfig, SessionServer};
 use crate::session::{SessionId, SessionOutcome, SessionSpec};
 use crate::{Result, ServerError};
@@ -124,71 +122,15 @@ const MAX_PENDING_REJECTS: usize = 128;
 /// from turning into a RST that could destroy the queued rejection frame.
 const DISCARD_PER_SWEEP: usize = 64 * 1024;
 
-/// Appends one frame — `u32` big-endian length, then the payload — to an
-/// outgoing byte buffer, under the same two checks as
-/// [`zooid_runtime::wire::put_frame`]: the payload cap, and the width of the
-/// prefix itself (caps above 4 GiB are constructible, and a silently
-/// truncated prefix would corrupt the whole stream).
-fn append_frame(
-    out: &mut Vec<u8>,
-    payload: &[u8],
-    max_frame_bytes: usize,
-) -> zooid_runtime::Result<()> {
-    let too_large = |max| RuntimeError::FrameTooLarge {
-        len: payload.len(),
-        max,
-    };
-    if payload.len() > max_frame_bytes {
-        return Err(too_large(max_frame_bytes));
-    }
-    let len = u32::try_from(payload.len()).map_err(|_| too_large(u32::MAX as usize))?;
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(payload);
-    Ok(())
-}
-
 /// One entry of the service catalog: what to run when a client opens a
-/// session of a protocol.
+/// session of a protocol — a [`SessionSpec`], submitted afresh per `Open`
+/// ([`SessionSpec::skeleton`] builds the deterministic one).
 ///
 /// The serving plane is a *submission* plane: the server hosts every
 /// endpoint of the session on its shards (the endpoints are certified at
 /// registration time), and the wire carries session control — open,
 /// accept/reject, done — not individual payload messages.
-#[derive(Debug, Clone)]
-pub struct Service {
-    /// The registered protocol this service runs.
-    pub protocol: ProtocolId,
-    /// One certified endpoint per participant.
-    pub endpoints: Arc<[(CertifiedProcess, Externals)]>,
-    /// Execution options for every session of this service.
-    pub options: ExecOptions,
-}
-
-impl Service {
-    /// Builds the deterministic skeleton service (first-branch sends,
-    /// default payloads) for a registered protocol.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the protocol id is unknown or its projections need payload
-    /// sorts with no default value.
-    pub fn skeleton(registry: &ProtocolRegistry, protocol: ProtocolId) -> Result<Service> {
-        let artifacts = registry.get(protocol).ok_or(ServerError::UnknownProtocol)?;
-        let endpoints = crate::synth::skeleton_endpoints(artifacts.protocol())?;
-        Ok(Service {
-            protocol,
-            endpoints: endpoints.into(),
-            options: ExecOptions::default(),
-        })
-    }
-
-    /// Limits every session of this service to `max_steps` communications
-    /// per endpoint (required for looping protocols).
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.options = ExecOptions::with_max_steps(max_steps);
-        self
-    }
-}
+pub type Service = SessionSpec;
 
 /// Configuration of a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -313,7 +255,7 @@ impl NetConn {
         }
         // Control frames are tiny; the cap cannot trip for a compliant
         // server, but keep the single enforcement point anyway.
-        let _ = append_frame(
+        let _ = put_frame(
             &mut self.out,
             &encode_mux(frame),
             self.reader.max_frame_bytes(),
@@ -407,14 +349,12 @@ impl NetServer {
         services: impl IntoIterator<Item = Service>,
         config: NetServerConfig,
     ) -> Result<NetServer> {
-        // Key the catalog by registered protocol name: the wire carries
-        // names, the scheduler wants ids.
-        let mut catalog: BTreeMap<String, Service> = BTreeMap::new();
+        let mut catalog: Vec<Option<Service>> = vec![None; registry.len()];
         for service in services {
-            let artifacts = registry
-                .get(service.protocol)
+            let entry = catalog
+                .get_mut(service.protocol.index())
                 .ok_or(ServerError::UnknownProtocol)?;
-            catalog.insert(artifacts.name().to_owned(), service);
+            *entry = Some(service);
         }
         let listener = TcpListener::bind(config.addr).map_err(io_err)?;
         listener.set_nonblocking(true).map_err(io_err)?;
@@ -498,7 +438,10 @@ fn io_err(e: std::io::Error) -> ServerError {
 struct IoLoop {
     listener: TcpListener,
     server: SessionServer,
-    catalog: BTreeMap<String, Service>,
+    /// The service of each registered protocol that has one, indexed by
+    /// [`ProtocolId`](crate::ProtocolId): the wire carries names, which the
+    /// registry resolves.
+    catalog: Vec<Option<Service>>,
     config: NetServerConfig,
     metrics: Arc<NetInstruments>,
     conns: Vec<Option<NetConn>>,
@@ -809,7 +752,8 @@ impl IoLoop {
                 ),
             ));
         }
-        let Some(service) = self.catalog.get(protocol) else {
+        let id = self.server.registry().lookup(protocol);
+        let Some(service) = id.and_then(|id| self.catalog[id.index()].as_ref()) else {
             rejected.fetch_add(1, Ordering::Relaxed);
             return Err((
                 RejectCode::UnknownProtocol,
@@ -834,12 +778,7 @@ impl IoLoop {
             ));
         }
 
-        let spec = SessionSpec {
-            protocol: service.protocol,
-            endpoints: Arc::clone(&service.endpoints),
-            options: service.options.clone(),
-        };
-        match self.server.submit(spec) {
+        match self.server.submit(service.clone()) {
             Ok(id) => {
                 self.routes.insert(id, (slot, self.gens[slot], session));
                 conn.inflight += 1;
@@ -1068,7 +1007,7 @@ impl NetClient {
     }
 
     fn queue(&mut self, frame: &MuxFrame) -> zooid_runtime::Result<()> {
-        append_frame(&mut self.out, &encode_mux(frame), DEFAULT_MAX_FRAME_BYTES)?;
+        put_frame(&mut self.out, &encode_mux(frame), DEFAULT_MAX_FRAME_BYTES)?;
         if self.out.len() >= CLIENT_WRITE_BUFFER {
             self.flush()?;
         }

@@ -1,20 +1,24 @@
-//! The protocol registry: compile each registered protocol once, share the
-//! artifacts with every session.
+//! The protocol registry: compile each registered protocol once, and be the
+//! one place its facts live.
 //!
 //! Registration runs the whole front half of the pipeline — well-formedness
 //! (already checked by [`Protocol::new`]), projection onto every participant,
 //! per-role CFSM compilation, [`System::compile`] and a **safety check** of
-//! the compiled system (the parallel reduced exploration of the CFSM
-//! engine, under a configurable [`SafetyBudget`]) — and caches the result
-//! behind an `Arc` keyed by a dense [`ProtocolId`]. Starting a session is
-//! then a lookup plus a few clones of interned tables' handles: the paper's
-//! per-session analysis cost is paid exactly once per protocol, no matter
-//! how many thousands of sessions of it the server hosts.
+//! the compiled system (the sequential reduced exploration of the CFSM
+//! engine, [`CompiledSystem::explore_por`], under a configurable
+//! [`SafetyBudget`]) — and files the result under a dense [`ProtocolId`].
+//! [`SessionServer::start`](crate::SessionServer::start) freezes the
+//! registry behind one `Arc` that every worker shard holds, so a session
+//! crosses threads as an id and a spec and every protocol fact is an index
+//! into the registry: the paper's per-session analysis cost is paid exactly
+//! once per protocol, no matter how many thousands of sessions of it the
+//! server hosts.
 //!
-//! The compile/check cache is keyed on the **interned global-type id** (the
+//! Everything compiled is keyed on the **interned global-type id** (the
 //! registry owns a [`zooid_mpst::Interner`] for exactly this), so
 //! registering a structurally identical protocol — same name or a new one —
-//! is a pure lookup: no re-projection, no recompilation, no re-exploration.
+//! is a pure lookup: no re-projection, no recompilation, no re-exploration,
+//! and the twins share their lowered endpoint programs and batch layouts.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -30,22 +34,21 @@ use zooid_runtime::cexec::EndpointProgram;
 
 use crate::error::{Result, ServerError};
 
-/// Upper bound on cached compiled endpoint programs per protocol: sessions
-/// normally submit one implementation per role, so the cache stays tiny; a
-/// workload cycling through many distinct implementations of one protocol
-/// compiles the excess ones per session instead of growing without bound.
-const PROGRAM_CACHE_CAP: usize = 64;
+/// Upper bound on cached compiled endpoint programs (and on cached layouts)
+/// per global type: sessions normally submit one implementation per role, so
+/// the caches stay tiny; a workload cycling through many distinct
+/// implementations of one protocol compiles the excess ones per session
+/// instead of growing without bound.
+const CACHE_CAP: usize = 64;
 
-/// Budget of the registration-time safety check: channel bound,
-/// visited-configuration cap and worker-thread count handed to the reduced
-/// CFSM exploration ([`zooid_cfsm::CompiledSystem::explore_por`] at one
-/// thread, [`zooid_cfsm::CompiledSystem::explore_parallel`] beyond).
+/// Budget of the registration-time safety check: channel bound and
+/// visited-configuration cap handed to the reduced CFSM exploration
+/// ([`CompiledSystem::explore_por`]).
 ///
-/// The default (bound 2, 50k configurations, 1 thread) keeps registration
-/// latency flat for ordinary protocols; deployments registering large
-/// concurrent protocols can raise the cap and the thread count. A capped
-/// search never reports a false `Safe`: running out of budget yields
-/// [`Verdict::Inconclusive`].
+/// The default (bound 2, 50k configurations) keeps registration latency
+/// flat for ordinary protocols; deployments registering large concurrent
+/// protocols can raise the cap. A capped search never reports a false
+/// `Safe`: running out of budget yields [`Verdict::Inconclusive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyBudget {
     /// FIFO bound per ordered role pair during exploration (0 = rendezvous).
@@ -53,10 +56,6 @@ pub struct SafetyBudget {
     /// Maximum visited configurations before the verdict degrades to
     /// [`Verdict::Inconclusive`].
     pub max_configs: usize,
-    /// Worker threads of the exploration. At most 1 runs the sequential
-    /// reduced engine ([`zooid_cfsm::CompiledSystem::explore_por`]) on the
-    /// registering thread; 2 or more spawn the work-stealing pool.
-    pub threads: usize,
 }
 
 impl Default for SafetyBudget {
@@ -64,22 +63,39 @@ impl Default for SafetyBudget {
         SafetyBudget {
             channel_bound: 2,
             max_configs: 50_000,
-            threads: 1,
         }
     }
 }
 
-/// Structure-keyed compilation artifacts shared by every registration of
-/// the same global type (under any name).
-#[derive(Debug, Clone)]
-struct CompiledEntry {
-    locals: Arc<[(Role, LocalType)]>,
+/// A cast's lowered programs, one per participant in sorted-role order.
+type Programs = Vec<Arc<EndpointProgram>>;
+/// A small shared cache of `(key, value)` entries, read through [`cached`].
+type Cache<K, V> = Mutex<Vec<(K, V)>>;
+
+/// Everything compiled from one global type, shared by every protocol
+/// registered for it (under any name).
+#[derive(Debug)]
+struct Compiled {
+    locals: Vec<(Role, LocalType)>,
     /// The participants, sorted — the shared role table every session's
     /// [`zooid_runtime::transport::InMemoryNetwork`] is built from without
     /// re-sorting or re-allocating.
     sorted_roles: Arc<[Role]>,
-    compiled: Arc<CompiledSystem>,
+    system: Arc<CompiledSystem>,
     verdict: Verdict,
+    /// Compiled endpoint programs ([`EndpointProgram`]), cached per
+    /// `(role, process)`: every session submitting the same implementation
+    /// of a role shares one lowered program with its action templates
+    /// pre-interned against `system`. Lazily filled (sessions bring their
+    /// own processes), hence the interior mutability.
+    programs: Cache<(Role, Proc), Arc<EndpointProgram>>,
+    /// Batchable-layout descriptors ([`BatchLayout`]), cached per resolved
+    /// program set. The key holds the `Arc`s themselves (compared by
+    /// pointer identity) — keeping the programs alive is what makes the
+    /// identity comparison sound against allocator address reuse. `None` is
+    /// cached too: a program set that is not batch-eligible is not
+    /// re-analysed per session.
+    layouts: Cache<Programs, Option<Arc<BatchLayout>>>,
 }
 
 /// Dense id of a registered protocol.
@@ -103,23 +119,7 @@ pub struct ProtocolArtifacts {
     /// compile/check cache.
     tid: TypeId,
     protocol: Protocol,
-    locals: Arc<[(Role, LocalType)]>,
-    sorted_roles: Arc<[Role]>,
-    compiled: Arc<CompiledSystem>,
-    verdict: Verdict,
-    /// Compiled endpoint programs ([`EndpointProgram`]), cached per
-    /// `(role, process)`: every session submitting the same implementation
-    /// of a role shares one lowered program with its action templates
-    /// pre-interned against `compiled`. Lazily filled (sessions bring their
-    /// own processes), hence the interior mutability.
-    programs: Mutex<Vec<(Role, Proc, Arc<EndpointProgram>)>>,
-    /// Batchable-layout descriptors ([`BatchLayout`]), cached per resolved
-    /// program set. The key holds the `Arc`s themselves (compared by
-    /// pointer identity) — keeping the programs alive is what makes the
-    /// identity comparison sound against allocator address reuse. `None` is
-    /// cached too: a program set that is not batch-eligible is not
-    /// re-analysed per session.
-    batch_layouts: Mutex<Vec<(Vec<Arc<EndpointProgram>>, Option<Arc<BatchLayout>>)>>,
+    compiled: Arc<Compiled>,
 }
 
 impl ProtocolArtifacts {
@@ -140,24 +140,24 @@ impl ProtocolArtifacts {
 
     /// The participants, with the projection of the protocol onto each.
     pub fn locals(&self) -> &[(Role, LocalType)] {
-        &self.locals
+        &self.compiled.locals
     }
 
     /// The participants of the protocol.
     pub fn roles(&self) -> impl Iterator<Item = &Role> {
-        self.locals.iter().map(|(role, _)| role)
+        self.locals().iter().map(|(role, _)| role)
     }
 
     /// The participants, sorted, behind a shared `Arc` — every session's
     /// in-memory network is built directly on this table.
     pub(crate) fn sorted_roles(&self) -> &Arc<[Role]> {
-        &self.sorted_roles
+        &self.compiled.sorted_roles
     }
 
     /// The compiled per-role transition tables, shared by every session's
     /// [`CompiledMonitor`](zooid_runtime::CompiledMonitor).
     pub fn compiled(&self) -> &Arc<CompiledSystem> {
-        &self.compiled
+        &self.compiled.system
     }
 
     /// The verdict of the registration-time safety check (deadlocks, orphan
@@ -167,12 +167,12 @@ impl ProtocolArtifacts {
     /// was exhausted first, in which case this is
     /// [`Verdict::Inconclusive`] — never a false `Safe`.
     pub fn safety_verdict(&self) -> Verdict {
-        self.verdict
+        self.compiled.verdict
     }
 
     /// The compiled endpoint program for one `(role, process)` pair —
-    /// compile-once-per-implementation, shared across every session that
-    /// submits it.
+    /// compile-once-per-implementation, shared across every session (of any
+    /// protocol registered for the same global type) that submits it.
     ///
     /// Returns `None` when the process does not lower (a jump without an
     /// enclosing loop, a loop that can never reach a communication).
@@ -195,88 +195,90 @@ impl ProtocolArtifacts {
 
     /// [`ProtocolArtifacts::endpoint_program`], keeping the lowering error
     /// for the session outcome that reports it.
-    pub(crate) fn lower(
+    fn lower(
         &self,
         role: &Role,
         proc: &Proc,
         externals: &Externals,
     ) -> std::result::Result<Arc<EndpointProgram>, ProcError> {
-        let lookup = |cache: &Vec<(Role, Proc, Arc<EndpointProgram>)>| {
-            cache
-                .iter()
-                .find(|(cached_role, cached_proc, _)| cached_role == role && cached_proc == proc)
-                .map(|(_, _, program)| Arc::clone(program))
-        };
-        if let Some(program) = lookup(&self.programs.lock().unwrap_or_else(|e| e.into_inner())) {
-            return Ok(program);
-        }
-        // Compile outside the lock: a miss must not stall the other shards'
-        // session construction for the whole lowering. Losing the race just
-        // means two structurally identical programs briefly exist; the
-        // cache keeps the first.
-        let compiled = CompiledProc::compile(proc, role, externals)?;
-        let program = Arc::new(EndpointProgram::with_system(
-            Arc::new(compiled),
-            &self.compiled,
-        ));
-        let mut cache = self.programs.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = lookup(&cache) {
-            return Ok(existing);
-        }
-        if cache.len() < PROGRAM_CACHE_CAP {
-            cache.push((role.clone(), proc.clone(), Arc::clone(&program)));
-        }
-        Ok(program)
+        cached(
+            &self.compiled.programs,
+            |(cached_role, cached_proc)| cached_role == role && cached_proc == proc,
+            || (role.clone(), proc.clone()),
+            || {
+                let compiled = Arc::new(CompiledProc::compile(proc, role, externals)?);
+                Ok(Arc::new(EndpointProgram::with_system(compiled, &self.compiled.system)))
+            },
+        )
     }
 
-    /// The shared [`BatchLayout`] for a session's endpoints, or `None` when
-    /// the combination is not batch-eligible (a process that does not
-    /// lower, calls externals, or has a communication site without a
-    /// statically known sort): the caller keeps the session on the slab
-    /// executor.
+    /// Resolves a session's cast, once per admission: every endpoint's
+    /// lowered program, in **sorted-role order**, plus the [`BatchLayout`]
+    /// they share — `None` when the combination is not batch-eligible (a
+    /// process that calls externals or has a communication site without a
+    /// statically known sort), and the caller builds a slab session from
+    /// the same programs.
     ///
-    /// The endpoints may come in any order; the layout's role order is the
-    /// protocol's sorted role table. Results — including `None` — are
-    /// cached per resolved program set, so the steady state is one lock and
-    /// a handful of pointer comparisons per session.
-    pub(crate) fn batch_layout(
+    /// The endpoints may come in any order but must cover the protocol's
+    /// participants exactly (`validate_spec`). Layouts — including `None` —
+    /// are cached per program set, compared by pointer identity.
+    ///
+    /// # Errors
+    ///
+    /// The [`ProcError`] of the first process that does not lower.
+    pub(crate) fn resolve(
         &self,
         endpoints: &[(CertifiedProcess, Externals)],
-    ) -> Option<Arc<BatchLayout>> {
-        let roles = self.sorted_roles();
-        let mut resolved: Vec<Option<Arc<EndpointProgram>>> = vec![None; roles.len()];
-        for (cert, externals) in endpoints {
-            let pos = roles.binary_search(cert.role()).ok()?;
-            resolved[pos] = Some(self.endpoint_program(cert.role(), cert.proc(), externals)?);
-        }
-        let programs: Vec<Arc<EndpointProgram>> = resolved.into_iter().collect::<Option<_>>()?;
-        let lookup = |cache: &Vec<(Vec<Arc<EndpointProgram>>, Option<Arc<BatchLayout>>)>| {
-            cache
-                .iter()
-                .find(|(key, _)| {
-                    key.len() == programs.len()
-                        && key.iter().zip(&programs).all(|(a, b)| Arc::ptr_eq(a, b))
-                })
-                .map(|(_, layout)| layout.clone())
-        };
-        if let Some(cached) = lookup(&self.batch_layouts.lock().unwrap_or_else(|e| e.into_inner()))
-        {
-            return cached;
-        }
-        let layout = BatchLayout::new(
-            Arc::clone(roles),
-            programs.clone(),
-            Arc::clone(&self.compiled),
-        );
-        let mut cache = self.batch_layouts.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cached) = lookup(&cache) {
-            return cached;
-        }
-        if cache.len() < PROGRAM_CACHE_CAP {
-            cache.push((programs, layout.clone()));
-        }
-        layout
+    ) -> std::result::Result<(Programs, Option<Arc<BatchLayout>>), ProcError> {
+        let mut programs = endpoints
+            .iter()
+            .map(|(cert, externals)| self.lower(cert.role(), cert.proc(), externals))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        programs.sort_by(|a, b| a.program().role().cmp(b.program().role()));
+        let layout = cached(
+            &self.compiled.layouts,
+            |key| {
+                key.len() == programs.len()
+                    && key.iter().zip(&programs).all(|(a, b)| Arc::ptr_eq(a, b))
+            },
+            || programs.clone(),
+            || {
+                let roles = Arc::clone(self.sorted_roles());
+                let system = Arc::clone(&self.compiled.system);
+                Ok(BatchLayout::new(roles, programs.clone(), system))
+            },
+        )?;
+        Ok((programs, layout))
     }
+}
+
+/// Looks a key up in one of [`Compiled`]'s caches and, on a miss, builds the
+/// value **outside** the lock — a miss must not stall the other shards'
+/// admissions for a whole lowering — then files it under `key()`, up to
+/// [`CACHE_CAP`] entries. Losing a race just means two equal values briefly
+/// exist; the cache keeps the first.
+fn cached<K, V: Clone>(
+    cache: &Cache<K, V>,
+    is_key: impl Fn(&K) -> bool,
+    key: impl FnOnce() -> K,
+    build: impl FnOnce() -> std::result::Result<V, ProcError>,
+) -> std::result::Result<V, ProcError> {
+    let find = |entries: &Vec<(K, V)>| {
+        let hit = entries.iter().find(|(key, _)| is_key(key));
+        hit.map(|(_, value)| value.clone())
+    };
+    if let Some(hit) = find(&cache.lock().unwrap_or_else(|e| e.into_inner())) {
+        return Ok(hit);
+    }
+    let value = build()?;
+    let mut entries = cache.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(first) = find(&entries) {
+        return Ok(first);
+    }
+    if entries.len() < CACHE_CAP {
+        entries.push((key(), value.clone()));
+    }
+    Ok(value)
 }
 
 /// A registry of compiled protocols.
@@ -298,13 +300,13 @@ impl ProtocolArtifacts {
 #[derive(Debug, Default)]
 pub struct ProtocolRegistry {
     ids: HashMap<String, ProtocolId>,
-    artifacts: Vec<Arc<ProtocolArtifacts>>,
+    artifacts: Vec<ProtocolArtifacts>,
     /// Interns registered global types; equal [`TypeId`]s ⟺ structurally
     /// identical protocols, so both the duplicate-name check and the
     /// compile/check cache are id comparisons, not deep tree walks.
     interner: Interner,
-    /// Compilation + safety artifacts per distinct global type.
-    compiled: HashMap<TypeId, CompiledEntry>,
+    /// What was compiled for each distinct global type.
+    compiled: HashMap<TypeId, Arc<Compiled>>,
     budget: SafetyBudget,
 }
 
@@ -330,14 +332,16 @@ impl ProtocolRegistry {
 
     /// Registers a protocol, compiling its artifacts (projection, per-role
     /// machines, dense transition tables) and safety-checking the compiled
-    /// system (parallel reduced exploration under the registry's
+    /// system (sequential reduced exploration under the registry's
     /// [`SafetyBudget`]) exactly once per *structurally distinct* global
     /// type.
     ///
     /// Registering the same (name, global type) again returns the existing
     /// id; registering the same global type under a new name is a pure
     /// cache lookup keyed on the interned type id — the new entry shares
-    /// the compiled tables, projections and safety verdict of the first.
+    /// everything compiled for the first: tables, projections, safety
+    /// verdict, and the endpoint programs and batch layouts its sessions
+    /// lower.
     ///
     /// # Errors
     ///
@@ -346,68 +350,56 @@ impl ProtocolRegistry {
     pub fn register(&mut self, protocol: Protocol) -> Result<ProtocolId> {
         let tid = self.interner.intern_global(protocol.global());
         if let Some(&id) = self.ids.get(protocol.name()) {
-            if self.artifacts[id.index()].tid == tid {
+            if self[id].tid == tid {
                 return Ok(id);
             }
             return Err(ServerError::DuplicateProtocol {
                 name: protocol.name().to_owned(),
             });
         }
-        let entry = match self.compiled.get(&tid) {
-            Some(entry) => entry.clone(),
+        let compiled = match self.compiled.get(&tid) {
+            Some(compiled) => Arc::clone(compiled),
             None => {
-                let locals: Arc<[(Role, LocalType)]> = protocol.project_all()?.into();
+                let locals = protocol.project_all()?;
                 let mut sorted: Vec<Role> = locals.iter().map(|(role, _)| role.clone()).collect();
                 sorted.sort();
                 sorted.dedup();
-                let sorted_roles: Arc<[Role]> = sorted.into();
                 let machines = locals
                     .iter()
                     .map(|(role, local)| Cfsm::from_local_type(role.clone(), local))
                     .collect::<std::result::Result<Vec<_>, _>>()?;
-                let system = System::new(machines)?;
-                let compiled = Arc::new(system.compile());
-                // Same reduced search, same verdict (differentially
-                // tested); the single-threaded budget takes the sequential
-                // engine and skips the shard/deque machinery outright.
-                let outcome = if self.budget.threads <= 1 {
-                    compiled.explore_por(self.budget.channel_bound, self.budget.max_configs)
-                } else {
-                    compiled.explore_parallel(
-                        self.budget.channel_bound,
-                        self.budget.max_configs,
-                        self.budget.threads,
-                    )
-                };
-                let verdict = outcome.verdict();
-                let entry = CompiledEntry {
+                let system = Arc::new(System::new(machines)?.compile());
+                // Always the sequential reduced engine: the work-stealing
+                // one reaches the same verdict (differentially tested) but
+                // pays 1.2–1.4x for its pool inside a registration.
+                let verdict = system
+                    .explore_por(self.budget.channel_bound, self.budget.max_configs)
+                    .verdict();
+                let compiled = Arc::new(Compiled {
                     locals,
-                    sorted_roles,
-                    compiled,
+                    sorted_roles: sorted.into(),
+                    system,
                     verdict,
-                };
-                self.compiled.insert(tid, entry.clone());
-                entry
+                    programs: Mutex::new(Vec::new()),
+                    layouts: Mutex::new(Vec::new()),
+                });
+                self.compiled.insert(tid, Arc::clone(&compiled));
+                compiled
             }
         };
         let id = ProtocolId(u32::try_from(self.artifacts.len()).expect("registry overflow"));
         self.ids.insert(protocol.name().to_owned(), id);
-        self.artifacts.push(Arc::new(ProtocolArtifacts {
+        self.artifacts.push(ProtocolArtifacts {
             id,
             tid,
             protocol,
-            locals: entry.locals,
-            sorted_roles: entry.sorted_roles,
-            compiled: entry.compiled,
-            verdict: entry.verdict,
-            programs: Mutex::new(Vec::new()),
-            batch_layouts: Mutex::new(Vec::new()),
-        }));
+            compiled,
+        });
         Ok(id)
     }
 
     /// The artifacts of a registered protocol.
-    pub fn get(&self, id: ProtocolId) -> Option<&Arc<ProtocolArtifacts>> {
+    pub fn get(&self, id: ProtocolId) -> Option<&ProtocolArtifacts> {
         self.artifacts.get(id.index())
     }
 
@@ -425,10 +417,15 @@ impl ProtocolRegistry {
     pub fn is_empty(&self) -> bool {
         self.artifacts.is_empty()
     }
+}
 
-    /// Iterates over the registered artifacts in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<ProtocolArtifacts>> {
-        self.artifacts.iter()
+/// A [`ProtocolId`] is the dense index of its artifacts: total for the ids
+/// this registry issued, a panic for any other ([`ProtocolRegistry::get`]).
+impl std::ops::Index<ProtocolId> for ProtocolRegistry {
+    type Output = ProtocolArtifacts;
+
+    fn index(&self, id: ProtocolId) -> &ProtocolArtifacts {
+        &self.artifacts[id.index()]
     }
 }
 
@@ -513,6 +510,15 @@ mod tests {
         assert!(Arc::ptr_eq(fa.compiled(), fb.compiled()));
         assert_eq!(fa.safety_verdict(), fb.safety_verdict());
         assert!(std::ptr::eq(fa.locals().as_ptr(), fb.locals().as_ptr()));
+        // So are the caches: a cast lowered for one name is a cache hit for
+        // its twin, down to the batch layout. (Each cast is certified
+        // against its own protocol name; the processes are equal.)
+        let cast = |f: &ProtocolArtifacts| crate::synth::skeleton_endpoints(f.protocol()).unwrap();
+        let (programs_a, layout_a) = fa.resolve(&cast(fa)).unwrap();
+        let (programs_b, layout_b) = fb.resolve(&cast(fb)).unwrap();
+        assert_eq!(programs_a.len(), 3);
+        assert!(programs_a.iter().zip(&programs_b).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(Arc::ptr_eq(&layout_a.unwrap(), &layout_b.unwrap()));
     }
 
     #[test]
@@ -530,7 +536,6 @@ mod tests {
         let mut registry = ProtocolRegistry::with_safety_budget(SafetyBudget {
             channel_bound: 2,
             max_configs: 1,
-            threads: 2,
         });
         let id = registry
             .register(Protocol::new("ring", generators::ring3()).unwrap())

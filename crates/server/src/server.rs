@@ -1,11 +1,14 @@
 //! The sharded session server: a bounded pool of worker shards hosting
 //! thousands of concurrent sessions.
 //!
-//! Each worker shard owns a crossbeam run queue of [`ActiveSession`]s and
-//! steps them in bounded quanta ([`ServerConfig::quantum`] visible actions),
-//! so a long-running session cannot starve its neighbours and the number of
-//! OS threads is fixed by [`ServerConfig::shards`] — never by the number of
-//! live sessions. Sessions are assigned to shards by hashing their
+//! Each worker shard holds the server's frozen [`ProtocolRegistry`] and owns
+//! a run queue of live sessions, which it steps in bounded quanta
+//! ([`ServerConfig::quantum`] visible actions), so a long-running session
+//! cannot starve its neighbours and the number of OS threads is fixed by
+//! [`ServerConfig::shards`] — never by the number of live sessions. A
+//! submitted session crosses to its shard as an id and a [`SessionSpec`];
+//! every protocol fact the shard then needs is an index into the registry by
+//! [`ProtocolId`]. Sessions are assigned to shards by hashing their
 //! [`SessionId`], all endpoints of one session live on the same shard (so
 //! intra-session message arrival wakes the receiving endpoint on the very
 //! next stepping pass, with no cross-thread signalling), and finished
@@ -26,8 +29,10 @@ use zooid_runtime::checkpoint::SessionCheckpoint;
 use crate::error::{Result, ServerError};
 use crate::metrics::{ObsReport, ServerReport, ShardInstruments};
 use crate::obs::{FlightEvent, Histogram, Incident, INCIDENT_PREFIX_CAP};
-use crate::registry::{ProtocolArtifacts, ProtocolRegistry, ProtocolId};
-use crate::session::{ActiveSession, QuantumEnd, SessionId, SessionOutcome, SessionSpec};
+use crate::registry::{ProtocolId, ProtocolRegistry};
+use crate::session::{
+    failed_at_admission, ActiveSession, QuantumEnd, SessionId, SessionOutcome, SessionSpec,
+};
 
 /// What a worker shard does with a session whose monitor rejected an
 /// action.
@@ -111,18 +116,22 @@ impl ServerConfig {
 }
 
 /// The worker-side view of the quarantine configuration: the policy plus
-/// the per-protocol violation thresholds resolved into a map.
+/// the violation threshold of every registered protocol, indexed by
+/// [`ProtocolId`].
 #[derive(Debug, Clone)]
 struct QuarantineConfig {
     policy: QuarantinePolicy,
-    thresholds: FxHashMap<ProtocolId, u32>,
+    thresholds: Vec<u32>,
 }
 
 impl QuarantineConfig {
-    fn new(config: &ServerConfig) -> Self {
-        let mut thresholds = FxHashMap::default();
+    fn new(config: &ServerConfig, protocols: usize) -> Self {
+        let mut thresholds = vec![1; protocols];
         for &(protocol, threshold) in &config.violation_thresholds {
-            thresholds.insert(protocol, threshold.max(1));
+            // No session runs an id the registry never issued.
+            if let Some(slot) = thresholds.get_mut(protocol.index()) {
+                *slot = threshold.max(1);
+            }
         }
         QuarantineConfig {
             policy: config.quarantine,
@@ -135,7 +144,7 @@ impl QuarantineConfig {
     fn threshold_for(&self, protocol: ProtocolId) -> Option<u32> {
         match self.policy {
             QuarantinePolicy::Observe => None,
-            _ => Some(self.thresholds.get(&protocol).copied().unwrap_or(1)),
+            _ => Some(self.thresholds[protocol.index()]),
         }
     }
 
@@ -150,14 +159,11 @@ impl QuarantineConfig {
 }
 
 enum ShardMsg {
-    /// A validated spec to build and run. Construction (channels, compiled
-    /// task binding, monitor cursor) happens on the worker shard so a
-    /// single submitter thread never serialises the whole batch's setup.
-    Run {
-        id: SessionId,
-        spec: SessionSpec,
-        artifacts: Arc<crate::registry::ProtocolArtifacts>,
-    },
+    /// A validated spec to resolve, build and run. Resolution and
+    /// construction (lowered programs, channels, compiled task binding,
+    /// monitor cursor) happen on the worker shard so a single submitter
+    /// thread never serialises the whole batch's setup.
+    Run { id: SessionId, spec: SessionSpec },
     /// Checkpoint every queued session and hand the encoded checkpoints
     /// back — the evacuation half of a session migration.
     Drain {
@@ -169,7 +175,6 @@ enum ShardMsg {
         id: SessionId,
         protocol: ProtocolId,
         demoted: DemotedSession,
-        artifacts: Arc<crate::registry::ProtocolArtifacts>,
     },
     Shutdown,
 }
@@ -260,10 +265,10 @@ impl SessionServer {
             let (tx, rx) = unbounded();
             let shard_instruments = Arc::new(ShardInstruments::default());
             let shard = Shard::new(
+                Arc::clone(&registry),
                 results_tx.clone(),
                 Arc::clone(&shard_instruments),
-                config.quantum.max(1),
-                QuarantineConfig::new(&config),
+                &config,
             );
             let handle = std::thread::spawn(move || shard.run(rx));
             shards.push(ShardHandle { tx, handle });
@@ -291,11 +296,6 @@ impl SessionServer {
         self.shards.len()
     }
 
-    /// Convenience: registry lookup by name.
-    pub fn protocol(&self, name: &str) -> Option<ProtocolId> {
-        self.registry.lookup(name)
-    }
-
     /// Submits a session for execution, returning its id immediately.
     ///
     /// # Errors
@@ -317,11 +317,7 @@ impl SessionServer {
         let shard = shard_of(id, self.shards.len());
         self.shards[shard]
             .tx
-            .send(ShardMsg::Run {
-                id,
-                spec,
-                artifacts: Arc::clone(artifacts),
-            })
+            .send(ShardMsg::Run { id, spec })
             .map_err(|_| ServerError::Shutdown)?;
         self.instruments[shard]
             .sessions_started
@@ -509,7 +505,6 @@ impl SessionServer {
                 id: migrated.id,
                 protocol: migrated.protocol,
                 demoted,
-                artifacts: Arc::clone(artifacts),
             })
             .map_err(|_| ServerError::Shutdown)?;
         self.in_flight += 1;
@@ -543,41 +538,77 @@ fn shard_of(id: SessionId, shards: usize) -> usize {
 const BATCH_CAPACITY: usize = 512;
 /// Tag bit distinguishing batch indices from slab slots in the run queue.
 const BATCH_BIT: u32 = 1 << 31;
-/// Cap on the number of distinct batches a shard keeps alive; eligible
-/// sessions beyond it fall back to the slab.
+/// Cap on the number of distinct batches a shard keeps alive. At the cap a
+/// new batch key takes over the slot of an idle batch; eligible sessions
+/// fall back to the slab only while every batch holds live sessions.
 const MAX_BATCHES: usize = 64;
 
-/// One columnar batch hosted by a shard, plus the key that decides which
-/// sessions may coalesce into it: same protocol, same compiled per-role
-/// programs (the layout is cached per program set, so pointer equality is
-/// the comparison) and same execution options.
+/// One columnar batch hosted by a shard. The key that decides which sessions
+/// may coalesce into it: same protocol, same compiled per-role programs (the
+/// batch's layout is cached per program set, so pointer equality is the
+/// comparison) and same execution options.
 struct ShardBatch {
     protocol: ProtocolId,
-    layout: Arc<BatchLayout>,
-    max_steps: Option<usize>,
-    record: bool,
     batch: SessionBatch,
     /// Whether the batch currently has an entry in the run queue (batches
     /// are queued once, not once per member session).
     queued: bool,
 }
 
+/// The batch a session with this layout and these options joins: an open
+/// one with the same key and room, else a new one — in a new slot while the
+/// shard is under [`MAX_BATCHES`], in the slot of an idle batch (empty, hence
+/// not in the run queue) once it is at the cap. `None` when every slot holds
+/// live sessions: the session runs on the slab.
+fn batch_for(
+    batches: &mut Vec<ShardBatch>,
+    spec: &SessionSpec,
+    layout: Arc<BatchLayout>,
+) -> Option<usize> {
+    let existing = batches.iter().position(|b| {
+        b.protocol == spec.protocol
+            && Arc::ptr_eq(b.batch.layout(), &layout)
+            && *b.batch.options() == spec.options
+            && !b.batch.is_full()
+    });
+    if existing.is_some() {
+        return existing;
+    }
+    let slot = if batches.len() < MAX_BATCHES {
+        batches.len()
+    } else {
+        batches.iter().position(|b| b.batch.is_empty() && !b.queued)?
+    };
+    let fresh = ShardBatch {
+        protocol: spec.protocol,
+        batch: SessionBatch::new(layout, spec.options.clone(), BATCH_CAPACITY),
+        queued: false,
+    };
+    if slot == batches.len() {
+        batches.push(fresh);
+    } else {
+        batches[slot] = fresh;
+    }
+    Some(slot)
+}
+
 /// Worker-local observability state: the shard's shared
-/// [`ShardInstruments`] plus the maps only the owning worker touches —
-/// admission timestamps for session wall time and cached per-protocol
-/// histogram handles (so the steady path never takes the per-protocol lock).
+/// [`ShardInstruments`] plus what only the owning worker touches —
+/// admission timestamps for session wall time and, indexed by
+/// [`ProtocolId`], cached per-protocol histogram handles (so the steady path
+/// never takes the per-protocol lock).
 struct WorkerObs {
     shared: Arc<ShardInstruments>,
     admitted: FxHashMap<u64, Instant>,
-    proto_wall: FxHashMap<ProtocolId, Arc<Histogram>>,
+    proto_wall: Vec<Option<Arc<Histogram>>>,
 }
 
 impl WorkerObs {
-    fn new(shared: Arc<ShardInstruments>) -> Self {
+    fn new(shared: Arc<ShardInstruments>, protocols: usize) -> Self {
         WorkerObs {
             shared,
             admitted: FxHashMap::default(),
-            proto_wall: FxHashMap::default(),
+            proto_wall: vec![None; protocols],
         }
     }
 
@@ -595,21 +626,15 @@ impl WorkerObs {
     /// Folds a finished session into the histograms, the flight recorder,
     /// and — when its monitor rejected anything — the incident store
     /// (captured against the protocol's compiled tables, looked up in the
-    /// shard's `artifacts` only then). The caller supplies `now` so one
-    /// clock read covers every outcome of a quantum.
-    fn on_outcome(
-        &mut self,
-        outcome: &SessionOutcome,
-        artifacts: &FxHashMap<ProtocolId, Arc<ProtocolArtifacts>>,
-        now: Instant,
-    ) {
+    /// registry only then). The caller supplies `now` so one clock read
+    /// covers every outcome of a quantum.
+    fn on_outcome(&mut self, outcome: &SessionOutcome, registry: &ProtocolRegistry, now: Instant) {
         if let Some(start) = self.admitted.remove(&outcome.id.0) {
             let ns =
                 u64::try_from(now.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX);
             self.shared.session_wall_ns.record(ns);
-            self.proto_wall
-                .entry(outcome.protocol)
-                .or_insert_with(|| self.shared.protocol_wall(outcome.protocol))
+            self.proto_wall[outcome.protocol.index()]
+                .get_or_insert_with(|| self.shared.protocol_wall(outcome.protocol))
                 .record(ns);
         }
         if outcome.stalled {
@@ -621,7 +646,7 @@ impl WorkerObs {
             self.shared.recorder.record(FlightEvent::Violation {
                 session: outcome.id.0,
             });
-            let system = artifacts[&outcome.protocol].compiled();
+            let system = registry[outcome.protocol].compiled();
             for violation in &outcome.violations {
                 self.shared.incidents.record(Incident::capture(
                     outcome.protocol,
@@ -703,6 +728,9 @@ fn encode_checkpoint(demoted: &DemotedSession) -> (Vec<u8>, Vec<Arc<EndpointProg
 /// by the next submission, and a quantum touches the session in place — the
 /// steady state of a loaded shard allocates nothing per reschedule.
 struct Shard {
+    /// The server's frozen registry: what a cast is resolved, a session
+    /// rebuilt and an incident captured against.
+    registry: Arc<ProtocolRegistry>,
     results: Sender<Vec<SessionOutcome>>,
     obs: WorkerObs,
     quantum: usize,
@@ -715,32 +743,28 @@ struct Shard {
     /// last certified checkpoint and how many restarts it has burned. Empty
     /// under any other policy.
     restarts: FxHashMap<u64, RestartState>,
-    /// The artifacts of every protocol admitted to this shard (a slab
-    /// session carries no handle of its own): what a restart rebuilds the
-    /// session against and an incident is captured against.
-    artifacts: FxHashMap<ProtocolId, Arc<ProtocolArtifacts>>,
     /// Finished sessions not yet flushed to the server.
     pending: Vec<SessionOutcome>,
 }
 
 impl Shard {
     fn new(
+        registry: Arc<ProtocolRegistry>,
         results: Sender<Vec<SessionOutcome>>,
         instruments: Arc<ShardInstruments>,
-        quantum: usize,
-        quarantine: QuarantineConfig,
+        config: &ServerConfig,
     ) -> Self {
         Shard {
+            obs: WorkerObs::new(instruments, registry.len()),
+            quantum: config.quantum.max(1),
+            quarantine: QuarantineConfig::new(config, registry.len()),
+            registry,
             results,
-            obs: WorkerObs::new(instruments),
-            quantum,
-            quarantine,
             slab: Vec::new(),
             free: Vec::new(),
             batches: Vec::new(),
             run_queue: VecDeque::new(),
             restarts: FxHashMap::default(),
-            artifacts: FxHashMap::default(),
             pending: Vec::new(),
         }
     }
@@ -804,25 +828,13 @@ impl Shard {
     /// Applies one inbox message; `true` means shut down.
     fn handle(&mut self, msg: ShardMsg, stamp: Instant) -> bool {
         match msg {
-            ShardMsg::Run {
-                id,
-                spec,
-                artifacts,
-            } => self.admit(id, spec, artifacts, stamp),
+            ShardMsg::Run { id, spec } => self.admit(id, spec, stamp),
             ShardMsg::Drain { reply } => {
                 let _ = reply.send(self.drain_for_migration());
             }
-            ShardMsg::Restore {
-                id,
-                protocol,
-                demoted,
-                artifacts,
-            } => {
+            ShardMsg::Restore { id, protocol, demoted } => {
                 self.obs.shared.sessions_slab.fetch_add(1, Ordering::Relaxed);
                 self.obs.on_admit(id, false, stamp);
-                self.artifacts
-                    .entry(protocol)
-                    .or_insert_with(|| Arc::clone(&artifacts));
                 self.store_restart_point(&demoted);
                 self.resume_on_slab(id, protocol, demoted);
             }
@@ -831,71 +843,37 @@ impl Shard {
         false
     }
 
-    /// Places a validated session on the shard: into a matching columnar
-    /// batch when the spec's endpoints compile to a batch-eligible layout,
-    /// into the per-session slab otherwise.
-    fn admit(
-        &mut self,
-        id: SessionId,
-        spec: SessionSpec,
-        artifacts: Arc<ProtocolArtifacts>,
-        at: Instant,
-    ) {
-        self.artifacts
-            .entry(spec.protocol)
-            .or_insert_with(|| Arc::clone(&artifacts));
-        if let Some(layout) = artifacts.batch_layout(&spec.endpoints) {
-            let max_steps = spec.options.max_steps;
-            let record = spec.options.record_actions;
-            let existing = self.batches.iter().position(|b| {
-                b.protocol == spec.protocol
-                    && Arc::ptr_eq(&b.layout, &layout)
-                    && b.max_steps == max_steps
-                    && b.record == record
-                    && !b.batch.is_full()
-            });
-            let bi = match existing {
-                Some(bi) => Some(bi),
-                None if self.batches.len() < MAX_BATCHES => {
-                    let batch = SessionBatch::new(
-                        Arc::clone(&layout),
-                        spec.options.clone(),
-                        BATCH_CAPACITY,
-                    );
-                    self.batches.push(ShardBatch {
-                        protocol: spec.protocol,
-                        layout,
-                        max_steps,
-                        record,
-                        batch,
-                        queued: false,
-                    });
-                    Some(self.batches.len() - 1)
-                }
-                None => None,
-            };
-            if let Some(bi) = bi {
-                let sb = &mut self.batches[bi];
-                let admitted = sb.batch.admit(id.0);
-                debug_assert!(admitted, "batch was checked for room");
-                self.obs.shared.sessions_batched.fetch_add(1, Ordering::Relaxed);
-                self.obs.on_admit(id, true, at);
-                if !sb.queued {
-                    sb.queued = true;
-                    self.run_queue
-                        .push_back(BATCH_BIT | u32::try_from(bi).expect("batch index fits"));
-                }
-                return;
+    /// Places a validated session on the shard: its cast is resolved once,
+    /// and the session goes into a matching columnar batch when the cast
+    /// has a batch layout, onto the per-session slab — built from the same
+    /// resolved programs — otherwise.
+    fn admit(&mut self, id: SessionId, spec: SessionSpec, at: Instant) {
+        let artifacts = &self.registry[spec.protocol];
+        let mut cast = artifacts.resolve(&spec.endpoints);
+        let layout = cast.as_mut().ok().and_then(|(_, layout)| layout.take());
+        if let Some(bi) = layout.and_then(|layout| batch_for(&mut self.batches, &spec, layout)) {
+            let sb = &mut self.batches[bi];
+            let admitted = sb.batch.admit(id.0);
+            debug_assert!(admitted, "batch was checked for room");
+            self.obs.shared.sessions_batched.fetch_add(1, Ordering::Relaxed);
+            self.obs.on_admit(id, true, at);
+            if !sb.queued {
+                sb.queued = true;
+                self.run_queue
+                    .push_back(BATCH_BIT | u32::try_from(bi).expect("batch index fits"));
             }
+            return;
         }
-        // The spec was validated at submission; construction is the shard's
-        // job so N shards build N sessions concurrently.
         self.obs.shared.sessions_slab.fetch_add(1, Ordering::Relaxed);
         self.obs.on_admit(id, false, at);
-        match ActiveSession::new(id, spec, &artifacts) {
-            Ok(session) => self.enqueue_on_slab(session),
+        match cast {
+            // The spec was validated at submission; construction is the
+            // shard's job so N shards build N sessions concurrently.
+            Ok((programs, _)) => {
+                self.enqueue_on_slab(ActiveSession::new(id, spec, programs, artifacts))
+            }
             // A process that does not lower: closed before it ever runs.
-            Err(outcome) => self.finish(outcome, at),
+            Err(error) => self.finish(failed_at_admission(id, artifacts, error), at),
         }
     }
 
@@ -917,8 +895,8 @@ impl Shard {
     /// Rebuilds a session from extracted state — a batch demotion, a
     /// migrated checkpoint, a restart point — and queues it on the slab.
     fn resume_on_slab(&mut self, id: SessionId, protocol: ProtocolId, demoted: DemotedSession) {
-        let artifacts = &self.artifacts[&protocol];
-        self.enqueue_on_slab(ActiveSession::from_demoted(id, protocol, demoted, artifacts));
+        let session = ActiveSession::from_demoted(id, demoted, &self.registry[protocol]);
+        self.enqueue_on_slab(session);
     }
 
     /// Stores extracted state as its session's restart point — under
@@ -958,7 +936,7 @@ impl Shard {
     /// session's own initial state. Returns `None` when the policy grants no
     /// (further) restart or the session cannot be checkpointed at all.
     fn restart_state(&mut self, session: &ActiveSession) -> Option<DemotedSession> {
-        let system = self.artifacts[&session.protocol()].compiled();
+        let system = self.registry[session.protocol()].compiled();
         let max_retries = self.quarantine.max_retries();
         if max_retries == 0 {
             return None;
@@ -973,7 +951,7 @@ impl Shard {
                 .and_then(|c| c.into_demoted(programs, system))
                 .ok()?,
             None => {
-                let fresh = session.initial_state(system)?;
+                let fresh = session.initial_state()?;
                 // The initial state becomes the stored restart point, so a
                 // session that violates again before its first certified
                 // snapshot still gets its remaining retries.
@@ -1074,8 +1052,8 @@ impl Shard {
                 .threshold_for(protocol)
                 .is_some_and(|n| violations >= n as usize);
             if over {
-                let artifacts = &self.artifacts[&protocol];
-                let session = ActiveSession::from_demoted(id, protocol, demoted, artifacts);
+                let session =
+                    ActiveSession::from_demoted(id, demoted, &self.registry[protocol]);
                 self.restart_or_close(session, ended);
             } else {
                 // Checkpoint-on-demote: a compliant session crossing from
@@ -1200,7 +1178,7 @@ impl Shard {
             });
             metrics.quarantined_for(outcome.protocol);
         }
-        self.obs.on_outcome(&outcome, &self.artifacts, now);
+        self.obs.on_outcome(&outcome, &self.registry, now);
         self.pending.push(outcome);
     }
 
@@ -1306,6 +1284,63 @@ mod tests {
         assert_eq!(report.messages_routed(), 600);
         assert_eq!(report.actions_executed(), 1_200);
         assert!(report.mean_cohort_width() > 1.0, "{report}");
+    }
+
+    #[test]
+    fn structural_twins_share_a_layout_but_neither_a_batch_nor_an_id() {
+        let mut registry = ProtocolRegistry::new();
+        let mut twin = |name| {
+            let protocol = Protocol::new(name, generators::ring3()).unwrap();
+            let id = registry.register(protocol).unwrap();
+            let endpoints = skeleton_endpoints(registry.get(id).unwrap().protocol()).unwrap();
+            SessionSpec::new(id, endpoints)
+        };
+        let (a, b) = (twin("ring-a"), twin("ring-b"));
+        let (results, _outcomes) = unbounded();
+        let config = ServerConfig::default();
+        let mut shard = Shard::new(Arc::new(registry), results, Arc::default(), &config);
+        let now = Instant::now();
+        for (n, spec) in [&a, &b, &a, &b].into_iter().enumerate() {
+            shard.admit(SessionId(n as u64), spec.clone(), now);
+        }
+        // One batch per name, over the one layout the twins share.
+        let keys: Vec<_> = shard.batches.iter().map(|sb| sb.protocol).collect();
+        assert_eq!(keys, [a.protocol, b.protocol]);
+        let layout = |i: usize| shard.batches[i].batch.layout();
+        assert!(Arc::ptr_eq(layout(0), layout(1)));
+        while let Some(entry) = shard.run_queue.pop_front() {
+            shard.run_batch(entry);
+        }
+        let mut ran: Vec<_> = shard.pending.iter().map(|o| (o.id.0, o.protocol)).collect();
+        ran.sort();
+        assert_eq!(
+            ran,
+            [(0, a.protocol), (1, b.protocol), (2, a.protocol), (3, b.protocol)]
+        );
+        assert!(shard.pending.iter().all(|o| o.all_finished_and_compliant()));
+    }
+
+    #[test]
+    fn an_idle_batch_gives_its_slot_to_a_new_key_at_the_cap() {
+        // 100 batch keys on one shard (the step limit is part of the key),
+        // each drained before the next arrives: past MAX_BATCHES the new
+        // key must take over an idle batch's slot, not run on the slab for
+        // the life of the server.
+        let mut registry = ProtocolRegistry::new();
+        let id = registry
+            .register(Protocol::new("pipeline", generators::pipeline()).unwrap())
+            .unwrap();
+        let endpoints = skeleton_endpoints(registry.get(id).unwrap().protocol()).unwrap();
+        let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+        for max_steps in 1..=100 {
+            server
+                .submit(SessionSpec::new(id, endpoints.clone()).with_max_steps(max_steps))
+                .unwrap();
+            assert_eq!(server.drain().len(), 1);
+        }
+        let report = server.shutdown();
+        assert_eq!(report.sessions_batched(), 100, "{report}");
+        assert_eq!(report.sessions_slab(), 0, "{report}");
     }
 
     #[test]

@@ -2,32 +2,32 @@
 //! network, stepped in bounded quanta with a live compiled monitor.
 //!
 //! Endpoints run on the **compiled data plane**, and only there: each
-//! submitted process is lowered once per `(protocol, role, process)` (cached
-//! in [`ProtocolArtifacts`]) and executed as a [`CompiledEndpointTask`] —
-//! program counter plus slot array, with the monitor fed pre-interned
-//! actions. Lowering fails only on an unbound jump or a communication-free
-//! loop, and certification rejects both, so a session whose process does not
-//! lower is closed at admission with every endpoint `Failed` rather than
-//! handed to a second executor. The tree-walking executor stays in
-//! `zooid-runtime` as the differential referee; this crate does not run it.
+//! submitted process is lowered once per `(global type, role, process)`
+//! (cached behind [`ProtocolArtifacts`]) and executed as a
+//! [`CompiledEndpointTask`] — program counter plus slot array, with the
+//! monitor fed pre-interned actions. Lowering fails only on an unbound jump
+//! or a communication-free loop, and certification rejects both, so a
+//! session whose process does not lower is closed at admission with every
+//! endpoint `Failed` rather than handed to a second executor. The
+//! tree-walking executor stays in `zooid-runtime` as the differential
+//! referee; this crate does not run it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use zooid_cfsm::CompiledSystem;
 use zooid_dsl::CertifiedProcess;
 use zooid_mpst::{Role, Trace};
 use zooid_proc::{erase, Externals, ProcError};
 use zooid_runtime::cbatch::{DemotedEndpoint, DemotedSession};
-use zooid_runtime::cexec::CompiledEndpointTask;
+use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
 use zooid_runtime::checkpoint::{checkpoint_task, initial_demoted};
 use zooid_runtime::error::RuntimeError;
 use zooid_runtime::exec::{EndpointReport, EndpointStatus, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::{CompiledMonitor, MonitorViolation};
-use zooid_runtime::transport::{InMemoryNetwork, InMemoryTransport, Transport};
+use zooid_runtime::transport::{InMemoryNetwork, InMemoryTransport};
 
 use crate::error::{Result, ServerError};
-use crate::registry::{ProtocolArtifacts, ProtocolId};
+use crate::registry::{ProtocolArtifacts, ProtocolId, ProtocolRegistry};
 
 /// Server-wide id of a hosted session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -66,7 +66,21 @@ impl SessionSpec {
         }
     }
 
-    /// Limits every endpoint to at most `max_steps` visible communications.
+    /// The deterministic skeleton cast (first-branch sends, default
+    /// payloads) of a registered protocol, with default options.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the protocol id is unknown or its projections need payload
+    /// sorts with no default value.
+    pub fn skeleton(registry: &ProtocolRegistry, protocol: ProtocolId) -> Result<Self> {
+        let artifacts = registry.get(protocol).ok_or(ServerError::UnknownProtocol)?;
+        let endpoints = crate::synth::skeleton_endpoints(artifacts.protocol())?;
+        Ok(SessionSpec::new(protocol, endpoints))
+    }
+
+    /// Limits every endpoint to at most `max_steps` visible communications
+    /// (required for looping protocols).
     pub fn with_max_steps(mut self, max_steps: usize) -> Self {
         self.options = ExecOptions::with_max_steps(max_steps);
         self
@@ -151,10 +165,10 @@ pub(crate) struct ActiveSession {
 }
 
 /// Checks that a spec's endpoints cover the protocol's participants exactly
-/// once each (and belong to the protocol at all). Split out of
-/// [`ActiveSession::new`] so submission can validate cheaply on the caller's
-/// thread while the *construction* — channels, compiled tasks, monitor —
-/// happens on the worker shard, in parallel across shards.
+/// once each (and belong to the protocol at all): submission validates
+/// cheaply on the caller's thread, while resolution and *construction* —
+/// lowered programs, channels, compiled tasks, monitor — happen on the worker
+/// shard, in parallel across shards.
 pub(crate) fn validate_spec(spec: &SessionSpec, artifacts: &ProtocolArtifacts) -> Result<()> {
     let mut remaining: Vec<&Role> = artifacts.roles().collect();
     for (cert, _) in spec.endpoints.iter() {
@@ -181,9 +195,8 @@ pub(crate) fn validate_spec(spec: &SessionSpec, artifacts: &ProtocolArtifacts) -
 /// processes does not lower: nothing ran, and every endpoint reports
 /// `Failed` with the lowering error (in the runtime's error format, as a
 /// failing step would).
-fn failed_at_admission(
+pub(crate) fn failed_at_admission(
     id: SessionId,
-    protocol: ProtocolId,
     artifacts: &ProtocolArtifacts,
     error: ProcError,
 ) -> SessionOutcome {
@@ -197,7 +210,7 @@ fn failed_at_admission(
     };
     SessionOutcome {
         id,
-        protocol,
+        protocol: artifacts.id(),
         endpoints: artifacts.roles().map(|r| (r.clone(), report(r))).collect(),
         global_trace: Trace::empty(),
         compliant: true,
@@ -219,46 +232,47 @@ impl ActiveSession {
         self.protocol
     }
 
-    /// Builds the session. The spec must already have passed
-    /// [`validate_spec`] for these artifacts — the server validates at
-    /// submission, then ships the spec to a worker shard which constructs
-    /// the session; re-walking the role coverage here would just double the
-    /// per-session cost the split exists to avoid.
-    ///
-    /// A process that does not lower closes the session on the spot: `Err`
-    /// carries its outcome, every endpoint `Failed` with the lowering error.
+    /// Builds the session from its resolved cast — `programs` is what
+    /// [`ProtocolArtifacts::resolve`] returned for `spec.endpoints`, one per
+    /// participant in sorted-role order — so nothing is lowered or validated
+    /// here, and the tasks sit in sorted-role order: the batch role order
+    /// and the checkpoint endpoint order.
     pub(crate) fn new(
         id: SessionId,
         spec: SessionSpec,
-        artifacts: &Arc<ProtocolArtifacts>,
-    ) -> std::result::Result<Self, SessionOutcome> {
-        debug_assert!(validate_spec(&spec, artifacts).is_ok());
-
+        programs: Vec<Arc<EndpointProgram>>,
+        artifacts: &ProtocolArtifacts,
+    ) -> Self {
         let mut network = InMemoryNetwork::from_sorted(Arc::clone(artifacts.sorted_roles()));
         let options = spec.options;
-        let mut tasks = Vec::with_capacity(spec.endpoints.len());
-        for (cert, externals) in spec.endpoints.iter() {
-            // The endpoints are shared (`Arc`), so on the usual cache-hit
-            // path nothing of the process is cloned here.
-            let program = artifacts
-                .lower(cert.role(), cert.proc(), externals)
-                .map_err(|err| failed_at_admission(id, spec.protocol, artifacts, err))?;
-            let transport = network
-                .take_endpoint(cert.role())
-                .expect("coverage was validated above");
-            let task = CompiledEndpointTask::new(program, externals.clone(), options.clone());
-            tasks.push((task, transport));
-        }
+        let tasks = programs
+            .into_iter()
+            .map(|program| {
+                let role = program.program().role();
+                // The endpoints are shared (`Arc`), so nothing of the
+                // process is cloned here.
+                let (_, externals) = spec
+                    .endpoints
+                    .iter()
+                    .find(|(cert, _)| cert.role() == role)
+                    .expect("programs were resolved from these endpoints");
+                let transport = network
+                    .take_endpoint(role)
+                    .expect("coverage was validated at submission");
+                let task = CompiledEndpointTask::new(program, externals.clone(), options.clone());
+                (task, transport)
+            })
+            .collect();
         let mut monitor = CompiledMonitor::new(Arc::clone(artifacts.compiled()));
         // Fire-and-forget sessions (`record_actions` off) skip the global
         // trace too: the outcome then carries the verdicts alone.
         monitor.set_record_trace(options.record_actions);
-        Ok(ActiveSession {
+        ActiveSession {
             id,
             protocol: spec.protocol,
             monitor,
             tasks,
-        })
+        }
     }
 
     /// Rebuilds a session from the state a [`SessionBatch`] extracted when
@@ -272,9 +286,8 @@ impl ActiveSession {
     /// [`SessionBatch`]: zooid_runtime::cbatch::SessionBatch
     pub(crate) fn from_demoted(
         id: SessionId,
-        protocol: ProtocolId,
         demoted: DemotedSession,
-        artifacts: &Arc<ProtocolArtifacts>,
+        artifacts: &ProtocolArtifacts,
     ) -> Self {
         let DemotedSession {
             options,
@@ -284,7 +297,6 @@ impl ActiveSession {
             ..
         } = demoted;
         let mut network = InMemoryNetwork::from_sorted(Arc::clone(artifacts.sorted_roles()));
-        let roles: Vec<Role> = endpoints.iter().map(|ep| ep.role.clone()).collect();
         let mut tasks: Vec<(CompiledEndpointTask, InMemoryTransport)> = endpoints
             .into_iter()
             .map(|ep| {
@@ -308,15 +320,17 @@ impl ActiveSession {
                 (task, transport)
             })
             .collect();
+        // Task position, batch role index and dense peer index are all the
+        // position in the sorted role table.
         for (from, to, label, value) in frames {
             let (_, transport) = &mut tasks[from as usize];
             transport
-                .send(&roles[to as usize], &label, &value)
+                .send_indexed(to as usize, label, value)
                 .expect("co-batched roles are network peers");
         }
         ActiveSession {
             id,
-            protocol,
+            protocol: artifacts.id(),
             monitor,
             tasks,
         }
@@ -336,15 +350,13 @@ impl ActiveSession {
     /// fresh monitor, no frames — as the restart point of last resort for a
     /// session that violates before its first certified checkpoint. `None`
     /// when the session calls externals.
-    pub(crate) fn initial_state(&self, system: &Arc<CompiledSystem>) -> Option<DemotedSession> {
+    pub(crate) fn initial_state(&self) -> Option<DemotedSession> {
         if self.calls_externals() {
             return None;
         }
         let (first, _) = self.tasks.first()?;
-        let mut programs: Vec<_> =
-            self.tasks.iter().map(|(t, _)| Arc::clone(t.program())).collect();
-        // Checkpoint endpoint order is the sorted role table.
-        programs.sort_by(|a, b| a.program().role().cmp(b.program().role()));
+        let programs: Vec<_> = self.tasks.iter().map(|(t, _)| Arc::clone(t.program())).collect();
+        let system = self.monitor.system();
         Some(initial_demoted(self.id.0, first.options().clone(), &programs, system))
     }
 
@@ -370,38 +382,26 @@ impl ActiveSession {
                 reason: "session calls external actions; a checkpoint cannot carry them".into(),
             });
         }
-        let roles: Vec<Role> = self.tasks.iter().map(|(t, _)| t.role().clone()).collect();
-        let mut order: Vec<usize> = (0..self.tasks.len()).collect();
-        order.sort_by(|&a, &b| roles[a].cmp(&roles[b]));
-        let endpoints: Vec<DemotedEndpoint> = order
-            .iter()
-            .map(|&i| checkpoint_task(&self.tasks[i].0))
-            .collect();
-        let options = self.tasks[order[0]].0.options().clone();
+        let endpoints: Vec<DemotedEndpoint> =
+            self.tasks.iter().map(|(task, _)| checkpoint_task(task)).collect();
+        let options = self.tasks[0].0.options().clone();
         // Capture in-flight frames: drain every (sender, receiver) channel
         // in FIFO order, then re-inject each frame through its sender so
-        // the live session keeps running as if nothing happened. Frame
-        // indices are positions in the sorted endpoint order above.
+        // the live session keeps running as if nothing happened. Task
+        // position and dense peer index are both the position in the sorted
+        // role table, so frame indices need no translation.
+        let n = self.tasks.len();
         let mut frames: Vec<(u32, u32, zooid_mpst::Label, zooid_proc::Value)> = Vec::new();
-        for (to_pos, &ti) in order.iter().enumerate() {
-            for (from_pos, &fi) in order.iter().enumerate() {
-                if fi == ti {
-                    continue;
-                }
-                let (_, transport) = &mut self.tasks[ti];
-                let Some(peer) = transport.peer_index(&roles[fi]) else {
-                    continue;
-                };
-                while let Some((label, value)) = transport.try_recv_indexed(peer)? {
-                    frames.push((from_pos as u32, to_pos as u32, label, value));
+        for (to, (_, transport)) in self.tasks.iter_mut().enumerate() {
+            for from in (0..n).filter(|&from| from != to) {
+                while let Some((label, value)) = transport.try_recv_indexed(from)? {
+                    frames.push((from as u32, to as u32, label, value));
                 }
             }
         }
-        for (from_pos, to_pos, label, value) in &frames {
-            let sender = order[*from_pos as usize];
-            let receiver_role = &roles[order[*to_pos as usize]];
-            let (_, transport) = &mut self.tasks[sender];
-            transport.send(receiver_role, label, value)?;
+        for (from, to, label, value) in &frames {
+            let (_, transport) = &mut self.tasks[*from as usize];
+            transport.send_indexed(*to as usize, label.clone(), value.clone())?;
         }
         Ok(DemotedSession {
             token: self.id.0,
@@ -554,7 +554,7 @@ mod tests {
             .unwrap();
         let artifacts = registry.get(id).unwrap();
         let error = ProcError::UnboundJump { index: 0 };
-        let outcome = failed_at_admission(SessionId(7), id, artifacts, error);
+        let outcome = failed_at_admission(SessionId(7), artifacts, error);
         assert_eq!((outcome.id, outcome.protocol), (SessionId(7), id));
         assert_eq!(outcome.endpoints.len(), 3);
         for report in outcome.endpoints.values() {
@@ -568,5 +568,51 @@ mod tests {
         }
         assert!(outcome.global_trace.is_empty() && outcome.violations.is_empty());
         assert!(!outcome.complete && !outcome.stalled && !outcome.quarantined);
+    }
+
+    fn run_to_end(mut session: ActiveSession) -> SessionOutcome {
+        loop {
+            if let QuantumEnd::Closed(outcome) = session.run_quantum(usize::MAX, None).end {
+                return outcome;
+            }
+        }
+    }
+
+    /// Whatever order a cast is submitted in, a slab session keeps its tasks
+    /// — and so emits its checkpoints — in sorted-role order, and a session
+    /// resumed from a checkpoint taken after any number of actions, frames
+    /// in flight included, ends exactly as the uninterrupted run does.
+    #[test]
+    fn a_reversed_cast_checkpoints_in_sorted_role_order_and_resumes_to_the_same_end() {
+        let mut registry = ProtocolRegistry::new();
+        let id = registry
+            .register(Protocol::new("ring", generators::ring3()).unwrap())
+            .unwrap();
+        let artifacts = registry.get(id).unwrap();
+        let mut endpoints = crate::synth::skeleton_endpoints(artifacts.protocol()).unwrap();
+        endpoints.sort_by(|(a, _), (b, _)| b.role().cmp(a.role()));
+        let spec = SessionSpec::new(id, endpoints);
+        let session = || {
+            let (programs, _) = artifacts.resolve(&spec.endpoints).unwrap();
+            ActiveSession::new(SessionId(3), spec.clone(), programs, artifacts)
+        };
+        let uninterrupted = run_to_end(session());
+        assert!(uninterrupted.all_finished_and_compliant());
+        let mut in_flight = 0;
+        for actions in 0..6 {
+            let mut live = session();
+            assert!(matches!(live.run_quantum(actions, None).end, QuantumEnd::Live));
+            let checkpoint = live.checkpoint().unwrap();
+            let roles: Vec<Role> = checkpoint.endpoints.iter().map(|e| e.role.clone()).collect();
+            assert_eq!(roles[..], artifacts.sorted_roles()[..]);
+            in_flight += checkpoint.frames.len();
+            let resumed = ActiveSession::from_demoted(SessionId(3), checkpoint, artifacts);
+            for outcome in [run_to_end(resumed), run_to_end(live)] {
+                assert_eq!(outcome.endpoints, uninterrupted.endpoints, "after {actions}");
+                assert_eq!(outcome.global_trace, uninterrupted.global_trace);
+                assert!(outcome.all_finished_and_compliant() && !outcome.stalled);
+            }
+        }
+        assert!(in_flight > 0, "some checkpoint caught a frame between send and receive");
     }
 }

@@ -77,6 +77,36 @@ fn await_done(client: &mut NetClient, sessions: &[u64]) -> BTreeMap<u64, MuxFram
     done
 }
 
+/// Two names for one global type share everything compiled, but each name
+/// keeps its own catalog entry: an `Open` runs the cast of the service it
+/// names.
+#[test]
+fn structural_twins_are_served_by_name_each_with_its_own_cast() {
+    let mut registry = ProtocolRegistry::new();
+    let mut twin = |name| {
+        registry
+            .register(Protocol::new(name, generators::ring3()).unwrap())
+            .unwrap()
+    };
+    let (whole, cut) = (twin("ring-whole"), twin("ring-cut"));
+    // Told apart by what their sessions can do: one cast runs the ring to
+    // its end, the other stops every endpoint after one communication.
+    let services = vec![
+        Service::skeleton(&registry, whole).unwrap(),
+        Service::skeleton(&registry, cut).unwrap().with_max_steps(1),
+    ];
+    let server = NetServer::start(registry, services, NetServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let cut_session = client.open("ring-cut").unwrap();
+    let whole_session = client.open("ring-whole").unwrap();
+    let done = await_done(&mut client, &[cut_session, whole_session]);
+    let MuxFrame::Done { complete, actions, .. } = done[&whole_session] else { unreachable!() };
+    assert!(complete && actions == 6, "ring-whole ran {actions} actions");
+    let MuxFrame::Done { complete, actions, .. } = done[&cut_session] else { unreachable!() };
+    assert!(!complete && actions < 6, "ring-cut ran {actions} actions");
+    server.shutdown();
+}
+
 #[test]
 fn multiplexed_sessions_match_direct_submission() {
     let (registry, ids) = registry_with_case_studies();
@@ -478,14 +508,14 @@ fn write_hog_is_disconnected_not_buffered_without_bound() {
             session: 1,
             protocol: "ring".into(),
         });
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         zooid_runtime::wire::put_frame(
             &mut buf,
             &payload,
             zooid_runtime::DEFAULT_MAX_FRAME_BYTES,
         )
         .unwrap();
-        buf.to_vec()
+        buf
     };
     let mut cut_off = false;
     for _ in 0..400_000 {

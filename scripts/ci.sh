@@ -1,15 +1,26 @@
 #!/usr/bin/env bash
-# Tier-1 CI for the zooid workspace: release build, every crate's tests in
-# both profiles, the zooid_benchmark gate (BENCHMARK.json's command must
-# build and pass its smoke run, and tcp_short must clear a floor no timer
-# can), and a bench-report smoke run, which checks its own families against
-# their floors and exits non-zero on a breach.
+# Tier-1 CI for the zooid workspace: release build, zero compiler and rustdoc
+# warnings, every crate's tests in both profiles, the zooid_benchmark gate
+# (BENCHMARK.json's command must build and pass its smoke run, and tcp_short
+# must clear a floor no timer can), and a bench-report smoke run, which
+# checks its own families against their floors and exits non-zero on a
+# breach.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release"
 cargo build --release
+
+echo "== no compiler warning in any target"
+# Every crate's lib, bins, examples and tests (and the vendored stubs' own),
+# checked with warnings denied: a warning that scrolls past in a green run
+# is not seen again.
+RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
+
+echo "== no rustdoc warning"
+# Broken, ambiguous and private intra-doc links fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo test --workspace -q"
 # The root manifest is both a package and a workspace: a bare `cargo test`

@@ -1,4 +1,5 @@
-//! Runtime integration tests (experiment E13 in `DESIGN.md`): end-to-end
+//! Runtime integration tests (the paper's §4.5 runtime; see the
+//! `zooid-runtime` crate docs for the correspondence): end-to-end
 //! execution over the in-memory and TCP transports, live monitoring, and
 //! failure injection (uncertified processes misbehaving at run time).
 

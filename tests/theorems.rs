@@ -1,6 +1,6 @@
-//! Executable checks of the paper's theorems (experiments E8–E11 in
-//! `DESIGN.md`), over the named case-study protocols and a randomised family
-//! of well-formed global types.
+//! Executable checks of the paper's theorems (§3 for the metatheory of
+//! projection and traces, §4 for processes), over the named case-study
+//! protocols and a randomised family of well-formed global types.
 //!
 //! * Theorem 3.6 — unravelling preserves projections;
 //! * Theorems 3.16 / 3.17 — step soundness / completeness;

@@ -1,4 +1,4 @@
-//! End-to-end runs of the §5 workflow (experiments E2–E5 in `DESIGN.md`):
+//! End-to-end runs of the paper's §5.1 workflow on the §5.2 case studies:
 //! specify the global type, project it, implement every participant in the
 //! DSL, certify, execute on the session harness with a live monitor, and
 //! cross-check deadlock freedom and liveness with the CFSM explorer.
