@@ -784,7 +784,7 @@ fn obs_overhead(mode: &Mode) -> Vec<Case> {
         let mut batch = SessionBatch::new(fixture.layout(), quiet(max_steps), width);
         let actions = run_batch(&mut batch, width);
         assert!(actions > 0, "{case}: the batch made no progress");
-        let instruments = ShardInstruments::default();
+        let instruments = ShardInstruments::new(1);
         let mut admitted: FxHashMap<u64, Instant> = FxHashMap::default();
         let stats = sample_pair(mode, |engine| {
             if !engine {

@@ -46,14 +46,6 @@ use crate::global::tree::{GlobalTree, GlobalTreeNode};
 /// assert_eq!(tree.len(), 2); // the message node and the end node
 /// ```
 pub fn unravel_global(g: &GlobalType) -> Result<GlobalTree> {
-    // Tiny terms unravel faster by direct structural recursion than by
-    // setting an interner up; everything else goes through hash-consing.
-    if g.size() <= 6 {
-        g.well_formed()?;
-        let mut builder = BoxedBuilder::default();
-        let root = builder.node_of(g);
-        return Ok(GlobalTree::from_parts(builder.nodes, root));
-    }
     let mut interner = Interner::new();
     let root = interner.intern_global(g);
     interner.well_formed_global(root)?;
@@ -82,50 +74,6 @@ pub fn g_unravels_to(g: &GlobalType, tree: &GlobalTree) -> bool {
     match unravel_global(g) {
         Ok(t) => t.bisimilar(t.root(), tree, tree.root()),
         Err(_) => false,
-    }
-}
-
-/// The direct builder for tiny types: unfolds boxed head-normal forms and
-/// memoises them structurally (exactly the interned builder's construction,
-/// minus the interner setup).
-#[derive(Default)]
-struct BoxedBuilder {
-    nodes: Vec<GlobalTreeNode>,
-    memo: HashMap<GlobalType, NodeId>,
-}
-
-impl BoxedBuilder {
-    fn node_of(&mut self, g: &GlobalType) -> NodeId {
-        let head = g.unfold_head();
-        if let Some(&id) = self.memo.get(&head) {
-            return id;
-        }
-        let id = NodeId::new(self.nodes.len());
-        self.nodes.push(GlobalTreeNode::End);
-        self.memo.insert(head.clone(), id);
-        let node = match &head {
-            GlobalType::End => GlobalTreeNode::End,
-            GlobalType::Msg { from, to, branches } => {
-                let bs = branches
-                    .iter()
-                    .map(|b| Branch {
-                        label: b.label.clone(),
-                        sort: b.sort.clone(),
-                        cont: self.node_of(&b.cont),
-                    })
-                    .collect();
-                GlobalTreeNode::Msg {
-                    from: from.clone(),
-                    to: to.clone(),
-                    branches: bs,
-                }
-            }
-            GlobalType::Rec(_) | GlobalType::Var(_) => {
-                unreachable!("unfold_head returns a head-normal form of a closed type")
-            }
-        };
-        self.nodes[id.index()] = node;
-        id
     }
 }
 

@@ -60,10 +60,6 @@ use crate::local::syntax::LocalType;
 /// assert!(project(&g_prime, &carol).is_err());
 /// ```
 pub fn project(global: &GlobalType, role: &Role) -> Result<LocalType> {
-    if use_boxed_path(global) {
-        global.well_formed()?;
-        return project_boxed(global, role);
-    }
     let mut interner = Interner::new();
     let root = interner.intern_global(global);
     interner.well_formed_global(root)?;
@@ -71,103 +67,6 @@ pub fn project(global: &GlobalType, role: &Role) -> Result<LocalType> {
     let mut memo = ProjectMemo::for_interner(&interner);
     let projected = project_interned(&mut interner, &mut memo, root, role_id)?;
     Ok(interner.resolve_local(projected))
-}
-
-/// Whether to project directly on the boxed syntax instead of interning.
-///
-/// Interning pays off once the protocol is large (maximal sharing, id-based
-/// merges, memoised traversal) but its fixed setup cost loses to the direct
-/// recursion on small terms — the same trade-off as a small-vector
-/// optimisation. The thresholds are calibrated on the benchmark families:
-/// small protocols, and mid-sized *branching* protocols whose role count is
-/// low enough that the direct path's per-occurrence work stays cheap.
-fn use_boxed_path(global: &GlobalType) -> bool {
-    let size = global.size();
-    size <= 24 || (size <= 160 && global.max_branching() >= 2)
-}
-
-/// The direct (non-interned) projection of Figure 3a, used for small inputs;
-/// produces the same results and errors as the interned path (the property
-/// tests compare them).
-fn project_boxed(global: &GlobalType, role: &Role) -> Result<LocalType> {
-    match global {
-        // [proj-end]
-        GlobalType::End => Ok(LocalType::End),
-        // [proj-var]
-        GlobalType::Var(i) => Ok(LocalType::Var(*i)),
-        // [proj-rec]
-        GlobalType::Rec(body) => {
-            let projected = project_boxed(body, role)?;
-            if mu_would_be_unguarded_boxed(&projected) {
-                Ok(LocalType::End)
-            } else if !projected.free_vars().contains(&0) {
-                Ok(projected.subst_top(&LocalType::End))
-            } else {
-                Ok(LocalType::rec(projected))
-            }
-        }
-        GlobalType::Msg { from, to, branches } => {
-            if role == from {
-                // [proj-send]
-                let bs = project_branches_boxed(branches, role)?;
-                Ok(LocalType::Send {
-                    to: to.clone(),
-                    branches: bs,
-                })
-            } else if role == to {
-                // [proj-recv]
-                let bs = project_branches_boxed(branches, role)?;
-                Ok(LocalType::Recv {
-                    from: from.clone(),
-                    branches: bs,
-                })
-            } else {
-                // [proj-cont]
-                let mut projections = branches
-                    .iter()
-                    .map(|b| project_boxed(&b.cont, role))
-                    .collect::<Result<Vec<_>>>()?;
-                let first = projections.swap_remove(0);
-                for other in &projections {
-                    if other != &first {
-                        return Err(Error::NotProjectable {
-                            role: role.clone(),
-                            reason: format!(
-                                "branches of {from}->{to} prescribe different behaviours \
-                                 for a participant not involved in the choice: `{first}` \
-                                 versus `{other}`"
-                            ),
-                        });
-                    }
-                }
-                Ok(first)
-            }
-        }
-    }
-}
-
-fn project_branches_boxed(
-    branches: &[crate::common::branch::Branch<GlobalType>],
-    role: &Role,
-) -> Result<Vec<crate::common::branch::Branch<LocalType>>> {
-    branches
-        .iter()
-        .map(|b| {
-            Ok(crate::common::branch::Branch {
-                label: b.label.clone(),
-                sort: b.sort.clone(),
-                cont: project_boxed(&b.cont, role)?,
-            })
-        })
-        .collect()
-}
-
-fn mu_would_be_unguarded_boxed(body: &LocalType) -> bool {
-    match body {
-        LocalType::Var(_) => true,
-        LocalType::Rec(inner) => mu_would_be_unguarded_boxed(inner),
-        _ => false,
-    }
 }
 
 /// Per-role memo table for the inductive projection: each distinct subterm is
@@ -345,17 +244,6 @@ fn mu_would_be_unguarded(interner: &Interner, body: LTypeId) -> bool {
 ///
 /// See [`project`].
 pub fn project_all(global: &GlobalType) -> Result<Vec<(Role, LocalType)>> {
-    if use_boxed_path(global) {
-        global.well_formed()?;
-        return global
-            .participants()
-            .into_iter()
-            .map(|role| {
-                let local = project_boxed(global, &role)?;
-                Ok((role, local))
-            })
-            .collect();
-    }
     let mut interner = Interner::new();
     let root = interner.intern_global(global);
     interner.well_formed_global(root)?;
@@ -589,9 +477,92 @@ mod tests {
         assert!(project(&bad, &r("p")).is_err());
     }
 
-    /// The boxed and interned paths are the same function: compare them
-    /// directly (the public API routes by size, so this forces both) on the
-    /// named protocols, the scaling families and random protocols.
+    /// Figure 3a transcribed directly onto the boxed syntax: the reference
+    /// `boxed_and_interned_projections_agree` holds the interned projection to.
+    fn project_boxed(global: &GlobalType, role: &Role) -> Result<LocalType> {
+        match global {
+            // [proj-end]
+            GlobalType::End => Ok(LocalType::End),
+            // [proj-var]
+            GlobalType::Var(i) => Ok(LocalType::Var(*i)),
+            // [proj-rec]
+            GlobalType::Rec(body) => {
+                let projected = project_boxed(body, role)?;
+                if mu_would_be_unguarded_boxed(&projected) {
+                    Ok(LocalType::End)
+                } else if !projected.free_vars().contains(&0) {
+                    Ok(projected.subst_top(&LocalType::End))
+                } else {
+                    Ok(LocalType::rec(projected))
+                }
+            }
+            GlobalType::Msg { from, to, branches } => {
+                if role == from {
+                    // [proj-send]
+                    let bs = project_branches_boxed(branches, role)?;
+                    Ok(LocalType::Send {
+                        to: to.clone(),
+                        branches: bs,
+                    })
+                } else if role == to {
+                    // [proj-recv]
+                    let bs = project_branches_boxed(branches, role)?;
+                    Ok(LocalType::Recv {
+                        from: from.clone(),
+                        branches: bs,
+                    })
+                } else {
+                    // [proj-cont]
+                    let mut projections = branches
+                        .iter()
+                        .map(|b| project_boxed(&b.cont, role))
+                        .collect::<Result<Vec<_>>>()?;
+                    let first = projections.swap_remove(0);
+                    for other in &projections {
+                        if other != &first {
+                            return Err(Error::NotProjectable {
+                                role: role.clone(),
+                                reason: format!(
+                                    "branches of {from}->{to} prescribe different behaviours \
+                                     for a participant not involved in the choice: `{first}` \
+                                     versus `{other}`"
+                                ),
+                            });
+                        }
+                    }
+                    Ok(first)
+                }
+            }
+        }
+    }
+
+    fn project_branches_boxed(
+        branches: &[Branch<GlobalType>],
+        role: &Role,
+    ) -> Result<Vec<Branch<LocalType>>> {
+        branches
+            .iter()
+            .map(|b| {
+                Ok(Branch {
+                    label: b.label.clone(),
+                    sort: b.sort.clone(),
+                    cont: project_boxed(&b.cont, role)?,
+                })
+            })
+            .collect()
+    }
+
+    fn mu_would_be_unguarded_boxed(body: &LocalType) -> bool {
+        match body {
+            LocalType::Var(_) => true,
+            LocalType::Rec(inner) => mu_would_be_unguarded_boxed(inner),
+            _ => false,
+        }
+    }
+
+    /// The boxed transcription and the interned projection are the same
+    /// function: compare them on the named protocols, the scaling families
+    /// and random protocols.
     #[test]
     fn boxed_and_interned_projections_agree() {
         let mut protocols = vec![

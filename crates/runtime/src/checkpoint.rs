@@ -27,7 +27,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes, BytesMut};
 use zooid_cfsm::CompiledSystem;
 use zooid_mpst::common::intern::MsgId;
 use zooid_mpst::{Action, Label, Role, Sort, Trace};
@@ -35,7 +34,9 @@ use zooid_proc::{Value, ValueAction};
 
 use crate::cbatch::{DemotedEndpoint, DemotedSession};
 use crate::cexec::{CompiledEndpointTask, EndpointProgram};
-use crate::codec::{get_str, get_u32, get_u64, get_u8, get_value, put_str, put_value};
+use crate::codec::{
+    get_str, get_u32, get_u64, get_u8, get_value, put_str, put_u32, put_u64, put_u8, put_value,
+};
 use crate::error::{Result, RuntimeError};
 use crate::exec::{EndpointStatus, ExecOptions};
 use crate::monitor::{CompiledMonitor, MonitorViolation};
@@ -142,60 +143,60 @@ impl SessionCheckpoint {
 
     /// Serializes the checkpoint with the wire codec: one-byte tags,
     /// big-endian integers, length-prefixed strings.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u64(self.token);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, MAGIC);
+        put_u8(&mut buf, VERSION);
+        put_u64(&mut buf, self.token);
         put_opt_u64(&mut buf, self.max_steps);
-        buf.put_u8(u8::from(self.record_actions));
-        buf.put_u32(self.endpoints.len() as u32);
+        put_u8(&mut buf, u8::from(self.record_actions));
+        put_u32(&mut buf, self.endpoints.len() as u32);
         for ep in &self.endpoints {
             put_str(&mut buf, ep.role.name());
-            buf.put_u32(ep.pc);
-            buf.put_u32(ep.slots.len() as u32);
+            put_u32(&mut buf, ep.pc);
+            put_u32(&mut buf, ep.slots.len() as u32);
             for slot in &ep.slots {
                 put_value(&mut buf, slot);
             }
-            buf.put_u32(ep.actions.len() as u32);
+            put_u32(&mut buf, ep.actions.len() as u32);
             for action in &ep.actions {
                 put_value_action(&mut buf, action);
             }
-            buf.put_u64(ep.steps);
+            put_u64(&mut buf, ep.steps);
             put_status(&mut buf, ep.status.as_ref());
         }
-        buf.put_u32(self.states.len() as u32);
+        put_u32(&mut buf, self.states.len() as u32);
         for &s in &self.states {
-            buf.put_u32(s);
+            put_u32(&mut buf, s);
         }
-        buf.put_u32(self.queues.len() as u32);
+        put_u32(&mut buf, self.queues.len() as u32);
         for queue in &self.queues {
-            buf.put_u32(queue.len() as u32);
+            put_u32(&mut buf, queue.len() as u32);
             for &m in queue {
-                buf.put_u32(m);
+                put_u32(&mut buf, m);
             }
         }
-        buf.put_u32(self.trace.len() as u32);
+        put_u32(&mut buf, self.trace.len() as u32);
         for action in &self.trace {
             put_action(&mut buf, action);
         }
-        buf.put_u32(self.violations.len() as u32);
+        put_u32(&mut buf, self.violations.len() as u32);
         for (action, position, trace_len) in &self.violations {
             put_action(&mut buf, action);
-            buf.put_u64(*position);
-            buf.put_u64(*trace_len);
+            put_u64(&mut buf, *position);
+            put_u64(&mut buf, *trace_len);
         }
-        buf.put_u64(self.accepted);
-        buf.put_u64(self.observed);
-        buf.put_u8(u8::from(self.record_trace));
-        buf.put_u32(self.frames.len() as u32);
+        put_u64(&mut buf, self.accepted);
+        put_u64(&mut buf, self.observed);
+        put_u8(&mut buf, u8::from(self.record_trace));
+        put_u32(&mut buf, self.frames.len() as u32);
         for (from, to, label, value) in &self.frames {
-            buf.put_u32(*from);
-            buf.put_u32(*to);
+            put_u32(&mut buf, *from);
+            put_u32(&mut buf, *to);
             put_str(&mut buf, label.name());
             put_value(&mut buf, value);
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a checkpoint.
@@ -496,25 +497,25 @@ const SORT_SUM: u8 = 5;
 const SORT_PROD: u8 = 6;
 const SORT_SEQ: u8 = 7;
 
-pub(crate) fn put_sort(buf: &mut BytesMut, sort: &Sort) {
+pub(crate) fn put_sort(buf: &mut Vec<u8>, sort: &Sort) {
     match sort {
-        Sort::Unit => buf.put_u8(SORT_UNIT),
-        Sort::Nat => buf.put_u8(SORT_NAT),
-        Sort::Int => buf.put_u8(SORT_INT),
-        Sort::Bool => buf.put_u8(SORT_BOOL),
-        Sort::Str => buf.put_u8(SORT_STR),
+        Sort::Unit => put_u8(buf, SORT_UNIT),
+        Sort::Nat => put_u8(buf, SORT_NAT),
+        Sort::Int => put_u8(buf, SORT_INT),
+        Sort::Bool => put_u8(buf, SORT_BOOL),
+        Sort::Str => put_u8(buf, SORT_STR),
         Sort::Sum(a, b) => {
-            buf.put_u8(SORT_SUM);
+            put_u8(buf, SORT_SUM);
             put_sort(buf, a);
             put_sort(buf, b);
         }
         Sort::Prod(a, b) => {
-            buf.put_u8(SORT_PROD);
+            put_u8(buf, SORT_PROD);
             put_sort(buf, a);
             put_sort(buf, b);
         }
         Sort::Seq(inner) => {
-            buf.put_u8(SORT_SEQ);
+            put_u8(buf, SORT_SEQ);
             put_sort(buf, inner);
         }
     }
@@ -546,8 +547,8 @@ pub(crate) fn get_sort(bytes: &mut &[u8]) -> Result<Sort> {
     })
 }
 
-pub(crate) fn put_action(buf: &mut BytesMut, action: &Action) {
-    buf.put_u8(u8::from(action.is_send()));
+pub(crate) fn put_action(buf: &mut Vec<u8>, action: &Action) {
+    put_u8(buf, u8::from(action.is_send()));
     put_str(buf, action.from().name());
     put_str(buf, action.to().name());
     put_str(buf, action.label().name());
@@ -567,8 +568,8 @@ pub(crate) fn get_action(bytes: &mut &[u8]) -> Result<Action> {
     })
 }
 
-pub(crate) fn put_value_action(buf: &mut BytesMut, action: &ValueAction) {
-    buf.put_u8(u8::from(action.is_send));
+pub(crate) fn put_value_action(buf: &mut Vec<u8>, action: &ValueAction) {
+    put_u8(buf, u8::from(action.is_send));
     put_str(buf, action.from.name());
     put_str(buf, action.to.name());
     put_str(buf, action.label.name());
@@ -596,14 +597,14 @@ const STATUS_STEP_LIMIT: u8 = 2;
 const STATUS_STALLED: u8 = 3;
 const STATUS_FAILED: u8 = 4;
 
-fn put_status(buf: &mut BytesMut, status: Option<&EndpointStatus>) {
+fn put_status(buf: &mut Vec<u8>, status: Option<&EndpointStatus>) {
     match status {
-        None => buf.put_u8(STATUS_RUNNING),
-        Some(EndpointStatus::Finished) => buf.put_u8(STATUS_FINISHED),
-        Some(EndpointStatus::StepLimitReached) => buf.put_u8(STATUS_STEP_LIMIT),
-        Some(EndpointStatus::Stalled) => buf.put_u8(STATUS_STALLED),
+        None => put_u8(buf, STATUS_RUNNING),
+        Some(EndpointStatus::Finished) => put_u8(buf, STATUS_FINISHED),
+        Some(EndpointStatus::StepLimitReached) => put_u8(buf, STATUS_STEP_LIMIT),
+        Some(EndpointStatus::Stalled) => put_u8(buf, STATUS_STALLED),
         Some(EndpointStatus::Failed { error }) => {
-            buf.put_u8(STATUS_FAILED);
+            put_u8(buf, STATUS_FAILED);
             put_str(buf, error);
         }
     }
@@ -626,12 +627,12 @@ fn get_status(bytes: &mut &[u8]) -> Result<Option<EndpointStatus>> {
     })
 }
 
-fn put_opt_u64(buf: &mut BytesMut, value: Option<u64>) {
+fn put_opt_u64(buf: &mut Vec<u8>, value: Option<u64>) {
     match value {
-        None => buf.put_u8(0),
+        None => put_u8(buf, 0),
         Some(v) => {
-            buf.put_u8(1);
-            buf.put_u64(v);
+            put_u8(buf, 1);
+            put_u64(buf, v);
         }
     }
 }

@@ -10,7 +10,6 @@
 //! (`tests/codec_props.rs`: `decode ∘ encode = id` for every value shape)
 //! rather than by riding along on every in-process message.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use zooid_mpst::Label;
 use zooid_proc::Value;
 
@@ -47,11 +46,11 @@ const TAG_PAIR: u8 = 8;
 const TAG_SEQ: u8 = 9;
 
 /// Encodes a message into a byte buffer.
-pub fn encode_message(message: &Message) -> Bytes {
-    let mut buf = BytesMut::new();
+pub fn encode_message(message: &Message) -> Vec<u8> {
+    let mut buf = Vec::new();
     put_str(&mut buf, message.label.name());
     put_value(&mut buf, &message.value);
-    buf.freeze()
+    buf
 }
 
 /// Decodes a message from a byte buffer.
@@ -74,39 +73,39 @@ pub fn decode_message(mut bytes: &[u8]) -> Result<Message> {
     })
 }
 
-pub(crate) fn put_value(buf: &mut BytesMut, value: &Value) {
+pub(crate) fn put_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
-        Value::Unit => buf.put_u8(TAG_UNIT),
+        Value::Unit => put_u8(buf, TAG_UNIT),
         Value::Nat(n) => {
-            buf.put_u8(TAG_NAT);
-            buf.put_u64(*n);
+            put_u8(buf, TAG_NAT);
+            put_u64(buf, *n);
         }
         Value::Int(n) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64(*n);
+            put_u8(buf, TAG_INT);
+            put_u64(buf, *n as u64);
         }
-        Value::Bool(false) => buf.put_u8(TAG_BOOL_FALSE),
-        Value::Bool(true) => buf.put_u8(TAG_BOOL_TRUE),
+        Value::Bool(false) => put_u8(buf, TAG_BOOL_FALSE),
+        Value::Bool(true) => put_u8(buf, TAG_BOOL_TRUE),
         Value::Str(s) => {
-            buf.put_u8(TAG_STR);
+            put_u8(buf, TAG_STR);
             put_str(buf, s);
         }
         Value::Inl(inner) => {
-            buf.put_u8(TAG_INL);
+            put_u8(buf, TAG_INL);
             put_value(buf, inner);
         }
         Value::Inr(inner) => {
-            buf.put_u8(TAG_INR);
+            put_u8(buf, TAG_INR);
             put_value(buf, inner);
         }
         Value::Pair(a, b) => {
-            buf.put_u8(TAG_PAIR);
+            put_u8(buf, TAG_PAIR);
             put_value(buf, a);
             put_value(buf, b);
         }
         Value::Seq(items) => {
-            buf.put_u8(TAG_SEQ);
-            buf.put_u32(u32::try_from(items.len()).unwrap_or(u32::MAX));
+            put_u8(buf, TAG_SEQ);
+            put_u32(buf, u32::try_from(items.len()).unwrap_or(u32::MAX));
             for item in items {
                 put_value(buf, item);
             }
@@ -146,9 +145,9 @@ pub(crate) fn get_value(bytes: &mut &[u8]) -> Result<Value> {
     })
 }
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(u32::try_from(s.len()).unwrap_or(u32::MAX));
-    buf.put_slice(s.as_bytes());
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, u32::try_from(s.len()).unwrap_or(u32::MAX));
+    buf.extend_from_slice(s.as_bytes());
 }
 
 pub(crate) fn get_str(bytes: &mut &[u8]) -> Result<String> {
@@ -168,33 +167,47 @@ pub(crate) fn get_str(bytes: &mut &[u8]) -> Result<String> {
     Ok(s)
 }
 
-pub(crate) fn get_u8(bytes: &mut &[u8]) -> Result<u8> {
-    if bytes.is_empty() {
+pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
+    buf.push(v);
+}
+
+pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Splits the next `N` bytes off the cursor.
+fn take<const N: usize>(bytes: &mut &[u8], what: &str) -> Result<[u8; N]> {
+    let Some((head, rest)) = bytes.split_first_chunk::<N>() else {
         return Err(RuntimeError::Codec {
-            reason: "truncated frame".to_owned(),
+            reason: format!("truncated {what}"),
         });
-    }
-    let v = bytes[0];
-    bytes.advance(1);
-    Ok(v)
+    };
+    *bytes = rest;
+    Ok(*head)
+}
+
+pub(crate) fn get_u8(bytes: &mut &[u8]) -> Result<u8> {
+    take::<1>(bytes, "frame").map(|[v]| v)
+}
+
+pub(crate) fn get_u16(bytes: &mut &[u8]) -> Result<u16> {
+    take(bytes, "integer").map(u16::from_be_bytes)
 }
 
 pub(crate) fn get_u32(bytes: &mut &[u8]) -> Result<u32> {
-    if bytes.len() < 4 {
-        return Err(RuntimeError::Codec {
-            reason: "truncated integer".to_owned(),
-        });
-    }
-    Ok(bytes.get_u32())
+    take(bytes, "integer").map(u32::from_be_bytes)
 }
 
 pub(crate) fn get_u64(bytes: &mut &[u8]) -> Result<u64> {
-    if bytes.len() < 8 {
-        return Err(RuntimeError::Codec {
-            reason: "truncated integer".to_owned(),
-        });
-    }
-    Ok(bytes.get_u64())
+    take(bytes, "integer").map(u64::from_be_bytes)
 }
 
 #[cfg(test)]
@@ -206,6 +219,30 @@ mod tests {
         let encoded = encode_message(&msg);
         let decoded = decode_message(&encoded).unwrap();
         assert_eq!(decoded, msg);
+    }
+
+    /// The integer helpers are the wire format: big-endian, fixed width,
+    /// and a short cursor is an error that consumes nothing.
+    #[test]
+    fn integers_round_trip_big_endian() {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 7);
+        put_u16(&mut buf, 0xBEEF);
+        put_u32(&mut buf, 0xDEAD_BEEF);
+        put_u64(&mut buf, 42);
+        assert_eq!(
+            buf,
+            [7, 0xBE, 0xEF, 0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0, 0, 0, 0, 42]
+        );
+        let mut view: &[u8] = &buf;
+        assert_eq!(get_u8(&mut view).unwrap(), 7);
+        assert_eq!(get_u16(&mut view).unwrap(), 0xBEEF);
+        assert_eq!(get_u32(&mut view).unwrap(), 0xDEAD_BEEF);
+        let mut short = &view[..7];
+        assert!(get_u64(&mut short).is_err());
+        assert_eq!(short.len(), 7);
+        assert_eq!(get_u64(&mut view).unwrap(), 42);
+        assert!(view.is_empty() && get_u8(&mut view).is_err());
     }
 
     #[test]
@@ -247,7 +284,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let msg = Message::new("l", Value::Nat(7));
-        let mut encoded = encode_message(&msg).to_vec();
+        let mut encoded = encode_message(&msg);
         encoded.push(0);
         assert!(decode_message(&encoded).is_err());
     }
@@ -255,9 +292,9 @@ mod tests {
     #[test]
     fn unknown_tags_are_rejected() {
         // A frame with a valid label and an invalid value tag.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_str(&mut buf, "l");
-        buf.put_u8(200);
+        put_u8(&mut buf, 200);
         assert!(decode_message(&buf).is_err());
     }
 }

@@ -431,11 +431,12 @@ impl<T: Transport> FaultyTransport<T> {
         std::mem::take(&mut self.schedule)
     }
 
-    /// Decides whether a fault fires for this counted operation. Draws from
-    /// the PRNG once per matching spec until one fires, so the stream of
-    /// draws is a pure function of the operation sequence.
-    fn decide(&mut self, dir: FaultDirection, peer: &Role) -> Option<FaultKind> {
-        for (spec, used) in &mut self.specs {
+    /// Decides whether a fault fires for this counted operation, and if so
+    /// which spec (by index) and of what kind. Draws from the PRNG once per
+    /// matching spec until one fires, so the stream of draws is a pure
+    /// function of the operation sequence.
+    fn decide(&mut self, dir: FaultDirection, peer: &Role) -> Option<(usize, FaultKind)> {
+        for (index, (spec, used)) in self.specs.iter_mut().enumerate() {
             if *used >= spec.budget {
                 continue;
             }
@@ -455,7 +456,7 @@ impl<T: Transport> FaultyTransport<T> {
             }
             if self.rng.chance(spec.rate_per_64k) {
                 *used += 1;
-                return Some(spec.kind);
+                return Some((index, spec.kind));
             }
         }
         None
@@ -516,11 +517,11 @@ impl<T: Transport> FaultyTransport<T> {
     ) -> Result<Option<(Label, Value)>> {
         match self.decide(FaultDirection::Recv, from) {
             None => Ok(Some((label, value))),
-            Some(FaultKind::Drop) => {
+            Some((_, FaultKind::Drop)) => {
                 self.record(FaultKind::Drop, FaultDirection::Recv, from, &label);
                 Ok(None)
             }
-            Some(FaultKind::Delay) => {
+            Some((_, FaultKind::Delay)) => {
                 self.record(FaultKind::Delay, FaultDirection::Recv, from, &label);
                 let delta = 1 + self.rng.below(3);
                 self.stashed_recvs.push_back(HeldMessage {
@@ -531,7 +532,7 @@ impl<T: Transport> FaultyTransport<T> {
                 });
                 Ok(None)
             }
-            Some(FaultKind::Duplicate) => {
+            Some((_, FaultKind::Duplicate)) => {
                 self.record(FaultKind::Duplicate, FaultDirection::Recv, from, &label);
                 self.stashed_recvs.push_back(HeldMessage {
                     release_tick: 0,
@@ -541,7 +542,7 @@ impl<T: Transport> FaultyTransport<T> {
                 });
                 Ok(Some((label, value)))
             }
-            Some(FaultKind::Reorder) => {
+            Some((fired, FaultKind::Reorder)) => {
                 // Swap with the next already-queued message from the same
                 // peer; when there is none the swap is impossible and the
                 // message passes through un-faulted (budget refunded).
@@ -557,25 +558,18 @@ impl<T: Transport> FaultyTransport<T> {
                         Ok(Some((next_label, next_value)))
                     }
                     None => {
-                        if let Some((spec, used)) = self
-                            .specs
-                            .iter_mut()
-                            .find(|(s, _)| s.kind == FaultKind::Reorder)
-                        {
-                            let _ = spec;
-                            *used = used.saturating_sub(1);
-                        }
+                        self.specs[fired].1 -= 1;
                         Ok(Some((label, value)))
                     }
                 }
             }
-            Some(FaultKind::Truncate) => {
+            Some((_, FaultKind::Truncate)) => {
                 self.record(FaultKind::Truncate, FaultDirection::Recv, from, &label);
                 Err(RuntimeError::Codec {
                     reason: format!("injected fault: frame `{label}` truncated in flight"),
                 })
             }
-            Some(FaultKind::Disconnect) => {
+            Some((_, FaultKind::Disconnect)) => {
                 self.record(FaultKind::Disconnect, FaultDirection::Recv, from, &label);
                 self.disconnected = true;
                 Err(RuntimeError::Disconnected { role: from.clone() })
@@ -591,7 +585,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.op += 1;
         // Held messages flush *after* the current send, so a reordered
         // message really is overtaken by its successor.
-        let result = match self.decide(FaultDirection::Send, to) {
+        let result = match self.decide(FaultDirection::Send, to).map(|(_, kind)| kind) {
             None => self.inner.send(to, label, value),
             Some(FaultKind::Drop) => {
                 self.record(FaultKind::Drop, FaultDirection::Send, to, label);
@@ -983,6 +977,27 @@ mod tests {
         p.send(&r("q"), &l("second"), &Value::Nat(2)).unwrap();
         assert_eq!(q.recv(&r("p")).unwrap(), (l("second"), Value::Nat(2)));
         assert_eq!(q.recv(&r("p")).unwrap(), (l("first"), Value::Nat(1)));
+    }
+
+    #[test]
+    fn an_impossible_recv_reorder_refunds_the_spec_that_fired() {
+        let mut net = InMemoryNetwork::new([r("p"), r("q"), r("s")]);
+        let q = net.take_endpoint(&r("q")).unwrap();
+        let mut s = net.take_endpoint(&r("s")).unwrap();
+        let reorder = |peer| FaultSpec::new(FaultKind::Reorder, FaultSite::Recv).peer(r(peer));
+        let plan = FaultPlan::new(3).with(reorder("p")).with(reorder("s"));
+        let mut q = FaultyTransport::new(q, &plan);
+        // A lone message from s: nothing queued behind it to swap with, so
+        // it passes through and the s-spec — not the p-spec listed before
+        // it — gets its budget back.
+        s.send(&r("q"), &l("lone"), &Value::Unit).unwrap();
+        assert_eq!(q.recv(&r("s")).unwrap(), (l("lone"), Value::Unit));
+        assert!(q.schedule().is_empty());
+        s.send(&r("q"), &l("first"), &Value::Nat(1)).unwrap();
+        s.send(&r("q"), &l("second"), &Value::Nat(2)).unwrap();
+        assert_eq!(q.recv(&r("s")).unwrap(), (l("second"), Value::Nat(2)));
+        assert_eq!(q.recv(&r("s")).unwrap(), (l("first"), Value::Nat(1)));
+        assert_eq!(q.schedule().len(), 1);
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //!   permanently non-blocking sockets);
 //! * [`codec`] — a length-delimited binary encoding of messages, standing in
 //!   for OCaml's `Marshal` module (the wire format of the TCP path, kept
-//!   honest by round-trip property tests);
+//!   honest by round-trip property tests). Every encoder in the crate
+//!   appends to a plain `Vec<u8>` through one set of big-endian `put_*`
+//!   functions and every decoder reads a `&mut &[u8]` cursor through the
+//!   matching `get_*`, so an encoding is built once, in the buffer that
+//!   travels;
 //! * [`wire`] — framing for real sockets: every frame is a big-endian `u32`
 //!   length followed by that many payload bytes, the length validated
 //!   against a configurable `max_frame_bytes` cap (default 16 MiB) **before
@@ -83,10 +87,12 @@
 //!   plane has its own injection point — [`cbatch::SessionBatch`] takes a
 //!   `FaultPlan` for its in-arena sends, which never cross a `Transport` —
 //!   so the hostile-world suite covers both data planes;
-//! * [`checkpoint`] — durable sessions: a live session (per-role pc, value
+//! * [`checkpoint`] — movable sessions: a live session (per-role pc, value
 //!   slots, monitor cursor, in-flight frames in channel order) serialized
-//!   through the wire codec as a [`checkpoint::SessionCheckpoint`] and
-//!   restored under re-validation — every index is checked against the
+//!   through the wire codec into a `Vec<u8>` as a
+//!   [`checkpoint::SessionCheckpoint`] — the server takes one only to move
+//!   a session between shards, never to restart it (a restart is a re-run)
+//!   — and restored under re-validation — every index is checked against the
 //!   compiled programs and transition tables before anything resumes, so a
 //!   corrupted or hostile checkpoint is refused
 //!   ([`RuntimeError::Recovery`]), never admitted;

@@ -42,7 +42,6 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes, BytesMut};
 use zooid_cfsm::CompiledSystem;
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
 use zooid_mpst::{Label, Role};
@@ -50,7 +49,7 @@ use zooid_proc::{Value, ValueAction};
 
 use crate::cexec::EndpointProgram;
 use crate::checkpoint::{get_value_action, put_value_action};
-use crate::codec::{get_u32, get_u64, get_value, put_value};
+use crate::codec::{get_u16, get_u32, get_u64, get_value, put_u16, put_u32, put_u64, put_value};
 use crate::error::{Result, RuntimeError};
 use crate::exec::sort_of_value;
 use crate::monitor::CompiledMonitor;
@@ -207,20 +206,18 @@ impl WalIndexer {
 /// column (fixed-width `session`/`role`/`event` ids, contiguous), then the
 /// value column. This is the frame payload [`WalWriter::append_quantum`]
 /// commits; exposed for the bench harness's bytes-per-action comparison.
-pub fn encode_quantum(records: &[WalRecord]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32(records.len() as u32);
+pub fn encode_quantum(records: &[WalRecord]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u32(&mut buf, records.len() as u32);
     for record in records {
-        buf.put_u64(record.session);
-        // The vendored byte-buffer stub has no `put_u16`; the role index is
-        // two big-endian bytes either way.
-        buf.put_slice(&record.role.to_be_bytes());
-        buf.put_u32(record.event);
+        put_u64(&mut buf, record.session);
+        put_u16(&mut buf, record.role);
+        put_u32(&mut buf, record.event);
     }
     for record in records {
         put_value(&mut buf, &record.value);
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes one quantum's payload (the inverse of [`encode_quantum`]),
@@ -260,14 +257,14 @@ fn decode_quantum(mut bytes: &[u8], out: &mut Vec<WalRecord>) -> Result<()> {
 ///
 /// [`RuntimeError::Recovery`] when a record does not resolve against the
 /// indexer's programs.
-pub fn encode_quantum_naive(records: &[WalRecord], indexer: &WalIndexer) -> Result<Bytes> {
-    let mut buf = BytesMut::new();
-    buf.put_u32(records.len() as u32);
+pub fn encode_quantum_naive(records: &[WalRecord], indexer: &WalIndexer) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    put_u32(&mut buf, records.len() as u32);
     for record in records {
-        buf.put_u64(record.session);
+        put_u64(&mut buf, record.session);
         put_value_action(&mut buf, &indexer.expand(record)?);
     }
-    Ok(buf.freeze())
+    Ok(buf)
 }
 
 /// Decodes a [`encode_quantum_naive`] payload (kept so the naive format is
@@ -286,17 +283,6 @@ pub fn decode_quantum_naive(mut bytes: &[u8]) -> Result<Vec<(u64, ValueAction)>>
         });
     }
     Ok(out)
-}
-
-fn get_u16(bytes: &mut &[u8]) -> Result<u16> {
-    if bytes.len() < 2 {
-        return Err(RuntimeError::Codec {
-            reason: "truncated integer".to_owned(),
-        });
-    }
-    let v = u16::from_be_bytes([bytes[0], bytes[1]]);
-    *bytes = &bytes[2..];
-    Ok(v)
 }
 
 fn checksum(payload: &[u8]) -> u64 {
@@ -347,13 +333,13 @@ impl WalWriter {
 /// Frames one quantum for appending: length prefix, columnar payload,
 /// checksum. Exposed so tests (and the bench) can build log images without
 /// touching the filesystem.
-pub fn frame_quantum(records: &[WalRecord]) -> Bytes {
+pub fn frame_quantum(records: &[WalRecord]) -> Vec<u8> {
     let payload = encode_quantum(records);
-    let mut frame = BytesMut::with_capacity(4 + payload.len() + 8);
-    frame.put_u32(payload.len() as u32);
-    frame.put_slice(&payload);
-    frame.put_u64(checksum(&payload));
-    frame.freeze()
+    let mut frame = Vec::with_capacity(4 + payload.len() + 8);
+    put_u32(&mut frame, payload.len() as u32);
+    frame.extend_from_slice(&payload);
+    put_u64(&mut frame, checksum(&payload));
+    frame
 }
 
 /// What scanning a log produced: every record of the certified prefix, in

@@ -30,10 +30,11 @@
 //! `memmove` of the live remainder taken only once the consumed prefix has
 //! outgrown it, so every byte moved is paid for by a byte already handed out.
 
-use bytes::{BufMut, BytesMut};
 use std::io::Read;
 
-use crate::codec::{get_str, get_u32, get_u64, get_u8, get_value, put_str, put_value};
+use crate::codec::{
+    get_str, get_u32, get_u64, get_u8, get_value, put_str, put_u32, put_u64, put_u8, put_value,
+};
 use crate::error::{Result, RuntimeError};
 use zooid_proc::Value;
 
@@ -360,25 +361,25 @@ const DONE_STALLED: u8 = 4;
 /// Encodes a multiplexing frame payload (no length prefix — see
 /// [`put_frame`]).
 pub fn encode_mux(frame: &MuxFrame) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     match frame {
         MuxFrame::Open { session, protocol } => {
-            buf.put_u8(MUX_OPEN);
-            buf.put_u64(*session);
+            put_u8(&mut buf, MUX_OPEN);
+            put_u64(&mut buf, *session);
             put_str(&mut buf, protocol);
         }
         MuxFrame::Accepted { session } => {
-            buf.put_u8(MUX_ACCEPTED);
-            buf.put_u64(*session);
+            put_u8(&mut buf, MUX_ACCEPTED);
+            put_u64(&mut buf, *session);
         }
         MuxFrame::Rejected {
             session,
             code,
             reason,
         } => {
-            buf.put_u8(MUX_REJECTED);
-            buf.put_u64(*session);
-            buf.put_u8(*code as u8);
+            put_u8(&mut buf, MUX_REJECTED);
+            put_u64(&mut buf, *session);
+            put_u8(&mut buf, *code as u8);
             put_str(&mut buf, reason);
         }
         MuxFrame::Done {
@@ -389,8 +390,8 @@ pub fn encode_mux(frame: &MuxFrame) -> Vec<u8> {
             violations,
             actions,
         } => {
-            buf.put_u8(MUX_DONE);
-            buf.put_u64(*session);
+            put_u8(&mut buf, MUX_DONE);
+            put_u64(&mut buf, *session);
             let mut flags = 0u8;
             if *compliant {
                 flags |= DONE_COMPLIANT;
@@ -401,21 +402,21 @@ pub fn encode_mux(frame: &MuxFrame) -> Vec<u8> {
             if *stalled {
                 flags |= DONE_STALLED;
             }
-            buf.put_u8(flags);
-            buf.put_u32(*violations);
-            buf.put_u64(*actions);
+            put_u8(&mut buf, flags);
+            put_u32(&mut buf, *violations);
+            put_u64(&mut buf, *actions);
         }
         MuxFrame::Stats { session } => {
-            buf.put_u8(MUX_STATS);
-            buf.put_u64(*session);
+            put_u8(&mut buf, MUX_STATS);
+            put_u64(&mut buf, *session);
         }
         MuxFrame::StatsReply { session, stats } => {
-            buf.put_u8(MUX_STATS_REPLY);
-            buf.put_u64(*session);
+            put_u8(&mut buf, MUX_STATS_REPLY);
+            put_u64(&mut buf, *session);
             put_value(&mut buf, stats);
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decodes a multiplexing frame payload.
@@ -499,10 +500,10 @@ mod tests {
     }
 
     /// The `split_to` reader this module shipped before the cursor: two
-    /// head splits and a copy per frame. Kept as the oracle the cursor
-    /// reader is driven against.
+    /// head splits (here `Vec::drain`s) and a copy per frame. Kept as the
+    /// oracle the cursor reader is driven against.
     struct SplitToReader {
-        buf: BytesMut,
+        buf: Vec<u8>,
         max_frame_bytes: usize,
         poisoned: Option<(usize, usize)>,
     }
@@ -510,7 +511,7 @@ mod tests {
     impl SplitToReader {
         fn new(max_frame_bytes: usize) -> Self {
             SplitToReader {
-                buf: BytesMut::new(),
+                buf: Vec::new(),
                 max_frame_bytes,
                 poisoned: None,
             }
@@ -543,8 +544,8 @@ mod tests {
             if self.buf.len() < 4 + len {
                 return Ok(None);
             }
-            let _ = self.buf.split_to(4);
-            Ok(Some(self.buf.split_to(len).to_vec()))
+            self.buf.drain(..4);
+            Ok(Some(self.buf.drain(..len).collect()))
         }
     }
 

@@ -86,20 +86,22 @@
 //!   sessions keep getting quarantined has its further opens rejected
 //!   while it stays up for in-flight work.
 //!
-//! Sessions are **durable** (PR 10): [`SessionServer::drain_shard`] takes
-//! every in-flight session off a shard as a [`MigratedSession`] — an
-//! encoded [`zooid_runtime::checkpoint::SessionCheckpoint`] plus its
-//! compiled programs — and [`SessionServer::migrate_session`] re-admits
-//! one on any shard after the decoder re-validates every index against
-//! the protocol's compiled artifacts (a tampered or foreign checkpoint is
-//! a structured [`error`], never a panic). Quarantine is now a *policy
-//! family*: [`QuarantinePolicy::Observe`] records violations but keeps
-//! stepping, [`QuarantinePolicy::Halt`] (the default) stops a flagged
-//! session at its first violation, and
-//! [`QuarantinePolicy::RestartFromCheckpoint`] re-admits it from its last
-//! certified compliant snapshot until `max_retries` restarts are spent
-//! (counted as `sessions_restarted`, each one a
-//! [`FlightEvent::Restarted`]). Per-protocol violation thresholds
+//! Sessions are **movable**: a session's state is copied out only when the
+//! session leaves its shard. [`SessionServer::drain_shard`] takes every
+//! in-flight session off a shard as a [`MigratedSession`] — an encoded
+//! [`zooid_runtime::checkpoint::SessionCheckpoint`] plus its compiled
+//! programs — and [`SessionServer::migrate_session`] re-admits one on any
+//! shard after the decoder re-validates every index against the
+//! protocol's compiled artifacts (a tampered or foreign checkpoint is a
+//! structured [`error`], never a panic). Nothing is snapshotted on the
+//! scheduling path. Quarantine is a *policy family*:
+//! [`QuarantinePolicy::Observe`] records violations but keeps stepping,
+//! [`QuarantinePolicy::Halt`] (the default) stops a flagged session at its
+//! first violation, and [`QuarantinePolicy::Restart`] re-runs it from its
+//! initial state — a session that calls no externals is deterministic, so
+//! the re-run under its compiled monitor re-certifies it — until
+//! `max_retries` restarts are spent (counted as `sessions_restarted`, each
+//! one a [`FlightEvent::Restarted`]). Per-protocol violation thresholds
 //! ([`ServerConfig::with_violation_threshold`]) let designated lenient
 //! protocols absorb violations Observe-style while everything else stays
 //! strict. `tests/crash_recovery.rs` drives drain/migrate conservation,

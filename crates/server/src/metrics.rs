@@ -9,29 +9,33 @@
 //! the plain-text `Display` of every report all follow from the rows.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use zooid_proc::Value;
 use zooid_runtime::wire::RejectCode;
 
 use crate::instruments::{decode, encode, entry, field, instruments, read_into, render, Cell};
 use crate::obs::{FlightRecorder, Histogram, HistogramSnapshot, IncidentStore, IncidentSummary};
-use crate::registry::ProtocolId;
 
 instruments! {
     [
         /// Live instruments of one worker shard: the counters and histograms
         /// of the table below (bumped lock-free by the worker, snapshotted by
         /// [`crate::SessionServer::report`]), the shard's flight recorder and
-        /// incident store, and its per-protocol figures.
+        /// incident store, and its per-protocol figures (sized by
+        /// [`ShardInstruments::new`]: the registry is frozen before a shard
+        /// exists).
         live ShardInstruments {
             /// The shard's event ring.
             pub recorder: FlightRecorder,
             /// The shard's retained incidents.
             pub incidents: IncidentStore,
-            per_protocol_wall_ns: Mutex<Vec<(ProtocolId, Arc<Histogram>)>>,
-            per_protocol_quarantined: Mutex<Vec<(ProtocolId, u64)>>,
+            /// Session wall time per protocol, indexed by
+            /// [`ProtocolId`](crate::ProtocolId).
+            pub per_protocol_wall_ns: Vec<Histogram>,
+            /// Sessions quarantined per protocol, indexed by
+            /// [`ProtocolId`](crate::ProtocolId).
+            pub per_protocol_quarantined: Vec<AtomicU64>,
         }
         /// A snapshot of one shard's counters.
         #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -67,8 +71,8 @@ instruments! {
     /// Sessions the quarantine policy halted at their first rejected
     /// action (a subset of `sessions_violated`).
     sessions_quarantined: sum = "quarantined",
-    /// Quarantined sessions re-admitted from their last certified
-    /// checkpoint ([`crate::QuarantinePolicy::RestartFromCheckpoint`]).
+    /// Re-runs of quarantined sessions from their initial state
+    /// ([`crate::QuarantinePolicy::Restart`]).
     sessions_restarted: sum = "restarted",
     /// Sessions the scheduler gave up on (every endpoint blocked).
     sessions_stalled: sum = "stalled",
@@ -101,33 +105,13 @@ instruments! {
 }
 
 impl ShardInstruments {
-    /// The session wall-time histogram of one protocol (created on first
-    /// sighting; workers cache the `Arc`, so the lock is off the steady
-    /// path).
-    pub fn protocol_wall(&self, protocol: ProtocolId) -> Arc<Histogram> {
-        let mut map = self
-            .per_protocol_wall_ns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some((_, h)) = map.iter().find(|(p, _)| *p == protocol) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        map.push((protocol, Arc::clone(&h)));
-        h
-    }
-
-    /// Bumps the quarantine counter of one protocol (created on first
-    /// sighting). Quarantines are rare, so this takes the lock every time
-    /// rather than handing out cached handles.
-    pub fn quarantined_for(&self, protocol: ProtocolId) {
-        let mut map = self
-            .per_protocol_quarantined
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        match map.iter_mut().find(|(p, _)| *p == protocol) {
-            Some((_, n)) => *n += 1,
-            None => map.push((protocol, 1)),
+    /// The instruments of a shard serving a registry of `protocols`
+    /// protocols.
+    pub fn new(protocols: usize) -> Self {
+        ShardInstruments {
+            per_protocol_wall_ns: (0..protocols).map(|_| Histogram::new()).collect(),
+            per_protocol_quarantined: (0..protocols).map(|_| AtomicU64::new(0)).collect(),
+            ..ShardInstruments::default()
         }
     }
 
@@ -148,29 +132,28 @@ impl ShardInstruments {
         report.incidents_recorded += self.incidents.recorded();
         report.incidents_held += self.incidents.snapshot().len() as u64;
         report.flight_events += self.recorder.recorded();
-        let walls = self
-            .per_protocol_wall_ns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        for (protocol, hist) in walls.iter() {
-            merge_keyed(
-                &mut report.per_protocol_wall_ns,
-                protocol.index() as u32,
-                hist.snapshot(),
-                |mine, theirs| mine.merge(&theirs),
-            );
+        // Protocols with no readings are skipped: the report stays sparse.
+        for (protocol, hist) in self.per_protocol_wall_ns.iter().enumerate() {
+            let wall = hist.snapshot();
+            if wall.count() > 0 {
+                merge_keyed(
+                    &mut report.per_protocol_wall_ns,
+                    protocol as u32,
+                    wall,
+                    |mine, theirs| mine.merge(&theirs),
+                );
+            }
         }
-        let quarantined = self
-            .per_protocol_quarantined
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        for (protocol, count) in quarantined.iter() {
-            merge_keyed(
-                &mut report.per_protocol_quarantined,
-                protocol.index() as u32,
-                *count,
-                |mine, theirs| *mine += theirs,
-            );
+        for (protocol, count) in self.per_protocol_quarantined.iter().enumerate() {
+            let count = count.load(Ordering::Relaxed);
+            if count > 0 {
+                merge_keyed(
+                    &mut report.per_protocol_quarantined,
+                    protocol as u32,
+                    count,
+                    |mine, theirs| *mine += theirs,
+                );
+            }
         }
     }
 }
@@ -659,11 +642,11 @@ mod tests {
 
     #[test]
     fn shard_instruments_merge_per_protocol_histograms() {
-        let a = ShardInstruments::default();
-        let b = ShardInstruments::default();
-        a.protocol_wall(ProtocolId(0)).record(10);
-        a.protocol_wall(ProtocolId(1)).record(20);
-        b.protocol_wall(ProtocolId(0)).record(30);
+        let a = ShardInstruments::new(3);
+        let b = ShardInstruments::new(3);
+        a.per_protocol_wall_ns[0].record(10);
+        a.per_protocol_wall_ns[1].record(20);
+        b.per_protocol_wall_ns[0].record(30);
         a.session_wall_ns.record(10);
         b.session_wall_ns.record(30);
         let mut report = ObsReport::default();
@@ -767,7 +750,7 @@ mod tests {
         for row in NetInstruments::HISTOGRAMS {
             (row.live)(&net).record(fresh());
         }
-        let shards = [ShardInstruments::default(), ShardInstruments::default()];
+        let shards = [ShardInstruments::new(0), ShardInstruments::new(0)];
         for shard in &shards {
             for row in ShardInstruments::COUNTERS {
                 (row.live)(shard).store(fresh(), Ordering::Relaxed);

@@ -379,8 +379,8 @@ pub enum FlightEvent {
         /// The session's dense id.
         session: u64,
     },
-    /// A quarantined session was re-admitted from its last certified
-    /// checkpoint ([`crate::QuarantinePolicy::RestartFromCheckpoint`]).
+    /// A quarantined session was re-run from its initial state
+    /// ([`crate::QuarantinePolicy::Restart`]).
     Restarted {
         /// The session's dense id.
         session: u64,

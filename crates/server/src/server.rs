@@ -28,7 +28,7 @@ use zooid_runtime::checkpoint::SessionCheckpoint;
 
 use crate::error::{Result, ServerError};
 use crate::metrics::{ObsReport, ServerReport, ShardInstruments};
-use crate::obs::{FlightEvent, Histogram, Incident, INCIDENT_PREFIX_CAP};
+use crate::obs::{FlightEvent, Incident, INCIDENT_PREFIX_CAP};
 use crate::registry::{ProtocolId, ProtocolRegistry};
 use crate::session::{
     failed_at_admission, ActiveSession, QuantumEnd, SessionId, SessionOutcome, SessionSpec,
@@ -53,17 +53,16 @@ pub enum QuarantinePolicy {
     /// stalled, the outcome flagged `quarantined`, and a `Quarantined`
     /// flight-recorder event emitted. The default.
     Halt,
-    /// Halt the violating run, then re-admit the session from its **last
-    /// certified checkpoint** — the encoded [`SessionCheckpoint`] the shard
-    /// took the last time the session was rescheduled while still compliant
-    /// (or, if it violated before its first reschedule, a fresh session at
-    /// the protocol's initial states). Each restart re-validates the
-    /// checkpoint against the compiled tables before anything resumes. A
-    /// session that keeps violating is restarted at most `max_retries`
-    /// times, then closed exactly as under [`QuarantinePolicy::Halt`] — as
-    /// is, at once, a session whose programs call external actions: no
-    /// checkpoint carries their closures, so it has no restart point.
-    RestartFromCheckpoint {
+    /// Halt the violating run, then **re-run** the session from its initial
+    /// state — every program at its entry, a fresh monitor, no frames — on
+    /// the slab. A session that calls no externals is deterministic, so the
+    /// re-run under its compiled monitor re-certifies every action up to
+    /// the violation and nothing is stored while a session is compliant. A
+    /// session that keeps violating is re-run at most `max_retries` times,
+    /// then closed exactly as under [`QuarantinePolicy::Halt`] — as is, at
+    /// once, a session whose programs call external actions: their closures
+    /// stay with the submitter, so there is nothing to re-run it with.
+    Restart {
         /// Restart budget per session; `0` behaves like `Halt`.
         max_retries: u32,
     },
@@ -149,10 +148,10 @@ impl QuarantineConfig {
     }
 
     /// The per-session restart budget (zero unless the policy is
-    /// [`QuarantinePolicy::RestartFromCheckpoint`]).
+    /// [`QuarantinePolicy::Restart`]).
     fn max_retries(&self) -> u32 {
         match self.policy {
-            QuarantinePolicy::RestartFromCheckpoint { max_retries } => max_retries,
+            QuarantinePolicy::Restart { max_retries } => max_retries,
             _ => 0,
         }
     }
@@ -263,7 +262,7 @@ impl SessionServer {
         let mut instruments = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             let (tx, rx) = unbounded();
-            let shard_instruments = Arc::new(ShardInstruments::default());
+            let shard_instruments = Arc::new(ShardInstruments::new(registry.len()));
             let shard = Shard::new(
                 Arc::clone(&registry),
                 results_tx.clone(),
@@ -594,21 +593,17 @@ fn batch_for(
 
 /// Worker-local observability state: the shard's shared
 /// [`ShardInstruments`] plus what only the owning worker touches —
-/// admission timestamps for session wall time and, indexed by
-/// [`ProtocolId`], cached per-protocol histogram handles (so the steady path
-/// never takes the per-protocol lock).
+/// admission timestamps for session wall time.
 struct WorkerObs {
     shared: Arc<ShardInstruments>,
     admitted: FxHashMap<u64, Instant>,
-    proto_wall: Vec<Option<Arc<Histogram>>>,
 }
 
 impl WorkerObs {
-    fn new(shared: Arc<ShardInstruments>, protocols: usize) -> Self {
+    fn new(shared: Arc<ShardInstruments>) -> Self {
         WorkerObs {
             shared,
             admitted: FxHashMap::default(),
-            proto_wall: vec![None; protocols],
         }
     }
 
@@ -633,9 +628,7 @@ impl WorkerObs {
             let ns =
                 u64::try_from(now.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX);
             self.shared.session_wall_ns.record(ns);
-            self.proto_wall[outcome.protocol.index()]
-                .get_or_insert_with(|| self.shared.protocol_wall(outcome.protocol))
-                .record(ns);
+            self.shared.per_protocol_wall_ns[outcome.protocol.index()].record(ns);
         }
         if outcome.stalled {
             self.shared.recorder.record(FlightEvent::Stalled {
@@ -680,30 +673,6 @@ fn batch_session_outcome(protocol: ProtocolId, outcome: BatchOutcome) -> Session
     }
 }
 
-/// Per-session restart bookkeeping under
-/// [`QuarantinePolicy::RestartFromCheckpoint`].
-#[derive(Default)]
-struct RestartState {
-    /// The last certified checkpoint: its wire encoding plus the compiled
-    /// programs its dense indices refer to (in checkpoint endpoint order).
-    /// `None` until the session's first compliant reschedule.
-    bytes: Option<(Vec<u8>, Vec<Arc<EndpointProgram>>)>,
-    /// Restarts already burned.
-    retries: u32,
-}
-
-/// A checkpoint's wire encoding plus the compiled programs its dense
-/// indices refer to (in checkpoint endpoint order).
-fn encode_checkpoint(demoted: &DemotedSession) -> (Vec<u8>, Vec<Arc<EndpointProgram>>) {
-    let bytes = SessionCheckpoint::from_demoted(demoted).encode().to_vec();
-    let programs = demoted
-        .endpoints
-        .iter()
-        .map(|e| Arc::clone(&e.program))
-        .collect();
-    (bytes, programs)
-}
-
 /// One worker shard: drains its inbox, steps the front of its run queue for
 /// one quantum, re-queues or finishes the work item, repeats. On shutdown
 /// the sessions still in the run queue are closed as stalled — a session of
@@ -739,10 +708,6 @@ struct Shard {
     free: Vec<u32>,
     batches: Vec<ShardBatch>,
     run_queue: VecDeque<u32>,
-    /// Restart bookkeeping for `RestartFromCheckpoint`: per session, the
-    /// last certified checkpoint and how many restarts it has burned. Empty
-    /// under any other policy.
-    restarts: FxHashMap<u64, RestartState>,
     /// Finished sessions not yet flushed to the server.
     pending: Vec<SessionOutcome>,
 }
@@ -755,7 +720,7 @@ impl Shard {
         config: &ServerConfig,
     ) -> Self {
         Shard {
-            obs: WorkerObs::new(instruments, registry.len()),
+            obs: WorkerObs::new(instruments),
             quantum: config.quantum.max(1),
             quarantine: QuarantineConfig::new(config, registry.len()),
             registry,
@@ -764,7 +729,6 @@ impl Shard {
             free: Vec::new(),
             batches: Vec::new(),
             run_queue: VecDeque::new(),
-            restarts: FxHashMap::default(),
             pending: Vec::new(),
         }
     }
@@ -835,7 +799,6 @@ impl Shard {
             ShardMsg::Restore { id, protocol, demoted } => {
                 self.obs.shared.sessions_slab.fetch_add(1, Ordering::Relaxed);
                 self.obs.on_admit(id, false, stamp);
-                self.store_restart_point(&demoted);
                 self.resume_on_slab(id, protocol, demoted);
             }
             ShardMsg::Shutdown => return true,
@@ -892,80 +855,38 @@ impl Shard {
         self.run_queue.push_back(slot);
     }
 
-    /// Rebuilds a session from extracted state — a batch demotion, a
-    /// migrated checkpoint, a restart point — and queues it on the slab.
+    /// Rebuilds a session from extracted state — a batch demotion or a
+    /// migrated checkpoint — and queues it on the slab.
     fn resume_on_slab(&mut self, id: SessionId, protocol: ProtocolId, demoted: DemotedSession) {
         let session = ActiveSession::from_demoted(id, demoted, &self.registry[protocol]);
         self.enqueue_on_slab(session);
     }
 
-    /// Stores extracted state as its session's restart point — under
-    /// `RestartFromCheckpoint`, and only while the monitor still certifies
-    /// the state being saved.
-    fn store_restart_point(&mut self, demoted: &DemotedSession) {
-        if self.quarantine.max_retries() > 0 && demoted.monitor.is_compliant() {
-            self.restarts.entry(demoted.token).or_default().bytes =
-                Some(encode_checkpoint(demoted));
-        }
-    }
-
     /// The one quarantine decision, for a session over its violation budget
     /// on either path (a slab quantum that ended
     /// [`QuantumEnd::OverBudget`], or a batch demotion rebuilt as a slab
-    /// session): the session takes zero further steps, and either restarts
-    /// from its last certified checkpoint (policy permitting; `true`) or
-    /// closes as quarantined (`false`).
-    fn restart_or_close(&mut self, session: ActiveSession, now: Instant) -> bool {
-        let (id, protocol) = (session.id(), session.protocol());
-        match self.restart_state(&session) {
-            Some(fresh) => {
-                self.resume_on_slab(id, protocol, fresh);
-                true
-            }
-            None => {
-                self.restarts.remove(&id.0);
-                self.finish(session.close_quarantined(), now);
-                false
-            }
-        }
-    }
-
-    /// Builds the state a quarantined session restarts from: the stored
-    /// last-certified checkpoint when there is one (decoded and re-certified
-    /// — a checkpoint that fails validation forfeits the restart), else the
-    /// session's own initial state. Returns `None` when the policy grants no
-    /// (further) restart or the session cannot be checkpointed at all.
-    fn restart_state(&mut self, session: &ActiveSession) -> Option<DemotedSession> {
-        let system = self.registry[session.protocol()].compiled();
-        let max_retries = self.quarantine.max_retries();
-        if max_retries == 0 {
-            return None;
-        }
-        let token = session.id().0;
-        let state = self.restarts.entry(token).or_default();
-        if state.retries >= max_retries {
-            return None;
-        }
-        let fresh = match &state.bytes {
-            Some((bytes, programs)) => SessionCheckpoint::decode(bytes)
-                .and_then(|c| c.into_demoted(programs, system))
-                .ok()?,
-            None => {
-                let fresh = session.initial_state()?;
-                // The initial state becomes the stored restart point, so a
-                // session that violates again before its first certified
-                // snapshot still gets its remaining retries.
-                state.bytes = Some(encode_checkpoint(&fresh));
-                fresh
-            }
+    /// session): the session takes zero further steps, and is either re-run
+    /// from its initial state with one more retry burned (policy and
+    /// session permitting) or closed as quarantined.
+    fn restart_or_close(&mut self, session: ActiveSession, now: Instant) {
+        let retry = session.retries + 1;
+        let fresh = if retry <= self.quarantine.max_retries() {
+            session.initial_state()
+        } else {
+            None
         };
-        state.retries += 1;
+        let Some(fresh) = fresh else {
+            return self.finish(session.close_quarantined(), now);
+        };
         self.obs.shared.sessions_restarted.fetch_add(1, Ordering::Relaxed);
         self.obs.shared.recorder.record(FlightEvent::Restarted {
-            session: token,
-            retry: state.retries.min(255) as u8,
+            session: session.id().0,
+            retry: retry.min(255) as u8,
         });
-        Some(fresh)
+        let artifacts = &self.registry[session.protocol()];
+        let mut rerun = ActiveSession::from_demoted(session.id(), fresh, artifacts);
+        rerun.retries = retry;
+        self.enqueue_on_slab(rerun);
     }
 
     /// Evacuates every session in the run queue as an encoded checkpoint:
@@ -998,16 +919,20 @@ impl Shard {
         migrated
     }
 
-    /// Forgets an evacuated session and wraps its checkpoint for the trip.
+    /// Forgets an evacuated session and encodes its checkpoint for the
+    /// trip, next to the compiled programs the checkpoint's dense indices
+    /// refer to (in checkpoint endpoint order).
     fn evacuate(&mut self, protocol: ProtocolId, demoted: &DemotedSession) -> MigratedSession {
-        self.restarts.remove(&demoted.token);
         self.obs.admitted.remove(&demoted.token);
-        let (bytes, programs) = encode_checkpoint(demoted);
         MigratedSession {
             id: SessionId(demoted.token),
             protocol,
-            bytes,
-            programs,
+            bytes: SessionCheckpoint::from_demoted(demoted).encode(),
+            programs: demoted
+                .endpoints
+                .iter()
+                .map(|e| Arc::clone(&e.program))
+                .collect(),
         }
     }
 
@@ -1056,9 +981,6 @@ impl Shard {
                     ActiveSession::from_demoted(id, demoted, &self.registry[protocol]);
                 self.restart_or_close(session, ended);
             } else {
-                // Checkpoint-on-demote: a compliant session crossing from
-                // the batch plane to the slab is a natural restart point.
-                self.store_restart_point(&demoted);
                 self.resume_on_slab(id, protocol, demoted);
             }
         }
@@ -1082,22 +1004,8 @@ impl Shard {
         let ended = Instant::now();
         self.record_quantum(ended.saturating_duration_since(started), result.actions, result.sends);
         match result.end {
-            QuantumEnd::Live => {
-                // Group commit of the restart point: once per reschedule,
-                // not per action — and only while the monitor still
-                // certifies the state being saved.
-                if self.quarantine.max_retries() > 0 {
-                    let session = self.slab[slot as usize]
-                        .as_mut()
-                        .expect("queued slot is occupied");
-                    if let Ok(demoted) = session.checkpoint() {
-                        self.store_restart_point(&demoted);
-                    }
-                }
-                self.run_queue.push_back(slot);
-            }
+            QuantumEnd::Live => self.run_queue.push_back(slot),
             QuantumEnd::Closed(outcome) => {
-                self.restarts.remove(&outcome.id.0);
                 self.slab[slot as usize] = None;
                 self.free.push(slot);
                 self.finish(outcome, ended);
@@ -1176,7 +1084,8 @@ impl Shard {
             metrics.recorder.record(FlightEvent::Quarantined {
                 session: outcome.id.0,
             });
-            metrics.quarantined_for(outcome.protocol);
+            metrics.per_protocol_quarantined[outcome.protocol.index()]
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.obs.on_outcome(&outcome, &self.registry, now);
         self.pending.push(outcome);
@@ -1298,7 +1207,8 @@ mod tests {
         let (a, b) = (twin("ring-a"), twin("ring-b"));
         let (results, _outcomes) = unbounded();
         let config = ServerConfig::default();
-        let mut shard = Shard::new(Arc::new(registry), results, Arc::default(), &config);
+        let instruments = Arc::new(ShardInstruments::new(registry.len()));
+        let mut shard = Shard::new(Arc::new(registry), results, instruments, &config);
         let now = Instant::now();
         for (n, spec) in [&a, &b, &a, &b].into_iter().enumerate() {
             shard.admit(SessionId(n as u64), spec.clone(), now);
@@ -1318,6 +1228,80 @@ mod tests {
             [(0, a.protocol), (1, b.protocol), (2, a.protocol), (3, b.protocol)]
         );
         assert!(shard.pending.iter().all(|o| o.all_finished_and_compliant()));
+    }
+
+    #[test]
+    fn a_migrated_session_that_then_violates_restarts_from_its_initial_state() {
+        // `mu X. A -> B : tick. B -> A : tock. X`, with an A that after
+        // three rounds sends a label the protocol does not have. The source
+        // shard is stepped by hand, so the drain catches the session after
+        // exactly four actions; the violation happens on the shard it
+        // migrates to, which must re-run it from its initial state (not
+        // from the state it arrived in) with a retry budget of its own.
+        use zooid_mpst::global::GlobalType;
+        use zooid_mpst::{Role, Sort};
+        let (a, b) = (Role::new("A"), Role::new("B"));
+        let round = |cont| {
+            let tock = GlobalType::msg1(b.clone(), a.clone(), "tock", Sort::Nat, cont);
+            GlobalType::msg1(a.clone(), b.clone(), "tick", Sort::Nat, tock)
+        };
+        let stray = GlobalType::msg1(a.clone(), b.clone(), "stray", Sort::Nat, GlobalType::End);
+        let decoy = Protocol::new("metronome", round(round(round(stray)))).unwrap();
+        let metronome = Protocol::new("metronome", GlobalType::rec(round(GlobalType::var(0)))).unwrap();
+        let mut endpoints = skeleton_endpoints(&decoy).unwrap();
+        endpoints.retain(|(cert, _)| *cert.role() == a);
+        endpoints.extend(
+            skeleton_endpoints(&metronome)
+                .unwrap()
+                .into_iter()
+                .filter(|(cert, _)| *cert.role() == b),
+        );
+        let mut registry = ProtocolRegistry::new();
+        let id = registry.register(metronome).unwrap();
+        let config = ServerConfig {
+            shards: 1,
+            quantum: 1,
+            quarantine: QuarantinePolicy::Restart { max_retries: 2 },
+            ..ServerConfig::default()
+        };
+        let mut server = SessionServer::start(registry, config.clone());
+
+        let (results, _outcomes) = unbounded();
+        let instruments = Arc::new(ShardInstruments::new(server.registry.len()));
+        let mut source = Shard::new(Arc::clone(&server.registry), results, instruments, &config);
+        source.admit(SessionId(0), SessionSpec::new(id, endpoints), Instant::now());
+        for _ in 0..4 {
+            let slot = source.run_queue.pop_front().expect("still live");
+            source.run_slab(slot);
+        }
+        assert_eq!(source.obs.shared.report(0).actions_executed, 4);
+        let mut migrated = source.drain_for_migration();
+        assert_eq!(migrated.len(), 1);
+        server.migrate_session(migrated.pop().unwrap(), 0).unwrap();
+
+        let outcomes = server.drain();
+        assert_eq!(outcomes.len(), 1, "the session reports exactly once");
+        let outcome = &outcomes[0];
+        assert!(outcome.quarantined && !outcome.compliant);
+        // The last run started over: its trace is the twelve compliant
+        // actions of three rounds, once — not what was left to do after the
+        // migration, and not two runs' worth.
+        assert_eq!(outcome.global_trace.len(), 12);
+        assert_eq!(outcome.violations.len(), 1);
+        assert_eq!(outcome.violations[0].position, 12);
+        let retries: Vec<u8> = server
+            .flight_events()
+            .iter()
+            .filter_map(|e| match e {
+                FlightEvent::Restarted { retry, .. } => Some(*retry),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retries, [1, 2], "a fresh budget, counted from one");
+        let report = server.shutdown();
+        assert_eq!(report.sessions_restarted(), 2, "{report}");
+        // Arrival (8 actions and the stray send) plus two full re-runs.
+        assert_eq!(report.actions_executed(), 9 + 13 + 13, "{report}");
     }
 
     #[test]

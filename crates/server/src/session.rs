@@ -162,6 +162,11 @@ pub(crate) struct ActiveSession {
     protocol: ProtocolId,
     monitor: CompiledMonitor,
     tasks: Vec<(CompiledEndpointTask, InMemoryTransport)>,
+    /// Restarts this session has burned under
+    /// [`QuarantinePolicy::Restart`](crate::QuarantinePolicy::Restart).
+    /// Zero for a session built from a spec, a batch demotion or a migrated
+    /// checkpoint; the shard counts up as it re-runs the session.
+    pub(crate) retries: u32,
 }
 
 /// Checks that a spec's endpoints cover the protocol's participants exactly
@@ -272,6 +277,7 @@ impl ActiveSession {
             protocol: spec.protocol,
             monitor,
             tasks,
+            retries: 0,
         }
     }
 
@@ -333,6 +339,7 @@ impl ActiveSession {
             protocol: artifacts.id(),
             monitor,
             tasks,
+            retries: 0,
         }
     }
 
@@ -347,9 +354,9 @@ impl ActiveSession {
     }
 
     /// The state this session started from — every program at its entry, a
-    /// fresh monitor, no frames — as the restart point of last resort for a
-    /// session that violates before its first certified checkpoint. `None`
-    /// when the session calls externals.
+    /// fresh monitor, no frames: what a restart re-runs. A session that
+    /// calls no externals is deterministic, so no later state need be kept
+    /// to get back to where it was. `None` when the session calls externals.
     pub(crate) fn initial_state(&self) -> Option<DemotedSession> {
         if self.calls_externals() {
             return None;

@@ -1,5 +1,5 @@
 //! Crash recovery on the serving plane: shard evacuation, re-certified
-//! migration, checkpoint-restart quarantine, adaptive violation
+//! migration, restart-by-re-run quarantine, adaptive violation
 //! thresholds, and the wire-level reject-then-ban escalation.
 //!
 //! The durable-session covenant is tested at the server boundary here (the
@@ -13,9 +13,8 @@
 //!   blob against the protocol's compiled tables before any shard hosts
 //!   it: tampered bytes are refused with the runtime's structured errors
 //!   and never become sessions.
-//! * [`QuarantinePolicy::RestartFromCheckpoint`] grants a violating
-//!   session a bounded number of restarts from its last certified
-//!   checkpoint (or its initial state), then closes it like `Halt`.
+//! * [`QuarantinePolicy::Restart`] grants a violating session a bounded
+//!   number of re-runs from its initial state, then closes it like `Halt`.
 //! * [`ServerConfig::with_violation_threshold`] tolerates a per-protocol
 //!   number of monitor rejections before quarantining.
 //! * [`NetServerConfig::ban_after_quarantines`] rejects further `Open`s
@@ -214,14 +213,14 @@ fn tampered_checkpoints_are_refused_with_structured_errors() {
 }
 
 // ---------------------------------------------------------------------
-// Restart-from-checkpoint quarantine
+// Restart quarantine
 // ---------------------------------------------------------------------
 
 #[test]
 fn violators_restart_from_checkpoint_until_retries_exhaust() {
     // The rotated-ring cast violates deterministically on its first send;
-    // restarting it from its (initial-state) checkpoint replays the same
-    // violation, so the retry budget is consumed exactly.
+    // restarting it from its initial state replays the same violation, so
+    // the retry budget is consumed exactly.
     let mut registry = ProtocolRegistry::new();
     let id = registry
         .register(Protocol::new("ring", generators::ring_n(3)).unwrap())
@@ -230,7 +229,7 @@ fn violators_restart_from_checkpoint_until_retries_exhaust() {
     let endpoints = skeleton_endpoints(&decoy).unwrap();
     let config = ServerConfig {
         shards: 1,
-        quarantine: QuarantinePolicy::RestartFromCheckpoint { max_retries: 2 },
+        quarantine: QuarantinePolicy::Restart { max_retries: 2 },
         ..ServerConfig::default()
     };
     let mut server = SessionServer::start(registry, config);
@@ -282,7 +281,7 @@ fn restart_zero_behaves_like_halt() {
     let endpoints = skeleton_endpoints(&decoy).unwrap();
     let config = ServerConfig {
         shards: 1,
-        quarantine: QuarantinePolicy::RestartFromCheckpoint { max_retries: 0 },
+        quarantine: QuarantinePolicy::Restart { max_retries: 0 },
         ..ServerConfig::default()
     };
     let mut server = SessionServer::start(registry, config);
@@ -303,8 +302,8 @@ fn slab_admitted_violators_get_the_same_restarts() {
     // The slab twin of `violators_restart_from_checkpoint_until_retries_exhaust`:
     // the `bad` label is not in the registered ring's tables, so the cast
     // cannot pre-intern, is admitted to the slab, and violates in its first
-    // quantum — before any certified checkpoint exists. It must still restart
-    // from its initial state `max_retries` times.
+    // quantum. It must still restart from its initial state `max_retries`
+    // times.
     use zooid_mpst::global::GlobalType;
     use zooid_mpst::{Role, Sort};
     let w = |i: usize| Role::new(format!("w{i}"));
@@ -318,7 +317,7 @@ fn slab_admitted_violators_get_the_same_restarts() {
     let decoy = Protocol::new("ring", bad_label_ring).unwrap();
     let config = ServerConfig {
         shards: 1,
-        quarantine: QuarantinePolicy::RestartFromCheckpoint { max_retries: 2 },
+        quarantine: QuarantinePolicy::Restart { max_retries: 2 },
         ..ServerConfig::default()
     };
     let mut server = SessionServer::start(registry, config);
@@ -354,7 +353,7 @@ fn sessions_that_call_externals_are_never_checkpointed() {
     // behind `src` lives in the submitted `Externals`; a checkpoint cannot
     // carry it, and a session resumed from one would run with none. So the
     // drain must not evacuate this session (it closes as stalled through the
-    // outcome stream), and no restart point is ever stored for it.
+    // outcome stream), and it is never restarted.
     use zooid_mpst::{Role, Sort};
     use zooid_proc::{Expr, Externals, Proc, Value};
     let (a, b) = (Role::new("A"), Role::new("B"));
@@ -381,7 +380,7 @@ fn sessions_that_call_externals_are_never_checkpointed() {
     let config = ServerConfig {
         shards: 1,
         quantum: 1,
-        quarantine: QuarantinePolicy::RestartFromCheckpoint { max_retries: 2 },
+        quarantine: QuarantinePolicy::Restart { max_retries: 2 },
         ..ServerConfig::default()
     };
     let mut server = SessionServer::start(registry, config);
@@ -401,6 +400,56 @@ fn sessions_that_call_externals_are_never_checkpointed() {
     }
     assert_eq!(server.report().sessions_restarted(), 0);
     server.shutdown();
+}
+
+#[test]
+fn a_last_action_violator_is_re_run_in_full_and_closes_as_under_halt() {
+    // The after-termination cast is compliant up to its *last* action, so a
+    // restart has a whole session to get through again: each re-run must
+    // re-certify every action up to the violation and end where the halted
+    // run did, with nothing carried over from the run before.
+    let ring = || Protocol::new("ring", generators::ring_n(3)).unwrap();
+    // One session on one shard: its outcome, the restart count and the
+    // `Restarted` retries in order.
+    let run = |quarantine| {
+        let mut registry = ProtocolRegistry::new();
+        let id = registry.register(ring()).unwrap();
+        let driver = byzantine_driver(&ring(), ByzantineMutation::AfterTermination)
+            .unwrap()
+            .expect("the ring has an end to speak after");
+        let config = ServerConfig {
+            shards: 1,
+            quarantine,
+            ..ServerConfig::default()
+        };
+        let mut server = SessionServer::start(registry, config);
+        server.submit(SessionSpec::new(id, driver.endpoints)).unwrap();
+        let mut outcomes = server.drain();
+        assert_eq!(outcomes.len(), 1, "the session reports exactly once");
+        let retries: Vec<u8> = server
+            .flight_events()
+            .iter()
+            .filter_map(|e| match e {
+                FlightEvent::Restarted { retry, .. } => Some(*retry),
+                _ => None,
+            })
+            .collect();
+        let restarted = server.shutdown().sessions_restarted();
+        (outcomes.pop().unwrap(), restarted, retries)
+    };
+    let (halted, restarts, retries) = run(QuarantinePolicy::Halt);
+    assert!(halted.quarantined && !halted.compliant);
+    assert_eq!(halted.violations.len(), 1);
+    assert_eq!(halted.messages_exchanged(), 3, "the whole ring ran before the violation");
+    assert_eq!((restarts, retries), (0, vec![]));
+
+    let (rerun, restarts, retries) = run(QuarantinePolicy::Restart { max_retries: 2 });
+    assert_eq!(rerun.endpoints, halted.endpoints, "statuses and value traces");
+    assert_eq!(rerun.violations, halted.violations);
+    assert_eq!(rerun.global_trace, halted.global_trace);
+    assert!(rerun.quarantined && !rerun.compliant && !rerun.stalled);
+    assert_eq!(restarts, 2);
+    assert_eq!(retries, vec![1, 2]);
 }
 
 // ---------------------------------------------------------------------

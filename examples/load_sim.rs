@@ -23,9 +23,8 @@
 //! sessions stay in flight) is drained shard by shard — every in-flight
 //! session leaves as an encoded, re-certifiable checkpoint — and the
 //! checkpoints are migrated onto other shards where they resume and finish
-//! compliant. Violators submitted under
-//! [`QuarantinePolicy::RestartFromCheckpoint`] get restarted from their
-//! last certified snapshot until their retry budget runs out.
+//! compliant. Violators submitted under [`QuarantinePolicy::Restart`] are
+//! re-run from their initial state until their retry budget runs out.
 //!
 //! Run with `cargo run --release --example load_sim`.
 
@@ -190,7 +189,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(report.sessions_violated() as usize, expected_quarantines);
 
     // Durability act: drain shards mid-flight, migrate the checkpoints,
-    // and restart violators from their last certified snapshot. A fresh
+    // and re-run violators from their initial state. A fresh
     // server with single-action quanta keeps sessions in flight long
     // enough to catch them between quanta.
     println!("\ndrain-and-recover:");
@@ -202,7 +201,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServerConfig {
             shards: 2,
             quantum: 1,
-            quarantine: QuarantinePolicy::RestartFromCheckpoint { max_retries: 2 },
+            quarantine: QuarantinePolicy::Restart { max_retries: 2 },
             ..ServerConfig::default()
         },
     );
@@ -231,9 +230,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.migrate_session(m, (home + 1) % server.shard_count())?;
     }
 
-    // Violators under RestartFromCheckpoint: each gets restarted from its
-    // last certified snapshot, violates again, and after `max_retries`
-    // restarts is quarantined for good.
+    // Violators under Restart: each is re-run from its initial state,
+    // violates again, and after `max_retries` restarts is quarantined for
+    // good.
     for _ in 0..BAD_SESSIONS {
         server.submit(SessionSpec::new(ring, bad_endpoints.clone()))?;
     }

@@ -1,16 +1,27 @@
 #!/usr/bin/env bash
-# Tier-1 CI for the zooid workspace: release build, zero compiler and rustdoc
-# warnings, every crate's tests in both profiles, the zooid_benchmark gate
-# (BENCHMARK.json's command must build and pass its smoke run, and tcp_short
-# must clear a floor no timer can), and a bench-report smoke run, which
-# checks its own families against their floors and exits non-zero on a
-# breach.
+# Tier-1 CI for the zooid workspace: release build, no orphaned vendor stub,
+# zero compiler and rustdoc warnings, every crate's tests in both profiles,
+# the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
+# smoke run, and tcp_short must clear a floor no timer can), and a
+# bench-report smoke run, which checks its own families against their floors
+# and exits non-zero on a breach.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release"
 cargo build --release
+
+echo "== every vendor/ stub is a dependency of the workspace"
+# A stub fails here in the PR that orphans it (serde and criterion outlived
+# their last user by several PRs).
+tree="$(cargo tree --workspace --offline --prefix none)"
+for stub in vendor/*/; do
+    grep -qF "($PWD/${stub%/})" <<<"$tree" || {
+        echo "${stub%/} is not a dependency of any workspace member" >&2
+        exit 1
+    }
+done
 
 echo "== no compiler warning in any target"
 # Every crate's lib, bins, examples and tests (and the vendored stubs' own),
