@@ -20,7 +20,7 @@
 //!   CPUs the box grants: it records, it does not assume);
 //! * `endpoint_step` — the compiled endpoint executor
 //!   ([`CompiledEndpointTask`]) vs the tree-walking [`EndpointTask`], per
-//!   visible action, quiet on both sides;
+//!   visible action, a no-op observer on both sides (what a shard calls);
 //! * `batch_step` — the columnar [`SessionBatch`] vs per-session compiled
 //!   tasks under a [`CompiledMonitor`] (the slab configuration), per action;
 //! * `obs_overhead` — batch stepping with the shard's instruments attached
@@ -461,11 +461,12 @@ fn compiled_tasks(
         .collect()
 }
 
-/// Steps every compiled endpoint of one session cooperatively, unobserved.
+/// Steps every compiled endpoint of one session cooperatively under a no-op
+/// observer: the entry point a shard calls, minus the monitor.
 fn run_compiled_session(fixture: &Fixture, options: &ExecOptions) -> usize {
     drive_session(
         compiled_tasks(fixture, options),
-        |task, transport| task.step_mem_quiet(transport),
+        |task, transport| task.step_mem(transport, &mut |_, _| {}),
         CompiledEndpointTask::is_done,
         CompiledEndpointTask::mark_stalled,
     )
@@ -515,7 +516,7 @@ fn run_tree_session<T: Transport>(
         .collect();
     drive_session(
         tasks,
-        |task, transport| task.step_quiet(transport),
+        |task, transport| task.step(transport, &mut |_| {}),
         EndpointTask::is_done,
         EndpointTask::mark_stalled,
     )
@@ -676,8 +677,8 @@ fn cfsm_explore_par(mode: &Mode) -> Vec<Case> {
 }
 
 /// Looping sessions stepped cooperatively on one thread to a fixed
-/// per-endpoint budget, unobserved on both sides, so the family measures
-/// stepping itself (`monitor_action` prices the monitor).
+/// per-endpoint budget, a no-op observer on both sides, so the family
+/// measures stepping itself (`monitor_action` prices the monitor).
 fn endpoint_step(mode: &Mode) -> Vec<Case> {
     let steps = mode.pick(2_048, 256);
     let protocols: Vec<(&str, GlobalType)> = mode.pick(

@@ -33,14 +33,22 @@
 //! external actions (`read`/`write`/`interact` run arbitrary host closures)
 //! and every communication site has a statically known sort with a
 //! pre-interned action ([`BatchLayout::new`] checks this once per program
-//! set). Sessions that diverge from their cohort mid-flight — a monitor
-//! violation, a payload whose runtime sort differs from the static one, or
-//! a full pass without progress — are **demoted**: their columns are
-//! gathered into a [`DemotedSession`] carrying the program counters, slot
-//! values, action traces, in-flight frames and the monitor state, which the
-//! slab executor resumes without losing a single observation
+//! set).
+//!
+//! A session leaves its batch one of two ways. One that is **over** is
+//! closed where it stands, as a [`BatchOutcome`]: every endpoint concluded,
+//! or a full pass made no progress — which for a self-contained session
+//! proves none can ever come — and the endpoints still mid-protocol are
+//! reported stalled. One the batch **cannot carry further** — after a
+//! monitor violation, a payload whose runtime sort differs from the static
+//! one, or an instruction the batch cannot run — is **demoted**: its columns
+//! are gathered into a [`DemotedSession`] carrying the program counters,
+//! slot values, action traces, in-flight frames and the monitor state. The
+//! slab executor resumes it from there without losing a single observation
 //! ([`CompiledEndpointTask::resume`](crate::cexec::CompiledEndpointTask::resume),
-//! [`CompiledMonitor::resume`]).
+//! [`CompiledMonitor::resume`]) — unless the holder decides the violation
+//! ended it (the server's quarantine), in which case that same state is all
+//! its outcome needs.
 //!
 //! The slab and tree executors remain the behavioural oracles: the
 //! differential suite (`tests/batch_exec.rs`) checks statuses, per-endpoint
@@ -220,7 +228,7 @@ impl FrameQueue {
 }
 
 /// What one [`SessionBatch::run_quantum`] call did: action counts for
-/// metrics, the sessions that concluded, the sessions that demoted to the
+/// metrics, the sessions that are over, the sessions that demoted to the
 /// slab executor, and cohort statistics (a cohort is one `(role, pc)` run
 /// of a scheduling pass).
 #[derive(Debug, Default)]
@@ -229,9 +237,13 @@ pub struct BatchQuantum {
     pub actions: usize,
     /// Sends among them (message-routing metric).
     pub sends: usize,
-    /// Sessions that ran to a conclusion inside the batch.
+    /// Sessions that are over: every endpoint concluded, or no endpoint can
+    /// ever progress again ([`BatchOutcome::stalled`]).
     pub finished: Vec<BatchOutcome>,
-    /// Sessions pulled out mid-flight for the slab executor.
+    /// Sessions that continue elsewhere, pulled out mid-flight: a monitor
+    /// violation, a runtime sort mismatch, or an instruction the batch
+    /// cannot run. A session that merely cannot progress is not here — it
+    /// is over, and closes in `finished`.
     pub demoted: Vec<DemotedSession>,
     /// Number of `(role, pc)` cohorts stepped.
     pub cohorts: usize,
@@ -264,7 +276,10 @@ pub struct BatchOutcome {
     pub complete: bool,
     /// The violations observed.
     pub violations: Vec<MonitorViolation>,
-    /// `true` if the session was closed without finishing (shutdown).
+    /// `true` if the session was closed with endpoints still mid-protocol
+    /// (reported [`EndpointStatus::Stalled`]): a full pass found every one
+    /// of them blocked, or the batch was closed under it
+    /// ([`SessionBatch::close_all`]).
     pub stalled: bool,
 }
 
@@ -313,8 +328,8 @@ pub struct DemotedSession {
 /// mutable state lives in struct-of-arrays columns indexed by session slot.
 /// [`SessionBatch::admit`] claims a slot, [`SessionBatch::run_quantum`]
 /// steps the whole population in `(role, pc)` cohorts, and sessions leave
-/// as [`BatchOutcome`]s (concluded) or [`DemotedSession`]s (stragglers for
-/// the slab executor).
+/// as [`BatchOutcome`]s (over: concluded or stalled) or [`DemotedSession`]s
+/// (to continue on the slab executor).
 #[derive(Debug)]
 pub struct SessionBatch {
     layout: Arc<BatchLayout>,
@@ -335,7 +350,7 @@ pub struct SessionBatch {
     progress: Vec<bool>,
     // Endpoint columns, indexed `role * cap + slot`.
     pcs: Vec<u32>,
-    steps: Vec<u32>,
+    steps: Vec<usize>,
     statuses: Vec<Option<EndpointStatus>>,
     actions: Vec<Vec<ValueAction>>,
     // Value columns, per role, laid out per-slot across sessions:
@@ -481,11 +496,11 @@ impl SessionBatch {
     /// Steps the whole population in full passes until `budget` visible
     /// actions were performed (the last pass may overshoot) or no session
     /// is left. Each pass groups live endpoints by `(role, pc)` and steps
-    /// every cohort once; a session whose endpoints all conclude leaves as
-    /// a [`BatchOutcome`], one that diverges (violation, runtime sort
-    /// mismatch, or a full pass without progress — which in a batch of
-    /// self-contained sessions proves it can never progress again) leaves
-    /// as a [`DemotedSession`].
+    /// every cohort once; a session whose endpoints all conclude, or that a
+    /// full pass could not move (which for a self-contained session proves
+    /// it can never progress again), leaves as a [`BatchOutcome`]; one that
+    /// diverges (violation, runtime sort mismatch, an instruction the batch
+    /// cannot run) leaves as a [`DemotedSession`].
     pub fn run_quantum(&mut self, budget: usize) -> BatchQuantum {
         let mut out = BatchQuantum::default();
         let layout = Arc::clone(&self.layout);
@@ -700,7 +715,7 @@ impl SessionBatch {
         let idx = r * cap + s;
         let ch = (r * layout.roles.len() + q) * cap;
         if let Some(limit) = self.options.max_steps {
-            if self.steps[idx] as usize >= limit {
+            if self.steps[idx] >= limit {
                 self.statuses[idx] = Some(EndpointStatus::StepLimitReached);
                 self.progress[s] = true;
                 return;
@@ -787,7 +802,7 @@ impl SessionBatch {
         let cap = self.cap;
         let idx = r * cap + s;
         if let Some(limit) = self.options.max_steps {
-            if self.steps[idx] as usize >= limit {
+            if self.steps[idx] >= limit {
                 self.statuses[idx] = Some(EndpointStatus::StepLimitReached);
                 self.progress[s] = true;
                 return;
@@ -897,8 +912,8 @@ impl SessionBatch {
         self.progress[s] = true;
     }
 
-    /// Post-pass bookkeeping: flush concluded sessions, pull out demoted
-    /// and permanently stuck ones.
+    /// Post-pass bookkeeping: pull out demoted sessions, close concluded and
+    /// permanently stuck ones.
     fn settle(&mut self, out: &mut BatchQuantum) {
         let cap = self.cap;
         let n = self.layout.roles.len();
@@ -911,17 +926,12 @@ impl SessionBatch {
                 out.demoted.push(demoted);
                 continue;
             }
-            if (0..n).all(|r| self.statuses[r * cap + s].is_some()) {
-                let outcome = self.extract_outcome(s, false);
+            let done = (0..n).all(|r| self.statuses[r * cap + s].is_some());
+            // A full pass without progress on a self-contained session:
+            // nothing can unblock it, so it is over where it stands.
+            if done || !self.progress[s] {
+                let outcome = self.extract_outcome(s, !done);
                 out.finished.push(outcome);
-                continue;
-            }
-            if !self.progress[s] {
-                // A full pass without progress on a self-contained session:
-                // nothing can unblock it — hand it to the slab executor,
-                // which concludes it as stalled.
-                let demoted = self.extract_demoted(s);
-                out.demoted.push(demoted);
             }
         }
     }
@@ -944,7 +954,7 @@ impl SessionBatch {
                 pc: self.pcs[idx],
                 slots,
                 actions: mem::take(&mut self.actions[idx]),
-                steps: self.steps[idx] as usize,
+                steps: self.steps[idx],
                 status: self.statuses[idx].take(),
             });
         }
@@ -1032,5 +1042,65 @@ impl SessionBatch {
         self.live[s] = false;
         self.live_count -= 1;
         self.free.push(s as u32);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zooid_cfsm::System;
+    use zooid_mpst::global::GlobalType;
+    use zooid_mpst::Sort;
+    use zooid_proc::{CompiledProc, Expr, Externals, Proc};
+
+    /// `mu X. p -> q : tick(nat). X` with its two skeleton endpoints.
+    fn ticker() -> Arc<BatchLayout> {
+        let (p, q) = (Role::new("p"), Role::new("q"));
+        let g = GlobalType::rec(GlobalType::msg1(
+            p.clone(),
+            q.clone(),
+            "tick",
+            Sort::Nat,
+            GlobalType::var(0),
+        ));
+        let system = Arc::new(System::from_global(&g).unwrap().compile());
+        let procs = [
+            (&p, Proc::loop_(Proc::send(q.clone(), "tick", Expr::lit(0u64), Proc::Jump(0)))),
+            (&q, Proc::loop_(Proc::recv1(p.clone(), "tick", Sort::Nat, "x", Proc::Jump(0)))),
+        ];
+        let programs = procs
+            .iter()
+            .map(|(role, proc)| {
+                let compiled = CompiledProc::compile(proc, role, &Externals::new()).unwrap();
+                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
+            })
+            .collect();
+        BatchLayout::new([p.clone(), q.clone()].into(), programs, system).unwrap()
+    }
+
+    /// The step column is as wide as the slab's counter: an unbounded
+    /// session steps past `u32::MAX` actions per endpoint, a limit above it
+    /// is reached, and a demotion carries the true count.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_step_column_counts_past_u32_max() {
+        let past = u32::MAX as usize + 1;
+        let mut unbounded = SessionBatch::new(ticker(), ExecOptions::default(), 1);
+        assert!(unbounded.admit(7));
+        unbounded.steps.fill(u32::MAX as usize);
+        assert_eq!(unbounded.run_quantum(2).actions, 2);
+        let demoted = unbounded.demote_now(7).unwrap();
+        assert!(demoted.endpoints.iter().all(|e| e.steps == past && e.status.is_none()));
+
+        let mut bounded = SessionBatch::new(ticker(), ExecOptions::with_max_steps(past), 1);
+        assert!(bounded.admit(7));
+        bounded.steps.fill(u32::MAX as usize);
+        let mut out = bounded.run_quantum(usize::MAX);
+        assert_eq!(out.actions, 2);
+        let outcome = out.finished.pop().unwrap();
+        assert!(outcome
+            .endpoints
+            .iter()
+            .all(|r| r.status == EndpointStatus::StepLimitReached));
     }
 }

@@ -344,23 +344,6 @@ impl CompiledEndpointTask {
         transport: &mut InMemoryTransport,
         observer: &mut dyn FnMut(&ValueAction, Option<&InternedAction>),
     ) -> StepOutcome {
-        self.step_outer(transport, Some(observer))
-    }
-
-    /// [`CompiledEndpointTask::step_mem`] without an observer: when trace
-    /// recording is off too ([`ExecOptions::record_actions`]), the recorded
-    /// [`ValueAction`] is never materialised at all — the true
-    /// fire-and-forget stepping cost (transitions, statuses and step counts
-    /// are identical to the observed variants).
-    pub fn step_mem_quiet(&mut self, transport: &mut InMemoryTransport) -> StepOutcome {
-        self.step_outer(transport, None)
-    }
-
-    fn step_outer(
-        &mut self,
-        transport: &mut InMemoryTransport,
-        observer: Option<&mut dyn FnMut(&ValueAction, Option<&InternedAction>)>,
-    ) -> StepOutcome {
         if let Some(status) = &self.status {
             return StepOutcome::Done(status.clone());
         }
@@ -383,7 +366,7 @@ impl CompiledEndpointTask {
     fn try_step(
         &mut self,
         transport: &mut InMemoryTransport,
-        mut observer: Option<&mut dyn FnMut(&ValueAction, Option<&InternedAction>)>,
+        observer: &mut dyn FnMut(&ValueAction, Option<&InternedAction>),
     ) -> Result<StepOutcome> {
         // Field-level borrows: the program is read-only while pc/slots/
         // actions mutate, so no per-step `Arc` traffic is needed.
@@ -449,43 +432,30 @@ impl CompiledEndpointTask {
                     }
                     let value = payload.eval(&self.slots)?;
                     let template = &program.templates[*event as usize];
-                    // Materialise the action only for someone: an observer,
-                    // or the recorded trace. The quiet unrecorded path — the
-                    // server's fire-and-forget configuration — skips it
-                    // entirely.
-                    let action = if observer.is_some() || self.options.record_actions {
-                        let sort = sort_of_value(&value);
-                        // The pre-interned action is only valid when the
-                        // runtime sort matches the statically inferred one
-                        // (it almost always does); otherwise the observer's
-                        // monitor falls back to its own lookups.
-                        let interned = match &template.static_sort {
-                            Some(static_sort) if *static_sort == sort => {
-                                template.interned.as_ref()
-                            }
-                            _ => None,
-                        };
-                        let action = ValueAction::send(
-                            self.role.clone(),
-                            template.peer.clone(),
-                            template.label.clone(),
-                            sort,
-                            value.clone(),
-                        );
-                        // Same ordering as the tree executor: observe the
-                        // send before the frame is in flight.
-                        if let Some(observer) = observer.as_mut() {
-                            observer(&action, interned);
-                        }
-                        Some(action)
-                    } else {
-                        None
+                    let sort = sort_of_value(&value);
+                    // The pre-interned action is only valid when the runtime
+                    // sort matches the statically inferred one (it almost
+                    // always does); otherwise the observer's monitor falls
+                    // back to its own lookups.
+                    let interned = match &template.static_sort {
+                        Some(static_sort) if *static_sort == sort => template.interned.as_ref(),
+                        _ => None,
                     };
+                    let action = ValueAction::send(
+                        self.role.clone(),
+                        template.peer.clone(),
+                        template.label.clone(),
+                        sort,
+                        value.clone(),
+                    );
+                    // Same ordering as the tree executor: observe the send
+                    // before the frame is in flight.
+                    observer(&action, interned);
                     let to =
                         peer_index(transport, &mut self.mem_peers, peer.index(), &template.peer)?;
                     transport.send_indexed(to, template.label.clone(), value)?;
                     if self.options.record_actions {
-                        self.actions.extend(action);
+                        self.actions.push(action);
                     }
                     self.steps += 1;
                     self.pc = *next;
@@ -520,20 +490,16 @@ impl CompiledEndpointTask {
                         });
                     }
                     let template = &program.templates[arm.event as usize];
-                    if observer.is_some() || self.options.record_actions {
-                        let action = ValueAction::recv(
-                            self.role.clone(),
-                            from.clone(),
-                            label,
-                            sort.clone(),
-                            value.clone(),
-                        );
-                        if let Some(observer) = observer.as_mut() {
-                            observer(&action, template.interned.as_ref());
-                        }
-                        if self.options.record_actions {
-                            self.actions.push(action);
-                        }
+                    let action = ValueAction::recv(
+                        self.role.clone(),
+                        from.clone(),
+                        label,
+                        sort.clone(),
+                        value.clone(),
+                    );
+                    observer(&action, template.interned.as_ref());
+                    if self.options.record_actions {
+                        self.actions.push(action);
                     }
                     self.slots[arm.slot as usize] = value;
                     self.steps += 1;
@@ -686,32 +652,6 @@ mod tests {
         let report = task.into_report();
         assert!(report.status.is_finished());
         assert!(report.actions.is_empty());
-    }
-
-    #[test]
-    fn quiet_stepping_matches_observed_stepping() {
-        let p = Proc::loop_(Proc::send(r("q"), "tick", Expr::lit(0u64), Proc::Jump(0)));
-        let run = |quiet: bool| {
-            let mut net = InMemoryNetwork::new([r("p"), r("q")]);
-            let mut tp = net.take_endpoint(&r("p")).unwrap();
-            let mut task = CompiledEndpointTask::new(
-                program(&p, &r("p")),
-                Externals::new(),
-                ExecOptions::with_max_steps(5).record_actions(false),
-            );
-            loop {
-                let outcome = if quiet {
-                    task.step_mem_quiet(&mut tp)
-                } else {
-                    task.step_mem(&mut tp, &mut |_, _| {})
-                };
-                if let StepOutcome::Done(status) = outcome {
-                    return (status, task.steps());
-                }
-            }
-        };
-        assert_eq!(run(true), run(false));
-        assert_eq!(run(true).1, 5);
     }
 
     #[test]

@@ -35,7 +35,8 @@ use zooid_proc::{Value, ValueAction};
 use crate::cbatch::{DemotedEndpoint, DemotedSession};
 use crate::cexec::{CompiledEndpointTask, EndpointProgram};
 use crate::codec::{
-    get_str, get_u32, get_u64, get_u8, get_value, put_str, put_u32, put_u64, put_u8, put_value,
+    descend, get_str, get_u32, get_u64, get_u8, get_value, put_str, put_u32, put_u64, put_u8,
+    put_value, MAX_NESTING,
 };
 use crate::error::{Result, RuntimeError};
 use crate::exec::{EndpointStatus, ExecOptions};
@@ -446,44 +447,6 @@ pub fn checkpoint_task(task: &CompiledEndpointTask) -> DemotedEndpoint {
     }
 }
 
-/// The *initial* certified checkpoint of a session that has not stepped
-/// yet: every program at its entry point with unit-initialized slots, a
-/// fresh monitor, no frames. The empty trace is trivially certified, so
-/// this is the restart point of last resort when no later certified
-/// checkpoint exists (e.g. a batch session that violated before its first
-/// snapshot).
-pub fn initial_demoted(
-    token: u64,
-    options: ExecOptions,
-    programs: &[Arc<EndpointProgram>],
-    system: &Arc<CompiledSystem>,
-) -> DemotedSession {
-    let endpoints = programs
-        .iter()
-        .map(|program| {
-            let compiled = program.program();
-            DemotedEndpoint {
-                role: compiled.role().clone(),
-                program: Arc::clone(program),
-                pc: compiled.entry(),
-                slots: vec![Value::Unit; compiled.slot_count()],
-                actions: Vec::new(),
-                steps: 0,
-                status: None,
-            }
-        })
-        .collect();
-    let mut monitor = CompiledMonitor::new(Arc::clone(system));
-    monitor.set_record_trace(options.record_actions);
-    DemotedSession {
-        token,
-        options,
-        endpoints,
-        monitor,
-        frames: Vec::new(),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Sub-codecs shared with the write-ahead log
 // ---------------------------------------------------------------------
@@ -522,23 +485,28 @@ pub(crate) fn put_sort(buf: &mut Vec<u8>, sort: &Sort) {
 }
 
 pub(crate) fn get_sort(bytes: &mut &[u8]) -> Result<Sort> {
-    Ok(match get_u8(bytes)? {
+    sort_within(bytes, MAX_NESTING)
+}
+
+/// Decodes a sort with at most `room` constructors around any base sort
+/// (the value decoder's cap: see [`MAX_NESTING`]).
+fn sort_within(bytes: &mut &[u8], room: usize) -> Result<Sort> {
+    let tag = get_u8(bytes)?;
+    Ok(match tag {
         SORT_UNIT => Sort::Unit,
         SORT_NAT => Sort::Nat,
         SORT_INT => Sort::Int,
         SORT_BOOL => Sort::Bool,
         SORT_STR => Sort::Str,
-        SORT_SUM => {
-            let a = get_sort(bytes)?;
-            let b = get_sort(bytes)?;
-            Sort::Sum(Box::new(a), Box::new(b))
+        SORT_SUM | SORT_PROD | SORT_SEQ => {
+            let room = descend(room, "sort")?;
+            let first = Box::new(sort_within(bytes, room)?);
+            match tag {
+                SORT_SEQ => Sort::Seq(first),
+                SORT_SUM => Sort::Sum(first, Box::new(sort_within(bytes, room)?)),
+                _ => Sort::Prod(first, Box::new(sort_within(bytes, room)?)),
+            }
         }
-        SORT_PROD => {
-            let a = get_sort(bytes)?;
-            let b = get_sort(bytes)?;
-            Sort::Prod(Box::new(a), Box::new(b))
-        }
-        SORT_SEQ => Sort::Seq(Box::new(get_sort(bytes)?)),
         other => {
             return Err(RuntimeError::Codec {
                 reason: format!("unknown sort tag {other}"),

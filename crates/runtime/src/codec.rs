@@ -45,6 +45,27 @@ const TAG_INR: u8 = 7;
 const TAG_PAIR: u8 = 8;
 const TAG_SEQ: u8 = 9;
 
+/// How many constructors (`inl`, `inr`, pair, sequence — or sum, product,
+/// sequence for a sort) a decoder follows inwards before it refuses the
+/// input with [`RuntimeError::Codec`]. The value and sort decoders recurse
+/// once per level, and whatever they build is later dropped, compared and
+/// re-encoded by recursion too, so without a bound a frame far below the
+/// size cap — 200 KB of `inl` tags — overflows the stack of whichever thread
+/// decodes it, and that aborts the process. At this cap a debug build
+/// decodes a value in under 1 MiB of stack (`tests/codec_props.rs` runs it
+/// on a spawned thread's default 2 MiB), and a 128-cell cons-list (two
+/// constructors a cell) still fits; sequences are flat and cost one level
+/// whatever their length. The encoders are not bounded: a value this
+/// process built is not hostile input.
+pub const MAX_NESTING: usize = 256;
+
+/// One level further in, or the refusal past [`MAX_NESTING`].
+pub(crate) fn descend(room: usize, what: &str) -> Result<usize> {
+    room.checked_sub(1).ok_or_else(|| RuntimeError::Codec {
+        reason: format!("{what} nested deeper than {MAX_NESTING} constructors"),
+    })
+}
+
 /// Encodes a message into a byte buffer.
 pub fn encode_message(message: &Message) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -114,7 +135,38 @@ pub(crate) fn put_value(buf: &mut Vec<u8>, value: &Value) {
 }
 
 pub(crate) fn get_value(bytes: &mut &[u8]) -> Result<Value> {
+    value_within(bytes, MAX_NESTING)
+}
+
+/// Decodes a value with at most `room` constructors around any leaf. The
+/// leaves are decoded by a function of their own so that this one — the one
+/// on the stack once per level — keeps a small frame.
+fn value_within(bytes: &mut &[u8], room: usize) -> Result<Value> {
     let tag = get_u8(bytes)?;
+    if !matches!(tag, TAG_INL | TAG_INR | TAG_PAIR | TAG_SEQ) {
+        return leaf_value(tag, bytes);
+    }
+    let room = descend(room, "value")?;
+    Ok(match tag {
+        TAG_INL => Value::inl(value_within(bytes, room)?),
+        TAG_INR => Value::inr(value_within(bytes, room)?),
+        TAG_PAIR => {
+            let a = value_within(bytes, room)?;
+            let b = value_within(bytes, room)?;
+            Value::pair(a, b)
+        }
+        _ => {
+            let len = get_u32(bytes)? as usize;
+            let mut items = Vec::with_capacity(len.min(1024));
+            for _ in 0..len {
+                items.push(value_within(bytes, room)?);
+            }
+            Value::Seq(items)
+        }
+    })
+}
+
+fn leaf_value(tag: u8, bytes: &mut &[u8]) -> Result<Value> {
     Ok(match tag {
         TAG_UNIT => Value::Unit,
         TAG_NAT => Value::Nat(get_u64(bytes)?),
@@ -122,21 +174,6 @@ pub(crate) fn get_value(bytes: &mut &[u8]) -> Result<Value> {
         TAG_BOOL_FALSE => Value::Bool(false),
         TAG_BOOL_TRUE => Value::Bool(true),
         TAG_STR => Value::Str(get_str(bytes)?),
-        TAG_INL => Value::inl(get_value(bytes)?),
-        TAG_INR => Value::inr(get_value(bytes)?),
-        TAG_PAIR => {
-            let a = get_value(bytes)?;
-            let b = get_value(bytes)?;
-            Value::pair(a, b)
-        }
-        TAG_SEQ => {
-            let len = get_u32(bytes)? as usize;
-            let mut items = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                items.push(get_value(bytes)?);
-            }
-            Value::Seq(items)
-        }
         other => {
             return Err(RuntimeError::Codec {
                 reason: format!("unknown value tag {other}"),

@@ -234,7 +234,7 @@ impl EndpointTask {
         transport: &mut dyn Transport,
         observer: &mut dyn FnMut(&ValueAction),
     ) -> StepOutcome {
-        self.step_inner(transport, Some(observer), false)
+        self.step_inner(transport, observer, false)
     }
 
     /// Advances the task by one visible communication, blocking inside
@@ -245,15 +245,7 @@ impl EndpointTask {
         transport: &mut dyn Transport,
         observer: &mut dyn FnMut(&ValueAction),
     ) -> StepOutcome {
-        self.step_inner(transport, Some(observer), true)
-    }
-
-    /// [`EndpointTask::step`] without an observer: when trace recording is
-    /// off too ([`ExecOptions::record_actions`]), the [`ValueAction`] is
-    /// never materialised — the tree-walking counterpart of the compiled
-    /// executor's quiet mode, so the two can be compared on pure stepping.
-    pub fn step_quiet(&mut self, transport: &mut dyn Transport) -> StepOutcome {
-        self.step_inner(transport, None, false)
+        self.step_inner(transport, observer, true)
     }
 
     /// Marks a still-running task as given up by its scheduler (all peers of
@@ -277,7 +269,7 @@ impl EndpointTask {
     fn step_inner(
         &mut self,
         transport: &mut dyn Transport,
-        observer: Option<&mut dyn FnMut(&ValueAction)>,
+        observer: &mut dyn FnMut(&ValueAction),
         block: bool,
     ) -> StepOutcome {
         if let Some(status) = &self.status {
@@ -302,7 +294,7 @@ impl EndpointTask {
     fn try_step(
         &mut self,
         transport: &mut dyn Transport,
-        mut observer: Option<&mut dyn FnMut(&ValueAction)>,
+        observer: &mut dyn FnMut(&ValueAction),
         block: bool,
     ) -> Result<StepOutcome> {
         // Advance by *taking ownership* of the process: normalisation and
@@ -349,29 +341,22 @@ impl EndpointTask {
                     }
                 }
                 let value = payload.eval_closed()?;
-                let action = if observer.is_some() || self.options.record_actions {
-                    let action = ValueAction::send(
-                        self.role.clone(),
-                        to.clone(),
-                        label.clone(),
-                        sort_of_value(&value),
-                        value.clone(),
-                    );
-                    // Observe the send *before* handing the message to the
-                    // transport: once the frame is in flight the receiver
-                    // may report its receive at any moment, and the monitor
-                    // must see the send first to recognise the interleaving
-                    // as a valid asynchronous trace.
-                    if let Some(observer) = observer.as_mut() {
-                        observer(&action);
-                    }
-                    Some(action)
-                } else {
-                    None
-                };
+                let action = ValueAction::send(
+                    self.role.clone(),
+                    to.clone(),
+                    label.clone(),
+                    sort_of_value(&value),
+                    value.clone(),
+                );
+                // Observe the send *before* handing the message to the
+                // transport: once the frame is in flight the receiver may
+                // report its receive at any moment, and the monitor must see
+                // the send first to recognise the interleaving as a valid
+                // asynchronous trace.
+                observer(&action);
                 transport.send(&to, &label, &value)?;
                 if self.options.record_actions {
-                    self.actions.extend(action);
+                    self.actions.push(action);
                 }
                 self.steps += 1;
                 self.current = *cont;
@@ -404,20 +389,16 @@ impl EndpointTask {
                 if !value.has_sort(&alt.sort) {
                     return Err(RuntimeError::BadPayload { from, label });
                 }
-                if observer.is_some() || self.options.record_actions {
-                    let action = ValueAction::recv(
-                        self.role.clone(),
-                        from,
-                        label,
-                        alt.sort.clone(),
-                        value.clone(),
-                    );
-                    if let Some(observer) = observer.as_mut() {
-                        observer(&action);
-                    }
-                    if self.options.record_actions {
-                        self.actions.push(action);
-                    }
+                let action = ValueAction::recv(
+                    self.role.clone(),
+                    from,
+                    label,
+                    alt.sort.clone(),
+                    value.clone(),
+                );
+                observer(&action);
+                if self.options.record_actions {
+                    self.actions.push(action);
                 }
                 let next = alt.cont.subst_value(&alt.var, &value);
                 self.steps += 1;

@@ -21,7 +21,10 @@
 //!   appends to a plain `Vec<u8>` through one set of big-endian `put_*`
 //!   functions and every decoder reads a `&mut &[u8]` cursor through the
 //!   matching `get_*`, so an encoding is built once, in the buffer that
-//!   travels;
+//!   travels. The value and sort decoders follow at most
+//!   [`codec::MAX_NESTING`] constructors inwards — every decoder of outside
+//!   bytes (a peer's message, a mux frame, a checkpoint, a log image)
+//!   inherits the bound, so nesting cannot be made to overflow a stack;
 //! * [`wire`] — framing for real sockets: every frame is a big-endian `u32`
 //!   length followed by that many payload bytes, the length validated
 //!   against a configurable `max_frame_bytes` cap (default 16 MiB) **before
@@ -61,10 +64,12 @@
 //!   between co-batched sessions as index writes into a shared frame arena.
 //!   A session is batch-eligible when its programs call no externals and
 //!   every communication site carries a statically known sort with a
-//!   pre-interned action; stragglers (stall, violation, runtime sort
-//!   mismatch) demote mid-flight to the per-session executor without losing
-//!   their traces or monitor state (`tests/batch_exec.rs` drives batch,
-//!   slab and tree executors in lockstep);
+//!   pre-interned action. A session that is over — concluded, or blocked
+//!   for good — is closed inside its batch; only one the batch cannot carry
+//!   further (violation, runtime sort mismatch) demotes mid-flight, with its
+//!   traces and monitor state, for the per-session executor to resume
+//!   (`tests/batch_exec.rs` drives batch, slab and tree executors in
+//!   lockstep);
 //! * [`monitor`] — online protocol-compliance monitors (the "dynamic
 //!   monitoring" application of type-level transition systems mentioned in
 //!   §1): [`TraceMonitor`] replays observed actions against the global
@@ -91,8 +96,8 @@
 //!   slots, monitor cursor, in-flight frames in channel order) serialized
 //!   through the wire codec into a `Vec<u8>` as a
 //!   [`checkpoint::SessionCheckpoint`] — the server takes one only to move
-//!   a session between shards, never to restart it (a restart is a re-run)
-//!   — and restored under re-validation — every index is checked against the
+//!   a session between shards — and restored under re-validation: nesting
+//!   is capped as in [`codec`], and every index is checked against the
 //!   compiled programs and transition tables before anything resumes, so a
 //!   corrupted or hostile checkpoint is refused
 //!   ([`RuntimeError::Recovery`]), never admitted;

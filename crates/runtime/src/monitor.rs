@@ -319,11 +319,6 @@ impl CompiledMonitor {
         &self.cursor
     }
 
-    /// The compiled system this monitor observes against.
-    pub fn system(&self) -> &Arc<CompiledSystem> {
-        &self.system
-    }
-
     /// How many observed actions the monitor has accepted so far. Together
     /// with [`CompiledMonitor::observed`] this is the resumable position a
     /// checkpoint must carry for [`CompiledMonitor::resume`].

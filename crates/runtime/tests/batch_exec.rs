@@ -14,9 +14,10 @@
 //!   `Failed` with the same error string),
 //! * per-endpoint value-level traces,
 //! * the monitor's verdicts (compliance, completion) — including sessions
-//!   that **demote** mid-flight (violations, stalls) and finish on the
-//!   per-session executor with their traces, monitor cursor and in-flight
-//!   frames carried over.
+//!   that **demote** mid-flight (violations) and finish on the per-session
+//!   executor with their traces, monitor cursor and in-flight frames
+//!   carried over, and sessions that can never progress again, which the
+//!   batch closes as stalled itself.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -419,6 +420,36 @@ fn batch_agrees_with_slab_and_tree_on_the_case_studies() {
     for (name, g, options) in cases {
         let procs = skeleton_endpoints(&g).expect("case studies synthesize");
         assert_batch_agrees(&g, &procs, &options, &[1, 5, 64], name);
+    }
+}
+
+#[test]
+fn a_blocked_session_is_closed_as_stalled_inside_the_batch() {
+    // Pipeline under a step limit: the upstream endpoints hit their limits,
+    // the tail receiver then waits for a message that will never be sent,
+    // and a full pass without progress proves it. The session is over, so
+    // the batch closes it — nothing is demoted for the slab to rebuild,
+    // step once and close — and it closes exactly as the per-session
+    // executor does when it runs the same cast from the start.
+    let g = generators::pipeline();
+    let procs = skeleton_endpoints(&g).expect("pipeline synthesizes");
+    let options = ExecOptions::with_max_steps(10);
+    let reference = run_reference(&g, &procs, &options, true);
+    assert!(reference.statuses.values().any(|s| *s == EndpointStatus::Stalled));
+    assert!(reference.statuses.values().any(|s| *s == EndpointStatus::StepLimitReached));
+
+    let layout = make_layout(&g, &procs, &Externals::new()).expect("eligible");
+    let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 8);
+    for token in 0..8 {
+        assert!(batch.admit(token));
+    }
+    let out = batch.run_quantum(usize::MAX);
+    assert!(batch.is_empty());
+    assert!(out.demoted.is_empty(), "a session that is over does not change executor");
+    assert_eq!(out.finished.len(), 8);
+    for outcome in out.finished {
+        assert!(outcome.stalled, "session {} closed with endpoints mid-protocol", outcome.token);
+        assert_eq!(observed_outcome(outcome), reference);
     }
 }
 

@@ -2,10 +2,131 @@
 //! corrupted frames never decode into a different message silently... they
 //! either decode to the original or fail.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use zooid_runtime::codec::{decode_message, encode_message, Message};
-use zooid_proc::Value;
+use zooid_cfsm::System;
+use zooid_mpst::{generators, Label, Role, Sort};
+use zooid_proc::{CompiledProc, Externals, Proc, Value, ValueAction};
+use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
+use zooid_runtime::cexec::EndpointProgram;
+use zooid_runtime::checkpoint::SessionCheckpoint;
+use zooid_runtime::codec::{decode_message, encode_message, Message, MAX_NESTING};
+use zooid_runtime::exec::ExecOptions;
+use zooid_runtime::wal::{frame_quantum, scan_bytes, WalRecord};
+use zooid_runtime::wire::{decode_mux, encode_mux, MuxFrame};
+use zooid_runtime::RuntimeError;
+
+/// `Unit` under `depth` constructors, along each recursive shape a decoder
+/// (and later a drop, a comparison, an encoder) can be made to follow.
+fn nested_values(depth: usize) -> [Value; 3] {
+    let spine = |wrap: fn(Value) -> Value| (0..depth).fold(Value::Unit, |v, _| wrap(v));
+    [
+        spine(Value::inl),
+        spine(|v| Value::pair(Value::Nat(1), v)),
+        spine(|v| Value::Seq(vec![v])),
+    ]
+}
+
+fn nested_sorts(depth: usize) -> [Sort; 2] {
+    let spine = |wrap: fn(Sort) -> Sort| (0..depth).fold(Sort::Unit, |s, _| wrap(s));
+    [spine(Sort::seq), spine(|s| Sort::prod(Sort::Nat, s))]
+}
+
+/// A two-role session pulled out of a batch before its first step: the one
+/// public way to a [`DemotedSession`], and so to a checkpoint.
+fn fresh_demoted() -> DemotedSession {
+    let g = generators::ping_pong();
+    let system = Arc::new(System::from_global(&g).unwrap().compile());
+    let (roles, programs): (Vec<Role>, Vec<_>) = system
+        .roles()
+        .iter()
+        .map(|role| {
+            let compiled = CompiledProc::compile(&Proc::Finish, role, &Externals::new()).unwrap();
+            let program = EndpointProgram::with_system(Arc::new(compiled), &system);
+            (role.clone(), Arc::new(program))
+        })
+        .unzip();
+    let layout = BatchLayout::new(roles.into(), programs, system).unwrap();
+    let mut batch = SessionBatch::new(layout, ExecOptions::default(), 1);
+    assert!(batch.admit(9));
+    batch.demote_now(9).unwrap()
+}
+
+/// A checkpoint carrying `value` as a slot-free in-flight frame and as the
+/// payload of a recorded action of sort `sort`.
+fn checkpoint_with(value: &Value, sort: &Sort) -> SessionCheckpoint {
+    let mut demoted = fresh_demoted();
+    let (a, b) = (demoted.endpoints[0].role.clone(), demoted.endpoints[1].role.clone());
+    demoted.endpoints[0].actions.push(ValueAction::send(
+        a,
+        b,
+        Label::new("l"),
+        sort.clone(),
+        value.clone(),
+    ));
+    demoted.frames.push((0, 1, Label::new("l"), value.clone()));
+    SessionCheckpoint::from_demoted(&demoted)
+}
+
+fn wal_image(value: &Value) -> Vec<u8> {
+    frame_quantum(&[WalRecord {
+        session: 1,
+        role: 0,
+        event: 0,
+        value: value.clone(),
+    }])
+}
+
+/// The nesting cap holds at every decoder a hostile byte string reaches —
+/// a peer's message, a mux frame, a migrated checkpoint, a log image — and
+/// what sits exactly at the cap still decodes, compares, re-encodes and
+/// drops inside the 2 MiB stack a spawned thread gets by default.
+#[test]
+fn nesting_is_capped_at_every_decoder_and_the_cap_fits_a_default_stack() {
+    std::thread::spawn(|| {
+        for value in nested_values(MAX_NESTING) {
+            let msg = Message::new("l", value.clone());
+            assert_eq!(decode_message(&encode_message(&msg)).unwrap(), msg);
+            let frame = MuxFrame::StatsReply {
+                session: 3,
+                stats: value.clone(),
+            };
+            assert_eq!(decode_mux(&encode_mux(&frame)).unwrap(), frame);
+            let scan = scan_bytes(&wal_image(&value)).unwrap();
+            assert_eq!(scan.records[0].value, value);
+            for sort in nested_sorts(MAX_NESTING) {
+                let checkpoint = checkpoint_with(&value, &sort);
+                assert_eq!(SessionCheckpoint::decode(&checkpoint.encode()).unwrap(), checkpoint);
+            }
+        }
+    })
+    .join()
+    .expect("a value and a sort at the cap fit a default thread stack");
+
+    let refused = |result: Result<(), RuntimeError>, what: &str| match result {
+        Err(RuntimeError::Codec { reason }) => assert!(reason.contains("nested"), "{what}: {reason}"),
+        other => panic!("{what}: expected a codec refusal, got {other:?}"),
+    };
+    let at_cap = nested_values(MAX_NESTING);
+    for (value, fits) in nested_values(MAX_NESTING + 1).iter().zip(&at_cap) {
+        let msg = encode_message(&Message::new("l", value.clone()));
+        refused(decode_message(&msg).map(drop), "decode_message");
+        let frame = encode_mux(&MuxFrame::StatsReply {
+            session: 3,
+            stats: value.clone(),
+        });
+        refused(decode_mux(&frame).map(drop), "decode_mux");
+        refused(scan_bytes(&wal_image(value)).map(drop), "scan_bytes");
+        let bytes = checkpoint_with(value, &Sort::Unit).encode();
+        refused(SessionCheckpoint::decode(&bytes).map(drop), "checkpoint value");
+        for sort in nested_sorts(MAX_NESTING + 1) {
+            let bytes = checkpoint_with(fits, &sort).encode();
+            refused(SessionCheckpoint::decode(&bytes).map(drop), "checkpoint sort");
+        }
+    }
+}
 
 /// A strategy for arbitrary payload values (bounded depth).
 fn value_strategy() -> impl Strategy<Value = Value> {

@@ -23,7 +23,7 @@ use zooid_mpst::{generators, Role, Sort};
 use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, RecvAlt, ValueAction};
 use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
-use zooid_runtime::checkpoint::{initial_demoted, SessionCheckpoint};
+use zooid_runtime::checkpoint::SessionCheckpoint;
 use zooid_runtime::exec::{EndpointStatus, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::CompiledMonitor;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
@@ -437,21 +437,6 @@ fn checkpoints_do_not_restore_against_a_foreign_protocol() {
         other => panic!("expected a recovery refusal, got {other}"),
     }
     assert!(err.to_string().starts_with("recovery refused"), "{err}");
-}
-
-#[test]
-fn the_initial_checkpoint_is_a_working_restart_point() {
-    for (name, g, options) in case_studies() {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
-        let (reference, _) = run_reference(&g, &procs, &options);
-        let layout = make_layout(&g, &procs);
-        let programs: Vec<Arc<EndpointProgram>> = layout.programs().to_vec();
-        let fresh = initial_demoted(11, options.clone(), &programs, layout.system());
-        // The initial state survives the codec like any other checkpoint.
-        let restored = roundtrip(&fresh, &layout);
-        let observed = finish_demoted(restored, &layout);
-        assert_eq!(observed, reference, "{name}: restart-from-initial");
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -40,12 +40,13 @@
 //!   shared once and the per-session state lives in struct-of-arrays
 //!   columns stepped in `(role, pc)` cohorts, with co-batched sends as
 //!   index writes into a shared frame arena. Everything else — and every
-//!   straggler a batch demotes mid-flight (stall, violation, runtime sort
-//!   mismatch), with its traces, monitor cursor and in-flight frames
-//!   intact — runs on the per-session **slab** (reusable slots, also the
-//!   behavioural oracle for the batched path). Under the default
-//!   [`QuarantinePolicy::Halt`] a session the monitor flags is
-//!   **quarantined**: never stepped again (slab and batch paths alike),
+//!   session a batch demotes mid-flight because it must keep running and
+//!   cannot there (a tolerated violation, a runtime sort mismatch), with
+//!   its traces, monitor cursor and in-flight frames intact — runs on the
+//!   per-session **slab** (reusable slots, also the behavioural oracle for
+//!   the batched path). Under the default [`QuarantinePolicy::Halt`] a
+//!   session the monitor flags is **quarantined**: never stepped again
+//!   (slab and batch paths alike), closed from the state it is in,
 //!   counted per shard and per protocol, and recorded as a
 //!   [`FlightEvent::Quarantined`];
 //! * [`metrics`] — the instrument tables, one per layer: every counter
@@ -97,15 +98,22 @@
 //! scheduling path. Quarantine is a *policy family*:
 //! [`QuarantinePolicy::Observe`] records violations but keeps stepping,
 //! [`QuarantinePolicy::Halt`] (the default) stops a flagged session at its
-//! first violation, and [`QuarantinePolicy::Restart`] re-runs it from its
-//! initial state — a session that calls no externals is deterministic, so
-//! the re-run under its compiled monitor re-certifies it — until
-//! `max_retries` restarts are spent (counted as `sessions_restarted`, each
-//! one a [`FlightEvent::Restarted`]). Per-protocol violation thresholds
+//! first violation and closes it from the state its executor already holds.
+//! There is no re-run policy: a certified endpoint is a deterministic
+//! function of what it receives, so re-running a session that calls no
+//! externals repeats its verdict, and one that calls them cannot be re-run.
+//! Per-protocol violation thresholds
 //! ([`ServerConfig::with_violation_threshold`]) let designated lenient
 //! protocols absorb violations Observe-style while everything else stays
 //! strict. `tests/crash_recovery.rs` drives drain/migrate conservation,
-//! checkpoint tampering, restart-to-exhaustion and connection bans.
+//! checkpoint tampering, quarantine on both execution paths and connection
+//! bans.
+//!
+//! A session **ends where it stands**: whoever holds it when it is over —
+//! a columnar batch (concluded, or every endpoint blocked for good), a slab
+//! session at the end of its last quantum, the shard holding a violator a
+//! batch has just demoted — builds the [`SessionOutcome`] from the state it
+//! already has. A session changes executor only to keep running.
 //!
 //! The harness-vs-server differential suite (`tests/differential.rs`)
 //! checks that a session hosted here is indistinguishable — per-endpoint

@@ -71,9 +71,6 @@ instruments! {
     /// Sessions the quarantine policy halted at their first rejected
     /// action (a subset of `sessions_violated`).
     sessions_quarantined: sum = "quarantined",
-    /// Re-runs of quarantined sessions from their initial state
-    /// ([`crate::QuarantinePolicy::Restart`]).
-    sessions_restarted: sum = "restarted",
     /// Sessions the scheduler gave up on (every endpoint blocked).
     sessions_stalled: sum = "stalled",
     /// Messages delivered between endpoints of this shard's sessions.
@@ -89,7 +86,10 @@ instruments! {
     /// Sessions that ran on the per-session slab executor from the start
     /// (heterogeneous or not batch-eligible).
     sessions_slab: sum = "slab",
-    /// Sessions demoted from a batch to the slab executor mid-flight.
+    /// Sessions a batch demoted mid-flight because it could not carry them
+    /// further (violation, runtime sort mismatch): resumed on the slab, or
+    /// closed as quarantined. A session a batch closes as stalled is not
+    /// demoted.
     sessions_demoted: sum = "demoted",
     /// `(role, pc)` cohorts stepped by this shard's batches.
     batch_cohorts: sum = "cohorts",
@@ -512,7 +512,6 @@ mod tests {
                     sessions_completed: 2,
                     sessions_violated: 1,
                     sessions_quarantined: 1,
-                    sessions_restarted: 0,
                     sessions_stalled: 0,
                     messages_routed: 10,
                     actions_executed: 20,
@@ -530,7 +529,6 @@ mod tests {
                     sessions_completed: 4,
                     sessions_violated: 0,
                     sessions_quarantined: 0,
-                    sessions_restarted: 0,
                     sessions_stalled: 0,
                     messages_routed: 6,
                     actions_executed: 12,
@@ -585,7 +583,6 @@ mod tests {
                 sessions_completed: 5,
                 sessions_violated: 0,
                 sessions_quarantined: 0,
-                sessions_restarted: 0,
                 sessions_stalled: 0,
                 messages_routed: 15,
                 actions_executed: 30,
@@ -686,7 +683,6 @@ mod tests {
                     sessions_completed: 6,
                     sessions_violated: 1,
                     sessions_quarantined: 1,
-                    sessions_restarted: 1,
                     sessions_stalled: 0,
                     messages_routed: 21,
                     actions_executed: 42,

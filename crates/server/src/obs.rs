@@ -325,7 +325,6 @@ const EV_VIOLATION: u8 = 4;
 const EV_REJECTED: u8 = 5;
 const EV_CONN_CLOSED: u8 = 6;
 const EV_QUARANTINED: u8 = 7;
-const EV_RESTARTED: u8 = 8;
 
 const PAYLOAD_MASK: u64 = (1 << 48) - 1;
 
@@ -343,7 +342,8 @@ pub enum FlightEvent {
         /// Whether it joined a columnar batch (vs. the slab).
         batched: bool,
     },
-    /// A session was pulled out of its batch mid-flight for the slab.
+    /// A session was pulled out of its batch mid-flight: to resume on the
+    /// slab, or — its violation budget spent — to close as quarantined.
     BatchDemoted {
         /// The session's dense id.
         session: u64,
@@ -379,14 +379,6 @@ pub enum FlightEvent {
         /// The session's dense id.
         session: u64,
     },
-    /// A quarantined session was re-run from its initial state
-    /// ([`crate::QuarantinePolicy::Restart`]).
-    Restarted {
-        /// The session's dense id.
-        session: u64,
-        /// Which retry this was (1-based, saturating at 255).
-        retry: u8,
-    },
 }
 
 impl FlightEvent {
@@ -399,7 +391,6 @@ impl FlightEvent {
             FlightEvent::Rejected { session, code } => (EV_REJECTED, code as u8, session),
             FlightEvent::ConnClosed { client, reason } => (EV_CONN_CLOSED, reason as u8, client),
             FlightEvent::Quarantined { session } => (EV_QUARANTINED, 0, session),
-            FlightEvent::Restarted { session, retry } => (EV_RESTARTED, retry, session),
         };
         (u64::from(kind) << 56) | (u64::from(code) << 48) | (payload & PAYLOAD_MASK)
     }
@@ -425,10 +416,6 @@ impl FlightEvent {
                 reason: CloseReason::from_u8(code)?,
             },
             EV_QUARANTINED => FlightEvent::Quarantined { session: payload },
-            EV_RESTARTED => FlightEvent::Restarted {
-                session: payload,
-                retry: code,
-            },
             _ => return None,
         })
     }
@@ -861,14 +848,6 @@ mod tests {
                 code: RejectCode::Quarantined,
             },
             FlightEvent::Quarantined { session: 11 },
-            FlightEvent::Restarted {
-                session: 12,
-                retry: 1,
-            },
-            FlightEvent::Restarted {
-                session: 13,
-                retry: 255,
-            },
         ];
         for case in cases {
             assert_eq!(FlightEvent::unpack(case.pack()), Some(case), "{case:?}");

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
-use zooid_runtime::cbatch::{BatchLayout, BatchOutcome, DemotedSession, SessionBatch};
+use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
 use zooid_runtime::cexec::EndpointProgram;
 use zooid_runtime::checkpoint::SessionCheckpoint;
 
@@ -31,7 +31,7 @@ use crate::metrics::{ObsReport, ServerReport, ShardInstruments};
 use crate::obs::{FlightEvent, Incident, INCIDENT_PREFIX_CAP};
 use crate::registry::{ProtocolId, ProtocolRegistry};
 use crate::session::{
-    failed_at_admission, ActiveSession, QuantumEnd, SessionId, SessionOutcome, SessionSpec,
+    failed_at_admission, ActiveSession, SessionId, SessionOutcome, SessionSpec,
 };
 
 /// What a worker shard does with a session whose monitor rejected an
@@ -42,30 +42,26 @@ use crate::session::{
 /// for as long as the session takes to finish on its own. Quarantine is the
 /// policy beyond recording: the shard stops stepping the session the moment
 /// the monitor says no.
+///
+/// There is no "try it again" policy: a session that calls no externals is
+/// a deterministic function of its cast (the paper's Theorems 4.5/4.7), so
+/// a re-run ends in the same violation at the same position, and a session
+/// that does call externals cannot be re-run at all — its closures stay
+/// with the submitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuarantinePolicy {
     /// Record the violation (metrics, incident capture) but keep stepping
     /// the session to its natural end.
     Observe,
-    /// Halt the session at the first rejected action: zero further steps on
-    /// either execution path (a batch-demoted violator is closed instead of
-    /// re-admitted to the slab), endpoints still mid-protocol reported
-    /// stalled, the outcome flagged `quarantined`, and a `Quarantined`
-    /// flight-recorder event emitted. The default.
+    /// Halt the session once its monitor has rejected as many actions as
+    /// its protocol's threshold allows (the first, unless
+    /// [`ServerConfig::violation_thresholds`] says otherwise): zero further
+    /// steps on either execution path — a slab session closes at the end of
+    /// that step, a batch-demoted violator closes from the state the batch
+    /// extracted instead of being rebuilt on the slab — endpoints still
+    /// mid-protocol reported stalled, the outcome flagged `quarantined`,
+    /// and a `Quarantined` flight-recorder event emitted. The default.
     Halt,
-    /// Halt the violating run, then **re-run** the session from its initial
-    /// state — every program at its entry, a fresh monitor, no frames — on
-    /// the slab. A session that calls no externals is deterministic, so the
-    /// re-run under its compiled monitor re-certifies every action up to
-    /// the violation and nothing is stored while a session is compliant. A
-    /// session that keeps violating is re-run at most `max_retries` times,
-    /// then closed exactly as under [`QuarantinePolicy::Halt`] — as is, at
-    /// once, a session whose programs call external actions: their closures
-    /// stay with the submitter, so there is nothing to re-run it with.
-    Restart {
-        /// Restart budget per session; `0` behaves like `Halt`.
-        max_retries: u32,
-    },
 }
 
 /// Configuration of a [`SessionServer`].
@@ -143,16 +139,7 @@ impl QuarantineConfig {
     fn threshold_for(&self, protocol: ProtocolId) -> Option<u32> {
         match self.policy {
             QuarantinePolicy::Observe => None,
-            _ => Some(self.thresholds[protocol.index()]),
-        }
-    }
-
-    /// The per-session restart budget (zero unless the policy is
-    /// [`QuarantinePolicy::Restart`]).
-    fn max_retries(&self) -> u32 {
-        match self.policy {
-            QuarantinePolicy::Restart { max_retries } => max_retries,
-            _ => 0,
+            QuarantinePolicy::Halt => Some(self.thresholds[protocol.index()]),
         }
     }
 }
@@ -171,7 +158,6 @@ enum ShardMsg {
     /// Re-admit a session restored from a checkpoint (already decoded and
     /// re-certified on the submitter thread) — the arrival half.
     Restore {
-        id: SessionId,
         protocol: ProtocolId,
         demoted: DemotedSession,
     },
@@ -501,7 +487,6 @@ impl SessionServer {
         self.shards[to_shard]
             .tx
             .send(ShardMsg::Restore {
-                id: migrated.id,
                 protocol: migrated.protocol,
                 demoted,
             })
@@ -654,25 +639,6 @@ impl WorkerObs {
     }
 }
 
-/// Converts a batch-finished session into the server's [`SessionOutcome`].
-fn batch_session_outcome(protocol: ProtocolId, outcome: BatchOutcome) -> SessionOutcome {
-    SessionOutcome {
-        id: SessionId(outcome.token),
-        protocol,
-        endpoints: outcome
-            .endpoints
-            .into_iter()
-            .map(|report| (report.role.clone(), report))
-            .collect(),
-        global_trace: outcome.global_trace,
-        compliant: outcome.compliant,
-        complete: outcome.complete,
-        violations: outcome.violations,
-        stalled: outcome.stalled,
-        quarantined: false,
-    }
-}
-
 /// One worker shard: drains its inbox, steps the front of its run queue for
 /// one quantum, re-queues or finishes the work item, repeats. On shutdown
 /// the sessions still in the run queue are closed as stalled — a session of
@@ -686,10 +652,18 @@ fn batch_session_outcome(protocol: ProtocolId, outcome: BatchOutcome) -> Session
 /// cohorts over columnar state by [`SessionBatch::run_quantum`]. A batch is
 /// one queue entry however many sessions it holds; its quantum budget
 /// scales with its live population so batched sessions get the same action
-/// budget per pass through the queue as slab sessions do. Sessions the
-/// batch cannot carry further (stall, violation, runtime sort mismatch)
-/// are demoted: rebuilt as slab sessions mid-flight with their traces,
-/// monitor cursor and in-flight frames intact.
+/// budget per pass through the queue as slab sessions do.
+///
+/// A session that is over is closed by whoever holds it, from the state it
+/// already has: the batch closes its concluded and its permanently blocked
+/// sessions itself, a slab session closes at the end of its last quantum,
+/// and a violator the batch demoted with its violation budget spent closes
+/// as quarantined straight from the extracted state. Only a session that
+/// must keep running changes executor — a violator still under its
+/// threshold (or under [`QuarantinePolicy::Observe`]), a runtime sort
+/// mismatch, an instruction the batch cannot run, a migrated checkpoint —
+/// and is rebuilt as a slab session mid-flight with its traces, monitor
+/// cursor and in-flight frames intact.
 ///
 /// Slab sessions live in a flat `Vec` of slots with a free list, so the run
 /// queue is a deque of `u32` indices instead of boxed sessions shuffling
@@ -796,10 +770,10 @@ impl Shard {
             ShardMsg::Drain { reply } => {
                 let _ = reply.send(self.drain_for_migration());
             }
-            ShardMsg::Restore { id, protocol, demoted } => {
+            ShardMsg::Restore { protocol, demoted } => {
                 self.obs.shared.sessions_slab.fetch_add(1, Ordering::Relaxed);
-                self.obs.on_admit(id, false, stamp);
-                self.resume_on_slab(id, protocol, demoted);
+                self.obs.on_admit(SessionId(demoted.token), false, stamp);
+                self.resume_on_slab(protocol, demoted);
             }
             ShardMsg::Shutdown => return true,
         }
@@ -857,36 +831,9 @@ impl Shard {
 
     /// Rebuilds a session from extracted state — a batch demotion or a
     /// migrated checkpoint — and queues it on the slab.
-    fn resume_on_slab(&mut self, id: SessionId, protocol: ProtocolId, demoted: DemotedSession) {
-        let session = ActiveSession::from_demoted(id, demoted, &self.registry[protocol]);
+    fn resume_on_slab(&mut self, protocol: ProtocolId, demoted: DemotedSession) {
+        let session = ActiveSession::from_demoted(demoted, &self.registry[protocol]);
         self.enqueue_on_slab(session);
-    }
-
-    /// The one quarantine decision, for a session over its violation budget
-    /// on either path (a slab quantum that ended
-    /// [`QuantumEnd::OverBudget`], or a batch demotion rebuilt as a slab
-    /// session): the session takes zero further steps, and is either re-run
-    /// from its initial state with one more retry burned (policy and
-    /// session permitting) or closed as quarantined.
-    fn restart_or_close(&mut self, session: ActiveSession, now: Instant) {
-        let retry = session.retries + 1;
-        let fresh = if retry <= self.quarantine.max_retries() {
-            session.initial_state()
-        } else {
-            None
-        };
-        let Some(fresh) = fresh else {
-            return self.finish(session.close_quarantined(), now);
-        };
-        self.obs.shared.sessions_restarted.fetch_add(1, Ordering::Relaxed);
-        self.obs.shared.recorder.record(FlightEvent::Restarted {
-            session: session.id().0,
-            retry: retry.min(255) as u8,
-        });
-        let artifacts = &self.registry[session.protocol()];
-        let mut rerun = ActiveSession::from_demoted(session.id(), fresh, artifacts);
-        rerun.retries = retry;
-        self.enqueue_on_slab(rerun);
     }
 
     /// Evacuates every session in the run queue as an encoded checkpoint:
@@ -936,8 +883,9 @@ impl Shard {
         }
     }
 
-    /// Steps one batch for a quantum, reports what finished and moves what
-    /// it demoted to the slab (or to quarantine).
+    /// Steps one batch for a quantum, reports what is over and moves what
+    /// it demoted to the slab — or, with its violation budget spent, closes
+    /// it as quarantined from the state the batch extracted.
     fn run_batch(&mut self, entry: u32) {
         let bi = (entry & !BATCH_BIT) as usize;
         let sb = &mut self.batches[bi];
@@ -961,27 +909,22 @@ impl Shard {
             shared.cohort_width.add_count(bucket, n);
         }
         for outcome in result.finished {
-            self.finish(batch_session_outcome(protocol, outcome), ended);
+            self.finish(SessionOutcome::from_batch(protocol, outcome), ended);
         }
         for demoted in result.demoted {
             self.obs.shared.sessions_demoted.fetch_add(1, Ordering::Relaxed);
             self.obs.shared.recorder.record(FlightEvent::BatchDemoted {
                 session: demoted.token,
             });
-            let id = SessionId(demoted.token);
             let violations = demoted.monitor.violations().len();
-            // Quarantine on the batch path: a session demoted with its
-            // violation budget spent is not re-admitted to the slab.
             let over = self
                 .quarantine
                 .threshold_for(protocol)
                 .is_some_and(|n| violations >= n as usize);
             if over {
-                let session =
-                    ActiveSession::from_demoted(id, demoted, &self.registry[protocol]);
-                self.restart_or_close(session, ended);
+                self.finish(SessionOutcome::quarantined(protocol, demoted), ended);
             } else {
-                self.resume_on_slab(id, protocol, demoted);
+                self.resume_on_slab(protocol, demoted);
             }
         }
         let sb = &mut self.batches[bi];
@@ -992,8 +935,8 @@ impl Shard {
         }
     }
 
-    /// Steps one slab session for a quantum, then re-queues, closes or
-    /// quarantines it.
+    /// Steps one slab session for a quantum, then re-queues it or reports
+    /// how it closed.
     fn run_slab(&mut self, slot: u32) {
         let session = self.slab[slot as usize]
             .as_mut()
@@ -1003,21 +946,12 @@ impl Shard {
         let result = session.run_quantum(self.quantum, threshold);
         let ended = Instant::now();
         self.record_quantum(ended.saturating_duration_since(started), result.actions, result.sends);
-        match result.end {
-            QuantumEnd::Live => self.run_queue.push_back(slot),
-            QuantumEnd::Closed(outcome) => {
+        match result.closed {
+            None => self.run_queue.push_back(slot),
+            Some(outcome) => {
                 self.slab[slot as usize] = None;
                 self.free.push(slot);
                 self.finish(outcome, ended);
-            }
-            QuantumEnd::OverBudget => {
-                // The slot is freed first, so a restart pops it straight
-                // back and the session keeps its place.
-                let session = self.slab[slot as usize]
-                    .take()
-                    .expect("queued slot is occupied");
-                self.free.push(slot);
-                self.restart_or_close(session, ended);
             }
         }
     }
@@ -1031,7 +965,7 @@ impl Shard {
                 sb.queued = false;
                 let protocol = sb.protocol;
                 for outcome in sb.batch.close_all() {
-                    self.finish(batch_session_outcome(protocol, outcome), now);
+                    self.finish(SessionOutcome::from_batch(protocol, outcome), now);
                 }
             } else {
                 let session = self.slab[entry as usize]
@@ -1066,9 +1000,9 @@ impl Shard {
 
     /// Counts a finished session in the shard metrics, folds it into the
     /// observability plane (wall time, flight events, incident capture —
-    /// every execution path funnels through here: slab, batch-finished,
-    /// demoted-then-slab, and shutdown close), and buffers its outcome for
-    /// the next batched flush.
+    /// every execution path funnels through here: slab, batch-closed,
+    /// demoted-then-slab, demoted-then-quarantined, and shutdown close), and
+    /// buffers its outcome for the next batched flush.
     fn finish(&mut self, outcome: SessionOutcome, now: Instant) {
         let metrics = &self.obs.shared;
         if outcome.stalled {
@@ -1231,13 +1165,13 @@ mod tests {
     }
 
     #[test]
-    fn a_migrated_session_that_then_violates_restarts_from_its_initial_state() {
+    fn a_migrated_session_that_then_violates_closes_quarantined_where_it_stands() {
         // `mu X. A -> B : tick. B -> A : tock. X`, with an A that after
         // three rounds sends a label the protocol does not have. The source
         // shard is stepped by hand, so the drain catches the session after
         // exactly four actions; the violation happens on the shard it
-        // migrates to, which must re-run it from its initial state (not
-        // from the state it arrived in) with a retry budget of its own.
+        // migrates to, which closes it there and then with the whole
+        // history, the four actions it arrived with included.
         use zooid_mpst::global::GlobalType;
         use zooid_mpst::{Role, Sort};
         let (a, b) = (Role::new("A"), Role::new("B"));
@@ -1261,7 +1195,6 @@ mod tests {
         let config = ServerConfig {
             shards: 1,
             quantum: 1,
-            quarantine: QuarantinePolicy::Restart { max_retries: 2 },
             ..ServerConfig::default()
         };
         let mut server = SessionServer::start(registry, config.clone());
@@ -1282,26 +1215,17 @@ mod tests {
         let outcomes = server.drain();
         assert_eq!(outcomes.len(), 1, "the session reports exactly once");
         let outcome = &outcomes[0];
-        assert!(outcome.quarantined && !outcome.compliant);
-        // The last run started over: its trace is the twelve compliant
-        // actions of three rounds, once — not what was left to do after the
-        // migration, and not two runs' worth.
+        assert!(outcome.quarantined && !outcome.compliant && !outcome.stalled);
+        // The trace is the twelve compliant actions of three rounds: four
+        // carried over by the checkpoint, eight performed here.
         assert_eq!(outcome.global_trace.len(), 12);
         assert_eq!(outcome.violations.len(), 1);
         assert_eq!(outcome.violations[0].position, 12);
-        let retries: Vec<u8> = server
-            .flight_events()
-            .iter()
-            .filter_map(|e| match e {
-                FlightEvent::Restarted { retry, .. } => Some(*retry),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(retries, [1, 2], "a fresh budget, counted from one");
         let report = server.shutdown();
-        assert_eq!(report.sessions_restarted(), 2, "{report}");
-        // Arrival (8 actions and the stray send) plus two full re-runs.
-        assert_eq!(report.actions_executed(), 9 + 13 + 13, "{report}");
+        assert_eq!(report.sessions_quarantined(), 1, "{report}");
+        // What was left to do on arrival (8 actions and the stray send),
+        // and not one step after it.
+        assert_eq!(report.actions_executed(), 9, "{report}");
     }
 
     #[test]
@@ -1328,12 +1252,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_batch_sessions_demote_to_slab_and_close_as_stalled() {
+    fn blocked_batch_sessions_close_as_stalled_inside_their_batch() {
         // Pipeline with a step limit: the upstream endpoints hit their
         // limits inside the batch, the tail receiver then blocks forever,
-        // and the batch's no-progress pass demotes the session to the slab,
-        // which closes it as stalled — same verdicts the slab produces when
-        // it runs the session from the start.
+        // and the batch's no-progress pass closes the session as stalled
+        // where it stands — same verdicts the slab produces when it runs
+        // the session from the start, and no slab session is ever built.
         let mut registry = ProtocolRegistry::new();
         let id = registry
             .register(Protocol::new("pipeline", generators::pipeline()).unwrap())
@@ -1357,7 +1281,8 @@ mod tests {
         }
         let report = server.shutdown();
         assert_eq!(report.sessions_batched(), 8, "{report}");
-        assert_eq!(report.sessions_demoted(), 8, "{report}");
+        assert_eq!(report.sessions_demoted(), 0, "{report}");
+        assert_eq!(report.sessions_slab(), 0, "{report}");
         assert_eq!(report.sessions_stalled(), 8, "{report}");
     }
 

@@ -11,6 +11,13 @@
 //! endpoint `Failed` rather than handed to a second executor. The
 //! tree-walking executor stays in `zooid-runtime` as the differential
 //! referee; this crate does not run it.
+//!
+//! A session ends where it stands. Whoever holds it when it is over — this
+//! module's slab session, a columnar batch, or the shard with a
+//! [`DemotedSession`] in hand that quarantine will not let run on — turns
+//! the state it already has into the [`SessionOutcome`]; every one of them
+//! is assembled by the same private constructor here. Extracted state is
+//! rebuilt into a slab session only to *resume* it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,9 +25,9 @@ use std::sync::Arc;
 use zooid_dsl::CertifiedProcess;
 use zooid_mpst::{Role, Trace};
 use zooid_proc::{erase, Externals, ProcError};
-use zooid_runtime::cbatch::{DemotedEndpoint, DemotedSession};
+use zooid_runtime::cbatch::{BatchOutcome, DemotedEndpoint, DemotedSession};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
-use zooid_runtime::checkpoint::{checkpoint_task, initial_demoted};
+use zooid_runtime::checkpoint::checkpoint_task;
 use zooid_runtime::error::RuntimeError;
 use zooid_runtime::exec::{EndpointReport, EndpointStatus, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::{CompiledMonitor, MonitorViolation};
@@ -113,7 +120,72 @@ pub struct SessionOutcome {
     pub quarantined: bool,
 }
 
+/// What a session's monitor concluded: the accepted global trace, whether
+/// it was compliant, whether it was complete, and the violations.
+type Verdicts = (Trace, bool, bool, Vec<MonitorViolation>);
+
+/// Moves a monitor that is done observing into its verdicts (the flags are
+/// read before the trace and the violations move out).
+fn verdicts_of(monitor: &mut CompiledMonitor) -> Verdicts {
+    let (compliant, complete) = (monitor.is_compliant(), monitor.is_complete());
+    (monitor.take_trace(), compliant, complete, monitor.take_violations())
+}
+
 impl SessionOutcome {
+    /// The one place an outcome is put together, whichever executor the
+    /// session ended on.
+    fn assemble(
+        id: SessionId,
+        protocol: ProtocolId,
+        reports: impl IntoIterator<Item = EndpointReport>,
+        (global_trace, compliant, complete, violations): Verdicts,
+        stalled: bool,
+        quarantined: bool,
+    ) -> Self {
+        SessionOutcome {
+            id,
+            protocol,
+            endpoints: reports
+                .into_iter()
+                .map(|report| (report.role.clone(), report))
+                .collect(),
+            global_trace,
+            compliant,
+            complete,
+            violations,
+            stalled,
+            quarantined,
+        }
+    }
+
+    /// The outcome of a session that ended inside a columnar batch.
+    pub(crate) fn from_batch(protocol: ProtocolId, outcome: BatchOutcome) -> Self {
+        let verdicts = (
+            outcome.global_trace,
+            outcome.compliant,
+            outcome.complete,
+            outcome.violations,
+        );
+        let id = SessionId(outcome.token);
+        Self::assemble(id, protocol, outcome.endpoints, verdicts, outcome.stalled, false)
+    }
+
+    /// The outcome of a session a batch demoted with its violation budget
+    /// spent: quarantine ends it where the batch left it, so the extracted
+    /// state *is* the outcome — every endpoint's recorded actions, its
+    /// status if it had concluded and `Stalled` if not, the monitor's
+    /// verdicts — and no executor is built to take zero steps with.
+    pub(crate) fn quarantined(protocol: ProtocolId, demoted: DemotedSession) -> Self {
+        let mut monitor = demoted.monitor;
+        let reports = demoted.endpoints.into_iter().map(|ep| EndpointReport {
+            role: ep.role,
+            actions: ep.actions,
+            status: ep.status.unwrap_or(EndpointStatus::Stalled),
+        });
+        let verdicts = verdicts_of(&mut monitor);
+        Self::assemble(SessionId(demoted.token), protocol, reports, verdicts, false, true)
+    }
+
     /// Returns `true` if every endpoint finished and the observed trace is
     /// compliant and complete.
     pub fn all_finished_and_compliant(&self) -> bool {
@@ -135,22 +207,12 @@ pub(crate) struct QuantumResult {
     pub(crate) actions: usize,
     /// Messages handed to the in-session network (sends).
     pub(crate) sends: usize,
-    /// How the quantum left the session.
-    pub(crate) end: QuantumEnd,
-}
-
-/// How a scheduling quantum left its session.
-#[derive(Debug)]
-pub(crate) enum QuantumEnd {
-    /// Budget exhausted mid-protocol: the session stays live and the next
-    /// quantum picks it up where it stopped.
-    Live,
-    /// The monitor has rejected as many actions as the session's violation
-    /// threshold allows: the session must not be stepped again, and the
-    /// shard's quarantine decision restarts or closes it.
-    OverBudget,
-    /// The session is over (finished or stalled) and must not be re-queued.
-    Closed(SessionOutcome),
+    /// The session's outcome, if the quantum ended it: finished, stalled,
+    /// or quarantined because its monitor has rejected as many actions as
+    /// its violation threshold allows. The session must not be re-queued.
+    /// `None` when the budget ran out mid-protocol: the session stays live
+    /// and the next quantum picks it up where it stopped.
+    pub(crate) closed: Option<SessionOutcome>,
 }
 
 /// A session hosted by a worker shard: one endpoint task per role, the
@@ -162,11 +224,6 @@ pub(crate) struct ActiveSession {
     protocol: ProtocolId,
     monitor: CompiledMonitor,
     tasks: Vec<(CompiledEndpointTask, InMemoryTransport)>,
-    /// Restarts this session has burned under
-    /// [`QuarantinePolicy::Restart`](crate::QuarantinePolicy::Restart).
-    /// Zero for a session built from a spec, a batch demotion or a migrated
-    /// checkpoint; the shard counts up as it re-runs the session.
-    pub(crate) retries: u32,
 }
 
 /// Checks that a spec's endpoints cover the protocol's participants exactly
@@ -208,30 +265,16 @@ pub(crate) fn failed_at_admission(
     let status = EndpointStatus::Failed {
         error: RuntimeError::from(error).to_string(),
     };
-    let report = |role: &Role| EndpointReport {
+    let reports = artifacts.roles().map(|role| EndpointReport {
         role: role.clone(),
         actions: Vec::new(),
         status: status.clone(),
-    };
-    SessionOutcome {
-        id,
-        protocol: artifacts.id(),
-        endpoints: artifacts.roles().map(|r| (r.clone(), report(r))).collect(),
-        global_trace: Trace::empty(),
-        compliant: true,
-        complete: false,
-        violations: Vec::new(),
-        stalled: false,
-        quarantined: false,
-    }
+    });
+    let nothing_observed = (Trace::empty(), true, false, Vec::new());
+    SessionOutcome::assemble(id, artifacts.id(), reports, nothing_observed, false, false)
 }
 
 impl ActiveSession {
-    /// The session's id.
-    pub(crate) fn id(&self) -> SessionId {
-        self.id
-    }
-
     /// The protocol the session runs.
     pub(crate) fn protocol(&self) -> ProtocolId {
         self.protocol
@@ -277,7 +320,6 @@ impl ActiveSession {
             protocol: spec.protocol,
             monitor,
             tasks,
-            retries: 0,
         }
     }
 
@@ -289,18 +331,20 @@ impl ActiveSession {
     /// re-injected through the senders' transports, preserving per-channel
     /// FIFO order. Nothing of the session's observable history is lost.
     ///
+    /// Building the network and the tasks is worth it only for a session
+    /// that will be stepped again: a violator under its threshold (or under
+    /// `Observe`), a sort-mismatch demotion, a migrated checkpoint. One that
+    /// is over closes from the extracted state directly
+    /// ([`SessionOutcome::quarantined`]).
+    ///
     /// [`SessionBatch`]: zooid_runtime::cbatch::SessionBatch
-    pub(crate) fn from_demoted(
-        id: SessionId,
-        demoted: DemotedSession,
-        artifacts: &ProtocolArtifacts,
-    ) -> Self {
+    pub(crate) fn from_demoted(demoted: DemotedSession, artifacts: &ProtocolArtifacts) -> Self {
         let DemotedSession {
+            token,
             options,
             endpoints,
             monitor,
             frames,
-            ..
         } = demoted;
         let mut network = InMemoryNetwork::from_sorted(Arc::clone(artifacts.sorted_roles()));
         let mut tasks: Vec<(CompiledEndpointTask, InMemoryTransport)> = endpoints
@@ -335,36 +379,11 @@ impl ActiveSession {
                 .expect("co-batched roles are network peers");
         }
         ActiveSession {
-            id,
+            id: SessionId(token),
             protocol: artifacts.id(),
             monitor,
             tasks,
-            retries: 0,
         }
-    }
-
-    /// Whether any endpoint's program calls external actions. Their closures
-    /// live in the submitter's [`Externals`], which no extracted state
-    /// carries and [`ActiveSession::from_demoted`] cannot supply, so such a
-    /// session can be neither checkpointed nor restarted.
-    fn calls_externals(&self) -> bool {
-        self.tasks
-            .iter()
-            .any(|(task, _)| task.program().program().calls_externals())
-    }
-
-    /// The state this session started from — every program at its entry, a
-    /// fresh monitor, no frames: what a restart re-runs. A session that
-    /// calls no externals is deterministic, so no later state need be kept
-    /// to get back to where it was. `None` when the session calls externals.
-    pub(crate) fn initial_state(&self) -> Option<DemotedSession> {
-        if self.calls_externals() {
-            return None;
-        }
-        let (first, _) = self.tasks.first()?;
-        let programs: Vec<_> = self.tasks.iter().map(|(t, _)| Arc::clone(t.program())).collect();
-        let system = self.monitor.system();
-        Some(initial_demoted(self.id.0, first.options().clone(), &programs, system))
     }
 
     /// Extracts a restorable snapshot of the live session without
@@ -384,7 +403,10 @@ impl ActiveSession {
     /// and [`ActiveSession::from_demoted`] resumes with none — and is
     /// refused with [`RuntimeError::Recovery`].
     pub(crate) fn checkpoint(&mut self) -> std::result::Result<DemotedSession, RuntimeError> {
-        if self.calls_externals() {
+        let calls_externals = |(task, _): &(CompiledEndpointTask, _)| {
+            task.program().program().calls_externals()
+        };
+        if self.tasks.iter().any(calls_externals) {
             return Err(RuntimeError::Recovery {
                 reason: "session calls external actions; a checkpoint cannot carry them".into(),
             });
@@ -429,11 +451,12 @@ impl ActiveSession {
     /// remaining endpoints are marked [`EndpointStatus::Stalled`] and the
     /// session is closed.
     ///
-    /// With a `violation_threshold` of `Some(n)`, the quantum ends
-    /// [`QuantumEnd::OverBudget`] as soon as the monitor has rejected `n`
-    /// actions — at the default threshold of 1 the violating session takes
-    /// **zero** further steps. `None` never quarantines (violations are
-    /// recorded and the session runs on).
+    /// With a `violation_threshold` of `Some(n)`, the session is closed as
+    /// quarantined as soon as the monitor has rejected `n` actions — at the
+    /// default threshold of 1 the violating session takes **zero** further
+    /// steps, its endpoints still mid-protocol are reported stalled and the
+    /// outcome carries `quarantined = true`. `None` never quarantines
+    /// (violations are recorded and the session runs on).
     ///
     /// [`EndpointStatus::Stalled`]: zooid_runtime::EndpointStatus::Stalled
     pub(crate) fn run_quantum(
@@ -444,7 +467,7 @@ impl ActiveSession {
         let mut actions = 0usize;
         let mut sends = 0usize;
         let ActiveSession { monitor, tasks, .. } = self;
-        let end = 'quantum: loop {
+        let closed = 'quantum: loop {
             let mut progressed = false;
             for (task, transport) in tasks.iter_mut() {
                 if task.is_done() {
@@ -454,7 +477,7 @@ impl ActiveSession {
                     if actions >= budget {
                         // The task in hand had just made progress, so it
                         // cannot be done.
-                        break 'quantum QuantumEnd::Live;
+                        break 'quantum None;
                     }
                     // The pre-interned action makes the observation
                     // hash-free; sites whose template did not resolve go
@@ -481,7 +504,7 @@ impl ActiveSession {
                             if violation_threshold
                                 .is_some_and(|n| monitor.violations().len() >= n as usize)
                             {
-                                break 'quantum QuantumEnd::OverBudget;
+                                break 'quantum Some(self.finish(false, true));
                             }
                         }
                         StepOutcome::WouldBlock { .. } | StepOutcome::Done(_) => break,
@@ -492,55 +515,31 @@ impl ActiveSession {
             // A self-contained session with every endpoint blocked stalls:
             // no message will ever arrive again.
             if done || !progressed {
-                break QuantumEnd::Closed(self.finish(!done, false));
+                break Some(self.finish(!done, false));
             }
         };
         QuantumResult {
             actions,
             sends,
-            end,
+            closed,
         }
     }
 
     /// Force-closes a session its scheduler will not run again (server
-    /// shutdown): every endpoint still mid-protocol is marked stalled.
+    /// shutdown, or a drain that cannot evacuate it): every endpoint still
+    /// mid-protocol is reported stalled.
     pub(crate) fn close_stalled(mut self) -> SessionOutcome {
         self.finish(true, false)
     }
 
-    /// Closes a session the quarantine policy refuses to keep stepping (its
-    /// monitor has rejected as many actions as its threshold allows):
-    /// endpoints still mid-protocol are reported stalled, and the outcome
-    /// carries `quarantined = true`.
-    pub(crate) fn close_quarantined(mut self) -> SessionOutcome {
-        self.finish(false, true)
-    }
-
+    /// Turns the session into its outcome. An endpoint that has not
+    /// concluded reports `Stalled`.
     fn finish(&mut self, stalled: bool, quarantined: bool) -> SessionOutcome {
-        let mut endpoints = BTreeMap::new();
-        for (mut task, transport) in std::mem::take(&mut self.tasks) {
-            if stalled || quarantined {
-                task.mark_stalled();
-            }
-            let report = task.into_report();
-            endpoints.insert(report.role.clone(), report);
-            drop(transport);
-        }
-        // The monitor is done observing: move its trace and violations into
-        // the outcome instead of cloning them (verdicts are read first).
-        let compliant = self.monitor.is_compliant();
-        let complete = self.monitor.is_complete();
-        SessionOutcome {
-            id: self.id,
-            protocol: self.protocol,
-            endpoints,
-            global_trace: self.monitor.take_trace(),
-            compliant,
-            complete,
-            violations: self.monitor.take_violations(),
-            stalled,
-            quarantined,
-        }
+        let reports = std::mem::take(&mut self.tasks)
+            .into_iter()
+            .map(|(task, _)| task.into_report());
+        let verdicts = verdicts_of(&mut self.monitor);
+        SessionOutcome::assemble(self.id, self.protocol, reports, verdicts, stalled, quarantined)
     }
 }
 
@@ -579,7 +578,7 @@ mod tests {
 
     fn run_to_end(mut session: ActiveSession) -> SessionOutcome {
         loop {
-            if let QuantumEnd::Closed(outcome) = session.run_quantum(usize::MAX, None).end {
+            if let Some(outcome) = session.run_quantum(usize::MAX, None).closed {
                 return outcome;
             }
         }
@@ -608,12 +607,12 @@ mod tests {
         let mut in_flight = 0;
         for actions in 0..6 {
             let mut live = session();
-            assert!(matches!(live.run_quantum(actions, None).end, QuantumEnd::Live));
+            assert!(live.run_quantum(actions, None).closed.is_none());
             let checkpoint = live.checkpoint().unwrap();
             let roles: Vec<Role> = checkpoint.endpoints.iter().map(|e| e.role.clone()).collect();
             assert_eq!(roles[..], artifacts.sorted_roles()[..]);
             in_flight += checkpoint.frames.len();
-            let resumed = ActiveSession::from_demoted(SessionId(3), checkpoint, artifacts);
+            let resumed = ActiveSession::from_demoted(checkpoint, artifacts);
             for outcome in [run_to_end(resumed), run_to_end(live)] {
                 assert_eq!(outcome.endpoints, uninterrupted.endpoints, "after {actions}");
                 assert_eq!(outcome.global_trace, uninterrupted.global_trace);

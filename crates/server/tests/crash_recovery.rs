@@ -1,6 +1,6 @@
 //! Crash recovery on the serving plane: shard evacuation, re-certified
-//! migration, restart-by-re-run quarantine, adaptive violation
-//! thresholds, and the wire-level reject-then-ban escalation.
+//! migration, quarantine that closes a violator where it stands, adaptive
+//! violation thresholds, and the wire-level reject-then-ban escalation.
 //!
 //! The durable-session covenant is tested at the server boundary here (the
 //! runtime-level kill-at-every-quantum differential lives in the runtime
@@ -13,8 +13,9 @@
 //!   blob against the protocol's compiled tables before any shard hosts
 //!   it: tampered bytes are refused with the runtime's structured errors
 //!   and never become sessions.
-//! * [`QuarantinePolicy::Restart`] grants a violating session a bounded
-//!   number of re-runs from its initial state, then closes it like `Halt`.
+//! * [`QuarantinePolicy::Halt`] closes a violating session from the state
+//!   its executor already holds — a batch-demoted violator is never rebuilt
+//!   on the slab — while [`QuarantinePolicy::Observe`] resumes it there.
 //! * [`ServerConfig::with_violation_threshold`] tolerates a per-protocol
 //!   number of monitor rejections before quarantining.
 //! * [`NetServerConfig::ban_after_quarantines`] rejects further `Open`s
@@ -213,138 +214,109 @@ fn tampered_checkpoints_are_refused_with_structured_errors() {
 }
 
 // ---------------------------------------------------------------------
-// Restart quarantine
+// Quarantine: a violator ends where it stands
 // ---------------------------------------------------------------------
 
-#[test]
-fn violators_restart_from_checkpoint_until_retries_exhaust() {
-    // The rotated-ring cast violates deterministically on its first send;
-    // restarting it from its initial state replays the same violation, so
-    // the retry budget is consumed exactly.
+/// Runs one session of the registered 3-ring with `decoy`'s skeleton cast
+/// on one shard, and returns its outcome with the (still live) server.
+fn run_ring_decoy(
+    decoy: zooid_mpst::global::GlobalType,
+    quarantine: QuarantinePolicy,
+) -> (zooid_server::SessionOutcome, SessionServer) {
     let mut registry = ProtocolRegistry::new();
     let id = registry
         .register(Protocol::new("ring", generators::ring_n(3)).unwrap())
         .unwrap();
-    let decoy = Protocol::new("ring", generators::ring(&["w2", "w0", "w1"])).unwrap();
-    let endpoints = skeleton_endpoints(&decoy).unwrap();
+    let decoy = Protocol::new("ring", decoy).unwrap();
     let config = ServerConfig {
         shards: 1,
-        quarantine: QuarantinePolicy::Restart { max_retries: 2 },
-        ..ServerConfig::default()
-    };
-    let mut server = SessionServer::start(registry, config);
-    let sid = server
-        .submit(SessionSpec::new(id, endpoints.clone()))
-        .unwrap();
-    let outcomes = server.drain();
-    assert_eq!(outcomes.len(), 1, "the session reports exactly once");
-    let outcome = &outcomes[0];
-    assert_eq!(outcome.id, sid);
-    assert!(!outcome.compliant);
-    assert!(
-        outcome.quarantined,
-        "after the retry budget the close is Halt-like"
-    );
-
-    let report = server.report();
-    assert_eq!(
-        report.sessions_restarted(),
-        2,
-        "exactly max_retries restarts: {report}"
-    );
-    assert_eq!(report.sessions_quarantined(), 1, "{report}");
-    let events = server.flight_events();
-    let retries: Vec<u8> = events
-        .iter()
-        .filter_map(|e| match e {
-            FlightEvent::Restarted { session, retry } if *session == sid.0 => Some(*retry),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(retries, vec![1, 2], "restart events carry the retry count");
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, FlightEvent::Quarantined { .. })),
-        "the final close is still a quarantine"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn restart_zero_behaves_like_halt() {
-    let mut registry = ProtocolRegistry::new();
-    let id = registry
-        .register(Protocol::new("ring", generators::ring_n(3)).unwrap())
-        .unwrap();
-    let decoy = Protocol::new("ring", generators::ring(&["w2", "w0", "w1"])).unwrap();
-    let endpoints = skeleton_endpoints(&decoy).unwrap();
-    let config = ServerConfig {
-        shards: 1,
-        quarantine: QuarantinePolicy::Restart { max_retries: 0 },
-        ..ServerConfig::default()
-    };
-    let mut server = SessionServer::start(registry, config);
-    server
-        .submit(SessionSpec::new(id, endpoints.clone()))
-        .unwrap();
-    let outcomes = server.drain();
-    assert_eq!(outcomes.len(), 1);
-    assert!(outcomes[0].quarantined);
-    assert_eq!(outcomes[0].violations.len(), 1, "zero post-violation steps");
-    let report = server.report();
-    assert_eq!(report.sessions_restarted(), 0, "{report}");
-    server.shutdown();
-}
-
-#[test]
-fn slab_admitted_violators_get_the_same_restarts() {
-    // The slab twin of `violators_restart_from_checkpoint_until_retries_exhaust`:
-    // the `bad` label is not in the registered ring's tables, so the cast
-    // cannot pre-intern, is admitted to the slab, and violates in its first
-    // quantum. It must still restart from its initial state `max_retries`
-    // times.
-    use zooid_mpst::global::GlobalType;
-    use zooid_mpst::{Role, Sort};
-    let w = |i: usize| Role::new(format!("w{i}"));
-    let hop = |from, to, cont| GlobalType::msg1(w(from), w(to), "bad", Sort::Nat, cont);
-    let bad_label_ring = hop(0, 1, hop(1, 2, hop(2, 0, GlobalType::End)));
-
-    let mut registry = ProtocolRegistry::new();
-    let id = registry
-        .register(Protocol::new("ring", generators::ring_n(3)).unwrap())
-        .unwrap();
-    let decoy = Protocol::new("ring", bad_label_ring).unwrap();
-    let config = ServerConfig {
-        shards: 1,
-        quarantine: QuarantinePolicy::Restart { max_retries: 2 },
+        quarantine,
         ..ServerConfig::default()
     };
     let mut server = SessionServer::start(registry, config);
     let sid = server
         .submit(SessionSpec::new(id, skeleton_endpoints(&decoy).unwrap()))
         .unwrap();
-    let outcomes = server.drain();
+    let mut outcomes = server.drain();
     assert_eq!(outcomes.len(), 1, "the session reports exactly once");
     assert_eq!(outcomes[0].id, sid);
-    assert!(!outcomes[0].compliant);
-    assert!(outcomes[0].quarantined, "the final close is Halt-like");
+    (outcomes.pop().unwrap(), server)
+}
 
+/// What a halted first-action violator must look like on either path: one
+/// violation at position 0, that one action and no other, nobody finished.
+fn assert_halted_at_the_first_action(outcome: &zooid_server::SessionOutcome, server: &SessionServer) {
+    assert!(outcome.quarantined && !outcome.compliant && !outcome.stalled);
+    assert_eq!(outcome.violations.len(), 1);
+    assert_eq!(outcome.violations[0].position, 0);
+    let recorded: usize = outcome.endpoints.values().map(|r| r.actions.len()).sum();
+    assert_eq!(recorded, 1, "the violating send and not one action after it");
+    for report in outcome.endpoints.values() {
+        assert_eq!(report.status, zooid_runtime::EndpointStatus::Stalled);
+    }
     let report = server.report();
-    assert_eq!(report.sessions_slab(), 1, "{report}");
-    assert_eq!(report.sessions_batched(), 0, "{report}");
-    assert_eq!(report.sessions_restarted(), 2, "{report}");
+    assert_eq!(report.actions_executed(), 1, "{report}");
     assert_eq!(report.sessions_quarantined(), 1, "{report}");
-    let retries: Vec<u8> = server
+    let quarantined = server
         .flight_events()
         .iter()
-        .filter_map(|e| match e {
-            FlightEvent::Restarted { session, retry } if *session == sid.0 => Some(*retry),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(retries, vec![1, 2], "restart events carry the retry count");
-    server.shutdown();
+        .filter(|e| matches!(e, FlightEvent::Quarantined { .. }))
+        .count();
+    assert_eq!(quarantined, 1);
+    let system = std::sync::Arc::clone(server.registry().get(outcome.protocol).unwrap().compiled());
+    let incidents = server.incidents();
+    assert_eq!(incidents.len(), 1);
+    assert!(incidents[0].replays_violation(&system), "{:?}", incidents[0]);
+}
+
+#[test]
+fn a_batched_violator_closes_from_its_demoted_state_and_resumes_only_under_observe() {
+    // The rotated-ring cast pre-interns against the registered tables, so
+    // it batches, and violates deterministically on its first send. Under
+    // the default policy the batch's demotion is the end of it: the outcome
+    // is read off the extracted state and no slab session is built.
+    let rotated = || generators::ring(&["w2", "w0", "w1"]);
+    let (outcome, server) = run_ring_decoy(rotated(), QuarantinePolicy::Halt);
+    assert_halted_at_the_first_action(&outcome, &server);
+    let demotions = server
+        .flight_events()
+        .iter()
+        .filter(|e| matches!(e, FlightEvent::BatchDemoted { .. }))
+        .count();
+    assert_eq!(demotions, 1);
+    let report = server.shutdown();
+    assert_eq!(report.sessions_batched(), 1, "{report}");
+    assert_eq!(report.sessions_demoted(), 1, "{report}");
+    assert_eq!(report.sessions_slab(), 0, "{report}");
+
+    // Under `Observe` the same demotion is a change of executor: the
+    // session resumes on the slab and runs to its natural end.
+    let (outcome, server) = run_ring_decoy(rotated(), QuarantinePolicy::Observe);
+    assert!(!outcome.compliant && !outcome.quarantined && !outcome.stalled);
+    assert!(outcome.endpoints.values().all(|r| r.status.is_finished()));
+    assert_eq!(outcome.global_trace.len() + outcome.violations.len(), 6);
+    let report = server.shutdown();
+    assert_eq!(report.sessions_demoted(), 1, "{report}");
+    assert_eq!(report.actions_executed(), 6, "{report}");
+    assert_eq!(report.sessions_quarantined(), 0, "{report}");
+}
+
+#[test]
+fn a_slab_admitted_violator_closes_at_its_first_rejection() {
+    // The slab twin: the `bad` label is not in the registered ring's
+    // tables, so the cast cannot pre-intern, is admitted to the slab, and
+    // violates in its first quantum — which is also its last.
+    use zooid_mpst::global::GlobalType;
+    use zooid_mpst::{Role, Sort};
+    let w = |i: usize| Role::new(format!("w{i}"));
+    let hop = |from, to, cont| GlobalType::msg1(w(from), w(to), "bad", Sort::Nat, cont);
+    let bad_label_ring = hop(0, 1, hop(1, 2, hop(2, 0, GlobalType::End)));
+    let (outcome, server) = run_ring_decoy(bad_label_ring, QuarantinePolicy::Halt);
+    assert_halted_at_the_first_action(&outcome, &server);
+    let report = server.shutdown();
+    assert_eq!(report.sessions_slab(), 1, "{report}");
+    assert_eq!(report.sessions_batched(), 0, "{report}");
+    assert_eq!(report.sessions_demoted(), 0, "{report}");
 }
 
 #[test]
@@ -353,7 +325,7 @@ fn sessions_that_call_externals_are_never_checkpointed() {
     // behind `src` lives in the submitted `Externals`; a checkpoint cannot
     // carry it, and a session resumed from one would run with none. So the
     // drain must not evacuate this session (it closes as stalled through the
-    // outcome stream), and it is never restarted.
+    // outcome stream).
     use zooid_mpst::{Role, Sort};
     use zooid_proc::{Expr, Externals, Proc, Value};
     let (a, b) = (Role::new("A"), Role::new("B"));
@@ -380,7 +352,6 @@ fn sessions_that_call_externals_are_never_checkpointed() {
     let config = ServerConfig {
         shards: 1,
         quantum: 1,
-        quarantine: QuarantinePolicy::Restart { max_retries: 2 },
         ..ServerConfig::default()
     };
     let mut server = SessionServer::start(registry, config);
@@ -398,58 +369,7 @@ fn sessions_that_call_externals_are_never_checkpointed() {
     for report in outcome.endpoints.values() {
         assert_eq!(report.status, zooid_runtime::EndpointStatus::Stalled);
     }
-    assert_eq!(server.report().sessions_restarted(), 0);
     server.shutdown();
-}
-
-#[test]
-fn a_last_action_violator_is_re_run_in_full_and_closes_as_under_halt() {
-    // The after-termination cast is compliant up to its *last* action, so a
-    // restart has a whole session to get through again: each re-run must
-    // re-certify every action up to the violation and end where the halted
-    // run did, with nothing carried over from the run before.
-    let ring = || Protocol::new("ring", generators::ring_n(3)).unwrap();
-    // One session on one shard: its outcome, the restart count and the
-    // `Restarted` retries in order.
-    let run = |quarantine| {
-        let mut registry = ProtocolRegistry::new();
-        let id = registry.register(ring()).unwrap();
-        let driver = byzantine_driver(&ring(), ByzantineMutation::AfterTermination)
-            .unwrap()
-            .expect("the ring has an end to speak after");
-        let config = ServerConfig {
-            shards: 1,
-            quarantine,
-            ..ServerConfig::default()
-        };
-        let mut server = SessionServer::start(registry, config);
-        server.submit(SessionSpec::new(id, driver.endpoints)).unwrap();
-        let mut outcomes = server.drain();
-        assert_eq!(outcomes.len(), 1, "the session reports exactly once");
-        let retries: Vec<u8> = server
-            .flight_events()
-            .iter()
-            .filter_map(|e| match e {
-                FlightEvent::Restarted { retry, .. } => Some(*retry),
-                _ => None,
-            })
-            .collect();
-        let restarted = server.shutdown().sessions_restarted();
-        (outcomes.pop().unwrap(), restarted, retries)
-    };
-    let (halted, restarts, retries) = run(QuarantinePolicy::Halt);
-    assert!(halted.quarantined && !halted.compliant);
-    assert_eq!(halted.violations.len(), 1);
-    assert_eq!(halted.messages_exchanged(), 3, "the whole ring ran before the violation");
-    assert_eq!((restarts, retries), (0, vec![]));
-
-    let (rerun, restarts, retries) = run(QuarantinePolicy::Restart { max_retries: 2 });
-    assert_eq!(rerun.endpoints, halted.endpoints, "statuses and value traces");
-    assert_eq!(rerun.violations, halted.violations);
-    assert_eq!(rerun.global_trace, halted.global_trace);
-    assert!(rerun.quarantined && !rerun.compliant && !rerun.stalled);
-    assert_eq!(restarts, 2);
-    assert_eq!(retries, vec![1, 2]);
 }
 
 // ---------------------------------------------------------------------

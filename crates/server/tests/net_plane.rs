@@ -441,6 +441,47 @@ fn hostile_bytes_cost_one_connection_not_the_server() {
     assert_eq!(report.net.connections_accepted, 3);
 }
 
+/// 200 KB of nested `inl` tags inside a `StatsReply` — a frame kind the
+/// server refuses anyway, but decodes first. Unbounded, the value decoder
+/// recursed once per tag and overflowed the IO thread's stack, which aborts
+/// the process and every session on every connection with it; bounded, it
+/// is one more malformed frame.
+#[test]
+fn a_deeply_nested_frame_costs_one_connection_not_the_process() {
+    let (registry, ids) = registry_with_case_studies();
+    let catalog = services(&registry, &ids);
+    let server = NetServer::start(registry, catalog, NetServerConfig::default()).unwrap();
+    let mut bystander = NetClient::connect(server.local_addr()).unwrap();
+
+    const DEPTH: usize = 200_000;
+    let mut payload = vec![6u8]; // MuxFrame::StatsReply
+    payload.extend_from_slice(&7u64.to_be_bytes());
+    payload.resize(payload.len() + DEPTH, 6); // Value::Inl, DEPTH times
+    payload.push(0); // Value::Unit
+    let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
+    hostile
+        .write_all(&u32::try_from(payload.len()).unwrap().to_be_bytes())
+        .unwrap();
+    hostile.write_all(&payload).unwrap();
+    // `drain_raw` returns at end of stream: the connection was closed.
+    let frames = drain_raw(&mut hostile);
+    match &frames[..] {
+        [MuxFrame::Rejected { code: RejectCode::BadFrame, reason, .. }] => {
+            assert!(reason.contains("nested"), "{reason}")
+        }
+        other => panic!("expected exactly one BadFrame rejection, got {other:?}"),
+    }
+
+    let session = bystander.open("ring").unwrap();
+    let done = await_done(&mut bystander, &[session]);
+    assert!(matches!(done[&session], MuxFrame::Done { compliant: true, .. }));
+
+    let report = server.shutdown();
+    assert_eq!(report.net.bad_frames, 1, "{}", report.net);
+    assert_eq!(report.net.rejects.bad_frame, 1, "{}", report.net);
+    assert_eq!(report.net.sessions_done, 1);
+}
+
 #[test]
 fn outcomes_for_dead_connections_are_not_misdelivered() {
     let (registry, ids) = registry_with_case_studies();

@@ -23,8 +23,9 @@
 //! sessions stay in flight) is drained shard by shard — every in-flight
 //! session leaves as an encoded, re-certifiable checkpoint — and the
 //! checkpoints are migrated onto other shards where they resume and finish
-//! compliant. Violators submitted under [`QuarantinePolicy::Restart`] are
-//! re-run from their initial state until their retry budget runs out.
+//! compliant. Violators submitted alongside them quarantine under the
+//! default policy: each is closed from the state its batch extracted at the
+//! first rejection, and none is rebuilt on the slab.
 //!
 //! Run with `cargo run --release --example load_sim`.
 
@@ -34,8 +35,7 @@ use zooid::dsl::Protocol;
 use zooid::mpst::generators;
 use zooid::server::synth::{byzantine_driver, skeleton_endpoints};
 use zooid::server::{
-    ByzantineMutation, ExpectedClass, ProtocolRegistry, QuarantinePolicy, ServerConfig,
-    SessionServer, SessionSpec,
+    ByzantineMutation, ExpectedClass, ProtocolRegistry, ServerConfig, SessionServer, SessionSpec,
 };
 
 const SESSIONS: usize = 1_000;
@@ -188,10 +188,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(report.sessions_violated() as usize, expected_quarantines);
 
-    // Durability act: drain shards mid-flight, migrate the checkpoints,
-    // and re-run violators from their initial state. A fresh
-    // server with single-action quanta keeps sessions in flight long
-    // enough to catch them between quanta.
+    // Durability act: drain shards mid-flight and migrate the checkpoints,
+    // with violators quarantining next to them. A fresh server with
+    // single-action quanta keeps sessions in flight long enough to catch
+    // them between quanta.
     println!("\ndrain-and-recover:");
     let mut registry = ProtocolRegistry::new();
     let ring = registry.register(Protocol::new("ring", generators::ring_n(4))?)?;
@@ -201,7 +201,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServerConfig {
             shards: 2,
             quantum: 1,
-            quarantine: QuarantinePolicy::Restart { max_retries: 2 },
             ..ServerConfig::default()
         },
     );
@@ -230,9 +229,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.migrate_session(m, (home + 1) % server.shard_count())?;
     }
 
-    // Violators under Restart: each is re-run from its initial state,
-    // violates again, and after `max_retries` restarts is quarantined for
-    // good.
+    // Violators under the default policy: each is over at its first
+    // rejected action, and is closed as quarantined from the state its
+    // batch demoted it with.
     for _ in 0..BAD_SESSIONS {
         server.submit(SessionSpec::new(ring, bad_endpoints.clone()))?;
     }
@@ -247,17 +246,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(
         outcomes.iter().filter(|o| o.quarantined).count(),
         BAD_SESSIONS,
-        "violators quarantine once their retries run out"
+        "violators quarantine at their first rejection"
     );
 
     let report = server.shutdown();
     println!(
-        "  {} sessions finished compliant after migration; {} restarts granted, {} sessions quarantined",
+        "  {} sessions finished compliant after migration; {} sessions quarantined ({} of them out of a batch)",
         compliant,
-        report.sessions_restarted(),
         report.sessions_quarantined(),
+        report.sessions_demoted(),
     );
-    assert_eq!(report.sessions_restarted() as usize, 2 * BAD_SESSIONS);
     assert_eq!(report.sessions_quarantined() as usize, BAD_SESSIONS);
+    assert_eq!(report.sessions_demoted() as usize, BAD_SESSIONS);
     Ok(())
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, no orphaned vendor stub,
 # zero compiler and rustdoc warnings, every crate's tests in both profiles,
-# the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
+# the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
 # smoke run, and tcp_short must clear a floor no timer can), and a
 # bench-report smoke run, which checks its own families against their floors
 # and exits non-zero on a breach.
@@ -45,6 +45,17 @@ echo "== cargo test --workspace --release -q"
 # differential, hostile-world, durability and crash-recovery suites must
 # hold in the profile that serves.
 cargo test --workspace --release -q
+
+echo "== examples run to the end of their own assertions"
+# `cargo check --all-targets` only compiles them; each asserts on its own
+# result (message counts, verdicts, quarantine counters), so a non-zero exit
+# is a behaviour change no test target would have seen.
+for example in quickstart two_buyer pipeline ping_pong calculator load_sim; do
+    cargo run --release --offline --quiet --example "$example" >/dev/null || {
+        echo "example $example failed" >&2
+        exit 1
+    }
+done
 
 echo "== zooid_benchmark gate (BENCHMARK.json's command: --validate, then --smoke)"
 # The benchmark pipeline builds this package from its own manifest against
