@@ -22,7 +22,8 @@
 //!   ([`CompiledEndpointTask`]) vs the tree-walking [`EndpointTask`], per
 //!   visible action, a no-op observer on both sides (what a shard calls);
 //! * `batch_step` — the columnar [`SessionBatch`] vs per-session compiled
-//!   tasks under a [`CompiledMonitor`] (the slab configuration), per action;
+//!   tasks under a [`CompiledMonitor`] (the slab configuration), per action,
+//!   each population quiet and (`/recorded`) recording its traces;
 //! * `obs_overhead` — batch stepping with the shard's instruments attached
 //!   (admission events, per-quantum clock reads, cohort-width fold, wall
 //!   time per outcome) vs the bare loop; floor 0.85;
@@ -472,11 +473,12 @@ fn run_compiled_session(fixture: &Fixture, options: &ExecOptions) -> usize {
     )
 }
 
-/// The same schedule with a live [`CompiledMonitor`] observing every action
-/// (trace recording off): the per-session slab configuration.
+/// The same schedule with a live [`CompiledMonitor`] observing every action,
+/// recording its global trace when the options record actions: the
+/// per-session slab configuration.
 fn run_monitored_session(fixture: &Fixture, options: &ExecOptions) -> usize {
     let mut monitor = CompiledMonitor::new(Arc::clone(&fixture.system));
-    monitor.set_record_trace(false);
+    monitor.set_record_trace(options.record_actions);
     drive_session(
         compiled_tasks(fixture, options),
         |task, transport| {
@@ -741,34 +743,40 @@ fn batch_populations(mode: &Mode) -> Vec<(&'static str, GlobalType, Option<usize
 
 /// The batch object is reused across samples (slots recycle), which is the
 /// server's steady state; the slab rebuilds each session, which is the
-/// slab's.
+/// slab's. Each population runs quiet and then recording — per-endpoint
+/// value traces and the global trace, as every serving workload asks — so
+/// the difference between a population's two cases is what recording costs
+/// per action.
 fn batch_step(mode: &Mode) -> Vec<Case> {
     let mut cases = Vec::new();
     for (case, g, max_steps, width) in batch_populations(mode) {
         let fixture = Fixture::new(&g);
-        let options = quiet(max_steps);
-        let mut batch = SessionBatch::new(fixture.layout(), options.clone(), width);
-        // Looping cases end at the step limit and leave as stalled
-        // stragglers on both sides.
-        let actions = run_batch(&mut batch, width);
-        assert_eq!(
-            actions,
-            run_monitored_session(&fixture, &options) * width,
-            "{case}: data planes must perform the same visible actions"
-        );
-        let stats = sample_pair(mode, |engine| {
-            if engine {
-                std::hint::black_box(run_batch(&mut batch, width));
-            } else {
-                for _ in 0..width {
-                    std::hint::black_box(run_monitored_session(&fixture, &options));
+        for record in [false, true] {
+            let options = quiet(max_steps).record_actions(record);
+            let mut batch = SessionBatch::new(fixture.layout(), options.clone(), width);
+            // Looping cases end at the step limit and leave as stalled
+            // stragglers on both sides.
+            let actions = run_batch(&mut batch, width);
+            assert_eq!(
+                actions,
+                run_monitored_session(&fixture, &options) * width,
+                "{case}: data planes must perform the same visible actions"
+            );
+            let stats = sample_pair(mode, |engine| {
+                if engine {
+                    std::hint::black_box(run_batch(&mut batch, width));
+                } else {
+                    for _ in 0..width {
+                        std::hint::black_box(run_monitored_session(&fixture, &options));
+                    }
                 }
-            }
-        });
-        cases.push(Case::new(
-            format!("{case}/w{width}/actions{actions}/peraction"),
-            (stats.0.per(actions), stats.1.per(actions)),
-        ));
+            });
+            let recorded = if record { "/recorded" } else { "" };
+            cases.push(Case::new(
+                format!("{case}/w{width}/actions{actions}{recorded}/peraction"),
+                (stats.0.per(actions), stats.1.per(actions)),
+            ));
+        }
     }
     cases
 }

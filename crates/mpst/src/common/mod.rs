@@ -9,6 +9,7 @@ pub mod arena;
 pub mod branch;
 pub mod intern;
 pub mod label;
+mod name;
 pub mod role;
 pub mod sort;
 pub mod trace;

@@ -1,14 +1,19 @@
 //! Protocol participants (also called *roles*).
 
-use std::fmt;
-use std::sync::Arc;
-
+use super::name::{self, name_handle, Name};
 
 /// A participant of a multiparty protocol.
 ///
-/// Roles are compared by name. They are cheap to clone (the name is reference
-/// counted), so protocol descriptions can mention the same role many times
-/// without repeated allocation.
+/// A role is an 8-byte handle on its name's entry in a process-wide name
+/// table: the text is stored once, cloning copies a pointer and dropping
+/// does nothing, so recording an action that names a role costs no
+/// allocation and no atomic operation. Entries are never freed. That is
+/// bounded because only code makes names ([`Role::new`], the `From`
+/// conversions); decoders of outside bytes use [`Role::lookup`] and refuse
+/// a name no code made.
+///
+/// Roles are equal when their names are (one pointer compare), ordered by
+/// name, and hash as their name does.
 ///
 /// # Examples
 ///
@@ -19,45 +24,31 @@ use std::sync::Arc;
 /// assert_eq!(alice.name(), "Alice");
 /// assert_eq!(alice, Role::new("Alice"));
 /// assert_ne!(alice, Role::new("Bob"));
+/// assert_eq!(Role::lookup("Alice"), Some(alice));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Role(Arc<str>);
+#[derive(Clone)]
+pub struct Role(&'static Name);
 
 impl Role {
-    /// Creates a role with the given name.
+    /// Creates a role with the given name, entering the name in the
+    /// process-wide table if it is new.
     pub fn new(name: impl AsRef<str>) -> Self {
-        Role(Arc::from(name.as_ref()))
+        Role(name::intern(name.as_ref()))
+    }
+
+    /// The role with the given name, if some code already made a role or
+    /// label of that name; never grows the name table.
+    pub fn lookup(name: &str) -> Option<Self> {
+        name::lookup(name).map(Role)
     }
 
     /// Returns the role's name.
     pub fn name(&self) -> &str {
-        &self.0
+        self.0.text()
     }
 }
 
-impl fmt::Display for Role {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&str> for Role {
-    fn from(name: &str) -> Self {
-        Role::new(name)
-    }
-}
-
-impl From<String> for Role {
-    fn from(name: String) -> Self {
-        Role::new(name)
-    }
-}
-
-impl AsRef<str> for Role {
-    fn as_ref(&self) -> &str {
-        self.name()
-    }
-}
+name_handle!(Role);
 
 /// A compact set of roles, represented as a bitset over the role *indices* of
 /// some role table (a [`GlobalTree`]'s sorted participant list, or an
@@ -234,6 +225,61 @@ mod tests {
         v.sort();
         let names: Vec<_> = v.iter().map(Role::name).collect();
         assert_eq!(names, ["A", "B", "C"]);
+    }
+
+    #[test]
+    fn a_role_is_an_eight_byte_shareable_handle() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Role>();
+        assert_eq!(std::mem::size_of::<Role>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Role>>(), 8);
+    }
+
+    #[test]
+    fn threads_racing_to_make_a_fresh_name_get_equal_handles() {
+        let fresh = "role-table-race";
+        assert_eq!(Role::lookup(fresh), None);
+        let barrier = std::sync::Barrier::new(4);
+        let roles: Vec<Role> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        Role::new(fresh)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(roles.iter().all(|r| *r == roles[0] && r.name() == fresh));
+        assert_eq!(Role::lookup(fresh), Some(roles[0].clone()));
+    }
+
+    #[test]
+    fn a_role_hashes_as_its_name() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut state = DefaultHasher::new();
+            h(&mut state);
+            state.finish()
+        };
+        for n in ["Alice", "", "w17"] {
+            assert_eq!(hash(&|s| Role::new(n).hash(s)), hash(&|s| n.hash(s)));
+        }
+    }
+
+    #[test]
+    fn debug_text_is_the_tuple_of_the_name() {
+        assert_eq!(format!("{:?}", Role::new("Alice")), "Role(\"Alice\")");
+    }
+
+    #[test]
+    fn lookup_never_makes_a_name() {
+        assert_eq!(Role::lookup("role-nobody-made"), None);
+        assert_eq!(Role::lookup("role-nobody-made"), None);
+        let made = Role::new("role-somebody-made");
+        assert_eq!(Role::lookup("role-somebody-made"), Some(made));
     }
 
     #[test]

@@ -59,9 +59,9 @@ use std::mem;
 use std::sync::Arc;
 
 use zooid_cfsm::{CompiledSystem, MonitorCursor};
-use zooid_mpst::{Action, Label, Role, Trace};
+use zooid_mpst::{Label, Role, Trace};
 use zooid_proc::compile::{Arm, CExpr, Instr};
-use zooid_proc::{Value, ValueAction};
+use zooid_proc::{erase, Value, ValueAction};
 
 use crate::cexec::{admin_tick, ActionTemplate, EndpointProgram};
 use crate::error::RuntimeError;
@@ -322,6 +322,38 @@ pub struct DemotedSession {
     pub frames: Vec<(u32, u32, Label, Value)>,
 }
 
+/// One action a recording session performed, as the batch logs it: the
+/// endpoint, the communication site of its program, the payload, and the
+/// monitor's verdict. The [`ValueAction`] it stands for — and, if accepted,
+/// its erasure in the global trace — is built from the site's
+/// [`ActionTemplate`] when the log is appended to the session's traces.
+#[derive(Debug)]
+struct Performed {
+    value: Value,
+    role: u32,
+    event: u32,
+    send: bool,
+    accepted: bool,
+}
+
+/// Endpoint `r`'s value action at communication site `event` of its
+/// program: the role, the site's peer, label and static sort (a send's
+/// payload was checked against it before the send was performed), and
+/// `value`.
+fn site_action(layout: &BatchLayout, r: usize, event: u32, send: bool, value: Value) -> ValueAction {
+    let site = &layout.programs[r].templates()[event as usize];
+    let (me, peer, label) = (layout.roles[r].clone(), site.peer.clone(), site.label.clone());
+    let sort = site
+        .static_sort
+        .clone()
+        .expect("batch-eligible templates have static sorts");
+    if send {
+        ValueAction::send(me, peer, label, sort, value)
+    } else {
+        ValueAction::recv(me, peer, label, sort, value)
+    }
+}
+
 /// A fixed-capacity population of homogeneous sessions stepped in columns.
 ///
 /// All sessions share one [`BatchLayout`] and one [`ExecOptions`]; their
@@ -343,6 +375,13 @@ pub struct SessionBatch {
     live_count: usize,
     cursors: Vec<MonitorCursor>,
     traces: Vec<Trace>,
+    // What each recording session performed since its traces were last
+    // appended to, one small entry per action. A pass steps every live
+    // session, so pushing each action straight onto its traces scatters
+    // writes over every session's growing vectors; the logs stay small and
+    // cache-resident, and the end of the quantum appends each to its
+    // session's traces in one run.
+    logs: Vec<Vec<Performed>>,
     violations: Vec<Vec<MonitorViolation>>,
     accepted: Vec<usize>,
     observed: Vec<usize>,
@@ -363,15 +402,6 @@ pub struct SessionBatch {
     // Fault evaluator for the arena write path (hostile-world suite);
     // `None` outside fault campaigns, costing one branch per send.
     arena_faults: Option<ArenaFaults>,
-    // The batch's own handles on the layout's role names and wire labels
-    // (same indices, equal by value). Every recorded action clones three of
-    // them; cloned from the layout they would bump refcounts shared with
-    // every other shard's batches and with the thread that drops the
-    // outcomes — one contended cache line per clone, which on two cores
-    // nearly doubles a session's cost. Handles of its own keep a batch's
-    // counts on its shard's core.
-    roles: Vec<Role>,
-    labels: Vec<Label>,
 }
 
 impl SessionBatch {
@@ -388,8 +418,6 @@ impl SessionBatch {
             .collect();
         let mut queues = Vec::with_capacity(n * n * cap);
         queues.resize_with(n * n * cap, FrameQueue::default);
-        let roles = layout.roles.iter().map(|r| Role::new(r.name())).collect();
-        let labels = layout.labels.iter().map(|l| Label::new(l.name())).collect();
         SessionBatch {
             layout,
             options,
@@ -401,6 +429,7 @@ impl SessionBatch {
             live_count: 0,
             cursors: vec![cursor; cap],
             traces: vec![Trace::empty(); cap],
+            logs: (0..cap).map(|_| Vec::new()).collect(),
             violations: vec![Vec::new(); cap],
             accepted: vec![0; cap],
             observed: vec![0; cap],
@@ -414,8 +443,6 @@ impl SessionBatch {
             queues,
             scratch: Vec::new(),
             arena_faults: None,
-            roles,
-            labels,
         }
     }
 
@@ -507,6 +534,9 @@ impl SessionBatch {
         while self.live_count > 0 && out.actions < budget {
             self.run_pass(&layout, &mut out);
             self.settle(&mut out);
+        }
+        for s in 0..self.cap {
+            self.append_log(&layout, s);
         }
         out
     }
@@ -609,7 +639,8 @@ impl SessionBatch {
                 let q = layout.peer_map[r][peer.index()] as usize;
                 let wire = layout.label_wire[r][label.index()];
                 for &(_, s) in cohort {
-                    self.send_one(layout, r, s as usize, q, template, payload, wire, *next, out);
+                    let site = (*event, template);
+                    self.send_one(layout, r, s as usize, q, site, payload, wire, *next, out);
                 }
             }
             Instr::Recv { peer, arms } => {
@@ -678,7 +709,8 @@ impl SessionBatch {
                     let template = &program.templates()[*event as usize];
                     let q = layout.peer_map[r][peer.index()] as usize;
                     let wire = layout.label_wire[r][label.index()];
-                    self.send_one(layout, r, s, q, template, payload, wire, *next, out);
+                    let site = (*event, template);
+                    self.send_one(layout, r, s, q, site, payload, wire, *next, out);
                     return;
                 }
                 Instr::Recv { peer, arms } => {
@@ -705,7 +737,7 @@ impl SessionBatch {
         r: usize,
         s: usize,
         q: usize,
-        template: &ActionTemplate,
+        (event, template): (u32, &ActionTemplate),
         payload: &CExpr,
         wire: u32,
         next: u32,
@@ -742,24 +774,7 @@ impl SessionBatch {
             .as_ref()
             .expect("batch-eligible templates are interned");
         let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
-        // `roles[q]` is the template's peer and `labels[wire]` its label.
-        self.note(s, accepted, |roles, labels| {
-            Action::send(
-                roles[r].clone(),
-                roles[q].clone(),
-                labels[wire as usize].clone(),
-                sort.clone(),
-            )
-        });
-        if self.record {
-            self.actions[idx].push(ValueAction::send(
-                self.roles[r].clone(),
-                self.roles[q].clone(),
-                self.labels[wire as usize].clone(),
-                sort,
-                value.clone(),
-            ));
-        }
+        self.note(layout, s, r, (event, true), accepted, &value);
         // The arena seam: by this point the send is observed and recorded —
         // exactly like a transport-level fault, which strikes after the
         // sender has committed the action.
@@ -854,23 +869,7 @@ impl SessionBatch {
             .as_ref()
             .expect("batch-eligible templates are interned");
         let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
-        self.note(s, accepted, |roles, labels| {
-            Action::recv(
-                roles[r].clone(),
-                roles[q].clone(),
-                labels[wire as usize].clone(),
-                sort.clone(),
-            )
-        });
-        if self.record {
-            self.actions[idx].push(ValueAction::recv(
-                self.roles[r].clone(),
-                self.roles[q].clone(),
-                self.labels[wire as usize].clone(),
-                sort.clone(),
-                value.clone(),
-            ));
-        }
+        self.note(layout, s, r, (arm.event, false), accepted, &value);
         self.slots[r][arm.slot as usize * cap + s] = value;
         self.steps[idx] += 1;
         self.pcs[idx] = arm.next;
@@ -882,27 +881,55 @@ impl SessionBatch {
     }
 
     /// Mirrors [`CompiledMonitor`]'s observation bookkeeping on the
-    /// session's columns.
+    /// session's columns for endpoint `r`'s action at site `event`, and logs
+    /// the action when the session records.
     fn note(
         &mut self,
+        layout: &BatchLayout,
         s: usize,
+        r: usize,
+        (event, send): (u32, bool),
         accepted: bool,
-        action: impl FnOnce(&[Role], &[Label]) -> Action,
+        value: &Value,
     ) {
         let position = self.observed[s];
         self.observed[s] += 1;
         if accepted {
             self.accepted[s] += 1;
-            if self.record {
-                self.traces[s].push(action(&self.roles, &self.labels));
-            }
         } else {
+            // The monitor sees the action with its value erased.
+            let action = erase(&site_action(layout, r, event, send, Value::Unit));
             self.violations[s].push(MonitorViolation {
-                action: action(&self.roles, &self.labels),
+                action,
                 position,
                 trace_len: self.accepted[s],
             });
         }
+        if self.record {
+            self.logs[s].push(Performed {
+                value: value.clone(),
+                role: r as u32,
+                event,
+                send,
+                accepted,
+            });
+        }
+    }
+
+    /// Appends a session's log to its traces: each entry to its endpoint's
+    /// value trace and, if the monitor accepted it, to the global trace.
+    /// The log keeps its capacity.
+    fn append_log(&mut self, layout: &BatchLayout, s: usize) {
+        let mut log = mem::take(&mut self.logs[s]);
+        for entry in log.drain(..) {
+            let r = entry.role as usize;
+            let action = site_action(layout, r, entry.event, entry.send, entry.value);
+            if entry.accepted {
+                self.traces[s].push(erase(&action));
+            }
+            self.actions[r * self.cap + s].push(action);
+        }
+        self.logs[s] = log;
     }
 
     fn fail(&mut self, idx: usize, s: usize, err: RuntimeError) {
@@ -940,6 +967,7 @@ impl SessionBatch {
         let layout = Arc::clone(&self.layout);
         let cap = self.cap;
         let n = layout.roles.len();
+        self.append_log(&layout, s);
         let mut endpoints = Vec::with_capacity(n);
         for r in 0..n {
             let idx = r * cap + s;
@@ -997,19 +1025,21 @@ impl SessionBatch {
     }
 
     fn extract_outcome(&mut self, s: usize, stalled: bool) -> BatchOutcome {
+        let layout = Arc::clone(&self.layout);
         let cap = self.cap;
-        let n = self.roles.len();
+        let n = layout.roles.len();
+        self.append_log(&layout, s);
         let mut endpoints = Vec::with_capacity(n);
         for r in 0..n {
             let idx = r * cap + s;
             endpoints.push(EndpointReport {
-                role: self.roles[r].clone(),
+                role: layout.roles[r].clone(),
                 actions: mem::take(&mut self.actions[idx]),
                 status: self.statuses[idx].take().unwrap_or(EndpointStatus::Stalled),
             });
         }
         let compliant = self.violations[s].is_empty();
-        let complete = self.layout.system.is_terminated(&self.cursors[s]);
+        let complete = layout.system.is_terminated(&self.cursors[s]);
         let outcome = BatchOutcome {
             token: self.tokens[s],
             endpoints,

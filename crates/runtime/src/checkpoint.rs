@@ -20,7 +20,10 @@
 //! ([`zooid_cfsm::CompiledSystem::restore_cursor`] does the cursor half).
 //! Bytes that decode but describe a state the protocol's tables do not
 //! admit are refused with [`RuntimeError::Recovery`]; a corrupted or
-//! hostile checkpoint never becomes a running session.
+//! hostile checkpoint never becomes a running session. Names are checked
+//! even earlier: decoding looks every role and label up in the process-wide
+//! name table ([`Role::lookup`]) and refuses one no code made with
+//! [`RuntimeError::Codec`], so a checkpoint cannot grow that table.
 //!
 //! [`MonitorCursor`]: zooid_cfsm::MonitorCursor
 
@@ -35,8 +38,8 @@ use zooid_proc::{Value, ValueAction};
 use crate::cbatch::{DemotedEndpoint, DemotedSession};
 use crate::cexec::{CompiledEndpointTask, EndpointProgram};
 use crate::codec::{
-    descend, get_str, get_u32, get_u64, get_u8, get_value, put_str, put_u32, put_u64, put_u8,
-    put_value, MAX_NESTING,
+    descend, get_label, get_role, get_str, get_u32, get_u64, get_u8, get_value, put_str, put_u32,
+    put_u64, put_u8, put_value, MAX_NESTING,
 };
 use crate::error::{Result, RuntimeError};
 use crate::exec::{EndpointStatus, ExecOptions};
@@ -206,7 +209,10 @@ impl SessionCheckpoint {
     ///
     /// [`RuntimeError::Codec`] on truncated or malformed input, including
     /// trailing bytes — the checkpoint codec inherits the wire codec's
-    /// strictness.
+    /// strictness — and on a role or label name no code in this process
+    /// made: every name (endpoint roles, recorded actions, the monitor's
+    /// trace and violations, in-flight frame labels) is looked up in the
+    /// process-wide name table, never entered into it.
     pub fn decode(mut bytes: &[u8]) -> Result<Self> {
         let bytes = &mut bytes;
         if get_u32(bytes)? != MAGIC {
@@ -226,7 +232,7 @@ impl SessionCheckpoint {
         let n = get_u32(bytes)? as usize;
         let mut endpoints = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            let role = Role::new(get_str(bytes)?);
+            let role = get_role(bytes)?;
             let pc = get_u32(bytes)?;
             let slot_count = get_u32(bytes)? as usize;
             let mut slots = Vec::with_capacity(slot_count.min(1024));
@@ -285,7 +291,7 @@ impl SessionCheckpoint {
         for _ in 0..frame_count {
             let from = get_u32(bytes)?;
             let to = get_u32(bytes)?;
-            let label = Label::new(get_str(bytes)?);
+            let label = get_label(bytes)?;
             let value = get_value(bytes)?;
             frames.push((from, to, label, value));
         }
@@ -525,9 +531,9 @@ pub(crate) fn put_action(buf: &mut Vec<u8>, action: &Action) {
 
 pub(crate) fn get_action(bytes: &mut &[u8]) -> Result<Action> {
     let is_send = get_bool(bytes)?;
-    let from = Role::new(get_str(bytes)?);
-    let to = Role::new(get_str(bytes)?);
-    let label = Label::new(get_str(bytes)?);
+    let from = get_role(bytes)?;
+    let to = get_role(bytes)?;
+    let label = get_label(bytes)?;
     let sort = get_sort(bytes)?;
     Ok(if is_send {
         Action::send(from, to, label, sort)
@@ -547,9 +553,9 @@ pub(crate) fn put_value_action(buf: &mut Vec<u8>, action: &ValueAction) {
 
 pub(crate) fn get_value_action(bytes: &mut &[u8]) -> Result<ValueAction> {
     let is_send = get_bool(bytes)?;
-    let from = Role::new(get_str(bytes)?);
-    let to = Role::new(get_str(bytes)?);
-    let label = Label::new(get_str(bytes)?);
+    let from = get_role(bytes)?;
+    let to = get_role(bytes)?;
+    let label = get_label(bytes)?;
     let sort = get_sort(bytes)?;
     let value = get_value(bytes)?;
     Ok(if is_send {

@@ -10,7 +10,7 @@
 //! (`tests/codec_props.rs`: `decode ∘ encode = id` for every value shape)
 //! rather than by riding along on every in-process message.
 
-use zooid_mpst::Label;
+use zooid_mpst::{Label, Role};
 use zooid_proc::Value;
 
 use crate::error::{Result, RuntimeError};
@@ -79,19 +79,19 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`RuntimeError::Codec`] on truncated or malformed input, including
-/// trailing bytes.
+/// trailing bytes, and on a label no code in this process made: the label
+/// is looked up in the process-wide name table ([`Label::lookup`]), never
+/// entered into it, so a peer cannot grow the table one fresh label at a
+/// time.
 pub fn decode_message(mut bytes: &[u8]) -> Result<Message> {
-    let label = get_str(&mut bytes)?;
+    let label = get_label(&mut bytes)?;
     let value = get_value(&mut bytes)?;
     if !bytes.is_empty() {
         return Err(RuntimeError::Codec {
             reason: format!("{} trailing bytes after the payload", bytes.len()),
         });
     }
-    Ok(Message {
-        label: Label::new(label),
-        value,
-    })
+    Ok(Message { label, value })
 }
 
 pub(crate) fn put_value(buf: &mut Vec<u8>, value: &Value) {
@@ -188,6 +188,11 @@ pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 pub(crate) fn get_str(bytes: &mut &[u8]) -> Result<String> {
+    get_text(bytes).map(str::to_owned)
+}
+
+/// A length-prefixed string, borrowed from the input.
+fn get_text<'a>(bytes: &mut &'a [u8]) -> Result<&'a str> {
     let len = get_u32(bytes)? as usize;
     if bytes.len() < len {
         return Err(RuntimeError::Codec {
@@ -195,13 +200,30 @@ pub(crate) fn get_str(bytes: &mut &[u8]) -> Result<String> {
         });
     }
     let (head, rest) = bytes.split_at(len);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| RuntimeError::Codec {
-            reason: "string is not valid utf-8".to_owned(),
-        })?
-        .to_owned();
+    let s = std::str::from_utf8(head).map_err(|_| RuntimeError::Codec {
+        reason: "string is not valid utf-8".to_owned(),
+    })?;
     *bytes = rest;
     Ok(s)
+}
+
+/// A role name, looked up and never interned (see [`get_label`]).
+pub(crate) fn get_role(bytes: &mut &[u8]) -> Result<Role> {
+    known(get_text(bytes)?, Role::lookup, "role")
+}
+
+/// A label name, looked up in the process-wide name table and never entered
+/// into it: outside bytes must not grow a table that is never freed, and a
+/// name no code in this process made cannot match any program arm or
+/// compiled table, so it is refused here.
+pub(crate) fn get_label(bytes: &mut &[u8]) -> Result<Label> {
+    known(get_text(bytes)?, Label::lookup, "label")
+}
+
+fn known<T>(name: &str, lookup: fn(&str) -> Option<T>, what: &str) -> Result<T> {
+    lookup(name).ok_or_else(|| RuntimeError::Codec {
+        reason: format!("unknown {what} {name:?}: no code in this process made that name"),
+    })
 }
 
 pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {

@@ -24,7 +24,12 @@
 //!   travels. The value and sort decoders follow at most
 //!   [`codec::MAX_NESTING`] constructors inwards — every decoder of outside
 //!   bytes (a peer's message, a mux frame, a checkpoint, a log image)
-//!   inherits the bound, so nesting cannot be made to overflow a stack;
+//!   inherits the bound, so nesting cannot be made to overflow a stack.
+//!   Role and label names are looked up in the process-wide name table
+//!   ([`zooid_mpst::Role::lookup`], [`zooid_mpst::Label::lookup`]) and never
+//!   entered into it: a name no code in the process made is refused with
+//!   [`RuntimeError::Codec`], so outside bytes cannot grow a table that is
+//!   never freed;
 //! * [`wire`] — framing for real sockets: every frame is a big-endian `u32`
 //!   length followed by that many payload bytes, the length validated
 //!   against a configurable `max_frame_bytes` cap (default 16 MiB) **before
@@ -97,9 +102,9 @@
 //!   through the wire codec into a `Vec<u8>` as a
 //!   [`checkpoint::SessionCheckpoint`] — the server takes one only to move
 //!   a session between shards — and restored under re-validation: nesting
-//!   is capped as in [`codec`], and every index is checked against the
-//!   compiled programs and transition tables before anything resumes, so a
-//!   corrupted or hostile checkpoint is refused
+//!   is capped and names are looked up as in [`codec`], and every index is
+//!   checked against the compiled programs and transition tables before
+//!   anything resumes, so a corrupted or hostile checkpoint is refused
 //!   ([`RuntimeError::Recovery`]), never admitted;
 //! * [`wal`] — an append-only write-ahead trace log whose records are
 //!   columnarized before framing (skeleton = per-site template ids,

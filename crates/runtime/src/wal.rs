@@ -23,7 +23,10 @@
 //! ids pack contiguously and the log costs a fraction of naively
 //! serializing every action's roles, label and sort per record (the
 //! structural-entropy trick, here buying audit-log density; see
-//! [`encode_quantum`] vs [`encode_quantum_naive`]).
+//! [`encode_quantum`] vs [`encode_quantum_naive`]). A columnar record spells
+//! no name at all, so [`scan_bytes`] never consults the process-wide name
+//! table; the naive format does, and its decoder looks names up and refuses
+//! one no code made, exactly like the checkpoint decoder it shares.
 //!
 //! # Group commit and torn tails
 //!
@@ -269,6 +272,12 @@ pub fn encode_quantum_naive(records: &[WalRecord], indexer: &WalIndexer) -> Resu
 
 /// Decodes a [`encode_quantum_naive`] payload (kept so the naive format is
 /// round-trip honest in the property tests, not just a byte counter).
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on malformed bytes, and on a role or label name
+/// no code in this process made: names are looked up, never interned, as in
+/// [`SessionCheckpoint::decode`](crate::checkpoint::SessionCheckpoint::decode).
 pub fn decode_quantum_naive(mut bytes: &[u8]) -> Result<Vec<(u64, ValueAction)>> {
     let bytes = &mut bytes;
     let count = get_u32(bytes)? as usize;

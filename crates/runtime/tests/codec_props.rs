@@ -14,7 +14,7 @@ use zooid_runtime::cexec::EndpointProgram;
 use zooid_runtime::checkpoint::SessionCheckpoint;
 use zooid_runtime::codec::{decode_message, encode_message, Message, MAX_NESTING};
 use zooid_runtime::exec::ExecOptions;
-use zooid_runtime::wal::{frame_quantum, scan_bytes, WalRecord};
+use zooid_runtime::wal::{decode_quantum_naive, frame_quantum, scan_bytes, WalRecord};
 use zooid_runtime::wire::{decode_mux, encode_mux, MuxFrame};
 use zooid_runtime::RuntimeError;
 
@@ -126,6 +126,75 @@ fn nesting_is_capped_at_every_decoder_and_the_cap_fits_a_default_stack() {
             refused(SessionCheckpoint::decode(&bytes).map(drop), "checkpoint sort");
         }
     }
+}
+
+/// Appends a length-prefixed name spelled in raw bytes, so the test never
+/// makes the name itself.
+fn put_name(buf: &mut Vec<u8>, name: &str) {
+    buf.extend_from_slice(&(name.len() as u32).to_be_bytes());
+    buf.extend_from_slice(name.as_bytes());
+}
+
+/// Decoders look names up and never intern them: a message frame, a
+/// checkpoint's in-flight frame and a naive log record that name a label no
+/// code in the process made are each refused with a codec error quoting
+/// it, the name table still does not know it afterwards, and the same bytes
+/// with a label the process does know decode.
+#[test]
+fn a_label_no_code_made_is_refused_by_every_name_decoder_and_never_interned() {
+    const FRESH: &str = "label-that-no-code-in-this-process-makes";
+    let refused = |result: Result<(), RuntimeError>, what: &str| match result {
+        Err(RuntimeError::Codec { reason }) => assert!(reason.contains(FRESH), "{what}: {reason}"),
+        other => panic!("{what}: expected a codec refusal, got {other:?}"),
+    };
+    let known = Label::new("l");
+
+    // A peer's message: the label, then a unit payload.
+    let message = |label: &str| {
+        let mut bytes = Vec::new();
+        put_name(&mut bytes, label);
+        bytes.push(0);
+        bytes
+    };
+    refused(decode_message(&message(FRESH)).map(drop), "decode_message");
+    assert_eq!(
+        decode_message(&message("l")).unwrap(),
+        Message::new(known.clone(), Value::Unit)
+    );
+
+    // A checkpoint whose last bytes are its one in-flight frame's label
+    // (`[len]"l"`) and unit payload: respell the label.
+    let mut demoted = fresh_demoted();
+    demoted.frames.push((0, 1, known.clone(), Value::Unit));
+    let checkpoint = SessionCheckpoint::from_demoted(&demoted);
+    let encoded = checkpoint.encode();
+    let mut forged = encoded[..encoded.len() - 6].to_vec();
+    put_name(&mut forged, FRESH);
+    forged.push(0);
+    refused(SessionCheckpoint::decode(&forged).map(drop), "checkpoint frame");
+    assert_eq!(SessionCheckpoint::decode(&encoded).unwrap(), checkpoint);
+
+    // A self-describing log record: session 1, a send `p → q` of a unit.
+    // (Columnar records, what `scan_bytes` reads, carry ids, not names.)
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let record = |label: &str| {
+        let mut bytes = vec![0, 0, 0, 1];
+        bytes.extend_from_slice(&1u64.to_be_bytes());
+        bytes.push(1);
+        put_name(&mut bytes, "p");
+        put_name(&mut bytes, "q");
+        put_name(&mut bytes, label);
+        bytes.extend_from_slice(&[0, 0]);
+        bytes
+    };
+    refused(decode_quantum_naive(&record(FRESH)).map(drop), "decode_quantum_naive");
+    assert_eq!(
+        decode_quantum_naive(&record("l")).unwrap(),
+        [(1, ValueAction::send(p, q, known, Sort::Unit, Value::Unit))]
+    );
+
+    assert_eq!(Label::lookup(FRESH), None);
+    assert_eq!(Role::lookup(FRESH), None);
 }
 
 /// A strategy for arbitrary payload values (bounded depth).
