@@ -44,11 +44,16 @@
 //! one, or an instruction the batch cannot run — is **demoted**: its columns
 //! are gathered into a [`DemotedSession`] carrying the program counters,
 //! slot values, action traces, in-flight frames and the monitor state. The
-//! slab executor resumes it from there without losing a single observation
+//! slab executor can resume it from there without losing a single observation
 //! ([`CompiledEndpointTask::resume`](crate::cexec::CompiledEndpointTask::resume),
-//! [`CompiledMonitor::resume`]) — unless the holder decides the violation
-//! ended it (the server's quarantine), in which case that same state is all
-//! its outcome needs.
+//! [`CompiledMonitor::resume`]). A violator is not resumed: the server ends
+//! a session at its first violation, and the demoted state is all its
+//! outcome needs.
+//!
+//! The frame arena is process memory written only by this module, so it
+//! has no fault seam: every wire id in it was assigned by
+//! [`BatchLayout::new`]. A batch's hostile input is its cast, which the
+//! monitor judges.
 //!
 //! The slab and tree executors remain the behavioural oracles: the
 //! differential suite (`tests/batch_exec.rs`) checks statuses, per-endpoint
@@ -66,14 +71,7 @@ use zooid_proc::{erase, Value, ValueAction};
 use crate::cexec::{admin_tick, ActionTemplate, EndpointProgram};
 use crate::error::RuntimeError;
 use crate::exec::{sort_of_value, EndpointReport, EndpointStatus, ExecOptions};
-use crate::faults::{ArenaFaults, FaultKind, FaultPlan, InjectedFault};
 use crate::monitor::{CompiledMonitor, MonitorViolation};
-
-/// The wire id an arena [`FaultKind::Truncate`] injection writes in place
-/// of the real one. Deliberately out of range for every layout (`u32::MAX`
-/// doubles as `BatchLayout::label_wire`'s "no site" sentinel), so the
-/// receiver surfaces it as a codec failure rather than a mis-delivery.
-const CORRUPT_WIRE: u32 = u32::MAX;
 
 /// The shared skeleton of a batch: the per-role compiled programs plus the
 /// routing tables derived from them once — dense peer indices
@@ -399,9 +397,6 @@ pub struct SessionBatch {
     queues: Vec<FrameQueue>,
     // (pc, session) scratch for cohort grouping, reused across passes.
     scratch: Vec<(u32, u32)>,
-    // Fault evaluator for the arena write path (hostile-world suite);
-    // `None` outside fault campaigns, costing one branch per send.
-    arena_faults: Option<ArenaFaults>,
 }
 
 impl SessionBatch {
@@ -442,23 +437,7 @@ impl SessionBatch {
             slots,
             queues,
             scratch: Vec::new(),
-            arena_faults: None,
         }
-    }
-
-    /// Arms deterministic fault injection on the arena write path. In-batch
-    /// sends never cross a [`Transport`](crate::transport::Transport), so
-    /// [`crate::faults::FaultyTransport`] cannot reach them; this is the
-    /// batch plane's counterpart. See [`ArenaFaults`] for which
-    /// [`FaultKind`]s are meaningful at this seam.
-    pub fn set_arena_faults(&mut self, plan: &FaultPlan) {
-        self.arena_faults = Some(ArenaFaults::new(plan));
-    }
-
-    /// The deterministic log of arena faults injected so far (empty when
-    /// no plan is armed).
-    pub fn arena_fault_schedule(&self) -> &[InjectedFault] {
-        self.arena_faults.as_ref().map_or(&[], ArenaFaults::schedule)
     }
 
     /// The shared layout the batch runs.
@@ -775,22 +754,7 @@ impl SessionBatch {
             .expect("batch-eligible templates are interned");
         let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
         self.note(layout, s, r, (event, true), accepted, &value);
-        // The arena seam: by this point the send is observed and recorded —
-        // exactly like a transport-level fault, which strikes after the
-        // sender has committed the action.
-        match self
-            .arena_faults
-            .as_mut()
-            .and_then(|f| f.decide(&template.peer, &template.label))
-        {
-            Some(FaultKind::Drop) => {}
-            Some(FaultKind::Duplicate) => {
-                self.queues[ch + s].push(wire, value.clone());
-                self.queues[ch + s].push(wire, value);
-            }
-            Some(FaultKind::Truncate) => self.queues[ch + s].push(CORRUPT_WIRE, value),
-            _ => self.queues[ch + s].push(wire, value),
-        }
+        self.queues[ch + s].push(wire, value);
         self.steps[idx] += 1;
         self.pcs[idx] = next;
         self.progress[s] = true;
@@ -831,19 +795,10 @@ impl SessionBatch {
             .iter()
             .find(|arm| layout.label_wire[r][arm.label.index()] == wire)
         else {
-            // A wire id outside the label table is a corrupted frame (the
-            // arena Truncate fault, or a bug), not a mis-labelled message.
-            let err = match layout.labels.get(wire as usize) {
-                Some(label) => RuntimeError::UnexpectedMessage {
-                    from: layout.roles[q].clone(),
-                    label: label.clone(),
-                },
-                None => RuntimeError::Codec {
-                    reason: format!(
-                        "corrupted frame in the batch arena from `{}` (wire id {wire})",
-                        layout.roles[q]
-                    ),
-                },
+            // Every wire id in the arena was assigned by `BatchLayout::new`.
+            let err = RuntimeError::UnexpectedMessage {
+                from: layout.roles[q].clone(),
+                label: layout.labels[wire as usize].clone(),
             };
             self.fail(idx, s, err);
             return;
@@ -1000,14 +955,7 @@ impl SessionBatch {
             for to in 0..n {
                 let queue = &mut self.queues[(from * n + to) * cap + s];
                 while let Some((wire, value)) = queue.pop() {
-                    // A corrupted in-flight frame keeps a deliberately
-                    // unknown label, so the slab receiver rejects it just
-                    // as the batch receiver would have.
-                    let label = layout
-                        .labels
-                        .get(wire as usize)
-                        .cloned()
-                        .unwrap_or_else(|| Label::new("\u{fffd}corrupt"));
+                    let label = layout.labels[wire as usize].clone();
                     frames.push((from as u32, to as u32, label, value));
                 }
             }

@@ -253,102 +253,6 @@ impl std::fmt::Display for InjectedFault {
     }
 }
 
-/// Fault evaluator for the columnar batch arena (`cbatch::SessionBatch`).
-///
-/// In-arena sends between co-batched sessions never cross a [`Transport`],
-/// so [`FaultyTransport`] cannot reach them — without this evaluator the
-/// batch fast path would be exempt from the hostile-world suite. The batch
-/// consults [`ArenaFaults::decide`] once per arena send (a *counted*
-/// operation, exactly like the transport wrapper's), so the schedule is a
-/// deterministic function of the seed and the batch's step order.
-///
-/// The arena is a same-process index write, which narrows the meaningful
-/// fault kinds:
-///
-/// * [`FaultKind::Drop`] — the frame is never pushed;
-/// * [`FaultKind::Duplicate`] — the frame is pushed twice;
-/// * [`FaultKind::Truncate`] — the frame is pushed with a corrupt wire id,
-///   surfacing at the *receiver* as a codec failure. This deviates from the
-///   transport wrapper (where truncation only fires on the receive site):
-///   the arena has no separate receive operation, so the send is the only
-///   seam, and the observable effect — receiver-side codec error, message
-///   lost — is the same.
-///
-/// Delay, reorder and disconnect describe a wire that the arena does not
-/// have; specs carrying them are ignored here. Receive-site-only specs are
-/// likewise ignored (every arena operation counts as a send).
-#[derive(Debug)]
-pub struct ArenaFaults {
-    rng: SplitMix64,
-    /// `(spec, injections already performed)`.
-    specs: Vec<(FaultSpec, u32)>,
-    /// Counted operations (arena sends).
-    op: u64,
-    schedule: Vec<InjectedFault>,
-}
-
-impl ArenaFaults {
-    /// Builds an evaluator from a plan. Kinds the arena cannot express
-    /// (delay, reorder, disconnect) are dropped up front.
-    pub fn new(plan: &FaultPlan) -> Self {
-        ArenaFaults {
-            rng: SplitMix64::new(plan.seed),
-            specs: plan
-                .specs
-                .iter()
-                .filter(|s| {
-                    matches!(
-                        s.kind,
-                        FaultKind::Drop | FaultKind::Duplicate | FaultKind::Truncate
-                    ) && s.site != FaultSite::Recv
-                })
-                .map(|s| (s.clone(), 0))
-                .collect(),
-            op: 0,
-            schedule: Vec::new(),
-        }
-    }
-
-    /// Decides whether a fault fires for this arena send. Draws from the
-    /// PRNG once per matching spec until one fires, mirroring
-    /// [`FaultyTransport`]'s discipline.
-    pub fn decide(&mut self, peer: &Role, label: &Label) -> Option<FaultKind> {
-        self.op += 1;
-        for (spec, used) in &mut self.specs {
-            if *used >= spec.budget {
-                continue;
-            }
-            if let Some(target) = &spec.peer {
-                if target != peer {
-                    continue;
-                }
-            }
-            if self.rng.chance(spec.rate_per_64k) {
-                *used += 1;
-                self.schedule.push(InjectedFault {
-                    op: self.op,
-                    kind: spec.kind,
-                    direction: FaultDirection::Send,
-                    peer: peer.clone(),
-                    label: label.clone(),
-                });
-                return Some(spec.kind);
-            }
-        }
-        None
-    }
-
-    /// The deterministic log of every fault injected so far, in order.
-    pub fn schedule(&self) -> &[InjectedFault] {
-        &self.schedule
-    }
-
-    /// Drains and returns the schedule log.
-    pub fn take_schedule(&mut self) -> Vec<InjectedFault> {
-        std::mem::take(&mut self.schedule)
-    }
-}
-
 /// A message held back by a delay or reorder fault, gated on the wrapper's
 /// tick counter (which advances on *every* call, so held messages are
 /// eventually released even while the endpoint only polls).

@@ -71,10 +71,10 @@
 //!   every communication site carries a statically known sort with a
 //!   pre-interned action. A session that is over — concluded, or blocked
 //!   for good — is closed inside its batch; only one the batch cannot carry
-//!   further (violation, runtime sort mismatch) demotes mid-flight, with its
-//!   traces and monitor state, for the per-session executor to resume
-//!   (`tests/batch_exec.rs` drives batch, slab and tree executors in
-//!   lockstep);
+//!   further demotes mid-flight, with its traces and monitor state: a
+//!   violator for its holder to close, a runtime sort mismatch for the
+//!   per-session executor to resume (`tests/batch_exec.rs` drives batch,
+//!   slab and tree executors in lockstep);
 //! * [`monitor`] — online protocol-compliance monitors (the "dynamic
 //!   monitoring" application of type-level transition systems mentioned in
 //!   §1): [`TraceMonitor`] replays observed actions against the global
@@ -93,10 +93,10 @@
 //!   [`faults::FaultReader`] that corrupts the byte stream below the codec
 //!   (bit flips, split deliveries, hostile length prefixes) at the
 //!   [`wire::FrameReader`] seam. Every injection is logged, so the same
-//!   seed reproduces the same schedule on every backend. The columnar batch
-//!   plane has its own injection point — [`cbatch::SessionBatch`] takes a
-//!   `FaultPlan` for its in-arena sends, which never cross a `Transport` —
-//!   so the hostile-world suite covers both data planes;
+//!   seed reproduces the same schedule on every backend. These are test
+//!   instruments: no serving module names them, and the columnar batch's
+//!   in-arena sends, which never cross a `Transport`, have no fault seam
+//!   (the arena is process memory; a batch's hostile input is its cast);
 //! * [`checkpoint`] — movable sessions: a live session (per-role pc, value
 //!   slots, monitor cursor, in-flight frames in channel order) serialized
 //!   through the wire codec into a `Vec<u8>` as a
@@ -141,8 +141,8 @@ pub use codec::Message;
 pub use error::{Result, RuntimeError};
 pub use exec::{execute, EndpointReport, EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
 pub use faults::{
-    ArenaFaults, FaultKind, FaultPlan, FaultReader, FaultSite, FaultSpec, FaultyTransport,
-    InjectedFault, WireFault,
+    FaultKind, FaultPlan, FaultReader, FaultSite, FaultSpec, FaultyTransport, InjectedFault,
+    WireFault,
 };
 pub use harness::{SessionHarness, SessionReport};
 pub use monitor::{CompiledMonitor, MonitorViolation, TraceMonitor};

@@ -240,13 +240,8 @@ pub enum RejectCode {
     BadFrame = 5,
     /// The server is shutting down.
     ShuttingDown = 6,
-    /// A session hosted on this connection was quarantined (its monitor
-    /// rejected an action) and the server's policy tears the owning
-    /// connection down.
-    Quarantined = 7,
-    /// The connection accumulated too many byzantine strikes (quarantined
-    /// sessions) and further `Open`s from it are refused.
-    Banned = 8,
+    // Codes 7 and 8 are retired and stay unassigned, so an older peer's
+    // byte never decodes as a different reason.
 }
 
 impl TryFrom<u8> for RejectCode {
@@ -260,8 +255,6 @@ impl TryFrom<u8> for RejectCode {
             4 => RejectCode::Overloaded,
             5 => RejectCode::BadFrame,
             6 => RejectCode::ShuttingDown,
-            7 => RejectCode::Quarantined,
-            8 => RejectCode::Banned,
             _ => {
                 return Err(RuntimeError::Codec {
                     reason: format!("unknown reject code {raw}"),
@@ -280,8 +273,6 @@ impl std::fmt::Display for RejectCode {
             RejectCode::Overloaded => "overloaded",
             RejectCode::BadFrame => "bad-frame",
             RejectCode::ShuttingDown => "shutting-down",
-            RejectCode::Quarantined => "quarantined",
-            RejectCode::Banned => "banned",
         };
         f.write_str(s)
     }

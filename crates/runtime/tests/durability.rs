@@ -8,9 +8,9 @@
 //! verdicts — to never having interrupted it at all. Around that
 //! differential core sit the trust-boundary tests (truncated, bit-flipped
 //! and cross-protocol checkpoints are refused with structured errors, not
-//! panics), the WAL's torn-tail/corruption distinction, recovery-as-replay
-//! (a log is re-certified through a fresh monitor, so a forged log is
-//! refused), and the batch arena's deterministic fault injection.
+//! panics), the WAL's torn-tail/corruption distinction, and
+//! recovery-as-replay (a log is re-certified through a fresh monitor, so a
+//! forged log is refused).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use zooid_runtime::wal::{
     decode_quantum_naive, encode_quantum, encode_quantum_naive, frame_quantum, recover, scan,
     scan_bytes, WalIndexer, WalRecord, WalWriter,
 };
-use zooid_runtime::{FaultKind, FaultPlan, FaultSite, FaultSpec, RuntimeError};
+use zooid_runtime::RuntimeError;
 
 // ---------------------------------------------------------------------
 // Skeleton synthesis (first-branch sends, default payloads) — the same
@@ -590,133 +590,5 @@ fn wal_recovery_refuses_forged_logs() {
     match &err {
         RuntimeError::Recovery { .. } => {}
         other => panic!("expected recovery refusal, got {other}"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batch arena fault injection (the hostile-world hook for the data plane
-// whose sends never cross a Transport).
-// ---------------------------------------------------------------------
-
-#[test]
-fn arena_drop_stalls_the_receiver_deterministically() {
-    let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
-    let layout = make_layout(&g, &procs);
-    let plan = FaultPlan::new(11).with(FaultSpec::new(FaultKind::Drop, FaultSite::Send).budget(1));
-
-    let run = |plan: &FaultPlan| {
-        let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
-        assert!(batch.admit(0));
-        batch.set_arena_faults(plan);
-        let out = batch.run_quantum(usize::MAX);
-        let schedule = batch.arena_fault_schedule().to_vec();
-        (out, schedule)
-    };
-    let (out, schedule) = run(&plan);
-    assert_eq!(schedule.len(), 1, "the budgeted drop fires once");
-    assert_eq!(schedule[0].kind, FaultKind::Drop);
-    // The dropped message starves its receiver: the session cannot finish
-    // compliant-and-complete; it demotes (no progress) or stalls.
-    let stalled = out
-        .demoted
-        .iter()
-        .flat_map(|d| d.endpoints.iter())
-        .any(|ep| ep.status.is_none() || ep.status == Some(EndpointStatus::Stalled))
-        || out.finished.iter().any(|o| o.stalled);
-    assert!(stalled, "a dropped frame must strand an endpoint");
-    // Same seed, same plan: byte-identical schedule.
-    let (_, schedule2) = run(&plan);
-    assert_eq!(schedule, schedule2, "injection is deterministic");
-}
-
-#[test]
-fn arena_truncation_surfaces_as_a_structured_codec_failure() {
-    let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
-    let layout = make_layout(&g, &procs);
-    let plan =
-        FaultPlan::new(23).with(FaultSpec::new(FaultKind::Truncate, FaultSite::Send).budget(1));
-    let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
-    assert!(batch.admit(0));
-    batch.set_arena_faults(&plan);
-    let out = batch.run_quantum(usize::MAX);
-    assert_eq!(batch.arena_fault_schedule().len(), 1);
-
-    let failures: Vec<String> = out
-        .finished
-        .iter()
-        .flat_map(|o| o.endpoints.iter())
-        .filter_map(|r| match &r.status {
-            EndpointStatus::Failed { error } => Some(error.clone()),
-            _ => None,
-        })
-        .chain(
-            out.demoted
-                .iter()
-                .flat_map(|d| d.endpoints.iter())
-                .filter_map(|ep| match &ep.status {
-                    Some(EndpointStatus::Failed { error }) => Some(error.clone()),
-                    _ => None,
-                }),
-        )
-        .collect();
-    assert!(
-        failures
-            .iter()
-            .any(|e| e.contains("corrupted frame in the batch arena")),
-        "truncation must be a structured codec failure, got {failures:?}"
-    );
-}
-
-#[test]
-fn arena_duplicate_doubles_an_inflight_frame_without_inventing_content() {
-    let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
-    let (_, reference_log) = run_reference(&g, &procs, &ExecOptions::default());
-    let layout = make_layout(&g, &procs);
-    let plan =
-        FaultPlan::new(37).with(FaultSpec::new(FaultKind::Duplicate, FaultSite::Send).budget(1));
-
-    // Demote right after the first send and look at the in-flight frame
-    // set: duplication must add exactly one frame, byte-identical to one
-    // the sender legitimately produced.
-    let run_frames = |plan: Option<&FaultPlan>| {
-        let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
-        assert!(batch.admit(0));
-        if let Some(plan) = plan {
-            batch.set_arena_faults(plan);
-        }
-        let out = batch.run_quantum(1);
-        assert!(out.finished.is_empty() && out.demoted.is_empty());
-        let frames = batch.demote_now(0).expect("live").frames;
-        let fired = batch.arena_fault_schedule().to_vec();
-        (frames, fired)
-    };
-    let (clean, none_fired) = run_frames(None);
-    assert!(none_fired.is_empty());
-    let (faulted, fired) = run_frames(Some(&plan));
-    assert_eq!(fired.len(), 1, "the budgeted duplicate fires once");
-    assert_eq!(fired[0].kind, FaultKind::Duplicate);
-    assert_eq!(
-        faulted.len(),
-        clean.len() + 1,
-        "duplication adds exactly one in-flight frame"
-    );
-    // The extra frame carries no invented content: every in-flight frame —
-    // the duplicate included — is a copy of a send the protocol's reference
-    // run legitimately performs on that channel.
-    let roles = layout.roles();
-    for (from, to, label, value) in &faulted {
-        assert!(
-            reference_log.iter().any(|va| {
-                va.is_send
-                    && va.from == roles[*from as usize]
-                    && va.to == roles[*to as usize]
-                    && va.label == *label
-                    && va.value == *value
-            }),
-            "in-flight frame is not a legitimate send: {label:?} {value:?}"
-        );
     }
 }

@@ -41,14 +41,13 @@
 //!   columns stepped in `(role, pc)` cohorts, with co-batched sends as
 //!   index writes into a shared frame arena. Everything else — and every
 //!   session a batch demotes mid-flight because it must keep running and
-//!   cannot there (a tolerated violation, a runtime sort mismatch), with
-//!   its traces, monitor cursor and in-flight frames intact — runs on the
-//!   per-session **slab** (reusable slots, also the behavioural oracle for
-//!   the batched path). Under the default [`QuarantinePolicy::Halt`] a
-//!   session the monitor flags is **quarantined**: never stepped again
-//!   (slab and batch paths alike), closed from the state it is in,
-//!   counted per shard and per protocol, and recorded as a
-//!   [`FlightEvent::Quarantined`];
+//!   cannot there (a runtime sort mismatch), with its traces, monitor
+//!   cursor and in-flight frames intact — runs on the per-session **slab**
+//!   (reusable slots, also the behavioural oracle for the batched path). A
+//!   session whose monitor rejects an action is **quarantined**: never
+//!   stepped again (slab and batch paths alike), closed from the state it
+//!   is in, counted per shard and per protocol, and recorded as one
+//!   [`FlightEvent::Violation`];
 //! * [`metrics`] — the instrument tables, one per layer: every counter
 //!   and histogram a shard or the IO loop keeps is one row (name, doc, wire
 //!   key, kind), and the live atomics ([`metrics::ShardInstruments`],
@@ -80,12 +79,9 @@
 //!   rejection frames, and hostile framing is a counted, bounded error —
 //!   never an allocation or a hang. Connections that never produce a
 //!   decodable frame are reaped after
-//!   [`NetServerConfig::idle_timeout`], and quarantined sessions can
-//!   optionally tear down their opening connection
-//!   ([`NetServerConfig::close_on_quarantine`]) — or, with
-//!   [`NetServerConfig::ban_after_quarantines`], a connection whose
-//!   sessions keep getting quarantined has its further opens rejected
-//!   while it stays up for in-flight work.
+//!   [`NetServerConfig::idle_timeout`]. A quarantined session reaches its
+//!   opener as a `Done` frame like any other: the server runs its own
+//!   catalog cast, so a violation is no fault of the connection.
 //!
 //! Sessions are **movable**: a session's state is copied out only when the
 //! session leaves its shard. [`SessionServer::drain_shard`] takes every
@@ -95,19 +91,16 @@
 //! shard after the decoder re-validates every index against the
 //! protocol's compiled artifacts (a tampered or foreign checkpoint is a
 //! structured [`error`], never a panic). Nothing is snapshotted on the
-//! scheduling path. Quarantine is a *policy family*:
-//! [`QuarantinePolicy::Observe`] records violations but keeps stepping,
-//! [`QuarantinePolicy::Halt`] (the default) stops a flagged session at its
-//! first violation and closes it from the state its executor already holds.
-//! There is no re-run policy: a certified endpoint is a deterministic
+//! scheduling path. A violation ends the session, and that is the whole
+//! policy: a process certified against the protocol's projection performs
+//! only the protocol's traces (the paper's Theorem 4.7), so the first
+//! rejected action proves the cast is not what its certificate says, and
+//! the shard closes the session there, from the state its executor already
+//! holds. There is no re-run: a certified endpoint is a deterministic
 //! function of what it receives, so re-running a session that calls no
 //! externals repeats its verdict, and one that calls them cannot be re-run.
-//! Per-protocol violation thresholds
-//! ([`ServerConfig::with_violation_threshold`]) let designated lenient
-//! protocols absorb violations Observe-style while everything else stays
-//! strict. `tests/crash_recovery.rs` drives drain/migrate conservation,
-//! checkpoint tampering, quarantine on both execution paths and connection
-//! bans.
+//! `tests/crash_recovery.rs` drives drain/migrate conservation, checkpoint
+//! tampering and quarantine on both execution paths.
 //!
 //! A session **ends where it stands**: whoever holds it when it is over —
 //! a columnar batch (concluded, or every endpoint blocked for good), a slab
@@ -144,6 +137,6 @@ pub use obs::{
 };
 pub use net::{NetClient, NetServer, NetServerConfig, Service};
 pub use registry::{ProtocolArtifacts, ProtocolId, ProtocolRegistry, SafetyBudget};
-pub use server::{MigratedSession, QuarantinePolicy, ServerConfig, SessionServer};
+pub use server::{MigratedSession, ServerConfig, SessionServer};
 pub use synth::{ByzantineDriver, ByzantineMutation, ExpectedClass};
 pub use session::{SessionId, SessionOutcome, SessionSpec};

@@ -68,8 +68,8 @@ instruments! {
     sessions_completed: sum = "completed",
     /// Finished sessions whose monitor observed at least one violation.
     sessions_violated: sum = "violated",
-    /// Sessions the quarantine policy halted at their first rejected
-    /// action (a subset of `sessions_violated`).
+    /// Sessions closed at their first rejected action; equals
+    /// `sessions_violated`, since a violation always ends the session.
     sessions_quarantined: sum = "quarantined",
     /// Sessions the scheduler gave up on (every endpoint blocked).
     sessions_stalled: sum = "stalled",
@@ -87,9 +87,9 @@ instruments! {
     /// (heterogeneous or not batch-eligible).
     sessions_slab: sum = "slab",
     /// Sessions a batch demoted mid-flight because it could not carry them
-    /// further (violation, runtime sort mismatch): resumed on the slab, or
-    /// closed as quarantined. A session a batch closes as stalled is not
-    /// demoted.
+    /// further: closed as quarantined after a violation, resumed on the
+    /// slab after a runtime sort mismatch. A session a batch closes as
+    /// stalled is not demoted.
     sessions_demoted: sum = "demoted",
     /// `(role, pc)` cohorts stepped by this shard's batches.
     batch_cohorts: sum = "cohorts",
@@ -188,12 +188,6 @@ instruments! {
     bad_frame: sum = "bad_frame",
     /// `RejectCode::ShuttingDown` rejections.
     shutting_down: sum = "shutting_down",
-    /// `RejectCode::Quarantined` rejections (connection torn down because a
-    /// hosted session was quarantined).
-    quarantined: sum = "quarantined",
-    /// `RejectCode::Banned` rejections (`Open`s refused because the
-    /// connection crossed the byzantine-strike threshold).
-    banned: sum = "banned",
 }
 
 impl RejectCounts {
@@ -264,8 +258,6 @@ impl NetInstruments {
             RejectCode::Overloaded => &rejects.overloaded,
             RejectCode::BadFrame => &rejects.bad_frame,
             RejectCode::ShuttingDown => &rejects.shutting_down,
-            RejectCode::Quarantined => &rejects.quarantined,
-            RejectCode::Banned => &rejects.banned,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -612,9 +604,7 @@ mod tests {
         metrics.record_reject(RejectCode::ConnectionLimit);
         metrics.record_reject(RejectCode::SessionLimit);
         metrics.record_reject(RejectCode::ShuttingDown);
-        metrics.record_reject(RejectCode::Quarantined);
-        metrics.record_reject(RejectCode::Banned);
-        metrics.record_reject(RejectCode::Banned);
+        metrics.record_reject(RejectCode::ShuttingDown);
         let report = metrics.report();
         assert_eq!(
             report.rejects,
@@ -624,14 +614,12 @@ mod tests {
                 session_limit: 1,
                 overloaded: 2,
                 bad_frame: 1,
-                shutting_down: 1,
-                quarantined: 1,
-                banned: 2,
+                shutting_down: 2,
             }
         );
-        assert_eq!(report.rejects.total(), 10);
-        assert!(report.to_string().contains("net.rejects.banned 2\n"));
+        assert_eq!(report.rejects.total(), 8);
         let text = report.to_string();
+        assert!(text.contains("net.rejects.shutting_down 2\n"), "{text}");
         assert!(text.contains("net.rejects.overloaded 2\n"), "{text}");
         assert!(text.contains("net.rejects.bad_frame 1\n"), "{text}");
         assert!(text.contains("net.io_pass_ns "), "{text}");

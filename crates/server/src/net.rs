@@ -68,10 +68,11 @@
 //! * **Idle reaper** — a connection that never delivers a decodable frame
 //!   within [`NetServerConfig::idle_timeout`] is closed with a
 //!   [`CloseReason::Idle`] flight event; silent peers cannot hold slots.
-//! * **Quarantine teardown** — with
-//!   [`NetServerConfig::close_on_quarantine`] set, a session the shards
-//!   quarantined also costs its opener the connection: `Done`, then a
-//!   [`RejectCode::Quarantined`] rejection, then the close.
+//!
+//! A session the shards quarantine costs its opener nothing beyond its
+//! `Done` frame (`compliant: false`): the server runs its own catalog cast
+//! and the wire carries only a protocol name, so a violation is the
+//! operator's registered cast misbehaving, not the client.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -158,18 +159,6 @@ pub struct NetServerConfig {
     /// silent cannot hold a slot forever. The deadline is disarmed by the
     /// first decoded frame.
     pub idle_timeout: Duration,
-    /// When set, a session quarantined by the shards also tears down the
-    /// TCP connection that opened it: the client sees its `Done` frame,
-    /// then a [`RejectCode::Quarantined`] rejection, then the close
-    /// (default `false` — quarantine stays a scheduler-side containment).
-    pub close_on_quarantine: bool,
-    /// Reject-then-ban: once a connection has accumulated this many
-    /// quarantined sessions (byzantine *strikes*), its further `Open`s are
-    /// shed with [`RejectCode::Banned`] — the connection stays up (its
-    /// compliant sessions finish and its `Done`/`Stats` traffic still
-    /// flows), but it can open nothing new. `0` disables banning
-    /// (the default).
-    pub ban_after_quarantines: usize,
 }
 
 impl Default for NetServerConfig {
@@ -183,8 +172,6 @@ impl Default for NetServerConfig {
             max_frame_bytes: zooid_runtime::wire::DEFAULT_MAX_FRAME_BYTES,
             max_conn_outbuf_bytes: 256 * 1024,
             idle_timeout: Duration::from_secs(30),
-            close_on_quarantine: false,
-            ban_after_quarantines: 0,
         }
     }
 }
@@ -222,9 +209,6 @@ struct NetConn {
     /// Reap deadline for a connection that has yet to deliver a decodable
     /// frame; disarmed by the first decoded frame.
     idle_until: Option<Instant>,
-    /// Quarantined sessions this connection has opened (byzantine
-    /// strikes), for [`NetServerConfig::ban_after_quarantines`].
-    strikes: usize,
 }
 
 impl NetConn {
@@ -243,7 +227,6 @@ impl NetConn {
             fin_sent: false,
             linger_until: None,
             idle_until: None,
-            strikes: 0,
         }
     }
 
@@ -739,19 +722,6 @@ impl IoLoop {
     ) -> std::result::Result<(), (RejectCode, String)> {
         let (rejected, shed) = (&self.metrics.sessions_rejected, &self.metrics.sessions_shed);
         let config = &self.config;
-        if config.ban_after_quarantines > 0 && conn.strikes >= config.ban_after_quarantines {
-            // Reject-then-ban: the connection has spent its byzantine-strike
-            // budget; its in-flight sessions finish but nothing new is
-            // admitted from it.
-            rejected.fetch_add(1, Ordering::Relaxed);
-            return Err((
-                RejectCode::Banned,
-                format!(
-                    "connection banned after {} quarantined sessions",
-                    conn.strikes
-                ),
-            ));
-        }
         let id = self.server.registry().lookup(protocol);
         let Some(service) = id.and_then(|id| self.catalog[id.index()].as_ref()) else {
             rejected.fetch_add(1, Ordering::Relaxed);
@@ -820,7 +790,7 @@ impl IoLoop {
             // or have its admission counter touched.
             return;
         }
-        let Some(mut conn) = self.conns[slot].take() else {
+        let Some(conn) = self.conns[slot].as_mut() else {
             // The owning connection died while the session ran.
             return;
         };
@@ -840,19 +810,6 @@ impl IoLoop {
         });
         self.metrics.frames_written.fetch_add(1, Ordering::Relaxed);
         self.metrics.sessions_done.fetch_add(1, Ordering::Relaxed);
-        if outcome.quarantined {
-            // A byzantine strike against the opening connection, for the
-            // reject-then-ban admission check.
-            conn.strikes += 1;
-            if self.config.close_on_quarantine {
-                // Quarantine escalates to the transport: the opener reads
-                // its Done, a structured rejection, then EOF.
-                let reason = "session quarantined by monitor";
-                self.reject(&mut conn, client_id, RejectCode::Quarantined, reason.into());
-                conn.close(CloseReason::Quarantined);
-            }
-        }
-        self.conns[slot] = Some(conn);
     }
 
     /// Flushes write buffers; reaps idle, drained-and-closing and dead

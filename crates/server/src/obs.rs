@@ -284,9 +284,6 @@ pub enum CloseReason {
     LingerExpired = 5,
     /// The connection never sent a decodable frame within the idle timeout.
     Idle = 6,
-    /// A session hosted on the connection was quarantined and the server's
-    /// policy tears the owning connection down.
-    Quarantined = 7,
 }
 
 impl CloseReason {
@@ -298,7 +295,6 @@ impl CloseReason {
             4 => CloseReason::Shutdown,
             5 => CloseReason::LingerExpired,
             6 => CloseReason::Idle,
-            7 => CloseReason::Quarantined,
             _ => return None,
         })
     }
@@ -313,7 +309,6 @@ impl fmt::Display for CloseReason {
             CloseReason::Shutdown => "shutdown",
             CloseReason::LingerExpired => "linger-expired",
             CloseReason::Idle => "idle",
-            CloseReason::Quarantined => "quarantined",
         })
     }
 }
@@ -324,7 +319,6 @@ const EV_STALLED: u8 = 3;
 const EV_VIOLATION: u8 = 4;
 const EV_REJECTED: u8 = 5;
 const EV_CONN_CLOSED: u8 = 6;
-const EV_QUARANTINED: u8 = 7;
 
 const PAYLOAD_MASK: u64 = (1 << 48) - 1;
 
@@ -343,7 +337,7 @@ pub enum FlightEvent {
         batched: bool,
     },
     /// A session was pulled out of its batch mid-flight: to resume on the
-    /// slab, or — its violation budget spent — to close as quarantined.
+    /// slab, or — after a violation — to close as quarantined.
     BatchDemoted {
         /// The session's dense id.
         session: u64,
@@ -353,7 +347,7 @@ pub enum FlightEvent {
         /// The session's dense id.
         session: u64,
     },
-    /// A session finished with at least one monitor violation (an
+    /// A session was closed as quarantined at a monitor violation (an
     /// [`Incident`] was captured alongside).
     Violation {
         /// The session's dense id.
@@ -374,11 +368,6 @@ pub enum FlightEvent {
         /// Why it was closed.
         reason: CloseReason,
     },
-    /// The quarantine policy halted a session at its first rejected action.
-    Quarantined {
-        /// The session's dense id.
-        session: u64,
-    },
 }
 
 impl FlightEvent {
@@ -390,7 +379,6 @@ impl FlightEvent {
             FlightEvent::Violation { session } => (EV_VIOLATION, 0, session),
             FlightEvent::Rejected { session, code } => (EV_REJECTED, code as u8, session),
             FlightEvent::ConnClosed { client, reason } => (EV_CONN_CLOSED, reason as u8, client),
-            FlightEvent::Quarantined { session } => (EV_QUARANTINED, 0, session),
         };
         (u64::from(kind) << 56) | (u64::from(code) << 48) | (payload & PAYLOAD_MASK)
     }
@@ -415,7 +403,6 @@ impl FlightEvent {
                 client: payload,
                 reason: CloseReason::from_u8(code)?,
             },
-            EV_QUARANTINED => FlightEvent::Quarantined { session: payload },
             _ => return None,
         })
     }
@@ -839,15 +826,6 @@ mod tests {
                 client: 6,
                 reason: CloseReason::Idle,
             },
-            FlightEvent::ConnClosed {
-                client: 7,
-                reason: CloseReason::Quarantined,
-            },
-            FlightEvent::Rejected {
-                session: 10,
-                code: RejectCode::Quarantined,
-            },
-            FlightEvent::Quarantined { session: 11 },
         ];
         for case in cases {
             assert_eq!(FlightEvent::unpack(case.pack()), Some(case), "{case:?}");

@@ -34,37 +34,13 @@ use crate::session::{
     failed_at_admission, ActiveSession, SessionId, SessionOutcome, SessionSpec,
 };
 
-/// What a worker shard does with a session whose monitor rejected an
-/// action.
-///
-/// Detection alone (PR 8's incidents) still lets a byzantine endpoint keep
-/// talking — burning shard budget and spraying messages at honest peers —
-/// for as long as the session takes to finish on its own. Quarantine is the
-/// policy beyond recording: the shard stops stepping the session the moment
-/// the monitor says no.
-///
-/// There is no "try it again" policy: a session that calls no externals is
-/// a deterministic function of its cast (the paper's Theorems 4.5/4.7), so
-/// a re-run ends in the same violation at the same position, and a session
-/// that does call externals cannot be re-run at all — its closures stay
-/// with the submitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuarantinePolicy {
-    /// Record the violation (metrics, incident capture) but keep stepping
-    /// the session to its natural end.
-    Observe,
-    /// Halt the session once its monitor has rejected as many actions as
-    /// its protocol's threshold allows (the first, unless
-    /// [`ServerConfig::violation_thresholds`] says otherwise): zero further
-    /// steps on either execution path — a slab session closes at the end of
-    /// that step, a batch-demoted violator closes from the state the batch
-    /// extracted instead of being rebuilt on the slab — endpoints still
-    /// mid-protocol reported stalled, the outcome flagged `quarantined`,
-    /// and a `Quarantined` flight-recorder event emitted. The default.
-    Halt,
-}
-
 /// Configuration of a [`SessionServer`].
+///
+/// What happens to a session whose monitor rejects an action is not
+/// configurable: the rejection ends it (see the crate docs for why). The
+/// shard takes no step after the rejected action, on either execution path,
+/// and closes the session from the state its executor holds, flagged
+/// `quarantined`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Number of worker shards (and therefore worker threads).
@@ -72,14 +48,6 @@ pub struct ServerConfig {
     /// Maximum visible communications a session may perform per scheduling
     /// quantum before it is re-queued behind its shard neighbours.
     pub quantum: usize,
-    /// What to do with a session the monitor rejects.
-    pub quarantine: QuarantinePolicy,
-    /// Per-protocol violation thresholds: a session of a listed protocol is
-    /// only quarantined once its monitor has rejected that many actions
-    /// (the adaptive knob for lenient protocols whose occasional stray
-    /// message is tolerable); unlisted protocols quarantine at the first
-    /// rejection. Ignored under [`QuarantinePolicy::Observe`].
-    pub violation_thresholds: Vec<(ProtocolId, u32)>,
 }
 
 impl Default for ServerConfig {
@@ -87,8 +55,6 @@ impl Default for ServerConfig {
         ServerConfig {
             shards: 4,
             quantum: 64,
-            quarantine: QuarantinePolicy::Halt,
-            violation_thresholds: Vec::new(),
         }
     }
 }
@@ -99,47 +65,6 @@ impl ServerConfig {
         ServerConfig {
             shards: shards.max(1),
             ..ServerConfig::default()
-        }
-    }
-
-    /// Tolerates up to `threshold - 1` monitor rejections for sessions of
-    /// `protocol` before quarantining (a threshold of `0` is treated as 1).
-    pub fn with_violation_threshold(mut self, protocol: ProtocolId, threshold: u32) -> Self {
-        self.violation_thresholds.push((protocol, threshold.max(1)));
-        self
-    }
-}
-
-/// The worker-side view of the quarantine configuration: the policy plus
-/// the violation threshold of every registered protocol, indexed by
-/// [`ProtocolId`].
-#[derive(Debug, Clone)]
-struct QuarantineConfig {
-    policy: QuarantinePolicy,
-    thresholds: Vec<u32>,
-}
-
-impl QuarantineConfig {
-    fn new(config: &ServerConfig, protocols: usize) -> Self {
-        let mut thresholds = vec![1; protocols];
-        for &(protocol, threshold) in &config.violation_thresholds {
-            // No session runs an id the registry never issued.
-            if let Some(slot) = thresholds.get_mut(protocol.index()) {
-                *slot = threshold.max(1);
-            }
-        }
-        QuarantineConfig {
-            policy: config.quarantine,
-            thresholds,
-        }
-    }
-
-    /// How many monitor rejections a session of `protocol` may accumulate
-    /// before the shard stops stepping it; `None` means never (observe).
-    fn threshold_for(&self, protocol: ProtocolId) -> Option<u32> {
-        match self.policy {
-            QuarantinePolicy::Observe => None,
-            QuarantinePolicy::Halt => Some(self.thresholds[protocol.index()]),
         }
     }
 }
@@ -657,13 +582,11 @@ impl WorkerObs {
 /// A session that is over is closed by whoever holds it, from the state it
 /// already has: the batch closes its concluded and its permanently blocked
 /// sessions itself, a slab session closes at the end of its last quantum,
-/// and a violator the batch demoted with its violation budget spent closes
-/// as quarantined straight from the extracted state. Only a session that
-/// must keep running changes executor — a violator still under its
-/// threshold (or under [`QuarantinePolicy::Observe`]), a runtime sort
-/// mismatch, an instruction the batch cannot run, a migrated checkpoint —
-/// and is rebuilt as a slab session mid-flight with its traces, monitor
-/// cursor and in-flight frames intact.
+/// and a violator the batch demoted closes as quarantined straight from the
+/// extracted state. Only a session that must keep running changes executor
+/// — a runtime sort mismatch, an instruction the batch cannot run, a
+/// migrated checkpoint — and is rebuilt as a slab session mid-flight with
+/// its traces, monitor cursor and in-flight frames intact.
 ///
 /// Slab sessions live in a flat `Vec` of slots with a free list, so the run
 /// queue is a deque of `u32` indices instead of boxed sessions shuffling
@@ -677,7 +600,6 @@ struct Shard {
     results: Sender<Vec<SessionOutcome>>,
     obs: WorkerObs,
     quantum: usize,
-    quarantine: QuarantineConfig,
     slab: Vec<Option<ActiveSession>>,
     free: Vec<u32>,
     batches: Vec<ShardBatch>,
@@ -696,7 +618,6 @@ impl Shard {
         Shard {
             obs: WorkerObs::new(instruments),
             quantum: config.quantum.max(1),
-            quarantine: QuarantineConfig::new(config, registry.len()),
             registry,
             results,
             slab: Vec::new(),
@@ -829,8 +750,8 @@ impl Shard {
         self.run_queue.push_back(slot);
     }
 
-    /// Rebuilds a session from extracted state — a batch demotion or a
-    /// migrated checkpoint — and queues it on the slab.
+    /// Rebuilds a session from extracted state — a compliant batch demotion
+    /// or a migrated checkpoint — and queues it on the slab.
     fn resume_on_slab(&mut self, protocol: ProtocolId, demoted: DemotedSession) {
         let session = ActiveSession::from_demoted(demoted, &self.registry[protocol]);
         self.enqueue_on_slab(session);
@@ -884,7 +805,7 @@ impl Shard {
     }
 
     /// Steps one batch for a quantum, reports what is over and moves what
-    /// it demoted to the slab — or, with its violation budget spent, closes
+    /// it demoted to the slab — or, if the demotion was a violation, closes
     /// it as quarantined from the state the batch extracted.
     fn run_batch(&mut self, entry: u32) {
         let bi = (entry & !BATCH_BIT) as usize;
@@ -916,12 +837,7 @@ impl Shard {
             self.obs.shared.recorder.record(FlightEvent::BatchDemoted {
                 session: demoted.token,
             });
-            let violations = demoted.monitor.violations().len();
-            let over = self
-                .quarantine
-                .threshold_for(protocol)
-                .is_some_and(|n| violations >= n as usize);
-            if over {
+            if !demoted.monitor.is_compliant() {
                 self.finish(SessionOutcome::quarantined(protocol, demoted), ended);
             } else {
                 self.resume_on_slab(protocol, demoted);
@@ -941,9 +857,8 @@ impl Shard {
         let session = self.slab[slot as usize]
             .as_mut()
             .expect("queued slot is occupied");
-        let threshold = self.quarantine.threshold_for(session.protocol());
         let started = Instant::now();
-        let result = session.run_quantum(self.quantum, threshold);
+        let result = session.run_quantum(self.quantum);
         let ended = Instant::now();
         self.record_quantum(ended.saturating_duration_since(started), result.actions, result.sends);
         match result.closed {
@@ -1015,9 +930,6 @@ impl Shard {
         }
         if outcome.quarantined {
             metrics.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
-            metrics.recorder.record(FlightEvent::Quarantined {
-                session: outcome.id.0,
-            });
             metrics.per_protocol_quarantined[outcome.protocol.index()]
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -1223,6 +1135,7 @@ mod tests {
         assert_eq!(outcome.violations[0].position, 12);
         let report = server.shutdown();
         assert_eq!(report.sessions_quarantined(), 1, "{report}");
+        assert_eq!(report.sessions_quarantined(), report.sessions_violated(), "{report}");
         // What was left to do on arrival (8 actions and the stray send),
         // and not one step after it.
         assert_eq!(report.actions_executed(), 9, "{report}");

@@ -13,10 +13,10 @@
 //! referee; this crate does not run it.
 //!
 //! A session ends where it stands. Whoever holds it when it is over — this
-//! module's slab session, a columnar batch, or the shard with a
-//! [`DemotedSession`] in hand that quarantine will not let run on — turns
-//! the state it already has into the [`SessionOutcome`]; every one of them
-//! is assembled by the same private constructor here. Extracted state is
+//! module's slab session, a columnar batch, or the shard with a violator's
+//! [`DemotedSession`] in hand — turns the state it already has into the
+//! [`SessionOutcome`]; every one of them is assembled by the same private
+//! constructor here. Extracted state is
 //! rebuilt into a slab session only to *resume* it.
 
 use std::collections::BTreeMap;
@@ -114,9 +114,8 @@ pub struct SessionOutcome {
     pub violations: Vec<MonitorViolation>,
     /// Whether the scheduler gave up because no endpoint could progress.
     pub stalled: bool,
-    /// Whether the quarantine policy halted the session on its first
-    /// monitor rejection (the session took zero steps after the violating
-    /// action).
+    /// Whether the session was closed at a monitor rejection. Equals
+    /// `!compliant`; nothing ran after the rejected action.
     pub quarantined: bool,
 }
 
@@ -170,9 +169,9 @@ impl SessionOutcome {
         Self::assemble(id, protocol, outcome.endpoints, verdicts, outcome.stalled, false)
     }
 
-    /// The outcome of a session a batch demoted with its violation budget
-    /// spent: quarantine ends it where the batch left it, so the extracted
-    /// state *is* the outcome — every endpoint's recorded actions, its
+    /// The outcome of a session a batch demoted at a violation: the
+    /// violation ends it where the batch left it, so the extracted state
+    /// *is* the outcome — every endpoint's recorded actions, its
     /// status if it had concluded and `Stalled` if not, the monitor's
     /// verdicts — and no executor is built to take zero steps with.
     pub(crate) fn quarantined(protocol: ProtocolId, demoted: DemotedSession) -> Self {
@@ -208,10 +207,10 @@ pub(crate) struct QuantumResult {
     /// Messages handed to the in-session network (sends).
     pub(crate) sends: usize,
     /// The session's outcome, if the quantum ended it: finished, stalled,
-    /// or quarantined because its monitor has rejected as many actions as
-    /// its violation threshold allows. The session must not be re-queued.
-    /// `None` when the budget ran out mid-protocol: the session stays live
-    /// and the next quantum picks it up where it stopped.
+    /// or quarantined because its monitor rejected an action. The session
+    /// must not be re-queued. `None` when the budget ran out mid-protocol:
+    /// the session stays live and the next quantum picks it up where it
+    /// stopped.
     pub(crate) closed: Option<SessionOutcome>,
 }
 
@@ -332,10 +331,9 @@ impl ActiveSession {
     /// FIFO order. Nothing of the session's observable history is lost.
     ///
     /// Building the network and the tasks is worth it only for a session
-    /// that will be stepped again: a violator under its threshold (or under
-    /// `Observe`), a sort-mismatch demotion, a migrated checkpoint. One that
-    /// is over closes from the extracted state directly
-    /// ([`SessionOutcome::quarantined`]).
+    /// that will be stepped again: a sort-mismatch demotion, a migrated
+    /// checkpoint. A violator is over and closes from the extracted state
+    /// directly ([`SessionOutcome::quarantined`]).
     ///
     /// [`SessionBatch`]: zooid_runtime::cbatch::SessionBatch
     pub(crate) fn from_demoted(demoted: DemotedSession, artifacts: &ProtocolArtifacts) -> Self {
@@ -451,19 +449,13 @@ impl ActiveSession {
     /// remaining endpoints are marked [`EndpointStatus::Stalled`] and the
     /// session is closed.
     ///
-    /// With a `violation_threshold` of `Some(n)`, the session is closed as
-    /// quarantined as soon as the monitor has rejected `n` actions — at the
-    /// default threshold of 1 the violating session takes **zero** further
-    /// steps, its endpoints still mid-protocol are reported stalled and the
-    /// outcome carries `quarantined = true`. `None` never quarantines
-    /// (violations are recorded and the session runs on).
+    /// The first action the monitor rejects closes the session as
+    /// quarantined: it takes **zero** further steps, its endpoints still
+    /// mid-protocol are reported stalled and the outcome carries
+    /// `quarantined = true`.
     ///
     /// [`EndpointStatus::Stalled`]: zooid_runtime::EndpointStatus::Stalled
-    pub(crate) fn run_quantum(
-        &mut self,
-        budget: usize,
-        violation_threshold: Option<u32>,
-    ) -> QuantumResult {
+    pub(crate) fn run_quantum(&mut self, budget: usize) -> QuantumResult {
         let mut actions = 0usize;
         let mut sends = 0usize;
         let ActiveSession { monitor, tasks, .. } = self;
@@ -497,17 +489,18 @@ impl ActiveSession {
                             }
                         }
                     });
-                    match outcome {
-                        StepOutcome::Progress => {
-                            progressed = true;
-                            actions += 1;
-                            if violation_threshold
-                                .is_some_and(|n| monitor.violations().len() >= n as usize)
-                            {
-                                break 'quantum Some(self.finish(false, true));
-                            }
-                        }
-                        StepOutcome::WouldBlock { .. } | StepOutcome::Done(_) => break,
+                    let progress = matches!(outcome, StepOutcome::Progress);
+                    if progress {
+                        progressed = true;
+                        actions += 1;
+                    }
+                    // Checked on every outcome: a send the monitor rejected
+                    // can still fail to leave (a peer outside the session).
+                    if !monitor.is_compliant() {
+                        break 'quantum Some(self.finish(false, true));
+                    }
+                    if !progress {
+                        break;
                     }
                 }
             }
@@ -578,7 +571,7 @@ mod tests {
 
     fn run_to_end(mut session: ActiveSession) -> SessionOutcome {
         loop {
-            if let Some(outcome) = session.run_quantum(usize::MAX, None).closed {
+            if let Some(outcome) = session.run_quantum(usize::MAX).closed {
                 return outcome;
             }
         }
@@ -607,7 +600,7 @@ mod tests {
         let mut in_flight = 0;
         for actions in 0..6 {
             let mut live = session();
-            assert!(live.run_quantum(actions, None).closed.is_none());
+            assert!(live.run_quantum(actions).closed.is_none());
             let checkpoint = live.checkpoint().unwrap();
             let roles: Vec<Role> = checkpoint.endpoints.iter().map(|e| e.role.clone()).collect();
             assert_eq!(roles[..], artifacts.sorted_roles()[..]);

@@ -1,6 +1,5 @@
 //! Crash recovery on the serving plane: shard evacuation, re-certified
-//! migration, quarantine that closes a violator where it stands, adaptive
-//! violation thresholds, and the wire-level reject-then-ban escalation.
+//! migration, and quarantine that closes a violator where it stands.
 //!
 //! The durable-session covenant is tested at the server boundary here (the
 //! runtime-level kill-at-every-quantum differential lives in the runtime
@@ -13,28 +12,17 @@
 //!   blob against the protocol's compiled tables before any shard hosts
 //!   it: tampered bytes are refused with the runtime's structured errors
 //!   and never become sessions.
-//! * [`QuarantinePolicy::Halt`] closes a violating session from the state
-//!   its executor already holds — a batch-demoted violator is never rebuilt
-//!   on the slab — while [`QuarantinePolicy::Observe`] resumes it there.
-//! * [`ServerConfig::with_violation_threshold`] tolerates a per-protocol
-//!   number of monitor rejections before quarantining.
-//! * [`NetServerConfig::ban_after_quarantines`] rejects further `Open`s
-//!   from a connection that keeps submitting quarantined sessions, without
-//!   tearing the connection down.
-
-use std::time::{Duration, Instant};
+//! * A violation ends the session: the first action its monitor rejects
+//!   closes it from the state its executor already holds, and a
+//!   batch-demoted violator is never rebuilt on the slab.
 
 use zooid_dsl::Protocol;
 use zooid_mpst::generators;
-use zooid_runtime::{MuxFrame, RuntimeError};
-use zooid_server::synth::{byzantine_driver, skeleton_endpoints};
+use zooid_runtime::RuntimeError;
+use zooid_server::synth::skeleton_endpoints;
 use zooid_server::{
-    ByzantineMutation, ExpectedClass, FlightEvent, NetClient, NetServer, NetServerConfig,
-    ProtocolRegistry, QuarantinePolicy, ServerConfig, ServerError, Service, SessionServer,
-    SessionSpec,
+    FlightEvent, ProtocolRegistry, ServerConfig, ServerError, SessionServer, SessionSpec,
 };
-
-const EVENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// `mu X. A -> B : tick(nat). B -> A : tock(nat). X` — no choice, so the
 /// skeleton cast loops forever. Sessions of this protocol are caught
@@ -221,19 +209,13 @@ fn tampered_checkpoints_are_refused_with_structured_errors() {
 /// on one shard, and returns its outcome with the (still live) server.
 fn run_ring_decoy(
     decoy: zooid_mpst::global::GlobalType,
-    quarantine: QuarantinePolicy,
 ) -> (zooid_server::SessionOutcome, SessionServer) {
     let mut registry = ProtocolRegistry::new();
     let id = registry
         .register(Protocol::new("ring", generators::ring_n(3)).unwrap())
         .unwrap();
     let decoy = Protocol::new("ring", decoy).unwrap();
-    let config = ServerConfig {
-        shards: 1,
-        quarantine,
-        ..ServerConfig::default()
-    };
-    let mut server = SessionServer::start(registry, config);
+    let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
     let sid = server
         .submit(SessionSpec::new(id, skeleton_endpoints(&decoy).unwrap()))
         .unwrap();
@@ -257,12 +239,12 @@ fn assert_halted_at_the_first_action(outcome: &zooid_server::SessionOutcome, ser
     let report = server.report();
     assert_eq!(report.actions_executed(), 1, "{report}");
     assert_eq!(report.sessions_quarantined(), 1, "{report}");
-    let quarantined = server
+    let violations = server
         .flight_events()
         .iter()
-        .filter(|e| matches!(e, FlightEvent::Quarantined { .. }))
+        .filter(|e| matches!(e, FlightEvent::Violation { .. }))
         .count();
-    assert_eq!(quarantined, 1);
+    assert_eq!(violations, 1);
     let system = std::sync::Arc::clone(server.registry().get(outcome.protocol).unwrap().compiled());
     let incidents = server.incidents();
     assert_eq!(incidents.len(), 1);
@@ -270,13 +252,12 @@ fn assert_halted_at_the_first_action(outcome: &zooid_server::SessionOutcome, ser
 }
 
 #[test]
-fn a_batched_violator_closes_from_its_demoted_state_and_resumes_only_under_observe() {
+fn a_batched_violator_closes_from_its_demoted_state() {
     // The rotated-ring cast pre-interns against the registered tables, so
-    // it batches, and violates deterministically on its first send. Under
-    // the default policy the batch's demotion is the end of it: the outcome
-    // is read off the extracted state and no slab session is built.
-    let rotated = || generators::ring(&["w2", "w0", "w1"]);
-    let (outcome, server) = run_ring_decoy(rotated(), QuarantinePolicy::Halt);
+    // it batches, and violates deterministically on its first send. The
+    // batch's demotion is the end of it: the outcome is read off the
+    // extracted state and no slab session is built.
+    let (outcome, server) = run_ring_decoy(generators::ring(&["w2", "w0", "w1"]));
     assert_halted_at_the_first_action(&outcome, &server);
     let demotions = server
         .flight_events()
@@ -288,17 +269,6 @@ fn a_batched_violator_closes_from_its_demoted_state_and_resumes_only_under_obser
     assert_eq!(report.sessions_batched(), 1, "{report}");
     assert_eq!(report.sessions_demoted(), 1, "{report}");
     assert_eq!(report.sessions_slab(), 0, "{report}");
-
-    // Under `Observe` the same demotion is a change of executor: the
-    // session resumes on the slab and runs to its natural end.
-    let (outcome, server) = run_ring_decoy(rotated(), QuarantinePolicy::Observe);
-    assert!(!outcome.compliant && !outcome.quarantined && !outcome.stalled);
-    assert!(outcome.endpoints.values().all(|r| r.status.is_finished()));
-    assert_eq!(outcome.global_trace.len() + outcome.violations.len(), 6);
-    let report = server.shutdown();
-    assert_eq!(report.sessions_demoted(), 1, "{report}");
-    assert_eq!(report.actions_executed(), 6, "{report}");
-    assert_eq!(report.sessions_quarantined(), 0, "{report}");
 }
 
 #[test]
@@ -311,12 +281,38 @@ fn a_slab_admitted_violator_closes_at_its_first_rejection() {
     let w = |i: usize| Role::new(format!("w{i}"));
     let hop = |from, to, cont| GlobalType::msg1(w(from), w(to), "bad", Sort::Nat, cont);
     let bad_label_ring = hop(0, 1, hop(1, 2, hop(2, 0, GlobalType::End)));
-    let (outcome, server) = run_ring_decoy(bad_label_ring, QuarantinePolicy::Halt);
+    let (outcome, server) = run_ring_decoy(bad_label_ring);
     assert_halted_at_the_first_action(&outcome, &server);
     let report = server.shutdown();
     assert_eq!(report.sessions_slab(), 1, "{report}");
     assert_eq!(report.sessions_batched(), 0, "{report}");
     assert_eq!(report.sessions_demoted(), 0, "{report}");
+}
+
+#[test]
+fn a_rejected_send_that_fails_to_leave_still_ends_the_session() {
+    // w0's process comes from a same-named protocol whose only message goes
+    // to `w3`, a role the registered ring does not have: the monitor rejects
+    // the send, and the send then fails, since the session has no such
+    // peer. The rejection ends the session there and then, quarantined —
+    // not stalled later, once its honest endpoints are found blocked.
+    use zooid_mpst::global::GlobalType;
+    use zooid_mpst::{Role, Sort};
+    let w = |i: usize| Role::new(format!("w{i}"));
+    let stray = GlobalType::msg1(w(0), w(3), "l", Sort::Nat, GlobalType::End);
+    let mut endpoints = skeleton_endpoints(&Protocol::new("ring", stray).unwrap()).unwrap();
+    endpoints.retain(|(cert, _)| *cert.role() == w(0));
+    let (registry, id, honest) = registry_with("ring", generators::ring_n(3));
+    endpoints.extend(honest.into_iter().filter(|(cert, _)| *cert.role() != w(0)));
+    let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+    server.submit(SessionSpec::new(id, endpoints)).unwrap();
+    let outcomes = server.drain();
+    assert_eq!(outcomes.len(), 1);
+    let outcome = &outcomes[0];
+    assert!(outcome.quarantined && !outcome.compliant && !outcome.stalled, "{outcome:?}");
+    assert_eq!(outcome.violations.len(), 1);
+    let report = server.shutdown();
+    assert_eq!(report.sessions_quarantined(), report.sessions_violated(), "{report}");
 }
 
 #[test]
@@ -370,167 +366,4 @@ fn sessions_that_call_externals_are_never_checkpointed() {
         assert_eq!(report.status, zooid_runtime::EndpointStatus::Stalled);
     }
     server.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Adaptive per-protocol violation thresholds
-// ---------------------------------------------------------------------
-
-#[test]
-fn lenient_protocols_tolerate_violations_and_strict_ones_do_not() {
-    // Two registrations of structurally identical rings; only "lenient"
-    // gets a threshold. The same rotated decoy cast violates both; the
-    // lenient session runs to its natural conclusion un-quarantined, the
-    // strict one is quarantined at the first rejection.
-    let mut registry = ProtocolRegistry::new();
-    let lenient = registry
-        .register(Protocol::new("lenient", generators::ring_n(3)).unwrap())
-        .unwrap();
-    let strict = registry
-        .register(Protocol::new("strict", generators::ring_n(3)).unwrap())
-        .unwrap();
-    let lenient_decoy = Protocol::new("lenient", generators::ring(&["w2", "w0", "w1"])).unwrap();
-    let strict_decoy = Protocol::new("strict", generators::ring(&["w2", "w0", "w1"])).unwrap();
-    let config =
-        ServerConfig::with_shards(1).with_violation_threshold(lenient, 100);
-    let mut server = SessionServer::start(registry, config);
-    let lenient_sid = server
-        .submit(SessionSpec::new(
-            lenient,
-            skeleton_endpoints(&lenient_decoy).unwrap(),
-        ))
-        .unwrap();
-    let strict_sid = server
-        .submit(SessionSpec::new(
-            strict,
-            skeleton_endpoints(&strict_decoy).unwrap(),
-        ))
-        .unwrap();
-    let outcomes = server.drain();
-    assert_eq!(outcomes.len(), 2);
-
-    let lenient_out = outcomes.iter().find(|o| o.id == lenient_sid).unwrap();
-    assert!(!lenient_out.compliant, "the cast still violates");
-    assert!(
-        !lenient_out.quarantined,
-        "under its threshold the session keeps running"
-    );
-    assert!(
-        !lenient_out.violations.is_empty(),
-        "the violations are still recorded"
-    );
-
-    let strict_out = outcomes.iter().find(|o| o.id == strict_sid).unwrap();
-    assert!(strict_out.quarantined, "no threshold means quarantine at 1");
-    assert_eq!(strict_out.violations.len(), 1);
-
-    let report = server.report();
-    assert_eq!(report.sessions_quarantined(), 1, "{report}");
-    server.shutdown();
-}
-
-#[test]
-fn observe_policy_ignores_thresholds_entirely() {
-    let mut registry = ProtocolRegistry::new();
-    let id = registry
-        .register(Protocol::new("ring", generators::ring_n(3)).unwrap())
-        .unwrap();
-    let decoy = Protocol::new("ring", generators::ring(&["w2", "w0", "w1"])).unwrap();
-    let endpoints = skeleton_endpoints(&decoy).unwrap();
-    let config = ServerConfig {
-        shards: 1,
-        quarantine: QuarantinePolicy::Observe,
-        ..ServerConfig::default()
-    }
-    .with_violation_threshold(id, 1);
-    let mut server = SessionServer::start(registry, config);
-    server
-        .submit(SessionSpec::new(id, endpoints.clone()))
-        .unwrap();
-    let outcomes = server.drain();
-    assert_eq!(outcomes.len(), 1);
-    assert!(!outcomes[0].compliant);
-    assert!(!outcomes[0].quarantined, "Observe never quarantines");
-    server.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// The wire: reject-then-ban
-// ---------------------------------------------------------------------
-
-fn wait_for_done(client: &mut NetClient, session: u64) -> bool {
-    let deadline = Instant::now() + EVENT_TIMEOUT;
-    loop {
-        match client.poll_event(Duration::from_millis(100)).unwrap() {
-            Some(MuxFrame::Done {
-                session: s,
-                compliant,
-                ..
-            }) if s == session => return compliant,
-            Some(_) => {}
-            None => assert!(Instant::now() < deadline, "no Done within {EVENT_TIMEOUT:?}"),
-        }
-    }
-}
-
-#[test]
-fn connections_that_keep_getting_quarantined_are_banned_but_not_torn_down() {
-    let mut registry = ProtocolRegistry::new();
-    let byz_id = registry
-        .register(Protocol::new("byz_ring", generators::ring_n(3)).unwrap())
-        .unwrap();
-    let ok_id = registry
-        .register(Protocol::new("ok_ring", generators::ring_n(3)).unwrap())
-        .unwrap();
-    let byz_protocol = Protocol::new("byz_ring", generators::ring_n(3)).unwrap();
-    let driver = byzantine_driver(&byz_protocol, ByzantineMutation::WrongLabel)
-        .unwrap()
-        .expect("wrong-label applies to the ring");
-    assert_eq!(driver.mutation.expected(), ExpectedClass::Violation);
-    let byz_service = Service {
-        protocol: byz_id,
-        endpoints: driver.endpoints.into(),
-        options: zooid_runtime::ExecOptions::default(),
-    };
-    let ok_service = Service::skeleton(&registry, ok_id).unwrap();
-    let config = NetServerConfig {
-        ban_after_quarantines: 1,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::start(registry, [byz_service, ok_service], config).unwrap();
-
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
-    let session = client.open_with("byz_ring", EVENT_TIMEOUT).unwrap();
-    let compliant = wait_for_done(&mut client, session);
-    assert!(!compliant, "the byzantine session must violate");
-
-    // The strike is recorded with the outcome, so the next open on this
-    // connection is refused — the connection itself stays up (no
-    // close_on_quarantine teardown).
-    match client.open_with("ok_ring", EVENT_TIMEOUT) {
-        Err(RuntimeError::Codec { reason }) => {
-            assert!(reason.contains("open rejected"), "{reason}");
-            assert!(reason.contains("banned"), "{reason}");
-        }
-        other => panic!("want a structured ban rejection, got {other:?}"),
-    }
-    // Still refused — the ban is sticky for the connection's lifetime.
-    match client.open_with("byz_ring", EVENT_TIMEOUT) {
-        Err(RuntimeError::Codec { reason }) => {
-            assert!(reason.contains("banned"), "{reason}")
-        }
-        other => panic!("the ban must be sticky, got {other:?}"),
-    }
-
-    // The ban is per-connection, not per-peer: a fresh connection serves.
-    let mut fresh = NetClient::connect(server.local_addr()).unwrap();
-    let ok_session = fresh.open_with("ok_ring", EVENT_TIMEOUT).unwrap();
-    assert!(
-        wait_for_done(&mut fresh, ok_session),
-        "a fresh connection is unaffected"
-    );
-
-    let report = server.shutdown();
-    assert_eq!(report.net.rejects.banned, 2, "both refusals are counted");
-    assert_eq!(report.shards.sessions_quarantined(), 1);
 }

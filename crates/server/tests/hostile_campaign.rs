@@ -2,7 +2,7 @@
 //! fault-injecting transport and a synthesized byzantine cast, and the
 //! serving plane must contain the damage.
 //!
-//! Four fronts, mirroring the four layers under test:
+//! Three fronts, mirroring the three layers under test:
 //!
 //! 1. **Transport faults** — the seed-driven [`FaultyTransport`] injects
 //!    delays, drops, duplicates, reorders, truncations and mid-session
@@ -14,24 +14,20 @@
 //!    and across backends (in-memory and real loopback TCP) for the same
 //!    seed.
 //! 2. **Byzantine casts** — [`byzantine_driver`] synthesizes minimally-
-//!    wrong endpoint casts (one mutation per driver). Sessions landing in
-//!    the `Violation` class must be quarantined by the default
-//!    [`QuarantinePolicy::Halt`]: exactly one recorded violation (the
-//!    zero-post-quarantine-steps witness), a replayable incident, counted
-//!    per shard and per protocol, with co-resident compliant sessions
-//!    untouched — on the slab path and on the batch path.
-//! 3. **The wire** — with [`NetServerConfig::close_on_quarantine`] set, a
-//!    quarantined session tears down the connection that opened it
-//!    (`Done`, a `Quarantined` rejection, then EOF) while a compliant
-//!    neighbour connection keeps serving; and a connection that never
-//!    sends a decodable frame is reaped at the idle deadline.
-//! 4. **The batch arena** — the same [`FaultPlan`] drives
-//!    [`SessionBatch::set_arena_faults`], corrupting the columnar data
-//!    plane's shared frame arena from below. Damage must stay contained to
-//!    the victim session (co-resident sessions in the same batch conclude
-//!    compliant), land in the fault kind's expected class (a drop strands,
-//!    a truncation is a structured arena-codec failure), and replay
-//!    byte-identically for a pinned seed.
+//!    wrong endpoint casts (one mutation per driver). A cast is the batch
+//!    plane's real hostile input: its frame arena is process memory that
+//!    only the batch writes. Sessions landing in the `Violation` class must
+//!    be quarantined, since a violation ends the session: exactly one
+//!    recorded violation (the zero-post-quarantine-steps witness), a
+//!    replayable incident, counted per shard and per protocol, with
+//!    co-resident compliant sessions untouched — on the slab path and on
+//!    the batch path. Every outcome is quarantined exactly when it is not
+//!    compliant, and every report counts as many quarantines as
+//!    violations.
+//! 3. **The wire** — a violating catalog session costs the connection that
+//!    opened it nothing: the opener reads a non-compliant `Done` and its
+//!    next `Open` is served; and a connection that never sends a decodable
+//!    frame is reaped at the idle deadline.
 
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, TcpListener, TcpStream};
@@ -42,14 +38,11 @@ use zooid_cfsm::System;
 use zooid_dsl::Protocol;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{generators, Role};
-use zooid_proc::{CompiledProc, Externals, Proc};
-use zooid_runtime::cbatch::{BatchLayout, SessionBatch};
-use zooid_runtime::cexec::EndpointProgram;
+use zooid_proc::{Externals, Proc};
 use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
 use zooid_runtime::tcp::TcpTransport;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
-use zooid_runtime::wire::RejectCode;
 use zooid_runtime::{
     FaultKind, FaultPlan, FaultSite, FaultSpec, FaultyTransport, InjectedFault, MuxFrame,
 };
@@ -485,12 +478,20 @@ fn byzantine_sessions_are_quarantined_and_neighbours_survive() {
                 );
                 assert!(!outcome.quarantined);
             }
+            for outcome in &outcomes {
+                assert_eq!(outcome.quarantined, !outcome.compliant, "{context}");
+            }
             let report = server.report();
             let expected_quarantines =
                 u64::from(mutation.expected() == ExpectedClass::Violation);
             assert_eq!(
                 report.sessions_quarantined(),
                 expected_quarantines,
+                "{context}: {report}"
+            );
+            assert_eq!(
+                report.sessions_quarantined(),
+                report.sessions_violated(),
                 "{context}: {report}"
             );
             if expected_quarantines > 0 {
@@ -503,8 +504,8 @@ fn byzantine_sessions_are_quarantined_and_neighbours_survive() {
                     server
                         .flight_events()
                         .iter()
-                        .any(|e| matches!(e, FlightEvent::Quarantined { .. })),
-                    "{context}: missing Quarantined flight event"
+                        .any(|e| matches!(e, FlightEvent::Violation { .. })),
+                    "{context}: missing Violation flight event"
                 );
                 // The incident replays its violation against the compiled
                 // system.
@@ -529,8 +530,8 @@ fn byzantine_sessions_are_quarantined_and_neighbours_survive() {
 fn batch_demoted_violators_are_quarantined_without_slab_steps() {
     // The rotated ring pre-interns against the registered tables, so the
     // sessions coalesce into a columnar batch; the out-of-order first send
-    // demotes each one — and under Halt the demoted session goes straight
-    // to quarantine instead of being re-admitted to the slab.
+    // demotes each one, and the demoted session goes straight to
+    // quarantine instead of being re-admitted to the slab.
     let mut registry = ProtocolRegistry::new();
     let id = registry
         .register(Protocol::new("ring", generators::ring_n(3)).unwrap())
@@ -557,6 +558,7 @@ fn batch_demoted_violators_are_quarantined_without_slab_steps() {
     let report = server.report();
     assert_eq!(report.sessions_batched(), 8, "{report}");
     assert_eq!(report.sessions_quarantined(), 8, "{report}");
+    assert_eq!(report.sessions_quarantined(), report.sessions_violated(), "{report}");
     assert_eq!(
         report.obs.per_protocol_quarantined,
         vec![(id.index() as u32, 8)]
@@ -565,7 +567,7 @@ fn batch_demoted_violators_are_quarantined_without_slab_steps() {
 }
 
 // ---------------------------------------------------------------------
-// Front 3: the wire — quarantine teardown and the idle reaper
+// Front 3: the wire — a violation costs the opener nothing; the idle reaper
 // ---------------------------------------------------------------------
 
 fn wait_for_done(client: &mut NetClient, session: u64) -> (bool, u64) {
@@ -585,7 +587,10 @@ fn wait_for_done(client: &mut NetClient, session: u64) -> (bool, u64) {
 }
 
 #[test]
-fn quarantine_tears_down_the_owning_connection_over_tcp() {
+fn a_violating_catalog_session_costs_its_opener_nothing() {
+    // The server runs its own catalog cast and the wire carries only a
+    // protocol name, so a violation is the registered cast's fault, not the
+    // client's: the opener reads a non-compliant `Done` and keeps serving.
     let mut registry = ProtocolRegistry::new();
     let byz_id = registry
         .register(Protocol::new("byz_ring", generators::ring_n(3)).unwrap())
@@ -603,54 +608,23 @@ fn quarantine_tears_down_the_owning_connection_over_tcp() {
         options: ExecOptions::default(),
     };
     let ok_service = Service::skeleton(&registry, ok_id).unwrap();
-    let config = NetServerConfig {
-        close_on_quarantine: true,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::start(registry, [byz_service, ok_service], config).unwrap();
+    let server =
+        NetServer::start(registry, [byz_service, ok_service], NetServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
 
-    // The compliant neighbour connection, opened first, must survive the
-    // byzantine one's teardown.
-    let mut ok_client = NetClient::connect(server.local_addr()).unwrap();
-    let mut byz_client = NetClient::connect(server.local_addr()).unwrap();
-
-    let byz_session = byz_client
+    let byz_session = client
         .open_with("byz_ring", EVENT_TIMEOUT)
         .expect("byzantine open is accepted — the monitor, not admission, catches it");
-    let (compliant, violations) = wait_for_done(&mut byz_client, byz_session);
-    assert!(!compliant);
-    assert!(violations >= 1);
-    // Then the structured rejection...
-    let deadline = Instant::now() + EVENT_TIMEOUT;
-    loop {
-        match byz_client.poll_event(Duration::from_millis(100)) {
-            Ok(Some(MuxFrame::Rejected { session, code, .. })) => {
-                assert_eq!(session, byz_session);
-                assert_eq!(code, RejectCode::Quarantined);
-                break;
-            }
-            Ok(Some(other)) => panic!("unexpected frame {other:?}"),
-            Ok(None) => assert!(Instant::now() < deadline, "no rejection frame"),
-            Err(e) => panic!("rejection frame must precede the close: {e}"),
-        }
-    }
-    // ...then the close, surfaced as a structured error, never Ok(None).
-    let deadline = Instant::now() + EVENT_TIMEOUT;
-    loop {
-        match byz_client.poll_event(Duration::from_millis(100)) {
-            Err(zooid_runtime::RuntimeError::Disconnected { .. }) => break,
-            Err(e) => panic!("want Disconnected, got {e}"),
-            Ok(Some(other)) => panic!("unexpected frame {other:?}"),
-            Ok(None) => assert!(Instant::now() < deadline, "server never closed"),
-        }
-    }
+    assert_eq!(wait_for_done(&mut client, byz_session), (false, 1));
 
-    // The compliant neighbour still serves end to end.
-    let ok_session = ok_client.open_with("ok_ring", EVENT_TIMEOUT).unwrap();
-    let (compliant, _) = wait_for_done(&mut ok_client, ok_session);
-    assert!(compliant, "the neighbour connection must be untouched");
+    // The same connection opens and completes a compliant session.
+    let ok_session = client.open_with("ok_ring", EVENT_TIMEOUT).unwrap();
+    let (compliant, _) = wait_for_done(&mut client, ok_session);
+    assert!(compliant, "the opener's next session must be served");
+    // Read before shutdown, which says goodbye with a `ShuttingDown`.
+    let net = server.net_report();
+    assert_eq!(net.rejects.total(), 0, "{net}");
     let report = server.shutdown();
-    assert_eq!(report.net.rejects.quarantined, 1);
     assert_eq!(report.shards.sessions_quarantined(), 1);
 }
 
@@ -731,150 +705,4 @@ fn open_with_surfaces_structured_rejections_and_timeouts() {
         other => panic!("want a structured rejection, got {other:?}"),
     }
     server.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Front 4: the batch arena under fault injection
-// ---------------------------------------------------------------------
-
-/// Compiles the campaign's skeleton casts into a batch layout (the same
-/// construction the batch differential suite uses).
-fn arena_layout(g: &GlobalType, procs: &[(Role, Proc)]) -> Arc<BatchLayout> {
-    let system = Arc::new(System::from_global(g).expect("projectable").compile());
-    let mut sorted = procs.to_vec();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let roles: Arc<[Role]> = sorted
-        .iter()
-        .map(|(r, _)| r.clone())
-        .collect::<Vec<_>>()
-        .into();
-    let programs: Vec<Arc<EndpointProgram>> = sorted
-        .iter()
-        .map(|(role, proc)| {
-            Arc::new(EndpointProgram::with_system(
-                Arc::new(
-                    CompiledProc::compile(proc, role, &Externals::new())
-                        .expect("skeletons compile"),
-                ),
-                &system,
-            ))
-        })
-        .collect();
-    BatchLayout::new(roles, programs, system).expect("case studies are batch-eligible")
-}
-
-/// A faulted batch run: four co-resident sessions, one budgeted arena fault.
-/// Returns `(clean_tokens, stranded, arena_codec_failures, schedule)`.
-fn arena_run(
-    layout: &Arc<BatchLayout>,
-    plan: &FaultPlan,
-) -> (Vec<u64>, bool, Vec<String>, Vec<InjectedFault>) {
-    const WIDTH: u64 = 4;
-    let mut batch = SessionBatch::new(Arc::clone(layout), ExecOptions::default(), WIDTH as usize);
-    for token in 0..WIDTH {
-        assert!(batch.admit(token), "width-{WIDTH} batch admits {token}");
-    }
-    batch.set_arena_faults(plan);
-    let out = batch.run_quantum(usize::MAX);
-
-    let clean: Vec<u64> = out
-        .finished
-        .iter()
-        .filter(|o| {
-            o.compliant
-                && o.complete
-                && !o.stalled
-                && o.endpoints
-                    .iter()
-                    .all(|r| r.status == EndpointStatus::Finished)
-        })
-        .map(|o| o.token)
-        .collect();
-    let stranded = out
-        .demoted
-        .iter()
-        .flat_map(|d| d.endpoints.iter())
-        .any(|ep| ep.status.is_none() || ep.status == Some(EndpointStatus::Stalled))
-        || out.finished.iter().any(|o| o.stalled);
-    let failures: Vec<String> = out
-        .finished
-        .iter()
-        .flat_map(|o| o.endpoints.iter())
-        .filter_map(|r| match &r.status {
-            EndpointStatus::Failed { error } => Some(error.clone()),
-            _ => None,
-        })
-        .chain(
-            out.demoted
-                .iter()
-                .flat_map(|d| d.endpoints.iter())
-                .filter_map(|ep| match &ep.status {
-                    Some(EndpointStatus::Failed { error }) => Some(error.clone()),
-                    _ => None,
-                }),
-        )
-        .collect();
-    (clean, stranded, failures, batch.arena_fault_schedule().to_vec())
-}
-
-#[test]
-fn arena_faults_damage_only_the_victim_session_in_every_case_study() {
-    for (idx, (name, g)) in case_studies().into_iter().enumerate() {
-        let procs = skeleton_procs(name, &g);
-        let layout = arena_layout(&g, &procs);
-        for kind in [FaultKind::Drop, FaultKind::Truncate] {
-            let seed = 0xA7E0 + idx as u64;
-            let plan = FaultPlan::new(seed)
-                .with(FaultSpec::new(kind, FaultSite::Send).budget(1));
-            let (clean, stranded, failures, schedule) = arena_run(&layout, &plan);
-            let context = format!("{name}/{kind:?}");
-            assert_eq!(schedule.len(), 1, "{context}: the budgeted fault fires once");
-            assert_eq!(schedule[0].kind, kind, "{context}");
-            // Containment: the one corrupted frame belongs to one session;
-            // its three co-residents must conclude compliant and complete.
-            assert_eq!(
-                clean.len(),
-                3,
-                "{context}: exactly the victim is unclean, clean = {clean:?}"
-            );
-            match kind {
-                FaultKind::Drop => assert!(
-                    stranded,
-                    "{context}: a dropped frame must strand an endpoint"
-                ),
-                FaultKind::Truncate => assert!(
-                    failures
-                        .iter()
-                        .any(|e| e.contains("corrupted frame in the batch arena")),
-                    "{context}: truncation must be a structured arena-codec \
-                     failure, got {failures:?}"
-                ),
-                _ => unreachable!(),
-            }
-        }
-    }
-}
-
-#[test]
-fn arena_fault_schedules_replay_byte_identically_for_a_pinned_seed() {
-    for (idx, (name, g)) in case_studies().into_iter().enumerate() {
-        let procs = skeleton_procs(name, &g);
-        let layout = arena_layout(&g, &procs);
-        for kind in [FaultKind::Drop, FaultKind::Duplicate, FaultKind::Truncate] {
-            let plan = FaultPlan::new(0xD1CE + idx as u64)
-                .with(FaultSpec::new(kind, FaultSite::Send).budget(1));
-            let (_, _, _, first) = arena_run(&layout, &plan);
-            let (_, _, _, second) = arena_run(&layout, &plan);
-            assert_eq!(
-                first, second,
-                "{name}/{kind:?}: same seed, same plan, same schedule"
-            );
-            assert_eq!(first.len(), 1, "{name}/{kind:?}: the budget caps firing");
-        }
-        // The empty plan is the bystander configuration: no schedule at all.
-        let (clean, stranded, failures, schedule) = arena_run(&layout, &FaultPlan::new(0));
-        assert!(schedule.is_empty(), "{name}: empty plan injects nothing");
-        assert_eq!(clean.len(), 4, "{name}: all four sessions conclude clean");
-        assert!(!stranded && failures.is_empty(), "{name}");
-    }
 }

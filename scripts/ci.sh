@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, no orphaned vendor stub,
-# zero compiler and rustdoc warnings, every crate's tests in both profiles,
+# no fault injection named on the serving path, zero compiler and rustdoc
+# warnings, every crate's tests in both profiles,
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
 # smoke run, and tcp_short must clear a floor no timer can), and a
 # bench-report smoke run, which checks its own families against their floors
@@ -22,6 +23,19 @@ for stub in vendor/*/; do
         exit 1
     }
 done
+
+echo "== no serving module names a fault-injection type"
+# Fault injection is a test instrument. Until the oracles move into a crate
+# of their own, this fence keeps it off the serving path: the server crate
+# and the runtime modules a served session passes through.
+serving=(crates/server/src/*.rs)
+for module in cbatch cexec checkpoint codec monitor transport wire; do
+    serving+=("crates/runtime/src/$module.rs")
+done
+if grep -nE 'faults::|FaultPlan|FaultyTransport' "${serving[@]}"; then
+    echo "a serving module names fault injection (above)" >&2
+    exit 1
+fi
 
 echo "== no compiler warning in any target"
 # Every crate's lib, bins, examples and tests (and the vendored stubs' own),
