@@ -24,6 +24,9 @@
 //! * `batch_step` — the columnar [`SessionBatch`] vs per-session compiled
 //!   tasks under a [`CompiledMonitor`] (the slab configuration), per action,
 //!   each population quiet and (`/recorded`) recording its traces;
+//! * `batch_occupancy` — a 512-slot [`SessionBatch`] holding a few
+//!   sessions vs the same sessions in a batch exactly their width: what
+//!   empty slots cost a pass; floor 0.8;
 //! * `obs_overhead` — batch stepping with the shard's instruments attached
 //!   (admission events, per-quantum clock reads, cohort-width fold, wall
 //!   time per outcome) vs the bare loop; floor 0.85;
@@ -205,7 +208,7 @@ struct Family {
     cases: fn(&Mode) -> Vec<Case>,
 }
 
-const FAMILIES: [Family; 11] = [
+const FAMILIES: [Family; 12] = [
     Family {
         name: "trace_equiv",
         oracle: "set-based checker (check_trace_equivalence_exhaustive)",
@@ -241,6 +244,15 @@ const FAMILIES: [Family; 11] = [
         oracle: "per-session CompiledEndpointTask + CompiledMonitor (same sessions)",
         floor: None,
         cases: batch_step,
+    },
+    // A shard's batches have 512 slots and mostly hold a few sessions; a
+    // pass walks the live slots only, so capacity must cost (almost)
+    // nothing. 0.8 leaves room for a smoke run's noise.
+    Family {
+        name: "batch_occupancy",
+        oracle: "the same sessions in a batch exactly their width",
+        floor: Some(0.8),
+        cases: batch_occupancy,
     },
     // The instruments must cost nearly nothing: 0.90 is the budget, 0.85
     // leaves room for a smoke run's noise on a shared box.
@@ -777,6 +789,48 @@ fn batch_step(mode: &Mode) -> Vec<Case> {
                 (stats.0.per(actions), stats.1.per(actions)),
             ));
         }
+    }
+    cases
+}
+
+/// Capacity a shard builds every batch with.
+const SHARD_BATCH_CAPACITY: usize = 512;
+
+/// Sparse batches: `w` sessions in a [`SHARD_BATCH_CAPACITY`]-slot batch vs
+/// the same `w` sessions in a `w`-slot one. The populations are the
+/// per-shard shapes of the serving workloads: 64 recorded looping sessions
+/// (`mem_long`) and a handful of short rings (one of `mem_mixed`'s many
+/// narrow batch keys). Both batches are reused across samples, so the
+/// sparse one's slots recycle out of order as a shard's do.
+fn batch_occupancy(mode: &Mode) -> Vec<Case> {
+    let long = mode.pick(256, 64);
+    let populations = [
+        ("fanout_loop/4", fanout_loop(4), Some(long), 64, true),
+        ("ring/4", generators::ring_n(4), None, 4, false),
+    ];
+    let mut cases = Vec::new();
+    for (case, g, max_steps, width, record) in populations {
+        let fixture = Fixture::new(&g);
+        let options = quiet(max_steps).record_actions(record);
+        let mut sparse =
+            SessionBatch::new(fixture.layout(), options.clone(), SHARD_BATCH_CAPACITY);
+        let mut full = SessionBatch::new(fixture.layout(), options, width);
+        let actions = run_batch(&mut full, width);
+        assert!(actions > 0, "{case}: the batch made no progress");
+        assert_eq!(
+            actions,
+            run_batch(&mut sparse, width),
+            "{case}: capacity must not change what the sessions do"
+        );
+        let stats = sample_pair(mode, |engine| {
+            let batch = if engine { &mut sparse } else { &mut full };
+            std::hint::black_box(run_batch(batch, width));
+        });
+        let recorded = if record { "/recorded" } else { "" };
+        cases.push(Case::new(
+            format!("{case}/w{width}/cap{SHARD_BATCH_CAPACITY}/actions{actions}{recorded}/peraction"),
+            (stats.0.per(actions), stats.1.per(actions)),
+        ));
     }
     cases
 }

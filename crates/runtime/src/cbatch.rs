@@ -29,6 +29,15 @@
 //! zero-hash monitoring via the pre-interned actions
 //! ([`zooid_cfsm::CompiledSystem::observe_interned`]).
 //!
+//! A pass visits live endpoints only. The batch keeps its occupied slots
+//! in one dense, ascending list, and every per-pass loop — the cohort
+//! gather, the post-pass settle and the end-of-quantum trace append —
+//! walks that list, never the whole slot range. Capacity bounds the
+//! columns' memory, not a pass's work: a 512-slot batch holding four
+//! sessions steps them as cheaply as a 4-slot batch would. Ascending slot
+//! order is also the order the cohorts, the `finished` and the `demoted`
+//! lists come out in.
+//!
 //! A session is **batch-eligible** when every role's program avoids
 //! external actions (`read`/`write`/`interact` run arbitrary host closures)
 //! and every communication site has a statically known sort with a
@@ -249,8 +258,9 @@ pub struct BatchQuantum {
     /// `cohort_sessions / cohorts`).
     pub cohort_sessions: usize,
     /// Cohort-width distribution: `cohort_widths[b]` counts cohorts whose
-    /// width fell in log2 bucket `b` (bucket 0 is unused — a cohort has at
-    /// least one session; widths ≥ 2^15 land in the last bucket). The
+    /// width fell in log2 bucket `b`, which holds widths in
+    /// `[2^(b-1), 2^b)` (bucket 0 is unused — a cohort has at least one
+    /// session; every width ≥ 2^14 lands in the last bucket, 15). The
     /// server folds this into its width histogram without touching the
     /// stepping loop.
     pub cohort_widths: [u64; 16],
@@ -334,6 +344,12 @@ struct Performed {
     accepted: bool,
 }
 
+/// The [`BatchQuantum::cohort_widths`] bucket of a cohort `width` sessions
+/// wide.
+fn width_bucket(width: usize) -> usize {
+    ((usize::BITS - width.leading_zeros()) as usize).min(15)
+}
+
 /// Endpoint `r`'s value action at communication site `event` of its
 /// program: the role, the site's peer, label and static sort (a send's
 /// payload was checked against it before the send was performed), and
@@ -357,7 +373,7 @@ fn site_action(layout: &BatchLayout, r: usize, event: u32, send: bool, value: Va
 /// All sessions share one [`BatchLayout`] and one [`ExecOptions`]; their
 /// mutable state lives in struct-of-arrays columns indexed by session slot.
 /// [`SessionBatch::admit`] claims a slot, [`SessionBatch::run_quantum`]
-/// steps the whole population in `(role, pc)` cohorts, and sessions leave
+/// steps the live sessions in `(role, pc)` cohorts, and sessions leave
 /// as [`BatchOutcome`]s (over: concluded or stalled) or [`DemotedSession`]s
 /// (to continue on the slab executor).
 #[derive(Debug)]
@@ -368,9 +384,9 @@ pub struct SessionBatch {
     cap: usize,
     // Session columns (one entry per slot).
     tokens: Vec<u64>,
-    live: Vec<bool>,
+    // The occupied slots, ascending: every per-pass loop walks this list.
+    live_slots: Vec<u32>,
     free: Vec<u32>,
-    live_count: usize,
     cursors: Vec<MonitorCursor>,
     traces: Vec<Trace>,
     // What each recording session performed since its traces were last
@@ -397,6 +413,9 @@ pub struct SessionBatch {
     queues: Vec<FrameQueue>,
     // (pc, session) scratch for cohort grouping, reused across passes.
     scratch: Vec<(u32, u32)>,
+    // Copy of `live_slots` that `settle` walks while extraction edits the
+    // list, reused across passes.
+    settling: Vec<u32>,
 }
 
 impl SessionBatch {
@@ -419,9 +438,8 @@ impl SessionBatch {
             record,
             cap,
             tokens: vec![0; cap],
-            live: vec![false; cap],
+            live_slots: Vec::new(),
             free: (0..cap as u32).rev().collect(),
-            live_count: 0,
             cursors: vec![cursor; cap],
             traces: vec![Trace::empty(); cap],
             logs: (0..cap).map(|_| Vec::new()).collect(),
@@ -437,6 +455,7 @@ impl SessionBatch {
             slots,
             queues,
             scratch: Vec::new(),
+            settling: Vec::new(),
         }
     }
 
@@ -457,7 +476,7 @@ impl SessionBatch {
 
     /// Number of live sessions.
     pub fn live_count(&self) -> usize {
-        self.live_count
+        self.live_slots.len()
     }
 
     /// Returns `true` if no slot is free.
@@ -467,21 +486,21 @@ impl SessionBatch {
 
     /// Returns `true` if no session is live.
     pub fn is_empty(&self) -> bool {
-        self.live_count == 0
+        self.live_slots.is_empty()
     }
 
     /// Admits a new session under the caller's `token` (any identifier;
     /// outcomes and demotions carry it back). Returns `false` when the
     /// batch is full.
     pub fn admit(&mut self, token: u64) -> bool {
-        let Some(s) = self.free.pop() else {
+        let Some(slot) = self.free.pop() else {
             return false;
         };
-        let s = s as usize;
+        let at = self.live_slots.partition_point(|&live| live < slot);
+        self.live_slots.insert(at, slot);
+        let s = slot as usize;
         let cap = self.cap;
         self.tokens[s] = token;
-        self.live[s] = true;
-        self.live_count += 1;
         self.demote[s] = false;
         self.progress[s] = false;
         self.cursors[s] = self.layout.system.monitor_cursor();
@@ -499,7 +518,7 @@ impl SessionBatch {
         true
     }
 
-    /// Steps the whole population in full passes until `budget` visible
+    /// Steps the live sessions in full passes until `budget` visible
     /// actions were performed (the last pass may overshoot) or no session
     /// is left. Each pass groups live endpoints by `(role, pc)` and steps
     /// every cohort once; a session whose endpoints all conclude, or that a
@@ -507,15 +526,19 @@ impl SessionBatch {
     /// it can never progress again), leaves as a [`BatchOutcome`]; one that
     /// diverges (violation, runtime sort mismatch, an instruction the batch
     /// cannot run) leaves as a [`DemotedSession`].
+    ///
+    /// Every loop of a pass, of its settle and of the final trace append
+    /// walks the live-slot list, so a quantum costs what the live sessions
+    /// cost: the batch's capacity bounds its memory, not this work.
     pub fn run_quantum(&mut self, budget: usize) -> BatchQuantum {
         let mut out = BatchQuantum::default();
         let layout = Arc::clone(&self.layout);
-        while self.live_count > 0 && out.actions < budget {
+        while !self.live_slots.is_empty() && out.actions < budget {
             self.run_pass(&layout, &mut out);
             self.settle(&mut out);
         }
-        for s in 0..self.cap {
-            self.append_log(&layout, s);
+        for i in 0..self.live_slots.len() {
+            self.append_log(&layout, self.live_slots[i] as usize);
         }
         out
     }
@@ -525,11 +548,10 @@ impl SessionBatch {
     pub fn close_all(&mut self) -> Vec<BatchOutcome> {
         let cap = self.cap;
         let n = self.layout.roles.len();
-        let mut outcomes = Vec::with_capacity(self.live_count);
-        for s in 0..cap {
-            if !self.live[s] {
-                continue;
-            }
+        let live = self.live_slots.clone();
+        let mut outcomes = Vec::with_capacity(live.len());
+        for s in live {
+            let s = s as usize;
             let undone = (0..n).any(|r| self.statuses[r * cap + s].is_none());
             outcomes.push(self.extract_outcome(s, undone));
         }
@@ -540,30 +562,31 @@ impl SessionBatch {
     /// handle, used by the handoff tests). Returns `None` for unknown
     /// tokens.
     pub fn demote_now(&mut self, token: u64) -> Option<DemotedSession> {
-        let s = (0..self.cap).find(|&s| self.live[s] && self.tokens[s] == token)?;
-        Some(self.extract_demoted(s))
+        let s = *self.live_slots.iter().find(|&&s| self.tokens[s as usize] == token)?;
+        Some(self.extract_demoted(s as usize))
     }
 
     /// Demotes **every** live session out of the batch (shard drain /
     /// migration): each leaves with its full resumable state, exactly as a
     /// mid-flight straggler demotion would, and the batch ends empty.
     pub fn demote_all(&mut self) -> Vec<DemotedSession> {
-        let live: Vec<usize> = (0..self.cap).filter(|&s| self.live[s]).collect();
-        live.into_iter().map(|s| self.extract_demoted(s)).collect()
+        let live = self.live_slots.clone();
+        live.into_iter().map(|s| self.extract_demoted(s as usize)).collect()
     }
 
     fn run_pass(&mut self, layout: &BatchLayout, out: &mut BatchQuantum) {
         let cap = self.cap;
         let n = layout.roles.len();
-        for flag in &mut self.progress {
-            *flag = false;
+        for &s in &self.live_slots {
+            self.progress[s as usize] = false;
         }
         for r in 0..n {
             let mut scratch = mem::take(&mut self.scratch);
             scratch.clear();
-            for s in 0..cap {
-                if self.live[s] && !self.demote[s] && self.statuses[r * cap + s].is_none() {
-                    scratch.push((self.pcs[r * cap + s], s as u32));
+            for &s in &self.live_slots {
+                let idx = r * cap + s as usize;
+                if !self.demote[s as usize] && self.statuses[idx].is_none() {
+                    scratch.push((self.pcs[idx], s));
                 }
             }
             scratch.sort_unstable();
@@ -576,8 +599,7 @@ impl SessionBatch {
                 }
                 out.cohorts += 1;
                 out.cohort_sessions += j - i;
-                let width = (j - i) as u64;
-                out.cohort_widths[(64 - width.leading_zeros()).min(15) as usize] += 1;
+                out.cohort_widths[width_bucket(j - i)] += 1;
                 self.step_cohort(layout, r, pc, &scratch[i..j], out);
                 i = j;
             }
@@ -895,14 +917,16 @@ impl SessionBatch {
     }
 
     /// Post-pass bookkeeping: pull out demoted sessions, close concluded and
-    /// permanently stuck ones.
+    /// permanently stuck ones. Extraction edits the live list, so this walks
+    /// a copy of it.
     fn settle(&mut self, out: &mut BatchQuantum) {
         let cap = self.cap;
         let n = self.layout.roles.len();
-        for s in 0..cap {
-            if !self.live[s] {
-                continue;
-            }
+        let mut settling = mem::take(&mut self.settling);
+        settling.clear();
+        settling.extend_from_slice(&self.live_slots);
+        for &s in &settling {
+            let s = s as usize;
             if self.demote[s] {
                 let demoted = self.extract_demoted(s);
                 out.demoted.push(demoted);
@@ -916,6 +940,7 @@ impl SessionBatch {
                 out.finished.push(outcome);
             }
         }
+        self.settling = settling;
     }
 
     fn extract_demoted(&mut self, s: usize) -> DemotedSession {
@@ -1017,9 +1042,10 @@ impl SessionBatch {
         for ch in 0..n * n {
             self.queues[ch * cap + s].clear();
         }
-        self.live[s] = false;
-        self.live_count -= 1;
-        self.free.push(s as u32);
+        let slot = s as u32;
+        let at = self.live_slots.binary_search(&slot).expect("a released slot is live");
+        self.live_slots.remove(at);
+        self.free.push(slot);
     }
 }
 
@@ -1080,5 +1106,73 @@ mod tests {
             .endpoints
             .iter()
             .all(|r| r.status == EndpointStatus::StepLimitReached));
+    }
+
+    #[test]
+    fn cohort_width_buckets_are_log2_and_saturate_at_15() {
+        for (width, bucket) in [(1, 1), (2, 2), (3, 2), (16_384, 15), (40_000, 15)] {
+            assert_eq!(width_bucket(width), bucket, "width {width}");
+        }
+    }
+
+    /// The live list is the batch's only record of which slots are
+    /// occupied: after every call it must equal the ascending set of slots
+    /// not on the free list, and carry exactly the tokens still inside.
+    #[test]
+    fn the_live_list_tracks_occupied_slots_through_a_seeded_run() {
+        fn check(batch: &SessionBatch, inside: &std::collections::BTreeSet<u64>) {
+            let occupied: Vec<u32> =
+                (0..batch.cap as u32).filter(|s| !batch.free.contains(s)).collect();
+            assert_eq!(batch.live_slots, occupied);
+            let tokens: std::collections::BTreeSet<u64> =
+                batch.live_slots.iter().map(|&s| batch.tokens[s as usize]).collect();
+            assert_eq!(&tokens, inside);
+            assert_eq!(batch.live_count(), inside.len());
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut batch = SessionBatch::new(ticker(), ExecOptions::with_max_steps(6), 16);
+        let mut inside = std::collections::BTreeSet::new();
+        let mut token = 0u64;
+        for _ in 0..2_000 {
+            match next(10) {
+                0..=4 => {
+                    if batch.admit(token) {
+                        inside.insert(token);
+                    } else {
+                        assert_eq!(inside.len(), 16, "admission fails only when full");
+                    }
+                    token += 1;
+                }
+                5..=7 => {
+                    let out = batch.run_quantum(next(8) as usize + 1);
+                    for t in out.finished.iter().map(|o| o.token) {
+                        assert!(inside.remove(&t), "session {t} closed twice");
+                    }
+                    for t in out.demoted.iter().map(|d| d.token) {
+                        assert!(inside.remove(&t), "session {t} demoted twice");
+                    }
+                }
+                8 => {
+                    let Some(&t) = inside.iter().nth(next(inside.len().max(1) as u64) as usize)
+                    else {
+                        continue;
+                    };
+                    assert_eq!(batch.demote_now(t).map(|d| d.token), Some(t));
+                    inside.remove(&t);
+                }
+                _ => {
+                    let closed = batch.close_all();
+                    assert_eq!(closed.len(), inside.len());
+                    inside.clear();
+                }
+            }
+            check(&batch, &inside);
+        }
     }
 }

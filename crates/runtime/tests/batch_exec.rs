@@ -764,3 +764,55 @@ fn value_flow_matches_through_columns() {
         assert_eq!(last.value, Value::Nat(21));
     }
 }
+
+#[test]
+fn a_sparse_batch_reuses_freed_slots_out_of_order_and_agrees() {
+    // A server batch has 512 slots and usually holds a handful of sessions
+    // admitted at different times. Waves of admissions between short
+    // quanta, plus one straggler pulled out of the middle, free slots in an
+    // order unrelated to admission order, and the next wave takes them
+    // back in that order: the live sessions sit on scattered slots. Every
+    // session — closed in the batch or finished on the slab after its
+    // demotion — must still match the stand-alone run.
+    let cases: Vec<(&str, GlobalType, ExecOptions)> = vec![
+        ("ring4", generators::ring_n(4), ExecOptions::default()),
+        ("pipeline", generators::pipeline(), ExecOptions::with_max_steps(12)),
+    ];
+    for (name, g, options) in cases {
+        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let reference = run_reference(&g, &procs, &options, true);
+        let layout = make_layout(&g, &procs, &Externals::new()).expect("eligible");
+        let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 512);
+        let mut results: Vec<(u64, Observed)> = Vec::new();
+        let collect = |out: zooid_runtime::cbatch::BatchQuantum,
+                           results: &mut Vec<(u64, Observed)>| {
+            for outcome in out.finished {
+                results.push((outcome.token, observed_outcome(outcome)));
+            }
+            for demoted in out.demoted {
+                results.push((demoted.token, finish_demoted(demoted, &layout)));
+            }
+        };
+        let mut token = 0u64;
+        for wave in [3u64, 2, 4, 1, 3, 2] {
+            for _ in 0..wave {
+                assert!(batch.admit(token));
+                token += 1;
+            }
+            collect(batch.run_quantum(2), &mut results);
+            if token == 9 {
+                let straggler = token - 2;
+                let demoted = batch.demote_now(straggler).expect("live session");
+                results.push((straggler, finish_demoted(demoted, &layout)));
+            }
+            collect(batch.run_quantum(3), &mut results);
+        }
+        collect(batch.run_quantum(usize::MAX), &mut results);
+        assert!(batch.is_empty(), "{name}: an unbounded quantum drains the batch");
+        results.sort_by_key(|(token, _)| *token);
+        assert_eq!(results.len(), token as usize, "{name}: every session reports");
+        for (t, observed) in results {
+            assert_eq!(observed, reference, "{name}: session {t} diverges");
+        }
+    }
+}

@@ -443,7 +443,9 @@ fn shard_of(id: SessionId, shards: usize) -> usize {
 }
 
 /// Maximum sessions one [`SessionBatch`] holds before the next eligible
-/// session opens a new batch.
+/// session opens a new batch. A ceiling, not a per-pass cost: a pass walks
+/// the batch's live sessions only, so a batch holding a few sessions steps
+/// them as cheaply as one sized to fit them; the capacity bounds memory.
 const BATCH_CAPACITY: usize = 512;
 /// Tag bit distinguishing batch indices from slab slots in the run queue.
 const BATCH_BIT: u32 = 1 << 31;
