@@ -51,6 +51,7 @@
 //! non-positive case ([`breaches`]), so CI needs no second parser.
 
 use std::process::ExitCode;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -860,10 +861,10 @@ fn obs_overhead(mode: &Mode) -> Vec<Case> {
             for token in 0..width as u64 {
                 assert!(batch.admit(token));
                 admitted.insert(token, at);
-                instruments.recorder.record(FlightEvent::Admitted {
-                    session: token,
-                    batched: true,
-                });
+                instruments.sessions_batched.fetch_add(1, Ordering::Relaxed);
+                instruments
+                    .recorder
+                    .record(FlightEvent::Admitted { session: token });
             }
             let started = Instant::now();
             let out = batch.run_quantum(usize::MAX);
@@ -879,11 +880,11 @@ fn obs_overhead(mode: &Mode) -> Vec<Case> {
             for (bucket, &n) in out.cohort_widths.iter().enumerate() {
                 instruments.cohort_width.add_count(bucket, n);
             }
-            // Step-limited sessions leave the batch as demotions; the shard
-            // keeps their admission stamp until the slab concludes them,
-            // this loop stops at the batch boundary and stamps them here.
+            // A demoted session is a violator, which the shard closes as
+            // quarantined: one counter bump and one violation event.
             for demoted in &out.demoted {
-                instruments.recorder.record(FlightEvent::BatchDemoted {
+                instruments.sessions_demoted.fetch_add(1, Ordering::Relaxed);
+                instruments.recorder.record(FlightEvent::Violation {
                     session: demoted.token,
                 });
             }

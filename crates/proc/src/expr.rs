@@ -245,7 +245,7 @@ impl Expr {
     /// Returns an error for unbound variables and ill-sorted operations.
     pub fn infer_sort(&self, env: &SortEnv) -> Result<Sort> {
         match self {
-            Expr::Lit(v) => sort_of_value(v),
+            Expr::Lit(v) => Ok(sort_of_value(v)),
             Expr::Var(x) => env.get(x).cloned().ok_or_else(|| ProcError::UnboundVariable {
                 name: x.clone(),
             }),
@@ -393,25 +393,23 @@ fn expect_sort(e: &Expr, env: &SortEnv, expected: &Sort, context: &str) -> Resul
     }
 }
 
-/// The sort of a literal value, when it is unambiguous. Injections take their
-/// "obvious" sum sort with a unit on the other side (good enough for the
-/// literal payloads used in practice; composite literals in protocols should
-/// prefer explicit constructors in branches).
-fn sort_of_value(v: &Value) -> Result<Sort> {
-    Ok(match v {
+/// The canonical sort of a concrete value: the sort typing gives a literal,
+/// lowering gives a send site, and every executor records a sent payload
+/// at. A value does not say what the other side of an injection or the
+/// element of an empty sequence is, so those take `unit`: `inl v` is
+/// `sort(v) + unit`, `inr v` is `unit + sort(v)`.
+pub fn sort_of_value(v: &Value) -> Sort {
+    match v {
         Value::Unit => Sort::Unit,
         Value::Nat(_) => Sort::Nat,
         Value::Int(_) => Sort::Int,
         Value::Bool(_) => Sort::Bool,
         Value::Str(_) => Sort::Str,
-        Value::Inl(inner) => Sort::sum(sort_of_value(inner)?, Sort::Unit),
-        Value::Inr(inner) => Sort::sum(Sort::Unit, sort_of_value(inner)?),
-        Value::Pair(a, b) => Sort::prod(sort_of_value(a)?, sort_of_value(b)?),
-        Value::Seq(vs) => match vs.first() {
-            Some(first) => Sort::seq(sort_of_value(first)?),
-            None => Sort::seq(Sort::Unit),
-        },
-    })
+        Value::Inl(inner) => Sort::sum(sort_of_value(inner), Sort::Unit),
+        Value::Inr(inner) => Sort::sum(Sort::Unit, sort_of_value(inner)),
+        Value::Pair(a, b) => Sort::prod(sort_of_value(a), sort_of_value(b)),
+        Value::Seq(vs) => Sort::seq(vs.first().map_or(Sort::Unit, sort_of_value)),
+    }
 }
 
 pub(crate) fn numeric(

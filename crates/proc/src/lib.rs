@@ -38,7 +38,7 @@ pub mod value;
 
 pub use compile::{CompiledProc, EventMeta};
 pub use error::{ProcError, Result};
-pub use expr::Expr;
+pub use expr::{sort_of_value, Expr};
 pub use external::{ExternalKind, ExternalSig, Externals};
 pub use proc::{Proc, RecvAlt};
 pub use semantics::{erase, ValueAction};

@@ -1,13 +1,13 @@
 //! Columnar batch execution: struct-of-arrays stepping for homogeneous
 //! sessions.
 //!
-//! The slab executor in `zooid-server` steps each session through its own
-//! [`CompiledEndpointTask`](crate::cexec::CompiledEndpointTask): one pointer
-//! chase into the session's slot array, one `RefCell` borrow of its channel
-//! core and one virtual port dispatch per action — per session. At serving
-//! scale most live sessions run the *same* protocol and sit at the *same*
-//! handful of program counters, so almost all of that per-session state is
-//! redundant. This module splits a session population the other way:
+//! A [`CompiledEndpointTask`](crate::cexec::CompiledEndpointTask) steps one
+//! endpoint of one session: one pointer chase into the session's slot
+//! array, one `RefCell` borrow of its channel core and one virtual port
+//! dispatch per action — per session. At serving scale most live sessions
+//! run the *same* protocol and sit at the *same* handful of program
+//! counters, so almost all of that per-session state is redundant. This
+//! module splits a session population the other way:
 //!
 //! * the **skeleton** — the compiled per-role programs
 //!   ([`EndpointProgram`]), the protocol's compiled transition tables and
@@ -38,49 +38,62 @@
 //! order is also the order the cohorts, the `finished` and the `demoted`
 //! lists come out in.
 //!
-//! A session is **batch-eligible** when every role's program avoids
-//! external actions (`read`/`write`/`interact` run arbitrary host closures)
-//! and every communication site has a statically known sort with a
-//! pre-interned action ([`BatchLayout::new`] checks this once per program
-//! set).
+//! Every lowered cast has a layout: [`BatchLayout::new`] only checks that
+//! there is one program per role, in role order. The batch then runs
+//! whatever the per-session executor runs, with the same results:
+//!
+//! * `read`, `write` and `interact` call the endpoint's own [`Externals`],
+//!   which [`SessionBatch::admit_with_externals`] stores in a column, and
+//!   spend the same internal-action fuel;
+//! * an action with no pre-interned form — its label or peer is not in the
+//!   protocol, or a send's payload is not of the site's static sort — is
+//!   interned against the protocol's tables when it happens, as the
+//!   per-session monitor does, and an action that does not intern is
+//!   rejected;
+//! * a send to a role outside the session is observed, then fails its
+//!   endpoint.
 //!
 //! A session leaves its batch one of two ways. One that is **over** is
 //! closed where it stands, as a [`BatchOutcome`]: every endpoint concluded,
 //! or a full pass made no progress — which for a self-contained session
 //! proves none can ever come — and the endpoints still mid-protocol are
-//! reported stalled. One the batch **cannot carry further** — after a
-//! monitor violation, a payload whose runtime sort differs from the static
-//! one, or an instruction the batch cannot run — is **demoted**: its columns
-//! are gathered into a [`DemotedSession`] carrying the program counters,
-//! slot values, action traces, in-flight frames and the monitor state. The
-//! slab executor can resume it from there without losing a single observation
-//! ([`CompiledEndpointTask::resume`](crate::cexec::CompiledEndpointTask::resume),
-//! [`CompiledMonitor::resume`]). A violator is not resumed: the server ends
-//! a session at its first violation, and the demoted state is all its
-//! outcome needs.
+//! reported stalled. One whose monitor rejects an action is **demoted**
+//! right after that action: its columns are gathered into a
+//! [`DemotedSession`] carrying the program counters, slot values, action
+//! traces, in-flight frames and the monitor state, which is all its
+//! outcome needs. The same extraction takes live sessions out on request
+//! ([`SessionBatch::demote_all`], to move them), and
+//! [`SessionBatch::restore`] is its inverse: a demoted session, or one
+//! decoded from a checkpoint, continues in another batch without losing a
+//! single observation.
 //!
 //! The frame arena is process memory written only by this module, so it
 //! has no fault seam: every wire id in it was assigned by
 //! [`BatchLayout::new`]. A batch's hostile input is its cast, which the
 //! monitor judges.
 //!
-//! The slab and tree executors remain the behavioural oracles: the
+//! The per-session and tree executors remain the behavioural oracles: the
 //! differential suite (`tests/batch_exec.rs`) checks statuses, per-endpoint
-//! value traces and monitor verdicts agree in lockstep on case studies and
-//! randomized projectable protocols.
+//! value traces and monitor verdicts agree in lockstep on case studies,
+//! randomized projectable protocols, external actions and violating casts.
 
 use std::mem;
 use std::sync::Arc;
 
-use zooid_cfsm::{CompiledSystem, MonitorCursor};
-use zooid_mpst::{Label, Role, Trace};
+use zooid_cfsm::{CompiledSystem, InternedAction, MonitorCursor};
+use zooid_mpst::common::intern::RoleId;
+use zooid_mpst::{Action, Label, Role, Sort, Trace};
 use zooid_proc::compile::{Arm, CExpr, Instr};
-use zooid_proc::{erase, Value, ValueAction};
+use zooid_proc::{erase, sort_of_value, Externals, Value, ValueAction};
 
 use crate::cexec::{admin_tick, ActionTemplate, EndpointProgram};
 use crate::error::RuntimeError;
-use crate::exec::{sort_of_value, EndpointReport, EndpointStatus, ExecOptions};
+use crate::exec::{EndpointReport, EndpointStatus, ExecOptions};
 use crate::monitor::{CompiledMonitor, MonitorViolation};
+
+/// The [`BatchLayout`] peer index of a role that is not a peer in the
+/// session: one outside it, or the endpoint's own role.
+const NO_PEER: u32 = u32::MAX;
 
 /// The shared skeleton of a batch: the per-role compiled programs plus the
 /// routing tables derived from them once — dense peer indices
@@ -100,19 +113,20 @@ pub struct BatchLayout {
     /// site).
     label_wire: Vec<Vec<u32>>,
     /// `peer_map[r][RoleId::index()]` — the batch role index of that role's
-    /// interned peer.
+    /// interned peer, [`NO_PEER`] for a role that is not one.
     peer_map: Vec<Vec<u32>>,
     /// Per-role slot counts (the per-role column heights).
     slot_counts: Vec<usize>,
+    /// Whether some program calls external actions.
+    calls_externals: bool,
 }
 
 impl BatchLayout {
-    /// Derives the shared layout for one program per role, or `None` when
-    /// the combination is not batch-eligible: `roles` must be sorted and
-    /// match the programs' roles positionally, no program may call external
-    /// actions, and every communication site must carry a statically known
-    /// sort with a pre-interned action (compile the programs with
-    /// [`EndpointProgram::with_system`] against the same `system`).
+    /// Derives the shared layout for one program per role. `roles` must be
+    /// sorted and match the programs' roles positionally, else this is
+    /// `None`. Any such program set runs; compiling the programs with
+    /// [`EndpointProgram::with_system`] against the same `system` lets the
+    /// batch monitor their actions without a lookup.
     pub fn new(
         roles: Arc<[Role]>,
         programs: Vec<Arc<EndpointProgram>>,
@@ -127,23 +141,18 @@ impl BatchLayout {
         let mut slot_counts = Vec::with_capacity(programs.len());
         for (r, program) in programs.iter().enumerate() {
             let compiled = program.program();
-            if compiled.role() != &roles[r] || compiled.calls_externals() {
-                return None;
-            }
-            if program
-                .templates()
-                .iter()
-                .any(|t| t.static_sort.is_none() || t.interned.is_none())
-            {
+            if compiled.role() != &roles[r] {
                 return None;
             }
             let snapshot = compiled.snapshot();
-            let mut map = Vec::with_capacity(snapshot.roles().len());
-            for role in snapshot.roles() {
-                let pos = roles.binary_search(role).ok()?;
-                map.push(pos as u32);
-            }
-            peer_map.push(map);
+            let peers = snapshot
+                .roles()
+                .iter()
+                .map(|role| match roles.binary_search(role) {
+                    Ok(pos) if pos != r => pos as u32,
+                    _ => NO_PEER,
+                });
+            peer_map.push(peers.collect());
             let mut wires: Vec<u32> = Vec::new();
             let mut assign = |wires: &mut Vec<u32>, lid: zooid_mpst::common::intern::LabelId| {
                 let i = lid.index();
@@ -173,6 +182,7 @@ impl BatchLayout {
             label_wire.push(wires);
             slot_counts.push(compiled.slot_count());
         }
+        let calls_externals = programs.iter().any(|p| p.program().calls_externals());
         Some(Arc::new(BatchLayout {
             roles,
             programs,
@@ -181,6 +191,7 @@ impl BatchLayout {
             label_wire,
             peer_map,
             slot_counts,
+            calls_externals,
         }))
     }
 
@@ -198,12 +209,18 @@ impl BatchLayout {
     pub fn system(&self) -> &Arc<CompiledSystem> {
         &self.system
     }
+
+    /// Whether some program calls external actions: its sessions need
+    /// their [`Externals`] at admission, and no checkpoint can carry them.
+    pub fn calls_externals(&self) -> bool {
+        self.calls_externals
+    }
 }
 
 /// One session-indexed cell of the frame arena: an append-only buffer with
 /// a read head — push is a `Vec` push, pop swaps the value out and bumps
 /// the head, and the buffer resets once drained so capacity is reused.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct FrameQueue {
     buf: Vec<(u32, Value)>,
     head: usize,
@@ -235,9 +252,9 @@ impl FrameQueue {
 }
 
 /// What one [`SessionBatch::run_quantum`] call did: action counts for
-/// metrics, the sessions that are over, the sessions that demoted to the
-/// slab executor, and cohort statistics (a cohort is one `(role, pc)` run
-/// of a scheduling pass).
+/// metrics, the sessions that are over, the sessions demoted at a
+/// violation, and cohort statistics (a cohort is one `(role, pc)` run of a
+/// scheduling pass).
 #[derive(Debug, Default)]
 pub struct BatchQuantum {
     /// Visible communications performed (sends + receives).
@@ -247,10 +264,9 @@ pub struct BatchQuantum {
     /// Sessions that are over: every endpoint concluded, or no endpoint can
     /// ever progress again ([`BatchOutcome::stalled`]).
     pub finished: Vec<BatchOutcome>,
-    /// Sessions that continue elsewhere, pulled out mid-flight: a monitor
-    /// violation, a runtime sort mismatch, or an instruction the batch
-    /// cannot run. A session that merely cannot progress is not here — it
-    /// is over, and closes in `finished`.
+    /// Sessions pulled out right after their monitor rejected an action,
+    /// with the state their outcome is read from. A session that merely
+    /// cannot progress is not here — it is over, and closes in `finished`.
     pub demoted: Vec<DemotedSession>,
     /// Number of `(role, pc)` cohorts stepped.
     pub cohorts: usize,
@@ -266,10 +282,9 @@ pub struct BatchQuantum {
     pub cohort_widths: [u64; 16],
 }
 
-/// The conclusion of one batched session, in the same terms as a slab
-/// session outcome: per-endpoint reports (in batch role order), the
-/// monitor's verdicts and — when recording was on — the compliant global
-/// trace.
+/// The conclusion of one batched session: per-endpoint reports (in batch
+/// role order), the monitor's verdicts and — when recording was on — the
+/// compliant global trace.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// The caller-supplied session token (see [`SessionBatch::admit`]).
@@ -292,7 +307,8 @@ pub struct BatchOutcome {
 }
 
 /// One endpoint's extracted execution state, ready for
-/// [`CompiledEndpointTask::resume`](crate::cexec::CompiledEndpointTask::resume).
+/// [`SessionBatch::restore`] (or
+/// [`CompiledEndpointTask::resume`](crate::cexec::CompiledEndpointTask::resume)).
 #[derive(Debug)]
 pub struct DemotedEndpoint {
     /// The endpoint's role.
@@ -311,10 +327,11 @@ pub struct DemotedEndpoint {
     pub status: Option<EndpointStatus>,
 }
 
-/// A session pulled out of a batch mid-flight: everything the slab executor
-/// needs to continue it exactly where its columns left off — per-endpoint
-/// state, the resumed monitor, and the frames that were still in flight in
-/// the batch arena (per-channel FIFO order preserved).
+/// A session pulled out of a batch mid-flight: everything needed to
+/// continue it exactly where its columns left off — per-endpoint state, the
+/// monitor mid-stream, and the frames that were still in flight in the
+/// batch arena (per-channel FIFO order preserved). Its external actions
+/// stay behind: a session restored from one runs with none.
 #[derive(Debug)]
 pub struct DemotedSession {
     /// The caller-supplied session token.
@@ -344,23 +361,38 @@ struct Performed {
     accepted: bool,
 }
 
+/// Sets a column's length, keeping no more memory than that length needs.
+fn refit<T: Clone>(column: &mut Vec<T>, len: usize, value: T) {
+    column.resize(len, value);
+    column.shrink_to_fit();
+}
+
 /// The [`BatchQuantum::cohort_widths`] bucket of a cohort `width` sessions
 /// wide.
 fn width_bucket(width: usize) -> usize {
     ((usize::BITS - width.leading_zeros()) as usize).min(15)
 }
 
+/// The sort an action at `site` carrying `value` is recorded and observed
+/// at, the one the per-session executor gives it: a send's payload's own
+/// sort, a receive's declared sort.
+fn site_sort(site: &ActionTemplate, send: bool, value: &Value) -> Sort {
+    if send {
+        sort_of_value(value)
+    } else {
+        site.static_sort
+            .clone()
+            .expect("a receive site carries its declared sort")
+    }
+}
+
 /// Endpoint `r`'s value action at communication site `event` of its
-/// program: the role, the site's peer, label and static sort (a send's
-/// payload was checked against it before the send was performed), and
-/// `value`.
+/// program: the role, the site's peer and label, and `value` at
+/// [`site_sort`].
 fn site_action(layout: &BatchLayout, r: usize, event: u32, send: bool, value: Value) -> ValueAction {
     let site = &layout.programs[r].templates()[event as usize];
     let (me, peer, label) = (layout.roles[r].clone(), site.peer.clone(), site.label.clone());
-    let sort = site
-        .static_sort
-        .clone()
-        .expect("batch-eligible templates have static sorts");
+    let sort = site_sort(site, send, &value);
     if send {
         ValueAction::send(me, peer, label, sort, value)
     } else {
@@ -368,14 +400,31 @@ fn site_action(layout: &BatchLayout, r: usize, event: u32, send: bool, value: Va
     }
 }
 
+/// The erasure of [`site_action`]: what the monitor sees.
+fn site_erasure(layout: &BatchLayout, r: usize, event: u32, send: bool, value: &Value) -> Action {
+    let site = &layout.programs[r].templates()[event as usize];
+    let (me, peer, label) = (
+        layout.roles[r].clone(),
+        site.peer.clone(),
+        site.label.clone(),
+    );
+    let sort = site_sort(site, send, value);
+    if send {
+        Action::send(me, peer, label, sort)
+    } else {
+        Action::recv(me, peer, label, sort)
+    }
+}
+
 /// A fixed-capacity population of homogeneous sessions stepped in columns.
 ///
 /// All sessions share one [`BatchLayout`] and one [`ExecOptions`]; their
 /// mutable state lives in struct-of-arrays columns indexed by session slot.
-/// [`SessionBatch::admit`] claims a slot, [`SessionBatch::run_quantum`]
-/// steps the live sessions in `(role, pc)` cohorts, and sessions leave
-/// as [`BatchOutcome`]s (over: concluded or stalled) or [`DemotedSession`]s
-/// (to continue on the slab executor).
+/// [`SessionBatch::admit`] claims a slot (and [`SessionBatch::restore`]
+/// claims one for a session extracted elsewhere),
+/// [`SessionBatch::run_quantum`] steps the live sessions in `(role, pc)`
+/// cohorts, and sessions leave as [`BatchOutcome`]s (over: concluded or
+/// stalled) or [`DemotedSession`]s (at a violation, or on request).
 #[derive(Debug)]
 pub struct SessionBatch {
     layout: Arc<BatchLayout>,
@@ -406,6 +455,8 @@ pub struct SessionBatch {
     steps: Vec<usize>,
     statuses: Vec<Option<EndpointStatus>>,
     actions: Vec<Vec<ValueAction>>,
+    // Empty unless the layout calls external actions.
+    externals: Vec<Externals>,
     // Value columns, per role, laid out per-slot across sessions:
     // `slots[role][slot_id * cap + slot]`.
     slots: Vec<Vec<Value>>,
@@ -422,20 +473,11 @@ impl SessionBatch {
     /// Creates an empty batch of the given capacity (at least 1).
     pub fn new(layout: Arc<BatchLayout>, options: ExecOptions, capacity: usize) -> Self {
         let cap = capacity.max(1);
-        let n = layout.roles.len();
-        let record = options.record_actions;
         let cursor = layout.system.monitor_cursor();
-        let slots = layout
-            .slot_counts
-            .iter()
-            .map(|&count| vec![Value::Unit; count * cap])
-            .collect();
-        let mut queues = Vec::with_capacity(n * n * cap);
-        queues.resize_with(n * n * cap, FrameQueue::default);
-        SessionBatch {
-            layout,
-            options,
-            record,
+        let mut batch = SessionBatch {
+            layout: Arc::clone(&layout),
+            options: options.clone(),
+            record: options.record_actions,
             cap,
             tokens: vec![0; cap],
             live_slots: Vec::new(),
@@ -448,15 +490,53 @@ impl SessionBatch {
             observed: vec![0; cap],
             demote: vec![false; cap],
             progress: vec![false; cap],
-            pcs: vec![0; n * cap],
-            steps: vec![0; n * cap],
-            statuses: vec![None; n * cap],
-            actions: vec![Vec::new(); n * cap],
-            slots,
-            queues,
+            pcs: Vec::new(),
+            steps: Vec::new(),
+            statuses: Vec::new(),
+            actions: Vec::new(),
+            externals: Vec::new(),
+            slots: Vec::new(),
+            queues: Vec::new(),
             scratch: Vec::new(),
             settling: Vec::new(),
+        };
+        // The endpoint columns are sized by the layout.
+        batch.rekey(layout, options);
+        batch
+    }
+
+    /// Gives an empty batch to another layout and options, keeping its
+    /// capacity and reusing its columns' memory: a shard hands the slot of
+    /// an idle batch to a new key this way, rewriting the columns in place
+    /// instead of freeing one batch and faulting in the next.
+    ///
+    /// # Panics
+    ///
+    /// If a session is live.
+    pub fn rekey(&mut self, layout: Arc<BatchLayout>, options: ExecOptions) {
+        assert!(self.is_empty(), "only an empty batch changes layout");
+        // Release left every endpoint cell scrubbed (no status, no actions,
+        // unit slots), and admission sets the rest. Each column keeps the
+        // memory the new layout needs and gives back the rest, and the arena
+        // drops the frame buffers earlier sessions grew: a slot that once
+        // held the widest key must not hold its memory for every later one.
+        let (cap, n) = (self.cap, layout.roles.len());
+        refit(&mut self.pcs, n * cap, 0);
+        refit(&mut self.steps, n * cap, 0);
+        refit(&mut self.statuses, n * cap, None);
+        refit(&mut self.actions, n * cap, Vec::new());
+        let externals = if layout.calls_externals { n * cap } else { 0 };
+        self.externals.clear();
+        refit(&mut self.externals, externals, Externals::new());
+        self.slots.resize_with(n, Vec::new);
+        for (column, &count) in self.slots.iter_mut().zip(&layout.slot_counts) {
+            refit(column, count * cap, Value::Unit);
         }
+        self.queues.clear();
+        refit(&mut self.queues, n * n * cap, FrameQueue::default());
+        self.record = options.record_actions;
+        self.layout = layout;
+        self.options = options;
     }
 
     /// The shared layout the batch runs.
@@ -490,19 +570,21 @@ impl SessionBatch {
     }
 
     /// Admits a new session under the caller's `token` (any identifier;
-    /// outcomes and demotions carry it back). Returns `false` when the
-    /// batch is full.
+    /// outcomes and demotions carry it back), with no external actions.
+    /// Returns `false` when the batch is full.
     pub fn admit(&mut self, token: u64) -> bool {
-        let Some(slot) = self.free.pop() else {
+        self.admit_with_externals(token, Vec::new())
+    }
+
+    /// Admits a new session whose endpoints call the given external
+    /// actions, one [`Externals`] per role in batch role order (missing
+    /// entries are empty; they are not kept at all when the layout calls
+    /// none). Returns `false` when the batch is full.
+    pub fn admit_with_externals(&mut self, token: u64, externals: Vec<Externals>) -> bool {
+        let Some(s) = self.claim(token) else {
             return false;
         };
-        let at = self.live_slots.partition_point(|&live| live < slot);
-        self.live_slots.insert(at, slot);
-        let s = slot as usize;
         let cap = self.cap;
-        self.tokens[s] = token;
-        self.demote[s] = false;
-        self.progress[s] = false;
         self.cursors[s] = self.layout.system.monitor_cursor();
         self.traces[s] = Trace::empty();
         self.violations[s].clear();
@@ -515,7 +597,80 @@ impl SessionBatch {
             self.statuses[idx] = None;
             self.actions[idx].clear();
         }
+        if self.layout.calls_externals {
+            for (r, externals) in externals.into_iter().enumerate() {
+                self.externals[r * cap + s] = externals;
+            }
+        }
         true
+    }
+
+    /// Continues a session extracted from a batch of the same layout —
+    /// demoted, or decoded from a checkpoint — in a free slot: program
+    /// counters, step counts, statuses, slot values and recorded actions
+    /// per endpoint, the monitor's cursor, counters, trace and violations,
+    /// and the in-flight frames, re-queued in their delivery order. The
+    /// inverse of the extraction; the session runs with no external
+    /// actions.
+    ///
+    /// # Panics
+    ///
+    /// If the batch is full ([`SessionBatch::is_full`]), or a frame carries
+    /// a label no communication site of the layout has: neither an
+    /// extraction nor
+    /// [`SessionCheckpoint::into_demoted`](crate::checkpoint::SessionCheckpoint::into_demoted)
+    /// produces one.
+    pub fn restore(&mut self, demoted: DemotedSession) {
+        debug_assert_eq!(demoted.endpoints.len(), self.layout.programs.len());
+        let s = self
+            .claim(demoted.token)
+            .expect("a restored session needs a free slot");
+        let DemotedSession {
+            endpoints,
+            mut monitor,
+            frames,
+            ..
+        } = demoted;
+        let (cap, n) = (self.cap, self.layout.roles.len());
+        self.cursors[s] = monitor.cursor().clone();
+        self.traces[s] = monitor.take_trace();
+        self.violations[s] = monitor.take_violations();
+        self.accepted[s] = monitor.accepted();
+        self.observed[s] = monitor.observed();
+        for (r, ep) in endpoints.into_iter().enumerate() {
+            debug_assert!(Arc::ptr_eq(&ep.program, &self.layout.programs[r]));
+            let idx = r * cap + s;
+            self.pcs[idx] = ep.pc;
+            self.steps[idx] = ep.steps;
+            self.statuses[idx] = ep.status;
+            self.actions[idx] = ep.actions;
+            for (k, value) in ep.slots.into_iter().enumerate() {
+                self.slots[r][k * cap + s] = value;
+            }
+        }
+        for (from, to, label, value) in frames {
+            let wire = self
+                .layout
+                .labels
+                .iter()
+                .position(|l| *l == label)
+                .expect("an extracted frame carries a site's label");
+            let ch = (from as usize * n + to as usize) * cap;
+            self.queues[ch + s].push(wire as u32, value);
+        }
+    }
+
+    /// Takes a free slot for `token` and enters it in the live list; the
+    /// session columns are the caller's to fill.
+    fn claim(&mut self, token: u64) -> Option<usize> {
+        let slot = self.free.pop()?;
+        let at = self.live_slots.partition_point(|&live| live < slot);
+        self.live_slots.insert(at, slot);
+        let s = slot as usize;
+        self.tokens[s] = token;
+        self.demote[s] = false;
+        self.progress[s] = false;
+        Some(s)
     }
 
     /// Steps the live sessions in full passes until `budget` visible
@@ -523,9 +678,8 @@ impl SessionBatch {
     /// is left. Each pass groups live endpoints by `(role, pc)` and steps
     /// every cohort once; a session whose endpoints all conclude, or that a
     /// full pass could not move (which for a self-contained session proves
-    /// it can never progress again), leaves as a [`BatchOutcome`]; one that
-    /// diverges (violation, runtime sort mismatch, an instruction the batch
-    /// cannot run) leaves as a [`DemotedSession`].
+    /// it can never progress again), leaves as a [`BatchOutcome`]; one whose
+    /// monitor rejects an action leaves as a [`DemotedSession`].
     ///
     /// Every loop of a pass, of its settle and of the final trace append
     /// walks the live-slot list, so a quantum costs what the live sessions
@@ -558,17 +712,16 @@ impl SessionBatch {
         outcomes
     }
 
-    /// Pulls one live session out of the batch by token (straggler-demotion
-    /// handle, used by the handoff tests). Returns `None` for unknown
-    /// tokens.
+    /// Pulls one live session out of the batch by token. Returns `None`
+    /// for unknown tokens.
     pub fn demote_now(&mut self, token: u64) -> Option<DemotedSession> {
         let s = *self.live_slots.iter().find(|&&s| self.tokens[s as usize] == token)?;
         Some(self.extract_demoted(s as usize))
     }
 
     /// Demotes **every** live session out of the batch (shard drain /
-    /// migration): each leaves with its full resumable state, exactly as a
-    /// mid-flight straggler demotion would, and the batch ends empty.
+    /// migration): each leaves with its full resumable state, and the batch
+    /// ends empty.
     pub fn demote_all(&mut self) -> Vec<DemotedSession> {
         let live = self.live_slots.clone();
         live.into_iter().map(|s| self.extract_demoted(s as usize)).collect()
@@ -619,7 +772,6 @@ impl SessionBatch {
         out: &mut BatchQuantum,
     ) {
         let cap = self.cap;
-        let n = layout.roles.len();
         let program = &layout.programs[r];
         match &program.program().instrs()[pc as usize] {
             Instr::Finish => {
@@ -637,7 +789,7 @@ impl SessionBatch {
                 next,
             } => {
                 let template = &program.templates()[*event as usize];
-                let q = layout.peer_map[r][peer.index()] as usize;
+                let q = layout.peer_map[r][peer.index()];
                 let wire = layout.label_wire[r][label.index()];
                 for &(_, s) in cohort {
                     let site = (*event, template);
@@ -645,10 +797,9 @@ impl SessionBatch {
                 }
             }
             Instr::Recv { peer, arms } => {
-                let q = layout.peer_map[r][peer.index()] as usize;
-                let ch = (q * n + r) * cap;
+                let q = layout.peer_map[r][peer.index()];
                 for &(_, s) in cohort {
-                    self.recv_one(layout, r, s as usize, q, arms, ch, out);
+                    self.recv_one(layout, r, s as usize, (q, *peer), arms, out);
                 }
             }
             _ => {
@@ -661,18 +812,18 @@ impl SessionBatch {
 
     /// The general path for internal instructions: mirrors one
     /// [`CompiledEndpointTask`](crate::cexec::CompiledEndpointTask) step —
-    /// run the internal chain under fresh fuel counters, then perform at
-    /// most one visible communication.
+    /// run the internal chain (conditionals and external actions) under
+    /// fresh fuel counters, then perform at most one visible communication.
     fn step_endpoint(&mut self, layout: &BatchLayout, r: usize, s: usize, out: &mut BatchQuantum) {
         let cap = self.cap;
-        let n = layout.roles.len();
         let idx = r * cap + s;
         let program = &layout.programs[r];
-        let instrs = program.program().instrs();
+        let compiled = program.program();
         let mut admin = 0usize;
         let mut back_edges = 0usize;
         loop {
-            match &instrs[self.pcs[idx] as usize] {
+            let pc = self.pcs[idx];
+            let (action, arg, slot, next) = match &compiled.instrs()[pc as usize] {
                 Instr::Finish => {
                     self.statuses[idx] = Some(EndpointStatus::Finished);
                     self.progress[s] = true;
@@ -683,22 +834,19 @@ impl SessionBatch {
                     then_pc,
                     else_pc,
                 } => {
-                    let target = match cond
+                    let target = cond
                         .eval_strided(&self.slots[r], cap, s)
                         .and_then(|v| v.as_bool())
-                    {
-                        Ok(true) => *then_pc,
-                        Ok(false) => *else_pc,
-                        Err(e) => {
-                            self.fail(idx, s, RuntimeError::from(e));
-                            return;
-                        }
-                    };
-                    if let Err(e) = admin_tick(&mut admin, &mut back_edges, self.pcs[idx], target) {
-                        self.fail(idx, s, e);
-                        return;
+                        .map_err(RuntimeError::from)
+                        .map(|taken| if taken { *then_pc } else { *else_pc })
+                        .and_then(|target| {
+                            admin_tick(&mut admin, &mut back_edges, pc, target).map(|()| target)
+                        });
+                    match target {
+                        Ok(target) => self.pcs[idx] = target,
+                        Err(e) => return self.fail(idx, s, e),
                     }
-                    self.pcs[idx] = target;
+                    continue;
                 }
                 Instr::Send {
                     peer,
@@ -708,25 +856,42 @@ impl SessionBatch {
                     next,
                 } => {
                     let template = &program.templates()[*event as usize];
-                    let q = layout.peer_map[r][peer.index()] as usize;
+                    let q = layout.peer_map[r][peer.index()];
                     let wire = layout.label_wire[r][label.index()];
                     let site = (*event, template);
-                    self.send_one(layout, r, s, q, site, payload, wire, *next, out);
-                    return;
+                    return self.send_one(layout, r, s, q, site, payload, wire, *next, out);
                 }
                 Instr::Recv { peer, arms } => {
-                    let q = layout.peer_map[r][peer.index()] as usize;
-                    let ch = (q * n + r) * cap;
-                    self.recv_one(layout, r, s, q, arms, ch, out);
-                    return;
+                    let q = layout.peer_map[r][peer.index()];
+                    return self.recv_one(layout, r, s, (q, *peer), arms, out);
                 }
-                // External actions are excluded at layout time; if one is
-                // ever reached the session leaves for the slab executor,
-                // which can run it.
-                _ => {
-                    self.demote[s] = true;
-                    return;
+                Instr::Read { action, slot, next } => (*action, None, Some(*slot), *next),
+                Instr::Write { action, arg, next } => (*action, Some(arg), None, *next),
+                Instr::Interact {
+                    action,
+                    arg,
+                    slot,
+                    next,
+                } => (*action, Some(arg), Some(*slot), *next),
+            };
+            // An external action: the same fuel, argument and call as the
+            // per-session executor's, against this endpoint's externals.
+            let result = admin_tick(&mut admin, &mut back_edges, pc, next).and_then(|()| {
+                let arg = match arg {
+                    Some(arg) => arg.eval_strided(&self.slots[r], cap, s)?,
+                    None => Value::Unit,
+                };
+                let name = &compiled.action_names()[action as usize];
+                Ok(self.externals[idx].call(name, arg)?)
+            });
+            match result {
+                Ok(value) => {
+                    if let Some(slot) = slot {
+                        self.slots[r][slot as usize * cap + s] = value;
+                    }
+                    self.pcs[idx] = next;
                 }
+                Err(e) => return self.fail(idx, s, e),
             }
         }
     }
@@ -737,7 +902,7 @@ impl SessionBatch {
         layout: &BatchLayout,
         r: usize,
         s: usize,
-        q: usize,
+        q: u32,
         (event, template): (u32, &ActionTemplate),
         payload: &CExpr,
         wire: u32,
@@ -746,7 +911,6 @@ impl SessionBatch {
     ) {
         let cap = self.cap;
         let idx = r * cap + s;
-        let ch = (r * layout.roles.len() + q) * cap;
         if let Some(limit) = self.options.max_steps {
             if self.steps[idx] >= limit {
                 self.statuses[idx] = Some(EndpointStatus::StepLimitReached);
@@ -756,48 +920,37 @@ impl SessionBatch {
         }
         let value = match payload.eval_strided(&self.slots[r], cap, s) {
             Ok(value) => value,
-            Err(e) => {
-                self.fail(idx, s, RuntimeError::from(e));
-                return;
-            }
+            Err(e) => return self.fail(idx, s, RuntimeError::from(e)),
         };
-        let sort = sort_of_value(&value);
-        if template.static_sort.as_ref() != Some(&sort) {
-            // The pre-interned action is stale for this payload: demote
-            // *before* performing the action, so the slab executor
-            // re-evaluates and performs it identically (with the monitor
-            // falling back to its own lookups).
-            self.demote[s] = true;
-            return;
+        // The pre-interned action stands for the payload only when the
+        // payload has the site's static sort (it almost always does).
+        let interned = match (&template.interned, &template.static_sort) {
+            (Some(interned), Some(sort)) if *sort == sort_of_value(&value) => Some(interned),
+            _ => None,
+        };
+        // Observed before the frame is in flight, as on every executor.
+        let accepted = self.observe(layout, s, r, (event, true), interned, &value);
+        if q == NO_PEER {
+            let role = template.peer.clone();
+            return self.fail(idx, s, RuntimeError::UnknownPeer { role });
         }
-        let interned = template
-            .interned
-            .as_ref()
-            .expect("batch-eligible templates are interned");
-        let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
-        self.note(layout, s, r, (event, true), accepted, &value);
+        self.note(s, r, (event, true), accepted, &value);
+        let ch = (r * layout.roles.len() + q as usize) * cap;
         self.queues[ch + s].push(wire, value);
         self.steps[idx] += 1;
         self.pcs[idx] = next;
         self.progress[s] = true;
         out.actions += 1;
         out.sends += 1;
-        if !accepted {
-            // Violation: the action was completed first (observed, recorded
-            // and delivered), then the session leaves for the slab.
-            self.demote[s] = true;
-        }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn recv_one(
         &mut self,
         layout: &BatchLayout,
         r: usize,
         s: usize,
-        q: usize,
+        (q, peer): (u32, RoleId),
         arms: &[Arm],
-        ch: usize,
         out: &mut BatchQuantum,
     ) {
         let cap = self.cap;
@@ -809,6 +962,12 @@ impl SessionBatch {
                 return;
             }
         }
+        if q == NO_PEER {
+            let role = layout.programs[r].program().snapshot().role(peer).clone();
+            return self.fail(idx, s, RuntimeError::UnknownPeer { role });
+        }
+        let q = q as usize;
+        let ch = (q * layout.roles.len() + r) * cap;
         let Some((wire, value)) = self.queues[ch + s].pop() else {
             // Blocked: no progress recorded, the pc stays put.
             return;
@@ -822,66 +981,77 @@ impl SessionBatch {
                 from: layout.roles[q].clone(),
                 label: layout.labels[wire as usize].clone(),
             };
-            self.fail(idx, s, err);
-            return;
+            return self.fail(idx, s, err);
         };
         let template = &layout.programs[r].templates()[arm.event as usize];
         let sort = template
             .static_sort
             .as_ref()
-            .expect("batch-eligible templates have static sorts");
+            .expect("a receive site carries its declared sort");
         if !value.has_sort(sort) {
-            self.fail(
-                idx,
-                s,
-                RuntimeError::BadPayload {
-                    from: layout.roles[q].clone(),
-                    label: layout.labels[wire as usize].clone(),
-                },
-            );
-            return;
+            let err = RuntimeError::BadPayload {
+                from: layout.roles[q].clone(),
+                label: layout.labels[wire as usize].clone(),
+            };
+            return self.fail(idx, s, err);
         }
-        let interned = template
-            .interned
-            .as_ref()
-            .expect("batch-eligible templates are interned");
-        let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
-        self.note(layout, s, r, (arm.event, false), accepted, &value);
+        let interned = template.interned.as_ref();
+        let accepted = self.observe(layout, s, r, (arm.event, false), interned, &value);
+        self.note(s, r, (arm.event, false), accepted, &value);
         self.slots[r][arm.slot as usize * cap + s] = value;
         self.steps[idx] += 1;
         self.pcs[idx] = arm.next;
         self.progress[s] = true;
         out.actions += 1;
-        if !accepted {
-            self.demote[s] = true;
-        }
     }
 
-    /// Mirrors [`CompiledMonitor`]'s observation bookkeeping on the
-    /// session's columns for endpoint `r`'s action at site `event`, and logs
-    /// the action when the session records.
-    fn note(
+    /// Feeds endpoint `r`'s action at site `event` to the session's
+    /// monitor — through `interned` when the site's pre-interned action
+    /// stands for it, else by interning the action now, where one that
+    /// does not intern is rejected — with [`CompiledMonitor`]'s bookkeeping
+    /// on the session's columns. A rejection marks the session for
+    /// demotion once the action is complete.
+    fn observe(
         &mut self,
         layout: &BatchLayout,
+        s: usize,
+        r: usize,
+        (event, send): (u32, bool),
+        interned: Option<&InternedAction>,
+        value: &Value,
+    ) -> bool {
+        let cursor = &mut self.cursors[s];
+        let accepted = match interned {
+            Some(interned) => layout.system.observe_interned(cursor, interned),
+            None => layout
+                .system
+                .observe(cursor, &site_erasure(layout, r, event, send, value)),
+        };
+        let position = self.observed[s];
+        self.observed[s] += 1;
+        if accepted {
+            self.accepted[s] += 1;
+        } else {
+            self.violations[s].push(MonitorViolation {
+                action: site_erasure(layout, r, event, send, value),
+                position,
+                trace_len: self.accepted[s],
+            });
+            self.demote[s] = true;
+        }
+        accepted
+    }
+
+    /// Logs endpoint `r`'s completed action at site `event` when the
+    /// session records.
+    fn note(
+        &mut self,
         s: usize,
         r: usize,
         (event, send): (u32, bool),
         accepted: bool,
         value: &Value,
     ) {
-        let position = self.observed[s];
-        self.observed[s] += 1;
-        if accepted {
-            self.accepted[s] += 1;
-        } else {
-            // The monitor sees the action with its value erased.
-            let action = erase(&site_action(layout, r, event, send, Value::Unit));
-            self.violations[s].push(MonitorViolation {
-                action,
-                position,
-                trace_len: self.accepted[s],
-            });
-        }
         if self.record {
             self.logs[s].push(Performed {
                 value: value.clone(),
@@ -1026,8 +1196,8 @@ impl SessionBatch {
         outcome
     }
 
-    /// Returns a slot to the free list with its value cells scrubbed, so
-    /// [`SessionBatch::admit`] can assume clean columns.
+    /// Returns a slot to the free list with its value cells and externals
+    /// scrubbed, so admission can assume clean columns.
     fn release(&mut self, s: usize) {
         let cap = self.cap;
         let n = self.layout.roles.len();
@@ -1037,6 +1207,9 @@ impl SessionBatch {
             self.statuses[idx] = None;
             for k in 0..self.layout.slot_counts[r] {
                 self.slots[r][k * cap + s] = Value::Unit;
+            }
+            if self.layout.calls_externals {
+                self.externals[idx] = Externals::new();
             }
         }
         for ch in 0..n * n {
@@ -1082,7 +1255,7 @@ mod tests {
         BatchLayout::new([p.clone(), q.clone()].into(), programs, system).unwrap()
     }
 
-    /// The step column is as wide as the slab's counter: an unbounded
+    /// The step column is as wide as the per-session counter: an unbounded
     /// session steps past `u32::MAX` actions per endpoint, a limit above it
     /// is reached, and a demotion carries the true count.
     #[cfg(target_pointer_width = "64")]

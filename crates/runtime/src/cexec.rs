@@ -21,24 +21,24 @@
 //!   ([`CompiledEndpointTask::step_mem`]), so steady-state stepping does no
 //!   role-string comparison either.
 //!
-//! The in-memory transport is the only one a compiled task steps over: the
-//! server's shards are its callers, and endpoints on other transports (TCP)
-//! run on the tree-walking executor.
-//!
-//! The tree-walking executor remains the behavioural oracle: both produce
-//! identical traces, statuses and monitor verdicts on every protocol
-//! (`tests/compiled_exec.rs` checks this in lockstep, `WouldBlock`
-//! interleavings included).
+//! The in-memory transport is the only one a compiled task steps over, and
+//! no serving path steps one: the server runs every session in a columnar
+//! [`SessionBatch`](crate::cbatch::SessionBatch), which shares this
+//! module's [`EndpointProgram`]s, [`ActionTemplate`]s and fuel accounting.
+//! A compiled task is the per-session oracle the batch is checked against
+//! (`tests/batch_exec.rs`), and the tree-walking executor is its own
+//! (`tests/compiled_exec.rs`): all three produce identical traces, statuses
+//! and monitor verdicts, `WouldBlock` interleavings included.
 
 use std::sync::Arc;
 
 use zooid_cfsm::{CompiledSystem, InternedAction};
 use zooid_mpst::{Action, Label, Role, Sort};
 use zooid_proc::compile::{CompiledProc, Instr};
-use zooid_proc::{Externals, Proc, ProcError, Value, ValueAction};
+use zooid_proc::{sort_of_value, Externals, Proc, ProcError, Value, ValueAction};
 
 use crate::error::{Result, RuntimeError};
-use crate::exec::{sort_of_value, EndpointReport, EndpointStatus, ExecOptions, StepOutcome};
+use crate::exec::{EndpointReport, EndpointStatus, ExecOptions, StepOutcome};
 use crate::transport::InMemoryTransport;
 
 /// Same bound as the tree-walking semantics: a well-typed process performs
@@ -230,10 +230,10 @@ impl CompiledEndpointTask {
 
     /// Rebuilds a task from previously extracted execution state: the
     /// program counter, slot values, recorded actions, step count and (if
-    /// the endpoint already concluded) its status. This is the slab side of
-    /// the batch executor's straggler demotion — a session pulled out of a
-    /// [`SessionBatch`](crate::cbatch::SessionBatch) resumes here exactly
-    /// where its columns left off.
+    /// the endpoint already concluded) its status: an endpoint pulled out of
+    /// a [`SessionBatch`](crate::cbatch::SessionBatch) resumes here exactly
+    /// where its columns left off, which is how the differential suites
+    /// check an extraction.
     #[allow(clippy::too_many_arguments)]
     pub fn resume(
         program: Arc<EndpointProgram>,
@@ -280,35 +280,6 @@ impl CompiledEndpointTask {
         self.steps
     }
 
-    /// The current program counter: the flat-table instruction index the
-    /// next step will execute. Together with [`CompiledEndpointTask::slots`]
-    /// and [`CompiledEndpointTask::status`] this is the whole resumable
-    /// execution state a checkpoint must carry for
-    /// [`CompiledEndpointTask::resume`].
-    pub fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    /// The current value slots, indexed by the program's slot assignment.
-    pub fn slots(&self) -> &[Value] {
-        &self.slots
-    }
-
-    /// The endpoint's conclusion, or `None` while it is still running.
-    pub fn status(&self) -> Option<&EndpointStatus> {
-        self.status.as_ref()
-    }
-
-    /// The execution options the task runs under.
-    pub fn options(&self) -> &ExecOptions {
-        &self.options
-    }
-
-    /// The compiled program the task executes.
-    pub fn program(&self) -> &Arc<EndpointProgram> {
-        &self.program
-    }
-
     /// Returns `true` once the execution is over.
     pub fn is_done(&self) -> bool {
         self.status.is_some()
@@ -334,7 +305,6 @@ impl CompiledEndpointTask {
     /// Advances by at most one visible communication, yielding
     /// [`StepOutcome::WouldBlock`] on an empty channel. Peers are addressed
     /// by dense index and frames passed by value with no codec round-trip.
-    /// This is what the session server's shards call.
     ///
     /// The observer receives every action together with its pre-interned
     /// form when the site's template resolved (pass it to

@@ -4,18 +4,18 @@
 //! A compiled session is a tiny resumable value — per-role program counter
 //! and slot array, the monitor's [`MonitorCursor`] position, and the frames
 //! still in flight — and the batch plane already extracts exactly that
-//! shape when it demotes a straggler ([`DemotedSession`]). This module
+//! shape when it takes a session out ([`DemotedSession`]). This module
 //! makes that shape *durable*: [`SessionCheckpoint::from_demoted`] captures
 //! it, [`SessionCheckpoint::encode`]/[`SessionCheckpoint::decode`] move it
 //! through the same self-describing binary codec the wire uses
 //! ([`crate::codec`]), and [`SessionCheckpoint::into_demoted`] rebuilds a
-//! `DemotedSession` that [`CompiledEndpointTask::resume`] and
-//! [`CompiledMonitor::resume`] continue exactly where the checkpoint was
-//! taken.
+//! `DemotedSession` that
+//! [`SessionBatch::restore`](crate::cbatch::SessionBatch::restore)
+//! continues exactly where the checkpoint was taken.
 //!
 //! Restoration is a trust boundary, not a deserializer: every index in the
 //! checkpoint — program counters, slot counts, monitor states, queued
-//! message ids, frame endpoints — is validated against the compiled
+//! message ids, frame endpoints and labels — is validated against the compiled
 //! programs and transition tables it claims to resume
 //! ([`zooid_cfsm::CompiledSystem::restore_cursor`] does the cursor half).
 //! Bytes that decode but describe a state the protocol's tables do not
@@ -36,7 +36,7 @@ use zooid_mpst::{Action, Label, Role, Sort, Trace};
 use zooid_proc::{Value, ValueAction};
 
 use crate::cbatch::{DemotedEndpoint, DemotedSession};
-use crate::cexec::{CompiledEndpointTask, EndpointProgram};
+use crate::cexec::EndpointProgram;
 use crate::codec::{
     descend, get_label, get_role, get_str, get_u32, get_u64, get_u8, get_value, put_str, put_u32,
     put_u64, put_u8, put_value, MAX_NESTING,
@@ -62,7 +62,7 @@ struct EndpointState {
 }
 
 /// A serializable snapshot of one live session: everything
-/// [`CompiledEndpointTask::resume`] and [`CompiledMonitor::resume`] need to
+/// [`SessionBatch::restore`](crate::cbatch::SessionBatch::restore) needs to
 /// continue it, in a form the codec can move to disk or across the wire.
 ///
 /// The compiled programs themselves are **not** part of a checkpoint — they
@@ -90,13 +90,9 @@ pub struct SessionCheckpoint {
 }
 
 impl SessionCheckpoint {
-    /// Captures a demoted session's full resumable state. This is the one
-    /// construction path: both the slab executor (via
-    /// [`checkpoint_task`]-built [`DemotedSession`]s) and the columnar batch
-    /// plane (via
-    /// [`SessionBatch::demote_now`](crate::cbatch::SessionBatch::demote_now))
-    /// produce `DemotedSession`s, so one capture covers both execution
-    /// paths.
+    /// Captures a demoted session's full resumable state, as
+    /// [`SessionBatch::demote_all`](crate::cbatch::SessionBatch::demote_all)
+    /// extracts it.
     pub fn from_demoted(demoted: &DemotedSession) -> Self {
         let monitor = &demoted.monitor;
         let cursor = monitor.cursor();
@@ -326,7 +322,8 @@ impl SessionCheckpoint {
     /// supplied programs and system: wrong role set, a program counter or
     /// slot array the program does not have, a monitor cursor the tables
     /// refuse ([`CompiledSystem::restore_cursor`]), inconsistent monitor
-    /// counters, or frames between roles the session does not contain.
+    /// counters, or frames between roles the session does not contain or
+    /// with a label no communication site of the programs has.
     pub fn into_demoted(
         self,
         programs: &[Arc<EndpointProgram>],
@@ -400,10 +397,16 @@ impl SessionCheckpoint {
                 "monitor counters disagree with the recorded violations".to_owned(),
             );
         }
-        for (from, to, _, _) in &self.frames {
+        for (from, to, label, _) in &self.frames {
             if *from >= n || *to >= n || from == to {
                 return refuse(format!(
                     "in-flight frame between role indices {from} and {to} of {n} roles"
+                ));
+            }
+            let sites = programs.iter().flat_map(|p| p.templates());
+            if !sites.map(|site| &site.label).any(|l| l == label) {
+                return refuse(format!(
+                    "in-flight frame carries `{label}`, a label no program communicates"
                 ));
             }
         }
@@ -435,21 +438,6 @@ impl SessionCheckpoint {
             monitor,
             frames: self.frames,
         })
-    }
-}
-
-/// Extracts one slab task's resumable state (the checkpoint counterpart of
-/// what [`SessionBatch`](crate::cbatch::SessionBatch) extracts when it
-/// demotes a session): the task keeps running, the extraction only clones.
-pub fn checkpoint_task(task: &CompiledEndpointTask) -> DemotedEndpoint {
-    DemotedEndpoint {
-        role: task.role().clone(),
-        program: Arc::clone(task.program()),
-        pc: task.pc(),
-        slots: task.slots().to_vec(),
-        actions: task.actions().to_vec(),
-        steps: task.steps(),
-        status: task.status().cloned(),
     }
 }
 

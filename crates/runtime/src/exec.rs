@@ -17,9 +17,9 @@
 //! [`EndpointTask::step_blocking`] and behaves exactly like the historical
 //! thread-per-endpoint executor, timeouts included.
 
-use zooid_mpst::{Role, Sort, Trace};
+use zooid_mpst::{Role, Trace};
 use zooid_proc::semantics::admin_normalize_owned;
-use zooid_proc::{erase, Externals, Proc, Value, ValueAction};
+use zooid_proc::{erase, sort_of_value, Externals, Proc, ValueAction};
 
 use crate::error::{Result, RuntimeError};
 use crate::transport::Transport;
@@ -417,28 +417,13 @@ impl EndpointTask {
     }
 }
 
-/// The canonical sort of a concrete value (used to label the recorded
-/// actions of sends, whose payloads are already evaluated). Shared by the
-/// tree-walking and the compiled executor so both record identical actions.
-pub(crate) fn sort_of_value(value: &Value) -> Sort {
-    match value {
-        Value::Unit => Sort::Unit,
-        Value::Nat(_) => Sort::Nat,
-        Value::Int(_) => Sort::Int,
-        Value::Bool(_) => Sort::Bool,
-        Value::Str(_) => Sort::Str,
-        Value::Inl(v) | Value::Inr(v) => Sort::sum(sort_of_value(v), Sort::Unit),
-        Value::Pair(a, b) => Sort::prod(sort_of_value(a), sort_of_value(b)),
-        Value::Seq(vs) => Sort::seq(vs.first().map(sort_of_value).unwrap_or(Sort::Unit)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::InMemoryNetwork;
     use std::time::Duration;
-    use zooid_proc::{Expr, RecvAlt};
+    use zooid_mpst::Sort;
+    use zooid_proc::{Expr, RecvAlt, Value};
 
     fn r(name: &str) -> Role {
         Role::new(name)

@@ -46,35 +46,33 @@
 //!   the monad instance), recording the endpoint's trace. The interpreter is
 //!   a resumable state machine ([`exec::EndpointTask`]) whose `step()`
 //!   yields [`exec::StepOutcome::WouldBlock`] on an empty channel instead of
-//!   parking, so schedulers (the `zooid-server` session server) can
-//!   multiplex thousands of endpoints on a bounded worker pool; the blocking
-//!   [`execute`] entry point is a loop around it;
-//! * [`cexec`] — the **compiled** endpoint executor: a certified process is
+//!   parking, so one thread can interleave many endpoints, as the
+//!   differential suites do; the blocking [`execute`] entry point is a loop
+//!   around it;
+//! * [`cexec`] — the compiled programs every executor shares and the
+//!   per-session **oracle** that steps them: a certified process is
 //!   lowered once ([`zooid_proc::CompiledProc`]) into a flat instruction
 //!   table with interned ids, resolved loop back-edges and dense value
-//!   slots, and [`cexec::CompiledEndpointTask`] steps it over an
-//!   [`transport::InMemoryTransport`] (the only transport it speaks) as a
-//!   program counter plus a slot array — no per-step tree cloning,
-//!   substitution or re-normalisation. Per-site [`cexec::ActionTemplate`]s carry the actions
+//!   slots, and per-site [`cexec::ActionTemplate`]s carry the actions
 //!   pre-interned against the protocol's [`zooid_cfsm::CompiledSystem`], so
-//!   live monitoring does not hash strings either. The tree-walking
-//!   executor is kept as the behavioural oracle (`tests/compiled_exec.rs`
-//!   drives both in lockstep);
-//! * [`cbatch`] — the **columnar batch** executor for homogeneous session
-//!   populations: the invariant skeleton (the compiled per-role programs
-//!   and routing tables, [`cbatch::BatchLayout`]) is shared once, while the
-//!   per-session variables — program counters, value slots, monitor
-//!   cursors — live in struct-of-arrays columns ([`cbatch::SessionBatch`]),
-//!   stepped in `(role, pc)` cohorts over contiguous memory with sends
-//!   between co-batched sessions as index writes into a shared frame arena.
-//!   A session is batch-eligible when its programs call no externals and
-//!   every communication site carries a statically known sort with a
-//!   pre-interned action. A session that is over — concluded, or blocked
-//!   for good — is closed inside its batch; only one the batch cannot carry
-//!   further demotes mid-flight, with its traces and monitor state: a
-//!   violator for its holder to close, a runtime sort mismatch for the
-//!   per-session executor to resume (`tests/batch_exec.rs` drives batch,
-//!   slab and tree executors in lockstep);
+//!   live monitoring does not hash strings. [`cexec::CompiledEndpointTask`]
+//!   steps one endpoint as a program counter plus a slot array over an
+//!   [`transport::InMemoryTransport`]; no serving path runs it, and the
+//!   differential suites hold the batch to it and it to the tree-walking
+//!   executor (`tests/batch_exec.rs`, `tests/compiled_exec.rs`);
+//! * [`cbatch`] — the **columnar batch** executor, the one the server runs
+//!   every session on: the invariant skeleton (the compiled per-role
+//!   programs and routing tables, [`cbatch::BatchLayout`]) is shared once,
+//!   while the per-session variables — program counters, value slots,
+//!   monitor cursors, external actions — live in struct-of-arrays columns
+//!   ([`cbatch::SessionBatch`]), stepped in `(role, pc)` cohorts over
+//!   contiguous memory with sends between co-batched sessions as index
+//!   writes into a shared frame arena. Every lowered cast has a layout: an
+//!   action without a pre-interned form is interned when it happens, as
+//!   the per-session monitor does. A session that is over — concluded, or
+//!   blocked for good — is closed inside its batch; a violator is demoted
+//!   with its traces and monitor state for its holder to close, and
+//!   [`cbatch::SessionBatch::restore`] takes an extracted session back in;
 //! * [`monitor`] — online protocol-compliance monitors (the "dynamic
 //!   monitoring" application of type-level transition systems mentioned in
 //!   §1): [`TraceMonitor`] replays observed actions against the global
@@ -101,10 +99,10 @@
 //!   slots, monitor cursor, in-flight frames in channel order) serialized
 //!   through the wire codec into a `Vec<u8>` as a
 //!   [`checkpoint::SessionCheckpoint`] — the server takes one only to move
-//!   a session between shards — and restored under re-validation: nesting
-//!   is capped and names are looked up as in [`codec`], and every index is
-//!   checked against the compiled programs and transition tables before
-//!   anything resumes, so a corrupted or hostile checkpoint is refused
+//!   a session between shards, from one batch into another — and restored
+//!   under re-validation: nesting is capped and names are looked up as in
+//!   [`codec`], and every index and frame label is checked against the
+//!   compiled programs and transition tables before anything resumes, so a corrupted or hostile checkpoint is refused
 //!   ([`RuntimeError::Recovery`]), never admitted;
 //! * [`wal`] — an append-only write-ahead trace log whose records are
 //!   columnarized before framing (skeleton = per-site template ids,

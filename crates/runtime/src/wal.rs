@@ -48,13 +48,12 @@ use std::sync::Arc;
 use zooid_cfsm::CompiledSystem;
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
 use zooid_mpst::{Label, Role};
-use zooid_proc::{Value, ValueAction};
+use zooid_proc::{sort_of_value, Value, ValueAction};
 
 use crate::cexec::EndpointProgram;
 use crate::checkpoint::{get_value_action, put_value_action};
 use crate::codec::{get_u16, get_u32, get_u64, get_value, put_u16, put_u32, put_u64, put_value};
 use crate::error::{Result, RuntimeError};
-use crate::exec::sort_of_value;
 use crate::monitor::CompiledMonitor;
 
 /// Upper bound on one frame's payload; a length prefix above it is treated

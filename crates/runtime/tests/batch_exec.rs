@@ -20,6 +20,7 @@
 //!   batch closes as stalled itself.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use zooid_cfsm::System;
@@ -143,6 +144,20 @@ fn run_reference(
     options: &ExecOptions,
     compiled: bool,
 ) -> Observed {
+    let none = Externals::new();
+    run_reference_with(g, procs, options, compiled, (&none, &none))
+}
+
+/// [`run_reference`] for endpoints lowered against the external signatures
+/// of `lowered` that call the actions of `called` (every role gets the
+/// same registry).
+fn run_reference_with(
+    g: &GlobalType,
+    procs: &[(Role, Proc)],
+    options: &ExecOptions,
+    compiled: bool,
+    (lowered, called): (&Externals, &Externals),
+) -> Observed {
     let mut network = InMemoryNetwork::new(procs.iter().map(|(r, _)| r.clone()));
     let system = Arc::new(System::from_global(g).expect("projectable").compile());
     let mut monitor = CompiledMonitor::new(Arc::clone(&system));
@@ -159,21 +174,20 @@ fn run_reference(
             let task = if compiled {
                 let program = Arc::new(EndpointProgram::with_system(
                     Arc::new(
-                        CompiledProc::compile(proc, role, &Externals::new())
-                            .expect("skeletons compile"),
+                        CompiledProc::compile(proc, role, lowered).expect("skeletons compile"),
                     ),
                     &system,
                 ));
                 AnyTask::Compiled(CompiledEndpointTask::new(
                     program,
-                    Externals::new(),
+                    called.clone(),
                     options.clone(),
                 ))
             } else {
                 AnyTask::Tree(EndpointTask::new(
                     proc.clone(),
                     role.clone(),
-                    Externals::new(),
+                    called.clone(),
                     options.clone(),
                 ))
             };
@@ -350,12 +364,27 @@ fn finish_demoted(demoted: DemotedSession, layout: &Arc<BatchLayout>) -> Observe
 }
 
 /// Runs `copies` identical sessions through one batch to their conclusion
-/// (demoted stragglers are finished on the per-session executor, as on the
-/// server) and returns each session's observation, in admission order.
+/// (demoted violators are finished on the per-session executor) and
+/// returns each session's observation, in admission order.
 fn run_batch(layout: &Arc<BatchLayout>, options: &ExecOptions, copies: usize) -> Vec<Observed> {
+    run_batch_with(layout, options, copies, &Externals::new())
+}
+
+/// [`run_batch`] for sessions whose every endpoint calls the actions of
+/// `called`.
+fn run_batch_with(
+    layout: &Arc<BatchLayout>,
+    options: &ExecOptions,
+    copies: usize,
+    called: &Externals,
+) -> Vec<Observed> {
     let mut batch = SessionBatch::new(Arc::clone(layout), options.clone(), copies);
+    let externals = vec![called.clone(); layout.roles().len()];
     for token in 0..copies {
-        assert!(batch.admit(token as u64), "batch sized for the population");
+        assert!(
+            batch.admit_with_externals(token as u64, externals.clone()),
+            "batch sized for the population"
+        );
     }
     let out = batch.run_quantum(usize::MAX);
     assert!(
@@ -384,19 +413,36 @@ fn assert_batch_agrees(
     widths: &[usize],
     context: &str,
 ) {
-    let reference = run_reference(g, procs, options, true);
-    let tree = run_reference(g, procs, options, false);
+    let none = Externals::new();
+    assert_batch_agrees_with(g, procs, options, widths, context, (&none, &none));
+}
+
+/// [`assert_batch_agrees`] for endpoints lowered against `lowered` that call
+/// `called`; returns the per-session compiled executor's observation.
+fn assert_batch_agrees_with(
+    g: &GlobalType,
+    procs: &[(Role, Proc)],
+    options: &ExecOptions,
+    widths: &[usize],
+    context: &str,
+    (lowered, called): (&Externals, &Externals),
+) -> Observed {
+    let reference = run_reference_with(g, procs, options, true, (lowered, called));
+    let tree = run_reference_with(g, procs, options, false, (lowered, called));
     assert_eq!(reference, tree, "{context}: slab-compiled vs tree diverge");
-    let layout =
-        make_layout(g, procs, &Externals::new()).expect("skeleton layouts are batch-eligible");
+    let layout = make_layout(g, procs, lowered).expect("one program per role");
     for &width in widths {
-        for (i, observed) in run_batch(&layout, options, width).into_iter().enumerate() {
+        for (i, observed) in run_batch_with(&layout, options, width, called)
+            .into_iter()
+            .enumerate()
+        {
             assert_eq!(
                 observed, reference,
                 "{context}: batched copy {i} of {width} diverges"
             );
         }
     }
+    reference
 }
 
 // ---------------------------------------------------------------------
@@ -556,36 +602,170 @@ fn batch_agrees_with_recording_off() {
 }
 
 #[test]
-fn external_actions_make_a_layout_ineligible() {
-    // p reads a nat from the environment before sending it: correct on the
-    // per-session engines, but external closures cannot run columnar.
-    let g = GlobalType::msg1(
-        Role::new("p"),
-        Role::new("q"),
-        "good",
+fn external_actions_run_in_the_batch_as_on_the_other_executors() {
+    // `mu X. p -> q : tick(nat). X`, where every lap `p` reads a value from
+    // its environment, logs it, and sends what an interaction makes of it.
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let g = GlobalType::rec(GlobalType::msg1(
+        p.clone(),
+        q.clone(),
+        "tick",
         Sort::Nat,
-        GlobalType::End,
-    );
-    let mut externals = Externals::new();
-    externals.register_read("env", Sort::Nat, || Value::Nat(7));
-    let with_read = vec![
+        GlobalType::var(0),
+    ));
+    let procs = vec![
         (
-            Role::new("p"),
-            Proc::read(
-                "env",
+            p.clone(),
+            Proc::loop_(Proc::read(
+                "src",
                 "x",
-                Proc::send(Role::new("q"), "good", Expr::var("x"), Proc::Finish),
+                Proc::write(
+                    "log",
+                    Expr::var("x"),
+                    Proc::interact(
+                        "double",
+                        Expr::var("x"),
+                        "y",
+                        Proc::send(q.clone(), "tick", Expr::var("y"), Proc::Jump(0)),
+                    ),
+                ),
+            )),
+        ),
+        (
+            q.clone(),
+            Proc::loop_(Proc::recv1(
+                p.clone(),
+                "tick",
+                Sort::Nat,
+                "x",
+                Proc::Jump(0),
+            )),
+        ),
+    ];
+    let logged = Arc::new(AtomicU64::new(0));
+    let mut externals = Externals::new();
+    externals.register_read("src", Sort::Nat, || Value::Nat(7));
+    let sink = Arc::clone(&logged);
+    externals.register_write("log", Sort::Nat, move |v| {
+        sink.fetch_add(v.as_nat().unwrap(), Ordering::Relaxed);
+    });
+    externals.register_interact("double", Sort::Nat, Sort::Nat, |v| {
+        Value::Nat(v.as_nat().unwrap() * 2)
+    });
+    let protocol = zooid_dsl::Protocol::new("sourced_ticker", g.clone()).expect("well-formed");
+    for (role, proc) in &procs {
+        protocol
+            .implement_against_projection(role, proc.clone(), &externals)
+            .expect("the external loop certifies");
+    }
+    let options = ExecOptions::with_max_steps(6);
+    let both = (&externals, &externals);
+    let reference = assert_batch_agrees_with(&g, &procs, &options, &[1, 5, 64], "externals", both);
+    assert!(reference.compliant);
+    assert!(reference.traces[&q]
+        .iter()
+        .all(|a| a.value == Value::Nat(14)));
+    // Each session logs a 7 on six laps, and on a seventh whose send then
+    // finds the step limit: on every run, slab, tree and 1 + 5 + 64 batched
+    // copies.
+    assert_eq!(logged.load(Ordering::Relaxed), 7 * 7 * (2 + 1 + 5 + 64));
+
+    // Without its implementations the first call fails the endpoint, with
+    // the same error on every executor, and its peer stalls.
+    let missing = assert_batch_agrees_with(
+        &g,
+        &procs,
+        &options,
+        &[1, 5],
+        "missing external",
+        (&externals, &Externals::new()),
+    );
+    let EndpointStatus::Failed { error } = &missing.statuses[&p] else {
+        panic!("a missing external fails its endpoint: {missing:?}");
+    };
+    assert!(error.contains("src"), "{error}");
+    assert_eq!(missing.statuses[&q], EndpointStatus::Stalled);
+}
+
+#[test]
+fn an_external_value_of_the_wrong_sort_is_sent_and_rejected_alike() {
+    // `p` is certified and lowered against `compute : nat -> nat`, but the
+    // implementation it runs with answers a bool. The send of that answer
+    // cannot use its pre-interned `nat` action: every executor observes it
+    // at `bool`, which the protocol does not have, and `q` refuses the
+    // payload.
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let g = GlobalType::msg1(p.clone(), q.clone(), "m", Sort::Nat, GlobalType::End);
+    let procs = vec![
+        (
+            p.clone(),
+            Proc::interact(
+                "compute",
+                Expr::lit(1u64),
+                "y",
+                Proc::send(q.clone(), "m", Expr::var("y"), Proc::Finish),
             ),
         ),
         (
-            Role::new("q"),
-            Proc::recv1(Role::new("p"), "good", Sort::Nat, "x", Proc::Finish),
+            q.clone(),
+            Proc::recv1(p.clone(), "m", Sort::Nat, "x", Proc::Finish),
         ),
     ];
-    assert!(make_layout(&g, &with_read, &externals).is_none());
-    // The same protocol without the external is eligible.
-    let plain = skeleton_endpoints(&g).expect("synthesizes");
-    assert!(make_layout(&g, &plain, &Externals::new()).is_some());
+    let mut declared = Externals::new();
+    declared.register_interact("compute", Sort::Nat, Sort::Nat, |v| v);
+    let mut answering = Externals::new();
+    answering.register_interact("compute", Sort::Nat, Sort::Bool, |_| Value::Bool(true));
+    let options = ExecOptions::default();
+    let context = "wrong-sorted external";
+    let reference = assert_batch_agrees_with(
+        &g,
+        &procs,
+        &options,
+        &[1, 4],
+        context,
+        (&declared, &answering),
+    );
+    assert!(!reference.compliant, "the bool send is a violation");
+    assert_eq!(reference.traces[&p][0].sort, Sort::Bool);
+    assert!(matches!(
+        reference.statuses[&q],
+        EndpointStatus::Failed { .. }
+    ));
+}
+
+#[test]
+fn a_certified_right_injection_is_accepted_on_every_executor() {
+    // `p -> q : m(unit + bool)`, with `p` sending `inr true`: the literal's
+    // sort is `unit + bool` to typing, to lowering and to every executor's
+    // recording, so the monitor accepts it.
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let sum = Sort::sum(Sort::Unit, Sort::Bool);
+    let g = GlobalType::msg1(p.clone(), q.clone(), "m", sum.clone(), GlobalType::End);
+    let procs = vec![
+        (
+            p.clone(),
+            Proc::send(
+                q.clone(),
+                "m",
+                Expr::lit(Value::inr(Value::Bool(true))),
+                Proc::Finish,
+            ),
+        ),
+        (
+            q.clone(),
+            Proc::recv1(p.clone(), "m", sum.clone(), "x", Proc::Finish),
+        ),
+    ];
+    let protocol = zooid_dsl::Protocol::new("right", g.clone()).expect("well-formed");
+    for (role, proc) in &procs {
+        protocol
+            .implement_against_projection(role, proc.clone(), &Externals::new())
+            .expect("the injection certifies");
+    }
+    assert_batch_agrees(&g, &procs, &ExecOptions::default(), &[1, 4], "inr");
+    let reference = run_reference(&g, &procs, &ExecOptions::default(), true);
+    assert!(reference.compliant && reference.complete, "{reference:?}");
+    assert_eq!(reference.traces[&p][0].sort, sum);
 }
 
 #[test]
@@ -762,6 +942,58 @@ fn value_flow_matches_through_columns() {
         assert_eq!(observed, reference);
         let last = observed.traces[&Role::new("Alice")].last().unwrap().clone();
         assert_eq!(last.value, Value::Nat(21));
+    }
+}
+
+#[test]
+fn a_batch_rekeyed_to_other_casts_agrees() {
+    // A shard hands an idle batch to a new key in place, resizing its
+    // columns for the new layout instead of allocating new ones. Casts run
+    // one after another in one batch — fewer roles, more, then fewer again
+    // — must each match their stand-alone run.
+    let cases: Vec<(&str, GlobalType, ExecOptions)> = vec![
+        ("ring8", generators::ring_n(8), ExecOptions::default()),
+        ("two_buyer", generators::two_buyer(), ExecOptions::default()),
+        (
+            "pipeline",
+            generators::pipeline(),
+            ExecOptions::with_max_steps(12),
+        ),
+        (
+            "ring3",
+            generators::ring3(),
+            ExecOptions::default().record_actions(false),
+        ),
+    ];
+    let mut reused: Option<SessionBatch> = None;
+    for (name, g, options) in cases {
+        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let reference = run_reference(&g, &procs, &options, true);
+        let layout = make_layout(&g, &procs, &Externals::new()).expect("one program per role");
+        let batch = match &mut reused {
+            Some(batch) => {
+                batch.rekey(Arc::clone(&layout), options.clone());
+                batch
+            }
+            None => reused.insert(SessionBatch::new(Arc::clone(&layout), options.clone(), 16)),
+        };
+        let mut results = Vec::new();
+        for token in 0..16 {
+            assert!(batch.admit(token));
+        }
+        let mut out = batch.run_quantum(3);
+        out.finished.extend(batch.run_quantum(usize::MAX).finished);
+        assert!(
+            batch.is_empty(),
+            "{name}: an unbounded quantum drains the batch"
+        );
+        for outcome in out.finished {
+            results.push(observed_outcome(outcome));
+        }
+        assert_eq!(results.len(), 16, "{name}: every session reports");
+        for observed in results {
+            assert_eq!(observed, reference, "{name}");
+        }
     }
 }
 

@@ -439,6 +439,27 @@ fn checkpoints_do_not_restore_against_a_foreign_protocol() {
     assert!(err.to_string().starts_with("recovery refused"), "{err}");
 }
 
+#[test]
+fn a_checkpointed_frame_with_a_label_no_program_communicates_is_refused() {
+    // A restored session's frames go back into a batch arena by wire id, and
+    // only the programs' own labels have one.
+    let g = generators::ring3();
+    let procs = skeleton_endpoints(&g).expect("synthesizes");
+    let layout = make_layout(&g, &procs);
+    let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
+    assert!(batch.admit(1));
+    let mut demoted = batch.demote_now(1).expect("live");
+    let smuggled = zooid_mpst::Label::new("smuggled");
+    demoted
+        .frames
+        .push((0, 1, smuggled, zooid_proc::Value::Nat(0)));
+    let err = SessionCheckpoint::from_demoted(&demoted)
+        .into_demoted(layout.programs(), layout.system())
+        .unwrap_err();
+    assert!(matches!(err, RuntimeError::Recovery { .. }), "{err}");
+    assert!(err.to_string().contains("smuggled"), "{err}");
+}
+
 // ---------------------------------------------------------------------
 // WAL: columnar round trip, torn tails, corruption, re-certification.
 // ---------------------------------------------------------------------

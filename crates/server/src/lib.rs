@@ -18,36 +18,29 @@
 //!   with its action templates pre-interned against the protocol's
 //!   transition tables) and per program set the batch layout, so admission
 //!   resolves a session's cast exactly once;
-//! * [`session`] — an [`ActiveSession`](session::SessionSpec) bundles one
-//!   endpoint task per participant — always a compiled
-//!   [`zooid_runtime::CompiledEndpointTask`] (program counter + slot array;
-//!   certification guarantees every process lowers, so the tree-walking
-//!   executor of [`zooid_runtime::exec`] is the runtime crate's differential
-//!   oracle and never runs here) — with the session's in-memory channels
-//!   (direct `(Label, Value)` frames, dense peer indices, no codec) and a
-//!   [`zooid_runtime::CompiledMonitor`] fed **pre-interned actions**, so
-//!   steady-state serving neither hashes a string nor walks a tree;
+//! * [`session`] — what a hosted session is: the [`SessionSpec`] a caller
+//!   submits (one certified process and its externals per participant),
+//!   the admission check on it, and the [`SessionOutcome`] it ends with;
 //! * [`server`] — the [`SessionServer`] schedules sessions over N worker
 //!   shards (sessions hashed by id, validated specs shipped — an id and a
-//!   spec, nothing else — to the shard that *resolves and constructs* them
+//!   spec, nothing else — to the shard that *resolves and admits* them
 //!   against the registry, outcomes flushed in batches); each shard steps
 //!   its work in bounded quanta, so thread count is fixed by the shard
-//!   count while sessions number in the tens of thousands. Homogeneous
-//!   sessions — same protocol, same compiled per-role programs, same
-//!   options, batch-eligible layout (no externals, statically sorted and
-//!   pre-interned communication sites) — coalesce into **columnar
-//!   batches** ([`zooid_runtime::SessionBatch`]): the invariant skeleton is
-//!   shared once and the per-session state lives in struct-of-arrays
-//!   columns stepped in `(role, pc)` cohorts, with co-batched sends as
-//!   index writes into a shared frame arena. Everything else — and every
-//!   session a batch demotes mid-flight because it must keep running and
-//!   cannot there (a runtime sort mismatch), with its traces, monitor
-//!   cursor and in-flight frames intact — runs on the per-session **slab**
-//!   (reusable slots, also the behavioural oracle for the batched path). A
-//!   session whose monitor rejects an action is **quarantined**: never
-//!   stepped again (slab and batch paths alike), closed from the state it
-//!   is in, counted per shard and per protocol, and recorded as one
-//!   [`FlightEvent::Violation`];
+//!   count while sessions number in the tens of thousands. A shard has one
+//!   executor: every session runs in a **columnar batch**
+//!   ([`zooid_runtime::SessionBatch`]) with the sessions of its key — same
+//!   protocol, same compiled per-role programs, same options. The
+//!   invariant skeleton is shared once and the per-session state lives in
+//!   struct-of-arrays columns stepped in `(role, pc)` cohorts, with
+//!   co-batched sends as index writes into a shared frame arena and
+//!   every action checked by the protocol's compiled monitor, through
+//!   **pre-interned actions** where the cast's sites have them, so
+//!   steady-state serving neither hashes a string nor walks a tree. The
+//!   per-session and tree-walking executors of [`zooid_runtime`] are its
+//!   differential oracles and never run here. A session whose monitor
+//!   rejects an action is **quarantined**: never stepped again, closed
+//!   from the state it is in, counted per shard and per protocol, and
+//!   recorded as one [`FlightEvent::Violation`];
 //! * [`metrics`] — the instrument tables, one per layer: every counter
 //!   and histogram a shard or the IO loop keeps is one row (name, doc, wire
 //!   key, kind), and the live atomics ([`metrics::ShardInstruments`],
@@ -98,15 +91,16 @@
 //! the shard closes the session there, from the state its executor already
 //! holds. There is no re-run: a certified endpoint is a deterministic
 //! function of what it receives, so re-running a session that calls no
-//! externals repeats its verdict, and one that calls them cannot be re-run.
+//! externals repeats its verdict, and one that calls them cannot be re-run
+//! (nor moved: a drain closes it as stalled).
 //! `tests/crash_recovery.rs` drives drain/migrate conservation, checkpoint
-//! tampering and quarantine on both execution paths.
+//! tampering and quarantine.
 //!
 //! A session **ends where it stands**: whoever holds it when it is over —
-//! a columnar batch (concluded, or every endpoint blocked for good), a slab
-//! session at the end of its last quantum, the shard holding a violator a
-//! batch has just demoted — builds the [`SessionOutcome`] from the state it
-//! already has. A session changes executor only to keep running.
+//! its batch (concluded, or every endpoint blocked for good), or the shard
+//! holding a violator its batch has just demoted — builds the
+//! [`SessionOutcome`] from the state it already has. A session leaves its
+//! batch alive only to move to another.
 //!
 //! The harness-vs-server differential suite (`tests/differential.rs`)
 //! checks that a session hosted here is indistinguishable — per-endpoint

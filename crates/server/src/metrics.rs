@@ -81,15 +81,16 @@ instruments! {
     quanta: sum = "quanta",
     /// Largest run-queue depth observed.
     peak_queue_depth: max = "peak_queue",
-    /// Sessions admitted into the columnar batch executor.
+    /// Sessions admitted into one of the shard's batches, migrated arrivals
+    /// included: every session that runs.
     sessions_batched: sum = "batched",
-    /// Sessions that ran on the per-session slab executor from the start
-    /// (heterogeneous or not batch-eligible).
+    /// Always 0: the shard has no per-session executor. The row stays
+    /// because the benchmark reads it.
     sessions_slab: sum = "slab",
-    /// Sessions a batch demoted mid-flight because it could not carry them
-    /// further: closed as quarantined after a violation, resumed on the
-    /// slab after a runtime sort mismatch. A session a batch closes as
-    /// stalled is not demoted.
+    /// Sessions a batch demoted at a monitor violation, each closed as
+    /// quarantined from the extracted state. A session a batch closes as
+    /// stalled is not demoted. The row stays because the benchmark reads
+    /// it; it equals `sessions_quarantined`.
     sessions_demoted: sum = "demoted",
     /// `(role, pc)` cohorts stepped by this shard's batches.
     batch_cohorts: sum = "cohorts",
@@ -566,9 +567,9 @@ mod tests {
         assert!(text.contains("shard.sessions_started 0\n"), "{text}");
         assert!(text.contains("shard.mean_cohort_width 0.0\n"), "{text}");
 
-        // A shard that ran but never formed a cohort (pure slab traffic):
-        // the width ratio must stay defined.
-        let slab_only = ServerReport {
+        // A shard that ran but never formed a cohort: the width ratio must
+        // stay defined.
+        let no_cohorts = ServerReport {
             shards: vec![ShardReport {
                 shard: 0,
                 sessions_started: 5,
@@ -588,8 +589,8 @@ mod tests {
             }],
             obs: ObsReport::default(),
         };
-        assert_eq!(slab_only.mean_cohort_width(), 0.0);
-        assert!(slab_only
+        assert_eq!(no_cohorts.mean_cohort_width(), 0.0);
+        assert!(no_cohorts
             .to_string()
             .contains("shard.mean_cohort_width 0.0\n"));
     }

@@ -314,7 +314,6 @@ impl fmt::Display for CloseReason {
 }
 
 const EV_ADMITTED: u8 = 1;
-const EV_BATCH_DEMOTED: u8 = 2;
 const EV_STALLED: u8 = 3;
 const EV_VIOLATION: u8 = 4;
 const EV_REJECTED: u8 = 5;
@@ -329,17 +328,9 @@ const PAYLOAD_MASK: u64 = (1 << 48) - 1;
 /// client ids are dense counters, so 48 bits never truncate in practice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightEvent {
-    /// A session entered the shard (`batched` = columnar executor).
+    /// A session entered one of the shard's batches.
     Admitted {
         /// The session's dense id (low 48 bits).
-        session: u64,
-        /// Whether it joined a columnar batch (vs. the slab).
-        batched: bool,
-    },
-    /// A session was pulled out of its batch mid-flight: to resume on the
-    /// slab, or — after a violation — to close as quarantined.
-    BatchDemoted {
-        /// The session's dense id.
         session: u64,
     },
     /// A session was closed as stalled.
@@ -373,8 +364,7 @@ pub enum FlightEvent {
 impl FlightEvent {
     fn pack(self) -> u64 {
         let (kind, code, payload) = match self {
-            FlightEvent::Admitted { session, batched } => (EV_ADMITTED, batched as u8, session),
-            FlightEvent::BatchDemoted { session } => (EV_BATCH_DEMOTED, 0, session),
+            FlightEvent::Admitted { session } => (EV_ADMITTED, 0, session),
             FlightEvent::Stalled { session } => (EV_STALLED, 0, session),
             FlightEvent::Violation { session } => (EV_VIOLATION, 0, session),
             FlightEvent::Rejected { session, code } => (EV_REJECTED, code as u8, session),
@@ -388,11 +378,7 @@ impl FlightEvent {
         let code = (raw >> 48) as u8;
         let payload = raw & PAYLOAD_MASK;
         Some(match kind {
-            EV_ADMITTED => FlightEvent::Admitted {
-                session: payload,
-                batched: code != 0,
-            },
-            EV_BATCH_DEMOTED => FlightEvent::BatchDemoted { session: payload },
+            EV_ADMITTED => FlightEvent::Admitted { session: payload },
             EV_STALLED => FlightEvent::Stalled { session: payload },
             EV_VIOLATION => FlightEvent::Violation { session: payload },
             EV_REJECTED => FlightEvent::Rejected {
@@ -782,10 +768,7 @@ mod tests {
     fn flight_recorder_keeps_the_last_events_in_order() {
         let rec = FlightRecorder::new(4);
         for i in 0..10u64 {
-            rec.record(FlightEvent::Admitted {
-                session: i,
-                batched: i % 2 == 0,
-            });
+            rec.record(FlightEvent::Admitted { session: i });
         }
         assert_eq!(rec.recorded(), 10);
         let events = rec.snapshot();
@@ -803,15 +786,7 @@ mod tests {
     #[test]
     fn flight_events_pack_and_unpack_every_variant() {
         let cases = [
-            FlightEvent::Admitted {
-                session: 1,
-                batched: true,
-            },
-            FlightEvent::Admitted {
-                session: 2,
-                batched: false,
-            },
-            FlightEvent::BatchDemoted { session: 77 },
+            FlightEvent::Admitted { session: 1 },
             FlightEvent::Stalled { session: (1 << 48) - 1 },
             FlightEvent::Violation { session: 3 },
             FlightEvent::Rejected {

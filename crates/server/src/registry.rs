@@ -77,9 +77,8 @@ type Cache<K, V> = Mutex<Vec<(K, V)>>;
 #[derive(Debug)]
 struct Compiled {
     locals: Vec<(Role, LocalType)>,
-    /// The participants, sorted — the shared role table every session's
-    /// [`zooid_runtime::transport::InMemoryNetwork`] is built from without
-    /// re-sorting or re-allocating.
+    /// The participants, sorted — the role table of every batch layout of
+    /// this protocol, shared without re-sorting or re-allocating.
     sorted_roles: Arc<[Role]>,
     system: Arc<CompiledSystem>,
     verdict: Verdict,
@@ -89,13 +88,12 @@ struct Compiled {
     /// pre-interned against `system`. Lazily filled (sessions bring their
     /// own processes), hence the interior mutability.
     programs: Cache<(Role, Proc), Arc<EndpointProgram>>,
-    /// Batchable-layout descriptors ([`BatchLayout`]), cached per resolved
-    /// program set. The key holds the `Arc`s themselves (compared by
-    /// pointer identity) — keeping the programs alive is what makes the
-    /// identity comparison sound against allocator address reuse. `None` is
-    /// cached too: a program set that is not batch-eligible is not
-    /// re-analysed per session.
-    layouts: Cache<Programs, Option<Arc<BatchLayout>>>,
+    /// Batch layouts ([`BatchLayout`]), cached per resolved program set: the
+    /// batch key every session of that cast shares. The key holds the
+    /// `Arc`s themselves (compared by pointer identity) — keeping the
+    /// programs alive is what makes the identity comparison sound against
+    /// allocator address reuse.
+    layouts: Cache<Programs, Arc<BatchLayout>>,
 }
 
 /// Dense id of a registered protocol.
@@ -148,8 +146,8 @@ impl ProtocolArtifacts {
         self.locals().iter().map(|(role, _)| role)
     }
 
-    /// The participants, sorted, behind a shared `Arc` — every session's
-    /// in-memory network is built directly on this table.
+    /// The participants, sorted, behind a shared `Arc` — every batch
+    /// layout's role table.
     pub(crate) fn sorted_roles(&self) -> &Arc<[Role]> {
         &self.compiled.sorted_roles
     }
@@ -212,16 +210,13 @@ impl ProtocolArtifacts {
         )
     }
 
-    /// Resolves a session's cast, once per admission: every endpoint's
-    /// lowered program, in **sorted-role order**, plus the [`BatchLayout`]
-    /// they share — `None` when the combination is not batch-eligible (a
-    /// process that calls externals or has a communication site without a
-    /// statically known sort), and the caller builds a slab session from
-    /// the same programs.
+    /// Resolves a session's cast, once per admission, into the
+    /// [`BatchLayout`] its session runs in: every endpoint's lowered
+    /// program, in **sorted-role order** ([`BatchLayout::programs`]), with
+    /// the routing tables they share. Every cast that lowers has one.
     ///
     /// The endpoints may come in any order but must cover the protocol's
-    /// participants exactly (`validate_spec`). Layouts — including `None` —
-    /// are cached per program set, compared by pointer identity.
+    /// participants exactly (`validate_spec`).
     ///
     /// # Errors
     ///
@@ -229,13 +224,21 @@ impl ProtocolArtifacts {
     pub(crate) fn resolve(
         &self,
         endpoints: &[(CertifiedProcess, Externals)],
-    ) -> std::result::Result<(Programs, Option<Arc<BatchLayout>>), ProcError> {
+    ) -> std::result::Result<Arc<BatchLayout>, ProcError> {
         let mut programs = endpoints
             .iter()
             .map(|(cert, externals)| self.lower(cert.role(), cert.proc(), externals))
             .collect::<std::result::Result<Vec<_>, _>>()?;
         programs.sort_by(|a, b| a.program().role().cmp(b.program().role()));
-        let layout = cached(
+        Ok(self.layout(programs))
+    }
+
+    /// The layout of one program per participant in sorted-role order —
+    /// a resolved cast, or the programs a migrated checkpoint was
+    /// validated against — cached per program set, compared by pointer
+    /// identity.
+    pub(crate) fn layout(&self, programs: Programs) -> Arc<BatchLayout> {
+        let Ok(layout) = cached::<_, _, std::convert::Infallible>(
             &self.compiled.layouts,
             |key| {
                 key.len() == programs.len()
@@ -245,10 +248,11 @@ impl ProtocolArtifacts {
             || {
                 let roles = Arc::clone(self.sorted_roles());
                 let system = Arc::clone(&self.compiled.system);
-                Ok(BatchLayout::new(roles, programs.clone(), system))
+                let layout = BatchLayout::new(roles, programs.clone(), system);
+                Ok(layout.expect("one program per participant, in sorted-role order"))
             },
-        )?;
-        Ok((programs, layout))
+        );
+        layout
     }
 }
 
@@ -257,12 +261,12 @@ impl ProtocolArtifacts {
 /// admissions for a whole lowering — then files it under `key()`, up to
 /// [`CACHE_CAP`] entries. Losing a race just means two equal values briefly
 /// exist; the cache keeps the first.
-fn cached<K, V: Clone>(
+fn cached<K, V: Clone, E>(
     cache: &Cache<K, V>,
     is_key: impl Fn(&K) -> bool,
     key: impl FnOnce() -> K,
-    build: impl FnOnce() -> std::result::Result<V, ProcError>,
-) -> std::result::Result<V, ProcError> {
+    build: impl FnOnce() -> std::result::Result<V, E>,
+) -> std::result::Result<V, E> {
     let find = |entries: &Vec<(K, V)>| {
         let hit = entries.iter().find(|(key, _)| is_key(key));
         hit.map(|(_, value)| value.clone())
@@ -514,11 +518,12 @@ mod tests {
         // its twin, down to the batch layout. (Each cast is certified
         // against its own protocol name; the processes are equal.)
         let cast = |f: &ProtocolArtifacts| crate::synth::skeleton_endpoints(f.protocol()).unwrap();
-        let (programs_a, layout_a) = fa.resolve(&cast(fa)).unwrap();
-        let (programs_b, layout_b) = fb.resolve(&cast(fb)).unwrap();
-        assert_eq!(programs_a.len(), 3);
-        assert!(programs_a.iter().zip(&programs_b).all(|(a, b)| Arc::ptr_eq(a, b)));
-        assert!(Arc::ptr_eq(&layout_a.unwrap(), &layout_b.unwrap()));
+        let (layout_a, layout_b) = (
+            fa.resolve(&cast(fa)).unwrap(),
+            fb.resolve(&cast(fb)).unwrap(),
+        );
+        assert_eq!(layout_a.programs().len(), 3);
+        assert!(Arc::ptr_eq(&layout_a, &layout_b));
     }
 
     #[test]

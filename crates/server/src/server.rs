@@ -13,6 +13,11 @@
 //! intra-session message arrival wakes the receiving endpoint on the very
 //! next stepping pass, with no cross-thread signalling), and finished
 //! sessions stream their [`SessionOutcome`] back to the submitter.
+//!
+//! A shard has one executor: every admitted session runs in a columnar
+//! [`SessionBatch`] keyed by its protocol, its cast's batch layout and its
+//! options, and a batch is one run-queue entry however many sessions it
+//! holds.
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -22,25 +27,24 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
+use zooid_mpst::Role;
 use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
 use zooid_runtime::cexec::EndpointProgram;
 use zooid_runtime::checkpoint::SessionCheckpoint;
+use zooid_runtime::exec::ExecOptions;
 
 use crate::error::{Result, ServerError};
 use crate::metrics::{ObsReport, ServerReport, ShardInstruments};
 use crate::obs::{FlightEvent, Incident, INCIDENT_PREFIX_CAP};
 use crate::registry::{ProtocolId, ProtocolRegistry};
-use crate::session::{
-    failed_at_admission, ActiveSession, SessionId, SessionOutcome, SessionSpec,
-};
+use crate::session::{failed_at_admission, SessionId, SessionOutcome, SessionSpec};
 
 /// Configuration of a [`SessionServer`].
 ///
 /// What happens to a session whose monitor rejects an action is not
 /// configurable: the rejection ends it (see the crate docs for why). The
-/// shard takes no step after the rejected action, on either execution path,
-/// and closes the session from the state its executor holds, flagged
-/// `quarantined`.
+/// shard takes no step after the rejected action and closes the session
+/// from the state its batch extracted, flagged `quarantined`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Number of worker shards (and therefore worker threads).
@@ -70,18 +74,19 @@ impl ServerConfig {
 }
 
 enum ShardMsg {
-    /// A validated spec to resolve, build and run. Resolution and
-    /// construction (lowered programs, channels, compiled task binding,
-    /// monitor cursor) happen on the worker shard so a single submitter
-    /// thread never serialises the whole batch's setup.
+    /// A validated spec to resolve, admit and run. Resolution and admission
+    /// (lowered programs, batch layout, a batch slot) happen on the worker
+    /// shard so a single submitter thread never serialises the whole
+    /// burst's setup.
     Run { id: SessionId, spec: SessionSpec },
-    /// Checkpoint every queued session and hand the encoded checkpoints
-    /// back — the evacuation half of a session migration.
+    /// Checkpoint every live session and hand the encoded checkpoints back
+    /// — the evacuation half of a session migration.
     Drain {
         reply: Sender<Vec<MigratedSession>>,
     },
-    /// Re-admit a session restored from a checkpoint (already decoded and
-    /// re-certified on the submitter thread) — the arrival half.
+    /// Restore a session from a checkpoint (already decoded and
+    /// re-certified on the submitter thread) into the batch for its key —
+    /// the arrival half.
     Restore {
         protocol: ProtocolId,
         demoted: DemotedSession,
@@ -442,16 +447,14 @@ fn shard_of(id: SessionId, shards: usize) -> usize {
     (hasher.finish() as usize) % shards.max(1)
 }
 
-/// Maximum sessions one [`SessionBatch`] holds before the next eligible
-/// session opens a new batch. A ceiling, not a per-pass cost: a pass walks
+/// Maximum sessions one [`SessionBatch`] holds before the next session of
+/// its key opens a new batch. A ceiling, not a per-pass cost: a pass walks
 /// the batch's live sessions only, so a batch holding a few sessions steps
 /// them as cheaply as one sized to fit them; the capacity bounds memory.
 const BATCH_CAPACITY: usize = 512;
-/// Tag bit distinguishing batch indices from slab slots in the run queue.
-const BATCH_BIT: u32 = 1 << 31;
-/// Cap on the number of distinct batches a shard keeps alive. At the cap a
-/// new batch key takes over the slot of an idle batch; eligible sessions
-/// fall back to the slab only while every batch holds live sessions.
+/// Cap on the number of full-capacity batches a shard keeps. At the cap a
+/// new batch key takes over the slot of an idle batch; while every batch
+/// holds live sessions it gets a one-session batch of its own instead.
 const MAX_BATCHES: usize = 64;
 
 /// One columnar batch hosted by a shard. The key that decides which sessions
@@ -466,41 +469,46 @@ struct ShardBatch {
     queued: bool,
 }
 
-/// The batch a session with this layout and these options joins: an open
-/// one with the same key and room, else a new one — in a new slot while the
-/// shard is under [`MAX_BATCHES`], in the slot of an idle batch (empty, hence
-/// not in the run queue) once it is at the cap. `None` when every slot holds
-/// live sessions: the session runs on the slab.
+/// The batch a session of this key joins: an open one with the same key
+/// and room, else a new one — in a new slot while the shard is under
+/// [`MAX_BATCHES`], in the slot of an idle batch (empty, hence not in the
+/// run queue) once it is at the cap, and in a new one-session slot past the
+/// cap while every batch holds live sessions. An idle batch keeps its
+/// capacity and its memory when a new key takes its slot over.
 fn batch_for(
     batches: &mut Vec<ShardBatch>,
-    spec: &SessionSpec,
+    protocol: ProtocolId,
     layout: Arc<BatchLayout>,
-) -> Option<usize> {
+    options: &ExecOptions,
+) -> usize {
     let existing = batches.iter().position(|b| {
-        b.protocol == spec.protocol
+        b.protocol == protocol
             && Arc::ptr_eq(b.batch.layout(), &layout)
-            && *b.batch.options() == spec.options
+            && b.batch.options() == options
             && !b.batch.is_full()
     });
-    if existing.is_some() {
-        return existing;
+    if let Some(slot) = existing {
+        return slot;
     }
-    let slot = if batches.len() < MAX_BATCHES {
-        batches.len()
+    if batches.len() >= MAX_BATCHES {
+        if let Some(slot) = batches.iter().position(|b| b.batch.is_empty() && !b.queued) {
+            let idle = &mut batches[slot];
+            idle.protocol = protocol;
+            idle.batch.rekey(layout, options.clone());
+            return slot;
+        }
+    }
+    let capacity = if batches.len() < MAX_BATCHES {
+        BATCH_CAPACITY
     } else {
-        batches.iter().position(|b| b.batch.is_empty() && !b.queued)?
+        1
     };
-    let fresh = ShardBatch {
-        protocol: spec.protocol,
-        batch: SessionBatch::new(layout, spec.options.clone(), BATCH_CAPACITY),
+    batches.push(ShardBatch {
+        protocol,
+        batch: SessionBatch::new(layout, options.clone(), capacity),
         queued: false,
-    };
-    if slot == batches.len() {
-        batches.push(fresh);
-    } else {
-        batches[slot] = fresh;
-    }
-    Some(slot)
+    });
+    batches.len() - 1
 }
 
 /// Worker-local observability state: the shard's shared
@@ -519,15 +527,15 @@ impl WorkerObs {
         }
     }
 
-    /// Stamps a session's admission: wall-clock start and the
-    /// flight-recorder event. The caller supplies the stamp so one clock
-    /// read covers a whole admission sweep.
-    fn on_admit(&mut self, id: SessionId, batched: bool, at: Instant) {
+    /// Stamps a session's admission into a batch: wall-clock start, the
+    /// batched count and the flight-recorder event. The caller supplies the
+    /// stamp so one clock read covers a whole admission sweep.
+    fn on_admit(&mut self, id: SessionId, at: Instant) {
         self.admitted.insert(id.0, at);
-        self.shared.recorder.record(FlightEvent::Admitted {
-            session: id.0,
-            batched,
-        });
+        self.shared.sessions_batched.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .recorder
+            .record(FlightEvent::Admitted { session: id.0 });
     }
 
     /// Folds a finished session into the histograms, the flight recorder,
@@ -572,40 +580,28 @@ impl WorkerObs {
 /// an unbounded looping protocol would otherwise keep the worker (and the
 /// server's `shutdown` join) alive forever.
 ///
-/// A run-queue entry is either a **slab slot** (one heterogeneous or
-/// demoted session, stepped by [`ActiveSession::run_quantum`]) or, tagged
-/// with [`BATCH_BIT`], a **batch index**: up to [`BATCH_CAPACITY`]
-/// homogeneous sessions of one protocol stepped together in `(role, pc)`
-/// cohorts over columnar state by [`SessionBatch::run_quantum`]. A batch is
-/// one queue entry however many sessions it holds; its quantum budget
-/// scales with its live population so batched sessions get the same action
-/// budget per pass through the queue as slab sessions do.
+/// A run-queue entry is a **batch index**: up to [`BATCH_CAPACITY`]
+/// sessions of one key stepped together in `(role, pc)` cohorts over
+/// columnar state by [`SessionBatch::run_quantum`]. A batch is one queue
+/// entry however many sessions it holds; its quantum budget scales with its
+/// live population, so each session gets [`ServerConfig::quantum`] actions
+/// per pass through the queue.
 ///
-/// A session that is over is closed by whoever holds it, from the state it
-/// already has: the batch closes its concluded and its permanently blocked
-/// sessions itself, a slab session closes at the end of its last quantum,
-/// and a violator the batch demoted closes as quarantined straight from the
-/// extracted state. Only a session that must keep running changes executor
-/// — a runtime sort mismatch, an instruction the batch cannot run, a
-/// migrated checkpoint — and is rebuilt as a slab session mid-flight with
-/// its traces, monitor cursor and in-flight frames intact.
-///
-/// Slab sessions live in a flat `Vec` of slots with a free list, so the run
-/// queue is a deque of `u32` indices instead of boxed sessions shuffling
-/// through it, a finished session's slot (and the deque capacity) is reused
-/// by the next submission, and a quantum touches the session in place — the
-/// steady state of a loaded shard allocates nothing per reschedule.
+/// A session is closed by its batch, from the state it already has: the
+/// batch closes its concluded and its permanently blocked sessions itself,
+/// and a violator it demoted closes as quarantined straight from the
+/// extracted state. A session leaves its batch alive only to move
+/// ([`SessionServer::drain_shard`]), and arrives in another batch with its
+/// traces, monitor cursor and in-flight frames intact.
 struct Shard {
     /// The server's frozen registry: what a cast is resolved, a session
-    /// rebuilt and an incident captured against.
+    /// restored and an incident captured against.
     registry: Arc<ProtocolRegistry>,
     results: Sender<Vec<SessionOutcome>>,
     obs: WorkerObs,
     quantum: usize,
-    slab: Vec<Option<ActiveSession>>,
-    free: Vec<u32>,
     batches: Vec<ShardBatch>,
-    run_queue: VecDeque<u32>,
+    run_queue: VecDeque<usize>,
     /// Finished sessions not yet flushed to the server.
     pending: Vec<SessionOutcome>,
 }
@@ -622,8 +618,6 @@ impl Shard {
             quantum: config.quantum.max(1),
             registry,
             results,
-            slab: Vec::new(),
-            free: Vec::new(),
             batches: Vec::new(),
             run_queue: VecDeque::new(),
             pending: Vec::new(),
@@ -668,8 +662,7 @@ impl Shard {
                 }
             }
             match self.run_queue.pop_front() {
-                Some(entry) if entry & BATCH_BIT != 0 => self.run_batch(entry),
-                Some(slot) => self.run_slab(slot),
+                Some(bi) => self.run_batch(bi),
                 // Idle: park on the inbox. Shutdown arrives as a message on
                 // this same channel (and a dropped server disconnects it),
                 // so a blocking receive cannot miss it and the worker burns
@@ -693,96 +686,82 @@ impl Shard {
             ShardMsg::Drain { reply } => {
                 let _ = reply.send(self.drain_for_migration());
             }
-            ShardMsg::Restore { protocol, demoted } => {
-                self.obs.shared.sessions_slab.fetch_add(1, Ordering::Relaxed);
-                self.obs.on_admit(SessionId(demoted.token), false, stamp);
-                self.resume_on_slab(protocol, demoted);
-            }
+            ShardMsg::Restore { protocol, demoted } => self.restore(protocol, demoted, stamp),
             ShardMsg::Shutdown => return true,
         }
         false
     }
 
-    /// Places a validated session on the shard: its cast is resolved once,
-    /// and the session goes into a matching columnar batch when the cast
-    /// has a batch layout, onto the per-session slab — built from the same
-    /// resolved programs — otherwise.
+    /// Places a validated session on the shard: its cast is resolved once
+    /// into its batch layout, and the session joins the batch for its key
+    /// with the externals its endpoints call.
     fn admit(&mut self, id: SessionId, spec: SessionSpec, at: Instant) {
         let artifacts = &self.registry[spec.protocol];
-        let mut cast = artifacts.resolve(&spec.endpoints);
-        let layout = cast.as_mut().ok().and_then(|(_, layout)| layout.take());
-        if let Some(bi) = layout.and_then(|layout| batch_for(&mut self.batches, &spec, layout)) {
-            let sb = &mut self.batches[bi];
-            let admitted = sb.batch.admit(id.0);
-            debug_assert!(admitted, "batch was checked for room");
-            self.obs.shared.sessions_batched.fetch_add(1, Ordering::Relaxed);
-            self.obs.on_admit(id, true, at);
-            if !sb.queued {
-                sb.queued = true;
-                self.run_queue
-                    .push_back(BATCH_BIT | u32::try_from(bi).expect("batch index fits"));
-            }
-            return;
-        }
-        self.obs.shared.sessions_slab.fetch_add(1, Ordering::Relaxed);
-        self.obs.on_admit(id, false, at);
-        match cast {
-            // The spec was validated at submission; construction is the
-            // shard's job so N shards build N sessions concurrently.
-            Ok((programs, _)) => {
-                self.enqueue_on_slab(ActiveSession::new(id, spec, programs, artifacts))
-            }
+        let layout = match artifacts.resolve(&spec.endpoints) {
+            Ok(layout) => layout,
             // A process that does not lower: closed before it ever runs.
-            Err(error) => self.finish(failed_at_admission(id, artifacts, error), at),
-        }
-    }
-
-    /// Stores a session in a free slab slot (growing the slab if none is
-    /// free) and queues the slot.
-    fn enqueue_on_slab(&mut self, session: ActiveSession) {
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slab.push(None);
-                u32::try_from(self.slab.len() - 1).expect("slab overflow")
-            }
+            Err(error) => return self.finish(failed_at_admission(id, artifacts, error), at),
         };
-        debug_assert!(slot & BATCH_BIT == 0, "slab slot collides with batch tag");
-        self.slab[slot as usize] = Some(session);
-        self.run_queue.push_back(slot);
+        let externals = if layout.calls_externals() {
+            let of = |role: &Role| {
+                let endpoint = spec.endpoints.iter().find(|(cert, _)| cert.role() == role);
+                let (_, externals) = endpoint.expect("coverage was validated at submission");
+                externals.clone()
+            };
+            layout.roles().iter().map(of).collect()
+        } else {
+            Vec::new()
+        };
+        let bi = batch_for(&mut self.batches, spec.protocol, layout, &spec.options);
+        let admitted = self.batches[bi].batch.admit_with_externals(id.0, externals);
+        debug_assert!(admitted, "batch_for found room");
+        self.obs.on_admit(id, at);
+        self.enqueue(bi);
     }
 
-    /// Rebuilds a session from extracted state — a compliant batch demotion
-    /// or a migrated checkpoint — and queues it on the slab.
-    fn resume_on_slab(&mut self, protocol: ProtocolId, demoted: DemotedSession) {
-        let session = ActiveSession::from_demoted(demoted, &self.registry[protocol]);
-        self.enqueue_on_slab(session);
+    /// Continues a migrated session in the batch for its key, over the
+    /// programs its checkpoint was validated against.
+    fn restore(&mut self, protocol: ProtocolId, demoted: DemotedSession, at: Instant) {
+        let programs = demoted
+            .endpoints
+            .iter()
+            .map(|e| Arc::clone(&e.program))
+            .collect();
+        let layout = self.registry[protocol].layout(programs);
+        let bi = batch_for(&mut self.batches, protocol, layout, &demoted.options);
+        self.obs.on_admit(SessionId(demoted.token), at);
+        self.batches[bi].batch.restore(demoted);
+        self.enqueue(bi);
+    }
+
+    /// Queues a batch that has just taken a session, unless it is queued.
+    fn enqueue(&mut self, bi: usize) {
+        let sb = &mut self.batches[bi];
+        if !sb.queued {
+            sb.queued = true;
+            self.run_queue.push_back(bi);
+        }
     }
 
     /// Evacuates every session in the run queue as an encoded checkpoint:
-    /// batch members are demoted in place and serialized, slab sessions are
-    /// checkpointed live (non-destructively, then dropped). Sessions a
-    /// checkpoint cannot carry — their programs call externals — close as
-    /// stalled and report through the ordinary outcome stream.
+    /// each batch demotes its members in place and they are serialized.
+    /// Sessions a checkpoint cannot carry — their programs call externals,
+    /// whose closures stay with the submitter — close as stalled and report
+    /// through the ordinary outcome stream.
     fn drain_for_migration(&mut self) -> Vec<MigratedSession> {
         let now = Instant::now();
         let mut migrated = Vec::new();
-        while let Some(entry) = self.run_queue.pop_front() {
-            if entry & BATCH_BIT != 0 {
-                let sb = &mut self.batches[(entry & !BATCH_BIT) as usize];
-                sb.queued = false;
-                let protocol = sb.protocol;
-                for demoted in sb.batch.demote_all() {
-                    migrated.push(self.evacuate(protocol, &demoted));
+        while let Some(bi) = self.run_queue.pop_front() {
+            let sb = &mut self.batches[bi];
+            sb.queued = false;
+            let protocol = sb.protocol;
+            if sb.batch.layout().calls_externals() {
+                for outcome in sb.batch.close_all() {
+                    self.finish(SessionOutcome::from_batch(protocol, outcome), now);
                 }
             } else {
-                let mut session = self.slab[entry as usize]
-                    .take()
-                    .expect("queued slot is occupied");
-                self.free.push(entry);
-                match session.checkpoint() {
-                    Ok(demoted) => migrated.push(self.evacuate(session.protocol(), &demoted)),
-                    Err(_) => self.finish(session.close_stalled(), now),
+                for demoted in sb.batch.demote_all() {
+                    migrated.push(self.evacuate(protocol, &demoted));
                 }
             }
         }
@@ -806,15 +785,13 @@ impl Shard {
         }
     }
 
-    /// Steps one batch for a quantum, reports what is over and moves what
-    /// it demoted to the slab — or, if the demotion was a violation, closes
-    /// it as quarantined from the state the batch extracted.
-    fn run_batch(&mut self, entry: u32) {
-        let bi = (entry & !BATCH_BIT) as usize;
+    /// Steps one batch for a quantum, reports what is over — the sessions
+    /// it closed, and the violators it demoted, closed as quarantined from
+    /// the state it extracted — and re-queues it while it has live sessions.
+    fn run_batch(&mut self, bi: usize) {
         let sb = &mut self.batches[bi];
         // The batch is one queue entry standing for its whole live
-        // population, so it gets the quantum each member would have gotten
-        // on the slab.
+        // population, so it gets the quantum of each member.
         let budget = self.quantum.saturating_mul(sb.batch.live_count().max(1));
         let started = Instant::now();
         let result = sb.batch.run_quantum(budget);
@@ -836,59 +813,25 @@ impl Shard {
         }
         for demoted in result.demoted {
             self.obs.shared.sessions_demoted.fetch_add(1, Ordering::Relaxed);
-            self.obs.shared.recorder.record(FlightEvent::BatchDemoted {
-                session: demoted.token,
-            });
-            if !demoted.monitor.is_compliant() {
-                self.finish(SessionOutcome::quarantined(protocol, demoted), ended);
-            } else {
-                self.resume_on_slab(protocol, demoted);
-            }
+            self.finish(SessionOutcome::quarantined(protocol, demoted), ended);
         }
         let sb = &mut self.batches[bi];
         if sb.batch.is_empty() {
             sb.queued = false;
         } else {
-            self.run_queue.push_back(entry);
-        }
-    }
-
-    /// Steps one slab session for a quantum, then re-queues it or reports
-    /// how it closed.
-    fn run_slab(&mut self, slot: u32) {
-        let session = self.slab[slot as usize]
-            .as_mut()
-            .expect("queued slot is occupied");
-        let started = Instant::now();
-        let result = session.run_quantum(self.quantum);
-        let ended = Instant::now();
-        self.record_quantum(ended.saturating_duration_since(started), result.actions, result.sends);
-        match result.closed {
-            None => self.run_queue.push_back(slot),
-            Some(outcome) => {
-                self.slab[slot as usize] = None;
-                self.free.push(slot);
-                self.finish(outcome, ended);
-            }
+            self.run_queue.push_back(bi);
         }
     }
 
     /// Shutdown: closes every queued session as stalled and flushes.
     fn close_all(mut self) {
         let now = Instant::now();
-        while let Some(entry) = self.run_queue.pop_front() {
-            if entry & BATCH_BIT != 0 {
-                let sb = &mut self.batches[(entry & !BATCH_BIT) as usize];
-                sb.queued = false;
-                let protocol = sb.protocol;
-                for outcome in sb.batch.close_all() {
-                    self.finish(SessionOutcome::from_batch(protocol, outcome), now);
-                }
-            } else {
-                let session = self.slab[entry as usize]
-                    .take()
-                    .expect("queued slot is occupied");
-                self.finish(session.close_stalled(), now);
+        while let Some(bi) = self.run_queue.pop_front() {
+            let sb = &mut self.batches[bi];
+            sb.queued = false;
+            let protocol = sb.protocol;
+            for outcome in sb.batch.close_all() {
+                self.finish(SessionOutcome::from_batch(protocol, outcome), now);
             }
         }
         // A send failure means the server is gone too: nothing left to
@@ -917,9 +860,9 @@ impl Shard {
 
     /// Counts a finished session in the shard metrics, folds it into the
     /// observability plane (wall time, flight events, incident capture —
-    /// every execution path funnels through here: slab, batch-closed,
-    /// demoted-then-slab, demoted-then-quarantined, and shutdown close), and
-    /// buffers its outcome for the next batched flush.
+    /// every way a session ends funnels through here: closed by its batch,
+    /// quarantined at a violation, closed at a drain or at shutdown, refused
+    /// at admission), and buffers its outcome for the next batched flush.
     fn finish(&mut self, outcome: SessionOutcome, now: Instant) {
         let metrics = &self.obs.shared;
         if outcome.stalled {
@@ -1021,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_sessions_batch_and_agree_with_slab_accounting() {
+    fn homogeneous_sessions_share_a_batch_and_count_every_action() {
         let (registry, ring) = ring_registry();
         let endpoints = skeleton_endpoints(registry.get(ring).unwrap().protocol()).unwrap();
         let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
@@ -1037,7 +980,7 @@ mod tests {
         assert_eq!(report.sessions_batched(), 200, "{report}");
         assert_eq!(report.sessions_slab(), 0, "{report}");
         assert_eq!(report.sessions_demoted(), 0, "{report}");
-        // Action accounting matches the slab's: 3 sends + 3 receives each.
+        // 3 sends + 3 receives each.
         assert_eq!(report.messages_routed(), 600);
         assert_eq!(report.actions_executed(), 1_200);
         assert!(report.mean_cohort_width() > 1.0, "{report}");
@@ -1082,10 +1025,11 @@ mod tests {
     fn a_migrated_session_that_then_violates_closes_quarantined_where_it_stands() {
         // `mu X. A -> B : tick. B -> A : tock. X`, with an A that after
         // three rounds sends a label the protocol does not have. The source
-        // shard is stepped by hand, so the drain catches the session after
-        // exactly four actions; the violation happens on the shard it
-        // migrates to, which closes it there and then with the whole
-        // history, the four actions it arrived with included.
+        // shard is stepped by hand, three one-action-per-session quanta, so
+        // the drain catches the session after exactly four actions; the
+        // violation happens on the shard it migrates to, which closes it
+        // there and then with the whole history, the four actions it
+        // arrived with included.
         use zooid_mpst::global::GlobalType;
         use zooid_mpst::{Role, Sort};
         let (a, b) = (Role::new("A"), Role::new("B"));
@@ -1117,9 +1061,9 @@ mod tests {
         let instruments = Arc::new(ShardInstruments::new(server.registry.len()));
         let mut source = Shard::new(Arc::clone(&server.registry), results, instruments, &config);
         source.admit(SessionId(0), SessionSpec::new(id, endpoints), Instant::now());
-        for _ in 0..4 {
-            let slot = source.run_queue.pop_front().expect("still live");
-            source.run_slab(slot);
+        for _ in 0..3 {
+            let bi = source.run_queue.pop_front().expect("still live");
+            source.run_batch(bi);
         }
         assert_eq!(source.obs.shared.report(0).actions_executed, 4);
         let mut migrated = source.drain_for_migration();
@@ -1147,7 +1091,7 @@ mod tests {
     fn an_idle_batch_gives_its_slot_to_a_new_key_at_the_cap() {
         // 100 batch keys on one shard (the step limit is part of the key),
         // each drained before the next arrives: past MAX_BATCHES the new
-        // key must take over an idle batch's slot, not run on the slab for
+        // key must take over an idle batch's slot, not grow the shard for
         // the life of the server.
         let mut registry = ProtocolRegistry::new();
         let id = registry
@@ -1167,12 +1111,52 @@ mod tests {
     }
 
     #[test]
+    fn a_new_key_runs_batched_while_every_batch_is_live() {
+        // MAX_BATCHES keys admitted and none run yet, so every batch holds a
+        // live session: the next key gets a one-session batch past the cap
+        // rather than another executor, and once all have run, new keys
+        // take over idle slots instead of growing the shard further.
+        let mut registry = ProtocolRegistry::new();
+        let id = registry
+            .register(Protocol::new("pipeline", generators::pipeline()).unwrap())
+            .unwrap();
+        let endpoints = skeleton_endpoints(registry.get(id).unwrap().protocol()).unwrap();
+        let spec = |max_steps| SessionSpec::new(id, endpoints.clone()).with_max_steps(max_steps);
+        let (results, _outcomes) = unbounded();
+        let instruments = Arc::new(ShardInstruments::new(registry.len()));
+        let config = ServerConfig::default();
+        let mut shard = Shard::new(Arc::new(registry), results, instruments, &config);
+        let now = Instant::now();
+        for n in 0..=MAX_BATCHES {
+            shard.admit(SessionId(n as u64), spec(n + 1), now);
+        }
+        assert_eq!(shard.batches.len(), MAX_BATCHES + 1);
+        assert_eq!(shard.batches[MAX_BATCHES].batch.capacity(), 1);
+        assert_eq!(shard.batches[MAX_BATCHES].batch.live_count(), 1);
+        while let Some(bi) = shard.run_queue.pop_front() {
+            shard.run_batch(bi);
+        }
+        assert_eq!(shard.pending.len(), MAX_BATCHES + 1);
+        assert!(shard.pending.iter().all(|o| o.compliant && !o.quarantined));
+        for n in 0..2 {
+            shard.admit(SessionId(1_000 + n), spec(1_000 + n as usize), now);
+        }
+        assert_eq!(
+            shard.batches.len(),
+            MAX_BATCHES + 1,
+            "idle slots are taken over"
+        );
+        let report = shard.obs.shared.report(0);
+        assert_eq!(report.sessions_batched, MAX_BATCHES as u64 + 3);
+        assert_eq!(report.sessions_slab, 0);
+    }
+
+    #[test]
     fn blocked_batch_sessions_close_as_stalled_inside_their_batch() {
         // Pipeline with a step limit: the upstream endpoints hit their
         // limits inside the batch, the tail receiver then blocks forever,
         // and the batch's no-progress pass closes the session as stalled
-        // where it stands — same verdicts the slab produces when it runs
-        // the session from the start, and no slab session is ever built.
+        // where it stands, without a demotion.
         let mut registry = ProtocolRegistry::new();
         let id = registry
             .register(Protocol::new("pipeline", generators::pipeline()).unwrap())
@@ -1199,6 +1183,45 @@ mod tests {
         assert_eq!(report.sessions_demoted(), 0, "{report}");
         assert_eq!(report.sessions_slab(), 0, "{report}");
         assert_eq!(report.sessions_stalled(), 8, "{report}");
+    }
+
+    #[test]
+    fn a_certified_right_injection_is_not_quarantined() {
+        // `p -> q : m(unit + bool)` with `p` sending `inr true`: typing,
+        // lowering and the batch's recording all give the literal the sort
+        // `unit + bool`, so the monitor accepts the send.
+        use zooid_mpst::global::GlobalType;
+        use zooid_mpst::{Role, Sort};
+        use zooid_proc::{Expr, Externals, Proc, Value};
+        let (p, q) = (Role::new("p"), Role::new("q"));
+        let sum = Sort::sum(Sort::Unit, Sort::Bool);
+        let g = GlobalType::msg1(p.clone(), q.clone(), "m", sum.clone(), GlobalType::End);
+        let protocol = Protocol::new("right", g).unwrap();
+        let send = Proc::send(
+            q.clone(),
+            "m",
+            Expr::lit(Value::inr(Value::Bool(true))),
+            Proc::Finish,
+        );
+        let recv = Proc::recv1(p.clone(), "m", sum, "x", Proc::Finish);
+        let endpoints: Vec<_> = [(&p, send), (&q, recv)]
+            .into_iter()
+            .map(|(role, proc)| {
+                let cert = protocol.implement_against_projection(role, proc, &Externals::new());
+                (cert.unwrap(), Externals::new())
+            })
+            .collect();
+        let mut registry = ProtocolRegistry::new();
+        let id = registry.register(protocol).unwrap();
+        let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+        server.submit(SessionSpec::new(id, endpoints)).unwrap();
+        let outcomes = server.drain();
+        assert_eq!(outcomes.len(), 1);
+        let outcome = &outcomes[0];
+        assert!(!outcome.quarantined, "{:?}", outcome.violations);
+        assert!(outcome.all_finished_and_compliant(), "{outcome:?}");
+        assert_eq!(outcome.messages_exchanged(), 1);
+        server.shutdown();
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   it: tampered bytes are refused with the runtime's structured errors
 //!   and never become sessions.
 //! * A violation ends the session: the first action its monitor rejects
-//!   closes it from the state its executor already holds, and a
-//!   batch-demoted violator is never rebuilt on the slab.
+//!   closes it from the state its batch extracted, whether or not the
+//!   cast's sites were pre-interned.
 
 use zooid_dsl::Protocol;
 use zooid_mpst::generators;
@@ -253,18 +253,11 @@ fn assert_halted_at_the_first_action(outcome: &zooid_server::SessionOutcome, ser
 
 #[test]
 fn a_batched_violator_closes_from_its_demoted_state() {
-    // The rotated-ring cast pre-interns against the registered tables, so
-    // it batches, and violates deterministically on its first send. The
-    // batch's demotion is the end of it: the outcome is read off the
-    // extracted state and no slab session is built.
+    // The rotated-ring cast pre-interns against the registered tables, and
+    // violates deterministically on its first send. The batch's demotion is
+    // the end of it: the outcome is read off the extracted state.
     let (outcome, server) = run_ring_decoy(generators::ring(&["w2", "w0", "w1"]));
     assert_halted_at_the_first_action(&outcome, &server);
-    let demotions = server
-        .flight_events()
-        .iter()
-        .filter(|e| matches!(e, FlightEvent::BatchDemoted { .. }))
-        .count();
-    assert_eq!(demotions, 1);
     let report = server.shutdown();
     assert_eq!(report.sessions_batched(), 1, "{report}");
     assert_eq!(report.sessions_demoted(), 1, "{report}");
@@ -272,10 +265,11 @@ fn a_batched_violator_closes_from_its_demoted_state() {
 }
 
 #[test]
-fn a_slab_admitted_violator_closes_at_its_first_rejection() {
-    // The slab twin: the `bad` label is not in the registered ring's
-    // tables, so the cast cannot pre-intern, is admitted to the slab, and
-    // violates in its first quantum — which is also its last.
+fn an_uninternable_violator_closes_at_its_first_rejection() {
+    // The twin whose sites do not pre-intern: the `bad` label is not in the
+    // registered ring's tables, so the batch interns the first send when it
+    // happens, finds no such action, and rejects it — in the session's
+    // first quantum, which is also its last.
     use zooid_mpst::global::GlobalType;
     use zooid_mpst::{Role, Sort};
     let w = |i: usize| Role::new(format!("w{i}"));
@@ -284,9 +278,9 @@ fn a_slab_admitted_violator_closes_at_its_first_rejection() {
     let (outcome, server) = run_ring_decoy(bad_label_ring);
     assert_halted_at_the_first_action(&outcome, &server);
     let report = server.shutdown();
-    assert_eq!(report.sessions_slab(), 1, "{report}");
-    assert_eq!(report.sessions_batched(), 0, "{report}");
-    assert_eq!(report.sessions_demoted(), 0, "{report}");
+    assert_eq!(report.sessions_batched(), 1, "{report}");
+    assert_eq!(report.sessions_demoted(), 1, "{report}");
+    assert_eq!(report.sessions_slab(), 0, "{report}");
 }
 
 #[test]

@@ -20,10 +20,10 @@
 //!    be quarantined, since a violation ends the session: exactly one
 //!    recorded violation (the zero-post-quarantine-steps witness), a
 //!    replayable incident, counted per shard and per protocol, with
-//!    co-resident compliant sessions untouched — on the slab path and on
-//!    the batch path. Every outcome is quarantined exactly when it is not
-//!    compliant, and every report counts as many quarantines as
-//!    violations.
+//!    co-resident compliant sessions untouched — whether the cast's sites
+//!    were pre-interned or are interned as they happen. Every outcome is
+//!    quarantined exactly when it is not compliant, and every report counts
+//!    as many quarantines as violations.
 //! 3. **The wire** — a violating catalog session costs the connection that
 //!    opened it nothing: the opener reads a non-compliant `Done` and its
 //!    next `Open` is served; and a connection that never sends a decodable
@@ -527,11 +527,11 @@ fn byzantine_sessions_are_quarantined_and_neighbours_survive() {
 }
 
 #[test]
-fn batch_demoted_violators_are_quarantined_without_slab_steps() {
+fn batch_demoted_violators_are_quarantined_where_they_stand() {
     // The rotated ring pre-interns against the registered tables, so the
-    // sessions coalesce into a columnar batch; the out-of-order first send
+    // sessions coalesce into one columnar batch; the out-of-order first send
     // demotes each one, and the demoted session goes straight to
-    // quarantine instead of being re-admitted to the slab.
+    // quarantine without another step.
     let mut registry = ProtocolRegistry::new();
     let id = registry
         .register(Protocol::new("ring", generators::ring_n(3)).unwrap())

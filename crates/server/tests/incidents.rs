@@ -1,10 +1,10 @@
-//! Incident capture across every execution path: a monitor violation —
-//! whether it happens on the per-session slab, inside a columnar batch
-//! (demoting the session mid-flight), or on a session opened over the TCP
-//! mux — must leave behind an [`zooid_server::Incident`] whose bounded
-//! trace prefix *replays* to the very same violation against the compiled
-//! system, and the record must be fetchable from a live server over the
-//! wire.
+//! Incident capture on every path a violation takes: a monitor violation —
+//! whether the cast's sites were pre-interned against the registered
+//! tables or are interned when they happen, and whether the session was
+//! submitted in process or opened over the TCP mux — must leave behind an
+//! [`zooid_server::Incident`] whose bounded trace prefix *replays* to the
+//! very same violation against the compiled system, and the record must be
+//! fetchable from a live server over the wire.
 //!
 //! The violating sessions are honest counterexamples: the endpoints are
 //! certified against a *decoy* protocol that shares the registered
@@ -30,8 +30,8 @@ const EVENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A ring over `w0 w1 w2` whose label is not part of the registered ring
 /// protocol: the endpoint programs cannot pre-intern their actions against
-/// the registered tables, so the sessions run on the slab (compiled tasks,
-/// monitored by lookup) and every communication is a monitor violation.
+/// the registered tables, so the batch interns each action when it happens,
+/// and every communication is a monitor violation.
 fn bad_label_ring() -> GlobalType {
     let w = |i: usize| Role::new(format!("w{i}"));
     GlobalType::msg1(
@@ -51,9 +51,9 @@ fn bad_label_ring() -> GlobalType {
 
 /// The same three exchanges as `ring_n(3)` in a rotated global order
 /// (`w2 -> w0` first). Every per-role communication site exists in the
-/// registered protocol's tables, so the endpoints lower, pre-intern and
-/// coalesce into a columnar batch — and the first send is a monitor
-/// violation that demotes the session to the slab mid-flight.
+/// registered protocol's tables, so the endpoints lower and pre-intern —
+/// and the first send is a monitor violation that demotes the session
+/// mid-flight.
 fn rotated_ring() -> GlobalType {
     generators::ring(&["w2", "w0", "w1"])
 }
@@ -67,7 +67,7 @@ fn registry_with_ring() -> (ProtocolRegistry, zooid_server::ProtocolId) {
 }
 
 #[test]
-fn slab_violations_capture_replayable_incidents() {
+fn uninterned_violations_capture_replayable_incidents() {
     let (registry, id) = registry_with_ring();
     let decoy = Protocol::new("ring", bad_label_ring()).unwrap();
     let endpoints = skeleton_endpoints(&decoy).unwrap();
@@ -86,9 +86,9 @@ fn slab_violations_capture_replayable_incidents() {
     }
 
     let report = server.report();
-    // The uninternable label keeps the sessions off the batch path.
-    assert_eq!(report.sessions_slab(), 4, "{report}");
-    assert_eq!(report.sessions_batched(), 0, "{report}");
+    // The uninternable label is monitored by lookup, inside the batch.
+    assert_eq!(report.sessions_batched(), 4, "{report}");
+    assert_eq!(report.sessions_slab(), 0, "{report}");
     assert_eq!(
         report.obs.incidents_recorded,
         total_violations as u64,
@@ -109,7 +109,7 @@ fn slab_violations_capture_replayable_incidents() {
     let events = server.flight_events();
     assert!(events
         .iter()
-        .any(|e| matches!(e, FlightEvent::Admitted { batched: false, .. })));
+        .any(|e| matches!(e, FlightEvent::Admitted { .. })));
     assert!(events
         .iter()
         .any(|e| matches!(e, FlightEvent::Violation { .. })));
@@ -153,13 +153,12 @@ fn batch_demotions_capture_replayable_incidents() {
     let events = server.flight_events();
     assert!(events
         .iter()
-        .any(|e| matches!(e, FlightEvent::Admitted { batched: true, .. })));
-    assert!(events
+        .any(|e| matches!(e, FlightEvent::Admitted { .. })));
+    let violations = events
         .iter()
-        .any(|e| matches!(e, FlightEvent::BatchDemoted { .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, FlightEvent::Violation { .. })));
+        .filter(|e| matches!(e, FlightEvent::Violation { .. }))
+        .count();
+    assert_eq!(violations as u64, report.sessions_demoted(), "{report}");
     server.shutdown();
 }
 

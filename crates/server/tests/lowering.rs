@@ -1,9 +1,10 @@
-//! The fact the compiled-only slab rests on: a certified process always
-//! lowers. `CompiledProc::compile` fails only on an unbound jump or a loop
-//! that never reaches a communication, and both certification gates reject
-//! those, so `ProtocolArtifacts::endpoint_program` returning `None` — which
-//! the server answers by closing the session with every endpoint `Failed` —
-//! is not reachable from a `CertifiedProcess`.
+//! The fact the batch-only server rests on: a certified process always
+//! lowers, and every lowered cast has a batch layout, so every admitted
+//! session runs in a batch. `CompiledProc::compile` fails only on an
+//! unbound jump or a loop that never reaches a communication, and both
+//! certification gates reject those, so `ProtocolArtifacts::endpoint_program`
+//! returning `None` — which the server answers by closing the session with
+//! every endpoint `Failed` — is not reachable from a `CertifiedProcess`.
 
 use zooid_dsl::{Protocol, WtProc};
 use zooid_mpst::generators;

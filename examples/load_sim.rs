@@ -22,10 +22,10 @@
 //! The final act is durability: a second server (single-action quanta, so
 //! sessions stay in flight) is drained shard by shard — every in-flight
 //! session leaves as an encoded, re-certifiable checkpoint — and the
-//! checkpoints are migrated onto other shards where they resume and finish
-//! compliant. Violators submitted alongside them quarantine under the
-//! default policy: each is closed from the state its batch extracted at the
-//! first rejection, and none is rebuilt on the slab.
+//! checkpoints are migrated onto other shards, where they resume in a batch
+//! and finish compliant. Violators submitted alongside them quarantine:
+//! each is closed from the state its batch extracted at the first
+//! rejection.
 //!
 //! Run with `cargo run --release --example load_sim`.
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, no orphaned vendor stub,
-# no fault injection named on the serving path, zero compiler and rustdoc
-# warnings, every crate's tests in both profiles,
+# no fault injection named on the serving path, no per-session executor in
+# the server, zero compiler and rustdoc warnings, every crate's tests in both
+# profiles,
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
 # smoke run, and tcp_short must clear a floor no timer can), and a
 # bench-report smoke run, which checks its own families against their floors
@@ -34,6 +35,17 @@ for module in cbatch cexec checkpoint codec monitor transport wire; do
 done
 if grep -nE 'faults::|FaultPlan|FaultyTransport' "${serving[@]}"; then
     echo "a serving module names fault injection (above)" >&2
+    exit 1
+fi
+
+echo "== the server runs no per-session executor"
+# Every admitted session runs in a columnar batch. The per-session executor
+# and its in-memory channels stay in the runtime as the batch's
+# differential oracle; this fence keeps a second serving path from
+# growing back in the server crate.
+if grep -nE 'CompiledEndpointTask|InMemoryNetwork|InMemoryTransport|checkpoint_task' \
+    crates/server/src/*.rs; then
+    echo "the server names a per-session executor (above)" >&2
     exit 1
 fi
 
