@@ -20,7 +20,9 @@
 //!   CPUs the box grants: it records, it does not assume);
 //! * `endpoint_step` — the compiled endpoint executor
 //!   ([`CompiledEndpointTask`]) vs the tree-walking [`EndpointTask`], per
-//!   visible action, a no-op observer on both sides (what a shard calls);
+//!   visible action, a no-op observer on both sides. Both are oracles: every
+//!   served session runs in a [`SessionBatch`], so no shard calls either,
+//!   and `batch_step` is the family that times the serving executor;
 //! * `batch_step` — the columnar [`SessionBatch`] vs per-session compiled
 //!   tasks under a [`CompiledMonitor`] (the slab configuration), per action,
 //!   each population quiet and (`/recorded`) recording its traces;

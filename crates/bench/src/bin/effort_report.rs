@@ -23,7 +23,10 @@ fn visit(dir: &Path, stats: &mut CrateStats) {
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            visit(&path, stats);
+            // The benchmark package builds into a `target/` beside its sources.
+            if path.file_name().is_some_and(|n| n != "target") {
+                visit(&path, stats);
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             let Ok(content) = fs::read_to_string(&path) else { continue };
             stats.files += 1;
@@ -68,20 +71,31 @@ fn main() {
         .flatten()
         .unwrap_or_else(|| PathBuf::from("."));
 
-    let areas: Vec<(&str, PathBuf)> = vec![
-        ("zooid-mpst (metatheory)", root.join("crates/mpst/src")),
-        ("zooid-mpst (tests)", root.join("crates/mpst/tests")),
-        ("zooid-proc (process language)", root.join("crates/proc/src")),
-        ("zooid-proc (tests)", root.join("crates/proc/tests")),
-        ("zooid-dsl (Zooid DSL)", root.join("crates/dsl/src")),
-        ("zooid-runtime (runtime)", root.join("crates/runtime/src")),
-        ("zooid-runtime (tests)", root.join("crates/runtime/tests")),
-        ("zooid-cfsm (automata)", root.join("crates/cfsm/src")),
-        ("zooid-bench (evaluation)", root.join("crates/bench")),
-        ("facade + examples", root.join("src")),
-        ("examples", root.join("examples")),
-        ("integration tests", root.join("tests")),
-    ];
+    // Every crate's sources and tests, found on disk rather than listed, so
+    // a new crate or test directory is counted the day it lands.
+    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .map(|entries| entries.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    crates.sort();
+    let mut areas: Vec<(String, PathBuf)> = Vec::new();
+    for dir in crates {
+        let name = dir
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default();
+        for part in ["src", "tests"] {
+            if dir.join(part).is_dir() {
+                areas.push((format!("zooid-{name} ({part})"), dir.join(part)));
+            }
+        }
+    }
+    for (name, part) in [
+        ("facade", "src"),
+        ("examples", "examples"),
+        ("integration tests", "tests"),
+    ] {
+        areas.push((name.to_owned(), root.join(part)));
+    }
 
     println!(
         "{:<34} {:>6} {:>9} {:>9} {:>8} {:>8} {:>9}",

@@ -1,13 +1,13 @@
 //! Columnar batch execution: struct-of-arrays stepping for homogeneous
 //! sessions.
 //!
-//! A [`CompiledEndpointTask`](crate::cexec::CompiledEndpointTask) steps one
-//! endpoint of one session: one pointer chase into the session's slot
-//! array, one `RefCell` borrow of its channel core and one virtual port
-//! dispatch per action — per session. At serving scale most live sessions
-//! run the *same* protocol and sit at the *same* handful of program
-//! counters, so almost all of that per-session state is redundant. This
-//! module splits a session population the other way:
+//! A per-session compiled executor (the runtime's `CompiledEndpointTask`,
+//! now only an oracle) steps one endpoint of one session: one pointer chase
+//! into the session's slot array, one `RefCell` borrow of its channel core
+//! and one virtual port dispatch per action — per session. At serving
+//! scale most live sessions run the *same* protocol and sit at the *same*
+//! handful of program counters, so almost all of that per-session state is
+//! redundant. This module splits a session population the other way:
 //!
 //! * the **skeleton** — the compiled per-role programs
 //!   ([`EndpointProgram`]), the protocol's compiled transition tables and
@@ -86,10 +86,10 @@ use zooid_mpst::{Action, Label, Role, Sort, Trace};
 use zooid_proc::compile::{Arm, CExpr, Instr};
 use zooid_proc::{erase, sort_of_value, Externals, Value, ValueAction};
 
-use crate::cexec::{admin_tick, ActionTemplate, EndpointProgram};
 use crate::error::RuntimeError;
-use crate::exec::{EndpointReport, EndpointStatus, ExecOptions};
 use crate::monitor::{CompiledMonitor, MonitorViolation};
+use crate::program::{admin_tick, ActionTemplate, EndpointProgram};
+use crate::report::{EndpointReport, EndpointStatus, ExecOptions};
 
 /// The [`BatchLayout`] peer index of a role that is not a peer in the
 /// session: one outside it, or the endpoint's own role.
@@ -307,8 +307,8 @@ pub struct BatchOutcome {
 }
 
 /// One endpoint's extracted execution state, ready for
-/// [`SessionBatch::restore`] (or
-/// [`CompiledEndpointTask::resume`](crate::cexec::CompiledEndpointTask::resume)).
+/// [`SessionBatch::restore`] (or the runtime oracle's
+/// `CompiledEndpointTask::resume`).
 #[derive(Debug)]
 pub struct DemotedEndpoint {
     /// The endpoint's role.
@@ -811,7 +811,7 @@ impl SessionBatch {
     }
 
     /// The general path for internal instructions: mirrors one
-    /// [`CompiledEndpointTask`](crate::cexec::CompiledEndpointTask) step —
+    /// `CompiledEndpointTask` step —
     /// run the internal chain (conditionals and external actions) under
     /// fresh fuel counters, then perform at most one visible communication.
     fn step_endpoint(&mut self, layout: &BatchLayout, r: usize, s: usize, out: &mut BatchQuantum) {

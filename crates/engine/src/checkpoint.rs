@@ -17,12 +17,16 @@
 //! checkpoint — program counters, slot counts, monitor states, queued
 //! message ids, frame endpoints and labels — is validated against the compiled
 //! programs and transition tables it claims to resume
-//! ([`zooid_cfsm::CompiledSystem::restore_cursor`] does the cursor half).
-//! Bytes that decode but describe a state the protocol's tables do not
-//! admit are refused with [`RuntimeError::Recovery`]; a corrupted or
-//! hostile checkpoint never becomes a running session. Names are checked
-//! even earlier: decoding looks every role and label up in the process-wide
-//! name table ([`Role::lookup`]) and refuses one no code made with
+//! ([`zooid_cfsm::CompiledSystem::restore_cursor`] does the cursor half),
+//! and the recorded compliant trace is replayed from the initial cursor and
+//! must end on the checkpoint's. A checkpoint that carries a violation is
+//! refused outright: a live session has none, because its batch closes it
+//! at the pass that saw one. Bytes that decode but describe a state the
+//! protocol's tables do not admit are refused with
+//! [`RuntimeError::Recovery`]; a corrupted or hostile checkpoint never
+//! becomes a running session. Names are checked even earlier: decoding
+//! looks every role and label up in the process-wide name table
+//! ([`Role::lookup`]) and refuses one no code made with
 //! [`RuntimeError::Codec`], so a checkpoint cannot grow that table.
 //!
 //! [`MonitorCursor`]: zooid_cfsm::MonitorCursor
@@ -32,18 +36,18 @@ use std::sync::Arc;
 
 use zooid_cfsm::CompiledSystem;
 use zooid_mpst::common::intern::MsgId;
-use zooid_mpst::{Action, Label, Role, Sort, Trace};
+use zooid_mpst::{Action, Label, Role, Trace};
 use zooid_proc::{Value, ValueAction};
 
 use crate::cbatch::{DemotedEndpoint, DemotedSession};
-use crate::cexec::EndpointProgram;
 use crate::codec::{
-    descend, get_label, get_role, get_str, get_u32, get_u64, get_u8, get_value, put_str, put_u32,
-    put_u64, put_u8, put_value, MAX_NESTING,
+    get_action, get_bool, get_label, get_role, get_str, get_u32, get_u64, get_u8, get_value,
+    get_value_action, put_action, put_str, put_u32, put_u64, put_u8, put_value, put_value_action,
 };
 use crate::error::{Result, RuntimeError};
-use crate::exec::{EndpointStatus, ExecOptions};
-use crate::monitor::{CompiledMonitor, MonitorViolation};
+use crate::monitor::CompiledMonitor;
+use crate::program::EndpointProgram;
+use crate::report::{EndpointStatus, ExecOptions};
 
 /// Format magic leading every encoded checkpoint (`"ZCKP"`).
 const MAGIC: u32 = 0x5A43_4B50;
@@ -321,9 +325,12 @@ impl SessionCheckpoint {
     /// [`RuntimeError::Recovery`] when the checkpoint does not fit the
     /// supplied programs and system: wrong role set, a program counter or
     /// slot array the program does not have, a monitor cursor the tables
-    /// refuse ([`CompiledSystem::restore_cursor`]), inconsistent monitor
-    /// counters, or frames between roles the session does not contain or
-    /// with a label no communication site of the programs has.
+    /// refuse ([`CompiledSystem::restore_cursor`]), a recorded violation (a
+    /// live session has none), inconsistent monitor counters, a compliant
+    /// trace that does not replay from the initial cursor to the
+    /// checkpoint's (or any trace when recording was off), or frames
+    /// between roles the session does not contain or with a label no
+    /// communication site of the programs has.
     pub fn into_demoted(
         self,
         programs: &[Arc<EndpointProgram>],
@@ -386,16 +393,53 @@ impl SessionCheckpoint {
                 "monitor cursor does not fit the protocol's compiled tables".to_owned(),
             );
         };
-        if self.accepted > self.observed {
+        // A live session carries no violation: its batch closes it at the
+        // pass that saw one, so only a compliant session is ever taken out.
+        if !self.violations.is_empty() {
+            return refuse(format!(
+                "checkpoint carries {} monitor violations, and a live session carries none",
+                self.violations.len()
+            ));
+        }
+        if self.accepted != self.observed {
             return refuse(format!(
                 "monitor claims {} accepted actions out of {} observed",
                 self.accepted, self.observed
             ));
         }
-        if self.accepted + self.violations.len() as u64 != self.observed {
-            return refuse(
-                "monitor counters disagree with the recorded violations".to_owned(),
-            );
+        // The compliant trace is re-certified, not trusted: replayed from the
+        // initial cursor, every action must be accepted and the replay must
+        // end on the checkpoint's cursor. Without trace recording there is
+        // nothing to replay, and there must be no trace either.
+        if self.record_trace {
+            if self.trace.len() as u64 != self.accepted {
+                return refuse(format!(
+                    "compliant trace holds {} actions but the monitor accepted {}",
+                    self.trace.len(),
+                    self.accepted
+                ));
+            }
+            let mut replay = system.monitor_cursor();
+            if let Some(n) = self
+                .trace
+                .iter()
+                .position(|a| !system.observe(&mut replay, a))
+            {
+                return refuse(format!(
+                    "compliant trace action {n} ({}) is not allowed where it stands",
+                    self.trace[n]
+                ));
+            }
+            if replay != cursor {
+                return refuse(
+                    "compliant trace does not end on the checkpoint's monitor cursor".to_owned(),
+                );
+            }
+        } else if !self.trace.is_empty() {
+            return refuse(format!(
+                "checkpoint records no trace but carries {} trace actions",
+                self.trace.len()
+            ));
         }
         for (from, to, label, _) in &self.frames {
             if *from >= n || *to >= n || from == to {
@@ -410,21 +454,12 @@ impl SessionCheckpoint {
                 ));
             }
         }
-        let violations = self
-            .violations
-            .into_iter()
-            .map(|(action, position, trace_len)| MonitorViolation {
-                action,
-                position: position as usize,
-                trace_len: trace_len as usize,
-            })
-            .collect();
         let monitor = CompiledMonitor::resume(
             Arc::clone(system),
             cursor,
             Trace::new(self.trace),
             self.accepted as usize,
-            violations,
+            Vec::new(),
             self.observed as usize,
             self.record_trace,
         );
@@ -439,118 +474,6 @@ impl SessionCheckpoint {
             frames: self.frames,
         })
     }
-}
-
-// ---------------------------------------------------------------------
-// Sub-codecs shared with the write-ahead log
-// ---------------------------------------------------------------------
-
-const SORT_UNIT: u8 = 0;
-const SORT_NAT: u8 = 1;
-const SORT_INT: u8 = 2;
-const SORT_BOOL: u8 = 3;
-const SORT_STR: u8 = 4;
-const SORT_SUM: u8 = 5;
-const SORT_PROD: u8 = 6;
-const SORT_SEQ: u8 = 7;
-
-pub(crate) fn put_sort(buf: &mut Vec<u8>, sort: &Sort) {
-    match sort {
-        Sort::Unit => put_u8(buf, SORT_UNIT),
-        Sort::Nat => put_u8(buf, SORT_NAT),
-        Sort::Int => put_u8(buf, SORT_INT),
-        Sort::Bool => put_u8(buf, SORT_BOOL),
-        Sort::Str => put_u8(buf, SORT_STR),
-        Sort::Sum(a, b) => {
-            put_u8(buf, SORT_SUM);
-            put_sort(buf, a);
-            put_sort(buf, b);
-        }
-        Sort::Prod(a, b) => {
-            put_u8(buf, SORT_PROD);
-            put_sort(buf, a);
-            put_sort(buf, b);
-        }
-        Sort::Seq(inner) => {
-            put_u8(buf, SORT_SEQ);
-            put_sort(buf, inner);
-        }
-    }
-}
-
-pub(crate) fn get_sort(bytes: &mut &[u8]) -> Result<Sort> {
-    sort_within(bytes, MAX_NESTING)
-}
-
-/// Decodes a sort with at most `room` constructors around any base sort
-/// (the value decoder's cap: see [`MAX_NESTING`]).
-fn sort_within(bytes: &mut &[u8], room: usize) -> Result<Sort> {
-    let tag = get_u8(bytes)?;
-    Ok(match tag {
-        SORT_UNIT => Sort::Unit,
-        SORT_NAT => Sort::Nat,
-        SORT_INT => Sort::Int,
-        SORT_BOOL => Sort::Bool,
-        SORT_STR => Sort::Str,
-        SORT_SUM | SORT_PROD | SORT_SEQ => {
-            let room = descend(room, "sort")?;
-            let first = Box::new(sort_within(bytes, room)?);
-            match tag {
-                SORT_SEQ => Sort::Seq(first),
-                SORT_SUM => Sort::Sum(first, Box::new(sort_within(bytes, room)?)),
-                _ => Sort::Prod(first, Box::new(sort_within(bytes, room)?)),
-            }
-        }
-        other => {
-            return Err(RuntimeError::Codec {
-                reason: format!("unknown sort tag {other}"),
-            })
-        }
-    })
-}
-
-pub(crate) fn put_action(buf: &mut Vec<u8>, action: &Action) {
-    put_u8(buf, u8::from(action.is_send()));
-    put_str(buf, action.from().name());
-    put_str(buf, action.to().name());
-    put_str(buf, action.label().name());
-    put_sort(buf, action.sort());
-}
-
-pub(crate) fn get_action(bytes: &mut &[u8]) -> Result<Action> {
-    let is_send = get_bool(bytes)?;
-    let from = get_role(bytes)?;
-    let to = get_role(bytes)?;
-    let label = get_label(bytes)?;
-    let sort = get_sort(bytes)?;
-    Ok(if is_send {
-        Action::send(from, to, label, sort)
-    } else {
-        Action::recv(to, from, label, sort)
-    })
-}
-
-pub(crate) fn put_value_action(buf: &mut Vec<u8>, action: &ValueAction) {
-    put_u8(buf, u8::from(action.is_send));
-    put_str(buf, action.from.name());
-    put_str(buf, action.to.name());
-    put_str(buf, action.label.name());
-    put_sort(buf, &action.sort);
-    put_value(buf, &action.value);
-}
-
-pub(crate) fn get_value_action(bytes: &mut &[u8]) -> Result<ValueAction> {
-    let is_send = get_bool(bytes)?;
-    let from = get_role(bytes)?;
-    let to = get_role(bytes)?;
-    let label = get_label(bytes)?;
-    let sort = get_sort(bytes)?;
-    let value = get_value(bytes)?;
-    Ok(if is_send {
-        ValueAction::send(from, to, label, sort, value)
-    } else {
-        ValueAction::recv(to, from, label, sort, value)
-    })
 }
 
 const STATUS_RUNNING: u8 = 0;
@@ -605,16 +528,6 @@ fn get_opt_u64(bytes: &mut &[u8]) -> Result<Option<u64>> {
         1 => Ok(Some(get_u64(bytes)?)),
         other => Err(RuntimeError::Codec {
             reason: format!("unknown option tag {other}"),
-        }),
-    }
-}
-
-fn get_bool(bytes: &mut &[u8]) -> Result<bool> {
-    match get_u8(bytes)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(RuntimeError::Codec {
-            reason: format!("unknown boolean tag {other}"),
         }),
     }
 }

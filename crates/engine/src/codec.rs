@@ -4,14 +4,14 @@
 //! The format is deliberately simple: every value is encoded as a one-byte
 //! tag followed by its payload, with `u64`/`i64` in big-endian and
 //! length-prefixed strings and sequences. Frames on the wire are the encoded
-//! message preceded by a `u32` length (see [`crate::tcp`]). The in-memory
+//! message preceded by a `u32` length (see [`crate::wire`]). The in-memory
 //! transport passes `(Label, Value)` frames directly — encoding is a wire
 //! concern — so the codec is kept honest by its round-trip property tests
 //! (`tests/codec_props.rs`: `decode ∘ encode = id` for every value shape)
 //! rather than by riding along on every in-process message.
 
-use zooid_mpst::{Label, Role};
-use zooid_proc::Value;
+use zooid_mpst::{Action, Label, Role, Sort};
+use zooid_proc::{Value, ValueAction};
 
 use crate::error::{Result, RuntimeError};
 
@@ -60,7 +60,7 @@ const TAG_SEQ: u8 = 9;
 pub const MAX_NESTING: usize = 256;
 
 /// One level further in, or the refusal past [`MAX_NESTING`].
-pub(crate) fn descend(room: usize, what: &str) -> Result<usize> {
+fn descend(room: usize, what: &str) -> Result<usize> {
     room.checked_sub(1).ok_or_else(|| RuntimeError::Codec {
         reason: format!("{what} nested deeper than {MAX_NESTING} constructors"),
     })
@@ -94,7 +94,8 @@ pub fn decode_message(mut bytes: &[u8]) -> Result<Message> {
     Ok(Message { label, value })
 }
 
-pub(crate) fn put_value(buf: &mut Vec<u8>, value: &Value) {
+/// Appends a value: a one-byte tag, then its payload.
+pub fn put_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
         Value::Unit => put_u8(buf, TAG_UNIT),
         Value::Nat(n) => {
@@ -134,7 +135,13 @@ pub(crate) fn put_value(buf: &mut Vec<u8>, value: &Value) {
     }
 }
 
-pub(crate) fn get_value(bytes: &mut &[u8]) -> Result<Value> {
+/// Decodes a [`put_value`] encoding, following at most [`MAX_NESTING`]
+/// constructors inwards.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on malformed bytes or nesting past the cap.
+pub fn get_value(bytes: &mut &[u8]) -> Result<Value> {
     value_within(bytes, MAX_NESTING)
 }
 
@@ -226,19 +233,154 @@ fn known<T>(name: &str, lookup: fn(&str) -> Option<T>, what: &str) -> Result<T> 
     })
 }
 
+pub(crate) fn get_bool(bytes: &mut &[u8]) -> Result<bool> {
+    match get_u8(bytes)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(RuntimeError::Codec {
+            reason: format!("unknown boolean tag {other}"),
+        }),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sort, action and value-action sub-codecs: checkpoints record actions
+// with them, and the runtime's naive write-ahead log format frames whole
+// value actions
+// ---------------------------------------------------------------------
+
+const SORT_UNIT: u8 = 0;
+const SORT_NAT: u8 = 1;
+const SORT_INT: u8 = 2;
+const SORT_BOOL: u8 = 3;
+const SORT_STR: u8 = 4;
+const SORT_SUM: u8 = 5;
+const SORT_PROD: u8 = 6;
+const SORT_SEQ: u8 = 7;
+
+fn put_sort(buf: &mut Vec<u8>, sort: &Sort) {
+    match sort {
+        Sort::Unit => put_u8(buf, SORT_UNIT),
+        Sort::Nat => put_u8(buf, SORT_NAT),
+        Sort::Int => put_u8(buf, SORT_INT),
+        Sort::Bool => put_u8(buf, SORT_BOOL),
+        Sort::Str => put_u8(buf, SORT_STR),
+        Sort::Sum(a, b) => {
+            put_u8(buf, SORT_SUM);
+            put_sort(buf, a);
+            put_sort(buf, b);
+        }
+        Sort::Prod(a, b) => {
+            put_u8(buf, SORT_PROD);
+            put_sort(buf, a);
+            put_sort(buf, b);
+        }
+        Sort::Seq(inner) => {
+            put_u8(buf, SORT_SEQ);
+            put_sort(buf, inner);
+        }
+    }
+}
+
+fn get_sort(bytes: &mut &[u8]) -> Result<Sort> {
+    sort_within(bytes, MAX_NESTING)
+}
+
+/// Decodes a sort with at most `room` constructors around any base sort
+/// (the value decoder's cap: see [`MAX_NESTING`]).
+fn sort_within(bytes: &mut &[u8], room: usize) -> Result<Sort> {
+    let tag = get_u8(bytes)?;
+    Ok(match tag {
+        SORT_UNIT => Sort::Unit,
+        SORT_NAT => Sort::Nat,
+        SORT_INT => Sort::Int,
+        SORT_BOOL => Sort::Bool,
+        SORT_STR => Sort::Str,
+        SORT_SUM | SORT_PROD | SORT_SEQ => {
+            let room = descend(room, "sort")?;
+            let first = Box::new(sort_within(bytes, room)?);
+            match tag {
+                SORT_SEQ => Sort::Seq(first),
+                SORT_SUM => Sort::Sum(first, Box::new(sort_within(bytes, room)?)),
+                _ => Sort::Prod(first, Box::new(sort_within(bytes, room)?)),
+            }
+        }
+        other => {
+            return Err(RuntimeError::Codec {
+                reason: format!("unknown sort tag {other}"),
+            })
+        }
+    })
+}
+
+pub(crate) fn put_action(buf: &mut Vec<u8>, action: &Action) {
+    put_u8(buf, u8::from(action.is_send()));
+    put_str(buf, action.from().name());
+    put_str(buf, action.to().name());
+    put_str(buf, action.label().name());
+    put_sort(buf, action.sort());
+}
+
+pub(crate) fn get_action(bytes: &mut &[u8]) -> Result<Action> {
+    let is_send = get_bool(bytes)?;
+    let from = get_role(bytes)?;
+    let to = get_role(bytes)?;
+    let label = get_label(bytes)?;
+    let sort = get_sort(bytes)?;
+    Ok(if is_send {
+        Action::send(from, to, label, sort)
+    } else {
+        Action::recv(to, from, label, sort)
+    })
+}
+
+/// Appends a [`ValueAction`] spelled out in full: direction, both roles,
+/// label, sort and payload.
+pub fn put_value_action(buf: &mut Vec<u8>, action: &ValueAction) {
+    put_u8(buf, u8::from(action.is_send));
+    put_str(buf, action.from.name());
+    put_str(buf, action.to.name());
+    put_str(buf, action.label.name());
+    put_sort(buf, &action.sort);
+    put_value(buf, &action.value);
+}
+
+/// Decodes a [`put_value_action`] encoding.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on malformed bytes, nesting past
+/// [`MAX_NESTING`], or a role or label name no code in this process made.
+pub fn get_value_action(bytes: &mut &[u8]) -> Result<ValueAction> {
+    let is_send = get_bool(bytes)?;
+    let from = get_role(bytes)?;
+    let to = get_role(bytes)?;
+    let label = get_label(bytes)?;
+    let sort = get_sort(bytes)?;
+    let value = get_value(bytes)?;
+    Ok(if is_send {
+        ValueAction::send(from, to, label, sort, value)
+    } else {
+        ValueAction::recv(to, from, label, sort, value)
+    })
+}
+
 pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
+/// Appends a big-endian `u16`.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_be_bytes());
 }
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+/// Appends a big-endian `u32`.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_be_bytes());
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+/// Appends a big-endian `u64`.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_be_bytes());
 }
 
@@ -257,15 +399,30 @@ pub(crate) fn get_u8(bytes: &mut &[u8]) -> Result<u8> {
     take::<1>(bytes, "frame").map(|[v]| v)
 }
 
-pub(crate) fn get_u16(bytes: &mut &[u8]) -> Result<u16> {
+/// Reads a big-endian `u16`, consuming nothing when the input is short.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on truncated input.
+pub fn get_u16(bytes: &mut &[u8]) -> Result<u16> {
     take(bytes, "integer").map(u16::from_be_bytes)
 }
 
-pub(crate) fn get_u32(bytes: &mut &[u8]) -> Result<u32> {
+/// Reads a big-endian `u32`, consuming nothing when the input is short.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on truncated input.
+pub fn get_u32(bytes: &mut &[u8]) -> Result<u32> {
     take(bytes, "integer").map(u32::from_be_bytes)
 }
 
-pub(crate) fn get_u64(bytes: &mut &[u8]) -> Result<u64> {
+/// Reads a big-endian `u64`, consuming nothing when the input is short.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on truncated input.
+pub fn get_u64(bytes: &mut &[u8]) -> Result<u64> {
     take(bytes, "integer").map(u64::from_be_bytes)
 }
 

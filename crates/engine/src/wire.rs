@@ -7,7 +7,7 @@
 //! payload bytes. Two payload vocabularies ride on this framing:
 //!
 //! * **peer-to-peer messages** ([`crate::codec`]): label + value, used by
-//!   [`crate::tcp::TcpTransport`] between session endpoints;
+//!   the runtime's peer-to-peer `TcpTransport` between session endpoints;
 //! * **multiplexing frames** ([`MuxFrame`]): a one-byte tag, a `u64` session
 //!   id, and tag-specific fields, used between a client and the
 //!   `zooid-server` networked serving plane to open sessions, accept or

@@ -1,150 +1,45 @@
-//! The compiled endpoint executor: runs a [`CompiledProc`] program against an
-//! [`InMemoryTransport`].
+//! The per-session compiled executor: runs an [`EndpointProgram`] against
+//! an [`InMemoryTransport`], one endpoint of one session at a time.
 //!
-//! This is the data-plane counterpart of what [`zooid_cfsm::CompiledSystem`]
-//! did for the verification plane: lower once, run on dense ids. Where the
-//! tree-walking [`EndpointTask`](crate::exec::EndpointTask) re-normalises,
-//! substitutes and clones its process tree on every visible step, a
-//! [`CompiledEndpointTask`] is a program counter plus a slot array:
+//! Where the tree-walking [`EndpointTask`](crate::exec::EndpointTask)
+//! re-normalises, substitutes and clones its process tree on every visible
+//! step, a [`CompiledEndpointTask`] is a program counter plus a slot array:
 //!
 //! * loop back-edges were resolved at compile time — no `unfold_once`, no
 //!   re-normalisation;
 //! * received values land in pre-allocated slots and payload expressions
 //!   read them by index — no name-keyed substitution;
-//! * every send/receive site carries an [`ActionTemplate`] resolved once per
-//!   `(program, protocol)` pair: the peer role, label and (statically known)
-//!   sort as values for trace recording, and the pre-interned
-//!   [`InternedAction`] the live
-//!   [`CompiledMonitor`](crate::monitor::CompiledMonitor) consumes without
-//!   hashing a single string;
+//! * every send/receive site carries its [`ActionTemplate`], so the observer
+//!   gets the pre-interned action the
+//!   [`CompiledMonitor`](crate::monitor::CompiledMonitor) accepts without
+//!   hashing a string;
 //! * the task binds every peer to its dense channel index on first use
 //!   ([`CompiledEndpointTask::step_mem`]), so steady-state stepping does no
 //!   role-string comparison either.
 //!
-//! The in-memory transport is the only one a compiled task steps over, and
-//! no serving path steps one: the server runs every session in a columnar
-//! [`SessionBatch`](crate::cbatch::SessionBatch), which shares this
-//! module's [`EndpointProgram`]s, [`ActionTemplate`]s and fuel accounting.
-//! A compiled task is the per-session oracle the batch is checked against
-//! (`tests/batch_exec.rs`), and the tree-walking executor is its own
+//! The programs and their templates are the serving engine's
+//! (`zooid-engine`), re-exported here at their old paths, and a task spends
+//! fuel by the engine's rule ([`admin_tick`]), so it fails on the internal
+//! step the batch fails on. No serving path steps a compiled task: the server runs every session in
+//! a columnar [`SessionBatch`](crate::cbatch::SessionBatch) over the same
+//! programs. A compiled task is the per-session oracle the batch is checked
+//! against (`tests/batch_exec.rs`), and the tree-walking executor is its own
 //! (`tests/compiled_exec.rs`): all three produce identical traces, statuses
 //! and monitor verdicts, `WouldBlock` interleavings included.
 
 use std::sync::Arc;
 
-use zooid_cfsm::{CompiledSystem, InternedAction};
-use zooid_mpst::{Action, Label, Role, Sort};
-use zooid_proc::compile::{CompiledProc, Instr};
-use zooid_proc::{sort_of_value, Externals, Proc, ProcError, Value, ValueAction};
+use zooid_cfsm::InternedAction;
+use zooid_engine::program::admin_tick;
+use zooid_mpst::Role;
+use zooid_proc::compile::Instr;
+use zooid_proc::{sort_of_value, Externals, Value, ValueAction};
 
 use crate::error::{Result, RuntimeError};
 use crate::exec::{EndpointReport, EndpointStatus, ExecOptions, StepOutcome};
 use crate::transport::InMemoryTransport;
 
-/// Same bound as the tree-walking semantics: a well-typed process performs
-/// finitely many internal actions between communications; the fuel protects
-/// against ill-typed ones, with the same error.
-const ADMIN_FUEL: usize = 10_000;
-
-/// One communication site of a program, resolved against the protocol: the
-/// concrete roles/label/sort for recording the action, and the pre-interned
-/// form the compiled monitor accepts without any lookup.
-#[derive(Debug, Clone)]
-pub struct ActionTemplate {
-    /// The partner role (receiver of a send site, sender of a receive arm).
-    pub peer: Role,
-    /// The message label.
-    pub label: Label,
-    /// The statically known payload sort: always present for receive arms
-    /// (their declared sort), present for send sites whose payload sort
-    /// inference succeeded.
-    pub static_sort: Option<Sort>,
-    /// The action pre-resolved against the protocol's compiled transition
-    /// tables, when a [`CompiledSystem`] was supplied and every component of
-    /// the action occurs in it.
-    pub interned: Option<InternedAction>,
-}
-
-/// A compiled program bundled with its per-site [`ActionTemplate`]s —
-/// everything a session needs to run one endpoint, shareable (`Arc`) across
-/// every session of the same `(protocol, role, process)`.
-#[derive(Debug)]
-pub struct EndpointProgram {
-    program: Arc<CompiledProc>,
-    templates: Vec<ActionTemplate>,
-}
-
-impl EndpointProgram {
-    /// Wraps a compiled program without monitor pre-resolution (actions are
-    /// still recorded; a monitor fed through the observer falls back to its
-    /// own lookups).
-    pub fn new(program: Arc<CompiledProc>) -> Self {
-        EndpointProgram::build(program, None)
-    }
-
-    /// Wraps a compiled program, pre-resolving every send/receive site
-    /// against the protocol's compiled transition tables.
-    pub fn with_system(program: Arc<CompiledProc>, system: &CompiledSystem) -> Self {
-        EndpointProgram::build(program, Some(system))
-    }
-
-    /// Compiles `proc` and wraps it in one go (no monitor pre-resolution).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledProc::compile`].
-    pub fn compile(
-        proc: &Proc,
-        role: &Role,
-        externals: &Externals,
-    ) -> zooid_proc::Result<Self> {
-        Ok(EndpointProgram::new(Arc::new(CompiledProc::compile(
-            proc, role, externals,
-        )?)))
-    }
-
-    fn build(program: Arc<CompiledProc>, system: Option<&CompiledSystem>) -> Self {
-        let snapshot = program.snapshot();
-        let self_role = program.role().clone();
-        let templates = program
-            .events()
-            .iter()
-            .map(|event| {
-                let peer = snapshot.role(event.peer).clone();
-                let label = snapshot.label(event.label).clone();
-                let static_sort = event.static_sort.map(|id| snapshot.sort(id).clone());
-                let interned = match (system, &static_sort) {
-                    (Some(system), Some(sort)) => {
-                        let action = if event.is_send {
-                            Action::send(self_role.clone(), peer.clone(), label.clone(), sort.clone())
-                        } else {
-                            Action::recv(self_role.clone(), peer.clone(), label.clone(), sort.clone())
-                        };
-                        system.intern_action(&action)
-                    }
-                    _ => None,
-                };
-                ActionTemplate {
-                    peer,
-                    label,
-                    static_sort,
-                    interned,
-                }
-            })
-            .collect();
-        EndpointProgram { program, templates }
-    }
-
-    /// The underlying compiled program.
-    pub fn program(&self) -> &Arc<CompiledProc> {
-        &self.program
-    }
-
-    /// The per-site action templates, indexed by event id.
-    pub fn templates(&self) -> &[ActionTemplate] {
-        &self.templates
-    }
-}
+pub use zooid_engine::program::{ActionTemplate, EndpointProgram};
 
 /// A resumable compiled endpoint execution: the drop-in counterpart of the
 /// tree-walking [`EndpointTask`](crate::exec::EndpointTask), with the same
@@ -401,7 +296,7 @@ impl CompiledEndpointTask {
                         }
                     }
                     let value = payload.eval(&self.slots)?;
-                    let template = &program.templates[*event as usize];
+                    let template = &program.templates()[*event as usize];
                     let sort = sort_of_value(&value);
                     // The pre-interned action is only valid when the runtime
                     // sort matches the statically inferred one (it almost
@@ -459,7 +354,7 @@ impl CompiledEndpointTask {
                             label,
                         });
                     }
-                    let template = &program.templates[arm.event as usize];
+                    let template = &program.templates()[arm.event as usize];
                     let action = ValueAction::recv(
                         self.role.clone(),
                         from.clone(),
@@ -481,47 +376,12 @@ impl CompiledEndpointTask {
     }
 }
 
-/// Counts one internal action against the fuel, matching the tree
-/// semantics: `admin_normalize` gets a fresh fuel tank at every loop
-/// unfolding, so a backward jump (`next <= pc`, which in a compiled
-/// program is exactly a loop back-edge) resets the straight-line
-/// counter — while the back-edges themselves are bounded like the tree
-/// executor's unfoldings, so an all-internal cycle (`loop { if c then
-/// jump 0 else ... }` with `c` forever true) still fails instead of
-/// spinning.
-pub(crate) fn admin_tick(
-    admin: &mut usize,
-    back_edges: &mut usize,
-    from_pc: u32,
-    to_pc: u32,
-) -> Result<()> {
-    if to_pc <= from_pc {
-        *admin = 0;
-        *back_edges += 1;
-        if *back_edges > ADMIN_FUEL {
-            return Err(RuntimeError::Process(ProcError::Stuck {
-                context: "recursion does not reach a communication".to_owned(),
-            }));
-        }
-    }
-    *admin += 1;
-    // `>=`, not `>`: the tree's `admin_normalize` spends one of its
-    // `ADMIN_FUEL` iterations on the final is-it-a-communication check,
-    // so it performs at most `ADMIN_FUEL - 1` reductions.
-    if *admin >= ADMIN_FUEL {
-        return Err(RuntimeError::Process(ProcError::Stuck {
-            context: "internal actions did not terminate within the fuel bound".to_owned(),
-        }));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::{InMemoryNetwork, Transport};
-    use zooid_proc::{Expr, RecvAlt};
-    use zooid_mpst::Sort;
+    use zooid_mpst::{Label, Sort};
+    use zooid_proc::{Expr, Proc, RecvAlt};
 
     fn r(name: &str) -> Role {
         Role::new(name)

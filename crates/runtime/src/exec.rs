@@ -11,112 +11,25 @@
 //! The interpreter is a resumable state machine, [`EndpointTask`]: each
 //! [`EndpointTask::step`] performs at most one visible communication and
 //! yields [`StepOutcome::WouldBlock`] when a receive finds its channel empty,
-//! so a scheduler (the `zooid-server` session server) can multiplex many
-//! endpoints on one worker thread. The blocking [`execute`] entry point —
-//! what the session harness and the examples use — is a loop around
-//! [`EndpointTask::step_blocking`] and behaves exactly like the historical
-//! thread-per-endpoint executor, timeouts included.
+//! so one thread can interleave many endpoints, as the differential suites
+//! do. The blocking [`execute`] entry point — what the session harness and
+//! the examples use — is a loop around [`EndpointTask::step_blocking`] and
+//! behaves exactly like the historical thread-per-endpoint executor,
+//! timeouts included. No serving path runs either: the server runs the
+//! serving engine's columnar batch, and this interpreter is its oracle.
+//!
+//! What an execution is configured with and reports ([`ExecOptions`],
+//! [`EndpointStatus`], [`EndpointReport`]) is shared with every executor, so
+//! it lives in the serving engine (`zooid-engine`) and is re-exported here.
 
-use zooid_mpst::{Role, Trace};
+use zooid_mpst::Role;
 use zooid_proc::semantics::admin_normalize_owned;
-use zooid_proc::{erase, sort_of_value, Externals, Proc, ValueAction};
+use zooid_proc::{sort_of_value, Externals, Proc, ValueAction};
 
 use crate::error::{Result, RuntimeError};
 use crate::transport::Transport;
 
-/// Options controlling one endpoint execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Stop (with [`EndpointStatus::StepLimitReached`]) after this many
-    /// visible communications. `None` runs until the process finishes or
-    /// fails — which never happens for protocols that loop forever, so
-    /// benchmarks and examples of recursive protocols set a limit.
-    pub max_steps: Option<usize>,
-    /// Whether to record every visible communication in the endpoint's
-    /// [`EndpointReport::actions`] (default: `true`). Fire-and-forget server
-    /// sessions that only need the monitor verdict turn this off: the
-    /// per-action `Vec` push (and the payload clone it keeps alive) is pure
-    /// overhead for them. Observers (and therefore monitors) still see every
-    /// action either way.
-    pub record_actions: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            max_steps: None,
-            record_actions: true,
-        }
-    }
-}
-
-impl ExecOptions {
-    /// Options with a step limit.
-    pub fn with_max_steps(max_steps: usize) -> Self {
-        ExecOptions {
-            max_steps: Some(max_steps),
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Same options with trace recording switched on or off.
-    #[must_use]
-    pub fn record_actions(mut self, record: bool) -> Self {
-        self.record_actions = record;
-        self
-    }
-}
-
-/// How an endpoint execution ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EndpointStatus {
-    /// The process reached `finish`.
-    Finished,
-    /// The configured step limit was reached before the process finished.
-    StepLimitReached,
-    /// The scheduler gave up on the endpoint: it was still waiting for a
-    /// message, but no peer of its session could make progress either (only
-    /// produced by schedulers driving [`EndpointTask::step`]; the blocking
-    /// [`execute`] loop reports a timeout failure instead).
-    Stalled,
-    /// The execution failed (transport error, unexpected message, runtime
-    /// error in an expression or external action, ...).
-    Failed {
-        /// Human-readable description of the failure.
-        error: String,
-    },
-}
-
-impl EndpointStatus {
-    /// Returns `true` if the endpoint finished its protocol normally.
-    pub fn is_finished(&self) -> bool {
-        matches!(self, EndpointStatus::Finished)
-    }
-}
-
-/// What happened during one endpoint execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EndpointReport {
-    /// The role the endpoint played.
-    pub role: Role,
-    /// Every visible communication the endpoint performed, with values.
-    pub actions: Vec<ValueAction>,
-    /// How the execution ended.
-    pub status: EndpointStatus,
-}
-
-impl EndpointReport {
-    /// The endpoint's trace with payload values erased (the trace that the
-    /// metatheory — Theorem 4.7 — talks about).
-    pub fn erased_trace(&self) -> Trace {
-        self.actions.iter().map(erase).collect()
-    }
-
-    /// Number of visible communications performed.
-    pub fn steps(&self) -> usize {
-        self.actions.len()
-    }
-}
+pub use zooid_engine::report::{EndpointReport, EndpointStatus, ExecOptions};
 
 /// Runs `proc` as `role` over `transport`, with the given external actions.
 ///
@@ -176,10 +89,10 @@ pub enum StepOutcome {
 /// [`Transport::recv`], an `EndpointTask` advances one visible communication
 /// per [`EndpointTask::step`] call and yields [`StepOutcome::WouldBlock`]
 /// when the next action is a receive and the channel is empty (via
-/// [`Transport::try_recv`]). A scheduler can therefore multiplex thousands
-/// of endpoints on a bounded worker pool — which is exactly what
-/// `zooid-server` does — while [`execute`] remains a trivial loop around
-/// [`EndpointTask::step_blocking`].
+/// [`Transport::try_recv`]). One thread can therefore interleave the
+/// endpoints of a session — which is how the differential suites run it in
+/// lockstep with the compiled executors — while [`execute`] remains a
+/// trivial loop around [`EndpointTask::step_blocking`].
 #[derive(Debug)]
 pub struct EndpointTask {
     role: Role,

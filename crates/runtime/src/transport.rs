@@ -4,8 +4,11 @@
 //! (Figure 8): the process is written against it and never sees sockets or
 //! channels. The [`InMemoryNetwork`] realises the queue environments of §3.3
 //! directly — one unbounded FIFO channel per ordered pair of roles — and is
-//! what the session harness, the session server and the benchmarks use;
-//! [`crate::tcp`] provides the TCP transport of §4.5.
+//! what the session harness, the examples and the per-session executors of
+//! the differential suites use; [`crate::tcp`] provides the TCP transport of
+//! §4.5. The server uses neither: its sessions exchange messages inside the
+//! serving engine's columnar batch, and its sockets speak the engine's
+//! multiplexed wire protocol.
 //!
 //! In-process delivery carries `(Label, Value)` frames **directly**: no
 //! [`crate::codec`] round-trip, no byte buffers — serialisation is a wire
@@ -109,7 +112,9 @@ impl ChannelSlot {
 /// `n × n` matrix of channel slots (row = sender, column = receiver,
 /// diagonal unused) and one liveness flag per endpoint. Constructing a
 /// session's network is a handful of allocations regardless of how many
-/// role pairs exist — this is on the per-session hot path of the server.
+/// role pairs exist, so an oracle run that builds one network per session
+/// (the per-session executor's differential suites and `bench-report`
+/// families) measures the executor, not the set-up.
 #[derive(Debug)]
 struct NetCore {
     roles: Arc<[Role]>,
@@ -174,7 +179,7 @@ impl InMemoryNetwork {
     }
 
     /// Creates a network over an already sorted, deduplicated role table —
-    /// the table is shared, not copied, so a server hosting thousands of
+    /// the table is shared, not copied, so a suite running thousands of
     /// sessions of one protocol allocates it once.
     ///
     /// # Panics

@@ -51,8 +51,10 @@ use zooid_mpst::{Label, Role};
 use zooid_proc::{sort_of_value, Value, ValueAction};
 
 use crate::cexec::EndpointProgram;
-use crate::checkpoint::{get_value_action, put_value_action};
-use crate::codec::{get_u16, get_u32, get_u64, get_value, put_u16, put_u32, put_u64, put_value};
+use crate::codec::{
+    get_u16, get_u32, get_u64, get_value, get_value_action, put_u16, put_u32, put_u64, put_value,
+    put_value_action,
+};
 use crate::error::{Result, RuntimeError};
 use crate::monitor::CompiledMonitor;
 

@@ -59,7 +59,7 @@ pub enum ServerError {
     /// A runtime-layer failure surfaced through the server API — a
     /// migrated checkpoint that fails to decode or re-certify, or a
     /// transport error while checkpointing a live session.
-    Runtime(zooid_runtime::RuntimeError),
+    Runtime(zooid_engine::RuntimeError),
 }
 
 impl fmt::Display for ServerError {
@@ -112,8 +112,8 @@ impl From<zooid_cfsm::CfsmError> for ServerError {
     }
 }
 
-impl From<zooid_runtime::RuntimeError> for ServerError {
-    fn from(e: zooid_runtime::RuntimeError) -> Self {
+impl From<zooid_engine::RuntimeError> for ServerError {
+    fn from(e: zooid_engine::RuntimeError) -> Self {
         ServerError::Runtime(e)
     }
 }
@@ -138,7 +138,7 @@ mod tests {
             ServerError::Net {
                 reason: "address in use".into(),
             },
-            ServerError::Runtime(zooid_runtime::RuntimeError::Recovery {
+            ServerError::Runtime(zooid_engine::RuntimeError::Recovery {
                 reason: "checkpoint magic mismatch".into(),
             }),
         ];

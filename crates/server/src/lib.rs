@@ -1,5 +1,13 @@
 //! `zooid-server` — a multi-session server for certified session protocols.
 //!
+//! The server links one runtime crate, the serving engine
+//! ([`zooid_engine`]): compiled programs, the columnar batch, the compiled
+//! monitor, checkpoints and the wire codec. The paper's reference runtime
+//! and the oracles (`zooid-runtime`) are a dev-dependency only — the
+//! differential suites run them next to the server — so no serving module
+//! can name an oracle, and `scripts/ci.sh` fails if `zooid-runtime` ever
+//! enters this crate's normal dependencies.
+//!
 //! The paper's runtime (§4.5) executes one session at a time, one OS thread
 //! per participant. This crate is the serving layer the ROADMAP's north star
 //! asks for: host **thousands of concurrent sessions** of registered
@@ -14,7 +22,7 @@
 //!   **freezes** it behind one `Arc` every shard holds, the one place
 //!   protocol facts live from then on. Per global type and `(role, process)`
 //!   it caches the **compiled endpoint program**
-//!   ([`zooid_runtime::EndpointProgram`], a [`zooid_proc::CompiledProc`]
+//!   ([`zooid_engine::EndpointProgram`], a [`zooid_proc::CompiledProc`]
 //!   with its action templates pre-interned against the protocol's
 //!   transition tables) and per program set the batch layout, so admission
 //!   resolves a session's cast exactly once;
@@ -28,7 +36,7 @@
 //!   its work in bounded quanta, so thread count is fixed by the shard
 //!   count while sessions number in the tens of thousands. A shard has one
 //!   executor: every session runs in a **columnar batch**
-//!   ([`zooid_runtime::SessionBatch`]) with the sessions of its key — same
+//!   ([`zooid_engine::SessionBatch`]) with the sessions of its key — same
 //!   protocol, same compiled per-role programs, same options. The
 //!   invariant skeleton is shared once and the per-session state lives in
 //!   struct-of-arrays columns stepped in `(role, pc)` cohorts, with
@@ -36,8 +44,8 @@
 //!   every action checked by the protocol's compiled monitor, through
 //!   **pre-interned actions** where the cast's sites have them, so
 //!   steady-state serving neither hashes a string nor walks a tree. The
-//!   per-session and tree-walking executors of [`zooid_runtime`] are its
-//!   differential oracles and never run here. A session whose monitor
+//!   per-session and tree-walking executors of `zooid-runtime` are its
+//!   differential oracles and are not linked here. A session whose monitor
 //!   rejects an action is **quarantined**: never stepped again, closed
 //!   from the state it is in, counted per shard and per protocol, and
 //!   recorded as one [`FlightEvent::Violation`];
@@ -66,7 +74,7 @@
 //!   fronts the [`SessionServer`] with one non-blocking IO thread (which
 //!   blocks only when idle, and then on the shards' outcome channel)
 //!   speaking the framed, multiplexed wire protocol of
-//!   [`zooid_runtime::wire`]. Many sessions
+//!   [`zooid_engine::wire`]. Many sessions
 //!   share one connection; admission control (bounded accepts, per-
 //!   connection and global in-flight caps) sheds load with structured
 //!   rejection frames, and hostile framing is a counted, bounded error —
@@ -79,7 +87,7 @@
 //! Sessions are **movable**: a session's state is copied out only when the
 //! session leaves its shard. [`SessionServer::drain_shard`] takes every
 //! in-flight session off a shard as a [`MigratedSession`] — an encoded
-//! [`zooid_runtime::checkpoint::SessionCheckpoint`] plus its compiled
+//! [`zooid_engine::checkpoint::SessionCheckpoint`] plus its compiled
 //! programs — and [`SessionServer::migrate_session`] re-admits one on any
 //! shard after the decoder re-validates every index against the
 //! protocol's compiled artifacts (a tampered or foreign checkpoint is a
@@ -105,7 +113,7 @@
 //! The harness-vs-server differential suite (`tests/differential.rs`)
 //! checks that a session hosted here is indistinguishable — per-endpoint
 //! statuses, traces, monitor verdicts — from the same endpoints run by the
-//! thread-per-participant [`zooid_runtime::SessionHarness`].
+//! thread-per-participant `SessionHarness` of `zooid-runtime`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use zooid_proc::Value;
-use zooid_runtime::wire::RejectCode;
+use zooid_engine::wire::RejectCode;
 
 use crate::instruments::{decode, encode, entry, field, instruments, read_into, render, Cell};
 use crate::obs::{FlightRecorder, Histogram, HistogramSnapshot, IncidentStore, IncidentSummary};

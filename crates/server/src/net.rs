@@ -3,7 +3,7 @@
 //! [`NetServer`] puts the in-memory [`SessionServer`] behind a TCP front
 //! door. One IO thread owns a non-blocking listener and every client
 //! connection — no thread per connection, no parked accepts. Clients speak
-//! the framed wire protocol of [`zooid_runtime::wire`]: each frame is a
+//! the framed wire protocol of [`zooid_engine::wire`]: each frame is a
 //! `u32` length prefix (capped — hostile lengths are structured errors, not
 //! allocations) followed by a [`MuxFrame`], and many sessions share one
 //! connection through client-chosen session ids echoed on every response.
@@ -82,11 +82,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use zooid_runtime::wire::{
+use zooid_engine::wire::{
     decode_mux, encode_mux, put_frame, FillStatus, FrameReader, MuxFrame, RejectCode,
     DEFAULT_MAX_FRAME_BYTES,
 };
-use zooid_runtime::RuntimeError;
+use zooid_engine::RuntimeError;
 
 use crate::metrics::{NetInstruments, NetReport, NetServerReport, StatsSnapshot};
 use crate::obs::{CloseReason, FlightEvent, Incident};
@@ -169,7 +169,7 @@ impl Default for NetServerConfig {
             max_connections: 1024,
             max_inflight_per_conn: 256,
             max_inflight_total: 16 * 1024,
-            max_frame_bytes: zooid_runtime::wire::DEFAULT_MAX_FRAME_BYTES,
+            max_frame_bytes: zooid_engine::wire::DEFAULT_MAX_FRAME_BYTES,
             max_conn_outbuf_bytes: 256 * 1024,
             idle_timeout: Duration::from_secs(30),
         }
@@ -912,7 +912,7 @@ impl NetClient {
     /// # Errors
     ///
     /// Fails if the TCP connect fails.
-    pub fn connect(addr: SocketAddr) -> zooid_runtime::Result<NetClient> {
+    pub fn connect(addr: SocketAddr) -> zooid_engine::Result<NetClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(CLIENT_READ_SLICE))?;
@@ -933,7 +933,7 @@ impl NetClient {
     ///
     /// Fails if the frame is over the cap, or if this `Open` filled the
     /// write buffer and writing it out failed.
-    pub fn open(&mut self, protocol: &str) -> zooid_runtime::Result<u64> {
+    pub fn open(&mut self, protocol: &str) -> zooid_engine::Result<u64> {
         let session = self.next_id();
         self.queue(&MuxFrame::Open {
             session,
@@ -948,7 +948,7 @@ impl NetClient {
     ///
     /// Fails if the write fails; the buffered frames are dropped with it
     /// (the connection is broken).
-    pub fn flush(&mut self) -> zooid_runtime::Result<()> {
+    pub fn flush(&mut self) -> zooid_engine::Result<()> {
         if self.out.is_empty() {
             return Ok(());
         }
@@ -963,7 +963,7 @@ impl NetClient {
         session
     }
 
-    fn queue(&mut self, frame: &MuxFrame) -> zooid_runtime::Result<()> {
+    fn queue(&mut self, frame: &MuxFrame) -> zooid_engine::Result<()> {
         put_frame(&mut self.out, &encode_mux(frame), DEFAULT_MAX_FRAME_BYTES)?;
         if self.out.len() >= CLIENT_WRITE_BUFFER {
             self.flush()?;
@@ -987,7 +987,7 @@ impl NetClient {
     ///
     /// Fails on connection loss, malformed server frames, rejection, or
     /// admission silence past `timeout`.
-    pub fn open_with(&mut self, protocol: &str, timeout: Duration) -> zooid_runtime::Result<u64> {
+    pub fn open_with(&mut self, protocol: &str, timeout: Duration) -> zooid_engine::Result<u64> {
         let session = self.open(protocol)?;
         let deadline = Instant::now() + timeout;
         loop {
@@ -1032,7 +1032,7 @@ impl NetClient {
     pub fn fetch_stats(
         &mut self,
         timeout: Duration,
-    ) -> zooid_runtime::Result<Option<StatsSnapshot>> {
+    ) -> zooid_engine::Result<Option<StatsSnapshot>> {
         let session = self.next_id();
         self.queue(&MuxFrame::Stats { session })?;
         let deadline = Instant::now() + timeout;
@@ -1065,7 +1065,7 @@ impl NetClient {
     ///
     /// Fails on connection loss (including a deferred write error, see the
     /// type docs) or malformed server frames.
-    pub fn poll_event(&mut self, timeout: Duration) -> zooid_runtime::Result<Option<MuxFrame>> {
+    pub fn poll_event(&mut self, timeout: Duration) -> zooid_engine::Result<Option<MuxFrame>> {
         if let Some(frame) = self.buffered_frame()? {
             return Ok(Some(frame));
         }
@@ -1110,7 +1110,7 @@ impl NetClient {
     }
 
     /// Pops and decodes the next frame that is already buffered whole.
-    fn buffered_frame(&mut self) -> zooid_runtime::Result<Option<MuxFrame>> {
+    fn buffered_frame(&mut self) -> zooid_engine::Result<Option<MuxFrame>> {
         let payload = self.reader.next_frame()?;
         payload.map(|payload| decode_mux(&payload)).transpose()
     }

@@ -36,8 +36,8 @@ use std::sync::Mutex;
 use zooid_cfsm::{CompiledSystem, MonitorCursor};
 use zooid_mpst::{Action, Role, Trace};
 use zooid_proc::Value;
-use zooid_runtime::monitor::MonitorViolation;
-use zooid_runtime::wire::RejectCode;
+use zooid_engine::monitor::MonitorViolation;
+use zooid_engine::wire::RejectCode;
 
 use crate::instruments::{entry, field, Cell};
 use crate::registry::ProtocolId;

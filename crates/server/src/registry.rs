@@ -29,8 +29,8 @@ use zooid_mpst::common::intern::TypeId;
 use zooid_mpst::local::LocalType;
 use zooid_mpst::{Interner, Role};
 use zooid_proc::{CompiledProc, Externals, Proc, ProcError};
-use zooid_runtime::cbatch::BatchLayout;
-use zooid_runtime::cexec::EndpointProgram;
+use zooid_engine::cbatch::BatchLayout;
+use zooid_engine::program::EndpointProgram;
 
 use crate::error::{Result, ServerError};
 
@@ -153,7 +153,7 @@ impl ProtocolArtifacts {
     }
 
     /// The compiled per-role transition tables, shared by every session's
-    /// [`CompiledMonitor`](zooid_runtime::CompiledMonitor).
+    /// [`CompiledMonitor`](zooid_engine::CompiledMonitor).
     pub fn compiled(&self) -> &Arc<CompiledSystem> {
         &self.compiled.system
     }

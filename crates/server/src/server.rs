@@ -28,10 +28,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
 use zooid_mpst::Role;
-use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
-use zooid_runtime::cexec::EndpointProgram;
-use zooid_runtime::checkpoint::SessionCheckpoint;
-use zooid_runtime::exec::ExecOptions;
+use zooid_engine::cbatch::{BatchLayout, DemotedSession, SessionBatch};
+use zooid_engine::checkpoint::SessionCheckpoint;
+use zooid_engine::program::EndpointProgram;
+use zooid_engine::report::ExecOptions;
 
 use crate::error::{Result, ServerError};
 use crate::metrics::{ObsReport, ServerReport, ShardInstruments};
@@ -404,7 +404,7 @@ impl SessionServer {
             .ok_or(ServerError::UnknownProtocol)?;
         let checkpoint = SessionCheckpoint::decode(&migrated.bytes)?;
         if checkpoint.token() != migrated.id.0 {
-            return Err(zooid_runtime::RuntimeError::Recovery {
+            return Err(zooid_engine::RuntimeError::Recovery {
                 reason: format!(
                     "checkpoint token {} does not match migrated session id {}",
                     checkpoint.token(),
@@ -900,7 +900,7 @@ mod tests {
     use crate::synth::skeleton_endpoints;
     use zooid_dsl::Protocol;
     use zooid_mpst::generators;
-    use zooid_runtime::EndpointStatus;
+    use zooid_engine::EndpointStatus;
 
     fn ring_registry() -> (ProtocolRegistry, ProtocolId) {
         let mut registry = ProtocolRegistry::new();

@@ -3,14 +3,14 @@
 //! [`SessionOutcome`] it ends with.
 //!
 //! Every admitted session runs in a columnar batch
-//! ([`zooid_runtime::SessionBatch`]): each submitted process is lowered
+//! ([`zooid_engine::SessionBatch`]): each submitted process is lowered
 //! once per `(global type, role, process)` (cached behind
 //! [`ProtocolArtifacts`]), and the cast's programs share one batch layout.
 //! Lowering fails only on an unbound jump or a communication-free loop, and
 //! certification rejects both, so a session whose process does not lower is
 //! closed at admission with every endpoint `Failed`. The per-session and
 //! tree-walking executors stay in `zooid-runtime` as differential oracles;
-//! this crate runs neither.
+//! this crate does not link them.
 //!
 //! A session ends where it stands. Whoever holds it when it is over — its
 //! batch, or the shard with a violator's [`DemotedSession`] in hand — turns
@@ -23,10 +23,10 @@ use std::sync::Arc;
 use zooid_dsl::CertifiedProcess;
 use zooid_mpst::{Role, Trace};
 use zooid_proc::{Externals, ProcError};
-use zooid_runtime::cbatch::{BatchOutcome, DemotedSession};
-use zooid_runtime::error::RuntimeError;
-use zooid_runtime::exec::{EndpointReport, EndpointStatus, ExecOptions};
-use zooid_runtime::monitor::MonitorViolation;
+use zooid_engine::cbatch::{BatchOutcome, DemotedSession};
+use zooid_engine::error::RuntimeError;
+use zooid_engine::monitor::MonitorViolation;
+use zooid_engine::report::{EndpointReport, EndpointStatus, ExecOptions};
 
 use crate::error::{Result, ServerError};
 use crate::registry::{ProtocolArtifacts, ProtocolId, ProtocolRegistry};
@@ -89,8 +89,8 @@ impl SessionSpec {
     }
 }
 
-/// The outcome of one hosted session (the server-side counterpart of
-/// [`zooid_runtime::SessionReport`]).
+/// The outcome of one hosted session (the server-side counterpart of the
+/// runtime harness's `SessionReport`).
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
     /// The session's id.
@@ -289,7 +289,7 @@ mod tests {
     /// exactly as the uninterrupted run does.
     #[test]
     fn a_reversed_cast_round_trips_through_a_checkpoint_at_every_cut() {
-        use zooid_runtime::{SessionBatch, SessionCheckpoint};
+        use zooid_engine::{SessionBatch, SessionCheckpoint};
         let mut registry = ProtocolRegistry::new();
         let id = registry
             .register(Protocol::new("ring", generators::ring3()).unwrap())

@@ -16,12 +16,17 @@
 //!   closes it from the state its batch extracted, whether or not the
 //!   cast's sites were pre-interned.
 
+use std::sync::Arc;
+
+use zooid_cfsm::CompiledSystem;
 use zooid_dsl::Protocol;
-use zooid_mpst::generators;
-use zooid_runtime::RuntimeError;
+use zooid_mpst::{generators, Action, Label, Role, Sort, Trace};
+use zooid_runtime::checkpoint::SessionCheckpoint;
+use zooid_runtime::{CompiledMonitor, MonitorViolation, RuntimeError};
 use zooid_server::synth::skeleton_endpoints;
 use zooid_server::{
-    FlightEvent, ProtocolRegistry, ServerConfig, ServerError, SessionServer, SessionSpec,
+    FlightEvent, MigratedSession, ProtocolRegistry, ServerConfig, ServerError, SessionServer,
+    SessionSpec,
 };
 
 /// `mu X. A -> B : tick(nat). B -> A : tock(nat). X` — no choice, so the
@@ -199,6 +204,111 @@ fn tampered_checkpoints_are_refused_with_structured_errors() {
         other => panic!("want Unsupported, got {other:?}"),
     }
     server.shutdown();
+}
+
+/// Drains one metronome session off its shard and re-encodes its checkpoint
+/// with the monitor `edit` makes of the one it carries, everything else as
+/// drained.
+fn drained_metronome_with(
+    max_steps: Option<usize>,
+    edit: impl FnOnce(&Arc<CompiledSystem>, &CompiledMonitor) -> CompiledMonitor,
+) -> (SessionServer, MigratedSession) {
+    let (registry, id, mut endpoints) = registry_with("metronome", metronome());
+    let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+    let mut spec = SessionSpec::new(id, endpoints.clone());
+    if let Some(limit) = max_steps {
+        spec = spec.with_max_steps(limit);
+    }
+    server.submit(spec).unwrap();
+    let mut migrated = server.drain_shard(0).unwrap();
+    assert_eq!(migrated.len(), 1, "the session is caught mid-flight");
+    let mut session = migrated.pop().unwrap();
+    let artifacts = server.registry().get(id).unwrap();
+    endpoints.sort_by(|(a, _), (b, _)| a.role().cmp(b.role()));
+    let programs: Vec<_> = endpoints
+        .iter()
+        .map(|(cert, ext)| {
+            artifacts
+                .endpoint_program(cert.role(), cert.proc(), ext)
+                .unwrap()
+        })
+        .collect();
+    let system = artifacts.compiled();
+    let mut demoted = SessionCheckpoint::decode(&session.bytes)
+        .unwrap()
+        .into_demoted(&programs, system)
+        .unwrap();
+    demoted.monitor = edit(system, &demoted.monitor);
+    session.bytes = SessionCheckpoint::from_demoted(&demoted).encode();
+    (server, session)
+}
+
+/// `!BA(tock, nat)`: B's answer, which the metronome never allows first.
+fn tock() -> Action {
+    Action::send(
+        Role::new("B"),
+        Role::new("A"),
+        Label::new("tock"),
+        Sort::Nat,
+    )
+}
+
+#[test]
+fn a_checkpoint_whose_compliant_trace_does_not_replay_is_refused() {
+    // The cursor and the counters are consistent with a one-action trace,
+    // but that action cannot come first: the trace is forged, and restore
+    // replays it instead of trusting it.
+    let (mut server, forged) = drained_metronome_with(None, |system, monitor| {
+        let trace = Trace::new(vec![tock()]);
+        CompiledMonitor::resume(
+            Arc::clone(system),
+            monitor.cursor().clone(),
+            trace,
+            1,
+            Vec::new(),
+            1,
+            true,
+        )
+    });
+    match server.migrate_session(forged, 0) {
+        Err(ServerError::Runtime(RuntimeError::Recovery { reason })) => {
+            assert!(reason.contains("compliant trace action 0"), "{reason}");
+        }
+        other => panic!("a forged trace must be a recovery refusal, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_checkpoint_that_carries_a_violation_is_refused() {
+    // A live session never carries a violation (its batch closes it at the
+    // pass that saw one), so a checkpoint that does is not one the server
+    // took, and restoring it would run a violator on.
+    let (mut server, tainted) = drained_metronome_with(Some(200_000), |system, monitor| {
+        let violation = MonitorViolation {
+            action: tock(),
+            position: monitor.observed(),
+            trace_len: monitor.accepted(),
+        };
+        CompiledMonitor::resume(
+            Arc::clone(system),
+            monitor.cursor().clone(),
+            monitor.trace().clone(),
+            monitor.accepted(),
+            vec![violation],
+            monitor.observed() + 1,
+            monitor.records_trace(),
+        )
+    });
+    match server.migrate_session(tainted, 0) {
+        Err(ServerError::Runtime(RuntimeError::Recovery { reason })) => {
+            assert!(reason.contains("violation"), "{reason}");
+        }
+        other => panic!("a carried violation must be a recovery refusal, got {other:?}"),
+    }
+    assert!(server.drain().is_empty(), "nothing was restored");
+    let report = server.shutdown();
+    assert_eq!(report.sessions_violated(), 0, "{report}");
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, no orphaned vendor stub,
-# no fault injection named on the serving path, no per-session executor in
-# the server, zero compiler and rustdoc warnings, every crate's tests in both
-# profiles,
+# a crate graph that keeps the oracles out of the server's dependencies,
+# zero compiler and rustdoc warnings, every crate's tests in both profiles,
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
 # smoke run, and tcp_short must clear a floor no timer can), and a
 # bench-report smoke run, which checks its own families against their floors
@@ -25,27 +24,31 @@ for stub in vendor/*/; do
     }
 done
 
-echo "== no serving module names a fault-injection type"
-# Fault injection is a test instrument. Until the oracles move into a crate
-# of their own, this fence keeps it off the serving path: the server crate
-# and the runtime modules a served session passes through.
-serving=(crates/server/src/*.rs)
-for module in cbatch cexec checkpoint codec monitor transport wire; do
-    serving+=("crates/runtime/src/$module.rs")
-done
-if grep -nE 'faults::|FaultPlan|FaultyTransport' "${serving[@]}"; then
-    echo "a serving module names fault injection (above)" >&2
+echo "== the server links the serving engine, and the engine links no oracle"
+# The crate graph keeps the oracles off the serving path. zooid-server may
+# name zooid-runtime (the reference runtime, harness, fault injection, peer
+# TCP, trace log) only from its tests, and the engine it links depends on
+# no workspace crate but the type, process and automaton layers. A grep
+# for names would cover only the names it lists; this covers every oracle.
+workspace_deps() {
+    cargo tree -p "$1" -e normal --offline --prefix none |
+        sed -n "s|^\([^ ]*\) v[^ ]* ($PWD/crates/.*|\1|p" | sort -u
+}
+server_links="$(workspace_deps zooid-server)"
+# Also proves the parse above reads the tree: an empty list would pass the
+# checks below.
+if ! grep -qx zooid-engine <<<"$server_links"; then
+    echo "zooid-server does not link zooid-engine: $server_links" >&2
     exit 1
 fi
-
-echo "== the server runs no per-session executor"
-# Every admitted session runs in a columnar batch. The per-session executor
-# and its in-memory channels stay in the runtime as the batch's
-# differential oracle; this fence keeps a second serving path from
-# growing back in the server crate.
-if grep -nE 'CompiledEndpointTask|InMemoryNetwork|InMemoryTransport|checkpoint_task' \
-    crates/server/src/*.rs; then
-    echo "the server names a per-session executor (above)" >&2
+if grep -qx zooid-runtime <<<"$server_links"; then
+    echo "zooid-server links zooid-runtime outside its tests" >&2
+    exit 1
+fi
+engine_links="$(workspace_deps zooid-engine)"
+stray="$(grep -vxE 'zooid-(engine|mpst|proc|cfsm)' <<<"$engine_links" || true)"
+if [[ -n "$stray" ]]; then
+    echo "zooid-engine links a workspace crate beyond mpst, proc and cfsm: $stray" >&2
     exit 1
 fi
 

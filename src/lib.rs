@@ -12,8 +12,12 @@
 //!   operational semantics (§4.1–4.3);
 //! * [`dsl`] — the Zooid DSL: well-typed-by-construction processes, the
 //!   protocol projection workflow and equality up to unravelling (§4.2, §5);
+//! * [`engine`] — the serving core: compiled endpoint programs, the columnar
+//!   batch executor, compiled monitors, checkpoints and the wire codec —
+//!   exactly what a served session passes through;
 //! * [`runtime`] — extraction of processes to executable programs, transports
-//!   and the multi-participant session harness (§4.4–4.5);
+//!   and the multi-participant session harness (§4.4–4.5), plus the oracles
+//!   the engine is checked against (it re-exports the engine's modules);
 //! * [`cfsm`] — communicating finite-state machines compiled from local
 //!   types, with safety and liveness exploration;
 //! * [`server`] — the multi-session server: a protocol registry compiling
@@ -30,6 +34,7 @@
 
 pub use zooid_cfsm as cfsm;
 pub use zooid_dsl as dsl;
+pub use zooid_engine as engine;
 pub use zooid_mpst as mpst;
 pub use zooid_proc as proc;
 pub use zooid_runtime as runtime;
