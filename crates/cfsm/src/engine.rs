@@ -11,10 +11,15 @@
 //!   [`MsgId`] via the shared [`zooid_mpst::Interner`], so matching a queued
 //!   message against an expected one is a single integer comparison;
 //! * every ordered `(sender, receiver)` pair that can ever carry a message
-//!   gets a dense channel id, so a configuration's channels are an indexed
-//!   `Vec` of `MsgId` buffers instead of a `BTreeMap` keyed on role pairs;
-//! * the visited set is an `FxHashMap` over the packed configurations, and
-//!   every configuration records the (parent, action) edge that first
+//!   gets a dense channel id, so a configuration is one flat run of `u32`
+//!   words, `[machine states | for each channel: length, then the queued
+//!   MsgIds]`, instead of a `BTreeMap` keyed on role pairs;
+//! * every admitted configuration is stored once, back to back in the one
+//!   append-only word arena of a `ConfigArena`, whose visited set is an
+//!   open-addressing index of configuration ids. A successor is written
+//!   straight onto the arena's tail, hashed once, and truncated off again if
+//!   it was already visited, so an expansion allocates nothing;
+//! * every configuration records the (parent, action) edge that first
 //!   discovered it, so each violation comes with a shortest replayable
 //!   counterexample trace back to the initial configuration.
 //!
@@ -40,10 +45,12 @@
 //!   `tests/differential_modes.rs`.
 //! * [`CompiledSystem::explore_parallel`] (in [`crate::parallel`]) runs the
 //!   reduced exploration on a work-stealing frontier over N threads with a
-//!   sharded visited map.
+//!   sharded visited map. It shares the encoding, the arena, and the one
+//!   expansion and successor function (`expand`, `write_successor`) with the
+//!   sequential explorer.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 use zooid_mpst::common::intern::{FxHashMap, FxHasher, MsgId, RoleId};
 use zooid_mpst::{Action, Interner, InternerSnapshot};
@@ -77,79 +84,207 @@ struct ChannelInfo {
     to: RoleId,
 }
 
-/// A packed configuration: machine states as `u32`s plus one message-id
-/// buffer per dense channel, with the 64-bit FxHash of that content cached
-/// inline. Cloning never touches a string, and hashing (visited-set probes,
-/// shard routing in the parallel explorer) writes the cached word instead of
-/// re-walking the vectors.
+/// The word form of a message id inside an encoded configuration.
+fn word(msg: MsgId) -> u32 {
+    // Lossless: a `MsgId` is a `u32` index.
+    msg.index() as u32
+}
+
+/// The 64-bit content hash of an encoded configuration: FxHash over its
+/// words, two to a round. The encoding length-prefixes every channel, so moving a message
+/// from one channel to the next changes the words and not just their split.
 ///
-/// Invariant: `hash == Self::content_hash(&states, &queues)` whenever the
-/// configuration is compared or inserted anywhere. [`PackedConfig::rehash`]
-/// restores it after in-place mutation.
-#[derive(Debug, Clone)]
-pub(crate) struct PackedConfig {
-    hash: u64,
-    pub(crate) states: Vec<u32>,
-    pub(crate) queues: Vec<Vec<MsgId>>,
+/// Invariant: the hash carries entropy in its **top** bits (FxHash ends
+/// every word with a multiply, which pushes each input bit upwards). The
+/// parallel explorer routes a configuration to its shard on the top six
+/// bits, and [`ConfigArena`] places it in its index on bits 32 and up, so
+/// the two never read the same bits for any index under 2^26 slots.
+pub(crate) fn hash_words(words: &[u32]) -> u64 {
+    // Two words per round: FxHash is one dependent multiply per round, so
+    // this halves the chain a large configuration hashes through.
+    let mut h = FxHasher::default();
+    let mut pairs = words.chunks_exact(2);
+    for pair in &mut pairs {
+        h.write_u64(u64::from(pair[0]) | u64::from(pair[1]) << 32);
+    }
+    if let [last] = pairs.remainder() {
+        h.write_u32(*last);
+    }
+    h.finish()
 }
 
-impl PartialEq for PackedConfig {
-    fn eq(&self, other: &Self) -> bool {
-        // The cached hash is a function of the content: compare it first as
-        // a cheap reject, then confirm on the content itself.
-        self.hash == other.hash && self.states == other.states && self.queues == other.queues
-    }
+/// Marks an empty slot of a [`ConfigArena`]'s index.
+const EMPTY: u32 = u32::MAX;
+
+/// Every configuration an exploration admitted, each stored once.
+///
+/// A configuration is encoded as one flat run of words, `[machine states |
+/// for each channel: length, then the queued MsgIds]`; the encoding is
+/// injective for a fixed system, so two configurations are equal iff their
+/// words are. The arena keeps all of them back to back in one append-only
+/// `Vec<u32>`, with an end-offset column and a column of cached content
+/// hashes ([`hash_words`]) beside it. The visited set is an open-addressing
+/// index of `u32` configuration ids (linear probing, at most half full),
+/// compared by cached hash first and then by slice.
+///
+/// A candidate successor is written onto the tail of `words`, past the
+/// last admitted configuration, then either kept as the next id or
+/// truncated off again ([`ConfigArena::intern_tail`]), so checking a
+/// successor allocates nothing once the columns have grown.
+#[derive(Debug)]
+pub(crate) struct ConfigArena {
+    /// The admitted configurations' words, then the candidate being built.
+    words: Vec<u32>,
+    /// `ends[i]` is where configuration `i`'s words end (and `i + 1`'s
+    /// begin); the first begins at 0.
+    ends: Vec<usize>,
+    /// `hashes[i] == hash_words(config(i))`.
+    hashes: Vec<u64>,
+    /// Configuration ids by hash slot, [`EMPTY`] where none; a power of two
+    /// in length.
+    index: Vec<u32>,
 }
 
-impl Eq for PackedConfig {}
-
-impl Hash for PackedConfig {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-impl PackedConfig {
-    pub(crate) fn new(states: Vec<u32>, queues: Vec<Vec<MsgId>>) -> Self {
-        let mut cfg = PackedConfig {
-            hash: 0,
-            states,
-            queues,
-        };
-        cfg.rehash();
-        cfg
-    }
-
-    fn content_hash(states: &[u32], queues: &[Vec<MsgId>]) -> u64 {
-        let mut h = FxHasher::default();
-        for &s in states {
-            h.write_u32(s);
+impl Default for ConfigArena {
+    fn default() -> Self {
+        ConfigArena {
+            words: Vec::new(),
+            ends: Vec::new(),
+            hashes: Vec::new(),
+            index: vec![EMPTY; 16],
         }
-        for q in queues {
-            // Length-prefix each buffer so shifting a message between
-            // channels cannot collide by concatenation.
-            h.write_usize(q.len());
-            for &m in q {
-                h.write_u32(m.index() as u32);
+    }
+}
+
+/// What [`ConfigArena::intern_tail`] did with a candidate configuration;
+/// `Id` is the id the explorer hands out for it.
+pub(crate) enum Interned<Id = u32> {
+    /// Unseen and admitted: the new configuration's id.
+    New(Id),
+    /// Already admitted under this id.
+    Existing(Id),
+    /// Unseen, but admission was refused (the budget is spent).
+    Refused,
+}
+
+impl ConfigArena {
+    /// Number of admitted configurations.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Where the candidate at the tail begins.
+    fn committed(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// The words of configuration `id`.
+    pub(crate) fn config(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.words[start..self.ends[id]]
+    }
+
+    /// The home slot of `hash`: bits 32 and up (see [`hash_words`]).
+    fn home(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & (self.index.len() - 1)
+    }
+
+    /// Keeps the candidate written at the tail of the arena (its words past
+    /// the last admitted configuration, with content hash `hash`) if no
+    /// admitted configuration equals it and `admit` agrees, and truncates it
+    /// off otherwise.
+    pub(crate) fn intern_tail(&mut self, hash: u64, admit: impl FnOnce() -> bool) -> Interned {
+        let start = self.committed();
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            let id = self.index[slot];
+            if id == EMPTY {
+                break;
             }
+            if self.hashes[id as usize] == hash && self.config(id) == &self.words[start..] {
+                self.words.truncate(start);
+                return Interned::Existing(id);
+            }
+            slot = (slot + 1) & mask;
         }
-        h.finish()
+        if !admit() {
+            self.words.truncate(start);
+            return Interned::Refused;
+        }
+        assert!(self.len() < EMPTY as usize, "configuration ids overflow");
+        let id = self.len() as u32;
+        self.index[slot] = id;
+        self.ends.push(self.words.len());
+        self.hashes.push(hash);
+        if 2 * self.len() > self.index.len() {
+            self.grow();
+        }
+        Interned::New(id)
     }
 
-    /// Recomputes the cached hash after in-place mutation of `states` or
-    /// `queues`.
-    pub(crate) fn rehash(&mut self) {
-        self.hash = Self::content_hash(&self.states, &self.queues);
+    /// [`ConfigArena::intern_tail`] for a configuration built elsewhere.
+    pub(crate) fn intern(
+        &mut self,
+        cfg: &[u32],
+        hash: u64,
+        admit: impl FnOnce() -> bool,
+    ) -> Interned {
+        self.words.extend_from_slice(cfg);
+        self.intern_tail(hash, admit)
     }
 
-    /// The cached 64-bit content hash (shard routing key of the parallel
-    /// explorer).
-    pub(crate) fn cached_hash(&self) -> u64 {
-        self.hash
+    /// Doubles the index, re-placing every id by its cached hash.
+    fn grow(&mut self) {
+        self.index = vec![EMPTY; 2 * self.index.len()];
+        let mask = self.index.len() - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = self.home(hash);
+            while self.index[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.index[slot] = id as u32;
+        }
+    }
+}
+
+/// One move of a configuration: machine `machine` fires `trans`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) machine: u32,
+    pub(crate) trans: CTrans,
+    /// At bound 0 a send fires together with the partner's matching receive
+    /// (`trans.partner_machine`), which moves the partner to this state.
+    partner_target: Option<u32>,
+}
+
+/// What one expansion learns about a configuration, in buffers an explorer
+/// reuses for every configuration it expands ([`CompiledSystem::expand`]).
+#[derive(Debug, Default)]
+pub(crate) struct Expansion {
+    /// Position of each channel's length word in the configuration.
+    chan: Vec<u32>,
+    /// The steps to take: every enabled one in [`System::successors`] order,
+    /// or the single ample step under the reduction.
+    pub(crate) steps: Vec<Step>,
+    /// Every machine final and every channel empty.
+    pub(crate) is_final: bool,
+    /// The violations this configuration exhibits, in report order: at most
+    /// a terminal one (deadlock or orphan), then an unspecified reception.
+    pub(crate) violations: Vec<ViolationKind>,
+}
+
+impl Expansion {
+    /// The message at the head of channel `c` of `cfg`, as a word.
+    fn head(&self, cfg: &[u32], c: u32) -> Option<u32> {
+        let at = self.chan[c as usize] as usize;
+        (cfg[at] > 0).then(|| cfg[at + 1])
     }
 
-    pub(crate) fn all_queues_empty(&self) -> bool {
-        self.queues.iter().all(Vec::is_empty)
+    /// Number of messages queued on channel `c` of `cfg`.
+    fn queued(&self, cfg: &[u32], c: u32) -> usize {
+        cfg[self.chan[c as usize] as usize] as usize
     }
 }
 
@@ -283,31 +418,26 @@ impl CompiledSystem {
         self.channels.len()
     }
 
-    pub(crate) fn initial_config(&self) -> PackedConfig {
-        PackedConfig::new(self.initial.clone(), vec![Vec::new(); self.channels.len()])
+    /// Number of words of a configuration whose channels are all empty.
+    fn quiescent_len(&self) -> usize {
+        self.roles.len() + self.channels.len()
     }
 
-    pub(crate) fn is_final(&self, cfg: &PackedConfig) -> bool {
-        cfg.all_queues_empty()
-            && cfg
-                .states
-                .iter()
-                .enumerate()
-                .all(|(m, &s)| self.finals[m][s as usize])
+    /// The encoded initial configuration: every machine in its initial
+    /// state, every channel empty.
+    pub(crate) fn initial_config(&self) -> Vec<u32> {
+        let mut cfg = self.initial.clone();
+        cfg.resize(self.quiescent_len(), 0);
+        cfg
     }
 
-    /// Whether state `s` of machine `m` is final.
-    pub(crate) fn machine_is_final(&self, m: usize, s: u32) -> bool {
-        self.finals[m][s as usize]
-    }
-
-    /// Returns `true` if every machine is in a final state (queues are not
-    /// inspected) — the orphan-message half of the terminal classification.
-    pub(crate) fn all_machines_final(&self, cfg: &PackedConfig) -> bool {
-        cfg.states
+    /// Whether every machine of `cfg` is in a final state (queues are not
+    /// inspected): the orphan-message half of the terminal classification.
+    fn all_machines_final(&self, cfg: &[u32]) -> bool {
+        cfg[..self.roles.len()]
             .iter()
             .enumerate()
-            .all(|(m, &s)| self.machine_is_final(m, s))
+            .all(|(m, &s)| self.finals[m][s as usize])
     }
 
     /// Classifies a terminal (successor-less, non-final) configuration,
@@ -315,15 +445,8 @@ impl CompiledSystem {
     /// deadlock, all-final machines with messages left mean an orphan, and
     /// a stuck configuration with messages in flight but no reception
     /// error is reported as a deadlock (possibly a bound artefact).
-    ///
-    /// Shared by the sequential and parallel explorers so the verdict
-    /// semantics cannot drift apart.
-    pub(crate) fn classify_terminal(
-        &self,
-        cfg: &PackedConfig,
-        unspec: bool,
-    ) -> Option<ViolationKind> {
-        if cfg.all_queues_empty() {
+    fn classify_terminal(&self, cfg: &[u32], unspec: bool) -> Option<ViolationKind> {
+        if cfg.len() == self.quiescent_len() {
             Some(ViolationKind::Deadlock)
         } else if self.all_machines_final(cfg) {
             Some(ViolationKind::OrphanMessage)
@@ -334,19 +457,51 @@ impl CompiledSystem {
         }
     }
 
-    /// Enumerates the successors of `cfg` into `out`, in the same order as
-    /// [`System::successors`]: machines in system order, each machine's
+    /// Expands the encoded configuration `cfg` into `ex`: where its
+    /// channels sit, the steps to take from it (with the partial-order
+    /// reduction when `reduce` is set: an ample configuration takes its
+    /// single ample step, everything else every enabled step), whether it is
+    /// final, and the violations it exhibits.
+    ///
+    /// Shared by the sequential and parallel explorers so the verdict
+    /// semantics cannot drift apart.
+    pub(crate) fn expand(&self, cfg: &[u32], bound: usize, reduce: bool, ex: &mut Expansion) {
+        ex.chan.clear();
+        let mut at = self.roles.len();
+        for _ in 0..self.channels.len() {
+            ex.chan
+                .push(u32::try_from(at).expect("configurations fit in u32 words"));
+            at += 1 + cfg[at] as usize;
+        }
+        debug_assert_eq!(at, cfg.len(), "a configuration ends with its last channel");
+
+        ex.steps.clear();
+        match reduce.then(|| self.ample(cfg, ex, bound)).flatten() {
+            Some(step) => ex.steps.push(step),
+            None => self.successors(cfg, ex, bound),
+        }
+        ex.is_final = cfg.len() == self.quiescent_len() && self.all_machines_final(cfg);
+        let unspec = self.has_unspecified_reception(cfg, ex);
+        ex.violations.clear();
+        if ex.steps.is_empty() && !ex.is_final {
+            ex.violations.extend(self.classify_terminal(cfg, unspec));
+        }
+        if unspec {
+            ex.violations.push(ViolationKind::UnspecifiedReception);
+        }
+    }
+
+    /// Appends every enabled step of `cfg` to `ex.steps`, in the same order
+    /// as [`System::successors`]: machines in system order, each machine's
     /// transitions in table order.
-    pub(crate) fn successors(
-        &self,
-        cfg: &PackedConfig,
-        bound: usize,
-        out: &mut Vec<(PackedConfig, u32, CTrans)>,
-    ) {
-        out.clear();
+    fn successors(&self, cfg: &[u32], ex: &mut Expansion, bound: usize) {
         for m in 0..self.roles.len() {
-            let state = cfg.states[m] as usize;
-            for &t in &self.tables[m][state] {
+            for &t in &self.tables[m][cfg[m] as usize] {
+                let step = |partner_target| Step {
+                    machine: m as u32,
+                    trans: t,
+                    partner_target,
+                };
                 match t.dir {
                     // Rendezvous semantics at bound 0: a send fires together
                     // with a matching receive of the partner, atomically.
@@ -355,49 +510,67 @@ impl CompiledSystem {
                             continue;
                         }
                         let pm = t.partner_machine as usize;
-                        let pstate = cfg.states[pm] as usize;
-                        for &rt in &self.tables[pm][pstate] {
+                        for &rt in &self.tables[pm][cfg[pm] as usize] {
                             if rt.dir == Direction::Recv
                                 && rt.channel == t.channel
                                 && rt.msg == t.msg
                             {
-                                let mut next = cfg.clone();
-                                next.states[m] = t.target;
-                                next.states[pm] = rt.target;
-                                next.rehash();
-                                out.push((next, m as u32, t));
+                                ex.steps.push(step(Some(rt.target)));
                             }
                         }
                     }
                     Direction::Send => {
-                        if cfg.queues[t.channel as usize].len() >= bound {
-                            continue;
+                        if ex.queued(cfg, t.channel) < bound {
+                            ex.steps.push(step(None));
                         }
-                        let mut next = cfg.clone();
-                        next.states[m] = t.target;
-                        next.queues[t.channel as usize].push(t.msg);
-                        next.rehash();
-                        out.push((next, m as u32, t));
                     }
                     Direction::Recv => {
-                        if cfg.queues[t.channel as usize].first() != Some(&t.msg) {
-                            continue;
+                        if ex.head(cfg, t.channel) == Some(word(t.msg)) {
+                            ex.steps.push(step(None));
                         }
-                        let mut next = cfg.clone();
-                        next.states[m] = t.target;
-                        next.queues[t.channel as usize].remove(0);
-                        next.rehash();
-                        out.push((next, m as u32, t));
                     }
                 }
             }
         }
     }
 
+    /// Appends to `out` the encoding of the configuration `step` leads to
+    /// from `cfg` (as expanded into `ex`): a copy of `cfg` with one word
+    /// inserted (a send), removed (a receive) or neither (a rendezvous), and
+    /// the moved machines' states overwritten. The one successor function
+    /// of both explorers.
+    pub(crate) fn write_successor(
+        &self,
+        cfg: &[u32],
+        ex: &Expansion,
+        step: Step,
+        out: &mut Vec<u32>,
+    ) {
+        let base = out.len();
+        let t = step.trans;
+        let len_at = ex.chan[t.channel as usize] as usize;
+        if step.partner_target.is_some() {
+            out.extend_from_slice(cfg);
+        } else if t.dir == Direction::Send {
+            let tail = len_at + 1 + cfg[len_at] as usize;
+            out.extend_from_slice(&cfg[..tail]);
+            out.push(word(t.msg));
+            out.extend_from_slice(&cfg[tail..]);
+            out[base + len_at] += 1;
+        } else {
+            out.extend_from_slice(&cfg[..=len_at]);
+            out.extend_from_slice(&cfg[len_at + 2..]);
+            out[base + len_at] -= 1;
+        }
+        out[base + step.machine as usize] = t.target;
+        if let Some(target) = step.partner_target {
+            out[base + t.partner_machine as usize] = target;
+        }
+    }
+
     /// Ample-set selection for the partial-order reduction: returns a
-    /// machine (and its single enabled receive) whose expansion alone is
-    /// sufficient at `cfg`, or `None` when the configuration must be
-    /// expanded in full.
+    /// machine's single enabled receive whose expansion alone is sufficient
+    /// at `cfg`, or `None` when the configuration must be expanded in full.
     ///
     /// A machine `m` in state `s` is *ample* when
     ///
@@ -422,26 +595,27 @@ impl CompiledSystem {
     /// the full exploration; the early return just makes that explicit.
     ///
     /// Reception errors are never masked: if the head matches *zero*
-    /// transitions the machine is skipped (and the caller flags the
-    /// configuration via [`CompiledSystem::has_unspecified_reception`]),
-    /// while errors at other machines survive an ample step untouched —
-    /// the step pops only channel `c`, whose sole receiver is `m`.
-    pub(crate) fn ample(&self, cfg: &PackedConfig, bound: usize) -> Option<(u32, CTrans)> {
+    /// transitions the machine is skipped (and `expand` flags the
+    /// configuration as an unspecified reception), while errors at other
+    /// machines survive an ample step untouched — the step pops only
+    /// channel `c`, whose sole receiver is `m`.
+    fn ample(&self, cfg: &[u32], ex: &Expansion, bound: usize) -> Option<Step> {
         if bound == 0 {
             return None;
         }
         'machines: for m in 0..self.roles.len() {
-            let table = &self.tables[m][cfg.states[m] as usize];
+            let table = &self.tables[m][cfg[m] as usize];
             let Some(first) = table.first() else {
                 continue;
             };
             let channel = first.channel;
+            let head = ex.head(cfg, channel);
             let mut chosen: Option<CTrans> = None;
             for &t in table {
                 if t.dir != Direction::Recv || t.channel != channel {
                     continue 'machines;
                 }
-                if Some(&t.msg) == cfg.queues[channel as usize].first() {
+                if Some(word(t.msg)) == head {
                     if chosen.is_some() {
                         // Two matching receives: expanding one would drop a
                         // genuine nondeterministic branch.
@@ -450,63 +624,35 @@ impl CompiledSystem {
                     chosen = Some(t);
                 }
             }
-            if let Some(t) = chosen {
-                return Some((m as u32, t));
+            if let Some(trans) = chosen {
+                return Some(Step {
+                    machine: m as u32,
+                    trans,
+                    partner_target: None,
+                });
             }
         }
         None
     }
 
-    /// Applies an ample receive step, producing the single reduced
-    /// successor.
-    pub(crate) fn apply_ample(&self, cfg: &PackedConfig, m: u32, t: CTrans) -> PackedConfig {
-        debug_assert_eq!(t.dir, Direction::Recv);
-        let mut next = cfg.clone();
-        next.states[m as usize] = t.target;
-        next.queues[t.channel as usize].remove(0);
-        next.rehash();
-        next
-    }
-
-    /// Enumerates successors with the partial-order reduction applied when
-    /// `reduce` is set: an ample configuration expands to its single ample
-    /// step, everything else expands in full.
-    pub(crate) fn expand(
-        &self,
-        cfg: &PackedConfig,
-        bound: usize,
-        reduce: bool,
-        out: &mut Vec<(PackedConfig, u32, CTrans)>,
-    ) {
-        if reduce {
-            if let Some((m, t)) = self.ample(cfg, bound) {
-                out.clear();
-                out.push((self.apply_ample(cfg, m, t), m, t));
-                return;
-            }
-        }
-        self.successors(cfg, bound, out);
-    }
-
-    /// Mirrors `System::has_unspecified_reception` on packed configurations:
-    /// some machine is in a receiving state and the head of a corresponding
-    /// channel cannot be consumed by any of its transitions.
-    pub(crate) fn has_unspecified_reception(&self, cfg: &PackedConfig) -> bool {
+    /// Mirrors `System::has_unspecified_reception` on encoded
+    /// configurations: some machine is in a receiving state and the head of
+    /// a corresponding channel cannot be consumed by any of its transitions.
+    fn has_unspecified_reception(&self, cfg: &[u32], ex: &Expansion) -> bool {
         for m in 0..self.roles.len() {
-            let state = cfg.states[m] as usize;
-            let table = &self.tables[m][state];
+            let table = &self.tables[m][cfg[m] as usize];
             for t in table {
                 // A state may list several receives on the same channel;
                 // re-checking that channel's head is idempotent, so no dedup.
                 if t.dir != Direction::Recv {
                     continue;
                 }
-                let Some(&head) = cfg.queues[t.channel as usize].first() else {
+                let Some(head) = ex.head(cfg, t.channel) else {
                     continue;
                 };
-                let handled = table
-                    .iter()
-                    .any(|t2| t2.dir == Direction::Recv && t2.channel == t.channel && t2.msg == head);
+                let handled = table.iter().any(|t2| {
+                    t2.dir == Direction::Recv && t2.channel == t.channel && word(t2.msg) == head
+                });
                 if !handled {
                     return true;
                 }
@@ -515,22 +661,27 @@ impl CompiledSystem {
         false
     }
 
-    /// Decodes a packed configuration back into the role-keyed form used by
-    /// [`System::successors`] and the counterexample traces.
-    pub(crate) fn decode(&self, cfg: &PackedConfig) -> SystemConfig {
+    /// Decodes an encoded configuration back into the role-keyed form used
+    /// by [`System::successors`] and the counterexample traces.
+    pub(crate) fn decode(&self, cfg: &[u32]) -> SystemConfig {
+        let machines = self.roles.len();
         let mut channels = BTreeMap::new();
-        for (c, queue) in cfg.queues.iter().enumerate() {
+        let mut at = machines;
+        for info in &self.channels {
+            let len = cfg[at] as usize;
+            let queue = &cfg[at + 1..at + 1 + len];
+            at += 1 + len;
             if queue.is_empty() {
                 continue;
             }
-            let info = self.channels[c];
             let key = (
                 self.snapshot.role(info.from).clone(),
                 self.snapshot.role(info.to).clone(),
             );
             let msgs: VecDeque<_> = queue
                 .iter()
-                .map(|&mid| {
+                .map(|&w| {
+                    let mid = MsgId::from_index(w as usize).expect("a queued word is a MsgId");
                     let (l, s) = self.snapshot.msg(mid);
                     (self.snapshot.label(l).clone(), self.snapshot.sort(s).clone())
                 })
@@ -538,7 +689,7 @@ impl CompiledSystem {
             channels.insert(key, msgs);
         }
         SystemConfig {
-            states: cfg.states.iter().map(|&s| s as usize).collect(),
+            states: cfg[..machines].iter().map(|&s| s as usize).collect(),
             channels,
         }
     }
@@ -565,7 +716,7 @@ impl CompiledSystem {
     fn trace_to(
         &self,
         idx: u32,
-        configs: &[PackedConfig],
+        arena: &ConfigArena,
         parents: &[Option<(u32, u32, CTrans)>],
     ) -> Vec<TraceStep> {
         let mut rev: Vec<TraceStep> = Vec::new();
@@ -574,7 +725,7 @@ impl CompiledSystem {
             rev.push(TraceStep {
                 role: self.roles[machine as usize].clone(),
                 action: self.action(trans),
-                config: self.decode(&configs[cur as usize]),
+                config: self.decode(arena.config(cur)),
             });
             cur = parent;
         }
@@ -769,12 +920,12 @@ impl CompiledSystem {
         if max_configs == 0 {
             return Self::empty_outcome();
         }
-        let mut visited: FxHashMap<PackedConfig, u32> = FxHashMap::default();
-        let mut configs: Vec<PackedConfig> = Vec::new();
+        let mut arena = ConfigArena::default();
         let mut parents: Vec<Option<(u32, u32, CTrans)>> = Vec::new();
-        // Successor indices per expanded configuration (for the liveness
-        // fixpoint) and final-configuration indices.
-        let mut succ_lists: Vec<Vec<u32>> = Vec::new();
+        // Discovery edges for the liveness fixpoint, recorded only while
+        // the search is complete (a truncated one skips the fixpoint), and
+        // final-configuration indices.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut final_indices: Vec<u32> = Vec::new();
 
         // Violations are recorded as (kind, index) during the BFS and
@@ -787,75 +938,64 @@ impl CompiledSystem {
         let mut live = true;
 
         let init = self.initial_config();
-        visited.insert(init.clone(), 0);
-        configs.push(init);
+        arena.intern(&init, hash_words(&init), || true);
         parents.push(None);
 
-        let mut succs: Vec<(PackedConfig, u32, CTrans)> = Vec::new();
-        let mut head = 0usize;
-        while head < configs.len() {
-            let idx = head as u32;
+        // The configuration being expanded is copied out of the arena once,
+        // so its successors can be written straight onto the arena's tail.
+        let mut cfg: Vec<u32> = Vec::new();
+        let mut ex = Expansion::default();
+        let mut head = 0u32;
+        while (head as usize) < arena.len() {
+            let idx = head;
             head += 1;
+            cfg.clear();
+            cfg.extend_from_slice(arena.config(idx));
 
-            let cfg = &configs[idx as usize];
-            self.expand(cfg, bound, reduce, &mut succs);
-            transitions += succs.len();
-
-            let is_final = self.is_final(cfg);
-            if is_final {
+            self.expand(&cfg, bound, reduce, &mut ex);
+            transitions += ex.steps.len();
+            if ex.is_final {
                 final_reachable = true;
                 final_indices.push(idx);
             }
-            live &= is_final || !succs.is_empty();
+            live &= ex.is_final || !ex.steps.is_empty();
+            found.extend(ex.violations.iter().map(|&kind| (kind, idx)));
 
-            let unspec = self.has_unspecified_reception(cfg);
-            if succs.is_empty() && !is_final {
-                if let Some(kind) = self.classify_terminal(cfg, unspec) {
-                    found.push((kind, idx));
+            for &step in &ex.steps {
+                self.write_successor(&cfg, &ex, step, &mut arena.words);
+                let hash = hash_words(&arena.words[arena.committed()..]);
+                let full = arena.len() >= max_configs;
+                let j = match arena.intern_tail(hash, || !full) {
+                    Interned::Existing(j) => j,
+                    Interned::New(j) => {
+                        parents.push(Some((idx, step.machine, step.trans)));
+                        j
+                    }
+                    Interned::Refused => {
+                        truncated = true;
+                        continue;
+                    }
+                };
+                if !truncated {
+                    edges.push((idx, j));
                 }
             }
-            if unspec {
-                found.push((ViolationKind::UnspecifiedReception, idx));
-            }
-
-            let mut list = Vec::with_capacity(succs.len());
-            for (next, machine, trans) in succs.drain(..) {
-                if let Some(&j) = visited.get(&next) {
-                    list.push(j);
-                    continue;
-                }
-                if configs.len() >= max_configs {
-                    truncated = true;
-                    continue;
-                }
-                let j = configs.len() as u32;
-                visited.insert(next.clone(), j);
-                configs.push(next);
-                parents.push(Some((idx, machine, trans)));
-                list.push(j);
-            }
-            succ_lists.push(list);
         }
 
         // Liveness, second half: when the protocol can terminate and the
         // whole bounded state space was covered, termination must remain
         // reachable from every configuration (backwards BFS from the finals).
         if final_reachable && live && !truncated {
-            let mut preds: Vec<Vec<u32>> = vec![Vec::new(); configs.len()];
-            for (i, list) in succ_lists.iter().enumerate() {
-                for &j in list {
-                    preds[j as usize].push(i as u32);
-                }
-            }
-            live = all_can_finish(&preds, final_indices);
+            let (offsets, preds) = predecessors(arena.len(), edges.iter().copied());
+            live = all_can_finish(&offsets, &preds, final_indices);
         }
 
         let violations: Vec<Violation> = found
             .into_iter()
             .map(|(kind, idx)| Violation {
                 kind,
-                config: self.decode(&configs[idx as usize]),
-                trace: self.trace_to(idx, &configs, &parents),
+                config: self.decode(arena.config(idx)),
+                trace: self.trace_to(idx, &arena, &parents),
             })
             .collect();
         let pick = |kind: ViolationKind| {
@@ -866,7 +1006,7 @@ impl CompiledSystem {
                 .collect::<Vec<_>>()
         };
         ExplorationOutcome {
-            configurations: configs.len(),
+            configurations: arena.len(),
             transitions,
             deadlocks: pick(ViolationKind::Deadlock),
             orphan_messages: pick(ViolationKind::OrphanMessage),
@@ -879,18 +1019,45 @@ impl CompiledSystem {
     }
 }
 
-/// Backwards reachability of the final configurations over per-node
-/// predecessor lists: `true` iff *every* explored configuration can reach
-/// one of `final_indices`. Shared by the sequential and parallel explorers
-/// (they build `preds` from their own layouts and agree on the fixpoint).
-pub(crate) fn all_can_finish(preds: &[Vec<u32>], final_indices: Vec<u32>) -> bool {
-    let mut can_finish = vec![false; preds.len()];
+/// Predecessor lists in compressed sparse row form, built from `(from, to)`
+/// edges over `n` configurations by a counting sort (two passes over the
+/// edges, no `Vec` per configuration): the predecessors of configuration
+/// `i` are `preds[offsets[i]..offsets[i + 1]]`.
+pub(crate) fn predecessors(
+    n: usize,
+    edges: impl Iterator<Item = (u32, u32)> + Clone,
+) -> (Vec<usize>, Vec<u32>) {
+    let mut offsets = vec![0usize; n + 1];
+    for (_, to) in edges.clone() {
+        offsets[to as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut next = offsets[..n].to_vec();
+    let mut preds = vec![0u32; offsets[n]];
+    for (from, to) in edges {
+        let at = &mut next[to as usize];
+        preds[*at] = from;
+        *at += 1;
+    }
+    (offsets, preds)
+}
+
+/// Backwards reachability of the final configurations over predecessor
+/// lists in the CSR form of [`predecessors`]: `true` iff *every* explored
+/// configuration can reach one of `final_indices`. Shared by the sequential
+/// and parallel explorers (they collect edges from their own layouts and
+/// agree on the fixpoint).
+pub(crate) fn all_can_finish(offsets: &[usize], preds: &[u32], final_indices: Vec<u32>) -> bool {
+    let mut can_finish = vec![false; offsets.len() - 1];
     let mut stack = final_indices;
     for &i in &stack {
         can_finish[i as usize] = true;
     }
     while let Some(i) = stack.pop() {
-        for &p in &preds[i as usize] {
+        let i = i as usize;
+        for &p in &preds[offsets[i]..offsets[i + 1]] {
             if !can_finish[p as usize] {
                 can_finish[p as usize] = true;
                 stack.push(p);

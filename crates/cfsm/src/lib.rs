@@ -16,10 +16,12 @@
 //! * [`engine::CompiledSystem`] is the interned state-space engine behind
 //!   [`system::System::explore`]: machines compile once into dense per-state
 //!   transition tables whose actions are interned `(label, sort)` ids from
-//!   the shared [`zooid_mpst::Interner`], configurations pack into machine
-//!   states plus indexed channel buffers of message ids (with their 64-bit
-//!   content hash cached inline, so visited-set probes and shard routing
-//!   hash one word), and a worklist BFS over an `FxHashMap` visited set
+//!   the shared [`zooid_mpst::Interner`], a configuration is one flat run
+//!   of words (machine states, then each channel's length and queued
+//!   message ids), every admitted configuration is stored once in an
+//!   append-only word arena whose visited set is an open-addressing index
+//!   of ids with a cached content hash per configuration (so a successor
+//!   costs no allocation), and a worklist BFS over that arena
 //!   records parent pointers so every violation carries a shortest
 //!   replayable counterexample trace ([`system::Violation`]). The original
 //!   explicit-state explorer is kept as

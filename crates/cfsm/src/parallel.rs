@@ -8,12 +8,20 @@
 //!
 //! * each worker owns a `crossbeam::deque::Worker` FIFO and steals from its
 //!   peers (and from the seeding `Injector`) when its own queue drains;
-//! * the visited map is split into `SHARDS` shards, each an `FxHashMap`
-//!   behind a `parking_lot::Mutex`; a configuration is routed to its shard
-//!   by the top bits of the 64-bit content hash cached inside
-//!   the packed configuration, so insert-or-lookup never re-hashes the state and
-//!   two workers only contend when they touch the same shard at the same
-//!   instant;
+//! * configurations use the sequential engine's flat word encoding, and a
+//!   worker builds each successor in one reusable buffer with the same
+//!   successor function. It hashes the words once, before it locks
+//!   anything;
+//! * the visited map is split into `SHARDS` shards, each a word arena with
+//!   an open-addressing index of ids (the sequential engine's visited set)
+//!   behind a `parking_lot::Mutex`. A configuration is routed to its shard
+//!   by the top bits of its content hash, and the shard's index reads lower
+//!   bits of the same hash, so a probe under the lock compares cached
+//!   hashes and slices and hashes nothing, and two workers only contend when
+//!   they touch the same shard at the same instant. A shard stores each
+//!   configuration once in its arena, and the job that expands it carries
+//!   one boxed copy, so the pool holds at most one heap slice per
+//!   configuration;
 //! * every shard slot records the `(parent, machine, transition)` edge that
 //!   first discovered the configuration, so violations still carry a
 //!   replayable counterexample trace (parent order is discovery order,
@@ -39,19 +47,20 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::Backoff;
 use parking_lot::Mutex;
 
-use zooid_mpst::common::intern::FxHashMap;
-
-use crate::engine::{all_can_finish, CTrans, CompiledSystem, PackedConfig};
+use crate::engine::{
+    all_can_finish, hash_words, predecessors, CTrans, CompiledSystem, ConfigArena, Expansion,
+    Interned,
+};
 use crate::system::{ExplorationOutcome, TraceStep, Violation, ViolationKind};
 
 /// Number of visited-map shards (a power of two; the routing key is the top
-/// `SHARD_BITS` of the cached configuration hash, where FxHash concentrates
-/// its entropy).
+/// `SHARD_BITS` of the configuration's content hash, where FxHash
+/// concentrates its entropy — see [`hash_words`]).
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS;
 
 /// Global id of a visited configuration: shard index in the high 32 bits,
-/// slot within the shard in the low 32.
+/// id within the shard's arena in the low 32.
 type Gid = u64;
 
 fn gid(shard: usize, slot: u32) -> Gid {
@@ -62,45 +71,32 @@ fn gid_shard(g: Gid) -> usize {
     (g >> 32) as usize
 }
 
-fn gid_slot(g: Gid) -> usize {
-    (g & 0xffff_ffff) as usize
+fn gid_slot(g: Gid) -> u32 {
+    g as u32
 }
 
 fn shard_of(hash: u64) -> usize {
     (hash >> (64 - SHARD_BITS)) as usize
 }
 
-/// One shard of the visited map.
+/// One shard of the visited map: the configurations routed here, each
+/// stored once in the shard's [`ConfigArena`] (whose index is keyed on the
+/// hash the worker computed before it locked, so a probe under the lock
+/// hashes nothing).
 #[derive(Default)]
 struct Shard {
-    /// Cached content hash → slots holding configurations with that hash
-    /// (a collision list, almost always of length 1). Keying on the `u64`
-    /// means a probe hashes one word, never the packed vectors.
-    buckets: FxHashMap<u64, Vec<u32>>,
-    configs: Vec<PackedConfig>,
-    /// `(parent gid, acting machine, transition)` discovery edge per slot;
-    /// `None` for the initial configuration.
+    arena: ConfigArena,
+    /// `(parent gid, acting machine, transition)` discovery edge per
+    /// configuration; `None` for the initial configuration.
     parents: Vec<Option<(Gid, u32, CTrans)>>,
 }
 
 /// A unit of work: one admitted configuration to expand. The configuration
-/// travels with the job so expansion never locks its home shard.
+/// travels with the job, its one heap slice, so expansion never locks its
+/// home shard.
 struct Job {
     gid: Gid,
-    cfg: PackedConfig,
-}
-
-/// What one worker learned about one expanded configuration (merged into
-/// the liveness fixpoint after the workers join).
-struct ExpandRecord {
-    gid: Gid,
-    /// Admitted or already-visited successors (truncation-dropped ones are
-    /// absent, exactly like the sequential engines' successor lists).
-    succs: Vec<Gid>,
-    /// Raw successor count before admission filtering — what the
-    /// "every configuration can move or is final" half of liveness reads.
-    raw_succs: usize,
-    is_final: bool,
+    cfg: Box<[u32]>,
 }
 
 /// Per-worker accumulator, merged after the pool drains.
@@ -108,7 +104,22 @@ struct ExpandRecord {
 struct WorkerOut {
     transitions: usize,
     found: Vec<(ViolationKind, Gid)>,
-    expanded: Vec<ExpandRecord>,
+    /// `(configuration, successor)` for every admitted or already-visited
+    /// successor, recorded only while the search is complete (the liveness
+    /// fixpoint reads them).
+    edges: Vec<(Gid, Gid)>,
+    finals: Vec<Gid>,
+    /// Some configuration expanded here is neither final nor has a step.
+    stuck: bool,
+}
+
+/// A worker's reusable buffers: the expansion of its current job and the
+/// successor being built (one allocation each per worker, not per
+/// configuration).
+#[derive(Default)]
+struct Scratch {
+    ex: Expansion,
+    next: Vec<u32>,
 }
 
 /// Shared state of one parallel exploration.
@@ -127,15 +138,6 @@ struct Pool<'a> {
     done: AtomicBool,
 }
 
-enum Inserted {
-    /// Fresh configuration, admitted under the budget.
-    New(Gid),
-    /// Already in the visited map.
-    Existing(Gid),
-    /// Fresh, but the budget is exhausted: dropped, search truncated.
-    Truncated,
-}
-
 impl<'a> Pool<'a> {
     fn new(sys: &'a CompiledSystem, bound: usize, max_configs: usize) -> Self {
         Pool {
@@ -151,81 +153,70 @@ impl<'a> Pool<'a> {
         }
     }
 
-    /// Inserts `cfg` into its shard (routed by the cached hash), recording
-    /// `parent` as its discovery edge if it is new.
-    fn insert(&self, cfg: &PackedConfig, parent: Option<(Gid, u32, CTrans)>) -> Inserted {
-        let hash = cfg.cached_hash();
+    /// Admission under the global budget. The counter may transiently
+    /// overshoot by the number of racing workers; the losing increments are
+    /// rolled back and never admit a configuration.
+    fn admit(&self) -> bool {
+        if self.admitted.fetch_add(1, Ordering::Relaxed) < self.max_configs {
+            return true;
+        }
+        self.admitted.fetch_sub(1, Ordering::Relaxed);
+        self.truncated.store(true, Ordering::Relaxed);
+        false
+    }
+
+    /// Inserts the encoded configuration `cfg` (content hash `hash`) into
+    /// its shard, recording `parent` as its discovery edge if it is new.
+    fn insert(&self, cfg: &[u32], hash: u64, parent: Option<(Gid, u32, CTrans)>) -> Interned<Gid> {
         let s = shard_of(hash);
         let mut guard = self.shards[s].lock();
         let shard = &mut *guard;
-        if let Some(slots) = shard.buckets.get(&hash) {
-            for &slot in slots {
-                if &shard.configs[slot as usize] == cfg {
-                    return Inserted::Existing(gid(s, slot));
-                }
+        match shard.arena.intern(cfg, hash, || self.admit()) {
+            Interned::New(slot) => {
+                shard.parents.push(parent);
+                Interned::New(gid(s, slot))
             }
+            Interned::Existing(slot) => Interned::Existing(gid(s, slot)),
+            Interned::Refused => Interned::Refused,
         }
-        // Admission under the global budget. The counter may transiently
-        // overshoot by the number of racing workers; the losing increments
-        // are rolled back and never admit a configuration.
-        let n = self.admitted.fetch_add(1, Ordering::Relaxed);
-        if n >= self.max_configs {
-            self.admitted.fetch_sub(1, Ordering::Relaxed);
-            self.truncated.store(true, Ordering::Relaxed);
-            return Inserted::Truncated;
-        }
-        let slot = u32::try_from(shard.configs.len()).expect("shard overflow");
-        shard.buckets.entry(hash).or_default().push(slot);
-        shard.configs.push(cfg.clone());
-        shard.parents.push(parent);
-        Inserted::New(gid(s, slot))
     }
 
     /// Expands one job: classify it, admit its successors, queue the fresh
-    /// ones on the worker's own deque. `succs` is the worker's reusable
-    /// expansion buffer (one allocation per worker, not per configuration).
-    fn process(
-        &self,
-        job: Job,
-        local: &Worker<Job>,
-        succs: &mut Vec<(PackedConfig, u32, CTrans)>,
-        out: &mut WorkerOut,
-    ) {
-        self.sys.expand(&job.cfg, self.bound, true, succs);
-        out.transitions += succs.len();
-
-        let is_final = self.sys.is_final(&job.cfg);
-        let unspec = self.sys.has_unspecified_reception(&job.cfg);
-        if succs.is_empty() && !is_final {
-            if let Some(kind) = self.sys.classify_terminal(&job.cfg, unspec) {
-                out.found.push((kind, job.gid));
-            }
+    /// ones on the worker's own deque.
+    fn process(&self, job: Job, local: &Worker<Job>, scratch: &mut Scratch, out: &mut WorkerOut) {
+        let Scratch { ex, next } = scratch;
+        self.sys.expand(&job.cfg, self.bound, true, ex);
+        out.transitions += ex.steps.len();
+        if ex.is_final {
+            out.finals.push(job.gid);
         }
-        if unspec {
-            out.found.push((ViolationKind::UnspecifiedReception, job.gid));
-        }
+        out.stuck |= !ex.is_final && ex.steps.is_empty();
+        out.found
+            .extend(ex.violations.iter().map(|&kind| (kind, job.gid)));
 
-        let raw_succs = succs.len();
-        let mut list = Vec::with_capacity(succs.len());
-        for (next, machine, trans) in succs.drain(..) {
-            match self.insert(&next, Some((job.gid, machine, trans))) {
-                Inserted::New(g) => {
+        for &step in &ex.steps {
+            next.clear();
+            self.sys.write_successor(&job.cfg, ex, step, next);
+            let parent = Some((job.gid, step.machine, step.trans));
+            let g = match self.insert(next, hash_words(next), parent) {
+                Interned::New(g) => {
                     // Count the token *before* the job becomes stealable so
                     // `in_flight` can never under-report outstanding work.
                     self.in_flight.fetch_add(1, Ordering::AcqRel);
-                    local.push(Job { gid: g, cfg: next });
-                    list.push(g);
+                    local.push(Job {
+                        gid: g,
+                        cfg: next.as_slice().into(),
+                    });
+                    g
                 }
-                Inserted::Existing(g) => list.push(g),
-                Inserted::Truncated => {}
+                Interned::Existing(g) => g,
+                Interned::Refused => continue,
+            };
+            // Once truncated the fixpoint is skipped, so edges are dead.
+            if !self.truncated.load(Ordering::Relaxed) {
+                out.edges.push((job.gid, g));
             }
         }
-        out.expanded.push(ExpandRecord {
-            gid: job.gid,
-            succs: list,
-            raw_succs,
-            is_final,
-        });
     }
 
     /// Steals one job, preferring the shared injector over peer deques.
@@ -270,12 +261,12 @@ impl<'a> Pool<'a> {
         let _guard = DoneOnUnwind(&self.done);
 
         let mut backoff = Backoff::new();
-        let mut succs: Vec<(PackedConfig, u32, CTrans)> = Vec::new();
+        let mut scratch = Scratch::default();
         loop {
             match local.pop().or_else(|| self.steal(stealers)) {
                 Some(job) => {
                     backoff.reset();
-                    self.process(job, local, &mut succs, out);
+                    self.process(job, local, &mut scratch, out);
                     if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
                         self.done.store(true, Ordering::Release);
                     }
@@ -318,14 +309,13 @@ impl CompiledSystem {
         // Seed: the initial configuration is always admitted (max_configs
         // >= 1 here) and enters through the injector.
         let init = self.initial_config();
-        let seed = match pool.insert(&init, None) {
-            Inserted::New(g) => g,
-            _ => unreachable!("fresh pool admits the initial configuration"),
+        let Interned::New(seed) = pool.insert(&init, hash_words(&init), None) else {
+            unreachable!("fresh pool admits the initial configuration");
         };
         pool.in_flight.store(1, Ordering::Release);
         pool.injector.push(Job {
             gid: seed,
-            cfg: init,
+            cfg: init.into_boxed_slice(),
         });
 
         let workers: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
@@ -361,38 +351,19 @@ impl CompiledSystem {
         let shards: Vec<Shard> = pool.shards.into_iter().map(Mutex::into_inner).collect();
 
         // Dense re-indexing: prefix offsets turn a (shard, slot) gid into a
-        // contiguous index for the fixpoint's side arrays.
+        // contiguous index for the fixpoint.
         let mut offsets = Vec::with_capacity(SHARDS);
         let mut total = 0usize;
         for shard in &shards {
             offsets.push(total);
-            total += shard.configs.len();
+            total += shard.arena.len();
         }
-        let dense = |g: Gid| offsets[gid_shard(g)] + gid_slot(g);
+        let dense = |g: Gid| (offsets[gid_shard(g)] + gid_slot(g) as usize) as u32;
 
-        let mut transitions = 0usize;
-        let mut found: Vec<(ViolationKind, Gid)> = Vec::new();
-        let mut final_reachable = false;
-        let mut live = true;
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); total];
-        let mut final_dense: Vec<u32> = Vec::new();
+        let transitions = outs.iter().map(|out| out.transitions).sum();
+        let final_reachable = outs.iter().any(|out| !out.finals.is_empty());
+        let mut live = !outs.iter().any(|out| out.stuck);
         let truncated = pool.truncated.load(Ordering::Relaxed);
-
-        for out in outs {
-            transitions += out.transitions;
-            found.extend(out.found);
-            for rec in out.expanded {
-                let idx = dense(rec.gid) as u32;
-                if rec.is_final {
-                    final_reachable = true;
-                    final_dense.push(idx);
-                }
-                live &= rec.is_final || rec.raw_succs > 0;
-                for &succ in &rec.succs {
-                    preds[dense(succ)].push(idx);
-                }
-            }
-        }
 
         // Liveness, second half (identical to the sequential engines): when
         // the protocol can terminate and the bounded state space was fully
@@ -401,25 +372,33 @@ impl CompiledSystem {
         // terminal configurations are reachable from where, so running the
         // fixpoint on the reduced graph yields the full graph's answer.
         if final_reachable && live && !truncated {
-            live = all_can_finish(&preds, final_dense);
+            let edges = outs
+                .iter()
+                .flat_map(|out| &out.edges)
+                .map(|&(from, to)| (dense(from), dense(to)));
+            let (pred_offsets, preds) = predecessors(total, edges);
+            let finals = outs.iter().flat_map(|out| &out.finals).map(|&g| dense(g));
+            live = all_can_finish(&pred_offsets, &preds, finals.collect());
         }
 
         // Materialise violations: decode each offending configuration and
         // walk its discovery edges back to the root. Sorting puts repeated
         // runs (whose worker interleavings differ) in one canonical order.
-        let mut violations: Vec<Violation> = found
+        let config_of = |g: Gid| self.decode(shards[gid_shard(g)].arena.config(gid_slot(g)));
+        let mut violations: Vec<Violation> = outs
             .into_iter()
+            .flat_map(|out| out.found)
             .map(|(kind, g)| {
-                let config = self.decode(&shards[gid_shard(g)].configs[gid_slot(g)]);
+                let config = config_of(g);
                 let mut trace: Vec<TraceStep> = Vec::new();
                 let mut cur = g;
                 while let Some((parent, machine, trans)) =
-                    shards[gid_shard(cur)].parents[gid_slot(cur)]
+                    shards[gid_shard(cur)].parents[gid_slot(cur) as usize]
                 {
                     trace.push(TraceStep {
                         role: self.roles()[machine as usize].clone(),
                         action: self.action(trans),
-                        config: self.decode(&shards[gid_shard(cur)].configs[gid_slot(cur)]),
+                        config: config_of(cur),
                     });
                     cur = parent;
                 }

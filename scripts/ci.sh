@@ -3,7 +3,8 @@
 # a crate graph that keeps the oracles out of the server's dependencies,
 # zero compiler and rustdoc warnings, every crate's tests in both profiles,
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
-# smoke run, and tcp_short must clear a floor no timer can), and a
+# smoke run, tcp_short must clear a floor no timer can, and every verdict of
+# the full register list must hold), and a
 # bench-report smoke run, which checks its own families against their floors
 # and exits non-zero on a breach.
 set -euo pipefail
@@ -109,6 +110,13 @@ echo "tcp_short ops_per_s: ${ops_per_s:-unreadable}"
     echo "tcp_short is below the front-door floor: $tcp_short" >&2
     exit 1
 }
+
+echo "== register verdict table (every registration of the full list)"
+# `--smoke` registers only the quick entries (chains of at most 4 roles), so
+# this is the step that checks chain8's `Safe` and the six larger chains'
+# `Inconclusive` at the default budget. A wrong verdict exits non-zero
+# (~2 s on the 2-vCPU reference box).
+"${benchmark[@]}" --workload register --seed 1 --seconds 1 --trace 0 | tail -n 1
 
 echo "== bench-report smoke (engine-vs-oracle families against their floors)"
 # Also the explore_parallel smoke suite: the family runs the work-stealing
