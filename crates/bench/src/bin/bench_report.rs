@@ -26,9 +26,11 @@
 //! * `batch_step` — the columnar [`SessionBatch`] vs per-session compiled
 //!   tasks under a [`CompiledMonitor`] (the slab configuration), per action,
 //!   each population quiet and (`/recorded`) recording its traces;
-//! * `batch_occupancy` — a 512-slot [`SessionBatch`] holding a few
-//!   sessions vs the same sessions in a batch exactly their width: what
-//!   empty slots cost a pass; floor 0.8;
+//! * `batch_occupancy` — a [`SessionBatch`] grown to 512 slots by a burst
+//!   and then thinned to a few sessions vs the same sessions in a batch
+//!   exactly their width: what empty slots cost a pass; and (`grown`) 512
+//!   sessions admitted into a one-slot batch that doubles when full vs a
+//!   batch built at 512: what re-striding costs; floor 0.8;
 //! * `obs_overhead` — batch stepping with the shard's instruments attached
 //!   (admission events, per-quantum clock reads, cohort-width fold, wall
 //!   time per outcome) vs the bare loop; floor 0.85;
@@ -248,9 +250,10 @@ const FAMILIES: [Family; 12] = [
         floor: None,
         cases: batch_step,
     },
-    // A shard's batches have 512 slots and mostly hold a few sessions; a
-    // pass walks the live slots only, so capacity must cost (almost)
-    // nothing. 0.8 leaves room for a smoke run's noise.
+    // A shard's batch keeps the width a burst gave it and may then hold a
+    // few sessions; a pass walks the live slots only, so capacity must cost
+    // (almost) nothing, and growing by doubling must amortise. 0.8 leaves
+    // room for a smoke run's noise.
     Family {
         name: "batch_occupancy",
         oracle: "the same sessions in a batch exactly their width",
@@ -539,10 +542,14 @@ fn run_tree_session<T: Transport>(
     )
 }
 
-/// Admits a full population and steps it to the end.
+/// Admits a population — doubling the batch whenever it is full, as a
+/// shard does — and steps it to the end.
 fn run_batch(batch: &mut SessionBatch, width: usize) -> usize {
     for token in 0..width {
-        assert!(batch.admit(token as u64), "batch sized for the width");
+        if batch.is_full() {
+            batch.grow(2 * batch.capacity());
+        }
+        assert!(batch.admit(token as u64), "a grown batch has room");
     }
     let out = batch.run_quantum(usize::MAX);
     assert!(batch.is_empty(), "an unbounded quantum drains the batch");
@@ -796,16 +803,16 @@ fn batch_step(mode: &Mode) -> Vec<Case> {
     cases
 }
 
-/// Capacity a shard builds every batch with.
-const SHARD_BATCH_CAPACITY: usize = 512;
-
-/// Sparse batches: `w` sessions in a [`SHARD_BATCH_CAPACITY`]-slot batch vs
-/// the same `w` sessions in a `w`-slot one. The populations are the
-/// per-shard shapes of the serving workloads: 64 recorded looping sessions
-/// (`mem_long`) and a handful of short rings (one of `mem_mixed`'s many
-/// narrow batch keys). Both batches are reused across samples, so the
-/// sparse one's slots recycle out of order as a shard's do.
+/// Sparse batches: `w` sessions in a batch that a burst of 512 sessions
+/// grew to 512 slots vs the same `w` sessions in a `w`-slot one. The populations are
+/// the per-shard shapes of the serving workloads: 64 recorded looping
+/// sessions (`mem_long`) and a handful of short rings (one of `mem_mixed`'s
+/// many narrow batch keys). Both batches are reused across samples, so the
+/// sparse one's slots recycle out of order as a shard's do. Then the burst
+/// itself (`grown`): 512 rings admitted into a one-slot batch that doubles
+/// vs the same rings in a batch built at 512, both built afresh per sample.
 fn batch_occupancy(mode: &Mode) -> Vec<Case> {
+    let burst = 512;
     let long = mode.pick(256, 64);
     let populations = [
         ("fanout_loop/4", fanout_loop(4), Some(long), 64, true),
@@ -815,8 +822,8 @@ fn batch_occupancy(mode: &Mode) -> Vec<Case> {
     for (case, g, max_steps, width, record) in populations {
         let fixture = Fixture::new(&g);
         let options = quiet(max_steps).record_actions(record);
-        let mut sparse =
-            SessionBatch::new(fixture.layout(), options.clone(), SHARD_BATCH_CAPACITY);
+        let mut sparse = SessionBatch::new(fixture.layout(), options.clone(), 1);
+        run_batch(&mut sparse, burst);
         let mut full = SessionBatch::new(fixture.layout(), options, width);
         let actions = run_batch(&mut full, width);
         assert!(actions > 0, "{case}: the batch made no progress");
@@ -829,12 +836,25 @@ fn batch_occupancy(mode: &Mode) -> Vec<Case> {
             let batch = if engine { &mut sparse } else { &mut full };
             std::hint::black_box(run_batch(batch, width));
         });
-        let recorded = if record { "/recorded" } else { "" };
+        let (cap, recorded) = (sparse.capacity(), if record { "/recorded" } else { "" });
         cases.push(Case::new(
-            format!("{case}/w{width}/cap{SHARD_BATCH_CAPACITY}/actions{actions}{recorded}/peraction"),
+            format!("{case}/w{width}/cap{cap}/actions{actions}{recorded}/peraction"),
             (stats.0.per(actions), stats.1.per(actions)),
         ));
     }
+    let fixture = Fixture::new(&generators::ring_n(4));
+    let options = quiet(None);
+    let fresh = |capacity| SessionBatch::new(fixture.layout(), options.clone(), capacity);
+    let actions = run_batch(&mut fresh(1), burst);
+    assert_eq!(actions, run_batch(&mut fresh(burst), burst));
+    let stats = sample_pair(mode, |engine| {
+        let mut batch = fresh(if engine { 1 } else { burst });
+        std::hint::black_box(run_batch(&mut batch, burst));
+    });
+    cases.push(Case::new(
+        format!("grown/ring/4/w{burst}/from1/actions{actions}/peraction"),
+        (stats.0.per(actions), stats.1.per(actions)),
+    ));
     cases
 }
 

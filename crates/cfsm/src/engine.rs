@@ -1073,8 +1073,9 @@ pub(crate) fn all_can_finish(offsets: &[usize], preds: &[u32], final_indices: Ve
 ///
 /// Cursors are created by [`CompiledSystem::monitor_cursor`] and advanced by
 /// [`CompiledSystem::observe`]; cloning or comparing one never touches a
-/// string.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// string. The default cursor belongs to no system and allocates nothing: a
+/// placeholder for a cell no session uses, never one to observe with.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MonitorCursor {
     states: Vec<u32>,
     queues: Vec<VecDeque<MsgId>>,

@@ -32,11 +32,14 @@
 //! A pass visits live endpoints only. The batch keeps its occupied slots
 //! in one dense, ascending list, and every per-pass loop — the cohort
 //! gather, the post-pass settle and the end-of-quantum trace append —
-//! walks that list, never the whole slot range. Capacity bounds the
-//! columns' memory, not a pass's work: a 512-slot batch holding four
-//! sessions steps them as cheaply as a 4-slot batch would. Ascending slot
-//! order is also the order the cohorts, the `finished` and the `demoted`
-//! lists come out in.
+//! walks that list, never the whole slot range, so empty slots cost memory
+//! and no work. The columns are as wide as the traffic asks:
+//! [`SessionBatch::grow`] re-strides every column to a larger capacity,
+//! each session keeping its slot, its values and its frames in flight, so
+//! a batch can start at one slot and double when it is full (CAST's
+//! guard: the columnar form pays on long streams, so size the columns to
+//! the stream). Ascending slot order is also the order the cohorts, the
+//! `finished` and the `demoted` lists come out in.
 //!
 //! Every lowered cast has a layout: [`BatchLayout::new`] only checks that
 //! there is one program per role, in role order. The batch then runs
@@ -361,10 +364,24 @@ struct Performed {
     accepted: bool,
 }
 
-/// Sets a column's length, keeping no more memory than that length needs.
-fn refit<T: Clone>(column: &mut Vec<T>, len: usize, value: T) {
-    column.resize(len, value);
-    column.shrink_to_fit();
+/// Widens a column of `rows` rows of `old` cells to rows of `cap` cells:
+/// every cell moves to the same row and offset, and the new cells are
+/// `fill()`.
+fn restride<T>(
+    column: &mut Vec<T>,
+    rows: usize,
+    old: usize,
+    cap: usize,
+    mut fill: impl FnMut() -> T,
+) {
+    debug_assert_eq!(column.len(), rows * old);
+    let mut cells = mem::take(column).into_iter();
+    let mut wider = Vec::with_capacity(rows * cap);
+    for _ in 0..rows {
+        wider.extend(cells.by_ref().take(old));
+        wider.extend(std::iter::repeat_with(&mut fill).take(cap - old));
+    }
+    *column = wider;
 }
 
 /// The [`BatchQuantum::cohort_widths`] bucket of a cohort `width` sessions
@@ -416,7 +433,7 @@ fn site_erasure(layout: &BatchLayout, r: usize, event: u32, send: bool, value: &
     }
 }
 
-/// A fixed-capacity population of homogeneous sessions stepped in columns.
+/// A growable population of homogeneous sessions stepped in columns.
 ///
 /// All sessions share one [`BatchLayout`] and one [`ExecOptions`]; their
 /// mutable state lives in struct-of-arrays columns indexed by session slot.
@@ -470,73 +487,81 @@ pub struct SessionBatch {
 }
 
 impl SessionBatch {
-    /// Creates an empty batch of the given capacity (at least 1).
+    /// Creates an empty batch with room for `capacity` sessions (at least
+    /// 1). [`SessionBatch::grow`] widens it later, so a caller can start it
+    /// at one slot and let its traffic size it.
     pub fn new(layout: Arc<BatchLayout>, options: ExecOptions, capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        let cursor = layout.system.monitor_cursor();
+        let n = layout.roles.len();
         let mut batch = SessionBatch {
-            layout: Arc::clone(&layout),
-            options: options.clone(),
             record: options.record_actions,
-            cap,
-            tokens: vec![0; cap],
+            options,
+            cap: 0,
+            tokens: Vec::new(),
             live_slots: Vec::new(),
-            free: (0..cap as u32).rev().collect(),
-            cursors: vec![cursor; cap],
-            traces: vec![Trace::empty(); cap],
-            logs: (0..cap).map(|_| Vec::new()).collect(),
-            violations: vec![Vec::new(); cap],
-            accepted: vec![0; cap],
-            observed: vec![0; cap],
-            demote: vec![false; cap],
-            progress: vec![false; cap],
+            free: Vec::new(),
+            cursors: Vec::new(),
+            traces: Vec::new(),
+            logs: Vec::new(),
+            violations: Vec::new(),
+            accepted: Vec::new(),
+            observed: Vec::new(),
+            demote: Vec::new(),
+            progress: Vec::new(),
             pcs: Vec::new(),
             steps: Vec::new(),
             statuses: Vec::new(),
             actions: Vec::new(),
             externals: Vec::new(),
-            slots: Vec::new(),
+            slots: (0..n).map(|_| Vec::new()).collect(),
             queues: Vec::new(),
             scratch: Vec::new(),
             settling: Vec::new(),
+            layout,
         };
-        // The endpoint columns are sized by the layout.
-        batch.rekey(layout, options);
+        batch.grow(capacity.max(1));
         batch
     }
 
-    /// Gives an empty batch to another layout and options, keeping its
-    /// capacity and reusing its columns' memory: a shard hands the slot of
-    /// an idle batch to a new key this way, rewriting the columns in place
-    /// instead of freeing one batch and faulting in the next.
+    /// Widens every column to `capacity` slots. Each session keeps its
+    /// slot, so the live list, cohort order and outcome order are
+    /// unchanged, and its values, externals and frames in flight move with
+    /// it: session columns are extended, and endpoint columns, value
+    /// columns and the frame arena are re-strided row by row. The new
+    /// slots are claimed after the free ones, lowest first. Unclaimed slots
+    /// hold placeholders that allocate nothing.
     ///
     /// # Panics
     ///
-    /// If a session is live.
-    pub fn rekey(&mut self, layout: Arc<BatchLayout>, options: ExecOptions) {
-        assert!(self.is_empty(), "only an empty batch changes layout");
-        // Release left every endpoint cell scrubbed (no status, no actions,
-        // unit slots), and admission sets the rest. Each column keeps the
-        // memory the new layout needs and gives back the rest, and the arena
-        // drops the frame buffers earlier sessions grew: a slot that once
-        // held the widest key must not hold its memory for every later one.
-        let (cap, n) = (self.cap, layout.roles.len());
-        refit(&mut self.pcs, n * cap, 0);
-        refit(&mut self.steps, n * cap, 0);
-        refit(&mut self.statuses, n * cap, None);
-        refit(&mut self.actions, n * cap, Vec::new());
-        let externals = if layout.calls_externals { n * cap } else { 0 };
-        self.externals.clear();
-        refit(&mut self.externals, externals, Externals::new());
-        self.slots.resize_with(n, Vec::new);
-        for (column, &count) in self.slots.iter_mut().zip(&layout.slot_counts) {
-            refit(column, count * cap, Value::Unit);
+    /// If `capacity` is not larger than [`SessionBatch::capacity`].
+    pub fn grow(&mut self, capacity: usize) {
+        let (old, cap) = (self.cap, capacity);
+        assert!(cap > old, "a batch only grows");
+        let n = self.layout.roles.len();
+        self.tokens.resize(cap, 0);
+        self.cursors.resize_with(cap, MonitorCursor::default);
+        self.traces.resize_with(cap, Trace::empty);
+        self.logs.resize_with(cap, Vec::new);
+        self.violations.resize_with(cap, Vec::new);
+        self.accepted.resize(cap, 0);
+        self.observed.resize(cap, 0);
+        self.demote.resize(cap, false);
+        self.progress.resize(cap, false);
+        restride(&mut self.pcs, n, old, cap, || 0);
+        restride(&mut self.steps, n, old, cap, || 0);
+        restride(&mut self.statuses, n, old, cap, || None);
+        restride(&mut self.actions, n, old, cap, Vec::new);
+        if self.layout.calls_externals {
+            restride(&mut self.externals, n, old, cap, Externals::new);
         }
-        self.queues.clear();
-        refit(&mut self.queues, n * n * cap, FrameQueue::default());
-        self.record = options.record_actions;
-        self.layout = layout;
-        self.options = options;
+        for (column, &count) in self.slots.iter_mut().zip(&self.layout.slot_counts) {
+            restride(column, count, old, cap, || Value::Unit);
+        }
+        restride(&mut self.queues, n * n, old, cap, FrameQueue::default);
+        // The free list is a stack: the new slots go under it, lowest on top.
+        let mut free: Vec<u32> = (old as u32..cap as u32).rev().collect();
+        free.append(&mut self.free);
+        self.free = free;
+        self.cap = cap;
     }
 
     /// The shared layout the batch runs.
@@ -1138,7 +1163,7 @@ impl SessionBatch {
         }
         let monitor = CompiledMonitor::resume(
             Arc::clone(&layout.system),
-            mem::replace(&mut self.cursors[s], layout.system.monitor_cursor()),
+            mem::take(&mut self.cursors[s]),
             mem::replace(&mut self.traces[s], Trace::empty()),
             self.accepted[s],
             mem::take(&mut self.violations[s]),
@@ -1309,16 +1334,23 @@ mod tests {
             state ^= state << 17;
             state % bound
         };
-        let mut batch = SessionBatch::new(ticker(), ExecOptions::with_max_steps(6), 16);
+        let mut batch = SessionBatch::new(ticker(), ExecOptions::with_max_steps(6), 1);
         let mut inside = std::collections::BTreeSet::new();
         let mut token = 0u64;
         for _ in 0..2_000 {
+            // Grown at random steps, with sessions and frames in flight.
+            if batch.capacity() < 64 && next(12) == 0 {
+                let wider = batch.capacity() + 1 + next(batch.capacity() as u64) as usize;
+                batch.grow(wider);
+                check(&batch, &inside);
+            }
             match next(10) {
                 0..=4 => {
                     if batch.admit(token) {
                         inside.insert(token);
                     } else {
-                        assert_eq!(inside.len(), 16, "admission fails only when full");
+                        let full = batch.capacity();
+                        assert_eq!(inside.len(), full, "admission fails only when full");
                     }
                     token += 1;
                 }

@@ -946,53 +946,96 @@ fn value_flow_matches_through_columns() {
 }
 
 #[test]
-fn a_batch_rekeyed_to_other_casts_agrees() {
-    // A shard hands an idle batch to a new key in place, resizing its
-    // columns for the new layout instead of allocating new ones. Casts run
-    // one after another in one batch — fewer roles, more, then fewer again
-    // — must each match their stand-alone run.
-    let cases: Vec<(&str, GlobalType, ExecOptions)> = vec![
-        ("ring8", generators::ring_n(8), ExecOptions::default()),
-        ("two_buyer", generators::two_buyer(), ExecOptions::default()),
+fn a_batch_grown_mid_flight_agrees() {
+    // A shard's batch starts at one slot and doubles when it is full.
+    // Sessions admitted one by one between short quanta make every doubling
+    // re-stride columns holding live sessions, slot values and frames in
+    // flight; before each doubling one live session is taken out, and after
+    // it that session is restored into the wider batch. Every session must
+    // still match its stand-alone run.
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let ticker = GlobalType::rec(GlobalType::msg1(
+        p.clone(),
+        q.clone(),
+        "tick",
+        Sort::Nat,
+        GlobalType::var(0),
+    ));
+    let sourced = vec![
         (
-            "pipeline",
-            generators::pipeline(),
-            ExecOptions::with_max_steps(12),
+            p.clone(),
+            Proc::loop_(Proc::read(
+                "src",
+                "x",
+                Proc::send(q.clone(), "tick", Expr::var("x"), Proc::Jump(0)),
+            )),
         ),
         (
-            "ring3",
-            generators::ring3(),
-            ExecOptions::default().record_actions(false),
+            q.clone(),
+            Proc::loop_(Proc::recv1(p.clone(), "tick", Sort::Nat, "x", Proc::Jump(0))),
         ),
     ];
-    let mut reused: Option<SessionBatch> = None;
-    for (name, g, options) in cases {
+    let mut source = Externals::new();
+    source.register_read("src", Sort::Nat, || Value::Nat(7));
+    let none = Externals::new();
+    let skeleton = |g: GlobalType| {
         let procs = skeleton_endpoints(&g).expect("case studies synthesize");
-        let reference = run_reference(&g, &procs, &options, true);
-        let layout = make_layout(&g, &procs, &Externals::new()).expect("one program per role");
-        let batch = match &mut reused {
-            Some(batch) => {
-                batch.rekey(Arc::clone(&layout), options.clone());
-                batch
+        (g, procs)
+    };
+    let cases = vec![
+        ("ring8", skeleton(generators::ring_n(8)), ExecOptions::default(), &none),
+        ("two_buyer", skeleton(generators::two_buyer()), ExecOptions::default(), &none),
+        ("pipeline", skeleton(generators::pipeline()), ExecOptions::with_max_steps(12), &none),
+        ("externals", (ticker, sourced), ExecOptions::with_max_steps(6), &source),
+        (
+            "untraced",
+            skeleton(generators::ring3()),
+            ExecOptions::default().record_actions(false),
+            &none,
+        ),
+    ];
+    for (name, (g, procs), options, externals) in cases {
+        let reference = run_reference_with(&g, &procs, &options, true, (externals, externals));
+        let layout = make_layout(&g, &procs, externals).expect("one program per role");
+        let per_role = vec![externals.clone(); layout.roles().len()];
+        let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 1);
+        let mut results: Vec<(u64, Observed)> = Vec::new();
+        let mut collect = |out: zooid_runtime::cbatch::BatchQuantum| {
+            for outcome in out.finished {
+                results.push((outcome.token, observed_outcome(outcome)));
             }
-            None => reused.insert(SessionBatch::new(Arc::clone(&layout), options.clone(), 16)),
+            for demoted in out.demoted {
+                results.push((demoted.token, finish_demoted(demoted, &layout)));
+            }
         };
-        let mut results = Vec::new();
-        for token in 0..16 {
-            assert!(batch.admit(token));
+        let (mut doublings, mut moved) = (0, 0);
+        for token in 0..40u64 {
+            if batch.is_full() {
+                // A session restored from a demotion runs with no external
+                // actions, so only a cast that calls none moves one.
+                let carried = (!layout.calls_externals())
+                    .then(|| (0..token).rev().find_map(|t| batch.demote_now(t)))
+                    .flatten();
+                batch.grow(2 * batch.capacity());
+                doublings += 1;
+                if let Some(demoted) = carried {
+                    batch.restore(demoted);
+                    moved += 1;
+                }
+            }
+            assert!(batch.admit_with_externals(token, per_role.clone()));
+            collect(batch.run_quantum(3));
         }
-        let mut out = batch.run_quantum(3);
-        out.finished.extend(batch.run_quantum(usize::MAX).finished);
-        assert!(
-            batch.is_empty(),
-            "{name}: an unbounded quantum drains the batch"
-        );
-        for outcome in out.finished {
-            results.push(observed_outcome(outcome));
+        collect(batch.run_quantum(usize::MAX));
+        assert!(batch.is_empty(), "{name}: an unbounded quantum drains the batch");
+        assert!(doublings >= 3, "{name}: the batch doubled {doublings} times");
+        if !layout.calls_externals() {
+            assert!(moved > 0, "{name}: no session was live at a doubling");
         }
-        assert_eq!(results.len(), 16, "{name}: every session reports");
-        for observed in results {
-            assert_eq!(observed, reference, "{name}");
+        results.sort_by_key(|(token, _)| *token);
+        assert_eq!(results.len(), 40, "{name}: every session reports");
+        for (t, observed) in results {
+            assert_eq!(observed, reference, "{name}: session {t} diverges");
         }
     }
 }

@@ -37,7 +37,8 @@
 //!   count while sessions number in the tens of thousands. A shard has one
 //!   executor: every session runs in a **columnar batch**
 //!   ([`zooid_engine::SessionBatch`]) with the sessions of its key — same
-//!   protocol, same compiled per-role programs, same options. The
+//!   protocol, same compiled per-role programs, same options — one batch
+//!   per key, which starts at one slot and doubles when it is full. The
 //!   invariant skeleton is shared once and the per-session state lives in
 //!   struct-of-arrays columns stepped in `(role, pc)` cohorts, with
 //!   co-batched sends as index writes into a shared frame arena and

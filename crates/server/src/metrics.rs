@@ -81,6 +81,9 @@ instruments! {
     quanta: sum = "quanta",
     /// Largest run-queue depth observed.
     peak_queue_depth: max = "peak_queue",
+    /// Largest sum of batch capacities the shard has held: the session
+    /// slots its batch columns were sized for at their widest.
+    peak_batch_slots: max = "peak_batch_slots",
     /// Sessions admitted into one of the shard's batches, migrated arrivals
     /// included: every session that runs.
     sessions_batched: sum = "batched",
@@ -510,6 +513,7 @@ mod tests {
                     actions_executed: 20,
                     quanta: 5,
                     peak_queue_depth: 2,
+                    peak_batch_slots: 4,
                     sessions_batched: 2,
                     sessions_slab: 1,
                     sessions_demoted: 1,
@@ -527,6 +531,7 @@ mod tests {
                     actions_executed: 12,
                     quanta: 4,
                     peak_queue_depth: 1,
+                    peak_batch_slots: 8,
                     sessions_batched: 4,
                     sessions_slab: 0,
                     sessions_demoted: 0,
@@ -581,6 +586,7 @@ mod tests {
                 actions_executed: 30,
                 quanta: 5,
                 peak_queue_depth: 1,
+                peak_batch_slots: 0,
                 sessions_batched: 0,
                 sessions_slab: 5,
                 sessions_demoted: 0,
@@ -677,6 +683,7 @@ mod tests {
                     actions_executed: 42,
                     quanta: 9,
                     peak_queue_depth: 4,
+                    peak_batch_slots: 8,
                     sessions_batched: 5,
                     sessions_slab: 2,
                     sessions_demoted: 1,
@@ -844,13 +851,13 @@ mod tests {
             }
         }
 
-        // (c) Every total is the per-shard sum — the largest, for the one
-        // `max` row — and the scrape prints it.
+        // (c) Every total is the per-shard sum — the largest, for the `max`
+        // rows — and the scrape prints it.
         assert_eq!(ServerReport::TOTALS.len(), ShardInstruments::COUNTERS.len());
         for ((name, total), row) in ServerReport::TOTALS.iter().zip(ShardInstruments::COUNTERS) {
             assert_eq!(*name, row.name);
             let per_shard = report.shards.shards.iter().map(|s| *(row.get)(s));
-            let expected: u64 = if row.name == "peak_queue_depth" {
+            let expected: u64 = if ["peak_queue_depth", "peak_batch_slots"].contains(&row.name) {
                 per_shard.max().unwrap()
             } else {
                 per_shard.sum()

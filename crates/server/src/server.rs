@@ -447,16 +447,6 @@ fn shard_of(id: SessionId, shards: usize) -> usize {
     (hasher.finish() as usize) % shards.max(1)
 }
 
-/// Maximum sessions one [`SessionBatch`] holds before the next session of
-/// its key opens a new batch. A ceiling, not a per-pass cost: a pass walks
-/// the batch's live sessions only, so a batch holding a few sessions steps
-/// them as cheaply as one sized to fit them; the capacity bounds memory.
-const BATCH_CAPACITY: usize = 512;
-/// Cap on the number of full-capacity batches a shard keeps. At the cap a
-/// new batch key takes over the slot of an idle batch; while every batch
-/// holds live sessions it gets a one-session batch of its own instead.
-const MAX_BATCHES: usize = 64;
-
 /// One columnar batch hosted by a shard. The key that decides which sessions
 /// may coalesce into it: same protocol, same compiled per-role programs (the
 /// batch's layout is cached per program set, so pointer equality is the
@@ -467,48 +457,6 @@ struct ShardBatch {
     /// Whether the batch currently has an entry in the run queue (batches
     /// are queued once, not once per member session).
     queued: bool,
-}
-
-/// The batch a session of this key joins: an open one with the same key
-/// and room, else a new one — in a new slot while the shard is under
-/// [`MAX_BATCHES`], in the slot of an idle batch (empty, hence not in the
-/// run queue) once it is at the cap, and in a new one-session slot past the
-/// cap while every batch holds live sessions. An idle batch keeps its
-/// capacity and its memory when a new key takes its slot over.
-fn batch_for(
-    batches: &mut Vec<ShardBatch>,
-    protocol: ProtocolId,
-    layout: Arc<BatchLayout>,
-    options: &ExecOptions,
-) -> usize {
-    let existing = batches.iter().position(|b| {
-        b.protocol == protocol
-            && Arc::ptr_eq(b.batch.layout(), &layout)
-            && b.batch.options() == options
-            && !b.batch.is_full()
-    });
-    if let Some(slot) = existing {
-        return slot;
-    }
-    if batches.len() >= MAX_BATCHES {
-        if let Some(slot) = batches.iter().position(|b| b.batch.is_empty() && !b.queued) {
-            let idle = &mut batches[slot];
-            idle.protocol = protocol;
-            idle.batch.rekey(layout, options.clone());
-            return slot;
-        }
-    }
-    let capacity = if batches.len() < MAX_BATCHES {
-        BATCH_CAPACITY
-    } else {
-        1
-    };
-    batches.push(ShardBatch {
-        protocol,
-        batch: SessionBatch::new(layout, options.clone(), capacity),
-        queued: false,
-    });
-    batches.len() - 1
 }
 
 /// Worker-local observability state: the shard's shared
@@ -580,12 +528,14 @@ impl WorkerObs {
 /// an unbounded looping protocol would otherwise keep the worker (and the
 /// server's `shutdown` join) alive forever.
 ///
-/// A run-queue entry is a **batch index**: up to [`BATCH_CAPACITY`]
-/// sessions of one key stepped together in `(role, pc)` cohorts over
-/// columnar state by [`SessionBatch::run_quantum`]. A batch is one queue
-/// entry however many sessions it holds; its quantum budget scales with its
-/// live population, so each session gets [`ServerConfig::quantum`] actions
-/// per pass through the queue.
+/// A run-queue entry is a **batch index**. A shard keeps one batch per key,
+/// which starts at one slot and doubles when it is full, so its columns are
+/// as wide as its key's traffic; its sessions step together in
+/// `(role, pc)` cohorts over columnar state by
+/// [`SessionBatch::run_quantum`]. A batch is one queue entry however many
+/// sessions it holds; its quantum budget scales with its live population,
+/// so each session gets [`ServerConfig::quantum`] actions per pass through
+/// the queue.
 ///
 /// A session is closed by its batch, from the state it already has: the
 /// batch closes its concluded and its permanently blocked sessions itself,
@@ -712,7 +662,7 @@ impl Shard {
         } else {
             Vec::new()
         };
-        let bi = batch_for(&mut self.batches, spec.protocol, layout, &spec.options);
+        let bi = self.batch_for(spec.protocol, layout, &spec.options);
         let admitted = self.batches[bi].batch.admit_with_externals(id.0, externals);
         debug_assert!(admitted, "batch_for found room");
         self.obs.on_admit(id, at);
@@ -728,10 +678,59 @@ impl Shard {
             .map(|e| Arc::clone(&e.program))
             .collect();
         let layout = self.registry[protocol].layout(programs);
-        let bi = batch_for(&mut self.batches, protocol, layout, &demoted.options);
+        let bi = self.batch_for(protocol, layout, &demoted.options);
         self.obs.on_admit(SessionId(demoted.token), at);
         self.batches[bi].batch.restore(demoted);
         self.enqueue(bi);
+    }
+
+    /// The batch a session of this key joins, with a free slot: the key's
+    /// batch, doubled if it is full, else a new one-slot batch. A new batch
+    /// takes the place of an idle one (empty, hence not in the run queue),
+    /// which is dropped with its columns, or a new place if none is idle.
+    /// An emptied batch stays with its key until then: a closed loop
+    /// empties and refills its batch between quanta.
+    fn batch_for(
+        &mut self,
+        protocol: ProtocolId,
+        layout: Arc<BatchLayout>,
+        options: &ExecOptions,
+    ) -> usize {
+        let batches = &mut self.batches;
+        let keyed = batches.iter().position(|b| {
+            b.protocol == protocol
+                && Arc::ptr_eq(b.batch.layout(), &layout)
+                && b.batch.options() == options
+        });
+        let bi = match keyed {
+            Some(bi) if !batches[bi].batch.is_full() => return bi,
+            Some(bi) => {
+                let batch = &mut batches[bi].batch;
+                batch.grow(2 * batch.capacity());
+                bi
+            }
+            None => {
+                let fresh = ShardBatch {
+                    protocol,
+                    batch: SessionBatch::new(layout, options.clone(), 1),
+                    queued: false,
+                };
+                match batches.iter().position(|b| b.batch.is_empty() && !b.queued) {
+                    Some(bi) => {
+                        batches[bi] = fresh;
+                        bi
+                    }
+                    None => {
+                        batches.push(fresh);
+                        batches.len() - 1
+                    }
+                }
+            }
+        };
+        let slots = batches.iter().map(|b| b.batch.capacity() as u64).sum();
+        let peak = &self.obs.shared.peak_batch_slots;
+        peak.fetch_max(slots, Ordering::Relaxed);
+        bi
     }
 
     /// Queues a batch that has just taken a session, unless it is queued.
@@ -1087,68 +1086,107 @@ mod tests {
         assert_eq!(report.actions_executed(), 9, "{report}");
     }
 
-    #[test]
-    fn an_idle_batch_gives_its_slot_to_a_new_key_at_the_cap() {
-        // 100 batch keys on one shard (the step limit is part of the key),
-        // each drained before the next arrives: past MAX_BATCHES the new
-        // key must take over an idle batch's slot, not grow the shard for
-        // the life of the server.
+    /// The registered `pipeline` and its cast under a step limit: the limit
+    /// is part of the batch key, so each limit is a key of its own.
+    fn pipeline_keys() -> (Arc<ProtocolRegistry>, impl Fn(usize) -> SessionSpec) {
         let mut registry = ProtocolRegistry::new();
         let id = registry
             .register(Protocol::new("pipeline", generators::pipeline()).unwrap())
             .unwrap();
         let endpoints = skeleton_endpoints(registry.get(id).unwrap().protocol()).unwrap();
-        let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
-        for max_steps in 1..=100 {
-            server
-                .submit(SessionSpec::new(id, endpoints.clone()).with_max_steps(max_steps))
-                .unwrap();
-            assert_eq!(server.drain().len(), 1);
-        }
-        let report = server.shutdown();
-        assert_eq!(report.sessions_batched(), 100, "{report}");
-        assert_eq!(report.sessions_slab(), 0, "{report}");
+        let spec = move |max_steps| SessionSpec::new(id, endpoints.clone()).with_max_steps(max_steps);
+        (Arc::new(registry), spec)
     }
 
-    #[test]
-    fn a_new_key_runs_batched_while_every_batch_is_live() {
-        // MAX_BATCHES keys admitted and none run yet, so every batch holds a
-        // live session: the next key gets a one-session batch past the cap
-        // rather than another executor, and once all have run, new keys
-        // take over idle slots instead of growing the shard further.
-        let mut registry = ProtocolRegistry::new();
-        let id = registry
-            .register(Protocol::new("pipeline", generators::pipeline()).unwrap())
-            .unwrap();
-        let endpoints = skeleton_endpoints(registry.get(id).unwrap().protocol()).unwrap();
-        let spec = |max_steps| SessionSpec::new(id, endpoints.clone()).with_max_steps(max_steps);
+    /// A shard over `registry`, stepped by hand.
+    fn hand_shard(registry: &Arc<ProtocolRegistry>) -> Shard {
         let (results, _outcomes) = unbounded();
         let instruments = Arc::new(ShardInstruments::new(registry.len()));
-        let config = ServerConfig::default();
-        let mut shard = Shard::new(Arc::new(registry), results, instruments, &config);
-        let now = Instant::now();
-        for n in 0..=MAX_BATCHES {
-            shard.admit(SessionId(n as u64), spec(n + 1), now);
-        }
-        assert_eq!(shard.batches.len(), MAX_BATCHES + 1);
-        assert_eq!(shard.batches[MAX_BATCHES].batch.capacity(), 1);
-        assert_eq!(shard.batches[MAX_BATCHES].batch.live_count(), 1);
+        Shard::new(Arc::clone(registry), results, instruments, &ServerConfig::default())
+    }
+
+    fn run_to_idle(shard: &mut Shard) {
         while let Some(bi) = shard.run_queue.pop_front() {
             shard.run_batch(bi);
         }
-        assert_eq!(shard.pending.len(), MAX_BATCHES + 1);
-        assert!(shard.pending.iter().all(|o| o.compliant && !o.quarantined));
-        for n in 0..2 {
-            shard.admit(SessionId(1_000 + n), spec(1_000 + n as usize), now);
+    }
+
+    #[test]
+    fn keys_that_run_one_after_another_share_one_batch_place() {
+        // 100 keys on one shard, each drained before the next arrives: every
+        // new key takes the idle batch's place, so the shard never holds two.
+        let (registry, spec) = pipeline_keys();
+        let mut shard = hand_shard(&registry);
+        for max_steps in 1..=100 {
+            shard.admit(SessionId(max_steps as u64), spec(max_steps), Instant::now());
+            run_to_idle(&mut shard);
         }
-        assert_eq!(
-            shard.batches.len(),
-            MAX_BATCHES + 1,
-            "idle slots are taken over"
-        );
+        assert_eq!(shard.batches.len(), 1);
+        assert_eq!(shard.pending.len(), 100);
+        assert_eq!(shard.obs.shared.report(0).peak_batch_slots, 1);
+    }
+
+    #[test]
+    fn a_burst_of_one_key_doubles_one_batch() {
+        let (registry, spec) = pipeline_keys();
+        let mut shard = hand_shard(&registry);
+        let now = Instant::now();
+        for n in 0..600 {
+            shard.admit(SessionId(n), spec(10), now);
+        }
+        assert_eq!(shard.batches.len(), 1);
+        assert_eq!(shard.batches[0].batch.capacity(), 1_024);
+        assert_eq!(shard.batches[0].batch.live_count(), 600);
+        assert_eq!(shard.run_queue.len(), 1);
+        run_to_idle(&mut shard);
+        assert_eq!(shard.pending.len(), 600);
+        assert!(shard.pending.iter().all(|o| o.compliant && !o.quarantined));
+        assert_eq!(shard.obs.shared.report(0).peak_batch_slots, 1_024);
+    }
+
+    #[test]
+    fn keys_live_at_once_get_a_batch_each_and_a_new_key_takes_an_idle_place() {
+        let (registry, spec) = pipeline_keys();
+        let mut shard = hand_shard(&registry);
+        let now = Instant::now();
+        for n in 0..65 {
+            shard.admit(SessionId(n as u64), spec(n + 1), now);
+        }
+        assert_eq!(shard.batches.len(), 65);
+        run_to_idle(&mut shard);
+        assert_eq!(shard.pending.len(), 65);
+        assert!(shard.pending.iter().all(|o| o.compliant && !o.quarantined));
+        shard.admit(SessionId(65), spec(66), now);
+        assert_eq!(shard.batches.len(), 65, "the 66th key takes an idle place");
         let report = shard.obs.shared.report(0);
-        assert_eq!(report.sessions_batched, MAX_BATCHES as u64 + 3);
-        assert_eq!(report.sessions_slab, 0);
+        assert_eq!(report.sessions_batched, 66);
+        assert_eq!(report.peak_batch_slots, 65);
+    }
+
+    #[test]
+    fn a_migrated_session_grows_the_full_batch_of_its_key() {
+        // Three sessions drained from one shard arrive at another whose
+        // batch of the same key is full at one slot: it doubles to hold
+        // them, and all four conclude there.
+        let (registry, spec) = pipeline_keys();
+        let (mut source, mut target) = (hand_shard(&registry), hand_shard(&registry));
+        let now = Instant::now();
+        for n in 0..3 {
+            source.admit(SessionId(n), spec(10), now);
+        }
+        target.admit(SessionId(3), spec(10), now);
+        for migrated in source.drain_for_migration() {
+            let checkpoint = SessionCheckpoint::decode(&migrated.bytes).unwrap();
+            let compiled = registry[migrated.protocol].compiled();
+            let demoted = checkpoint.into_demoted(&migrated.programs, compiled).unwrap();
+            target.restore(migrated.protocol, demoted, now);
+        }
+        assert_eq!(target.batches.len(), 1);
+        assert_eq!(target.batches[0].batch.capacity(), 4);
+        assert_eq!(target.batches[0].batch.live_count(), 4);
+        run_to_idle(&mut target);
+        assert_eq!(target.pending.len(), 4);
+        assert!(target.pending.iter().all(|o| o.compliant && !o.quarantined));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 # a crate graph that keeps the oracles out of the server's dependencies,
 # zero compiler and rustdoc warnings, every crate's tests in both profiles,
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
-# smoke run, tcp_short must clear a floor no timer can, and every verdict of
-# the full register list must hold), and a
+# smoke run, tcp_short must clear a floor no timer can, mem_mixed must stay
+# under a memory ceiling no fixed-width batch can, and every verdict of the
+# full register list must hold), and a
 # bench-report smoke run, which checks its own families against their floors
 # and exits non-zero on a breach.
 set -euo pipefail
@@ -108,6 +109,19 @@ ops_per_s="$(sed -n 's/.*"ops_per_s":{"value":\([0-9]*\).*/\1/p' <<<"$tcp_short"
 echo "tcp_short ops_per_s: ${ops_per_s:-unreadable}"
 [[ -n "$ops_per_s" && "$ops_per_s" -ge 50000 ]] || {
     echo "tcp_short is below the front-door floor: $tcp_short" >&2
+    exit 1
+}
+
+echo "== memory ceiling (mem_mixed peak_rss_mb <= 160)"
+# mem_mixed opens many narrow batch keys. Batches reserved at a fixed width
+# (512 slots, up to 64 per shard) whatever their key's traffic held 185-200
+# MB here on the 2-vCPU reference box; batches that start at one slot and
+# double when full hold 95-115 MB. The ceiling sits ~40 MB from both.
+mem_mixed="$("${benchmark[@]}" --workload mem_mixed --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+peak_rss_mb="$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p' <<<"$mem_mixed")"
+echo "mem_mixed peak_rss_mb: ${peak_rss_mb:-unreadable}"
+[[ -n "$peak_rss_mb" ]] && awk -v mb="$peak_rss_mb" 'BEGIN { exit !(mb <= 160) }' || {
+    echo "mem_mixed is above the memory ceiling: $mem_mixed" >&2
     exit 1
 }
 
