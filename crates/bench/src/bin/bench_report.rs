@@ -18,11 +18,6 @@
 //!   2 and 4 threads vs its own 1-thread run, after checking it reaches the
 //!   sequential reduced engine's verdict and visited count (bounded by the
 //!   CPUs the box grants: it records, it does not assume);
-//! * `endpoint_step` — the compiled endpoint executor
-//!   ([`CompiledEndpointTask`]) vs the tree-walking [`EndpointTask`], per
-//!   visible action, a no-op observer on both sides. Both are oracles: every
-//!   served session runs in a [`SessionBatch`], so no shard calls either,
-//!   and `batch_step` is the family that times the serving executor;
 //! * `batch_step` — the columnar [`SessionBatch`] vs per-session compiled
 //!   tasks under a [`CompiledMonitor`] (the slab configuration), per action,
 //!   each population quiet and (`/recorded`) recording its traces;
@@ -34,15 +29,12 @@
 //! * `obs_overhead` — batch stepping with the shard's instruments attached
 //!   (admission events, per-quantum clock reads, cohort-width fold, wall
 //!   time per outcome) vs the bare loop; floor 0.85;
-//! * `fault_overhead` — sessions behind an empty-plan [`FaultyTransport`]
-//!   vs the bare in-memory transport; floor 0.85;
-//! * `monitor_action` — [`CompiledMonitor`] vs the global-LTS
-//!   [`TraceMonitor`], per observed action;
+//! * `monitor_action` — the compiled monitor over actions interned once
+//!   ([`CompiledSystem::observe_interned`]: the transition rule the batch
+//!   applies per action, on a cursor's queues instead of the frame arena)
+//!   vs the global-LTS [`TraceMonitor`], per observed action;
 //! * `checkpoint_restore` — decode-and-recertify a [`SessionCheckpoint`] vs
-//!   recovery by replaying the session to the same quantum;
-//! * `wal_append` — bytes per logged action of the columnar
-//!   [`encode_quantum`] vs [`encode_quantum_naive`] (a count, not a timing);
-//!   floor 1.3.
+//!   recovery by replaying the session to the same quantum.
 //!
 //! There is one sampler, [`sample_pair`]: engine and oracle alternate inside
 //! one loop, so frequency scaling, cache evictions and the two-vCPU box's
@@ -70,10 +62,8 @@ use zooid_proc::{erase, CompiledProc, Externals, Proc};
 use zooid_runtime::cbatch::{BatchLayout, SessionBatch};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
 use zooid_runtime::checkpoint::SessionCheckpoint;
-use zooid_runtime::exec::{EndpointTask, ExecOptions, StepOutcome};
-use zooid_runtime::faults::{FaultPlan, FaultyTransport};
-use zooid_runtime::transport::{InMemoryNetwork, InMemoryTransport, Transport};
-use zooid_runtime::wal::{encode_quantum, encode_quantum_naive, WalIndexer};
+use zooid_runtime::exec::{ExecOptions, StepOutcome};
+use zooid_runtime::transport::{InMemoryNetwork, InMemoryTransport};
 use zooid_runtime::{CompiledMonitor, TraceMonitor};
 use zooid_server::metrics::ShardInstruments;
 use zooid_server::synth::skeleton_proc;
@@ -98,8 +88,7 @@ impl Mode {
     }
 }
 
-/// Nanoseconds per call over `n` timed samples (or, for `wal_append`, an
-/// exact count).
+/// Nanoseconds per call over `n` timed samples.
 #[derive(Debug, Clone, Copy)]
 struct Stats {
     n: usize,
@@ -121,6 +110,7 @@ impl Stats {
     }
 
     /// A figure that is counted, not sampled.
+    #[cfg(test)]
     fn exact(value: u64) -> Stats {
         Stats {
             n: 1,
@@ -213,7 +203,7 @@ struct Family {
     cases: fn(&Mode) -> Vec<Case>,
 }
 
-const FAMILIES: [Family; 12] = [
+const FAMILIES: [Family; 9] = [
     Family {
         name: "trace_equiv",
         oracle: "set-based checker (check_trace_equivalence_exhaustive)",
@@ -239,12 +229,6 @@ const FAMILIES: [Family; 12] = [
         cases: cfsm_explore_par,
     },
     Family {
-        name: "endpoint_step",
-        oracle: "tree-walking EndpointTask (same session, same schedule)",
-        floor: None,
-        cases: endpoint_step,
-    },
-    Family {
         name: "batch_step",
         oracle: "per-session CompiledEndpointTask + CompiledMonitor (same sessions)",
         floor: None,
@@ -268,18 +252,11 @@ const FAMILIES: [Family; 12] = [
         floor: Some(0.85),
         cases: obs_overhead,
     },
-    // Likewise an empty-plan FaultyTransport must be a near-free wrapper.
-    Family {
-        name: "fault_overhead",
-        oracle: "identical cooperative run on the bare in-memory transport",
-        floor: Some(0.85),
-        cases: fault_overhead,
-    },
-    // No floor: the compiled monitor loses on rings (the replay monitor's
-    // best case) and the family is there to say by how much.
+    // No floor: the family says what one observation costs on the batch's
+    // path next to the replay monitor, whose best case is a ring.
     Family {
         name: "monitor_action",
-        oracle: "TraceMonitor global-LTS replay (same trace)",
+        oracle: "TraceMonitor global-LTS replay (same trace; the engine observes it interned once)",
         floor: None,
         cases: monitor_action,
     },
@@ -290,13 +267,6 @@ const FAMILIES: [Family; 12] = [
         oracle: "recovery by replay (re-run the session to the same quantum)",
         floor: None,
         cases: checkpoint_restore,
-    },
-    // The columnar log must beat per-record serialization decisively.
-    Family {
-        name: "wal_append",
-        oracle: "naive per-record serialization (encode_quantum_naive, same records)",
-        floor: Some(1.3),
-        cases: wal_append,
     },
 ];
 
@@ -480,20 +450,10 @@ fn compiled_tasks(
         .collect()
 }
 
-/// Steps every compiled endpoint of one session cooperatively under a no-op
-/// observer: the entry point a shard calls, minus the monitor.
-fn run_compiled_session(fixture: &Fixture, options: &ExecOptions) -> usize {
-    drive_session(
-        compiled_tasks(fixture, options),
-        |task, transport| task.step_mem(transport, &mut |_, _| {}),
-        CompiledEndpointTask::is_done,
-        CompiledEndpointTask::mark_stalled,
-    )
-}
-
-/// The same schedule with a live [`CompiledMonitor`] observing every action,
-/// recording its global trace when the options record actions: the
-/// per-session slab configuration.
+/// Steps every compiled endpoint of one session cooperatively, with a live
+/// [`CompiledMonitor`] observing every action and recording its global
+/// trace when the options record actions: the per-session slab
+/// configuration.
 fn run_monitored_session(fixture: &Fixture, options: &ExecOptions) -> usize {
     let mut monitor = CompiledMonitor::new(Arc::clone(&fixture.system));
     monitor.set_record_trace(options.record_actions);
@@ -511,34 +471,6 @@ fn run_monitored_session(fixture: &Fixture, options: &ExecOptions) -> usize {
         },
         CompiledEndpointTask::is_done,
         CompiledEndpointTask::mark_stalled,
-    )
-}
-
-/// The same schedule over tree-walking tasks on caller-supplied transports
-/// (bare, or wrapped for `fault_overhead`).
-fn run_tree_session<T: Transport>(
-    fixture: &Fixture,
-    transports: Vec<T>,
-    options: &ExecOptions,
-) -> usize {
-    let tasks = fixture
-        .procs
-        .iter()
-        .map(|(role, proc)| {
-            EndpointTask::new(
-                proc.clone(),
-                role.clone(),
-                Externals::new(),
-                options.clone(),
-            )
-        })
-        .zip(transports)
-        .collect();
-    drive_session(
-        tasks,
-        |task, transport| task.step(transport, &mut |_| {}),
-        EndpointTask::is_done,
-        EndpointTask::mark_stalled,
     )
 }
 
@@ -695,50 +627,6 @@ fn cfsm_explore_par(mode: &Mode) -> Vec<Case> {
                 reduced.configurations
             ),
             stats,
-        ));
-    }
-    cases
-}
-
-/// Looping sessions stepped cooperatively on one thread to a fixed
-/// per-endpoint budget, a no-op observer on both sides, so the family
-/// measures stepping itself (`monitor_action` prices the monitor).
-fn endpoint_step(mode: &Mode) -> Vec<Case> {
-    let steps = mode.pick(2_048, 256);
-    let protocols: Vec<(&str, GlobalType)> = mode.pick(
-        vec![
-            ("chain/2", generators::chain_n(2)),
-            ("chain/8", generators::chain_n(8)),
-            ("fanout/4", fanout_loop(4)),
-            ("fanout/16", fanout_loop(16)),
-        ],
-        vec![
-            ("chain/2", generators::chain_n(2)),
-            ("fanout/4", fanout_loop(4)),
-        ],
-    );
-    let mut cases = Vec::new();
-    for (case, g) in protocols {
-        let fixture = Fixture::new(&g);
-        let roles = fixture.roles();
-        let options = quiet(Some(steps));
-        let actions = run_compiled_session(&fixture, &options);
-        assert!(actions > 0, "{case}: the session made no progress");
-        assert_eq!(
-            actions,
-            run_tree_session(&fixture, bare_endpoints(&roles), &options),
-            "{case}: engines must perform the same number of visible actions"
-        );
-        let stats = sample_pair(mode, |engine| {
-            std::hint::black_box(if engine {
-                run_compiled_session(&fixture, &options)
-            } else {
-                run_tree_session(&fixture, bare_endpoints(&roles), &options)
-            });
-        });
-        cases.push(Case::new(
-            format!("{case}/steps{steps}/actions{actions}/peraction"),
-            (stats.0.per(actions), stats.1.per(actions)),
         ));
     }
     cases
@@ -930,55 +818,14 @@ fn obs_overhead(mode: &Mode) -> Vec<Case> {
     cases
 }
 
-/// Every endpoint behind a [`FaultyTransport`] carrying an *empty* plan —
-/// the bystander configuration of the hostile campaign. With no fault specs
-/// the wrapper never consults its PRNG, so the delta is the counted-op and
-/// tick-clock bookkeeping alone.
-fn fault_overhead(mode: &Mode) -> Vec<Case> {
-    let protocols: Vec<(&str, GlobalType, Option<usize>)> = mode.pick(
-        vec![
-            // Short sessions: setup amortises over a handful of actions,
-            // the wrapper's worst case.
-            ("ring/4", generators::ring_n(4), None),
-            ("two_buyer", generators::two_buyer(), None),
-            // Long sessions: steady-state per-operation cost dominates.
-            ("fanout_loop/4", fanout_loop(4), Some(512)),
-        ],
-        vec![("ring/4", generators::ring_n(4), None)],
-    );
-    let plan = FaultPlan::new(0xFA17);
-    let mut cases = Vec::new();
-    for (case, g, max_steps) in protocols {
-        let fixture = Fixture::new(&g);
-        let roles = fixture.roles();
-        let options = quiet(max_steps);
-        let actions = run_tree_session(&fixture, bare_endpoints(&roles), &options);
-        assert!(actions > 0, "{case}: the probe session made no progress");
-        let stats = sample_pair(mode, |engine| {
-            let bare = bare_endpoints(&roles);
-            std::hint::black_box(if engine {
-                let wrapped = bare
-                    .into_iter()
-                    .map(|t| FaultyTransport::new(t, &plan))
-                    .collect();
-                run_tree_session(&fixture, wrapped, &options)
-            } else {
-                run_tree_session(&fixture, bare, &options)
-            });
-        });
-        cases.push(Case::new(
-            format!("{case}/actions{actions}/peraction"),
-            (stats.0.per(actions), stats.1.per(actions)),
-        ));
-    }
-    cases
-}
-
 /// Compliant traces. The ring trace is sequential — the global prefix never
 /// holds more than one pending message, the replay monitor's best case; the
 /// fanout trace delays every receive behind all the sends, so the prefix
 /// grows to `n` in-flight messages and the replay cost with it, while the
-/// compiled monitor stays flat.
+/// compiled monitor stays flat. The engine side is what the batch pays per
+/// action: the trace is interned once, outside the timed loop, and each
+/// observation is one transition-rule lookup and one queue operation on a
+/// cursor.
 fn monitor_action(mode: &Mode) -> Vec<Case> {
     let send = |from: String, to: String, label: &str, sort: Sort| {
         Action::send(Role::new(from), Role::new(to), Label::new(label), sort)
@@ -1017,13 +864,17 @@ fn monitor_action(mode: &Mode) -> Vec<Case> {
                 .chain(acks.iter().map(Action::dual));
             (generators::fanout_n(n), trace.collect())
         };
-        let compiled = CompiledMonitor::for_global(&g).expect("projectable");
+        let system = compile(&g).1;
+        let interned: Vec<_> = trace
+            .iter()
+            .map(|action| system.intern_action(action).expect("a protocol action interns"))
+            .collect();
         let reference = TraceMonitor::new(&g).expect("well-formed");
         let stats = sample_pair(mode, |engine| {
             if engine {
-                let mut monitor = compiled.clone();
-                assert!(trace.iter().all(|action| monitor.observe(action)));
-                assert!(monitor.is_complete());
+                let mut cursor = system.monitor_cursor();
+                assert!(interned.iter().all(|a| system.observe_interned(&mut cursor, a)));
+                assert!(system.is_terminated(&cursor));
             } else {
                 let mut monitor = reference.clone();
                 assert!(trace.iter().all(|action| monitor.observe(action)));
@@ -1082,54 +933,6 @@ fn checkpoint_restore(mode: &Mode) -> Vec<Case> {
         cases.push(Case::new(
             format!("{case}/q{kill_after}/bytes{}/restore", bytes.len()),
             stats,
-        ));
-    }
-    cases
-}
-
-/// Log density, in bytes per logged action: per-quantum records split into
-/// a skeleton column (session, role, event-template id) and a value column,
-/// vs each record's full `ValueAction` spelled out. Counted, not timed.
-fn wal_append(_: &Mode) -> Vec<Case> {
-    let protocols: [(&str, GlobalType, Option<usize>); 3] = [
-        ("ring/8", generators::ring_n(8), None),
-        ("two_buyer", generators::two_buyer(), None),
-        ("fanout_loop/4", fanout_loop(4), Some(64)),
-    ];
-    let mut cases = Vec::new();
-    for (case, g, max_steps) in protocols {
-        let layout = Fixture::new(&g).layout();
-        let options = max_steps.map_or_else(ExecOptions::default, ExecOptions::with_max_steps);
-        // One recorded session supplies the log. Concluded sessions report
-        // their actions in `finished`; looping ones end at the step limit
-        // and leave as demoted stragglers.
-        let mut batch = SessionBatch::new(Arc::clone(&layout), options, 1);
-        assert!(batch.admit(0));
-        let out = batch.run_quantum(usize::MAX);
-        let indexer = WalIndexer::new(layout.programs());
-        let finished = out.finished.iter().flat_map(|o| &o.endpoints);
-        let demoted = out.demoted.iter().flat_map(|d| &d.endpoints);
-        let records: Vec<_> = finished
-            .flat_map(|r| &r.actions)
-            .chain(demoted.flat_map(|e| &e.actions))
-            .map(|va| {
-                indexer
-                    .record(0, va)
-                    .expect("bench skeleton actions columnarize")
-            })
-            .collect();
-        assert!(!records.is_empty(), "{case}: the log must not be empty");
-        let columnar = encode_quantum(&records).len();
-        let naive = encode_quantum_naive(&records, &indexer)
-            .expect("records resolve")
-            .len();
-        let n = records.len();
-        cases.push(Case::new(
-            format!("{case}/n{n}/bytesperaction"),
-            (
-                Stats::exact(columnar as u64).per(n),
-                Stats::exact(naive as u64).per(n),
-            ),
         ));
     }
     cases

@@ -830,32 +830,60 @@ impl CompiledSystem {
     /// cost is one scan of the subject's (tiny) out-transition list plus one
     /// queue operation — no role/label/sort hashing.
     pub fn observe_interned(&self, cursor: &mut MonitorCursor, action: &InternedAction) -> bool {
-        self.try_observe_interned(cursor, action).is_some()
+        let m = action.machine();
+        let Some(target) = self.transition(cursor.states[m], action) else {
+            return false;
+        };
+        let queue = &mut cursor.queues[action.channel as usize];
+        match action.dir {
+            Direction::Send => queue.push_back(action.msg),
+            Direction::Recv if queue.front() == Some(&action.msg) => {
+                queue.pop_front();
+            }
+            Direction::Recv => return false,
+        }
+        cursor.states[m] = target;
+        true
     }
 
-    fn try_observe_interned(
-        &self,
-        cursor: &mut MonitorCursor,
-        action: &InternedAction,
-    ) -> Option<()> {
-        let m = action.machine as usize;
-        let state = cursor.states[m] as usize;
-        let t = self.tables[m][state]
+    /// The monitor's transition rule on one machine: the state `action`'s
+    /// machine moves to from `state`, or `None` when no transition of that
+    /// state matches the action.
+    ///
+    /// The rule reads machine states only; the channel is the caller's. A
+    /// send appends [`InternedAction::msg`] to its channel's queue, and a
+    /// receive is allowed only when that message is at the head of its
+    /// channel, which it then pops. [`CompiledSystem::observe_interned`]
+    /// applies the rule to a [`MonitorCursor`]; a caller that keeps machine
+    /// states and queues in its own layout applies it there.
+    pub fn transition(&self, state: u32, action: &InternedAction) -> Option<u32> {
+        self.tables[action.machine()][state as usize]
             .iter()
-            .find(|t| t.dir == action.dir && t.channel == action.channel && t.msg == action.msg)?;
-        match action.dir {
-            Direction::Send => {
-                cursor.queues[action.channel as usize].push_back(action.msg);
-            }
-            Direction::Recv => {
-                if cursor.queues[action.channel as usize].front() != Some(&action.msg) {
-                    return None;
-                }
-                cursor.queues[action.channel as usize].pop_front();
-            }
-        }
-        cursor.states[m] = t.target;
-        Some(())
+            .find(|t| t.dir == action.dir && t.channel == action.channel && t.msg == action.msg)
+            .map(|t| t.target)
+    }
+
+    /// The initial state of machine `machine`.
+    pub fn initial_state(&self, machine: usize) -> u32 {
+        self.initial[machine]
+    }
+
+    /// Returns `true` if `state` is a final state of machine `machine`.
+    pub fn is_final(&self, machine: usize, state: u32) -> bool {
+        self.finals[machine][state as usize]
+    }
+
+    /// The dense channel id of messages from `from` to `to`, or `None` when
+    /// the protocol never sends one there.
+    pub fn channel(&self, from: &zooid_mpst::Role, to: &zooid_mpst::Role) -> Option<usize> {
+        let key = (self.snapshot.lookup_role(from)?, self.snapshot.lookup_role(to)?);
+        self.channel_ids.get(&key).map(|&ch| ch as usize)
+    }
+
+    /// The label of an interned message id, as queued in a
+    /// [`MonitorCursor`] or carried by an [`InternedAction`].
+    pub fn message_label(&self, msg: MsgId) -> &zooid_mpst::Label {
+        self.snapshot.label(self.snapshot.msg(msg).0)
     }
 
     /// Returns `true` if the cursor has run the protocol to completion:
@@ -866,7 +894,7 @@ impl CompiledSystem {
                 .states
                 .iter()
                 .enumerate()
-                .all(|(m, &s)| self.finals[m][s as usize])
+                .all(|(m, &s)| self.is_final(m, s))
     }
 
     /// The outcome of the degenerate `max_configs == 0` limit: not even the
@@ -1073,9 +1101,8 @@ pub(crate) fn all_can_finish(offsets: &[usize], preds: &[u32], final_indices: Ve
 ///
 /// Cursors are created by [`CompiledSystem::monitor_cursor`] and advanced by
 /// [`CompiledSystem::observe`]; cloning or comparing one never touches a
-/// string. The default cursor belongs to no system and allocates nothing: a
-/// placeholder for a cell no session uses, never one to observe with.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// string.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorCursor {
     states: Vec<u32>,
     queues: Vec<VecDeque<MsgId>>,
@@ -1108,6 +1135,19 @@ pub struct InternedAction {
     machine: u32,
     channel: u32,
     msg: MsgId,
+}
+
+impl InternedAction {
+    /// The index of the subject's machine: the sender of a send, the
+    /// receiver of a receive.
+    pub fn machine(&self) -> usize {
+        self.machine as usize
+    }
+
+    /// The interned message the action sends or receives.
+    pub fn msg(&self) -> MsgId {
+        self.msg
+    }
 }
 
 #[cfg(test)]

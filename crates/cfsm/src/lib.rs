@@ -32,7 +32,10 @@
 //!   ([`engine::MonitorCursor`] / [`engine::CompiledSystem::observe`]):
 //!   observed actions advance machine states and unbounded FIFO buffers of
 //!   interned message ids, which is what the runtime's `CompiledMonitor` and
-//!   the session server use to check protocol compliance in O(1) per action;
+//!   the session server use to check protocol compliance in O(1) per action.
+//!   The rule itself is [`engine::CompiledSystem::transition`], over one
+//!   machine state, so a caller may keep the states and queues in its own
+//!   layout (the server's batch keeps the queues in its frame arena);
 //! * two reduced exploration modes sit on top of the engine and preserve
 //!   its verdicts while skipping most of the interleaving space:
 //!   [`system::System::explore_por`] applies an ample-set **partial-order

@@ -13,12 +13,12 @@
 //!   ([`EndpointProgram`]), the protocol's compiled transition tables and
 //!   the derived routing tables ([`BatchLayout`]: dense peer indices and a
 //!   batch-wide wire-label table) — is shared once per batch;
-//! * the **variables** — program counters, step counts, value slots,
-//!   monitor cursors, traces — live in struct-of-arrays *columns* indexed
-//!   by session slot ([`SessionBatch`]). Value slots are laid out per-slot
-//!   across sessions (`slots[slot * capacity + session]`), so a cohort of
-//!   sessions executing the same instruction reads and writes contiguous
-//!   memory.
+//! * the **variables** — program counters, the monitor's machine states,
+//!   step counts, value slots, traces — live in struct-of-arrays *columns*
+//!   indexed by session slot ([`SessionBatch`]). Value slots are laid out
+//!   per-slot across sessions (`slots[slot * capacity + session]`), so a
+//!   cohort of sessions executing the same instruction reads and writes
+//!   contiguous memory.
 //!
 //! Each scheduling pass groups live endpoints by `(role, pc)` and steps
 //! every cohort with a tight loop: the instruction, its
@@ -27,7 +27,16 @@
 //! endpoints are index writes into a shared frame arena — no per-channel
 //! `VecDeque` behind a `RefCell`, no role or label comparison, and
 //! zero-hash monitoring via the pre-interned actions
-//! ([`zooid_cfsm::CompiledSystem::observe_interned`]).
+//! ([`zooid_cfsm::CompiledSystem::transition`]).
+//!
+//! The monitor (§3.4) is one machine state per role and one FIFO per
+//! ordered role pair. The states are a column beside the program counters,
+//! and the FIFO is the frame arena itself: each frame carries the message
+//! its send was observed as, and a receive is accepted only when the frame
+//! it reads carries its own. A session holds each message in flight once.
+//! The [`MonitorCursor`](zooid_cfsm::MonitorCursor) type appears only at
+//! the boundary: extraction builds one from the columns and the arena, and
+//! [`SessionBatch::restore`] takes it apart again.
 //!
 //! A pass visits live endpoints only. The batch keeps its occupied slots
 //! in one dense, ascending list, and every per-pass loop — the cohort
@@ -80,11 +89,12 @@
 //! value traces and monitor verdicts agree in lockstep on case studies,
 //! randomized projectable protocols, external actions and violating casts.
 
+use std::collections::VecDeque;
 use std::mem;
 use std::sync::Arc;
 
-use zooid_cfsm::{CompiledSystem, InternedAction, MonitorCursor};
-use zooid_mpst::common::intern::RoleId;
+use zooid_cfsm::{CompiledSystem, InternedAction};
+use zooid_mpst::common::intern::{MsgId, RoleId};
 use zooid_mpst::{Action, Label, Role, Sort, Trace};
 use zooid_proc::compile::{Arm, CExpr, Instr};
 use zooid_proc::{erase, sort_of_value, Externals, Value, ValueAction};
@@ -118,6 +128,10 @@ pub struct BatchLayout {
     /// `peer_map[r][RoleId::index()]` — the batch role index of that role's
     /// interned peer, [`NO_PEER`] for a role that is not one.
     peer_map: Vec<Vec<u32>>,
+    /// `channels[from * n + to]` — the protocol's dense channel id for
+    /// messages from batch role `from` to batch role `to`, if it has one:
+    /// where a frame of that arena row sits in a monitor cursor.
+    channels: Vec<Option<usize>>,
     /// Per-role slot counts (the per-role column heights).
     slot_counts: Vec<usize>,
     /// Whether some program calls external actions.
@@ -186,6 +200,10 @@ impl BatchLayout {
             slot_counts.push(compiled.slot_count());
         }
         let calls_externals = programs.iter().any(|p| p.program().calls_externals());
+        let channels = roles
+            .iter()
+            .flat_map(|from| roles.iter().map(|to| system.channel(from, to)))
+            .collect();
         Some(Arc::new(BatchLayout {
             roles,
             programs,
@@ -193,9 +211,16 @@ impl BatchLayout {
             labels,
             label_wire,
             peer_map,
+            channels,
             slot_counts,
             calls_externals,
         }))
+    }
+
+    /// The protocol's channel id of arena row `row` (`from * n + to`),
+    /// which an observed message travelled on.
+    fn channel(&self, row: usize) -> usize {
+        self.channels[row].expect("an observed message travels on a protocol channel")
     }
 
     /// The sorted session roles, in batch role-index order.
@@ -220,23 +245,47 @@ impl BatchLayout {
     }
 }
 
+/// One message in flight: its wire label, its payload, and the message
+/// the monitor observed its send as — `None` for a send the monitor
+/// rejected, which it never queued.
+#[derive(Debug)]
+struct Frame {
+    wire: u32,
+    msg: Option<MsgId>,
+    value: Value,
+}
+
 /// One session-indexed cell of the frame arena: an append-only buffer with
 /// a read head — push is a `Vec` push, pop swaps the value out and bumps
 /// the head, and the buffer resets once drained so capacity is reused.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct FrameQueue {
-    buf: Vec<(u32, Value)>,
+    buf: Vec<Frame>,
     head: usize,
 }
 
 impl FrameQueue {
-    fn push(&mut self, wire: u32, value: Value) {
-        self.buf.push((wire, value));
+    fn push(&mut self, frame: Frame) {
+        self.buf.push(frame);
     }
 
-    fn pop(&mut self) -> Option<(u32, Value)> {
+    /// The next frame to be read, left in place.
+    fn front(&self) -> Option<&Frame> {
+        self.buf.get(self.head)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head == self.buf.len()
+    }
+
+    fn pop(&mut self) -> Option<Frame> {
         if self.head < self.buf.len() {
-            let frame = mem::replace(&mut self.buf[self.head], (0, Value::Unit));
+            let spent = Frame {
+                wire: 0,
+                msg: None,
+                value: Value::Unit,
+            };
+            let frame = mem::replace(&mut self.buf[self.head], spent);
             self.head += 1;
             if self.head == self.buf.len() {
                 self.buf.clear();
@@ -254,6 +303,16 @@ impl FrameQueue {
     }
 }
 
+/// The action a session's monitor rejected, which ends the session. A
+/// rejected receive has already taken its frame off the arena while the
+/// monitor's queue still holds that message, so the rejection keeps the
+/// arena row and the message for extraction to put back.
+#[derive(Debug)]
+struct Rejection {
+    violation: MonitorViolation,
+    unread: Option<(usize, MsgId)>,
+}
+
 /// What one [`SessionBatch::run_quantum`] call did: action counts for
 /// metrics, the sessions that are over, the sessions demoted at a
 /// violation, and cohort statistics (a cohort is one `(role, pc)` run of a
@@ -268,8 +327,11 @@ pub struct BatchQuantum {
     /// ever progress again ([`BatchOutcome::stalled`]).
     pub finished: Vec<BatchOutcome>,
     /// Sessions pulled out right after their monitor rejected an action,
-    /// with the state their outcome is read from. A session that merely
-    /// cannot progress is not here — it is over, and closes in `finished`.
+    /// with the state their outcome is read from: the monitor holds that
+    /// one violation and a cursor built from the machine-state column and
+    /// the arena, so a rejected send's frame is in `frames` only and a
+    /// rejected receive's message in the cursor only. A session that
+    /// merely cannot progress is not here — it closes in `finished`.
     pub demoted: Vec<DemotedSession>,
     /// Number of `(role, pc)` cohorts stepped.
     pub cohorts: usize,
@@ -453,7 +515,6 @@ pub struct SessionBatch {
     // The occupied slots, ascending: every per-pass loop walks this list.
     live_slots: Vec<u32>,
     free: Vec<u32>,
-    cursors: Vec<MonitorCursor>,
     traces: Vec<Trace>,
     // What each recording session performed since its traces were last
     // appended to, one small entry per action. A pass steps every live
@@ -462,11 +523,16 @@ pub struct SessionBatch {
     // cache-resident, and the end of the quantum appends each to its
     // session's traces in one run.
     logs: Vec<Vec<Performed>>,
-    violations: Vec<Vec<MonitorViolation>>,
+    // The action the monitor rejected, if any: the first ends the session,
+    // so a live session has none, and one that has it is extracted at the
+    // end of the pass. The monitor has observed `accepted` actions plus
+    // this one.
+    rejections: Vec<Option<Box<Rejection>>>,
     accepted: Vec<usize>,
-    observed: Vec<usize>,
-    demote: Vec<bool>,
     progress: Vec<bool>,
+    // The monitor's machine states, indexed `machine * cap + slot` in the
+    // protocol's machine order; the frame arena is its queue.
+    mstates: Vec<u32>,
     // Endpoint columns, indexed `role * cap + slot`.
     pcs: Vec<u32>,
     steps: Vec<usize>,
@@ -499,14 +565,12 @@ impl SessionBatch {
             tokens: Vec::new(),
             live_slots: Vec::new(),
             free: Vec::new(),
-            cursors: Vec::new(),
             traces: Vec::new(),
             logs: Vec::new(),
-            violations: Vec::new(),
+            rejections: Vec::new(),
             accepted: Vec::new(),
-            observed: Vec::new(),
-            demote: Vec::new(),
             progress: Vec::new(),
+            mstates: Vec::new(),
             pcs: Vec::new(),
             steps: Vec::new(),
             statuses: Vec::new(),
@@ -524,11 +588,11 @@ impl SessionBatch {
 
     /// Widens every column to `capacity` slots. Each session keeps its
     /// slot, so the live list, cohort order and outcome order are
-    /// unchanged, and its values, externals and frames in flight move with
-    /// it: session columns are extended, and endpoint columns, value
-    /// columns and the frame arena are re-strided row by row. The new
-    /// slots are claimed after the free ones, lowest first. Unclaimed slots
-    /// hold placeholders that allocate nothing.
+    /// unchanged, and its values, externals, machine states and frames in
+    /// flight move with it: session columns are extended, and machine,
+    /// endpoint and value columns and the frame arena are re-strided row by
+    /// row. The new slots are claimed after the free ones, lowest first.
+    /// Unclaimed slots hold placeholders that allocate nothing.
     ///
     /// # Panics
     ///
@@ -538,14 +602,13 @@ impl SessionBatch {
         assert!(cap > old, "a batch only grows");
         let n = self.layout.roles.len();
         self.tokens.resize(cap, 0);
-        self.cursors.resize_with(cap, MonitorCursor::default);
         self.traces.resize_with(cap, Trace::empty);
         self.logs.resize_with(cap, Vec::new);
-        self.violations.resize_with(cap, Vec::new);
+        self.rejections.resize_with(cap, || None);
         self.accepted.resize(cap, 0);
-        self.observed.resize(cap, 0);
-        self.demote.resize(cap, false);
         self.progress.resize(cap, false);
+        let machines = self.layout.system.machine_count();
+        restride(&mut self.mstates, machines, old, cap, || 0);
         restride(&mut self.pcs, n, old, cap, || 0);
         restride(&mut self.steps, n, old, cap, || 0);
         restride(&mut self.statuses, n, old, cap, || None);
@@ -610,11 +673,12 @@ impl SessionBatch {
             return false;
         };
         let cap = self.cap;
-        self.cursors[s] = self.layout.system.monitor_cursor();
+        let system = &self.layout.system;
+        for m in 0..system.machine_count() {
+            self.mstates[m * cap + s] = system.initial_state(m);
+        }
         self.traces[s] = Trace::empty();
-        self.violations[s].clear();
         self.accepted[s] = 0;
-        self.observed[s] = 0;
         for r in 0..self.layout.programs.len() {
             let idx = r * cap + s;
             self.pcs[idx] = self.layout.programs[r].program().entry();
@@ -633,35 +697,41 @@ impl SessionBatch {
     /// Continues a session extracted from a batch of the same layout —
     /// demoted, or decoded from a checkpoint — in a free slot: program
     /// counters, step counts, statuses, slot values and recorded actions
-    /// per endpoint, the monitor's cursor, counters, trace and violations,
-    /// and the in-flight frames, re-queued in their delivery order. The
+    /// per endpoint, the monitor's machine states, counter and trace, and
+    /// the in-flight frames, re-queued in their delivery order, each
+    /// carrying the message the cursor queues for it on its channel. The
     /// inverse of the extraction; the session runs with no external
     /// actions.
     ///
     /// # Panics
     ///
-    /// If the batch is full ([`SessionBatch::is_full`]), or a frame carries
-    /// a label no communication site of the layout has: neither an
-    /// extraction nor
+    /// If the batch is full ([`SessionBatch::is_full`]), if the session
+    /// carries a monitor violation, or if its frames disagree with its
+    /// cursor (per channel, they are not the cursor's queued messages, or
+    /// a label has no communication site in the layout). A live extraction
+    /// has none of these and
     /// [`SessionCheckpoint::into_demoted`](crate::checkpoint::SessionCheckpoint::into_demoted)
-    /// produces one.
+    /// refuses them; nothing restores a violating session.
     pub fn restore(&mut self, demoted: DemotedSession) {
         debug_assert_eq!(demoted.endpoints.len(), self.layout.programs.len());
-        let s = self
-            .claim(demoted.token)
-            .expect("a restored session needs a free slot");
         let DemotedSession {
+            token,
             endpoints,
             mut monitor,
             frames,
             ..
         } = demoted;
-        let (cap, n) = (self.cap, self.layout.roles.len());
-        self.cursors[s] = monitor.cursor().clone();
+        assert!(monitor.is_compliant(), "a restored session carries no violation");
+        let s = self.claim(token).expect("a restored session needs a free slot");
+        let layout = Arc::clone(&self.layout);
+        let (cap, n) = (self.cap, layout.roles.len());
+        let cursor = monitor.cursor();
+        for (m, &state) in cursor.states().iter().enumerate() {
+            self.mstates[m * cap + s] = state;
+        }
+        let mut queued: Vec<VecDeque<MsgId>> = cursor.queues().to_vec();
         self.traces[s] = monitor.take_trace();
-        self.violations[s] = monitor.take_violations();
         self.accepted[s] = monitor.accepted();
-        self.observed[s] = monitor.observed();
         for (r, ep) in endpoints.into_iter().enumerate() {
             debug_assert!(Arc::ptr_eq(&ep.program, &self.layout.programs[r]));
             let idx = r * cap + s;
@@ -674,15 +744,27 @@ impl SessionBatch {
             }
         }
         for (from, to, label, value) in frames {
-            let wire = self
-                .layout
+            let wire = layout
                 .labels
                 .iter()
                 .position(|l| *l == label)
                 .expect("an extracted frame carries a site's label");
-            let ch = (from as usize * n + to as usize) * cap;
-            self.queues[ch + s].push(wire as u32, value);
+            let row = from as usize * n + to as usize;
+            let msg = layout.channels[row]
+                .and_then(|ch| queued[ch].pop_front())
+                .filter(|&msg| *layout.system.message_label(msg) == label)
+                .expect("a restored frame is the message its cursor queues next");
+            let frame = Frame {
+                wire: wire as u32,
+                msg: Some(msg),
+                value,
+            };
+            self.queues[row * cap + s].push(frame);
         }
+        assert!(
+            queued.iter().all(VecDeque::is_empty),
+            "every message a restored cursor queues is a frame in flight"
+        );
     }
 
     /// Takes a free slot for `token` and enters it in the live list; the
@@ -693,7 +775,6 @@ impl SessionBatch {
         self.live_slots.insert(at, slot);
         let s = slot as usize;
         self.tokens[s] = token;
-        self.demote[s] = false;
         self.progress[s] = false;
         Some(s)
     }
@@ -763,7 +844,7 @@ impl SessionBatch {
             scratch.clear();
             for &s in &self.live_slots {
                 let idx = r * cap + s as usize;
-                if !self.demote[s as usize] && self.statuses[idx].is_none() {
+                if self.rejections[s as usize].is_none() && self.statuses[idx].is_none() {
                     scratch.push((self.pcs[idx], s));
                 }
             }
@@ -954,14 +1035,14 @@ impl SessionBatch {
             _ => None,
         };
         // Observed before the frame is in flight, as on every executor.
-        let accepted = self.observe(layout, s, r, (event, true), interned, &value);
+        let msg = self.observe(layout, s, r, (event, true), interned, &value, None);
         if q == NO_PEER {
             let role = template.peer.clone();
             return self.fail(idx, s, RuntimeError::UnknownPeer { role });
         }
-        self.note(s, r, (event, true), accepted, &value);
-        let ch = (r * layout.roles.len() + q as usize) * cap;
-        self.queues[ch + s].push(wire, value);
+        self.note(s, r, (event, true), msg.is_some(), &value);
+        let row = r * layout.roles.len() + q as usize;
+        self.queues[row * cap + s].push(Frame { wire, msg, value });
         self.steps[idx] += 1;
         self.pcs[idx] = next;
         self.progress[s] = true;
@@ -992,11 +1073,15 @@ impl SessionBatch {
             return self.fail(idx, s, RuntimeError::UnknownPeer { role });
         }
         let q = q as usize;
-        let ch = (q * layout.roles.len() + r) * cap;
-        let Some((wire, value)) = self.queues[ch + s].pop() else {
+        let row = q * layout.roles.len() + r;
+        let Some(frame) = self.queues[row * cap + s].front() else {
             // Blocked: no progress recorded, the pc stays put.
             return;
         };
+        // A receive that fails before it is observed leaves its frame at
+        // the head, where the monitor's queue still has it; the endpoint
+        // has failed and never reads the channel again.
+        let wire = frame.wire;
         let Some(arm) = arms
             .iter()
             .find(|arm| layout.label_wire[r][arm.label.index()] == wire)
@@ -1013,16 +1098,18 @@ impl SessionBatch {
             .static_sort
             .as_ref()
             .expect("a receive site carries its declared sort");
-        if !value.has_sort(sort) {
+        if !frame.value.has_sort(sort) {
             let err = RuntimeError::BadPayload {
                 from: layout.roles[q].clone(),
                 label: layout.labels[wire as usize].clone(),
             };
             return self.fail(idx, s, err);
         }
+        let Frame { msg, value, .. } = self.queues[row * cap + s].pop().expect("the head frame");
         let interned = template.interned.as_ref();
-        let accepted = self.observe(layout, s, r, (arm.event, false), interned, &value);
-        self.note(s, r, (arm.event, false), accepted, &value);
+        let read = Some((row, msg));
+        let msg = self.observe(layout, s, r, (arm.event, false), interned, &value, read);
+        self.note(s, r, (arm.event, false), msg.is_some(), &value);
         self.slots[r][arm.slot as usize * cap + s] = value;
         self.steps[idx] += 1;
         self.pcs[idx] = arm.next;
@@ -1031,11 +1118,17 @@ impl SessionBatch {
     }
 
     /// Feeds endpoint `r`'s action at site `event` to the session's
-    /// monitor — through `interned` when the site's pre-interned action
-    /// stands for it, else by interning the action now, where one that
-    /// does not intern is rejected — with [`CompiledMonitor`]'s bookkeeping
-    /// on the session's columns. A rejection marks the session for
-    /// demotion once the action is complete.
+    /// monitor and returns the message it was observed as, or `None` if
+    /// the monitor rejects it. The action goes through `interned` when the
+    /// site's pre-interned action stands for it, else it is interned now
+    /// (one that does not intern is rejected), and
+    /// [`CompiledSystem::transition`] moves its machine's state in the
+    /// column. The arena is the monitor's queue: a receive passes `read`,
+    /// the arena row its frame came off and the message that frame
+    /// carries, and is accepted only if that is its own message. A
+    /// rejection ends the session: it is kept, with a rejected receive's
+    /// message, for the extraction at the end of the pass.
+    #[allow(clippy::too_many_arguments)]
     fn observe(
         &mut self,
         layout: &BatchLayout,
@@ -1044,25 +1137,35 @@ impl SessionBatch {
         (event, send): (u32, bool),
         interned: Option<&InternedAction>,
         value: &Value,
-    ) -> bool {
-        let cursor = &mut self.cursors[s];
-        let accepted = match interned {
-            Some(interned) => layout.system.observe_interned(cursor, interned),
+        read: Option<(usize, Option<MsgId>)>,
+    ) -> Option<MsgId> {
+        let action = match interned {
+            Some(interned) => Some(*interned),
             None => layout
                 .system
-                .observe(cursor, &site_erasure(layout, r, event, send, value)),
+                .intern_action(&site_erasure(layout, r, event, send, value)),
         };
-        let position = self.observed[s];
-        self.observed[s] += 1;
-        if accepted {
+        let accepted = action.and_then(|action| {
+            let state = &mut self.mstates[action.machine() * self.cap + s];
+            let target = layout.system.transition(*state, &action)?;
+            if read.is_some_and(|(_, head)| head != Some(action.msg())) {
+                return None;
+            }
+            *state = target;
+            Some(action.msg())
+        });
+        if accepted.is_some() {
             self.accepted[s] += 1;
         } else {
-            self.violations[s].push(MonitorViolation {
-                action: site_erasure(layout, r, event, send, value),
-                position,
-                trace_len: self.accepted[s],
-            });
-            self.demote[s] = true;
+            let trace_len = self.accepted[s];
+            self.rejections[s] = Some(Box::new(Rejection {
+                violation: MonitorViolation {
+                    action: site_erasure(layout, r, event, send, value),
+                    position: trace_len,
+                    trace_len,
+                },
+                unread: read.and_then(|(row, head)| Some((row, head?))),
+            }));
         }
         accepted
     }
@@ -1122,7 +1225,7 @@ impl SessionBatch {
         settling.extend_from_slice(&self.live_slots);
         for &s in &settling {
             let s = s as usize;
-            if self.demote[s] {
+            if self.rejections[s].is_some() {
                 let demoted = self.extract_demoted(s);
                 out.demoted.push(demoted);
                 continue;
@@ -1161,25 +1264,48 @@ impl SessionBatch {
                 status: self.statuses[idx].take(),
             });
         }
-        let monitor = CompiledMonitor::resume(
-            Arc::clone(&layout.system),
-            mem::take(&mut self.cursors[s]),
-            mem::replace(&mut self.traces[s], Trace::empty()),
-            self.accepted[s],
-            mem::take(&mut self.violations[s]),
-            self.observed[s],
-            self.record,
-        );
+        // The cursor, built from the machine-state column and the arena: a
+        // rejected send's frame was never queued, and a rejected receive's
+        // message still is, at the head of its channel.
+        let system = &layout.system;
+        let states = (0..system.machine_count())
+            .map(|m| self.mstates[m * cap + s])
+            .collect();
+        let mut queued = vec![VecDeque::new(); system.channel_count()];
         let mut frames = Vec::new();
         for from in 0..n {
             for to in 0..n {
-                let queue = &mut self.queues[(from * n + to) * cap + s];
-                while let Some((wire, value)) = queue.pop() {
+                let row = from * n + to;
+                let queue = &mut self.queues[row * cap + s];
+                while let Some(Frame { wire, msg, value }) = queue.pop() {
+                    if let Some(msg) = msg {
+                        queued[layout.channel(row)].push_back(msg);
+                    }
                     let label = layout.labels[wire as usize].clone();
                     frames.push((from as u32, to as u32, label, value));
                 }
             }
         }
+        let (violations, unread) = match self.rejections[s].take() {
+            Some(rejection) => (vec![rejection.violation], rejection.unread),
+            None => (Vec::new(), None),
+        };
+        if let Some((row, msg)) = unread {
+            queued[layout.channel(row)].push_front(msg);
+        }
+        let cursor = system
+            .restore_cursor(states, queued)
+            .expect("the columns hold a cursor of the batch's protocol");
+        let observed = self.accepted[s] + violations.len();
+        let monitor = CompiledMonitor::resume(
+            Arc::clone(system),
+            cursor,
+            mem::replace(&mut self.traces[s], Trace::empty()),
+            self.accepted[s],
+            violations,
+            observed,
+            self.record,
+        );
         let token = self.tokens[s];
         let options = self.options.clone();
         self.release(s);
@@ -1206,15 +1332,21 @@ impl SessionBatch {
                 status: self.statuses[idx].take().unwrap_or(EndpointStatus::Stalled),
             });
         }
-        let compliant = self.violations[s].is_empty();
-        let complete = layout.system.is_terminated(&self.cursors[s]);
+        // Terminated: every machine final and every channel drained, the
+        // arena being the monitor's queue.
+        let system = &layout.system;
+        let complete = (0..system.machine_count())
+            .all(|m| system.is_final(m, self.mstates[m * cap + s]))
+            && (0..n * n).all(|row| self.queues[row * cap + s].is_empty());
+        let violations: Vec<MonitorViolation> =
+            self.rejections[s].take().map(|r| r.violation).into_iter().collect();
         let outcome = BatchOutcome {
             token: self.tokens[s],
             endpoints,
             global_trace: mem::replace(&mut self.traces[s], Trace::empty()),
-            compliant,
+            compliant: violations.is_empty(),
             complete,
-            violations: mem::take(&mut self.violations[s]),
+            violations,
             stalled,
         };
         self.release(s);

@@ -21,7 +21,10 @@
 //! and the recorded compliant trace is replayed from the initial cursor and
 //! must end on the checkpoint's. A checkpoint that carries a violation is
 //! refused outright: a live session has none, because its batch closes it
-//! at the pass that saw one. Bytes that decode but describe a state the
+//! at the pass that saw one. The in-flight frames must agree with the
+//! cursor, because the batch arena is the monitor's queue: on every
+//! channel the frames are the cursor's queued messages, as many, with the
+//! same labels, in the same order. Bytes that decode but describe a state the
 //! protocol's tables do not admit are refused with
 //! [`RuntimeError::Recovery`]; a corrupted or hostile checkpoint never
 //! becomes a running session. Names are checked even earlier: decoding
@@ -328,9 +331,11 @@ impl SessionCheckpoint {
     /// refuse ([`CompiledSystem::restore_cursor`]), a recorded violation (a
     /// live session has none), inconsistent monitor counters, a compliant
     /// trace that does not replay from the initial cursor to the
-    /// checkpoint's (or any trace when recording was off), or frames
-    /// between roles the session does not contain or with a label no
-    /// communication site of the programs has.
+    /// checkpoint's (or any trace when recording was off), frames between
+    /// roles the session does not contain or with a label no communication
+    /// site of the programs has, or frames that disagree with the cursor:
+    /// per channel, the frames and the cursor's queued messages must be
+    /// equally many, with the same labels in the same order.
     pub fn into_demoted(
         self,
         programs: &[Arc<EndpointProgram>],
@@ -453,6 +458,29 @@ impl SessionCheckpoint {
                     "in-flight frame carries `{label}`, a label no program communicates"
                 ));
             }
+        }
+        // The batch arena is the monitor's queue: the frames on a channel
+        // are the messages the cursor queues there, in the same order.
+        let role = |i: u32| programs[i as usize].program().role();
+        let mut queued: Vec<VecDeque<MsgId>> = cursor.queues().to_vec();
+        for (from, to, label, _) in &self.frames {
+            let head = system
+                .channel(role(*from), role(*to))
+                .and_then(|ch| queued[ch].pop_front());
+            if head.is_none_or(|msg| system.message_label(msg) != label) {
+                return refuse(format!(
+                    "in-flight frame `{label}` from `{}` to `{}` is not the message the \
+                     monitor queues next on that channel",
+                    role(*from),
+                    role(*to)
+                ));
+            }
+        }
+        if let Some(ch) = queued.iter().position(|q| !q.is_empty()) {
+            return refuse(format!(
+                "the monitor queues {} messages on channel {ch} that no in-flight frame carries",
+                queued[ch].len()
+            ));
         }
         let monitor = CompiledMonitor::resume(
             Arc::clone(system),

@@ -5,9 +5,12 @@
 //! transition tables of a [`CompiledSystem`] ([`zooid_cfsm::MonitorCursor`]):
 //! each observation resolves its roles, label and sort to interned ids once
 //! and then compares only `u32`s — O(1) per action, no boxed-tree replay.
-//! Compiling the system is amortised across every session of a protocol,
-//! and the columnar batch feeds it actions its programs pre-interned, so
-//! serving never hashes a name. A disallowed action is recorded as a
+//! Compiling the system is amortised across every session of a protocol.
+//! The columnar batch applies the same transition rule
+//! ([`CompiledSystem::transition`]) to actions its programs pre-interned,
+//! with the machine states in a column and its frame arena as the queues,
+//! so serving never hashes a name; it builds a `CompiledMonitor` only when
+//! a session leaves it. A disallowed action is recorded as a
 //! structured [`MonitorViolation`] and leaves the monitor's state unchanged.
 //!
 //! The reference monitor, which replays the global type's LTS directly

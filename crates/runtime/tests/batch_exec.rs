@@ -903,6 +903,132 @@ fn violating_sessions_demote_after_the_offending_action_and_agree() {
 }
 
 #[test]
+fn every_extraction_rebuilds_the_monitor_cursor_its_trace_replays_to() {
+    // The batch keeps no cursor: the monitor's machine states are a column
+    // and its queues are the frame arena, so an extraction rebuilds the
+    // cursor. It must be exactly the one the compliant trace replays to,
+    // also where the arena and the monitor's queue part: a rejected send's
+    // frame (in the arena, never queued), a rejected receive's message (off
+    // the arena, still queued) and a receive that fails before it is
+    // observed (its frame stays queued). Every session is taken out after
+    // every pass and restored into a fresh batch for the next one, and
+    // must still end as the uninterrupted run does.
+    type Case = (String, GlobalType, Vec<(Role, Proc)>, ExecOptions);
+    let mut cases: Vec<Case> = Vec::new();
+    for (name, g, options) in [
+        ("ring3", generators::ring3(), ExecOptions::default()),
+        ("two_buyer", generators::two_buyer(), ExecOptions::default()),
+        ("fanout5", generators::fanout_n(5), ExecOptions::default()),
+        ("branching3", generators::branching(3), ExecOptions::default()),
+        ("pipeline", generators::pipeline(), ExecOptions::with_max_steps(12)),
+        ("ping_pong", generators::ping_pong(), ExecOptions::with_max_steps(7)),
+    ] {
+        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        cases.push((name.to_owned(), g, procs, options));
+    }
+    let params = generators::RandomProtocol::default();
+    for seed in 0..400u64 {
+        if cases.len() >= 14 {
+            break;
+        }
+        let g = generators::random_global(seed, &params);
+        let Some(procs) = skeleton_endpoints(&g) else {
+            continue;
+        };
+        if make_layout(&g, &procs, &Externals::new()).is_some() {
+            cases.push((format!("seed {seed}"), g, procs, ExecOptions::with_max_steps(24)));
+        }
+    }
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let sum = Sort::sum(Sort::Unit, Sort::Bool);
+    let twice = |l1: &str, l2: &str, sort: &Sort| {
+        GlobalType::msg1(
+            p.clone(),
+            q.clone(),
+            l1,
+            sort.clone(),
+            GlobalType::msg1(p.clone(), q.clone(), l2, sort.clone(), GlobalType::End),
+        )
+    };
+    let sends = |l1: &str, l2: &str, v: Value| {
+        let second = Proc::send(q.clone(), l2, Expr::lit(v.clone()), Proc::Finish);
+        Proc::send(q.clone(), l1, Expr::lit(v), second)
+    };
+    let recvs = |l1: &str, l2: &str, sort: Sort| {
+        let second = Proc::recv1(p.clone(), l2, sort.clone(), "y", Proc::Finish);
+        Proc::recv1(p.clone(), l1, sort, "x", second)
+    };
+    let right = Value::inr(Value::Bool(true));
+    // `p` sends `second` before `first`: the monitor rejects the send.
+    let order = twice("first", "second", &Sort::Nat);
+    let saboteur = vec![
+        (p.clone(), sends("second", "first", Value::Nat(2))),
+        (q.clone(), recvs("second", "first", Sort::Nat)),
+    ];
+    // `q` takes `inr true` at `nat + bool`, which its program accepts and
+    // the protocol does not: the monitor rejects the receive.
+    let misread = vec![
+        (p.clone(), sends("m", "m", right.clone())),
+        (q.clone(), recvs("m", "m", Sort::sum(Sort::Nat, Sort::Bool))),
+    ];
+    // At `unit + nat` the payload does not fit: the receive fails before
+    // the monitor sees it, and `p` sends on.
+    let refused = vec![
+        (p.clone(), sends("m", "m", right)),
+        (q.clone(), recvs("m", "m", Sort::sum(Sort::Unit, Sort::Nat))),
+    ];
+    let sums = twice("m", "m", &sum);
+    cases.push(("rejected send".into(), order, saboteur, ExecOptions::default()));
+    cases.push(("rejected receive".into(), sums.clone(), misread, ExecOptions::default()));
+    cases.push(("bad payload".into(), sums, refused, ExecOptions::default()));
+
+    let width = 3u64;
+    for (name, g, procs, options) in cases {
+        let layout = make_layout(&g, &procs, &Externals::new()).expect("one program per role");
+        let system = Arc::clone(layout.system());
+        let exact = |monitor: &CompiledMonitor, context: &str| {
+            let mut replay = system.monitor_cursor();
+            for action in monitor.trace().iter() {
+                assert!(system.observe(&mut replay, action), "{name}: {context}: {action}");
+            }
+            assert_eq!(&replay, monitor.cursor(), "{name}: {context}");
+        };
+        let uninterrupted = run_batch(&layout, &options, 1).pop().expect("one session");
+        let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), width as usize);
+        for token in 0..width {
+            assert!(batch.admit(token));
+        }
+        let mut results: Vec<(u64, Observed)> = Vec::new();
+        for pass in 0.. {
+            assert!(pass < 10_000, "{name}: the sessions must end");
+            let out = batch.run_quantum(1);
+            for outcome in out.finished {
+                results.push((outcome.token, observed_outcome(outcome)));
+            }
+            for demoted in out.demoted {
+                exact(&demoted.monitor, &format!("violation at pass {pass}"));
+                results.push((demoted.token, finish_demoted(demoted, &layout)));
+            }
+            if batch.is_empty() {
+                break;
+            }
+            let mut fresh = SessionBatch::new(Arc::clone(&layout), options.clone(), width as usize);
+            for token in 0..width {
+                if let Some(demoted) = batch.demote_now(token) {
+                    exact(&demoted.monitor, &format!("live after pass {pass}"));
+                    fresh.restore(demoted);
+                }
+            }
+            batch = fresh;
+        }
+        assert_eq!(results.len(), width as usize, "{name}: every session reports");
+        for (token, observed) in results {
+            assert_eq!(observed, uninterrupted, "{name}: session {token} diverges");
+        }
+    }
+}
+
+#[test]
 fn value_flow_matches_through_columns() {
     // Values computed from received payloads must match exactly through the
     // strided column evaluation: Alice sends 1, each hop adds 10, Alice

@@ -460,6 +460,43 @@ fn a_checkpointed_frame_with_a_label_no_program_communicates_is_refused() {
     assert!(err.to_string().contains("smuggled"), "{err}");
 }
 
+#[test]
+fn checkpointed_frames_that_disagree_with_the_monitor_cursor_are_refused() {
+    // A restored session's frames are the monitor's queue, so each must be
+    // the message the cursor queues on its channel. An extra frame with a
+    // real label would be received and rejected, blaming the cast for the
+    // checkpoint's forgery; a dropped one would leave its receiver blocked.
+    let g = generators::ring3();
+    let procs = skeleton_endpoints(&g).expect("synthesizes");
+    let layout = make_layout(&g, &procs);
+    let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
+    assert!(batch.admit(1));
+    // Three passes: Alice → Bob and Bob → Carol are delivered, and Carol's
+    // send to Alice is in flight.
+    batch.run_quantum(5);
+    let mut demoted = batch.demote_now(1).expect("live");
+    assert_eq!(demoted.frames.len(), 1, "Carol's frame is in flight");
+    let restore = |demoted: &DemotedSession| {
+        SessionCheckpoint::from_demoted(demoted).into_demoted(layout.programs(), layout.system())
+    };
+    assert!(restore(&demoted).is_ok(), "the checkpoint as taken restores");
+
+    let in_flight = demoted.frames[0].clone();
+    let forgeries = [
+        ("an extra frame", vec![in_flight.clone(), in_flight]),
+        ("the in-flight frame removed", Vec::new()),
+    ];
+    for (case, frames) in forgeries {
+        demoted.frames = frames;
+        match restore(&demoted) {
+            Err(RuntimeError::Recovery { reason }) => {
+                assert!(reason.contains("monitor queues"), "{case}: {reason}");
+            }
+            other => panic!("{case}: expected a recovery refusal, got {other:?}"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // WAL: columnar round trip, torn tails, corruption, re-certification.
 // ---------------------------------------------------------------------
