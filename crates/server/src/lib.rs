@@ -32,10 +32,16 @@
 //! * [`server`] — the [`SessionServer`] schedules sessions over N worker
 //!   shards (sessions hashed by id, validated specs shipped — an id and a
 //!   spec, nothing else — to the shard that *resolves and admits* them
-//!   against the registry, outcomes flushed in batches); each shard steps
-//!   its work in bounded quanta, so thread count is fixed by the shard
-//!   count while sessions number in the tens of thousands. A shard has one
-//!   executor: every session runs in a **columnar batch**
+//!   against the registry, outcomes flushed in batches). Both sides keep a
+//!   **per-protocol memo** of the last cast handle they accepted — the
+//!   server the cast it validated, each shard the cast it resolved and its
+//!   batch layout — so the sessions of one shared handle skip validation
+//!   and resolution, and admission takes no lock. A miss (a fresh handle,
+//!   or another cast of the protocol) runs the full check and resolution
+//!   and replaces the entry; `casts_resolved` counts the misses. Each
+//!   shard steps its work in bounded quanta, so thread count is fixed by
+//!   the shard count while sessions number in the tens of thousands. A
+//!   shard has one executor: every session runs in a **columnar batch**
 //!   ([`zooid_engine::SessionBatch`]) with the sessions of its key — same
 //!   protocol, same compiled per-role programs, same options — one batch
 //!   per key, which starts at one slot and doubles when it is full. The

@@ -87,6 +87,11 @@ instruments! {
     /// Sessions admitted into one of the shard's batches, migrated arrivals
     /// included: every session that runs.
     sessions_batched: sum = "batched",
+    /// Casts resolved into their batch layout: the admissions that missed
+    /// the shard's per-protocol memo of the last cast it resolved. A
+    /// client that shares one cast handle pays one per shard, one that
+    /// builds a fresh handle per session pays one per session.
+    casts_resolved: sum = "casts_resolved",
     /// Always 0: the shard has no per-session executor. The row stays
     /// because the benchmark reads it.
     sessions_slab: sum = "slab",
@@ -515,6 +520,7 @@ mod tests {
                     peak_queue_depth: 2,
                     peak_batch_slots: 4,
                     sessions_batched: 2,
+                    casts_resolved: 2,
                     sessions_slab: 1,
                     sessions_demoted: 1,
                     batch_cohorts: 4,
@@ -533,6 +539,7 @@ mod tests {
                     peak_queue_depth: 1,
                     peak_batch_slots: 8,
                     sessions_batched: 4,
+                    casts_resolved: 1,
                     sessions_slab: 0,
                     sessions_demoted: 0,
                     batch_cohorts: 2,
@@ -548,11 +555,13 @@ mod tests {
         assert_eq!(report.sessions_batched(), 6);
         assert_eq!(report.sessions_slab(), 1);
         assert_eq!(report.sessions_demoted(), 1);
+        assert_eq!(report.casts_resolved(), 3);
         assert!((report.mean_cohort_width() - 3.0).abs() < 1e-9);
         let text = report.to_string();
         assert!(text.contains("shard.sessions_started 7\n"), "{text}");
         assert!(text.contains("shard[1] "), "{text}");
         assert!(text.contains("shard.sessions_batched 6\n"), "{text}");
+        assert!(text.contains("shard.casts_resolved 3\n"), "{text}");
     }
 
     #[test]
@@ -588,6 +597,7 @@ mod tests {
                 peak_queue_depth: 1,
                 peak_batch_slots: 0,
                 sessions_batched: 0,
+                casts_resolved: 0,
                 sessions_slab: 5,
                 sessions_demoted: 0,
                 batch_cohorts: 0,
@@ -685,6 +695,7 @@ mod tests {
                     peak_queue_depth: 4,
                     peak_batch_slots: 8,
                     sessions_batched: 5,
+                    casts_resolved: 3,
                     sessions_slab: 2,
                     sessions_demoted: 1,
                     batch_cohorts: 3,
@@ -852,8 +863,14 @@ mod tests {
         }
 
         // (c) Every total is the per-shard sum — the largest, for the `max`
-        // rows — and the scrape prints it.
+        // rows — and the scrape prints it. The memo's miss count is among
+        // the summed rows.
         assert_eq!(ServerReport::TOTALS.len(), ShardInstruments::COUNTERS.len());
+        let resolved = ShardInstruments::COUNTERS
+            .iter()
+            .find(|row| row.name == "casts_resolved")
+            .expect("a casts_resolved row");
+        assert_eq!(resolved.key, "casts_resolved");
         for ((name, total), row) in ServerReport::TOTALS.iter().zip(ShardInstruments::COUNTERS) {
             assert_eq!(*name, row.name);
             let per_shard = report.shards.shards.iter().map(|s| *(row.get)(s));

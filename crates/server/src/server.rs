@@ -26,18 +26,24 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use zooid_dsl::CertifiedProcess;
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
 use zooid_mpst::Role;
 use zooid_engine::cbatch::{BatchLayout, DemotedSession, SessionBatch};
 use zooid_engine::checkpoint::SessionCheckpoint;
 use zooid_engine::program::EndpointProgram;
 use zooid_engine::report::ExecOptions;
+use zooid_proc::Externals;
 
 use crate::error::{Result, ServerError};
 use crate::metrics::{ObsReport, ServerReport, ShardInstruments};
 use crate::obs::{FlightEvent, Incident, INCIDENT_PREFIX_CAP};
 use crate::registry::{ProtocolId, ProtocolRegistry};
 use crate::session::{failed_at_admission, SessionId, SessionOutcome, SessionSpec};
+
+/// A session's cast as submitted: the handle [`SessionSpec::endpoints`]
+/// shares, and the identity the per-protocol memos compare.
+type Cast = Arc<[(CertifiedProcess, Externals)]>;
 
 /// Configuration of a [`SessionServer`].
 ///
@@ -150,6 +156,11 @@ pub struct SessionServer {
     shards: Vec<ShardHandle>,
     instruments: Vec<Arc<ShardInstruments>>,
     results_rx: Receiver<Vec<SessionOutcome>>,
+    /// Per protocol, the last cast that passed `validate_spec`: a
+    /// submission of that same handle is not validated again. The entry
+    /// holds the `Arc` it compares, so a freed cast's address cannot be
+    /// reused to fake a hit.
+    validated: Vec<Option<Cast>>,
     /// Outcomes received from a shard's batch but not yet handed to the
     /// caller (shards flush finished sessions in batches to keep channel
     /// traffic off the per-session path).
@@ -190,6 +201,7 @@ impl SessionServer {
             instruments.push(shard_instruments);
         }
         SessionServer {
+            validated: vec![None; registry.len()],
             registry,
             shards,
             instruments,
@@ -213,6 +225,9 @@ impl SessionServer {
 
     /// Submits a session for execution, returning its id immediately.
     ///
+    /// The spec is validated unless its `endpoints` handle is the one this
+    /// protocol's last accepted submission carried (see [`SessionSpec`]).
+    ///
     /// # Errors
     ///
     /// Fails if the spec references an unknown protocol, does not cover the
@@ -227,7 +242,14 @@ impl SessionServer {
             .registry
             .get(spec.protocol)
             .ok_or(ServerError::UnknownProtocol)?;
-        crate::session::validate_spec(&spec, artifacts)?;
+        let validated = &mut self.validated[spec.protocol.index()];
+        if !validated
+            .as_ref()
+            .is_some_and(|cast| Arc::ptr_eq(cast, &spec.endpoints))
+        {
+            crate::session::validate_spec(&spec, artifacts)?;
+            *validated = Some(Arc::clone(&spec.endpoints));
+        }
         let id = SessionId(self.next_session);
         let shard = shard_of(id, self.shards.len());
         self.shards[shard]
@@ -543,6 +565,13 @@ impl WorkerObs {
 /// extracted state. A session leaves its batch alive only to move
 /// ([`SessionServer::drain_shard`]), and arrives in another batch with its
 /// traces, monitor cursor and in-flight frames intact.
+///
+/// Admission remembers, per protocol, the last cast it resolved and the
+/// [`BatchLayout`] it resolved to. A session whose cast is that same handle
+/// (`Arc::ptr_eq`) joins its batch without a lock or a shared `Arc` clone.
+/// Any other cast — a fresh handle, or another cast of the protocol — is
+/// resolved against the registry's caches as if there were no memo, counted
+/// in `casts_resolved`, and takes the entry's place if it lowers.
 struct Shard {
     /// The server's frozen registry: what a cast is resolved, a session
     /// restored and an incident captured against.
@@ -550,6 +579,9 @@ struct Shard {
     results: Sender<Vec<SessionOutcome>>,
     obs: WorkerObs,
     quantum: usize,
+    /// Per protocol, the last cast resolved and its layout. The entry holds
+    /// the cast it compares, so allocator address reuse cannot fake a hit.
+    resolved: Vec<Option<(Cast, Arc<BatchLayout>)>>,
     batches: Vec<ShardBatch>,
     run_queue: VecDeque<usize>,
     /// Finished sessions not yet flushed to the server.
@@ -566,6 +598,7 @@ impl Shard {
         Shard {
             obs: WorkerObs::new(instruments),
             quantum: config.quantum.max(1),
+            resolved: vec![None; registry.len()],
             registry,
             results,
             batches: Vec::new(),
@@ -642,16 +675,36 @@ impl Shard {
         false
     }
 
-    /// Places a validated session on the shard: its cast is resolved once
-    /// into its batch layout, and the session joins the batch for its key
-    /// with the externals its endpoints call.
+    /// Places a validated session on the shard: its cast is resolved into
+    /// its batch layout unless it is the protocol's remembered cast, and
+    /// the session joins the batch for its key with the externals its
+    /// endpoints call.
     fn admit(&mut self, id: SessionId, spec: SessionSpec, at: Instant) {
-        let artifacts = &self.registry[spec.protocol];
-        let layout = match artifacts.resolve(&spec.endpoints) {
-            Ok(layout) => layout,
-            // A process that does not lower: closed before it ever runs.
-            Err(error) => return self.finish(failed_at_admission(id, artifacts, error), at),
-        };
+        let memo = &mut self.resolved[spec.protocol.index()];
+        if !memo
+            .as_ref()
+            .is_some_and(|(cast, _)| Arc::ptr_eq(cast, &spec.endpoints))
+        {
+            self.obs
+                .shared
+                .casts_resolved
+                .fetch_add(1, Ordering::Relaxed);
+            let artifacts = &self.registry[spec.protocol];
+            match artifacts.resolve(&spec.endpoints) {
+                Ok(layout) => *memo = Some((Arc::clone(&spec.endpoints), layout)),
+                // A process that does not lower: closed before it ever runs.
+                Err(error) => return self.finish(failed_at_admission(id, artifacts, error), at),
+            }
+        }
+        let Shard {
+            resolved,
+            batches,
+            obs,
+            ..
+        } = self;
+        let (_, layout) = resolved[spec.protocol.index()]
+            .as_ref()
+            .expect("resolved above");
         let externals = if layout.calls_externals() {
             let of = |role: &Role| {
                 let endpoint = spec.endpoints.iter().find(|(cert, _)| cert.role() == role);
@@ -662,10 +715,10 @@ impl Shard {
         } else {
             Vec::new()
         };
-        let bi = self.batch_for(spec.protocol, layout, &spec.options);
-        let admitted = self.batches[bi].batch.admit_with_externals(id.0, externals);
+        let bi = Self::batch_for(batches, obs, spec.protocol, layout, &spec.options);
+        let admitted = batches[bi].batch.admit_with_externals(id.0, externals);
         debug_assert!(admitted, "batch_for found room");
-        self.obs.on_admit(id, at);
+        obs.on_admit(id, at);
         self.enqueue(bi);
     }
 
@@ -678,7 +731,13 @@ impl Shard {
             .map(|e| Arc::clone(&e.program))
             .collect();
         let layout = self.registry[protocol].layout(programs);
-        let bi = self.batch_for(protocol, layout, &demoted.options);
+        let bi = Self::batch_for(
+            &mut self.batches,
+            &self.obs,
+            protocol,
+            &layout,
+            &demoted.options,
+        );
         self.obs.on_admit(SessionId(demoted.token), at);
         self.batches[bi].batch.restore(demoted);
         self.enqueue(bi);
@@ -689,17 +748,19 @@ impl Shard {
     /// takes the place of an idle one (empty, hence not in the run queue),
     /// which is dropped with its columns, or a new place if none is idle.
     /// An emptied batch stays with its key until then: a closed loop
-    /// empties and refills its batch between quanta.
+    /// empties and refills its batch between quanta. Only a new batch
+    /// clones `layout`, which admission borrows from the shard's memo —
+    /// hence the shard's fields as arguments rather than `&mut self`.
     fn batch_for(
-        &mut self,
+        batches: &mut Vec<ShardBatch>,
+        obs: &WorkerObs,
         protocol: ProtocolId,
-        layout: Arc<BatchLayout>,
+        layout: &Arc<BatchLayout>,
         options: &ExecOptions,
     ) -> usize {
-        let batches = &mut self.batches;
         let keyed = batches.iter().position(|b| {
             b.protocol == protocol
-                && Arc::ptr_eq(b.batch.layout(), &layout)
+                && Arc::ptr_eq(b.batch.layout(), layout)
                 && b.batch.options() == options
         });
         let bi = match keyed {
@@ -712,7 +773,7 @@ impl Shard {
             None => {
                 let fresh = ShardBatch {
                     protocol,
-                    batch: SessionBatch::new(layout, options.clone(), 1),
+                    batch: SessionBatch::new(Arc::clone(layout), options.clone(), 1),
                     queued: false,
                 };
                 match batches.iter().position(|b| b.batch.is_empty() && !b.queued) {
@@ -728,7 +789,7 @@ impl Shard {
             }
         };
         let slots = batches.iter().map(|b| b.batch.capacity() as u64).sum();
-        let peak = &self.obs.shared.peak_batch_slots;
+        let peak = &obs.shared.peak_batch_slots;
         peak.fetch_max(slots, Ordering::Relaxed);
         bi
     }

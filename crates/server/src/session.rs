@@ -43,6 +43,14 @@ pub struct SessionId(pub u64);
 /// submits clones of the *handle* — the certified processes themselves are
 /// shared, never re-cloned per session, and on the worker shard the
 /// compiled-program cache means session construction only reads them.
+///
+/// The handle is also what the server remembers. Per protocol, submission
+/// keeps the last handle it validated and each shard the last one it
+/// resolved into a batch layout, compared by `Arc::ptr_eq`, so the
+/// sessions of one shared handle are validated once and resolved once per
+/// shard. A spec built from a `Vec` (or a fresh `Arc`) per session is
+/// validated and resolved every time, as is every switch between two casts
+/// of one protocol.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// The registered protocol the session runs.
@@ -120,7 +128,9 @@ type Verdicts = (Trace, bool, bool, Vec<MonitorViolation>);
 
 impl SessionOutcome {
     /// The one place an outcome is put together, however the session
-    /// ended.
+    /// ended. The reports are inserted one by one rather than collected: a
+    /// batch hands them over in sorted-role order, so each lands at the
+    /// end, where `collect` would buffer them in a `Vec` and sort it.
     fn assemble(
         id: SessionId,
         protocol: ProtocolId,
@@ -129,13 +139,14 @@ impl SessionOutcome {
         stalled: bool,
         quarantined: bool,
     ) -> Self {
+        let mut endpoints = BTreeMap::new();
+        for report in reports {
+            endpoints.insert(report.role.clone(), report);
+        }
         SessionOutcome {
             id,
             protocol,
-            endpoints: reports
-                .into_iter()
-                .map(|report| (report.role.clone(), report))
-                .collect(),
+            endpoints,
             global_trace,
             compliant,
             complete,
@@ -205,7 +216,8 @@ impl SessionOutcome {
 /// once each (and belong to the protocol at all): submission validates
 /// cheaply on the caller's thread, while resolution and admission — lowered
 /// programs, batch layout, a batch slot — happen on the worker shard, in
-/// parallel across shards.
+/// parallel across shards. Both are skipped for the cast handle their side
+/// last accepted for the protocol (see [`SessionSpec`]).
 pub(crate) fn validate_spec(spec: &SessionSpec, artifacts: &ProtocolArtifacts) -> Result<()> {
     let mut remaining: Vec<&Role> = artifacts.roles().collect();
     for (cert, _) in spec.endpoints.iter() {

@@ -29,6 +29,7 @@
 //!
 //! Run with `cargo run --release --example load_sim`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use zooid::dsl::Protocol;
@@ -51,9 +52,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let two_buyer = registry.register(Protocol::new("two_buyer", generators::two_buyer())?)?;
     println!("registered {} protocols", registry.len());
 
-    // Certify one skeleton implementation per role, reused by every session.
-    let ring_endpoints = skeleton_endpoints(registry.get(ring).unwrap().protocol())?;
-    let buyer_endpoints = skeleton_endpoints(registry.get(two_buyer).unwrap().protocol())?;
+    // Certify one skeleton implementation per role, and share each cast as
+    // one handle: the server validates a handle once and each shard
+    // resolves it once, where a fresh `Vec` per session would pay both
+    // every time.
+    let ring_endpoints: Arc<[_]> =
+        skeleton_endpoints(registry.get(ring).unwrap().protocol())?.into();
+    let buyer_endpoints: Arc<[_]> =
+        skeleton_endpoints(registry.get(two_buyer).unwrap().protocol())?.into();
+    // Every distinct handle submitted to this server, for the bound on
+    // `casts_resolved` below.
+    let mut casts = 2;
 
     let mut server = SessionServer::start(registry, ServerConfig::with_shards(SHARDS));
     println!(
@@ -64,9 +73,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let started = Instant::now();
     for i in 0..SESSIONS {
         let spec = if i % 2 == 0 {
-            SessionSpec::new(ring, ring_endpoints.clone())
+            SessionSpec::new(ring, Arc::clone(&ring_endpoints))
         } else {
-            SessionSpec::new(two_buyer, buyer_endpoints.clone())
+            SessionSpec::new(two_buyer, Arc::clone(&buyer_endpoints))
         };
         server.submit(spec)?;
     }
@@ -94,9 +103,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // out-of-order send, demotes the session, and the flight recorder
     // captures a replayable incident.
     let rotated = Protocol::new("ring", generators::ring(&["w3", "w0", "w1", "w2"]))?;
-    let bad_endpoints = skeleton_endpoints(&rotated)?;
+    let bad_endpoints: Arc<[_]> = skeleton_endpoints(&rotated)?.into();
+    casts += 1;
     for _ in 0..BAD_SESSIONS {
-        server.submit(SessionSpec::new(ring, bad_endpoints.clone()))?;
+        server.submit(SessionSpec::new(ring, Arc::clone(&bad_endpoints)))?;
     }
     let bad_outcomes = server.drain();
     assert!(bad_outcomes.iter().all(|o| !o.compliant));
@@ -134,7 +144,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  {mutation}: not applicable to this protocol shape");
             continue;
         };
-        let id = server.submit(SessionSpec::new(ring, driver.endpoints.clone()))?;
+        casts += 1;
+        let id = server.submit(SessionSpec::new(ring, driver.endpoints))?;
         let outcome = server
             .drain()
             .into_iter()
@@ -187,6 +198,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "quarantine counters must match the campaign"
     );
     assert_eq!(report.sessions_violated() as usize, expected_quarantines);
+    // Each handle is resolved at most once per shard: its sessions run
+    // back to back, so a shard's memo misses only on a handle's first.
+    println!(
+        "cast resolutions: {} ({casts} casts on {SHARDS} shards)",
+        report.casts_resolved()
+    );
+    assert!(report.casts_resolved() <= (SHARDS * casts) as u64);
 
     // Durability act: drain shards mid-flight and migrate the checkpoints,
     // with violators quarantining next to them. A fresh server with
@@ -195,7 +213,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ndrain-and-recover:");
     let mut registry = ProtocolRegistry::new();
     let ring = registry.register(Protocol::new("ring", generators::ring_n(4))?)?;
-    let ring_endpoints = skeleton_endpoints(registry.get(ring).unwrap().protocol())?;
+    let ring_endpoints: Arc<[_]> =
+        skeleton_endpoints(registry.get(ring).unwrap().protocol())?.into();
     let mut server = SessionServer::start(
         registry,
         ServerConfig {
@@ -206,7 +225,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     const MIGRATED_SESSIONS: usize = 64;
     for _ in 0..MIGRATED_SESSIONS {
-        server.submit(SessionSpec::new(ring, ring_endpoints.clone()))?;
+        server.submit(SessionSpec::new(ring, Arc::clone(&ring_endpoints)))?;
     }
 
     // Drain both shards: every session still in flight leaves as an
@@ -233,7 +252,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // rejected action, and is closed as quarantined from the state its
     // batch demoted it with.
     for _ in 0..BAD_SESSIONS {
-        server.submit(SessionSpec::new(ring, bad_endpoints.clone()))?;
+        server.submit(SessionSpec::new(ring, Arc::clone(&bad_endpoints)))?;
     }
 
     let outcomes = server.drain();
@@ -258,5 +277,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(report.sessions_quarantined() as usize, BAD_SESSIONS);
     assert_eq!(report.sessions_demoted() as usize, BAD_SESSIONS);
+    // Two handles (the ring and the violators) on two shards; a migrated
+    // session arrives with its programs and is never resolved.
+    assert!(report.casts_resolved() <= 2 * report.shards.len() as u64);
     Ok(())
 }
