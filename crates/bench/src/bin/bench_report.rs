@@ -32,9 +32,7 @@
 //! * `monitor_action` — the compiled monitor over actions interned once
 //!   ([`CompiledSystem::observe_interned`]: the transition rule the batch
 //!   applies per action, on a cursor's queues instead of the frame arena)
-//!   vs the global-LTS [`TraceMonitor`], per observed action;
-//! * `checkpoint_restore` — decode-and-recertify a [`SessionCheckpoint`] vs
-//!   recovery by replaying the session to the same quantum.
+//!   vs the global-LTS [`TraceMonitor`], per observed action.
 //!
 //! There is one sampler, [`sample_pair`]: engine and oracle alternate inside
 //! one loop, so frequency scaling, cache evictions and the two-vCPU box's
@@ -61,7 +59,6 @@ use zooid_mpst::{Action, Label, Role, Sort};
 use zooid_proc::{erase, CompiledProc, Externals, Proc};
 use zooid_runtime::cbatch::{BatchLayout, SessionBatch};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
-use zooid_runtime::checkpoint::SessionCheckpoint;
 use zooid_runtime::exec::{ExecOptions, StepOutcome};
 use zooid_runtime::transport::{InMemoryNetwork, InMemoryTransport};
 use zooid_runtime::{CompiledMonitor, TraceMonitor};
@@ -203,7 +200,7 @@ struct Family {
     cases: fn(&Mode) -> Vec<Case>,
 }
 
-const FAMILIES: [Family; 9] = [
+const FAMILIES: [Family; 8] = [
     Family {
         name: "trace_equiv",
         oracle: "set-based checker (check_trace_equivalence_exhaustive)",
@@ -259,14 +256,6 @@ const FAMILIES: [Family; 9] = [
         oracle: "TraceMonitor global-LTS replay (same trace; the engine observes it interned once)",
         floor: None,
         cases: monitor_action,
-    },
-    // No floor: restore pays full re-validation on decode, so replay can
-    // win; the family tracks the latency, it does not claim a winner.
-    Family {
-        name: "checkpoint_restore",
-        oracle: "recovery by replay (re-run the session to the same quantum)",
-        floor: None,
-        cases: checkpoint_restore,
     },
 ];
 
@@ -375,17 +364,10 @@ impl Fixture {
         self.procs.iter().map(|(r, _)| r.clone()).collect()
     }
 
-    fn program_list(&self) -> Vec<Arc<EndpointProgram>> {
-        self.programs.iter().map(|(_, p)| Arc::clone(p)).collect()
-    }
-
     fn layout(&self) -> Arc<BatchLayout> {
-        BatchLayout::new(
-            self.roles().into(),
-            self.program_list(),
-            Arc::clone(&self.system),
-        )
-        .expect("bench skeletons are batch-eligible")
+        let programs = self.programs.iter().map(|(_, p)| Arc::clone(p)).collect();
+        BatchLayout::new(self.roles().into(), programs, Arc::clone(&self.system))
+            .expect("bench skeletons are batch-eligible")
     }
 }
 
@@ -884,55 +866,6 @@ fn monitor_action(mode: &Mode) -> Vec<Case> {
         cases.push(Case::new(
             format!("{family}/{n}/peraction"),
             (stats.0.per(trace.len()), stats.1.per(trace.len())),
-        ));
-    }
-    cases
-}
-
-/// Bringing one mid-flight session back: decode the checkpoint and
-/// re-certify it against the compiled tables, vs what a server without
-/// checkpoints would do — re-run the session from its start to the same
-/// quantum. A shallow kill point (restore pays the codec with little replay
-/// to beat) and a deep one (replay grows with history).
-fn checkpoint_restore(mode: &Mode) -> Vec<Case> {
-    let protocols: [(&str, GlobalType, Option<usize>, usize); 2] = [
-        ("ring/8", generators::ring_n(8), None, 4),
-        ("fanout_loop/4", fanout_loop(4), Some(256), 200),
-    ];
-    let mut cases = Vec::new();
-    for (case, g, max_steps, kill_after) in protocols {
-        let fixture = Fixture::new(&g);
-        let programs = fixture.program_list();
-        let layout = fixture.layout();
-        let options = max_steps.map_or_else(ExecOptions::default, ExecOptions::with_max_steps);
-        // One session interrupted after `kill_after` budget-1 quanta.
-        let interrupted = || {
-            let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 1);
-            assert!(batch.admit(0));
-            for _ in 0..kill_after {
-                let out = batch.run_quantum(1);
-                assert!(
-                    out.finished.is_empty() && out.demoted.is_empty(),
-                    "{case}: the kill point must be mid-flight"
-                );
-            }
-            batch.demote_now(0).expect("session still live")
-        };
-        let bytes = SessionCheckpoint::from_demoted(&interrupted()).encode();
-        let stats = sample_pair(mode, |engine| {
-            let state = if engine {
-                SessionCheckpoint::decode(std::hint::black_box(&bytes))
-                    .expect("own encoding decodes")
-                    .into_demoted(&programs, &fixture.system)
-                    .expect("own checkpoint re-validates")
-            } else {
-                interrupted()
-            };
-            std::hint::black_box(state.endpoints.len());
-        });
-        cases.push(Case::new(
-            format!("{case}/q{kill_after}/bytes{}/restore", bytes.len()),
-            stats,
         ));
     }
     cases

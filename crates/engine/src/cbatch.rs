@@ -74,10 +74,12 @@
 //! [`DemotedSession`] carrying the program counters, slot values, action
 //! traces, in-flight frames and the monitor state, which is all its
 //! outcome needs. The same extraction takes live sessions out on request
-//! ([`SessionBatch::demote_all`], to move them), and
-//! [`SessionBatch::restore`] is its inverse: a demoted session, or one
-//! decoded from a checkpoint, continues in another batch without losing a
-//! single observation.
+//! ([`SessionBatch::demote_now`], [`SessionBatch::demote_all`]), and
+//! [`SessionBatch::restore`] is its inverse: an extracted session continues
+//! in another batch without losing a single observation. No serving path
+//! calls these three. They are what the oracles in `zooid-runtime` — the
+//! session checkpoint codec and the durability suites — cut and resume a
+//! session with; the server never moves a live session.
 //!
 //! The frame arena is process memory written only by this module, so it
 //! has no fault seam: every wire id in it was assigned by
@@ -239,7 +241,8 @@ impl BatchLayout {
     }
 
     /// Whether some program calls external actions: its sessions need
-    /// their [`Externals`] at admission, and no checkpoint can carry them.
+    /// their [`Externals`] at admission, and an extracted session does not
+    /// carry them.
     pub fn calls_externals(&self) -> bool {
         self.calls_externals
     }
@@ -695,13 +698,14 @@ impl SessionBatch {
     }
 
     /// Continues a session extracted from a batch of the same layout —
-    /// demoted, or decoded from a checkpoint — in a free slot: program
-    /// counters, step counts, statuses, slot values and recorded actions
-    /// per endpoint, the monitor's machine states, counter and trace, and
-    /// the in-flight frames, re-queued in their delivery order, each
-    /// carrying the message the cursor queues for it on its channel. The
-    /// inverse of the extraction; the session runs with no external
-    /// actions.
+    /// demoted, or decoded from a checkpoint by the oracles — in a free
+    /// slot: program counters, step counts, statuses, slot values and
+    /// recorded actions per endpoint, the monitor's machine states, counter
+    /// and trace, and the in-flight frames, re-queued in their delivery
+    /// order, each carrying the message the cursor queues for it on its
+    /// channel. The inverse of the extraction; the session runs with no
+    /// external actions. It serves the oracles and `tests/batch_exec.rs`,
+    /// not the server.
     ///
     /// # Panics
     ///
@@ -709,9 +713,9 @@ impl SessionBatch {
     /// carries a monitor violation, or if its frames disagree with its
     /// cursor (per channel, they are not the cursor's queued messages, or
     /// a label has no communication site in the layout). A live extraction
-    /// has none of these and
-    /// [`SessionCheckpoint::into_demoted`](crate::checkpoint::SessionCheckpoint::into_demoted)
-    /// refuses them; nothing restores a violating session.
+    /// has none of these, and `zooid-runtime`'s
+    /// `SessionCheckpoint::into_demoted` refuses them; nothing restores a
+    /// violating session.
     pub fn restore(&mut self, demoted: DemotedSession) {
         debug_assert_eq!(demoted.endpoints.len(), self.layout.programs.len());
         let DemotedSession {
@@ -825,9 +829,10 @@ impl SessionBatch {
         Some(self.extract_demoted(s as usize))
     }
 
-    /// Demotes **every** live session out of the batch (shard drain /
-    /// migration): each leaves with its full resumable state, and the batch
-    /// ends empty.
+    /// Demotes **every** live session out of the batch: each leaves with
+    /// its full resumable state, and the batch ends empty. The oracles and
+    /// the benchmark's checkpoint replay cut sessions with it; the server
+    /// does not.
     pub fn demote_all(&mut self) -> Vec<DemotedSession> {
         let live = self.live_slots.clone();
         live.into_iter().map(|s| self.extract_demoted(s as usize)).collect()
@@ -1329,6 +1334,7 @@ impl SessionBatch {
             endpoints.push(EndpointReport {
                 role: layout.roles[r].clone(),
                 actions: mem::take(&mut self.actions[idx]),
+                steps: self.steps[idx],
                 status: self.statuses[idx].take().unwrap_or(EndpointStatus::Stalled),
             });
         }

@@ -189,12 +189,19 @@ fn leaf_value(tag: u8, bytes: &mut &[u8]) -> Result<Value> {
     })
 }
 
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+/// Appends a string: its byte length as a big-endian `u32`, then its
+/// UTF-8 bytes.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, u32::try_from(s.len()).unwrap_or(u32::MAX));
     buf.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn get_str(bytes: &mut &[u8]) -> Result<String> {
+/// Decodes a [`put_str`] encoding.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on truncated input or bytes that are not UTF-8.
+pub fn get_str(bytes: &mut &[u8]) -> Result<String> {
     get_text(bytes).map(str::to_owned)
 }
 
@@ -214,16 +221,28 @@ fn get_text<'a>(bytes: &mut &'a [u8]) -> Result<&'a str> {
     Ok(s)
 }
 
-/// A role name, looked up and never interned (see [`get_label`]).
-pub(crate) fn get_role(bytes: &mut &[u8]) -> Result<Role> {
+/// Decodes a role name spelled as a [`put_str`] string, looked up and
+/// never interned (see [`get_label`]).
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on malformed bytes or a name no code in this
+/// process made.
+pub fn get_role(bytes: &mut &[u8]) -> Result<Role> {
     known(get_text(bytes)?, Role::lookup, "role")
 }
 
-/// A label name, looked up in the process-wide name table and never entered
-/// into it: outside bytes must not grow a table that is never freed, and a
-/// name no code in this process made cannot match any program arm or
-/// compiled table, so it is refused here.
-pub(crate) fn get_label(bytes: &mut &[u8]) -> Result<Label> {
+/// Decodes a label name spelled as a [`put_str`] string, looked up in the
+/// process-wide name table and never entered into it: outside bytes must
+/// not grow a table that is never freed, and a name no code in this process
+/// made cannot match any program arm or compiled table, so it is refused
+/// here.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on malformed bytes or a name no code in this
+/// process made.
+pub fn get_label(bytes: &mut &[u8]) -> Result<Label> {
     known(get_text(bytes)?, Label::lookup, "label")
 }
 
@@ -233,7 +252,12 @@ fn known<T>(name: &str, lookup: fn(&str) -> Option<T>, what: &str) -> Result<T> 
     })
 }
 
-pub(crate) fn get_bool(bytes: &mut &[u8]) -> Result<bool> {
+/// Decodes a boolean written as one byte, `0` or `1`.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on truncated input or any other byte.
+pub fn get_bool(bytes: &mut &[u8]) -> Result<bool> {
     match get_u8(bytes)? {
         0 => Ok(false),
         1 => Ok(true),
@@ -244,9 +268,9 @@ pub(crate) fn get_bool(bytes: &mut &[u8]) -> Result<bool> {
 }
 
 // ---------------------------------------------------------------------
-// Sort, action and value-action sub-codecs: checkpoints record actions
-// with them, and the runtime's naive write-ahead log format frames whole
-// value actions
+// Sort, action and value-action sub-codecs: the runtime's session
+// checkpoints record actions with them, and its naive write-ahead log
+// format frames whole value actions
 // ---------------------------------------------------------------------
 
 const SORT_UNIT: u8 = 0;
@@ -313,7 +337,9 @@ fn sort_within(bytes: &mut &[u8], room: usize) -> Result<Sort> {
     })
 }
 
-pub(crate) fn put_action(buf: &mut Vec<u8>, action: &Action) {
+/// Appends an erased [`Action`] spelled out in full: direction, both
+/// roles, label and sort.
+pub fn put_action(buf: &mut Vec<u8>, action: &Action) {
     put_u8(buf, u8::from(action.is_send()));
     put_str(buf, action.from().name());
     put_str(buf, action.to().name());
@@ -321,7 +347,13 @@ pub(crate) fn put_action(buf: &mut Vec<u8>, action: &Action) {
     put_sort(buf, action.sort());
 }
 
-pub(crate) fn get_action(bytes: &mut &[u8]) -> Result<Action> {
+/// Decodes a [`put_action`] encoding.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on malformed bytes, a sort nested past
+/// [`MAX_NESTING`], or a role or label name no code in this process made.
+pub fn get_action(bytes: &mut &[u8]) -> Result<Action> {
     let is_send = get_bool(bytes)?;
     let from = get_role(bytes)?;
     let to = get_role(bytes)?;
@@ -365,7 +397,8 @@ pub fn get_value_action(bytes: &mut &[u8]) -> Result<ValueAction> {
     })
 }
 
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
+/// Appends one byte.
+pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
@@ -395,7 +428,12 @@ fn take<const N: usize>(bytes: &mut &[u8], what: &str) -> Result<[u8; N]> {
     Ok(*head)
 }
 
-pub(crate) fn get_u8(bytes: &mut &[u8]) -> Result<u8> {
+/// Reads one byte.
+///
+/// # Errors
+///
+/// [`RuntimeError::Codec`] on empty input.
+pub fn get_u8(bytes: &mut &[u8]) -> Result<u8> {
     take::<1>(bytes, "frame").map(|[v]| v)
 }
 

@@ -4,9 +4,8 @@
 //! Theorem 4.7 of the paper covers a certified process and the runtime it is
 //! extracted to (§4.4–4.5), so the code a server trusts should be the code it
 //! runs and nothing more. A session the server hosts is lowered to compiled
-//! programs, stepped in a columnar batch under a compiled monitor, moved
-//! between shards as a checkpoint, and framed on the wire; those are this
-//! crate's modules:
+//! programs, stepped in a columnar batch under a compiled monitor, and
+//! framed on the wire; those are this crate's modules:
 //!
 //! * [`program`] — [`EndpointProgram`]: a lowered process
 //!   ([`zooid_proc::CompiledProc`]) with one [`program::ActionTemplate`] per
@@ -23,9 +22,6 @@
 //!   leaves as a [`DemotedSession`];
 //! * [`monitor`] — [`CompiledMonitor`], the O(1)-per-action compliance
 //!   monitor over the compiled transition tables, and [`MonitorViolation`];
-//! * [`checkpoint`] — [`SessionCheckpoint`], a live session serialized to
-//!   move it between shards and restored under re-validation against the
-//!   compiled programs and tables;
 //! * [`codec`] and [`wire`] — the binary encoding of values and messages
 //!   (every decoder of outside bytes stops at [`codec::MAX_NESTING`] and
 //!   looks names up rather than interning them) and the length-prefixed
@@ -35,18 +31,18 @@
 //! Nothing else belongs here. The paper's reference runtime and every
 //! oracle the engine is checked against — the tree-walking and per-session
 //! executors, the in-memory and peer-to-peer TCP transports, the session
-//! harness, the reference trace monitor, fault injection and the trace
-//! write-ahead log — live in `zooid-runtime`, which depends on this crate
-//! and re-exports its modules at their old paths. So the crate graph, not a
-//! convention, keeps an oracle off the serving path: `zooid-server` has no
-//! way to name one outside its tests.
+//! harness, the reference trace monitor, fault injection, the session
+//! checkpoint codec and the trace write-ahead log — live in
+//! `zooid-runtime`, which depends on this crate and re-exports its modules
+//! at their old paths. So the crate graph, not a convention, keeps an
+//! oracle off the serving path: `zooid-server` has no way to name one
+//! outside its tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cbatch;
-pub mod checkpoint;
 pub mod codec;
 pub mod error;
 pub mod monitor;
@@ -57,7 +53,6 @@ pub mod wire;
 pub use cbatch::{
     BatchLayout, BatchOutcome, BatchQuantum, DemotedEndpoint, DemotedSession, SessionBatch,
 };
-pub use checkpoint::SessionCheckpoint;
 pub use codec::Message;
 pub use error::{Result, RuntimeError};
 pub use monitor::{CompiledMonitor, MonitorViolation};

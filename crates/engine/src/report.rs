@@ -84,8 +84,12 @@ impl EndpointStatus {
 pub struct EndpointReport {
     /// The role the endpoint played.
     pub role: Role,
-    /// Every visible communication the endpoint performed, with values.
+    /// Every visible communication the endpoint performed, with values
+    /// (empty when [`ExecOptions::record_actions`] is off).
     pub actions: Vec<ValueAction>,
+    /// How many visible communications the endpoint performed, counted
+    /// whether or not they were recorded.
+    pub steps: usize,
     /// How the execution ended.
     pub status: EndpointStatus,
 }
@@ -97,8 +101,8 @@ impl EndpointReport {
         self.actions.iter().map(erase).collect()
     }
 
-    /// Number of visible communications performed.
+    /// Number of visible communications performed, recorded or not.
     pub fn steps(&self) -> usize {
-        self.actions.len()
+        self.steps
     }
 }

@@ -193,6 +193,7 @@ impl CompiledEndpointTask {
         EndpointReport {
             role: self.role,
             actions: self.actions,
+            steps: self.steps,
             status: self.status.unwrap_or(EndpointStatus::Stalled),
         }
     }

@@ -32,6 +32,13 @@
 //! ([`Role::lookup`]) and refuses one no code made with
 //! [`RuntimeError::Codec`], so a checkpoint cannot grow that table.
 //!
+//! This is an oracle module, beside [`crate::wal`]: no serving path takes a
+//! checkpoint, and `zooid-server` does not link this crate. A closed
+//! certified session is a deterministic function of its cast (Theorem 4.7
+//! and per-pair FIFO delivery), so a session interrupted for good is re-run,
+//! not resumed; the checkpoint is how the durability suites check that the
+//! batch's extraction and restore lose nothing.
+//!
 //! [`MonitorCursor`]: zooid_cfsm::MonitorCursor
 
 use std::collections::VecDeque;
@@ -42,15 +49,15 @@ use zooid_mpst::common::intern::MsgId;
 use zooid_mpst::{Action, Label, Role, Trace};
 use zooid_proc::{Value, ValueAction};
 
-use crate::cbatch::{DemotedEndpoint, DemotedSession};
-use crate::codec::{
+use zooid_engine::cbatch::{DemotedEndpoint, DemotedSession};
+use zooid_engine::codec::{
     get_action, get_bool, get_label, get_role, get_str, get_u32, get_u64, get_u8, get_value,
     get_value_action, put_action, put_str, put_u32, put_u64, put_u8, put_value, put_value_action,
 };
-use crate::error::{Result, RuntimeError};
-use crate::monitor::CompiledMonitor;
-use crate::program::EndpointProgram;
-use crate::report::{EndpointStatus, ExecOptions};
+use zooid_engine::error::{Result, RuntimeError};
+use zooid_engine::monitor::CompiledMonitor;
+use zooid_engine::program::EndpointProgram;
+use zooid_engine::report::{EndpointStatus, ExecOptions};
 
 /// Format magic leading every encoded checkpoint (`"ZCKP"`).
 const MAGIC: u32 = 0x5A43_4B50;

@@ -175,6 +175,7 @@ impl EndpointTask {
         EndpointReport {
             role: self.role,
             actions: self.actions,
+            steps: self.steps,
             status: self.status.unwrap_or(EndpointStatus::Stalled),
         }
     }

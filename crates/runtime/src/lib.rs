@@ -8,9 +8,9 @@
 //! the examples, the harness and the differential suites run, not what the
 //! server runs. The server runs the serving engine (`zooid-engine`), which
 //! holds only what a served session passes through; this crate depends on
-//! it and re-exports its modules ([`cbatch`], [`checkpoint`], [`codec`],
-//! [`error`], [`wire`]) and items at their old paths, so a caller sees one
-//! runtime. Its own modules are the paper's runtime and the oracles:
+//! it and re-exports its modules ([`cbatch`], [`codec`], [`error`],
+//! [`wire`]) and items at their old paths, so a caller sees one runtime.
+//! Its own modules are the paper's runtime and the oracles:
 //!
 //! * [`transport`] — the [`Transport`] trait is the counterpart of the
 //!   process monad's communication operations (`send`, `recv`); the
@@ -61,15 +61,24 @@
 //!   torn-tail detection on reopen, and recovered by **replaying** each
 //!   session's suffix through a fresh [`monitor::CompiledMonitor`]: a
 //!   restored trace is re-certified, not just restored. No serving path
-//!   writes one.
+//!   writes one;
+//! * [`checkpoint`] — [`SessionCheckpoint`], a session cut out of a batch
+//!   ([`cbatch::SessionBatch::demote_all`]) serialized with the engine's
+//!   [`codec`], and decoded under re-validation against the compiled
+//!   programs and tables before [`cbatch::SessionBatch::restore`] may
+//!   continue it. No serving path takes one: the server never moves a live
+//!   session, and a session interrupted for good is re-run from its cast.
+//!   The durability suites cut sessions with it, and the benchmark's layer
+//!   replay times it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub use zooid_engine::{cbatch, checkpoint, codec, error, wire};
+pub use zooid_engine::{cbatch, codec, error, wire};
 
 pub mod cexec;
+pub mod checkpoint;
 pub mod exec;
 pub mod faults;
 pub mod harness;

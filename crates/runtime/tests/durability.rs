@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use zooid_cfsm::System;
+use zooid_cfsm::{CompiledSystem, System};
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::local::LocalType;
 use zooid_mpst::projection::project_all;
@@ -494,6 +494,91 @@ fn checkpointed_frames_that_disagree_with_the_monitor_cursor_are_refused() {
             }
             other => panic!("{case}: expected a recovery refusal, got {other:?}"),
         }
+    }
+}
+
+/// `mu X. A -> B : tick(nat). B -> A : tock(nat). X`: the skeleton cast
+/// never ends, so a session of it is always live to be cut.
+fn metronome() -> GlobalType {
+    let (a, b) = (Role::new("A"), Role::new("B"));
+    let tock = GlobalType::msg1(b.clone(), a.clone(), "tock", Sort::Nat, GlobalType::var(0));
+    GlobalType::rec(GlobalType::msg1(a, b, "tick", Sort::Nat, tock))
+}
+
+/// `!BA(tock, nat)`: B's answer, which the metronome never allows first.
+fn tock() -> zooid_mpst::Action {
+    zooid_mpst::Action::send(Role::new("B"), Role::new("A"), "tock".into(), Sort::Nat)
+}
+
+/// Cuts a metronome session after three actions and checkpoints it with the
+/// monitor `edit` makes of the one it carries, everything else as cut.
+/// Returns the encoded checkpoint and the layout it must restore against.
+fn metronome_checkpoint_with(
+    edit: impl FnOnce(&Arc<CompiledSystem>, &CompiledMonitor) -> CompiledMonitor,
+) -> (Vec<u8>, Arc<BatchLayout>) {
+    let g = metronome();
+    let procs = skeleton_endpoints(&g).expect("synthesizes");
+    let layout = make_layout(&g, &procs);
+    let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
+    assert!(batch.admit(1));
+    batch.run_quantum(3);
+    let mut demoted = batch.demote_now(1).expect("the metronome never ends");
+    demoted.monitor = edit(layout.system(), &demoted.monitor);
+    (SessionCheckpoint::from_demoted(&demoted).encode(), layout)
+}
+
+#[test]
+fn a_checkpoint_whose_compliant_trace_does_not_replay_is_refused() {
+    // The cursor and the counters are consistent with a one-action trace,
+    // but that action cannot come first: the trace is forged, and restore
+    // replays it instead of trusting it.
+    let (bytes, layout) = metronome_checkpoint_with(|system, monitor| {
+        CompiledMonitor::resume(
+            Arc::clone(system),
+            monitor.cursor().clone(),
+            zooid_mpst::Trace::new(vec![tock()]),
+            1,
+            Vec::new(),
+            1,
+            true,
+        )
+    });
+    let decoded = SessionCheckpoint::decode(&bytes).expect("the forgery is well-formed bytes");
+    match decoded.into_demoted(layout.programs(), layout.system()) {
+        Err(RuntimeError::Recovery { reason }) => {
+            assert!(reason.contains("compliant trace action 0"), "{reason}");
+        }
+        other => panic!("a forged trace must be a recovery refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_checkpoint_that_carries_a_violation_is_refused() {
+    // A live session never carries a violation (its batch closes it at the
+    // pass that saw one), so a checkpoint that does was not cut from a live
+    // session, and restoring it would run a violator on.
+    let (bytes, layout) = metronome_checkpoint_with(|system, monitor| {
+        let violation = zooid_runtime::MonitorViolation {
+            action: tock(),
+            position: monitor.observed(),
+            trace_len: monitor.accepted(),
+        };
+        CompiledMonitor::resume(
+            Arc::clone(system),
+            monitor.cursor().clone(),
+            monitor.trace().clone(),
+            monitor.accepted(),
+            vec![violation],
+            monitor.observed() + 1,
+            monitor.records_trace(),
+        )
+    });
+    let decoded = SessionCheckpoint::decode(&bytes).expect("the taint is well-formed bytes");
+    match decoded.into_demoted(layout.programs(), layout.system()) {
+        Err(RuntimeError::Recovery { reason }) => {
+            assert!(reason.contains("violation"), "{reason}");
+        }
+        other => panic!("a carried violation must be a recovery refusal, got {other:?}"),
     }
 }
 

@@ -56,10 +56,6 @@ pub enum ServerError {
         /// The underlying IO error, rendered.
         reason: String,
     },
-    /// A runtime-layer failure surfaced through the server API — a
-    /// migrated checkpoint that fails to decode or re-certify, or a
-    /// transport error while checkpointing a live session.
-    Runtime(zooid_engine::RuntimeError),
 }
 
 impl fmt::Display for ServerError {
@@ -84,7 +80,6 @@ impl fmt::Display for ServerError {
             ServerError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
             ServerError::Shutdown => write!(f, "the server has been shut down"),
             ServerError::Net { reason } => write!(f, "network error: {reason}"),
-            ServerError::Runtime(e) => write!(f, "{e}"),
         }
     }
 }
@@ -94,7 +89,6 @@ impl std::error::Error for ServerError {
         match self {
             ServerError::Dsl(e) => Some(e),
             ServerError::Cfsm(e) => Some(e),
-            ServerError::Runtime(e) => Some(e),
             _ => None,
         }
     }
@@ -109,12 +103,6 @@ impl From<zooid_dsl::DslError> for ServerError {
 impl From<zooid_cfsm::CfsmError> for ServerError {
     fn from(e: zooid_cfsm::CfsmError) -> Self {
         ServerError::Cfsm(e)
-    }
-}
-
-impl From<zooid_engine::RuntimeError> for ServerError {
-    fn from(e: zooid_engine::RuntimeError) -> Self {
-        ServerError::Runtime(e)
     }
 }
 
@@ -138,9 +126,6 @@ mod tests {
             ServerError::Net {
                 reason: "address in use".into(),
             },
-            ServerError::Runtime(zooid_engine::RuntimeError::Recovery {
-                reason: "checkpoint magic mismatch".into(),
-            }),
         ];
         for e in cases {
             let msg = e.to_string();

@@ -2,11 +2,11 @@
 //!
 //! The server links one runtime crate, the serving engine
 //! ([`zooid_engine`]): compiled programs, the columnar batch, the compiled
-//! monitor, checkpoints and the wire codec. The paper's reference runtime
-//! and the oracles (`zooid-runtime`) are a dev-dependency only — the
-//! differential suites run them next to the server — so no serving module
-//! can name an oracle, and `scripts/ci.sh` fails if `zooid-runtime` ever
-//! enters this crate's normal dependencies.
+//! monitor and the wire codec. The paper's reference runtime and the
+//! oracles (`zooid-runtime`, session checkpoints included) are a
+//! dev-dependency only — the differential suites run them next to the
+//! server — so no serving module can name an oracle, and `scripts/ci.sh`
+//! fails if `zooid-runtime` ever enters this crate's normal dependencies.
 //!
 //! The paper's runtime (§4.5) executes one session at a time, one OS thread
 //! per participant. This crate is the serving layer the ROADMAP's north star
@@ -91,31 +91,28 @@
 //!   opener as a `Done` frame like any other: the server runs its own
 //!   catalog cast, so a violation is no fault of the connection.
 //!
-//! Sessions are **movable**: a session's state is copied out only when the
-//! session leaves its shard. [`SessionServer::drain_shard`] takes every
-//! in-flight session off a shard as a [`MigratedSession`] — an encoded
-//! [`zooid_engine::checkpoint::SessionCheckpoint`] plus its compiled
-//! programs — and [`SessionServer::migrate_session`] re-admits one on any
-//! shard after the decoder re-validates every index against the
-//! protocol's compiled artifacts (a tampered or foreign checkpoint is a
-//! structured [`error`], never a panic). Nothing is snapshotted on the
-//! scheduling path. A violation ends the session, and that is the whole
-//! policy: a process certified against the protocol's projection performs
-//! only the protocol's traces (the paper's Theorem 4.7), so the first
-//! rejected action proves the cast is not what its certificate says, and
-//! the shard closes the session there, from the state its executor already
-//! holds. There is no re-run: a certified endpoint is a deterministic
+//! A session **stays on its shard**: shards are fixed when the server
+//! starts, nothing moves a live session between them, and nothing is
+//! snapshotted on the scheduling path. A closed certified session is a
+//! deterministic function of its cast (Theorem 4.7 and per-pair FIFO), so
+//! the way back from an interruption is to submit the session again, not
+//! to resume it.
+//!
+//! A violation ends the session, and that is the whole policy: a process
+//! certified against the protocol's projection performs only the
+//! protocol's traces (the paper's Theorem 4.7), so the first rejected
+//! action proves the cast is not what its certificate says, and the shard
+//! closes the session there, from the state its executor already holds.
+//! The shard does not re-run it: a certified endpoint is a deterministic
 //! function of what it receives, so re-running a session that calls no
-//! externals repeats its verdict, and one that calls them cannot be re-run
-//! (nor moved: a drain closes it as stalled).
-//! `tests/crash_recovery.rs` drives drain/migrate conservation, checkpoint
-//! tampering and quarantine.
+//! externals repeats its verdict, and one that calls them cannot be re-run.
+//! `tests/crash_recovery.rs` drives quarantine.
 //!
 //! A session **ends where it stands**: whoever holds it when it is over —
 //! its batch (concluded, or every endpoint blocked for good), or the shard
 //! holding a violator its batch has just demoted — builds the
-//! [`SessionOutcome`] from the state it already has. A session leaves its
-//! batch alive only to move to another.
+//! [`SessionOutcome`] from the state it already has. A live session never
+//! leaves its batch.
 //!
 //! The harness-vs-server differential suite (`tests/differential.rs`)
 //! checks that a session hosted here is indistinguishable — per-endpoint
@@ -146,6 +143,6 @@ pub use obs::{
 };
 pub use net::{NetClient, NetServer, NetServerConfig, Service};
 pub use registry::{ProtocolArtifacts, ProtocolId, ProtocolRegistry, SafetyBudget};
-pub use server::{MigratedSession, ServerConfig, SessionServer};
+pub use server::{ServerConfig, SessionServer};
 pub use synth::{ByzantineDriver, ByzantineMutation, ExpectedClass};
 pub use session::{SessionId, SessionOutcome, SessionSpec};

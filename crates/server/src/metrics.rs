@@ -84,8 +84,8 @@ instruments! {
     /// Largest sum of batch capacities the shard has held: the session
     /// slots its batch columns were sized for at their widest.
     peak_batch_slots: max = "peak_batch_slots",
-    /// Sessions admitted into one of the shard's batches, migrated arrivals
-    /// included: every session that runs.
+    /// Sessions admitted into one of the shard's batches: every session
+    /// that runs.
     sessions_batched: sum = "batched",
     /// Casts resolved into their batch layout: the admissions that missed
     /// the shard's per-protocol memo of the last cast it resolved. A

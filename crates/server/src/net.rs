@@ -795,11 +795,7 @@ impl IoLoop {
             return;
         };
         conn.inflight = conn.inflight.saturating_sub(1);
-        let actions: u64 = outcome
-            .endpoints
-            .values()
-            .map(|r| r.actions.len() as u64)
-            .sum();
+        let actions: u64 = outcome.endpoints.values().map(|r| r.steps() as u64).sum();
         conn.queue(&MuxFrame::Done {
             session: client_id,
             compliant: outcome.compliant,

@@ -230,14 +230,8 @@ impl ProtocolArtifacts {
             .map(|(cert, externals)| self.lower(cert.role(), cert.proc(), externals))
             .collect::<std::result::Result<Vec<_>, _>>()?;
         programs.sort_by(|a, b| a.program().role().cmp(b.program().role()));
-        Ok(self.layout(programs))
-    }
-
-    /// The layout of one program per participant in sorted-role order —
-    /// a resolved cast, or the programs a migrated checkpoint was
-    /// validated against — cached per program set, compared by pointer
-    /// identity.
-    pub(crate) fn layout(&self, programs: Programs) -> Arc<BatchLayout> {
+        // The layout is cached per program set, compared by pointer
+        // identity.
         let Ok(layout) = cached::<_, _, std::convert::Infallible>(
             &self.compiled.layouts,
             |key| {
@@ -252,7 +246,7 @@ impl ProtocolArtifacts {
                 Ok(layout.expect("one program per participant, in sorted-role order"))
             },
         );
-        layout
+        Ok(layout)
     }
 }
 

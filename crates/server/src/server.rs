@@ -29,9 +29,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use zooid_dsl::CertifiedProcess;
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
 use zooid_mpst::Role;
-use zooid_engine::cbatch::{BatchLayout, DemotedSession, SessionBatch};
-use zooid_engine::checkpoint::SessionCheckpoint;
-use zooid_engine::program::EndpointProgram;
+use zooid_engine::cbatch::{BatchLayout, SessionBatch};
 use zooid_engine::report::ExecOptions;
 use zooid_proc::Externals;
 
@@ -85,37 +83,7 @@ enum ShardMsg {
     /// shard so a single submitter thread never serialises the whole
     /// burst's setup.
     Run { id: SessionId, spec: SessionSpec },
-    /// Checkpoint every live session and hand the encoded checkpoints back
-    /// — the evacuation half of a session migration.
-    Drain {
-        reply: Sender<Vec<MigratedSession>>,
-    },
-    /// Restore a session from a checkpoint (already decoded and
-    /// re-certified on the submitter thread) into the batch for its key —
-    /// the arrival half.
-    Restore {
-        protocol: ProtocolId,
-        demoted: DemotedSession,
-    },
     Shutdown,
-}
-
-/// A live session evacuated from a shard as an encoded, re-certifiable
-/// checkpoint (see [`SessionServer::drain_shard`]). The bytes are the
-/// [`SessionCheckpoint`] wire encoding — opaque but inspectable, so tests
-/// can tamper with them and watch [`SessionServer::migrate_session`] refuse
-/// the damage with a structured error instead of admitting it.
-#[derive(Debug)]
-pub struct MigratedSession {
-    /// The session's id (stable across the migration).
-    pub id: SessionId,
-    /// The protocol the session runs.
-    pub protocol: ProtocolId,
-    /// The encoded [`SessionCheckpoint`].
-    pub bytes: Vec<u8>,
-    /// The compiled per-role programs the checkpoint's indices refer to,
-    /// in the checkpoint's endpoint order.
-    programs: Vec<Arc<EndpointProgram>>,
 }
 
 /// The server's handle on one worker: its inbox and its thread.
@@ -368,85 +336,6 @@ impl SessionServer {
             .collect()
     }
 
-    fn check_shard(&self, shard: usize) -> Result<()> {
-        if shard >= self.shards.len() {
-            return Err(ServerError::Unsupported {
-                reason: format!(
-                    "shard index {shard} out of range (server has {})",
-                    self.shards.len()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Evacuates every session queued on one shard: each is checkpointed
-    /// (per-role pc, value slots, monitor cursor, in-flight frames), encoded
-    /// through the wire codec, and returned as a [`MigratedSession`] ready
-    /// for [`SessionServer::migrate_session`]. Sessions a checkpoint cannot
-    /// carry (their programs call external actions, whose closures stay
-    /// with the submitter) are closed as stalled and report through the
-    /// normal outcome stream instead.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the shard index is out of range or the worker is gone.
-    pub fn drain_shard(&mut self, shard: usize) -> Result<Vec<MigratedSession>> {
-        self.check_shard(shard)?;
-        let (reply_tx, reply_rx) = unbounded();
-        self.shards[shard]
-            .tx
-            .send(ShardMsg::Drain { reply: reply_tx })
-            .map_err(|_| ServerError::Shutdown)?;
-        let migrated = reply_rx.recv().map_err(|_| ServerError::Shutdown)?;
-        // Evacuated sessions will not report outcomes until re-admitted.
-        self.in_flight = self.in_flight.saturating_sub(migrated.len());
-        Ok(migrated)
-    }
-
-    /// Re-admits an evacuated session on the given shard. The checkpoint is
-    /// decoded and re-certified against the protocol's compiled tables
-    /// *before* the shard sees it: a corrupted or tampered checkpoint is
-    /// refused here with the runtime's structured recovery error, and the
-    /// target shard never hosts unvalidated state.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a bad shard index, an unregistered protocol, a server
-    /// already degraded or shut down, or a checkpoint that does not decode
-    /// and re-validate ([`ServerError::Runtime`]).
-    pub fn migrate_session(&mut self, migrated: MigratedSession, to_shard: usize) -> Result<SessionId> {
-        if self.degraded {
-            return Err(ServerError::Shutdown);
-        }
-        self.check_shard(to_shard)?;
-        let artifacts = self
-            .registry
-            .get(migrated.protocol)
-            .ok_or(ServerError::UnknownProtocol)?;
-        let checkpoint = SessionCheckpoint::decode(&migrated.bytes)?;
-        if checkpoint.token() != migrated.id.0 {
-            return Err(zooid_engine::RuntimeError::Recovery {
-                reason: format!(
-                    "checkpoint token {} does not match migrated session id {}",
-                    checkpoint.token(),
-                    migrated.id.0
-                ),
-            }
-            .into());
-        }
-        let demoted = checkpoint.into_demoted(&migrated.programs, artifacts.compiled())?;
-        self.shards[to_shard]
-            .tx
-            .send(ShardMsg::Restore {
-                protocol: migrated.protocol,
-                demoted,
-            })
-            .map_err(|_| ServerError::Shutdown)?;
-        self.in_flight += 1;
-        Ok(migrated.id)
-    }
-
     /// Stops the worker pool and returns the final metrics. Sessions still
     /// running or queued are closed as stalled (so `shutdown` returns even
     /// when an unbounded session would loop forever); outcomes not collected
@@ -562,9 +451,9 @@ impl WorkerObs {
 /// A session is closed by its batch, from the state it already has: the
 /// batch closes its concluded and its permanently blocked sessions itself,
 /// and a violator it demoted closes as quarantined straight from the
-/// extracted state. A session leaves its batch alive only to move
-/// ([`SessionServer::drain_shard`]), and arrives in another batch with its
-/// traces, monitor cursor and in-flight frames intact.
+/// extracted state. A live session never leaves its batch: shards are
+/// fixed when the server starts, and nothing moves a session between
+/// them.
 ///
 /// Admission remembers, per protocol, the last cast it resolved and the
 /// [`BatchLayout`] it resolved to. A session whose cast is that same handle
@@ -573,8 +462,8 @@ impl WorkerObs {
 /// resolved against the registry's caches as if there were no memo, counted
 /// in `casts_resolved`, and takes the entry's place if it lowers.
 struct Shard {
-    /// The server's frozen registry: what a cast is resolved, a session
-    /// restored and an incident captured against.
+    /// The server's frozen registry: what a cast is resolved and an
+    /// incident captured against.
     registry: Arc<ProtocolRegistry>,
     results: Sender<Vec<SessionOutcome>>,
     obs: WorkerObs,
@@ -666,10 +555,6 @@ impl Shard {
     fn handle(&mut self, msg: ShardMsg, stamp: Instant) -> bool {
         match msg {
             ShardMsg::Run { id, spec } => self.admit(id, spec, stamp),
-            ShardMsg::Drain { reply } => {
-                let _ = reply.send(self.drain_for_migration());
-            }
-            ShardMsg::Restore { protocol, demoted } => self.restore(protocol, demoted, stamp),
             ShardMsg::Shutdown => return true,
         }
         false
@@ -719,27 +604,6 @@ impl Shard {
         let admitted = batches[bi].batch.admit_with_externals(id.0, externals);
         debug_assert!(admitted, "batch_for found room");
         obs.on_admit(id, at);
-        self.enqueue(bi);
-    }
-
-    /// Continues a migrated session in the batch for its key, over the
-    /// programs its checkpoint was validated against.
-    fn restore(&mut self, protocol: ProtocolId, demoted: DemotedSession, at: Instant) {
-        let programs = demoted
-            .endpoints
-            .iter()
-            .map(|e| Arc::clone(&e.program))
-            .collect();
-        let layout = self.registry[protocol].layout(programs);
-        let bi = Self::batch_for(
-            &mut self.batches,
-            &self.obs,
-            protocol,
-            &layout,
-            &demoted.options,
-        );
-        self.obs.on_admit(SessionId(demoted.token), at);
-        self.batches[bi].batch.restore(demoted);
         self.enqueue(bi);
     }
 
@@ -800,48 +664,6 @@ impl Shard {
         if !sb.queued {
             sb.queued = true;
             self.run_queue.push_back(bi);
-        }
-    }
-
-    /// Evacuates every session in the run queue as an encoded checkpoint:
-    /// each batch demotes its members in place and they are serialized.
-    /// Sessions a checkpoint cannot carry — their programs call externals,
-    /// whose closures stay with the submitter — close as stalled and report
-    /// through the ordinary outcome stream.
-    fn drain_for_migration(&mut self) -> Vec<MigratedSession> {
-        let now = Instant::now();
-        let mut migrated = Vec::new();
-        while let Some(bi) = self.run_queue.pop_front() {
-            let sb = &mut self.batches[bi];
-            sb.queued = false;
-            let protocol = sb.protocol;
-            if sb.batch.layout().calls_externals() {
-                for outcome in sb.batch.close_all() {
-                    self.finish(SessionOutcome::from_batch(protocol, outcome), now);
-                }
-            } else {
-                for demoted in sb.batch.demote_all() {
-                    migrated.push(self.evacuate(protocol, &demoted));
-                }
-            }
-        }
-        migrated
-    }
-
-    /// Forgets an evacuated session and encodes its checkpoint for the
-    /// trip, next to the compiled programs the checkpoint's dense indices
-    /// refer to (in checkpoint endpoint order).
-    fn evacuate(&mut self, protocol: ProtocolId, demoted: &DemotedSession) -> MigratedSession {
-        self.obs.admitted.remove(&demoted.token);
-        MigratedSession {
-            id: SessionId(demoted.token),
-            protocol,
-            bytes: SessionCheckpoint::from_demoted(demoted).encode(),
-            programs: demoted
-                .endpoints
-                .iter()
-                .map(|e| Arc::clone(&e.program))
-                .collect(),
         }
     }
 
@@ -921,8 +743,8 @@ impl Shard {
     /// Counts a finished session in the shard metrics, folds it into the
     /// observability plane (wall time, flight events, incident capture —
     /// every way a session ends funnels through here: closed by its batch,
-    /// quarantined at a violation, closed at a drain or at shutdown, refused
-    /// at admission), and buffers its outcome for the next batched flush.
+    /// quarantined at a violation, closed at shutdown, refused at
+    /// admission), and buffers its outcome for the next batched flush.
     fn finish(&mut self, outcome: SessionOutcome, now: Instant) {
         let metrics = &self.obs.shared;
         if outcome.stalled {
@@ -1081,72 +903,6 @@ mod tests {
         assert!(shard.pending.iter().all(|o| o.all_finished_and_compliant()));
     }
 
-    #[test]
-    fn a_migrated_session_that_then_violates_closes_quarantined_where_it_stands() {
-        // `mu X. A -> B : tick. B -> A : tock. X`, with an A that after
-        // three rounds sends a label the protocol does not have. The source
-        // shard is stepped by hand, three one-action-per-session quanta, so
-        // the drain catches the session after exactly four actions; the
-        // violation happens on the shard it migrates to, which closes it
-        // there and then with the whole history, the four actions it
-        // arrived with included.
-        use zooid_mpst::global::GlobalType;
-        use zooid_mpst::{Role, Sort};
-        let (a, b) = (Role::new("A"), Role::new("B"));
-        let round = |cont| {
-            let tock = GlobalType::msg1(b.clone(), a.clone(), "tock", Sort::Nat, cont);
-            GlobalType::msg1(a.clone(), b.clone(), "tick", Sort::Nat, tock)
-        };
-        let stray = GlobalType::msg1(a.clone(), b.clone(), "stray", Sort::Nat, GlobalType::End);
-        let decoy = Protocol::new("metronome", round(round(round(stray)))).unwrap();
-        let metronome = Protocol::new("metronome", GlobalType::rec(round(GlobalType::var(0)))).unwrap();
-        let mut endpoints = skeleton_endpoints(&decoy).unwrap();
-        endpoints.retain(|(cert, _)| *cert.role() == a);
-        endpoints.extend(
-            skeleton_endpoints(&metronome)
-                .unwrap()
-                .into_iter()
-                .filter(|(cert, _)| *cert.role() == b),
-        );
-        let mut registry = ProtocolRegistry::new();
-        let id = registry.register(metronome).unwrap();
-        let config = ServerConfig {
-            shards: 1,
-            quantum: 1,
-            ..ServerConfig::default()
-        };
-        let mut server = SessionServer::start(registry, config.clone());
-
-        let (results, _outcomes) = unbounded();
-        let instruments = Arc::new(ShardInstruments::new(server.registry.len()));
-        let mut source = Shard::new(Arc::clone(&server.registry), results, instruments, &config);
-        source.admit(SessionId(0), SessionSpec::new(id, endpoints), Instant::now());
-        for _ in 0..3 {
-            let bi = source.run_queue.pop_front().expect("still live");
-            source.run_batch(bi);
-        }
-        assert_eq!(source.obs.shared.report(0).actions_executed, 4);
-        let mut migrated = source.drain_for_migration();
-        assert_eq!(migrated.len(), 1);
-        server.migrate_session(migrated.pop().unwrap(), 0).unwrap();
-
-        let outcomes = server.drain();
-        assert_eq!(outcomes.len(), 1, "the session reports exactly once");
-        let outcome = &outcomes[0];
-        assert!(outcome.quarantined && !outcome.compliant && !outcome.stalled);
-        // The trace is the twelve compliant actions of three rounds: four
-        // carried over by the checkpoint, eight performed here.
-        assert_eq!(outcome.global_trace.len(), 12);
-        assert_eq!(outcome.violations.len(), 1);
-        assert_eq!(outcome.violations[0].position, 12);
-        let report = server.shutdown();
-        assert_eq!(report.sessions_quarantined(), 1, "{report}");
-        assert_eq!(report.sessions_quarantined(), report.sessions_violated(), "{report}");
-        // What was left to do on arrival (8 actions and the stray send),
-        // and not one step after it.
-        assert_eq!(report.actions_executed(), 9, "{report}");
-    }
-
     /// The registered `pipeline` and its cast under a step limit: the limit
     /// is part of the batch key, so each limit is a key of its own.
     fn pipeline_keys() -> (Arc<ProtocolRegistry>, impl Fn(usize) -> SessionSpec) {
@@ -1222,32 +978,6 @@ mod tests {
         let report = shard.obs.shared.report(0);
         assert_eq!(report.sessions_batched, 66);
         assert_eq!(report.peak_batch_slots, 65);
-    }
-
-    #[test]
-    fn a_migrated_session_grows_the_full_batch_of_its_key() {
-        // Three sessions drained from one shard arrive at another whose
-        // batch of the same key is full at one slot: it doubles to hold
-        // them, and all four conclude there.
-        let (registry, spec) = pipeline_keys();
-        let (mut source, mut target) = (hand_shard(&registry), hand_shard(&registry));
-        let now = Instant::now();
-        for n in 0..3 {
-            source.admit(SessionId(n), spec(10), now);
-        }
-        target.admit(SessionId(3), spec(10), now);
-        for migrated in source.drain_for_migration() {
-            let checkpoint = SessionCheckpoint::decode(&migrated.bytes).unwrap();
-            let compiled = registry[migrated.protocol].compiled();
-            let demoted = checkpoint.into_demoted(&migrated.programs, compiled).unwrap();
-            target.restore(migrated.protocol, demoted, now);
-        }
-        assert_eq!(target.batches.len(), 1);
-        assert_eq!(target.batches[0].batch.capacity(), 4);
-        assert_eq!(target.batches[0].batch.live_count(), 4);
-        run_to_idle(&mut target);
-        assert_eq!(target.pending.len(), 4);
-        assert!(target.pending.iter().all(|o| o.compliant && !o.quarantined));
     }
 
     #[test]

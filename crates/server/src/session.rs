@@ -178,6 +178,7 @@ impl SessionOutcome {
         let reports = demoted.endpoints.into_iter().map(|ep| EndpointReport {
             role: ep.role,
             actions: ep.actions,
+            steps: ep.steps,
             status: ep.status.unwrap_or(EndpointStatus::Stalled),
         });
         // The flags are read before the trace and the violations move out.
@@ -255,6 +256,7 @@ pub(crate) fn failed_at_admission(
     let reports = artifacts.roles().map(|role| EndpointReport {
         role: role.clone(),
         actions: Vec::new(),
+        steps: 0,
         status: status.clone(),
     });
     let nothing_observed = (Trace::empty(), true, false, Vec::new());
@@ -282,7 +284,7 @@ mod tests {
         assert_eq!((outcome.id, outcome.protocol), (SessionId(7), id));
         assert_eq!(outcome.endpoints.len(), 3);
         for report in outcome.endpoints.values() {
-            assert!(report.actions.is_empty());
+            assert!(report.actions.is_empty() && report.steps() == 0);
             assert_eq!(
                 report.status,
                 EndpointStatus::Failed {
@@ -301,7 +303,8 @@ mod tests {
     /// exactly as the uninterrupted run does.
     #[test]
     fn a_reversed_cast_round_trips_through_a_checkpoint_at_every_cut() {
-        use zooid_engine::{SessionBatch, SessionCheckpoint};
+        use zooid_engine::SessionBatch;
+        use zooid_runtime::checkpoint::SessionCheckpoint;
         let mut registry = ProtocolRegistry::new();
         let id = registry
             .register(Protocol::new("ring", generators::ring3()).unwrap())

@@ -1,54 +1,17 @@
-//! Crash recovery on the serving plane: shard evacuation, re-certified
-//! migration, and quarantine that closes a violator where it stands.
+//! Quarantine on the serving plane: a violator closes where it stands.
 //!
-//! The durable-session covenant is tested at the server boundary here (the
-//! runtime-level kill-at-every-quantum differential lives in the runtime
-//! crate's `durability` suite):
-//!
-//! * [`SessionServer::drain_shard`] checkpoints every session queued on a
-//!   shard and hands the encoded blobs to the caller; the sessions go
-//!   silent — no outcomes — until re-admitted.
-//! * [`SessionServer::migrate_session`] decodes and **re-certifies** a
-//!   blob against the protocol's compiled tables before any shard hosts
-//!   it: tampered bytes are refused with the runtime's structured errors
-//!   and never become sessions.
-//! * A violation ends the session: the first action its monitor rejects
-//!   closes it from the state its batch extracted, whether or not the
-//!   cast's sites were pre-interned.
+//! A violation ends the session: the first action its monitor rejects
+//! closes it from the state its batch extracted, whether or not the cast's
+//! sites were pre-interned. Nothing else interrupts a live session — the
+//! server never moves one between shards — so this is the only way a
+//! session leaves its batch before it is over. The checkpoint codec's trust
+//! boundary is tested where the codec lives, in the runtime crate's
+//! `durability` suite.
 
-use std::sync::Arc;
-
-use zooid_cfsm::CompiledSystem;
 use zooid_dsl::Protocol;
-use zooid_mpst::{generators, Action, Label, Role, Sort, Trace};
-use zooid_runtime::checkpoint::SessionCheckpoint;
-use zooid_runtime::{CompiledMonitor, MonitorViolation, RuntimeError};
+use zooid_mpst::generators;
 use zooid_server::synth::skeleton_endpoints;
-use zooid_server::{
-    FlightEvent, MigratedSession, ProtocolRegistry, ServerConfig, ServerError, SessionServer,
-    SessionSpec,
-};
-
-/// `mu X. A -> B : tick(nat). B -> A : tock(nat). X` — no choice, so the
-/// skeleton cast loops forever. Sessions of this protocol are caught
-/// mid-flight by a drain deterministically (they can never finish first).
-fn metronome() -> zooid_mpst::global::GlobalType {
-    use zooid_mpst::global::GlobalType;
-    use zooid_mpst::{Role, Sort};
-    GlobalType::rec(GlobalType::msg1(
-        Role::new("A"),
-        Role::new("B"),
-        "tick",
-        Sort::Nat,
-        GlobalType::msg1(
-            Role::new("B"),
-            Role::new("A"),
-            "tock",
-            Sort::Nat,
-            GlobalType::var(0),
-        ),
-    ))
-}
+use zooid_server::{FlightEvent, ProtocolRegistry, ServerConfig, SessionServer, SessionSpec};
 
 /// A registry with one protocol, plus its skeleton cast.
 fn registry_with(
@@ -64,251 +27,6 @@ fn registry_with(
     let endpoints = skeleton_endpoints(&protocol).expect("synthesizes");
     let id = registry.register(protocol).expect("registers");
     (registry, id, endpoints)
-}
-
-// ---------------------------------------------------------------------
-// Evacuation and re-admission
-// ---------------------------------------------------------------------
-
-#[test]
-fn drained_sessions_go_silent_and_migrate_to_another_shard() {
-    // Unbounded ping-pong sessions loop forever, so the evacuation count
-    // is deterministic: every submitted session is still mid-flight when
-    // the drain request reaches its shard (FIFO per shard mailbox).
-    let (registry, id, endpoints) = registry_with("metronome", metronome());
-    let mut server = SessionServer::start(registry, ServerConfig::with_shards(2));
-    let mut submitted = Vec::new();
-    for _ in 0..8 {
-        submitted.push(
-            server
-                .submit(SessionSpec::new(id, endpoints.clone()))
-                .unwrap(),
-        );
-    }
-    let mut migrated = server.drain_shard(0).unwrap();
-    migrated.extend(server.drain_shard(1).unwrap());
-    assert_eq!(
-        migrated.len(),
-        8,
-        "every unbounded session is caught mid-flight"
-    );
-    let mut ids: Vec<_> = migrated.iter().map(|m| m.id).collect();
-    ids.sort();
-    assert_eq!(ids, submitted, "identity survives evacuation");
-    for m in &migrated {
-        assert_eq!(m.protocol, id);
-        assert!(!m.bytes.is_empty(), "the checkpoint blob is the session");
-    }
-
-    // Re-admit everything on shard 0, then evacuate shard 0 again: the
-    // same eight sessions come back — they were live on the new shard.
-    for m in migrated {
-        let sid = m.id;
-        assert_eq!(server.migrate_session(m, 0).unwrap(), sid);
-    }
-    let again = server.drain_shard(0).unwrap();
-    assert_eq!(again.len(), 8, "migrated sessions run on their new shard");
-    let mut ids: Vec<_> = again.iter().map(|m| m.id).collect();
-    ids.sort();
-    assert_eq!(ids, submitted);
-    server.shutdown();
-}
-
-#[test]
-fn migration_preserves_every_outcome_of_bounded_sessions() {
-    // Bounded sessions race the drain: however many are caught and moved,
-    // exactly one compliant outcome per submission must still arrive —
-    // migration neither loses nor duplicates sessions.
-    let (registry, id, endpoints) = registry_with("metronome", metronome());
-    let config = ServerConfig {
-        shards: 2,
-        quantum: 1,
-        ..ServerConfig::default()
-    };
-    let mut server = SessionServer::start(registry, config);
-    let mut submitted = Vec::new();
-    for _ in 0..12 {
-        submitted.push(
-            server
-                .submit(SessionSpec::new(id, endpoints.clone()).with_max_steps(40))
-                .unwrap(),
-        );
-    }
-    let mut migrated = server.drain_shard(0).unwrap();
-    migrated.extend(server.drain_shard(1).unwrap());
-    for m in migrated {
-        server.migrate_session(m, 0).unwrap();
-    }
-    let outcomes = server.drain();
-    assert_eq!(outcomes.len(), 12, "one outcome per submission");
-    let mut ids: Vec<_> = outcomes.iter().map(|o| o.id).collect();
-    ids.sort();
-    assert_eq!(ids, submitted, "no session lost or duplicated");
-    for outcome in &outcomes {
-        assert!(outcome.compliant, "migration must not corrupt a session");
-        assert!(!outcome.quarantined);
-    }
-    server.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// The migration trust boundary
-// ---------------------------------------------------------------------
-
-#[test]
-fn tampered_checkpoints_are_refused_with_structured_errors() {
-    let (registry, id, endpoints) = registry_with("metronome", metronome());
-    let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
-    for _ in 0..3 {
-        server
-            .submit(SessionSpec::new(id, endpoints.clone()))
-            .unwrap();
-    }
-    let migrated = server.drain_shard(0).unwrap();
-    assert_eq!(migrated.len(), 3);
-    let mut migrated = migrated.into_iter();
-
-    // Garbage bytes: the codec refuses before anything is re-certified.
-    let mut garbage = migrated.next().unwrap();
-    garbage.bytes = vec![0; 4];
-    match server.migrate_session(garbage, 0) {
-        Err(ServerError::Runtime(RuntimeError::Codec { .. })) => {}
-        other => panic!("garbage must be a structured codec error, got {other:?}"),
-    }
-
-    // A truncated blob: same refusal, never a panic.
-    let mut truncated = migrated.next().unwrap();
-    truncated.bytes.truncate(truncated.bytes.len() / 2);
-    match server.migrate_session(truncated, 0) {
-        Err(ServerError::Runtime(RuntimeError::Codec { .. })) => {}
-        other => panic!("truncation must be a structured codec error, got {other:?}"),
-    }
-
-    // A decodable checkpoint whose token does not match the claimed
-    // session id: refused by the identity check (byte 5 is inside the
-    // big-endian token that follows the 4-byte magic and 1-byte version).
-    let mut forged = migrated.next().unwrap();
-    forged.bytes[5] ^= 0x01;
-    match server.migrate_session(forged, 0) {
-        Err(ServerError::Runtime(RuntimeError::Recovery { reason })) => {
-            assert!(reason.contains("does not match"), "{reason}");
-        }
-        other => panic!("token forgery must be a recovery refusal, got {other:?}"),
-    }
-
-    // Out-of-range shard indexes are structured errors on both calls.
-    match server.drain_shard(99) {
-        Err(ServerError::Unsupported { reason }) => {
-            assert!(reason.contains("out of range"), "{reason}")
-        }
-        other => panic!("want Unsupported, got {other:?}"),
-    }
-    server.shutdown();
-}
-
-/// Drains one metronome session off its shard and re-encodes its checkpoint
-/// with the monitor `edit` makes of the one it carries, everything else as
-/// drained.
-fn drained_metronome_with(
-    max_steps: Option<usize>,
-    edit: impl FnOnce(&Arc<CompiledSystem>, &CompiledMonitor) -> CompiledMonitor,
-) -> (SessionServer, MigratedSession) {
-    let (registry, id, mut endpoints) = registry_with("metronome", metronome());
-    let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
-    let mut spec = SessionSpec::new(id, endpoints.clone());
-    if let Some(limit) = max_steps {
-        spec = spec.with_max_steps(limit);
-    }
-    server.submit(spec).unwrap();
-    let mut migrated = server.drain_shard(0).unwrap();
-    assert_eq!(migrated.len(), 1, "the session is caught mid-flight");
-    let mut session = migrated.pop().unwrap();
-    let artifacts = server.registry().get(id).unwrap();
-    endpoints.sort_by(|(a, _), (b, _)| a.role().cmp(b.role()));
-    let programs: Vec<_> = endpoints
-        .iter()
-        .map(|(cert, ext)| {
-            artifacts
-                .endpoint_program(cert.role(), cert.proc(), ext)
-                .unwrap()
-        })
-        .collect();
-    let system = artifacts.compiled();
-    let mut demoted = SessionCheckpoint::decode(&session.bytes)
-        .unwrap()
-        .into_demoted(&programs, system)
-        .unwrap();
-    demoted.monitor = edit(system, &demoted.monitor);
-    session.bytes = SessionCheckpoint::from_demoted(&demoted).encode();
-    (server, session)
-}
-
-/// `!BA(tock, nat)`: B's answer, which the metronome never allows first.
-fn tock() -> Action {
-    Action::send(
-        Role::new("B"),
-        Role::new("A"),
-        Label::new("tock"),
-        Sort::Nat,
-    )
-}
-
-#[test]
-fn a_checkpoint_whose_compliant_trace_does_not_replay_is_refused() {
-    // The cursor and the counters are consistent with a one-action trace,
-    // but that action cannot come first: the trace is forged, and restore
-    // replays it instead of trusting it.
-    let (mut server, forged) = drained_metronome_with(None, |system, monitor| {
-        let trace = Trace::new(vec![tock()]);
-        CompiledMonitor::resume(
-            Arc::clone(system),
-            monitor.cursor().clone(),
-            trace,
-            1,
-            Vec::new(),
-            1,
-            true,
-        )
-    });
-    match server.migrate_session(forged, 0) {
-        Err(ServerError::Runtime(RuntimeError::Recovery { reason })) => {
-            assert!(reason.contains("compliant trace action 0"), "{reason}");
-        }
-        other => panic!("a forged trace must be a recovery refusal, got {other:?}"),
-    }
-    server.shutdown();
-}
-
-#[test]
-fn a_checkpoint_that_carries_a_violation_is_refused() {
-    // A live session never carries a violation (its batch closes it at the
-    // pass that saw one), so a checkpoint that does is not one the server
-    // took, and restoring it would run a violator on.
-    let (mut server, tainted) = drained_metronome_with(Some(200_000), |system, monitor| {
-        let violation = MonitorViolation {
-            action: tock(),
-            position: monitor.observed(),
-            trace_len: monitor.accepted(),
-        };
-        CompiledMonitor::resume(
-            Arc::clone(system),
-            monitor.cursor().clone(),
-            monitor.trace().clone(),
-            monitor.accepted(),
-            vec![violation],
-            monitor.observed() + 1,
-            monitor.records_trace(),
-        )
-    });
-    match server.migrate_session(tainted, 0) {
-        Err(ServerError::Runtime(RuntimeError::Recovery { reason })) => {
-            assert!(reason.contains("violation"), "{reason}");
-        }
-        other => panic!("a carried violation must be a recovery refusal, got {other:?}"),
-    }
-    assert!(server.drain().is_empty(), "nothing was restored");
-    let report = server.shutdown();
-    assert_eq!(report.sessions_violated(), 0, "{report}");
 }
 
 // ---------------------------------------------------------------------
@@ -417,57 +135,4 @@ fn a_rejected_send_that_fails_to_leave_still_ends_the_session() {
     assert_eq!(outcome.violations.len(), 1);
     let report = server.shutdown();
     assert_eq!(report.sessions_quarantined(), report.sessions_violated(), "{report}");
-}
-
-#[test]
-fn sessions_that_call_externals_are_never_checkpointed() {
-    // Role A reads every tick's payload from the environment. The closure
-    // behind `src` lives in the submitted `Externals`; a checkpoint cannot
-    // carry it, and a session resumed from one would run with none. So the
-    // drain must not evacuate this session (it closes as stalled through the
-    // outcome stream).
-    use zooid_mpst::{Role, Sort};
-    use zooid_proc::{Expr, Externals, Proc, Value};
-    let (a, b) = (Role::new("A"), Role::new("B"));
-    let (registry, id, skeleton) = registry_with("metronome", metronome());
-    let protocol = Protocol::new("metronome", metronome()).unwrap();
-    let mut externals = Externals::new();
-    externals.register_read("src", Sort::Nat, || Value::Nat(7));
-    let reader = Proc::loop_(Proc::read(
-        "src",
-        "x",
-        Proc::send(
-            b.clone(),
-            "tick",
-            Expr::var("x"),
-            Proc::recv1(b.clone(), "tock", Sort::Nat, "y", Proc::Jump(0)),
-        ),
-    ));
-    let cert = protocol
-        .implement_against_projection(&a, reader, &externals)
-        .expect("the reader implements A");
-    let mut endpoints = vec![(cert, externals)];
-    endpoints.extend(skeleton.into_iter().filter(|(c, _)| *c.role() == b));
-
-    let config = ServerConfig {
-        shards: 1,
-        quantum: 1,
-        ..ServerConfig::default()
-    };
-    let mut server = SessionServer::start(registry, config);
-    let sid = server.submit(SessionSpec::new(id, endpoints)).unwrap();
-    let migrated = server.drain_shard(0).unwrap();
-    assert!(
-        migrated.is_empty(),
-        "a checkpoint cannot carry external closures"
-    );
-    let outcomes = server.drain();
-    assert_eq!(outcomes.len(), 1, "the refused session still reports");
-    let outcome = &outcomes[0];
-    assert_eq!(outcome.id, sid);
-    assert!(outcome.stalled && outcome.compliant && !outcome.quarantined);
-    for report in outcome.endpoints.values() {
-        assert_eq!(report.status, zooid_runtime::EndpointStatus::Stalled);
-    }
-    server.shutdown();
 }

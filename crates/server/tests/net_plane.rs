@@ -108,6 +108,33 @@ fn structural_twins_are_served_by_name_each_with_its_own_cast() {
 }
 
 #[test]
+fn an_unrecorded_service_reports_the_actions_it_performed() {
+    // `Done.actions` counts what the endpoints performed, not what they
+    // recorded: a service whose options turn recording off still reports
+    // every action of its session.
+    let mut registry = ProtocolRegistry::new();
+    let mut twin = |name| {
+        registry
+            .register(Protocol::new(name, generators::ring3()).unwrap())
+            .unwrap()
+    };
+    let (recorded, unrecorded) = (twin("ring-recorded"), twin("ring-unrecorded"));
+    let mut quiet = Service::skeleton(&registry, unrecorded).unwrap();
+    quiet.options.record_actions = false;
+    let services = vec![Service::skeleton(&registry, recorded).unwrap(), quiet];
+    let server = NetServer::start(registry, services, NetServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let sessions = [client.open("ring-recorded").unwrap(), client.open("ring-unrecorded").unwrap()];
+    let done = await_done(&mut client, &sessions);
+    for session in sessions {
+        let MuxFrame::Done { complete, actions, .. } = done[&session] else { unreachable!() };
+        assert!(complete, "session {session} ran the ring to its end");
+        assert_eq!(actions, 6, "session {session}: 3 sends and 3 receives");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn multiplexed_sessions_match_direct_submission() {
     let (registry, ids) = registry_with_case_studies();
 

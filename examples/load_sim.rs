@@ -19,14 +19,6 @@
 //! and the per-protocol quarantine counters and a replayed incident show
 //! the containment working.
 //!
-//! The final act is durability: a second server (single-action quanta, so
-//! sessions stay in flight) is drained shard by shard — every in-flight
-//! session leaves as an encoded, re-certifiable checkpoint — and the
-//! checkpoints are migrated onto other shards, where they resume in a batch
-//! and finish compliant. Violators submitted alongside them quarantine:
-//! each is closed from the state its batch extracted at the first
-//! rejection.
-//!
 //! Run with `cargo run --release --example load_sim`.
 
 use std::sync::Arc;
@@ -206,79 +198,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(report.casts_resolved() <= (SHARDS * casts) as u64);
 
-    // Durability act: drain shards mid-flight and migrate the checkpoints,
-    // with violators quarantining next to them. A fresh server with
-    // single-action quanta keeps sessions in flight long enough to catch
-    // them between quanta.
-    println!("\ndrain-and-recover:");
-    let mut registry = ProtocolRegistry::new();
-    let ring = registry.register(Protocol::new("ring", generators::ring_n(4))?)?;
-    let ring_endpoints: Arc<[_]> =
-        skeleton_endpoints(registry.get(ring).unwrap().protocol())?.into();
-    let mut server = SessionServer::start(
-        registry,
-        ServerConfig {
-            shards: 2,
-            quantum: 1,
-            ..ServerConfig::default()
-        },
-    );
-    const MIGRATED_SESSIONS: usize = 64;
-    for _ in 0..MIGRATED_SESSIONS {
-        server.submit(SessionSpec::new(ring, Arc::clone(&ring_endpoints)))?;
-    }
-
-    // Drain both shards: every session still in flight leaves as an
-    // encoded checkpoint (already-finished ones deliver outcomes instead).
-    let mut migrated = Vec::new();
-    for shard in 0..server.shard_count() {
-        migrated.extend(server.drain_shard(shard)?);
-    }
-    let bytes: usize = migrated.iter().map(|m| m.bytes.len()).sum();
-    println!(
-        "  drained {} in-flight sessions ({bytes} checkpoint bytes)",
-        migrated.len()
-    );
-
-    // Migrate each checkpoint onto the *other* shard; decode re-validates
-    // every index before the session is re-admitted, so a restored session
-    // is re-certified, not just trusted.
-    for m in migrated {
-        let home = m.id.0 as usize % server.shard_count();
-        server.migrate_session(m, (home + 1) % server.shard_count())?;
-    }
-
-    // Violators under the default policy: each is over at its first
-    // rejected action, and is closed as quarantined from the state its
-    // batch demoted it with.
-    for _ in 0..BAD_SESSIONS {
-        server.submit(SessionSpec::new(ring, Arc::clone(&bad_endpoints)))?;
-    }
-
-    let outcomes = server.drain();
-    assert_eq!(outcomes.len(), MIGRATED_SESSIONS + BAD_SESSIONS);
-    let compliant = outcomes
-        .iter()
-        .filter(|o| o.all_finished_and_compliant())
-        .count();
-    assert_eq!(compliant, MIGRATED_SESSIONS, "migrated sessions finish compliant");
-    assert_eq!(
-        outcomes.iter().filter(|o| o.quarantined).count(),
-        BAD_SESSIONS,
-        "violators quarantine at their first rejection"
-    );
-
-    let report = server.shutdown();
-    println!(
-        "  {} sessions finished compliant after migration; {} sessions quarantined ({} of them out of a batch)",
-        compliant,
-        report.sessions_quarantined(),
-        report.sessions_demoted(),
-    );
-    assert_eq!(report.sessions_quarantined() as usize, BAD_SESSIONS);
-    assert_eq!(report.sessions_demoted() as usize, BAD_SESSIONS);
-    // Two handles (the ring and the violators) on two shards; a migrated
-    // session arrives with its programs and is never resolved.
-    assert!(report.casts_resolved() <= 2 * report.shards.len() as u64);
     Ok(())
 }

@@ -29,9 +29,10 @@ done
 echo "== the server links the serving engine, and the engine links no oracle"
 # The crate graph keeps the oracles off the serving path. zooid-server may
 # name zooid-runtime (the reference runtime, harness, fault injection, peer
-# TCP, trace log) only from its tests, and the engine it links depends on
-# no workspace crate but the type, process and automaton layers. A grep
-# for names would cover only the names it lists; this covers every oracle.
+# TCP, the session checkpoint codec, trace log) only from its tests, and
+# the engine it links depends on no workspace crate but the type, process
+# and automaton layers. A grep for names would cover only the names it
+# lists; this covers every oracle.
 workspace_deps() {
     cargo tree -p "$1" -e normal --offline --prefix none |
         sed -n "s|^\([^ ]*\) v[^ ]* ($PWD/crates/.*|\1|p" | sort -u
@@ -73,8 +74,8 @@ cargo test --workspace -q
 
 echo "== cargo test --workspace --release -q"
 # The same suites with optimizations on and debug assertions off: the
-# differential, hostile-world, durability and crash-recovery suites must
-# hold in the profile that serves.
+# differential, hostile-world, durability and quarantine suites must hold
+# in the profile that serves.
 cargo test --workspace --release -q
 
 echo "== examples run to the end of their own assertions"

@@ -13,11 +13,12 @@
 //! * [`dsl`] — the Zooid DSL: well-typed-by-construction processes, the
 //!   protocol projection workflow and equality up to unravelling (§4.2, §5);
 //! * [`engine`] — the serving core: compiled endpoint programs, the columnar
-//!   batch executor, compiled monitors, checkpoints and the wire codec —
-//!   exactly what a served session passes through;
+//!   batch executor, compiled monitors and the wire codec — exactly what a
+//!   served session passes through;
 //! * [`runtime`] — extraction of processes to executable programs, transports
 //!   and the multi-participant session harness (§4.4–4.5), plus the oracles
-//!   the engine is checked against (it re-exports the engine's modules);
+//!   the engine is checked against, session checkpoints among them (it
+//!   re-exports the engine's modules);
 //! * [`cfsm`] — communicating finite-state machines compiled from local
 //!   types, with safety and liveness exploration;
 //! * [`server`] — the multi-session server: a protocol registry compiling
