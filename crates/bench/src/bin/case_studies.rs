@@ -14,7 +14,7 @@ use zooid_runtime::SessionHarness;
 fn main() {
     println!(
         "{:<18} {:<10} {:>5} {:>12} {:>10} {:>9} {:>10} {:>9} {:>6}",
-        "case study", "section", "roles", "projectable", "certified", "messages", "compliant", "deadlock", "live"
+        "case study", "section", "roles", "projectable", "certified", "messages", "compliant", "safe", "live"
     );
     println!("{}", "-".repeat(100));
     let mut all_ok = true;

@@ -35,8 +35,7 @@
 //! its send was observed as, and a receive is accepted only when the frame
 //! it reads carries its own. A session holds each message in flight once.
 //! The [`MonitorCursor`](zooid_cfsm::MonitorCursor) type appears only at
-//! the boundary: extraction builds one from the columns and the arena, and
-//! [`SessionBatch::restore`] takes it apart again.
+//! the boundary: extraction builds one from the columns and the arena.
 //!
 //! A pass visits live endpoints only. The batch keeps its occupied slots
 //! in one dense, ascending list, and every per-pass loop — the cohort
@@ -74,12 +73,12 @@
 //! [`DemotedSession`] carrying the program counters, slot values, action
 //! traces, in-flight frames and the monitor state, which is all its
 //! outcome needs. The same extraction takes live sessions out on request
-//! ([`SessionBatch::demote_now`], [`SessionBatch::demote_all`]), and
-//! [`SessionBatch::restore`] is its inverse: an extracted session continues
-//! in another batch without losing a single observation. No serving path
-//! calls these three. They are what the oracles in `zooid-runtime` — the
-//! session checkpoint codec and the durability suites — cut and resume a
-//! session with; the server never moves a live session.
+//! ([`SessionBatch::demote_now`], [`SessionBatch::demote_all`]). No serving
+//! path calls these two: they are what the oracles in `zooid-runtime` — the
+//! session checkpoint codec and the durability suites — cut a session
+//! with, and an extracted session continues only on the per-session
+//! executor there. A session never re-enters a batch, and the server never
+//! moves a live session.
 //!
 //! The frame arena is process memory written only by this module, so it
 //! has no fault seam: every wire id in it was assigned by
@@ -374,9 +373,8 @@ pub struct BatchOutcome {
     pub stalled: bool,
 }
 
-/// One endpoint's extracted execution state, ready for
-/// [`SessionBatch::restore`] (or the runtime oracle's
-/// `CompiledEndpointTask::resume`).
+/// One endpoint's extracted execution state, ready for the runtime
+/// oracle's `CompiledEndpointTask::resume`.
 #[derive(Debug)]
 pub struct DemotedEndpoint {
     /// The endpoint's role.
@@ -396,10 +394,11 @@ pub struct DemotedEndpoint {
 }
 
 /// A session pulled out of a batch mid-flight: everything needed to
-/// continue it exactly where its columns left off — per-endpoint state, the
-/// monitor mid-stream, and the frames that were still in flight in the
-/// batch arena (per-channel FIFO order preserved). Its external actions
-/// stay behind: a session restored from one runs with none.
+/// continue it on the per-session executor exactly where its columns left
+/// off — per-endpoint state, the monitor mid-stream, and the frames that
+/// were still in flight in the batch arena (per-channel FIFO order
+/// preserved). Its external actions stay behind: a session continued from
+/// one runs with none.
 #[derive(Debug)]
 pub struct DemotedSession {
     /// The caller-supplied session token.
@@ -502,11 +501,10 @@ fn site_erasure(layout: &BatchLayout, r: usize, event: u32, send: bool, value: &
 ///
 /// All sessions share one [`BatchLayout`] and one [`ExecOptions`]; their
 /// mutable state lives in struct-of-arrays columns indexed by session slot.
-/// [`SessionBatch::admit`] claims a slot (and [`SessionBatch::restore`]
-/// claims one for a session extracted elsewhere),
-/// [`SessionBatch::run_quantum`] steps the live sessions in `(role, pc)`
-/// cohorts, and sessions leave as [`BatchOutcome`]s (over: concluded or
-/// stalled) or [`DemotedSession`]s (at a violation, or on request).
+/// [`SessionBatch::admit`] claims a slot, [`SessionBatch::run_quantum`]
+/// steps the live sessions in `(role, pc)` cohorts, and sessions leave as
+/// [`BatchOutcome`]s (over: concluded or stalled) or [`DemotedSession`]s
+/// (at a violation, or on request).
 #[derive(Debug)]
 pub struct SessionBatch {
     layout: Arc<BatchLayout>,
@@ -695,80 +693,6 @@ impl SessionBatch {
             }
         }
         true
-    }
-
-    /// Continues a session extracted from a batch of the same layout —
-    /// demoted, or decoded from a checkpoint by the oracles — in a free
-    /// slot: program counters, step counts, statuses, slot values and
-    /// recorded actions per endpoint, the monitor's machine states, counter
-    /// and trace, and the in-flight frames, re-queued in their delivery
-    /// order, each carrying the message the cursor queues for it on its
-    /// channel. The inverse of the extraction; the session runs with no
-    /// external actions. It serves the oracles and `tests/batch_exec.rs`,
-    /// not the server.
-    ///
-    /// # Panics
-    ///
-    /// If the batch is full ([`SessionBatch::is_full`]), if the session
-    /// carries a monitor violation, or if its frames disagree with its
-    /// cursor (per channel, they are not the cursor's queued messages, or
-    /// a label has no communication site in the layout). A live extraction
-    /// has none of these, and `zooid-runtime`'s
-    /// `SessionCheckpoint::into_demoted` refuses them; nothing restores a
-    /// violating session.
-    pub fn restore(&mut self, demoted: DemotedSession) {
-        debug_assert_eq!(demoted.endpoints.len(), self.layout.programs.len());
-        let DemotedSession {
-            token,
-            endpoints,
-            mut monitor,
-            frames,
-            ..
-        } = demoted;
-        assert!(monitor.is_compliant(), "a restored session carries no violation");
-        let s = self.claim(token).expect("a restored session needs a free slot");
-        let layout = Arc::clone(&self.layout);
-        let (cap, n) = (self.cap, layout.roles.len());
-        let cursor = monitor.cursor();
-        for (m, &state) in cursor.states().iter().enumerate() {
-            self.mstates[m * cap + s] = state;
-        }
-        let mut queued: Vec<VecDeque<MsgId>> = cursor.queues().to_vec();
-        self.traces[s] = monitor.take_trace();
-        self.accepted[s] = monitor.accepted();
-        for (r, ep) in endpoints.into_iter().enumerate() {
-            debug_assert!(Arc::ptr_eq(&ep.program, &self.layout.programs[r]));
-            let idx = r * cap + s;
-            self.pcs[idx] = ep.pc;
-            self.steps[idx] = ep.steps;
-            self.statuses[idx] = ep.status;
-            self.actions[idx] = ep.actions;
-            for (k, value) in ep.slots.into_iter().enumerate() {
-                self.slots[r][k * cap + s] = value;
-            }
-        }
-        for (from, to, label, value) in frames {
-            let wire = layout
-                .labels
-                .iter()
-                .position(|l| *l == label)
-                .expect("an extracted frame carries a site's label");
-            let row = from as usize * n + to as usize;
-            let msg = layout.channels[row]
-                .and_then(|ch| queued[ch].pop_front())
-                .filter(|&msg| *layout.system.message_label(msg) == label)
-                .expect("a restored frame is the message its cursor queues next");
-            let frame = Frame {
-                wire: wire as u32,
-                msg: Some(msg),
-                value,
-            };
-            self.queues[row * cap + s].push(frame);
-        }
-        assert!(
-            queued.iter().all(VecDeque::is_empty),
-            "every message a restored cursor queues is a frame in flight"
-        );
     }
 
     /// Takes a free slot for `token` and enters it in the live list; the

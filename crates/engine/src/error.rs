@@ -62,12 +62,6 @@ pub enum RuntimeError {
     Process(zooid_proc::ProcError),
     /// An I/O error from the TCP transport.
     Io(std::io::Error),
-    /// The executor hit its configured step limit before the process
-    /// finished.
-    StepLimitReached {
-        /// The configured limit.
-        limit: usize,
-    },
     /// A participant thread panicked inside the session harness.
     EndpointPanicked {
         /// The role whose thread panicked.
@@ -103,9 +97,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Process(e) => write!(f, "process error: {e}"),
             RuntimeError::Io(e) => write!(f, "transport i/o error: {e}"),
-            RuntimeError::StepLimitReached { limit } => {
-                write!(f, "stopped after reaching the step limit of {limit}")
-            }
             RuntimeError::EndpointPanicked { role } => {
                 write!(f, "the endpoint thread for `{role}` panicked")
             }
@@ -169,7 +160,6 @@ mod tests {
                 from: Role::new("q"),
                 label: Label::new("l"),
             },
-            RuntimeError::StepLimitReached { limit: 10 },
             RuntimeError::EndpointPanicked {
                 role: Role::new("q"),
             },

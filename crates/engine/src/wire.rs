@@ -584,6 +584,10 @@ mod tests {
             oversized_at in 0usize..80,
             // Delivery sizes, cycled; `fill` when the flag is set, else `extend`.
             chunks in proptest::collection::vec((1usize..97, any::<bool>()), 1..12),
+            // Damage to the stream: none (0), bit `bit` of byte `at` flipped
+            // (1), or every byte from `at` on lost (2). Either can reframe
+            // the rest of the stream or leave a frame that never completes.
+            (damage, at, bit) in (0u8..3, 0usize..4096, 0u8..8),
         ) {
             let mut wire = Vec::new();
             for (at, (class, byte)) in frames.iter().enumerate() {
@@ -598,6 +602,14 @@ mod tests {
                     _ => usize::from(*byte) % DIFF_CAP,
                 };
                 put_frame(&mut wire, &vec![*byte; len], DIFF_CAP).unwrap();
+            }
+            if !wire.is_empty() {
+                let at = at % wire.len();
+                match damage {
+                    1 => wire[at] ^= 1 << bit,
+                    2 => wire.truncate(at),
+                    _ => {}
+                }
             }
             let mut cursor = FrameReader::new(DIFF_CAP);
             let mut oracle = SplitToReader::new(DIFF_CAP);

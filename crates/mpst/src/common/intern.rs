@@ -907,11 +907,6 @@ impl Interner {
     // Local terms
     // ------------------------------------------------------------------
 
-    /// Number of distinct local-type nodes interned so far.
-    pub fn local_len(&self) -> usize {
-        self.lterms.len()
-    }
-
     /// Interns (hash-conses) a local node built from already-interned
     /// children.
     pub fn mk_local(&mut self, term: LTerm) -> LTypeId {

@@ -53,12 +53,6 @@ pub enum Error {
         /// The missing participant.
         role: Role,
     },
-    /// An operation on the semantics was attempted from a configuration that
-    /// cannot perform it (e.g. receiving from an empty queue).
-    StuckConfiguration {
-        /// Human-readable description of the attempted step.
-        context: String,
-    },
     /// A well-formedness precondition did not hold.
     IllFormed {
         /// Human-readable description of the violated condition.
@@ -84,9 +78,6 @@ impl fmt::Display for Error {
                 write!(f, "global type is not projectable onto `{role}`: {reason}")
             }
             Error::UnknownRole { role } => write!(f, "unknown participant `{role}`"),
-            Error::StuckConfiguration { context } => {
-                write!(f, "configuration cannot perform the requested step: {context}")
-            }
             Error::IllFormed { reason } => write!(f, "ill-formed type: {reason}"),
         }
     }
@@ -118,9 +109,6 @@ mod tests {
             },
             Error::UnknownRole {
                 role: Role::new("x"),
-            },
-            Error::StuckConfiguration {
-                context: "deq on empty queue".into(),
             },
             Error::IllFormed {
                 reason: "empty protocol".into(),

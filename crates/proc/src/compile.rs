@@ -313,9 +313,6 @@ pub struct CompiledProc {
     events: Vec<EventMeta>,
     action_names: Vec<String>,
     slot_count: u32,
-    /// Declared sort of each slot, `None` when unknown (externals without a
-    /// declared signature).
-    slot_sorts: Vec<Option<Sort>>,
     snapshot: InternerSnapshot,
 }
 
@@ -353,7 +350,6 @@ impl CompiledProc {
             events: ctx.events,
             action_names: ctx.action_names,
             slot_count: u32::try_from(ctx.slot_sorts.len()).expect("slot table overflow"),
-            slot_sorts: ctx.slot_sorts,
             snapshot: ctx.interner.snapshot(),
         })
     }
@@ -400,20 +396,6 @@ impl CompiledProc {
     /// Number of value slots a task running this program needs.
     pub fn slot_count(&self) -> usize {
         self.slot_count as usize
-    }
-
-    /// The declared sorts of every slot, indexed by slot id — the
-    /// slot-layout metadata a columnar executor uses to lay value columns
-    /// out per-slot across sessions.
-    pub fn slot_sorts(&self) -> &[Option<Sort>] {
-        &self.slot_sorts
-    }
-
-    /// The declared sort of a slot, when known (receive binders always are;
-    /// `read`/`interact` binders only when their action declared a
-    /// signature at compile time).
-    pub fn slot_sort(&self, slot: u32) -> Option<&Sort> {
-        self.slot_sorts.get(slot as usize).and_then(Option::as_ref)
     }
 
     /// The read-only snapshot resolving the program's interned ids back to

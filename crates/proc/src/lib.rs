@@ -43,5 +43,5 @@ pub use external::{ExternalKind, ExternalSig, Externals};
 pub use proc::{Proc, RecvAlt};
 pub use semantics::{erase, ValueAction};
 pub use subtrace::is_complete_subtrace;
-pub use typing::{infer_local_type, type_check, TypingCtx};
+pub use typing::{infer_local_type, type_check};
 pub use value::Value;

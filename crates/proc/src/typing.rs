@@ -20,16 +20,16 @@ use crate::proc::Proc;
 /// The context of the typing judgement: the sorts of the free expression
 /// variables (`Γ`) and the signatures of the external actions.
 #[derive(Debug, Clone)]
-pub struct TypingCtx<'a> {
+struct TypingCtx<'a> {
     /// Sorts of the expression variables currently in scope.
-    pub gamma: SortEnv,
+    gamma: SortEnv,
     /// Declared external actions.
-    pub externals: &'a Externals,
+    externals: &'a Externals,
 }
 
 impl<'a> TypingCtx<'a> {
     /// An empty context over the given external declarations.
-    pub fn new(externals: &'a Externals) -> Self {
+    fn new(externals: &'a Externals) -> Self {
         TypingCtx {
             gamma: SortEnv::new(),
             externals,
@@ -66,15 +66,6 @@ impl<'a> TypingCtx<'a> {
 /// ```
 pub fn type_check(proc: &Proc, local: &LocalType, externals: &Externals) -> Result<()> {
     check(proc, local, &TypingCtx::new(externals))
-}
-
-/// Checks `Γ ⊢lt proc : local` under an explicit context.
-///
-/// # Errors
-///
-/// Returns a [`ProcError`] describing the first typing rule that fails.
-pub fn type_check_in(proc: &Proc, local: &LocalType, ctx: &TypingCtx<'_>) -> Result<()> {
-    check(proc, local, ctx)
 }
 
 fn check(proc: &Proc, local: &LocalType, ctx: &TypingCtx<'_>) -> Result<()> {

@@ -9,9 +9,9 @@
 //! it, [`SessionCheckpoint::encode`]/[`SessionCheckpoint::decode`] move it
 //! through the same self-describing binary codec the wire uses
 //! ([`crate::codec`]), and [`SessionCheckpoint::into_demoted`] rebuilds a
-//! `DemotedSession` that
-//! [`SessionBatch::restore`](crate::cbatch::SessionBatch::restore)
-//! continues exactly where the checkpoint was taken.
+//! `DemotedSession` that the per-session executor
+//! ([`CompiledEndpointTask::resume`](crate::cexec::CompiledEndpointTask::resume),
+//! one task per endpoint) continues exactly where the checkpoint was taken.
 //!
 //! Restoration is a trust boundary, not a deserializer: every index in the
 //! checkpoint — program counters, slot counts, monitor states, queued
@@ -37,7 +37,7 @@
 //! certified session is a deterministic function of its cast (Theorem 4.7
 //! and per-pair FIFO delivery), so a session interrupted for good is re-run,
 //! not resumed; the checkpoint is how the durability suites check that the
-//! batch's extraction and restore lose nothing.
+//! batch's extraction loses nothing.
 //!
 //! [`MonitorCursor`]: zooid_cfsm::MonitorCursor
 
@@ -75,9 +75,9 @@ struct EndpointState {
     status: Option<EndpointStatus>,
 }
 
-/// A serializable snapshot of one live session: everything
-/// [`SessionBatch::restore`](crate::cbatch::SessionBatch::restore) needs to
-/// continue it, in a form the codec can move to disk or across the wire.
+/// A serializable snapshot of one live session: everything the per-session
+/// executor needs to continue it, in a form the codec can move to disk or
+/// across the wire.
 ///
 /// The compiled programs themselves are **not** part of a checkpoint — they
 /// are code, shared and cached per protocol, and the restoring side supplies

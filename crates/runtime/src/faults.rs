@@ -14,11 +14,7 @@
 //!   inner transport (the in-memory network and the TCP transport alike)
 //!   that executes the plan and logs every injection as an
 //!   [`InjectedFault`], so two runs with the same seed produce the same
-//!   schedule byte for byte;
-//! * [`FaultReader`] — a wrapper at the [`FrameReader`] seam that corrupts
-//!   the *byte stream* below the codec ([`WireFault`]: bit flips, split
-//!   deliveries, truncated tails, hostile length prefixes), the faults a
-//!   certified process can never cause but a hostile network can.
+//!   schedule byte for byte.
 //!
 //! Determinism is the load-bearing property: the PRNG is consulted only on
 //! *counted* operations — every send, and every receive that actually
@@ -27,14 +23,12 @@
 //! timing, and is identical across the in-memory and TCP backends.
 
 use std::collections::VecDeque;
-use std::io::Read;
 
 use zooid_mpst::{Label, Role};
 use zooid_proc::Value;
 
 use crate::error::{Result, RuntimeError};
 use crate::transport::Transport;
-use crate::wire::{FillStatus, FrameReader};
 
 /// SplitMix64: a tiny, fast, hand-rolled deterministic PRNG (no external
 /// crates — the build stays hermetic). Good enough statistical quality for
@@ -315,11 +309,6 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
-    /// The inner transport, mutably.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     /// Unwraps the inner transport, discarding any still-held messages.
     pub fn into_inner(self) -> T {
         self.inner
@@ -582,226 +571,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 }
 
-/// The wire-level corruption kinds a [`FaultReader`] can inject, below the
-/// codec: these are byte-stream faults a certified process can never cause
-/// but a hostile network can.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireFault {
-    /// Flip one pseudo-randomly chosen bit in a delivered chunk.
-    BitFlip,
-    /// Deliver a chunk in two halves across separate extend calls,
-    /// exercising partial-frame reassembly. Behaviorally a no-op for a
-    /// correct reader.
-    Split,
-    /// Drop the tail of a chunk: the stream loses bytes mid-frame and every
-    /// later byte is misinterpreted.
-    TruncateTail,
-    /// Overwrite the start of a chunk with an absurd big-endian length
-    /// prefix (`u32::MAX`), which must poison the reader, not allocate.
-    HostileLength,
-}
-
-impl std::fmt::Display for WireFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            WireFault::BitFlip => "bit-flip",
-            WireFault::Split => "split",
-            WireFault::TruncateTail => "truncate-tail",
-            WireFault::HostileLength => "hostile-length",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One injected wire fault, as recorded in the [`FaultReader`] schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedWireFault {
-    /// The 1-based index of the delivered chunk the fault applied to.
-    pub chunk: u64,
-    /// What was injected.
-    pub fault: WireFault,
-}
-
-#[derive(Debug)]
-struct WireFaultSpec {
-    fault: WireFault,
-    rate_per_64k: u32,
-    budget: u32,
-    used: u32,
-}
-
-/// A [`FrameReader`] wrapper that corrupts the incoming byte stream before
-/// the framing layer sees it.
-///
-/// Feed bytes with [`FaultReader::extend`] or [`FaultReader::fill`] exactly
-/// as with a bare `FrameReader`; corruption is applied per delivered chunk,
-/// deterministically from the seed, and logged in
-/// [`FaultReader::schedule`].
-#[derive(Debug)]
-pub struct FaultReader {
-    inner: FrameReader,
-    rng: SplitMix64,
-    specs: Vec<WireFaultSpec>,
-    /// Second half of a split chunk, delivered before the next chunk.
-    held: Vec<u8>,
-    chunk: u64,
-    schedule: Vec<InjectedWireFault>,
-}
-
-impl FaultReader {
-    /// Creates a reader with the given frame-size cap and fault seed.
-    pub fn new(max_frame_bytes: usize, seed: u64) -> Self {
-        FaultReader {
-            inner: FrameReader::new(max_frame_bytes),
-            rng: SplitMix64::new(seed),
-            specs: Vec::new(),
-            held: Vec::new(),
-            chunk: 0,
-            schedule: Vec::new(),
-        }
-    }
-
-    /// Adds a wire-fault spec (builder style). `rate_per_64k` of 65 536
-    /// fires on every chunk until `budget` injections have happened.
-    #[must_use]
-    pub fn with(mut self, fault: WireFault, rate_per_64k: u32, budget: u32) -> Self {
-        self.specs.push(WireFaultSpec {
-            fault,
-            rate_per_64k,
-            budget,
-            used: 0,
-        });
-        self
-    }
-
-    /// The deterministic log of injected wire faults.
-    pub fn schedule(&self) -> &[InjectedWireFault] {
-        &self.schedule
-    }
-
-    /// Bytes buffered but not yet consumed as complete frames, including a
-    /// held split-chunk half.
-    pub fn pending_bytes(&self) -> usize {
-        self.inner.pending_bytes() + self.held.len()
-    }
-
-    /// The configured frame-size cap.
-    pub fn max_frame_bytes(&self) -> usize {
-        self.inner.max_frame_bytes()
-    }
-
-    /// Delivers bytes through the corruption layer into the framing buffer.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        if !self.held.is_empty() {
-            let held = std::mem::take(&mut self.held);
-            self.inner.extend(&held);
-        }
-        if bytes.is_empty() {
-            return;
-        }
-        self.chunk += 1;
-        let mut owned = bytes.to_vec();
-        let mut fired: Option<WireFault> = None;
-        for spec in &mut self.specs {
-            if spec.used >= spec.budget {
-                continue;
-            }
-            if self.rng.chance(spec.rate_per_64k) {
-                spec.used += 1;
-                fired = Some(spec.fault);
-                break;
-            }
-        }
-        let Some(fault) = fired else {
-            self.inner.extend(&owned);
-            return;
-        };
-        self.schedule.push(InjectedWireFault {
-            chunk: self.chunk,
-            fault,
-        });
-        match fault {
-            WireFault::BitFlip => {
-                let byte = self.rng.below(owned.len() as u64) as usize;
-                let bit = self.rng.below(8) as u8;
-                owned[byte] ^= 1 << bit;
-                self.inner.extend(&owned);
-            }
-            WireFault::Split => {
-                let cut = 1 + self.rng.below(owned.len() as u64) as usize;
-                let cut = cut.min(owned.len());
-                self.inner.extend(&owned[..cut]);
-                self.held = owned[cut..].to_vec();
-            }
-            WireFault::TruncateTail => {
-                let keep = self.rng.below(owned.len() as u64) as usize;
-                self.inner.extend(&owned[..keep]);
-            }
-            WireFault::HostileLength => {
-                let hostile = u32::MAX.to_be_bytes();
-                if owned.len() >= 4 {
-                    owned[..4].copy_from_slice(&hostile);
-                    self.inner.extend(&owned);
-                } else {
-                    self.inner.extend(&hostile);
-                    self.inner.extend(&owned);
-                }
-            }
-        }
-    }
-
-    /// Reads available bytes from `reader` through the corruption layer,
-    /// mirroring [`FrameReader::fill`]'s contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport i/o failures (never `WouldBlock`, which maps to
-    /// [`FillStatus::WouldBlock`]).
-    pub fn fill(&mut self, reader: &mut impl Read) -> Result<FillStatus> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match reader.read(&mut chunk) {
-                Ok(0) => return Ok(FillStatus::Eof),
-                Ok(n) => {
-                    self.extend(&chunk[..n]);
-                    return Ok(FillStatus::Progress);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(FillStatus::WouldBlock)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(RuntimeError::Io(e)),
-            }
-        }
-    }
-
-    /// Pops the next complete frame, exactly as [`FrameReader::next_frame`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when a (possibly injected) length prefix exceeds the cap.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        // A held split half with an otherwise starved buffer must still be
-        // parseable: release it if the inner reader cannot make progress.
-        match self.inner.next_frame()? {
-            Some(frame) => Ok(Some(frame)),
-            None => {
-                if self.held.is_empty() {
-                    return Ok(None);
-                }
-                let held = std::mem::take(&mut self.held);
-                self.inner.extend(&held);
-                self.inner.next_frame()
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::InMemoryNetwork;
-    use crate::wire::put_frame;
 
     fn r(name: &str) -> Role {
         Role::new(name)
@@ -980,107 +753,5 @@ mod tests {
         assert_eq!(recv_a, recv_b);
         assert_ne!(sched_a, sched_c, "different seeds must differ");
         assert!(!sched_a.is_empty());
-    }
-
-    fn framed(payloads: &[&[u8]]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for p in payloads {
-            put_frame(&mut out, p, 1 << 20).unwrap();
-        }
-        out
-    }
-
-    #[test]
-    fn fault_reader_passthrough_without_specs() {
-        let bytes = framed(&[b"hello", b"world"]);
-        let mut reader = FaultReader::new(1 << 20, 1);
-        reader.extend(&bytes);
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b"hello");
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b"world");
-        assert_eq!(reader.next_frame().unwrap(), None);
-        assert!(reader.schedule().is_empty());
-    }
-
-    #[test]
-    fn fault_reader_bit_flip_corrupts_payload() {
-        let payload = vec![0u8; 64];
-        let bytes = framed(&[&payload]);
-        // Skip flipping header bytes by trying seeds until the flip lands in
-        // the body; with a 64-byte body vs 4 header bytes most seeds do.
-        for seed in 0..16u64 {
-            let mut reader = FaultReader::new(1 << 20, seed).with(WireFault::BitFlip, 65_536, 1);
-            reader.extend(&bytes);
-            match reader.next_frame() {
-                Ok(Some(frame)) => {
-                    if frame != payload {
-                        assert_eq!(reader.schedule().len(), 1);
-                        return; // corruption observed below the codec
-                    }
-                }
-                Ok(None) | Err(_) => return, // header flip: also a corruption
-            }
-        }
-        panic!("bit flip never corrupted the stream");
-    }
-
-    #[test]
-    fn fault_reader_split_is_behavioral_noop() {
-        let bytes = framed(&[b"alpha", b"beta", b"gamma"]);
-        let mut reader = FaultReader::new(1 << 20, 7).with(WireFault::Split, 65_536, 8);
-        // Deliver in small chunks so splits interleave with partial frames.
-        for chunk in bytes.chunks(5) {
-            reader.extend(chunk);
-        }
-        let mut frames = Vec::new();
-        while let Some(frame) = reader.next_frame().unwrap() {
-            frames.push(frame);
-        }
-        assert_eq!(frames, vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()]);
-        assert!(!reader.schedule().is_empty());
-    }
-
-    #[test]
-    fn fault_reader_hostile_length_poisons_not_allocates() {
-        let bytes = framed(&[b"payload"]);
-        let mut reader = FaultReader::new(1 << 20, 3).with(WireFault::HostileLength, 65_536, 1);
-        reader.extend(&bytes);
-        match reader.next_frame() {
-            Err(RuntimeError::FrameTooLarge { len, max }) => {
-                assert_eq!(len, u32::MAX as usize);
-                assert_eq!(max, 1 << 20);
-            }
-            other => panic!("expected FrameTooLarge, got {other:?}"),
-        }
-        // Poisoning is permanent.
-        assert!(matches!(
-            reader.next_frame(),
-            Err(RuntimeError::FrameTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn fault_reader_truncate_leaves_partial_frame() {
-        let bytes = framed(&[b"a-rather-long-payload-so-the-tail-matters"]);
-        let mut reader = FaultReader::new(1 << 20, 11).with(WireFault::TruncateTail, 65_536, 1);
-        reader.extend(&bytes);
-        // The frame can never complete: bytes were lost mid-frame.
-        assert_eq!(reader.next_frame().unwrap(), None);
-        assert!(reader.pending_bytes() < bytes.len());
-        assert_eq!(reader.schedule().len(), 1);
-    }
-
-    #[test]
-    fn fault_reader_schedule_is_deterministic() {
-        let bytes = framed(&[b"one", b"two", b"three", b"four"]);
-        let run = |seed: u64| {
-            let mut reader = FaultReader::new(1 << 20, seed)
-                .with(WireFault::Split, 30_000, 4)
-                .with(WireFault::BitFlip, 10_000, 2);
-            for chunk in bytes.chunks(3) {
-                reader.extend(chunk);
-            }
-            format!("{:?}", reader.schedule())
-        };
-        assert_eq!(run(5).as_bytes(), run(5).as_bytes());
     }
 }

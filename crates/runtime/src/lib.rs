@@ -49,12 +49,10 @@
 //!   suite: a seed-driven [`faults::FaultPlan`] of site-addressable,
 //!   budget-capped transport faults (delay, drop, duplicate, reorder,
 //!   truncate, mid-session disconnect) executed by the
-//!   [`faults::FaultyTransport`] wrapper over any [`Transport`], and a
-//!   [`faults::FaultReader`] that corrupts the byte stream below the codec
-//!   (bit flips, split deliveries, hostile length prefixes) at the
-//!   [`wire::FrameReader`] seam. Every injection is logged, so the same
-//!   seed reproduces the same schedule on every backend. These are test
-//!   instruments, and the serving engine cannot name them;
+//!   [`faults::FaultyTransport`] wrapper over any [`Transport`]. Every
+//!   injection is logged, so the same seed reproduces the same schedule on
+//!   every backend. These are test instruments, and the serving engine
+//!   cannot name them;
 //! * [`wal`] — an append-only write-ahead trace log whose records are
 //!   columnarized before framing (skeleton = per-site template ids,
 //!   variables = payload values), group-committed per quantum with
@@ -65,11 +63,11 @@
 //! * [`checkpoint`] — [`SessionCheckpoint`], a session cut out of a batch
 //!   ([`cbatch::SessionBatch::demote_all`]) serialized with the engine's
 //!   [`codec`], and decoded under re-validation against the compiled
-//!   programs and tables before [`cbatch::SessionBatch::restore`] may
-//!   continue it. No serving path takes one: the server never moves a live
-//!   session, and a session interrupted for good is re-run from its cast.
-//!   The durability suites cut sessions with it, and the benchmark's layer
-//!   replay times it.
+//!   programs and tables before the per-session executor
+//!   ([`cexec::CompiledEndpointTask::resume`]) may continue it. No serving
+//!   path takes one: the server never moves a live session, and a session
+//!   interrupted for good is re-run from its cast. The durability suites
+//!   cut sessions with it, and the benchmark's layer replay times it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,10 +93,7 @@ pub use cexec::{CompiledEndpointTask, EndpointProgram};
 pub use codec::Message;
 pub use error::{Result, RuntimeError};
 pub use exec::{execute, EndpointReport, EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
-pub use faults::{
-    FaultKind, FaultPlan, FaultReader, FaultSite, FaultSpec, FaultyTransport, InjectedFault,
-    WireFault,
-};
+pub use faults::{FaultKind, FaultPlan, FaultSite, FaultSpec, FaultyTransport, InjectedFault};
 pub use harness::{SessionHarness, SessionReport};
 pub use monitor::{CompiledMonitor, MonitorViolation, TraceMonitor};
 pub use transport::{InMemoryNetwork, Transport};

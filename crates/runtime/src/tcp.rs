@@ -325,31 +325,14 @@ impl Transport for TcpTransport {
 
     fn recv(&mut self, from: &Role) -> Result<(Label, Value)> {
         let deadline = Instant::now() + self.recv_timeout;
-        let conn = self.conn_mut(from)?;
-        if conn.poisoned {
-            return Err(Self::poisoned_error(from));
-        }
         loop {
-            if let Some(message) = Self::pop_frame(conn)? {
+            if let Some(message) = self.try_recv(from)? {
                 return Ok(message);
             }
-            match conn.reader.fill(&mut conn.stream)? {
-                FillStatus::Progress => {}
-                FillStatus::Eof => {
-                    // The close may have arrived right behind complete
-                    // frames: drain those before reporting the shutdown.
-                    if let Some(message) = Self::pop_frame(conn)? {
-                        return Ok(message);
-                    }
-                    return Err(Self::eof_error(conn, from));
-                }
-                FillStatus::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(RuntimeError::Timeout { from: from.clone() });
-                    }
-                    std::thread::sleep(WAIT_SLICE);
-                }
+            if Instant::now() >= deadline {
+                return Err(RuntimeError::Timeout { from: from.clone() });
             }
+            std::thread::sleep(WAIT_SLICE);
         }
     }
 
@@ -366,6 +349,8 @@ impl Transport for TcpTransport {
                 // Bytes arrived: loop to see whether they complete a frame.
                 FillStatus::Progress => {}
                 FillStatus::Eof => {
+                    // The close may have arrived right behind complete
+                    // frames: drain those before reporting the shutdown.
                     if let Some(message) = Self::pop_frame(conn)? {
                         return Ok(Some(message));
                     }

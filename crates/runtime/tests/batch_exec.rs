@@ -277,8 +277,9 @@ fn observed_outcome(outcome: BatchOutcome) -> Observed {
     }
 }
 
-/// Resumes a demoted session on the per-session compiled executor — the
-/// exact handoff the server performs — and runs it to its conclusion.
+/// Resumes a demoted session on the per-session compiled executor (the
+/// server never does: it closes a violator from the extracted state) and
+/// runs it to its conclusion.
 fn finish_demoted(demoted: DemotedSession, layout: &Arc<BatchLayout>) -> Observed {
     let DemotedSession {
         options,
@@ -910,9 +911,9 @@ fn every_extraction_rebuilds_the_monitor_cursor_its_trace_replays_to() {
     // also where the arena and the monitor's queue part: a rejected send's
     // frame (in the arena, never queued), a rejected receive's message (off
     // the arena, still queued) and a receive that fails before it is
-    // observed (its frame stays queued). Every session is taken out after
-    // every pass and restored into a fresh batch for the next one, and
-    // must still end as the uninterrupted run does.
+    // observed (its frame stays queued). For every cut, fresh sessions run
+    // that many passes, every one still live is taken out, and each must
+    // still end on the per-session executor as the uninterrupted run does.
     type Case = (String, GlobalType, Vec<(Role, Proc)>, ExecOptions);
     let mut cases: Vec<Case> = Vec::new();
     for (name, g, options) in [
@@ -994,36 +995,35 @@ fn every_extraction_rebuilds_the_monitor_cursor_its_trace_replays_to() {
             assert_eq!(&replay, monitor.cursor(), "{name}: {context}");
         };
         let uninterrupted = run_batch(&layout, &options, 1).pop().expect("one session");
-        let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), width as usize);
-        for token in 0..width {
-            assert!(batch.admit(token));
-        }
-        let mut results: Vec<(u64, Observed)> = Vec::new();
-        for pass in 0.. {
-            assert!(pass < 10_000, "{name}: the sessions must end");
-            let out = batch.run_quantum(1);
-            for outcome in out.finished {
-                results.push((outcome.token, observed_outcome(outcome)));
-            }
-            for demoted in out.demoted {
-                exact(&demoted.monitor, &format!("violation at pass {pass}"));
-                results.push((demoted.token, finish_demoted(demoted, &layout)));
-            }
-            if batch.is_empty() {
-                break;
-            }
-            let mut fresh = SessionBatch::new(Arc::clone(&layout), options.clone(), width as usize);
+        for cut in 0.. {
+            assert!(cut < 10_000, "{name}: the sessions must end");
+            let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), width as usize);
             for token in 0..width {
-                if let Some(demoted) = batch.demote_now(token) {
-                    exact(&demoted.monitor, &format!("live after pass {pass}"));
-                    fresh.restore(demoted);
+                assert!(batch.admit(token));
+            }
+            let mut results: Vec<(u64, Observed)> = Vec::new();
+            for pass in 0..cut {
+                let out = batch.run_quantum(1);
+                for outcome in out.finished {
+                    results.push((outcome.token, observed_outcome(outcome)));
+                }
+                for demoted in out.demoted {
+                    exact(&demoted.monitor, &format!("violation at pass {pass}"));
+                    results.push((demoted.token, finish_demoted(demoted, &layout)));
                 }
             }
-            batch = fresh;
-        }
-        assert_eq!(results.len(), width as usize, "{name}: every session reports");
-        for (token, observed) in results {
-            assert_eq!(observed, uninterrupted, "{name}: session {token} diverges");
+            let live = !batch.is_empty();
+            for demoted in batch.demote_all() {
+                exact(&demoted.monitor, &format!("live after {cut} passes"));
+                results.push((demoted.token, finish_demoted(demoted, &layout)));
+            }
+            assert_eq!(results.len(), width as usize, "{name}: every session reports");
+            for (token, observed) in results {
+                assert_eq!(observed, uninterrupted, "{name}: session {token} cut at {cut} diverges");
+            }
+            if !live {
+                break;
+            }
         }
     }
 }
@@ -1076,9 +1076,9 @@ fn a_batch_grown_mid_flight_agrees() {
     // A shard's batch starts at one slot and doubles when it is full.
     // Sessions admitted one by one between short quanta make every doubling
     // re-stride columns holding live sessions, slot values and frames in
-    // flight; before each doubling one live session is taken out, and after
-    // it that session is restored into the wider batch. Every session must
-    // still match its stand-alone run.
+    // flight; before each doubling one live session is taken out and
+    // finished on the per-session executor. Every session must still match
+    // its stand-alone run.
     let (p, q) = (Role::new("p"), Role::new("q"));
     let ticker = GlobalType::rec(GlobalType::msg1(
         p.clone(),
@@ -1134,20 +1134,16 @@ fn a_batch_grown_mid_flight_agrees() {
                 results.push((demoted.token, finish_demoted(demoted, &layout)));
             }
         };
-        let (mut doublings, mut moved) = (0, 0);
+        let (mut doublings, mut cut) = (0, Vec::new());
         for token in 0..40u64 {
             if batch.is_full() {
-                // A session restored from a demotion runs with no external
-                // actions, so only a cast that calls none moves one.
-                let carried = (!layout.calls_externals())
-                    .then(|| (0..token).rev().find_map(|t| batch.demote_now(t)))
-                    .flatten();
+                // A session finished from a demotion runs with no external
+                // actions, so only a cast that calls none is cut.
+                if !layout.calls_externals() {
+                    cut.extend((0..token).rev().find_map(|t| batch.demote_now(t)));
+                }
                 batch.grow(2 * batch.capacity());
                 doublings += 1;
-                if let Some(demoted) = carried {
-                    batch.restore(demoted);
-                    moved += 1;
-                }
             }
             assert!(batch.admit_with_externals(token, per_role.clone()));
             collect(batch.run_quantum(3));
@@ -1156,7 +1152,10 @@ fn a_batch_grown_mid_flight_agrees() {
         assert!(batch.is_empty(), "{name}: an unbounded quantum drains the batch");
         assert!(doublings >= 3, "{name}: the batch doubled {doublings} times");
         if !layout.calls_externals() {
-            assert!(moved > 0, "{name}: no session was live at a doubling");
+            assert!(!cut.is_empty(), "{name}: no session was live at a doubling");
+        }
+        for demoted in cut {
+            results.push((demoted.token, finish_demoted(demoted, &layout)));
         }
         results.sort_by_key(|(token, _)| *token);
         assert_eq!(results.len(), 40, "{name}: every session reports");

@@ -45,10 +45,10 @@ const CACHE_CAP: usize = 64;
 /// visited-configuration cap handed to the reduced CFSM exploration
 /// ([`CompiledSystem::explore_por`]).
 ///
-/// The default (bound 2, 50k configurations) keeps registration latency
-/// flat for ordinary protocols; deployments registering large concurrent
-/// protocols can raise the cap. A capped search never reports a false
-/// `Safe`: running out of budget yields [`Verdict::Inconclusive`].
+/// Every registration runs under the default (bound 2, 50k
+/// configurations), which keeps registration latency flat for ordinary
+/// protocols. A capped search never reports a false `Safe`: running out
+/// of budget yields [`Verdict::Inconclusive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyBudget {
     /// FIFO bound per ordered role pair during exploration (0 = rendezvous).
@@ -159,7 +159,7 @@ impl ProtocolArtifacts {
     }
 
     /// The verdict of the registration-time safety check (deadlocks, orphan
-    /// messages, reception errors) under the registry's [`SafetyBudget`].
+    /// messages, reception errors) under the default [`SafetyBudget`].
     ///
     /// Projectable protocols come out [`Verdict::Safe`] unless the budget
     /// was exhausted first, in which case this is
@@ -305,32 +305,17 @@ pub struct ProtocolRegistry {
     interner: Interner,
     /// What was compiled for each distinct global type.
     compiled: HashMap<TypeId, Arc<Compiled>>,
-    budget: SafetyBudget,
 }
 
 impl ProtocolRegistry {
-    /// An empty registry with the default [`SafetyBudget`].
+    /// An empty registry.
     pub fn new() -> Self {
         ProtocolRegistry::default()
     }
 
-    /// An empty registry whose registrations are safety-checked under
-    /// `budget`.
-    pub fn with_safety_budget(budget: SafetyBudget) -> Self {
-        ProtocolRegistry {
-            budget,
-            ..ProtocolRegistry::default()
-        }
-    }
-
-    /// The safety budget applied at registration time.
-    pub fn safety_budget(&self) -> SafetyBudget {
-        self.budget
-    }
-
     /// Registers a protocol, compiling its artifacts (projection, per-role
     /// machines, dense transition tables) and safety-checking the compiled
-    /// system (sequential reduced exploration under the registry's
+    /// system (sequential reduced exploration under the default
     /// [`SafetyBudget`]) exactly once per *structurally distinct* global
     /// type.
     ///
@@ -371,8 +356,9 @@ impl ProtocolRegistry {
                 // one reaches the same verdict (differentially tested) but
                 // takes 1.3–1.75x as long at 2 threads on a 2-vCPU box
                 // (traced `register`, explore_t2_us over explore_por_us).
+                let budget = SafetyBudget::default();
                 let verdict = system
-                    .explore_por(self.budget.channel_bound, self.budget.max_configs)
+                    .explore_por(budget.channel_bound, budget.max_configs)
                     .verdict();
                 let compiled = Arc::new(Compiled {
                     locals,
@@ -528,17 +514,15 @@ mod tests {
             .register(Protocol::new("ring", generators::ring3()).unwrap())
             .unwrap();
         assert_eq!(registry.get(id).unwrap().safety_verdict(), Verdict::Safe);
-        assert_eq!(registry.safety_budget(), SafetyBudget::default());
     }
 
     #[test]
     fn an_exhausted_budget_reads_inconclusive_not_safe() {
-        let mut registry = ProtocolRegistry::with_safety_budget(SafetyBudget {
-            channel_bound: 2,
-            max_configs: 1,
-        });
+        // A recursive chain of 12 roles reaches more configurations than the
+        // default budget visits.
+        let mut registry = ProtocolRegistry::new();
         let id = registry
-            .register(Protocol::new("ring", generators::ring3()).unwrap())
+            .register(Protocol::new("chain12", generators::chain_n(12)).unwrap())
             .unwrap();
         assert_eq!(
             registry.get(id).unwrap().safety_verdict(),

@@ -2,8 +2,8 @@
 //! thousands of concurrent sessions.
 //!
 //! Each worker shard holds the server's frozen [`ProtocolRegistry`] and owns
-//! a run queue of live sessions, which it steps in bounded quanta
-//! ([`ServerConfig::quantum`] visible actions), so a long-running session
+//! a run queue of live sessions, which it steps in bounded quanta (a fixed
+//! number of visible actions per session), so a long-running session
 //! cannot starve its neighbours and the number of OS threads is fixed by
 //! [`ServerConfig::shards`] — never by the number of live sessions. A
 //! submitted session crosses to its shard as an id and a [`SessionSpec`];
@@ -53,29 +53,26 @@ type Cast = Arc<[(CertifiedProcess, Externals)]>;
 pub struct ServerConfig {
     /// Number of worker shards (and therefore worker threads).
     pub shards: usize,
-    /// Maximum visible communications a session may perform per scheduling
-    /// quantum before it is re-queued behind its shard neighbours.
-    pub quantum: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            shards: 4,
-            quantum: 64,
-        }
+        ServerConfig { shards: 4 }
     }
 }
 
 impl ServerConfig {
-    /// A config with the given shard count and the default quantum.
+    /// A config with the given shard count.
     pub fn with_shards(shards: usize) -> Self {
         ServerConfig {
             shards: shards.max(1),
-            ..ServerConfig::default()
         }
     }
 }
+
+/// Maximum visible communications a session may perform per scheduling
+/// quantum before it is re-queued behind its shard neighbours.
+const QUANTUM: usize = 64;
 
 enum ShardMsg {
     /// A validated spec to resolve, admit and run. Resolution and admission
@@ -162,7 +159,6 @@ impl SessionServer {
                 Arc::clone(&registry),
                 results_tx.clone(),
                 Arc::clone(&shard_instruments),
-                &config,
             );
             let handle = std::thread::spawn(move || shard.run(rx));
             shards.push(ShardHandle { tx, handle });
@@ -445,8 +441,7 @@ impl WorkerObs {
 /// `(role, pc)` cohorts over columnar state by
 /// [`SessionBatch::run_quantum`]. A batch is one queue entry however many
 /// sessions it holds; its quantum budget scales with its live population,
-/// so each session gets [`ServerConfig::quantum`] actions per pass through
-/// the queue.
+/// so each session gets [`QUANTUM`] actions per pass through the queue.
 ///
 /// A session is closed by its batch, from the state it already has: the
 /// batch closes its concluded and its permanently blocked sessions itself,
@@ -467,7 +462,6 @@ struct Shard {
     registry: Arc<ProtocolRegistry>,
     results: Sender<Vec<SessionOutcome>>,
     obs: WorkerObs,
-    quantum: usize,
     /// Per protocol, the last cast resolved and its layout. The entry holds
     /// the cast it compares, so allocator address reuse cannot fake a hit.
     resolved: Vec<Option<(Cast, Arc<BatchLayout>)>>,
@@ -482,11 +476,9 @@ impl Shard {
         registry: Arc<ProtocolRegistry>,
         results: Sender<Vec<SessionOutcome>>,
         instruments: Arc<ShardInstruments>,
-        config: &ServerConfig,
     ) -> Self {
         Shard {
             obs: WorkerObs::new(instruments),
-            quantum: config.quantum.max(1),
             resolved: vec![None; registry.len()],
             registry,
             results,
@@ -674,7 +666,7 @@ impl Shard {
         let sb = &mut self.batches[bi];
         // The batch is one queue entry standing for its whole live
         // population, so it gets the quantum of each member.
-        let budget = self.quantum.saturating_mul(sb.batch.live_count().max(1));
+        let budget = QUANTUM.saturating_mul(sb.batch.live_count().max(1));
         let started = Instant::now();
         let result = sb.batch.run_quantum(budget);
         let ended = Instant::now();
@@ -816,15 +808,13 @@ mod tests {
     }
 
     #[test]
-    fn tiny_quanta_interleave_sessions_instead_of_running_them_to_death() {
-        let (registry, ring) = ring_registry();
+    fn sessions_longer_than_a_quantum_interleave_instead_of_running_to_death() {
+        let mut registry = ProtocolRegistry::new();
+        let ring = registry
+            .register(Protocol::new("ring64", generators::ring_n(64)).unwrap())
+            .unwrap();
         let endpoints = skeleton_endpoints(registry.get(ring).unwrap().protocol()).unwrap();
-        let config = ServerConfig {
-            shards: 1,
-            quantum: 1,
-            ..ServerConfig::default()
-        };
-        let mut server = SessionServer::start(registry, config);
+        let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
         for _ in 0..50 {
             server.submit(SessionSpec::new(ring, endpoints.clone())).unwrap();
         }
@@ -834,9 +824,9 @@ mod tests {
         let report = server.shutdown();
         // The 50 homogeneous ring sessions coalesce into one columnar batch
         // (one run-queue entry), whose budget scales with its population:
-        // quantum 1 × 50 live sessions. A ring session takes 6 actions, so
-        // the batch needs several bounded quanta rather than one
-        // run-to-death pass.
+        // QUANTUM × live sessions. A 64-role ring session takes 128 actions,
+        // twice its share, so the batch needs several bounded quanta rather
+        // than one run-to-death pass.
         assert_eq!(report.sessions_batched(), 50, "{report}");
         assert_eq!(report.sessions_slab(), 0, "{report}");
         assert!(report.shards[0].quanta >= 2, "{report}");
@@ -879,9 +869,8 @@ mod tests {
         };
         let (a, b) = (twin("ring-a"), twin("ring-b"));
         let (results, _outcomes) = unbounded();
-        let config = ServerConfig::default();
         let instruments = Arc::new(ShardInstruments::new(registry.len()));
-        let mut shard = Shard::new(Arc::new(registry), results, instruments, &config);
+        let mut shard = Shard::new(Arc::new(registry), results, instruments);
         let now = Instant::now();
         for (n, spec) in [&a, &b, &a, &b].into_iter().enumerate() {
             shard.admit(SessionId(n as u64), spec.clone(), now);
@@ -919,7 +908,7 @@ mod tests {
     fn hand_shard(registry: &Arc<ProtocolRegistry>) -> Shard {
         let (results, _outcomes) = unbounded();
         let instruments = Arc::new(ShardInstruments::new(registry.len()));
-        Shard::new(Arc::clone(registry), results, instruments, &ServerConfig::default())
+        Shard::new(Arc::clone(registry), results, instruments)
     }
 
     fn run_to_idle(shard: &mut Shard) {

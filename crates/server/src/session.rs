@@ -296,11 +296,83 @@ mod tests {
         assert!(!outcome.complete && !outcome.stalled && !outcome.quarantined);
     }
 
+    /// Finishes a session taken out of its batch on the per-session
+    /// oracle: each endpoint resumes where its columns left off, the frames
+    /// in flight are re-sent in their delivery order, and the endpoints
+    /// step in turn until every one has concluded.
+    fn finish_on_oracle(
+        protocol: ProtocolId,
+        roles: &Arc<[Role]>,
+        demoted: DemotedSession,
+    ) -> SessionOutcome {
+        use zooid_proc::erase;
+        use zooid_runtime::cexec::CompiledEndpointTask;
+        use zooid_runtime::exec::StepOutcome;
+        use zooid_runtime::transport::{InMemoryNetwork, Transport};
+        let DemotedSession {
+            token,
+            options,
+            endpoints,
+            mut monitor,
+            frames,
+        } = demoted;
+        let mut network = InMemoryNetwork::from_sorted(Arc::clone(roles));
+        let mut tasks: Vec<_> = endpoints
+            .into_iter()
+            .map(|ep| {
+                let transport = network.take_endpoint(&ep.role).unwrap();
+                let task = CompiledEndpointTask::resume(
+                    ep.program,
+                    Externals::new(),
+                    options.clone(),
+                    ep.pc,
+                    ep.slots,
+                    ep.actions,
+                    ep.steps,
+                    ep.status,
+                );
+                (task, transport)
+            })
+            .collect();
+        for (from, to, label, value) in frames {
+            let transport = &mut tasks[from as usize].1;
+            transport.send(&roles[to as usize], &label, &value).unwrap();
+        }
+        loop {
+            let mut progressed = false;
+            for (task, transport) in &mut tasks {
+                let mut observe = |va: &_, interned: Option<&_>| match interned {
+                    Some(interned) => {
+                        monitor.observe_interned(interned, || erase(va));
+                    }
+                    None => {
+                        monitor.observe(&erase(va));
+                    }
+                };
+                while let StepOutcome::Progress = task.step_mem(transport, &mut observe) {
+                    progressed = true;
+                }
+            }
+            if tasks.iter().all(|(task, _)| task.is_done()) {
+                break;
+            }
+            assert!(progressed, "a resumed ring session concludes");
+        }
+        let reports = tasks.into_iter().map(|(task, _)| task.into_report());
+        let verdicts = (
+            monitor.take_trace(),
+            monitor.is_compliant(),
+            monitor.is_complete(),
+            monitor.take_violations(),
+        );
+        SessionOutcome::assemble(SessionId(token), protocol, reports, verdicts, false, false)
+    }
+
     /// Whatever order a cast is submitted in, its batch runs — and so
     /// checkpoints — its endpoints in sorted-role order, and a session cut
     /// after any number of passes, frames in flight included, taken out
-    /// through an encoded checkpoint and restored into a fresh batch ends
-    /// exactly as the uninterrupted run does.
+    /// through an encoded checkpoint and finished on the per-session oracle
+    /// ends exactly as the uninterrupted run does.
     #[test]
     fn a_reversed_cast_round_trips_through_a_checkpoint_at_every_cut() {
         use zooid_engine::SessionBatch;
@@ -314,14 +386,12 @@ mod tests {
         endpoints.sort_by(|(a, _), (b, _)| b.role().cmp(a.role()));
         let layout = artifacts.resolve(&endpoints).unwrap();
         let batch = || SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
-        let run_to_end = |mut batch: SessionBatch| {
-            let mut out = batch.run_quantum(usize::MAX);
-            assert!(batch.is_empty() && out.demoted.is_empty());
-            SessionOutcome::from_batch(id, out.finished.pop().expect("the ring concludes"))
-        };
         let mut uninterrupted = batch();
         assert!(uninterrupted.admit(3));
-        let uninterrupted = run_to_end(uninterrupted);
+        let mut out = uninterrupted.run_quantum(usize::MAX);
+        assert!(uninterrupted.is_empty() && out.demoted.is_empty());
+        let uninterrupted =
+            SessionOutcome::from_batch(id, out.finished.pop().expect("the ring concludes"));
         assert!(uninterrupted.all_finished_and_compliant());
         let (mut passes, mut in_flight) = (0, 0);
         loop {
@@ -342,9 +412,7 @@ mod tests {
                 .into_demoted(layout.programs(), artifacts.compiled())
                 .unwrap();
             in_flight += restored.frames.len();
-            let mut fresh = batch();
-            fresh.restore(restored);
-            let outcome = run_to_end(fresh);
+            let outcome = finish_on_oracle(id, artifacts.sorted_roles(), restored);
             assert_eq!(
                 outcome.endpoints, uninterrupted.endpoints,
                 "after {passes} passes"

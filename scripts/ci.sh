@@ -5,7 +5,8 @@
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
 # smoke run, tcp_short must clear a floor no timer can, mem_mixed must stay
 # under a memory ceiling no fixed-width batch can, and every verdict of the
-# full register list must hold), and a
+# full register list must hold), the case-studies table (exits non-zero
+# when a case study does not reproduce), and a
 # bench-report smoke run, which checks its own families against their floors
 # and exits non-zero on a breach.
 set -euo pipefail
@@ -132,6 +133,12 @@ echo "== register verdict table (every registration of the full list)"
 # `Inconclusive` at the default budget. A wrong verdict exits non-zero
 # (~2 s on the 2-vCPU reference box).
 "${benchmark[@]}" --workload register --seed 1 --seconds 1 --trace 0 | tail -n 1
+
+echo "== case-studies (the paper's §5.2 table)"
+# Every case study must project, certify, run compliant and check safe and
+# live; the binary exits non-zero (and prints "SOME CASE STUDY FAILED")
+# otherwise. About 1 s once built.
+cargo run --release --offline --quiet -p zooid-bench --bin case-studies | tail -n 1
 
 echo "== bench-report smoke (engine-vs-oracle families against their floors)"
 # Also the explore_parallel smoke suite: the family runs the work-stealing
