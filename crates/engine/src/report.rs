@@ -21,7 +21,10 @@ pub struct ExecOptions {
     /// sessions that only need the monitor verdict turn this off: the
     /// per-action `Vec` push (and the payload clone it keeps alive) is pure
     /// overhead for them. Observers (and therefore monitors) still see every
-    /// action either way.
+    /// action either way, and [`EndpointReport::steps`] counts them. The
+    /// server's TCP front door runs every catalog session with this off,
+    /// whatever its service asks: its `Done` frame carries counts, never a
+    /// trace, and a certified session needs none to be trusted.
     pub record_actions: bool,
 }
 

@@ -1216,3 +1216,126 @@ fn a_sparse_batch_reuses_freed_slots_out_of_order_and_agrees() {
         }
     }
 }
+
+/// `mu X. hub -> w_i : task(nat) ... w_i -> hub : ack(unit) ... X`: each
+/// round the hub sends one task to every worker and then collects every
+/// ack.
+fn fanout_loop(n: usize) -> GlobalType {
+    let hub = Role::new("hub");
+    let workers: Vec<Role> = (0..n).map(|i| Role::new(format!("w{i}"))).collect();
+    let mut g = GlobalType::var(0);
+    for w in workers.iter().rev() {
+        g = GlobalType::msg1(w.clone(), hub.clone(), "ack", Sort::Unit, g);
+    }
+    for w in workers.iter().rev() {
+        g = GlobalType::msg1(hub.clone(), w.clone(), "task", Sort::Nat, g);
+    }
+    GlobalType::rec(g)
+}
+
+/// The byzantine casts of `ring3`, one per mutation the server's campaign
+/// synthesizes (written out here, since this crate sits below
+/// `zooid-server`): Alice, the sender of the first message, runs the
+/// skeleton of a decoy ring, and Bob and Carol run the honest one.
+fn ring3_byzantine_casts() -> Vec<(&'static str, Vec<(Role, Proc)>)> {
+    let (alice, bob, carol) = (Role::new("Alice"), Role::new("Bob"), Role::new("Carol"));
+    let ring = |first: &str, sort: Sort, end: GlobalType| {
+        let back = GlobalType::msg1(carol.clone(), alice.clone(), "l", Sort::Nat, end);
+        let on = GlobalType::msg1(bob.clone(), carol.clone(), "l", Sort::Nat, back);
+        GlobalType::msg1(alice.clone(), bob.clone(), first, sort, on)
+    };
+    let extra = GlobalType::msg1(alice.clone(), bob.clone(), "byz_extra", Sort::Unit, GlobalType::End);
+    let silent = GlobalType::msg1(alice.clone(), bob.clone(), "l", Sort::Nat, GlobalType::End);
+    let decoys = [
+        ("wrong-label", ring("byz_l", Sort::Nat, GlobalType::End)),
+        ("wrong-sort", ring("l", Sort::Bool, GlobalType::End)),
+        ("after-termination", ring("l", Sort::Nat, extra)),
+        ("premature-silence", silent),
+    ];
+    let honest = skeleton_endpoints(&generators::ring3()).expect("the ring synthesizes");
+    decoys
+        .into_iter()
+        .map(|(mutation, decoy)| {
+            let byzantine = skeleton_endpoints(&decoy).expect("decoys synthesize");
+            let actor = byzantine.into_iter().find(|(role, _)| *role == alice);
+            let mut cast: Vec<_> = honest.iter().filter(|(role, _)| *role != alice).cloned().collect();
+            cast.push(actor.expect("the decoy keeps Alice"));
+            (mutation, cast)
+        })
+        .collect()
+}
+
+/// A session's global trace and its per-endpoint value traces, in batch
+/// role order, by token.
+type Recorded = (zooid_mpst::Trace, Vec<Vec<ValueAction>>);
+
+fn recorded(out: zooid_runtime::cbatch::BatchQuantum, into: &mut BTreeMap<u64, Recorded>) {
+    for outcome in out.finished {
+        let values = outcome.endpoints.into_iter().map(|e| e.actions).collect();
+        into.insert(outcome.token, (outcome.global_trace, values));
+    }
+    for demoted in out.demoted {
+        let values = demoted.endpoints.into_iter().map(|e| e.actions).collect();
+        into.insert(demoted.token, (demoted.monitor.trace().clone(), values));
+    }
+}
+
+#[test]
+fn a_sessions_interleaving_does_not_depend_on_its_batch() {
+    // A batch steps a session in whole passes, every live endpoint once per
+    // pass in role order, so the order of a session's actions is fixed by
+    // its cast alone: run alone to its end, or as one of 64 sessions
+    // admitted in two waves and stepped in quanta of 1, 7 or 64 actions, it
+    // records the same global trace and the same value traces. Re-running
+    // an unrecorded violator to capture its incident relies on this.
+    type Case = (String, GlobalType, Vec<(Role, Proc)>, ExecOptions);
+    let mut cases: Vec<Case> = vec![
+        (
+            "ring/4".into(),
+            generators::ring_n(4),
+            skeleton_endpoints(&generators::ring_n(4)).expect("the ring synthesizes"),
+            ExecOptions::default(),
+        ),
+        (
+            "fanout_loop/4".into(),
+            fanout_loop(4),
+            skeleton_endpoints(&fanout_loop(4)).expect("the fan-out synthesizes"),
+            ExecOptions::with_max_steps(40),
+        ),
+    ];
+    for (mutation, cast) in ring3_byzantine_casts() {
+        let name = format!("ring3/{mutation}");
+        cases.push((name, generators::ring3(), cast, ExecOptions::default()));
+    }
+    let mut violators = 0;
+    for (name, g, procs, options) in cases {
+        let layout = make_layout(&g, &procs, &Externals::new()).expect("one program per role");
+        let mut alone = SessionBatch::new(Arc::clone(&layout), options.clone(), 1);
+        assert!(alone.admit(0));
+        let out = alone.run_quantum(usize::MAX);
+        violators += out.demoted.len();
+        let mut reference = BTreeMap::new();
+        recorded(out, &mut reference);
+        let reference = reference.remove(&0).expect("one unbounded quantum ends the session");
+        assert!(reference.1.iter().any(|t| !t.is_empty()), "{name}: the session acts");
+        for budget in [1, 7, 64] {
+            let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 64);
+            let mut ended = BTreeMap::new();
+            for token in 0..32 {
+                assert!(batch.admit(token));
+            }
+            recorded(batch.run_quantum(budget), &mut ended);
+            for token in 32..64 {
+                assert!(batch.admit(token));
+            }
+            while !batch.is_empty() {
+                recorded(batch.run_quantum(budget), &mut ended);
+            }
+            assert_eq!(ended.len(), 64, "{name}: every session ends");
+            for (token, traces) in &ended {
+                assert_eq!(traces, &reference, "{name}: session {token} at budget {budget}");
+            }
+        }
+    }
+    assert_eq!(violators, 3, "three of the four mutations violate");
+}

@@ -73,6 +73,18 @@
 //! `Done` frame (`compliant: false`): the server runs its own catalog cast
 //! and the wire carries only a protocol name, so a violation is the
 //! operator's registered cast misbehaving, not the client.
+//!
+//! # Catalog sessions run unrecorded
+//!
+//! A session's whole result on the wire is its `Done` frame: three flags
+//! and two counts, the action count summed from the endpoints' step
+//! counters. A certified session needs no trace to be trusted (Theorem
+//! 4.7), so the front door decides once, when it starts, that no catalog
+//! session records: every [`Service`] runs with
+//! [`ExecOptions::record_actions`](zooid_engine::report::ExecOptions::record_actions)
+//! off, whatever its options say, and keeps its step limits. Forensics lose
+//! nothing: a shard re-runs an unrecorded violator with recording on to
+//! capture its [`Incident`] (see the [`server`](crate::server) module).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -131,6 +143,12 @@ const DISCARD_PER_SWEEP: usize = 64 * 1024;
 /// endpoint of the session on its shards (the endpoints are certified at
 /// registration time), and the wire carries session control — open,
 /// accept/reject, done — not individual payload messages.
+///
+/// The front door runs every service unrecorded: [`NetServer::start`] turns
+/// `options.record_actions` off and leaves the step limit as it is. `Done`
+/// carries counts, not traces, so a recorded trace would be built only to
+/// be dropped; a violator's incident comes from a recorded re-run on its
+/// shard instead (see the module docs).
 pub type Service = SessionSpec;
 
 /// Configuration of a [`NetServer`].
@@ -333,10 +351,12 @@ impl NetServer {
         config: NetServerConfig,
     ) -> Result<NetServer> {
         let mut catalog: Vec<Option<Service>> = vec![None; registry.len()];
-        for service in services {
+        for mut service in services {
             let entry = catalog
                 .get_mut(service.protocol.index())
                 .ok_or(ServerError::UnknownProtocol)?;
+            // The wire carries no trace, so no catalog session records one.
+            service.options.record_actions = false;
             *entry = Some(service);
         }
         let listener = TcpListener::bind(config.addr).map_err(io_err)?;

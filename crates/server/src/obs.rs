@@ -465,7 +465,7 @@ impl FlightRecorder {
 
 /// The structured record of one monitor violation: who, what, where, and a
 /// bounded replayable counterexample prefix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
     /// The protocol the session ran.
     pub protocol: ProtocolId,
@@ -487,7 +487,10 @@ pub struct Incident {
     /// violation (bounded; see [`Incident::truncated`]).
     pub trace_prefix: Trace,
     /// `true` when the prefix is incomplete: the compliant trace was longer
-    /// than the bound, or trace recording was off for the session.
+    /// than the bound, or the session ran unrecorded and its cast calls
+    /// external actions. An unrecorded session whose cast calls none gets
+    /// its prefix from a recorded re-run on its shard, which repeats it
+    /// action for action.
     pub truncated: bool,
 }
 

@@ -18,6 +18,17 @@
 //! [`SessionBatch`] keyed by its protocol, its cast's batch layout and its
 //! options, and a batch is one run-queue entry however many sessions it
 //! holds.
+//!
+//! A violator that ran unrecorded still leaves a complete [`Incident`]. A
+//! batch steps each session in whole passes, every live endpoint once per
+//! pass in role order, so a session whose cast calls no externals performs
+//! the same actions in the same order in any batch, at any width and
+//! quantum. The shard re-runs such a violator's cast once, alone in a
+//! one-slot batch with recording on, and captures the incident from that
+//! run's trace; the outcome it delivers is still the unrecorded one. A
+//! re-run that does not end at the same violation, and a cast that calls
+//! externals (whose answers a re-run could not repeat), keep the
+//! incomplete incident the unrecorded trace gives.
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -28,8 +39,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use zooid_dsl::CertifiedProcess;
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
-use zooid_mpst::Role;
-use zooid_engine::cbatch::{BatchLayout, SessionBatch};
+use zooid_mpst::{Role, Trace};
+use zooid_engine::cbatch::{BatchLayout, DemotedSession, SessionBatch};
 use zooid_engine::report::ExecOptions;
 use zooid_proc::Externals;
 
@@ -354,6 +365,28 @@ fn shard_of(id: SessionId, shards: usize) -> usize {
     (hasher.finish() as usize) % shards.max(1)
 }
 
+/// The global trace an unrecorded violator would have recorded, from a
+/// re-run of its cast alone in a one-slot batch with recording on (see the
+/// module docs for why it repeats the original). Its budget is the
+/// original's step count plus one action: the pass that violated may have
+/// counted none, and a quantum only ends between passes. `None` when the
+/// batch records (its outcome carries the trace), when the layout calls
+/// externals, or when the re-run does not end at the very violation the
+/// original did: an incomplete incident is kept rather than a wrong one.
+fn rerecord(batch: &SessionBatch, demoted: &DemotedSession) -> Option<Trace> {
+    let layout = batch.layout();
+    if batch.options().record_actions || layout.calls_externals() {
+        return None;
+    }
+    let options = batch.options().clone().record_actions(true);
+    let mut twin = SessionBatch::new(Arc::clone(layout), options, 1);
+    twin.admit(demoted.token);
+    let steps: usize = demoted.endpoints.iter().map(|ep| ep.steps).sum();
+    let mut rerun = twin.run_quantum(steps + 1).demoted.pop()?;
+    let same = rerun.monitor.violations() == demoted.monitor.violations();
+    same.then(|| rerun.monitor.take_trace())
+}
+
 /// One columnar batch hosted by a shard. The key that decides which sessions
 /// may coalesce into it: same protocol, same compiled per-role programs (the
 /// batch's layout is cached per program set, so pointer equality is the
@@ -396,9 +429,17 @@ impl WorkerObs {
     /// Folds a finished session into the histograms, the flight recorder,
     /// and — when its monitor rejected anything — the incident store
     /// (captured against the protocol's compiled tables, looked up in the
-    /// registry only then). The caller supplies `now` so one clock read
-    /// covers every outcome of a quantum.
-    fn on_outcome(&mut self, outcome: &SessionOutcome, registry: &ProtocolRegistry, now: Instant) {
+    /// registry only then). An incident's prefix comes from `witness`, the
+    /// trace of a recorded re-run, when there is one, and from the outcome's
+    /// own global trace otherwise. The caller supplies `now` so one clock
+    /// read covers every outcome of a quantum.
+    fn on_outcome(
+        &mut self,
+        outcome: &SessionOutcome,
+        witness: Option<&Trace>,
+        registry: &ProtocolRegistry,
+        now: Instant,
+    ) {
         if let Some(start) = self.admitted.remove(&outcome.id.0) {
             let ns =
                 u64::try_from(now.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX);
@@ -415,13 +456,14 @@ impl WorkerObs {
                 session: outcome.id.0,
             });
             let system = registry[outcome.protocol].compiled();
+            let trace = witness.unwrap_or(&outcome.global_trace);
             for violation in &outcome.violations {
                 self.shared.incidents.record(Incident::capture(
                     outcome.protocol,
                     outcome.id,
                     system,
                     violation,
-                    &outcome.global_trace,
+                    trace,
                     INCIDENT_PREFIX_CAP,
                 ));
             }
@@ -570,7 +612,9 @@ impl Shard {
             match artifacts.resolve(&spec.endpoints) {
                 Ok(layout) => *memo = Some((Arc::clone(&spec.endpoints), layout)),
                 // A process that does not lower: closed before it ever runs.
-                Err(error) => return self.finish(failed_at_admission(id, artifacts, error), at),
+                Err(error) => {
+                    return self.finish(failed_at_admission(id, artifacts, error), None, at)
+                }
             }
         }
         let Shard {
@@ -661,7 +705,9 @@ impl Shard {
 
     /// Steps one batch for a quantum, reports what is over — the sessions
     /// it closed, and the violators it demoted, closed as quarantined from
-    /// the state it extracted — and re-queues it while it has live sessions.
+    /// the state it extracted (an unrecorded one with the trace of its
+    /// recorded re-run as the incident's witness) — and re-queues it while
+    /// it has live sessions.
     fn run_batch(&mut self, bi: usize) {
         let sb = &mut self.batches[bi];
         // The batch is one queue entry standing for its whole live
@@ -683,11 +729,13 @@ impl Shard {
             shared.cohort_width.add_count(bucket, n);
         }
         for outcome in result.finished {
-            self.finish(SessionOutcome::from_batch(protocol, outcome), ended);
+            self.finish(SessionOutcome::from_batch(protocol, outcome), None, ended);
         }
         for demoted in result.demoted {
             self.obs.shared.sessions_demoted.fetch_add(1, Ordering::Relaxed);
-            self.finish(SessionOutcome::quarantined(protocol, demoted), ended);
+            let witness = rerecord(&self.batches[bi].batch, &demoted);
+            let outcome = SessionOutcome::quarantined(protocol, demoted);
+            self.finish(outcome, witness.as_ref(), ended);
         }
         let sb = &mut self.batches[bi];
         if sb.batch.is_empty() {
@@ -705,7 +753,7 @@ impl Shard {
             sb.queued = false;
             let protocol = sb.protocol;
             for outcome in sb.batch.close_all() {
-                self.finish(SessionOutcome::from_batch(protocol, outcome), now);
+                self.finish(SessionOutcome::from_batch(protocol, outcome), None, now);
             }
         }
         // A send failure means the server is gone too: nothing left to
@@ -737,7 +785,9 @@ impl Shard {
     /// every way a session ends funnels through here: closed by its batch,
     /// quarantined at a violation, closed at shutdown, refused at
     /// admission), and buffers its outcome for the next batched flush.
-    fn finish(&mut self, outcome: SessionOutcome, now: Instant) {
+    /// `witness` is the recorded trace an incident is captured from when
+    /// the outcome carries none (see [`rerecord`]).
+    fn finish(&mut self, outcome: SessionOutcome, witness: Option<&Trace>, now: Instant) {
         let metrics = &self.obs.shared;
         if outcome.stalled {
             metrics.sessions_stalled.fetch_add(1, Ordering::Relaxed);
@@ -752,7 +802,7 @@ impl Shard {
             metrics.per_protocol_quarantined[outcome.protocol.index()]
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.obs.on_outcome(&outcome, &self.registry, now);
+        self.obs.on_outcome(&outcome, witness, &self.registry, now);
         self.pending.push(outcome);
     }
 

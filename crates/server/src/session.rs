@@ -105,9 +105,12 @@ pub struct SessionOutcome {
     pub id: SessionId,
     /// The protocol it ran.
     pub protocol: ProtocolId,
-    /// Per-endpoint reports (trace with values, final status).
+    /// Per-endpoint reports (trace with values, step count, final status).
+    /// The traces are empty when the session ran unrecorded, as every
+    /// session opened through the TCP front door does.
     pub endpoints: BTreeMap<Role, EndpointReport>,
-    /// The global interleaving accepted by the monitor (erased actions).
+    /// The global interleaving accepted by the monitor (erased actions);
+    /// empty when the session ran unrecorded, as front-door sessions do.
     pub global_trace: Trace,
     /// Whether every observed action was allowed by the protocol.
     pub compliant: bool,

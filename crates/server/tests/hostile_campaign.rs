@@ -706,3 +706,90 @@ fn open_with_surfaces_structured_rejections_and_timeouts() {
     }
     server.shutdown();
 }
+
+#[test]
+fn the_byzantine_campaign_over_tcp_reports_complete_incidents() {
+    // The front door runs every catalog session unrecorded; a violator's
+    // incident comes from its shard's recorded re-run. So each violating
+    // mutation, served as a catalog entry, answers with the `Done` a
+    // recorded direct run earns, and every incident on the wire is whole.
+    fn catalog() -> (ProtocolRegistry, Vec<(String, Service)>) {
+        let mut registry = ProtocolRegistry::new();
+        let mut services = Vec::new();
+        for (name, g) in case_studies() {
+            for mutation in ByzantineMutation::all() {
+                if mutation.expected() != ExpectedClass::Violation {
+                    continue;
+                }
+                let served = format!("{name}-{mutation}");
+                let protocol = Protocol::new(served.as_str(), g.clone()).unwrap();
+                let Some(driver) = byzantine_driver(&protocol, mutation).unwrap() else {
+                    continue;
+                };
+                let id = registry.register(protocol).unwrap();
+                services.push((served, Service::new(id, driver.endpoints)));
+            }
+        }
+        (registry, services)
+    }
+
+    let (registry, services) = catalog();
+    let mut direct = SessionServer::start(registry, ServerConfig::with_shards(1));
+    let mut submitted = BTreeMap::new();
+    for (served, service) in services {
+        assert!(service.options.record_actions, "a direct run records by default");
+        submitted.insert(direct.submit(service).unwrap(), served);
+    }
+    let mut expected_actions = BTreeMap::new();
+    for outcome in direct.drain() {
+        let served = submitted.remove(&outcome.id).unwrap();
+        assert!(outcome.quarantined, "{served}");
+        let steps: u64 = outcome.endpoints.values().map(|r| r.steps() as u64).sum();
+        let recorded: usize = outcome.endpoints.values().map(|r| r.actions.len()).sum();
+        assert_eq!(steps, recorded as u64, "{served}: a recorded run records every step");
+        expected_actions.insert(served, steps);
+    }
+    direct.shutdown();
+    assert!(expected_actions.len() >= 6, "{expected_actions:?}");
+
+    let (registry, services) = catalog();
+    let server = NetServer::start(
+        registry,
+        services.into_iter().map(|(_, service)| service),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    for (served, &expected) in &expected_actions {
+        let session = client.open_with(served, EVENT_TIMEOUT).unwrap();
+        let deadline = Instant::now() + EVENT_TIMEOUT;
+        let (compliant, actions) = loop {
+            match client.poll_event(Duration::from_millis(100)).unwrap() {
+                Some(MuxFrame::Done {
+                    session: s,
+                    compliant,
+                    actions,
+                    ..
+                }) if s == session => break (compliant, actions),
+                Some(_) => {}
+                None => assert!(Instant::now() < deadline, "{served}: no Done"),
+            }
+        };
+        assert!(!compliant, "{served}");
+        assert_eq!(actions, expected, "{served}: Done counts the direct run's steps");
+    }
+    let stats = client
+        .fetch_stats(EVENT_TIMEOUT)
+        .unwrap()
+        .expect("stats reply within the timeout");
+    assert_eq!(stats.incidents.len(), expected_actions.len());
+    for incident in &stats.incidents {
+        assert!(!incident.truncated, "{incident:?}");
+        assert_eq!(incident.prefix_len, incident.trace_len, "{incident:?}");
+    }
+    assert!(
+        stats.incidents.iter().any(|i| i.prefix_len > 0),
+        "some violation comes after compliant actions"
+    );
+    server.shutdown();
+}

@@ -12,18 +12,20 @@
 //! checks) but disagrees on the conversation itself, so the monitor is the
 //! first — and only — line that can catch the divergence.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use zooid_dsl::Protocol;
 use zooid_mpst::generators;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{Role, Sort};
+use zooid_proc::{Expr, Externals, Proc, Value};
 use zooid_runtime::exec::ExecOptions;
 use zooid_runtime::MuxFrame;
-use zooid_server::synth::skeleton_endpoints;
+use zooid_server::synth::{byzantine_driver, skeleton_endpoints};
 use zooid_server::{
-    FlightEvent, NetClient, NetServer, NetServerConfig, ProtocolRegistry, ServerConfig, Service,
-    SessionServer, SessionSpec,
+    ByzantineMutation, ExpectedClass, FlightEvent, NetClient, NetServer, NetServerConfig,
+    ProtocolRegistry, ServerConfig, Service, SessionServer, SessionSpec,
 };
 
 const EVENT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -219,5 +221,95 @@ fn mux_violations_surface_as_wire_queryable_incidents() {
             "short traces must retain a full prefix"
         );
     }
+    server.shutdown();
+}
+
+/// A violator that ran unrecorded leaves the very incident its recorded
+/// twin does: the shard re-runs its cast once with recording on, and a
+/// batch steps a session the same way at any width, so the re-run repeats
+/// it action for action. The delivered outcome stays unrecorded.
+#[test]
+fn an_unrecorded_violator_leaves_its_recorded_twins_incident() {
+    let mut longest_prefix = 0;
+    for (name, g) in [("ring3", generators::ring3()), ("two_buyer", generators::two_buyer())] {
+        for mutation in ByzantineMutation::all() {
+            if mutation.expected() != ExpectedClass::Violation {
+                continue;
+            }
+            let context = format!("{name}/{mutation}");
+            let protocol = Protocol::new(name, g.clone()).unwrap();
+            let Some(driver) = byzantine_driver(&protocol, mutation).unwrap() else {
+                continue;
+            };
+            let mut registry = ProtocolRegistry::new();
+            let id = registry.register(protocol).unwrap();
+            let cast: Arc<[_]> = driver.endpoints.into();
+            let spec = |record| SessionSpec {
+                protocol: id,
+                endpoints: Arc::clone(&cast),
+                options: ExecOptions::default().record_actions(record),
+            };
+            let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+            let recorded = server.submit(spec(true)).unwrap();
+            let unrecorded = server.submit(spec(false)).unwrap();
+            let outcomes = server.drain();
+            assert_eq!(outcomes.len(), 2, "{context}");
+            let quiet = outcomes.iter().find(|o| o.id == unrecorded).unwrap();
+            assert!(quiet.quarantined, "{context}");
+            assert!(quiet.global_trace.is_empty(), "{context}: the outcome stays unrecorded");
+
+            let incidents = server.incidents();
+            assert_eq!(incidents.len(), 2, "{context}: one incident per violator");
+            let of = |session| {
+                let incident = incidents.iter().find(|i| i.session == session);
+                incident.expect("each violator has its incident").clone()
+            };
+            let (twin, mut rerun) = (of(recorded), of(unrecorded));
+            let system = Arc::clone(server.registry().get(id).unwrap().compiled());
+            assert!(!rerun.truncated, "{context}: {rerun:?}");
+            assert!(rerun.replays_violation(&system), "{context}: {rerun:?}");
+            longest_prefix = longest_prefix.max(rerun.trace_prefix.len());
+            rerun.session = twin.session;
+            assert_eq!(rerun, twin, "{context}");
+            server.shutdown();
+        }
+    }
+    assert!(longest_prefix > 0, "some violation comes after compliant actions");
+
+    // A cast that calls an external keeps its incomplete incident: a re-run
+    // could not repeat what the environment answered.
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let twice = |second: &str| {
+        let tail = GlobalType::msg1(p.clone(), q.clone(), second, Sort::Nat, GlobalType::End);
+        GlobalType::msg1(p.clone(), q.clone(), "a", Sort::Nat, tail)
+    };
+    let registered = Protocol::new("ticks", twice("b")).unwrap();
+    let decoy = Protocol::new("ticks", twice("c")).unwrap();
+    let mut externals = Externals::new();
+    externals.register_read("src", Sort::Nat, || Value::Nat(7));
+    let sends = Proc::send(q.clone(), "c", Expr::var("x"), Proc::Finish);
+    let reader = Proc::read("src", "x", Proc::send(q.clone(), "a", Expr::var("x"), sends));
+    let sourced = decoy
+        .implement_against_projection(&p, reader, &externals)
+        .unwrap();
+    let mut endpoints = skeleton_endpoints(&registered).unwrap();
+    endpoints.retain(|(cert, _)| cert.role() == &q);
+    endpoints.push((sourced, externals));
+    let mut registry = ProtocolRegistry::new();
+    let id = registry.register(registered).unwrap();
+    let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+    let spec = SessionSpec {
+        protocol: id,
+        endpoints: endpoints.into(),
+        options: ExecOptions::default().record_actions(false),
+    };
+    server.submit(spec).unwrap();
+    let outcomes = server.drain();
+    assert!(outcomes[0].quarantined);
+    let incidents = server.incidents();
+    assert_eq!(incidents.len(), 1);
+    let incident = &incidents[0];
+    assert_eq!(incident.trace_len, 2, "`p` sent `a` and `q` took it: {incident:?}");
+    assert!(incident.truncated && incident.trace_prefix.is_empty(), "{incident:?}");
     server.shutdown();
 }
