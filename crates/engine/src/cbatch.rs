@@ -373,6 +373,48 @@ pub struct BatchOutcome {
     pub stalled: bool,
 }
 
+impl BatchOutcome {
+    /// The compliant global trace (empty when recording was off). Read it
+    /// through this rather than the field: the representation under it may
+    /// change, the accessor stays.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use zooid_cfsm::System;
+    /// use zooid_engine::{BatchLayout, EndpointProgram, ExecOptions, SessionBatch};
+    /// use zooid_mpst::global::GlobalType;
+    /// use zooid_mpst::{Role, Sort};
+    /// use zooid_proc::{CompiledProc, Expr, Externals, Proc, Value};
+    ///
+    /// let (alice, bob) = (Role::new("Alice"), Role::new("Bob"));
+    /// let g = GlobalType::msg1(alice.clone(), bob.clone(), "hi", Sort::Nat, GlobalType::End);
+    /// let system = Arc::new(System::from_global(&g).unwrap().compile());
+    /// let procs = [
+    ///     (&alice, Proc::send(bob.clone(), "hi", Expr::lit(Value::Nat(1)), Proc::Finish)),
+    ///     (&bob, Proc::recv1(alice.clone(), "hi", Sort::Nat, "x", Proc::Finish)),
+    /// ];
+    /// let programs = procs
+    ///     .iter()
+    ///     .map(|(role, proc)| {
+    ///         let compiled = CompiledProc::compile(proc, role, &Externals::new()).unwrap();
+    ///         Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
+    ///     })
+    ///     .collect();
+    /// let roles = vec![alice.clone(), bob.clone()].into();
+    /// let layout = BatchLayout::new(roles, programs, system).unwrap();
+    /// let mut batch = SessionBatch::new(layout, ExecOptions::default(), 1);
+    /// assert!(batch.admit(7));
+    /// let outcome = batch.run_quantum(usize::MAX).finished.pop().unwrap();
+    /// // Alice's send and Bob's receive.
+    /// assert_eq!(outcome.global_trace().len(), 2);
+    /// ```
+    pub fn global_trace(&self) -> &Trace {
+        &self.global_trace
+    }
+}
+
 /// One endpoint's extracted execution state, ready for the runtime
 /// oracle's `CompiledEndpointTask::resume`.
 #[derive(Debug)]

@@ -108,4 +108,31 @@ impl EndpointReport {
     pub fn steps(&self) -> usize {
         self.steps
     }
+
+    /// Every visible communication the endpoint performed, with values, in
+    /// order (empty when [`ExecOptions::record_actions`] is off). Read the
+    /// trace through this rather than the field: the representation under
+    /// it may change, the accessor stays.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use zooid_engine::report::{EndpointReport, EndpointStatus};
+    /// use zooid_mpst::{Role, Sort};
+    /// use zooid_proc::{Value, ValueAction};
+    ///
+    /// let (alice, bob) = (Role::new("Alice"), Role::new("Bob"));
+    /// let hi = ValueAction::send(alice.clone(), bob, "hi".into(), Sort::Nat, Value::Nat(1));
+    /// let report = EndpointReport {
+    ///     role: alice,
+    ///     actions: vec![hi.clone()],
+    ///     steps: 1,
+    ///     status: EndpointStatus::Finished,
+    /// };
+    /// assert_eq!(report.actions(), [hi]);
+    /// assert_eq!(report.steps(), 1);
+    /// ```
+    pub fn actions(&self) -> &[ValueAction] {
+        &self.actions
+    }
 }

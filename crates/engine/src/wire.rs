@@ -10,8 +10,8 @@
 //!   the runtime's peer-to-peer `TcpTransport` between session endpoints;
 //! * **multiplexing frames** ([`MuxFrame`]): a one-byte tag, a `u64` session
 //!   id, and tag-specific fields, used between a client and the
-//!   `zooid-server` networked serving plane to open sessions, accept or
-//!   reject them, and stream back completions. Many sessions share one
+//!   `zooid-server` networked serving plane to open sessions and get one
+//!   answer for each, a rejection or a completion. Many sessions share one
 //!   connection; frames for different sessions interleave freely.
 //!
 //! # Bounded buffering
@@ -23,12 +23,17 @@
 //! interleave non-blocking reads across many sockets and resume a
 //! half-received frame later — the serving plane's IO loop depends on this.
 //!
-//! The buffer is a `Vec<u8>` plus a read cursor: popping a frame copies its
-//! payload out once and advances the cursor, so the cost of a frame does not
-//! depend on how many bytes are buffered behind it. Consumed bytes are
-//! reclaimed by compaction — free when the buffer empties, otherwise a
-//! `memmove` of the live remainder taken only once the consumed prefix has
-//! outgrown it, so every byte moved is paid for by a byte already handed out.
+//! The buffer is a `Vec<u8>` plus a read cursor: popping a frame decodes it
+//! where it sits ([`FrameReader::next_mux`]; [`FrameReader::next_frame`]
+//! copies the payload out instead) and advances the cursor, so the cost of
+//! a frame does not depend on how many bytes are buffered behind it.
+//! Consumed bytes are reclaimed by compaction — free when the buffer
+//! empties, otherwise a `memmove` of the live remainder taken only once the
+//! consumed prefix has outgrown it, so every byte moved is paid for by a
+//! byte already handed out.
+//!
+//! Senders encode in place too: [`put_mux`] writes the length prefix and the
+//! frame straight into the outgoing buffer, with no payload `Vec` between.
 
 use std::io::Read;
 
@@ -162,6 +167,25 @@ impl FrameReader {
     /// returning the error (a framing stream cannot be resynchronised after
     /// a bad header).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
+        self.pop(<[u8]>::to_vec)
+    }
+
+    /// Pops the next complete frame and decodes it as a [`MuxFrame`] where
+    /// it sits in the buffer: [`FrameReader::next_frame`] followed by
+    /// [`decode_mux`], without the copy of the payload.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::FrameTooLarge`] as [`FrameReader::next_frame`] has
+    /// it; [`RuntimeError::Codec`] when the frame does not decode, which
+    /// consumes it just as `next_frame` would have.
+    pub fn next_mux(&mut self) -> Result<Option<MuxFrame>> {
+        self.pop(decode_mux)?.transpose()
+    }
+
+    /// The one framing step: finds the next complete payload, hands it to
+    /// `read` in place, then consumes it and compacts the buffer.
+    fn pop<T>(&mut self, read: impl FnOnce(&[u8]) -> T) -> Result<Option<T>> {
         if let Some((len, max)) = self.poisoned {
             return Err(RuntimeError::FrameTooLarge { len, max });
         }
@@ -180,7 +204,7 @@ impl FrameReader {
         let Some(payload) = live[4..].get(..len) else {
             return Ok(None);
         };
-        let payload = payload.to_vec();
+        let read = read(payload);
         self.head += 4 + len;
         let live = self.buf.len() - self.head;
         if live == 0 {
@@ -193,7 +217,7 @@ impl FrameReader {
             self.buf.drain(..self.head);
             self.head = 0;
         }
-        Ok(Some(payload))
+        Ok(Some(read))
     }
 }
 
@@ -206,22 +230,52 @@ impl FrameReader {
 /// — the sender enforces the same cap the receiver does, so a compliant
 /// peer can never trip the receiver's guard.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8], max_frame_bytes: usize) -> Result<()> {
-    if payload.len() > max_frame_bytes {
+    let len = length_prefix(payload.len(), max_frame_bytes)?;
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Appends one multiplexing frame to an outgoing byte buffer, encoded in
+/// place: the same bytes as `put_frame(out, &encode_mux(frame), max)`,
+/// without the payload `Vec`. The length prefix is reserved first and
+/// written once the frame's size is known.
+///
+/// # Errors
+///
+/// [`RuntimeError::FrameTooLarge`] if the encoded frame exceeds
+/// `max_frame_bytes`; `out` is then left as it was.
+pub fn put_mux(out: &mut Vec<u8>, frame: &MuxFrame, max_frame_bytes: usize) -> Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode_into(out, frame);
+    match length_prefix(out.len() - start - 4, max_frame_bytes) {
+        Ok(len) => {
+            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
+}
+
+/// The length prefix of a `len`-byte payload, refused over the cap.
+fn length_prefix(len: usize, max_frame_bytes: usize) -> Result<u32> {
+    if len > max_frame_bytes {
         return Err(RuntimeError::FrameTooLarge {
-            len: payload.len(),
+            len,
             max: max_frame_bytes,
         });
     }
     // The cap is usize-valued and caps above 4 GiB are constructible, so
     // the length must be checked against the prefix width too — a silently
     // truncated prefix would corrupt the whole stream.
-    let len = u32::try_from(payload.len()).map_err(|_| RuntimeError::FrameTooLarge {
-        len: payload.len(),
+    u32::try_from(len).map_err(|_| RuntimeError::FrameTooLarge {
+        len,
         max: u32::MAX as usize,
-    })?;
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(payload);
-    Ok(())
+    })
 }
 
 /// Why the serving plane refused an `Open` (or the whole connection).
@@ -293,6 +347,10 @@ pub enum MuxFrame {
         protocol: String,
     },
     /// Server → client: the session was admitted and scheduled.
+    ///
+    /// Never sent by `zooid-server`, which answers each `Open` with exactly
+    /// one frame, `Done` or `Rejected`. The variant and its wire tag stay
+    /// because the frozen benchmark names them.
     Accepted {
         /// The id from the `Open`.
         session: u64,
@@ -350,28 +408,46 @@ const DONE_COMPLETE: u8 = 2;
 const DONE_STALLED: u8 = 4;
 
 /// Encodes a multiplexing frame payload (no length prefix — see
-/// [`put_frame`]).
+/// [`put_frame`], or [`put_mux`], which encodes into the outgoing buffer).
 pub fn encode_mux(frame: &MuxFrame) -> Vec<u8> {
-    let mut buf = Vec::new();
+    // Every frame but a `StatsReply` fits its fixed fields plus its string;
+    // a reply grows from there.
+    let text = match frame {
+        MuxFrame::Open { protocol: text, .. } | MuxFrame::Rejected { reason: text, .. } => {
+            text.len()
+        }
+        _ => 0,
+    };
+    let mut buf = Vec::with_capacity(MUX_FIXED_BYTES + text);
+    encode_into(&mut buf, frame);
+    buf
+}
+
+/// The longest fixed part of a frame: tag, session id and a `Done`'s flags
+/// and counts.
+const MUX_FIXED_BYTES: usize = 1 + 8 + 1 + 4 + 8;
+
+/// The one mux encoder: appends `frame`'s payload to `buf`.
+fn encode_into(buf: &mut Vec<u8>, frame: &MuxFrame) {
     match frame {
         MuxFrame::Open { session, protocol } => {
-            put_u8(&mut buf, MUX_OPEN);
-            put_u64(&mut buf, *session);
-            put_str(&mut buf, protocol);
+            put_u8(buf, MUX_OPEN);
+            put_u64(buf, *session);
+            put_str(buf, protocol);
         }
         MuxFrame::Accepted { session } => {
-            put_u8(&mut buf, MUX_ACCEPTED);
-            put_u64(&mut buf, *session);
+            put_u8(buf, MUX_ACCEPTED);
+            put_u64(buf, *session);
         }
         MuxFrame::Rejected {
             session,
             code,
             reason,
         } => {
-            put_u8(&mut buf, MUX_REJECTED);
-            put_u64(&mut buf, *session);
-            put_u8(&mut buf, *code as u8);
-            put_str(&mut buf, reason);
+            put_u8(buf, MUX_REJECTED);
+            put_u64(buf, *session);
+            put_u8(buf, *code as u8);
+            put_str(buf, reason);
         }
         MuxFrame::Done {
             session,
@@ -381,8 +457,8 @@ pub fn encode_mux(frame: &MuxFrame) -> Vec<u8> {
             violations,
             actions,
         } => {
-            put_u8(&mut buf, MUX_DONE);
-            put_u64(&mut buf, *session);
+            put_u8(buf, MUX_DONE);
+            put_u64(buf, *session);
             let mut flags = 0u8;
             if *compliant {
                 flags |= DONE_COMPLIANT;
@@ -393,21 +469,20 @@ pub fn encode_mux(frame: &MuxFrame) -> Vec<u8> {
             if *stalled {
                 flags |= DONE_STALLED;
             }
-            put_u8(&mut buf, flags);
-            put_u32(&mut buf, *violations);
-            put_u64(&mut buf, *actions);
+            put_u8(buf, flags);
+            put_u32(buf, *violations);
+            put_u64(buf, *actions);
         }
         MuxFrame::Stats { session } => {
-            put_u8(&mut buf, MUX_STATS);
-            put_u64(&mut buf, *session);
+            put_u8(buf, MUX_STATS);
+            put_u64(buf, *session);
         }
         MuxFrame::StatsReply { session, stats } => {
-            put_u8(&mut buf, MUX_STATS_REPLY);
-            put_u64(&mut buf, *session);
-            put_value(&mut buf, stats);
+            put_u8(buf, MUX_STATS_REPLY);
+            put_u64(buf, *session);
+            put_value(buf, stats);
         }
     }
-    buf
 }
 
 /// Decodes a multiplexing frame payload.
@@ -552,16 +627,47 @@ mod tests {
         }
     }
 
-    /// Pops frames off both readers until they run dry (or fail, then once
-    /// more for stickiness), holding every result and every
-    /// `pending_bytes` equal.
-    fn drain_in_lockstep(cursor: &mut FrameReader, oracle: &mut SplitToReader) {
+    /// A `next_mux` result in comparable form: a frame, or the framing
+    /// error's `(len, max)`, or the codec error's reason.
+    type ComparableMux =
+        std::result::Result<Option<MuxFrame>, std::result::Result<(usize, usize), String>>;
+
+    fn comparable_mux(result: Result<Option<MuxFrame>>) -> ComparableMux {
+        match result {
+            Ok(frame) => Ok(frame),
+            Err(RuntimeError::FrameTooLarge { len, max }) => Err(Ok((len, max))),
+            Err(RuntimeError::Codec { reason }) => Err(Err(reason)),
+            Err(other) => panic!("next_mux can only fail with FrameTooLarge or Codec, got {other}"),
+        }
+    }
+
+    /// What `next_frame` + `decode_mux` make of the oracle's frame.
+    fn decoded(frame: &std::result::Result<Option<Vec<u8>>, (usize, usize)>) -> ComparableMux {
+        match frame {
+            Ok(Some(payload)) => comparable_mux(decode_mux(payload).map(Some)),
+            Ok(None) => Ok(None),
+            Err(too_large) => Err(Ok(*too_large)),
+        }
+    }
+
+    /// Pops frames off the three readers until they run dry (or fail, then
+    /// once more for stickiness), holding every result and every
+    /// `pending_bytes` equal: `cursor` pops raw payloads like the oracle,
+    /// `muxer` decodes in place what the oracle pops and `decode_mux`
+    /// decodes.
+    fn drain_in_lockstep(
+        cursor: &mut FrameReader,
+        muxer: &mut FrameReader,
+        oracle: &mut SplitToReader,
+    ) {
         let mut failed = false;
         loop {
             let got = comparable(cursor.next_frame());
             let want = comparable(oracle.next_frame());
             assert_eq!(got, want);
+            assert_eq!(comparable_mux(muxer.next_mux()), decoded(&want));
             assert_eq!(cursor.pending_bytes(), oracle.pending_bytes());
+            assert_eq!(muxer.pending_bytes(), oracle.pending_bytes());
             match got {
                 Ok(Some(_)) => {}
                 Ok(None) => return,
@@ -578,8 +684,9 @@ mod tests {
 
         #[test]
         fn cursor_reader_matches_the_split_to_reader(
-            // Per frame: a payload class and a fill byte.
-            frames in proptest::collection::vec((0u8..5, any::<u8>()), 0..40),
+            // Per frame: a payload class and a fill byte (class 5 is the
+            // mux frame `sample_mux` makes of the byte).
+            frames in proptest::collection::vec((0u8..6, any::<u8>()), 0..40),
             // Where (if inside the stream) a header over the cap goes.
             oversized_at in 0usize..80,
             // Delivery sizes, cycled; `fill` when the flag is set, else `extend`.
@@ -594,6 +701,10 @@ mod tests {
                 if at == oversized_at {
                     let over = DIFF_CAP as u32 + 1 + u32::from(*byte);
                     wire.extend_from_slice(&over.to_be_bytes());
+                }
+                if *class == 5 {
+                    put_mux(&mut wire, &sample_mux(*byte), DIFF_CAP).unwrap();
+                    continue;
                 }
                 let len = match class {
                     0 => 0,
@@ -612,6 +723,7 @@ mod tests {
                 }
             }
             let mut cursor = FrameReader::new(DIFF_CAP);
+            let mut muxer = FrameReader::new(DIFF_CAP);
             let mut oracle = SplitToReader::new(DIFF_CAP);
             let mut rest: &[u8] = &wire;
             for (size, through_fill) in chunks.iter().cycle() {
@@ -633,11 +745,103 @@ mod tests {
                 } else {
                     cursor.extend(piece);
                 }
+                muxer.extend(piece);
                 oracle.extend(piece);
                 prop_assert_eq!(cursor.pending_bytes(), oracle.pending_bytes());
-                drain_in_lockstep(&mut cursor, &mut oracle);
+                drain_in_lockstep(&mut cursor, &mut muxer, &mut oracle);
             }
         }
+    }
+
+    /// A frame of every variant, chosen and filled from one byte, small
+    /// enough for `DIFF_CAP`.
+    fn sample_mux(byte: u8) -> MuxFrame {
+        let session = u64::from(byte) << 7 | 1;
+        let text = "ring".repeat(usize::from(byte % 4));
+        any_mux(byte % 6, session, text, u64::from(byte))
+    }
+
+    /// The `kind % 6`-th `MuxFrame` variant, its fields drawn from the rest.
+    fn any_mux(kind: u8, session: u64, text: String, n: u64) -> MuxFrame {
+        const CODES: [RejectCode; 6] = [
+            RejectCode::UnknownProtocol,
+            RejectCode::ConnectionLimit,
+            RejectCode::SessionLimit,
+            RejectCode::Overloaded,
+            RejectCode::BadFrame,
+            RejectCode::ShuttingDown,
+        ];
+        match kind % 6 {
+            0 => MuxFrame::Open {
+                session,
+                protocol: text,
+            },
+            1 => MuxFrame::Accepted { session },
+            2 => MuxFrame::Rejected {
+                session,
+                code: CODES[(n % 6) as usize],
+                reason: text,
+            },
+            3 => MuxFrame::Done {
+                session,
+                compliant: n & 1 != 0,
+                complete: n & 2 != 0,
+                stalled: n & 4 != 0,
+                violations: (n >> 3) as u32,
+                actions: n.rotate_left(17),
+            },
+            4 => MuxFrame::Stats { session },
+            _ => MuxFrame::StatsReply {
+                session,
+                stats: Value::pair(
+                    Value::Str(text),
+                    Value::Seq(vec![Value::Nat(n), Value::Bool(n & 1 == 0)]),
+                ),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn put_mux_appends_the_bytes_of_put_frame_over_encode_mux(
+            (kind, session, text, n) in (0u8..6, any::<u64>(), "[a-z_]{0,24}", any::<u64>()),
+            // Bytes already in the buffer the frame is appended to.
+            before in proptest::collection::vec(any::<u8>(), 0..9),
+        ) {
+            let frame = any_mux(kind, session, text, n);
+            let mut want = before.clone();
+            put_frame(&mut want, &encode_mux(&frame), DEFAULT_MAX_FRAME_BYTES).unwrap();
+            let mut got = before.clone();
+            put_mux(&mut got, &frame, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            prop_assert_eq!(&got, &want);
+            // At a cap one byte short, the frame is refused and the buffer
+            // left as it was.
+            let len = want.len() - before.len() - 4;
+            let mut refused = before.clone();
+            match put_mux(&mut refused, &frame, len - 1) {
+                Err(RuntimeError::FrameTooLarge { len: l, max }) => {
+                    prop_assert_eq!((l, max), (len, len - 1));
+                }
+                other => panic!("want FrameTooLarge, got {other:?}"),
+            }
+            prop_assert_eq!(&refused, &before);
+        }
+    }
+
+    #[test]
+    fn an_over_cap_mux_frame_leaves_the_buffer_unchanged() {
+        let frame = MuxFrame::Open {
+            session: 3,
+            protocol: "x".repeat(2048),
+        };
+        let mut out = vec![7, 7, 7];
+        assert!(matches!(
+            put_mux(&mut out, &frame, 1024),
+            Err(RuntimeError::FrameTooLarge { len: 2061, max: 1024 })
+        ));
+        assert_eq!(out, [7, 7, 7]);
     }
 
     #[test]

@@ -141,7 +141,7 @@ pub use obs::{
     FlightEvent, FlightRecorder, Histogram, HistogramSnapshot, Incident, IncidentStore,
     IncidentSummary,
 };
-pub use net::{NetClient, NetServer, NetServerConfig, Service};
+pub use net::{NetClient, NetServer, NetServerConfig, Service, SessionDone};
 pub use registry::{ProtocolArtifacts, ProtocolId, ProtocolRegistry, SafetyBudget};
 pub use server::{ServerConfig, SessionServer};
 pub use synth::{ByzantineDriver, ByzantineMutation, ExpectedClass};

@@ -8,6 +8,16 @@
 //! allocations) followed by a [`MuxFrame`], and many sessions share one
 //! connection through client-chosen session ids echoed on every response.
 //!
+//! # One answer per `Open`
+//!
+//! The server answers each `Open` with exactly one frame: `Rejected` at
+//! once when admission refuses it, else `Done` when the session has run.
+//! There is no acknowledgement in between, since an admitted session's
+//! `Done` says everything one would. Frames are encoded straight into a
+//! connection's write buffer ([`put_mux`]) and decoded where they sit in
+//! its read buffer ([`FrameReader::next_mux`]), so a session's frames cost
+//! no allocation beyond the `Open`'s protocol name.
+//!
 //! # The IO loop
 //!
 //! One *pass* of the loop is: accept pending connections (bounded), pump
@@ -95,8 +105,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zooid_engine::wire::{
-    decode_mux, encode_mux, put_frame, FillStatus, FrameReader, MuxFrame, RejectCode,
-    DEFAULT_MAX_FRAME_BYTES,
+    put_mux, FillStatus, FrameReader, MuxFrame, RejectCode, DEFAULT_MAX_FRAME_BYTES,
 };
 use zooid_engine::RuntimeError;
 
@@ -141,8 +150,8 @@ const DISCARD_PER_SWEEP: usize = 64 * 1024;
 ///
 /// The serving plane is a *submission* plane: the server hosts every
 /// endpoint of the session on its shards (the endpoints are certified at
-/// registration time), and the wire carries session control — open,
-/// accept/reject, done — not individual payload messages.
+/// registration time), and the wire carries session control — an open
+/// and its one answer, reject or done — not individual payload messages.
 ///
 /// The front door runs every service unrecorded: [`NetServer::start`] turns
 /// `options.record_actions` off and leaves the step limit as it is. `Done`
@@ -256,11 +265,7 @@ impl NetConn {
         }
         // Control frames are tiny; the cap cannot trip for a compliant
         // server, but keep the single enforcement point anyway.
-        let _ = put_frame(
-            &mut self.out,
-            &encode_mux(frame),
-            self.reader.max_frame_bytes(),
-        );
+        let _ = put_mux(&mut self.out, frame, self.reader.max_frame_bytes());
         if self.out.len() - self.written > self.outbuf_limit {
             // The peer triggers frames faster than it reads them: abort the
             // connection rather than grow the buffer without bound.
@@ -637,23 +642,18 @@ impl IoLoop {
         }
         let mut hostile: Option<String> = None;
         loop {
-            match conn.reader.next_frame() {
-                Ok(Some(payload)) => match decode_mux(&payload) {
-                    Ok(frame) => {
-                        self.metrics.frames_read.fetch_add(1, Ordering::Relaxed);
-                        // A decodable frame proves the peer is live: disarm
-                        // the idle reaper for good.
-                        conn.idle_until = None;
-                        self.on_frame(slot, conn, frame);
-                    }
-                    Err(e) => {
-                        hostile = Some(e.to_string());
-                        break;
-                    }
-                },
+            match conn.reader.next_mux() {
+                Ok(Some(frame)) => {
+                    self.metrics.frames_read.fetch_add(1, Ordering::Relaxed);
+                    // A decodable frame proves the peer is live: disarm the
+                    // idle reaper for good.
+                    conn.idle_until = None;
+                    self.on_frame(slot, conn, frame);
+                }
                 Ok(None) => break,
                 Err(e) => {
-                    // Oversized length prefix: poisoned reader.
+                    // An oversized length prefix (the reader is poisoned) or
+                    // a frame that does not decode.
                     hostile = Some(e.to_string());
                     break;
                 }
@@ -731,8 +731,10 @@ impl IoLoop {
         }
     }
 
-    /// Admission control for one `Open`: submits the session and queues its
-    /// `Accepted`, or says with which code and why it is refused.
+    /// Admission control for one `Open`: submits the session, or says with
+    /// which code and why it is refused. One answer per `Open`: an admitted
+    /// session's only frame is its `Done`, which [`IoLoop::deliver`]
+    /// queues; a refused one's is the `Rejected` the caller queues.
     fn admit(
         &mut self,
         slot: usize,
@@ -774,8 +776,6 @@ impl IoLoop {
                 conn.inflight += 1;
                 self.open_sessions += 1;
                 self.metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                conn.queue(&MuxFrame::Accepted { session });
-                self.metrics.frames_written.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(e) => {
@@ -815,14 +815,13 @@ impl IoLoop {
             return;
         };
         conn.inflight = conn.inflight.saturating_sub(1);
-        let actions: u64 = outcome.endpoints.values().map(|r| r.steps() as u64).sum();
         conn.queue(&MuxFrame::Done {
             session: client_id,
             compliant: outcome.compliant,
             complete: outcome.complete,
             stalled: outcome.stalled,
             violations: outcome.violations.len().min(u32::MAX as usize) as u32,
-            actions,
+            actions: outcome.steps(),
         });
         self.metrics.frames_written.fetch_add(1, Ordering::Relaxed);
         self.metrics.sessions_done.fetch_add(1, Ordering::Relaxed);
@@ -878,9 +877,27 @@ const CLIENT_READ_SLICE: Duration = Duration::from_millis(20);
 /// Buffered `Open`s go out on their own once they pass this many bytes.
 const CLIENT_WRITE_BUFFER: usize = 16 * 1024;
 
-/// Stack buffer of one client `read`: a full window of `Accepted` and
-/// `Done` frames (39 bytes a session) fits in one wake.
+/// Stack buffer of one client `read`: a full window of `Done` frames (26
+/// bytes a session) fits in one wake.
 const CLIENT_READ_CHUNK: usize = 8 * 1024;
+
+/// A session's one answer as [`NetClient::open_with`] returns it: the fields
+/// of its `Done` frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionDone {
+    /// The client-side session id.
+    pub session: u64,
+    /// Every endpoint trace satisfied its monitor.
+    pub compliant: bool,
+    /// The global protocol ran to completion.
+    pub complete: bool,
+    /// At least one endpoint stalled waiting on a peer.
+    pub stalled: bool,
+    /// Number of monitor violations recorded.
+    pub violations: u32,
+    /// Visible communications across all endpoints.
+    pub actions: u64,
+}
 
 /// A blocking client for the multiplexed serving plane: open many sessions
 /// over one connection and poll their events.
@@ -980,15 +997,15 @@ impl NetClient {
     }
 
     fn queue(&mut self, frame: &MuxFrame) -> zooid_engine::Result<()> {
-        put_frame(&mut self.out, &encode_mux(frame), DEFAULT_MAX_FRAME_BYTES)?;
+        put_mux(&mut self.out, frame, DEFAULT_MAX_FRAME_BYTES)?;
         if self.out.len() >= CLIENT_WRITE_BUFFER {
             self.flush()?;
         }
         Ok(())
     }
 
-    /// Sends an `Open` and waits up to `timeout` for the admission verdict,
-    /// returning the client-side session id once the server `Accepted` it.
+    /// Sends an `Open` and waits up to `timeout` for its one answer,
+    /// returning the session's `Done` fields once it has run.
     ///
     /// Unlike [`NetClient::open`] + [`NetClient::poll_event`] by hand,
     /// every failure mode is a structured error: a rejection maps to
@@ -1002,15 +1019,33 @@ impl NetClient {
     /// # Errors
     ///
     /// Fails on connection loss, malformed server frames, rejection, or
-    /// admission silence past `timeout`.
-    pub fn open_with(&mut self, protocol: &str, timeout: Duration) -> zooid_engine::Result<u64> {
+    /// silence past `timeout`.
+    pub fn open_with(
+        &mut self,
+        protocol: &str,
+        timeout: Duration,
+    ) -> zooid_engine::Result<SessionDone> {
         let session = self.open(protocol)?;
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self.poll_event(remaining)? {
-                Some(MuxFrame::Accepted { session: reply }) if reply == session => {
-                    return Ok(session);
+                Some(MuxFrame::Done {
+                    session: reply,
+                    compliant,
+                    complete,
+                    stalled,
+                    violations,
+                    actions,
+                }) if reply == session => {
+                    return Ok(SessionDone {
+                        session,
+                        compliant,
+                        complete,
+                        stalled,
+                        violations,
+                        actions,
+                    });
                 }
                 Some(MuxFrame::Rejected {
                     session: reply,
@@ -1071,8 +1106,8 @@ impl NetClient {
         }
     }
 
-    /// Hands out the next server frame (`Accepted`/`Rejected`/`Done`): one
-    /// already buffered if there is one, else — after writing out anything
+    /// Hands out the next server frame (an `Open`'s one answer, `Done` or
+    /// `Rejected`, or a `StatsReply`): one already buffered if there is one, else — after writing out anything
     /// [`NetClient::open`] queued — whatever arrives within `timeout`,
     /// returning `Ok(None)` on silence. A zero `timeout` still hands out a
     /// frame that is already buffered or already in the socket.
@@ -1082,7 +1117,7 @@ impl NetClient {
     /// Fails on connection loss (including a deferred write error, see the
     /// type docs) or malformed server frames.
     pub fn poll_event(&mut self, timeout: Duration) -> zooid_engine::Result<Option<MuxFrame>> {
-        if let Some(frame) = self.buffered_frame()? {
+        if let Some(frame) = self.reader.next_mux()? {
             return Ok(Some(frame));
         }
         self.flush()?;
@@ -1107,7 +1142,7 @@ impl NetClient {
                 }
                 Ok(n) => {
                     self.reader.extend(&chunk[..n]);
-                    if let Some(frame) = self.buffered_frame()? {
+                    if let Some(frame) = self.reader.next_mux()? {
                         return Ok(Some(frame));
                     }
                 }
@@ -1123,12 +1158,6 @@ impl NetClient {
                 Err(e) => return Err(RuntimeError::Io(e)),
             }
         }
-    }
-
-    /// Pops and decodes the next frame that is already buffered whole.
-    fn buffered_frame(&mut self) -> zooid_engine::Result<Option<MuxFrame>> {
-        let payload = self.reader.next_frame()?;
-        payload.map(|payload| decode_mux(&payload)).transpose()
     }
 
     /// One `read`, blocking for at most `min(remaining, 20 ms)`. The

@@ -163,7 +163,7 @@ impl SessionServer {
         let (results_tx, results_rx) = unbounded();
         let mut shards = Vec::with_capacity(shard_count);
         let mut instruments = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
+        for index in 0..shard_count {
             let (tx, rx) = unbounded();
             let shard_instruments = Arc::new(ShardInstruments::new(registry.len()));
             let shard = Shard::new(
@@ -171,7 +171,12 @@ impl SessionServer {
                 results_tx.clone(),
                 Arc::clone(&shard_instruments),
             );
-            let handle = std::thread::spawn(move || shard.run(rx));
+            // Named like the front door's `zooid-net-io`, so per-thread
+            // tools (`/proc/self/task/*/comm`, `schedstat`) tell them apart.
+            let handle = std::thread::Builder::new()
+                .name(format!("zooid-shard-{index}"))
+                .spawn(move || shard.run(rx))
+                .expect("spawning a shard thread");
             shards.push(ShardHandle { tx, handle });
             instruments.push(shard_instruments);
         }
@@ -456,7 +461,7 @@ impl WorkerObs {
                 session: outcome.id.0,
             });
             let system = registry[outcome.protocol].compiled();
-            let trace = witness.unwrap_or(&outcome.global_trace);
+            let trace = witness.unwrap_or(outcome.global_trace());
             for violation in &outcome.violations {
                 self.shared.incidents.record(Incident::capture(
                     outcome.protocol,
@@ -855,6 +860,34 @@ mod tests {
         assert_eq!(report.actions_executed(), 6_000);
         // Work is spread over both shards.
         assert!(report.shards.iter().all(|s| s.sessions_started > 0));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn shard_threads_carry_their_names() {
+        let (registry, _) = ring_registry();
+        let server = SessionServer::start(registry, ServerConfig::with_shards(2));
+        let names = || -> Vec<String> {
+            std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .map(|comm| comm.trim_end().to_owned())
+                .collect()
+        };
+        // A thread names itself once it runs, so a fresh one may still wear
+        // its parent's name for a moment.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        for shard in ["zooid-shard-0", "zooid-shard-1"] {
+            while !names().iter().any(|n| n == shard) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "no {shard} among {:?}",
+                    names()
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        server.shutdown();
     }
 
     #[test]

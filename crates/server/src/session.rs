@@ -214,6 +214,47 @@ impl SessionOutcome {
     pub fn messages_exchanged(&self) -> usize {
         self.global_trace.iter().filter(|a| a.is_send()).count()
     }
+
+    /// The global interleaving accepted by the monitor (empty when the
+    /// session ran unrecorded). This accessor, [`SessionOutcome::endpoint`]
+    /// and [`SessionOutcome::steps`] are the reads the crate commits to
+    /// keep whatever the representation under them.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use zooid_dsl::Protocol;
+    /// use zooid_mpst::{generators, Role};
+    /// use zooid_server::{ProtocolRegistry, ServerConfig, SessionServer, SessionSpec};
+    ///
+    /// let mut registry = ProtocolRegistry::new();
+    /// let ring = registry.register(Protocol::new("ring", generators::ring3()).unwrap()).unwrap();
+    /// let spec = SessionSpec::skeleton(&registry, ring).unwrap();
+    /// let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+    /// server.submit(spec).unwrap();
+    /// let outcome = server.drain().pop().unwrap();
+    /// // Three sends and their three receives.
+    /// assert_eq!(outcome.global_trace().len(), 6);
+    /// assert_eq!(outcome.steps(), 6);
+    /// let alice = outcome.endpoint(&Role::new("Alice")).unwrap();
+    /// assert_eq!(alice.actions().len(), 2);
+    /// assert!(outcome.endpoint(&Role::new("Mallory")).is_none());
+    /// server.shutdown();
+    /// ```
+    pub fn global_trace(&self) -> &Trace {
+        &self.global_trace
+    }
+
+    /// The report of the endpoint that played `role`, if one did.
+    pub fn endpoint(&self, role: &Role) -> Option<&EndpointReport> {
+        self.endpoints.get(role)
+    }
+
+    /// Visible communications across every endpoint, recorded or not: the
+    /// `actions` of the session's `Done` frame.
+    pub fn steps(&self) -> u64 {
+        self.endpoints.values().map(|r| r.steps() as u64).sum()
+    }
 }
 
 /// Checks that a spec's endpoints cover the protocol's participants exactly

@@ -43,9 +43,7 @@ use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome
 use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
 use zooid_runtime::tcp::TcpTransport;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
-use zooid_runtime::{
-    FaultKind, FaultPlan, FaultSite, FaultSpec, FaultyTransport, InjectedFault, MuxFrame,
-};
+use zooid_runtime::{FaultKind, FaultPlan, FaultSite, FaultSpec, FaultyTransport, InjectedFault};
 use zooid_server::obs::CloseReason;
 use zooid_server::synth::{byzantine_driver, skeleton_endpoints};
 use zooid_server::{
@@ -570,22 +568,6 @@ fn batch_demoted_violators_are_quarantined_where_they_stand() {
 // Front 3: the wire — a violation costs the opener nothing; the idle reaper
 // ---------------------------------------------------------------------
 
-fn wait_for_done(client: &mut NetClient, session: u64) -> (bool, u64) {
-    let deadline = Instant::now() + EVENT_TIMEOUT;
-    loop {
-        match client.poll_event(Duration::from_millis(100)).unwrap() {
-            Some(MuxFrame::Done {
-                session: s,
-                compliant,
-                violations,
-                ..
-            }) if s == session => return (compliant, u64::from(violations)),
-            Some(_) => {}
-            None => assert!(Instant::now() < deadline, "no Done within {EVENT_TIMEOUT:?}"),
-        }
-    }
-}
-
 #[test]
 fn a_violating_catalog_session_costs_its_opener_nothing() {
     // The server runs its own catalog cast and the wire carries only a
@@ -612,15 +594,14 @@ fn a_violating_catalog_session_costs_its_opener_nothing() {
         NetServer::start(registry, [byz_service, ok_service], NetServerConfig::default()).unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
 
-    let byz_session = client
+    let byz = client
         .open_with("byz_ring", EVENT_TIMEOUT)
-        .expect("byzantine open is accepted — the monitor, not admission, catches it");
-    assert_eq!(wait_for_done(&mut client, byz_session), (false, 1));
+        .expect("byzantine open is admitted — the monitor, not admission, catches it");
+    assert_eq!((byz.compliant, byz.violations), (false, 1));
 
     // The same connection opens and completes a compliant session.
-    let ok_session = client.open_with("ok_ring", EVENT_TIMEOUT).unwrap();
-    let (compliant, _) = wait_for_done(&mut client, ok_session);
-    assert!(compliant, "the opener's next session must be served");
+    let ok = client.open_with("ok_ring", EVENT_TIMEOUT).unwrap();
+    assert!(ok.compliant, "the opener's next session must be served");
     // Read before shutdown, which says goodbye with a `ShuttingDown`.
     let net = server.net_report();
     assert_eq!(net.rejects.total(), 0, "{net}");
@@ -643,7 +624,7 @@ fn idle_connections_are_reaped_and_live_ones_are_not() {
 
     // A live client disarms its own idle deadline by sending frames.
     let mut live = NetClient::connect(server.local_addr()).unwrap();
-    let session = live.open_with("ring", EVENT_TIMEOUT).unwrap();
+    assert!(live.open_with("ring", EVENT_TIMEOUT).unwrap().compliant);
 
     // The mute connection never sends a byte.
     let mute = TcpStream::connect(server.local_addr()).unwrap();
@@ -681,8 +662,8 @@ fn idle_connections_are_reaped_and_live_ones_are_not() {
         }
         assert!(Instant::now() < eof_deadline, "mute socket never closed");
     }
-    let (compliant, _) = wait_for_done(&mut live, session);
-    assert!(compliant, "the live connection must not be reaped");
+    let again = live.open_with("ring", EVENT_TIMEOUT).unwrap();
+    assert!(again.compliant, "the live connection must not be reaped");
     server.shutdown();
 }
 
@@ -704,7 +685,21 @@ fn open_with_surfaces_structured_rejections_and_timeouts() {
         }
         other => panic!("want a structured rejection, got {other:?}"),
     }
+    // An admitted session's answer is its `Done`.
+    let done = client.open_with("ring", EVENT_TIMEOUT).unwrap();
+    assert!(done.compliant && done.complete && done.actions == 6, "{done:?}");
     server.shutdown();
+
+    // A peer that accepts the connection and never answers: silence past
+    // the timeout is a structured `Timeout`, not a hang or a silent `None`.
+    let mute = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = NetClient::connect(mute.local_addr().unwrap()).unwrap();
+    let started = Instant::now();
+    match client.open_with("ring", Duration::from_millis(50)) {
+        Err(zooid_runtime::RuntimeError::Timeout { .. }) => {}
+        other => panic!("want a structured timeout, got {other:?}"),
+    }
+    assert!(started.elapsed() < EVENT_TIMEOUT);
 }
 
 #[test]
@@ -761,22 +756,9 @@ fn the_byzantine_campaign_over_tcp_reports_complete_incidents() {
     .unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
     for (served, &expected) in &expected_actions {
-        let session = client.open_with(served, EVENT_TIMEOUT).unwrap();
-        let deadline = Instant::now() + EVENT_TIMEOUT;
-        let (compliant, actions) = loop {
-            match client.poll_event(Duration::from_millis(100)).unwrap() {
-                Some(MuxFrame::Done {
-                    session: s,
-                    compliant,
-                    actions,
-                    ..
-                }) if s == session => break (compliant, actions),
-                Some(_) => {}
-                None => assert!(Instant::now() < deadline, "{served}: no Done"),
-            }
-        };
-        assert!(!compliant, "{served}");
-        assert_eq!(actions, expected, "{served}: Done counts the direct run's steps");
+        let done = client.open_with(served, EVENT_TIMEOUT).unwrap();
+        assert!(!done.compliant, "{served}");
+        assert_eq!(done.actions, expected, "{served}: Done counts the direct run's steps");
     }
     let stats = client
         .fetch_stats(EVENT_TIMEOUT)

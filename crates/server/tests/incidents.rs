@@ -21,7 +21,6 @@ use zooid_mpst::global::GlobalType;
 use zooid_mpst::{Role, Sort};
 use zooid_proc::{Expr, Externals, Proc, Value};
 use zooid_runtime::exec::ExecOptions;
-use zooid_runtime::MuxFrame;
 use zooid_server::synth::{byzantine_driver, skeleton_endpoints};
 use zooid_server::{
     ByzantineMutation, ExpectedClass, FlightEvent, NetClient, NetServer, NetServerConfig,
@@ -176,29 +175,11 @@ fn mux_violations_surface_as_wire_queryable_incidents() {
     let server = NetServer::start(registry, [service], NetServerConfig::default()).unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
 
-    let session = client.open("ring").unwrap();
-    let deadline = std::time::Instant::now() + EVENT_TIMEOUT;
-    let reported_violations = loop {
-        match client.poll_event(Duration::from_millis(100)).unwrap() {
-            Some(MuxFrame::Accepted { session: s }) => assert_eq!(s, session),
-            Some(MuxFrame::Done {
-                session: s,
-                compliant,
-                violations,
-                ..
-            }) => {
-                assert_eq!(s, session);
-                assert!(!compliant);
-                assert!(violations > 0);
-                break violations;
-            }
-            Some(other) => panic!("unexpected frame {other:?}"),
-            None => assert!(
-                std::time::Instant::now() < deadline,
-                "no outcome within {EVENT_TIMEOUT:?}"
-            ),
-        }
-    };
+    // The session's one answer is its non-compliant `Done`.
+    let done = client.open_with("ring", EVENT_TIMEOUT).unwrap();
+    assert!(!done.compliant);
+    assert!(done.violations > 0);
+    let reported_violations = done.violations;
 
     // The incident record is queryable from the live server over the wire.
     let stats = client

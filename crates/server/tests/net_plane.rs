@@ -7,10 +7,14 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use zooid_cfsm::{CompiledSystem, System};
 use zooid_dsl::Protocol;
-use zooid_mpst::generators;
+use zooid_mpst::global::GlobalType;
+use zooid_mpst::{generators, Action, Label, Role, Sort};
+use zooid_runtime::monitor::CompiledMonitor;
 use zooid_runtime::{MuxFrame, RejectCode};
 use zooid_server::synth::skeleton_endpoints;
 use zooid_server::{
@@ -53,28 +57,161 @@ fn next_event(client: &mut NetClient) -> MuxFrame {
     }
 }
 
-/// Collects events until every listed session has a `Done`, asserting each
-/// one was `Accepted` first.
-fn await_done(client: &mut NetClient, sessions: &[u64]) -> BTreeMap<u64, MuxFrame> {
-    let mut accepted = std::collections::BTreeSet::new();
-    let mut done = BTreeMap::new();
-    while done.len() < sessions.len() {
-        match next_event(client) {
-            MuxFrame::Accepted { session } => {
-                assert!(accepted.insert(session), "session {session} accepted twice");
-            }
-            frame @ MuxFrame::Done { .. } => {
-                let MuxFrame::Done { session, .. } = frame else { unreachable!() };
-                assert!(accepted.contains(&session), "done before accept for {session}");
-                assert!(done.insert(session, frame).is_none(), "double done for {session}");
-            }
-            other => panic!("unexpected frame {other:?}"),
+/// The front door's protocol, one instance per mux session id, as a global
+/// type: the client opens, and the server answers exactly once, with
+/// `Done` or `Rejected`.
+fn mux_protocol() -> Protocol {
+    let (client, server) = (Role::new("Client"), Role::new("Server"));
+    let answer = GlobalType::msg(
+        server.clone(),
+        client.clone(),
+        [
+            (Label::new("Done"), Sort::Nat, GlobalType::End),
+            (Label::new("Rejected"), Sort::Str, GlobalType::End),
+        ],
+    );
+    Protocol::new(
+        "mux",
+        GlobalType::msg1(client, server, "Open", Sort::Str, answer),
+    )
+    .unwrap()
+}
+
+/// One compiled monitor of [`mux_protocol`] per mux session id, fed the
+/// frames a client actually sent and received. Only the client's side is
+/// seen, so each frame is observed as its send followed at once by its
+/// receive, an interleaving the protocol must allow.
+struct MuxMonitor {
+    system: Arc<CompiledSystem>,
+    sessions: BTreeMap<u64, CompiledMonitor>,
+}
+
+impl MuxMonitor {
+    fn new() -> Self {
+        let system = System::from_global(mux_protocol().global()).unwrap().compile();
+        MuxMonitor {
+            system: Arc::new(system),
+            sessions: BTreeMap::new(),
         }
     }
-    for session in sessions {
-        assert!(done.contains_key(session), "session {session} never finished");
+
+    /// The client sent `Open` for `session`.
+    fn opened(&mut self, session: u64) -> Result<(), String> {
+        self.observe(session, "Client", "Server", "Open", Sort::Str)
     }
-    done
+
+    /// The client received `frame`. Every server frame is an answer to
+    /// some `Open`, so one that names no open session, or one whose
+    /// session has had its answer, is a violation too.
+    fn received(&mut self, frame: &MuxFrame) -> Result<(), String> {
+        let (session, label, sort) = match frame {
+            MuxFrame::Done { session, .. } => (session, "Done", Sort::Nat),
+            MuxFrame::Rejected { session, .. } => (session, "Rejected", Sort::Str),
+            MuxFrame::Accepted { session } => (session, "Accepted", Sort::Unit),
+            MuxFrame::Open { session, .. } => (session, "Open", Sort::Str),
+            MuxFrame::Stats { session } => (session, "Stats", Sort::Unit),
+            MuxFrame::StatsReply { session, .. } => (session, "StatsReply", Sort::Unit),
+        };
+        self.observe(*session, "Server", "Client", label, sort)
+    }
+
+    /// Whether `session` has had its one answer.
+    fn answered(&self, session: u64) -> bool {
+        self.sessions
+            .get(&session)
+            .is_some_and(CompiledMonitor::is_complete)
+    }
+
+    fn observe(
+        &mut self,
+        session: u64,
+        from: &str,
+        to: &str,
+        label: &str,
+        sort: Sort,
+    ) -> Result<(), String> {
+        let system = &self.system;
+        let monitor = self
+            .sessions
+            .entry(session)
+            .or_insert_with(|| CompiledMonitor::new(Arc::clone(system)));
+        let (from, to, label) = (Role::new(from), Role::new(to), Label::new(label));
+        let send = Action::send(from.clone(), to.clone(), label.clone(), sort.clone());
+        let recv = Action::recv(to, from, label, sort);
+        for action in [send, recv] {
+            if !monitor.observe(&action) {
+                let violation = monitor.violations().last().unwrap();
+                return Err(format!("mux session {session}: {violation}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Collects events until every listed session has its `Done`, running
+/// every frame through a [`MuxMonitor`] (so a second answer, an answer
+/// for a session never opened or any other frame breaks the protocol),
+/// then once more over what is already there, so a trailing duplicate
+/// cannot hide behind the last `Done`.
+fn await_done(client: &mut NetClient, sessions: &[u64]) -> BTreeMap<u64, MuxFrame> {
+    let mut mux = MuxMonitor::new();
+    for &session in sessions {
+        mux.opened(session).unwrap();
+    }
+    let mut done = BTreeMap::new();
+    loop {
+        let frame = if sessions.iter().all(|s| mux.answered(*s)) {
+            match client.poll_event(Duration::ZERO).unwrap() {
+                Some(frame) => frame,
+                None => return done,
+            }
+        } else {
+            next_event(client)
+        };
+        if let Err(violation) = mux.received(&frame) {
+            panic!("the server broke the mux protocol: {violation}");
+        }
+        let MuxFrame::Done { session, .. } = frame else {
+            panic!("an answer other than Done: {frame:?}")
+        };
+        done.insert(session, frame);
+    }
+}
+
+#[test]
+fn the_mux_monitor_allows_one_answer_per_open_and_nothing_else() {
+    let done = |session| MuxFrame::Done {
+        session,
+        compliant: true,
+        complete: true,
+        stalled: false,
+        violations: 0,
+        actions: 6,
+    };
+    let rejected = |session| MuxFrame::Rejected {
+        session,
+        code: RejectCode::UnknownProtocol,
+        reason: String::new(),
+    };
+    let mut mux = MuxMonitor::new();
+    // One answer each, in either order across sessions.
+    for session in [1, 2] {
+        mux.opened(session).unwrap();
+    }
+    mux.received(&rejected(2)).unwrap();
+    mux.received(&done(1)).unwrap();
+    assert!(mux.answered(1) && mux.answered(2));
+    // A second Done, or any frame after the answer.
+    assert!(mux.received(&done(1)).is_err(), "a second Done");
+    assert!(mux.received(&rejected(2)).is_err(), "a frame after the answer");
+    // A Done for a session never opened (a misdelivered outcome).
+    assert!(mux.received(&done(3)).is_err(), "a Done nobody opened");
+    // There is no acknowledgement before the answer any more.
+    mux.opened(4).unwrap();
+    assert!(mux.received(&MuxFrame::Accepted { session: 4 }).is_err());
+    // An id is opened once.
+    mux.opened(5).unwrap();
+    assert!(mux.opened(5).is_err(), "a second Open for one id");
 }
 
 /// Two names for one global type share everything compiled, but each name
@@ -216,9 +353,9 @@ fn multiplexed_sessions_match_direct_submission() {
     assert_eq!(report.sessions_opened, sessions.len() as u64);
     assert_eq!(report.sessions_done, sessions.len() as u64);
     assert_eq!(report.bad_frames, 0);
-    // Every Open was read; every Accepted and Done was written.
+    // Every Open was read; each was answered by exactly one Done.
     assert_eq!(report.frames_read, sessions.len() as u64);
-    assert_eq!(report.frames_written, 2 * sessions.len() as u64);
+    assert_eq!(report.frames_written, sessions.len() as u64);
 
     let final_report = server.shutdown();
     assert_eq!(final_report.net.sessions_done, sessions.len() as u64);
@@ -346,7 +483,7 @@ fn connection_limit_refuses_excess_connections() {
         let mut third = NetClient::connect(server.local_addr()).unwrap();
         let session = third.open("ring").unwrap();
         match next_event(&mut third) {
-            MuxFrame::Accepted { session: s } => {
+            MuxFrame::Done { session: s, .. } => {
                 assert_eq!(s, session);
                 break third;
             }
@@ -358,9 +495,9 @@ fn connection_limit_refuses_excess_connections() {
             other => panic!("unexpected frame {other:?}"),
         }
     };
+    // The admitted client's one answer was its Done: nothing follows.
     let mut third = admitted;
-    // Drain the session so the shutdown counters are stable.
-    while !matches!(next_event(&mut third), MuxFrame::Done { .. }) {}
+    assert_eq!(third.poll_event(Duration::from_millis(50)).unwrap(), None);
 
     let report = server.shutdown();
     assert!(report.net.connections_rejected >= 1, "{}", report.net);
@@ -529,23 +666,13 @@ fn outcomes_for_dead_connections_are_not_misdelivered() {
         } // dropped with every outcome still in flight
         let mut client = NetClient::connect(addr).unwrap();
         let session = client.open("ring").unwrap();
-        let mut accepted = false;
-        loop {
-            let frame = next_event(&mut client);
-            let (MuxFrame::Accepted { session: s }
-            | MuxFrame::Done { session: s, .. }
-            | MuxFrame::Rejected { session: s, .. }) = frame
-            else {
-                panic!("unexpected frame {frame:?}")
-            };
-            assert_eq!(s, session, "frame for a session this client never opened: {frame:?}");
-            match frame {
-                MuxFrame::Accepted { .. } => accepted = true,
-                MuxFrame::Done { .. } => break,
-                other => panic!("unexpected frame {other:?}"),
-            }
-        }
-        assert!(accepted, "done before accept");
+        // A ghost's outcome delivered here is a Done for a session this
+        // client never opened: a violation of the mux protocol.
+        let mut mux = MuxMonitor::new();
+        mux.opened(session).unwrap();
+        let frame = next_event(&mut client);
+        mux.received(&frame).unwrap();
+        assert!(matches!(frame, MuxFrame::Done { .. }), "{frame:?}");
         // After this client's own Done, nothing further may arrive: a stale
         // ghost outcome surfacing here is exactly the misdelivery bug.
         assert_eq!(client.poll_event(Duration::from_millis(50)).unwrap(), None);
@@ -678,9 +805,11 @@ fn live_stats_are_fetchable_over_the_wire() {
     let started: u64 = stats.shards.shards.iter().map(|s| s.sessions_started).sum();
     assert_eq!(started, 6);
 
-    // The stats exchange is accounted like any other frame traffic.
+    // The stats exchange is accounted like any other frame traffic: one
+    // frame written per session, rejection and stats reply.
     let report = server.net_report();
     assert!(report.frames_read > stats.net.frames_read - 1);
+    assert_eq!(report.frames_written, 6 + 1 + 1);
     server.shutdown();
 }
 
@@ -725,16 +854,15 @@ fn poll_event_honours_zero_and_short_timeouts() {
         "2 ms timeout took {short:?}"
     );
 
-    // Zero still means "whatever is there": two sessions' four frames come
-    // out through zero-timeout polls alone, the first of each read from the
-    // socket, the ones behind it from the buffer.
+    // Zero still means "whatever is there": two sessions' answers come out
+    // through zero-timeout polls alone, read from the socket or, when both
+    // arrived in one read, the second from the buffer.
     let sessions = [client.open("ring").unwrap(), client.open("ring").unwrap()];
     let deadline = Instant::now() + EVENT_TIMEOUT;
-    let (mut accepted, mut done) = (Vec::new(), Vec::new());
+    let mut done = Vec::new();
     while done.len() < sessions.len() {
         assert!(Instant::now() < deadline, "frames never arrived");
         match client.poll_event(Duration::ZERO).unwrap() {
-            Some(MuxFrame::Accepted { session }) => accepted.push(session),
             Some(MuxFrame::Done {
                 session, compliant, ..
             }) => {
@@ -745,7 +873,6 @@ fn poll_event_honours_zero_and_short_timeouts() {
             None => std::thread::yield_now(),
         }
     }
-    assert_eq!(accepted, sessions);
     done.sort_unstable();
     assert_eq!(done, sessions);
     server.shutdown();
@@ -759,11 +886,10 @@ fn sequential_round_trips_wait_on_no_timer() {
     let mut client = NetClient::connect(server.local_addr()).unwrap();
 
     // One session at a time: every frame is the only one in its wake, so a
-    // client (or server) that sits out a timer per wake shows it 100 times.
+    // client (or server) that sits out a timer per wake shows it 50 times.
     let start = Instant::now();
     for _ in 0..50 {
         let session = client.open("ring").unwrap();
-        assert_eq!(next_event(&mut client), MuxFrame::Accepted { session });
         match next_event(&mut client) {
             MuxFrame::Done {
                 session: s,
@@ -902,7 +1028,8 @@ fn an_idle_loop_waits_instead_of_spinning() {
     // One session in flight, sockets silent: the wait on the outcome
     // channel must block for its slice, not come back early.
     let session = client.open("pipeline").unwrap();
-    assert_eq!(next_event(&mut client), MuxFrame::Accepted { session });
+    client.flush().unwrap();
+    await_report(&server, "the admission", |r| r.sessions_opened == 1);
     let waiting = passes_over(&server, window);
     assert_eq!(
         server.net_report().sessions_done,

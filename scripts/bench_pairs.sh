@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of one zooid_benchmark workload.
 #
-#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs]
+#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs] [out.json]
 #
 # Builds the benchmark (BENCHMARK.json's `command`) twice, each in a
 # snapshot of its own under a temporary directory with its own target
@@ -19,16 +19,26 @@
 # metrics, the change's median over the parent's, and in how many pairs
 # the change moved each way (better / worse, in the metric's own direction
 # from BENCHMARK.json). A run that exits non-zero is reported and left out.
+#
+# With `out.json`, also merges the workload's pairs into that file, keyed
+# by workload (other workloads already in it are kept): the parent's
+# commit, then per end-to-end metric its direction, the parent and change
+# samples by seed, each side's quartiles [q1, median, q3] and the number of
+# pairs the change moved each way.
 # Temporary files go under $TMPDIR (default /tmp) and are removed at exit.
 set -euo pipefail
 
-if [[ $# -lt 2 || $# -gt 3 ]]; then
-    echo "usage: $0 <parent-rev> <workload> [pairs]" >&2
+if [[ $# -lt 2 || $# -gt 4 ]]; then
+    echo "usage: $0 <parent-rev> <workload> [pairs] [out.json]" >&2
     exit 2
 fi
 parent_rev="$1"
 workload="$2"
 pairs="${3:-10}"
+out_json=""
+if [[ $# -eq 4 ]]; then
+    out_json="$(realpath -m "$4")"
+fi
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
@@ -79,10 +89,11 @@ for seed in $(seq 1 "$pairs"); do
     done
 done
 
-python3 - "$work" BENCHMARK.json "$workload" <<'EOF'
-import json, sys
+parent_commit="$(git rev-parse "$parent_rev^{commit}")"
+python3 - "$work" BENCHMARK.json "$workload" "$parent_commit" "$out_json" <<'EOF'
+import json, os, sys
 
-work, spec_path, workload = sys.argv[1:4]
+work, spec_path, workload, parent_commit, out_json = sys.argv[1:6]
 spec = json.load(open(spec_path))
 
 def load(side):
@@ -113,15 +124,20 @@ print(f"\n{workload}: {len(seeds)} complete pairs "
       f"(parent runs {len(parent)}, change runs {len(change)})")
 if not seeds:
     sys.exit(1)
+record = {"parent_commit": parent_commit, "seeds": seeds,
+          "args": "--seconds 10 --trace 0", "metrics": {}}
 header = f"{'metric':<15} {'side':<7} {'q1':>12} {'median':>12} {'q3':>12}"
 print(header)
 print("-" * len(header))
 for metric in spec["end_to_end"]:
     name, higher = metric["name"], metric["better"] == "higher"
     sides = {}
+    entry = record["metrics"][name] = {"better": metric["better"]}
     for side, runs in (("parent", parent), ("change", change)):
         xs = [value(runs[s][name]) for s in seeds]
         sides[side] = quartiles(xs)
+        entry[side] = {str(s): x for s, x in zip(seeds, xs)}
+        entry[f"{side}_quartiles"] = list(sides[side])
         q1, med, q3 = sides[side]
         print(f"{name:<15} {side:<7} {q1:>12.4g} {med:>12.4g} {q3:>12.4g}")
     better = worse = 0
@@ -132,9 +148,20 @@ for metric in spec["end_to_end"]:
                 better += 1
             else:
                 worse += 1
+    entry["change_better"], entry["change_worse"] = better, worse
     ratio = sides["change"][1] / sides["parent"][1] if sides["parent"][1] else float("nan")
     spread = sides["parent"][2] - sides["parent"][0]
     print(f"{'':<15} change/parent median {ratio:.3f}; "
           f"better in {better}, worse in {worse} of {len(seeds)} pairs; "
           f"parent IQR {spread:.4g}")
+
+if out_json:
+    merged = {}
+    if os.path.exists(out_json):
+        merged = json.load(open(out_json))
+    merged[workload] = record
+    with open(out_json, "w") as f:
+        json.dump(merged, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"merged {workload} into {out_json}")
 EOF
