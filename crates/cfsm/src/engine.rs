@@ -17,8 +17,16 @@
 //! * every admitted configuration is stored once, back to back in the one
 //!   append-only word arena of a `ConfigArena`, whose visited set is an
 //!   open-addressing index of configuration ids. A successor is written
-//!   straight onto the arena's tail, hashed once, and truncated off again if
-//!   it was already visited, so an expansion allocates nothing;
+//!   straight onto the arena's tail and truncated off again if it was
+//!   already visited, so an expansion allocates nothing;
+//! * a configuration's hash is a wrapping sum of one term per machine state
+//!   and one per channel content (`config_hash`), so a successor's hash is
+//!   its parent's with the moved machines' terms and the touched channel's
+//!   term swapped (`successor_hash`): O(queue length), not O(configuration);
+//! * compilation records the *shape* of every machine state (no
+//!   transitions, receives on one channel only, or anything else), so an
+//!   expansion walks the machines once and an idle machine (finished, or
+//!   waiting on an empty channel) costs two loads (`expand`);
 //! * every configuration records the (parent, action) edge that first
 //!   discovered it, so each violation comes with a shortest replayable
 //!   counterexample trace back to the initial configuration.
@@ -45,9 +53,15 @@
 //!   `tests/differential_modes.rs`.
 //! * [`CompiledSystem::explore_parallel`] (in [`crate::parallel`]) runs the
 //!   reduced exploration on a work-stealing frontier over N threads with a
-//!   sharded visited map. It shares the encoding, the arena, and the one
-//!   expansion and successor function (`expand`, `write_successor`) with the
-//!   sequential explorer.
+//!   sharded visited map. It shares the encoding, the arena, the hash, and
+//!   the one expansion and successor function (`expand`, `write_successor`,
+//!   `successor_hash`) with the sequential explorer.
+//!
+//! The expansion before the one-pass `expand` (ample set, then every
+//! enabled step, then a third pass for unspecified receptions) stays under
+//! `#[cfg(test)]` as its oracle: a unit test expands every configuration it
+//! reaches both ways and checks every successor's incremental hash against
+//! the full one.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hasher;
@@ -61,7 +75,7 @@ use crate::system::{
 };
 
 /// A compiled transition: everything the exploration loop needs, as ids.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CTrans {
     /// Send or receive.
     pub(crate) dir: Direction,
@@ -74,6 +88,36 @@ pub(crate) struct CTrans {
     /// Index of the partner's machine, or `u32::MAX` if no machine in the
     /// system implements the partner role.
     partner_machine: u32,
+}
+
+/// What a machine state's transitions allow an expansion to skip, decided
+/// once at compilation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// No transitions: the machine never moves again.
+    Stuck,
+    /// Every transition receives on this one channel: the machine moves
+    /// only on that channel's head, and is idle while it is empty.
+    Recv(u32),
+    /// Anything else: sends, or receives on more than one channel.
+    Mixed,
+}
+
+impl Shape {
+    /// The shape of a state with transitions `table`.
+    fn of(table: &[CTrans]) -> Shape {
+        match table.first() {
+            None => Shape::Stuck,
+            Some(first)
+                if table
+                    .iter()
+                    .all(|t| t.dir == Direction::Recv && t.channel == first.channel) =>
+            {
+                Shape::Recv(first.channel)
+            }
+            Some(_) => Shape::Mixed,
+        }
+    }
 }
 
 /// Endpoints of a dense channel id, for decoding configurations back into
@@ -90,27 +134,34 @@ fn word(msg: MsgId) -> u32 {
     msg.index() as u32
 }
 
-/// The 64-bit content hash of an encoded configuration: FxHash over its
-/// words, two to a round. The encoding length-prefixes every channel, so moving a message
-/// from one channel to the next changes the words and not just their split.
-///
-/// Invariant: the hash carries entropy in its **top** bits (FxHash ends
-/// every word with a multiply, which pushes each input bit upwards). The
-/// parallel explorer routes a configuration to its shard on the top six
-/// bits, and [`ConfigArena`] places it in its index on bits 32 and up, so
-/// the two never read the same bits for any index under 2^26 slots.
-pub(crate) fn hash_words(words: &[u32]) -> u64 {
-    // Two words per round: FxHash is one dependent multiply per round, so
-    // this halves the chain a large configuration hashes through.
+/// The splitmix64 finaliser (with its golden-ratio increment, so 0 does not
+/// map to 0): every input bit reaches every output bit.
+fn mix(x: u64) -> u64 {
+    let x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The hash term of machine `m` in state `state`.
+fn machine_term(m: usize, state: u32) -> u64 {
+    mix((m as u64) << 32 | u64::from(state))
+}
+
+/// The hash term of channel `c` holding `queue`: FxHash over the channel id,
+/// the length and the queued words in order, then [`mix`] to spread it.
+fn channel_term(c: usize, queue: &[u32]) -> u64 {
     let mut h = FxHasher::default();
-    let mut pairs = words.chunks_exact(2);
-    for pair in &mut pairs {
-        h.write_u64(u64::from(pair[0]) | u64::from(pair[1]) << 32);
+    h.write_u64((c as u64) << 32 | queue.len() as u64);
+    for &w in queue {
+        h.write_u32(w);
     }
-    if let [last] = pairs.remainder() {
-        h.write_u32(*last);
-    }
-    h.finish()
+    mix(h.finish())
+}
+
+/// The queued words of the channel whose length word sits at `at` in `cfg`.
+fn queue_at(cfg: &[u32], at: usize) -> &[u32] {
+    &cfg[at + 1..at + 1 + cfg[at] as usize]
 }
 
 /// Marks an empty slot of a [`ConfigArena`]'s index.
@@ -122,10 +173,17 @@ const EMPTY: u32 = u32::MAX;
 /// for each channel: length, then the queued MsgIds]`; the encoding is
 /// injective for a fixed system, so two configurations are equal iff their
 /// words are. The arena keeps all of them back to back in one append-only
-/// `Vec<u32>`, with an end-offset column and a column of cached content
-/// hashes ([`hash_words`]) beside it. The visited set is an open-addressing
-/// index of `u32` configuration ids (linear probing, at most half full),
-/// compared by cached hash first and then by slice.
+/// `Vec<u32>`, with an end-offset column and a column of cached hashes
+/// beside it. The visited set is an open-addressing index of `u32`
+/// configuration ids (linear probing, at most half full), compared by
+/// cached hash first and then by slice, so the hash decides only where a
+/// configuration is looked for, never whether two are equal.
+///
+/// The hash ([`CompiledSystem::config_hash`]) is a wrapping sum of
+/// [`mix`]ed terms, so it carries entropy in every bit. The index places a
+/// configuration on bits 32 and up, and the parallel explorer routes it to
+/// its shard on the top six, so the two never read the same bits for any
+/// index under 2^26 slots.
 ///
 /// A candidate successor is written onto the tail of `words`, past the
 /// last admitted configuration, then either kept as the next id or
@@ -138,7 +196,7 @@ pub(crate) struct ConfigArena {
     /// `ends[i]` is where configuration `i`'s words end (and `i + 1`'s
     /// begin); the first begins at 0.
     ends: Vec<usize>,
-    /// `hashes[i] == hash_words(config(i))`.
+    /// `hashes[i] == config_hash(config(i))` for the system explored.
     hashes: Vec<u64>,
     /// Configuration ids by hash slot, [`EMPTY`] where none; a power of two
     /// in length.
@@ -185,13 +243,18 @@ impl ConfigArena {
         &self.words[start..self.ends[id]]
     }
 
-    /// The home slot of `hash`: bits 32 and up (see [`hash_words`]).
+    /// The cached hash of configuration `id`.
+    pub(crate) fn hash(&self, id: u32) -> u64 {
+        self.hashes[id as usize]
+    }
+
+    /// The home slot of `hash`: bits 32 and up.
     fn home(&self, hash: u64) -> usize {
         (hash >> 32) as usize & (self.index.len() - 1)
     }
 
     /// Keeps the candidate written at the tail of the arena (its words past
-    /// the last admitted configuration, with content hash `hash`) if no
+    /// the last admitted configuration, with hash `hash`) if no
     /// admitted configuration equals it and `admit` agrees, and truncates it
     /// off otherwise.
     pub(crate) fn intern_tail(&mut self, hash: u64, admit: impl FnOnce() -> bool) -> Interned {
@@ -250,7 +313,7 @@ impl ConfigArena {
 }
 
 /// One move of a configuration: machine `machine` fires `trans`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Step {
     pub(crate) machine: u32,
     pub(crate) trans: CTrans,
@@ -285,6 +348,20 @@ impl Expansion {
     /// Number of messages queued on channel `c` of `cfg`.
     fn queued(&self, cfg: &[u32], c: u32) -> usize {
         cfg[self.chan[c as usize] as usize] as usize
+    }
+
+    /// Whether some receive of `table` faces a head on its channel that no
+    /// receive of `table` on that channel takes: an unspecified reception,
+    /// as `System::has_unspecified_reception` defines it for one machine.
+    fn unhandled_head(&self, cfg: &[u32], table: &[CTrans]) -> bool {
+        table.iter().any(|t| {
+            t.dir == Direction::Recv
+                && self.head(cfg, t.channel).is_some_and(|head| {
+                    !table.iter().any(|t2| {
+                        t2.dir == Direction::Recv && t2.channel == t.channel && word(t2.msg) == head
+                    })
+                })
+        })
     }
 }
 
@@ -327,6 +404,8 @@ pub struct CompiledSystem {
     /// `tables[m][s]` = transitions leaving state `s` of machine `m`, in the
     /// same order as [`crate::Cfsm::transitions_from`].
     tables: Vec<Vec<Vec<CTrans>>>,
+    /// `shapes[m][s]` = the [`Shape`] of `tables[m][s]`.
+    shapes: Vec<Vec<Shape>>,
     /// Endpoints of each dense channel id.
     channels: Vec<ChannelInfo>,
     /// Machine index of each interned role.
@@ -351,6 +430,7 @@ impl CompiledSystem {
         let mut channels: Vec<ChannelInfo> = Vec::new();
         let mut channel_ids: FxHashMap<(RoleId, RoleId), u32> = FxHashMap::default();
         let mut tables = Vec::with_capacity(machines.len());
+        let mut shapes = Vec::with_capacity(machines.len());
         let mut finals = Vec::with_capacity(machines.len());
         let mut initial = Vec::with_capacity(machines.len());
 
@@ -385,6 +465,7 @@ impl CompiledSystem {
             for &s in machine.final_states() {
                 fin[s] = true;
             }
+            shapes.push(table.iter().map(|t| Shape::of(t)).collect());
             tables.push(table);
             finals.push(fin);
             initial.push(u32::try_from(machine.initial()).expect("state table overflow"));
@@ -396,6 +477,7 @@ impl CompiledSystem {
             initial,
             finals,
             tables,
+            shapes,
             channels,
             machine_of_role,
             channel_ids,
@@ -463,9 +545,84 @@ impl CompiledSystem {
     /// single ample step, everything else every enabled step), whether it is
     /// final, and the violations it exhibits.
     ///
+    /// One pass over the machines, in system order, reads each state's
+    /// [`Shape`]. A stuck machine, or a receive-only one whose channel is
+    /// empty, contributes nothing. A receive-only one with a head contributes
+    /// the receives matching it, in table order, or an unspecified reception
+    /// when none does. A mixed one takes the general per-machine rules,
+    /// rendezvous at bound 0 included. The steps come out in
+    /// [`System::successors`] order: machines in system order, each
+    /// machine's transitions in table order.
+    ///
+    /// Under the reduction, the first machine whose state is receive-only
+    /// with exactly one transition matching the head is *ample*, and its
+    /// receive is the only step taken. Such a machine's transitions are all
+    /// receives on one channel `c`, so no other first action of it can become
+    /// enabled before the head of `c` is consumed (the singleton is
+    /// persistent), and a second matching receive would drop a genuine
+    /// nondeterministic branch. The receive commutes with every other
+    /// enabled action: peers' sends append to tails (and a pop can only
+    /// *enable* a bounded send, never disable one), and peers' receives pop
+    /// channels with a different receiver. Because an ample step strictly
+    /// decreases the total queued-message count, no cycle of the reduced
+    /// graph consists of ample steps only, so the cycle proviso that prevents
+    /// the classic "ignoring problem" holds structurally, without
+    /// bookkeeping. At bound 0 (rendezvous) every queue is permanently empty,
+    /// so no machine is ever ample and the reduction is the full
+    /// exploration. Reception errors are never masked: a head that matches
+    /// no transition flags the configuration, and errors at other machines
+    /// survive an ample step untouched, since the step pops only `c`, whose
+    /// sole receiver is the ample machine.
+    ///
     /// Shared by the sequential and parallel explorers so the verdict
     /// semantics cannot drift apart.
     pub(crate) fn expand(&self, cfg: &[u32], bound: usize, reduce: bool, ex: &mut Expansion) {
+        self.locate_channels(cfg, ex);
+        ex.steps.clear();
+        // Index in `ex.steps` of the first ample machine's receive.
+        let mut ample: Option<usize> = None;
+        let mut unspec = false;
+        for (m, &state) in cfg[..self.roles.len()].iter().enumerate() {
+            let state = state as usize;
+            match self.shapes[m][state] {
+                Shape::Stuck => {}
+                Shape::Recv(c) => {
+                    let Some(head) = ex.head(cfg, c) else {
+                        continue;
+                    };
+                    let first = ex.steps.len();
+                    for &trans in &self.tables[m][state] {
+                        if word(trans.msg) == head {
+                            ex.steps.push(Step {
+                                machine: m as u32,
+                                trans,
+                                partner_target: None,
+                            });
+                        }
+                    }
+                    match ex.steps.len() - first {
+                        0 => unspec = true,
+                        1 if ample.is_none() => ample = Some(first),
+                        _ => {}
+                    }
+                }
+                Shape::Mixed => {
+                    let table = &self.tables[m][state];
+                    self.push_steps(cfg, ex, bound, m, table);
+                    unspec = unspec || ex.unhandled_head(cfg, table);
+                }
+            }
+        }
+        if let Some(at) = ample.filter(|_| reduce) {
+            let step = ex.steps[at];
+            ex.steps.clear();
+            ex.steps.push(step);
+        }
+        self.classify(cfg, unspec, ex);
+    }
+
+    /// Records in `ex.chan` where each channel's length word sits in `cfg`.
+    fn locate_channels(&self, cfg: &[u32], ex: &mut Expansion) {
         ex.chan.clear();
         let mut at = self.roles.len();
         for _ in 0..self.channels.len() {
@@ -474,14 +631,12 @@ impl CompiledSystem {
             at += 1 + cfg[at] as usize;
         }
         debug_assert_eq!(at, cfg.len(), "a configuration ends with its last channel");
+    }
 
-        ex.steps.clear();
-        match reduce.then(|| self.ample(cfg, ex, bound)).flatten() {
-            Some(step) => ex.steps.push(step),
-            None => self.successors(cfg, ex, bound),
-        }
+    /// Fills in `ex.is_final` and `ex.violations` once `ex.steps` is known,
+    /// `unspec` saying whether some machine faces a head it cannot receive.
+    fn classify(&self, cfg: &[u32], unspec: bool, ex: &mut Expansion) {
         ex.is_final = cfg.len() == self.quiescent_len() && self.all_machines_final(cfg);
-        let unspec = self.has_unspecified_reception(cfg, ex);
         ex.violations.clear();
         if ex.steps.is_empty() && !ex.is_final {
             ex.violations.extend(self.classify_terminal(cfg, unspec));
@@ -491,43 +646,44 @@ impl CompiledSystem {
         }
     }
 
-    /// Appends every enabled step of `cfg` to `ex.steps`, in the same order
-    /// as [`System::successors`]: machines in system order, each machine's
-    /// transitions in table order.
-    fn successors(&self, cfg: &[u32], ex: &mut Expansion, bound: usize) {
-        for m in 0..self.roles.len() {
-            for &t in &self.tables[m][cfg[m] as usize] {
-                let step = |partner_target| Step {
-                    machine: m as u32,
-                    trans: t,
-                    partner_target,
-                };
-                match t.dir {
-                    // Rendezvous semantics at bound 0: a send fires together
-                    // with a matching receive of the partner, atomically.
-                    Direction::Send if bound == 0 => {
-                        if t.partner_machine == u32::MAX {
-                            continue;
-                        }
-                        let pm = t.partner_machine as usize;
-                        for &rt in &self.tables[pm][cfg[pm] as usize] {
-                            if rt.dir == Direction::Recv
-                                && rt.channel == t.channel
-                                && rt.msg == t.msg
-                            {
-                                ex.steps.push(step(Some(rt.target)));
-                            }
+    /// Appends to `ex.steps` every enabled step of machine `m`, whose state's
+    /// transitions are `table`, in table order.
+    fn push_steps(
+        &self,
+        cfg: &[u32],
+        ex: &mut Expansion,
+        bound: usize,
+        m: usize,
+        table: &[CTrans],
+    ) {
+        for &t in table {
+            let step = |partner_target| Step {
+                machine: m as u32,
+                trans: t,
+                partner_target,
+            };
+            match t.dir {
+                // Rendezvous semantics at bound 0: a send fires together
+                // with a matching receive of the partner, atomically.
+                Direction::Send if bound == 0 => {
+                    if t.partner_machine == u32::MAX {
+                        continue;
+                    }
+                    let pm = t.partner_machine as usize;
+                    for &rt in &self.tables[pm][cfg[pm] as usize] {
+                        if rt.dir == Direction::Recv && rt.channel == t.channel && rt.msg == t.msg {
+                            ex.steps.push(step(Some(rt.target)));
                         }
                     }
-                    Direction::Send => {
-                        if ex.queued(cfg, t.channel) < bound {
-                            ex.steps.push(step(None));
-                        }
+                }
+                Direction::Send => {
+                    if ex.queued(cfg, t.channel) < bound {
+                        ex.steps.push(step(None));
                     }
-                    Direction::Recv => {
-                        if ex.head(cfg, t.channel) == Some(word(t.msg)) {
-                            ex.steps.push(step(None));
-                        }
+                }
+                Direction::Recv => {
+                    if ex.head(cfg, t.channel) == Some(word(t.msg)) {
+                        ex.steps.push(step(None));
                     }
                 }
             }
@@ -568,97 +724,60 @@ impl CompiledSystem {
         }
     }
 
-    /// Ample-set selection for the partial-order reduction: returns a
-    /// machine's single enabled receive whose expansion alone is sufficient
-    /// at `cfg`, or `None` when the configuration must be expanded in full.
-    ///
-    /// A machine `m` in state `s` is *ample* when
-    ///
-    /// 1. every transition of `m` from `s` is a **receive on one channel**
-    ///    `c` (so no other first action of `m` can ever become enabled
-    ///    before the head of `c` is consumed — the singleton is persistent);
-    /// 2. the head of `c` exists and matches **exactly one** of those
-    ///    transitions (FIFO head determinism; a second match would drop a
-    ///    nondeterministic branch).
-    ///
-    /// Such a receive commutes with every other enabled action: peers'
-    /// sends append to tails (and a pop can only *enable* a bounded send,
-    /// never disable one), peers' receives pop channels with a different
-    /// receiver, and `m` itself has no alternative. Because an ample step
-    /// strictly decreases the total queued-message count, no cycle of the
-    /// reduced graph consists of ample steps only — the cycle proviso that
-    /// prevents the classic "ignoring problem" holds structurally, without
-    /// bookkeeping.
-    ///
-    /// At `bound == 0` (rendezvous) every queue is permanently empty, so
-    /// condition 2 never holds and the reduction naturally degenerates to
-    /// the full exploration; the early return just makes that explicit.
-    ///
-    /// Reception errors are never masked: if the head matches *zero*
-    /// transitions the machine is skipped (and `expand` flags the
-    /// configuration as an unspecified reception), while errors at other
-    /// machines survive an ample step untouched — the step pops only
-    /// channel `c`, whose sole receiver is `m`.
-    fn ample(&self, cfg: &[u32], ex: &Expansion, bound: usize) -> Option<Step> {
-        if bound == 0 {
-            return None;
+    /// The hash of the encoded configuration `cfg`: the wrapping sum of one
+    /// term per machine (its index and state) and one per channel (its id
+    /// and queued words, in order). Explorers compute it in full only for the
+    /// initial configuration and take every other from
+    /// [`CompiledSystem::successor_hash`].
+    pub(crate) fn config_hash(&self, cfg: &[u32]) -> u64 {
+        let machines = self.roles.len();
+        let mut h = 0u64;
+        for (m, &state) in cfg[..machines].iter().enumerate() {
+            h = h.wrapping_add(machine_term(m, state));
         }
-        'machines: for m in 0..self.roles.len() {
-            let table = &self.tables[m][cfg[m] as usize];
-            let Some(first) = table.first() else {
-                continue;
-            };
-            let channel = first.channel;
-            let head = ex.head(cfg, channel);
-            let mut chosen: Option<CTrans> = None;
-            for &t in table {
-                if t.dir != Direction::Recv || t.channel != channel {
-                    continue 'machines;
-                }
-                if Some(word(t.msg)) == head {
-                    if chosen.is_some() {
-                        // Two matching receives: expanding one would drop a
-                        // genuine nondeterministic branch.
-                        continue 'machines;
-                    }
-                    chosen = Some(t);
-                }
-            }
-            if let Some(trans) = chosen {
-                return Some(Step {
-                    machine: m as u32,
-                    trans,
-                    partner_target: None,
-                });
-            }
+        let mut at = machines;
+        for c in 0..self.channels.len() {
+            let queue = queue_at(cfg, at);
+            h = h.wrapping_add(channel_term(c, queue));
+            at += 1 + queue.len();
         }
-        None
+        h
     }
 
-    /// Mirrors `System::has_unspecified_reception` on encoded
-    /// configurations: some machine is in a receiving state and the head of
-    /// a corresponding channel cannot be consumed by any of its transitions.
-    fn has_unspecified_reception(&self, cfg: &[u32], ex: &Expansion) -> bool {
-        for m in 0..self.roles.len() {
-            let table = &self.tables[m][cfg[m] as usize];
-            for t in table {
-                // A state may list several receives on the same channel;
-                // re-checking that channel's head is idempotent, so no dedup.
-                if t.dir != Direction::Recv {
-                    continue;
-                }
-                let Some(head) = ex.head(cfg, t.channel) else {
-                    continue;
-                };
-                let handled = table.iter().any(|t2| {
-                    t2.dir == Direction::Recv && t2.channel == t.channel && word(t2.msg) == head
-                });
-                if !handled {
-                    return true;
-                }
+    /// The hash of `next`, the configuration [`CompiledSystem::write_successor`]
+    /// wrote for `step` from `cfg` (as expanded into `ex`), given `parent`,
+    /// the hash of `cfg`: the parent's sum with the terms of the machines
+    /// the step moved and of the channel it touched swapped for their new
+    /// values. Equal to `config_hash(next)`, in O(queue length).
+    pub(crate) fn successor_hash(
+        &self,
+        parent: u64,
+        cfg: &[u32],
+        ex: &Expansion,
+        step: Step,
+        next: &[u32],
+    ) -> u64 {
+        let swap = |h: u64, m: usize| {
+            h.wrapping_sub(machine_term(m, cfg[m]))
+                .wrapping_add(machine_term(m, next[m]))
+        };
+        let t = step.trans;
+        let m = step.machine as usize;
+        let mut h = swap(parent, m);
+        if step.partner_target.is_some() {
+            let pm = t.partner_machine as usize;
+            if pm != m {
+                h = swap(h, pm);
             }
+        } else {
+            let c = t.channel as usize;
+            let at = ex.chan[c] as usize;
+            h = h
+                .wrapping_sub(channel_term(c, queue_at(cfg, at)))
+                .wrapping_add(channel_term(c, queue_at(next, at)));
         }
-        false
+        debug_assert_eq!(h, self.config_hash(next), "the incremental hash drifted");
+        h
     }
 
     /// Decodes an encoded configuration back into the role-keyed form used
@@ -928,7 +1047,7 @@ impl CompiledSystem {
     }
 
     /// Like [`CompiledSystem::explore`], but with the ample-set
-    /// partial-order reduction enabled (the crate-private `ample` method in
+    /// partial-order reduction enabled (the crate-private `expand` method in
     /// `engine.rs` documents the exact condition and its soundness
     /// argument).
     ///
@@ -966,7 +1085,7 @@ impl CompiledSystem {
         let mut live = true;
 
         let init = self.initial_config();
-        arena.intern(&init, hash_words(&init), || true);
+        arena.intern(&init, self.config_hash(&init), || true);
         parents.push(None);
 
         // The configuration being expanded is copied out of the arena once,
@@ -980,6 +1099,7 @@ impl CompiledSystem {
             cfg.clear();
             cfg.extend_from_slice(arena.config(idx));
 
+            let parent_hash = arena.hash(idx);
             self.expand(&cfg, bound, reduce, &mut ex);
             transitions += ex.steps.len();
             if ex.is_final {
@@ -991,7 +1111,8 @@ impl CompiledSystem {
 
             for &step in &ex.steps {
                 self.write_successor(&cfg, &ex, step, &mut arena.words);
-                let hash = hash_words(&arena.words[arena.committed()..]);
+                let next = &arena.words[arena.committed()..];
+                let hash = self.successor_hash(parent_hash, &cfg, &ex, step, next);
                 let full = arena.len() >= max_configs;
                 let j = match arena.intern_tail(hash, || !full) {
                     Interned::Existing(j) => j,
@@ -1044,6 +1165,173 @@ impl CompiledSystem {
             live,
             violations,
         }
+    }
+}
+
+/// The expansion as it was before the one-pass [`CompiledSystem::expand`]:
+/// the ample set, then every enabled step, then a third pass for
+/// unspecified receptions. Kept as the oracle the one pass is tested
+/// against.
+#[cfg(test)]
+impl CompiledSystem {
+    /// [`CompiledSystem::expand`], three passes over the machines.
+    fn expand_oracle(&self, cfg: &[u32], bound: usize, reduce: bool, ex: &mut Expansion) {
+        self.locate_channels(cfg, ex);
+        ex.steps.clear();
+        match reduce.then(|| self.ample(cfg, ex, bound)).flatten() {
+            Some(step) => ex.steps.push(step),
+            None => self.successors(cfg, ex, bound),
+        }
+        let unspec = self.has_unspecified_reception(cfg, ex);
+        self.classify(cfg, unspec, ex);
+    }
+
+    /// Appends every enabled step of `cfg` to `ex.steps`, in the same order
+    /// as [`System::successors`]: machines in system order, each machine's
+    /// transitions in table order.
+    fn successors(&self, cfg: &[u32], ex: &mut Expansion, bound: usize) {
+        for m in 0..self.roles.len() {
+            for &t in &self.tables[m][cfg[m] as usize] {
+                let step = |partner_target| Step {
+                    machine: m as u32,
+                    trans: t,
+                    partner_target,
+                };
+                match t.dir {
+                    // Rendezvous semantics at bound 0: a send fires together
+                    // with a matching receive of the partner, atomically.
+                    Direction::Send if bound == 0 => {
+                        if t.partner_machine == u32::MAX {
+                            continue;
+                        }
+                        let pm = t.partner_machine as usize;
+                        for &rt in &self.tables[pm][cfg[pm] as usize] {
+                            if rt.dir == Direction::Recv
+                                && rt.channel == t.channel
+                                && rt.msg == t.msg
+                            {
+                                ex.steps.push(step(Some(rt.target)));
+                            }
+                        }
+                    }
+                    Direction::Send => {
+                        if ex.queued(cfg, t.channel) < bound {
+                            ex.steps.push(step(None));
+                        }
+                    }
+                    Direction::Recv => {
+                        if ex.head(cfg, t.channel) == Some(word(t.msg)) {
+                            ex.steps.push(step(None));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ample-set selection for the partial-order reduction: returns a
+    /// machine's single enabled receive whose expansion alone is sufficient
+    /// at `cfg`, or `None` when the configuration must be expanded in full.
+    /// The first machine whose every transition receives on one channel,
+    /// and exactly one of them matches that channel's head, is ample; the
+    /// soundness argument is on [`CompiledSystem::expand`].
+    fn ample(&self, cfg: &[u32], ex: &Expansion, bound: usize) -> Option<Step> {
+        if bound == 0 {
+            return None;
+        }
+        'machines: for m in 0..self.roles.len() {
+            let table = &self.tables[m][cfg[m] as usize];
+            let Some(first) = table.first() else {
+                continue;
+            };
+            let channel = first.channel;
+            let head = ex.head(cfg, channel);
+            let mut chosen: Option<CTrans> = None;
+            for &t in table {
+                if t.dir != Direction::Recv || t.channel != channel {
+                    continue 'machines;
+                }
+                if Some(word(t.msg)) == head {
+                    if chosen.is_some() {
+                        // Two matching receives: expanding one would drop a
+                        // genuine nondeterministic branch.
+                        continue 'machines;
+                    }
+                    chosen = Some(t);
+                }
+            }
+            if let Some(trans) = chosen {
+                return Some(Step {
+                    machine: m as u32,
+                    trans,
+                    partner_target: None,
+                });
+            }
+        }
+        None
+    }
+
+    /// Mirrors `System::has_unspecified_reception` on encoded
+    /// configurations: some machine is in a receiving state and the head of
+    /// a corresponding channel cannot be consumed by any of its transitions.
+    fn has_unspecified_reception(&self, cfg: &[u32], ex: &Expansion) -> bool {
+        for m in 0..self.roles.len() {
+            let table = &self.tables[m][cfg[m] as usize];
+            for t in table {
+                // A state may list several receives on the same channel;
+                // re-checking that channel's head is idempotent, so no dedup.
+                if t.dir != Direction::Recv {
+                    continue;
+                }
+                let Some(head) = ex.head(cfg, t.channel) else {
+                    continue;
+                };
+                let handled = table.iter().any(|t2| {
+                    t2.dir == Direction::Recv && t2.channel == t.channel && word(t2.msg) == head
+                });
+                if !handled {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Breadth-first over the configurations [`CompiledSystem::expand`]
+    /// reaches from the initial one, admitting at most `cap`: hands each
+    /// expanded configuration and its expansion to `visit`, checks that
+    /// every written successor's [`CompiledSystem::successor_hash`] equals
+    /// its [`CompiledSystem::config_hash`], and returns the arena.
+    pub(crate) fn reach(
+        &self,
+        bound: usize,
+        reduce: bool,
+        cap: usize,
+        mut visit: impl FnMut(&[u32], &Expansion),
+    ) -> ConfigArena {
+        let mut arena = ConfigArena::default();
+        let init = self.initial_config();
+        arena.intern(&init, self.config_hash(&init), || true);
+        let mut cfg: Vec<u32> = Vec::new();
+        let mut ex = Expansion::default();
+        let mut head = 0u32;
+        while (head as usize) < arena.len() {
+            cfg.clear();
+            cfg.extend_from_slice(arena.config(head));
+            let parent = arena.hash(head);
+            head += 1;
+            self.expand(&cfg, bound, reduce, &mut ex);
+            visit(&cfg, &ex);
+            for &step in &ex.steps {
+                self.write_successor(&cfg, &ex, step, &mut arena.words);
+                let next = &arena.words[arena.committed()..];
+                let hash = self.successor_hash(parent, &cfg, &ex, step, next);
+                assert_eq!(hash, self.config_hash(next), "{step:?} from {cfg:?}");
+                let full = arena.len() >= cap;
+                arena.intern_tail(hash, || !full);
+            }
+        }
+        arena
     }
 }
 
@@ -1237,6 +1525,104 @@ mod tests {
         assert!(!compiled.observe(&mut cursor, &unknown_role));
         // A rejected action leaves the cursor unchanged.
         assert_eq!(cursor, compiled.monitor_cursor());
+    }
+
+    /// The system of `locals`, with machine `cut` (if any) implementing the
+    /// local type `swap` gives its role instead of its own.
+    fn patched(
+        locals: &[(Role, LocalType)],
+        cut: usize,
+        swap: impl Fn(&Role) -> Option<LocalType>,
+    ) -> Option<System> {
+        let machines = locals
+            .iter()
+            .enumerate()
+            .map(|(i, (role, local))| {
+                let local = if i == cut { swap(role)? } else { local.clone() };
+                Cfsm::from_local_type(role.clone(), &local).ok()
+            })
+            .collect::<Option<Vec<_>>>()?;
+        System::new(machines).ok()
+    }
+
+    #[test]
+    fn the_one_pass_expansion_matches_the_three_pass_oracle() {
+        use zooid_mpst::generators::{self, RandomProtocol};
+        use zooid_mpst::projection::project_all;
+        // The ring, chain and fanout sizes `register` lists, the case
+        // studies and the projectable random seeds it draws from.
+        let mut globals = vec![
+            generators::ring3(),
+            generators::pipeline(),
+            generators::ping_pong(),
+            generators::two_buyer(),
+        ];
+        for n in [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64] {
+            globals.push(generators::ring_n(n));
+            globals.push(generators::chain_n(n));
+        }
+        globals.extend((2..=10).map(generators::fanout_n));
+        let random: Vec<_> = (0..40)
+            .map(|seed| generators::random_global(seed, &RandomProtocol::default()))
+            .filter(|g| project_all(g).is_ok())
+            .collect();
+        assert_eq!(random.len(), 8, "seeds 0..40 hold eight projectable ones");
+        globals.extend(random.iter().cloned());
+
+        // Each protocol intact and with its first or last machine cut to
+        // `end` (orphans, deadlocks); each random one also with its first
+        // machine taken from the next one's projection (reception errors).
+        let mut systems = Vec::new();
+        for (i, global) in globals.iter().enumerate() {
+            let locals = project_all(global).expect("projectable");
+            let donor = random
+                .iter()
+                .position(|g| g == global)
+                .map(|k| project_all(&random[(k + 1) % random.len()]).expect("projectable"));
+            let last = locals.len() - 1;
+            systems.extend(patched(&locals, usize::MAX, |_| None));
+            systems.extend(patched(&locals, 0, |_| Some(LocalType::End)));
+            systems.extend(patched(&locals, last, |_| Some(LocalType::End)));
+            if let Some(donor) = donor {
+                systems.extend(patched(&locals, 0, |role| {
+                    donor.iter().find(|(r, _)| r == role).map(|(_, l)| l.clone())
+                }));
+            }
+            assert!(systems.len() >= 3 * (i + 1), "{global} yields its systems");
+        }
+
+        // Enough configurations to reach every state of the small systems
+        // and deep into the large ones, in a debug build's test time.
+        const CAP: usize = 2_000;
+        let mut oracle = Expansion::default();
+        let mut expanded = 0usize;
+        let mut seen: BTreeMap<ViolationKind, usize> = BTreeMap::new();
+        for system in &systems {
+            let compiled = system.compile();
+            for bound in 0..=2 {
+                for reduce in [false, true] {
+                    compiled.reach(bound, reduce, CAP, |cfg, ex| {
+                        compiled.expand_oracle(cfg, bound, reduce, &mut oracle);
+                        let at = format!("{cfg:?} at bound {bound}, reduce {reduce}");
+                        assert_eq!(ex.steps, oracle.steps, "{at}");
+                        assert_eq!(ex.is_final, oracle.is_final, "{at}");
+                        assert_eq!(ex.violations, oracle.violations, "{at}");
+                        expanded += 1;
+                        for &kind in &ex.violations {
+                            *seen.entry(kind).or_default() += 1;
+                        }
+                    });
+                }
+            }
+        }
+        assert!(expanded > 200_000, "only {expanded} configurations expanded");
+        for kind in [
+            ViolationKind::Deadlock,
+            ViolationKind::OrphanMessage,
+            ViolationKind::UnspecifiedReception,
+        ] {
+            assert!(seen.contains_key(&kind), "no {kind:?} met: {seen:?}");
+        }
     }
 
     #[test]

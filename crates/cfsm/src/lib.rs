@@ -20,8 +20,9 @@
 //!   of words (machine states, then each channel's length and queued
 //!   message ids), every admitted configuration is stored once in an
 //!   append-only word arena whose visited set is an open-addressing index
-//!   of ids with a cached content hash per configuration (so a successor
-//!   costs no allocation), and a worklist BFS over that arena
+//!   of ids with a cached hash per configuration (so a successor costs no
+//!   allocation, and its hash is its parent's with the changed terms
+//!   swapped), and a worklist BFS over that arena
 //!   records parent pointers so every violation carries a shortest
 //!   replayable counterexample trace ([`system::Violation`]). The original
 //!   explicit-state explorer is kept as

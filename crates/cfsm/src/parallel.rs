@@ -10,12 +10,13 @@
 //!   peers (and from the seeding `Injector`) when its own queue drains;
 //! * configurations use the sequential engine's flat word encoding, and a
 //!   worker builds each successor in one reusable buffer with the same
-//!   successor function. It hashes the words once, before it locks
-//!   anything;
+//!   successor function. It takes the successor's hash from its parent's
+//!   (which the job carries) with the same incremental `successor_hash`,
+//!   before it locks anything;
 //! * the visited map is split into `SHARDS` shards, each a word arena with
 //!   an open-addressing index of ids (the sequential engine's visited set)
 //!   behind a `parking_lot::Mutex`. A configuration is routed to its shard
-//!   by the top bits of its content hash, and the shard's index reads lower
+//!   by the top bits of its hash, and the shard's index reads lower
 //!   bits of the same hash, so a probe under the lock compares cached
 //!   hashes and slices and hashes nothing, and two workers only contend when
 //!   they touch the same shard at the same instant. A shard stores each
@@ -48,14 +49,13 @@ use crossbeam::utils::Backoff;
 use parking_lot::Mutex;
 
 use crate::engine::{
-    all_can_finish, hash_words, predecessors, CTrans, CompiledSystem, ConfigArena, Expansion,
-    Interned,
+    all_can_finish, predecessors, CTrans, CompiledSystem, ConfigArena, Expansion, Interned,
 };
 use crate::system::{ExplorationOutcome, TraceStep, Violation, ViolationKind};
 
 /// Number of visited-map shards (a power of two; the routing key is the top
-/// `SHARD_BITS` of the configuration's content hash, where FxHash
-/// concentrates its entropy — see [`hash_words`]).
+/// `SHARD_BITS` of the configuration's hash, a sum of mixed terms with
+/// entropy in every bit — see [`ConfigArena`]; a test checks the spread).
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS;
 
@@ -92,10 +92,11 @@ struct Shard {
 }
 
 /// A unit of work: one admitted configuration to expand. The configuration
-/// travels with the job, its one heap slice, so expansion never locks its
-/// home shard.
+/// travels with the job, its one heap slice, with its hash, so expansion
+/// never locks its home shard.
 struct Job {
     gid: Gid,
+    hash: u64,
     cfg: Box<[u32]>,
 }
 
@@ -165,7 +166,7 @@ impl<'a> Pool<'a> {
         false
     }
 
-    /// Inserts the encoded configuration `cfg` (content hash `hash`) into
+    /// Inserts the encoded configuration `cfg` (hash `hash`) into
     /// its shard, recording `parent` as its discovery edge if it is new.
     fn insert(&self, cfg: &[u32], hash: u64, parent: Option<(Gid, u32, CTrans)>) -> Interned<Gid> {
         let s = shard_of(hash);
@@ -198,13 +199,15 @@ impl<'a> Pool<'a> {
             next.clear();
             self.sys.write_successor(&job.cfg, ex, step, next);
             let parent = Some((job.gid, step.machine, step.trans));
-            let g = match self.insert(next, hash_words(next), parent) {
+            let hash = self.sys.successor_hash(job.hash, &job.cfg, ex, step, next);
+            let g = match self.insert(next, hash, parent) {
                 Interned::New(g) => {
                     // Count the token *before* the job becomes stealable so
                     // `in_flight` can never under-report outstanding work.
                     self.in_flight.fetch_add(1, Ordering::AcqRel);
                     local.push(Job {
                         gid: g,
+                        hash,
                         cfg: next.as_slice().into(),
                     });
                     g
@@ -309,12 +312,14 @@ impl CompiledSystem {
         // Seed: the initial configuration is always admitted (max_configs
         // >= 1 here) and enters through the injector.
         let init = self.initial_config();
-        let Interned::New(seed) = pool.insert(&init, hash_words(&init), None) else {
+        let hash = self.config_hash(&init);
+        let Interned::New(seed) = pool.insert(&init, hash, None) else {
             unreachable!("fresh pool admits the initial configuration");
         };
         pool.in_flight.store(1, Ordering::Release);
         pool.injector.push(Job {
             gid: seed,
+            hash,
             cfg: init.into_boxed_slice(),
         });
 
@@ -476,6 +481,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_configuration_hash_spreads_over_every_shard() {
+        // The shard is the hash's top bits: a chain's configurations differ
+        // in a few machine states and queue words, and each shard must still
+        // get at least a quarter of its fair share.
+        let compiled = System::from_global(&generators::chain_n(64))
+            .expect("projectable")
+            .compile();
+        let arena = compiled.reach(2, true, 20_000, |_, _| {});
+        let mut per_shard = [0usize; SHARDS];
+        for id in 0..arena.len() {
+            per_shard[shard_of(arena.hash(id as u32))] += 1;
+        }
+        let fair = arena.len() / SHARDS;
+        let least = per_shard.iter().min().copied().unwrap_or(0);
+        assert!(4 * least >= fair, "{least} in the emptiest shard, fair {fair}");
     }
 
     #[test]

@@ -16,9 +16,13 @@ const BUDGET: usize = 50_000;
 
 /// `(name, configurations, transitions, truncated, verdict)` of
 /// `explore_por(BOUND, BUDGET)`.
-const PINNED: [(&str, usize, usize, bool, Verdict); 5] = [
+const PINNED: [(&str, usize, usize, bool, Verdict); 9] = [
     ("chain8", 19_712, 33_280, false, Verdict::Safe),
     ("chain12", 50_000, 89_604, true, Verdict::Inconclusive),
+    ("chain16", 50_000, 89_331, true, Verdict::Inconclusive),
+    ("chain24", 50_000, 88_928, true, Verdict::Inconclusive),
+    ("chain32", 50_000, 88_985, true, Verdict::Inconclusive),
+    ("chain48", 50_000, 88_985, true, Verdict::Inconclusive),
     ("chain64", 50_000, 88_985, true, Verdict::Inconclusive),
     ("fanout10", 4_604, 12_797, false, Verdict::Safe),
     ("ring64", 129, 128, false, Verdict::Safe),
@@ -28,6 +32,10 @@ fn compile(name: &str) -> CompiledSystem {
     let g = match name {
         "chain8" => generators::chain_n(8),
         "chain12" => generators::chain_n(12),
+        "chain16" => generators::chain_n(16),
+        "chain24" => generators::chain_n(24),
+        "chain32" => generators::chain_n(32),
+        "chain48" => generators::chain_n(48),
         "chain64" => generators::chain_n(64),
         "fanout10" => generators::fanout_n(10),
         "ring64" => generators::ring_n(64),

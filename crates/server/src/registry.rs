@@ -354,7 +354,7 @@ impl ProtocolRegistry {
                 let system = Arc::new(System::new(machines)?.compile());
                 // Always the sequential reduced engine: the work-stealing
                 // one reaches the same verdict (differentially tested) but
-                // takes 1.3–1.75x as long at 2 threads on a 2-vCPU box
+                // takes 1.4–1.65x as long at 2 threads on a 2-vCPU box
                 // (traced `register`, explore_t2_us over explore_por_us).
                 let budget = SafetyBudget::default();
                 let verdict = system
