@@ -11,9 +11,20 @@
 //!   [`MsgId`] via the shared [`zooid_mpst::Interner`], so matching a queued
 //!   message against an expected one is a single integer comparison;
 //! * every ordered `(sender, receiver)` pair that can ever carry a message
-//!   gets a dense channel id, so a configuration is one flat run of `u32`
-//!   words, `[machine states | for each channel: length, then the queued
-//!   MsgIds]`, instead of a `BTreeMap` keyed on role pairs;
+//!   gets a dense channel id, so a configuration is one flat run of words,
+//!   `[machine states | one length per channel | the queued MsgIds, channel
+//!   by channel]`, instead of a `BTreeMap` keyed on role pairs. A channel's
+//!   length sits at a fixed offset (machine count + channel id), so a
+//!   receive-only machine checks its channel without knowing where any
+//!   queue starts, and the queues' starts are one prefix sum over the
+//!   contiguous lengths;
+//! * a word is a byte whenever every value it can hold fits: compilation
+//!   records the largest state index and message id, and an exploration
+//!   whose bound (the longest a queue gets) and those two are at most 255
+//!   runs on `u8` words, any other on `u32` (`CompiledSystem::width`). The
+//!   explorers are generic over the private `Word` trait, which has just
+//!   those two implementations and narrows every value with a checked
+//!   conversion;
 //! * every admitted configuration is stored once, back to back in the one
 //!   append-only word arena of a `ConfigArena`, whose visited set is an
 //!   open-addressing index of configuration ids. A successor is written
@@ -55,15 +66,18 @@
 //!   reduced exploration on a work-stealing frontier over N threads with a
 //!   sharded visited map. It shares the encoding, the arena, the hash, and
 //!   the one expansion and successor function (`expand`, `write_successor`,
-//!   `successor_hash`) with the sequential explorer.
+//!   `successor_hash`) and the width rule with the sequential explorer.
 //!
 //! The expansion before the one-pass `expand` (ample set, then every
 //! enabled step, then a third pass for unspecified receptions) stays under
 //! `#[cfg(test)]` as its oracle: a unit test expands every configuration it
 //! reaches both ways and checks every successor's incremental hash against
-//! the full one.
+//! the full one. The `u32` width is the byte width's reference: a unit test
+//! explores every system of that test at both widths and compares the
+//! outcomes.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Debug;
 use std::hash::Hasher;
 
 use zooid_mpst::common::intern::{FxHashMap, FxHasher, MsgId, RoleId};
@@ -134,6 +148,59 @@ fn word(msg: MsgId) -> u32 {
     msg.index() as u32
 }
 
+/// Keeps [`Word`]'s implementations to the two below.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u8 {}
+    impl Sealed for u32 {}
+}
+
+/// One slot of an encoded configuration: a machine state, a channel's
+/// length, or a queued message id. Implemented by `u8` and `u32` only; an
+/// exploration picks the narrowest that holds every value it can meet
+/// ([`CompiledSystem::width`]).
+pub(crate) trait Word:
+    sealed::Sealed + Copy + Eq + Default + Debug + Send + Sync + 'static
+{
+    /// `value` as a word. Panics if it does not fit: the width was chosen so
+    /// that every state index, message id and queue length of the system
+    /// explored does, so a value that does not is a broken invariant.
+    fn narrow(value: u32) -> Self;
+
+    /// The value the word holds.
+    fn widen(self) -> u32;
+}
+
+impl Word for u8 {
+    fn narrow(value: u32) -> u8 {
+        u8::try_from(value)
+            .expect("byte-wide configurations hold states, message ids and lengths of at most 255")
+    }
+
+    fn widen(self) -> u32 {
+        u32::from(self)
+    }
+}
+
+impl Word for u32 {
+    fn narrow(value: u32) -> u32 {
+        value
+    }
+
+    fn widen(self) -> u32 {
+        self
+    }
+}
+
+/// The word an exploration encodes its configurations in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Width {
+    /// `u8` words.
+    Byte,
+    /// `u32` words.
+    Wide,
+}
+
 /// The splitmix64 finaliser (with its golden-ratio increment, so 0 does not
 /// map to 0): every input bit reaches every output bit.
 fn mix(x: u64) -> u64 {
@@ -149,19 +216,16 @@ fn machine_term(m: usize, state: u32) -> u64 {
 }
 
 /// The hash term of channel `c` holding `queue`: FxHash over the channel id,
-/// the length and the queued words in order, then [`mix`] to spread it.
-fn channel_term(c: usize, queue: &[u32]) -> u64 {
+/// the length and the queued message ids in order, then [`mix`] to spread
+/// it. The ids are hashed as `u32`s whatever the word width, so a
+/// configuration hashes alike at both widths.
+fn channel_term<W: Word>(c: usize, queue: &[W]) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64((c as u64) << 32 | queue.len() as u64);
     for &w in queue {
-        h.write_u32(w);
+        h.write_u32(w.widen());
     }
     mix(h.finish())
-}
-
-/// The queued words of the channel whose length word sits at `at` in `cfg`.
-fn queue_at(cfg: &[u32], at: usize) -> &[u32] {
-    &cfg[at + 1..at + 1 + cfg[at] as usize]
 }
 
 /// Marks an empty slot of a [`ConfigArena`]'s index.
@@ -170,14 +234,18 @@ const EMPTY: u32 = u32::MAX;
 /// Every configuration an exploration admitted, each stored once.
 ///
 /// A configuration is encoded as one flat run of words, `[machine states |
-/// for each channel: length, then the queued MsgIds]`; the encoding is
-/// injective for a fixed system, so two configurations are equal iff their
-/// words are. The arena keeps all of them back to back in one append-only
-/// `Vec<u32>`, with an end-offset column and a column of cached hashes
-/// beside it. The visited set is an open-addressing index of `u32`
-/// configuration ids (linear probing, at most half full), compared by
-/// cached hash first and then by slice, so the hash decides only where a
-/// configuration is looked for, never whether two are equal.
+/// one length per channel | the queued MsgIds, channel by channel]`; the
+/// encoding is injective for a fixed system, so two configurations are
+/// equal iff their words are. A word `W` is a `u8` when the system's
+/// largest state index and message id and the exploration's bound are all
+/// at most 255, and a `u32` otherwise ([`CompiledSystem::width`]), so a
+/// configuration of a byte-wide exploration costs one byte per machine, per
+/// channel and per queued message. The arena keeps all of them back to
+/// back in one append-only `Vec<W>`, with an end-offset column and a
+/// column of cached hashes beside it. The visited set is an open-addressing
+/// index of `u32` configuration ids (linear probing, at most half full),
+/// compared by cached hash first and then by slice, so the hash decides
+/// only where a configuration is looked for, never whether two are equal.
 ///
 /// The hash ([`CompiledSystem::config_hash`]) is a wrapping sum of
 /// [`mix`]ed terms, so it carries entropy in every bit. The index places a
@@ -190,9 +258,9 @@ const EMPTY: u32 = u32::MAX;
 /// truncated off again ([`ConfigArena::intern_tail`]), so checking a
 /// successor allocates nothing once the columns have grown.
 #[derive(Debug)]
-pub(crate) struct ConfigArena {
+pub(crate) struct ConfigArena<W> {
     /// The admitted configurations' words, then the candidate being built.
-    words: Vec<u32>,
+    words: Vec<W>,
     /// `ends[i]` is where configuration `i`'s words end (and `i + 1`'s
     /// begin); the first begins at 0.
     ends: Vec<usize>,
@@ -203,7 +271,7 @@ pub(crate) struct ConfigArena {
     index: Vec<u32>,
 }
 
-impl Default for ConfigArena {
+impl<W> Default for ConfigArena<W> {
     fn default() -> Self {
         ConfigArena {
             words: Vec::new(),
@@ -225,7 +293,7 @@ pub(crate) enum Interned<Id = u32> {
     Refused,
 }
 
-impl ConfigArena {
+impl<W: Word> ConfigArena<W> {
     /// Number of admitted configurations.
     pub(crate) fn len(&self) -> usize {
         self.ends.len()
@@ -237,7 +305,7 @@ impl ConfigArena {
     }
 
     /// The words of configuration `id`.
-    pub(crate) fn config(&self, id: u32) -> &[u32] {
+    pub(crate) fn config(&self, id: u32) -> &[W] {
         let id = id as usize;
         let start = if id == 0 { 0 } else { self.ends[id - 1] };
         &self.words[start..self.ends[id]]
@@ -290,7 +358,7 @@ impl ConfigArena {
     /// [`ConfigArena::intern_tail`] for a configuration built elsewhere.
     pub(crate) fn intern(
         &mut self,
-        cfg: &[u32],
+        cfg: &[W],
         hash: u64,
         admit: impl FnOnce() -> bool,
     ) -> Interned {
@@ -326,8 +394,11 @@ pub(crate) struct Step {
 /// reuses for every configuration it expands ([`CompiledSystem::expand`]).
 #[derive(Debug, Default)]
 pub(crate) struct Expansion {
-    /// Position of each channel's length word in the configuration.
-    chan: Vec<u32>,
+    /// Position of the first length word (the machine count): channel `c`'s
+    /// length sits at `lens + c`.
+    lens: usize,
+    /// Position of each channel's first queued word in the configuration.
+    chan: Vec<usize>,
     /// The steps to take: every enabled one in [`System::successors`] order,
     /// or the single ample step under the reduction.
     pub(crate) steps: Vec<Step>,
@@ -339,21 +410,27 @@ pub(crate) struct Expansion {
 }
 
 impl Expansion {
-    /// The message at the head of channel `c` of `cfg`, as a word.
-    fn head(&self, cfg: &[u32], c: u32) -> Option<u32> {
-        let at = self.chan[c as usize] as usize;
-        (cfg[at] > 0).then(|| cfg[at + 1])
+    /// The message id at the head of channel `c` of `cfg`.
+    fn head<W: Word>(&self, cfg: &[W], c: u32) -> Option<u32> {
+        (self.queued(cfg, c) > 0).then(|| cfg[self.chan[c as usize]].widen())
     }
 
     /// Number of messages queued on channel `c` of `cfg`.
-    fn queued(&self, cfg: &[u32], c: u32) -> usize {
-        cfg[self.chan[c as usize] as usize] as usize
+    fn queued<W: Word>(&self, cfg: &[W], c: u32) -> usize {
+        cfg[self.lens + c as usize].widen() as usize
+    }
+
+    /// The words queued on channel `c` of `cfg`, or of a successor of it
+    /// that changed no channel before `c`, the one it touched.
+    fn queue<'a, W: Word>(&self, cfg: &'a [W], c: usize) -> &'a [W] {
+        let at = self.chan[c];
+        &cfg[at..at + cfg[self.lens + c].widen() as usize]
     }
 
     /// Whether some receive of `table` faces a head on its channel that no
     /// receive of `table` on that channel takes: an unspecified reception,
     /// as `System::has_unspecified_reception` defines it for one machine.
-    fn unhandled_head(&self, cfg: &[u32], table: &[CTrans]) -> bool {
+    fn unhandled_head<W: Word>(&self, cfg: &[W], table: &[CTrans]) -> bool {
         table.iter().any(|t| {
             t.dir == Direction::Recv
                 && self.head(cfg, t.channel).is_some_and(|head| {
@@ -413,6 +490,9 @@ pub struct CompiledSystem {
     /// Dense channel id of each ordered `(sender, receiver)` pair that can
     /// carry a message.
     channel_ids: FxHashMap<(RoleId, RoleId), u32>,
+    /// The largest state index of any machine and message id of any
+    /// transition: with the bound, what decides the word width.
+    widest: u32,
 }
 
 impl CompiledSystem {
@@ -433,8 +513,11 @@ impl CompiledSystem {
         let mut shapes = Vec::with_capacity(machines.len());
         let mut finals = Vec::with_capacity(machines.len());
         let mut initial = Vec::with_capacity(machines.len());
+        let mut widest = 0u32;
 
         for (m, machine) in machines.iter().enumerate() {
+            let last_state = machine.state_count().saturating_sub(1);
+            widest = widest.max(u32::try_from(last_state).expect("state table overflow"));
             let mut table: Vec<Vec<CTrans>> = vec![Vec::new(); machine.state_count()];
             for (src, action, dst) in machine.transitions() {
                 let partner = interner.role_id(&action.partner);
@@ -453,6 +536,7 @@ impl CompiledSystem {
                 let label = interner.label_id(&action.label);
                 let sort = interner.sort_id(&action.sort);
                 let msg = interner.msg_id(label, sort);
+                widest = widest.max(word(msg));
                 table[*src].push(CTrans {
                     dir: action.direction,
                     channel,
@@ -481,6 +565,18 @@ impl CompiledSystem {
             channels,
             machine_of_role,
             channel_ids,
+            widest,
+        }
+    }
+
+    /// The word width an exploration at `bound` encodes configurations in:
+    /// a byte if every state index, message id and queue length (a queue
+    /// never holds more than `bound` messages) fits in one, else `u32`.
+    pub(crate) fn width(&self, bound: usize) -> Width {
+        if self.widest <= u32::from(u8::MAX) && bound <= usize::from(u8::MAX) {
+            Width::Byte
+        } else {
+            Width::Wide
         }
     }
 
@@ -507,19 +603,19 @@ impl CompiledSystem {
 
     /// The encoded initial configuration: every machine in its initial
     /// state, every channel empty.
-    pub(crate) fn initial_config(&self) -> Vec<u32> {
-        let mut cfg = self.initial.clone();
-        cfg.resize(self.quiescent_len(), 0);
+    pub(crate) fn initial_config<W: Word>(&self) -> Vec<W> {
+        let mut cfg: Vec<W> = self.initial.iter().map(|&s| W::narrow(s)).collect();
+        cfg.resize(self.quiescent_len(), W::narrow(0));
         cfg
     }
 
     /// Whether every machine of `cfg` is in a final state (queues are not
     /// inspected): the orphan-message half of the terminal classification.
-    fn all_machines_final(&self, cfg: &[u32]) -> bool {
+    fn all_machines_final<W: Word>(&self, cfg: &[W]) -> bool {
         cfg[..self.roles.len()]
             .iter()
             .enumerate()
-            .all(|(m, &s)| self.finals[m][s as usize])
+            .all(|(m, &s)| self.finals[m][s.widen() as usize])
     }
 
     /// Classifies a terminal (successor-less, non-final) configuration,
@@ -527,7 +623,7 @@ impl CompiledSystem {
     /// deadlock, all-final machines with messages left mean an orphan, and
     /// a stuck configuration with messages in flight but no reception
     /// error is reported as a deadlock (possibly a bound artefact).
-    fn classify_terminal(&self, cfg: &[u32], unspec: bool) -> Option<ViolationKind> {
+    fn classify_terminal<W: Word>(&self, cfg: &[W], unspec: bool) -> Option<ViolationKind> {
         if cfg.len() == self.quiescent_len() {
             Some(ViolationKind::Deadlock)
         } else if self.all_machines_final(cfg) {
@@ -547,9 +643,10 @@ impl CompiledSystem {
     ///
     /// One pass over the machines, in system order, reads each state's
     /// [`Shape`]. A stuck machine, or a receive-only one whose channel is
-    /// empty, contributes nothing. A receive-only one with a head contributes
-    /// the receives matching it, in table order, or an unspecified reception
-    /// when none does. A mixed one takes the general per-machine rules,
+    /// empty (its length word, at a fixed offset, is 0), contributes
+    /// nothing. A receive-only one with a head contributes the receives
+    /// matching it, in table order, or an unspecified reception when none
+    /// does. A mixed one takes the general per-machine rules,
     /// rendezvous at bound 0 included. The steps come out in
     /// [`System::successors`] order: machines in system order, each
     /// machine's transitions in table order.
@@ -576,14 +673,20 @@ impl CompiledSystem {
     ///
     /// Shared by the sequential and parallel explorers so the verdict
     /// semantics cannot drift apart.
-    pub(crate) fn expand(&self, cfg: &[u32], bound: usize, reduce: bool, ex: &mut Expansion) {
+    pub(crate) fn expand<W: Word>(
+        &self,
+        cfg: &[W],
+        bound: usize,
+        reduce: bool,
+        ex: &mut Expansion,
+    ) {
         self.locate_channels(cfg, ex);
         ex.steps.clear();
         // Index in `ex.steps` of the first ample machine's receive.
         let mut ample: Option<usize> = None;
         let mut unspec = false;
         for (m, &state) in cfg[..self.roles.len()].iter().enumerate() {
-            let state = state as usize;
+            let state = state.widen() as usize;
             match self.shapes[m][state] {
                 Shape::Stuck => {}
                 Shape::Recv(c) => {
@@ -621,21 +724,24 @@ impl CompiledSystem {
         self.classify(cfg, unspec, ex);
     }
 
-    /// Records in `ex.chan` where each channel's length word sits in `cfg`.
-    fn locate_channels(&self, cfg: &[u32], ex: &mut Expansion) {
+    /// Records in `ex` where `cfg`'s length words start and where each
+    /// channel's queued words start: a prefix sum over the lengths, which
+    /// sit side by side.
+    fn locate_channels<W: Word>(&self, cfg: &[W], ex: &mut Expansion) {
+        let machines = self.roles.len();
+        let mut at = self.quiescent_len();
+        ex.lens = machines;
         ex.chan.clear();
-        let mut at = self.roles.len();
-        for _ in 0..self.channels.len() {
-            ex.chan
-                .push(u32::try_from(at).expect("configurations fit in u32 words"));
-            at += 1 + cfg[at] as usize;
+        for &len in &cfg[machines..at] {
+            ex.chan.push(at);
+            at += len.widen() as usize;
         }
         debug_assert_eq!(at, cfg.len(), "a configuration ends with its last channel");
     }
 
     /// Fills in `ex.is_final` and `ex.violations` once `ex.steps` is known,
     /// `unspec` saying whether some machine faces a head it cannot receive.
-    fn classify(&self, cfg: &[u32], unspec: bool, ex: &mut Expansion) {
+    fn classify<W: Word>(&self, cfg: &[W], unspec: bool, ex: &mut Expansion) {
         ex.is_final = cfg.len() == self.quiescent_len() && self.all_machines_final(cfg);
         ex.violations.clear();
         if ex.steps.is_empty() && !ex.is_final {
@@ -648,9 +754,9 @@ impl CompiledSystem {
 
     /// Appends to `ex.steps` every enabled step of machine `m`, whose state's
     /// transitions are `table`, in table order.
-    fn push_steps(
+    fn push_steps<W: Word>(
         &self,
-        cfg: &[u32],
+        cfg: &[W],
         ex: &mut Expansion,
         bound: usize,
         m: usize,
@@ -670,7 +776,7 @@ impl CompiledSystem {
                         continue;
                     }
                     let pm = t.partner_machine as usize;
-                    for &rt in &self.tables[pm][cfg[pm] as usize] {
+                    for &rt in &self.tables[pm][cfg[pm].widen() as usize] {
                         if rt.dir == Direction::Recv && rt.channel == t.channel && rt.msg == t.msg {
                             ex.steps.push(step(Some(rt.target)));
                         }
@@ -692,56 +798,68 @@ impl CompiledSystem {
 
     /// Appends to `out` the encoding of the configuration `step` leads to
     /// from `cfg` (as expanded into `ex`): a copy of `cfg` with one word
-    /// inserted (a send), removed (a receive) or neither (a rendezvous), and
-    /// the moved machines' states overwritten. The one successor function
-    /// of both explorers.
-    pub(crate) fn write_successor(
+    /// inserted at the tail of the channel's queue and its length bumped (a
+    /// send), its head removed and its length dropped (a receive), or
+    /// neither (a rendezvous), and the moved machines' states overwritten.
+    /// The one successor function of both explorers.
+    pub(crate) fn write_successor<W: Word>(
         &self,
-        cfg: &[u32],
+        cfg: &[W],
         ex: &Expansion,
         step: Step,
-        out: &mut Vec<u32>,
+        out: &mut Vec<W>,
     ) {
         let base = out.len();
         let t = step.trans;
-        let len_at = ex.chan[t.channel as usize] as usize;
+        let c = t.channel as usize;
+        let len_at = ex.lens + c;
         if step.partner_target.is_some() {
             out.extend_from_slice(cfg);
         } else if t.dir == Direction::Send {
-            let tail = len_at + 1 + cfg[len_at] as usize;
+            let len = cfg[len_at].widen();
+            let tail = ex.chan[c] + len as usize;
             out.extend_from_slice(&cfg[..tail]);
-            out.push(word(t.msg));
+            out.push(W::narrow(word(t.msg)));
             out.extend_from_slice(&cfg[tail..]);
-            out[base + len_at] += 1;
+            out[base + len_at] = W::narrow(len + 1);
         } else {
-            out.extend_from_slice(&cfg[..=len_at]);
-            out.extend_from_slice(&cfg[len_at + 2..]);
-            out[base + len_at] -= 1;
+            let head = ex.chan[c];
+            out.extend_from_slice(&cfg[..head]);
+            out.extend_from_slice(&cfg[head + 1..]);
+            out[base + len_at] = W::narrow(cfg[len_at].widen() - 1);
         }
-        out[base + step.machine as usize] = t.target;
+        out[base + step.machine as usize] = W::narrow(t.target);
         if let Some(target) = step.partner_target {
-            out[base + t.partner_machine as usize] = target;
+            out[base + t.partner_machine as usize] = W::narrow(target);
         }
     }
 
     /// The hash of the encoded configuration `cfg`: the wrapping sum of one
     /// term per machine (its index and state) and one per channel (its id
-    /// and queued words, in order). Explorers compute it in full only for the
-    /// initial configuration and take every other from
+    /// and queued message ids, in order). The terms read values, not words,
+    /// so the hash does not depend on the width. Explorers compute it in
+    /// full only for the initial configuration and take every other from
     /// [`CompiledSystem::successor_hash`].
-    pub(crate) fn config_hash(&self, cfg: &[u32]) -> u64 {
+    pub(crate) fn config_hash<W: Word>(&self, cfg: &[W]) -> u64 {
         let machines = self.roles.len();
         let mut h = 0u64;
         for (m, &state) in cfg[..machines].iter().enumerate() {
-            h = h.wrapping_add(machine_term(m, state));
+            h = h.wrapping_add(machine_term(m, state.widen()));
         }
-        let mut at = machines;
-        for c in 0..self.channels.len() {
-            let queue = queue_at(cfg, at);
+        for (c, queue) in self.queues(cfg).enumerate() {
             h = h.wrapping_add(channel_term(c, queue));
-            at += 1 + queue.len();
         }
         h
+    }
+
+    /// The queued words of each channel of `cfg`, in channel order.
+    fn queues<'a, W: Word>(&self, cfg: &'a [W]) -> impl Iterator<Item = &'a [W]> {
+        let mut at = self.quiescent_len();
+        cfg[self.roles.len()..at].iter().map(move |&len| {
+            let queue = &cfg[at..at + len.widen() as usize];
+            at += queue.len();
+            queue
+        })
     }
 
     /// The hash of `next`, the configuration [`CompiledSystem::write_successor`]
@@ -749,17 +867,17 @@ impl CompiledSystem {
     /// the hash of `cfg`: the parent's sum with the terms of the machines
     /// the step moved and of the channel it touched swapped for their new
     /// values. Equal to `config_hash(next)`, in O(queue length).
-    pub(crate) fn successor_hash(
+    pub(crate) fn successor_hash<W: Word>(
         &self,
         parent: u64,
-        cfg: &[u32],
+        cfg: &[W],
         ex: &Expansion,
         step: Step,
-        next: &[u32],
+        next: &[W],
     ) -> u64 {
         let swap = |h: u64, m: usize| {
-            h.wrapping_sub(machine_term(m, cfg[m]))
-                .wrapping_add(machine_term(m, next[m]))
+            h.wrapping_sub(machine_term(m, cfg[m].widen()))
+                .wrapping_add(machine_term(m, next[m].widen()))
         };
         let t = step.trans;
         let m = step.machine as usize;
@@ -771,10 +889,9 @@ impl CompiledSystem {
             }
         } else {
             let c = t.channel as usize;
-            let at = ex.chan[c] as usize;
             h = h
-                .wrapping_sub(channel_term(c, queue_at(cfg, at)))
-                .wrapping_add(channel_term(c, queue_at(next, at)));
+                .wrapping_sub(channel_term(c, ex.queue(cfg, c)))
+                .wrapping_add(channel_term(c, ex.queue(next, c)));
         }
         debug_assert_eq!(h, self.config_hash(next), "the incremental hash drifted");
         h
@@ -782,14 +899,10 @@ impl CompiledSystem {
 
     /// Decodes an encoded configuration back into the role-keyed form used
     /// by [`System::successors`] and the counterexample traces.
-    pub(crate) fn decode(&self, cfg: &[u32]) -> SystemConfig {
+    pub(crate) fn decode<W: Word>(&self, cfg: &[W]) -> SystemConfig {
         let machines = self.roles.len();
         let mut channels = BTreeMap::new();
-        let mut at = machines;
-        for info in &self.channels {
-            let len = cfg[at] as usize;
-            let queue = &cfg[at + 1..at + 1 + len];
-            at += 1 + len;
+        for (info, queue) in self.channels.iter().zip(self.queues(cfg)) {
             if queue.is_empty() {
                 continue;
             }
@@ -800,7 +913,8 @@ impl CompiledSystem {
             let msgs: VecDeque<_> = queue
                 .iter()
                 .map(|&w| {
-                    let mid = MsgId::from_index(w as usize).expect("a queued word is a MsgId");
+                    let mid =
+                        MsgId::from_index(w.widen() as usize).expect("a queued word is a MsgId");
                     let (l, s) = self.snapshot.msg(mid);
                     (self.snapshot.label(l).clone(), self.snapshot.sort(s).clone())
                 })
@@ -808,7 +922,7 @@ impl CompiledSystem {
             channels.insert(key, msgs);
         }
         SystemConfig {
-            states: cfg[..machines].iter().map(|&s| s as usize).collect(),
+            states: cfg[..machines].iter().map(|&s| s.widen() as usize).collect(),
             channels,
         }
     }
@@ -832,10 +946,10 @@ impl CompiledSystem {
     /// Walks the parent pointers from `idx` back to the initial configuration
     /// and returns the forward trace (one step per edge, each carrying the
     /// configuration it leads to).
-    fn trace_to(
+    fn trace_to<W: Word>(
         &self,
         idx: u32,
-        arena: &ConfigArena,
+        arena: &ConfigArena<W>,
         parents: &[Option<(u32, u32, CTrans)>],
     ) -> Vec<TraceStep> {
         let mut rev: Vec<TraceStep> = Vec::new();
@@ -1067,7 +1181,21 @@ impl CompiledSystem {
         if max_configs == 0 {
             return Self::empty_outcome();
         }
-        let mut arena = ConfigArena::default();
+        match self.width(bound) {
+            Width::Byte => self.explore_words::<u8>(bound, max_configs, reduce),
+            Width::Wide => self.explore_words::<u32>(bound, max_configs, reduce),
+        }
+    }
+
+    /// The breadth-first search of [`CompiledSystem::explore`] and
+    /// [`CompiledSystem::explore_por`] on `W` words (`max_configs` > 0).
+    fn explore_words<W: Word>(
+        &self,
+        bound: usize,
+        max_configs: usize,
+        reduce: bool,
+    ) -> ExplorationOutcome {
+        let mut arena = ConfigArena::<W>::default();
         let mut parents: Vec<Option<(u32, u32, CTrans)>> = Vec::new();
         // Discovery edges for the liveness fixpoint, recorded only while
         // the search is complete (a truncated one skips the fixpoint), and
@@ -1084,13 +1212,13 @@ impl CompiledSystem {
         let mut final_reachable = false;
         let mut live = true;
 
-        let init = self.initial_config();
+        let init = self.initial_config::<W>();
         arena.intern(&init, self.config_hash(&init), || true);
         parents.push(None);
 
         // The configuration being expanded is copied out of the arena once,
         // so its successors can be written straight onto the arena's tail.
-        let mut cfg: Vec<u32> = Vec::new();
+        let mut cfg: Vec<W> = Vec::new();
         let mut ex = Expansion::default();
         let mut head = 0u32;
         while (head as usize) < arena.len() {
@@ -1175,7 +1303,7 @@ impl CompiledSystem {
 #[cfg(test)]
 impl CompiledSystem {
     /// [`CompiledSystem::expand`], three passes over the machines.
-    fn expand_oracle(&self, cfg: &[u32], bound: usize, reduce: bool, ex: &mut Expansion) {
+    fn expand_oracle<W: Word>(&self, cfg: &[W], bound: usize, reduce: bool, ex: &mut Expansion) {
         self.locate_channels(cfg, ex);
         ex.steps.clear();
         match reduce.then(|| self.ample(cfg, ex, bound)).flatten() {
@@ -1189,9 +1317,9 @@ impl CompiledSystem {
     /// Appends every enabled step of `cfg` to `ex.steps`, in the same order
     /// as [`System::successors`]: machines in system order, each machine's
     /// transitions in table order.
-    fn successors(&self, cfg: &[u32], ex: &mut Expansion, bound: usize) {
+    fn successors<W: Word>(&self, cfg: &[W], ex: &mut Expansion, bound: usize) {
         for m in 0..self.roles.len() {
-            for &t in &self.tables[m][cfg[m] as usize] {
+            for &t in &self.tables[m][cfg[m].widen() as usize] {
                 let step = |partner_target| Step {
                     machine: m as u32,
                     trans: t,
@@ -1205,7 +1333,7 @@ impl CompiledSystem {
                             continue;
                         }
                         let pm = t.partner_machine as usize;
-                        for &rt in &self.tables[pm][cfg[pm] as usize] {
+                        for &rt in &self.tables[pm][cfg[pm].widen() as usize] {
                             if rt.dir == Direction::Recv
                                 && rt.channel == t.channel
                                 && rt.msg == t.msg
@@ -1235,12 +1363,12 @@ impl CompiledSystem {
     /// The first machine whose every transition receives on one channel,
     /// and exactly one of them matches that channel's head, is ample; the
     /// soundness argument is on [`CompiledSystem::expand`].
-    fn ample(&self, cfg: &[u32], ex: &Expansion, bound: usize) -> Option<Step> {
+    fn ample<W: Word>(&self, cfg: &[W], ex: &Expansion, bound: usize) -> Option<Step> {
         if bound == 0 {
             return None;
         }
         'machines: for m in 0..self.roles.len() {
-            let table = &self.tables[m][cfg[m] as usize];
+            let table = &self.tables[m][cfg[m].widen() as usize];
             let Some(first) = table.first() else {
                 continue;
             };
@@ -1274,9 +1402,9 @@ impl CompiledSystem {
     /// Mirrors `System::has_unspecified_reception` on encoded
     /// configurations: some machine is in a receiving state and the head of
     /// a corresponding channel cannot be consumed by any of its transitions.
-    fn has_unspecified_reception(&self, cfg: &[u32], ex: &Expansion) -> bool {
+    fn has_unspecified_reception<W: Word>(&self, cfg: &[W], ex: &Expansion) -> bool {
         for m in 0..self.roles.len() {
-            let table = &self.tables[m][cfg[m] as usize];
+            let table = &self.tables[m][cfg[m].widen() as usize];
             for t in table {
                 // A state may list several receives on the same channel;
                 // re-checking that channel's head is idempotent, so no dedup.
@@ -1298,21 +1426,35 @@ impl CompiledSystem {
     }
 
     /// Breadth-first over the configurations [`CompiledSystem::expand`]
-    /// reaches from the initial one, admitting at most `cap`: hands each
-    /// expanded configuration and its expansion to `visit`, checks that
-    /// every written successor's [`CompiledSystem::successor_hash`] equals
-    /// its [`CompiledSystem::config_hash`], and returns the arena.
+    /// reaches from the initial one on `u32` words, the reference width;
+    /// see [`CompiledSystem::reach_words`].
     pub(crate) fn reach(
         &self,
         bound: usize,
         reduce: bool,
         cap: usize,
-        mut visit: impl FnMut(&[u32], &Expansion),
-    ) -> ConfigArena {
+        visit: impl FnMut(&[u32], &Expansion),
+    ) -> ConfigArena<u32> {
+        self.reach_words(bound, reduce, cap, visit)
+    }
+
+    /// Breadth-first over the configurations [`CompiledSystem::expand`]
+    /// reaches from the initial one on `W` words, admitting at most `cap`:
+    /// hands each expanded configuration and its expansion to `visit`,
+    /// checks that every written successor's
+    /// [`CompiledSystem::successor_hash`] equals its
+    /// [`CompiledSystem::config_hash`], and returns the arena.
+    pub(crate) fn reach_words<W: Word>(
+        &self,
+        bound: usize,
+        reduce: bool,
+        cap: usize,
+        mut visit: impl FnMut(&[W], &Expansion),
+    ) -> ConfigArena<W> {
         let mut arena = ConfigArena::default();
-        let init = self.initial_config();
+        let init = self.initial_config::<W>();
         arena.intern(&init, self.config_hash(&init), || true);
-        let mut cfg: Vec<u32> = Vec::new();
+        let mut cfg: Vec<W> = Vec::new();
         let mut ex = Expansion::default();
         let mut head = 0u32;
         while (head as usize) < arena.len() {
@@ -1545,12 +1687,15 @@ mod tests {
         System::new(machines).ok()
     }
 
-    #[test]
-    fn the_one_pass_expansion_matches_the_three_pass_oracle() {
+    /// The systems the expansion and width tests run on: the ring, chain
+    /// and fanout sizes `register` lists, the case studies and the
+    /// projectable random seeds it draws from, each intact and with its
+    /// first or last machine cut to `end` (orphans, deadlocks); each random
+    /// one also with its first machine taken from the next one's projection
+    /// (reception errors).
+    fn mutated_systems() -> Vec<System> {
         use zooid_mpst::generators::{self, RandomProtocol};
         use zooid_mpst::projection::project_all;
-        // The ring, chain and fanout sizes `register` lists, the case
-        // studies and the projectable random seeds it draws from.
         let mut globals = vec![
             generators::ring3(),
             generators::pipeline(),
@@ -1569,9 +1714,6 @@ mod tests {
         assert_eq!(random.len(), 8, "seeds 0..40 hold eight projectable ones");
         globals.extend(random.iter().cloned());
 
-        // Each protocol intact and with its first or last machine cut to
-        // `end` (orphans, deadlocks); each random one also with its first
-        // machine taken from the next one's projection (reception errors).
         let mut systems = Vec::new();
         for (i, global) in globals.iter().enumerate() {
             let locals = project_all(global).expect("projectable");
@@ -1590,10 +1732,17 @@ mod tests {
             }
             assert!(systems.len() >= 3 * (i + 1), "{global} yields its systems");
         }
+        systems
+    }
 
-        // Enough configurations to reach every state of the small systems
-        // and deep into the large ones, in a debug build's test time.
-        const CAP: usize = 2_000;
+    /// Enough configurations to reach every state of the small systems of
+    /// [`mutated_systems`] and deep into the large ones, in a debug build's
+    /// test time.
+    const CAP: usize = 2_000;
+
+    #[test]
+    fn the_one_pass_expansion_matches_the_three_pass_oracle() {
+        let systems = mutated_systems();
         let mut oracle = Expansion::default();
         let mut expanded = 0usize;
         let mut seen: BTreeMap<ViolationKind, usize> = BTreeMap::new();
@@ -1622,6 +1771,113 @@ mod tests {
             ViolationKind::UnspecifiedReception,
         ] {
             assert!(seen.contains_key(&kind), "no {kind:?} met: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn the_byte_width_matches_the_wide_one() {
+        let mut compared = 0usize;
+        for (i, system) in mutated_systems().iter().enumerate() {
+            let compiled = system.compile();
+            for bound in 0..=2 {
+                let at = format!("system {i} at bound {bound}");
+                assert_eq!(compiled.width(bound), Width::Byte, "{at}");
+                for reduce in [false, true] {
+                    let narrow = compiled.explore_words::<u8>(bound, CAP, reduce);
+                    let wide = compiled.explore_words::<u32>(bound, CAP, reduce);
+                    assert_eq!(narrow, wide, "{at}, reduce {reduce}");
+                    compared += narrow.configurations;
+                }
+            }
+        }
+        assert!(compared > 200_000, "only {compared} configurations compared");
+    }
+
+    /// `p` sends `l` to `q` `sends` times, and `q` receives it as often.
+    fn sequential_sends(sends: usize) -> System {
+        let (mut p, mut q) = (LocalType::End, LocalType::End);
+        for _ in 0..sends {
+            p = LocalType::send1(r("q"), "l", Sort::Nat, p);
+            q = LocalType::recv1(r("p"), "l", Sort::Nat, q);
+        }
+        System::new(vec![machine("p", &p), machine("q", &q)]).unwrap()
+    }
+
+    /// `p` sends `l` to `q` forever, and `q` receives one and ends: at bound
+    /// `b`, `p` fills the channel to `b` messages and deadlocks there.
+    fn flood() -> System {
+        let p = LocalType::rec(LocalType::send1(r("q"), "l", Sort::Nat, LocalType::var(0)));
+        let q = LocalType::recv1(r("p"), "l", Sort::Nat, LocalType::End);
+        System::new(vec![machine("p", &p), machine("q", &q)]).unwrap()
+    }
+
+    /// The systems no byte holds, each with the bound to explore it at: a
+    /// machine of 301 states, and a queue of up to 256 messages.
+    fn wide_systems() -> Vec<(&'static str, System, usize)> {
+        vec![
+            ("300 sequential sends", sequential_sends(300), 2),
+            ("a flood at bound 256", flood(), 256),
+        ]
+    }
+
+    #[test]
+    fn the_wide_width_runs_where_no_byte_fits() {
+        for (name, system, bound) in wide_systems() {
+            let compiled = system.compile();
+            let fast = compiled.explore(bound, 100_000);
+            let slow = system.explore_exhaustive(bound, 100_000);
+            assert!(!fast.truncated, "{name}");
+            assert_eq!(fast.configurations, slow.configurations, "{name}");
+            assert_eq!(fast.transitions, slow.transitions, "{name}");
+            assert_eq!(fast.verdict(), slow.verdict(), "{name}");
+            assert_eq!(fast.deadlocks, slow.deadlocks, "{name}");
+            assert_eq!(fast.orphan_messages, slow.orphan_messages, "{name}");
+            assert_eq!(
+                fast.unspecified_receptions, slow.unspecified_receptions,
+                "{name}"
+            );
+            assert_eq!(fast.final_reachable, slow.final_reachable, "{name}");
+            assert_eq!(fast.live, slow.live, "{name}");
+            let por = compiled.explore_por(bound, 100_000);
+            assert_eq!(por.verdict(), slow.verdict(), "{name}");
+            for threads in [1, 2] {
+                let par = compiled.explore_parallel(bound, 100_000, threads);
+                let at = format!("{name}, {threads} threads");
+                assert_eq!(par.configurations, por.configurations, "{at}");
+                assert_eq!(par.transitions, por.transitions, "{at}");
+                assert_eq!(par.verdict(), por.verdict(), "{at}");
+                assert_eq!(par.deadlocks, por.deadlocks, "{at}");
+                assert_eq!(par.final_reachable, por.final_reachable, "{at}");
+                assert_eq!(par.live, por.live, "{at}");
+            }
+            assert_eq!(compiled.width(bound), Width::Wide, "{name}");
+        }
+        // The flood's deadlock holds all 256 messages, which a byte-wide
+        // length would have wrapped to 0.
+        let flood = flood().explore(256, 100_000);
+        let [deadlock] = &flood.deadlocks[..] else {
+            panic!("one deadlock: {flood:?}");
+        };
+        assert_eq!(deadlock.channels.values().map(VecDeque::len).sum::<usize>(), 256);
+    }
+
+    #[test]
+    fn every_register_family_explores_byte_wide() {
+        use zooid_mpst::generators;
+        // Bound 2 is the registry's default safety budget's channel bound.
+        let mut globals = Vec::new();
+        for n in [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64] {
+            globals.push(generators::ring_n(n));
+            globals.push(generators::chain_n(n));
+        }
+        globals.extend((2..=10).map(generators::fanout_n));
+        globals.extend((2..=6).map(generators::branching));
+        for global in &globals {
+            let compiled = System::from_global(global).expect("projectable").compile();
+            assert_eq!(compiled.width(2), Width::Byte, "{global}");
+        }
+        for (name, system, bound) in wide_systems() {
+            assert_eq!(system.compile().width(bound), Width::Wide, "{name}");
         }
     }
 

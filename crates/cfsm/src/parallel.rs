@@ -8,11 +8,14 @@
 //!
 //! * each worker owns a `crossbeam::deque::Worker` FIFO and steals from its
 //!   peers (and from the seeding `Injector`) when its own queue drains;
-//! * configurations use the sequential engine's flat word encoding, and a
-//!   worker builds each successor in one reusable buffer with the same
-//!   successor function. It takes the successor's hash from its parent's
-//!   (which the job carries) with the same incremental `successor_hash`,
-//!   before it locks anything;
+//! * configurations use the sequential engine's encoding, `[machine states
+//!   | one length per channel | the queued message ids, channel by
+//!   channel]`, in the same word width (a byte when every state index,
+//!   message id and the bound fit in one, `u32` otherwise), and a worker
+//!   builds each successor in one reusable buffer with the same successor
+//!   function. It takes the successor's hash from its parent's (which the
+//!   job carries) with the same incremental `successor_hash`, before it
+//!   locks anything;
 //! * the visited map is split into `SHARDS` shards, each a word arena with
 //!   an open-addressing index of ids (the sequential engine's visited set)
 //!   behind a `parking_lot::Mutex`. A configuration is routed to its shard
@@ -49,7 +52,8 @@ use crossbeam::utils::Backoff;
 use parking_lot::Mutex;
 
 use crate::engine::{
-    all_can_finish, predecessors, CTrans, CompiledSystem, ConfigArena, Expansion, Interned,
+    all_can_finish, predecessors, CTrans, CompiledSystem, ConfigArena, Expansion, Interned, Width,
+    Word,
 };
 use crate::system::{ExplorationOutcome, TraceStep, Violation, ViolationKind};
 
@@ -84,8 +88,8 @@ fn shard_of(hash: u64) -> usize {
 /// hash the worker computed before it locked, so a probe under the lock
 /// hashes nothing).
 #[derive(Default)]
-struct Shard {
-    arena: ConfigArena,
+struct Shard<W> {
+    arena: ConfigArena<W>,
     /// `(parent gid, acting machine, transition)` discovery edge per
     /// configuration; `None` for the initial configuration.
     parents: Vec<Option<(Gid, u32, CTrans)>>,
@@ -94,10 +98,10 @@ struct Shard {
 /// A unit of work: one admitted configuration to expand. The configuration
 /// travels with the job, its one heap slice, with its hash, so expansion
 /// never locks its home shard.
-struct Job {
+struct Job<W> {
     gid: Gid,
     hash: u64,
-    cfg: Box<[u32]>,
+    cfg: Box<[W]>,
 }
 
 /// Per-worker accumulator, merged after the pool drains.
@@ -118,18 +122,19 @@ struct WorkerOut {
 /// successor being built (one allocation each per worker, not per
 /// configuration).
 #[derive(Default)]
-struct Scratch {
+struct Scratch<W> {
     ex: Expansion,
-    next: Vec<u32>,
+    next: Vec<W>,
 }
 
-/// Shared state of one parallel exploration.
-struct Pool<'a> {
+/// Shared state of one parallel exploration on `W` words (`u32`, the
+/// reference width, unless named).
+struct Pool<'a, W = u32> {
     sys: &'a CompiledSystem,
     bound: usize,
     max_configs: usize,
-    shards: Vec<Mutex<Shard>>,
-    injector: Injector<Job>,
+    shards: Vec<Mutex<Shard<W>>>,
+    injector: Injector<Job<W>>,
     /// Jobs created but not yet fully expanded; 0 ⟺ the exploration is over.
     in_flight: AtomicUsize,
     /// Total configurations admitted across all shards (the `max_configs`
@@ -139,7 +144,7 @@ struct Pool<'a> {
     done: AtomicBool,
 }
 
-impl<'a> Pool<'a> {
+impl<'a, W: Word> Pool<'a, W> {
     fn new(sys: &'a CompiledSystem, bound: usize, max_configs: usize) -> Self {
         Pool {
             sys,
@@ -168,7 +173,7 @@ impl<'a> Pool<'a> {
 
     /// Inserts the encoded configuration `cfg` (hash `hash`) into
     /// its shard, recording `parent` as its discovery edge if it is new.
-    fn insert(&self, cfg: &[u32], hash: u64, parent: Option<(Gid, u32, CTrans)>) -> Interned<Gid> {
+    fn insert(&self, cfg: &[W], hash: u64, parent: Option<(Gid, u32, CTrans)>) -> Interned<Gid> {
         let s = shard_of(hash);
         let mut guard = self.shards[s].lock();
         let shard = &mut *guard;
@@ -184,7 +189,13 @@ impl<'a> Pool<'a> {
 
     /// Expands one job: classify it, admit its successors, queue the fresh
     /// ones on the worker's own deque.
-    fn process(&self, job: Job, local: &Worker<Job>, scratch: &mut Scratch, out: &mut WorkerOut) {
+    fn process(
+        &self,
+        job: Job<W>,
+        local: &Worker<Job<W>>,
+        scratch: &mut Scratch<W>,
+        out: &mut WorkerOut,
+    ) {
         let Scratch { ex, next } = scratch;
         self.sys.expand(&job.cfg, self.bound, true, ex);
         out.transitions += ex.steps.len();
@@ -225,7 +236,7 @@ impl<'a> Pool<'a> {
     /// Steals one job, preferring the shared injector over peer deques.
     /// Loops on [`Steal::Retry`] per source, as the real lock-free deque
     /// demands (the mutex-backed stub never reports it).
-    fn steal(&self, stealers: &[Stealer<Job>]) -> Option<Job> {
+    fn steal(&self, stealers: &[Stealer<Job<W>>]) -> Option<Job<W>> {
         loop {
             match self.injector.steal() {
                 Steal::Success(job) => return Some(job),
@@ -252,7 +263,12 @@ impl<'a> Pool<'a> {
     /// forever and hang its peers in the backoff loop (and the scope join
     /// behind them); the unwind guard raises `done` instead, so the peers
     /// drain and exit, the scope joins, and the panic propagates.
-    fn run_worker(&self, local: &Worker<Job>, stealers: &[Stealer<Job>], out: &mut WorkerOut) {
+    fn run_worker(
+        &self,
+        local: &Worker<Job<W>>,
+        stealers: &[Stealer<Job<W>>],
+        out: &mut WorkerOut,
+    ) {
         struct DoneOnUnwind<'a>(&'a AtomicBool);
         impl Drop for DoneOnUnwind<'_> {
             fn drop(&mut self) {
@@ -306,12 +322,26 @@ impl CompiledSystem {
         if max_configs == 0 {
             return Self::empty_outcome();
         }
+        match self.width(bound) {
+            Width::Byte => self.explore_parallel_words::<u8>(bound, max_configs, threads),
+            Width::Wide => self.explore_parallel_words::<u32>(bound, max_configs, threads),
+        }
+    }
+
+    /// [`CompiledSystem::explore_parallel`] on `W` words (`max_configs` >
+    /// 0).
+    fn explore_parallel_words<W: Word>(
+        &self,
+        bound: usize,
+        max_configs: usize,
+        threads: usize,
+    ) -> ExplorationOutcome {
         let threads = threads.max(1);
-        let pool = Pool::new(self, bound, max_configs);
+        let pool = Pool::<W>::new(self, bound, max_configs);
 
         // Seed: the initial configuration is always admitted (max_configs
         // >= 1 here) and enters through the injector.
-        let init = self.initial_config();
+        let init = self.initial_config::<W>();
         let hash = self.config_hash(&init);
         let Interned::New(seed) = pool.insert(&init, hash, None) else {
             unreachable!("fresh pool admits the initial configuration");
@@ -323,8 +353,8 @@ impl CompiledSystem {
             cfg: init.into_boxed_slice(),
         });
 
-        let workers: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job>> = workers.iter().map(Worker::stealer).collect();
+        let workers: Vec<Worker<Job<W>>> = (0..threads).map(|_| Worker::new_fifo()).collect();
+        let stealers: Vec<Stealer<Job<W>>> = workers.iter().map(Worker::stealer).collect();
         let mut outs: Vec<WorkerOut> = (0..threads).map(|_| WorkerOut::default()).collect();
 
         if threads == 1 {
@@ -335,7 +365,7 @@ impl CompiledSystem {
             std::thread::scope(|scope| {
                 for (w, (worker, out)) in workers.iter().zip(outs.iter_mut()).enumerate() {
                     // Each worker steals from every peer but itself.
-                    let peers: Vec<Stealer<Job>> = stealers
+                    let peers: Vec<Stealer<Job<W>>> = stealers
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| *i != w)
@@ -352,8 +382,8 @@ impl CompiledSystem {
 
     /// Merges the per-worker accumulators and shard tables into the final
     /// [`ExplorationOutcome`] (liveness fixpoint, violation materialisation).
-    fn merge(&self, pool: Pool<'_>, outs: Vec<WorkerOut>) -> ExplorationOutcome {
-        let shards: Vec<Shard> = pool.shards.into_iter().map(Mutex::into_inner).collect();
+    fn merge<W: Word>(&self, pool: Pool<'_, W>, outs: Vec<WorkerOut>) -> ExplorationOutcome {
+        let shards: Vec<Shard<W>> = pool.shards.into_iter().map(Mutex::into_inner).collect();
 
         // Dense re-indexing: prefix offsets turn a (shard, slot) gid into a
         // contiguous index for the fixpoint.

@@ -49,6 +49,17 @@ const CACHE_CAP: usize = 64;
 /// configurations), which keeps registration latency flat for ordinary
 /// protocols. A capped search never reports a false `Safe`: running out
 /// of budget yields [`Verdict::Inconclusive`].
+///
+/// The cap is also what a registration may cost in memory: the explorer
+/// keeps every configuration it visits until it answers. A configuration
+/// is one word per machine, per channel and per queued message, and a word
+/// is a byte whenever the protocol's state indices and message ids and the
+/// channel bound are all at most 255 (at the default bound, any protocol
+/// with at most 256 states per role and 256 distinct messages), four bytes
+/// otherwise. Each configuration adds a few dozen bytes of bookkeeping
+/// (where it ends, its hash, its index slot, the step that found it). So
+/// at the default budget a 64-role chain, about 130 words a configuration,
+/// holds about 6.5 MB of words when it runs the budget dry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyBudget {
     /// FIFO bound per ordered role pair during exploration (0 = rendezvous).
@@ -354,8 +365,9 @@ impl ProtocolRegistry {
                 let system = Arc::new(System::new(machines)?.compile());
                 // Always the sequential reduced engine: the work-stealing
                 // one reaches the same verdict (differentially tested) but
-                // takes 1.4–1.65x as long at 2 threads on a 2-vCPU box
-                // (traced `register`, explore_t2_us over explore_por_us).
+                // takes 1.4–1.6x as long at 2 threads on a 2-vCPU box
+                // (traced `register`, seeds 1–3, explore_t2_us over
+                // explore_por_us: 266–325 ms over 171–206 ms).
                 let budget = SafetyBudget::default();
                 let verdict = system
                     .explore_por(budget.channel_bound, budget.max_configs)

@@ -5,7 +5,8 @@
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
 # smoke run, tcp_short must clear a floor no timer can, mem_mixed must stay
 # under a memory ceiling no fixed-width batch can, and every verdict of the
-# full register list must hold), the case-studies table (exits non-zero
+# full register list must hold, under a memory ceiling four-byte
+# configurations cannot), the case-studies table (exits non-zero
 # when a case study does not reproduce), and a
 # bench-report smoke run, which checks its own families against their floors
 # and exits non-zero on a breach.
@@ -127,12 +128,25 @@ echo "mem_mixed peak_rss_mb: ${peak_rss_mb:-unreadable}"
     exit 1
 }
 
-echo "== register verdict table (every registration of the full list)"
+echo "== register verdict table (every registration of the full list) and memory ceiling (peak_rss_mb <= 32)"
 # `--smoke` registers only the quick entries (chains of at most 4 roles), so
 # this is the step that checks chain8's `Safe` and the six larger chains'
 # `Inconclusive` at the default budget. A wrong verdict exits non-zero
 # (~2 s on the 2-vCPU reference box).
-"${benchmark[@]}" --workload register --seed 1 --seconds 1 --trace 0 | tail -n 1
+# The ceiling: the explorer stores every configuration it visits, and the
+# six large chains fill the 50k-configuration budget. With four-byte words
+# register held 48-54 MB here on the 2-vCPU reference box; with byte-wide
+# configurations (every register protocol fits a byte at the default bound)
+# it holds 17.6-19.0 MB. The ceiling sits ~13 MB from both, so an explorer
+# that silently widens its words fails it.
+register="$("${benchmark[@]}" --workload register --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$register"
+peak_rss_mb="$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p' <<<"$register")"
+echo "register peak_rss_mb: ${peak_rss_mb:-unreadable}"
+[[ -n "$peak_rss_mb" ]] && awk -v mb="$peak_rss_mb" 'BEGIN { exit !(mb <= 32) }' || {
+    echo "register is above the memory ceiling: $register" >&2
+    exit 1
+}
 
 echo "== case-studies (the paper's §5.2 table)"
 # Every case study must project, certify, run compliant and check safe and
