@@ -2,6 +2,7 @@
 //! implementations (§5.1, *A Common Workflow*).
 
 use std::fmt;
+use std::sync::Arc;
 
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::local::LocalType;
@@ -116,13 +117,13 @@ impl Protocol {
                 projected: Box::new(projected),
             });
         }
-        Ok(CertifiedProcess {
+        Ok(CertifiedProcess::new(Certificate {
             protocol_name: self.name.clone(),
             role: role.clone(),
             proc,
             local: inferred,
             projected,
-        })
+        }))
     }
 
     /// Certifies an implementation provided as a raw process against the
@@ -140,13 +141,13 @@ impl Protocol {
     ) -> Result<CertifiedProcess> {
         let projected = self.get(role)?;
         type_check(&proc, &projected, externals)?;
-        Ok(CertifiedProcess {
+        Ok(CertifiedProcess::new(Certificate {
             protocol_name: self.name.clone(),
             role: role.clone(),
             proc,
             local: projected.clone(),
             projected,
-        })
+        }))
     }
 }
 
@@ -159,8 +160,21 @@ impl fmt::Display for Protocol {
 /// An endpoint implementation that has been certified against a protocol:
 /// the process, the local type it implements, and the projection it was
 /// checked against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CertifiedProcess {
+///
+/// Like the paper's `wt_proc L`, a certificate is an immutable value that
+/// is checked once and then run by any number of sessions. A
+/// `CertifiedProcess` is a *handle* on one such certificate: cloning it
+/// costs a reference count and shares the process and both types.
+/// Equality (`==`) is structural, so two certifications of one process are
+/// equal; [`CertifiedProcess::same`] asks the stronger question of whether
+/// two handles share one certification, which is what a consumer that
+/// remembers the certificates it has already processed compares.
+#[derive(Clone)]
+pub struct CertifiedProcess(Arc<Certificate>);
+
+/// What a [`CertifiedProcess`] shares.
+#[derive(PartialEq)]
+struct Certificate {
     protocol_name: String,
     role: Role,
     proc: Proc,
@@ -168,31 +182,62 @@ pub struct CertifiedProcess {
     projected: LocalType,
 }
 
+impl PartialEq for CertifiedProcess {
+    fn eq(&self, other: &Self) -> bool {
+        self.same(other) || self.0 == other.0
+    }
+}
+
+impl fmt::Debug for CertifiedProcess {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = &self.0;
+        f.debug_struct("CertifiedProcess")
+            .field("protocol_name", &c.protocol_name)
+            .field("role", &c.role)
+            .field("proc", &c.proc)
+            .field("local", &c.local)
+            .field("projected", &c.projected)
+            .finish()
+    }
+}
+
 impl CertifiedProcess {
+    fn new(certificate: Certificate) -> Self {
+        CertifiedProcess(Arc::new(certificate))
+    }
+
+    /// Whether both handles share one certification: `true` for a clone,
+    /// `false` for two certifications of equal processes (which are `==`).
+    /// A `true` answer implies `==`.
+    pub fn same(&self, other: &CertifiedProcess) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// The name of the protocol the process was certified against.
     pub fn protocol_name(&self) -> &str {
-        &self.protocol_name
+        &self.0.protocol_name
     }
 
     /// The role this process implements.
     pub fn role(&self) -> &Role {
-        &self.role
+        &self.0.role
     }
 
-    /// The underlying process (what the runtime executes).
+    /// The underlying process (what the runtime executes). Every clone of
+    /// the handle returns the same process, at the same address.
     pub fn proc(&self) -> &Proc {
-        &self.proc
+        &self.0.proc
     }
 
     /// The local type the process implements.
     pub fn local_type(&self) -> &LocalType {
-        &self.local
+        &self.0.local
     }
 
     /// The projection of the protocol onto the role (equal to
     /// [`CertifiedProcess::local_type`] up to unravelling).
     pub fn projected_type(&self) -> &LocalType {
-        &self.projected
+        &self.0.projected
     }
 }
 
@@ -383,6 +428,74 @@ mod tests {
         assert!(p
             .implement_against_projection(&r("Carol"), bogus, &Externals::new())
             .is_err());
+    }
+
+    fn certified_carol(p: &Protocol) -> CertifiedProcess {
+        let carol = Proc::recv1(
+            r("Bob"),
+            "l",
+            Sort::Nat,
+            "x",
+            Proc::send(r("Alice"), "l", Expr::var("x"), Proc::Finish),
+        );
+        p.implement_against_projection(&r("Carol"), carol, &Externals::new())
+            .unwrap()
+    }
+
+    #[test]
+    fn a_clone_is_the_same_certificate() {
+        let p = Protocol::new("ring", ring()).unwrap();
+        let cert = certified_carol(&p);
+        let clone = cert.clone();
+        assert!(cert.same(&clone) && clone.same(&cert));
+        assert_eq!(cert, clone);
+        assert!(std::ptr::eq(cert.proc(), clone.proc()));
+    }
+
+    #[test]
+    fn two_certifications_of_one_process_are_equal_but_not_the_same() {
+        let p = Protocol::new("ring", ring()).unwrap();
+        let (first, second) = (certified_carol(&p), certified_carol(&p));
+        assert_eq!(first, second);
+        assert!(!first.same(&second));
+        // A different certificate is neither.
+        let alice = builder::send(
+            r("Bob"),
+            "l",
+            Sort::Nat,
+            Expr::lit(7u64),
+            builder::recv1(r("Carol"), "l", Sort::Nat, "y", builder::finish()).unwrap(),
+        )
+        .unwrap();
+        let alice = p.implement(&r("Alice"), alice, &Externals::new()).unwrap();
+        assert_ne!(first, alice);
+        assert!(!first.same(&alice));
+    }
+
+    #[test]
+    fn debug_prints_the_certificate_as_a_plain_struct() {
+        // What `#[derive(Debug)]` printed when the fields were inline. Only
+        // `Debug` reads the fields.
+        #[allow(dead_code)]
+        #[derive(Debug)]
+        struct CertifiedProcess<'a> {
+            protocol_name: &'a str,
+            role: &'a Role,
+            proc: &'a Proc,
+            local: &'a LocalType,
+            projected: &'a LocalType,
+        }
+        let p = Protocol::new("ring", ring()).unwrap();
+        let cert = certified_carol(&p);
+        let inline = CertifiedProcess {
+            protocol_name: cert.protocol_name(),
+            role: cert.role(),
+            proc: cert.proc(),
+            local: cert.local_type(),
+            projected: cert.projected_type(),
+        };
+        assert_eq!(format!("{cert:?}"), format!("{inline:?}"));
+        assert_eq!(format!("{cert:#?}"), format!("{inline:#?}"));
     }
 
     #[test]

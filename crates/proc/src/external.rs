@@ -84,6 +84,13 @@ type ExternalFn = Arc<dyn Fn(Value) -> Value + Send + Sync>;
 /// A registry of external actions: signatures (needed for typing) plus
 /// implementations (needed for execution).
 ///
+/// The two tables sit behind one `Arc`, so a clone costs one reference
+/// count however many actions are registered: every session of a cast
+/// takes its own copy. Registering or declaring on a clone copies the
+/// tables first (copy-on-write) and leaves the other copies as they were.
+/// An empty registry has no tables at all, so making or cloning one
+/// allocates nothing.
+///
 /// # Examples
 ///
 /// ```
@@ -97,14 +104,36 @@ type ExternalFn = Arc<dyn Fn(Value) -> Value + Send + Sync>;
 /// ```
 #[derive(Clone, Default)]
 pub struct Externals {
+    tables: Option<Arc<Tables>>,
+}
+
+/// What an [`Externals`] shares.
+#[derive(Clone, Default)]
+struct Tables {
     sigs: BTreeMap<String, ExternalSig>,
     impls: BTreeMap<String, ExternalFn>,
 }
+
+/// The tables of every empty registry.
+static NO_TABLES: Tables = Tables {
+    sigs: BTreeMap::new(),
+    impls: BTreeMap::new(),
+};
 
 impl Externals {
     /// An empty registry.
     pub fn new() -> Self {
         Externals::default()
+    }
+
+    fn tables(&self) -> &Tables {
+        self.tables.as_deref().unwrap_or(&NO_TABLES)
+    }
+
+    /// The tables to register into, copied first if another registry
+    /// shares them.
+    fn tables_mut(&mut self) -> &mut Tables {
+        Arc::make_mut(self.tables.get_or_insert_with(Default::default))
     }
 
     /// Registers a `read` action producing values of sort `output`.
@@ -115,8 +144,9 @@ impl Externals {
         f: impl Fn() -> Value + Send + Sync + 'static,
     ) -> &mut Self {
         let name = name.into();
-        self.sigs.insert(name.clone(), ExternalSig::read(output));
-        self.impls.insert(name, Arc::new(move |_| f()));
+        let tables = self.tables_mut();
+        tables.sigs.insert(name.clone(), ExternalSig::read(output));
+        tables.impls.insert(name, Arc::new(move |_| f()));
         self
     }
 
@@ -128,8 +158,9 @@ impl Externals {
         f: impl Fn(Value) + Send + Sync + 'static,
     ) -> &mut Self {
         let name = name.into();
-        self.sigs.insert(name.clone(), ExternalSig::write(input));
-        self.impls.insert(
+        let tables = self.tables_mut();
+        tables.sigs.insert(name.clone(), ExternalSig::write(input));
+        tables.impls.insert(
             name,
             Arc::new(move |v| {
                 f(v);
@@ -148,22 +179,24 @@ impl Externals {
         f: impl Fn(Value) -> Value + Send + Sync + 'static,
     ) -> &mut Self {
         let name = name.into();
-        self.sigs
+        let tables = self.tables_mut();
+        tables
+            .sigs
             .insert(name.clone(), ExternalSig::interact(input, output));
-        self.impls.insert(name, Arc::new(f));
+        tables.impls.insert(name, Arc::new(f));
         self
     }
 
     /// Declares a signature without an implementation (enough for type
     /// checking; execution will fail if the action is actually called).
     pub fn declare(&mut self, name: impl Into<String>, sig: ExternalSig) -> &mut Self {
-        self.sigs.insert(name.into(), sig);
+        self.tables_mut().sigs.insert(name.into(), sig);
         self
     }
 
     /// The signature of an action, if declared.
     pub fn signature(&self, name: &str) -> Option<&ExternalSig> {
-        self.sigs.get(name)
+        self.tables().sigs.get(name)
     }
 
     /// Calls an action's implementation.
@@ -175,8 +208,7 @@ impl Externals {
     /// declared input sort.
     pub fn call(&self, name: &str, arg: Value) -> Result<Value> {
         let sig = self
-            .sigs
-            .get(name)
+            .signature(name)
             .ok_or_else(|| ProcError::UnknownExternal { name: name.into() })?;
         if !arg.has_sort(&sig.input) {
             return Err(ProcError::IllTypedOperation {
@@ -187,6 +219,7 @@ impl Externals {
             });
         }
         let f = self
+            .tables()
             .impls
             .get(name)
             .ok_or_else(|| ProcError::UnknownExternal { name: name.into() })?;
@@ -204,15 +237,16 @@ impl Externals {
 
     /// The names of all declared actions.
     pub fn names(&self) -> Vec<&str> {
-        self.sigs.keys().map(String::as_str).collect()
+        self.tables().sigs.keys().map(String::as_str).collect()
     }
 }
 
 impl fmt::Debug for Externals {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let tables = self.tables();
         f.debug_struct("Externals")
-            .field("declared", &self.sigs.keys().collect::<Vec<_>>())
-            .field("implemented", &self.impls.keys().collect::<Vec<_>>())
+            .field("declared", &tables.sigs.keys().collect::<Vec<_>>())
+            .field("implemented", &tables.impls.keys().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -270,6 +304,28 @@ mod tests {
         ext.declare("compute", ExternalSig::interact(Sort::Nat, Sort::Nat));
         assert!(ext.signature("compute").is_some());
         assert!(ext.call("compute", Value::Nat(1)).is_err());
+    }
+
+    #[test]
+    fn registering_on_a_clone_leaves_the_original_as_it_was() {
+        let mut original = Externals::new();
+        original.register_interact("inc", Sort::Nat, Sort::Nat, |v| {
+            Value::Nat(v.as_nat().unwrap() + 1)
+        });
+        let mut clone = original.clone();
+        clone.register_read("answer", Sort::Nat, || Value::Nat(42));
+        clone.declare("compute", ExternalSig::interact(Sort::Nat, Sort::Nat));
+        assert_eq!(original.names(), ["inc"]);
+        assert_eq!(clone.names(), ["answer", "compute", "inc"]);
+        assert!(original.signature("answer").is_none());
+        assert!(original.call("answer", Value::Unit).is_err());
+        assert_eq!(original.call("inc", Value::Nat(1)).unwrap(), Value::Nat(2));
+        assert_eq!(clone.call("inc", Value::Nat(1)).unwrap(), Value::Nat(2));
+        assert_eq!(clone.call("answer", Value::Unit).unwrap(), Value::Nat(42));
+        // And the other way round: the original's registrations stay its own.
+        original.register_write("log", Sort::Nat, |_| {});
+        assert!(clone.signature("log").is_none());
+        assert_eq!(original.names(), ["inc", "log"]);
     }
 
     #[test]

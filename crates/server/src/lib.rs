@@ -32,30 +32,32 @@
 //! * [`server`] — the [`SessionServer`] schedules sessions over N worker
 //!   shards (sessions hashed by id, validated specs shipped — an id and a
 //!   spec, nothing else — to the shard that *resolves and admits* them
-//!   against the registry, outcomes flushed in batches). Both sides keep a
-//!   **per-protocol memo** of the last cast handle they accepted — the
-//!   server the cast it validated, each shard the cast it resolved and its
-//!   batch layout — so the sessions of one shared handle skip validation
-//!   and resolution, and admission takes no lock. A miss (a fresh handle,
-//!   or another cast of the protocol) runs the full check and resolution
-//!   and replaces the entry; `casts_resolved` counts the misses. Each
-//!   shard steps its work in bounded quanta, so thread count is fixed by
-//!   the shard count while sessions number in the tens of thousands. A
-//!   shard has one executor: every session runs in a **columnar batch**
-//!   ([`zooid_engine::SessionBatch`]) with the sessions of its key — same
-//!   protocol, same compiled per-role programs, same options — one batch
-//!   per key, which starts at one slot and doubles when it is full. The
-//!   invariant skeleton is shared once and the per-session state lives in
-//!   struct-of-arrays columns stepped in `(role, pc)` cohorts, with
-//!   co-batched sends as index writes into a shared frame arena and
-//!   every action checked by the protocol's compiled monitor, through
-//!   **pre-interned actions** where the cast's sites have them, so
-//!   steady-state serving neither hashes a string nor walks a tree. The
-//!   per-session and tree-walking executors of `zooid-runtime` are its
-//!   differential oracles and are not linked here. A session whose monitor
-//!   rejects an action is **quarantined**: never stepped again, closed
-//!   from the state it is in, counted per shard and per protocol, and
-//!   recorded as one [`FlightEvent::Violation`];
+//!   against the registry, outcomes flushed in batches). Both sides keep
+//!   a **per-protocol memo** of the last cast they accepted — the server
+//!   the cast it validated, each shard the cast it resolved and its batch
+//!   layout. A cast is known by its certificates: the sessions of one set
+//!   of certificates, in one shared handle or in a new list each, skip
+//!   validation and resolution, and admission takes no lock. A miss (a
+//!   cast with a certificate of its own, or reordered) runs the full
+//!   check and resolution and replaces the entry; `casts_resolved` counts
+//!   the misses. Each shard steps its work in bounded quanta, so thread
+//!   count is fixed by the shard count while sessions number in the tens
+//!   of thousands. A shard has one executor: every session runs in a
+//!   **columnar batch** ([`zooid_engine::SessionBatch`]) with the
+//!   sessions of its key — same protocol, same compiled per-role
+//!   programs, same options — one batch per key, which starts at one slot
+//!   and doubles when it is full. The invariant skeleton is shared once
+//!   and the per-session state lives in struct-of-arrays columns stepped
+//!   in `(role, pc)` cohorts, with co-batched sends as index writes into
+//!   a shared frame arena and every action checked by the protocol's
+//!   compiled monitor, through **pre-interned actions** where the cast's
+//!   sites have them, so steady-state serving neither hashes a string nor
+//!   walks a tree. The per-session and tree-walking executors of
+//!   `zooid-runtime` are its differential oracles and are not linked
+//!   here. A session whose monitor rejects an action is **quarantined**:
+//!   never stepped again, closed from the state it is in, counted per
+//!   shard and per protocol, and recorded as one
+//!   [`FlightEvent::Violation`];
 //! * [`metrics`] — the instrument tables, one per layer: every counter
 //!   and histogram a shard or the IO loop keeps is one row (name, doc, wire
 //!   key, kind), and the live atomics ([`metrics::ShardInstruments`],

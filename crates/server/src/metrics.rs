@@ -62,7 +62,10 @@ instruments! {
         }
         totals ServerReport.shards
     ]
-    /// Sessions assigned to this shard.
+    /// Sessions assigned to this shard. The submitter counts them where it
+    /// picks the shard, off the shard's instruments, and
+    /// [`SessionServer::report`](crate::SessionServer::report) fills the
+    /// row: the live cell of [`ShardInstruments`] is never written.
     sessions_started: sum = "started",
     /// Sessions that ran to the end (all endpoints done, none stalled).
     sessions_completed: sum = "completed",
@@ -88,9 +91,11 @@ instruments! {
     /// that runs.
     sessions_batched: sum = "batched",
     /// Casts resolved into their batch layout: the admissions that missed
-    /// the shard's per-protocol memo of the last cast it resolved. A
-    /// client that shares one cast handle pays one per shard, one that
-    /// builds a fresh handle per session pays one per session.
+    /// the shard's per-protocol memo of the last cast it resolved. A cast
+    /// is known by its certificates, so a client that runs one set of
+    /// certificates pays one per shard, whether it shares one handle or
+    /// builds a new list of them per session; each switch to a cast with a
+    /// certificate of its own (or the same ones reordered) pays one.
     casts_resolved: sum = "casts_resolved",
     /// Always 0: the shard has no per-session executor. The row stays
     /// because the benchmark reads it.

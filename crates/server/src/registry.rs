@@ -80,6 +80,27 @@ impl Default for SafetyBudget {
 
 /// A cast's lowered programs, one per participant in sorted-role order.
 type Programs = Vec<Arc<EndpointProgram>>;
+
+/// The process a cached program was lowered from. A cast's process is kept
+/// as its certificate, shared: a later lookup through any handle on that
+/// certificate passes the very `&Proc` the cache holds, and hits on its
+/// address without walking the tree. A bare process
+/// ([`ProtocolArtifacts::endpoint_program`]) is kept as a copy.
+#[derive(Debug)]
+enum Lowered {
+    Certified(CertifiedProcess),
+    Bare(Proc),
+}
+
+impl Lowered {
+    fn proc(&self) -> &Proc {
+        match self {
+            Lowered::Certified(cert) => cert.proc(),
+            Lowered::Bare(proc) => proc,
+        }
+    }
+}
+
 /// A small shared cache of `(key, value)` entries, read through [`cached`].
 type Cache<K, V> = Mutex<Vec<(K, V)>>;
 
@@ -97,8 +118,11 @@ struct Compiled {
     /// `(role, process)`: every session submitting the same implementation
     /// of a role shares one lowered program with its action templates
     /// pre-interned against `system`. Lazily filled (sessions bring their
-    /// own processes), hence the interior mutability.
-    programs: Cache<(Role, Proc), Arc<EndpointProgram>>,
+    /// own processes), hence the interior mutability. An entry holds the
+    /// process it compiled, shared with the certificate it came from
+    /// ([`Lowered`]), so a lookup with that very process is an address
+    /// comparison; any other is a structural one.
+    programs: Cache<(Role, Lowered), Arc<EndpointProgram>>,
     /// Batch layouts ([`BatchLayout`]), cached per resolved program set: the
     /// batch key every session of that cast shares. The key holds the
     /// `Arc`s themselves (compared by pointer identity) — keeping the
@@ -199,21 +223,27 @@ impl ProtocolArtifacts {
         proc: &Proc,
         externals: &Externals,
     ) -> Option<Arc<EndpointProgram>> {
-        self.lower(role, proc, externals).ok()
+        self.lower(role, proc, || Lowered::Bare(proc.clone()), externals)
+            .ok()
     }
 
     /// [`ProtocolArtifacts::endpoint_program`], keeping the lowering error
-    /// for the session outcome that reports it.
+    /// for the session outcome that reports it; `lowered` is what a miss
+    /// files the program under.
     fn lower(
         &self,
         role: &Role,
         proc: &Proc,
+        lowered: impl FnOnce() -> Lowered,
         externals: &Externals,
     ) -> std::result::Result<Arc<EndpointProgram>, ProcError> {
         cached(
             &self.compiled.programs,
-            |(cached_role, cached_proc)| cached_role == role && cached_proc == proc,
-            || (role.clone(), proc.clone()),
+            |(cached_role, cached)| {
+                let cached = cached.proc();
+                cached_role == role && (std::ptr::eq(cached, proc) || cached == proc)
+            },
+            || (role.clone(), lowered()),
             || {
                 let compiled = Arc::new(CompiledProc::compile(proc, role, externals)?);
                 Ok(Arc::new(EndpointProgram::with_system(compiled, &self.compiled.system)))
@@ -238,7 +268,10 @@ impl ProtocolArtifacts {
     ) -> std::result::Result<Arc<BatchLayout>, ProcError> {
         let mut programs = endpoints
             .iter()
-            .map(|(cert, externals)| self.lower(cert.role(), cert.proc(), externals))
+            .map(|(cert, externals)| {
+                let lowered = || Lowered::Certified(cert.clone());
+                self.lower(cert.role(), cert.proc(), lowered, externals)
+            })
             .collect::<std::result::Result<Vec<_>, _>>()?;
         programs.sort_by(|a, b| a.program().role().cmp(b.program().role()));
         // The layout is cached per program set, compared by pointer

@@ -37,22 +37,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use zooid_dsl::CertifiedProcess;
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
 use zooid_mpst::{Role, Trace};
 use zooid_engine::cbatch::{BatchLayout, DemotedSession, SessionBatch};
 use zooid_engine::report::ExecOptions;
-use zooid_proc::Externals;
 
 use crate::error::{Result, ServerError};
-use crate::metrics::{ObsReport, ServerReport, ShardInstruments};
+use crate::metrics::{ObsReport, ServerReport, ShardInstruments, ShardReport};
 use crate::obs::{FlightEvent, Incident, INCIDENT_PREFIX_CAP};
 use crate::registry::{ProtocolId, ProtocolRegistry};
-use crate::session::{failed_at_admission, SessionId, SessionOutcome, SessionSpec};
-
-/// A session's cast as submitted: the handle [`SessionSpec::endpoints`]
-/// shares, and the identity the per-protocol memos compare.
-type Cast = Arc<[(CertifiedProcess, Externals)]>;
+use crate::session::{failed_at_admission, repeats, Cast, SessionId, SessionOutcome, SessionSpec};
 
 /// Configuration of a [`SessionServer`].
 ///
@@ -133,10 +127,11 @@ pub struct SessionServer {
     instruments: Vec<Arc<ShardInstruments>>,
     results_rx: Receiver<Vec<SessionOutcome>>,
     /// Per protocol, the last cast that passed `validate_spec`: a
-    /// submission of that same handle is not validated again. The entry
-    /// holds the `Arc` it compares, so a freed cast's address cannot be
-    /// reused to fake a hit.
+    /// submission that [`repeats`] it is not validated again.
     validated: Vec<Option<Cast>>,
+    /// Sessions submitted to each shard: counted here, where the shard is
+    /// chosen, and reported as that shard's `sessions_started`.
+    started: Vec<u64>,
     /// Outcomes received from a shard's batch but not yet handed to the
     /// caller (shards flush finished sessions in batches to keep channel
     /// traffic off the per-session path).
@@ -182,6 +177,7 @@ impl SessionServer {
         }
         SessionServer {
             validated: vec![None; registry.len()],
+            started: vec![0; shard_count],
             registry,
             shards,
             instruments,
@@ -205,8 +201,9 @@ impl SessionServer {
 
     /// Submits a session for execution, returning its id immediately.
     ///
-    /// The spec is validated unless its `endpoints` handle is the one this
-    /// protocol's last accepted submission carried (see [`SessionSpec`]).
+    /// The spec is validated unless its `endpoints` repeat the cast this
+    /// protocol's last accepted submission carried: the same handle, or the
+    /// same certificates in the same order (see [`SessionSpec`]).
     ///
     /// # Errors
     ///
@@ -225,7 +222,7 @@ impl SessionServer {
         let validated = &mut self.validated[spec.protocol.index()];
         if !validated
             .as_ref()
-            .is_some_and(|cast| Arc::ptr_eq(cast, &spec.endpoints))
+            .is_some_and(|cast| repeats(cast, &spec.endpoints))
         {
             crate::session::validate_spec(&spec, artifacts)?;
             *validated = Some(Arc::clone(&spec.endpoints));
@@ -236,9 +233,7 @@ impl SessionServer {
             .tx
             .send(ShardMsg::Run { id, spec })
             .map_err(|_| ServerError::Shutdown)?;
-        self.instruments[shard]
-            .sessions_started
-            .fetch_add(1, Ordering::Relaxed);
+        self.started[shard] += 1;
         self.next_session += 1;
         self.in_flight += 1;
         Ok(id)
@@ -319,13 +314,12 @@ impl SessionServer {
         for shard in &self.instruments {
             shard.merge_into(&mut obs);
         }
+        let report = |(i, shard): (usize, &Arc<ShardInstruments>)| ShardReport {
+            sessions_started: self.started[i],
+            ..shard.report(i)
+        };
         ServerReport {
-            shards: self
-                .instruments
-                .iter()
-                .enumerate()
-                .map(|(i, shard)| shard.report(i))
-                .collect(),
+            shards: self.instruments.iter().enumerate().map(report).collect(),
             obs,
         }
     }
@@ -498,19 +492,22 @@ impl WorkerObs {
 /// them.
 ///
 /// Admission remembers, per protocol, the last cast it resolved and the
-/// [`BatchLayout`] it resolved to. A session whose cast is that same handle
-/// (`Arc::ptr_eq`) joins its batch without a lock or a shared `Arc` clone.
-/// Any other cast — a fresh handle, or another cast of the protocol — is
-/// resolved against the registry's caches as if there were no memo, counted
-/// in `casts_resolved`, and takes the entry's place if it lowers.
+/// [`BatchLayout`] it resolved to. A cast is known by its certificates: a
+/// session whose cast [`repeats`] the remembered one — the same handle, or
+/// a new list of the same certificates in the same order — joins its batch
+/// without a lock or a shared `Arc` clone, and the memo keeps the cast it
+/// had. Any other cast (one with a certificate of its own, or the same
+/// certificates reordered) is resolved against the registry's caches as if
+/// there were no memo, counted in `casts_resolved`, and takes the entry's
+/// place if it lowers.
 struct Shard {
     /// The server's frozen registry: what a cast is resolved and an
     /// incident captured against.
     registry: Arc<ProtocolRegistry>,
     results: Sender<Vec<SessionOutcome>>,
     obs: WorkerObs,
-    /// Per protocol, the last cast resolved and its layout. The entry holds
-    /// the cast it compares, so allocator address reuse cannot fake a hit.
+    /// Per protocol, the last cast resolved and its layout; a cast that
+    /// [`repeats`] it is not resolved again.
     resolved: Vec<Option<(Cast, Arc<BatchLayout>)>>,
     batches: Vec<ShardBatch>,
     run_queue: VecDeque<usize>,
@@ -607,7 +604,7 @@ impl Shard {
         let memo = &mut self.resolved[spec.protocol.index()];
         if !memo
             .as_ref()
-            .is_some_and(|(cast, _)| Arc::ptr_eq(cast, &spec.endpoints))
+            .is_some_and(|(cast, _)| repeats(cast, &spec.endpoints))
         {
             self.obs
                 .shared

@@ -31,6 +31,10 @@ use zooid_engine::report::{EndpointReport, EndpointStatus, ExecOptions};
 use crate::error::{Result, ServerError};
 use crate::registry::{ProtocolArtifacts, ProtocolId, ProtocolRegistry};
 
+/// A session's cast as submitted: the handle [`SessionSpec::endpoints`]
+/// shares.
+pub(crate) type Cast = Arc<[(CertifiedProcess, Externals)]>;
+
 /// Server-wide id of a hosted session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
@@ -40,17 +44,24 @@ pub struct SessionId(pub u64);
 ///
 /// The endpoint list is behind an `Arc`: a load generator (or any client
 /// starting many sessions of the same implementations) builds it once and
-/// submits clones of the *handle* — the certified processes themselves are
-/// shared, never re-cloned per session, and on the worker shard the
-/// compiled-program cache means session construction only reads them.
+/// submits clones of the *handle*. A [`CertifiedProcess`] is itself a
+/// handle on one shared certificate, so even a list built afresh per
+/// session (`to_vec()` of a shared one) copies no process or type, and on
+/// the worker shard the compiled-program cache means session construction
+/// only reads them.
 ///
-/// The handle is also what the server remembers. Per protocol, submission
-/// keeps the last handle it validated and each shard the last one it
-/// resolved into a batch layout, compared by `Arc::ptr_eq`, so the
-/// sessions of one shared handle are validated once and resolved once per
-/// shard. A spec built from a `Vec` (or a fresh `Arc`) per session is
-/// validated and resolved every time, as is every switch between two casts
-/// of one protocol.
+/// A cast is known by its certificates. Per protocol, submission keeps the
+/// last cast it validated and each shard the last one it resolved into a
+/// batch layout, and a submission repeats that cast when it is the same
+/// handle or holds the same certificates ([`CertifiedProcess::same`]) in
+/// the same order. The sessions of one set of certificates are thus
+/// validated once and resolved once per shard, whether they share one
+/// handle or each bring a new list of it. A cast with any certificate of
+/// its own — a re-certified process, a byzantine mutant, the same
+/// certificates in another order — is validated and resolved again, as is
+/// every switch between two casts of one protocol. Externals play no part
+/// in the comparison: validation and resolution read only the certificates,
+/// and each session calls the externals of its own spec.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// The registered protocol the session runs.
@@ -257,12 +268,27 @@ impl SessionOutcome {
     }
 }
 
+/// Whether a submitted cast repeats one a memo remembers: the same handle,
+/// or the same certificates in the same order (see [`SessionSpec`]). What
+/// the memo skips for a repeat — validation, resolution — reads only the
+/// certificates, so a repeat cannot run differently from a miss. The memo
+/// holds the cast it compares, so a freed certificate's address cannot be
+/// reused to fake a hit.
+pub(crate) fn repeats(remembered: &Cast, cast: &Cast) -> bool {
+    Arc::ptr_eq(remembered, cast)
+        || (remembered.len() == cast.len()
+            && remembered
+                .iter()
+                .zip(cast.iter())
+                .all(|((known, _), (cert, _))| known.same(cert)))
+}
+
 /// Checks that a spec's endpoints cover the protocol's participants exactly
 /// once each (and belong to the protocol at all): submission validates
 /// cheaply on the caller's thread, while resolution and admission — lowered
 /// programs, batch layout, a batch slot — happen on the worker shard, in
-/// parallel across shards. Both are skipped for the cast handle their side
-/// last accepted for the protocol (see [`SessionSpec`]).
+/// parallel across shards. Both are skipped for a cast that [`repeats`] the
+/// one their side last accepted for the protocol.
 pub(crate) fn validate_spec(spec: &SessionSpec, artifacts: &ProtocolArtifacts) -> Result<()> {
     let mut remaining: Vec<&Role> = artifacts.roles().collect();
     for (cert, _) in spec.endpoints.iter() {

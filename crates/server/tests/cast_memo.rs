@@ -1,8 +1,12 @@
 //! The per-protocol cast memos: submission skips `validate_spec`, and a
-//! shard skips resolution, for the cast handle it last accepted. A memo
-//! hit must never change what a session does — which cast runs, whether
-//! it is refused, whether its externals are called — only what admitting
-//! it costs, and `casts_resolved` counts what it still costs.
+//! shard skips resolution, for a cast that repeats the one it last
+//! accepted. A cast is known by its certificates: it repeats when it is
+//! the same handle, or a new list of the same certificates in the same
+//! order. A memo hit must never change what a session does — which cast
+//! runs, whether it is refused, whether its externals are called — only
+//! what admitting it costs, and `casts_resolved` counts what it still
+//! costs. A cast with any certificate of its own, or the same ones in
+//! another order, is a miss.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,7 +31,7 @@ fn ring() -> (ProtocolRegistry, ProtocolId, Protocol) {
 }
 
 #[test]
-fn a_shared_handle_is_resolved_once_per_shard_and_a_fresh_one_every_time() {
+fn one_set_of_certificates_is_resolved_once_per_shard_whatever_its_handle() {
     let (registry, id, protocol) = ring();
     let endpoints = skeleton_endpoints(&protocol).unwrap();
     let shared: Cast = endpoints.clone().into();
@@ -50,7 +54,7 @@ fn a_shared_handle_is_resolved_once_per_shard_and_a_fresh_one_every_time() {
     let (registry, id, _) = ring();
     let mut server = SessionServer::start(registry, ServerConfig::with_shards(2));
     for _ in 0..100 {
-        // A `Vec` is a new `Arc` per spec.
+        // A `Vec` is a new `Arc` per spec, of the same certificates.
         server
             .submit(SessionSpec::new(id, endpoints.clone()))
             .unwrap();
@@ -58,7 +62,99 @@ fn a_shared_handle_is_resolved_once_per_shard_and_a_fresh_one_every_time() {
     let outcomes = server.drain();
     assert!(outcomes.iter().all(|o| o.all_finished_and_compliant()));
     let report = server.shutdown();
+    assert!(report.casts_resolved() <= 2, "{report}");
+    assert!(
+        report.shards.iter().all(|s| s.casts_resolved <= 1),
+        "{report}"
+    );
+
+    let (registry, id, protocol) = ring();
+    let mut server = SessionServer::start(registry, ServerConfig::with_shards(2));
+    for _ in 0..100 {
+        // Each call certifies the processes anew: new certificates, equal
+        // to the last ones but not the same, so a new cast every time.
+        let recertified = skeleton_endpoints(&protocol).unwrap();
+        server.submit(SessionSpec::new(id, recertified)).unwrap();
+    }
+    let outcomes = server.drain();
+    assert!(outcomes.iter().all(|o| o.all_finished_and_compliant()));
+    let report = server.shutdown();
     assert_eq!(report.casts_resolved(), 100, "{report}");
+}
+
+#[test]
+fn the_same_certificates_in_another_order_are_a_new_cast_that_runs_alike() {
+    let (registry, id, protocol) = ring();
+    let forward: Cast = skeleton_endpoints(&protocol).unwrap().into();
+    let backward: Cast = forward.iter().rev().cloned().collect();
+    let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+    for n in 0..20 {
+        let cast = if n % 2 == 0 { &forward } else { &backward };
+        // A new list each time: only its order tells the two casts apart.
+        server.submit(SessionSpec::new(id, cast.to_vec())).unwrap();
+    }
+    let outcomes = server.drain();
+    assert_eq!(outcomes.len(), 20);
+    assert!(outcomes.iter().all(|o| o.all_finished_and_compliant()));
+    let first = &outcomes[0];
+    assert!(outcomes
+        .iter()
+        .all(|o| o.endpoints == first.endpoints && o.global_trace == first.global_trace));
+    let report = server.shutdown();
+    assert_eq!(report.casts_resolved(), 20, "{report}");
+}
+
+#[test]
+fn one_byzantine_certificate_among_the_honest_ones_is_a_new_cast_and_is_quarantined() {
+    let (registry, id, protocol) = ring();
+    let driver = ByzantineMutation::all()
+        .into_iter()
+        .filter_map(|mutation| byzantine_driver(&protocol, mutation).unwrap())
+        .find(|d| d.mutation.expected() == ExpectedClass::Violation)
+        .expect("the ring has a violating mutation");
+    // The honest cast with its actor last, and the same list with only the
+    // actor's certificate swapped for the mutant's: the casts share their
+    // length, their first certificate and all but the last.
+    let mut honest = skeleton_endpoints(&protocol).unwrap();
+    honest.sort_by_key(|(cert, _)| *cert.role() == driver.actor);
+    let mut mixed = honest.clone();
+    let mutant = driver
+        .endpoints
+        .iter()
+        .find(|(cert, _)| *cert.role() == driver.actor)
+        .unwrap();
+    *mixed.last_mut().unwrap() = mutant.clone();
+    let (honest, mixed): (Cast, Cast) = (honest.into(), mixed.into());
+    let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+    let mut submitted = Vec::new();
+    for n in 0..20 {
+        let is_honest = n % 2 == 0;
+        let cast = if is_honest { &honest } else { &mixed };
+        let sid = server.submit(SessionSpec::new(id, cast.to_vec())).unwrap();
+        submitted.push((sid, is_honest));
+    }
+    let outcomes = server.drain();
+    assert_eq!(outcomes.len(), 20);
+    for outcome in &outcomes {
+        let (_, is_honest) = submitted
+            .iter()
+            .find(|(sid, _)| *sid == outcome.id)
+            .unwrap();
+        if *is_honest {
+            assert!(
+                outcome.all_finished_and_compliant() && !outcome.quarantined,
+                "honest session {outcome:?}"
+            );
+        } else {
+            assert!(
+                outcome.quarantined && !outcome.compliant,
+                "mixed session {outcome:?}"
+            );
+        }
+    }
+    let report = server.shutdown();
+    assert_eq!(report.sessions_quarantined(), 10, "{report}");
+    assert_eq!(report.casts_resolved(), 20, "{report}");
 }
 
 #[test]

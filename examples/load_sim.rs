@@ -45,14 +45,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("registered {} protocols", registry.len());
 
     // Certify one skeleton implementation per role, and share each cast as
-    // one handle: the server validates a handle once and each shard
-    // resolves it once, where a fresh `Vec` per session would pay both
-    // every time.
+    // one handle: the server validates a cast once and each shard resolves
+    // it once. (A cast is known by its certificates, so a new list of the
+    // same certificates per session would do as well, at the cost of the
+    // list.)
     let ring_endpoints: Arc<[_]> =
         skeleton_endpoints(registry.get(ring).unwrap().protocol())?.into();
     let buyer_endpoints: Arc<[_]> =
         skeleton_endpoints(registry.get(two_buyer).unwrap().protocol())?.into();
-    // Every distinct handle submitted to this server, for the bound on
+    // Every distinct cast submitted to this server, for the bound on
     // `casts_resolved` below.
     let mut casts = 2;
 
@@ -190,8 +191,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "quarantine counters must match the campaign"
     );
     assert_eq!(report.sessions_violated() as usize, expected_quarantines);
-    // Each handle is resolved at most once per shard: its sessions run
-    // back to back, so a shard's memo misses only on a handle's first.
+    // Each cast is resolved at most once per shard: its sessions run back
+    // to back, so a shard's memo misses only on a cast's first.
     println!(
         "cast resolutions: {} ({casts} casts on {SHARDS} shards)",
         report.casts_resolved()
