@@ -984,8 +984,8 @@ impl CompiledSystem {
     /// range for that machine's state table; one queue per channel, each
     /// queued [`MsgId`] in range for the interned message table.
     ///
-    /// This is the trust boundary for persisted monitor state (checkpoints,
-    /// write-ahead logs): `None` means the raw state cannot have come from
+    /// This is the trust boundary for persisted monitor state (session
+    /// checkpoints): `None` means the raw state cannot have come from
     /// this system, so the caller must refuse it rather than admit a cursor
     /// whose indices would be read out of bounds.
     pub fn restore_cursor(

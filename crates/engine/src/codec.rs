@@ -269,8 +269,7 @@ pub fn get_bool(bytes: &mut &[u8]) -> Result<bool> {
 
 // ---------------------------------------------------------------------
 // Sort, action and value-action sub-codecs: the runtime's session
-// checkpoints record actions with them, and its naive write-ahead log
-// format frames whole value actions
+// checkpoints record actions with them
 // ---------------------------------------------------------------------
 
 const SORT_UNIT: u8 = 0;
@@ -437,15 +436,6 @@ pub fn get_u8(bytes: &mut &[u8]) -> Result<u8> {
     take::<1>(bytes, "frame").map(|[v]| v)
 }
 
-/// Reads a big-endian `u16`, consuming nothing when the input is short.
-///
-/// # Errors
-///
-/// [`RuntimeError::Codec`] on truncated input.
-pub fn get_u16(bytes: &mut &[u8]) -> Result<u16> {
-    take(bytes, "integer").map(u16::from_be_bytes)
-}
-
 /// Reads a big-endian `u32`, consuming nothing when the input is short.
 ///
 /// # Errors
@@ -490,7 +480,7 @@ mod tests {
         );
         let mut view: &[u8] = &buf;
         assert_eq!(get_u8(&mut view).unwrap(), 7);
-        assert_eq!(get_u16(&mut view).unwrap(), 0xBEEF);
+        view = &view[2..]; // The `u16`, which nothing reads back.
         assert_eq!(get_u32(&mut view).unwrap(), 0xDEAD_BEEF);
         let mut short = &view[..7];
         assert!(get_u64(&mut short).is_err());

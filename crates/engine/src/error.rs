@@ -67,7 +67,7 @@ pub enum RuntimeError {
         /// The role whose thread panicked.
         role: Role,
     },
-    /// Persisted session state (a checkpoint or a write-ahead log) failed
+    /// Persisted session state (a session checkpoint) failed
     /// re-certification on restore: the bytes decoded, but the state they
     /// describe is not one the protocol's compiled tables admit. The session
     /// is refused — durability never readmits an uncertified session.

@@ -32,7 +32,7 @@
 //! oracle the engine is checked against — the tree-walking and per-session
 //! executors, the in-memory and peer-to-peer TCP transports, the session
 //! harness, the reference trace monitor, fault injection, the session
-//! checkpoint codec and the trace write-ahead log — live in
+//! checkpoint codec and the columnar action encoding — live in
 //! `zooid-runtime`, which depends on this crate and re-exports its modules
 //! at their old paths. So the crate graph, not a convention, keeps an
 //! oracle off the serving path: `zooid-server` has no way to name one

@@ -418,11 +418,9 @@ impl Interner {
 
     /// Interns a role, returning its dense index.
     pub fn role_id(&mut self, role: &Role) -> RoleId {
-        for slot in &self.role_cache {
-            if let Some((cached, id)) = slot {
-                if cached == role {
-                    return *id;
-                }
+        for (cached, id) in self.role_cache.iter().flatten() {
+            if cached == role {
+                return *id;
             }
         }
         let id = if let Some(&id) = self.role_ids.get(role) {

@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn ordering_is_lexicographic() {
-        let mut v = vec![Role::new("C"), Role::new("A"), Role::new("B")];
+        let mut v = [Role::new("C"), Role::new("A"), Role::new("B")];
         v.sort();
         let names: Vec<_> = v.iter().map(Role::name).collect();
         assert_eq!(names, ["A", "B", "C"]);

@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn closedness_detects_free_variables() {
         let open = LocalType::send1(r("q"), "l", Sort::Nat, LocalType::var(0));
-        assert!(open.is_closed() == false || open.free_vars().is_empty());
+        assert!(!open.is_closed() || open.free_vars().is_empty());
         assert!(!open.is_closed());
         assert!(request_reply().is_closed());
     }

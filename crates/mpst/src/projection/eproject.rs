@@ -51,7 +51,7 @@ pub fn one_shot_projection_holds(
     prefix: &GlobalPrefix,
     config: &Configuration,
 ) -> bool {
-    let queues_match = match qproject(tree, prefix) {
+    let queues_match = match qproject(prefix) {
         Ok(q) => q == config.queues,
         Err(_) => false,
     };

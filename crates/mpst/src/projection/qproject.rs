@@ -3,7 +3,6 @@
 
 use crate::error::{Error, Result};
 use crate::global::prefix::GlobalPrefix;
-use crate::global::tree::GlobalTree;
 use crate::local::semantics::QueueEnv;
 
 /// Computes the queue environment associated with an execution prefix: one
@@ -27,13 +26,13 @@ use crate::local::semantics::QueueEnv;
 /// [`Error::IllFormed`] if different branches of a pending message would
 /// require different queue contents — this never happens for prefixes reached
 /// by executing a projectable protocol.
-pub fn qproject(tree: &GlobalTree, prefix: &GlobalPrefix) -> Result<QueueEnv> {
+pub fn qproject(prefix: &GlobalPrefix) -> Result<QueueEnv> {
     match prefix {
         GlobalPrefix::Inj(_) => Ok(QueueEnv::empty()),
         GlobalPrefix::Msg { from, to, branches } => {
             let mut result: Option<QueueEnv> = None;
             for b in branches {
-                let q = qproject(tree, &b.cont)?;
+                let q = qproject(&b.cont)?;
                 match &result {
                     None => result = Some(q),
                     Some(prev) if prev == &q => {}
@@ -65,7 +64,7 @@ pub fn qproject(tree: &GlobalTree, prefix: &GlobalPrefix) -> Result<QueueEnv> {
             branches,
         } => {
             let chosen = &branches[*selected];
-            let rest = qproject(tree, &chosen.cont)?;
+            let rest = qproject(&chosen.cont)?;
             // The outer message was sent first, so it sits at the head of the
             // queue: rebuild the (from, to) queue with it prepended.
             let mut q = QueueEnv::empty();
@@ -102,7 +101,7 @@ mod tests {
     fn initial_prefix_has_empty_queues() {
         let g = GlobalType::msg1(r("p"), r("q"), "l", Sort::Nat, GlobalType::End);
         let t = unravel_global(&g).unwrap();
-        let q = qproject(&t, &GlobalPrefix::initial(&t)).unwrap();
+        let q = qproject(&GlobalPrefix::initial(&t)).unwrap();
         assert!(q.is_empty());
     }
 
@@ -112,12 +111,12 @@ mod tests {
         let t = unravel_global(&g).unwrap();
         let send = Action::send(r("p"), r("q"), l("l"), Sort::Nat);
         let after_send = global_step(&t, &GlobalPrefix::initial(&t), &send).unwrap();
-        let q = qproject(&t, &after_send).unwrap();
+        let q = qproject(&after_send).unwrap();
         assert_eq!(q.total_messages(), 1);
         assert_eq!(q.peek(&r("p"), &r("q")).unwrap().0, l("l"));
 
         let after_recv = global_step(&t, &after_send, &send.dual()).unwrap();
-        assert!(qproject(&t, &after_recv).unwrap().is_empty());
+        assert!(qproject(&after_recv).unwrap().is_empty());
     }
 
     #[test]
@@ -136,7 +135,7 @@ mod tests {
         let send_b = Action::send(r("p"), r("q"), l("b"), Sort::Nat);
         let s1 = global_step(&t, &GlobalPrefix::initial(&t), &send_a).unwrap();
         let s2 = global_step(&t, &s1, &send_b).unwrap();
-        let q = qproject(&t, &s2).unwrap();
+        let q = qproject(&s2).unwrap();
         assert_eq!(
             q.queue(&r("p"), &r("q"))
                 .into_iter()
@@ -165,7 +164,7 @@ mod tests {
         let t = unravel_global(&g).unwrap();
         let send = Action::send(r("p"), r("q"), l("l"), Sort::Nat);
         let after = global_step(&t, &GlobalPrefix::initial(&t), &send).unwrap();
-        let q = qproject(&t, &after).unwrap();
+        let q = qproject(&after).unwrap();
         assert_eq!(q.queue(&r("p"), &r("q")).len(), 1);
         assert!(q.queue(&r("q"), &r("p")).is_empty());
     }

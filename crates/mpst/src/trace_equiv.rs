@@ -109,8 +109,11 @@ pub fn check_step_completeness(global: &GlobalType, depth: usize) -> Result<Chec
 struct ProductKey {
     prefix: std::sync::Arc<GlobalPrefix>,
     cursors: Vec<NodeId>,
-    queues: Vec<(Role, Role, Vec<(Label, Sort)>)>,
+    queues: Vec<ChannelKey>,
 }
+
+/// One channel of a configuration: sender, receiver, queued messages.
+type ChannelKey = (Role, Role, Vec<(Label, Sort)>);
 
 fn product_key(prefix: &std::sync::Arc<GlobalPrefix>, config: &Configuration) -> ProductKey {
     ProductKey {

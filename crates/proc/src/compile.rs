@@ -130,7 +130,7 @@ impl CExpr {
                 a.eval_strided(slots, stride, offset)?,
                 b.eval_strided(slots, stride, offset)?,
                 "/",
-                |x, y| Some(if y == 0 { 0 } else { x / y }),
+                |x, y| Some(x.checked_div(y).unwrap_or(0)),
                 |x, y| Some(if y == 0 { 0 } else { x / y }),
             ),
             CExpr::Lt(a, b) => compare(

@@ -97,21 +97,25 @@ impl Expr {
     }
 
     /// `left + right`.
+    #[allow(clippy::should_implement_trait, reason = "a builder, not an operator")]
     pub fn add(left: Expr, right: Expr) -> Expr {
         Expr::Add(Box::new(left), Box::new(right))
     }
 
     /// `left - right` (truncated on naturals).
+    #[allow(clippy::should_implement_trait, reason = "a builder, not an operator")]
     pub fn sub(left: Expr, right: Expr) -> Expr {
         Expr::Sub(Box::new(left), Box::new(right))
     }
 
     /// `left * right`.
+    #[allow(clippy::should_implement_trait, reason = "a builder, not an operator")]
     pub fn mul(left: Expr, right: Expr) -> Expr {
         Expr::Mul(Box::new(left), Box::new(right))
     }
 
     /// `left / right` (0 when dividing by zero, as in Coq).
+    #[allow(clippy::should_implement_trait, reason = "a builder, not an operator")]
     pub fn div(left: Expr, right: Expr) -> Expr {
         Expr::Div(Box::new(left), Box::new(right))
     }
@@ -147,6 +151,7 @@ impl Expr {
     }
 
     /// `!inner`.
+    #[allow(clippy::should_implement_trait, reason = "a builder, not an operator")]
     pub fn not(inner: Expr) -> Expr {
         Expr::Not(Box::new(inner))
     }
@@ -337,7 +342,7 @@ impl Expr {
                 a.eval(env)?,
                 b.eval(env)?,
                 "/",
-                |x, y| Some(if y == 0 { 0 } else { x / y }),
+                |x, y| Some(x.checked_div(y).unwrap_or(0)),
                 |x, y| Some(if y == 0 { 0 } else { x / y }),
             ),
             Expr::Lt(a, b) => compare(a.eval(env)?, b.eval(env)?, |o| o == std::cmp::Ordering::Less),

@@ -145,16 +145,6 @@ impl SessionCheckpoint {
         }
     }
 
-    /// The caller-supplied session token the checkpoint carries.
-    pub fn token(&self) -> u64 {
-        self.token
-    }
-
-    /// The roles of the checkpointed endpoints, in checkpoint order.
-    pub fn roles(&self) -> impl Iterator<Item = &Role> {
-        self.endpoints.iter().map(|ep| &ep.role)
-    }
-
     /// Serializes the checkpoint with the wire codec: one-byte tags,
     /// big-endian integers, length-prefixed strings.
     pub fn encode(&self) -> Vec<u8> {

@@ -13,10 +13,11 @@
 //! yields [`StepOutcome::WouldBlock`] when a receive finds its channel empty,
 //! so one thread can interleave many endpoints, as the differential suites
 //! do. The blocking [`execute`] entry point — what the session harness and
-//! the examples use — is a loop around [`EndpointTask::step_blocking`] and
-//! behaves exactly like the historical thread-per-endpoint executor,
-//! timeouts included. No serving path runs either: the server runs the
-//! serving engine's columnar batch, and this interpreter is its oracle.
+//! the examples use — is a loop of steps that block inside
+//! [`Transport::recv`] and behaves exactly like the historical
+//! thread-per-endpoint executor, timeouts included. No serving path runs
+//! either: the server runs the serving engine's columnar batch, and this
+//! interpreter is its oracle.
 //!
 //! What an execution is configured with and reports ([`ExecOptions`],
 //! [`EndpointStatus`], [`EndpointReport`]) is shared with every executor, so
@@ -50,7 +51,7 @@ pub fn execute(
 /// Like [`execute`], additionally calling `observer` with every visible
 /// action as soon as it has happened (used to drive the live
 /// [`TraceMonitor`](crate::monitor::TraceMonitor)).
-pub fn execute_with_observer(
+pub(crate) fn execute_with_observer(
     proc: &Proc,
     role: &Role,
     transport: &mut dyn Transport,
@@ -59,8 +60,10 @@ pub fn execute_with_observer(
     mut observer: impl FnMut(&ValueAction),
 ) -> EndpointReport {
     let mut task = EndpointTask::new(proc.clone(), role.clone(), externals.clone(), options.clone());
+    // A blocking step parks inside `Transport::recv`, so a timeout becomes
+    // a failure, exactly like the historical executor.
     while !matches!(
-        task.step_blocking(transport, &mut observer),
+        task.step_inner(transport, &mut observer, true),
         StepOutcome::Done(_)
     ) {}
     task.into_report()
@@ -73,7 +76,7 @@ pub enum StepOutcome {
     Progress,
     /// The process is waiting for a message that has not arrived yet; the
     /// task's state is unchanged and the step can be retried once the peer
-    /// has sent (never returned by [`EndpointTask::step_blocking`]).
+    /// has sent (never returned by the blocking loop of [`execute`]).
     WouldBlock {
         /// The peer the process is waiting for.
         from: Role,
@@ -92,7 +95,7 @@ pub enum StepOutcome {
 /// [`Transport::try_recv`]). One thread can therefore interleave the
 /// endpoints of a session — which is how the differential suites run it in
 /// lockstep with the compiled executors — while [`execute`] remains a
-/// trivial loop around [`EndpointTask::step_blocking`].
+/// trivial loop of steps that block instead.
 #[derive(Debug)]
 pub struct EndpointTask {
     role: Role,
@@ -148,17 +151,6 @@ impl EndpointTask {
         observer: &mut dyn FnMut(&ValueAction),
     ) -> StepOutcome {
         self.step_inner(transport, observer, false)
-    }
-
-    /// Advances the task by one visible communication, blocking inside
-    /// [`Transport::recv`] when the next action is a receive (so a timeout
-    /// becomes a failure, exactly like the historical executor).
-    pub fn step_blocking(
-        &mut self,
-        transport: &mut dyn Transport,
-        observer: &mut dyn FnMut(&ValueAction),
-    ) -> StepOutcome {
-        self.step_inner(transport, observer, true)
     }
 
     /// Marks a still-running task as given up by its scheduler (all peers of

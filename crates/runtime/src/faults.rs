@@ -34,18 +34,18 @@ use crate::transport::Transport;
 /// crates — the build stays hermetic). Good enough statistical quality for
 /// fault scheduling, and trivially reproducible from a single `u64` seed.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a generator from a seed. Equal seeds yield equal streams.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Returns the next pseudo-random 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -54,7 +54,7 @@ impl SplitMix64 {
     }
 
     /// Returns a value uniformly distributed in `0..bound` (`bound > 0`).
-    pub fn below(&mut self, bound: u64) -> u64 {
+    fn below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
     }
 
@@ -115,12 +115,12 @@ pub enum FaultSite {
 
 impl FaultSite {
     fn matches(self, dir: FaultDirection) -> bool {
-        match (self, dir) {
-            (FaultSite::Any, _) => true,
-            (FaultSite::Send, FaultDirection::Send) => true,
-            (FaultSite::Recv, FaultDirection::Recv) => true,
-            _ => false,
-        }
+        matches!(
+            (self, dir),
+            (FaultSite::Any, _)
+                | (FaultSite::Send, FaultDirection::Send)
+                | (FaultSite::Recv, FaultDirection::Recv)
+        )
     }
 }
 

@@ -53,21 +53,20 @@
 //!   injection is logged, so the same seed reproduces the same schedule on
 //!   every backend. These are test instruments, and the serving engine
 //!   cannot name them;
-//! * [`wal`] — an append-only write-ahead trace log whose records are
-//!   columnarized before framing (skeleton = per-site template ids,
-//!   variables = payload values), group-committed per quantum with
-//!   torn-tail detection on reopen, and recovered by **replaying** each
-//!   session's suffix through a fresh [`monitor::CompiledMonitor`]: a
-//!   restored trace is re-certified, not just restored. No serving path
-//!   writes one;
+//! * [`wal`] — a write-only columnar encoding of logged actions (skeleton =
+//!   per-site template ids, variables = payload values), which the
+//!   benchmark's layer replay times. There is no log file, no scan and no
+//!   recovery, and no serving path encodes one;
 //! * [`checkpoint`] — [`SessionCheckpoint`], a session cut out of a batch
 //!   ([`cbatch::SessionBatch::demote_all`]) serialized with the engine's
 //!   [`codec`], and decoded under re-validation against the compiled
 //!   programs and tables before the per-session executor
 //!   ([`cexec::CompiledEndpointTask::resume`]) may continue it. No serving
 //!   path takes one: the server never moves a live session, and a session
-//!   interrupted for good is re-run from its cast. The durability suites
-//!   cut sessions with it, and the benchmark's layer replay times it.
+//!   interrupted for good is re-run from its cast. The durability suite
+//!   checks with it that a batch's extraction loses nothing, the codec
+//!   suite feeds its decoder hostile names and nesting, and the benchmark's
+//!   layer replay times it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,5 +96,4 @@ pub use faults::{FaultKind, FaultPlan, FaultSite, FaultSpec, FaultyTransport, In
 pub use harness::{SessionHarness, SessionReport};
 pub use monitor::{CompiledMonitor, MonitorViolation, TraceMonitor};
 pub use transport::{InMemoryNetwork, Transport};
-pub use wal::{WalIndexer, WalRecord, WalScan, WalWriter};
 pub use wire::{FrameReader, MuxFrame, RejectCode, DEFAULT_MAX_FRAME_BYTES};

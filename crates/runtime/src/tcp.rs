@@ -47,7 +47,7 @@ use crate::wire::{put_frame, FillStatus, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 
 /// Default deadline for blocking receives (and non-blocking sends that
 /// cannot drain into the socket buffer).
-pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
+const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Sleep slice while a blocking operation waits for socket readiness.
 const WAIT_SLICE: Duration = Duration::from_micros(200);

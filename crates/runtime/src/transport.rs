@@ -216,17 +216,6 @@ impl InMemoryNetwork {
             timeout: Duration::from_secs(5),
         })
     }
-
-    /// The roles whose endpoints have not been taken yet.
-    pub fn remaining_roles(&self) -> Vec<Role> {
-        self.core
-            .roles
-            .iter()
-            .zip(&self.taken)
-            .filter(|(_, taken)| !**taken)
-            .map(|(role, _)| role.clone())
-            .collect()
-    }
 }
 
 impl Drop for InMemoryNetwork {
@@ -275,12 +264,6 @@ impl InMemoryTransport {
             Ok(idx) if idx != self.me_idx => Some(idx),
             _ => None,
         }
-    }
-
-    /// Number of dense peer slots (== roles in the network, including the
-    /// local one, whose slot is never a valid peer).
-    pub fn peer_slots(&self) -> usize {
-        self.core.roles.len()
     }
 
     fn check_peer(&self, peer: usize) -> Result<()> {
@@ -338,7 +321,7 @@ impl InMemoryTransport {
     /// # Errors
     ///
     /// Same as [`Transport::recv`].
-    pub fn recv_indexed(&mut self, peer: usize) -> Result<(Label, Value)> {
+    fn recv_indexed(&mut self, peer: usize) -> Result<(Label, Value)> {
         self.check_peer(peer)?;
         let slot = self.core.slot(peer, self.me_idx);
         let deadline = Instant::now() + self.timeout;
@@ -572,7 +555,6 @@ mod tests {
         let pi = q.peer_index(&r("p")).unwrap();
         assert_eq!(p.peer_index(&r("p")), None, "self is not a peer");
         assert_eq!(p.peer_index(&r("zzz")), None);
-        assert_eq!(p.peer_slots(), 3);
 
         p.send_indexed(qi, l("a"), Value::Nat(1)).unwrap();
         p.send(&r("q"), &l("b"), &Value::Nat(2)).unwrap();
@@ -631,11 +613,10 @@ mod tests {
     }
 
     #[test]
-    fn remaining_roles_shrinks_as_endpoints_are_taken() {
+    fn an_endpoint_is_taken_once() {
         let mut net = InMemoryNetwork::new([r("p"), r("q")]);
-        assert_eq!(net.remaining_roles().len(), 2);
         net.take_endpoint(&r("p")).unwrap();
-        assert_eq!(net.remaining_roles(), vec![r("q")]);
         assert!(net.take_endpoint(&r("p")).is_none());
+        assert!(net.take_endpoint(&r("q")).is_some());
     }
 }

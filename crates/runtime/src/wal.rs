@@ -1,66 +1,28 @@
-//! Append-only write-ahead trace log with columnar records and re-certified
-//! recovery.
-//!
-//! Every visible communication of a hosted session can be appended here
-//! before (or as) it happens; after a crash, [`recover`] replays each
-//! session's logged suffix through a **fresh** [`CompiledMonitor`], so a
-//! restored trace is *re-certified* against the protocol's compiled tables —
-//! the same replay machinery incident capture trusts — rather than merely
-//! deserialized. A corrupted log yields a structured error
-//! ([`RuntimeError::Codec`] for mangled bytes, [`RuntimeError::Recovery`]
-//! for well-formed bytes the monitor rejects); it never becomes an admitted
-//! session.
-//!
-//! # Columnar records
+//! A write-only columnar encoding of logged actions, which the benchmark's
+//! layer replay times.
 //!
 //! A logged action is two parts, split exactly like the batch plane splits
 //! a session population: the **skeleton** — which session, which role,
 //! which pre-compiled communication *site* (the per-program
 //! [`ActionTemplate`](crate::cexec::ActionTemplate) id) — is three dense
 //! integers, while the **variables** — the payload values — are the only
-//! self-describing bytes. Each group-committed quantum is framed with the
-//! skeleton column first and the value column after it, so the fixed-width
-//! ids pack contiguously and the log costs a fraction of naively
-//! serializing every action's roles, label and sort per record (the
-//! structural-entropy trick, here buying audit-log density; see
-//! [`encode_quantum`] vs [`encode_quantum_naive`]). A columnar record spells
-//! no name at all, so [`scan_bytes`] never consults the process-wide name
-//! table; the naive format does, and its decoder looks names up and refuses
-//! one no code made, exactly like the checkpoint decoder it shares.
+//! self-describing bytes. [`encode_quantum`] writes a quantum's skeleton
+//! column first and its value column after it, so the fixed-width ids pack
+//! contiguously and a record spells no name at all.
 //!
-//! # Group commit and torn tails
-//!
-//! [`WalWriter::append_quantum`] encodes a whole quantum's records into one
-//! length-prefixed, checksummed frame and issues a single `write` + `flush`
-//! — one commit per scheduling quantum, not per action. On reopen,
-//! [`scan_bytes`] distinguishes the two corruption shapes: a frame that
-//! runs past the end of the file is a **torn tail** (a crash mid-commit;
-//! reported, dropped, and recovery proceeds with the certified prefix),
-//! while a complete frame whose checksum does not match is **corruption**
-//! and fails the scan with a structured error.
+//! There is no log file, no scan and no recovery: no serving path writes a
+//! trace log, and a session interrupted for good is re-run from its cast. A
+//! log of the externals' results (the ROADMAP's input log) is meant to
+//! replace this module.
 
-use std::fs::File;
-use std::hash::Hasher;
-use std::io::Write;
-use std::path::Path;
 use std::sync::Arc;
 
-use zooid_cfsm::CompiledSystem;
-use zooid_mpst::common::intern::{FxHashMap, FxHasher};
+use zooid_mpst::common::intern::FxHashMap;
 use zooid_mpst::{Label, Role};
-use zooid_proc::{sort_of_value, Value, ValueAction};
+use zooid_proc::{Value, ValueAction};
 
 use crate::cexec::EndpointProgram;
-use crate::codec::{
-    get_u16, get_u32, get_u64, get_value, get_value_action, put_u16, put_u32, put_u64, put_value,
-    put_value_action,
-};
-use crate::error::{Result, RuntimeError};
-use crate::monitor::CompiledMonitor;
-
-/// Upper bound on one frame's payload; a length prefix above it is treated
-/// as corruption, never as an allocation request.
-const MAX_FRAME_BYTES: usize = 1 << 26;
+use crate::codec::{put_u16, put_u32, put_u64, put_value};
 
 /// One logged action: the columnar skeleton (`session`, `role`, `event`)
 /// plus the payload value. `role` is the index of the acting role in the
@@ -80,8 +42,8 @@ pub struct WalRecord {
     pub value: Value,
 }
 
-/// Maps between [`ValueAction`]s and columnar [`WalRecord`]s for one
-/// protocol's compiled per-role programs.
+/// Maps [`ValueAction`]s to columnar [`WalRecord`]s for one protocol's
+/// compiled per-role programs.
 ///
 /// Only sites the compiled data plane pre-resolved (an interned
 /// [`ActionTemplate`](crate::cexec::ActionTemplate) per event) are
@@ -89,7 +51,6 @@ pub struct WalRecord {
 #[derive(Debug)]
 pub struct WalIndexer {
     roles: Vec<Role>,
-    programs: Vec<Arc<EndpointProgram>>,
     /// Per role: `(is_send, peer, label) → event id`.
     sites: Vec<FxHashMap<(bool, Role, Label), u32>>,
 }
@@ -119,11 +80,7 @@ impl WalIndexer {
                     .collect()
             })
             .collect();
-        WalIndexer {
-            roles,
-            programs: programs.to_vec(),
-            sites,
-        }
+        WalIndexer { roles, sites }
     }
 
     /// Columnarizes one action: resolves its subject to a role index and
@@ -139,11 +96,7 @@ impl WalIndexer {
         } else {
             &action.from
         };
-        let event = *self.sites[role].get(&(
-            action.is_send,
-            peer.clone(),
-            action.label.clone(),
-        ))?;
+        let event = *self.sites[role].get(&(action.is_send, peer.clone(), action.label.clone()))?;
         Some(WalRecord {
             session,
             role: u16::try_from(role).ok()?,
@@ -151,65 +104,11 @@ impl WalIndexer {
             value: action.value.clone(),
         })
     }
-
-    /// Expands a columnar record back into the full action it encodes.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Recovery`] when the record's role or event index
-    /// does not exist in the compiled programs — a record that cannot have
-    /// been produced against them.
-    pub fn expand(&self, record: &WalRecord) -> Result<ValueAction> {
-        let role = record.role as usize;
-        let Some(program) = self.programs.get(role) else {
-            return Err(RuntimeError::Recovery {
-                reason: format!("wal record names role index {role} of {}", self.roles.len()),
-            });
-        };
-        let event = record.event as usize;
-        let Some(template) = program.templates().get(event) else {
-            return Err(RuntimeError::Recovery {
-                reason: format!(
-                    "wal record names event {event} which `{}` does not compile",
-                    self.roles[role]
-                ),
-            });
-        };
-        let is_send = program.program().events()[event].is_send;
-        let sort = template
-            .static_sort
-            .clone()
-            .unwrap_or_else(|| sort_of_value(&record.value));
-        let subject = self.roles[role].clone();
-        Ok(if is_send {
-            ValueAction::send(
-                subject,
-                template.peer.clone(),
-                template.label.clone(),
-                sort,
-                record.value.clone(),
-            )
-        } else {
-            ValueAction::recv(
-                subject,
-                template.peer.clone(),
-                template.label.clone(),
-                sort,
-                record.value.clone(),
-            )
-        })
-    }
-
-    /// The per-role programs the indexer resolves against.
-    pub fn programs(&self) -> &[Arc<EndpointProgram>] {
-        &self.programs
-    }
 }
 
 /// Encodes one quantum's records columnar-style: count, then the skeleton
 /// column (fixed-width `session`/`role`/`event` ids, contiguous), then the
-/// value column. This is the frame payload [`WalWriter::append_quantum`]
-/// commits; exposed for the bench harness's bytes-per-action comparison.
+/// value column.
 pub fn encode_quantum(records: &[WalRecord]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u32(&mut buf, records.len() as u32);
@@ -224,261 +123,126 @@ pub fn encode_quantum(records: &[WalRecord]) -> Vec<u8> {
     buf
 }
 
-/// Decodes one quantum's payload (the inverse of [`encode_quantum`]),
-/// appending onto `out`.
-fn decode_quantum(mut bytes: &[u8], out: &mut Vec<WalRecord>) -> Result<()> {
-    let bytes = &mut bytes;
-    let count = get_u32(bytes)? as usize;
-    let start = out.len();
-    for _ in 0..count {
-        let session = get_u64(bytes)?;
-        let role = get_u16(bytes)?;
-        let event = get_u32(bytes)?;
-        out.push(WalRecord {
-            session,
-            role,
-            event,
-            value: Value::Unit,
-        });
-    }
-    for record in &mut out[start..] {
-        record.value = get_value(bytes)?;
-    }
-    if !bytes.is_empty() {
-        return Err(RuntimeError::Codec {
-            reason: format!("{} trailing bytes after a wal quantum", bytes.len()),
-        });
-    }
-    Ok(())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cbatch::{BatchLayout, SessionBatch};
+    use crate::exec::ExecOptions;
+    use zooid_cfsm::System;
+    use zooid_mpst::global::GlobalType;
+    use zooid_mpst::local::LocalType;
+    use zooid_mpst::projection::project_all;
+    use zooid_mpst::{generators, Sort};
+    use zooid_proc::{CompiledProc, Expr, Externals, Proc, RecvAlt};
 
-/// The naive baseline the columnar format is benched against: every record
-/// serialized as a fully self-describing action — subject roles, label and
-/// sort spelled out per record. Behaviourally equivalent to
-/// [`encode_quantum`] + [`WalIndexer::expand`]; decisively larger.
-///
-/// # Errors
-///
-/// [`RuntimeError::Recovery`] when a record does not resolve against the
-/// indexer's programs.
-pub fn encode_quantum_naive(records: &[WalRecord], indexer: &WalIndexer) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    put_u32(&mut buf, records.len() as u32);
-    for record in records {
-        put_u64(&mut buf, record.session);
-        put_value_action(&mut buf, &indexer.expand(record)?);
-    }
-    Ok(buf)
-}
-
-/// Decodes a [`encode_quantum_naive`] payload (kept so the naive format is
-/// round-trip honest in the property tests, not just a byte counter).
-///
-/// # Errors
-///
-/// [`RuntimeError::Codec`] on malformed bytes, and on a role or label name
-/// no code in this process made: names are looked up, never interned, as in
-/// [`SessionCheckpoint::decode`](crate::checkpoint::SessionCheckpoint::decode).
-pub fn decode_quantum_naive(mut bytes: &[u8]) -> Result<Vec<(u64, ValueAction)>> {
-    let bytes = &mut bytes;
-    let count = get_u32(bytes)? as usize;
-    let mut out = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let session = get_u64(bytes)?;
-        out.push((session, get_value_action(bytes)?));
-    }
-    if !bytes.is_empty() {
-        return Err(RuntimeError::Codec {
-            reason: format!("{} trailing bytes after a naive wal quantum", bytes.len()),
-        });
-    }
-    Ok(out)
-}
-
-fn checksum(payload: &[u8]) -> u64 {
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    hasher.finish()
-}
-
-/// Appends framed, checksummed quanta to a log file with one commit per
-/// quantum.
-#[derive(Debug)]
-pub struct WalWriter {
-    file: File,
-}
-
-impl WalWriter {
-    /// Creates (or truncates) the log at `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Io`] from file creation.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(WalWriter {
-            file: File::create(path)?,
-        })
-    }
-
-    /// Group-commits one quantum's records: the columnar payload is framed
-    /// as `u32` length + payload + `u64` checksum and written (then
-    /// flushed) as a single buffer, so a crash can tear at most the last
-    /// frame — which [`scan_bytes`] detects and drops on reopen. Returns
-    /// the number of bytes appended. Empty quanta append nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Io`] from the write or flush.
-    pub fn append_quantum(&mut self, records: &[WalRecord]) -> Result<usize> {
-        if records.is_empty() {
-            return Ok(0);
+    /// First-branch sends of a unit or a zero, as the batch suites build.
+    fn skeleton(local: &LocalType) -> Proc {
+        match local {
+            LocalType::End => Proc::Finish,
+            LocalType::Var(i) => Proc::Jump(*i),
+            LocalType::Rec(body) => Proc::loop_(skeleton(body)),
+            LocalType::Send { to, branches } => {
+                let branch = &branches[0];
+                let payload = match branch.sort {
+                    Sort::Unit => Expr::unit(),
+                    Sort::Nat => Expr::lit(0u64),
+                    ref sort => panic!("no skeleton payload of sort {sort}"),
+                };
+                Proc::send(
+                    to.clone(),
+                    branch.label.clone(),
+                    payload,
+                    skeleton(&branch.cont),
+                )
+            }
+            LocalType::Recv { from, branches } => {
+                let alts = branches
+                    .iter()
+                    .map(|b| RecvAlt::new(b.label.clone(), b.sort.clone(), "_x", skeleton(&b.cont)))
+                    .collect();
+                Proc::recv(from.clone(), alts)
+            }
         }
-        let frame = frame_quantum(records);
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
-        Ok(frame.len())
     }
-}
 
-/// Frames one quantum for appending: length prefix, columnar payload,
-/// checksum. Exposed so tests (and the bench) can build log images without
-/// touching the filesystem.
-pub fn frame_quantum(records: &[WalRecord]) -> Vec<u8> {
-    let payload = encode_quantum(records);
-    let mut frame = Vec::with_capacity(4 + payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    frame.extend_from_slice(&payload);
-    put_u64(&mut frame, checksum(&payload));
-    frame
-}
-
-/// What scanning a log produced: every record of the certified prefix, in
-/// append order, plus whether a torn tail was dropped.
-#[derive(Debug)]
-pub struct WalScan {
-    /// The records of every intact frame, in append order.
-    pub records: Vec<WalRecord>,
-    /// `true` when the file ended inside a frame (a crash mid-commit); the
-    /// partial frame was dropped.
-    pub torn_tail: bool,
-    /// The byte length of the intact prefix (the safe truncation point for
-    /// continuing the log).
-    pub valid_bytes: u64,
-}
-
-/// Reads a log file and scans it (see [`scan_bytes`]).
-///
-/// # Errors
-///
-/// [`RuntimeError::Io`] from reading; [`RuntimeError::Codec`] on mid-file
-/// corruption.
-pub fn scan(path: impl AsRef<Path>) -> Result<WalScan> {
-    scan_bytes(&std::fs::read(path)?)
-}
-
-/// Walks a log image frame by frame.
-///
-/// A frame that runs past the end of the input (length prefix, payload or
-/// checksum cut short) is a **torn tail**: the write was interrupted, the
-/// partial frame carries no committed data, and the scan succeeds with
-/// `torn_tail = true`. A *complete* frame whose checksum or payload does
-/// not verify is **corruption** — the log was altered after commit — and
-/// the scan fails with [`RuntimeError::Codec`].
-pub fn scan_bytes(bytes: &[u8]) -> Result<WalScan> {
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    loop {
-        if offset == bytes.len() {
-            return Ok(WalScan {
-                records,
-                torn_tail: false,
-                valid_bytes: offset as u64,
-            });
-        }
-        let rest = &bytes[offset..];
-        let torn = |records: Vec<WalRecord>| {
-            Ok(WalScan {
-                records,
-                torn_tail: true,
-                valid_bytes: offset as u64,
+    /// Runs one skeleton session of `g` in a batch; returns its programs
+    /// and every action it performed.
+    fn skeleton_run(g: &GlobalType) -> (Vec<Arc<EndpointProgram>>, Vec<ValueAction>) {
+        let system = Arc::new(System::from_global(g).unwrap().compile());
+        let mut locals = project_all(g).unwrap();
+        locals.sort_by(|a, b| a.0.cmp(&b.0));
+        let programs: Vec<_> = locals
+            .iter()
+            .map(|(role, local)| {
+                let compiled =
+                    CompiledProc::compile(&skeleton(local), role, &Externals::new()).unwrap();
+                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
             })
-        };
-        if rest.len() < 4 {
-            return torn(records);
-        }
-        let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(RuntimeError::Codec {
-                reason: format!("wal frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-            });
-        }
-        if rest.len() < 4 + len + 8 {
-            return torn(records);
-        }
-        let payload = &rest[4..4 + len];
-        let stored = u64::from_be_bytes(rest[4 + len..4 + len + 8].try_into().expect("8 bytes"));
-        if checksum(payload) != stored {
-            return Err(RuntimeError::Codec {
-                reason: format!("wal frame at byte {offset} fails its checksum"),
-            });
-        }
-        decode_quantum(payload, &mut records)?;
-        offset += 4 + len + 8;
+            .collect();
+        let roles = locals.into_iter().map(|(role, _)| role).collect();
+        let layout = BatchLayout::new(roles, programs.clone(), system).unwrap();
+        let mut batch = SessionBatch::new(layout, ExecOptions::default(), 1);
+        assert!(batch.admit(7));
+        let outcome = batch
+            .run_quantum(1024)
+            .finished
+            .pop()
+            .expect("the session closes");
+        assert!(outcome.compliant && outcome.complete);
+        let actions = outcome
+            .endpoints
+            .into_iter()
+            .flat_map(|e| e.actions)
+            .collect();
+        (programs, actions)
     }
-}
 
-/// One session's re-certified recovery: the monitor that replayed (and
-/// accepted) the session's entire logged suffix, plus the expanded actions
-/// in log order.
-#[derive(Debug)]
-pub struct RecoveredSession {
-    /// The session the records belonged to.
-    pub session: u64,
-    /// A fresh monitor that has observed — and accepted — every logged
-    /// action of the session, in order. Its cursor, trace and verdict are
-    /// exactly what an uninterrupted monitor would hold.
-    pub monitor: CompiledMonitor,
-    /// The expanded actions, in log order.
-    pub actions: Vec<ValueAction>,
-}
+    /// `record` columnarises every action a skeleton run performs and
+    /// refuses a subject outside the programs, and `encode_quantum` writes
+    /// a count, 14 bytes of skeleton per record, then the payloads.
+    #[test]
+    fn records_columnarise_a_skeleton_run_and_encode_to_their_skeleton_and_payloads() {
+        for g in [generators::ring3(), generators::two_buyer()] {
+            let (programs, actions) = skeleton_run(&g);
+            assert!(!actions.is_empty());
+            let indexer = WalIndexer::new(&programs);
+            let records: Vec<WalRecord> = actions
+                .iter()
+                .map(|action| {
+                    indexer
+                        .record(3, action)
+                        .expect("every skeleton action indexes")
+                })
+                .collect();
+            for (record, action) in records.iter().zip(&actions) {
+                let program = &programs[record.role as usize];
+                assert_eq!(program.program().role(), action.subject());
+                let template = &program.templates()[record.event as usize];
+                let peer = if action.is_send {
+                    &action.to
+                } else {
+                    &action.from
+                };
+                assert_eq!((&template.peer, &template.label), (peer, &action.label));
+                assert_eq!((record.session, &record.value), (3, &action.value));
+            }
 
-/// Replays scanned records through fresh [`CompiledMonitor`]s, one per
-/// session (grouped in first-appearance order; records of one session keep
-/// their log order).
-///
-/// This is what makes restoration *re-certification*: the log's claim of a
-/// compliant history is not trusted — it is re-run against the protocol's
-/// compiled tables, and any action the monitor rejects fails the whole
-/// recovery with [`RuntimeError::Recovery`]. A tampered or cross-wired log
-/// (wrong protocol, reordered records, forged events) is refused; it never
-/// yields an admitted session.
-pub fn recover(
-    records: &[WalRecord],
-    indexer: &WalIndexer,
-    system: &Arc<CompiledSystem>,
-) -> Result<Vec<RecoveredSession>> {
-    let mut sessions: Vec<RecoveredSession> = Vec::new();
-    let mut by_session: FxHashMap<u64, usize> = FxHashMap::default();
-    for (n, record) in records.iter().enumerate() {
-        let action = indexer.expand(record)?;
-        let i = *by_session.entry(record.session).or_insert_with(|| {
-            sessions.push(RecoveredSession {
-                session: record.session,
-                monitor: CompiledMonitor::new(Arc::clone(system)),
-                actions: Vec::new(),
-            });
-            sessions.len() - 1
-        });
-        let erased = zooid_proc::erase(&action);
-        if !sessions[i].monitor.observe(&erased) {
-            return Err(RuntimeError::Recovery {
-                reason: format!(
-                    "monitor rejected logged action {n} of session {} ({erased})",
-                    record.session
-                ),
-            });
+            let mut stranger = actions[0].clone();
+            if stranger.is_send {
+                stranger.from = Role::new("stranger");
+            } else {
+                stranger.to = Role::new("stranger");
+            }
+            assert_eq!(indexer.record(3, &stranger), None);
+
+            let mut payloads = Vec::new();
+            for record in &records {
+                put_value(&mut payloads, &record.value);
+            }
+            assert_eq!(
+                encode_quantum(&records).len(),
+                4 + 14 * records.len() + payloads.len()
+            );
         }
-        sessions[i].actions.push(action);
     }
-    Ok(sessions)
 }

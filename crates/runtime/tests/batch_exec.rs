@@ -323,18 +323,17 @@ fn finish_demoted(demoted: DemotedSession, layout: &Arc<BatchLayout>) -> Observe
         assert!(rounds < 100_000, "resumed session must terminate");
         let mut progressed = false;
         for (_, task, transport) in tasks.iter_mut() {
-            loop {
-                match task.step_mem(transport, &mut |va, interned| match interned {
+            while let StepOutcome::Progress =
+                task.step_mem(transport, &mut |va, interned| match interned {
                     Some(interned) => {
                         monitor.observe_interned(interned, || erase(va));
                     }
                     None => {
                         monitor.observe(&erase(va));
                     }
-                }) {
-                    StepOutcome::Progress => progressed = true,
-                    _ => break,
-                }
+                })
+            {
+                progressed = true;
             }
         }
         if tasks.iter().all(|(_, t, _)| t.is_done()) {

@@ -1,5 +1,4 @@
-//! Durability suite: checkpoint/restore, the columnar write-ahead trace
-//! log, and re-certified crash recovery.
+//! Durability suite: checkpoint/restore under re-validation.
 //!
 //! The covenant under test is *kill-anywhere equivalence*: interrupting a
 //! session after **any** quantum, serializing it through the checkpoint
@@ -8,9 +7,8 @@
 //! verdicts — to never having interrupted it at all. Around that
 //! differential core sit the trust-boundary tests (truncated, bit-flipped
 //! and cross-protocol checkpoints are refused with structured errors, not
-//! panics), the WAL's torn-tail/corruption distinction, and
-//! recovery-as-replay (a log is re-certified through a fresh monitor, so a
-//! forged log is refused).
+//! panics), and the refusal of a checkpoint whose recorded trace or
+//! in-flight frames disagree with its monitor.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,10 +25,6 @@ use zooid_runtime::checkpoint::SessionCheckpoint;
 use zooid_runtime::exec::{EndpointStatus, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::CompiledMonitor;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
-use zooid_runtime::wal::{
-    decode_quantum_naive, encode_quantum, encode_quantum_naive, frame_quantum, recover, scan,
-    scan_bytes, WalIndexer, WalRecord, WalWriter,
-};
 use zooid_runtime::RuntimeError;
 
 // ---------------------------------------------------------------------
@@ -126,18 +120,12 @@ struct Observed {
 }
 
 /// Runs one session stand-alone on the per-session compiled executor,
-/// cooperatively on one thread, and returns the observable outcome plus
-/// every value action in global observation order (the WAL's input).
-fn run_reference(
-    g: &GlobalType,
-    procs: &[(Role, Proc)],
-    options: &ExecOptions,
-) -> (Observed, Vec<ValueAction>) {
+/// cooperatively on one thread, and returns the observable outcome.
+fn run_reference(g: &GlobalType, procs: &[(Role, Proc)], options: &ExecOptions) -> Observed {
     let mut network = InMemoryNetwork::new(procs.iter().map(|(r, _)| r.clone()));
     let system = Arc::new(System::from_global(g).expect("projectable").compile());
     let mut monitor = CompiledMonitor::new(Arc::clone(&system));
     monitor.set_record_trace(options.record_actions);
-    let mut log: Vec<ValueAction> = Vec::new();
 
     let mut tasks: Vec<(Role, CompiledEndpointTask, _)> = procs
         .iter()
@@ -161,21 +149,17 @@ fn run_reference(
         assert!(rounds < 100_000, "cooperative schedule must terminate");
         let mut progressed = false;
         for (_, task, transport) in tasks.iter_mut() {
-            loop {
-                match task.step_mem(transport, &mut |va, interned| {
-                    log.push(va.clone());
-                    match interned {
-                        Some(interned) => {
-                            monitor.observe_interned(interned, || erase(va));
-                        }
-                        None => {
-                            monitor.observe(&erase(va));
-                        }
+            while let StepOutcome::Progress =
+                task.step_mem(transport, &mut |va, interned| match interned {
+                    Some(interned) => {
+                        monitor.observe_interned(interned, || erase(va));
                     }
-                }) {
-                    StepOutcome::Progress => progressed = true,
-                    _ => break,
-                }
+                    None => {
+                        monitor.observe(&erase(va));
+                    }
+                })
+            {
+                progressed = true;
             }
         }
         if tasks.iter().all(|(_, t, _)| t.is_done()) {
@@ -197,15 +181,12 @@ fn run_reference(
         traces.insert(role, report.actions);
         drop(transport);
     }
-    (
-        Observed {
-            statuses,
-            traces,
-            compliant: monitor.is_compliant(),
-            complete: monitor.is_complete(),
-        },
-        log,
-    )
+    Observed {
+        statuses,
+        traces,
+        compliant: monitor.is_compliant(),
+        complete: monitor.is_complete(),
+    }
 }
 
 /// Resumes a demoted session on the per-session compiled executor and runs
@@ -251,18 +232,17 @@ fn finish_demoted(demoted: DemotedSession, layout: &Arc<BatchLayout>) -> Observe
         assert!(rounds < 100_000, "restored session must terminate");
         let mut progressed = false;
         for (_, task, transport) in tasks.iter_mut() {
-            loop {
-                match task.step_mem(transport, &mut |va, interned| match interned {
+            while let StepOutcome::Progress =
+                task.step_mem(transport, &mut |va, interned| match interned {
                     Some(interned) => {
                         monitor.observe_interned(interned, || erase(va));
                     }
                     None => {
                         monitor.observe(&erase(va));
                     }
-                }) {
-                    StepOutcome::Progress => progressed = true,
-                    _ => break,
-                }
+                })
+            {
+                progressed = true;
             }
         }
         if tasks.iter().all(|(_, t, _)| t.is_done()) {
@@ -337,7 +317,7 @@ fn case_studies() -> Vec<(&'static str, GlobalType, ExecOptions)> {
 fn checkpoint_at_every_quantum_matches_the_uninterrupted_run() {
     for (name, g, options) in case_studies() {
         let procs = skeleton_endpoints(&g).expect("case studies synthesize");
-        let (reference, _) = run_reference(&g, &procs, &options);
+        let reference = run_reference(&g, &procs, &options);
         let layout = make_layout(&g, &procs);
         // Kill after k quanta of budget 1, for every k until the session
         // concludes inside the batch on its own.
@@ -579,159 +559,5 @@ fn a_checkpoint_that_carries_a_violation_is_refused() {
             assert!(reason.contains("violation"), "{reason}");
         }
         other => panic!("a carried violation must be a recovery refusal, got {other:?}"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// WAL: columnar round trip, torn tails, corruption, re-certification.
-// ---------------------------------------------------------------------
-
-/// Columnarizes a reference run's global action order into WAL records.
-fn columnarize(
-    session: u64,
-    log: &[ValueAction],
-    indexer: &WalIndexer,
-) -> Vec<WalRecord> {
-    log.iter()
-        .map(|va| {
-            indexer
-                .record(session, va)
-                .expect("compiled skeleton actions columnarize")
-        })
-        .collect()
-}
-
-#[test]
-fn wal_roundtrip_recovers_and_recertifies_every_case_study() {
-    let dir = std::env::temp_dir();
-    for (name, g, options) in case_studies() {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
-        let (reference, log) = run_reference(&g, &procs, &options);
-        if log.is_empty() {
-            continue;
-        }
-        let layout = make_layout(&g, &procs);
-        let indexer = WalIndexer::new(layout.programs());
-        let records = columnarize(42, &log, &indexer);
-
-        // Group-commit in small quanta, reopen, scan.
-        let path = dir.join(format!("zooid-wal-{name}-{}.log", std::process::id()));
-        let mut writer = WalWriter::create(&path).expect("temp log creates");
-        for chunk in records.chunks(3) {
-            writer.append_quantum(chunk).expect("append commits");
-        }
-        drop(writer);
-        let scanned = scan(&path).expect("clean log scans");
-        std::fs::remove_file(&path).ok();
-        assert!(!scanned.torn_tail, "{name}: clean log has no torn tail");
-        assert_eq!(scanned.records, records, "{name}: scan returns the log");
-
-        // Recovery replays the suffix through a fresh monitor: the restored
-        // trace is re-certified, and expansion restores the full actions.
-        let recovered = recover(&scanned.records, &indexer, layout.system())
-            .expect("compliant log recovers");
-        assert_eq!(recovered.len(), 1, "{name}: one session in the log");
-        let session = &recovered[0];
-        assert_eq!(session.session, 42);
-        assert_eq!(session.actions, log, "{name}: expansion is lossless");
-        assert!(session.monitor.is_compliant(), "{name}: replay accepted");
-        assert_eq!(
-            session.monitor.is_complete(),
-            reference.complete,
-            "{name}: replay reaches the same completion verdict"
-        );
-    }
-}
-
-#[test]
-fn wal_distinguishes_torn_tails_from_corruption() {
-    let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
-    let (_, log) = run_reference(&g, &procs, &ExecOptions::default());
-    let layout = make_layout(&g, &procs);
-    let indexer = WalIndexer::new(layout.programs());
-    let records = columnarize(9, &log, &indexer);
-    let frame = frame_quantum(&records);
-
-    // A full frame followed by any strict prefix of another: torn tail —
-    // tolerated, the certified prefix survives.
-    for cut in 0..frame.len() {
-        let mut image = frame.to_vec();
-        image.extend_from_slice(&frame[..cut]);
-        let scanned = scan_bytes(&image).expect("torn tails are tolerated");
-        assert_eq!(scanned.torn_tail, cut != 0, "cut={cut}");
-        assert_eq!(scanned.records, records, "cut={cut}");
-        assert_eq!(scanned.valid_bytes, frame.len() as u64, "cut={cut}");
-    }
-
-    // A *complete* frame that fails its checksum: corruption — refused.
-    for i in 4..frame.len() {
-        let mut image = frame.to_vec();
-        image[i] ^= 0x20;
-        match scan_bytes(&image) {
-            Err(RuntimeError::Codec { .. }) => {}
-            Err(other) => panic!("flip at {i} gave non-codec error {other}"),
-            // A flip inside the length prefix turns the frame into a torn
-            // tail (the claimed frame runs past the file) — that shape is
-            // tolerated by design, but it must carry no records.
-            Ok(s) => assert!(
-                s.torn_tail && s.records.is_empty(),
-                "flip at {i} was silently accepted"
-            ),
-        }
-    }
-}
-
-#[test]
-fn wal_columnar_records_are_denser_than_naive_and_roundtrip_equal() {
-    let g = generators::two_buyer();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
-    let (_, log) = run_reference(&g, &procs, &ExecOptions::default());
-    let layout = make_layout(&g, &procs);
-    let indexer = WalIndexer::new(layout.programs());
-    let records = columnarize(5, &log, &indexer);
-
-    let columnar = encode_quantum(&records);
-    let naive = encode_quantum_naive(&records, &indexer).expect("records resolve");
-    assert!(
-        columnar.len() < naive.len(),
-        "columnar {} bytes vs naive {} bytes",
-        columnar.len(),
-        naive.len()
-    );
-    // The naive format is round-trip honest, and both formats carry the
-    // same actions.
-    let decoded = decode_quantum_naive(&naive).expect("naive decodes");
-    assert_eq!(decoded.len(), records.len());
-    for ((session, action), record) in decoded.iter().zip(&records) {
-        assert_eq!(*session, record.session);
-        assert_eq!(*action, indexer.expand(record).expect("expands"));
-    }
-}
-
-#[test]
-fn wal_recovery_refuses_forged_logs() {
-    let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
-    let (_, log) = run_reference(&g, &procs, &ExecOptions::default());
-    let layout = make_layout(&g, &procs);
-    let indexer = WalIndexer::new(layout.programs());
-    let records = columnarize(1, &log, &indexer);
-    assert!(records.len() >= 4, "ring3 logs all six actions");
-
-    // A record claiming an event its program never compiled.
-    let mut forged = records.clone();
-    forged[0].event = 10_000;
-    let err = recover(&forged, &indexer, layout.system()).unwrap_err();
-    assert!(err.to_string().starts_with("recovery refused"), "{err}");
-
-    // A reordered log: the replayed monitor rejects the out-of-order
-    // action, so the forgery cannot become an admitted session.
-    let mut reordered = records.clone();
-    reordered.swap(0, records.len() - 1);
-    let err = recover(&reordered, &indexer, layout.system()).unwrap_err();
-    match &err {
-        RuntimeError::Recovery { .. } => {}
-        other => panic!("expected recovery refusal, got {other}"),
     }
 }

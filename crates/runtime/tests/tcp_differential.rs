@@ -172,15 +172,13 @@ fn run<T: Transport>(
         })
         .collect();
 
-    let n = tasks.len();
     let mut last_progress = Instant::now();
     let mut rounds = 0usize;
     loop {
         rounds += 1;
         assert!(rounds < 10_000_000, "cooperative schedule must terminate");
         let mut progressed = false;
-        for idx in 0..n {
-            let (_, task, transport) = &mut tasks[idx];
+        for (_, task, transport) in &mut tasks {
             // Drain-until-block: step each endpoint as far as it goes.
             loop {
                 let outcome = task.step(transport, &mut |va| {

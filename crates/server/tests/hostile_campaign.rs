@@ -147,7 +147,6 @@ fn drive<T: Transport>(
         })
         .collect();
 
-    let n = tasks.len();
     let mut last_progress = Instant::now();
     let mut idle_rounds = 0usize;
     let mut rounds = 0usize;
@@ -155,8 +154,7 @@ fn drive<T: Transport>(
         rounds += 1;
         assert!(rounds < 10_000_000, "cooperative schedule must terminate");
         let mut progressed = false;
-        for idx in 0..n {
-            let (_, task, transport) = &mut tasks[idx];
+        for (_, task, transport) in &mut tasks {
             loop {
                 let outcome = task.step(transport, &mut |va| {
                     let action = zooid_proc::erase(va);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, no orphaned vendor stub,
 # a crate graph that keeps the oracles out of the server's dependencies,
-# zero compiler and rustdoc warnings, every crate's tests in both profiles,
+# zero compiler, clippy and rustdoc warnings, every crate's tests in both profiles,
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
 # smoke run, tcp_short must clear a floor no timer can, mem_mixed must stay
 # under a memory ceiling no fixed-width batch can, and every verdict of the
@@ -31,9 +31,9 @@ done
 echo "== the server links the serving engine, and the engine links no oracle"
 # The crate graph keeps the oracles off the serving path. zooid-server may
 # name zooid-runtime (the reference runtime, harness, fault injection, peer
-# TCP, the session checkpoint codec, trace log) only from its tests, and
-# the engine it links depends on no workspace crate but the type, process
-# and automaton layers. A grep for names would cover only the names it
+# TCP, the session checkpoint codec, the columnar action encoding) only from
+# its tests, and the engine it links depends on no workspace crate but the
+# type, process and automaton layers. A grep for names would cover only the names it
 # lists; this covers every oracle.
 workspace_deps() {
     cargo tree -p "$1" -e normal --offline --prefix none |
@@ -62,6 +62,11 @@ echo "== no compiler warning in any target"
 # checked with warnings denied: a warning that scrolls past in a green run
 # is not seen again.
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
+
+echo "== no clippy warning in any target"
+# The same targets under clippy's default lints. An `#[allow]` names its
+# reason at the item it excuses.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== no rustdoc warning"
 # Broken, ambiguous and private intra-doc links fail here.
