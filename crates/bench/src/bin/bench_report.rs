@@ -50,6 +50,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zooid_cfsm::{CompiledSystem, System};
+use zooid_dsl::synth::skeleton;
 use zooid_mpst::common::intern::FxHashMap;
 use zooid_mpst::generators;
 use zooid_mpst::global::GlobalType;
@@ -63,7 +64,6 @@ use zooid_runtime::exec::{ExecOptions, StepOutcome};
 use zooid_runtime::transport::{InMemoryNetwork, InMemoryTransport};
 use zooid_runtime::{CompiledMonitor, TraceMonitor};
 use zooid_server::metrics::ShardInstruments;
-use zooid_server::synth::skeleton_proc;
 use zooid_server::FlightEvent;
 
 /// Channel bound used by the `cfsm_explore*` families.
@@ -337,7 +337,7 @@ impl Fixture {
             .expect("bench families are projectable")
             .into_iter()
             .map(|(role, local)| {
-                let proc = skeleton_proc(&local).expect("bench families synthesize");
+                let (proc, _) = skeleton(&local).expect("bench families synthesize").into_parts();
                 (role, proc)
             })
             .collect();

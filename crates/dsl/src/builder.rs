@@ -105,7 +105,7 @@ pub fn jump(index: u32) -> WtProc {
 /// Fails if wrapping the body's type in `mu` would produce an unguarded
 /// recursive type (the body is just a `jump`).
 pub fn loop_(body: WtProc) -> Result<WtProc> {
-    let local = LocalType::rec(body.local.clone());
+    let local = LocalType::rec(body.local);
     if !local.is_guarded() {
         return Err(DslError::MalformedConstructor {
             reason: "the body of a loop must perform a communication before jumping".to_owned(),
@@ -134,7 +134,7 @@ pub fn send(
 ) -> Result<WtProc> {
     let label = label.into();
     check_closed_payload(&payload, &sort, &label)?;
-    let local = LocalType::send1(to.clone(), label.clone(), sort, cont.local.clone());
+    let local = LocalType::send1(to.clone(), label.clone(), sort, cont.local);
     Ok(WtProc {
         proc: Proc::send(to, label, payload, cont.proc),
         local,
@@ -198,18 +198,12 @@ pub fn branch(from: Role, alts: Vec<BranchAlt>) -> Result<WtProc> {
         });
     }
     check_distinct_labels(alts.iter().map(|a| &a.label))?;
-    let branches = alts
-        .iter()
-        .map(|a| Branch {
-            label: a.label.clone(),
-            sort: a.sort.clone(),
-            cont: a.cont.local.clone(),
-        })
-        .collect();
-    let recv_alts = alts
-        .into_iter()
-        .map(|a| RecvAlt::new(a.label, a.sort, a.var, a.cont.proc))
-        .collect();
+    let mut branches = Vec::with_capacity(alts.len());
+    let mut recv_alts = Vec::with_capacity(alts.len());
+    for a in alts {
+        branches.push(Branch::new(a.label.clone(), a.sort.clone(), a.cont.local));
+        recv_alts.push(RecvAlt::new(a.label, a.sort, a.var, a.cont.proc));
+    }
     Ok(WtProc {
         proc: Proc::Recv {
             from: from.clone(),
@@ -341,62 +335,40 @@ pub fn select(to: Role, alts: Vec<SelectAlt>) -> Result<WtProc> {
         }
     }
 
-    // The local type records every alternative, in the given order.
-    let branches = alts
-        .iter()
-        .map(|a| Branch {
-            label: a.label.clone(),
-            sort: a.sort.clone(),
-            cont: match &a.kind {
-                SelectKind::Case { cont, .. } | SelectKind::Otherwise { cont, .. } => {
-                    cont.local.clone()
-                }
-                SelectKind::Skip { cont_type } => cont_type.clone(),
-            },
-        })
-        .collect();
-    let local = LocalType::Send {
-        to: to.clone(),
-        branches,
-    };
-
-    // The process evaluates the guards in order and falls through to the
-    // default; closed payloads are sort-checked eagerly.
-    let mut implemented = Vec::new();
-    for alt in &alts {
-        match &alt.kind {
+    // The local type records every alternative, in the given order; the
+    // process evaluates the guards in order and falls through to the
+    // default. Closed payloads are sort-checked eagerly.
+    let mut branches = Vec::with_capacity(alts.len());
+    let mut cases = Vec::new();
+    let mut default = None;
+    for alt in alts {
+        let cont_type = match alt.kind {
             SelectKind::Case { guard, payload, cont } => {
-                check_closed_payload(payload, &alt.sort, &alt.label)?;
-                implemented.push((Some(guard.clone()), alt.label.clone(), payload.clone(), cont.proc.clone()));
+                check_closed_payload(&payload, &alt.sort, &alt.label)?;
+                cases.push((guard, alt.label.clone(), payload, cont.proc));
+                cont.local
             }
             SelectKind::Otherwise { payload, cont } => {
-                check_closed_payload(payload, &alt.sort, &alt.label)?;
-                implemented.push((None, alt.label.clone(), payload.clone(), cont.proc.clone()));
+                check_closed_payload(&payload, &alt.sort, &alt.label)?;
+                default = Some((alt.label.clone(), payload, cont.proc));
+                cont.local
             }
-            SelectKind::Skip { .. } => {}
-        }
+            SelectKind::Skip { cont_type } => cont_type,
+        };
+        branches.push(Branch::new(alt.label, alt.sort, cont_type));
     }
     // Build from the default outwards: ... if g1 then send l1 else (if g2
     // then send l2 else (send l_default)).
-    let (default_guard, default_label, default_payload, default_cont) = implemented
-        .iter()
-        .find(|(guard, _, _, _)| guard.is_none())
-        .cloned()
-        .expect("the shape check guarantees an otherwise alternative");
-    debug_assert!(default_guard.is_none());
-    let mut proc = Proc::send(to.clone(), default_label, default_payload, default_cont);
-    for (guard, label, payload, cont) in implemented
-        .iter()
-        .rev()
-        .filter(|(guard, _, _, _)| guard.is_some())
-    {
-        proc = Proc::cond(
-            guard.clone().expect("filtered on Some"),
-            Proc::send(to.clone(), label.clone(), payload.clone(), cont.clone()),
-            proc,
-        );
+    let (label, payload, cont) =
+        default.expect("the shape check guarantees an otherwise alternative");
+    let mut proc = Proc::send(to.clone(), label, payload, cont);
+    for (guard, label, payload, cont) in cases.into_iter().rev() {
+        proc = Proc::cond(guard, Proc::send(to.clone(), label, payload, cont), proc);
     }
-    Ok(WtProc { proc, local })
+    Ok(WtProc {
+        proc,
+        local: LocalType::Send { to, branches },
+    })
 }
 
 /// `if e then Z1 else Z2`: both alternatives must implement the *same* local
@@ -414,7 +386,7 @@ pub fn if_else(cond: Expr, then_branch: WtProc, else_branch: WtProc) -> Result<W
         });
     }
     Ok(WtProc {
-        local: then_branch.local.clone(),
+        local: then_branch.local,
         proc: Proc::cond(cond, then_branch.proc, else_branch.proc),
     })
 }
@@ -423,7 +395,7 @@ pub fn if_else(cond: Expr, then_branch: WtProc, else_branch: WtProc) -> Result<W
 /// is the continuation's (external actions are invisible to the protocol).
 pub fn read(action: impl Into<String>, var: impl Into<String>, cont: WtProc) -> WtProc {
     WtProc {
-        local: cont.local.clone(),
+        local: cont.local,
         proc: Proc::read(action, var, cont.proc),
     }
 }
@@ -432,7 +404,7 @@ pub fn read(action: impl Into<String>, var: impl Into<String>, cont: WtProc) -> 
 /// the continuation's.
 pub fn write(action: impl Into<String>, arg: Expr, cont: WtProc) -> WtProc {
     WtProc {
-        local: cont.local.clone(),
+        local: cont.local,
         proc: Proc::write(action, arg, cont.proc),
     }
 }
@@ -446,7 +418,7 @@ pub fn interact(
     cont: WtProc,
 ) -> WtProc {
     WtProc {
-        local: cont.local.clone(),
+        local: cont.local,
         proc: Proc::interact(action, arg, var, cont.proc),
     }
 }

@@ -63,6 +63,13 @@ pub enum DslError {
     ///
     /// [`WtProc::from_parts_unchecked`]: crate::builder::WtProc::from_parts_unchecked
     Typing(zooid_proc::ProcError),
+    /// The synthesiser has no skeleton for a participant: some send in its
+    /// projection carries a payload sort with no default value (see
+    /// [`synth::default_expr`](crate::synth::default_expr)).
+    NoSkeleton {
+        /// The participant left without an implementation.
+        role: Role,
+    },
 }
 
 impl fmt::Display for DslError {
@@ -97,6 +104,10 @@ impl fmt::Display for DslError {
                  projection {projected} of the protocol onto `{role}`"
             ),
             DslError::Typing(e) => write!(f, "typing failed: {e}"),
+            DslError::NoSkeleton { role } => write!(
+                f,
+                "no default payload for some sort in the projection onto `{role}`"
+            ),
         }
     }
 }
@@ -135,6 +146,9 @@ mod tests {
             },
             DslError::DuplicateLabel {
                 label: Label::new("l"),
+            },
+            DslError::NoSkeleton {
+                role: Role::new("X"),
             },
         ];
         for e in cases {

@@ -14,7 +14,11 @@
 //!    every constructor fully determines the local type of the term it
 //!    builds, so the result is a [`WtProc`] — a process *paired with* its
 //!    inferred local type, the counterpart of the Coq dependent pair
-//!    `{P : Proc | of_lt P L}`;
+//!    `{P : Proc | of_lt P L}`. [`synth`] is the automatic implementation
+//!    of this step: it walks a projection into a skeleton endpoint
+//!    (first-branch sends of default payloads, every receive handled)
+//!    through the same constructors, and minimally wrong byzantine casts
+//!    for hostile-world tests;
 //! 4. certify it against the protocol with [`Protocol::implement`], which
 //!    checks the typing derivation and that the inferred type is equal *up
 //!    to unravelling* to the projection (the step the paper performs with a
@@ -57,6 +61,7 @@
 pub mod builder;
 pub mod error;
 pub mod protocol;
+pub mod synth;
 pub mod unravel_eq;
 
 pub use builder::WtProc;

@@ -32,7 +32,7 @@ use zooid_mpst::common::intern::{LabelId, RoleId, SortId};
 use zooid_mpst::{Interner, InternerSnapshot, Role, Sort};
 
 use crate::error::{ProcError, Result};
-use crate::expr::{compare, numeric, Expr, SortEnv};
+use crate::expr::{compare, numeric, Arith, Expr, SortEnv};
 use crate::external::Externals;
 use crate::proc::Proc;
 use crate::value::Value;
@@ -108,30 +108,22 @@ impl CExpr {
             CExpr::Add(a, b) => numeric(
                 a.eval_strided(slots, stride, offset)?,
                 b.eval_strided(slots, stride, offset)?,
-                "+",
-                |x, y| x.checked_add(y),
-                |x, y| Some(x + y),
+                Arith::Add,
             ),
             CExpr::Sub(a, b) => numeric(
                 a.eval_strided(slots, stride, offset)?,
                 b.eval_strided(slots, stride, offset)?,
-                "-",
-                |x, y| Some(x.saturating_sub(y)),
-                |x, y| Some(x - y),
+                Arith::Sub,
             ),
             CExpr::Mul(a, b) => numeric(
                 a.eval_strided(slots, stride, offset)?,
                 b.eval_strided(slots, stride, offset)?,
-                "*",
-                |x, y| x.checked_mul(y),
-                |x, y| Some(x * y),
+                Arith::Mul,
             ),
             CExpr::Div(a, b) => numeric(
                 a.eval_strided(slots, stride, offset)?,
                 b.eval_strided(slots, stride, offset)?,
-                "/",
-                |x, y| Some(x.checked_div(y).unwrap_or(0)),
-                |x, y| Some(if y == 0 { 0 } else { x / y }),
+                Arith::Div,
             ),
             CExpr::Lt(a, b) => compare(
                 a.eval_strided(slots, stride, offset)?,

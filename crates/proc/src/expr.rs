@@ -335,16 +335,10 @@ impl Expr {
             Expr::Var(x) => env.get(x).cloned().ok_or_else(|| ProcError::UnboundVariable {
                 name: x.clone(),
             }),
-            Expr::Add(a, b) => numeric(a.eval(env)?, b.eval(env)?, "+", |x, y| x.checked_add(y), |x, y| Some(x + y)),
-            Expr::Sub(a, b) => numeric(a.eval(env)?, b.eval(env)?, "-", |x, y| Some(x.saturating_sub(y)), |x, y| Some(x - y)),
-            Expr::Mul(a, b) => numeric(a.eval(env)?, b.eval(env)?, "*", |x, y| x.checked_mul(y), |x, y| Some(x * y)),
-            Expr::Div(a, b) => numeric(
-                a.eval(env)?,
-                b.eval(env)?,
-                "/",
-                |x, y| Some(x.checked_div(y).unwrap_or(0)),
-                |x, y| Some(if y == 0 { 0 } else { x / y }),
-            ),
+            Expr::Add(a, b) => numeric(a.eval(env)?, b.eval(env)?, Arith::Add),
+            Expr::Sub(a, b) => numeric(a.eval(env)?, b.eval(env)?, Arith::Sub),
+            Expr::Mul(a, b) => numeric(a.eval(env)?, b.eval(env)?, Arith::Mul),
+            Expr::Div(a, b) => numeric(a.eval(env)?, b.eval(env)?, Arith::Div),
             Expr::Lt(a, b) => compare(a.eval(env)?, b.eval(env)?, |o| o == std::cmp::Ordering::Less),
             Expr::Le(a, b) => compare(a.eval(env)?, b.eval(env)?, |o| o != std::cmp::Ordering::Greater),
             Expr::Ge(a, b) => compare(a.eval(env)?, b.eval(env)?, |o| o != std::cmp::Ordering::Less),
@@ -417,23 +411,56 @@ pub fn sort_of_value(v: &Value) -> Sort {
     }
 }
 
-pub(crate) fn numeric(
-    a: Value,
-    b: Value,
-    op: &str,
-    on_nat: impl Fn(u64, u64) -> Option<u64>,
-    on_int: impl Fn(i64, i64) -> Option<i64>,
-) -> Result<Value> {
+/// The arithmetic operators of the expression language.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl fmt::Display for Arith {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Arith::Add => "+",
+            Arith::Sub => "-",
+            Arith::Mul => "*",
+            Arith::Div => "/",
+        })
+    }
+}
+
+/// `a op b` on two naturals or two integers, the one definition both
+/// evaluators ([`Expr::eval`] and the compiled `CExpr::eval_strided`) use.
+///
+/// On naturals `+` and `*` are checked, `-` saturates at 0 and `x / 0` is
+/// 0. On integers `+`, `-` and `*` are checked, `x / 0` is 0 and
+/// `i64::MIN / -1` is an overflow. An overflow is a
+/// [`ProcError::ArithmeticError`], never a panic or a wrapped value.
+#[inline(always)]
+pub(crate) fn numeric(a: Value, b: Value, op: Arith) -> Result<Value> {
     match (a, b) {
-        (Value::Nat(x), Value::Nat(y)) => on_nat(x, y).map(Value::Nat).ok_or_else(|| {
-            ProcError::ArithmeticError {
-                context: format!("nat overflow in {x} {op} {y}"),
-            }
+        (Value::Nat(x), Value::Nat(y)) => match op {
+            Arith::Add => x.checked_add(y),
+            Arith::Sub => Some(x.saturating_sub(y)),
+            Arith::Mul => x.checked_mul(y),
+            Arith::Div => Some(x.checked_div(y).unwrap_or(0)),
+        }
+        .map(Value::Nat)
+        .ok_or_else(|| ProcError::ArithmeticError {
+            context: format!("nat overflow in {x} {op} {y}"),
         }),
-        (Value::Int(x), Value::Int(y)) => on_int(x, y).map(Value::Int).ok_or_else(|| {
-            ProcError::ArithmeticError {
-                context: format!("int overflow in {x} {op} {y}"),
-            }
+        (Value::Int(x), Value::Int(y)) => match op {
+            Arith::Add => x.checked_add(y),
+            Arith::Sub => x.checked_sub(y),
+            Arith::Mul => x.checked_mul(y),
+            Arith::Div if y == 0 => Some(0),
+            Arith::Div => x.checked_div(y),
+        }
+        .map(Value::Int)
+        .ok_or_else(|| ProcError::ArithmeticError {
+            context: format!("int overflow in {x} {op} {y}"),
         }),
         (a, b) => Err(ProcError::IllTypedOperation {
             context: format!("{a} {op} {b}"),
@@ -597,5 +624,46 @@ mod tests {
     fn nat_overflow_is_an_error() {
         let e = Expr::add(Expr::lit(u64::MAX), Expr::lit(1u64));
         assert!(matches!(e.eval_closed(), Err(ProcError::ArithmeticError { .. })));
+    }
+
+    /// `a op b` on the tree evaluator and on the compiled one, which must
+    /// agree.
+    fn on_both(op: Arith, a: Value, b: Value) -> Result<Value> {
+        use crate::compile::CExpr;
+        let (x, y) = (Expr::Lit(a.clone()), Expr::Lit(b.clone()));
+        let (cx, cy) = (Box::new(CExpr::Lit(a)), Box::new(CExpr::Lit(b)));
+        let (tree, compiled) = match op {
+            Arith::Add => (Expr::add(x, y), CExpr::Add(cx, cy)),
+            Arith::Sub => (Expr::sub(x, y), CExpr::Sub(cx, cy)),
+            Arith::Mul => (Expr::mul(x, y), CExpr::Mul(cx, cy)),
+            Arith::Div => (Expr::div(x, y), CExpr::Div(cx, cy)),
+        };
+        let value = tree.eval_closed();
+        assert_eq!(value, compiled.eval(&[]), "{op}");
+        value
+    }
+
+    #[test]
+    fn both_evaluators_define_arithmetic_alike() {
+        let overflow = |r: Result<Value>| matches!(r, Err(ProcError::ArithmeticError { .. }));
+        // Naturals: checked `+` and `*`, saturating `-`, `x / 0 = 0`.
+        assert!(overflow(on_both(Arith::Add, Value::Nat(u64::MAX), Value::Nat(1))));
+        assert!(overflow(on_both(Arith::Mul, Value::Nat(u64::MAX), Value::Nat(2))));
+        assert_eq!(on_both(Arith::Sub, Value::Nat(1), Value::Nat(2)), Ok(Value::Nat(0)));
+        assert_eq!(on_both(Arith::Div, Value::Nat(7), Value::Nat(0)), Ok(Value::Nat(0)));
+        assert_eq!(on_both(Arith::Div, Value::Nat(7), Value::Nat(2)), Ok(Value::Nat(3)));
+        // Integers: checked `+`, `-`, `*` and `MIN / -1`, `x / 0 = 0`.
+        assert!(overflow(on_both(Arith::Add, Value::Int(i64::MAX), Value::Int(1))));
+        assert!(overflow(on_both(Arith::Sub, Value::Int(i64::MIN), Value::Int(1))));
+        assert!(overflow(on_both(Arith::Mul, Value::Int(i64::MIN), Value::Int(-1))));
+        assert!(overflow(on_both(Arith::Div, Value::Int(i64::MIN), Value::Int(-1))));
+        assert_eq!(on_both(Arith::Div, Value::Int(-7), Value::Int(0)), Ok(Value::Int(0)));
+        assert_eq!(on_both(Arith::Div, Value::Int(-7), Value::Int(2)), Ok(Value::Int(-3)));
+        assert_eq!(on_both(Arith::Sub, Value::Int(-1), Value::Int(2)), Ok(Value::Int(-3)));
+        // Mixed operands are ill-typed on both.
+        assert!(matches!(
+            on_both(Arith::Add, Value::Nat(1), Value::Int(1)),
+            Err(ProcError::IllTypedOperation { .. })
+        ));
     }
 }

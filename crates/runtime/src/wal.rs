@@ -129,41 +129,11 @@ mod tests {
     use crate::cbatch::{BatchLayout, SessionBatch};
     use crate::exec::ExecOptions;
     use zooid_cfsm::System;
+    use zooid_dsl::synth::skeleton;
     use zooid_mpst::global::GlobalType;
-    use zooid_mpst::local::LocalType;
+    use zooid_mpst::generators;
     use zooid_mpst::projection::project_all;
-    use zooid_mpst::{generators, Sort};
-    use zooid_proc::{CompiledProc, Expr, Externals, Proc, RecvAlt};
-
-    /// First-branch sends of a unit or a zero, as the batch suites build.
-    fn skeleton(local: &LocalType) -> Proc {
-        match local {
-            LocalType::End => Proc::Finish,
-            LocalType::Var(i) => Proc::Jump(*i),
-            LocalType::Rec(body) => Proc::loop_(skeleton(body)),
-            LocalType::Send { to, branches } => {
-                let branch = &branches[0];
-                let payload = match branch.sort {
-                    Sort::Unit => Expr::unit(),
-                    Sort::Nat => Expr::lit(0u64),
-                    ref sort => panic!("no skeleton payload of sort {sort}"),
-                };
-                Proc::send(
-                    to.clone(),
-                    branch.label.clone(),
-                    payload,
-                    skeleton(&branch.cont),
-                )
-            }
-            LocalType::Recv { from, branches } => {
-                let alts = branches
-                    .iter()
-                    .map(|b| RecvAlt::new(b.label.clone(), b.sort.clone(), "_x", skeleton(&b.cont)))
-                    .collect();
-                Proc::recv(from.clone(), alts)
-            }
-        }
-    }
+    use zooid_proc::{CompiledProc, Externals};
 
     /// Runs one skeleton session of `g` in a batch; returns its programs
     /// and every action it performed.
@@ -174,8 +144,9 @@ mod tests {
         let programs: Vec<_> = locals
             .iter()
             .map(|(role, local)| {
+                let skeleton = skeleton(local).expect("the skeleton synthesizes");
                 let compiled =
-                    CompiledProc::compile(&skeleton(local), role, &Externals::new()).unwrap();
+                    CompiledProc::compile(skeleton.proc(), role, &Externals::new()).unwrap();
                 Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
             })
             .collect();

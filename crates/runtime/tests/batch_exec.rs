@@ -24,71 +24,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use zooid_cfsm::System;
+use zooid_dsl::synth::{byzantine_driver, skeleton, ByzantineMutation};
+use zooid_dsl::Protocol;
 use zooid_mpst::global::GlobalType;
-use zooid_mpst::local::LocalType;
 use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Role, Sort};
-use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, RecvAlt, Value, ValueAction};
+use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, Value, ValueAction};
 use zooid_runtime::cbatch::{BatchLayout, BatchOutcome, DemotedSession, SessionBatch};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
 use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::CompiledMonitor;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
 
-// ---------------------------------------------------------------------
-// Skeleton synthesis (first-branch sends, default payloads) — the same
-// construction the server's load generator uses, kept local because this
-// crate sits below `zooid-server`.
-// ---------------------------------------------------------------------
-
-fn default_expr(sort: &Sort) -> Option<Expr> {
-    match sort {
-        Sort::Unit => Some(Expr::unit()),
-        Sort::Nat => Some(Expr::lit(0u64)),
-        Sort::Int => Some(Expr::lit(0i64)),
-        Sort::Bool => Some(Expr::lit(false)),
-        Sort::Str => Some(Expr::lit("")),
-        Sort::Prod(a, b) => Some(Expr::pair(default_expr(a)?, default_expr(b)?)),
-        Sort::Sum(..) | Sort::Seq(_) => None,
-    }
-}
-
-fn skeleton_proc(local: &LocalType) -> Option<Proc> {
-    match local {
-        LocalType::End => Some(Proc::Finish),
-        LocalType::Var(i) => Some(Proc::Jump(*i)),
-        LocalType::Rec(body) => Some(Proc::loop_(skeleton_proc(body)?)),
-        LocalType::Send { to, branches } => {
-            let branch = branches.first()?;
-            Some(Proc::send(
-                to.clone(),
-                branch.label.clone(),
-                default_expr(&branch.sort)?,
-                skeleton_proc(&branch.cont)?,
-            ))
-        }
-        LocalType::Recv { from, branches } => {
-            let alts = branches
-                .iter()
-                .map(|b| {
-                    Some(RecvAlt::new(
-                        b.label.clone(),
-                        b.sort.clone(),
-                        "_x",
-                        skeleton_proc(&b.cont)?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(Proc::recv(from.clone(), alts))
-        }
-    }
-}
-
+/// One skeleton process per role of `g`, from [`zooid_dsl::synth`]; `None`
+/// when `g` does not project or a payload sort has no default.
 fn skeleton_endpoints(g: &GlobalType) -> Option<Vec<(Role, Proc)>> {
     project_all(g)
         .ok()?
         .into_iter()
-        .map(|(role, local)| Some((role, skeleton_proc(&local)?)))
+        .map(|(role, local)| Some((role, skeleton(&local)?.into_parts().0)))
         .collect()
 }
 
@@ -1071,6 +1025,45 @@ fn value_flow_matches_through_columns() {
 }
 
 #[test]
+fn an_int_overflow_fails_alike_in_the_batch() {
+    // `q` receives `i64::MIN` and answers `x / -1`, which overflows: every
+    // executor fails `q` with the same error, none panics or wraps.
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let g = GlobalType::msg1(
+        p.clone(),
+        q.clone(),
+        "n",
+        Sort::Int,
+        GlobalType::msg1(q.clone(), p.clone(), "n", Sort::Int, GlobalType::End),
+    );
+    let procs = vec![
+        (
+            p.clone(),
+            Proc::send(
+                q.clone(),
+                "n",
+                Expr::lit(i64::MIN),
+                Proc::recv1(q.clone(), "n", Sort::Int, "y", Proc::Finish),
+            ),
+        ),
+        (
+            q.clone(),
+            Proc::recv1(
+                p.clone(),
+                "n",
+                Sort::Int,
+                "x",
+                Proc::send(p, "n", Expr::div(Expr::var("x"), Expr::lit(-1i64)), Proc::Finish),
+            ),
+        ),
+    ];
+    let options = ExecOptions::default();
+    assert_batch_agrees(&g, &procs, &options, &[1, 5], "int overflow");
+    let reference = run_reference(&g, &procs, &options, true);
+    assert!(matches!(reference.statuses[&q], EndpointStatus::Failed { .. }));
+}
+
+#[test]
 fn a_batch_grown_mid_flight_agrees() {
     // A shard's batch starts at one slot and doubles when it is full.
     // Sessions admitted one by one between short quanta make every doubling
@@ -1232,34 +1225,32 @@ fn fanout_loop(n: usize) -> GlobalType {
     GlobalType::rec(g)
 }
 
-/// The byzantine casts of `ring3`, one per mutation the server's campaign
-/// synthesizes (written out here, since this crate sits below
-/// `zooid-server`): Alice, the sender of the first message, runs the
-/// skeleton of a decoy ring, and Bob and Carol run the honest one.
-fn ring3_byzantine_casts() -> Vec<(&'static str, Vec<(Role, Proc)>)> {
-    let (alice, bob, carol) = (Role::new("Alice"), Role::new("Bob"), Role::new("Carol"));
-    let ring = |first: &str, sort: Sort, end: GlobalType| {
-        let back = GlobalType::msg1(carol.clone(), alice.clone(), "l", Sort::Nat, end);
-        let on = GlobalType::msg1(bob.clone(), carol.clone(), "l", Sort::Nat, back);
-        GlobalType::msg1(alice.clone(), bob.clone(), first, sort, on)
-    };
-    let extra = GlobalType::msg1(alice.clone(), bob.clone(), "byz_extra", Sort::Unit, GlobalType::End);
-    let silent = GlobalType::msg1(alice.clone(), bob.clone(), "l", Sort::Nat, GlobalType::End);
-    let decoys = [
-        ("wrong-label", ring("byz_l", Sort::Nat, GlobalType::End)),
-        ("wrong-sort", ring("l", Sort::Bool, GlobalType::End)),
-        ("after-termination", ring("l", Sort::Nat, extra)),
-        ("premature-silence", silent),
-    ];
-    let honest = skeleton_endpoints(&generators::ring3()).expect("the ring synthesizes");
-    decoys
+/// One process per role.
+type Cast = Vec<(Role, Proc)>;
+
+/// One byzantine cast per mutation, from `synth`: Alice, the sender of the
+/// first message, runs the skeleton of a decoy ring, and the others run the
+/// honest one. A mutation runs on `ring3` where it applies. Premature
+/// silence does not: its decoy would drop Carol, so `synth` gives none, and
+/// it runs on the two-role ring instead.
+fn byzantine_ring_casts() -> Vec<(String, GlobalType, Cast)> {
+    let rings = [generators::ring3(), generators::ring(&["Alice", "Bob"])];
+    ByzantineMutation::all()
         .into_iter()
-        .map(|(mutation, decoy)| {
-            let byzantine = skeleton_endpoints(&decoy).expect("decoys synthesize");
-            let actor = byzantine.into_iter().find(|(role, _)| *role == alice);
-            let mut cast: Vec<_> = honest.iter().filter(|(role, _)| *role != alice).cloned().collect();
-            cast.push(actor.expect("the decoy keeps Alice"));
-            (mutation, cast)
+        .map(|mutation| {
+            rings
+                .iter()
+                .find_map(|g| {
+                    let ring = Protocol::new("ring", g.clone()).expect("rings are well-formed");
+                    let driver = byzantine_driver(&ring, mutation).expect("decoys certify")?;
+                    let cast = driver
+                        .endpoints
+                        .iter()
+                        .map(|(cert, _)| (cert.role().clone(), cert.proc().clone()))
+                        .collect();
+                    Some((format!("ring{}/{mutation}", ring.roles().len()), g.clone(), cast))
+                })
+                .expect("every mutation applies to a ring")
         })
         .collect()
 }
@@ -1302,9 +1293,8 @@ fn a_sessions_interleaving_does_not_depend_on_its_batch() {
             ExecOptions::with_max_steps(40),
         ),
     ];
-    for (mutation, cast) in ring3_byzantine_casts() {
-        let name = format!("ring3/{mutation}");
-        cases.push((name, generators::ring3(), cast, ExecOptions::default()));
+    for (name, g, cast) in byzantine_ring_casts() {
+        cases.push((name, g, cast, ExecOptions::default()));
     }
     let mut violators = 0;
     for (name, g, procs, options) in cases {

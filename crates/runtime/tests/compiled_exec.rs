@@ -23,70 +23,23 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use zooid_cfsm::System;
+use zooid_dsl::synth::skeleton;
 use zooid_mpst::global::GlobalType;
-use zooid_mpst::local::LocalType;
 use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Action, Role, Sort};
-use zooid_proc::{Expr, Externals, Proc, RecvAlt, Value, ValueAction};
+use zooid_proc::{Expr, Externals, Proc, Value, ValueAction};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
 use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
 use zooid_runtime::transport::InMemoryNetwork;
 
-// ---------------------------------------------------------------------
-// Skeleton synthesis (first-branch sends, default payloads) — the same
-// construction the server's load generator uses, kept local because this
-// crate sits below `zooid-server`.
-// ---------------------------------------------------------------------
-
-fn default_expr(sort: &Sort) -> Option<Expr> {
-    match sort {
-        Sort::Unit => Some(Expr::unit()),
-        Sort::Nat => Some(Expr::lit(0u64)),
-        Sort::Int => Some(Expr::lit(0i64)),
-        Sort::Bool => Some(Expr::lit(false)),
-        Sort::Str => Some(Expr::lit("")),
-        Sort::Prod(a, b) => Some(Expr::pair(default_expr(a)?, default_expr(b)?)),
-        Sort::Sum(..) | Sort::Seq(_) => None,
-    }
-}
-
-fn skeleton_proc(local: &LocalType) -> Option<Proc> {
-    match local {
-        LocalType::End => Some(Proc::Finish),
-        LocalType::Var(i) => Some(Proc::Jump(*i)),
-        LocalType::Rec(body) => Some(Proc::loop_(skeleton_proc(body)?)),
-        LocalType::Send { to, branches } => {
-            let branch = branches.first()?;
-            Some(Proc::send(
-                to.clone(),
-                branch.label.clone(),
-                default_expr(&branch.sort)?,
-                skeleton_proc(&branch.cont)?,
-            ))
-        }
-        LocalType::Recv { from, branches } => {
-            let alts = branches
-                .iter()
-                .map(|b| {
-                    Some(RecvAlt::new(
-                        b.label.clone(),
-                        b.sort.clone(),
-                        "_x",
-                        skeleton_proc(&b.cont)?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(Proc::recv(from.clone(), alts))
-        }
-    }
-}
-
+/// One skeleton process per role of `g`, from [`zooid_dsl::synth`]; `None`
+/// when `g` does not project or a payload sort has no default.
 fn skeleton_endpoints(g: &GlobalType) -> Option<Vec<(Role, Proc)>> {
     project_all(g)
         .ok()?
         .into_iter()
-        .map(|(role, local)| Some((role, skeleton_proc(&local)?)))
+        .map(|(role, local)| Some((role, skeleton(&local)?.into_parts().0)))
         .collect()
 }
 
@@ -349,6 +302,41 @@ fn engines_agree_on_stalls() {
     }
 }
 
+/// `p → q : Int. q → p : Int`, where `p` sends `i64::MIN` and `q` answers
+/// `x / -1`, which overflows.
+fn int_overflow_cast() -> (GlobalType, Vec<(Role, Proc)>) {
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let g = GlobalType::msg1(
+        p.clone(),
+        q.clone(),
+        "n",
+        Sort::Int,
+        GlobalType::msg1(q.clone(), p.clone(), "n", Sort::Int, GlobalType::End),
+    );
+    let procs = vec![
+        (
+            p.clone(),
+            Proc::send(
+                q.clone(),
+                "n",
+                Expr::lit(i64::MIN),
+                Proc::recv1(q.clone(), "n", Sort::Int, "y", Proc::Finish),
+            ),
+        ),
+        (
+            q,
+            Proc::recv1(
+                p.clone(),
+                "n",
+                Sort::Int,
+                "x",
+                Proc::send(p, "n", Expr::div(Expr::var("x"), Expr::lit(-1i64)), Proc::Finish),
+            ),
+        ),
+    ];
+    (g, procs)
+}
+
 #[test]
 fn engines_agree_on_failures() {
     // A saboteur sends a label its peer does not handle...
@@ -380,10 +368,16 @@ fn engines_agree_on_failures() {
             Proc::recv1(Role::new("p"), "good", Sort::Nat, "x", Proc::Finish),
         ),
     ];
-    for (name, procs) in [("wrong label", saboteur), ("wrong sort", bad_payload)] {
+    // ... and one overflows integer division on the value it received.
+    let (overflow_g, overflow) = int_overflow_cast();
+    for (name, g, procs) in [
+        ("wrong label", &g, saboteur),
+        ("wrong sort", &g, bad_payload),
+        ("int overflow", &overflow_g, overflow),
+    ] {
         for schedule in SCHEDULES {
-            let tree = run(&g, &procs, &ExecOptions::default(), schedule, false);
-            let compiled = run(&g, &procs, &ExecOptions::default(), schedule, true);
+            let tree = run(g, &procs, &ExecOptions::default(), schedule, false);
+            let compiled = run(g, &procs, &ExecOptions::default(), schedule, true);
             // Identical failures, error strings included.
             assert_eq!(tree, compiled, "{name}");
             assert!(matches!(

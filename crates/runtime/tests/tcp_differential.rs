@@ -24,11 +24,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zooid_cfsm::System;
+use zooid_dsl::synth::skeleton;
 use zooid_mpst::global::GlobalType;
-use zooid_mpst::local::LocalType;
 use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Role, Sort};
-use zooid_proc::{Expr, Externals, Proc, RecvAlt, Value, ValueAction};
+use zooid_proc::{Externals, Proc, Value, ValueAction};
 use zooid_runtime::error::RuntimeError;
 use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
@@ -36,59 +36,13 @@ use zooid_runtime::tcp::TcpTransport;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
 use zooid_mpst::Label;
 
-// ---------------------------------------------------------------------
-// Skeleton synthesis (first-branch sends, default payloads) — local copy,
-// as in `compiled_exec.rs`: this crate sits below `zooid-server`.
-// ---------------------------------------------------------------------
-
-fn default_expr(sort: &Sort) -> Option<Expr> {
-    match sort {
-        Sort::Unit => Some(Expr::unit()),
-        Sort::Nat => Some(Expr::lit(0u64)),
-        Sort::Int => Some(Expr::lit(0i64)),
-        Sort::Bool => Some(Expr::lit(false)),
-        Sort::Str => Some(Expr::lit("")),
-        Sort::Prod(a, b) => Some(Expr::pair(default_expr(a)?, default_expr(b)?)),
-        Sort::Sum(..) | Sort::Seq(_) => None,
-    }
-}
-
-fn skeleton_proc(local: &LocalType) -> Option<Proc> {
-    match local {
-        LocalType::End => Some(Proc::Finish),
-        LocalType::Var(i) => Some(Proc::Jump(*i)),
-        LocalType::Rec(body) => Some(Proc::loop_(skeleton_proc(body)?)),
-        LocalType::Send { to, branches } => {
-            let branch = branches.first()?;
-            Some(Proc::send(
-                to.clone(),
-                branch.label.clone(),
-                default_expr(&branch.sort)?,
-                skeleton_proc(&branch.cont)?,
-            ))
-        }
-        LocalType::Recv { from, branches } => {
-            let alts = branches
-                .iter()
-                .map(|b| {
-                    Some(RecvAlt::new(
-                        b.label.clone(),
-                        b.sort.clone(),
-                        "_x",
-                        skeleton_proc(&b.cont)?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(Proc::recv(from.clone(), alts))
-        }
-    }
-}
-
+/// One skeleton process per role of `g`, from [`zooid_dsl::synth`]; `None`
+/// when `g` does not project or a payload sort has no default.
 fn skeleton_endpoints(g: &GlobalType) -> Option<Vec<(Role, Proc)>> {
     project_all(g)
         .ok()?
         .into_iter()
-        .map(|(role, local)| Some((role, skeleton_proc(&local)?)))
+        .map(|(role, local)| Some((role, skeleton(&local)?.into_parts().0)))
         .collect()
 }
 

@@ -42,12 +42,6 @@ pub enum ServerError {
         /// The protocol the endpoint was certified for.
         found: String,
     },
-    /// A local type cannot be turned into a skeleton process (its sends
-    /// require payload sorts with no canonical default value).
-    Unsupported {
-        /// Why synthesis gave up.
-        reason: String,
-    },
     /// The server's worker shards are gone (already shut down).
     Shutdown,
     /// The networked serving plane hit a socket-level failure (bind,
@@ -77,7 +71,6 @@ impl fmt::Display for ServerError {
                 f,
                 "endpoint certified for protocol `{found}` used in a session of `{expected}`"
             ),
-            ServerError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
             ServerError::Shutdown => write!(f, "the server has been shut down"),
             ServerError::Net { reason } => write!(f, "network error: {reason}"),
         }
@@ -121,7 +114,6 @@ mod tests {
                 expected: "a".into(),
                 found: "b".into(),
             },
-            ServerError::Unsupported { reason: "sum sorts".into() },
             ServerError::Shutdown,
             ServerError::Net {
                 reason: "address in use".into(),

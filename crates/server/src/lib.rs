@@ -72,13 +72,15 @@
 //!   monitor violation — a replayable [`obs::Incident`] (role, action,
 //!   monitor cursor, bounded compliant-trace prefix) that re-certifies the
 //!   violation against the [`zooid_cfsm::CompiledSystem`];
-//! * [`synth`] — skeleton endpoint implementations synthesized from
-//!   projections, used by the load generator and the differential tests,
-//!   plus the **byzantine driver generator**: for a registered protocol it
-//!   synthesizes minimally-wrong endpoint casts — wrong label, wrong
-//!   payload sort, a message after termination, premature silence — one
-//!   mutation per driver, each with a known expected violation class, for
-//!   the hostile-world campaign (`tests/hostile_campaign.rs`);
+//! * [`synth`] — a re-export of [`zooid_dsl::synth`], kept at this path
+//!   because the frozen benchmark and the `load_sim` example import it
+//!   from here: skeleton endpoint implementations certified from
+//!   projections, for the load generator and the differential tests, and
+//!   the **byzantine driver generator**, which certifies minimally-wrong
+//!   endpoint casts — wrong label, wrong payload sort, a message after
+//!   termination, premature silence — one mutation per driver, each with a
+//!   known expected violation class, for the hostile-world campaign
+//!   (`tests/hostile_campaign.rs`);
 //! * [`net`] — the event-driven networked serving plane: a [`NetServer`]
 //!   fronts the [`SessionServer`] with one non-blocking IO thread (which
 //!   blocks only when idle, and then on the shards' outcome channel)

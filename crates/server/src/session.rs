@@ -96,7 +96,7 @@ impl SessionSpec {
     /// sorts with no default value.
     pub fn skeleton(registry: &ProtocolRegistry, protocol: ProtocolId) -> Result<Self> {
         let artifacts = registry.get(protocol).ok_or(ServerError::UnknownProtocol)?;
-        let endpoints = crate::synth::skeleton_endpoints(artifacts.protocol())?;
+        let endpoints = zooid_dsl::synth::skeleton_endpoints(artifacts.protocol())?;
         Ok(SessionSpec::new(protocol, endpoints))
     }
 

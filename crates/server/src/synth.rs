@@ -1,351 +1,18 @@
-//! Skeleton endpoint implementations synthesized from projections.
-//!
-//! Load generation and differential testing need *some* certified
-//! implementation for every role of arbitrary (randomized) protocols. The
-//! skeletons built here follow the projected local type literally: an
-//! internal choice always selects its **first** branch and sends the
-//! canonical default value of the payload sort, an external choice
-//! implements every alternative, recursion becomes a process loop. The
-//! result type-checks against the projection by construction, so
-//! [`Protocol::implement_against_projection`] certifies it — giving a fully
-//! deterministic session whose per-endpoint traces are schedule-independent
-//! (which is what the harness-vs-server differential tests rely on).
+//! The synthesiser of `zooid-dsl` ([`zooid_dsl::synth`]) at its old path:
+//! skeleton endpoints certified from projections, and byzantine drivers.
+//! The names stay importable from here because the frozen benchmark and
+//! the `load_sim` example import them from `zooid_server`. The tests below
+//! run the synthesised casts in `zooid-runtime`'s `SessionHarness`, which
+//! `zooid-dsl` cannot link without a dependency cycle.
 
-use zooid_dsl::{CertifiedProcess, Protocol};
-use zooid_mpst::global::GlobalType;
-use zooid_mpst::local::LocalType;
-use zooid_mpst::{Label, Role, Sort};
-use zooid_proc::{Expr, Externals, Proc, RecvAlt};
-
-use crate::error::{Result, ServerError};
-
-/// The canonical default expression of a payload sort (`0`, `false`, `""`,
-/// pairs of defaults, ...), or `None` for sorts with no closed constructor
-/// in the expression language (sums and sequences).
-pub fn default_expr(sort: &Sort) -> Option<Expr> {
-    match sort {
-        Sort::Unit => Some(Expr::unit()),
-        Sort::Nat => Some(Expr::lit(0u64)),
-        Sort::Int => Some(Expr::lit(0i64)),
-        Sort::Bool => Some(Expr::lit(false)),
-        Sort::Str => Some(Expr::lit("")),
-        Sort::Prod(a, b) => Some(Expr::pair(default_expr(a)?, default_expr(b)?)),
-        Sort::Sum(..) | Sort::Seq(_) => None,
-    }
-}
-
-/// The skeleton process of a local type: first-branch sends with default
-/// payloads, exhaustive receives, loops for recursion.
-///
-/// Returns `None` if some send position carries a sort without a
-/// [`default_expr`].
-pub fn skeleton_proc(local: &LocalType) -> Option<Proc> {
-    match local {
-        LocalType::End => Some(Proc::Finish),
-        LocalType::Var(i) => Some(Proc::Jump(*i)),
-        LocalType::Rec(body) => Some(Proc::loop_(skeleton_proc(body)?)),
-        LocalType::Send { to, branches } => {
-            let branch = branches.first()?;
-            Some(Proc::send(
-                to.clone(),
-                branch.label.clone(),
-                default_expr(&branch.sort)?,
-                skeleton_proc(&branch.cont)?,
-            ))
-        }
-        LocalType::Recv { from, branches } => {
-            let alts = branches
-                .iter()
-                .map(|b| {
-                    Some(RecvAlt::new(
-                        b.label.clone(),
-                        b.sort.clone(),
-                        "_x",
-                        skeleton_proc(&b.cont)?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(Proc::recv(from.clone(), alts))
-        }
-    }
-}
-
-/// Certifies a skeleton implementation for every participant of a protocol.
-///
-/// # Errors
-///
-/// Fails if the protocol is not projectable or some projection needs a
-/// payload sort without a default value.
-pub fn skeleton_endpoints(protocol: &Protocol) -> Result<Vec<(CertifiedProcess, Externals)>> {
-    let externals = Externals::new();
-    protocol
-        .project_all()?
-        .into_iter()
-        .map(|(role, local)| {
-            let proc = skeleton_proc(&local).ok_or_else(|| ServerError::Unsupported {
-                reason: format!("no default payload for some sort in the projection onto `{role}`"),
-            })?;
-            let cert = protocol.implement_against_projection(&role, proc, &externals)?;
-            Ok((cert, externals.clone()))
-        })
-        .collect()
-}
-
-/// The minimal protocol mutations a byzantine driver can embody — **one
-/// mutation per driver**, so every hostile-campaign case has a known
-/// expected outcome class.
-///
-/// Each mutation rewrites the protocol's global type at exactly one site
-/// (the first message, whose sender becomes the byzantine actor); the
-/// mutated actor is then *certified against the mutated decoy* — same name,
-/// same participants, so it passes submission validation — while every
-/// other role stays honest. The compiled monitor is the only line of
-/// defence that can notice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ByzantineMutation {
-    /// The actor sends a label the protocol does not allow at that point.
-    WrongLabel,
-    /// The actor sends the right label with a payload of the wrong sort.
-    WrongSort,
-    /// The actor sends one extra message after the protocol has terminated.
-    AfterTermination,
-    /// The actor stops participating after its first send: the session goes
-    /// silent instead of misbehaving observably.
-    PrematureSilence,
-}
-
-/// The outcome class a byzantine mutation is expected to produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExpectedClass {
-    /// The monitor records a violation and the session is quarantined.
-    Violation,
-    /// No observable protocol violation: the session ends compliant but
-    /// incomplete (silence is indistinguishable from slowness).
-    Silence,
-}
-
-impl ByzantineMutation {
-    /// Every mutation, for campaign matrices.
-    pub fn all() -> [ByzantineMutation; 4] {
-        [
-            ByzantineMutation::WrongLabel,
-            ByzantineMutation::WrongSort,
-            ByzantineMutation::AfterTermination,
-            ByzantineMutation::PrematureSilence,
-        ]
-    }
-
-    /// The expected outcome class when one actor carries this mutation and
-    /// every other role is honest.
-    pub fn expected(self) -> ExpectedClass {
-        match self {
-            ByzantineMutation::WrongLabel
-            | ByzantineMutation::WrongSort
-            | ByzantineMutation::AfterTermination => ExpectedClass::Violation,
-            ByzantineMutation::PrematureSilence => ExpectedClass::Silence,
-        }
-    }
-}
-
-impl std::fmt::Display for ByzantineMutation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ByzantineMutation::WrongLabel => "wrong-label",
-            ByzantineMutation::WrongSort => "wrong-sort",
-            ByzantineMutation::AfterTermination => "after-termination",
-            ByzantineMutation::PrematureSilence => "premature-silence",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One synthesized byzantine driver: the full endpoint cast for a session
-/// in which exactly one role misbehaves in exactly one way.
-#[derive(Debug, Clone)]
-pub struct ByzantineDriver {
-    /// The mutation this driver embodies.
-    pub mutation: ByzantineMutation,
-    /// The misbehaving participant (the sender of the protocol's first
-    /// message).
-    pub actor: Role,
-    /// Endpoints for every participant: the actor certified against the
-    /// mutated decoy, everyone else honest.
-    pub endpoints: Vec<(CertifiedProcess, Externals)>,
-}
-
-/// The sender and receiver of the first message of a global type.
-fn first_message(g: &GlobalType) -> Option<(Role, Role)> {
-    match g {
-        GlobalType::End | GlobalType::Var(_) => None,
-        GlobalType::Rec(body) => first_message(body),
-        GlobalType::Msg { from, to, .. } => Some((from.clone(), to.clone())),
-    }
-}
-
-/// A sort with a default value that differs from `sort`.
-fn flipped_sort(sort: &Sort) -> Sort {
-    if matches!(sort, Sort::Bool) {
-        Sort::Nat
-    } else {
-        Sort::Bool
-    }
-}
-
-/// Rewrites the global type at the mutation site. Returns `None` when the
-/// mutation does not apply to this protocol's shape (e.g. no reachable
-/// `end` for [`ByzantineMutation::AfterTermination`]).
-fn mutate_global(
-    g: &GlobalType,
-    mutation: ByzantineMutation,
-    actor: &Role,
-    peer: &Role,
-) -> Option<GlobalType> {
-    match g {
-        GlobalType::End => match mutation {
-            ByzantineMutation::AfterTermination => Some(GlobalType::msg1(
-                actor.clone(),
-                peer.clone(),
-                "byz_extra",
-                Sort::Unit,
-                GlobalType::End,
-            )),
-            _ => None,
-        },
-        GlobalType::Var(_) => None,
-        GlobalType::Rec(body) => Some(GlobalType::rec(mutate_global(body, mutation, actor, peer)?)),
-        GlobalType::Msg { from, to, branches } => match mutation {
-            ByzantineMutation::WrongLabel => {
-                let mut branches = branches.clone();
-                let first = branches.first_mut()?;
-                first.label = Label::new(format!("byz_{}", first.label));
-                Some(GlobalType::msg(
-                    from.clone(),
-                    to.clone(),
-                    branches.into_iter().map(|b| (b.label, b.sort, b.cont)),
-                ))
-            }
-            ByzantineMutation::WrongSort => {
-                let mut branches = branches.clone();
-                let first = branches.first_mut()?;
-                first.sort = flipped_sort(&first.sort);
-                Some(GlobalType::msg(
-                    from.clone(),
-                    to.clone(),
-                    branches.into_iter().map(|b| (b.label, b.sort, b.cont)),
-                ))
-            }
-            ByzantineMutation::PrematureSilence => {
-                // The actor completes its first send and then goes silent.
-                // Every branch continues as `end` so the decoy still merges
-                // and projects for every role.
-                if branches.iter().all(|b| b.cont == GlobalType::End) {
-                    return None; // the protocol is already one message long
-                }
-                Some(GlobalType::msg(
-                    from.clone(),
-                    to.clone(),
-                    branches
-                        .iter()
-                        .map(|b| (b.label.clone(), b.sort.clone(), GlobalType::End)),
-                ))
-            }
-            ByzantineMutation::AfterTermination => {
-                // Recurse: replace every reachable `end` with one extra
-                // actor-sent message. All terminating paths must gain the
-                // same epilogue, or the decoy's branches stop merging for
-                // roles not involved in the choice.
-                let mut branches = branches.clone();
-                let mut rewritten = false;
-                for b in &mut branches {
-                    if let Some(cont) = mutate_global(&b.cont, mutation, actor, peer) {
-                        b.cont = cont;
-                        rewritten = true;
-                    }
-                }
-                if !rewritten {
-                    return None;
-                }
-                Some(GlobalType::msg(
-                    from.clone(),
-                    to.clone(),
-                    branches.into_iter().map(|b| (b.label, b.sort, b.cont)),
-                ))
-            }
-        },
-    }
-}
-
-/// Synthesizes a byzantine driver for a protocol: the sender of the first
-/// message misbehaves per `mutation`, everyone else runs the honest
-/// skeleton.
-///
-/// Returns `Ok(None)` when the mutation does not apply to the protocol's
-/// shape (no terminating path for an after-termination message, a protocol
-/// already one message long for premature silence, ...).
-///
-/// # Errors
-///
-/// Fails if the mutated decoy does not project or its skeleton cannot be
-/// certified — both indicate a generator bug rather than a hostile input.
-pub fn byzantine_driver(
-    protocol: &Protocol,
-    mutation: ByzantineMutation,
-) -> Result<Option<ByzantineDriver>> {
-    let Some((actor, peer)) = first_message(protocol.global()) else {
-        return Ok(None);
-    };
-    let Some(mutated) = mutate_global(protocol.global(), mutation, &actor, &peer) else {
-        return Ok(None);
-    };
-    // Same name, same participants: the decoy passes submission validation;
-    // only the monitor can tell the difference.
-    let decoy = Protocol::new(protocol.name(), mutated)?;
-    if decoy.roles() != protocol.roles() {
-        return Ok(None); // the mutation changed the cast; not minimal
-    }
-    let externals = Externals::new();
-    let mut endpoints = Vec::new();
-    for (role, local) in protocol.project_all()? {
-        let (certify_against, local) = if role == actor {
-            let local = decoy
-                .project_all()?
-                .into_iter()
-                .find(|(r, _)| *r == actor)
-                .map(|(_, l)| l)
-                .ok_or_else(|| ServerError::Unsupported {
-                    reason: format!("decoy lost participant `{actor}`"),
-                })?;
-            (&decoy, local)
-        } else {
-            (protocol, local)
-        };
-        let proc = skeleton_proc(&local).ok_or_else(|| ServerError::Unsupported {
-            reason: format!("no default payload for some sort in the projection onto `{role}`"),
-        })?;
-        let cert = certify_against.implement_against_projection(&role, proc, &externals)?;
-        endpoints.push((cert, externals.clone()));
-    }
-    Ok(Some(ByzantineDriver {
-        mutation,
-        actor,
-        endpoints,
-    }))
-}
+pub use zooid_dsl::synth::*;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zooid_dsl::Protocol;
     use zooid_mpst::generators;
     use zooid_runtime::SessionHarness;
-
-    #[test]
-    fn default_expressions_cover_the_base_sorts() {
-        for sort in [Sort::Unit, Sort::Nat, Sort::Int, Sort::Bool, Sort::Str] {
-            assert!(default_expr(&sort).is_some(), "{sort:?}");
-        }
-        assert!(default_expr(&Sort::prod(Sort::Nat, Sort::Bool)).is_some());
-        assert!(default_expr(&Sort::sum(Sort::Nat, Sort::Bool)).is_none());
-    }
 
     #[test]
     fn skeletons_certify_and_run_for_the_named_protocols() {
@@ -402,34 +69,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn byzantine_mutations_that_do_not_apply_return_none() {
-        // A single-message protocol has no continuation to silence.
-        let one_shot = Protocol::new(
-            "one_shot",
-            GlobalType::msg1(
-                Role::new("a"),
-                Role::new("b"),
-                "m",
-                Sort::Nat,
-                GlobalType::End,
-            ),
-        )
-        .unwrap();
-        assert!(
-            byzantine_driver(&one_shot, ByzantineMutation::PrematureSilence)
-                .unwrap()
-                .is_none()
-        );
-        // An infinite loop has no reachable `end` to speak after.
-        let pipeline = Protocol::new("pipeline", generators::pipeline()).unwrap();
-        assert!(
-            byzantine_driver(&pipeline, ByzantineMutation::AfterTermination)
-                .unwrap()
-                .is_none()
-        );
     }
 
     #[test]

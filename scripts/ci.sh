@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, no orphaned vendor stub,
+# committed benchmark pairs (PAIRS_pr*.json) consistent with their samples,
 # a crate graph that keeps the oracles out of the server's dependencies,
 # zero compiler, clippy and rustdoc warnings, every crate's tests in both profiles,
 # the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
@@ -27,6 +28,13 @@ for stub in vendor/*/; do
         exit 1
     }
 done
+
+echo "== every committed benchmark pair record agrees with its samples"
+# Recomputes each PAIRS_pr*.json record's quartiles and better/worse counts
+# from its per-seed samples; a mismatch or a malformed record fails. The
+# readings it prints per metric (gain, worse beyond bound, unresolved,
+# inside bound) are information only.
+scripts/bench_pairs.sh --check PAIRS_pr*.json | tail -n 1
 
 echo "== the server links the serving engine, and the engine links no oracle"
 # The crate graph keeps the oracles off the serving path. zooid-server may
