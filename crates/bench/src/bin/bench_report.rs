@@ -50,11 +50,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zooid_cfsm::{CompiledSystem, System};
-use zooid_dsl::synth::skeleton;
+use zooid_dsl::synth::skeleton_procs;
 use zooid_mpst::common::intern::FxHashMap;
 use zooid_mpst::generators;
 use zooid_mpst::global::GlobalType;
-use zooid_mpst::projection::project_all;
 use zooid_mpst::trace_equiv::{check_trace_equivalence, check_trace_equivalence_exhaustive};
 use zooid_mpst::{Action, Label, Role, Sort};
 use zooid_proc::{erase, CompiledProc, Externals, Proc};
@@ -333,14 +332,7 @@ struct Fixture {
 
 impl Fixture {
     fn new(g: &GlobalType) -> Fixture {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let (proc, _) = skeleton(&local).expect("bench families synthesize").into_parts();
-                (role, proc)
-            })
-            .collect();
+        let mut procs = skeleton_procs(g).expect("bench families synthesize");
         procs.sort_by(|a, b| a.0.cmp(&b.0));
         let system = Arc::new(compile(g).1);
         let externals = Externals::new();

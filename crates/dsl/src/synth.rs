@@ -20,8 +20,9 @@
 
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::local::LocalType;
+use zooid_mpst::projection::project_all;
 use zooid_mpst::{Label, Role, Sort};
-use zooid_proc::{Expr, Externals};
+use zooid_proc::{Expr, Externals, Proc};
 
 use crate::builder::{self, BranchAlt, SelectAlt, WtProc};
 use crate::error::{DslError, Result};
@@ -80,6 +81,17 @@ pub fn skeleton(local: &LocalType) -> Option<WtProc> {
             builder::branch(from.clone(), alts).ok()
         }
     }
+}
+
+/// The bare skeleton process of every role of `g`, in projection order,
+/// for executors that take processes rather than certificates; `None` when
+/// `g` does not project or some send needs a sort without a default.
+pub fn skeleton_procs(g: &GlobalType) -> Option<Vec<(Role, Proc)>> {
+    project_all(g)
+        .ok()?
+        .into_iter()
+        .map(|(role, local)| Some((role, skeleton(&local)?.into_parts().0)))
+        .collect()
 }
 
 /// Certifies the skeleton of `local`, the projection of `protocol` onto

@@ -129,28 +129,25 @@ mod tests {
     use crate::cbatch::{BatchLayout, SessionBatch};
     use crate::exec::ExecOptions;
     use zooid_cfsm::System;
-    use zooid_dsl::synth::skeleton;
+    use zooid_dsl::synth::skeleton_procs;
     use zooid_mpst::global::GlobalType;
     use zooid_mpst::generators;
-    use zooid_mpst::projection::project_all;
     use zooid_proc::{CompiledProc, Externals};
 
     /// Runs one skeleton session of `g` in a batch; returns its programs
     /// and every action it performed.
     fn skeleton_run(g: &GlobalType) -> (Vec<Arc<EndpointProgram>>, Vec<ValueAction>) {
         let system = Arc::new(System::from_global(g).unwrap().compile());
-        let mut locals = project_all(g).unwrap();
-        locals.sort_by(|a, b| a.0.cmp(&b.0));
-        let programs: Vec<_> = locals
+        let mut procs = skeleton_procs(g).expect("the skeleton synthesizes");
+        procs.sort_by(|a, b| a.0.cmp(&b.0));
+        let programs: Vec<_> = procs
             .iter()
-            .map(|(role, local)| {
-                let skeleton = skeleton(local).expect("the skeleton synthesizes");
-                let compiled =
-                    CompiledProc::compile(skeleton.proc(), role, &Externals::new()).unwrap();
+            .map(|(role, proc)| {
+                let compiled = CompiledProc::compile(proc, role, &Externals::new()).unwrap();
                 Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
             })
             .collect();
-        let roles = locals.into_iter().map(|(role, _)| role).collect();
+        let roles = procs.into_iter().map(|(role, _)| role).collect();
         let layout = BatchLayout::new(roles, programs.clone(), system).unwrap();
         let mut batch = SessionBatch::new(layout, ExecOptions::default(), 1);
         assert!(batch.admit(7));

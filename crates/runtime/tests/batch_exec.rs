@@ -24,10 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use zooid_cfsm::System;
-use zooid_dsl::synth::{byzantine_driver, skeleton, ByzantineMutation};
+use zooid_dsl::synth::{byzantine_driver, skeleton_procs, ByzantineMutation};
 use zooid_dsl::Protocol;
 use zooid_mpst::global::GlobalType;
-use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Role, Sort};
 use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, Value, ValueAction};
 use zooid_runtime::cbatch::{BatchLayout, BatchOutcome, DemotedSession, SessionBatch};
@@ -36,15 +35,8 @@ use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome
 use zooid_runtime::monitor::CompiledMonitor;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
 
-/// One skeleton process per role of `g`, from [`zooid_dsl::synth`]; `None`
-/// when `g` does not project or a payload sort has no default.
-fn skeleton_endpoints(g: &GlobalType) -> Option<Vec<(Role, Proc)>> {
-    project_all(g)
-        .ok()?
-        .into_iter()
-        .map(|(role, local)| Some((role, skeleton(&local)?.into_parts().0)))
-        .collect()
-}
+mod common;
+use common::int_overflow_cast;
 
 // ---------------------------------------------------------------------
 // What every engine must agree on. The *order* of the monitor's global
@@ -418,9 +410,12 @@ fn batch_agrees_with_slab_and_tree_on_the_case_studies() {
         ("ping_pong", generators::ping_pong(), ExecOptions::with_max_steps(7)),
     ];
     for (name, g, options) in cases {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         assert_batch_agrees(&g, &procs, &options, &[1, 5, 64], name);
     }
+    // ... and a cast whose `q` overflows integer division fails alike.
+    let (g, procs) = int_overflow_cast();
+    assert_batch_agrees(&g, &procs, &ExecOptions::default(), &[1, 5], "int overflow");
 }
 
 #[test]
@@ -432,7 +427,7 @@ fn a_blocked_session_is_closed_as_stalled_inside_the_batch() {
     // step once and close — and it closes exactly as the per-session
     // executor does when it runs the same cast from the start.
     let g = generators::pipeline();
-    let procs = skeleton_endpoints(&g).expect("pipeline synthesizes");
+    let procs = skeleton_procs(&g).expect("pipeline synthesizes");
     let options = ExecOptions::with_max_steps(10);
     let reference = run_reference(&g, &procs, &options, true);
     assert!(reference.statuses.values().any(|s| *s == EndpointStatus::Stalled));
@@ -529,7 +524,7 @@ fn batch_agrees_on_randomized_projectable_protocols() {
             break;
         }
         let g = generators::random_global(seed, &params);
-        let Some(procs) = skeleton_endpoints(&g) else {
+        let Some(procs) = skeleton_procs(&g) else {
             continue;
         };
         if make_layout(&g, &procs, &Externals::new()).is_none() {
@@ -544,7 +539,7 @@ fn batch_agrees_on_randomized_projectable_protocols() {
 #[test]
 fn batch_agrees_with_recording_off() {
     let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("ring synthesizes");
+    let procs = skeleton_procs(&g).expect("ring synthesizes");
     let options = ExecOptions::default().record_actions(false);
     let reference = run_reference(&g, &procs, &options, true);
     let layout = make_layout(&g, &procs, &Externals::new()).expect("eligible");
@@ -877,7 +872,7 @@ fn every_extraction_rebuilds_the_monitor_cursor_its_trace_replays_to() {
         ("pipeline", generators::pipeline(), ExecOptions::with_max_steps(12)),
         ("ping_pong", generators::ping_pong(), ExecOptions::with_max_steps(7)),
     ] {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         cases.push((name.to_owned(), g, procs, options));
     }
     let params = generators::RandomProtocol::default();
@@ -886,7 +881,7 @@ fn every_extraction_rebuilds_the_monitor_cursor_its_trace_replays_to() {
             break;
         }
         let g = generators::random_global(seed, &params);
-        let Some(procs) = skeleton_endpoints(&g) else {
+        let Some(procs) = skeleton_procs(&g) else {
             continue;
         };
         if make_layout(&g, &procs, &Externals::new()).is_some() {
@@ -1025,45 +1020,6 @@ fn value_flow_matches_through_columns() {
 }
 
 #[test]
-fn an_int_overflow_fails_alike_in_the_batch() {
-    // `q` receives `i64::MIN` and answers `x / -1`, which overflows: every
-    // executor fails `q` with the same error, none panics or wraps.
-    let (p, q) = (Role::new("p"), Role::new("q"));
-    let g = GlobalType::msg1(
-        p.clone(),
-        q.clone(),
-        "n",
-        Sort::Int,
-        GlobalType::msg1(q.clone(), p.clone(), "n", Sort::Int, GlobalType::End),
-    );
-    let procs = vec![
-        (
-            p.clone(),
-            Proc::send(
-                q.clone(),
-                "n",
-                Expr::lit(i64::MIN),
-                Proc::recv1(q.clone(), "n", Sort::Int, "y", Proc::Finish),
-            ),
-        ),
-        (
-            q.clone(),
-            Proc::recv1(
-                p.clone(),
-                "n",
-                Sort::Int,
-                "x",
-                Proc::send(p, "n", Expr::div(Expr::var("x"), Expr::lit(-1i64)), Proc::Finish),
-            ),
-        ),
-    ];
-    let options = ExecOptions::default();
-    assert_batch_agrees(&g, &procs, &options, &[1, 5], "int overflow");
-    let reference = run_reference(&g, &procs, &options, true);
-    assert!(matches!(reference.statuses[&q], EndpointStatus::Failed { .. }));
-}
-
-#[test]
 fn a_batch_grown_mid_flight_agrees() {
     // A shard's batch starts at one slot and doubles when it is full.
     // Sessions admitted one by one between short quanta make every doubling
@@ -1097,7 +1053,7 @@ fn a_batch_grown_mid_flight_agrees() {
     source.register_read("src", Sort::Nat, || Value::Nat(7));
     let none = Externals::new();
     let skeleton = |g: GlobalType| {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         (g, procs)
     };
     let cases = vec![
@@ -1171,7 +1127,7 @@ fn a_sparse_batch_reuses_freed_slots_out_of_order_and_agrees() {
         ("pipeline", generators::pipeline(), ExecOptions::with_max_steps(12)),
     ];
     for (name, g, options) in cases {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         let reference = run_reference(&g, &procs, &options, true);
         let layout = make_layout(&g, &procs, &Externals::new()).expect("eligible");
         let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 512);
@@ -1225,34 +1181,33 @@ fn fanout_loop(n: usize) -> GlobalType {
     GlobalType::rec(g)
 }
 
-/// One process per role.
-type Cast = Vec<(Role, Proc)>;
-
-/// One byzantine cast per mutation, from `synth`: Alice, the sender of the
-/// first message, runs the skeleton of a decoy ring, and the others run the
-/// honest one. A mutation runs on `ring3` where it applies. Premature
-/// silence does not: its decoy would drop Carol, so `synth` gives none, and
-/// it runs on the two-role ring instead.
-fn byzantine_ring_casts() -> Vec<(String, GlobalType, Cast)> {
-    let rings = [generators::ring3(), generators::ring(&["Alice", "Bob"])];
-    ByzantineMutation::all()
+/// The byzantine casts of `ring3`, one per mutation: Alice, the sender of
+/// the first message, runs the skeleton of a decoy ring, and Bob and Carol
+/// run the honest one. `synth` builds three. Its premature-silence decoy
+/// keeps only the first message's two roles, so it has no `ring3` driver;
+/// that cast runs the skeleton of the decoy `Alice → Bob : l(Nat) . end`.
+fn ring3_byzantine_casts() -> Vec<(String, Vec<(Role, Proc)>)> {
+    let ring = Protocol::new("ring3", generators::ring3()).expect("the ring is well-formed");
+    let mut casts: Vec<_> = ByzantineMutation::all()
         .into_iter()
-        .map(|mutation| {
-            rings
-                .iter()
-                .find_map(|g| {
-                    let ring = Protocol::new("ring", g.clone()).expect("rings are well-formed");
-                    let driver = byzantine_driver(&ring, mutation).expect("decoys certify")?;
-                    let cast = driver
-                        .endpoints
-                        .iter()
-                        .map(|(cert, _)| (cert.role().clone(), cert.proc().clone()))
-                        .collect();
-                    Some((format!("ring{}/{mutation}", ring.roles().len()), g.clone(), cast))
-                })
-                .expect("every mutation applies to a ring")
+        .filter_map(|mutation| {
+            let driver = byzantine_driver(&ring, mutation).expect("decoys certify")?;
+            let endpoints = driver.endpoints.iter();
+            let cast = endpoints.map(|(cert, _)| (cert.role().clone(), cert.proc().clone()));
+            Some((mutation.to_string(), cast.collect()))
         })
-        .collect()
+        .collect();
+    let alice = Role::new("Alice");
+    let silent = GlobalType::msg1(alice.clone(), Role::new("Bob"), "l", Sort::Nat, GlobalType::End);
+    let decoy = skeleton_procs(&silent).expect("the decoy synthesizes");
+    let honest = skeleton_procs(ring.global()).expect("the ring synthesizes");
+    let mut cast: Vec<_> = honest.into_iter().filter(|(role, _)| *role != alice).collect();
+    cast.extend(decoy.into_iter().filter(|(role, _)| *role == alice));
+    casts.push((ByzantineMutation::PrematureSilence.to_string(), cast));
+    for (_, cast) in &mut casts {
+        cast.sort_by_key(|(role, _)| *role == alice); // the actor runs last
+    }
+    casts
 }
 
 /// A session's global trace and its per-endpoint value traces, in batch
@@ -1283,18 +1238,19 @@ fn a_sessions_interleaving_does_not_depend_on_its_batch() {
         (
             "ring/4".into(),
             generators::ring_n(4),
-            skeleton_endpoints(&generators::ring_n(4)).expect("the ring synthesizes"),
+            skeleton_procs(&generators::ring_n(4)).expect("the ring synthesizes"),
             ExecOptions::default(),
         ),
         (
             "fanout_loop/4".into(),
             fanout_loop(4),
-            skeleton_endpoints(&fanout_loop(4)).expect("the fan-out synthesizes"),
+            skeleton_procs(&fanout_loop(4)).expect("the fan-out synthesizes"),
             ExecOptions::with_max_steps(40),
         ),
     ];
-    for (name, g, cast) in byzantine_ring_casts() {
-        cases.push((name, g, cast, ExecOptions::default()));
+    for (mutation, cast) in ring3_byzantine_casts() {
+        let name = format!("ring3/{mutation}");
+        cases.push((name, generators::ring3(), cast, ExecOptions::default()));
     }
     let mut violators = 0;
     for (name, g, procs, options) in cases {

@@ -23,9 +23,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use zooid_cfsm::System;
-use zooid_dsl::synth::skeleton;
+use zooid_dsl::synth::skeleton_procs;
 use zooid_mpst::global::GlobalType;
-use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Action, Role, Sort};
 use zooid_proc::{Expr, Externals, Proc, Value, ValueAction};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
@@ -33,15 +32,8 @@ use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome
 use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
 use zooid_runtime::transport::InMemoryNetwork;
 
-/// One skeleton process per role of `g`, from [`zooid_dsl::synth`]; `None`
-/// when `g` does not project or a payload sort has no default.
-fn skeleton_endpoints(g: &GlobalType) -> Option<Vec<(Role, Proc)>> {
-    project_all(g)
-        .ok()?
-        .into_iter()
-        .map(|(role, local)| Some((role, skeleton(&local)?.into_parts().0)))
-        .collect()
-}
+mod common;
+use common::int_overflow_cast;
 
 // ---------------------------------------------------------------------
 // The shared cooperative driver
@@ -258,7 +250,7 @@ fn engines_agree_on_the_case_studies() {
         ("ping_pong", generators::ping_pong(), ExecOptions::with_max_steps(7)),
     ];
     for (name, g, options) in cases {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         assert_engines_agree(&g, &procs, &options, name);
     }
 }
@@ -272,7 +264,7 @@ fn engines_agree_on_randomized_projectable_protocols() {
             break;
         }
         let g = generators::random_global(seed, &params);
-        let Some(procs) = skeleton_endpoints(&g) else {
+        let Some(procs) = skeleton_procs(&g) else {
             continue;
         };
         covered += 1;
@@ -285,7 +277,7 @@ fn engines_agree_on_randomized_projectable_protocols() {
 fn engines_agree_on_stalls() {
     // Bob never forwards: Alice finishes her send, Carol stalls waiting.
     let g = generators::ring3();
-    let mut procs = skeleton_endpoints(&g).expect("ring synthesizes");
+    let mut procs = skeleton_procs(&g).expect("ring synthesizes");
     for (role, proc) in &mut procs {
         if role.name() == "Bob" {
             // Receive from Alice but never forward to Carol.
@@ -300,41 +292,6 @@ fn engines_agree_on_stalls() {
         assert!(compiled.compliant, "an unfinished prefix is still compliant");
         assert!(!compiled.complete);
     }
-}
-
-/// `p → q : Int. q → p : Int`, where `p` sends `i64::MIN` and `q` answers
-/// `x / -1`, which overflows.
-fn int_overflow_cast() -> (GlobalType, Vec<(Role, Proc)>) {
-    let (p, q) = (Role::new("p"), Role::new("q"));
-    let g = GlobalType::msg1(
-        p.clone(),
-        q.clone(),
-        "n",
-        Sort::Int,
-        GlobalType::msg1(q.clone(), p.clone(), "n", Sort::Int, GlobalType::End),
-    );
-    let procs = vec![
-        (
-            p.clone(),
-            Proc::send(
-                q.clone(),
-                "n",
-                Expr::lit(i64::MIN),
-                Proc::recv1(q.clone(), "n", Sort::Int, "y", Proc::Finish),
-            ),
-        ),
-        (
-            q,
-            Proc::recv1(
-                p.clone(),
-                "n",
-                Sort::Int,
-                "x",
-                Proc::send(p, "n", Expr::div(Expr::var("x"), Expr::lit(-1i64)), Proc::Finish),
-            ),
-        ),
-    ];
-    (g, procs)
 }
 
 #[test]
@@ -393,7 +350,7 @@ fn engines_agree_with_recording_off() {
     // With `record_actions` off both engines report empty traces but
     // identical statuses and monitor verdicts.
     let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("ring synthesizes");
+    let procs = skeleton_procs(&g).expect("ring synthesizes");
     let options = ExecOptions::default().record_actions(false);
     let tree = run(&g, &procs, &options, SCHEDULES[0], false);
     let compiled = run(&g, &procs, &options, SCHEDULES[0], true);

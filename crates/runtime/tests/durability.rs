@@ -14,9 +14,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use zooid_cfsm::{CompiledSystem, System};
-use zooid_dsl::synth::skeleton;
+use zooid_dsl::synth::skeleton_procs;
 use zooid_mpst::global::GlobalType;
-use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Role, Sort};
 use zooid_proc::{erase, CompiledProc, Externals, Proc, ValueAction};
 use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
@@ -26,16 +25,6 @@ use zooid_runtime::exec::{EndpointStatus, ExecOptions, StepOutcome};
 use zooid_runtime::monitor::CompiledMonitor;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
 use zooid_runtime::RuntimeError;
-
-/// One skeleton process per role of `g`, from [`zooid_dsl::synth`]; `None`
-/// when `g` does not project or a payload sort has no default.
-fn skeleton_endpoints(g: &GlobalType) -> Option<Vec<(Role, Proc)>> {
-    project_all(g)
-        .ok()?
-        .into_iter()
-        .map(|(role, local)| Some((role, skeleton(&local)?.into_parts().0)))
-        .collect()
-}
 
 fn make_layout(g: &GlobalType, procs: &[(Role, Proc)]) -> Arc<BatchLayout> {
     let system = Arc::new(System::from_global(g).expect("projectable").compile());
@@ -270,7 +259,7 @@ fn case_studies() -> Vec<(&'static str, GlobalType, ExecOptions)> {
 #[test]
 fn checkpoint_at_every_quantum_matches_the_uninterrupted_run() {
     for (name, g, options) in case_studies() {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         let reference = run_reference(&g, &procs, &options);
         let layout = make_layout(&g, &procs);
         // Kill after k quanta of budget 1, for every k until the session
@@ -309,7 +298,7 @@ fn checkpoint_at_every_quantum_matches_the_uninterrupted_run() {
 #[test]
 fn truncated_and_bitflipped_checkpoints_are_refused_not_panicked() {
     let g = generators::two_buyer();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
+    let procs = skeleton_procs(&g).expect("synthesizes");
     let options = ExecOptions::default();
     let layout = make_layout(&g, &procs);
     let mut batch = SessionBatch::new(Arc::clone(&layout), options, 1);
@@ -351,10 +340,10 @@ fn truncated_and_bitflipped_checkpoints_are_refused_not_panicked() {
 #[test]
 fn checkpoints_do_not_restore_against_a_foreign_protocol() {
     let ring = generators::ring3();
-    let ring_procs = skeleton_endpoints(&ring).expect("synthesizes");
+    let ring_procs = skeleton_procs(&ring).expect("synthesizes");
     let ring_layout = make_layout(&ring, &ring_procs);
     let buyer = generators::two_buyer();
-    let buyer_procs = skeleton_endpoints(&buyer).expect("synthesizes");
+    let buyer_procs = skeleton_procs(&buyer).expect("synthesizes");
     let buyer_layout = make_layout(&buyer, &buyer_procs);
 
     let mut batch = SessionBatch::new(Arc::clone(&ring_layout), ExecOptions::default(), 1);
@@ -378,7 +367,7 @@ fn a_checkpointed_frame_with_a_label_no_program_communicates_is_refused() {
     // A restored session's frames go back into a batch arena by wire id, and
     // only the programs' own labels have one.
     let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
+    let procs = skeleton_procs(&g).expect("synthesizes");
     let layout = make_layout(&g, &procs);
     let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
     assert!(batch.admit(1));
@@ -401,7 +390,7 @@ fn checkpointed_frames_that_disagree_with_the_monitor_cursor_are_refused() {
     // real label would be received and rejected, blaming the cast for the
     // checkpoint's forgery; a dropped one would leave its receiver blocked.
     let g = generators::ring3();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
+    let procs = skeleton_procs(&g).expect("synthesizes");
     let layout = make_layout(&g, &procs);
     let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
     assert!(batch.admit(1));
@@ -451,7 +440,7 @@ fn metronome_checkpoint_with(
     edit: impl FnOnce(&Arc<CompiledSystem>, &CompiledMonitor) -> CompiledMonitor,
 ) -> (Vec<u8>, Arc<BatchLayout>) {
     let g = metronome();
-    let procs = skeleton_endpoints(&g).expect("synthesizes");
+    let procs = skeleton_procs(&g).expect("synthesizes");
     let layout = make_layout(&g, &procs);
     let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
     assert!(batch.admit(1));

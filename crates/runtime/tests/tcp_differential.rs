@@ -24,9 +24,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zooid_cfsm::System;
-use zooid_dsl::synth::skeleton;
+use zooid_dsl::synth::skeleton_procs;
 use zooid_mpst::global::GlobalType;
-use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Role, Sort};
 use zooid_proc::{Externals, Proc, Value, ValueAction};
 use zooid_runtime::error::RuntimeError;
@@ -35,16 +34,6 @@ use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
 use zooid_runtime::tcp::TcpTransport;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
 use zooid_mpst::Label;
-
-/// One skeleton process per role of `g`, from [`zooid_dsl::synth`]; `None`
-/// when `g` does not project or a payload sort has no default.
-fn skeleton_endpoints(g: &GlobalType) -> Option<Vec<(Role, Proc)>> {
-    project_all(g)
-        .ok()?
-        .into_iter()
-        .map(|(role, local)| Some((role, skeleton(&local)?.into_parts().0)))
-        .collect()
-}
 
 // ---------------------------------------------------------------------
 // Full-mesh loopback TCP wiring
@@ -231,7 +220,7 @@ fn tcp_and_memory_agree_on_the_case_studies() {
         ("ping_pong", generators::ping_pong(), ExecOptions::with_max_steps(7)),
     ];
     for (name, g, options) in cases {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         assert_transports_agree(&g, &procs, &options, name);
     }
 }
@@ -245,7 +234,7 @@ fn tcp_and_memory_agree_on_randomized_protocols() {
             break;
         }
         let g = generators::random_global(seed, &params);
-        let Some(procs) = skeleton_endpoints(&g) else {
+        let Some(procs) = skeleton_procs(&g) else {
             continue;
         };
         covered += 1;
@@ -263,7 +252,7 @@ fn tcp_and_memory_agree_on_randomized_protocols() {
 fn tcp_and_memory_agree_on_stalls() {
     // Bob never forwards: Alice finishes her send, Carol stalls waiting.
     let g = generators::ring3();
-    let mut procs = skeleton_endpoints(&g).expect("ring synthesizes");
+    let mut procs = skeleton_procs(&g).expect("ring synthesizes");
     for (role, proc) in &mut procs {
         if role.name() == "Bob" {
             *proc = Proc::recv1(Role::new("Alice"), "l", Sort::Nat, "x", Proc::Finish);
@@ -289,7 +278,7 @@ fn an_empty_fault_plan_is_behaviourally_invisible() {
         ("pipeline", generators::pipeline(), ExecOptions::with_max_steps(12)),
     ];
     for (name, g, options) in cases {
-        let procs = skeleton_endpoints(&g).expect("case studies synthesize");
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         let plan = FaultPlan::new(0xFA17);
 
         let bare = run_memory(&g, &procs, &options);

@@ -34,7 +34,7 @@ echo "== every committed benchmark pair record agrees with its samples"
 # from its per-seed samples; a mismatch or a malformed record fails. The
 # readings it prints per metric (gain, worse beyond bound, unresolved,
 # inside bound) are information only.
-scripts/bench_pairs.sh --check PAIRS_pr*.json | tail -n 1
+scripts/bench_pairs.sh --check PAIRS_pr*.json
 
 echo "== the server links the serving engine, and the engine links no oracle"
 # The crate graph keeps the oracles off the serving path. zooid-server may
