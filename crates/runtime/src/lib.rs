@@ -22,14 +22,15 @@
 //!   specs, hardened against hostile framing (frame-size caps, connect and
 //!   receive deadlines, a genuinely non-blocking `try_recv` over
 //!   permanently non-blocking sockets), framed by the engine's [`wire`] and
-//!   [`codec`];
+//!   [`codec`], and [`tcp::loopback_mesh`] wires a whole session's roles
+//!   over loopback sockets;
 //! * [`exec`] — the tree-walking interpreter that runs a certified process
 //!   against a transport (the counterpart of `extract_proc` composed with
 //!   the monad instance), recording the endpoint's trace. The interpreter is
 //!   a resumable state machine ([`exec::EndpointTask`]) whose `step()`
 //!   yields [`exec::StepOutcome::WouldBlock`] on an empty channel instead of
 //!   parking, so one thread can interleave many endpoints, as the
-//!   differential suites do; the blocking [`execute`] entry point is a loop
+//!   [`lockstep`] runner does; the blocking [`execute`] entry point is a loop
 //!   around it;
 //! * [`cexec`] — the per-session compiled oracle:
 //!   [`cexec::CompiledEndpointTask`] steps one endpoint's
@@ -45,14 +46,23 @@
 //!   certified endpoint of a protocol to an in-memory network, runs them to
 //!   completion and reports the traces together with the monitor's verdict;
 //!   the server's differential suite holds the server to it;
+//! * [`lockstep`] — the single-threaded scheduler of the differential
+//!   suites: [`lockstep::Lockstep`] steps one session's tree or compiled
+//!   tasks round-robin in the caller's order, feeds every action to a
+//!   [`CompiledMonitor`] (optionally shadowed by a [`TraceMonitor`] that
+//!   must agree on each one), and returns a [`SessionReport`] with the
+//!   transports. A session stalls once no task has progressed for 64
+//!   rounds *and* for the caller's grace (zero in memory, where nothing
+//!   sleeps; a delivery latency over TCP). [`lockstep::Lockstep::resume`]
+//!   continues a session demoted out of a batch;
 //! * [`faults`] — deterministic fault injection for the hostile-world
-//!   suite: a seed-driven [`faults::FaultPlan`] of site-addressable,
-//!   budget-capped transport faults (delay, drop, duplicate, reorder,
-//!   truncate, mid-session disconnect) executed by the
-//!   [`faults::FaultyTransport`] wrapper over any [`Transport`]. Every
-//!   injection is logged, so the same seed reproduces the same schedule on
-//!   every backend. These are test instruments, and the serving engine
-//!   cannot name them;
+//!   suite: a seed-driven [`faults::FaultPlan`] of at most one transport
+//!   fault (delay, drop, duplicate, reorder, truncate, mid-session
+//!   disconnect), attached to the send or the receive side and firing once,
+//!   executed by the [`faults::FaultyTransport`] wrapper over any
+//!   [`Transport`]. Every injection is logged, so the same seed reproduces
+//!   the same schedule on every backend. These are test instruments, and
+//!   the serving engine cannot name them;
 //! * [`wal`] — a write-only columnar encoding of logged actions (skeleton =
 //!   per-site template ids, variables = payload values), which the
 //!   benchmark's layer replay times. There is no log file, no scan and no
@@ -79,6 +89,7 @@ pub mod checkpoint;
 pub mod exec;
 pub mod faults;
 pub mod harness;
+pub mod lockstep;
 pub mod monitor;
 pub mod tcp;
 pub mod transport;

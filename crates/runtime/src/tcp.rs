@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use zooid_mpst::{Label, Role};
@@ -366,36 +366,60 @@ impl Transport for TcpTransport {
     }
 }
 
+/// Connects every pair of `roles` over a loopback socket pair of its own,
+/// the in-memory network's full mesh over TCP, and returns one transport
+/// per role, in the order given, each receiving with `recv_timeout`.
+///
+/// # Panics
+///
+/// Panics if a loopback socket cannot be bound, connected or accepted.
+pub fn loopback_mesh(
+    roles: impl IntoIterator<Item = Role>,
+    recv_timeout: Duration,
+) -> Vec<TcpTransport> {
+    let roles: Vec<Role> = roles.into_iter().collect();
+    let mut streams: Vec<BTreeMap<Role, TcpStream>> =
+        roles.iter().map(|_| BTreeMap::new()).collect();
+    for i in 0..roles.len() {
+        for j in (i + 1)..roles.len() {
+            let listener = TcpListener::bind((IpAddr::V4(Ipv4Addr::LOCALHOST), 0))
+                .expect("bind a loopback port");
+            let addr = listener.local_addr().expect("a bound listener has an address");
+            // Loopback connect to a listening socket completes via the
+            // backlog even before accept runs, so one thread suffices.
+            let client = TcpStream::connect(addr).expect("connect over loopback");
+            let (server, _) = listener.accept().expect("accept over loopback");
+            streams[i].insert(roles[j].clone(), server);
+            streams[j].insert(roles[i].clone(), client);
+        }
+    }
+    roles
+        .into_iter()
+        .zip(streams)
+        .map(|(role, streams)| {
+            let mut transport = TcpTransport::from_streams(role, streams);
+            transport.set_recv_timeout(recv_timeout);
+            transport
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{IpAddr, Ipv4Addr};
 
     fn r(name: &str) -> Role {
         Role::new(name)
     }
 
-    /// Builds a connected pair of TCP transports over the loopback interface.
-    fn loopback_pair() -> (TcpTransport, TcpTransport) {
-        let listener = TcpListener::bind((IpAddr::V4(Ipv4Addr::LOCALHOST), 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client_side = std::thread::spawn(move || TcpStream::connect(addr).unwrap());
-        let (server_stream, _) = listener.accept().unwrap();
-        let client_stream = client_side.join().unwrap();
-
-        let mut p_streams = BTreeMap::new();
-        p_streams.insert(r("q"), server_stream);
-        let mut q_streams = BTreeMap::new();
-        q_streams.insert(r("p"), client_stream);
-        (
-            TcpTransport::from_streams(r("p"), p_streams),
-            TcpTransport::from_streams(r("q"), q_streams),
-        )
+    /// `p` and `q`, connected over the loopback interface.
+    fn loopback_pair() -> [TcpTransport; 2] {
+        loopback_mesh([r("p"), r("q")], DEFAULT_RECV_TIMEOUT).try_into().unwrap()
     }
 
     #[test]
     fn framed_messages_round_trip_over_tcp() {
-        let (mut p, mut q) = loopback_pair();
+        let [mut p, mut q] = loopback_pair();
         p.send(&r("q"), &Label::new("l"), &Value::pair(Value::Nat(1), Value::Str("hi".into())))
             .unwrap();
         p.send(&r("q"), &Label::new("m"), &Value::Bool(true)).unwrap();
@@ -413,7 +437,7 @@ mod tests {
 
     #[test]
     fn unknown_peers_are_rejected() {
-        let (mut p, _q) = loopback_pair();
+        let [mut p, _q] = loopback_pair();
         assert!(matches!(
             p.send(&r("nobody"), &Label::new("l"), &Value::Unit),
             Err(RuntimeError::UnknownPeer { .. })
@@ -422,7 +446,7 @@ mod tests {
 
     #[test]
     fn try_recv_is_nonblocking_and_buffers_partial_frames() {
-        let (mut p, mut q) = loopback_pair();
+        let [mut p, mut q] = loopback_pair();
 
         // Empty socket: returns immediately with None, no parking.
         let start = Instant::now();
@@ -475,7 +499,7 @@ mod tests {
 
     #[test]
     fn recv_times_out_instead_of_hanging() {
-        let (_p, mut q) = loopback_pair();
+        let [_p, mut q] = loopback_pair();
         q.set_recv_timeout(Duration::from_millis(50));
         let start = Instant::now();
         assert!(matches!(
@@ -487,7 +511,7 @@ mod tests {
 
     #[test]
     fn mid_frame_send_timeout_poisons_the_peer() {
-        let (mut p, _q) = loopback_pair();
+        let [mut p, _q] = loopback_pair();
         p.set_recv_timeout(Duration::from_millis(50));
         // A frame far larger than the loopback socket buffers, sent to a
         // peer that never reads: the deadline fires with part of the frame
@@ -507,7 +531,7 @@ mod tests {
 
     #[test]
     fn oversized_sends_are_refused_locally() {
-        let (mut p, _q) = loopback_pair();
+        let [mut p, _q] = loopback_pair();
         p.set_max_frame_bytes(16);
         assert!(matches!(
             p.send(&r("q"), &Label::new("l"), &Value::Str("x".repeat(64))),

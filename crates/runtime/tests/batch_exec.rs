@@ -23,188 +23,17 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use zooid_cfsm::System;
 use zooid_dsl::synth::{byzantine_driver, skeleton_procs, ByzantineMutation};
 use zooid_dsl::Protocol;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{generators, Role, Sort};
-use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, Value, ValueAction};
-use zooid_runtime::cbatch::{BatchLayout, BatchOutcome, DemotedSession, SessionBatch};
-use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
-use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
+use zooid_proc::{Expr, Externals, Proc, Value, ValueAction};
+use zooid_runtime::cbatch::{BatchLayout, BatchOutcome, SessionBatch};
+use zooid_runtime::exec::{EndpointStatus, ExecOptions};
 use zooid_runtime::monitor::CompiledMonitor;
-use zooid_runtime::transport::{InMemoryNetwork, Transport};
 
 mod common;
-use common::int_overflow_cast;
-
-// ---------------------------------------------------------------------
-// What every engine must agree on. The *order* of the monitor's global
-// trace is schedule-dependent (the batch interleaves sessions its own
-// way), so the comparison is per-endpoint traces plus verdicts.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, PartialEq)]
-struct Observed {
-    statuses: BTreeMap<Role, EndpointStatus>,
-    traces: BTreeMap<Role, Vec<ValueAction>>,
-    compliant: bool,
-    complete: bool,
-}
-
-/// Builds the shared batch layout for one proc per role, compiled against
-/// the protocol's transition tables. `None` when not batch-eligible.
-fn make_layout(
-    g: &GlobalType,
-    procs: &[(Role, Proc)],
-    externals: &Externals,
-) -> Option<Arc<BatchLayout>> {
-    let system = Arc::new(System::from_global(g).expect("projectable").compile());
-    let mut sorted = procs.to_vec();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let roles: Arc<[Role]> = sorted
-        .iter()
-        .map(|(r, _)| r.clone())
-        .collect::<Vec<_>>()
-        .into();
-    let programs: Vec<Arc<EndpointProgram>> = sorted
-        .iter()
-        .map(|(role, proc)| {
-            Arc::new(EndpointProgram::with_system(
-                Arc::new(
-                    CompiledProc::compile(proc, role, externals).expect("skeletons compile"),
-                ),
-                &system,
-            ))
-        })
-        .collect();
-    BatchLayout::new(roles, programs, system)
-}
-
-/// Runs one session stand-alone on the per-session compiled executor (or
-/// the tree oracle), cooperatively on one thread, and returns the
-/// observable outcome.
-fn run_reference(
-    g: &GlobalType,
-    procs: &[(Role, Proc)],
-    options: &ExecOptions,
-    compiled: bool,
-) -> Observed {
-    let none = Externals::new();
-    run_reference_with(g, procs, options, compiled, (&none, &none))
-}
-
-/// [`run_reference`] for endpoints lowered against the external signatures
-/// of `lowered` that call the actions of `called` (every role gets the
-/// same registry).
-fn run_reference_with(
-    g: &GlobalType,
-    procs: &[(Role, Proc)],
-    options: &ExecOptions,
-    compiled: bool,
-    (lowered, called): (&Externals, &Externals),
-) -> Observed {
-    let mut network = InMemoryNetwork::new(procs.iter().map(|(r, _)| r.clone()));
-    let system = Arc::new(System::from_global(g).expect("projectable").compile());
-    let mut monitor = CompiledMonitor::new(Arc::clone(&system));
-    monitor.set_record_trace(options.record_actions);
-
-    enum AnyTask {
-        Tree(EndpointTask),
-        Compiled(CompiledEndpointTask),
-    }
-    let mut tasks: Vec<(Role, AnyTask, _)> = procs
-        .iter()
-        .map(|(role, proc)| {
-            let transport = network.take_endpoint(role).expect("unique roles");
-            let task = if compiled {
-                let program = Arc::new(EndpointProgram::with_system(
-                    Arc::new(
-                        CompiledProc::compile(proc, role, lowered).expect("skeletons compile"),
-                    ),
-                    &system,
-                ));
-                AnyTask::Compiled(CompiledEndpointTask::new(
-                    program,
-                    called.clone(),
-                    options.clone(),
-                ))
-            } else {
-                AnyTask::Tree(EndpointTask::new(
-                    proc.clone(),
-                    role.clone(),
-                    called.clone(),
-                    options.clone(),
-                ))
-            };
-            (role.clone(), task, transport)
-        })
-        .collect();
-
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        assert!(rounds < 100_000, "cooperative schedule must terminate");
-        let mut progressed = false;
-        for (_, task, transport) in tasks.iter_mut() {
-            loop {
-                let outcome = match task {
-                    AnyTask::Tree(t) => t.step(transport, &mut |va| {
-                        monitor.observe(&erase(va));
-                    }),
-                    AnyTask::Compiled(t) => t.step_mem(transport, &mut |va, interned| {
-                        match interned {
-                            Some(interned) => {
-                                monitor.observe_interned(interned, || erase(va));
-                            }
-                            None => {
-                                monitor.observe(&erase(va));
-                            }
-                        }
-                    }),
-                };
-                match outcome {
-                    StepOutcome::Progress => progressed = true,
-                    _ => break,
-                }
-            }
-        }
-        let done = tasks.iter().all(|(_, t, _)| match t {
-            AnyTask::Tree(t) => t.is_done(),
-            AnyTask::Compiled(t) => t.is_done(),
-        });
-        if done {
-            break;
-        }
-        if !progressed {
-            for (_, task, _) in tasks.iter_mut() {
-                match task {
-                    AnyTask::Tree(t) => t.mark_stalled(),
-                    AnyTask::Compiled(t) => t.mark_stalled(),
-                }
-            }
-            break;
-        }
-    }
-
-    let mut statuses = BTreeMap::new();
-    let mut traces = BTreeMap::new();
-    for (role, task, transport) in tasks {
-        let report = match task {
-            AnyTask::Tree(t) => t.into_report(),
-            AnyTask::Compiled(t) => t.into_report(),
-        };
-        statuses.insert(role.clone(), report.status);
-        traces.insert(role, report.actions);
-        drop(transport);
-    }
-    Observed {
-        statuses,
-        traces,
-        compliant: monitor.is_compliant(),
-        complete: monitor.is_complete(),
-    }
-}
+use common::{finish_demoted, int_overflow_cast, make_layout, run_reference, Observed};
 
 fn observed_outcome(outcome: BatchOutcome) -> Observed {
     Observed {
@@ -220,92 +49,6 @@ fn observed_outcome(outcome: BatchOutcome) -> Observed {
             .collect(),
         compliant: outcome.compliant,
         complete: outcome.complete,
-    }
-}
-
-/// Resumes a demoted session on the per-session compiled executor (the
-/// server never does: it closes a violator from the extracted state) and
-/// runs it to its conclusion.
-fn finish_demoted(demoted: DemotedSession, layout: &Arc<BatchLayout>) -> Observed {
-    let DemotedSession {
-        options,
-        endpoints,
-        mut monitor,
-        frames,
-        ..
-    } = demoted;
-    let mut network = InMemoryNetwork::from_sorted(Arc::clone(layout.roles()));
-    let roles: Vec<Role> = endpoints.iter().map(|ep| ep.role.clone()).collect();
-    let mut tasks: Vec<(Role, CompiledEndpointTask, _)> = endpoints
-        .into_iter()
-        .map(|ep| {
-            let transport = network.take_endpoint(&ep.role).expect("sorted roles");
-            let role = ep.role.clone();
-            let task = CompiledEndpointTask::resume(
-                ep.program,
-                Externals::new(),
-                options.clone(),
-                ep.pc,
-                ep.slots,
-                ep.actions,
-                ep.steps,
-                ep.status,
-            );
-            (role, task, transport)
-        })
-        .collect();
-    // Re-inject the frames that were in flight in the batch arena; sending
-    // through the original sender's transport preserves per-channel FIFO.
-    for (from, to, label, value) in frames {
-        let (_, _, transport) = &mut tasks[from as usize];
-        transport
-            .send(&roles[to as usize], &label, &value)
-            .expect("co-batched roles are network peers");
-    }
-
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        assert!(rounds < 100_000, "resumed session must terminate");
-        let mut progressed = false;
-        for (_, task, transport) in tasks.iter_mut() {
-            while let StepOutcome::Progress =
-                task.step_mem(transport, &mut |va, interned| match interned {
-                    Some(interned) => {
-                        monitor.observe_interned(interned, || erase(va));
-                    }
-                    None => {
-                        monitor.observe(&erase(va));
-                    }
-                })
-            {
-                progressed = true;
-            }
-        }
-        if tasks.iter().all(|(_, t, _)| t.is_done()) {
-            break;
-        }
-        if !progressed {
-            for (_, task, _) in tasks.iter_mut() {
-                task.mark_stalled();
-            }
-            break;
-        }
-    }
-
-    let mut statuses = BTreeMap::new();
-    let mut traces = BTreeMap::new();
-    for (role, task, transport) in tasks {
-        let report = task.into_report();
-        statuses.insert(role.clone(), report.status);
-        traces.insert(role, report.actions);
-        drop(transport);
-    }
-    Observed {
-        statuses,
-        traces,
-        compliant: monitor.is_compliant(),
-        complete: monitor.is_complete(),
     }
 }
 
@@ -373,8 +116,8 @@ fn assert_batch_agrees_with(
     context: &str,
     (lowered, called): (&Externals, &Externals),
 ) -> Observed {
-    let reference = run_reference_with(g, procs, options, true, (lowered, called));
-    let tree = run_reference_with(g, procs, options, false, (lowered, called));
+    let reference = run_reference(g, procs, options, true, Some((lowered, called)));
+    let tree = run_reference(g, procs, options, false, Some((lowered, called)));
     assert_eq!(reference, tree, "{context}: slab-compiled vs tree diverge");
     let layout = make_layout(g, procs, lowered).expect("one program per role");
     for &width in widths {
@@ -429,7 +172,7 @@ fn a_blocked_session_is_closed_as_stalled_inside_the_batch() {
     let g = generators::pipeline();
     let procs = skeleton_procs(&g).expect("pipeline synthesizes");
     let options = ExecOptions::with_max_steps(10);
-    let reference = run_reference(&g, &procs, &options, true);
+    let reference = run_reference(&g, &procs, &options, true, None);
     assert!(reference.statuses.values().any(|s| *s == EndpointStatus::Stalled));
     assert!(reference.statuses.values().any(|s| *s == EndpointStatus::StepLimitReached));
 
@@ -510,7 +253,7 @@ fn batch_agrees_on_loops_with_internal_steps_between_communications() {
     let options = ExecOptions::with_max_steps(9);
     assert_batch_agrees(&g, &procs, &options, &[1, 5, 64], "gated_metronome");
     // The conditionals really ran: q answered `tick(2)` with `x + 1`.
-    let reference = run_reference(&g, &procs, &options, true);
+    let reference = run_reference(&g, &procs, &options, true, None);
     assert_eq!(reference.traces[&q][1].value, Value::Nat(3));
 }
 
@@ -541,7 +284,7 @@ fn batch_agrees_with_recording_off() {
     let g = generators::ring3();
     let procs = skeleton_procs(&g).expect("ring synthesizes");
     let options = ExecOptions::default().record_actions(false);
-    let reference = run_reference(&g, &procs, &options, true);
+    let reference = run_reference(&g, &procs, &options, true, None);
     let layout = make_layout(&g, &procs, &Externals::new()).expect("eligible");
     for observed in run_batch(&layout, &options, 16) {
         assert_eq!(observed, reference);
@@ -712,7 +455,7 @@ fn a_certified_right_injection_is_accepted_on_every_executor() {
             .expect("the injection certifies");
     }
     assert_batch_agrees(&g, &procs, &ExecOptions::default(), &[1, 4], "inr");
-    let reference = run_reference(&g, &procs, &ExecOptions::default(), true);
+    let reference = run_reference(&g, &procs, &ExecOptions::default(), true, None);
     assert!(reference.compliant && reference.complete, "{reference:?}");
     assert_eq!(reference.traces[&p][0].sort, sum);
 }
@@ -753,7 +496,7 @@ fn mid_flight_demotion_carries_traces_cursor_and_frames() {
         ),
     ];
     let options = ExecOptions::default();
-    let reference = run_reference(&g, &procs, &options, true);
+    let reference = run_reference(&g, &procs, &options, true, None);
     let layout = make_layout(&g, &procs, &Externals::new()).expect("eligible");
 
     let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 4);
@@ -831,8 +574,8 @@ fn violating_sessions_demote_after_the_offending_action_and_agree() {
         ),
     ];
     let options = ExecOptions::default();
-    let reference = run_reference(&g, &procs, &options, true);
-    let tree = run_reference(&g, &procs, &options, false);
+    let reference = run_reference(&g, &procs, &options, true, None);
+    let tree = run_reference(&g, &procs, &options, false, None);
     assert_eq!(reference, tree);
     assert!(!reference.compliant, "the saboteur violates the protocol");
 
@@ -1010,7 +753,7 @@ fn value_flow_matches_through_columns() {
         (Role::new("Carol"), forward("Bob", "Alice")),
     ];
     let options = ExecOptions::default();
-    let reference = run_reference(&g, &procs, &options, true);
+    let reference = run_reference(&g, &procs, &options, true, None);
     let layout = make_layout(&g, &procs, &Externals::new()).expect("eligible");
     for observed in run_batch(&layout, &options, 32) {
         assert_eq!(observed, reference);
@@ -1069,7 +812,7 @@ fn a_batch_grown_mid_flight_agrees() {
         ),
     ];
     for (name, (g, procs), options, externals) in cases {
-        let reference = run_reference_with(&g, &procs, &options, true, (externals, externals));
+        let reference = run_reference(&g, &procs, &options, true, Some((externals, externals)));
         let layout = make_layout(&g, &procs, externals).expect("one program per role");
         let per_role = vec![externals.clone(); layout.roles().len()];
         let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 1);
@@ -1128,7 +871,7 @@ fn a_sparse_batch_reuses_freed_slots_out_of_order_and_agrees() {
     ];
     for (name, g, options) in cases {
         let procs = skeleton_procs(&g).expect("case studies synthesize");
-        let reference = run_reference(&g, &procs, &options, true);
+        let reference = run_reference(&g, &procs, &options, true, None);
         let layout = make_layout(&g, &procs, &Externals::new()).expect("eligible");
         let mut batch = SessionBatch::new(Arc::clone(&layout), options.clone(), 512);
         let mut results: Vec<(u64, Observed)> = Vec::new();

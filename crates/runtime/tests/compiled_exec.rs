@@ -5,9 +5,9 @@
 //!
 //! Both executors run the same deterministic endpoints (first-branch sends
 //! with default payloads, synthesized from projections) over in-memory
-//! networks under a *shared cooperative scheduler*, so for every case study,
-//! every randomized projectable protocol and every polling schedule we can
-//! require exact agreement on:
+//! networks under the lockstep runner ([`zooid_runtime::lockstep`]), so for
+//! every case study, every randomized projectable protocol and every
+//! polling schedule we can require exact agreement on:
 //!
 //! * per-endpoint statuses (`Finished` / `StepLimitReached` / `Stalled` /
 //!   `Failed` with the same error string),
@@ -22,44 +22,26 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use zooid_cfsm::System;
 use zooid_dsl::synth::skeleton_procs;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{generators, Action, Role, Sort};
 use zooid_proc::{Expr, Externals, Proc, Value, ValueAction};
-use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
-use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
+use zooid_runtime::exec::{EndpointStatus, ExecOptions};
+use zooid_runtime::lockstep::{Lockstep, Poll, Schedule};
 use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
-use zooid_runtime::transport::InMemoryNetwork;
 
 mod common;
-use common::int_overflow_cast;
+use common::{compiled_system, int_overflow_cast, run_in_memory};
 
 // ---------------------------------------------------------------------
-// The shared cooperative driver
+// Both engines under the lockstep runner
 // ---------------------------------------------------------------------
-
-/// How the scheduler polls the tasks of a round.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    /// One `step` per task per round: maximises `WouldBlock` yields.
-    StepOne,
-    /// Step each task until it blocks or finishes before moving on.
-    Drain,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Schedule {
-    mode: Mode,
-    /// Rotation of the task visit order per round.
-    offset: usize,
-}
 
 const SCHEDULES: [Schedule; 4] = [
-    Schedule { mode: Mode::Drain, offset: 0 },
-    Schedule { mode: Mode::Drain, offset: 1 },
-    Schedule { mode: Mode::StepOne, offset: 0 },
-    Schedule { mode: Mode::StepOne, offset: 2 },
+    Schedule { poll: Poll::Drain, offset: 0 },
+    Schedule { poll: Poll::Drain, offset: 1 },
+    Schedule { poll: Poll::StepOne, offset: 0 },
+    Schedule { poll: Poll::StepOne, offset: 2 },
 ];
 
 #[derive(Debug, PartialEq)]
@@ -71,30 +53,10 @@ struct RunResult {
     global_trace: Vec<Action>,
 }
 
-enum AnyTask {
-    Tree(EndpointTask),
-    Compiled(CompiledEndpointTask),
-}
-
-impl AnyTask {
-    fn is_done(&self) -> bool {
-        match self {
-            AnyTask::Tree(t) => t.is_done(),
-            AnyTask::Compiled(t) => t.is_done(),
-        }
-    }
-    fn mark_stalled(&mut self) {
-        match self {
-            AnyTask::Tree(t) => t.mark_stalled(),
-            AnyTask::Compiled(t) => t.mark_stalled(),
-        }
-    }
-}
-
-/// Runs every endpoint of `procs` cooperatively on one thread and returns
-/// the observable outcome. `compiled` selects the engine; the monitor setup
-/// is identical for both, and on the compiled engine a `TraceMonitor`
-/// shadows the `CompiledMonitor` on every single observation.
+/// Runs every endpoint of `procs` on the lockstep runner and returns the
+/// observable outcome. `compiled` selects the engine; the monitor setup is
+/// identical for both, and a `TraceMonitor` shadows the `CompiledMonitor`
+/// on every single observation.
 fn run(
     g: &GlobalType,
     procs: &[(Role, Proc)],
@@ -102,112 +64,20 @@ fn run(
     schedule: Schedule,
     compiled: bool,
 ) -> RunResult {
-    let mut network = InMemoryNetwork::new(procs.iter().map(|(r, _)| r.clone()));
-    let system = Arc::new(System::from_global(g).expect("projectable").compile());
-    let mut monitor = CompiledMonitor::new(Arc::clone(&system));
-    let mut shadow = TraceMonitor::new(g).expect("well-formed");
-
-    let mut tasks: Vec<(Role, AnyTask, _)> = procs
-        .iter()
-        .map(|(role, proc)| {
-            let transport = network.take_endpoint(role).expect("unique roles");
-            let task = if compiled {
-                let program = Arc::new(EndpointProgram::with_system(
-                    Arc::new(
-                        zooid_proc::CompiledProc::compile(proc, role, &Externals::new())
-                            .expect("skeletons compile"),
-                    ),
-                    &system,
-                ));
-                AnyTask::Compiled(CompiledEndpointTask::new(
-                    program,
-                    Externals::new(),
-                    options.clone(),
-                ))
-            } else {
-                AnyTask::Tree(EndpointTask::new(
-                    proc.clone(),
-                    role.clone(),
-                    Externals::new(),
-                    options.clone(),
-                ))
-            };
-            (role.clone(), task, transport)
-        })
-        .collect();
-
-    let n = tasks.len();
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        assert!(rounds < 100_000, "cooperative schedule must terminate");
-        let mut progressed = false;
-        for k in 0..n {
-            let idx = (k + schedule.offset) % n;
-            let (_, task, transport) = &mut tasks[idx];
-            loop {
-                let outcome = match task {
-                    AnyTask::Tree(t) => t.step(transport, &mut |va| {
-                        let action = zooid_proc::erase(va);
-                        let a = monitor.observe(&action);
-                        let b = shadow.observe(&action);
-                        assert_eq!(a, b, "monitors disagree on {action}");
-                    }),
-                    AnyTask::Compiled(t) => t.step_mem(transport, &mut |va, interned| {
-                        let action = zooid_proc::erase(va);
-                        let a = match interned {
-                            Some(interned) => {
-                                monitor.observe_interned(interned, || action.clone())
-                            }
-                            None => monitor.observe(&action),
-                        };
-                        let b = shadow.observe(&action);
-                        assert_eq!(a, b, "monitors disagree on {action}");
-                    }),
-                };
-                match (outcome, schedule.mode) {
-                    (StepOutcome::Progress, Mode::Drain) => progressed = true,
-                    (StepOutcome::Progress, Mode::StepOne) => {
-                        progressed = true;
-                        break;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        if tasks.iter().all(|(_, t, _)| t.is_done()) {
-            break;
-        }
-        if !progressed {
-            // Self-contained session, every endpoint blocked: nothing can
-            // ever arrive again — the scheduler's stall detection.
-            for (_, task, _) in &mut tasks {
-                task.mark_stalled();
-            }
-            break;
-        }
-    }
-
-    let mut statuses = BTreeMap::new();
-    let mut traces = BTreeMap::new();
-    for (role, task, transport) in tasks {
-        let report = match task {
-            AnyTask::Tree(t) => t.into_report(),
-            AnyTask::Compiled(t) => t.into_report(),
-        };
-        statuses.insert(role.clone(), report.status);
-        traces.insert(role, report.actions);
-        drop(transport);
-    }
-    assert_eq!(monitor.is_compliant(), shadow.is_compliant());
-    assert_eq!(monitor.is_complete(), shadow.is_complete());
-    assert_eq!(monitor.trace(), shadow.trace());
+    let system = compiled_system(g);
+    let lockstep = Lockstep::new(CompiledMonitor::new(Arc::clone(&system)))
+        .shadow(TraceMonitor::new(g).expect("well-formed"))
+        .schedule(schedule);
+    let none = Externals::new();
+    let report = run_in_memory(&system, procs, options, compiled, (&none, &none), lockstep);
+    let (statuses, traces) =
+        report.endpoints.into_iter().map(|(r, e)| ((r.clone(), e.status), (r, e.actions))).unzip();
     RunResult {
         statuses,
         traces,
-        compliant: monitor.is_compliant(),
-        complete: monitor.is_complete(),
-        global_trace: monitor.trace().actions().to_vec(),
+        compliant: report.compliant,
+        complete: report.complete,
+        global_trace: report.global_trace.actions().to_vec(),
     }
 }
 

@@ -10,210 +10,21 @@
 //! panics), and the refusal of a checkpoint whose recorded trace or
 //! in-flight frames disagree with its monitor.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use zooid_cfsm::{CompiledSystem, System};
+use zooid_cfsm::CompiledSystem;
 use zooid_dsl::synth::skeleton_procs;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{generators, Role, Sort};
-use zooid_proc::{erase, CompiledProc, Externals, Proc, ValueAction};
+use zooid_proc::Externals;
 use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
-use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
 use zooid_runtime::checkpoint::SessionCheckpoint;
-use zooid_runtime::exec::{EndpointStatus, ExecOptions, StepOutcome};
+use zooid_runtime::exec::ExecOptions;
 use zooid_runtime::monitor::CompiledMonitor;
-use zooid_runtime::transport::{InMemoryNetwork, Transport};
 use zooid_runtime::RuntimeError;
 
-fn make_layout(g: &GlobalType, procs: &[(Role, Proc)]) -> Arc<BatchLayout> {
-    let system = Arc::new(System::from_global(g).expect("projectable").compile());
-    let mut sorted = procs.to_vec();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let roles: Arc<[Role]> = sorted
-        .iter()
-        .map(|(r, _)| r.clone())
-        .collect::<Vec<_>>()
-        .into();
-    let programs: Vec<Arc<EndpointProgram>> = sorted
-        .iter()
-        .map(|(role, proc)| {
-            Arc::new(EndpointProgram::with_system(
-                Arc::new(
-                    CompiledProc::compile(proc, role, &Externals::new())
-                        .expect("skeletons compile"),
-                ),
-                &system,
-            ))
-        })
-        .collect();
-    BatchLayout::new(roles, programs, system).expect("skeleton layouts are batch-eligible")
-}
-
-// ---------------------------------------------------------------------
-// The observable a checkpointed-and-restored run must preserve.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, PartialEq)]
-struct Observed {
-    statuses: BTreeMap<Role, EndpointStatus>,
-    traces: BTreeMap<Role, Vec<ValueAction>>,
-    compliant: bool,
-    complete: bool,
-}
-
-/// Runs one session stand-alone on the per-session compiled executor,
-/// cooperatively on one thread, and returns the observable outcome.
-fn run_reference(g: &GlobalType, procs: &[(Role, Proc)], options: &ExecOptions) -> Observed {
-    let mut network = InMemoryNetwork::new(procs.iter().map(|(r, _)| r.clone()));
-    let system = Arc::new(System::from_global(g).expect("projectable").compile());
-    let mut monitor = CompiledMonitor::new(Arc::clone(&system));
-    monitor.set_record_trace(options.record_actions);
-
-    let mut tasks: Vec<(Role, CompiledEndpointTask, _)> = procs
-        .iter()
-        .map(|(role, proc)| {
-            let transport = network.take_endpoint(role).expect("unique roles");
-            let program = Arc::new(EndpointProgram::with_system(
-                Arc::new(
-                    CompiledProc::compile(proc, role, &Externals::new())
-                        .expect("skeletons compile"),
-                ),
-                &system,
-            ));
-            let task = CompiledEndpointTask::new(program, Externals::new(), options.clone());
-            (role.clone(), task, transport)
-        })
-        .collect();
-
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        assert!(rounds < 100_000, "cooperative schedule must terminate");
-        let mut progressed = false;
-        for (_, task, transport) in tasks.iter_mut() {
-            while let StepOutcome::Progress =
-                task.step_mem(transport, &mut |va, interned| match interned {
-                    Some(interned) => {
-                        monitor.observe_interned(interned, || erase(va));
-                    }
-                    None => {
-                        monitor.observe(&erase(va));
-                    }
-                })
-            {
-                progressed = true;
-            }
-        }
-        if tasks.iter().all(|(_, t, _)| t.is_done()) {
-            break;
-        }
-        if !progressed {
-            for (_, task, _) in tasks.iter_mut() {
-                task.mark_stalled();
-            }
-            break;
-        }
-    }
-
-    let mut statuses = BTreeMap::new();
-    let mut traces = BTreeMap::new();
-    for (role, task, transport) in tasks {
-        let report = task.into_report();
-        statuses.insert(role.clone(), report.status);
-        traces.insert(role, report.actions);
-        drop(transport);
-    }
-    Observed {
-        statuses,
-        traces,
-        compliant: monitor.is_compliant(),
-        complete: monitor.is_complete(),
-    }
-}
-
-/// Resumes a demoted session on the per-session compiled executor and runs
-/// it to its conclusion — the restore half of the differential.
-fn finish_demoted(demoted: DemotedSession, layout: &Arc<BatchLayout>) -> Observed {
-    let DemotedSession {
-        options,
-        endpoints,
-        mut monitor,
-        frames,
-        ..
-    } = demoted;
-    let mut network = InMemoryNetwork::from_sorted(Arc::clone(layout.roles()));
-    let roles: Vec<Role> = endpoints.iter().map(|ep| ep.role.clone()).collect();
-    let mut tasks: Vec<(Role, CompiledEndpointTask, _)> = endpoints
-        .into_iter()
-        .map(|ep| {
-            let transport = network.take_endpoint(&ep.role).expect("sorted roles");
-            let role = ep.role.clone();
-            let task = CompiledEndpointTask::resume(
-                ep.program,
-                Externals::new(),
-                options.clone(),
-                ep.pc,
-                ep.slots,
-                ep.actions,
-                ep.steps,
-                ep.status,
-            );
-            (role, task, transport)
-        })
-        .collect();
-    for (from, to, label, value) in frames {
-        let (_, _, transport) = &mut tasks[from as usize];
-        transport
-            .send(&roles[to as usize], &label, &value)
-            .expect("checkpointed roles are network peers");
-    }
-
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        assert!(rounds < 100_000, "restored session must terminate");
-        let mut progressed = false;
-        for (_, task, transport) in tasks.iter_mut() {
-            while let StepOutcome::Progress =
-                task.step_mem(transport, &mut |va, interned| match interned {
-                    Some(interned) => {
-                        monitor.observe_interned(interned, || erase(va));
-                    }
-                    None => {
-                        monitor.observe(&erase(va));
-                    }
-                })
-            {
-                progressed = true;
-            }
-        }
-        if tasks.iter().all(|(_, t, _)| t.is_done()) {
-            break;
-        }
-        if !progressed {
-            for (_, task, _) in tasks.iter_mut() {
-                task.mark_stalled();
-            }
-            break;
-        }
-    }
-
-    let mut statuses = BTreeMap::new();
-    let mut traces = BTreeMap::new();
-    for (role, task, transport) in tasks {
-        let report = task.into_report();
-        statuses.insert(role.clone(), report.status);
-        traces.insert(role, report.actions);
-        drop(transport);
-    }
-    Observed {
-        statuses,
-        traces,
-        compliant: monitor.is_compliant(),
-        complete: monitor.is_complete(),
-    }
-}
+mod common;
+use common::{finish_demoted, make_layout, run_reference};
 
 /// Serializes a demoted session through the checkpoint codec and restores
 /// it under re-validation — the full durability round trip.
@@ -260,8 +71,9 @@ fn case_studies() -> Vec<(&'static str, GlobalType, ExecOptions)> {
 fn checkpoint_at_every_quantum_matches_the_uninterrupted_run() {
     for (name, g, options) in case_studies() {
         let procs = skeleton_procs(&g).expect("case studies synthesize");
-        let reference = run_reference(&g, &procs, &options);
-        let layout = make_layout(&g, &procs);
+        let reference = run_reference(&g, &procs, &options, true, None);
+        let layout = make_layout(&g, &procs, &Externals::new())
+            .expect("skeleton layouts are batch-eligible");
         // Kill after k quanta of budget 1, for every k until the session
         // concludes inside the batch on its own.
         'kills: for kill_after in 0..10_000 {
@@ -300,7 +112,8 @@ fn truncated_and_bitflipped_checkpoints_are_refused_not_panicked() {
     let g = generators::two_buyer();
     let procs = skeleton_procs(&g).expect("synthesizes");
     let options = ExecOptions::default();
-    let layout = make_layout(&g, &procs);
+    let layout = make_layout(&g, &procs, &Externals::new())
+        .expect("skeleton layouts are batch-eligible");
     let mut batch = SessionBatch::new(Arc::clone(&layout), options, 1);
     assert!(batch.admit(3));
     batch.run_quantum(2);
@@ -341,10 +154,12 @@ fn truncated_and_bitflipped_checkpoints_are_refused_not_panicked() {
 fn checkpoints_do_not_restore_against_a_foreign_protocol() {
     let ring = generators::ring3();
     let ring_procs = skeleton_procs(&ring).expect("synthesizes");
-    let ring_layout = make_layout(&ring, &ring_procs);
+    let ring_layout = make_layout(&ring, &ring_procs, &Externals::new())
+        .expect("skeleton layouts are batch-eligible");
     let buyer = generators::two_buyer();
     let buyer_procs = skeleton_procs(&buyer).expect("synthesizes");
-    let buyer_layout = make_layout(&buyer, &buyer_procs);
+    let buyer_layout = make_layout(&buyer, &buyer_procs, &Externals::new())
+        .expect("skeleton layouts are batch-eligible");
 
     let mut batch = SessionBatch::new(Arc::clone(&ring_layout), ExecOptions::default(), 1);
     assert!(batch.admit(1));
@@ -368,7 +183,8 @@ fn a_checkpointed_frame_with_a_label_no_program_communicates_is_refused() {
     // only the programs' own labels have one.
     let g = generators::ring3();
     let procs = skeleton_procs(&g).expect("synthesizes");
-    let layout = make_layout(&g, &procs);
+    let layout = make_layout(&g, &procs, &Externals::new())
+        .expect("skeleton layouts are batch-eligible");
     let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
     assert!(batch.admit(1));
     let mut demoted = batch.demote_now(1).expect("live");
@@ -391,7 +207,8 @@ fn checkpointed_frames_that_disagree_with_the_monitor_cursor_are_refused() {
     // checkpoint's forgery; a dropped one would leave its receiver blocked.
     let g = generators::ring3();
     let procs = skeleton_procs(&g).expect("synthesizes");
-    let layout = make_layout(&g, &procs);
+    let layout = make_layout(&g, &procs, &Externals::new())
+        .expect("skeleton layouts are batch-eligible");
     let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
     assert!(batch.admit(1));
     // Three passes: Alice → Bob and Bob → Carol are delivered, and Carol's
@@ -441,7 +258,8 @@ fn metronome_checkpoint_with(
 ) -> (Vec<u8>, Arc<BatchLayout>) {
     let g = metronome();
     let procs = skeleton_procs(&g).expect("synthesizes");
-    let layout = make_layout(&g, &procs);
+    let layout = make_layout(&g, &procs, &Externals::new())
+        .expect("skeleton layouts are batch-eligible");
     let mut batch = SessionBatch::new(Arc::clone(&layout), ExecOptions::default(), 1);
     assert!(batch.admit(1));
     batch.run_quantum(3);

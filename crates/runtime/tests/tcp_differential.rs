@@ -6,10 +6,11 @@
 //! This is the exhaustive-oracle pattern applied to the wire: the in-memory
 //! transport (no codec, no sockets) is the oracle, and the TCP path (frame
 //! cap, incremental reassembly, non-blocking `try_recv`) must be
-//! behaviourally invisible. The cooperative single-thread scheduler only
-//! works over TCP because `TcpTransport::try_recv` is genuinely
-//! non-blocking — under the old blocking trait default every `WouldBlock`
-//! poll would have parked the whole schedule.
+//! behaviourally invisible. Both run on the lockstep runner
+//! ([`zooid_runtime::lockstep`]), which only works over TCP because
+//! `TcpTransport::try_recv` is genuinely non-blocking — under the old
+//! blocking trait default every `WouldBlock` poll would have parked the
+//! whole schedule.
 //!
 //! The second half is the hostile-framing suite: oversized length prefixes,
 //! truncated frames, garbage payloads and mid-frame disconnects must each
@@ -20,55 +21,25 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use zooid_cfsm::System;
 use zooid_dsl::synth::skeleton_procs;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{generators, Role, Sort};
 use zooid_proc::{Externals, Proc, Value, ValueAction};
 use zooid_runtime::error::RuntimeError;
-use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
+use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions};
+use zooid_runtime::lockstep::Lockstep;
 use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
-use zooid_runtime::tcp::TcpTransport;
-use zooid_runtime::transport::{InMemoryNetwork, Transport};
+use zooid_runtime::tcp::{loopback_mesh, TcpTransport};
+use zooid_runtime::transport::Transport;
 use zooid_mpst::Label;
 
-// ---------------------------------------------------------------------
-// Full-mesh loopback TCP wiring
-// ---------------------------------------------------------------------
-
-/// Connects every unordered pair of roles over a dedicated loopback socket
-/// pair and builds one [`TcpTransport`] per role, exactly mirroring the
-/// in-memory network's full mesh.
-fn tcp_mesh(roles: &[Role]) -> BTreeMap<Role, TcpTransport> {
-    let mut per_role: BTreeMap<Role, BTreeMap<Role, TcpStream>> =
-        roles.iter().map(|r| (r.clone(), BTreeMap::new())).collect();
-    for i in 0..roles.len() {
-        for j in (i + 1)..roles.len() {
-            let listener = TcpListener::bind((IpAddr::V4(Ipv4Addr::LOCALHOST), 0)).unwrap();
-            let addr = listener.local_addr().unwrap();
-            // Loopback connect to a listening socket completes via the
-            // backlog even before accept runs, so one thread suffices.
-            let client = TcpStream::connect(addr).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            per_role.get_mut(&roles[i]).unwrap().insert(roles[j].clone(), server);
-            per_role.get_mut(&roles[j]).unwrap().insert(roles[i].clone(), client);
-        }
-    }
-    per_role
-        .into_iter()
-        .map(|(role, streams)| {
-            let mut transport = TcpTransport::from_streams(role.clone(), streams);
-            transport.set_recv_timeout(Duration::from_secs(10));
-            (role, transport)
-        })
-        .collect()
-}
+mod common;
+use common::memory_transports;
 
 // ---------------------------------------------------------------------
-// The shared cooperative driver, generic over the transport
+// The lockstep runner over either transport
 // ---------------------------------------------------------------------
 
 /// The observables the two transports must agree on. The raw global trace
@@ -86,111 +57,55 @@ struct RunResult {
     global_actions: usize,
 }
 
-/// How long a no-progress streak must last before the scheduler declares a
-/// stall. Zero for the in-memory transport (delivery is synchronous: no
-/// progress now means no progress ever); positive over TCP, where a frame
-/// can be in flight between a send and the peer's socket becoming readable.
+/// How long a no-progress streak must last before the runner declares a
+/// stall over TCP, where a frame can be in flight between a send and the
+/// peer's socket becoming readable.
+const TCP_GRACE: Duration = Duration::from_millis(500);
+
+/// Runs the tree executor over one transport per proc, in `procs` order,
+/// with a `TraceMonitor` shadowing the `CompiledMonitor`; `grace` is zero
+/// in memory, where delivery is synchronous.
 fn run<T: Transport>(
     g: &GlobalType,
     procs: &[(Role, Proc)],
     options: &ExecOptions,
-    mut endpoints: Vec<(Role, T)>,
-    stall_grace: Duration,
+    transports: Vec<T>,
+    grace: Duration,
 ) -> RunResult {
-    let system = Arc::new(System::from_global(g).expect("projectable").compile());
-    let mut monitor = CompiledMonitor::new(Arc::clone(&system));
-    let mut shadow = TraceMonitor::new(g).expect("well-formed");
-
-    let proc_of: BTreeMap<&Role, &Proc> = procs.iter().map(|(r, p)| (r, p)).collect();
-    let mut tasks: Vec<(Role, EndpointTask, T)> = endpoints
-        .drain(..)
-        .map(|(role, transport)| {
-            let task = EndpointTask::new(
-                (*proc_of[&role]).clone(),
-                role.clone(),
-                Externals::new(),
-                options.clone(),
-            );
-            (role, task, transport)
+    let endpoints = procs
+        .iter()
+        .zip(transports)
+        .map(|((role, proc), transport)| {
+            let options = options.clone();
+            let task = EndpointTask::new(proc.clone(), role.clone(), Externals::new(), options);
+            (task, transport)
         })
         .collect();
-
-    let mut last_progress = Instant::now();
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        assert!(rounds < 10_000_000, "cooperative schedule must terminate");
-        let mut progressed = false;
-        for (_, task, transport) in &mut tasks {
-            // Drain-until-block: step each endpoint as far as it goes.
-            loop {
-                let outcome = task.step(transport, &mut |va| {
-                    let action = zooid_proc::erase(va);
-                    let a = monitor.observe(&action);
-                    let b = shadow.observe(&action);
-                    assert_eq!(a, b, "monitors disagree on {action}");
-                });
-                match outcome {
-                    StepOutcome::Progress => progressed = true,
-                    _ => break,
-                }
-            }
-        }
-        if tasks.iter().all(|(_, t, _)| t.is_done()) {
-            break;
-        }
-        if progressed {
-            last_progress = Instant::now();
-        } else if last_progress.elapsed() >= stall_grace {
-            // Self-contained session with every endpoint blocked past the
-            // transport's delivery latency: nothing can ever arrive again.
-            for (_, task, _) in &mut tasks {
-                task.mark_stalled();
-            }
-            break;
-        } else {
-            // Frames may still be in flight: let the kernel deliver.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    let mut statuses = BTreeMap::new();
-    let mut traces = BTreeMap::new();
-    for (role, task, transport) in tasks {
-        let report = task.into_report();
-        statuses.insert(role.clone(), report.status);
-        traces.insert(role, report.actions);
-        drop(transport);
-    }
-    assert_eq!(monitor.is_compliant(), shadow.is_compliant());
-    assert_eq!(monitor.is_complete(), shadow.is_complete());
-    assert_eq!(monitor.trace(), shadow.trace());
+    let (report, _) = Lockstep::new(CompiledMonitor::for_global(g).expect("projectable"))
+        .shadow(TraceMonitor::new(g).expect("well-formed"))
+        .grace(grace)
+        .run(endpoints);
+    let (statuses, traces) =
+        report.endpoints.into_iter().map(|(r, e)| ((r.clone(), e.status), (r, e.actions))).unzip();
     RunResult {
         statuses,
         traces,
-        compliant: monitor.is_compliant(),
-        complete: monitor.is_complete(),
-        global_actions: monitor.trace().len(),
+        compliant: report.compliant,
+        complete: report.complete,
+        global_actions: report.global_trace.len(),
     }
 }
 
+fn tcp_transports(procs: &[(Role, Proc)]) -> Vec<TcpTransport> {
+    loopback_mesh(procs.iter().map(|(r, _)| r.clone()), Duration::from_secs(10))
+}
+
 fn run_memory(g: &GlobalType, procs: &[(Role, Proc)], options: &ExecOptions) -> RunResult {
-    let mut network = InMemoryNetwork::new(procs.iter().map(|(r, _)| r.clone()));
-    let mut endpoints: Vec<_> = procs
-        .iter()
-        .map(|(r, _)| (r.clone(), network.take_endpoint(r).expect("unique roles")))
-        .collect();
-    // Visit order must match the TCP run's (sorted, from the BTreeMap
-    // mesh) so the cooperative schedules are identical.
-    endpoints.sort_by(|(a, _), (b, _)| a.cmp(b));
-    run(g, procs, options, endpoints, Duration::ZERO)
+    run(g, procs, options, memory_transports(procs), Duration::ZERO)
 }
 
 fn run_tcp(g: &GlobalType, procs: &[(Role, Proc)], options: &ExecOptions) -> RunResult {
-    let roles: Vec<Role> = procs.iter().map(|(r, _)| r.clone()).collect();
-    let mesh = tcp_mesh(&roles);
-    let endpoints = mesh.into_iter().collect();
-    run(g, procs, options, endpoints, Duration::from_millis(500))
+    run(g, procs, options, tcp_transports(procs), TCP_GRACE)
 }
 
 fn assert_transports_agree(
@@ -282,25 +197,19 @@ fn an_empty_fault_plan_is_behaviourally_invisible() {
         let plan = FaultPlan::new(0xFA17);
 
         let bare = run_memory(&g, &procs, &options);
-        let mut network = InMemoryNetwork::new(procs.iter().map(|(r, _)| r.clone()));
-        let mut endpoints: Vec<_> = procs
-            .iter()
-            .map(|(r, _)| {
-                let inner = network.take_endpoint(r).expect("unique roles");
-                (r.clone(), FaultyTransport::new(inner, &plan))
-            })
+        let endpoints = memory_transports(&procs)
+            .into_iter()
+            .map(|t| FaultyTransport::new(t, &plan))
             .collect();
-        endpoints.sort_by(|(a, _), (b, _)| a.cmp(b));
         let wrapped = run(&g, &procs, &options, endpoints, Duration::ZERO);
         assert_eq!(bare, wrapped, "{name}: empty plan changed the in-memory run");
 
         let bare_tcp = run_tcp(&g, &procs, &options);
-        let roles: Vec<Role> = procs.iter().map(|(r, _)| r.clone()).collect();
-        let endpoints: Vec<_> = tcp_mesh(&roles)
+        let endpoints = tcp_transports(&procs)
             .into_iter()
-            .map(|(r, t)| (r, FaultyTransport::new(t, &plan)))
+            .map(|t| FaultyTransport::new(t, &plan))
             .collect();
-        let wrapped_tcp = run(&g, &procs, &options, endpoints, Duration::from_millis(500));
+        let wrapped_tcp = run(&g, &procs, &options, endpoints, TCP_GRACE);
         assert_eq!(bare_tcp, wrapped_tcp, "{name}: empty plan changed the TCP run");
     }
 }

@@ -12,7 +12,8 @@
 //!    [`CompiledMonitor`] and [`TraceMonitor`] must agree on every observed
 //!    action, and the injected schedule must be byte-identical across runs
 //!    and across backends (in-memory and real loopback TCP) for the same
-//!    seed.
+//!    seed. Every run is scheduled by the lockstep runner
+//!    ([`zooid_runtime::lockstep`]).
 //! 2. **Byzantine casts** — [`byzantine_driver`] synthesizes minimally-
 //!    wrong endpoint casts (one mutation per driver). A cast is the batch
 //!    plane's real hostile input: its frame arena is process memory that
@@ -30,18 +31,18 @@
 //!    frame is reaped at the idle deadline.
 
 use std::collections::BTreeMap;
-use std::net::{IpAddr, Ipv4Addr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use zooid_cfsm::System;
 use zooid_dsl::Protocol;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{generators, Role};
 use zooid_proc::{Externals, Proc};
-use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions, StepOutcome};
+use zooid_runtime::exec::{EndpointStatus, EndpointTask, ExecOptions};
+use zooid_runtime::lockstep::Lockstep;
 use zooid_runtime::monitor::{CompiledMonitor, TraceMonitor};
-use zooid_runtime::tcp::TcpTransport;
+use zooid_runtime::tcp::loopback_mesh;
 use zooid_runtime::transport::{InMemoryNetwork, Transport};
 use zooid_runtime::{FaultKind, FaultPlan, FaultSite, FaultSpec, FaultyTransport, InjectedFault};
 use zooid_server::obs::CloseReason;
@@ -83,7 +84,7 @@ fn skeleton_procs(name: &str, g: &GlobalType) -> Vec<(Role, Proc)> {
 }
 
 // ---------------------------------------------------------------------
-// The cooperative driver over fault-wrapped transports
+// The lockstep runner over fault-wrapped transports
 // ---------------------------------------------------------------------
 
 #[derive(Debug)]
@@ -96,109 +97,41 @@ struct CampaignRun {
     schedules: BTreeMap<Role, Vec<InjectedFault>>,
 }
 
-/// Wraps every endpoint in a [`FaultyTransport`]; only `target` gets the
-/// real plan, the rest run the (behaviourally invisible) empty plan.
-fn wrap<T: Transport>(
-    endpoints: Vec<(Role, T)>,
-    target: &Role,
-    plan: &FaultPlan,
-) -> Vec<(Role, FaultyTransport<T>)> {
-    let empty = FaultPlan::new(0);
-    endpoints
-        .into_iter()
-        .map(|(role, transport)| {
-            let p = if &role == target { plan } else { &empty };
-            let wrapped = FaultyTransport::new(transport, p);
-            (role, wrapped)
-        })
-        .collect()
-}
-
-/// Steps every endpoint round-robin (drain-until-block) with the two
-/// monitors in lockstep until all are done or the session stalls.
-///
-/// Stall detection needs *both* guards: the round floor keeps polling long
-/// enough for a delayed message to reach its release tick (the fault
-/// transport only advances its clock when it is called), and the time
-/// grace absorbs real TCP delivery latency.
+/// Wraps every endpoint's transport (one per proc, in `procs` order) in a
+/// [`FaultyTransport`], where only `target` gets the real plan and the
+/// rest run the (behaviourally invisible) empty plan, and runs the session
+/// on the lockstep runner with a `TraceMonitor` shadowing the
+/// `CompiledMonitor`. The runner's
+/// idle-round floor keeps polling long enough for a delayed message to
+/// reach its release tick (the fault transport only advances its clock
+/// when it is called); `grace` absorbs real TCP delivery latency.
 fn drive<T: Transport>(
     g: &GlobalType,
     procs: &[(Role, Proc)],
-    options: &ExecOptions,
-    mut endpoints: Vec<(Role, FaultyTransport<T>)>,
-    stall_grace: Duration,
+    transports: Vec<T>,
+    (target, plan): (&Role, &FaultPlan),
+    grace: Duration,
 ) -> CampaignRun {
-    endpoints.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let system = Arc::new(System::from_global(g).expect("projectable").compile());
-    let mut monitor = CompiledMonitor::new(Arc::clone(&system));
-    let mut shadow = TraceMonitor::new(g).expect("well-formed");
-
-    let proc_of: BTreeMap<&Role, &Proc> = procs.iter().map(|(r, p)| (r, p)).collect();
-    let mut tasks: Vec<(Role, EndpointTask, FaultyTransport<T>)> = endpoints
-        .drain(..)
-        .map(|(role, transport)| {
-            let task = EndpointTask::new(
-                (*proc_of[&role]).clone(),
-                role.clone(),
-                Externals::new(),
-                options.clone(),
-            );
-            (role, task, transport)
+    let empty = FaultPlan::new(0);
+    let endpoints = procs
+        .iter()
+        .zip(transports)
+        .map(|((role, proc), transport)| {
+            let options = ExecOptions::default();
+            let task = EndpointTask::new(proc.clone(), role.clone(), Externals::new(), options);
+            let plan = if role == target { plan } else { &empty };
+            (task, FaultyTransport::new(transport, plan))
         })
         .collect();
-
-    let mut last_progress = Instant::now();
-    let mut idle_rounds = 0usize;
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        assert!(rounds < 10_000_000, "cooperative schedule must terminate");
-        let mut progressed = false;
-        for (_, task, transport) in &mut tasks {
-            loop {
-                let outcome = task.step(transport, &mut |va| {
-                    let action = zooid_proc::erase(va);
-                    let a = monitor.observe(&action);
-                    let b = shadow.observe(&action);
-                    assert_eq!(a, b, "monitors disagree on {action}");
-                });
-                match outcome {
-                    StepOutcome::Progress => progressed = true,
-                    _ => break,
-                }
-            }
-        }
-        if tasks.iter().all(|(_, t, _)| t.is_done()) {
-            break;
-        }
-        if progressed {
-            last_progress = Instant::now();
-            idle_rounds = 0;
-        } else {
-            idle_rounds += 1;
-            if idle_rounds >= 64 && last_progress.elapsed() >= stall_grace {
-                for (_, task, _) in &mut tasks {
-                    task.mark_stalled();
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-    }
-
-    let mut statuses = BTreeMap::new();
-    let mut schedules = BTreeMap::new();
-    for (role, task, mut transport) in tasks {
-        statuses.insert(role.clone(), task.into_report().status);
-        schedules.insert(role, transport.take_schedule());
-    }
-    assert_eq!(monitor.is_compliant(), shadow.is_compliant());
-    assert_eq!(monitor.is_complete(), shadow.is_complete());
+    let (report, transports) = Lockstep::new(CompiledMonitor::for_global(g).expect("projectable"))
+        .shadow(TraceMonitor::new(g).expect("well-formed"))
+        .grace(grace)
+        .run(endpoints);
     CampaignRun {
-        statuses,
-        compliant: monitor.is_compliant(),
-        complete: monitor.is_complete(),
-        schedules,
+        statuses: report.endpoints.into_iter().map(|(r, e)| (r, e.status)).collect(),
+        compliant: report.compliant,
+        complete: report.complete,
+        schedules: transports.into_iter().map(|(r, mut t)| (r, t.take_schedule())).collect(),
     }
 }
 
@@ -209,59 +142,16 @@ fn memory_run(
     plan: &FaultPlan,
 ) -> CampaignRun {
     let mut network = InMemoryNetwork::new(procs.iter().map(|(r, _)| r.clone()));
-    let endpoints: Vec<_> = procs
+    let transports = procs
         .iter()
-        .map(|(r, _)| (r.clone(), network.take_endpoint(r).expect("unique roles")))
+        .map(|(r, _)| network.take_endpoint(r).expect("unique roles"))
         .collect();
-    drive(
-        g,
-        procs,
-        &ExecOptions::default(),
-        wrap(endpoints, target, plan),
-        Duration::ZERO,
-    )
-}
-
-/// Full-mesh loopback TCP wiring, as in the runtime's differential suite.
-fn tcp_mesh(roles: &[Role]) -> Vec<(Role, TcpTransport)> {
-    let mut per_role: BTreeMap<Role, BTreeMap<Role, TcpStream>> =
-        roles.iter().map(|r| (r.clone(), BTreeMap::new())).collect();
-    for i in 0..roles.len() {
-        for j in (i + 1)..roles.len() {
-            let listener = TcpListener::bind((IpAddr::V4(Ipv4Addr::LOCALHOST), 0)).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let client = TcpStream::connect(addr).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            per_role
-                .get_mut(&roles[i])
-                .unwrap()
-                .insert(roles[j].clone(), server);
-            per_role
-                .get_mut(&roles[j])
-                .unwrap()
-                .insert(roles[i].clone(), client);
-        }
-    }
-    per_role
-        .into_iter()
-        .map(|(role, streams)| {
-            let mut transport = TcpTransport::from_streams(role.clone(), streams);
-            transport.set_recv_timeout(Duration::from_secs(10));
-            (role, transport)
-        })
-        .collect()
+    drive(g, procs, transports, (target, plan), Duration::ZERO)
 }
 
 fn tcp_run(g: &GlobalType, procs: &[(Role, Proc)], target: &Role, plan: &FaultPlan) -> CampaignRun {
-    let roles: Vec<Role> = procs.iter().map(|(r, _)| r.clone()).collect();
-    let endpoints = tcp_mesh(&roles);
-    drive(
-        g,
-        procs,
-        &ExecOptions::default(),
-        wrap(endpoints, target, plan),
-        Duration::from_millis(500),
-    )
+    let transports = loopback_mesh(procs.iter().map(|(r, _)| r.clone()), Duration::from_secs(10));
+    drive(g, procs, transports, (target, plan), Duration::from_millis(500))
 }
 
 // ---------------------------------------------------------------------

@@ -15,10 +15,24 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release"
+# Each step's header is printed again with its wall-clock seconds when the
+# next one starts, and the last line carries the total (bash's SECONDS).
+step_name=""
+step_start=0
+step_took() {
+    echo "== $step_name: $((SECONDS - step_start)) s"
+}
+step() {
+    [[ -z "$step_name" ]] || step_took
+    step_name="$1"
+    step_start=$SECONDS
+    echo "== $1"
+}
+
+step "cargo build --release"
 cargo build --release
 
-echo "== every vendor/ stub is a dependency of the workspace"
+step "every vendor/ stub is a dependency of the workspace"
 # A stub fails here in the PR that orphans it (serde and criterion outlived
 # their last user by several PRs).
 tree="$(cargo tree --workspace --offline --prefix none)"
@@ -29,14 +43,14 @@ for stub in vendor/*/; do
     }
 done
 
-echo "== every committed benchmark pair record agrees with its samples"
+step "every committed benchmark pair record agrees with its samples"
 # Recomputes each PAIRS_pr*.json record's quartiles and better/worse counts
 # from its per-seed samples; a mismatch or a malformed record fails. The
 # readings it prints per metric (gain, worse beyond bound, unresolved,
 # inside bound) are information only.
 scripts/bench_pairs.sh --check PAIRS_pr*.json
 
-echo "== the server links the serving engine, and the engine links no oracle"
+step "the server links the serving engine, and the engine links no oracle"
 # The crate graph keeps the oracles off the serving path. zooid-server may
 # name zooid-runtime (the reference runtime, harness, fault injection, peer
 # TCP, the session checkpoint codec, the columnar action encoding) only from
@@ -65,35 +79,35 @@ if [[ -n "$stray" ]]; then
     exit 1
 fi
 
-echo "== no compiler warning in any target"
+step "no compiler warning in any target"
 # Every crate's lib, bins, examples and tests (and the vendored stubs' own),
 # checked with warnings denied: a warning that scrolls past in a green run
 # is not seen again.
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
 
-echo "== no clippy warning in any target"
+step "no clippy warning in any target"
 # The same targets under clippy's default lints. An `#[allow]` names its
 # reason at the item it excuses.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== no rustdoc warning"
+step "no rustdoc warning"
 # Broken, ambiguous and private intra-doc links fail here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== cargo test --workspace -q"
+step "cargo test --workspace -q"
 # The root manifest is both a package and a workspace: a bare `cargo test`
 # would cover only the root crate's 17 integration tests. --workspace runs
 # every crate's unit, integration (incl. the differential suites) and doc
 # tests.
 cargo test --workspace -q
 
-echo "== cargo test --workspace --release -q"
+step "cargo test --workspace --release -q"
 # The same suites with optimizations on and debug assertions off: the
 # differential, hostile-world, durability and quarantine suites must hold
 # in the profile that serves.
 cargo test --workspace --release -q
 
-echo "== examples run to the end of their own assertions"
+step "examples run to the end of their own assertions"
 # `cargo check --all-targets` only compiles them; each asserts on its own
 # result (message counts, verdicts, quarantine counters), so a non-zero exit
 # is a behaviour change no test target would have seen.
@@ -104,7 +118,7 @@ for example in quickstart two_buyer pipeline ping_pong calculator load_sim; do
     }
 done
 
-echo "== zooid_benchmark gate (BENCHMARK.json's command: --validate, then --smoke)"
+step "zooid_benchmark gate (BENCHMARK.json's command: --validate, then --smoke)"
 # The benchmark pipeline builds this package from its own manifest against
 # the crates' public API, so an API break that only it would notice fails
 # here. `--smoke` runs every workload's correctness gate at a tiny size (~5 s),
@@ -115,7 +129,7 @@ benchmark=(cargo run --release --offline --quiet
 "${benchmark[@]}" --validate BENCHMARK.json
 "${benchmark[@]}" --smoke | tail -n 1
 
-echo "== front-door floor (tcp_short >= 50,000 sessions/s)"
+step "front-door floor (tcp_short >= 50,000 sessions/s)"
 # A timer that a session waits out on its way through the front door pins
 # this workload near 10k sessions/s on any machine (10.4k before PR 15: the
 # client sat out a 20 ms read timeout per wake); with none it runs at ~250k
@@ -128,7 +142,7 @@ echo "tcp_short ops_per_s: ${ops_per_s:-unreadable}"
     exit 1
 }
 
-echo "== memory ceiling (mem_mixed peak_rss_mb <= 160)"
+step "memory ceiling (mem_mixed peak_rss_mb <= 160)"
 # mem_mixed opens many narrow batch keys. Batches reserved at a fixed width
 # (512 slots, up to 64 per shard) whatever their key's traffic held 185-200
 # MB here on the 2-vCPU reference box; batches that start at one slot and
@@ -141,7 +155,7 @@ echo "mem_mixed peak_rss_mb: ${peak_rss_mb:-unreadable}"
     exit 1
 }
 
-echo "== register verdict table (every registration of the full list) and memory ceiling (peak_rss_mb <= 32)"
+step "register verdict table (every registration of the full list) and memory ceiling (peak_rss_mb <= 32)"
 # `--smoke` registers only the quick entries (chains of at most 4 roles), so
 # this is the step that checks chain8's `Safe` and the six larger chains'
 # `Inconclusive` at the default budget. A wrong verdict exits non-zero
@@ -161,13 +175,13 @@ echo "register peak_rss_mb: ${peak_rss_mb:-unreadable}"
     exit 1
 }
 
-echo "== case-studies (the paper's §5.2 table)"
+step "case-studies (the paper's §5.2 table)"
 # Every case study must project, certify, run compliant and check safe and
 # live; the binary exits non-zero (and prints "SOME CASE STUDY FAILED")
 # otherwise. About 1 s once built.
 cargo run --release --offline --quiet -p zooid-bench --bin case-studies | tail -n 1
 
-echo "== bench-report smoke (engine-vs-oracle families against their floors)"
+step "bench-report smoke (engine-vs-oracle families against their floors)"
 # Also the explore_parallel smoke suite: the family runs the work-stealing
 # explorer at 2 threads and asserts verdict and visited-configuration
 # agreement with the sequential reduced engine before timing it.
@@ -175,4 +189,5 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 cargo run --release -p zooid-bench --bin bench-report -- --smoke --out "$tmp" >/dev/null
 
-echo "== CI green"
+step_took
+echo "== CI green: $SECONDS s in total"
