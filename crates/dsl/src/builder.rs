@@ -650,8 +650,8 @@ mod tests {
         .unwrap();
         // The process is an if; with a false guard it falls through to b.
         let ext = Externals::new();
-        let normalized = zooid_proc::semantics::admin_normalize(z.proc(), &ext).unwrap();
-        match normalized {
+        let reduced = zooid_proc::semantics::to_communication(z.proc().clone(), &ext).unwrap();
+        match reduced {
             Proc::Send { label, .. } => assert_eq!(label, Label::new("b")),
             other => panic!("unexpected {other}"),
         }

@@ -9,8 +9,9 @@
 //! sort as values for trace recording, and the pre-interned
 //! [`InternedAction`] the live
 //! [`CompiledMonitor`](crate::monitor::CompiledMonitor) consumes without
-//! hashing a single string. [`admin_tick`] is the fuel rule for the internal
-//! actions between two communications.
+//! hashing a single string. [`admin_tick`] spends the fuel of
+//! [`zooid_proc::semantics`] on the internal actions between two
+//! communications.
 //!
 //! The columnar [`SessionBatch`](crate::cbatch::SessionBatch) runs these
 //! programs; so does the per-session oracle it is checked against, which
@@ -21,14 +22,10 @@ use std::sync::Arc;
 use zooid_cfsm::{CompiledSystem, InternedAction};
 use zooid_mpst::{Action, Label, Role, Sort};
 use zooid_proc::compile::CompiledProc;
-use zooid_proc::{Externals, Proc, ProcError};
+use zooid_proc::semantics::{fuel_exhausted, no_communication, ADMIN_FUEL};
+use zooid_proc::{Externals, Proc};
 
 use crate::error::{Result, RuntimeError};
-
-/// Same bound as the tree-walking semantics: a well-typed process performs
-/// finitely many internal actions between communications; the fuel protects
-/// against ill-typed ones, with the same error.
-const ADMIN_FUEL: usize = 10_000;
 
 /// One communication site of a program, resolved against the protocol: the
 /// concrete roles/label/sort for recording the action, and the pre-interned
@@ -130,21 +127,17 @@ impl EndpointProgram {
     }
 }
 
-/// Counts one internal action against the fuel, matching the tree
-/// semantics: `admin_normalize` gets a fresh fuel tank at every loop
-/// unfolding, so a backward jump (`next <= pc`, which in a compiled
-/// program is exactly a loop back-edge) resets the straight-line
-/// counter — while the back-edges themselves are bounded like the tree
-/// executor's unfoldings, so an all-internal cycle (`loop { if c then
-/// jump 0 else ... }` with `c` forever true) still fails instead of
-/// spinning.
+/// Counts one internal action, the step from `from_pc` to `to_pc`,
+/// against the fuel of [`zooid_proc::semantics`] (whose module doc states the
+/// rule): a step to an earlier instruction (`to_pc <= from_pc`, a loop
+/// back-edge) opens a new stretch of internal actions.
 ///
 /// Every executor of an [`EndpointProgram`] spends fuel through this one
 /// rule, so they fail on the same internal step with the same error.
 ///
 /// # Errors
 ///
-/// [`RuntimeError::Process`] ([`ProcError::Stuck`]) once either bound is
+/// [`RuntimeError::Process`] (`ProcError::Stuck`) once either bound is
 /// exhausted.
 pub fn admin_tick(
     admin: &mut usize,
@@ -156,19 +149,12 @@ pub fn admin_tick(
         *admin = 0;
         *back_edges += 1;
         if *back_edges > ADMIN_FUEL {
-            return Err(RuntimeError::Process(ProcError::Stuck {
-                context: "recursion does not reach a communication".to_owned(),
-            }));
+            return Err(RuntimeError::Process(no_communication()));
         }
     }
     *admin += 1;
-    // `>=`, not `>`: the tree's `admin_normalize` spends one of its
-    // `ADMIN_FUEL` iterations on the final is-it-a-communication check,
-    // so it performs at most `ADMIN_FUEL - 1` reductions.
     if *admin >= ADMIN_FUEL {
-        return Err(RuntimeError::Process(ProcError::Stuck {
-            context: "internal actions did not terminate within the fuel bound".to_owned(),
-        }));
+        return Err(RuntimeError::Process(fuel_exhausted()));
     }
     Ok(())
 }

@@ -2,9 +2,10 @@
 //! move applied to the data plane.
 //!
 //! [`crate::semantics::do_step`] and the tree-walking executors interpret a
-//! [`Proc`] by structural recursion: every visible step re-normalises the
-//! head, substitutes values through the whole continuation and (for loops)
-//! rebuilds the unfolded tree. All of that work is *shape-directed* — it
+//! [`Proc`] by structural recursion: every visible step reduces the head
+//! ([`to_communication`](crate::semantics::to_communication)), substitutes
+//! values through the whole continuation and (for loops) rebuilds the
+//! unfolded tree. All of that work is *shape-directed* — it
 //! depends only on the process, never on the values — so it can be done once.
 //! [`CompiledProc::compile`] lowers a process into:
 //!
@@ -26,7 +27,9 @@
 //! behavioural oracle: compilation preserves the visible semantics exactly,
 //! including error behaviour (unbound variables, unknown externals and
 //! non-terminating internal reductions fail at the same points with the same
-//! errors), which the differential suite in `zooid-runtime` checks.
+//! errors; [`crate::semantics`] states the fuel rule and the one case where
+//! the two give up at different points), which the differential suite in
+//! `zooid-runtime` checks.
 
 use zooid_mpst::common::intern::{LabelId, RoleId, SortId};
 use zooid_mpst::{Interner, InternerSnapshot, Role, Sort};
@@ -35,6 +38,7 @@ use crate::error::{ProcError, Result};
 use crate::expr::{compare, numeric, Arith, Expr, SortEnv};
 use crate::external::Externals;
 use crate::proc::Proc;
+use crate::semantics::no_communication;
 use crate::value::Value;
 
 /// A compiled expression: the payload/condition language of [`Expr`], with
@@ -433,9 +437,7 @@ impl Compiler<'_> {
                 if self.instrs.len() == before {
                     // The body emitted nothing (`loop { jump k }` chains):
                     // the loop can never reach a communication.
-                    return Err(ProcError::Stuck {
-                        context: "recursion does not reach a communication".to_owned(),
-                    });
+                    return Err(no_communication());
                 }
                 Ok(entry)
             }

@@ -13,8 +13,9 @@
 //! * [`proc::Proc`] — the process syntax (Definition 4.1);
 //! * [`typing`] — the typing judgement `Γ ⊢lt e : L` (Definition 4.2,
 //!   Figure 5) as a decidable checker;
-//! * [`semantics`] — the labelled transition system for processes
-//!   (Definition 4.4) with value-carrying actions and their erasure;
+//! * [`semantics`] — the reduction to the next communication and the
+//!   labelled transition system for processes (Definition 4.4) with
+//!   value-carrying actions and their erasure;
 //! * [`subtrace`] — the complete-subtrace relation (Definition 4.6);
 //! * [`preservation`] — executable counterparts of type preservation
 //!   (Theorem 4.5) and of *process traces are global traces* (Theorem 4.7).

@@ -11,7 +11,8 @@ use zooid_mpst::{Action, Role, Trace};
 use crate::error::{ProcError, Result};
 use crate::external::Externals;
 use crate::proc::Proc;
-use crate::semantics::{admin_normalize, do_step, erase, ValueAction};
+use crate::expr::sort_of_value;
+use crate::semantics::{do_step, erase, to_communication, ValueAction};
 use crate::subtrace::is_complete_subtrace;
 use crate::typing::type_check;
 use crate::value::Value;
@@ -73,12 +74,9 @@ pub fn check_type_preservation(
         let mut next = Vec::new();
         for (p, l) in &frontier {
             explored += 1;
-            for action in offered_actions(p, l, self_role, externals)? {
-                let Some(p2) = do_step(p, &action, externals)? else {
-                    continue;
-                };
-                let erased = erase(&action);
-                let Some(l2) = local_type_step(l, &erased) else {
+            for (action, p2, l2) in successors(p, l, self_role, externals)? {
+                let Some(l2) = l2 else {
+                    let erased = erase(&action);
                     return Ok(PreservationReport {
                         holds: false,
                         states_explored: explored,
@@ -112,29 +110,18 @@ pub fn check_type_preservation(
     })
 }
 
-/// The visible actions a process offers next (its send, or one receive per
-/// declared alternative with a canonical payload), guided by its local type
-/// when available so that the sender of received messages is filled in.
-fn offered_actions(
+/// The steps `(p, L) --a--> (p', L')` the checkers explore from one state:
+/// the process's send, or one receive per declared alternative with a
+/// canonical payload, each performed by [`do_step`]. A send carries the
+/// sort the local type gives its label (the payload's [`sort_of_value`]
+/// when the type offers none); `L'` is `None` when the type cannot follow.
+fn successors(
     proc: &Proc,
     local: &LocalType,
     self_role: &Role,
     externals: &Externals,
-) -> Result<Vec<ValueAction>> {
-    let mut current = admin_normalize(proc, externals)?;
-    let mut local = local.unfold_head();
-    // Unfold process recursion together with the type.
-    for _ in 0..64 {
-        if matches!(current, Proc::Loop(_)) {
-            current = admin_normalize(&current.unfold_once(), externals)?;
-            local = local.unfold_head();
-        } else {
-            break;
-        }
-    }
-    let mut out = Vec::new();
-    match &current {
-        Proc::Finish | Proc::Jump(_) => {}
+) -> Result<Vec<(ValueAction, Proc, Option<LocalType>)>> {
+    let offered = match to_communication(proc.clone(), externals)? {
         Proc::Send {
             to,
             label,
@@ -142,50 +129,32 @@ fn offered_actions(
             ..
         } => {
             let value = payload.eval_closed()?;
-            let sort = match &local {
-                LocalType::Send { branches, .. } => branches
-                    .iter()
-                    .find(|b| &b.label == label)
-                    .map(|b| b.sort.clone()),
+            let typed = match local.unfold_head() {
+                LocalType::Send { branches, .. } => {
+                    branches.into_iter().find(|b| b.label == label).map(|b| b.sort)
+                }
                 _ => None,
             };
-            let sort = sort.unwrap_or_else(|| default_sort_of(&value));
-            out.push(ValueAction::send(
-                self_role.clone(),
-                to.clone(),
-                label.clone(),
-                sort,
-                value,
-            ));
+            let sort = typed.unwrap_or_else(|| sort_of_value(&value));
+            vec![ValueAction::send(self_role.clone(), to, label, sort, value)]
         }
-        Proc::Recv { from, alts } => {
-            for alt in alts {
-                out.push(ValueAction::recv(
-                    self_role.clone(),
-                    from.clone(),
-                    alt.label.clone(),
-                    alt.sort.clone(),
-                    Value::default_of(&alt.sort),
-                ));
-            }
+        Proc::Recv { from, alts } => alts
+            .into_iter()
+            .map(|alt| {
+                let value = Value::default_of(&alt.sort);
+                ValueAction::recv(self_role.clone(), from.clone(), alt.label, alt.sort, value)
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    let mut out = Vec::new();
+    for action in offered {
+        if let Some(p2) = do_step(proc, &action, externals)? {
+            let l2 = local_type_step(local, &erase(&action));
+            out.push((action, p2, l2));
         }
-        _ => unreachable!("admin_normalize removed internal actions"),
     }
     Ok(out)
-}
-
-fn default_sort_of(value: &Value) -> zooid_mpst::Sort {
-    use zooid_mpst::Sort;
-    match value {
-        Value::Unit => Sort::Unit,
-        Value::Nat(_) => Sort::Nat,
-        Value::Int(_) => Sort::Int,
-        Value::Bool(_) => Sort::Bool,
-        Value::Str(_) => Sort::Str,
-        Value::Inl(v) | Value::Inr(v) => Sort::sum(default_sort_of(v), Sort::Unit),
-        Value::Pair(a, b) => Sort::prod(default_sort_of(a), default_sort_of(b)),
-        Value::Seq(vs) => Sort::seq(vs.first().map(default_sort_of).unwrap_or(Sort::Unit)),
-    }
 }
 
 /// Enumerates the erased traces a process can exhibit, up to `depth` visible
@@ -196,7 +165,7 @@ fn default_sort_of(value: &Value) -> zooid_mpst::Sort {
 /// # Errors
 ///
 /// Fails on runtime errors during the exploration (see
-/// [`admin_normalize`]).
+/// [`to_communication`]).
 pub fn proc_traces_up_to(
     proc: &Proc,
     local: &LocalType,
@@ -211,12 +180,8 @@ pub fn proc_traces_up_to(
         if trace.len() >= depth {
             continue;
         }
-        for action in offered_actions(&p, &l, self_role, externals)? {
-            if let Some(p2) = do_step(&p, &action, externals)? {
-                let erased = erase(&action);
-                let l2 = local_type_step(&l, &erased).unwrap_or_else(|| l.clone());
-                frontier.push((p2, l2, trace.snoc(erased)));
-            }
+        for (action, p2, l2) in successors(&p, &l, self_role, externals)? {
+            frontier.push((p2, l2.unwrap_or_else(|| l.clone()), trace.snoc(erase(&action))));
         }
     }
     Ok(out)
@@ -408,5 +373,24 @@ mod tests {
         // Bob's implementation is not a complete implementation of Alice.
         let report = check_against_projection(&bob(), &r("Alice"), &ping_pong(), &Externals::new(), 3);
         assert!(report.is_err());
+    }
+
+    #[test]
+    fn the_checkers_follow_a_send_under_65_nested_loops() {
+        // `loop^65 { send q (l, 1); jump 0 }`, typed by `rec^65 q!l(nat). X0`:
+        // more nested loops than the checkers once unfolded by themselves.
+        let mut proc = Proc::send(r("q"), "l", Expr::lit(1u64), Proc::Jump(0));
+        let mut local = LocalType::send1(r("q"), "l", Sort::Nat, LocalType::var(0));
+        for _ in 0..65 {
+            proc = Proc::loop_(proc);
+            local = LocalType::rec(local);
+        }
+        let ext = Externals::new();
+        let report = check_type_preservation(&proc, &local, &ext, &r("p"), 3).unwrap();
+        assert!(report.holds, "{:?}", report.counterexample);
+        let traces = proc_traces_up_to(&proc, &local, &r("p"), &ext, 3).unwrap();
+        let send = Action::send(r("p"), r("q"), Label::new("l"), Sort::Nat);
+        let three = Trace::from(vec![send.clone(), send.clone(), send]);
+        assert!(traces.contains(&three));
     }
 }

@@ -1,6 +1,35 @@
 //! The labelled transition system for processes (Definition 4.4,
 //! `do_step_proc` in `Proc.v`) and the erasure of value-carrying actions to
 //! type-level actions.
+//!
+//! # The reduction to the next communication
+//!
+//! Before its next visible step a process is reduced, by
+//! [`to_communication`], until its head is `finish`, `send` or `recv`:
+//! the internal actions at the head (`if`, `read`, `write`, `interact`) run
+//! in place, since they do not appear in traces (§4.1), and loops unfold
+//! (`[p-step-loop]`). A free `jump` is an error. The LTS ([`do_step`]), the
+//! Theorem 4.5/4.7 checkers and the tree-walking executor all step through
+//! this one function.
+//!
+//! Typing guarantees that a certified process reaches a communication in
+//! finitely many reductions; the fuel turns an uncertified one that does not
+//! into [`ProcError::Stuck`] instead of a hang. A loop reached through an
+//! internal action is a *back-edge*, and the internal actions between two
+//! back-edges are a *stretch* (the action that took the back-edge opens the
+//! next one). A loop at the head of the step, or at the head of a loop body,
+//! is entered without a back-edge. One step may take at most
+//! [`ADMIN_FUEL`] back-edges and enter at most [`ADMIN_FUEL`] loops in a row
+//! ([`no_communication`]), and a stretch holds fewer than [`ADMIN_FUEL`]
+//! internal actions ([`fuel_exhausted`]). An action the fuel refuses is not
+//! performed.
+//!
+//! A compiled program spends the same fuel by its own rule
+//! (`zooid_engine::program::admin_tick`), where a back-edge is a jump to an
+//! earlier instruction, so the executors give up on the same action with the
+//! same error. The one place they differ is a loop entered forward after an
+//! internal action (`if c then loop { … } else …`): a compiled program does
+//! not count it as a back-edge, and the reduction here does.
 
 use std::fmt;
 
@@ -99,58 +128,81 @@ pub fn erase(action: &ValueAction) -> Action {
     }
 }
 
-/// Maximum number of administrative reductions (`if`, `read`, `write`,
-/// `interact`, `loop` unfoldings) performed while looking for the next
-/// communication. A well-typed process can only perform finitely many of
-/// them between communications; the bound protects against accidental
-/// non-termination of user-supplied processes.
-const ADMIN_FUEL: usize = 10_000;
+/// The fuel of [`to_communication`]: a step performs fewer than
+/// `ADMIN_FUEL` internal actions in a stretch, takes at most `ADMIN_FUEL`
+/// back-edges and enters at most `ADMIN_FUEL` loops in a row.
+pub const ADMIN_FUEL: usize = 10_000;
 
-/// Reduces the internal (non-communicating) actions at the head of a process
-/// until it starts with `finish`, `send`, `recv`, `loop` or `jump`.
-///
-/// Internal actions are the conditionals and the external interactions; they
-/// do not appear in traces (§4.1) and therefore commute with the visible LTS.
-///
-/// # Errors
-///
-/// Fails if an expression is ill-typed at runtime, an external action is not
-/// registered, or the internal reduction does not terminate within a fixed
-/// fuel bound.
-pub fn admin_normalize(proc: &Proc, externals: &Externals) -> Result<Proc> {
-    admin_normalize_owned(proc.clone(), externals)
+/// The error of a recursion that never reaches a communication: a step
+/// took more than [`ADMIN_FUEL`] back-edges or loop entries.
+pub fn no_communication() -> ProcError {
+    ProcError::Stuck {
+        context: "recursion does not reach a communication".to_owned(),
+    }
 }
 
-/// Like [`admin_normalize`], but takes the process by value: when the head is
-/// already a communication (the steady state of the executors) nothing is
-/// cloned at all, and each internal reduction moves its continuation out of
-/// its `Box` instead of deep-cloning it.
+/// The error of a stretch of [`ADMIN_FUEL`] internal actions.
+pub fn fuel_exhausted() -> ProcError {
+    ProcError::Stuck {
+        context: "internal actions did not terminate within the fuel bound".to_owned(),
+    }
+}
+
+/// Reduces a process to its next communication: runs the internal actions
+/// at its head and unfolds its loops, under the fuel rule of the
+/// [module documentation](self), until the head is `finish`, `send` or
+/// `recv`. A head that is already a communication (the steady state of the
+/// executors) is returned as it is, and each reduction moves its
+/// continuation out of its `Box`, so nothing is cloned but a loop's body.
 ///
 /// # Errors
 ///
-/// Same as [`admin_normalize`].
-pub fn admin_normalize_owned(mut current: Proc, externals: &Externals) -> Result<Proc> {
-    for _ in 0..ADMIN_FUEL {
-        match current {
+/// [`ProcError::UnboundJump`] for a free `jump`; [`no_communication`] or
+/// [`fuel_exhausted`] when the fuel runs out; and the failures of the
+/// internal actions (an ill-typed expression, an unregistered external).
+pub fn to_communication(mut current: Proc, externals: &Externals) -> Result<Proc> {
+    // Internal actions in this stretch, back-edges, and loops entered
+    // since the last internal action.
+    let (mut internal, mut back_edges, mut entries) = (0usize, 0usize, 0usize);
+    loop {
+        let next = match current {
+            Proc::Finish | Proc::Send { .. } | Proc::Recv { .. } => return Ok(current),
+            Proc::Jump(index) => return Err(ProcError::UnboundJump { index }),
+            Proc::Loop(_) => {
+                if entries == 0 && internal > 0 {
+                    // The last reduction was an internal action: a
+                    // back-edge, and the action that took it opens the
+                    // next stretch.
+                    back_edges += 1;
+                    internal = 1;
+                }
+                entries += 1;
+                if back_edges > ADMIN_FUEL || entries > ADMIN_FUEL {
+                    return Err(no_communication());
+                }
+                current = current.unfold_once();
+                continue;
+            }
+            _ if internal + 1 >= ADMIN_FUEL => return Err(fuel_exhausted()),
             Proc::Cond {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                current = if cond.eval_closed()?.as_bool()? {
+                if cond.eval_closed()?.as_bool()? {
                     *then_branch
                 } else {
                     *else_branch
-                };
+                }
             }
             Proc::Read { action, var, cont } => {
                 let result = externals.call(&action, Value::Unit)?;
-                current = cont.subst_value(&var, &result);
+                cont.subst_value(&var, &result)
             }
             Proc::Write { action, arg, cont } => {
                 let value = arg.eval_closed()?;
                 externals.call(&action, value)?;
-                current = *cont;
+                *cont
             }
             Proc::Interact {
                 action,
@@ -160,67 +212,48 @@ pub fn admin_normalize_owned(mut current: Proc, externals: &Externals) -> Result
             } => {
                 let value = arg.eval_closed()?;
                 let result = externals.call(&action, value)?;
-                current = cont.subst_value(&var, &result);
+                cont.subst_value(&var, &result)
             }
-            other => return Ok(other),
-        }
+        };
+        internal += 1;
+        entries = 0;
+        current = next;
     }
-    Err(ProcError::Stuck {
-        context: "internal actions did not terminate within the fuel bound".to_owned(),
-    })
 }
 
 /// One step of the process LTS (Definition 4.4): attempts to perform the
-/// visible action `action` from `proc`.
+/// visible action `action` from `proc`, after [reducing it to its next
+/// communication](to_communication).
 ///
 /// * `[p-step-send]` — a send process emits its message (the payload
 ///   expression is evaluated and must equal the action's value);
 /// * `[p-step-recv]` — a receive process consumes a matching message and
-///   binds its payload;
-/// * `[p-step-loop]` — recursion is unfolded as needed.
+///   binds its payload.
 ///
-/// Internal actions at the head are reduced first (they are invisible).
 /// Returns `Ok(None)` when the action is not enabled.
 ///
 /// # Errors
 ///
-/// Fails on runtime errors of the internal reductions (see
-/// [`admin_normalize`]).
+/// Those of [`to_communication`], and an ill-typed payload expression.
 pub fn do_step(proc: &Proc, action: &ValueAction, externals: &Externals) -> Result<Option<Proc>> {
-    let mut current = admin_normalize(proc, externals)?;
-    // [p-step-loop]: unfold recursion until a communication appears. Typing
-    // guarantees loops are guarded, so this terminates for well-typed
-    // processes; the fuel protects against ill-typed ones.
-    for _ in 0..ADMIN_FUEL {
-        match current {
-            Proc::Loop(_) => {
-                current = admin_normalize(&current.unfold_once(), externals)?;
-            }
-            _ => break,
-        }
-    }
-    match &current {
-        Proc::Finish | Proc::Jump(_) => Ok(None),
-        Proc::Loop(_) => Err(ProcError::Stuck {
-            context: "recursion does not reach a communication".to_owned(),
-        }),
+    match to_communication(proc.clone(), externals)? {
         Proc::Send {
             to,
             label,
             payload,
             cont,
         } => {
-            if !action.is_send || &action.to != to || &action.label != label {
+            if !action.is_send || action.to != to || action.label != label {
                 return Ok(None);
             }
             let value = payload.eval_closed()?;
             if value != action.value || !value.has_sort(&action.sort) {
                 return Ok(None);
             }
-            Ok(Some((**cont).clone()))
+            Ok(Some(*cont))
         }
         Proc::Recv { from, alts } => {
-            if action.is_send || &action.from != from {
+            if action.is_send || action.from != from {
                 return Ok(None);
             }
             let Some(alt) = alts.iter().find(|a| a.label == action.label) else {
@@ -231,77 +264,8 @@ pub fn do_step(proc: &Proc, action: &ValueAction, externals: &Externals) -> Resu
             }
             Ok(Some(alt.cont.subst_value(&alt.var, &action.value)))
         }
-        Proc::Cond { .. } | Proc::Read { .. } | Proc::Write { .. } | Proc::Interact { .. } => {
-            unreachable!("admin_normalize removed internal actions")
-        }
-    }
-}
-
-/// What the process offers next, after reducing internal actions: either it
-/// has terminated, or it wants to send one specific message, or it is ready
-/// to receive one of several labels from a partner.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NextCommunication {
-    /// The process has terminated.
-    Done,
-    /// The process wants to emit exactly this action.
-    Send(ValueAction),
-    /// The process waits for a message from `from` with one of the listed
-    /// `(label, sort)` alternatives.
-    Receive {
-        /// The expected sender.
-        from: Role,
-        /// The alternatives the process can handle.
-        alternatives: Vec<(Label, Sort)>,
-    },
-}
-
-/// Computes the next communication offered by a process, given the role that
-/// executes it (needed to fill in the sender of emitted messages).
-///
-/// # Errors
-///
-/// Fails on runtime errors of the internal reductions and when a recursion
-/// never reaches a communication.
-pub fn next_communication(
-    proc: &Proc,
-    self_role: &Role,
-    externals: &Externals,
-) -> Result<NextCommunication> {
-    let mut current = admin_normalize(proc, externals)?;
-    for _ in 0..ADMIN_FUEL {
-        match current {
-            Proc::Loop(_) => current = admin_normalize(&current.unfold_once(), externals)?,
-            _ => break,
-        }
-    }
-    match &current {
-        Proc::Finish => Ok(NextCommunication::Done),
-        Proc::Jump(i) => Err(ProcError::UnboundJump { index: *i }),
-        Proc::Loop(_) => Err(ProcError::Stuck {
-            context: "recursion does not reach a communication".to_owned(),
-        }),
-        Proc::Send {
-            to,
-            label,
-            payload,
-            ..
-        } => {
-            let value = payload.eval_closed()?;
-            let sort = payload.infer_sort(&Default::default())?;
-            Ok(NextCommunication::Send(ValueAction::send(
-                self_role.clone(),
-                to.clone(),
-                label.clone(),
-                sort,
-                value,
-            )))
-        }
-        Proc::Recv { from, alts } => Ok(NextCommunication::Receive {
-            from: from.clone(),
-            alternatives: alts.iter().map(|a| (a.label.clone(), a.sort.clone())).collect(),
-        }),
-        _ => unreachable!("admin_normalize removed internal actions"),
+        // `finish` performs nothing.
+        _ => Ok(None),
     }
 }
 
@@ -309,7 +273,6 @@ pub fn next_communication(
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::proc::RecvAlt;
 
     fn r(name: &str) -> Role {
         Role::new(name)
@@ -393,43 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn next_communication_reports_the_offer() {
-        let ext = Externals::new();
-        let send = Proc::send(r("q"), "l", Expr::lit(5u64), Proc::Finish);
-        match next_communication(&send, &r("me"), &ext).unwrap() {
-            NextCommunication::Send(a) => {
-                assert_eq!(a.from, r("me"));
-                assert_eq!(a.value, Value::Nat(5));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
-        let recv = Proc::recv(
-            r("p"),
-            vec![
-                RecvAlt::new("a", Sort::Nat, "x", Proc::Finish),
-                RecvAlt::new("b", Sort::Unit, "y", Proc::Finish),
-            ],
-        );
-        match next_communication(&recv, &r("me"), &ext).unwrap() {
-            NextCommunication::Receive { from, alternatives } => {
-                assert_eq!(from, r("p"));
-                assert_eq!(alternatives.len(), 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
-        assert_eq!(
-            next_communication(&Proc::Finish, &r("me"), &ext).unwrap(),
-            NextCommunication::Done
-        );
-    }
-
-    #[test]
     fn unregistered_externals_make_execution_fail() {
         let p = Proc::read("nope", "x", Proc::Finish);
         let ext = Externals::new();
-        assert!(admin_normalize(&p, &ext).is_err());
+        assert!(to_communication(p, &ext).is_err());
     }
 
     #[test]

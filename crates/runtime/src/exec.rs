@@ -2,9 +2,10 @@
 //!
 //! This is the counterpart of the paper's extraction (`extract_proc`,
 //! Appendix B) composed with a `ProcessMonad` instance: the process is
-//! interpreted action by action, communication is delegated to the
-//! transport, internal actions (`if`, `read`, `write`, `interact`) are
-//! executed in place, and the endpoint's own trace is recorded so that it can
+//! interpreted action by action: before each one the process is reduced to
+//! its next communication ([`to_communication`], which runs the internal
+//! actions in place and states the fuel rule), communication is delegated
+//! to the transport, and the endpoint's own trace is recorded so that it can
 //! be checked against the protocol afterwards (or live, by the
 //! [`monitor`](crate::monitor)).
 //!
@@ -24,7 +25,7 @@
 //! it lives in the serving engine (`zooid-engine`) and is re-exported here.
 
 use zooid_mpst::Role;
-use zooid_proc::semantics::admin_normalize_owned;
+use zooid_proc::semantics::to_communication;
 use zooid_proc::{sort_of_value, Externals, Proc, ValueAction};
 
 use crate::error::{Result, RuntimeError};
@@ -102,10 +103,10 @@ pub struct EndpointTask {
     externals: Externals,
     options: ExecOptions,
     current: Proc,
-    /// Whether `current` is already administratively normalised (no leading
-    /// internal actions or loops). Normalisation is re-done lazily after
-    /// every visible step, and skipped when a `WouldBlock` retry comes back.
-    normalized: bool,
+    /// Whether `current` is already reduced to its next communication. The
+    /// reduction is re-done lazily after every visible step, and skipped
+    /// when a `WouldBlock` retry comes back.
+    reduced: bool,
     actions: Vec<ValueAction>,
     steps: usize,
     status: Option<EndpointStatus>,
@@ -119,7 +120,7 @@ impl EndpointTask {
             externals,
             options,
             current: proc,
-            normalized: false,
+            reduced: false,
             actions: Vec::new(),
             steps: 0,
             status: None,
@@ -203,38 +204,18 @@ impl EndpointTask {
         observer: &mut dyn FnMut(&ValueAction),
         block: bool,
     ) -> Result<StepOutcome> {
-        // Advance by *taking ownership* of the process: normalisation and
-        // stepping move continuations out of their boxes instead of
-        // deep-cloning them ([`admin_normalize_owned`] is a no-op when the
-        // head is already a communication, the steady state here). On paths
-        // that do not consume the process (`WouldBlock`, and any `Done` —
-        // the task never steps again after one) `self.current` is either
-        // restored or irrelevant.
-        if !self.normalized {
-            let mut current =
-                admin_normalize_owned(std::mem::replace(&mut self.current, Proc::Finish), &self.externals)?;
-            let mut unfolds = 0usize;
-            while matches!(current, Proc::Loop(_)) {
-                // Typing guarantees loops are guarded, so this terminates
-                // for certified processes; the bound turns an unguarded
-                // `loop { jump 0 }` into the same `Stuck` error the process
-                // compiler reports, instead of spinning forever.
-                unfolds += 1;
-                if unfolds > 10_000 {
-                    return Err(RuntimeError::Process(zooid_proc::ProcError::Stuck {
-                        context: "recursion does not reach a communication".to_owned(),
-                    }));
-                }
-                current = admin_normalize_owned(current.unfold_once(), &self.externals)?;
-            }
-            self.current = current;
-            self.normalized = true;
+        // Advance by *taking ownership* of the process: the reduction and
+        // the step move continuations out of their boxes instead of
+        // deep-cloning them ([`to_communication`] returns a communication
+        // as it is, the steady state here). On paths that do not consume
+        // the process (`WouldBlock`, and any `Done` — the task never steps
+        // again after one) `self.current` is either restored or irrelevant.
+        if !self.reduced {
+            let current = std::mem::replace(&mut self.current, Proc::Finish);
+            self.current = to_communication(current, &self.externals)?;
+            self.reduced = true;
         }
         match std::mem::replace(&mut self.current, Proc::Finish) {
-            Proc::Finish => Ok(StepOutcome::Done(EndpointStatus::Finished)),
-            Proc::Jump(i) => Err(RuntimeError::Process(zooid_proc::ProcError::UnboundJump {
-                index: i,
-            })),
             Proc::Send {
                 to,
                 label,
@@ -266,7 +247,7 @@ impl EndpointTask {
                 }
                 self.steps += 1;
                 self.current = *cont;
-                self.normalized = false;
+                self.reduced = false;
                 Ok(StepOutcome::Progress)
             }
             Proc::Recv { from, alts } => {
@@ -309,16 +290,11 @@ impl EndpointTask {
                 let next = alt.cont.subst_value(&alt.var, &value);
                 self.steps += 1;
                 self.current = next;
-                self.normalized = false;
+                self.reduced = false;
                 Ok(StepOutcome::Progress)
             }
-            Proc::Loop(_)
-            | Proc::Cond { .. }
-            | Proc::Read { .. }
-            | Proc::Write { .. }
-            | Proc::Interact { .. } => {
-                unreachable!("admin_normalize removed internal actions and loops")
-            }
+            // `finish`, the one other head `to_communication` returns.
+            _ => Ok(StepOutcome::Done(EndpointStatus::Finished)),
         }
     }
 }

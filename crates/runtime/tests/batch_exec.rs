@@ -27,8 +27,10 @@ use zooid_dsl::synth::{byzantine_driver, skeleton_procs, ByzantineMutation};
 use zooid_dsl::Protocol;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{generators, Role, Sort};
+use zooid_proc::semantics::{do_step, no_communication, ADMIN_FUEL};
 use zooid_proc::{Expr, Externals, Proc, Value, ValueAction};
 use zooid_runtime::cbatch::{BatchLayout, BatchOutcome, SessionBatch};
+use zooid_runtime::error::RuntimeError;
 use zooid_runtime::exec::{EndpointStatus, ExecOptions};
 use zooid_runtime::monitor::CompiledMonitor;
 
@@ -1026,4 +1028,40 @@ fn a_sessions_interleaving_does_not_depend_on_its_batch() {
         }
     }
     assert_eq!(violators, 3, "three of the four mutations violate");
+}
+
+#[test]
+fn every_executor_gives_up_on_a_silent_loop_after_the_same_laps() {
+    // `loop { write tick 0; if true then jump 0 else send q (l, 1) }` never
+    // reaches its send. The tree's reduction and the compiled programs'
+    // `admin_tick` spend the one fuel bound on the same back-edges, so the
+    // tree, the slab and the batch each log the same ticks and fail with the
+    // same `Stuck` error, and `do_step` refuses the send with it too.
+    let (p, q) = (Role::new("p"), Role::new("q"));
+    let g = GlobalType::msg1(p.clone(), q.clone(), "l", Sort::Nat, GlobalType::End);
+    let send = Proc::send(q.clone(), "l", Expr::lit(1u64), Proc::Finish);
+    let body = Proc::cond(Expr::lit(true), Proc::Jump(0), send);
+    let silent = Proc::loop_(Proc::write("tick", Expr::lit(0u64), body));
+    let procs = vec![
+        (p.clone(), silent.clone()),
+        (q.clone(), Proc::recv1(p.clone(), "l", Sort::Nat, "x", Proc::Finish)),
+    ];
+    let ticks = Arc::new(AtomicU64::new(0));
+    let mut externals = Externals::new();
+    let counter = Arc::clone(&ticks);
+    externals.register_write("tick", Sort::Nat, move |_| {
+        counter.fetch_add(1, Ordering::Relaxed);
+    });
+    let both = (&externals, &externals);
+    let options = ExecOptions::default();
+    let observed = assert_batch_agrees_with(&g, &procs, &options, &[1], "silent loop", both);
+    let stuck = RuntimeError::Process(no_communication()).to_string();
+    assert_eq!(observed.statuses[&p], EndpointStatus::Failed { error: stuck });
+    assert_eq!(observed.statuses[&q], EndpointStatus::Stalled);
+    // A lap before the first back-edge and one after each of the
+    // `ADMIN_FUEL` back-edges the fuel allows, on each of the three runs.
+    let laps = ADMIN_FUEL as u64 + 1;
+    assert_eq!(ticks.load(Ordering::Relaxed), 3 * laps);
+    let action = ValueAction::send(p, q, "l".into(), Sort::Nat, Value::Nat(1));
+    assert_eq!(do_step(&silent, &action, &externals), Err(no_communication()));
 }

@@ -110,7 +110,7 @@
 //! The shard does not re-run it: a certified endpoint is a deterministic
 //! function of what it receives, so re-running a session that calls no
 //! externals repeats its verdict, and one that calls them cannot be re-run.
-//! `tests/crash_recovery.rs` drives quarantine.
+//! `tests/quarantine.rs` drives quarantine.
 //!
 //! A session **ends where it stands**: whoever holds it when it is over —
 //! its batch (concluded, or every endpoint blocked for good), or the shard

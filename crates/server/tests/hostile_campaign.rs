@@ -35,6 +35,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use zooid_dsl::synth::skeleton_procs;
 use zooid_dsl::Protocol;
 use zooid_mpst::global::GlobalType;
 use zooid_mpst::{generators, Role};
@@ -70,17 +71,6 @@ fn first_edge(g: &GlobalType) -> (Role, Role) {
         GlobalType::Rec(body) => first_edge(body),
         _ => panic!("case studies open with a message"),
     }
-}
-
-/// Certified skeleton endpoints flattened to `(role, proc)` pairs for the
-/// transport-level driver.
-fn skeleton_procs(name: &str, g: &GlobalType) -> Vec<(Role, Proc)> {
-    let protocol = Protocol::new(name, g.clone()).expect("case studies are well-formed");
-    skeleton_endpoints(&protocol)
-        .expect("case studies synthesize")
-        .into_iter()
-        .map(|(cp, _)| (cp.role().clone(), cp.proc().clone()))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -246,7 +236,7 @@ fn transport_faults_land_in_their_expected_classes_in_memory() {
         FaultKind::Disconnect,
     ];
     for (name, g) in case_studies() {
-        let procs = skeleton_procs(name, &g);
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         let (sender, receiver) = first_edge(&g);
         for kind in kinds {
             for seed in [11u64, 42] {
@@ -270,7 +260,7 @@ fn transport_faults_land_in_their_expected_classes_over_tcp() {
         FaultKind::Disconnect,
     ];
     for (name, g) in case_studies() {
-        let procs = skeleton_procs(name, &g);
+        let procs = skeleton_procs(&g).expect("case studies synthesize");
         let (sender, receiver) = first_edge(&g);
         for kind in kinds {
             let seed = 11u64;
@@ -289,7 +279,7 @@ fn fault_schedules_are_byte_identical_across_runs_and_backends() {
     // same seed yields the same injected schedule no matter how the
     // backends interleave delivery.
     let g = generators::ring_n(3);
-    let procs = skeleton_procs("ring3", &g);
+    let procs = skeleton_procs(&g).expect("case studies synthesize");
     let (sender, _) = first_edge(&g);
     for kind in [FaultKind::Drop, FaultKind::Duplicate, FaultKind::Delay] {
         let (plan, _) = fault_plan(kind, 97);

@@ -3,7 +3,7 @@
 # committed benchmark pairs (PAIRS_pr*.json) consistent with their samples,
 # a crate graph that keeps the oracles out of the server's dependencies,
 # zero compiler, clippy and rustdoc warnings, every crate's tests in both profiles,
-# the six examples run to their own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
+# every example under examples/ runs to its own assertions, the zooid_benchmark gate (BENCHMARK.json's command must build and pass its
 # smoke run, tcp_short must clear a floor no timer can, mem_mixed must stay
 # under a memory ceiling no fixed-width batch can, and every verdict of the
 # full register list must hold, under a memory ceiling four-byte
@@ -110,8 +110,15 @@ cargo test --workspace --release -q
 step "examples run to the end of their own assertions"
 # `cargo check --all-targets` only compiles them; each asserts on its own
 # result (message counts, verdicts, quarantine counters), so a non-zero exit
-# is a behaviour change no test target would have seen.
-for example in quickstart two_buyer pipeline ping_pong calculator load_sim; do
+# is a behaviour change no test target would have seen. The list is every
+# file in examples/, so a new example cannot be skipped.
+examples=(examples/*.rs)
+[[ -e "${examples[0]}" ]] || {
+    echo "no examples found under examples/" >&2
+    exit 1
+}
+for path in "${examples[@]}"; do
+    example="$(basename "$path" .rs)"
     cargo run --release --offline --quiet --example "$example" >/dev/null || {
         echo "example $example failed" >&2
         exit 1

@@ -22,12 +22,11 @@ fn r(name: &str) -> Role {
 }
 
 #[test]
-fn a_certified_two_buyer_session_runs_over_tcp() {
-    // Run buyer A and the seller over a real TCP connection, with buyer B
-    // wired in memory on the seller's side being unnecessary here: we use the
-    // simpler calculator-style pair (client/server) to keep the socket
-    // topology small — the full three-party session over TCP is exercised by
-    // the calculator example.
+fn a_certified_request_reply_session_runs_over_tcp() {
+    // A two-role `greeting` request/reply, certified and run over a real TCP
+    // connection (as the calculator example runs its client/server pair).
+    // Multiparty sessions over TCP run in the runtime crate's
+    // `tcp_differential` suite.
     let protocol = Protocol::new(
         "greeting",
         zooid::mpst::global::GlobalType::msg1(
