@@ -5,8 +5,6 @@
 //!
 //! Run with `cargo run -p zooid-bench --bin case-studies`.
 
-use std::time::Duration;
-
 use zooid_bench::all_case_studies;
 use zooid_cfsm::check_protocol;
 use zooid_runtime::SessionHarness;
@@ -37,7 +35,6 @@ fn main() {
         }
         if let Some(limit) = case.max_steps {
             harness.with_max_steps(limit);
-            harness.with_recv_timeout(Duration::from_millis(500));
         }
         let (messages, compliant) = match harness.run() {
             Ok(report) => (report.messages_exchanged(), report.compliant),

@@ -22,7 +22,8 @@ pub enum RuntimeError {
         /// The peer that went away.
         role: Role,
     },
-    /// No message arrived within the configured timeout.
+    /// No message arrived within the transport's receive deadline (in
+    /// memory, where nothing waits: none was queued).
     Timeout {
         /// The peer the endpoint was waiting for.
         from: Role,
@@ -62,11 +63,6 @@ pub enum RuntimeError {
     Process(zooid_proc::ProcError),
     /// An I/O error from the TCP transport.
     Io(std::io::Error),
-    /// A participant thread panicked inside the session harness.
-    EndpointPanicked {
-        /// The role whose thread panicked.
-        role: Role,
-    },
     /// Persisted session state (a session checkpoint) failed
     /// re-certification on restore: the bytes decoded, but the state they
     /// describe is not one the protocol's compiled tables admit. The session
@@ -97,9 +93,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Process(e) => write!(f, "process error: {e}"),
             RuntimeError::Io(e) => write!(f, "transport i/o error: {e}"),
-            RuntimeError::EndpointPanicked { role } => {
-                write!(f, "the endpoint thread for `{role}` panicked")
-            }
             RuntimeError::Recovery { reason } => {
                 write!(f, "recovery refused: {reason}")
             }
@@ -159,9 +152,6 @@ mod tests {
             RuntimeError::BadPayload {
                 from: Role::new("q"),
                 label: Label::new("l"),
-            },
-            RuntimeError::EndpointPanicked {
-                role: Role::new("q"),
             },
             RuntimeError::Recovery {
                 reason: "monitor rejected the replayed trace".into(),

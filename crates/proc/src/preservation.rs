@@ -12,7 +12,7 @@ use crate::error::{ProcError, Result};
 use crate::external::Externals;
 use crate::proc::Proc;
 use crate::expr::sort_of_value;
-use crate::semantics::{do_step, erase, to_communication, ValueAction};
+use crate::semantics::{erase, step_communication, to_communication, ValueAction};
 use crate::subtrace::is_complete_subtrace;
 use crate::typing::type_check;
 use crate::value::Value;
@@ -112,16 +112,20 @@ pub fn check_type_preservation(
 
 /// The steps `(p, L) --a--> (p', L')` the checkers explore from one state:
 /// the process's send, or one receive per declared alternative with a
-/// canonical payload, each performed by [`do_step`]. A send carries the
-/// sort the local type gives its label (the payload's [`sort_of_value`]
-/// when the type offers none); `L'` is `None` when the type cannot follow.
+/// canonical payload. The process is reduced to its next communication
+/// once, and each offered action is performed from that head by
+/// [`step_communication`], so every external runs once per state. A send
+/// carries the sort the local type gives its label (the payload's
+/// [`sort_of_value`] when the type offers none); `L'` is `None` when the
+/// type cannot follow.
 fn successors(
     proc: &Proc,
     local: &LocalType,
     self_role: &Role,
     externals: &Externals,
 ) -> Result<Vec<(ValueAction, Proc, Option<LocalType>)>> {
-    let offered = match to_communication(proc.clone(), externals)? {
+    let head = to_communication(proc.clone(), externals)?;
+    let offered = match &head {
         Proc::Send {
             to,
             label,
@@ -131,25 +135,26 @@ fn successors(
             let value = payload.eval_closed()?;
             let typed = match local.unfold_head() {
                 LocalType::Send { branches, .. } => {
-                    branches.into_iter().find(|b| b.label == label).map(|b| b.sort)
+                    branches.into_iter().find(|b| b.label == *label).map(|b| b.sort)
                 }
                 _ => None,
             };
             let sort = typed.unwrap_or_else(|| sort_of_value(&value));
-            vec![ValueAction::send(self_role.clone(), to, label, sort, value)]
+            vec![ValueAction::send(self_role.clone(), to.clone(), label.clone(), sort, value)]
         }
         Proc::Recv { from, alts } => alts
-            .into_iter()
+            .iter()
             .map(|alt| {
                 let value = Value::default_of(&alt.sort);
-                ValueAction::recv(self_role.clone(), from.clone(), alt.label, alt.sort, value)
+                let (label, sort) = (alt.label.clone(), alt.sort.clone());
+                ValueAction::recv(self_role.clone(), from.clone(), label, sort, value)
             })
             .collect(),
         _ => Vec::new(),
     };
     let mut out = Vec::new();
     for action in offered {
-        if let Some(p2) = do_step(proc, &action, externals)? {
+        if let Some(p2) = step_communication(&head, &action)? {
             let l2 = local_type_step(local, &erase(&action));
             out.push((action, p2, l2));
         }
@@ -392,5 +397,30 @@ mod tests {
         let send = Action::send(r("p"), r("q"), Label::new("l"), Sort::Nat);
         let three = Trace::from(vec![send.clone(), send.clone(), send]);
         assert!(traces.contains(&three));
+    }
+
+    #[test]
+    fn the_checkers_reduce_each_state_once() {
+        // `read next (n. send q (l, n). finish)`, typed by `q!l(nat). end`,
+        // with a `next` that counts its calls: reducing the head a second
+        // time reads another value than the offered send carries, and
+        // loses the step.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&calls);
+        let mut ext = Externals::new();
+        ext.register_read("next", Sort::Nat, move || {
+            Value::Nat(counter.fetch_add(1, Ordering::SeqCst))
+        });
+        let proc = Proc::read("next", "n", Proc::send(r("q"), "l", Expr::var("n"), Proc::Finish));
+        let local = LocalType::send1(r("q"), "l", Sort::Nat, LocalType::End);
+        let report = check_type_preservation(&proc, &local, &ext, &r("p"), 3).unwrap();
+        assert!(report.holds, "{:?}", report.counterexample);
+        assert_eq!(report.states_explored, 2, "the send and what follows it");
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one reduction per state");
+        let traces = proc_traces_up_to(&proc, &local, &r("p"), &ext, 3).unwrap();
+        let send = Action::send(r("p"), r("q"), Label::new("l"), Sort::Nat);
+        assert_eq!(traces, BTreeSet::from([Trace::empty(), Trace::from(vec![send])]));
     }
 }

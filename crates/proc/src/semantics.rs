@@ -10,7 +10,8 @@
 //! in place, since they do not appear in traces (§4.1), and loops unfold
 //! (`[p-step-loop]`). A free `jump` is an error. The LTS ([`do_step`]), the
 //! Theorem 4.5/4.7 checkers and the tree-walking executor all step through
-//! this one function.
+//! this one function, and the first two then perform the communication with
+//! [`step_communication`], so each state's internal actions run once.
 //!
 //! Typing guarantees that a certified process reaches a communication in
 //! finitely many reductions; the fuel turns an uncertified one that does not
@@ -223,12 +224,8 @@ pub fn to_communication(mut current: Proc, externals: &Externals) -> Result<Proc
 
 /// One step of the process LTS (Definition 4.4): attempts to perform the
 /// visible action `action` from `proc`, after [reducing it to its next
-/// communication](to_communication).
-///
-/// * `[p-step-send]` — a send process emits its message (the payload
-///   expression is evaluated and must equal the action's value);
-/// * `[p-step-recv]` — a receive process consumes a matching message and
-///   binds its payload.
+/// communication](to_communication). The step itself is
+/// [`step_communication`].
 ///
 /// Returns `Ok(None)` when the action is not enabled.
 ///
@@ -236,24 +233,43 @@ pub fn to_communication(mut current: Proc, externals: &Externals) -> Result<Proc
 ///
 /// Those of [`to_communication`], and an ill-typed payload expression.
 pub fn do_step(proc: &Proc, action: &ValueAction, externals: &Externals) -> Result<Option<Proc>> {
-    match to_communication(proc.clone(), externals)? {
+    step_communication(&to_communication(proc.clone(), externals)?, action)
+}
+
+/// Performs the visible action `action` from `head`, a process already
+/// [reduced to its next communication](to_communication), so that no
+/// internal action runs again:
+///
+/// * `[p-step-send]` — a send process emits its message (the payload
+///   expression is evaluated and must equal the action's value);
+/// * `[p-step-recv]` — a receive process consumes a matching message and
+///   binds its payload.
+///
+/// Returns `Ok(None)` when the action is not enabled, and for any head that
+/// is not a send or a receive.
+///
+/// # Errors
+///
+/// An ill-typed payload expression.
+pub fn step_communication(head: &Proc, action: &ValueAction) -> Result<Option<Proc>> {
+    match head {
         Proc::Send {
             to,
             label,
             payload,
             cont,
         } => {
-            if !action.is_send || action.to != to || action.label != label {
+            if !action.is_send || action.to != *to || action.label != *label {
                 return Ok(None);
             }
             let value = payload.eval_closed()?;
             if value != action.value || !value.has_sort(&action.sort) {
                 return Ok(None);
             }
-            Ok(Some(*cont))
+            Ok(Some((**cont).clone()))
         }
         Proc::Recv { from, alts } => {
-            if action.is_send || action.from != from {
+            if action.is_send || action.from != *from {
                 return Ok(None);
             }
             let Some(alt) = alts.iter().find(|a| a.label == action.label) else {

@@ -12,11 +12,11 @@
 //! The interpreter is a resumable state machine, [`EndpointTask`]: each
 //! [`EndpointTask::step`] performs at most one visible communication and
 //! yields [`StepOutcome::WouldBlock`] when a receive finds its channel empty,
-//! so one thread can interleave many endpoints, as the differential suites
-//! do. The blocking [`execute`] entry point — what the session harness and
-//! the examples use — is a loop of steps that block inside
-//! [`Transport::recv`] and behaves exactly like the historical
-//! thread-per-endpoint executor, timeouts included. No serving path runs
+//! so one thread can interleave many endpoints, as the session harness and
+//! the differential suites do on the [`lockstep`](crate::lockstep) runner.
+//! The blocking [`execute`] entry point, which an endpoint run on its own
+//! over TCP uses, is a loop of steps that wait inside [`Transport::recv`],
+//! so a receive that times out fails the endpoint. No serving path runs
 //! either: the server runs the serving engine's columnar batch, and this
 //! interpreter is its oracle.
 //!
@@ -37,8 +37,7 @@ pub use zooid_engine::report::{EndpointReport, EndpointStatus, ExecOptions};
 ///
 /// Failures are reported in the returned [`EndpointReport::status`] rather
 /// than as an `Err`, so that the partial trace leading up to a failure is
-/// preserved (the session harness and the failure-injection tests rely on
-/// this).
+/// preserved (the failure-injection tests rely on this).
 pub fn execute(
     proc: &Proc,
     role: &Role,
@@ -46,27 +45,10 @@ pub fn execute(
     externals: &Externals,
     options: &ExecOptions,
 ) -> EndpointReport {
-    execute_with_observer(proc, role, transport, externals, options, |_| {})
-}
-
-/// Like [`execute`], additionally calling `observer` with every visible
-/// action as soon as it has happened (used to drive the live
-/// [`TraceMonitor`](crate::monitor::TraceMonitor)).
-pub(crate) fn execute_with_observer(
-    proc: &Proc,
-    role: &Role,
-    transport: &mut dyn Transport,
-    externals: &Externals,
-    options: &ExecOptions,
-    mut observer: impl FnMut(&ValueAction),
-) -> EndpointReport {
     let mut task = EndpointTask::new(proc.clone(), role.clone(), externals.clone(), options.clone());
-    // A blocking step parks inside `Transport::recv`, so a timeout becomes
-    // a failure, exactly like the historical executor.
-    while !matches!(
-        task.step_inner(transport, &mut observer, true),
-        StepOutcome::Done(_)
-    ) {}
+    // A blocking step waits inside `Transport::recv`, so a timeout becomes
+    // a failure.
+    while !matches!(task.step_inner(transport, &mut |_| {}, true), StepOutcome::Done(_)) {}
     task.into_report()
 }
 
@@ -89,14 +71,14 @@ pub enum StepOutcome {
 /// A resumable endpoint execution: the poll-based state machine behind
 /// [`execute`].
 ///
-/// Where the blocking loop parks its whole OS thread inside
-/// [`Transport::recv`], an `EndpointTask` advances one visible communication
-/// per [`EndpointTask::step`] call and yields [`StepOutcome::WouldBlock`]
-/// when the next action is a receive and the channel is empty (via
+/// Where the blocking loop waits inside [`Transport::recv`], an
+/// `EndpointTask` advances one visible communication per
+/// [`EndpointTask::step`] call and yields [`StepOutcome::WouldBlock`] when
+/// the next action is a receive and the channel is empty (via
 /// [`Transport::try_recv`]). One thread can therefore interleave the
-/// endpoints of a session — which is how the differential suites run it in
-/// lockstep with the compiled executors — while [`execute`] remains a
-/// trivial loop of steps that block instead.
+/// endpoints of a session — which is how the session harness and the
+/// differential suites run it, in lockstep with the compiled executors —
+/// while [`execute`] remains a trivial loop of steps that block instead.
 #[derive(Debug)]
 pub struct EndpointTask {
     role: Role,
@@ -302,8 +284,10 @@ impl EndpointTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockstep::Lockstep;
+    use crate::monitor::CompiledMonitor;
     use crate::transport::InMemoryNetwork;
-    use std::time::Duration;
+    use zooid_mpst::global::GlobalType;
     use zooid_mpst::Sort;
     use zooid_proc::{Expr, RecvAlt, Value};
 
@@ -320,9 +304,7 @@ mod tests {
         let sender = Proc::send(r("q"), "l", Expr::lit(7u64), Proc::Finish);
         let receiver = Proc::recv1(r("p"), "l", Sort::Nat, "x", Proc::Finish);
 
-        let handle = std::thread::spawn(move || {
-            execute(&receiver, &r("q"), &mut tq, &Externals::new(), &ExecOptions::default())
-        });
+        // Nothing in memory waits, so the sender runs first.
         let sender_report = execute(
             &sender,
             &r("p"),
@@ -330,7 +312,8 @@ mod tests {
             &Externals::new(),
             &ExecOptions::default(),
         );
-        let receiver_report = handle.join().unwrap();
+        let receiver_report =
+            execute(&receiver, &r("q"), &mut tq, &Externals::new(), &ExecOptions::default());
 
         assert!(sender_report.status.is_finished());
         assert!(receiver_report.status.is_finished());
@@ -347,8 +330,8 @@ mod tests {
     fn received_values_flow_into_later_sends() {
         // q echoes x + 1 back to p.
         let mut net = InMemoryNetwork::new([r("p"), r("q")]);
-        let mut tp = net.take_endpoint(&r("p")).unwrap();
-        let mut tq = net.take_endpoint(&r("q")).unwrap();
+        let tp = net.take_endpoint(&r("p")).unwrap();
+        let tq = net.take_endpoint(&r("q")).unwrap();
 
         let p = Proc::send(
             r("q"),
@@ -368,12 +351,19 @@ mod tests {
                 Proc::Finish,
             ),
         );
-        let handle = std::thread::spawn(move || {
-            execute(&q, &r("q"), &mut tq, &Externals::new(), &ExecOptions::default())
-        });
-        let p_report = execute(&p, &r("p"), &mut tp, &Externals::new(), &ExecOptions::default());
-        handle.join().unwrap();
-        assert_eq!(p_report.actions[1].value, Value::Nat(42));
+        // p waits for q's reply, so the two run in lockstep.
+        let g = GlobalType::msg1(
+            r("p"),
+            r("q"),
+            "req",
+            Sort::Nat,
+            GlobalType::msg1(r("q"), r("p"), "resp", Sort::Nat, GlobalType::End),
+        );
+        let task = |proc, role| EndpointTask::new(proc, r(role), Externals::new(), ExecOptions::default());
+        let (report, _) = Lockstep::new(CompiledMonitor::for_global(&g).unwrap())
+            .run(vec![(task(p, "p"), tp), (task(q, "q"), tq)]);
+        assert!(report.all_finished_and_compliant(), "{report:?}");
+        assert_eq!(report.endpoints[&r("p")].actions[1].value, Value::Nat(42));
     }
 
     #[test]
@@ -429,7 +419,6 @@ mod tests {
     fn waiting_on_a_silent_peer_times_out() {
         let mut net = InMemoryNetwork::new([r("p"), r("q")]);
         let mut tq = net.take_endpoint(&r("q")).unwrap();
-        tq.set_timeout(Duration::from_millis(20));
         let q = Proc::recv1(r("p"), "l", Sort::Nat, "x", Proc::Finish);
         let report = execute(&q, &r("q"), &mut tq, &Externals::new(), &ExecOptions::default());
         match report.status {
@@ -471,7 +460,7 @@ mod tests {
     #[test]
     fn two_tasks_multiplex_on_a_single_thread() {
         // The whole exchange of `received_values_flow_into_later_sends`, but
-        // cooperatively scheduled on this thread instead of two OS threads.
+        // scheduled by hand instead of by the lockstep runner.
         let mut net = InMemoryNetwork::new([r("p"), r("q")]);
         let mut tp = net.take_endpoint(&r("p")).unwrap();
         let mut tq = net.take_endpoint(&r("q")).unwrap();
@@ -555,11 +544,9 @@ mod tests {
             r("p"),
             vec![RecvAlt::new("l", Sort::Nat, "x", Proc::Finish)],
         );
-        let handle = std::thread::spawn(move || {
-            execute(&q, &r("q"), &mut tq, &Externals::new(), &ExecOptions::default())
-        });
+        // Nothing in memory waits, so the sender runs first.
         let p_report = execute(&p, &r("p"), &mut tp, &ext, &ExecOptions::default());
-        let q_report = handle.join().unwrap();
+        let q_report = execute(&q, &r("q"), &mut tq, &Externals::new(), &ExecOptions::default());
         assert!(p_report.status.is_finished());
         assert_eq!(q_report.actions[0].value, Value::Nat(42));
     }

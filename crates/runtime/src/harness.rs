@@ -3,24 +3,26 @@
 //!
 //! This plays the role of the paper's `execute_extracted_process` (§4.5.1)
 //! for whole sessions: where the paper's runtime launches one OCaml process
-//! per participant and connects them over TCP, the harness launches one
-//! thread per participant and connects them over the in-memory network —
-//! which is what the examples, the integration tests and the benchmarks use.
-//! Individual endpoints can still be run by hand over TCP with
-//! [`crate::tcp::TcpTransport`] and [`crate::exec::execute`].
+//! per participant and connects them over TCP, the harness steps every
+//! participant's [`EndpointTask`] on the [`Lockstep`] runner over the
+//! in-memory network — which is what the examples, the integration tests
+//! and the benchmarks use. A run is deterministic: the tasks are drained
+//! round-robin in role order, and an endpoint that can never progress is
+//! [`Stalled`](crate::exec::EndpointStatus::Stalled). Individual endpoints
+//! can still be run by hand over TCP with [`crate::tcp::TcpTransport`] and
+//! [`crate::exec::execute`].
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use zooid_dsl::{CertifiedProcess, Protocol};
 use zooid_mpst::{Role, Trace};
-use zooid_proc::{erase, Externals};
+use zooid_proc::{Externals, ProcError};
 
 use crate::error::{Result, RuntimeError};
-use crate::exec::{execute_with_observer, EndpointReport, ExecOptions};
-use crate::monitor::{MonitorViolation, TraceMonitor};
+use crate::exec::{EndpointReport, EndpointTask, ExecOptions};
+use crate::lockstep::Lockstep;
+use crate::monitor::{CompiledMonitor, MonitorViolation, TraceMonitor};
 use crate::transport::InMemoryNetwork;
 
 /// A session harness: a protocol plus one certified endpoint implementation
@@ -30,7 +32,6 @@ pub struct SessionHarness {
     protocol: Protocol,
     endpoints: BTreeMap<Role, (CertifiedProcess, Externals)>,
     options: ExecOptions,
-    recv_timeout: Duration,
 }
 
 impl SessionHarness {
@@ -40,7 +41,6 @@ impl SessionHarness {
             protocol,
             endpoints: BTreeMap::new(),
             options: ExecOptions::default(),
-            recv_timeout: Duration::from_secs(5),
         }
     }
 
@@ -81,71 +81,59 @@ impl SessionHarness {
         self
     }
 
-    /// Sets how long endpoints wait for a message before giving up
-    /// (default: 5 seconds).
-    pub fn with_recv_timeout(&mut self, timeout: Duration) -> &mut Self {
-        self.recv_timeout = timeout;
+    /// Has no effect: nothing in memory waits, so an endpoint that cannot
+    /// progress is stalled at once. The method stays because
+    /// `zooid_benchmark` calls it; ROADMAP item 1 is where it goes.
+    pub fn with_recv_timeout(&mut self, _timeout: Duration) -> &mut Self {
         self
     }
 
-    /// Runs the session: one thread per endpoint, an in-memory channel per
-    /// ordered pair of roles, and a live compliance monitor observing every
-    /// communication.
+    /// Runs the session: every endpoint stepped in lockstep, in role order,
+    /// over an in-memory channel per ordered pair of roles, with the
+    /// compiled monitor and the reference [`TraceMonitor`] both observing
+    /// every communication.
     ///
     /// # Errors
     ///
     /// Fails if some participant of the protocol has no registered
-    /// implementation, or if an endpoint thread panics.
+    /// implementation, or if the protocol has no compiled monitor (one
+    /// without participants has none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an external action panics, or if the two monitors disagree.
     pub fn run(&self) -> Result<SessionReport> {
         let roles = self.protocol.roles();
-        for role in &roles {
-            if !self.endpoints.contains_key(role) {
-                return Err(RuntimeError::UnknownPeer { role: role.clone() });
-            }
+        if let Some(role) = roles.iter().find(|role| !self.endpoints.contains_key(role)) {
+            return Err(RuntimeError::UnknownPeer { role: role.clone() });
         }
-
-        let mut network = InMemoryNetwork::new(roles.iter().cloned());
-        let monitor = Arc::new(Mutex::new(TraceMonitor::new(self.protocol.global())?));
-
-        let mut handles = Vec::new();
-        for (role, (process, externals)) in &self.endpoints {
-            let mut transport = network
-                .take_endpoint(role)
-                .ok_or_else(|| RuntimeError::UnknownPeer { role: role.clone() })?;
-            transport.set_timeout(self.recv_timeout);
-            let proc = process.proc().clone();
-            let role = role.clone();
-            let externals = externals.clone();
-            let options = self.options.clone();
-            let monitor = Arc::clone(&monitor);
-            handles.push(std::thread::spawn(move || {
-                execute_with_observer(&proc, &role, &mut transport, &externals, &options, |va| {
-                    // Sends are observed by the sender, receives by the
-                    // receiver; the lock serialises them into one global
-                    // interleaving that the monitor checks.
-                    monitor.lock().observe(&erase(va));
-                })
-            }));
-        }
-
-        let mut endpoint_reports = BTreeMap::new();
-        for handle in handles {
-            let report: EndpointReport = handle.join().map_err(|_| {
-                RuntimeError::EndpointPanicked {
-                    role: Role::new("<unknown>"),
-                }
-            })?;
-            endpoint_reports.insert(report.role.clone(), report);
-        }
-
-        let monitor = monitor.lock();
-        Ok(SessionReport {
-            global_trace: monitor.trace().clone(),
-            compliant: monitor.is_compliant(),
-            complete: monitor.is_complete(),
-            violations: monitor.violations().to_vec(),
-            endpoints: endpoint_reports,
-        })
+        let global = self.protocol.global();
+        let monitor = CompiledMonitor::for_global(global).map_err(|e| {
+            RuntimeError::Process(ProcError::Stuck {
+                context: format!("protocol `{}` has no monitor: {e}", self.protocol.name()),
+            })
+        })?;
+        let mut network = InMemoryNetwork::new(roles);
+        let tasks = self
+            .endpoints
+            .iter()
+            .map(|(role, (process, externals))| {
+                let transport = network
+                    .take_endpoint(role)
+                    .ok_or_else(|| RuntimeError::UnknownPeer { role: role.clone() })?;
+                let task = EndpointTask::new(
+                    process.proc().clone(),
+                    role.clone(),
+                    externals.clone(),
+                    self.options.clone(),
+                );
+                Ok((task, transport))
+            })
+            .collect::<Result<_>>()?;
+        let (report, _) = Lockstep::new(monitor)
+            .shadow(TraceMonitor::new(global)?)
+            .run(tasks);
+        Ok(report)
     }
 }
 

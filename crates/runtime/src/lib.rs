@@ -16,8 +16,9 @@
 //!   process monad's communication operations (`send`, `recv`); the
 //!   [`transport::InMemoryNetwork`] gives every ordered pair of roles its own
 //!   FIFO channel (the queue environments of §3.3) carrying `(Label, Value)`
-//!   frames directly — no codec round-trip in process — with peers
-//!   addressable by **dense index** for the compiled executor; [`tcp`]
+//!   frames directly — no codec round-trip in process, and no receive that
+//!   waits — with peers addressable by **dense index** for the compiled
+//!   executor; [`tcp`]
 //!   provides the §4.5 TCP transport with `Server`/`Client` connection
 //!   specs, hardened against hostile framing (frame-size caps, connect and
 //!   receive deadlines, a genuinely non-blocking `try_recv` over
@@ -30,8 +31,8 @@
 //!   a resumable state machine ([`exec::EndpointTask`]) whose `step()`
 //!   yields [`exec::StepOutcome::WouldBlock`] on an empty channel instead of
 //!   parking, so one thread can interleave many endpoints, as the
-//!   [`lockstep`] runner does; the blocking [`execute`] entry point is a loop
-//!   around it;
+//!   [`lockstep`] runner does; the blocking [`execute`] entry point, which
+//!   an endpoint run on its own over TCP uses, is a loop around it;
 //! * [`cexec`] — the per-session compiled oracle:
 //!   [`cexec::CompiledEndpointTask`] steps one endpoint's
 //!   [`EndpointProgram`] as a program counter plus a slot array over an
@@ -42,12 +43,13 @@
 //!   global type's LTS, the reference for the engine's
 //!   [`CompiledMonitor`]; both record structured [`MonitorViolation`]s and
 //!   agree on accept/reject (checked differentially);
-//! * [`harness`] — a multi-threaded session harness that wires every
-//!   certified endpoint of a protocol to an in-memory network, runs them to
-//!   completion and reports the traces together with the monitor's verdict;
-//!   the server's differential suite holds the server to it;
-//! * [`lockstep`] — the single-threaded scheduler of the differential
-//!   suites: [`lockstep::Lockstep`] steps one session's tree or compiled
+//! * [`harness`] — the session harness: wires every certified endpoint of
+//!   a protocol to an in-memory network, runs them on the [`lockstep`]
+//!   runner in role order and reports the traces together with the
+//!   monitors' verdict; the server's differential suite holds the server
+//!   to it;
+//! * [`lockstep`] — the single-threaded scheduler of the harness and the
+//!   differential suites: [`lockstep::Lockstep`] steps one session's tree or compiled
 //!   tasks round-robin in the caller's order, feeds every action to a
 //!   [`CompiledMonitor`] (optionally shadowed by a [`TraceMonitor`] that
 //!   must agree on each one), and returns a [`SessionReport`] with the

@@ -2,7 +2,8 @@
 //! one thread, every action fed to a [`CompiledMonitor`].
 //!
 //! This is the scheduler the differential suites define "same behaviour"
-//! with. It drives the tree-walking [`EndpointTask`] over any [`Transport`]
+//! with, and the one the [`SessionHarness`](crate::harness::SessionHarness)
+//! runs on. It drives the tree-walking [`EndpointTask`] over any [`Transport`]
 //! and the compiled [`CompiledEndpointTask`] over an [`InMemoryTransport`],
 //! both through [`LockstepTask`], and can shadow the compiled monitor with
 //! the reference [`TraceMonitor`], asserting that the two agree on every

@@ -18,11 +18,17 @@
 //! role) so the fast path of the compiled endpoint executor never walks a
 //! `BTreeMap` or compares role strings: resolve once via
 //! [`InMemoryTransport::peer_index`], then use the `*_indexed` operations.
+//!
+//! Nothing in memory waits: every in-memory session is stepped by one
+//! scheduler ([`crate::lockstep`]), so a receive on an empty channel fails
+//! at once with [`RuntimeError::Timeout`] (and [`Transport::try_recv`]
+//! returns `Ok(None)`), while a receive from a dropped peer whose channel
+//! is drained reports [`RuntimeError::Disconnected`].
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use zooid_mpst::{Label, Role};
 use zooid_proc::Value;
@@ -42,8 +48,9 @@ pub trait Transport {
     /// Fails if the peer is unknown or unreachable.
     fn send(&mut self, to: &Role, label: &Label, value: &Value) -> Result<()>;
 
-    /// Receives the next message from the given peer, blocking until one
-    /// arrives (or the transport's timeout elapses).
+    /// Receives the next message from the given peer, waiting for one as
+    /// long as the transport waits at all: the TCP transport up to its
+    /// receive deadline, the in-memory one not at all.
     ///
     /// # Errors
     ///
@@ -61,7 +68,7 @@ pub trait Transport {
     /// `Ok(None)`: a last resort for transports that cannot poll, and one
     /// that parks the calling thread for up to the transport's receive
     /// timeout first — schedulers multiplexing many sessions must only be
-    /// fed transports with a real non-blocking implementation. Both
+    /// fed transports with a real non-blocking implementation.
     /// [`InMemoryTransport`] and [`crate::tcp::TcpTransport`] provide one
     /// (the latter buffers partial frames across calls, so a half-received
     /// frame never blocks the scheduler).
@@ -82,35 +89,14 @@ pub trait Transport {
     fn local_role(&self) -> &Role;
 }
 
-/// One directed channel slot: an unbounded FIFO of in-flight
-/// `(Label, Value)` frames. Liveness lives per *endpoint* in [`NetCore`],
-/// not per channel, so the whole network is one flat allocation.
-#[derive(Debug, Default)]
-struct ChannelSlot {
-    queue: Mutex<VecDeque<(Label, Value)>>,
-    ready: Condvar,
-    /// Number of receivers blocked on `ready`. Incremented under the queue
-    /// mutex before waiting, so a sender that pushes and then reads 0 here
-    /// cannot have raced a sleeping waiter — senders skip the (syscalling)
-    /// notification entirely on the poll-only paths the schedulers use.
-    waiters: std::sync::atomic::AtomicUsize,
-}
-
-impl ChannelSlot {
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(Label, Value)>> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn wake(&self) {
-        if self.waiters.load(std::sync::atomic::Ordering::Acquire) > 0 {
-            self.ready.notify_all();
-        }
-    }
-}
+/// One directed channel: an unbounded FIFO of in-flight `(Label, Value)`
+/// frames. Liveness lives per *endpoint* in [`NetCore`], not per channel,
+/// so the whole network is one flat allocation.
+type Channel = Mutex<VecDeque<(Label, Value)>>;
 
 /// The shared heart of an [`InMemoryNetwork`]: the sorted role table, a flat
-/// `n × n` matrix of channel slots (row = sender, column = receiver,
-/// diagonal unused) and one liveness flag per endpoint. Constructing a
+/// `n × n` matrix of channels (row = sender, column = receiver, diagonal
+/// unused) and one liveness flag per endpoint. Constructing a
 /// session's network is a handful of allocations regardless of how many
 /// role pairs exist, so an oracle run that builds one network per session
 /// (the per-session executor's differential suites and `bench-report`
@@ -118,31 +104,23 @@ impl ChannelSlot {
 #[derive(Debug)]
 struct NetCore {
     roles: Arc<[Role]>,
-    slots: Vec<ChannelSlot>,
-    alive: Vec<std::sync::atomic::AtomicBool>,
+    channels: Vec<Channel>,
+    alive: Vec<AtomicBool>,
 }
 
 impl NetCore {
-    fn slot(&self, from: usize, to: usize) -> &ChannelSlot {
-        &self.slots[from * self.roles.len() + to]
+    fn queue(&self, from: usize, to: usize) -> MutexGuard<'_, VecDeque<(Label, Value)>> {
+        self.channels[from * self.roles.len() + to]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
     fn is_alive(&self, endpoint: usize) -> bool {
-        self.alive[endpoint].load(std::sync::atomic::Ordering::Acquire)
+        self.alive[endpoint].load(Ordering::Acquire)
     }
 
-    /// Marks one endpoint dead and wakes every receiver blocked on a frame
-    /// from it (they re-check liveness and report the disconnection). The
-    /// slot mutex is taken briefly so a receiver between its liveness check
-    /// and its `wait` cannot miss the wakeup.
     fn mark_dead(&self, endpoint: usize) {
-        self.alive[endpoint].store(false, std::sync::atomic::Ordering::Release);
-        for to in 0..self.roles.len() {
-            if to != endpoint {
-                drop(self.slot(endpoint, to).lock());
-                self.slot(endpoint, to).wake();
-            }
-        }
+        self.alive[endpoint].store(false, Ordering::Release);
     }
 }
 
@@ -188,23 +166,21 @@ impl InMemoryNetwork {
     pub fn from_sorted(roles: Arc<[Role]>) -> Self {
         debug_assert!(roles.windows(2).all(|w| w[0] < w[1]), "roles must be sorted");
         let n = roles.len();
-        let mut slots = Vec::with_capacity(n * n);
-        slots.resize_with(n * n, ChannelSlot::default);
-        let alive = (0..n)
-            .map(|_| std::sync::atomic::AtomicBool::new(true))
-            .collect();
+        let mut channels = Vec::with_capacity(n * n);
+        channels.resize_with(n * n, Channel::default);
+        let alive = (0..n).map(|_| AtomicBool::new(true)).collect();
         InMemoryNetwork {
             core: Arc::new(NetCore {
                 roles,
-                slots,
+                channels,
                 alive,
             }),
             taken: vec![false; n],
         }
     }
 
-    /// Removes and returns the endpoint transport of a role (each endpoint is
-    /// usually moved into its own thread).
+    /// Removes and returns the endpoint transport of a role; `None` for a
+    /// role outside the network or one already taken.
     pub fn take_endpoint(&mut self, role: &Role) -> Option<InMemoryTransport> {
         let idx = self.core.roles.binary_search(role).ok()?;
         if std::mem::replace(&mut self.taken[idx], true) {
@@ -213,16 +189,15 @@ impl InMemoryNetwork {
         Some(InMemoryTransport {
             core: Arc::clone(&self.core),
             me_idx: idx,
-            timeout: Duration::from_secs(5),
         })
     }
 }
 
 impl Drop for InMemoryNetwork {
     fn drop(&mut self) {
-        // Endpoints never handed out can never speak: peers waiting on them
-        // must observe a disconnection, exactly as if the transport had been
-        // taken and dropped.
+        // Endpoints never handed out can never speak: peers receiving from
+        // them must observe a disconnection, exactly as if the transport had
+        // been taken and dropped.
         for (idx, taken) in self.taken.iter().enumerate() {
             if !taken {
                 self.core.mark_dead(idx);
@@ -241,7 +216,6 @@ impl Drop for InMemoryNetwork {
 pub struct InMemoryTransport {
     core: Arc<NetCore>,
     me_idx: usize,
-    timeout: Duration,
 }
 
 impl Drop for InMemoryTransport {
@@ -251,12 +225,6 @@ impl Drop for InMemoryTransport {
 }
 
 impl InMemoryTransport {
-    /// Sets how long [`Transport::recv`] waits before reporting a timeout
-    /// (default: 5 seconds).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
     /// The dense index of a peer role, usable with the `*_indexed`
     /// operations. `None` for unknown roles and for the local role itself.
     pub fn peer_index(&self, role: &Role) -> Option<usize> {
@@ -289,9 +257,7 @@ impl InMemoryTransport {
                 role: self.core.roles[peer].clone(),
             });
         }
-        let slot = self.core.slot(self.me_idx, peer);
-        slot.lock().push_back((label, value));
-        slot.wake();
+        self.core.queue(self.me_idx, peer).push_back((label, value));
         Ok(())
     }
 
@@ -303,8 +269,9 @@ impl InMemoryTransport {
     /// Same as [`Transport::try_recv`].
     pub fn try_recv_indexed(&mut self, peer: usize) -> Result<Option<(Label, Value)>> {
         self.check_peer(peer)?;
-        let slot = self.core.slot(peer, self.me_idx);
-        match slot.lock().pop_front() {
+        // The queue stays locked while liveness is read, so a sender cannot
+        // push and drop in between.
+        match self.core.queue(peer, self.me_idx).pop_front() {
             Some(frame) => Ok(Some(frame)),
             // Buffered frames drain before a disconnection is reported
             // (mpsc semantics).
@@ -315,46 +282,16 @@ impl InMemoryTransport {
         }
     }
 
-    /// Receives the next frame from the peer at a dense index, blocking up
-    /// to the transport's timeout.
+    /// Receives the next frame from the peer at a dense index; an empty
+    /// channel from a live peer is a timeout at once.
     ///
     /// # Errors
     ///
     /// Same as [`Transport::recv`].
     fn recv_indexed(&mut self, peer: usize) -> Result<(Label, Value)> {
-        self.check_peer(peer)?;
-        let slot = self.core.slot(peer, self.me_idx);
-        let deadline = Instant::now() + self.timeout;
-        let mut queue = slot.lock();
-        loop {
-            if let Some(frame) = queue.pop_front() {
-                return Ok(frame);
-            }
-            if !self.core.is_alive(peer) {
-                return Err(RuntimeError::Disconnected {
-                    role: self.core.roles[peer].clone(),
-                });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RuntimeError::Timeout {
-                    from: self.core.roles[peer].clone(),
-                });
-            }
-            // Register as a waiter while still holding the queue mutex: a
-            // sender pushing after our emptiness check must either see the
-            // registration (and notify) or its frame is already visible to
-            // the re-check after waking.
-            slot.waiters
-                .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-            let (next, _) = slot
-                .ready
-                .wait_timeout(queue, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            queue = next;
-            slot.waiters
-                .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
-        }
+        self.try_recv_indexed(peer)?.ok_or_else(|| RuntimeError::Timeout {
+            from: self.core.roles[peer].clone(),
+        })
     }
 
     fn peer_role_or_unknown(&self, peer: usize) -> Role {
@@ -379,7 +316,6 @@ impl fmt::Debug for InMemoryTransport {
         f.debug_struct("InMemoryTransport")
             .field("role", &self.core.roles[self.me_idx])
             .field("peers", &peers)
-            .field("timeout", &self.timeout)
             .finish()
     }
 }
@@ -456,7 +392,7 @@ mod tests {
         for (label, v) in [("a", 1), ("b", 2), ("c", 3)] {
             p.send(&r("q"), &l(label), &Value::Nat(v)).unwrap();
         }
-        // Mixing blocking and non-blocking receives keeps the FIFO order.
+        // Mixing `recv` and `try_recv` keeps the FIFO order.
         assert_eq!(q.try_recv(&r("p")).unwrap(), Some((l("a"), Value::Nat(1))));
         assert_eq!(q.recv(&r("p")).unwrap(), (l("b"), Value::Nat(2)));
         assert_eq!(q.try_recv(&r("p")).unwrap(), Some((l("c"), Value::Nat(3))));
@@ -526,7 +462,6 @@ mod tests {
     fn receiving_from_a_silent_peer_times_out() {
         let mut net = InMemoryNetwork::new([r("p"), r("q")]);
         let mut p = net.take_endpoint(&r("p")).unwrap();
-        p.set_timeout(Duration::from_millis(20));
         assert!(matches!(
             p.recv(&r("q")),
             Err(RuntimeError::Timeout { .. })
@@ -539,7 +474,6 @@ mod tests {
         let mut p = net.take_endpoint(&r("p")).unwrap();
         let q = net.take_endpoint(&r("q")).unwrap();
         drop(q);
-        p.set_timeout(Duration::from_secs(1));
         assert!(matches!(
             p.recv(&r("q")),
             Err(RuntimeError::Disconnected { .. })
@@ -579,7 +513,6 @@ mod tests {
         let mut net = InMemoryNetwork::new([r("p"), r("q")]);
         let mut p = net.take_endpoint(&r("p")).unwrap();
         let qi = p.peer_index(&r("q")).unwrap();
-        p.set_timeout(Duration::from_millis(20));
         assert!(matches!(
             p.recv_indexed(qi),
             Err(RuntimeError::Timeout { .. })

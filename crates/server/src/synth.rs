@@ -52,7 +52,6 @@ mod tests {
                     harness.add_endpoint(cert, ext).unwrap();
                 }
                 harness.with_max_steps(64);
-                harness.with_recv_timeout(std::time::Duration::from_millis(300));
                 let report = harness.run().unwrap();
                 match mutation.expected() {
                     ExpectedClass::Violation => assert!(
@@ -81,7 +80,6 @@ mod tests {
             harness.add_endpoint(cert, ext).unwrap();
         }
         harness.with_max_steps(10);
-        harness.with_recv_timeout(std::time::Duration::from_millis(500));
         let report = harness.run().unwrap();
         assert!(report.compliant, "{:?}", report.violations);
     }

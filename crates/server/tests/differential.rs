@@ -1,19 +1,16 @@
 //! Differential tests: the sharded session server against the
-//! thread-per-participant [`SessionHarness`], and the [`CompiledMonitor`]
-//! against the [`TraceMonitor`] — the exhaustive-oracle pattern the ROADMAP
-//! mandates for every engine replacement.
+//! [`SessionHarness`] (every endpoint stepped in lockstep over in-memory
+//! channels), and the [`CompiledMonitor`] against the [`TraceMonitor`] —
+//! the exhaustive-oracle pattern the ROADMAP mandates for every engine
+//! replacement.
 //!
 //! Skeleton endpoints (first-branch sends with default payloads) make every
 //! session fully deterministic per endpoint, so a protocol run through the
 //! harness and through the server — under any shard schedule, with any
-//! number of concurrent copies — must produce identical per-endpoint traces,
-//! values included. The only legitimate divergence is *how* an endpoint that
-//! can never progress again is put out of its misery: the harness times out
-//! (`Failed { timed out ... }`), the server detects the stall
-//! (`EndpointStatus::Stalled`); the comparison normalises the two.
+//! number of concurrent copies — must produce identical per-endpoint
+//! statuses and traces, values included.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use rand::{Rng, SeedableRng, StdRng};
 use zooid_dsl::Protocol;
@@ -27,40 +24,29 @@ use zooid_server::{ProtocolRegistry, ServerConfig, SessionServer, SessionSpec};
 
 const MAX_STEPS: usize = 32;
 
-/// Statuses modulo the harness-timeout vs server-stall distinction.
-fn normalize_status(status: &EndpointStatus) -> String {
-    match status {
-        EndpointStatus::Failed { error } if error.contains("timed out") => "stalled".to_owned(),
-        EndpointStatus::Stalled => "stalled".to_owned(),
-        other => format!("{other:?}"),
-    }
-}
-
 struct Baseline {
-    /// Per-role (normalised status, full value-level trace).
-    endpoints: BTreeMap<Role, (String, Vec<ValueAction>)>,
+    /// Per-role (status, full value-level trace).
+    endpoints: BTreeMap<Role, (EndpointStatus, Vec<ValueAction>)>,
     compliant: bool,
     complete: bool,
     global_trace: Vec<Action>,
 }
 
-/// Runs the protocol once through the thread-per-endpoint harness.
-fn harness_baseline(protocol: &Protocol) -> Baseline {
+/// Runs the protocol's skeletons once through the harness, each endpoint
+/// stopped after `max_steps` communications.
+fn harness_baseline(protocol: &Protocol, max_steps: usize) -> Baseline {
     let endpoints = skeleton_endpoints(protocol).expect("skeletons certify");
     let mut harness = SessionHarness::new(protocol.clone());
     for (cert, ext) in endpoints {
         harness.add_endpoint(cert, ext).unwrap();
     }
-    harness.with_max_steps(MAX_STEPS);
-    harness.with_recv_timeout(Duration::from_millis(200));
+    harness.with_max_steps(max_steps);
     let report = harness.run().expect("harness runs");
     Baseline {
         endpoints: report
             .endpoints
             .iter()
-            .map(|(role, r)| {
-                (role.clone(), (normalize_status(&r.status), r.actions.clone()))
-            })
+            .map(|(role, r)| (role.clone(), (r.status.clone(), r.actions.clone())))
             .collect(),
         compliant: report.compliant,
         complete: report.complete,
@@ -109,7 +95,7 @@ fn server_sessions_match_the_harness_on_randomized_protocols() {
     let baselines: BTreeMap<_, _> = protocols
         .iter()
         .zip(&submissions)
-        .map(|(protocol, (id, _))| (*id, harness_baseline(protocol)))
+        .map(|(protocol, (id, _))| (*id, harness_baseline(protocol, MAX_STEPS)))
         .collect();
 
     let mut server = SessionServer::start(registry, ServerConfig::with_shards(4));
@@ -139,8 +125,7 @@ fn server_sessions_match_the_harness_on_randomized_protocols() {
         for (role, report) in &outcome.endpoints {
             let (expected_status, expected_actions) = &baseline.endpoints[role];
             assert_eq!(
-                &normalize_status(&report.status),
-                expected_status,
+                &report.status, expected_status,
                 "status of `{role}` in {:?}",
                 outcome.id
             );
@@ -193,7 +178,7 @@ fn compiled_and_trace_monitors_agree_on_every_action() {
     let mut observations = 0usize;
     let mut rejections = 0usize;
     for protocol in &protocols {
-        let baseline = harness_baseline(protocol);
+        let baseline = harness_baseline(protocol, MAX_STEPS);
         let mut reference = TraceMonitor::new(protocol.global()).unwrap();
         let mut compiled = CompiledMonitor::for_global(protocol.global()).unwrap();
 
@@ -244,7 +229,7 @@ fn compiled_and_trace_monitors_agree_on_every_action() {
 #[test]
 fn a_single_copy_on_one_shard_matches_the_harness_exactly() {
     let protocol = Protocol::new("ring", generators::ring3()).unwrap();
-    let baseline = harness_baseline(&protocol);
+    let baseline = harness_baseline(&protocol, MAX_STEPS);
 
     let mut registry = ProtocolRegistry::new();
     let id = registry.register(protocol.clone()).unwrap();
@@ -262,4 +247,56 @@ fn a_single_copy_on_one_shard_matches_the_harness_exactly() {
     for (role, report) in &outcome.endpoints {
         assert_eq!(report.actions, baseline.endpoints[role].1, "{role}");
     }
+}
+
+/// Runs `copies` of the protocol's skeletons on a two-shard server, each
+/// endpoint stopped after `max_steps` communications, and holds every copy
+/// to the harness: the verdict, and each endpoint's status and value trace.
+fn assert_step_bounded_copies_match_the_harness(protocol: &Protocol, max_steps: usize, copies: usize) {
+    let baseline = harness_baseline(protocol, max_steps);
+    let mut registry = ProtocolRegistry::new();
+    let id = registry.register(protocol.clone()).unwrap();
+    let endpoints = skeleton_endpoints(protocol).unwrap();
+    let mut server = SessionServer::start(registry, ServerConfig::with_shards(2));
+    for _ in 0..copies {
+        server
+            .submit(SessionSpec::new(id, endpoints.clone()).with_max_steps(max_steps))
+            .unwrap();
+    }
+    let outcomes = server.drain();
+    server.shutdown();
+
+    assert_eq!(outcomes.len(), copies);
+    let name = protocol.name();
+    for outcome in &outcomes {
+        assert_eq!(outcome.compliant, baseline.compliant, "{name}");
+        assert_eq!(outcome.complete, baseline.complete, "{name}");
+        assert_eq!(outcome.endpoints.len(), baseline.endpoints.len(), "{name}");
+        for (role, report) in &outcome.endpoints {
+            let (status, actions) = &baseline.endpoints[role];
+            assert_eq!(&report.status, status, "{name}: status of `{role}`");
+            assert_eq!(&report.actions, actions, "{name}: trace of `{role}`");
+        }
+    }
+    // A bound that cuts the loop mid-round leaves a receiver waiting on a
+    // sender that stopped: both sides call it stalled.
+    assert!(
+        baseline
+            .endpoints
+            .values()
+            .any(|(status, _)| *status == EndpointStatus::Stalled),
+        "{name}: the bound leaves some endpoint waiting"
+    );
+}
+
+#[test]
+fn a_step_bounded_pipeline_matches_the_harness_exactly() {
+    let protocol = Protocol::new("pipeline", generators::pipeline()).unwrap();
+    assert_step_bounded_copies_match_the_harness(&protocol, 12, 8);
+}
+
+#[test]
+fn a_step_bounded_chain_matches_the_harness_exactly() {
+    let protocol = Protocol::new("chain5", generators::chain_n(5)).unwrap();
+    assert_step_bounded_copies_match_the_harness(&protocol, 9, 8);
 }

@@ -1,8 +1,8 @@
 //! Load simulation for the multi-session server: two registered protocols,
 //! 1,000 concurrent sessions multiplexed on 4 worker shards.
 //!
-//! Where the other examples run *one* session with one OS thread per
-//! participant, this one exercises the serving layer: every protocol is
+//! Where the other examples run *one* session on the session harness, this
+//! one exercises the serving layer: every protocol is
 //! compiled exactly once by the [`ProtocolRegistry`], sessions are resumable
 //! endpoint tasks stepped in bounded quanta by the sharded scheduler, and
 //! every communication is checked live by a compiled per-role monitor.

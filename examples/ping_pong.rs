@@ -100,5 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  Alice performed {} actions", alice_report.steps());
     // Alice pings with 0, 3, 6, 9 and stops once the reply reaches 12 >= K.
     assert!(report.all_finished_and_compliant(), "{:?}", report.violations);
+    // Four pings, four pongs and the quit.
+    assert_eq!(report.messages_exchanged(), 9);
     Ok(())
 }

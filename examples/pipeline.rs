@@ -79,9 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     harness.add_endpoint(bob_cert, bob_ext)?;
     harness.add_endpoint(carol_cert, carol_ext)?;
     // The pipeline is infinite: stop every endpoint after 2 * ROUNDS
-    // communications and give receivers a short patience.
+    // communications.
     harness.with_max_steps(2 * ROUNDS);
-    harness.with_recv_timeout(std::time::Duration::from_millis(500));
     let report = harness.run()?;
 
     println!("\nran {ROUNDS} pipeline rounds:");
@@ -93,6 +92,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         carol_report.actions.last().expect("carol received").value
     );
     assert!(report.compliant, "violations: {:?}", report.violations);
+    // Alice stops after 2 * ROUNDS sends, Bob after ROUNDS receives and
+    // ROUNDS sends: the harness runs in lockstep, so this count is exact.
+    assert_eq!(report.messages_exchanged(), 3 * ROUNDS);
+    assert_eq!(carol_report.actions.last().map(|a| &a.value), Some(&Value::Nat(3)));
 
     let safety = check_protocol(protocol.global(), 2, 100_000)?;
     println!(

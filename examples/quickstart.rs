@@ -116,6 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  live:           {}", safety.is_live());
 
     assert!(report.all_finished_and_compliant());
+    assert_eq!(report.messages_exchanged(), 3);
     assert!(safety.is_safe() && safety.is_live());
     Ok(())
 }

@@ -5,7 +5,6 @@
 
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, TcpListener, TcpStream};
-use std::time::Duration;
 
 use zooid::dsl::builder::{self, BranchAlt};
 use zooid::dsl::Protocol;
@@ -188,7 +187,6 @@ fn a_crashed_peer_surfaces_as_a_failed_endpoint_not_a_hang() {
 
     let mut network = InMemoryNetwork::new([r("Alice"), r("Bob"), r("Carol")]);
     let mut alice_t = network.take_endpoint(&r("Alice")).unwrap();
-    alice_t.set_timeout(Duration::from_millis(50));
     // Bob and Carol are never started; their endpoints are dropped.
     drop(network);
 
@@ -251,7 +249,6 @@ fn harness_reports_per_endpoint_step_limits() {
         .add_endpoint(protocol.implement(&r("Carol"), carol, &ext).unwrap(), ext.clone())
         .unwrap();
     harness.with_max_steps(10);
-    harness.with_recv_timeout(Duration::from_millis(200));
     let report = harness.run().unwrap();
 
     assert!(report.compliant, "{:?}", report.violations);

@@ -330,7 +330,6 @@ fn e2_pipeline_workflow_with_external_compute() {
         .add_endpoint(protocol.implement(&r("Carol"), carol, &ext).unwrap(), ext.clone())
         .unwrap();
     harness.with_max_steps(20);
-    harness.with_recv_timeout(std::time::Duration::from_millis(300));
     let report = harness.run().unwrap();
     assert!(report.compliant, "{:?}", report.violations);
     // Carol observes Bob's computed values.
