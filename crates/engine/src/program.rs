@@ -129,11 +129,14 @@ impl EndpointProgram {
 
 /// Counts one internal action, the step from `from_pc` to `to_pc`,
 /// against the fuel of [`zooid_proc::semantics`] (whose module doc states the
-/// rule): a step to an earlier instruction (`to_pc <= from_pc`, a loop
-/// back-edge) opens a new stretch of internal actions.
+/// rule), before the action runs. A step to an earlier instruction
+/// (`to_pc <= from_pc`) is the program's form of a `jump`, a back-edge, and
+/// opens a new stretch of internal actions; a loop entered forward lowers
+/// to a step to a later instruction, which is not one.
 ///
 /// Every executor of an [`EndpointProgram`] spends fuel through this one
-/// rule, so they fail on the same internal step with the same error.
+/// rule, and the tree executor's reduction obeys the same rule, so they all
+/// fail on the same internal step with the same error.
 ///
 /// # Errors
 ///

@@ -4,9 +4,10 @@
 //! [`crate::semantics::do_step`] and the tree-walking executors interpret a
 //! [`Proc`] by structural recursion: every visible step reduces the head
 //! ([`to_communication`](crate::semantics::to_communication)), substitutes
-//! values through the whole continuation and (for loops) rebuilds the
-//! unfolded tree. All of that work is *shape-directed* — it
-//! depends only on the process, never on the values — so it can be done once.
+//! values through the whole continuation and (inside loops) substitutes
+//! the loops back into the communication it reached. All of that work is
+//! *shape-directed* — it depends only on the process, never on the values —
+//! so it can be done once.
 //! [`CompiledProc::compile`] lowers a process into:
 //!
 //! * a dense array of [`Instr`]uctions addressed by program counter, with

@@ -2,6 +2,7 @@
 //! *process traces are global traces* (Theorem 4.7,
 //! `process_traces_are_global_types` in `Proc.v`).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use zooid_mpst::global::{global_traces_up_to, unravel_global, GlobalType};
@@ -11,8 +12,7 @@ use zooid_mpst::{Action, Role, Trace};
 use crate::error::{ProcError, Result};
 use crate::external::Externals;
 use crate::proc::Proc;
-use crate::expr::sort_of_value;
-use crate::semantics::{erase, step_communication, to_communication, ValueAction};
+use crate::semantics::{erase, send_action, step_communication, to_communication, ValueAction};
 use crate::subtrace::is_complete_subtrace;
 use crate::typing::type_check;
 use crate::value::Value;
@@ -111,13 +111,11 @@ pub fn check_type_preservation(
 }
 
 /// The steps `(p, L) --a--> (p', L')` the checkers explore from one state:
-/// the process's send, or one receive per declared alternative with a
+/// the head's [`send_action`], or one receive per alternative with a
 /// canonical payload. The process is reduced to its next communication
 /// once, and each offered action is performed from that head by
-/// [`step_communication`], so every external runs once per state. A send
-/// carries the sort the local type gives its label (the payload's
-/// [`sort_of_value`] when the type offers none); `L'` is `None` when the
-/// type cannot follow.
+/// [`step_communication`], so every external runs once per state. `L'` is
+/// `None` when the type cannot follow.
 fn successors(
     proc: &Proc,
     local: &LocalType,
@@ -125,23 +123,7 @@ fn successors(
     externals: &Externals,
 ) -> Result<Vec<(ValueAction, Proc, Option<LocalType>)>> {
     let head = to_communication(proc.clone(), externals)?;
-    let offered = match &head {
-        Proc::Send {
-            to,
-            label,
-            payload,
-            ..
-        } => {
-            let value = payload.eval_closed()?;
-            let typed = match local.unfold_head() {
-                LocalType::Send { branches, .. } => {
-                    branches.into_iter().find(|b| b.label == *label).map(|b| b.sort)
-                }
-                _ => None,
-            };
-            let sort = typed.unwrap_or_else(|| sort_of_value(&value));
-            vec![ValueAction::send(self_role.clone(), to.clone(), label.clone(), sort, value)]
-        }
+    let offered: Vec<ValueAction> = match &head {
         Proc::Recv { from, alts } => alts
             .iter()
             .map(|alt| {
@@ -150,11 +132,11 @@ fn successors(
                 ValueAction::recv(self_role.clone(), from.clone(), label, sort, value)
             })
             .collect(),
-        _ => Vec::new(),
+        _ => send_action(&head, self_role, Some(local))?.into_iter().collect(),
     };
     let mut out = Vec::new();
     for action in offered {
-        if let Some(p2) = step_communication(&head, &action)? {
+        if let Some(p2) = step_communication(Cow::Borrowed(&head), &action)? {
             let l2 = local_type_step(local, &erase(&action));
             out.push((action, p2, l2));
         }

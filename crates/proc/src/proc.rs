@@ -349,8 +349,10 @@ impl Proc {
         }
     }
 
-    /// Substitutes a process for jumps to the given de Bruijn index (used to
-    /// unfold `loop`, rule `[p-step-loop]`).
+    /// Substitutes `repl` for the jumps to the given de Bruijn index and
+    /// lowers the indices above it (used to close a communication the
+    /// reduction reached inside loops, rule `[p-step-loop]`). `repl` is not
+    /// shifted under the binders it crosses, so it must be closed.
     #[must_use]
     pub fn subst_jump(&self, depth: u32, repl: &Proc) -> Proc {
         match self {
@@ -418,16 +420,6 @@ impl Proc {
                 var: var.clone(),
                 cont: Box::new(cont.subst_jump(depth, repl)),
             },
-        }
-    }
-
-    /// One unfolding of a `loop`: `loop { body }` becomes
-    /// `body[jump 0 := loop { body }]`; other processes are unchanged.
-    #[must_use]
-    pub fn unfold_once(&self) -> Proc {
-        match self {
-            Proc::Loop(body) => body.subst_jump(0, self),
-            other => other.clone(),
         }
     }
 }
@@ -512,7 +504,8 @@ mod tests {
     #[test]
     fn unfolding_a_loop_substitutes_jumps() {
         let s = server(3);
-        let unfolded = s.unfold_once();
+        let Proc::Loop(body) = &s else { unreachable!() };
+        let unfolded = body.subst_jump(0, &s);
         // The unfolded process starts with the receive and the jump has been
         // replaced by the whole loop.
         match &unfolded {
@@ -522,8 +515,8 @@ mod tests {
             },
             other => panic!("expected recv, got {other}"),
         }
-        // Non-loops unfold to themselves.
-        assert_eq!(Proc::Finish.unfold_once(), Proc::Finish);
+        // A process without jumps is unchanged.
+        assert_eq!(Proc::Finish.subst_jump(0, &s), Proc::Finish);
     }
 
     #[test]
@@ -564,8 +557,8 @@ mod tests {
         // loop { if c then jump 0 else jump 1 }: unfolding replaces jump 0
         // and decrements jump 1 (it now refers to the next enclosing loop).
         let body = Proc::cond(Expr::lit(true), Proc::Jump(0), Proc::Jump(1));
-        let looped = Proc::loop_(body);
-        let unfolded = looped.unfold_once();
+        let looped = Proc::loop_(body.clone());
+        let unfolded = body.subst_jump(0, &looped);
         match unfolded {
             Proc::Cond {
                 then_branch,

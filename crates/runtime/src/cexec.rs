@@ -5,8 +5,8 @@
 //! re-normalises, substitutes and clones its process tree on every visible
 //! step, a [`CompiledEndpointTask`] is a program counter plus a slot array:
 //!
-//! * loop back-edges were resolved at compile time — no `unfold_once`, no
-//!   re-normalisation;
+//! * loop back-edges were resolved at compile time — no loop environment,
+//!   no re-normalisation;
 //! * received values land in pre-allocated slots and payload expressions
 //!   read them by index — no name-keyed substitution;
 //! * every send/receive site carries its [`ActionTemplate`], so the observer

@@ -1,13 +1,19 @@
 //! The endpoint executor: runs a process against a [`Transport`].
 //!
 //! This is the counterpart of the paper's extraction (`extract_proc`,
-//! Appendix B) composed with a `ProcessMonad` instance: the process is
-//! interpreted action by action: before each one the process is reduced to
-//! its next communication ([`to_communication`], which runs the internal
-//! actions in place and states the fuel rule), communication is delegated
-//! to the transport, and the endpoint's own trace is recorded so that it can
-//! be checked against the protocol afterwards (or live, by the
-//! [`monitor`](crate::monitor)).
+//! Appendix B) composed with a `ProcessMonad` instance: the process steps
+//! the process LTS of [`zooid_proc::semantics`], one visible action at a
+//! time. Before each one the process is reduced to its next communication
+//! ([`to_communication`], whose module states the fuel rule); a send
+//! performs its [`send_action`], a receive takes the transport's message as
+//! the alternative for its label; the transport carries the message; and
+//! [`step_communication`] gives the continuation. The endpoint's own trace
+//! is recorded so that it can be checked against the protocol afterwards
+//! (or live, by the [`monitor`](crate::monitor)). A task
+//! [typed](EndpointTask::typed) by the local type its process was certified
+//! against records each send at the sort that type declares, and follows
+//! the type action by action; an untyped task, which is what [`execute`]
+//! runs, records the payload's own sort.
 //!
 //! The interpreter is a resumable state machine, [`EndpointTask`]: each
 //! [`EndpointTask::step`] performs at most one visible communication and
@@ -24,9 +30,13 @@
 //! [`EndpointStatus`], [`EndpointReport`]) is shared with every executor, so
 //! it lives in the serving engine (`zooid-engine`) and is re-exported here.
 
+use std::borrow::Cow;
+
+use zooid_mpst::local::LocalType;
 use zooid_mpst::Role;
-use zooid_proc::semantics::to_communication;
-use zooid_proc::{sort_of_value, Externals, Proc, ValueAction};
+use zooid_proc::preservation::local_type_step;
+use zooid_proc::semantics::{send_action, step_communication, to_communication};
+use zooid_proc::{erase, Externals, Proc, ProcError, ValueAction};
 
 use crate::error::{Result, RuntimeError};
 use crate::transport::Transport;
@@ -85,10 +95,9 @@ pub struct EndpointTask {
     externals: Externals,
     options: ExecOptions,
     current: Proc,
-    /// Whether `current` is already reduced to its next communication. The
-    /// reduction is re-done lazily after every visible step, and skipped
-    /// when a `WouldBlock` retry comes back.
-    reduced: bool,
+    /// The local type `current` is typed against, when the task was
+    /// [`typed`](Self::typed).
+    local: Option<LocalType>,
     actions: Vec<ValueAction>,
     steps: usize,
     status: Option<EndpointStatus>,
@@ -102,7 +111,7 @@ impl EndpointTask {
             externals,
             options,
             current: proc,
-            reduced: false,
+            local: None,
             actions: Vec::new(),
             steps: 0,
             status: None,
@@ -117,6 +126,17 @@ impl EndpointTask {
     /// The visible communications performed so far.
     pub fn actions(&self) -> &[ValueAction] {
         &self.actions
+    }
+
+    /// Types the task by `local`, the local type its process was certified
+    /// against. A send then records the sort `local` declares for its label
+    /// (an untyped task records the payload's own sort), and the type
+    /// follows every action; an action it cannot follow fails the task with
+    /// a [`ProcError::TypeError`].
+    #[must_use]
+    pub fn typed(mut self, local: LocalType) -> Self {
+        self.local = Some(local);
+        self
     }
 
     /// Returns `true` once the execution is over (finished, failed or
@@ -189,96 +209,70 @@ impl EndpointTask {
         // Advance by *taking ownership* of the process: the reduction and
         // the step move continuations out of their boxes instead of
         // deep-cloning them ([`to_communication`] returns a communication
-        // as it is, the steady state here). On paths that do not consume
-        // the process (`WouldBlock`, and any `Done` — the task never steps
-        // again after one) `self.current` is either restored or irrelevant.
-        if !self.reduced {
-            let current = std::mem::replace(&mut self.current, Proc::Finish);
-            self.current = to_communication(current, &self.externals)?;
-            self.reduced = true;
+        // as it is, as on the retry after a `WouldBlock`). After an error
+        // the task never steps again.
+        let current = std::mem::replace(&mut self.current, Proc::Finish);
+        self.current = to_communication(current, &self.externals)?;
+        let at_limit = self.options.max_steps.is_some_and(|limit| self.steps >= limit);
+        if at_limit && !matches!(self.current, Proc::Finish) {
+            return Ok(StepOutcome::Done(EndpointStatus::StepLimitReached));
         }
-        match std::mem::replace(&mut self.current, Proc::Finish) {
-            Proc::Send {
-                to,
-                label,
-                payload,
-                cont,
-            } => {
-                if let Some(limit) = self.options.max_steps {
-                    if self.steps >= limit {
-                        return Ok(StepOutcome::Done(EndpointStatus::StepLimitReached));
-                    }
-                }
-                let value = payload.eval_closed()?;
-                let action = ValueAction::send(
-                    self.role.clone(),
-                    to.clone(),
-                    label.clone(),
-                    sort_of_value(&value),
-                    value.clone(),
-                );
-                // Observe the send *before* handing the message to the
-                // transport: once the frame is in flight the receiver may
-                // report its receive at any moment, and the monitor must see
-                // the send first to recognise the interleaving as a valid
-                // asynchronous trace.
-                observer(&action);
-                transport.send(&to, &label, &value)?;
-                if self.options.record_actions {
-                    self.actions.push(action);
-                }
-                self.steps += 1;
-                self.current = *cont;
-                self.reduced = false;
-                Ok(StepOutcome::Progress)
-            }
-            Proc::Recv { from, alts } => {
-                if let Some(limit) = self.options.max_steps {
-                    if self.steps >= limit {
-                        return Ok(StepOutcome::Done(EndpointStatus::StepLimitReached));
-                    }
-                }
-                let (label, value) = if block {
-                    transport.recv(&from)?
-                } else {
-                    match transport.try_recv(&from)? {
-                        Some(message) => message,
-                        None => {
-                            // The channel is empty: hand the receive back
-                            // unconsumed so the retry finds it unchanged.
-                            let waiting_on = from.clone();
-                            self.current = Proc::Recv { from, alts };
-                            return Ok(StepOutcome::WouldBlock { from: waiting_on });
-                        }
-                    }
-                };
-                let Some(alt) = alts.iter().find(|a| a.label == label) else {
-                    return Err(RuntimeError::UnexpectedMessage { from, label });
-                };
-                if !value.has_sort(&alt.sort) {
-                    return Err(RuntimeError::BadPayload { from, label });
-                }
-                let action = ValueAction::recv(
-                    self.role.clone(),
-                    from,
-                    label,
-                    alt.sort.clone(),
-                    value.clone(),
-                );
-                observer(&action);
-                if self.options.record_actions {
-                    self.actions.push(action);
-                }
-                let next = alt.cont.subst_value(&alt.var, &value);
-                self.steps += 1;
-                self.current = next;
-                self.reduced = false;
-                Ok(StepOutcome::Progress)
-            }
+        let offered = send_action(&self.current, &self.role, self.local.as_ref())?;
+        let action = if let Some(action) = offered {
+            action
+        } else if let Proc::Recv { from, alts } = &self.current {
+            let message = if block {
+                Some(transport.recv(from)?)
+            } else {
+                transport.try_recv(from)?
+            };
+            let Some((label, value)) = message else {
+                return Ok(StepOutcome::WouldBlock { from: from.clone() });
+            };
+            let Some(alt) = alts.iter().find(|a| a.label == label) else {
+                return Err(RuntimeError::UnexpectedMessage { from: from.clone(), label });
+            };
+            let sort = alt.sort.clone();
+            ValueAction::recv(self.role.clone(), from.clone(), label, sort, value)
+        } else {
             // `finish`, the one other head `to_communication` returns.
-            _ => Ok(StepOutcome::Done(EndpointStatus::Finished)),
+            return Ok(StepOutcome::Done(EndpointStatus::Finished));
+        };
+        let head = std::mem::replace(&mut self.current, Proc::Finish);
+        let Some(next) = step_communication(Cow::Owned(head), &action)? else {
+            return Err(if action.is_send {
+                untyped(&action)
+            } else {
+                RuntimeError::BadPayload { from: action.from, label: action.label }
+            });
+        };
+        if let Some(local) = &self.local {
+            let stepped = local_type_step(local, &erase(&action));
+            self.local = Some(stepped.ok_or_else(|| untyped(&action))?);
         }
+        // Observe a send *before* handing the message to the transport:
+        // once the frame is in flight the receiver may report its receive
+        // at any moment, and the monitor must see the send first to
+        // recognise the interleaving as a valid asynchronous trace.
+        observer(&action);
+        if action.is_send {
+            transport.send(&action.to, &action.label, &action.value)?;
+        }
+        if self.options.record_actions {
+            self.actions.push(action);
+        }
+        self.steps += 1;
+        self.current = next;
+        Ok(StepOutcome::Progress)
     }
+}
+
+/// The error of an action the task's local type cannot perform, which
+/// Theorem 4.5 rules out for a certified process.
+fn untyped(action: &ValueAction) -> RuntimeError {
+    RuntimeError::Process(ProcError::TypeError {
+        reason: format!("the local type cannot perform {action}"),
+    })
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@
 //! per participant and connects them over TCP, the harness steps every
 //! participant's [`EndpointTask`] on the [`Lockstep`] runner over the
 //! in-memory network — which is what the examples, the integration tests
-//! and the benchmarks use. A run is deterministic: the tasks are drained
-//! round-robin in role order, and an endpoint that can never progress is
+//! and the benchmarks use. Each task is [typed](EndpointTask::typed) by its
+//! certificate's local type, so its sends carry the sorts it declares. A
+//! run is deterministic: the tasks are drained round-robin in role order,
+//! and an endpoint that can never progress is
 //! [`Stalled`](crate::exec::EndpointStatus::Stalled). Individual endpoints
 //! can still be run by hand over TCP with [`crate::tcp::TcpTransport`] and
 //! [`crate::exec::execute`].
@@ -121,12 +123,14 @@ impl SessionHarness {
                 let transport = network
                     .take_endpoint(role)
                     .ok_or_else(|| RuntimeError::UnknownPeer { role: role.clone() })?;
+                // A decoy's certificate types it, not the projection.
                 let task = EndpointTask::new(
                     process.proc().clone(),
                     role.clone(),
                     externals.clone(),
                     self.options.clone(),
-                );
+                )
+                .typed(process.local_type().clone());
                 Ok((task, transport))
             })
             .collect::<Result<_>>()?;

@@ -1064,4 +1064,20 @@ fn every_executor_gives_up_on_a_silent_loop_after_the_same_laps() {
     assert_eq!(ticks.load(Ordering::Relaxed), 3 * laps);
     let action = ValueAction::send(p, q, "l".into(), Sort::Nat, Value::Nat(1));
     assert_eq!(do_step(&silent, &action, &externals), Err(no_communication()));
+
+    // `loop { write tick 0; if true then loop { if true then jump 1 else
+    // send q (l, 1) } else send q (l, 1) }`: the inner loop is entered
+    // forward, so the only back-edge of a lap is its `jump 1`, and every
+    // executor logs as many laps as above.
+    ticks.store(0, Ordering::Relaxed);
+    let send = Proc::send(action.to.clone(), "l", Expr::lit(1u64), Proc::Finish);
+    let inner = Proc::loop_(Proc::cond(Expr::lit(true), Proc::Jump(1), send.clone()));
+    let body = Proc::cond(Expr::lit(true), inner, send);
+    let forward = Proc::loop_(Proc::write("tick", Expr::lit(0u64), body));
+    let procs = vec![(action.from.clone(), forward.clone()), procs[1].clone()];
+    let observed = assert_batch_agrees_with(&g, &procs, &options, &[1], "forward loop", both);
+    let stuck = RuntimeError::Process(no_communication()).to_string();
+    assert_eq!(observed.statuses[&action.from], EndpointStatus::Failed { error: stuck });
+    assert_eq!(ticks.load(Ordering::Relaxed), 3 * laps);
+    assert_eq!(do_step(&forward, &action, &externals), Err(no_communication()));
 }
